@@ -94,10 +94,13 @@ maint-stress:
 # pins that appending with 64 views sharing one σ prefix stays on the
 # single-view allocation budget (the shared-delta fan-out adds zero
 # allocs/op) and that the shared plan's hit counter grows ≥ V-1 per
-# batch; the benchmark prints maint-ns/append across view counts for the
-# shared vs duplicated shapes. -count=1 defeats caching — the guard must run.
+# batch; the structural guard pins that a 64-row call publishes each touched
+# view exactly once; the benchmark prints maint-ns/append across view counts
+# for the shared vs duplicated shapes, and B/op of a 64-row call against a
+# 20 000-group B-tree view (per-row copy-on-write would show there).
+# -count=1 defeats caching — the guards must run.
 bench-maint:
-	$(GO) test -count=1 -run 'TestMaintAllocGuards' -v .
+	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestMaintPublishesOncePerCall' -v .
 	$(GO) test -run=NONE -bench 'BenchmarkMaintainFanout' -benchmem -benchtime 50x .
 
 # check is the gate for every change: static analysis plus the full suite

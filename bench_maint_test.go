@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	chronicledb "chronicledb"
+	"chronicledb/internal/view"
 )
 
 // fanoutDB builds an in-memory DB with V summary views over one chronicle.
@@ -71,6 +72,119 @@ func BenchmarkMaintainFanout(b *testing.B) {
 				b.ReportMetric(float64(st.MaintenanceNs)/float64(st.Appends), "maint-ns/append")
 				b.ReportMetric(float64(st.SharedHits)/float64(st.Appends), "shared-hits/append")
 			})
+		}
+	}
+	b.Run("call64/btree=20000", benchCall64)
+}
+
+// benchCall64 is one 64-row AppendRows call against a 20 000-group B-tree
+// view, every row a different existing group. Its B/op is the line to watch:
+// with one publication per call a node on the way to two of the call's
+// groups is path-copied once; with one per row the root and every interior
+// node were copied 64 times over (≈24 KB a row).
+func benchCall64(b *testing.B) {
+	const groups, callK = 20000, 64
+	db, err := chronicledb.Open(chronicledb.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	for _, stmt := range []string{
+		`CREATE CHRONICLE calls (acct STRING, minutes INT)`,
+		`CREATE VIEW usage AS SELECT acct, SUM(minutes) AS m FROM calls GROUP BY acct WITH STORE BTREE`,
+	} {
+		if _, err := db.Exec(stmt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	tuples := make([]chronicledb.Tuple, groups)
+	for i := range tuples {
+		tuples[i] = chronicledb.Tuple{chronicledb.Str(fmt.Sprintf("acct%05d", i)), chronicledb.Int(1)}
+	}
+	if _, _, err := db.AppendRows("calls", tuples); err != nil {
+		b.Fatal(err)
+	}
+	// Calls stride through the groups so the 64 rows spread over the tree.
+	call := func(i int) []chronicledb.Tuple {
+		out := make([]chronicledb.Tuple, callK)
+		for j := range out {
+			out[j] = tuples[(i*callK+j)*311%groups]
+		}
+		return out
+	}
+	calls := make([][]chronicledb.Tuple, 64)
+	for i := range calls {
+		calls[i] = call(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := db.AppendRows("calls", calls[i%len(calls)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestMaintPublishesOncePerCall is the structural guard of call-scoped
+// publication: one AppendRows call of 64 rows into the 64-view fan-out folds
+// 64 times into every view and publishes each exactly once — and so does a
+// multi-tuple Append, and a call that touches a view with only some of its
+// rows. A per-row publication coming back shows here as 64.
+func TestMaintPublishesOncePerCall(t *testing.T) {
+	const V, callK = 64, 64
+	db := fanoutDB(t, "duplicated", V) // view i keeps minutes >= i
+	defer db.Close()
+	views := make([]*view.View, V)
+	for i := range views {
+		v, ok := db.View(fmt.Sprintf("v%d", i))
+		if !ok {
+			t.Fatalf("view v%d missing", i)
+		}
+		views[i] = v
+	}
+	publishes := func() []int64 {
+		out := make([]int64, V)
+		for i, v := range views {
+			out[i] = v.Stats().Publishes
+		}
+		return out
+	}
+	// Row j carries minutes = j: view i sees the rows with j >= i, so every
+	// view is touched by at least one row and most by many.
+	tuples := make([]chronicledb.Tuple, callK)
+	for j := range tuples {
+		tuples[j] = chronicledb.Tuple{chronicledb.Str(fmt.Sprintf("acct%d", j%8)), chronicledb.Int(int64(j))}
+	}
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"AppendRows", func() error { _, _, err := db.AppendRows("calls", tuples); return err }},
+		{"AppendRowsIdem", func() error { _, _, _, err := db.AppendRowsIdem("calls", tuples, "c", "r"); return err }},
+		{"Append", func() error { _, err := db.Append("calls", tuples...); return err }},
+	} {
+		before := publishes()
+		if err := tc.call(); err != nil {
+			t.Fatal(err)
+		}
+		for i, after := range publishes() {
+			if got := after - before[i]; got != 1 {
+				t.Errorf("%s of %d rows: view v%d published %d times, want exactly 1", tc.name, callK, i, got)
+			}
+		}
+	}
+	// A call none of whose rows reach a view leaves it unpublished.
+	before := publishes()
+	if _, _, err := db.AppendRows("calls", tuples[:V/2]); err != nil {
+		t.Fatal(err)
+	}
+	for i, after := range publishes() {
+		want := int64(1)
+		if i >= V/2 {
+			want = 0 // minutes < V/2 < i: filtered out
+		}
+		if got := after - before[i]; got != want {
+			t.Errorf("half call: view v%d published %d times, want %d", i, got, want)
 		}
 	}
 }

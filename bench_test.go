@@ -384,6 +384,7 @@ func BenchmarkE10_ViewStoreAblation(b *testing.B) {
 					v.ApplyRows([]chronicle.Row{{SN: int64(i), Vals: value.Tuple{
 						value.Str(bench.Acct(i)), value.Int(1), value.Float(0.1)}}})
 				}
+				v.Publish()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					d, _, err := w.NextCall()

@@ -950,7 +950,9 @@ func (db *DB) Append(chronicleName string, tuples ...value.Tuple) (int64, error)
 
 // AppendRows bulk-ingests tuples into a chronicle, one transaction (own
 // sequence number and maintenance round) per tuple, applied under a single
-// kernel pass. It returns the first and last sequence numbers assigned.
+// kernel pass and made visible to readers as one: a query sees all of the
+// call's rows or none. It returns the first and last sequence numbers
+// assigned; on an error at tuple i the tuples before it stay applied.
 func (db *DB) AppendRows(chronicleName string, tuples []value.Tuple) (first, last int64, err error) {
 	if err := db.writeGate(); err != nil {
 		return 0, 0, err
@@ -1077,7 +1079,7 @@ type ViewMaintStat struct {
 	Name      string
 	Applies   int64 // maintenance invocations
 	DeltaRows int64 // expression delta rows folded in
-	ApplyNs   int64 // wall time inside ApplyRows (fold + snapshot publish)
+	ApplyNs   int64 // wall time inside ApplyRows (the fold)
 }
 
 // MaintWorkers reports the resolved per-engine maintenance parallelism.

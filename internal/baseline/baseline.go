@@ -52,6 +52,7 @@ func (r *Recompute) Refresh() ([]value.Tuple, error) {
 		return nil, err
 	}
 	v.ApplyRows(rows)
+	v.Publish()
 	return v.Rows(), nil
 }
 
@@ -66,6 +67,7 @@ func (r *Recompute) Lookup(key value.Tuple) (value.Tuple, bool, error) {
 		return nil, false, err
 	}
 	v.ApplyRows(rows)
+	v.Publish()
 	t, ok := v.Lookup(key)
 	return t, ok, nil
 }

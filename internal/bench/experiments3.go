@@ -90,6 +90,7 @@ func RunE10(cfg Config) (*Table, error) {
 				v.ApplyRows([]chronicle.Row{{SN: int64(i), Vals: value.Tuple{
 					value.Str(Acct(i)), value.Int(1), value.Float(0.1)}}})
 			}
+			v.Publish()
 			probes := 5000
 			start := time.Now()
 			for i := 0; i < probes; i++ {

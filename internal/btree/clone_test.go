@@ -383,3 +383,40 @@ func BenchmarkClone(b *testing.B) {
 		tr.Set(i&(1<<16-1), "w")
 	}
 }
+
+// TestPathCopyCapacity pins the capacity a copy-on-write node copy is made
+// with. The insert that caused the copy must fit in it: a copy sized to the
+// node's exact length is reallocated at once (at Go's growth factor, so the
+// leaf ends up with slack too). And a split must leave both halves room to
+// grow, the left one in its own array.
+func TestPathCopyCapacity(t *testing.T) {
+	tr := New[int, string](func(a, b int) bool { return a < b })
+	for i := 0; i < 40*maxItems; i += 2 {
+		tr.Set(i, "v")
+	}
+	if tr.root.children == nil || tr.root.children[0].children != nil {
+		t.Fatal("want a two-level tree")
+	}
+	before := len(tr.root.children[0].items)
+	snap := tr.Clone()
+	tr.Set(1, "new") // a fresh key for the first leaf
+	leaf := tr.root.children[0]
+	if leaf == snap.root.children[0] {
+		t.Fatal("the insert wrote through to the clone's leaf")
+	}
+	if len(leaf.items) != before+1 || cap(leaf.items) != before+1 {
+		t.Errorf("path-copied leaf of %d items has len %d cap %d after one insert, want %d and %d: copied with room for exactly the insert",
+			before, len(leaf.items), cap(leaf.items), before+1, before+1)
+	}
+
+	for i := 1; len(tr.root.children[0].items) < maxItems; i++ {
+		tr.Set(-i, "fill")
+	}
+	left := tr.root.children[0]
+	tr.Set(-1<<20, "split")
+	if l, r := tr.root.children[0], tr.root.children[1]; cap(l.items) < maxItems || cap(r.items) < maxItems {
+		t.Errorf("after a split the halves have capacity %d and %d, want %d each", cap(l.items), cap(r.items), maxItems)
+	} else if l != left {
+		t.Error("the split replaced the left half instead of keeping its array")
+	}
+}

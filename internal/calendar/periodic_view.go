@@ -21,7 +21,8 @@ type PeriodicView struct {
 	expireAfter int64 // chronons past interval end; <0 keeps instances forever
 
 	instances map[Interval]*view.View
-	maxSeen   int64 // high-water chronon, drives expiration
+	dirty     []*view.View // instances folded into since the last Publish
+	maxSeen   int64        // high-water chronon, drives expiration
 	created   int64
 	expired   int64
 	applies   int64 // maintenance invocations; the checkpoint dirty marker
@@ -73,12 +74,34 @@ func (p *PeriodicView) Expired() int64 { return p.expired }
 // monotonic dirty marker: an unchanged count means unchanged state.
 func (p *PeriodicView) Applies() int64 { return p.applies }
 
-// Apply routes one append batch (stamped with its chronon) to every view
+// Apply maintains the family for one append batch on its own: Fold, then
+// Publish. The engine folds every row of an append call and publishes once;
+// Apply serves callers that drive a family directly.
+func (p *PeriodicView) Apply(d algebra.BatchDelta, chronon int64) error {
+	_, err := p.Fold(d, chronon)
+	p.Publish()
+	return err
+}
+
+// Publish makes the rows folded since the last Publish visible to the
+// instances' readers, each instance once.
+func (p *PeriodicView) Publish() {
+	for i, inst := range p.dirty {
+		inst.Publish()
+		p.dirty[i] = nil
+	}
+	p.dirty = p.dirty[:0]
+}
+
+// Fold routes one append batch (stamped with its chronon) to every view
 // instance whose interval contains the chronon, creating instances on
 // demand, then expires instances whose grace period has passed. Only the
 // currently active instances are maintained — the Section 5.2 requirement
 // that "only these periodic views need to be maintained upon insertions".
-func (p *PeriodicView) Apply(d algebra.BatchDelta, chronon int64) error {
+// Nothing becomes visible to readers until Publish; first reports that this
+// fold is the first since the last one to leave something to publish.
+func (p *PeriodicView) Fold(d algebra.BatchDelta, chronon int64) (first bool, err error) {
+	clean := len(p.dirty) == 0
 	p.applies++
 	if chronon > p.maxSeen {
 		p.maxSeen = chronon
@@ -90,16 +113,18 @@ func (p *PeriodicView) Apply(d algebra.BatchDelta, chronon int64) error {
 			def.Name = fmt.Sprintf("%s%s", p.name, iv)
 			v, err := view.New(def, p.kind)
 			if err != nil {
-				return err
+				return false, err
 			}
 			inst = v
 			p.instances[iv] = inst
 			p.created++
 		}
-		inst.Apply(d)
+		if inst.ApplyRows(inst.Delta(d)) {
+			p.dirty = append(p.dirty, inst)
+		}
 	}
 	p.expire()
-	return nil
+	return clean && len(p.dirty) > 0, nil
 }
 
 // expire drops instances whose interval ended more than expireAfter ago.

@@ -246,3 +246,52 @@ func TestPeriodicCheckpointErrors(t *testing.T) {
 		t.Errorf("Live = %d after failed restores", pv.Live())
 	}
 }
+
+// TestFoldThenPublish: a family folds into its instances without showing
+// their readers anything, reports its first fold once, and Publish makes
+// every instance folded into — overlapping windows mean more than one —
+// visible together; an instance created by the fold starts out empty.
+func TestFoldThenPublish(t *testing.T) {
+	f := newPVFixture(t)
+	cal, _ := NewPeriodic(0, 50, 100) // windows of 100 every 50: two cover each chronon past 50
+	pv, err := NewPeriodicView("w", f.viewDef(), cal, -1, view.StoreBTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustApply(t, pv, f.append(t, 60, "a", 1), 60)
+	if pv.Live() != 2 {
+		t.Fatalf("live instances = %d, want 2", pv.Live())
+	}
+	total := func(v *view.View) (sum int64) {
+		v.Scan(func(row value.Tuple) bool { sum += row[1].AsInt(); return true })
+		return sum
+	}
+	for i := 0; i < 3; i++ {
+		first, err := pv.Fold(f.append(t, 70, "a", 10), 70)
+		if err != nil || first != (i == 0) {
+			t.Fatalf("fold %d: first = %v, err = %v", i, first, err)
+		}
+	}
+	if _, err := pv.Fold(f.append(t, 110, "a", 10), 110); err != nil { // opens window [100,200)
+		t.Fatal(err)
+	}
+	for _, inst := range pv.Instances() {
+		want := int64(1)
+		if inst.Interval.Start == 100 {
+			want = 0
+		}
+		if got := total(inst.View); got != want {
+			t.Errorf("before Publish: window %v reads %d, want %d", inst.Interval, got, want)
+		}
+	}
+	pv.Publish()
+	want := map[int64]int64{0: 31, 50: 41, 100: 10}
+	for _, inst := range pv.Instances() {
+		if got := total(inst.View); got != want[inst.Interval.Start] {
+			t.Errorf("after Publish: window %v reads %d, want %d", inst.Interval, got, want[inst.Interval.Start])
+		}
+	}
+	if first, _ := pv.Fold(f.append(t, 120, "a", 1), 120); !first {
+		t.Error("the first fold after a Publish did not report itself")
+	}
+}

@@ -9,11 +9,16 @@ import (
 )
 
 // maintTask is one view's share of a maintenance batch: precomputed
-// expression delta rows waiting to be folded into the view.
+// expression delta rows waiting to be folded into the view. first is the
+// fold's answer: the view had nothing unpublished before it, so the call
+// now owes it a Publish.
 type maintTask struct {
-	v    *view.View
-	rows []chronicle.Row
+	v     *view.View
+	rows  []chronicle.Row
+	first bool
 }
+
+func (t *maintTask) fold() { t.first = t.v.ApplyRows(t.rows) }
 
 // maintPool folds one batch's maintenance tasks across a fixed set of
 // helper goroutines. Each task targets a distinct view (the engine dedups
@@ -82,8 +87,7 @@ func (p *maintPool) drain() {
 		if i >= n {
 			return
 		}
-		t := p.tasks[i]
-		t.v.ApplyRows(t.rows)
+		p.tasks[i].fold()
 	}
 }
 

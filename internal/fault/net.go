@@ -115,7 +115,7 @@ func injectedNetErr(op string) error {
 // ChaosTransport wraps an http.RoundTripper with the NetChaos fault model.
 // Request drops surface as dial errors (server untouched); response drops
 // let the base transport complete the round trip — the server applies the
-// request — then discard the response and surface a read error, which is
+// request — then close the response unread and surface a read error, which is
 // exactly the ambiguity a resilient client must resolve with idempotent
 // retries. Duplicates deliver the request twice and return the second
 // response.
@@ -162,7 +162,9 @@ func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, err
 	}
 	if c.roll(c.DropResponse) {
-		io.Copy(io.Discard, resp.Body)
+		// The headers are back, so the server has applied the request.
+		// The body is closed unread: draining it would never return on a
+		// response that streams for as long as the client stays (SSE).
 		resp.Body.Close()
 		c.droppedResponses.Add(1)
 		return nil, injectedNetErr("read")

@@ -132,7 +132,7 @@ func (v *View) RestoreCheckpoint(data []byte) error {
 		// so the store pointer must never change once published: install
 		// the fresh entries and adopt the new table in place.
 		f := fresh.(*hashStore)
-		f.publish()
+		f.publish(0)
 		cur.adopt(f)
 	} else {
 		v.store = fresh
@@ -153,7 +153,7 @@ func (v *View) RestoreCheckpoint(data []byte) error {
 		b.hot.Store(true)
 		p.blocks = []*blockMeta{b}
 		p.nonResident.Store(0)
-		p.total.Store(int64(b.n))
+		p.total = int64(b.n)
 		p.cache.addResident(v, b)
 	}
 	v.publishLocked()

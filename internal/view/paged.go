@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"chronicledb/internal/btree"
 	"chronicledb/internal/keyenc"
 	"chronicledb/internal/value"
 )
@@ -20,6 +21,10 @@ import (
 //
 // Invariants (all block state transitions happen under the view's mu):
 //
+//   - resident ⇒ in the published snapshot: every fault ends by publishing
+//     the block (faultIn), and eviction by publishing its absence, so a
+//     reader that misses the snapshot while nonResident is 0 may conclude
+//     the key does not exist.
 //   - dirty ⇒ resident: a write faults the covering block first, so a
 //     dirty block's entries are always in the live tree and a checkpoint
 //     can re-encode it from memory.
@@ -44,9 +49,9 @@ type blockMeta struct {
 // checkpoint image (a block with no durable image at all is dirty).
 func (b *blockMeta) dirty() bool { return b.ref == nil || b.dirtyMark > b.ckptMark }
 
-// pager is the per-view paging state. blocks and every blockMeta field
-// except hot are guarded by the owning view's mu; nonResident and total
-// are atomics so the hot read path can skip the slow path without locks.
+// pager is the per-view paging state. blocks, total and every blockMeta
+// field except hot are guarded by the owning view's mu; nonResident and
+// published are atomics so the read paths can consult them without locks.
 type pager struct {
 	blockBytes  int64
 	fetch       FetchFunc
@@ -54,7 +59,8 @@ type pager struct {
 	blocks      []*blockMeta
 	mark        uint64 // monotonic write clock feeding dirtyMark/ckptMark
 	nonResident atomic.Int64
-	total       atomic.Int64 // logical entries across all blocks
+	total       int64        // logical entries across all blocks, live
+	published   atomic.Int64 // total as of the last publication (View.Len)
 }
 
 // blockFor returns the index of the block covering key: the greatest
@@ -108,7 +114,8 @@ func (v *View) EnablePaging(blockBytes int64, fetch FetchFunc, cache *Cache) {
 	b.dirtyMark = p.mark
 	b.hot.Store(true)
 	p.blocks = []*blockMeta{b}
-	p.total.Store(int64(b.n))
+	p.total = int64(b.n)
+	p.published.Store(int64(b.n))
 	cache.addResident(v, b)
 	v.pg.Store(p)
 }
@@ -132,7 +139,7 @@ func (v *View) ReleasePaging() {
 func (v *View) ensureWrite(p *pager, key []byte) *blockMeta {
 	b := p.blocks[p.blockFor(key)]
 	if !b.resident {
-		v.pageIn(p, b)
+		v.faultIn(p, b)
 	}
 	p.mark++
 	b.dirtyMark = p.mark
@@ -146,17 +153,48 @@ func (v *View) noteInsert(p *pager, b *blockMeta, key []byte, e *entry) {
 	est := estEntryBytes(key, e)
 	b.n++
 	b.bytes += est
-	p.total.Add(1)
+	p.total++
 	p.cache.grow(est)
 }
 
-// pageIn faults one block from the checkpoint chain into the live tree.
+// faultIn loads cold blocks from the checkpoint chain into the live tree
+// and publishes them, so the snapshot keeps covering the resident set.
+// Caller holds v.mu. With nothing folded since the last publication the
+// live tree is the published state plus those blocks, and it is published
+// as usual. Inside an append call it is not: the live tree already holds
+// rows no reader may see yet. A cold block is clean — a write faults its
+// block first — so its durable image is its content before and after the
+// call so far, and it is added to a copy of the published tree instead,
+// under the LSN that publication already carried.
+func (v *View) faultIn(p *pager, cold ...*blockMeta) {
+	var pub *btree.Tree[[]byte, *entry]
+	if v.unpublished {
+		// Clone re-tags its receiver; the published tree is never written
+		// through, so that is invisible to its readers.
+		pub = v.snap.Load().tree.Clone()
+	}
+	for _, b := range cold {
+		v.pageIn(p, b, pub)
+	}
+	if pub == nil {
+		v.publishLocked()
+	} else {
+		s := v.snap.Load()
+		v.snap.Store(&snapshot{tree: pub, at: s.at, lsn: s.lsn})
+	}
+	// After the publication: a reader that sees the lowered count also sees
+	// the snapshot that made it true (Lookup re-checks the snapshot).
+	p.nonResident.Add(-int64(len(cold)))
+}
+
+// pageIn loads one block from the checkpoint chain into the live tree and,
+// when pub is set, into that tree too (the two share keys and entries).
 // Caller holds v.mu. A failure here panics: the manifest invariant keeps
 // every referenced chain file on disk until a newer image replaces it, so
 // a failed fetch means the store is gone or corrupted underneath us — and
 // on the write path the WAL record was already durable before ApplyRows,
 // so there is no caller that could meaningfully continue.
-func (v *View) pageIn(p *pager, b *blockMeta) {
+func (v *View) pageIn(p *pager, b *blockMeta, pub *btree.Tree[[]byte, *entry]) {
 	data, err := p.fetch(*b.ref)
 	if err != nil {
 		panic(fmt.Sprintf("view %s: block fault %s@%d+%d: %v",
@@ -170,13 +208,18 @@ func (v *View) pageIn(p *pager, b *blockMeta) {
 	ts := v.store.(*treeStore)
 	var keyBuf []byte
 	for _, e := range entries {
-		e.epoch = v.epoch
+		// Epoch 0 predates every write epoch: the entry is about to be
+		// published, so the first write to it must copy.
+		e.epoch = 0
 		keyBuf = keyenc.AppendTuple(keyBuf[:0], e.vals)
-		ts.set(keyBuf, e)
+		key := append([]byte(nil), keyBuf...)
+		ts.t.Set(key, e)
+		if pub != nil {
+			pub.Set(key, e)
+		}
 	}
 	b.resident = true
 	b.hot.Store(true)
-	p.nonResident.Add(-1)
 	p.cache.misses.Add(1)
 	p.cache.addResident(v, b)
 }
@@ -185,11 +228,14 @@ func (v *View) pageIn(p *pager, b *blockMeta) {
 // publishes the shrunken snapshot, returning the bytes freed (0 when the
 // block turns out to be stale, dirty, or already evicted — the cache's
 // CLOCK sweep calls this without holding any lock and re-verifies here).
+// A view with folded-but-unpublished rows gives up nothing: publishing its
+// live tree now would expose part of an append call. Its own Publish runs
+// the sweep again.
 func (v *View) evictBlock(b *blockMeta) int64 {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	p := v.pg.Load()
-	if p == nil || !b.resident || b.dirty() {
+	if p == nil || v.unpublished || !b.resident || b.dirty() {
 		return 0
 	}
 	probe := b.lo
@@ -216,14 +262,13 @@ func (v *View) evictBlock(b *blockMeta) int64 {
 
 // pagedLookup is the read slow path: the key missed the published
 // snapshot while some blocks are cold, so fault the covering block and
-// probe the live tree.
+// probe the snapshot that now covers it.
 func (v *View) pagedLookup(key []byte) (value.Tuple, bool) {
 	p := v.pg.Load()
 	v.mu.Lock()
 	b := p.blocks[p.blockFor(key)]
 	if !b.resident {
-		v.pageIn(p, b)
-		v.publishLocked()
+		v.faultIn(p, b)
 	} else {
 		// Another reader faulted it between our snapshot load and here,
 		// or the key is genuinely absent from a warm block.
@@ -231,7 +276,7 @@ func (v *View) pagedLookup(key []byte) (value.Tuple, bool) {
 	}
 	b.hot.Store(true)
 	var row value.Tuple
-	e, ok := v.store.(*treeStore).t.Get(key)
+	e, ok := v.snap.Load().tree.Get(key)
 	if ok && e.count != 0 {
 		row = v.rowOf(e)
 	} else {
@@ -254,7 +299,7 @@ func (v *View) scanSnap(lo, hi []byte) *snapshot {
 		return v.snap.Load()
 	}
 	v.mu.Lock()
-	faulted := false
+	var cold []*blockMeta
 	start := 0
 	if lo != nil {
 		start = p.blockFor(lo)
@@ -265,13 +310,12 @@ func (v *View) scanSnap(lo, hi []byte) *snapshot {
 			break
 		}
 		if !b.resident {
-			v.pageIn(p, b)
-			faulted = true
+			cold = append(cold, b)
 		}
 		b.hot.Store(true)
 	}
-	if faulted {
-		v.publishLocked()
+	if len(cold) > 0 {
+		v.faultIn(p, cold...)
 	}
 	s := v.snap.Load()
 	v.mu.Unlock()
@@ -703,7 +747,7 @@ func (v *View) RestoreBlocked(data []byte, file string, base int64, fetch FetchF
 		}
 		p.blocks = blocks
 		p.nonResident.Store(int64(len(blocks)))
-		p.total.Store(total)
+		p.total = total
 		v.publishLocked()
 		v.mu.Unlock()
 		return nil
@@ -736,7 +780,7 @@ func (v *View) RestoreBlocked(data []byte, file string, base int64, fetch FetchF
 	v.mu.Lock()
 	if cur, ok := v.store.(*hashStore); ok {
 		f := fresh.(*hashStore)
-		f.publish()
+		f.publish(0)
 		cur.adopt(f)
 	} else {
 		v.store = fresh
@@ -901,14 +945,14 @@ func (v *View) RestoreBlockedDelta(data []byte, file string, base int64) error {
 			} else {
 				p.nonResident.Add(-1)
 			}
-			p.total.Add(-int64(b.n))
+			p.total -= int64(b.n)
 			e++
 		}
 		ins := make([]*blockMeta, len(r.recs))
 		for i, rc := range r.recs {
 			m := &blockMeta{lo: rc.lo, n: rc.n, bytes: rc.ref.Len, ref: &BlockRef{}}
 			*m.ref = rc.ref
-			p.total.Add(int64(rc.n))
+			p.total += int64(rc.n)
 			ins[i] = m
 		}
 		p.nonResident.Add(int64(len(ins)))
@@ -978,4 +1022,3 @@ func (v *View) BlockStats() (total, dirty, resident int) {
 	}
 	return total, dirty, resident
 }
-

@@ -452,3 +452,67 @@ func TestBlockedDeltaFirstImage(t *testing.T) {
 		t.Fatalf("first-image delta diverges:\n got %s\nwant %s", got, want)
 	}
 }
+
+// TestPagedFaultInsideCall: a block fault publishes, and inside an append
+// call the live tree holds rows no reader may see yet. A reader that faults
+// a cold block between two folds of one call must get that block's rows —
+// and still none of the call's, nor a later LSN; a fold that faults a cold
+// block must leave it readable at its content from before the call; and the
+// view gives up no block while the call is open.
+func TestPagedFaultInsideCall(t *testing.T) {
+	f := newFixture(t)
+	sim := newChainSim()
+	cache := NewCache(1) // a 1-byte budget: every clean block is evictable
+	v := pagedView(t, f, sim, 256, cache)
+	const groups = 120
+	for i := 0; i < groups; i++ {
+		v.Apply(f.appendCall(t, acctName(i), 5))
+	}
+	sim.checkpointTo(t, v, "ck1", true)
+	cache.Maintain()
+	total, _, resident := v.BlockStats()
+	if total < 4 || resident != 0 {
+		t.Fatalf("want several blocks, all evicted; have %d with %d resident", total, resident)
+	}
+	lookup := func(i int) int64 {
+		t.Helper()
+		row, ok := v.Lookup(value.Tuple{value.Str(acctName(i))})
+		if !ok {
+			t.Fatalf("acct %d not found", i)
+		}
+		return row[1].AsInt()
+	}
+	lsn0 := v.ScanAt(func(value.Tuple) bool { return false })
+	cache.Maintain()
+
+	// The call: two folds into the first block (which the write faults in),
+	// with reads in between.
+	v.ApplyRows(v.Delta(f.appendCall(t, acctName(0), 100)))
+	if got := lookup(0); got != 5 {
+		t.Errorf("block faulted by the fold: acct 0 reads %d inside the call, want the published 5", got)
+	}
+	if got := lookup(groups - 1); got != 5 { // a reader's fault, far from the write
+		t.Errorf("block faulted by a reader: acct %d reads %d, want 5", groups-1, got)
+	}
+	v.ApplyRows(v.Delta(f.appendCall(t, acctName(1), 100)))
+	var sum int64
+	if lsn := v.ScanAt(func(row value.Tuple) bool { sum += row[1].AsInt(); return true }); lsn != lsn0 || sum != 5*groups {
+		t.Errorf("scan inside the call: total %d at LSN %d, want %d at %d", sum, lsn, 5*groups, lsn0)
+	}
+	cache.Maintain() // far over budget, but the call is open
+	if _, _, resident := v.BlockStats(); resident != total {
+		t.Errorf("inside the call %d of %d blocks are resident: the view gave one up", resident, total)
+	}
+
+	v.Publish()
+	if a, b := lookup(0), lookup(1); a != 105 || b != 105 {
+		t.Errorf("after Publish: accts 0 and 1 read %d and %d, want 105 each", a, b)
+	}
+	sum = 0
+	if lsn := v.ScanAt(func(row value.Tuple) bool { sum += row[1].AsInt(); return true }); lsn != lsn0+2 || sum != 5*groups+200 {
+		t.Errorf("scan after Publish: total %d at LSN %d, want %d at %d", sum, lsn, 5*groups+200, lsn0+2)
+	}
+	if cache.Evictions() == 0 {
+		t.Error("nothing was ever evicted")
+	}
+}

@@ -16,8 +16,8 @@ import (
 // for refcounted duplicate elimination in projection views.
 //
 // epoch stamps the publication epoch the entry was created (or last
-// copied) in. B-tree stores publish an immutable snapshot after every
-// maintenance batch; an entry whose epoch predates the view's current
+// copied) in. B-tree stores publish an immutable snapshot at the end of
+// every append call; an entry whose epoch predates the view's current
 // write epoch is reachable from a published snapshot and must be cloned
 // before mutation so lock-free readers never observe a partial update.
 //
@@ -72,8 +72,8 @@ func (k StoreKind) String() string {
 // reuses one buffer per view), set copies the key before retaining it.
 //
 // get/set/replace are maintenance-side and run under the view's exclusive
-// lock; the hash store's get returns a batch-private mutable clone so
-// published entries stay frozen for its lock-free readers.
+// lock; the hash store's get returns a pending mutable clone so published
+// entries stay frozen for its lock-free readers.
 type store interface {
 	get(key []byte) (*entry, bool)
 	set(key []byte, e *entry)
@@ -151,21 +151,26 @@ func (t *htab) install(e *entry) (old *entry, inserted bool) {
 
 // hashStore is the unordered group store with lock-free readers. Published
 // state lives in an atomically swapped open-addressing table of frozen
-// entries; maintenance accumulates batch mutations as clones in pending
-// (guarded by the view's exclusive lock) and installs them slot-by-slot at
-// publish. Readers announce themselves through the readers counter so the
+// entries; maintenance accumulates an append call's mutations as clones in
+// pending (guarded by the view's exclusive lock) and installs them
+// slot-by-slot at publish — one clone and one install per touched entry
+// per call, however many of the call's rows hit it. A point probe is
+// atomic per entry; a scan validates its gather against seq (see collect).
+// Readers announce themselves through the readers counter so the
 // store only recycles a retired entry version into the freelist when no
 // reader could still hold it — which keeps the warm maintenance path
 // allocation-free without ever mutating a reachable entry in place.
 type hashStore struct {
 	tab     atomic.Pointer[htab]
-	count   atomic.Int64 // published entries, for lock-free len
-	readers atomic.Int64 // in-flight lock-free readers
+	count   atomic.Int64  // published entries, for lock-free len
+	readers atomic.Int64  // in-flight lock-free readers
+	seq     atomic.Uint64 // publish sequence: odd while an install pass runs
+	lsn     atomic.Uint64 // LSN the published table has reached
 
 	// Maintenance state, guarded by the owning view's mu.
-	pending map[string]*entry // batch-local mutable clones and inserts
+	pending map[string]*entry // unpublished mutable clones and inserts
 	free    []*entry          // recycled entry shells for mutableClone
-	retired []*entry          // versions replaced this batch, pending recycle
+	retired []*entry          // versions replaced at this publish, pending recycle
 	used    int               // published slots, for the growth check
 }
 
@@ -175,7 +180,7 @@ func newHashStore() *hashStore {
 	return h
 }
 
-// mutableClone returns a batch-private copy of a published entry, reusing
+// mutableClone returns a private copy of a published entry, reusing
 // a freelist shell when one fits (an in-place struct copy of every state —
 // the allocation-free warm path).
 func (h *hashStore) mutableClone(src *entry) *entry {
@@ -195,9 +200,9 @@ func (h *hashStore) mutableClone(src *entry) *entry {
 	return c
 }
 
-// get returns the batch-mutable entry for key. A published entry is cloned
-// into pending on first touch so readers of the current table never see a
-// half-applied state; repeat touches within the batch hit the clone.
+// get returns the mutable entry for key. A published entry is cloned into
+// pending on first touch so readers of the current table never see a
+// half-applied state; repeat touches before the next publish hit the clone.
 func (h *hashStore) get(key []byte) (*entry, bool) {
 	if e, ok := h.pending[string(key)]; ok {
 		return e, true
@@ -221,11 +226,13 @@ func (h *hashStore) replace(key []byte, e *entry) { h.set(key, e) }
 
 func (h *hashStore) len() int { return int(h.count.Load()) }
 
-// publish installs the batch's pending entries into the table (growing it
-// first if the insert load would cross 3/4 full), then recycles retired
-// entry versions when no lock-free reader is in flight. Runs under the
-// view's exclusive lock.
-func (h *hashStore) publish() {
+// publish installs the pending entries into the table (growing it first if
+// the insert load would cross 3/4 full) and stamps the table with the LSN it
+// now reflects, all inside one odd-seq window, then recycles retired entry
+// versions when no lock-free reader is in flight. Runs under the view's
+// exclusive lock.
+func (h *hashStore) publish(lsn uint64) {
+	h.seq.Add(1)
 	if len(h.pending) > 0 {
 		t := h.tab.Load()
 		if (h.used+len(h.pending))*4 > len(t.slots)*3 {
@@ -253,6 +260,8 @@ func (h *hashStore) publish() {
 		}
 		clear(h.pending)
 	}
+	h.lsn.Store(lsn)
+	h.seq.Add(1)
 	if len(h.retired) > 0 {
 		// A reader counted here may hold pointers into the previous table
 		// or the retired versions; dropping them to the GC is always safe,
@@ -268,7 +277,7 @@ func (h *hashStore) publish() {
 }
 
 // rget is the lock-free reader probe: published entries only, never the
-// batch-local pending set. Callers bracket the call (through any derived
+// pending set. Callers bracket the call (through any derived
 // entry use) with readers.Add(1) / Add(-1).
 func (h *hashStore) rget(key []byte) (*entry, bool) {
 	e := h.tab.Load().probe(key)
@@ -279,25 +288,39 @@ func (h *hashStore) rget(key []byte) (*entry, bool) {
 // so concurrent lock-free readers never observe a dangling store pointer.
 // Runs under the view's exclusive lock; o must be fully published.
 func (h *hashStore) adopt(o *hashStore) {
+	h.seq.Add(1)
 	h.tab.Store(o.tab.Load())
 	h.count.Store(o.count.Load())
+	h.seq.Add(1)
 	h.used = o.used
 	clear(h.pending)
 	h.free = h.free[:0]
 	h.retired = h.retired[:0]
 }
 
-// ascend visits published entries in key order. Lock-free safe: it reads
+// collect gathers the published entries, unordered, with the LSN the table
+// carries. stable reports that no publication overlapped the gather, so
+// the entries and the LSN belong to one publication; a caller that needs
+// that retries, or excludes publication with the view's read lock. It reads
 // the table once and only through atomic loads; read-path callers bracket
-// it with the readers counter.
-func (h *hashStore) ascend(fn func([]byte, *entry) bool) {
+// it (and their use of the entries) with the readers counter.
+func (h *hashStore) collect() (entries []*entry, lsn uint64, stable bool) {
+	seq := h.seq.Load()
 	t := h.tab.Load()
-	entries := make([]*entry, 0, h.count.Load())
+	entries = make([]*entry, 0, h.count.Load())
 	for i := range t.slots {
 		if e := t.slots[i].Load(); e != nil {
 			entries = append(entries, e)
 		}
 	}
+	lsn = h.lsn.Load()
+	return entries, lsn, seq&1 == 0 && h.seq.Load() == seq
+}
+
+// ascend visits published entries in key order. Callers hold the view's
+// lock (checkpoint, restore), so no publication can overlap the gather.
+func (h *hashStore) ascend(fn func([]byte, *entry) bool) {
+	entries, _, _ := h.collect()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
 	for _, e := range entries {
 		if !fn([]byte(e.key), e) {

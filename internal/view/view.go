@@ -13,11 +13,18 @@
 // consumes only the algebra's batch delta — never the chronicles, never the
 // intermediate expressions — in Space = |V| and Time = O(t·log|V|) per
 // Theorem 4.4 (O(t) expected with the hash store).
+//
+// Maintenance has two steps with different owners. Folding (ApplyRows)
+// changes the live store and is invisible to readers; publishing (Publish)
+// makes everything folded since the last publication visible at once. The
+// engine folds every row of one append call and publishes each touched view
+// once, before it releases its mutation lock — so the unit a reader can
+// observe is the call, and a k-row call pays for one publication, not k.
 package view
 
 import (
-	"bytes"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,7 +75,8 @@ type Stats struct {
 	Applies   int64 // maintenance invocations (appends seen)
 	DeltaRows int64 // expression delta rows folded in
 	Touched   int64 // view entries created or updated
-	ApplyNs   int64 // wall time spent inside ApplyRows (fold + publish)
+	ApplyNs   int64 // wall time spent inside ApplyRows (the fold; a publication is O(1) or O(touched))
+	Publishes int64 // publications of folded state (one per append call that touched the view)
 }
 
 // snapshot is an immutable, atomically published image of a B-tree view
@@ -83,16 +91,15 @@ type snapshot struct {
 
 // View is a materialized persistent view with incremental maintenance.
 //
-// Concurrency model: maintenance (Apply/ApplyRows/RestoreCheckpoint) is
+// Concurrency model: maintenance (ApplyRows/Publish/RestoreCheckpoint) is
 // serialized by the engine and takes mu exclusively. B-tree views publish
-// an immutable copy-on-write snapshot after every maintenance batch;
-// Lookup/Scan/ScanRange read the latest snapshot with zero locks. Hash
-// views (the zero-allocation maintenance fast path) publish through an
-// atomically installed open-addressing table of frozen entries, so their
-// readers are lock-free too — maintenance mutates batch-local clones and
-// installs them at publish (see hashStore). The one deliberate exception
-// is ScanAt on hash views, which takes mu.RLock to pair the scanned image
-// with an exact applied LSN for the changefeed splice.
+// an immutable copy-on-write snapshot; Lookup/Scan/ScanRange read the
+// latest one with zero locks. Hash views (the zero-allocation maintenance
+// fast path) publish through an atomically installed open-addressing table
+// of frozen entries, so their readers are lock-free too — maintenance
+// mutates pending clones and installs them at publish (see hashStore).
+// Either way a reader sees the state as of the last Publish, stamped with
+// the LSN that publication carried, never the rows folded since.
 type View struct {
 	def    Def
 	schema *value.Schema
@@ -102,7 +109,8 @@ type View struct {
 
 	// mu guards the live store's maintenance state, stats, and scratch.
 	// Writers (maintenance, restore) hold it exclusively; readers are
-	// lock-free except ScanAt on hash views (exact-LSN splice).
+	// lock-free, except that a hash scan which keeps colliding with
+	// publications falls back to the read side (see hashScan).
 	mu sync.RWMutex
 	// snap is the latest published snapshot; nil for hash stores. Entries
 	// reachable from it are frozen: the maintenance path clones an entry
@@ -128,10 +136,14 @@ type View struct {
 	deltaBuf []chronicle.Row
 
 	// appliedLSN is the highest LSN among delta rows folded into the view,
-	// the cursor position of the materialized state. The changefeed's
-	// snapshot catch-up path splices on it: deliver the snapshot, then
-	// filter live frames with LSN ≤ the snapshot's lsn.
+	// the cursor position of the live store. Each publication carries the
+	// value it had then (snapshot.lsn, hashStore.lsn); the changefeed's
+	// snapshot catch-up splices on that published value: deliver the
+	// snapshot, then filter live frames with LSN ≤ it.
 	appliedLSN uint64
+	// unpublished reports that rows were folded since the last publication:
+	// the live store is ahead of what readers see.
+	unpublished bool
 }
 
 // New validates a definition and materializes an empty view. The result is
@@ -197,18 +209,46 @@ func New(def Def, kind StoreKind) (*View, error) {
 	return v, nil
 }
 
-// publishLocked makes the maintenance batch visible to lock-free readers.
-// B-tree stores publish an immutable copy-on-write snapshot and open a new
-// write epoch so the next mutation of any published entry copies it first;
-// hash stores install their batch-local clones into the atomic table.
-// Callers must hold mu exclusively (or have sole ownership, as in New).
+// publishLocked makes the live store visible to lock-free readers, stamped
+// with the LSN it has reached. B-tree stores publish an immutable
+// copy-on-write snapshot and open a new write epoch so the next mutation of
+// any published entry copies it first; hash stores install their pending
+// clones into the atomic table. Callers must hold mu exclusively (or have
+// sole ownership, as in New).
 func (v *View) publishLocked() {
 	switch s := v.store.(type) {
 	case *treeStore:
 		v.snap.Store(&snapshot{tree: s.t.Clone(), at: time.Now().UnixNano(), lsn: v.appliedLSN})
 		v.epoch++
 	case *hashStore:
-		s.publish()
+		s.publish(v.appliedLSN)
+	}
+	if p := v.pg.Load(); p != nil {
+		p.published.Store(p.total)
+	}
+	v.unpublished = false
+}
+
+// Publish makes every row folded since the last publication visible to
+// readers, atomically; with nothing folded it does nothing. The engine
+// calls it once per touched view at the end of each append call, before it
+// releases its mutation lock. Like ApplyRows, calls on one view must be
+// serialized by the caller; distinct views may publish concurrently.
+func (v *View) Publish() {
+	v.mu.Lock()
+	if !v.unpublished {
+		v.mu.Unlock()
+		return
+	}
+	v.publishLocked()
+	v.stats.Publishes++
+	p := v.pg.Load()
+	v.mu.Unlock()
+	if p != nil {
+		// Outside mu: the CLOCK sweep takes victims' view locks itself. It
+		// runs here and not after each fold because a view with unpublished
+		// rows refuses eviction (see evictBlock).
+		p.cache.maintain()
 	}
 }
 
@@ -255,7 +295,7 @@ func (v *View) Len() int {
 	if p := v.pg.Load(); p != nil {
 		// The live tree and snapshot only hold resident blocks' entries;
 		// the pager tracks the logical count across all blocks.
-		return int(p.total.Load())
+		return int(p.published.Load())
 	}
 	if s := v.snap.Load(); s != nil {
 		return s.tree.Len()
@@ -268,12 +308,14 @@ func (v *View) Len() int {
 	return v.store.len()
 }
 
-// Apply folds one append batch into the view: it computes the expression
-// delta and maintains the materialization. This is the per-transaction
+// Apply maintains the view for one append batch on its own: it computes the
+// expression delta, folds it, and publishes. This is the per-transaction
 // operation whose complexity defines the chronicle system's complexity
-// (Section 3).
+// (Section 3). The engine does not use it — it folds with ApplyRows and
+// publishes once per call; Apply serves callers that drive a view directly.
 func (v *View) Apply(d algebra.BatchDelta) {
 	v.ApplyRows(v.Delta(d))
+	v.Publish()
 }
 
 // Delta computes the expression delta for one append batch without
@@ -286,12 +328,12 @@ func (v *View) Delta(d algebra.BatchDelta) []chronicle.Row {
 	return rows
 }
 
-// ApplyRows folds precomputed expression delta rows into the view. The
-// engine uses it when several views share one expression delta. On B-tree
-// views the batch ends by publishing a fresh immutable snapshot, making
-// the whole batch visible to lock-free readers atomically: a reader holds
-// either the pre-batch snapshot or the post-batch one, never a partially
-// applied state.
+// ApplyRows folds precomputed expression delta rows into the live store
+// and publishes nothing: readers keep seeing the last publication until the
+// caller invokes Publish, which it must do before it lets anyone observe
+// the append as done. It reports whether this fold is the first since the
+// last publication, so a caller folding many batches can list each view it
+// owes a Publish exactly once.
 //
 // Concurrency contract for the parallel maintenance pipeline: ApplyRows on
 // DISTINCT views is safe to call concurrently — each view's state is
@@ -302,22 +344,25 @@ func (v *View) Delta(d algebra.BatchDelta) []chronicle.Row {
 // because appliedLSN ordering assumes batches arrive in LSN order. The
 // rows themselves are read-only here: they may be shared with other views
 // consuming the same precomputed delta.
-func (v *View) ApplyRows(rows []chronicle.Row) {
+func (v *View) ApplyRows(rows []chronicle.Row) (first bool) {
 	start := time.Now()
 	v.mu.Lock()
-	p := v.pg.Load()
-	v.applyRowsLocked(p, rows)
+	first = !v.unpublished && len(rows) > 0
+	v.applyRowsLocked(v.pg.Load(), rows)
 	v.stats.ApplyNs += time.Since(start).Nanoseconds()
 	v.mu.Unlock()
-	if p != nil {
-		// Outside mu: the CLOCK sweep takes victims' view locks itself.
-		p.cache.maintain()
-	}
+	return first
 }
 
 func (v *View) applyRowsLocked(p *pager, rows []chronicle.Row) {
 	v.stats.Applies++
 	v.stats.DeltaRows += int64(len(rows))
+	if len(rows) == 0 {
+		return
+	}
+	// Set before the first row folds: a block fault below must already
+	// treat the live tree as ahead of the published one.
+	v.unpublished = true
 	for _, r := range rows {
 		if r.LSN > v.appliedLSN {
 			v.appliedLSN = r.LSN
@@ -378,7 +423,6 @@ func (v *View) applyRowsLocked(p *pager, rows []chronicle.Row) {
 			v.stats.Touched++
 		}
 	}
-	v.publishLocked()
 }
 
 // Lookup returns the view row whose group (or projected tuple) equals key.
@@ -394,34 +438,29 @@ func (v *View) Lookup(key value.Tuple) (value.Tuple, bool) {
 	if s := v.snap.Load(); s != nil {
 		// Lock-free: the snapshot tree and every entry in it are frozen.
 		e, ok := s.tree.Get(*buf)
+		p := v.pg.Load()
 		if ok && e.count != 0 {
-			if p := v.pg.Load(); p != nil {
+			if p != nil {
 				p.cache.hits.Add(1)
 			}
 			return v.rowOf(e), true
 		}
-		if p := v.pg.Load(); p != nil && p.nonResident.Load() > 0 {
-			// The key may live in an evicted block: fault it in and probe
-			// the live tree. Fully-resident paged views never get here.
+		if p != nil && (p.nonResident.Load() > 0 || v.snap.Load() != s) {
+			// The key may live in an evicted block — or in one faulted in
+			// since s was loaded, which a newer snapshot then covers (a
+			// fault publishes before it lowers nonResident). Fully-resident
+			// paged views never get here.
 			return v.pagedLookup(*buf)
 		}
 		return nil, false
 	}
-	if h, ok := v.store.(*hashStore); ok {
-		// Lock-free: published hash entries are frozen (maintenance mutates
-		// clones and re-installs atomically); the readers count keeps the
-		// entry out of the freelist while we materialize the row.
-		h.readers.Add(1)
-		defer h.readers.Add(-1)
-		e, ok := h.rget(*buf)
-		if !ok || e.count == 0 {
-			return nil, false
-		}
-		return v.rowOf(e), true
-	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	e, ok := v.store.get(*buf)
+	// Lock-free: published hash entries are frozen (maintenance mutates
+	// clones and re-installs atomically); the readers count keeps the entry
+	// out of the freelist while we materialize the row.
+	h := v.store.(*hashStore)
+	h.readers.Add(1)
+	defer h.readers.Add(-1)
+	e, ok := h.rget(*buf)
 	if !ok || e.count == 0 {
 		return nil, false
 	}
@@ -434,43 +473,7 @@ func (v *View) Lookup(key value.Tuple) (value.Tuple, bool) {
 // an index range scan (the ordered store keys on an order-preserving
 // encoding); the hash store degrades to a filtered full scan.
 func (v *View) ScanRange(lo, hi value.Tuple, fn func(value.Tuple) bool) {
-	loBuf, hiBuf := keyenc.GetBuf(), keyenc.GetBuf()
-	defer keyenc.PutBuf(loBuf)
-	defer keyenc.PutBuf(hiBuf)
-	loKey := keyenc.AppendTuple(*loBuf, lo)
-	hiKey := keyenc.AppendTuple(*hiBuf, hi)
-	*loBuf, *hiBuf = loKey, hiKey
-	if s := v.scanSnap(loKey, hiKey); s != nil {
-		// Lock-free ordered range scan over the frozen snapshot; for paged
-		// views scanSnap faulted the window resident first, and the COW
-		// snapshot stays complete even if eviction runs mid-scan.
-		s.tree.AscendRange(loKey, hiKey, func(_ []byte, e *entry) bool {
-			if e.count == 0 {
-				return true
-			}
-			return fn(v.rowOf(e))
-		})
-		return
-	}
-	if h, ok := v.store.(*hashStore); ok {
-		h.readers.Add(1)
-		defer h.readers.Add(-1)
-		h.ascend(func(k []byte, e *entry) bool {
-			if e.count == 0 || bytes.Compare(k, loKey) < 0 || bytes.Compare(k, hiKey) >= 0 {
-				return true
-			}
-			return fn(v.rowOf(e))
-		})
-		return
-	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	v.store.ascend(func(k []byte, e *entry) bool {
-		if e.count == 0 || bytes.Compare(k, loKey) < 0 || bytes.Compare(k, hiKey) >= 0 {
-			return true
-		}
-		return fn(v.rowOf(e))
-	})
+	v.scanRange(lo, hi, false, fn)
 }
 
 // ScanRangeDesc visits the same half-open window as ScanRange in
@@ -478,126 +481,112 @@ func (v *View) ScanRange(lo, hi value.Tuple, fn func(value.Tuple) bool) {
 // early. The hash store has no order and falls back to a sorted, filtered
 // full scan.
 func (v *View) ScanRangeDesc(lo, hi value.Tuple, fn func(value.Tuple) bool) {
+	v.scanRange(lo, hi, true, fn)
+}
+
+func (v *View) scanRange(lo, hi value.Tuple, desc bool, fn func(value.Tuple) bool) {
 	loBuf, hiBuf := keyenc.GetBuf(), keyenc.GetBuf()
 	defer keyenc.PutBuf(loBuf)
 	defer keyenc.PutBuf(hiBuf)
 	loKey := keyenc.AppendTuple(*loBuf, lo)
 	hiKey := keyenc.AppendTuple(*hiBuf, hi)
 	*loBuf, *hiBuf = loKey, hiKey
-	if s := v.scanSnap(loKey, hiKey); s != nil {
-		s.tree.DescendRange(loKey, hiKey, func(_ []byte, e *entry) bool {
-			if e.count == 0 {
-				return true
-			}
-			return fn(v.rowOf(e))
-		})
+	s := v.scanSnap(loKey, hiKey)
+	if s == nil {
+		v.hashScan(func(e *entry) bool {
+			return e.key >= string(loKey) && e.key < string(hiKey)
+		}, desc, fn)
 		return
 	}
-	v.descendFallback(loKey, hiKey, true, fn)
+	// Lock-free ordered range scan over the frozen snapshot; for paged
+	// views scanSnap faulted the window resident first, and the COW
+	// snapshot stays complete even if eviction runs mid-scan.
+	visit := v.visitor(fn)
+	if desc {
+		s.tree.DescendRange(loKey, hiKey, visit)
+	} else {
+		s.tree.AscendRange(loKey, hiKey, visit)
+	}
 }
 
 // ScanDesc visits every view row in descending group-key order until fn
 // returns false.
 func (v *View) ScanDesc(fn func(value.Tuple) bool) {
 	if s := v.scanSnap(nil, nil); s != nil {
-		s.tree.Descend(func(_ []byte, e *entry) bool {
-			if e.count == 0 {
-				return true
-			}
-			return fn(v.rowOf(e))
-		})
+		s.tree.Descend(v.visitor(fn))
 		return
 	}
-	v.descendFallback(nil, nil, false, fn)
-}
-
-// descendFallback emulates a descending scan on a store without ordered
-// iteration by materializing the keys in order and walking them backwards.
-// Hash stores run it lock-free against the published table; unknown stores
-// fall back to the read lock.
-func (v *View) descendFallback(loKey, hiKey []byte, bounded bool, fn func(value.Tuple) bool) {
-	if h, ok := v.store.(*hashStore); ok {
-		h.readers.Add(1)
-		defer h.readers.Add(-1)
-	} else {
-		v.mu.RLock()
-		defer v.mu.RUnlock()
-	}
-	var rows []*entry
-	v.store.ascend(func(k []byte, e *entry) bool {
-		if e.count == 0 {
-			return true
-		}
-		if bounded && (bytes.Compare(k, loKey) < 0 || bytes.Compare(k, hiKey) >= 0) {
-			return true
-		}
-		rows = append(rows, e)
-		return true
-	})
-	for i := len(rows) - 1; i >= 0; i-- {
-		if !fn(v.rowOf(rows[i])) {
-			return
-		}
-	}
+	v.hashScan(nil, true, fn)
 }
 
 // Scan visits every view row until fn returns false. Both store kinds
 // yield key order and both run lock-free: the B-tree from its frozen
 // snapshot, the hash store from its published atomic table.
-func (v *View) Scan(fn func(value.Tuple) bool) {
-	if s := v.scanSnap(nil, nil); s != nil {
-		s.tree.Ascend(func(_ []byte, e *entry) bool {
-			if e.count == 0 {
-				return true
-			}
-			return fn(v.rowOf(e))
-		})
-		return
-	}
-	if h, ok := v.store.(*hashStore); ok {
-		h.readers.Add(1)
-		defer h.readers.Add(-1)
-	} else {
-		v.mu.RLock()
-		defer v.mu.RUnlock()
-	}
-	v.store.ascend(func(_ []byte, e *entry) bool {
-		if e.count == 0 {
-			return true
-		}
-		return fn(v.rowOf(e))
-	})
-}
+func (v *View) Scan(fn func(value.Tuple) bool) { v.ScanAt(fn) }
 
-// ScanAt visits every view row like Scan and returns the applied LSN of
-// the state it scanned: the exact cursor position of the image fn saw. The
+// ScanAt visits every view row like Scan and returns the LSN the scanned
+// publication carried: the exact cursor position of the image fn saw. The
 // changefeed's snapshot catch-up uses it to splice into the live stream —
 // deltas with LSN ≤ the returned value are already reflected in the rows
-// delivered, deltas above it are not. B-tree views read the stamped LSN of
-// the frozen snapshot; hash views scan under the read lock, which excludes
-// maintenance, so the live appliedLSN is exact for the scanned state.
+// delivered, deltas above it are not. It is the published LSN, not the live
+// store's: between two rows of one append call the live store is ahead of
+// every reader, and a splice on its cursor would drop the call's deltas.
 func (v *View) ScanAt(fn func(value.Tuple) bool) uint64 {
 	if s := v.scanSnap(nil, nil); s != nil {
-		s.tree.Ascend(func(_ []byte, e *entry) bool {
-			if e.count == 0 {
-				return true
-			}
-			return fn(v.rowOf(e))
-		})
+		s.tree.Ascend(v.visitor(fn))
 		return s.lsn
 	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	v.store.ascend(func(_ []byte, e *entry) bool {
-		if e.count == 0 {
-			return true
-		}
-		return fn(v.rowOf(e))
-	})
-	return v.appliedLSN
+	return v.hashScan(nil, false, fn)
 }
 
-// AppliedLSN returns the highest LSN folded into the view.
+// visitor adapts a row callback to a tree walk, skipping entries whose
+// contribution count has dropped to zero.
+func (v *View) visitor(fn func(value.Tuple) bool) func([]byte, *entry) bool {
+	return func(_ []byte, e *entry) bool {
+		return e.count == 0 || fn(v.rowOf(e))
+	}
+}
+
+// hashScan visits the rows of one publication of a hash view in key order
+// (descending when desc), restricted to entries keep accepts (nil keeps
+// all), and returns that publication's LSN. The table is installed slot by
+// slot, so the gather is validated against the store's publish sequence and
+// repeated if a publication overlapped it; a second collision takes the
+// read lock, which excludes publication, so a scan under a writer that
+// publishes faster than it can gather still terminates. The hash store has
+// no order: the gathered entries are sorted on demand (scans are
+// query-side).
+func (v *View) hashScan(keep func(*entry) bool, desc bool, fn func(value.Tuple) bool) uint64 {
+	h := v.store.(*hashStore)
+	h.readers.Add(1)
+	defer h.readers.Add(-1)
+	entries, lsn, stable := h.collect()
+	if !stable {
+		entries, lsn, stable = h.collect()
+	}
+	if !stable {
+		v.mu.RLock()
+		entries, lsn, _ = h.collect()
+		v.mu.RUnlock()
+	}
+	rows := entries[:0]
+	for _, e := range entries {
+		if e.count != 0 && (keep == nil || keep(e)) {
+			rows = append(rows, e)
+		}
+	}
+	sort.Slice(rows, func(i, j int) bool { return (rows[i].key < rows[j].key) != desc })
+	for _, e := range rows {
+		if !fn(v.rowOf(e)) {
+			break
+		}
+	}
+	return lsn
+}
+
+// AppliedLSN returns the highest LSN folded into the view — the live
+// store's cursor, which inside an append call runs ahead of what readers
+// see (ScanAt reports the published one).
 func (v *View) AppliedLSN() uint64 {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
@@ -649,5 +638,6 @@ func (v *View) Recompute() ([]value.Tuple, error) {
 		return nil, err
 	}
 	fresh.ApplyRows(rows)
+	fresh.Publish()
 	return fresh.Rows(), nil
 }

@@ -472,6 +472,7 @@ func TestScanOrderIsTupleOrder(t *testing.T) {
 		for _, n := range []int64{10, -3, 200, 0, -40} {
 			v.ApplyRows([]chronicle.Row{{SN: n, Vals: value.Tuple{value.Int(n)}}})
 		}
+		v.Publish()
 		var got []int64
 		v.Scan(func(t value.Tuple) bool { got = append(got, t[0].AsInt()); return true })
 		want := []int64{-40, -3, 0, 10, 200}
@@ -480,5 +481,56 @@ func TestScanOrderIsTupleOrder(t *testing.T) {
 				t.Fatalf("%s: scan order = %v, want %v", kind, got, want)
 			}
 		}
+	}
+}
+
+// TestFoldIsInvisibleUntilPublish is the fold-vs-publish contract on one
+// view of each store kind: ApplyRows changes nothing a reader can see —
+// not the rows, not the count, not the LSN a scan reports — and reports only
+// its first fold since the last publication; Publish makes all of it visible
+// at once, under the highest LSN folded, and a second Publish is a no-op.
+func TestFoldIsInvisibleUntilPublish(t *testing.T) {
+	for _, kind := range []StoreKind{StoreHash, StoreBTree} {
+		t.Run(kind.String(), func(t *testing.T) {
+			f := newFixture(t)
+			v := minutesPerAcct(t, f, kind)
+			v.Apply(f.appendCall(t, "a", 10)) // LSN 1, published
+			read := func() (total, groups int64, lsn uint64) {
+				lsn = v.ScanAt(func(row value.Tuple) bool {
+					total += row[1].AsInt()
+					groups++
+					return true
+				})
+				return total, groups, lsn
+			}
+			for i, acct := range []string{"a", "b", "a"} {
+				first := v.ApplyRows(v.Delta(f.appendCall(t, acct, 5))) // LSNs 2..4
+				if first != (i == 0) {
+					t.Errorf("fold %d: first = %v", i, first)
+				}
+			}
+			if total, groups, lsn := read(); total != 10 || groups != 1 || lsn != 1 || v.Len() != 1 {
+				t.Errorf("before Publish: total %d over %d groups at LSN %d, Len %d; want the published 10/1/1/1",
+					total, groups, lsn, v.Len())
+			}
+			if _, ok := v.Lookup(value.Tuple{value.Str("b")}); ok {
+				t.Error("before Publish: a group only folded is already found")
+			}
+			if v.AppliedLSN() != 4 {
+				t.Errorf("live cursor = %d, want 4", v.AppliedLSN())
+			}
+			v.Publish()
+			v.Publish()
+			if total, groups, lsn := read(); total != 25 || groups != 2 || lsn != 4 || v.Len() != 2 {
+				t.Errorf("after Publish: total %d over %d groups at LSN %d, Len %d; want 25/2/4/2",
+					total, groups, lsn, v.Len())
+			}
+			if st := v.Stats(); st.Publishes != 2 || st.Applies != 4 {
+				t.Errorf("stats = %+v, want 2 publications for 4 folds", st)
+			}
+			if v.ApplyRows(nil) {
+				t.Error("an empty fold claimed a publication")
+			}
+		})
 	}
 }

@@ -291,20 +291,20 @@ func SyncDir(dir string) error {
 	return fault.OS.SyncDir(dir)
 }
 
-// ReplayMerged replays the records of every listed segment in global LSN
+// ReplayMergedFS replays the records of every listed segment in global LSN
 // order, calling fn for each. Each segment is individually LSN-ascending
 // (it had a single writer), so this is a merge; torn tails are tolerated
-// per segment exactly as in Replay. It reports the total records applied.
-func ReplayMerged(dir string, segments []string, fn func(Record) error) (int, error) {
-	return ReplayMergedFS(fault.OS, dir, segments, fn)
-}
-
-// ReplayMergedFS is ReplayMerged against an explicit filesystem.
-func ReplayMergedFS(fsys fault.FS, dir string, segments []string, fn func(Record) error) (int, error) {
+// per segment exactly as in Replay. A record stamped at or below after is
+// dropped as it is read and never held: recovery passes its checkpoint's
+// LSN, so segments the checkpoint already covers cost their decoding and
+// no memory. It reports the total records applied.
+func ReplayMergedFS(fsys fault.FS, dir string, segments []string, after uint64, fn func(Record) error) (int, error) {
 	var all []Record
 	for _, seg := range segments {
 		_, _, err := ReplayFS(fsys, filepath.Join(dir, seg), func(r Record) error {
-			all = append(all, r)
+			if r.LSN == 0 || r.LSN > after {
+				all = append(all, r)
+			}
 			return nil
 		})
 		if err != nil {

@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"chronicledb/internal/fault"
+	"chronicledb/internal/value"
 )
 
 func sampleManifests() []Manifest {
@@ -179,6 +181,50 @@ func TestTornManifestFlipRecovers(t *testing.T) {
 		}
 		if got, ok, err := ReadManifestFS(d, "/data"); err != nil || !ok || !reflect.DeepEqual(got, newM) {
 			t.Fatalf("crash at +%d: post-heal manifest wrong: %+v %v %v", i, got, ok, err)
+		}
+	}
+}
+
+// TestReplayMergedDropsCovered: records stamped at or below the given LSN
+// are dropped while the segments are read (recovery passes its checkpoint's
+// LSN), the rest come out in LSN order across segments, and a legacy
+// unstamped record is never dropped.
+func TestReplayMergedDropsCovered(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, lsns ...uint64) {
+		l, err := Open(filepath.Join(dir, name), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lsn := range lsns {
+			if err := l.Append(Record{Kind: RecUpsert, LSN: lsn, Relation: "r", Tuple: value.Tuple{value.Int(int64(lsn))}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("a.wal", 0, 1, 4, 5, 8)
+	write("b.wal", 2, 3, 6, 7)
+	for _, tc := range []struct {
+		after uint64
+		want  []uint64
+	}{
+		{0, []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8}},
+		{5, []uint64{0, 6, 7, 8}},
+		{8, []uint64{0}},
+	} {
+		var got []uint64
+		n, err := ReplayMergedFS(fault.OS, dir, []string{"a.wal", "b.wal"}, tc.after, func(r Record) error {
+			got = append(got, r.LSN)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(tc.want) || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("after %d: replayed %d records %v, want %v", tc.after, n, got, tc.want)
 		}
 	}
 }

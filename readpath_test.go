@@ -12,6 +12,7 @@ import (
 
 	chronicledb "chronicledb"
 	"chronicledb/internal/fault"
+	"chronicledb/internal/view"
 )
 
 // readStressDB opens an in-memory DB with one chronicle and one B-tree
@@ -509,4 +510,273 @@ func BenchmarkReadHotPath(b *testing.B) {
 			}
 		}
 	})
+}
+
+// callVisDDL is the catalog of the call-visibility tests: one chronicle
+// under a hash view, a B-tree view (which pages when the database has a view
+// cache) and a periodic family whose only window, under the tests' frozen
+// clock, is the one every row falls into.
+var callVisDDL = []string{
+	`CREATE CHRONICLE calls (acct STRING, minutes INT)`,
+	`CREATE VIEW usage_h AS SELECT acct, SUM(minutes) AS total, COUNT(*) AS n FROM calls GROUP BY acct`,
+	`CREATE VIEW usage_b AS SELECT acct, SUM(minutes) AS total, COUNT(*) AS n FROM calls GROUP BY acct WITH STORE BTREE`,
+	`CREATE PERIODIC VIEW usage_p AS SELECT acct, SUM(minutes) AS total, COUNT(*) AS n FROM calls GROUP BY acct EVERY 1000000 WIDTH 1000000`,
+}
+
+func callVisDB(t *testing.T, opts chronicledb.Options) *chronicledb.DB {
+	t.Helper()
+	opts.Clock = func() int64 { return 1 }
+	db, err := chronicledb.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	for _, stmt := range callVisDDL {
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// callVisViews returns the three read handles: the two persistent views and
+// the periodic family's single instance (which exists once a row was folded).
+func callVisViews(t *testing.T, db *chronicledb.DB) map[string]*view.View {
+	t.Helper()
+	out := make(map[string]*view.View)
+	for _, name := range []string{"usage_h", "usage_b"} {
+		v, ok := db.View(name)
+		if !ok {
+			t.Fatalf("view %s missing", name)
+		}
+		out[name] = v
+	}
+	pv, ok := db.Engine().PeriodicView("usage_p")
+	if !ok || pv.Live() != 1 {
+		t.Fatalf("periodic family usage_p: found %v, want one live instance", ok)
+	}
+	out["usage_p"] = pv.Instances()[0].View
+	return out
+}
+
+// TestAppendCallIsTheVisibilityUnit: views publish once per append call, so
+// a reader must never see part of one — on any store kind. Every AppendRows
+// call carries two rows for each of the 2·band accounts of one band of
+// groups. A point lookup must therefore find an even count with total = 7n
+// (one entry is never torn or half-folded), and a scan must find all the
+// accounts of a band level (no two entries come from different calls):
+// readers hammer Lookup and ScanAt on a hash view, a B-tree view, a periodic
+// instance and — in the paged variant, where checkpoints make blocks
+// evictable under a cache a fraction of the view's size — a view whose
+// readers and writers fault blocks in the middle of calls. Run under -race.
+func TestAppendCallIsTheVisibilityUnit(t *testing.T) {
+	const (
+		band   = 8 // groups per call
+		bands  = 4
+		groups = band * bands
+		calls  = 16 * bands
+	)
+	acct := func(g int, half string) string { return fmt.Sprintf("g%03d%s", g, half) }
+	call := func(b int) []chronicledb.Tuple {
+		tuples := make([]chronicledb.Tuple, 0, 4*band)
+		for rep := 0; rep < 2; rep++ {
+			for g := b * band; g < (b+1)*band; g++ {
+				tuples = append(tuples,
+					chronicledb.Tuple{chronicledb.Str(acct(g, "a")), chronicledb.Int(7)},
+					chronicledb.Tuple{chronicledb.Str(acct(g, "b")), chronicledb.Int(7)})
+			}
+		}
+		return tuples
+	}
+	for _, tc := range []struct {
+		name  string
+		opts  func(t *testing.T) chronicledb.Options
+		paged bool
+	}{
+		{name: "memory", opts: func(*testing.T) chronicledb.Options { return chronicledb.Options{} }},
+		{name: "sharded", opts: func(*testing.T) chronicledb.Options { return chronicledb.Options{Shards: 2} }},
+		{name: "paged", paged: true, opts: func(t *testing.T) chronicledb.Options {
+			return chronicledb.Options{Dir: t.TempDir(), ViewBlockBytes: 256, ViewCacheBytes: 1 << 10}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := callVisDB(t, tc.opts(t))
+			// One call per band up front: the periodic instance exists, and
+			// the paged view has blocks to evict once a checkpoint cleans them.
+			for b := 0; b < bands; b++ {
+				if _, _, err := db.AppendRows("calls", call(b)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			views := callVisViews(t, db)
+			if tc.paged {
+				if !views["usage_b"].Paged() {
+					t.Fatal("usage_b is not paged")
+				}
+				if err := db.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			var done atomic.Bool
+			var writers, readers sync.WaitGroup
+			writers.Add(1)
+			go func() {
+				defer writers.Done()
+				for i := 0; i < calls; i++ {
+					if _, _, err := db.AppendRows("calls", call(i%bands)); err != nil {
+						t.Error(err)
+						return
+					}
+					if tc.paged && i%8 == 7 {
+						if err := db.Checkpoint(); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}()
+			checkRow := func(name string, row chronicledb.Row) int64 {
+				total, n := row[1].AsInt(), row[2].AsInt()
+				if total != 7*n || n%2 != 0 {
+					t.Errorf("%s: acct %s has total=%d n=%d: part of a call is visible", name, row[0].AsString(), total, n)
+				}
+				return n
+			}
+			for name, v := range views {
+				readers.Add(2)
+				go func() { // point lookups, walking the groups so paged reads fault
+					defer readers.Done()
+					for i := 0; i < groups || !done.Load(); i++ {
+						if row, ok := v.Lookup(chronicledb.Tuple{chronicledb.Str(acct(i%groups, "a"))}); !ok {
+							t.Errorf("%s: %s not found", name, acct(i%groups, "a"))
+							return
+						} else {
+							checkRow(name, row)
+						}
+					}
+				}()
+				go func() { // whole-view scans: every band is level
+					defer readers.Done()
+					var lastLSN uint64
+					for i := 0; i < 2 || !done.Load(); i++ {
+						byAcct := make(map[string]int64, 2*groups)
+						lsn := v.ScanAt(func(row chronicledb.Row) bool {
+							byAcct[row[0].AsString()] = checkRow(name, row)
+							return true
+						})
+						if lsn < lastLSN {
+							t.Errorf("%s: ScanAt LSN went back from %d to %d", name, lastLSN, lsn)
+						}
+						lastLSN = lsn
+						for g := 0; g < groups; g++ {
+							level := byAcct[acct(g-g%band, "a")]
+							if a, b := byAcct[acct(g, "a")], byAcct[acct(g, "b")]; a != level || b != level || level == 0 {
+								t.Errorf("%s: group %d scanned as a=%d b=%d in a band at %d: part of a call is visible", name, g, a, b, level)
+								return
+							}
+						}
+					}
+				}()
+			}
+			writers.Wait()
+			done.Store(true)
+			readers.Wait()
+
+			want := int64(2 * (calls/bands + 1))
+			for name, v := range views {
+				row, ok := v.Lookup(chronicledb.Tuple{chronicledb.Str(acct(0, "a"))})
+				if !ok || row[2].AsInt() != want {
+					t.Errorf("%s: final n = %v (found %v), want %d", name, row, ok, want)
+				}
+				if st := v.Stats(); st.Publishes > st.Applies/(4*band)+1 {
+					t.Errorf("%s: %d publications for %d folds of %d-row calls", name, st.Publishes, st.Applies, 4*band)
+				}
+			}
+			if tc.paged {
+				if w := db.WALStats(); w.ViewCacheEvictions == 0 || w.ViewCacheMisses == 0 {
+					t.Errorf("paged run never evicted or faulted (evictions %d, misses %d): the fault paths were not exercised",
+						w.ViewCacheEvictions, w.ViewCacheMisses)
+				}
+			}
+		})
+	}
+}
+
+// TestFailedCallPublishesPrefix is the bug guard for the two ways an append
+// call ends early. AppendRows keeps the rows before a failing tuple, so they
+// must be published like any other call's; AppendRowsIdem rejects the whole
+// request before anything folds. Either way no view may be left with folded
+// rows its readers cannot see — the live cursor equals the published one —
+// and the next call publishes normally. Both store kinds and a periodic
+// instance, on both kernels.
+func TestFailedCallPublishesPrefix(t *testing.T) {
+	good := func(n int) []chronicledb.Tuple {
+		tuples := make([]chronicledb.Tuple, n)
+		for i := range tuples {
+			tuples[i] = chronicledb.Tuple{chronicledb.Str("a"), chronicledb.Int(7)}
+		}
+		return tuples
+	}
+	bad := chronicledb.Tuple{chronicledb.Str("a"), chronicledb.Str("seven")}
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db := callVisDB(t, chronicledb.Options{Shards: shards})
+			if _, _, err := db.AppendRows("calls", good(2)); err != nil {
+				t.Fatal(err)
+			}
+			views := callVisViews(t, db)
+			// state asserts every view shows n rows, by Lookup and by Scan,
+			// holds nothing unpublished, and has published pubs more times
+			// than before.
+			before := make(map[string]int64)
+			state := func(step string, n, pubs int64) {
+				t.Helper()
+				for name, v := range views {
+					row, ok := v.Lookup(chronicledb.Tuple{chronicledb.Str("a")})
+					if !ok || row[2].AsInt() != n || row[1].AsInt() != 7*n {
+						t.Errorf("%s: %s: Lookup = %v (found %v), want n=%d", step, name, row, ok, n)
+					}
+					var scanned int64
+					lsn := v.ScanAt(func(row chronicledb.Row) bool { scanned += row[2].AsInt(); return true })
+					if scanned != n {
+						t.Errorf("%s: %s: Scan counts %d rows, want %d", step, name, scanned, n)
+					}
+					if live := v.AppliedLSN(); live != lsn {
+						t.Errorf("%s: %s: folded up to LSN %d but published %d: unpublished state left behind", step, name, live, lsn)
+					}
+					st := v.Stats()
+					if got := st.Publishes - before[name]; got != pubs {
+						t.Errorf("%s: %s: %d publications, want %d", step, name, got, pubs)
+					}
+					before[name] = st.Publishes
+				}
+			}
+			for name, v := range views {
+				before[name] = v.Stats().Publishes
+			}
+			state("seed", 2, 0)
+
+			// Tuple 3 of 5 fails: the three before it stay, and are visible.
+			if _, _, err := db.AppendRows("calls", append(append(good(3), bad), good(1)...)); err == nil {
+				t.Fatal("AppendRows accepted a tuple of the wrong type")
+			}
+			state("failed AppendRows", 5, 1)
+
+			// The atomic run is rejected whole, before any fold.
+			if _, _, _, err := db.AppendRowsIdem("calls", append(good(3), bad), "client", "r1"); err == nil {
+				t.Fatal("AppendRowsIdem accepted a tuple of the wrong type")
+			}
+			state("failed AppendRowsIdem", 5, 0)
+
+			if _, _, _, err := db.AppendRowsIdem("calls", good(4), "client", "r2"); err != nil {
+				t.Fatal(err)
+			}
+			state("next AppendRowsIdem", 9, 1)
+			if _, _, err := db.AppendRows("calls", good(3)); err != nil {
+				t.Fatal(err)
+			}
+			state("next AppendRows", 12, 1)
+		})
+	}
 }

@@ -167,10 +167,7 @@ func (db *DB) recover(m wal.Manifest, hadManifest bool) error {
 			segments = append(segments, m.Segments...)
 		}
 	}
-	_, err := wal.ReplayMergedFS(db.fs, db.opts.Dir, segments, func(r wal.Record) error {
-		if r.LSN != 0 && r.LSN <= ckptLSN {
-			return nil
-		}
+	_, err := wal.ReplayMergedFS(db.fs, db.opts.Dir, segments, ckptLSN, func(r wal.Record) error {
 		switch r.Kind {
 		case wal.RecDDL:
 			s, err := sqlparse.ParseOne(r.Stmt)

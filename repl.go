@@ -366,7 +366,7 @@ func (db *DB) ReplBacklog(from, upTo uint64, fn func(payload []byte, lsn, span u
 	}
 	var buf []byte
 	want := from + 1
-	_, err := wal.ReplayMergedFS(db.fs, db.opts.Dir, segments, func(r wal.Record) error {
+	_, err := wal.ReplayMergedFS(db.fs, db.opts.Dir, segments, 0, func(r wal.Record) error {
 		span := wal.RecordSpan(r)
 		if r.LSN == 0 || span == 0 {
 			return nil // legacy unstamped record or DDL annotation

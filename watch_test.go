@@ -7,7 +7,9 @@ package chronicledb_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -350,6 +352,98 @@ func TestWatchStress(t *testing.T) {
 			if ctx.Err() != nil {
 				t.Fatal("stress run timed out before every subscriber caught up")
 			}
+		})
+	}
+}
+
+// TestWatchOpenedMidCall pins the pairing a snapshot catch-up relies on: the
+// LSN a snapshot carries is that of the publication it scanned, not of the
+// live store. The view is on the hash store, which has no frozen image to
+// stamp, and a single writer sends long AppendRows calls back to back, so
+// nearly every watch opens between two rows of a call — where the live
+// store's cursor is ahead of anything a reader can see. A snapshot stamped
+// with that cursor would filter out deltas its rows do not reflect, and the
+// subscriber's fold (snapshot count plus delta rows) would stay short of the
+// view for good; a snapshot showing part of a call would not be a whole
+// number of calls.
+func TestWatchOpenedMidCall(t *testing.T) {
+	const (
+		callK    = 256
+		calls    = 60
+		watchers = 6
+	)
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db, err := chronicledb.Open(chronicledb.Options{Feed: true, Shards: shards, FeedRing: 1 << 15})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			for _, stmt := range []string{
+				`CREATE CHRONICLE calls (acct STRING, minutes INT)`,
+				`CREATE VIEW usage AS SELECT acct, COUNT(*) AS n FROM calls GROUP BY acct`,
+			} {
+				if _, err := db.Exec(stmt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tuples := make([]chronicledb.Tuple, callK)
+			for i := range tuples {
+				tuples[i] = chronicledb.Tuple{chronicledb.Str("a"), chronicledb.Int(1)}
+			}
+			const total = int64(calls * callK)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+
+			var sent atomic.Int64 // calls the writer has completed
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < calls; i++ {
+					if _, _, err := db.AppendRows("calls", tuples); err != nil {
+						t.Error(err)
+						return
+					}
+					sent.Add(1)
+				}
+			}()
+			for w := 0; w < watchers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					// Stagger the opens across the writer's run.
+					for sent.Load() < int64(w*calls/(watchers+1)) && ctx.Err() == nil {
+						runtime.Gosched()
+					}
+					var seen int64
+					err := db.Watch(ctx, "usage", 0, false, func(ev chronicledb.WatchEvent) bool {
+						switch ev.Kind {
+						case chronicledb.WatchSnapshot:
+							for _, r := range ev.Rows {
+								seen += r[1].AsInt()
+							}
+							if seen%callK != 0 {
+								t.Errorf("watcher %d: snapshot at LSN %d counts %d rows: part of a call is visible", w, ev.LSN, seen)
+							}
+						case chronicledb.WatchDelta:
+							seen += int64(len(ev.Deltas))
+						case chronicledb.WatchEnd:
+							t.Errorf("watcher %d: ended (%s) at %d of %d rows", w, ev.Reason, seen, total)
+							return false
+						}
+						return seen < total
+					})
+					if ctx.Err() != nil {
+						t.Errorf("watcher %d: snapshot + deltas stuck at %d rows, the view holds %d: the splice dropped deltas", w, seen, total)
+					} else if err != nil {
+						t.Errorf("watcher %d: %v", w, err)
+					} else if seen != total {
+						t.Errorf("watcher %d: snapshot + deltas = %d rows, want %d (duplicate delivery)", w, seen, total)
+					}
+				}(w)
+			}
+			wg.Wait()
 		})
 	}
 }
