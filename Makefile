@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check cover bench bench-allocs bench-reads bench-ckpt bench-maint maint-stress experiments fuzz examples torture chaos repl-chaos watch-stress clean
+.PHONY: all build test race vet check cover bench bench-allocs bench-reads bench-ckpt bench-maint maint-stress experiments fuzz examples torture chaos repl-chaos watch-stress loc clean
 
 all: check
 
@@ -82,10 +82,9 @@ bench-ckpt:
 	$(GO) test -run=NONE -bench 'BenchmarkBlockedCheckpoint' -benchmem -benchtime 5x .
 
 # maint-stress is the shared-delta pipeline gate: concurrent appenders
-# race parallel per-view folds (MaintWorkers > 1) and WATCH subscribers
-# with mid-run checkpoints, asserting per-view delta conservation and
-# strictly increasing feed LSNs — a fold that dropped, duplicated, or
-# reordered a task would break either. -count=1 defeats caching: this is
+# race the per-view folds and WATCH subscribers with mid-run checkpoints,
+# asserting per-view delta conservation and strictly increasing feed
+# LSNs — a fold that dropped or duplicated a delta would break either. -count=1 defeats caching: this is
 # the gate for maintenance-pipeline changes and must actually run.
 maint-stress:
 	$(GO) test -race -count=1 -run 'TestMaintParallelStress' -v .
@@ -104,10 +103,10 @@ bench-maint:
 	$(GO) test -run=NONE -bench 'BenchmarkMaintainFanout' -benchmem -benchtime 50x .
 
 # check is the gate for every change: static analysis plus the full suite
-# under the race detector (the sharded kernel is concurrent by design),
+# under the race detector (the kernel is concurrent by design),
 # plus the crash-torture enumeration, the network-torture harness, the
 # replication failover harness, the changefeed fan-out stress, the
-# parallel-maintenance stress, and the allocation-regression guards for
+# maintenance stress, and the allocation-regression guards for
 # the append, read, and follower-apply hot paths, the blocked-checkpoint
 # guards, and the shared-delta maintenance guards.
 check: build vet race torture chaos repl-chaos watch-stress maint-stress bench-allocs bench-reads bench-ckpt bench-maint
@@ -140,6 +139,19 @@ examples:
 	$(GO) run ./examples/stocktrading
 	$(GO) run ./examples/eventmonitor
 	$(GO) run ./examples/livewatch
+
+# loc prints the four size numbers ROADMAP tracks: non-test source lines
+# outside benchmark/, test lines, Options fields, and exported
+# shard.Router methods.
+loc:
+	@printf 'non-test source lines (excluding benchmark/): '
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
+	@printf 'test lines: '
+	@find . -name '*_test.go' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
+	@printf 'Options fields: '
+	@awk '/^type Options struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z][A-Za-z]* /{n++} END{print n}' db.go
+	@printf 'exported shard.Router methods: '
+	@grep -c '^func (r \*Router) [A-Z]' internal/shard/router.go
 
 clean:
 	$(GO) clean ./...

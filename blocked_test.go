@@ -152,46 +152,10 @@ func TestBlockedViewCheckpointAndReopen(t *testing.T) {
 	}
 }
 
-// TestBlockedViewSharded: shards share one cache budget; blocked
-// checkpoints and lazy recovery work through the router barrier.
-func TestBlockedViewSharded(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{Dir: dir, Shards: 2, WALSegmentBytes: 4096, ViewBlockBytes: 256, ViewCacheBytes: 16 << 10}
-	db, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, db, blockedDDL)
-	const groups = 200
-	for i := 0; i < groups; i++ {
-		if _, err := db.Append("items", Tuple{Str(blockedKey(i)), Int(2)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if w := db.WALStats(); w.CkptTotalBlocks == 0 {
-		t.Fatalf("sharded checkpoint reported no blocks: %+v", w)
-	}
-	db.Close()
-
-	db2, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	for i := 0; i < groups; i++ {
-		row, ok, err := db2.Lookup("totals", Str(blockedKey(i)))
-		if err != nil || !ok || row[1].AsInt() != 2 {
-			t.Fatalf("sharded reopen key %d: %v %v %v", i, row, ok, err)
-		}
-	}
-}
-
-// TestCheckpointV3StillLoads: a chain written in the pre-blocked v3 format
-// must keep restoring (forward compatibility of old data directories).
-func TestCheckpointV3StillLoads(t *testing.T) {
+// TestWholeViewImageRestores: the replication bootstrap image carries every
+// view whole (a follower cannot fault blocks from the primary's chain
+// files) and restores into a database whose views are paged.
+func TestWholeViewImageRestores(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Dir: dir, WALSegmentBytes: 4096, ViewBlockBytes: 256}
 	db, err := Open(opts)
@@ -205,19 +169,19 @@ func TestCheckpointV3StillLoads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	data, lsn, _, _, commits, err := db.buildCheckpointImage(3, true)
+	data, lsn, _, _, commits, err := db.buildCheckpointImage(true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(commits) != 0 {
-		t.Fatalf("a v3 image produced %d block commits", len(commits))
+		t.Fatalf("a whole-view image produced %d block commits", len(commits))
 	}
 	if lsn == 0 {
-		t.Fatal("v3 image cut at LSN 0")
+		t.Fatal("image cut at LSN 0")
 	}
 	img := append([]byte(nil), data...)
 
-	// Restore the v3 image into a second database with the same schema.
+	// Restore the image into a second database with the same schema.
 	dir2 := t.TempDir()
 	db2, err := Open(Options{Dir: dir2, WALSegmentBytes: 4096, ViewBlockBytes: 256})
 	if err != nil {
@@ -231,7 +195,7 @@ func TestCheckpointV3StillLoads(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		row, ok, err := db2.Lookup("totals", Str(blockedKey(i)))
 		if err != nil || !ok || row[1].AsInt() != 3 {
-			t.Fatalf("v3 restore key %d: %v %v %v", i, row, ok, err)
+			t.Fatalf("restore key %d: %v %v %v", i, row, ok, err)
 		}
 	}
 }

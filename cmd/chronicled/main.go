@@ -14,8 +14,8 @@
 //	           [-ack-timeout 2s] [-max-staleness D] [-repl-heartbeat 500ms]
 //
 // With -dir, the database is durable: appends hit a rotated, size-capped
-// WAL (segment cap -wal-segment-bytes, default 16 MiB; negative = legacy
-// single grow-until-checkpoint file) and the -checkpoint-every ticker cuts
+// WAL (segment cap -wal-segment-bytes, default 16 MiB) and the
+// -checkpoint-every ticker cuts
 // incremental checkpoints, so recovery time and disk footprint are bounded
 // by write rate since the last checkpoint, not by uptime. Each checkpoint
 // also compacts: sealed segments wholly below the checkpoint LSN are
@@ -63,11 +63,11 @@ func main() {
 		sync       = flag.Bool("sync", false, "durable WAL: group-commit fsync acks every append")
 		retain     = flag.String("retain", "none", "default chronicle retention: all, none, or a row count")
 		ckptEvery  = flag.Duration("checkpoint-every", time.Minute, "checkpoint interval (0 disables; durable mode only)")
-		segBytes   = flag.Int64("wal-segment-bytes", 0, "WAL segment rotation cap in bytes (0 = default 16MiB, negative = legacy single-file WAL)")
+		segBytes   = flag.Int64("wal-segment-bytes", 0, "WAL segment rotation cap in bytes (0 = default 16MiB)")
 		ckptFull   = flag.Int("checkpoint-full-every", 0, "fold the incremental chain into a full checkpoint every N checkpoints (0 = default 8)")
 		compact    = flag.Bool("compact", true, "delete WAL segments and checkpoints superseded by the chain (false keeps every file)")
 		initFile   = flag.String("init", "", "SQL file executed at startup (idempotence is the caller's concern)")
-		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "single-writer shards (0 = classic single-engine kernel)")
+		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "single-writer shards (0 = 1)")
 		reqTimeout = flag.Duration("request-timeout", 30*time.Second, "per-request handling timeout")
 		maxBody    = flag.Int64("max-body", 8<<20, "maximum request body bytes")
 		drain      = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain bound")
@@ -78,7 +78,6 @@ func main() {
 		dedupOff   = flag.Bool("dedup-disabled", false, "disable idempotent-append dedup (at-least-once ingestion)")
 		cacheBytes = flag.Int64("view-cache-bytes", 0, "resident-byte budget for blocked B-tree view stores (0 = unbounded; durable mode only)")
 		blockBytes = flag.Int64("view-block-bytes", 0, "blocked view store block size (0 = default 8KiB, negative = whole-image checkpoints)")
-		maintWk    = flag.Int("maint-workers", 0, "view-maintenance fold goroutines per shard engine (0 = GOMAXPROCS, 1 = serial)")
 		feed       = flag.Bool("feed", true, "changefeeds: capture view deltas for /watch subscribers")
 		feedTail   = flag.Int("feed-tail", 0, "per-view resume window in frames (0 = default 1024)")
 		maxSubs    = flag.Int("max-subscribers", 0, "concurrent /watch subscribers before 429 shedding (0 = default 4096)")
@@ -110,7 +109,6 @@ func main() {
 		FeedTailFrames:      *feedTail,
 		ViewCacheBytes:      *cacheBytes,
 		ViewBlockBytes:      *blockBytes,
-		MaintWorkers:        *maintWk,
 		ReplicaOf:           *replicaOf,
 		FollowerID:          *followerID,
 		AckMode:             *ackMode,

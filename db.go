@@ -7,18 +7,15 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"chronicledb/internal/algebra"
-	"chronicledb/internal/calendar"
 	"chronicledb/internal/chronicle"
-	"chronicledb/internal/dedup"
 	"chronicledb/internal/engine"
 	"chronicledb/internal/fault"
 	"chronicledb/internal/feed"
-	"chronicledb/internal/pred"
 	"chronicledb/internal/relation"
 	"chronicledb/internal/repl"
 	"chronicledb/internal/shard"
@@ -33,6 +30,13 @@ import (
 // working; writes fail fast rather than risk acking records the log
 // cannot make durable.
 var ErrReadOnly = errors.New("chronicledb: database is read-only after a WAL failure")
+
+// ErrUnsupportedLayout is wrapped by Open when the directory holds files of
+// a storage layout this version does not read: a single-file WAL
+// (chronicle.wal, shard-NNNN.wal, relations.wal), a fixed-name
+// checkpoint.bin, or a manifest whose version is not 2. Nothing in the
+// directory is touched.
+var ErrUnsupportedLayout = errors.New("chronicledb: unsupported storage layout")
 
 // ErrNotPrimary is wrapped by every write rejected on a replica: followers
 // serve reads and apply the replication stream, and only a promotion
@@ -56,28 +60,24 @@ type Options struct {
 	// every WAL append. Only meaningful with SyncWAL; kept for the E16
 	// ablation and for callers that want strictly serial durability.
 	SyncPerAppend bool
-	// Shards > 0 runs the sharded execution layer: chronicle groups (and
-	// their views) are hash-partitioned across that many single-writer
-	// shards, each with its own engine and WAL segment; relation updates
-	// apply under a cross-shard epoch barrier. Zero keeps the classic
-	// single-engine kernel.
+	// Shards is the number of single-writer shards chronicle groups (and
+	// their views) are hash-partitioned across, each with its own engine
+	// and WAL stream; relation updates apply under a cross-shard epoch
+	// barrier. Zero means one; negative is rejected.
 	Shards int
 	// WALSegmentBytes caps each WAL segment file: an append that would push
 	// the active segment past the cap first rotates to a fresh segment,
 	// registered in the durable manifest, so recovery replay and disk usage
 	// are bounded by write rate since the last checkpoint rather than by
-	// uptime. Zero means DefaultSegmentBytes; negative selects the legacy
-	// single-file-per-shard layout (one grow-until-checkpoint WAL, full
-	// checkpoints into checkpoint.bin — the E20 ablation baseline).
+	// uptime. Zero means DefaultSegmentBytes; negative is rejected.
 	WALSegmentBytes int64
 	// CheckpointFullEvery folds the incremental checkpoint chain: every
 	// Nth checkpoint is written full and supersedes the whole chain (the
 	// compactor then deletes the obsolete increments). Zero means
-	// DefaultCheckpointFullEvery; 1 makes every checkpoint full. Ignored
-	// in the legacy layout, where every checkpoint is full.
+	// DefaultCheckpointFullEvery; 1 makes every checkpoint full.
 	CheckpointFullEvery int
 	// ViewBlockBytes is the target encoded size of one view block in the
-	// blocked persistent view store (segmented layout only): B-tree view
+	// blocked persistent view store (durable databases only): B-tree view
 	// state is partitioned into blocks, checkpoints re-serialize only the
 	// blocks dirtied since the last cut, and the block cache pages cold
 	// blocks from the checkpoint chain. Zero means view.DefaultBlockBytes
@@ -137,13 +137,6 @@ type Options struct {
 	// backpressure the append path. Zero means feed.DefaultRing (256).
 	// Ignored without Feed.
 	FeedRing int
-	// MaintWorkers bounds per-append view-maintenance parallelism: once the
-	// shared-delta plan has computed every affected view's delta, the folds
-	// into independent view stores run across up to this many goroutines
-	// (per shard engine, counting the appending one). 1 forces the serial
-	// path; 0 selects GOMAXPROCS — which on a single-core host is 1, so
-	// parallel maintenance turns on exactly where it can pay.
-	MaintWorkers int
 	// ReplicaOf makes this database a follower of the primary at the given
 	// base URL (e.g. "http://10.0.0.1:7457"): it opens read-only for
 	// clients, tails the primary's replication stream, and applies every
@@ -197,89 +190,26 @@ type Result struct {
 	Message string
 }
 
-// Kernel is the execution surface shared by the single-engine kernel
-// (*engine.Engine) and the sharded router (*shard.Router). The statement
-// executor, recovery, and checkpointing all run against it, so the two
-// kernels are interchangeable behind the DB facade.
-type Kernel interface {
-	CreateGroup(name string) (*chronicle.Group, error)
-	CreateChronicle(name, groupName string, schema *value.Schema, retain *chronicle.Retention) (*chronicle.Chronicle, error)
-	CreateRelation(name string, schema *value.Schema, keyCols []int) (*relation.Relation, error)
-	CreateView(def view.Def, kind view.StoreKind, filter pred.Predicate, filterChronicle *chronicle.Chronicle) (*view.View, error)
-	CreatePeriodicView(name string, def view.Def, cal calendar.Calendar, expireAfter int64, kind view.StoreKind) (*calendar.PeriodicView, error)
-	DropView(name string) error
-
-	Append(chronicleName string, tuples []value.Tuple) (int64, error)
-	AppendEach(chronicleName string, tuples []value.Tuple) (first, last int64, err error)
-	AppendEachIdem(chronicleName string, tuples []value.Tuple, clientID, requestID string) (first, last int64, deduped bool, err error)
-	AppendEachAt(chronicleName string, firstSN, chronon int64, tuples []value.Tuple, clientID, requestID string) error
-	AppendBatch(parts []engine.MutationPart) (int64, error)
-	AppendAt(chronicleName string, sn, chronon int64, tuples []value.Tuple) (int64, error)
-	AppendBatchAt(parts []engine.MutationPart, sn, chronon int64) (int64, error)
-	Upsert(relationName string, t value.Tuple) error
-	DeleteKey(relationName string, keyVals value.Tuple) (bool, error)
-
-	DedupEntries() []dedup.Entry
-	RestoreDedupEntry(ent dedup.Entry)
-	DedupStats() (entries int, hits int64, evictions int64)
-
-	Stats() engine.Stats
-	MaintenanceLatency() stats.Snapshot
-	MaintWorkers() int
-	ViewSharedPlan(name string) ([]algebra.PlanNodeInfo, bool)
-	LSN() uint64
-	RestoreLSN(lsn uint64)
-
-	Group(name string) (*chronicle.Group, bool)
-	GroupNames() []string
-	Chronicle(name string) (*chronicle.Chronicle, bool)
-	ChronicleNames() []string
-	ChronicleRows(name string) ([]chronicle.Row, error)
-	Relation(name string) (*relation.Relation, bool)
-	RelationNames() []string
-	RelationRows(name string) ([]value.Tuple, error)
-	View(name string) (*view.View, bool)
-	ViewNames() []string
-	ViewLookup(name string, key value.Tuple) (value.Tuple, bool, error)
-	ViewRows(name string) ([]value.Tuple, error)
-	ViewScanRange(name string, lo, hi value.Tuple) ([]value.Tuple, error)
-	ViewScanFunc(name string, fn func(value.Tuple) bool) error
-	ViewScanAt(name string, fn func(value.Tuple) bool) (uint64, error)
-	ViewScanRangeFunc(name string, lo, hi value.Tuple, fn func(value.Tuple) bool) error
-	ViewScanDescFunc(name string, fn func(value.Tuple) bool) error
-	ReadStats() engine.ReadStats
-	OldestSnapshotUnixNano() int64
-	PeriodicView(name string) (*calendar.PeriodicView, bool)
-	PeriodicViewNames() []string
-}
-
 // DB is a chronicle database: Definition 2.1's (C, R, L, V) with a
 // declarative statement interface, durability, and recovery.
 type DB struct {
 	mu   sync.Mutex
-	eng  Kernel
+	eng  *shard.Router
 	opts Options
 	fs   fault.FS
-
-	// Exactly one of these backs eng.
-	uno    *engine.Engine
-	router *shard.Router
 
 	// hub is the changefeed fan-out; nil unless Options.Feed. It is wired
 	// into the kernel before recovery so WAL replay repopulates the
 	// per-view resume tails with the original LSNs.
 	hub *feed.Hub
 
-	// Open WAL logs, one per stream. Unsharded: the chronicle stream.
-	// Sharded: one per shard followed by the relation stream. In the
-	// legacy layout these are the fixed-name grow-until-checkpoint files;
-	// in the segmented layout each log is the stream's active segment and
-	// rotates at the cap.
+	// Open WAL logs, one per stream: one per shard followed by the relation
+	// stream. Each log is the stream's active segment and rotates at the cap.
 	logs          []*wal.Log
 	catalogPath   string
 	catalogSynced bool // catalog.sql's dir entry is durable
 
-	// Segmented-layout state (zero/nil in legacy mode). man is the current
+	// Storage state (zero/nil without a Dir). man is the current
 	// durable manifest; manMu serializes flips (rotation hook, checkpoint,
 	// stats snapshots). ckptMarks are the dirty markers captured at the
 	// last checkpoint — nil forces the next checkpoint full; ddlDirty does
@@ -301,8 +231,8 @@ type DB struct {
 	segsReclaimed  atomic.Int64
 
 	// viewCache is the shared block cache behind every paged view; nil
-	// when blocked view stores are disabled (legacy layout, in-memory DB,
-	// or Options.ViewBlockBytes < 0). ckptDirtyBlocks/ckptTotalBlocks
+	// when blocked view stores are disabled (in-memory DB, or
+	// Options.ViewBlockBytes < 0). ckptDirtyBlocks/ckptTotalBlocks
 	// record the block counts of the last checkpoint cut.
 	viewCache       *view.Cache
 	ckptDirtyBlocks atomic.Int64
@@ -325,9 +255,8 @@ type DB struct {
 	ckptBuf []byte
 
 	// Replication state. replSrc is the primary-side stream source, wired
-	// into every log's tap (nil unless the layout is durable + segmented —
-	// the legacy layout truncates its WAL at checkpoints and cannot serve
-	// backlog catch-up). replica is the follower loop (nil on a primary).
+	// into every log's tap (nil without a Dir). replica is the follower
+	// loop (nil on a primary).
 	// replicaMode latches while the role is replica; Promote clears it.
 	// ddlSeq counts applied DDL statements — the catalog index space shared
 	// by primary and follower. degradedAcks counts sync-mode writes acked
@@ -341,14 +270,19 @@ type DB struct {
 }
 
 // Open creates or reopens a database. With Options.Dir set, Open replays
-// the catalog, the latest checkpoint, and the WAL tail, in that order.
-// Reopening a directory with a different shard count (including switching
-// between sharded and unsharded) recovers the old layout, checkpoints, and
-// rewrites the WAL layout for the new count.
+// the catalog, the checkpoint chain, and the WAL tail, in that order.
+// Reopening a directory with a different shard count recovers the old
+// streams, checkpoints, and rewrites the WAL streams for the new count.
 func Open(opts Options) (*DB, error) {
 	db := &DB{opts: opts, fs: opts.FS}
 	if db.fs == nil {
 		db.fs = fault.OS
+	}
+	if opts.Shards < 0 {
+		return nil, fmt.Errorf("chronicledb: Options.Shards is %d, want ≥ 0", opts.Shards)
+	}
+	if opts.WALSegmentBytes < 0 {
+		return nil, fmt.Errorf("chronicledb: Options.WALSegmentBytes is %d, want ≥ 0", opts.WALSegmentBytes)
 	}
 	switch opts.AckMode {
 	case "", "async", "sync":
@@ -369,9 +303,8 @@ func Open(opts Options) (*DB, error) {
 		Clock:            opts.Clock,
 		DedupCap:         opts.DedupCap,
 		DedupDisabled:    opts.DedupDisabled,
-		MaintWorkers:     opts.MaintWorkers,
 	}
-	if db.segmented() && opts.ViewBlockBytes >= 0 {
+	if opts.Dir != "" && opts.ViewBlockBytes >= 0 {
 		// Blocked view stores: B-tree views page fixed-size blocks against
 		// one cache shared across shards, faulting cold blocks back from
 		// the checkpoint chain through the db-level fetcher.
@@ -380,26 +313,16 @@ func Open(opts Options) (*DB, error) {
 		ecfg.BlockFetch = db.blockFetch
 		ecfg.ViewBlockBytes = opts.ViewBlockBytes
 	}
-	if opts.Shards > 0 {
-		r, err := shard.NewRouter(shard.Config{Shards: opts.Shards, Engine: ecfg})
-		if err != nil {
-			return nil, fmt.Errorf("chronicledb: %w", err)
-		}
-		db.router = r
-		db.eng = r
-	} else {
-		db.uno = engine.New(ecfg)
-		db.eng = db.uno
+	eng, err := shard.NewRouter(shard.Config{Shards: max(1, opts.Shards), Engine: ecfg})
+	if err != nil {
+		return nil, fmt.Errorf("chronicledb: %w", err)
 	}
+	db.eng = eng
 	if opts.Feed {
+		// Each shard's pass publishes after its commit, merging every shard's
+		// frames through the shared hub.
 		db.hub = feed.NewHub(feed.Config{TailFrames: opts.FeedTailFrames, Ring: opts.FeedRing})
-		if db.router != nil {
-			// Deferred mode: the shard writer publishes after each group
-			// commit, merging every shard's frames through the shared hub.
-			db.router.SetFeed(db.hub)
-		} else {
-			db.uno.SetFeed(db.hub, false)
-		}
+		db.eng.SetFeed(db.hub)
 	}
 	if opts.Dir == "" {
 		db.markOpen()
@@ -408,58 +331,84 @@ func Open(opts Options) (*DB, error) {
 		}
 		return db, nil
 	}
-	if err := db.fs.MkdirAll(opts.Dir, 0o755); err != nil {
-		db.stopKernel()
-		return nil, fmt.Errorf("chronicledb: %w", err)
-	}
-	db.catalogPath = filepath.Join(opts.Dir, "catalog.sql")
-	if _, err := db.fs.Stat(db.catalogPath); err == nil {
-		db.catalogSynced = true
-	}
-
-	oldManifest, hadManifest, err := wal.ReadManifestFS(db.fs, opts.Dir)
-	if err != nil {
-		db.stopKernel()
-		return nil, fmt.Errorf("chronicledb: %w", err)
-	}
-	if err := db.recover(oldManifest, hadManifest); err != nil {
-		db.stopKernel()
+	if err := db.openDir(); err != nil {
+		db.eng.Close()
 		return nil, err
-	}
-	if db.segmented() {
-		if err := db.openSegmented(oldManifest, hadManifest); err != nil {
-			db.stopKernel()
-			return nil, err
-		}
-		db.installRecorders()
-	} else {
-		if err := db.openLogs(); err != nil {
-			db.stopKernel()
-			return nil, err
-		}
-		db.installRecorders()
-		if err := db.normalizeLayout(oldManifest, hadManifest); err != nil {
-			db.Close()
-			return nil, err
-		}
-	}
-	if db.segmented() {
-		// Tap every log for replication fan-out. The source exists on
-		// followers too: applied frames land in the follower's own WAL, so a
-		// promoted primary (or a cascading follower) can serve the stream
-		// from the LSNs it inherited.
-		src := repl.NewSource(len(db.logs), db.eng.LSN())
-		for i, l := range db.logs {
-			onAppend, onDurable := src.Tap(i)
-			l.SetTap(onAppend, onDurable)
-		}
-		db.replSrc = src
 	}
 	db.markOpen()
 	if opts.ReplicaOf != "" {
 		db.startReplica()
 	}
 	return db, nil
+}
+
+// openDir recovers the durable state under Options.Dir into the fresh
+// kernel and opens its logs for appending.
+func (db *DB) openDir() error {
+	dir := db.opts.Dir
+	if err := db.fs.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("chronicledb: %w", err)
+	}
+	if err := db.rejectOldLayout(); err != nil {
+		return err
+	}
+	db.catalogPath = filepath.Join(dir, "catalog.sql")
+	if _, err := db.fs.Stat(db.catalogPath); err == nil {
+		db.catalogSynced = true
+	}
+	oldManifest, hadManifest, err := wal.ReadManifestFS(db.fs, dir)
+	if errors.Is(err, wal.ErrManifestVersion) {
+		return fmt.Errorf("%w: %v", ErrUnsupportedLayout, err)
+	}
+	if err != nil {
+		return fmt.Errorf("chronicledb: %w", err)
+	}
+	if err := db.recover(oldManifest); err != nil {
+		return err
+	}
+	if err := db.openSegmented(oldManifest, hadManifest); err != nil {
+		return err
+	}
+	db.installRecorders()
+	// Tap every log for replication fan-out. The source exists on
+	// followers too: applied frames land in the follower's own WAL, so a
+	// promoted primary (or a cascading follower) can serve the stream
+	// from the LSNs it inherited.
+	src := repl.NewSource(len(db.logs), db.eng.LSN())
+	for i, l := range db.logs {
+		onAppend, onDurable := src.Tap(i)
+		l.SetTap(onAppend, onDurable)
+	}
+	db.replSrc = src
+	return nil
+}
+
+// rejectOldLayout refuses a directory written in a layout this version no
+// longer reads (see ErrUnsupportedLayout), before recovery or the orphan
+// sweep can start empty over it or delete its files.
+func (db *DB) rejectOldLayout() error {
+	names, err := db.fs.ReadDir(db.opts.Dir)
+	if err != nil {
+		return fmt.Errorf("chronicledb: %w", err)
+	}
+	for _, name := range names {
+		if oldLayoutFile(name) {
+			return fmt.Errorf("%w: %s in %s", ErrUnsupportedLayout, name, db.opts.Dir)
+		}
+	}
+	return nil
+}
+
+// oldLayoutFile recognizes the fixed file names of the single-file layouts.
+// Segment files of a shard stream are shard-NNNN-SSSSSSSS.wal and do not
+// match.
+func oldLayoutFile(name string) bool {
+	switch name {
+	case "chronicle.wal", "checkpoint.bin", "relations.wal":
+		return true
+	}
+	rest, ok := strings.CutPrefix(name, "shard-")
+	return ok && strings.HasSuffix(rest, ".wal") && !strings.Contains(rest, "-")
 }
 
 // blockFetch reads one durable view block from the checkpoint chain. The
@@ -491,35 +440,6 @@ func (db *DB) markOpen() {
 	db.openMallocs = ms.Mallocs
 	db.openAppends = db.eng.Stats().Appends
 	db.openTime = time.Now()
-}
-
-// openLogs opens the WAL files for the active kernel layout.
-func (db *DB) openLogs() error {
-	var paths []string
-	if db.router != nil {
-		for i := 0; i < db.router.NumShards(); i++ {
-			paths = append(paths, filepath.Join(db.opts.Dir, wal.SegmentName(i)))
-		}
-		paths = append(paths, filepath.Join(db.opts.Dir, wal.RelationSegment))
-	} else {
-		paths = append(paths, filepath.Join(db.opts.Dir, "chronicle.wal"))
-	}
-	policy := db.syncPolicy()
-	for _, p := range paths {
-		log, err := wal.OpenPolicyFS(db.fs, p, policy)
-		if err != nil {
-			db.closeLogs()
-			return fmt.Errorf("chronicledb: %w", err)
-		}
-		db.logs = append(db.logs, log)
-	}
-	// Make the segments' directory entries durable: a freshly created log
-	// must not vanish in a power cut after records were acked into it.
-	if err := db.fs.SyncDir(db.opts.Dir); err != nil {
-		db.closeLogs()
-		return fmt.Errorf("chronicledb: %w", err)
-	}
-	return nil
 }
 
 // failWrites latches the first WAL failure and degrades the DB to
@@ -563,30 +483,20 @@ func (db *DB) writeGate() error {
 // when the caller asked for durability — each mutation path to its log's
 // group-commit door. Committers are installed only under SyncWAL: without
 // it, acknowledged writes were never durable, so there is nothing to commit.
+// Each shard's appends go to its own stream; relation updates (which the
+// router applies itself, under the barrier) go to the relation stream.
 func (db *DB) installRecorders() {
-	if db.router != nil {
-		// Each shard's appends go to its own segment; relation updates
-		// (which the router applies itself, under the barrier) go to the
-		// relation segment.
-		relLog := db.logs[len(db.logs)-1]
-		for i := 0; i < db.router.NumShards(); i++ {
-			log := db.logs[i]
-			db.router.Engine(i).SetRecorder(db.recorder(log))
-			if db.opts.SyncWAL {
-				// The shard's writer goroutine commits once per coalesced
-				// batch; direct AppendAt paths commit through the router.
-				db.router.SetShardCommitter(i, db.committer(log))
-			}
-		}
-		db.router.SetRelationRecorder(db.recorder(relLog))
+	relLog := db.logs[len(db.logs)-1]
+	for i := 0; i < db.eng.NumShards(); i++ {
+		log := db.logs[i]
+		db.eng.Engine(i).SetRecorder(db.recorder(log))
 		if db.opts.SyncWAL {
-			db.router.SetRelationCommitter(db.committer(relLog))
+			db.eng.SetShardCommitter(i, db.committer(log))
 		}
-		return
 	}
-	db.uno.SetRecorder(db.recorder(db.logs[0]))
+	db.eng.SetRelationRecorder(db.recorder(relLog))
 	if db.opts.SyncWAL {
-		db.uno.SetCommitter(db.committer(db.logs[0]))
+		db.eng.SetRelationCommitter(db.committer(relLog))
 	}
 }
 
@@ -646,94 +556,6 @@ func (db *DB) committer(log *wal.Log) func() error {
 	}
 }
 
-// normalizeLayout converts the on-disk WAL layout to the legacy shape the
-// active kernel expects (it only runs in legacy mode; segmented mode
-// converts inside openSegmented). Everything recovered is checkpointed
-// first (so no old WAL record is still needed), the new layout's manifest
-// is made durable (or removed, for the manifest-less unsharded layout),
-// and only then are the old layout's files — v1 shard segments, v2
-// segments and chain checkpoints, the legacy single log — removed, so a
-// crash mid-conversion always leaves a manifest whose references exist.
-func (db *DB) normalizeLayout(old wal.Manifest, hadManifest bool) error {
-	legacyWAL := filepath.Join(db.opts.Dir, "chronicle.wal")
-	oldFiles := func(keep map[string]bool) []string {
-		var names []string
-		for _, seg := range old.Segments {
-			if !keep[seg] {
-				names = append(names, seg)
-			}
-		}
-		for _, s := range old.Live {
-			if !keep[s.Name] {
-				names = append(names, s.Name)
-			}
-		}
-		for _, c := range old.Checkpoints {
-			if !keep[c.Name] {
-				names = append(names, c.Name)
-			}
-		}
-		return names
-	}
-	if db.router == nil {
-		if !hadManifest {
-			return nil // classic layout already
-		}
-		if err := db.Checkpoint(); err != nil {
-			return err
-		}
-		// Drop the manifest first: from here recovery takes the legacy
-		// unsharded path (checkpoint.bin + chronicle.wal) and never reads
-		// the old layout's files again.
-		db.fs.Remove(filepath.Join(db.opts.Dir, wal.ManifestName))
-		if err := db.fs.SyncDir(db.opts.Dir); err != nil {
-			return fmt.Errorf("chronicledb: %w", err)
-		}
-		for _, name := range oldFiles(map[string]bool{"chronicle.wal": true}) {
-			db.fs.Remove(filepath.Join(db.opts.Dir, name))
-		}
-		return db.fs.SyncDir(db.opts.Dir)
-	}
-	_, statErr := db.fs.Stat(legacyWAL)
-	hadLegacy := statErr == nil
-	if hadManifest && old.Version == 1 && old.Shards == db.router.NumShards() && !hadLegacy {
-		return nil // layout already matches
-	}
-	if err := db.Checkpoint(); err != nil {
-		return err
-	}
-	cur := wal.NewManifest(db.router.NumShards())
-	keep := make(map[string]bool, len(cur.Segments))
-	for _, seg := range cur.Segments {
-		keep[seg] = true
-	}
-	if err := wal.WriteManifestFS(db.fs, db.opts.Dir, cur); err != nil {
-		return fmt.Errorf("chronicledb: %w", err)
-	}
-	if hadManifest {
-		for _, name := range oldFiles(keep) {
-			db.fs.Remove(filepath.Join(db.opts.Dir, name))
-		}
-	}
-	if hadLegacy {
-		db.fs.Remove(legacyWAL)
-	}
-	return db.fs.SyncDir(db.opts.Dir)
-}
-
-// stopKernel stops shard writers and the maintenance fold pools. The
-// router stops its engines' pools itself after draining the writers; the
-// single-engine kernel stops its pool here (callers hold db.mu, so no
-// mutation — and hence no maintenance batch — is in flight).
-func (db *DB) stopKernel() {
-	if db.router != nil {
-		db.router.Close()
-	}
-	if db.uno != nil {
-		db.uno.StopMaintenance()
-	}
-}
-
 func (db *DB) closeLogs() error {
 	var first error
 	for _, l := range db.logs {
@@ -745,8 +567,9 @@ func (db *DB) closeLogs() error {
 	return first
 }
 
-// Close drains shard writers and flushes and closes the WAL. The in-memory
-// state stays usable for reads but further updates will fail.
+// Close answers the appends already queued, then flushes and closes the
+// WAL. The in-memory state stays usable for reads but further updates will
+// fail.
 func (db *DB) Close() error {
 	// Stop the replica loop before taking db.mu: its apply goroutine may be
 	// inside a DDL apply that needs db.mu, and it must quiesce before the
@@ -754,15 +577,11 @@ func (db *DB) Close() error {
 	db.stopReplica()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.stopKernel()
+	db.eng.Close()
 	if db.logs == nil {
 		return nil
 	}
-	err := db.closeLogs()
-	if db.uno != nil {
-		db.uno.SetRecorder(nil)
-	}
-	return err
+	return db.closeLogs()
 }
 
 // Flush pushes buffered WAL records to the OS (no-op in memory mode).
@@ -778,9 +597,8 @@ func (db *DB) Flush() error {
 	return first
 }
 
-// Engine exposes the kernel for advanced callers (benchmarks, tests). In
-// sharded mode this is the *shard.Router, otherwise the *engine.Engine.
-func (db *DB) Engine() Kernel { return db.eng }
+// Engine exposes the kernel for advanced callers (benchmarks, tests).
+func (db *DB) Engine() *shard.Router { return db.eng }
 
 // Feed returns the changefeed hub, or nil when Options.Feed is off.
 func (db *DB) Feed() *feed.Hub { return db.hub }
@@ -801,22 +619,14 @@ func (db *DB) ScanViewAt(viewName string, fn func(Row) bool) (uint64, error) {
 	return db.eng.ViewScanAt(viewName, fn)
 }
 
-// Router returns the shard router, or nil for a single-engine database.
-func (db *DB) Router() *shard.Router { return db.router }
+// Shards reports the shard count.
+func (db *DB) Shards() int { return db.eng.NumShards() }
 
-// Shards reports the shard count (0 for the single-engine kernel).
-func (db *DB) Shards() int {
-	if db.router == nil {
-		return 0
-	}
-	return db.router.NumShards()
-}
-
-// Stats returns engine counters (summed across shards when sharded).
+// Stats returns engine counters, summed across shards.
 func (db *DB) Stats() engine.Stats { return db.eng.Stats() }
 
 // MaintenanceLatency returns the per-append view maintenance latency
-// distribution, merged across shards when sharded.
+// distribution, merged across shards.
 func (db *DB) MaintenanceLatency() stats.Snapshot { return db.eng.MaintenanceLatency() }
 
 // WALStats aggregates durability counters across every open WAL segment,
@@ -831,7 +641,7 @@ type WALStats struct {
 	FsyncsPerSec  float64 // fsync rate since Open
 	UptimeSeconds float64 // seconds since Open
 
-	// Segmented-layout gauges (zero in legacy mode or without a Dir).
+	// Storage gauges (zero without a Dir).
 	Segmented              bool
 	SegmentCap             int64  // rotation threshold, bytes
 	Segments               int    // live segment files, all streams
@@ -873,7 +683,7 @@ func (db *DB) WALStats() WALStats {
 		batches.Merge(&m.Batches)
 	}
 	w.Batches = batches.Snapshot()
-	if db.segmented() {
+	if db.opts.Dir != "" {
 		w.Segmented = true
 		w.SegmentCap = db.segmentCap()
 		for _, l := range db.logs {
@@ -997,8 +807,8 @@ func (db *DB) AppendRowsIdem(chronicleName string, tuples []value.Tuple, clientI
 	return first, last, deduped, err
 }
 
-// DedupStats reports the idempotency table's observability counters
-// (summed across shards when sharded).
+// DedupStats reports the idempotency table's observability counters,
+// summed across shards.
 func (db *DB) DedupStats() (entries int, hits int64, evictions int64) {
 	return db.eng.DedupStats()
 }
@@ -1071,7 +881,7 @@ func (db *DB) LatestViewRows(viewName string, n int) ([]Row, error) {
 type ReadStats = engine.ReadStats
 
 // ReadStats reports read traffic: lookup and scan counts plus the
-// end-to-end read latency distribution, merged across shards when sharded.
+// end-to-end read latency distribution, merged across shards.
 func (db *DB) ReadStats() ReadStats { return db.eng.ReadStats() }
 
 // ViewMaintStat attributes maintenance cost to one persistent view.
@@ -1081,9 +891,6 @@ type ViewMaintStat struct {
 	DeltaRows int64 // expression delta rows folded in
 	ApplyNs   int64 // wall time inside ApplyRows (the fold)
 }
-
-// MaintWorkers reports the resolved per-engine maintenance parallelism.
-func (db *DB) MaintWorkers() int { return db.eng.MaintWorkers() }
 
 // MaintAttribution returns the k slowest persistent views by accumulated
 // apply time — where per-append maintenance cost actually goes. k ≤ 0

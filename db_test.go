@@ -46,32 +46,65 @@ CREATE VIEW usage AS
   FROM calls GROUP BY calls.acct;
 `
 
+// TestExecEndToEnd runs the canonical telecom scenario on one shard and on
+// four: DDL places objects on home shards, appends flow through the
+// single-writer queues, and queries and gathered stats return the expected
+// answers.
 func TestExecEndToEnd(t *testing.T) {
-	db := memDB(t)
-	mustExec(t, db, telecomDDL)
-	mustExec(t, db, `UPSERT INTO customers VALUES ('alice', 'nj'), ('bob', 'ny')`)
-	mustExec(t, db, `APPEND INTO calls VALUES ('alice', 12, 1.5)`)
-	mustExec(t, db, `APPEND INTO calls VALUES ('alice', 8, 0.5), ('bob', 3, 0.25)`)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db := shardedDB(t, shards)
+			if db.Shards() != shards {
+				t.Fatalf("Shards() = %d", db.Shards())
+			}
+			mustExec(t, db, telecomDDL)
+			mustExec(t, db, `UPSERT INTO customers VALUES ('alice', 'nj'), ('bob', 'ny')`)
+			mustExec(t, db, `APPEND INTO calls VALUES ('alice', 12, 1.5)`)
+			mustExec(t, db, `APPEND INTO calls VALUES ('alice', 8, 0.5), ('bob', 3, 0.25)`)
 
-	res := mustExec(t, db, `SELECT * FROM usage WHERE acct = 'alice'`)
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-	r := res.Rows[0]
-	if r[1].AsInt() != 20 || r[2].AsFloat() != 2.0 || r[3].AsInt() != 2 {
-		t.Errorf("usage(alice) = %v", r)
-	}
-	if res.Columns[0] != "acct" || res.Columns[1] != "total_minutes" {
-		t.Errorf("columns = %v", res.Columns)
-	}
+			res := mustExec(t, db, `SELECT * FROM usage WHERE acct = 'alice'`)
+			if len(res.Rows) != 1 {
+				t.Fatalf("rows = %v", res.Rows)
+			}
+			r := res.Rows[0]
+			if r[1].AsInt() != 20 || r[2].AsFloat() != 2.0 || r[3].AsInt() != 2 {
+				t.Errorf("usage(alice) = %v", r)
+			}
+			if res.Columns[0] != "acct" || res.Columns[1] != "total_minutes" {
+				t.Errorf("columns = %v", res.Columns)
+			}
 
-	// Programmatic API agrees.
-	row, ok, err := db.Lookup("usage", Str("bob"))
-	if err != nil || !ok || row[1].AsInt() != 3 {
-		t.Errorf("Lookup(bob) = %v, %v, %v", row, ok, err)
-	}
-	if _, _, err := db.Lookup("ghost"); err == nil {
-		t.Error("Lookup of unknown view succeeded")
+			// Programmatic API agrees.
+			row, ok, err := db.Lookup("usage", Str("bob"))
+			if err != nil || !ok || row[1].AsInt() != 3 {
+				t.Errorf("Lookup(bob) = %v, %v, %v", row, ok, err)
+			}
+			if _, _, err := db.Lookup("ghost"); err == nil {
+				t.Error("Lookup of unknown view succeeded")
+			}
+
+			mustExec(t, db, `CREATE VIEW by_state AS
+				SELECT state, SUM(cost) AS revenue FROM calls
+				JOIN customers ON calls.acct = customers.acct
+				GROUP BY state`)
+			mustExec(t, db, `UPSERT INTO customers VALUES ('bob', 'nj')`)
+			mustExec(t, db, `APPEND INTO calls VALUES ('bob', 1, 1.0)`)
+			row, ok, err = db.Lookup("by_state", Str("nj"))
+			if err != nil || !ok || row[1].AsFloat() != 1.0 {
+				t.Errorf("by_state(nj) = %v %v %v", row, ok, err)
+			}
+
+			// Scatter/gather surfaces: stats sum and merged latency histogram.
+			if st := db.Stats(); st.Appends != 3 {
+				t.Errorf("Stats().Appends = %d", st.Appends)
+			}
+			if db.MaintenanceLatency().Count == 0 {
+				t.Error("merged latency histogram empty")
+			}
+			if _, err := db.Exec(`SHOW STATS`); err != nil {
+				t.Errorf("SHOW STATS: %v", err)
+			}
+		})
 	}
 }
 
@@ -240,13 +273,12 @@ func TestDurableReopenWALOnly(t *testing.T) {
 	}
 }
 
-func TestDurableCheckpointTruncatesWAL(t *testing.T) {
-	// Legacy single-file layout (WALSegmentBytes < 0): a checkpoint writes
-	// one full image to checkpoint.bin and truncates the WAL outright. The
-	// segmented default never truncates — TestSegmentedCheckpointChain
-	// covers its replay-skip + compaction equivalent.
+// TestDurableCheckpointedReopen: a reopen restores the checkpoint and then
+// the WAL tail behind it — view state, the retained chronicle window and
+// the group's sequence numbers all continue.
+func TestDurableCheckpointedReopen(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(Options{Dir: dir, DefaultRetention: Retention(2), WALSegmentBytes: -1})
+	db, err := Open(Options{Dir: dir, DefaultRetention: Retention(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,18 +290,11 @@ func TestDurableCheckpointTruncatesWAL(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	walInfo, err := os.Stat(filepath.Join(dir, "chronicle.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if walInfo.Size() != 0 {
-		t.Errorf("WAL size after checkpoint = %d", walInfo.Size())
-	}
 	// Post-checkpoint appends land in the WAL tail.
 	mustExec(t, db, `APPEND INTO calls VALUES ('alice', 2, 1.0)`)
 	db.Close()
 
-	db2, err := Open(Options{Dir: dir, DefaultRetention: Retention(2), WALSegmentBytes: -1})
+	db2, err := Open(Options{Dir: dir, DefaultRetention: Retention(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,9 +362,8 @@ func TestTornWALTailRecovers(t *testing.T) {
 	db.Close()
 
 	// Simulate a crash mid-write: chop the last few bytes of the active
-	// WAL segment (the chronicle stream's first segment — nothing here
-	// rotates).
-	walPath := filepath.Join(dir, wal.SegmentFileName(wal.ChronicleStream, 1))
+	// WAL segment (the one shard's first segment — nothing here rotates).
+	walPath := filepath.Join(dir, wal.SegmentFileName(wal.StreamName(0), 1))
 	data, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)

@@ -235,7 +235,7 @@ func (db *DB) execOne(s sqlparse.Statement, mode execMode) (*Result, error) {
 func (db *DB) ddlDone(s sqlparse.Statement, mode execMode, format string, args ...any) (*Result, error) {
 	db.ddlDirty.Store(true)
 	if mode == execRecovery {
-		// The statement came from the catalog (or a legacy WAL DDL record);
+		// The statement came from the catalog (or a WAL DDL record);
 		// count it so ddlSeq ends equal to the catalog length without
 		// rewriting the file it was read from.
 		db.ddlSeq.Add(1)
@@ -531,7 +531,6 @@ func (db *DB) show(what string) (*Result, error) {
 				{value.Str("maintenance_ns"), value.Int(st.MaintenanceNs)},
 				{value.Str("maintenance_latency"), value.Str(lat.String())},
 				{value.Str("maint_shared_hits"), value.Int(st.SharedHits)},
-				{value.Str("maint_workers"), value.Int(int64(db.eng.MaintWorkers()))},
 				{value.Str("read_lookups"), value.Int(rs.Lookups)},
 				{value.Str("read_scans"), value.Int(rs.Scans)},
 				{value.Str("read_latency"), value.Str(rs.Latency.String())},

@@ -2,14 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	chronicledb "chronicledb"
 )
 
-// RunE22 — shared-delta maintenance: CSE across view expressions plus the
-// parallel per-view apply. With V views registered over one chronicle, the
+// RunE22 — shared-delta maintenance: CSE across view expressions. With V views registered over one chronicle, the
 // classic pipeline evaluates V expression trees per append; when the views
 // share structure (the common case: dashboards define many summaries over
 // the same filtered stream), that work is duplicated. The shared plan
@@ -18,7 +15,7 @@ import (
 // so delta computation scales with *distinct* subexpressions while only the
 // unavoidable per-view fold stays linear in V.
 //
-// Part one sweeps V for two shapes with identical fold work (every probe
+// The sweep runs V for two shapes with identical fold work (every probe
 // row passes every filter): "shared" gives all V views one σ prefix (one
 // plan node serves everyone), "duplicated" gives each view its own constant
 // (V σ nodes, nothing shared above the scan leaf). The gap between the
@@ -27,11 +24,8 @@ import (
 // evaluates the shared prefix once and serves the other V-1 views from the
 // batch cache.
 //
-// Part two re-runs the widest sweep point with MaintWorkers 1 (serial
-// ablation) vs 4: the precomputed per-view deltas are folded by a bounded
-// worker pool. On a multi-core host the parallel fold wins; on a single
-// core the pool degenerates to the coordinator draining its own queue and
-// the result is flat — the readout documents which host ran.
+// The 1-vs-4 fold-worker comparison this experiment used to carry is frozen
+// in EXPERIMENTS.md: the worker pool lost on every measurement and is gone.
 func RunE22(cfg Config) (*Table, error) {
 	views := []int{1, 4, 16, 64, 256}
 	warm, appends := 200, 2000
@@ -40,16 +34,16 @@ func RunE22(cfg Config) (*Table, error) {
 		warm, appends = 50, 500
 	}
 	t := &Table{
-		ID:    "E22",
-		Title: "shared-delta maintenance: CSE fan-out + parallel apply",
-		Claim: "hash-consing common view subexpressions makes per-batch delta computation scale with distinct plan nodes, not view count; per-view folds then run on a bounded worker pool",
+		ID:     "E22",
+		Title:  "shared-delta maintenance: CSE fan-out",
+		Claim:  "hash-consing common view subexpressions makes per-batch delta computation scale with distinct plan nodes, not view count",
 		Header: []string{"shape", "views", "maint/append", "hits/append", "hits/(V-1)·appends"},
 	}
 	for _, shape := range []string{"shared", "duplicated"} {
 		for _, V := range views {
 			// Best of 3 trials: single-µs per-append cells on a busy host carry
 			// scheduler and GC noise that would swamp the shape gap.
-			r, err := e22Best(shape, V, 0, warm, appends, 3)
+			r, err := e22Best(shape, V, warm, appends, 3)
 			if err != nil {
 				return nil, err
 			}
@@ -65,31 +59,15 @@ func RunE22(cfg Config) (*Table, error) {
 		"both shapes fold identical rows into identical view states (the probe row passes every filter); the shapes differ only in how much σ evaluation the shared plan can deduplicate",
 		"the duplicated shape still shares the scan leaf, so its hit counter also reads V-1 per append — the ns column, not the hit count, is where the shapes separate",
 		"the per-view fold (one hash-store upsert per view per append) is inherently linear in V; the sharing claim is about the delta-computation term above it")
-
-	// Parallel apply: serial ablation vs a 4-worker pool at the widest sweep
-	// point. Wall time per append is the readout — appends are synchronous
-	// through maintenance, so the fold pool's effect lands on the caller.
-	V := views[len(views)-1]
-	serial, err := e22Best("duplicated", V, 1, warm, appends, 3)
-	if err != nil {
-		return nil, err
-	}
-	par, err := e22Best("duplicated", V, 4, warm, appends, 3)
-	if err != nil {
-		return nil, err
-	}
-	t.Notes = append(t.Notes, fmt.Sprintf(
-		"parallel apply at %d views on GOMAXPROCS=%d: MaintWorkers=1 %s/append vs MaintWorkers=4 %s/append — with one core the pool degenerates to the coordinator draining its own queue (flat is the expected single-core result; the stress gate still exercises the pool's ordering invariants)",
-		V, runtime.GOMAXPROCS(0), fmtNs(serial.wallNs/float64(appends)), fmtNs(par.wallNs/float64(appends))))
 	return t, nil
 }
 
 // e22Best runs e22Fanout `trials` times and keeps the fastest run (hits are
 // deterministic and identical across trials).
-func e22Best(shape string, V, workers, warm, appends, trials int) (e22Result, error) {
+func e22Best(shape string, V, warm, appends, trials int) (e22Result, error) {
 	var best e22Result
 	for i := 0; i < trials; i++ {
-		r, err := e22Fanout(shape, V, workers, warm, appends)
+		r, err := e22Fanout(shape, V, warm, appends)
 		if err != nil {
 			return e22Result{}, err
 		}
@@ -98,14 +76,12 @@ func e22Best(shape string, V, workers, warm, appends, trials int) (e22Result, er
 			continue
 		}
 		best.maintNs = min(best.maintNs, r.maintNs)
-		best.wallNs = min(best.wallNs, r.wallNs)
 	}
 	return best, nil
 }
 
 type e22Result struct {
 	maintNs float64 // engine-attributed maintenance time over the measured appends
-	wallNs  float64 // caller-observed wall time over the measured appends
 	hits    int64   // shared-plan cache hits over the measured appends
 }
 
@@ -114,8 +90,8 @@ type e22Result struct {
 // is a 6-atom conjunction so predicate evaluation is a visible fraction of
 // maintenance; "shared" interns it into one plan node, "duplicated" varies
 // the last constant per view so each view owns its σ.
-func e22Fanout(shape string, V, workers, warm, appends int) (e22Result, error) {
-	db, err := chronicledb.Open(chronicledb.Options{MaintWorkers: workers})
+func e22Fanout(shape string, V, warm, appends int) (e22Result, error) {
+	db, err := chronicledb.Open(chronicledb.Options{})
 	if err != nil {
 		return e22Result{}, err
 	}
@@ -144,17 +120,14 @@ func e22Fanout(shape string, V, workers, warm, appends int) (e22Result, error) {
 		}
 	}
 	st0 := db.Stats()
-	start := time.Now()
 	for i := 0; i < appends; i++ {
 		if _, err := db.Append("calls", tuple); err != nil {
 			return e22Result{}, err
 		}
 	}
-	wall := time.Since(start)
 	st1 := db.Stats()
 	return e22Result{
 		maintNs: float64(st1.MaintenanceNs - st0.MaintenanceNs),
-		wallNs:  float64(wall.Nanoseconds()),
 		hits:    st1.SharedHits - st0.SharedHits,
 	}, nil
 }

@@ -3,16 +3,16 @@
 // definition language, and persistent views — plus the periodic views of
 // Section 5.1 and the affected-view dispatch of Section 5.2.
 //
-// The engine is the in-memory kernel. It serializes all updates under one
-// mutex, which realizes the paper's update semantics directly: a relation
-// update is proactive precisely because it is ordered before every later
-// chronicle append (Section 2.3). Durability (WAL, checkpoints) is layered
-// on top by the public chronicle package.
+// The engine is the in-memory state of one shard: internal/shard runs one
+// per shard behind its router, which owns what cuts across shards — the LSN
+// allocator, relation updates under the epoch barrier (the proactive
+// ordering of Section 2.3), commits and changefeed publication. The engine
+// serializes its own updates under one mutex. Durability (WAL, checkpoints)
+// is layered on top by the public chronicledb package.
 package engine
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,6 +45,13 @@ type Config struct {
 	DispatchIndexed bool
 	// Clock supplies chronons for appends. Nil uses wall-clock nanoseconds.
 	Clock func() int64
+	// NextLSN allocates the LSN of each mutation. The shard router gives
+	// every shard engine the same allocator — the one its relation updates
+	// draw from — so that chronicle rows and relation versions live in a
+	// single, totally ordered LSN domain, which is what makes cross-shard
+	// proactive-update semantics (and AsOf reference evaluation) exact.
+	// Required.
+	NextLSN func() uint64
 	// LockedReads restores the pre-snapshot read path: every read method
 	// acquires the engine-wide mutex, serializing queries against appends.
 	// It exists as the ablation baseline for the E17 experiment and has no
@@ -68,12 +75,6 @@ type Config struct {
 	// ViewBlockBytes is the target encoded size of one view block; ≤0
 	// selects view.DefaultBlockBytes. Only meaningful with ViewCache.
 	ViewBlockBytes int64
-	// MaintWorkers bounds the per-batch view-maintenance parallelism: after
-	// the shared plan has computed every affected view's delta, the folds
-	// into the view stores run across up to MaintWorkers goroutines
-	// (including the appending one). 1 serializes maintenance (the classic
-	// path); 0 selects GOMAXPROCS.
-	MaintWorkers int
 }
 
 // Stats aggregates engine-level counters.
@@ -87,13 +88,11 @@ type Stats struct {
 	SharedHits      int64 // node deltas served from the shared plan's batch cache
 }
 
-// Engine is the chronicle database system kernel.
+// Engine is one shard's chronicle database system state.
 type Engine struct {
 	mu  sync.RWMutex
 	cfg Config
 
-	lsn        atomic.Uint64 // internal allocator; atomic so LSN() needs no lock
-	lsnSrc     func() uint64 // shared LSN domain (sharded mode); nil = internal counter
 	groups     map[string]*chronicle.Group
 	chronicles map[string]*chronicle.Chronicle
 	relations  map[string]*relation.Relation
@@ -106,11 +105,6 @@ type Engine struct {
 	// applied; the WAL layer hooks in here. Returning an error aborts the
 	// mutation.
 	onRecord func(Mutation) error
-	// onCommit, when set, runs after every successful top-level mutation —
-	// the WAL group-commit hook. A commit error means the mutation was
-	// applied in memory but is not durably acknowledged; the caller latches
-	// read-only on it.
-	onCommit func() error
 
 	stats    Stats
 	maintLat stats.Histogram // per-append view-maintenance latency
@@ -141,24 +135,16 @@ type Engine struct {
 
 	// Changefeed state. feed, when set, makes maintain capture every
 	// persistent view's expression delta into pendingFeed, stamped with the
-	// mutation's LSN and ordered by a ticket drawn from feedDoor under
-	// e.mu. With feedDefer false (unsharded kernel) each mutation method
-	// detaches the batch before unlocking and publishes it after its own
-	// commit; with feedDefer true (sharded kernel) batches accumulate until
-	// the shard writer's TakeFeed, so one group commit publishes the whole
-	// coalesced pass.
+	// mutation's LSN and ordered by a ticket drawn from feedDoor under e.mu.
+	// Batches accumulate until the router's TakeFeed, so one group commit
+	// publishes the whole coalesced pass.
 	feed        *feed.Hub
 	feedDoor    *feed.Door
-	feedDefer   bool
 	pendingFeed *feed.Batch
 
-	// Maintenance pipeline. maintWorkers is the resolved parallelism bound;
-	// pool (nil when maintWorkers == 1) holds the persistent fold workers.
 	// batchSeq numbers maintenance batches for the dispatch-target stamp
 	// dedup; it only advances under e.mu.
-	maintWorkers int
-	pool         *maintPool
-	batchSeq     uint64
+	batchSeq uint64
 	// dirty lists, once each, the views and periodic families the current
 	// call has folded rows into and not yet published (a fold reports when
 	// it is the first since the target's last publication). Every path that
@@ -237,7 +223,6 @@ type appendScratch struct {
 	rows   []chronicle.Row                          // stored-row accumulator
 	batch  []chronicle.BatchPart                    // resolved batch parts
 	deltas map[*chronicle.Chronicle][]chronicle.Row // maintain input
-	tasks  []maintTask                              // per-batch fold work list
 }
 
 // Mutation describes one durable engine mutation, in replayable form.
@@ -292,29 +277,11 @@ func New(cfg Config) *Engine {
 			deltas: make(map[*chronicle.Chronicle][]chronicle.Row),
 		},
 	}
-	e.maintWorkers = cfg.MaintWorkers
-	if e.maintWorkers <= 0 {
-		e.maintWorkers = runtime.GOMAXPROCS(0)
-	}
-	if e.maintWorkers > 1 {
-		e.pool = newMaintPool(e.maintWorkers - 1)
-	}
 	if !cfg.DedupDisabled {
 		e.dedup = dedup.NewTable(cfg.DedupCap)
 	}
 	e.publishCatalogLocked()
 	return e
-}
-
-// MaintWorkers reports the resolved maintenance parallelism bound.
-func (e *Engine) MaintWorkers() int { return e.maintWorkers }
-
-// StopMaintenance terminates the maintenance worker pool (no-op for serial
-// engines). Call after the last mutation; idempotent.
-func (e *Engine) StopMaintenance() {
-	if e.pool != nil {
-		e.pool.stop()
-	}
 }
 
 // ViewSharedPlan lists the shared-plan nodes of one view's expression in
@@ -335,43 +302,15 @@ func (e *Engine) SetRecorder(fn func(Mutation) error) {
 	e.onRecord = fn
 }
 
-// SetCommitter installs the post-mutation durability hook (the WAL
-// group-commit door). It runs once per top-level mutation — so AppendEach's
-// whole bulk run is acknowledged by a single commit.
-func (e *Engine) SetCommitter(fn func() error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.onCommit = fn
-}
-
-// commitWith invokes a durability hook captured under e.mu. It MUST be
-// called after releasing the lock: the whole point of the group-commit
-// door is that the fsync happens while the next mutation is already
-// recording, so concurrent callers queue on the door and one fsync
-// acknowledges all of them. Holding e.mu across the fsync would serialize
-// commits back to one fsync per mutation.
-func (e *Engine) commitWith(fn func() error) error {
-	if fn == nil {
-		return nil
-	}
-	if err := fn(); err != nil {
-		return fmt.Errorf("engine: committing: %w", err)
-	}
-	return nil
-}
-
-// SetFeed hooks the changefeed hub into the maintenance path. deferred
-// selects who publishes: false means each mutation method publishes its
-// own batch right after its commit succeeds; true means the caller (the
-// shard writer) detaches batches with TakeFeed and publishes them after
-// the group commit. Install the hub before any appends replay so the tail
-// rings repopulate during recovery.
-func (e *Engine) SetFeed(h *feed.Hub, deferred bool) {
+// SetFeed hooks the changefeed hub into the maintenance path. Captured
+// frames stay pending until the caller (the shard router's pass) detaches
+// them with TakeFeed and publishes them after its commit. Install the hub
+// before any appends replay so the tail rings repopulate during recovery.
+func (e *Engine) SetFeed(h *feed.Hub) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.feed = h
 	e.feedDoor = feed.NewDoor()
-	e.feedDefer = deferred
 }
 
 // Feed returns the installed changefeed hub, or nil.
@@ -384,12 +323,10 @@ func (e *Engine) Feed() *feed.Hub {
 // publishDirtyLocked is the only place folded view state becomes visible:
 // every view and periodic family folded into since the lock was taken is
 // published exactly once — however many rows, batches or tuples the call
-// carried — and the list is emptied.
-//
-// The publications run on this goroutine, not across the fold pool: one is
-// a tree clone or a few slot stores, less than waking a worker costs, and a
-// view just folded on this core is published cheapest from it (spread over
-// the pool, a one-row append into 256 views measured 210 µs against 140).
+// carried — and the list is emptied. Every way out of a call that may have
+// folded runs it before unlocking, error paths included: a failed AppendEach
+// keeps its applied prefix, and that prefix must be readable. Readers
+// therefore observe whole calls only.
 func (e *Engine) publishDirtyLocked() {
 	if len(e.dirty) == 0 {
 		return
@@ -403,45 +340,6 @@ func (e *Engine) publishDirtyLocked() {
 	e.stats.MaintenanceNs += time.Since(start).Nanoseconds()
 }
 
-// endCallLocked ends an append call while e.mu is still held: it publishes
-// what the call folded and hands back what the caller needs after
-// unlocking, the commit hook and the detached feed batch. It runs on every
-// way out of a call that may have folded, error paths included: a failed
-// AppendEach keeps its applied prefix, and that prefix must be readable.
-// Readers therefore observe whole calls only, and frames still reach
-// subscribers after the commit, after the state they describe is readable.
-func (e *Engine) endCallLocked() (commit func() error, fb *feed.Batch) {
-	e.publishDirtyLocked()
-	return e.onCommit, e.takeFeedLocked()
-}
-
-// settle finishes a mutation call after e.mu is released: commit unless the
-// apply already failed, then publish the call's feed frames — or abandon
-// them when either step failed.
-func (e *Engine) settle(commit func() error, fb *feed.Batch, err error) error {
-	if err == nil {
-		err = e.commitWith(commit)
-	}
-	if err != nil {
-		fb.Abandon()
-		return err
-	}
-	fb.Publish()
-	return nil
-}
-
-// takeFeedLocked detaches the pending feed batch in immediate mode.
-// Deferred mode leaves it for TakeFeed so one group commit covers a whole
-// coalesced writer pass.
-func (e *Engine) takeFeedLocked() *feed.Batch {
-	if e.feedDefer {
-		return nil
-	}
-	fb := e.pendingFeed
-	e.pendingFeed = nil
-	return fb
-}
-
 // TakeFeed detaches the pending changefeed batch (nil when nothing was
 // captured). The caller owns it: Publish after the covering commit
 // succeeds, Abandon if it fails.
@@ -451,32 +349,6 @@ func (e *Engine) TakeFeed() *feed.Batch {
 	e.pendingFeed = nil
 	e.mu.Unlock()
 	return fb
-}
-
-// SetLSNSource makes the engine draw LSNs from an external allocator
-// instead of its internal counter. The shard router installs one shared
-// allocator into every shard engine so that chronicle rows and relation
-// versions live in a single, totally ordered LSN domain — which is what
-// makes cross-shard proactive-update semantics (and AsOf reference
-// evaluation) exact.
-func (e *Engine) SetLSNSource(next func() uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.lsnSrc = next
-}
-
-// Quiesce runs fn while holding the engine's mutation lock exclusively, so
-// no append, upsert, or DDL interleaves with it. Checkpoints use it to cut
-// a consistent snapshot at an exact LSN: without it a concurrent mutation
-// could land in some captured objects but not others, and a segmented
-// recovery — which replays records above the checkpoint LSN without
-// truncating the log — would double-apply or lose the stragglers. fn must
-// only use the engine's lock-free accessors (the published catalog, the
-// atomic LSN, per-object locks), never methods that take the engine lock.
-func (e *Engine) Quiesce(fn func() error) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return fn()
 }
 
 // Stats returns a copy of the engine counters.
@@ -540,23 +412,6 @@ func (e *Engine) CreateChronicle(name, groupName string, schema *value.Schema, r
 	e.chronicles[name] = c
 	e.publishCatalogLocked()
 	return c, nil
-}
-
-// CreateRelation creates a relation.
-func (e *Engine) CreateRelation(name string, schema *value.Schema, keyCols []int) (*relation.Relation, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.claimName(name, "relation"); err != nil {
-		return nil, err
-	}
-	r, err := relation.New(name, schema, keyCols, e.cfg.RelationHistory)
-	if err != nil {
-		delete(e.names, name)
-		return nil, err
-	}
-	e.relations[name] = r
-	e.publishCatalogLocked()
-	return r, nil
 }
 
 // AdoptRelation registers an externally created relation in this engine's
@@ -683,31 +538,14 @@ func (e *Engine) DropView(name string) error {
 // record is appended with the next group sequence number, affected views
 // are identified, and each is maintained incrementally — the complete
 // per-transaction pipeline whose cost Section 3 is about.
-func (e *Engine) Append(chronicleName string, tuples []value.Tuple) (sn int64, err error) {
+func (e *Engine) Append(chronicleName string, tuples []value.Tuple) (int64, error) {
 	e.mu.Lock()
-	sn, err = e.appendLocked(chronicleName, tuples, nil, nil)
-	commit, fb := e.endCallLocked()
-	e.mu.Unlock()
-	if err := e.settle(commit, fb, err); err != nil {
-		return 0, err
-	}
-	return sn, nil
+	defer e.mu.Unlock()
+	defer e.publishDirtyLocked()
+	return e.appendLocked(chronicleName, tuples)
 }
 
-// AppendAt is Append with caller-supplied sequence number and chronon; the
-// WAL layer uses it for replay, tests for deterministic time.
-func (e *Engine) AppendAt(chronicleName string, sn, chronon int64, tuples []value.Tuple) (int64, error) {
-	e.mu.Lock()
-	out, err := e.appendLocked(chronicleName, tuples, &sn, &chronon)
-	commit, fb := e.endCallLocked()
-	e.mu.Unlock()
-	if err := e.settle(commit, fb, err); err != nil {
-		return 0, err
-	}
-	return out, nil
-}
-
-func (e *Engine) appendLocked(chronicleName string, tuples []value.Tuple, snOverride, chOverride *int64) (int64, error) {
+func (e *Engine) appendLocked(chronicleName string, tuples []value.Tuple) (int64, error) {
 	c, ok := e.chronicles[chronicleName]
 	if !ok {
 		return 0, fmt.Errorf("engine: unknown chronicle %q", chronicleName)
@@ -720,14 +558,8 @@ func (e *Engine) appendLocked(chronicleName string, tuples []value.Tuple, snOver
 		tuples[i] = coerced
 	}
 	sn := c.Group().NextSN()
-	if snOverride != nil {
-		sn = *snOverride
-	}
 	chronon := e.cfg.Clock()
-	if chOverride != nil {
-		chronon = *chOverride
-	}
-	lsn := e.nextLSN()
+	lsn := e.cfg.NextLSN()
 	if e.onRecord != nil {
 		e.scratch.parts = append(e.scratch.parts[:0], MutationPart{Chronicle: chronicleName, Tuples: tuples})
 		m := Mutation{Kind: MutAppend, LSN: lsn, SN: sn, Chronon: chronon, Parts: e.scratch.parts}
@@ -752,25 +584,18 @@ func (e *Engine) appendLocked(chronicleName string, tuples []value.Tuple, snOver
 // simultaneously, sharing a single sequence number.
 func (e *Engine) AppendBatch(parts []MutationPart) (int64, error) {
 	e.mu.Lock()
-	sn, err := e.appendBatchLocked(parts, nil, nil)
-	commit, fb := e.endCallLocked()
-	e.mu.Unlock()
-	if err := e.settle(commit, fb, err); err != nil {
-		return 0, err
-	}
-	return sn, nil
+	defer e.mu.Unlock()
+	defer e.publishDirtyLocked()
+	return e.appendBatchLocked(parts, nil, nil)
 }
 
-// AppendBatchAt is AppendBatch with caller-supplied SN and chronon.
+// AppendBatchAt is AppendBatch with caller-supplied SN and chronon (WAL
+// replay and follower apply).
 func (e *Engine) AppendBatchAt(parts []MutationPart, sn, chronon int64) (int64, error) {
 	e.mu.Lock()
-	out, err := e.appendBatchLocked(parts, &sn, &chronon)
-	commit, fb := e.endCallLocked()
-	e.mu.Unlock()
-	if err := e.settle(commit, fb, err); err != nil {
-		return 0, err
-	}
-	return out, nil
+	defer e.mu.Unlock()
+	defer e.publishDirtyLocked()
+	return e.appendBatchLocked(parts, &sn, &chronon)
 }
 
 func (e *Engine) appendBatchLocked(parts []MutationPart, snOverride, chOverride *int64) (int64, error) {
@@ -805,7 +630,7 @@ func (e *Engine) appendBatchLocked(parts []MutationPart, snOverride, chOverride 
 	if chOverride != nil {
 		chronon = *chOverride
 	}
-	lsn := e.nextLSN()
+	lsn := e.cfg.NextLSN()
 	if e.onRecord != nil {
 		if err := e.onRecord(Mutation{Kind: MutAppend, LSN: lsn, SN: sn, Chronon: chronon, Parts: parts}); err != nil {
 			return 0, fmt.Errorf("engine: recording append: %w", err)
@@ -835,31 +660,21 @@ func (e *Engine) AppendEach(chronicleName string, tuples []value.Tuple) (first, 
 		return 0, 0, fmt.Errorf("engine: empty append")
 	}
 	e.mu.Lock()
-	var applyErr error
+	defer e.mu.Unlock()
+	defer e.publishDirtyLocked()
 	for i, t := range tuples {
 		e.scratch.tuple = append(e.scratch.tuple[:0], t)
-		sn, err := e.appendLocked(chronicleName, e.scratch.tuple, nil, nil)
+		sn, err := e.appendLocked(chronicleName, e.scratch.tuple)
 		if err != nil {
-			// Earlier tuples remain applied (matching a loop of Append
-			// calls); still publish and commit below so they are readable
-			// and their records durably acknowledged too.
-			applyErr = fmt.Errorf("engine: tuple %d: %w", i, err)
-			break
+			// Earlier tuples remain applied, matching a loop of Append calls.
+			return first, last, fmt.Errorf("engine: tuple %d: %w", i, err)
 		}
 		if i == 0 {
 			first = sn
 		}
 		last = sn
 	}
-	commit, fb := e.endCallLocked()
-	e.mu.Unlock()
-	// The feed publishes even on a partial run: the applied prefix
-	// committed, so its deltas are durable and must reach subscribers.
-	cerr := e.settle(commit, fb, nil)
-	if applyErr != nil {
-		return first, last, applyErr
-	}
-	return first, last, cerr
+	return first, last, nil
 }
 
 // AppendEachIdem is AppendEach with exactly-once semantics: the request is
@@ -875,35 +690,33 @@ func (e *Engine) AppendEachIdem(chronicleName string, tuples []value.Tuple, clie
 		return 0, 0, false, fmt.Errorf("engine: empty append")
 	}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.dedup != nil {
 		if ack, ok := e.dedup.Lookup(clientID, requestID); ok {
 			e.stats.DedupHits++
-			e.mu.Unlock()
 			return ack.FirstSN, ack.LastSN, true, nil
 		}
 	}
+	defer e.publishDirtyLocked()
+	// If the covering commit fails, the run stays applied in memory without
+	// being durably acknowledged. The DB facade latches read-only on that
+	// error, which is what keeps the dedup entry from turning a failed
+	// commit into a false positive ack on retry.
 	first, last, err = e.appendEachAtomicLocked(chronicleName, tuples, clientID, requestID, nil, nil)
-	commit, fb := e.endCallLocked()
-	e.mu.Unlock()
 	if err != nil {
-		fb.Abandon()
 		return 0, 0, false, err
 	}
-	// On a commit error the run is applied in memory but not durably
-	// acknowledged. The caller (the DB facade) latches read-only on it,
-	// which is what keeps the dedup entry from turning a failed commit into
-	// a false positive ack on retry.
-	return first, last, false, e.settle(commit, fb, nil)
+	return first, last, false, nil
 }
 
 // AppendEachAt replays a MutAppendEach record: caller-supplied first SN and
 // chronon, re-inserting the dedup entry so post-recovery retries still hit.
 func (e *Engine) AppendEachAt(chronicleName string, firstSN, chronon int64, tuples []value.Tuple, clientID, requestID string) error {
 	e.mu.Lock()
+	defer e.mu.Unlock()
+	defer e.publishDirtyLocked()
 	_, _, err := e.appendEachAtomicLocked(chronicleName, tuples, clientID, requestID, &firstSN, &chronon)
-	commit, fb := e.endCallLocked()
-	e.mu.Unlock()
-	return e.settle(commit, fb, err)
+	return err
 }
 
 // appendEachAtomicLocked applies one idempotent run: coerce everything,
@@ -912,8 +725,8 @@ func (e *Engine) AppendEachAt(chronicleName string, firstSN, chronon int64, tupl
 // semantics to AppendEach) with sn = firstSN+i, and finally remember the
 // ack. Per-tuple LSN consumption matches replay: the record's LSN is the
 // first tuple's, and each later tuple draws a fresh one. Like every
-// *Locked fold it publishes nothing; the caller's endCallLocked does, on
-// the early error return too.
+// *Locked fold it publishes nothing; the caller does, on the early error
+// return too.
 func (e *Engine) appendEachAtomicLocked(chronicleName string, tuples []value.Tuple, clientID, requestID string, snOverride, chOverride *int64) (first, last int64, err error) {
 	c, ok := e.chronicles[chronicleName]
 	if !ok {
@@ -934,7 +747,7 @@ func (e *Engine) appendEachAtomicLocked(chronicleName string, tuples []value.Tup
 	if chOverride != nil {
 		chronon = *chOverride
 	}
-	lsn := e.nextLSN()
+	lsn := e.cfg.NextLSN()
 	if e.onRecord != nil {
 		e.scratch.parts = append(e.scratch.parts[:0], MutationPart{Chronicle: chronicleName, Tuples: tuples})
 		m := Mutation{
@@ -949,7 +762,7 @@ func (e *Engine) appendEachAtomicLocked(chronicleName string, tuples []value.Tup
 		sn := firstSN + int64(i)
 		tupleLSN := lsn
 		if i > 0 {
-			tupleLSN = e.nextLSN()
+			tupleLSN = e.cfg.NextLSN()
 		}
 		e.scratch.tuple = append(e.scratch.tuple[:0], tuples[i])
 		rows, aerr := c.AppendInto(sn, chronon, tupleLSN, e.scratch.tuple, e.scratch.rows[:0])
@@ -1012,20 +825,15 @@ func (e *Engine) DedupStats() (entries int, hits int64, evictions int64) {
 }
 
 // maintain dispatches one append's deltas to every affected persistent and
-// periodic view: the shared-delta pipeline. Phase 1 (compute, serial under
-// e.mu) walks the affected targets, pulls each persistent view's expression
-// delta from the shared plan — so a subexpression common to several views
-// is evaluated once per batch — and, with a changefeed installed, captures
-// the delta under the mutation's lsn before any fold starts: capture order
-// is fixed here, under e.mu, regardless of fold scheduling. Phase 2 (fold)
-// applies the precomputed rows to the views, in parallel across the worker
-// pool when one is configured; it completes before maintain returns, since
-// the plan's buffers and the batch's stored rows are reused by the next
-// mutation. Periodic views are few and stateful, so they fold inline in
-// phase 1. Neither phase publishes: a target folded into for the first time
-// since its last publication joins e.dirty, and publishDirtyLocked
-// publishes it when the whole call — this batch and the rest of its rows —
-// is in.
+// periodic view: the shared-delta pipeline. It walks the affected targets,
+// pulls each persistent view's expression delta from the shared plan — so a
+// subexpression common to several views is evaluated once per batch —
+// captures it under the mutation's lsn when a changefeed is installed, and
+// folds it into the view before moving on (the plan's buffers and the
+// batch's stored rows are reused by the next mutation). Nothing is
+// published here: a target folded into for the first time since its last
+// publication joins e.dirty, and publishDirtyLocked publishes it when the
+// whole call — this batch and the rest of its rows — is in.
 //
 // Catalog access goes through the published snapshot (e.cat.Load()), the
 // same generation the read path sees, so maintenance and DDL agree on the
@@ -1037,7 +845,6 @@ func (e *Engine) maintain(deltas map[*chronicle.Chronicle][]chronicle.Row, chron
 	plan := cat.plan
 	plan.BeginBatch()
 	e.batchSeq++
-	tasks := e.scratch.tasks[:0]
 	for c, rows := range deltas {
 		for _, t := range e.disp.Affected(c, rows, chronon) {
 			if t.Stamp(e.batchSeq) {
@@ -1057,7 +864,9 @@ func (e *Engine) maintain(deltas map[*chronicle.Chronicle][]chronicle.Row, chron
 					}
 					e.pendingFeed.Capture(t.ID, lsn, drows)
 				}
-				tasks = append(tasks, maintTask{v: v, rows: drows})
+				if v.ApplyRows(drows) {
+					e.dirty = append(e.dirty, v)
+				}
 				e.stats.ViewsMaintained++
 			} else if pv, ok := cat.periodics[t.ID]; ok {
 				// A fold error only occurs for invalid defs, which New vetted.
@@ -1068,131 +877,20 @@ func (e *Engine) maintain(deltas map[*chronicle.Chronicle][]chronicle.Row, chron
 			}
 		}
 	}
-	if e.pool != nil && len(tasks) > 1 {
-		e.pool.run(tasks)
-	} else {
-		for i := range tasks {
-			tasks[i].fold()
-		}
-	}
-	for i := range tasks {
-		if tasks[i].first {
-			e.dirty = append(e.dirty, tasks[i].v)
-		}
-	}
-	e.scratch.tasks = tasks
 	e.stats.SharedHits += plan.TakeHits()
 	elapsed := time.Since(start)
 	e.stats.MaintenanceNs += elapsed.Nanoseconds()
 	e.maintLat.Observe(elapsed)
 }
 
-// MaintenanceLatency summarizes the distribution of per-append view
-// maintenance time — the operational readout of the view language's IM
-// class: SCA1 views keep this flat forever.
-func (e *Engine) MaintenanceLatency() stats.Snapshot {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.maintLat.Snapshot()
-}
-
-// MaintenanceHistogram returns a copy of the raw maintenance-latency
-// histogram so callers (the shard router's scatter/gather stats path) can
-// Merge distributions across engines before summarizing.
+// MaintenanceHistogram returns a copy of the raw histogram of per-append
+// view maintenance time — the operational readout of the view language's IM
+// class: SCA1 views keep this flat forever. The shard router merges the
+// distributions across engines before summarizing.
 func (e *Engine) MaintenanceHistogram() stats.Histogram {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.maintLat
-}
-
-// Upsert applies a proactive relation update.
-func (e *Engine) Upsert(relationName string, t value.Tuple) error {
-	e.mu.Lock()
-	err := e.upsertLocked(relationName, t)
-	commit := e.onCommit
-	e.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return e.commitWith(commit)
-}
-
-func (e *Engine) upsertLocked(relationName string, t value.Tuple) error {
-	r, ok := e.relations[relationName]
-	if !ok {
-		return fmt.Errorf("engine: unknown relation %q", relationName)
-	}
-	coerced, err := r.Schema().Coerce(t)
-	if err != nil {
-		return fmt.Errorf("engine: relation %s: %w", relationName, err)
-	}
-	t = coerced
-	lsn := e.nextLSN()
-	if e.onRecord != nil {
-		if err := e.onRecord(Mutation{Kind: MutUpsert, LSN: lsn, Relation: relationName, Tuple: t}); err != nil {
-			return fmt.Errorf("engine: recording upsert: %w", err)
-		}
-	}
-	if err := r.Upsert(lsn, t); err != nil {
-		return err
-	}
-	e.stats.RelationUpdates++
-	return nil
-}
-
-// DeleteKey applies a proactive relation delete by key values.
-func (e *Engine) DeleteKey(relationName string, keyVals value.Tuple) (bool, error) {
-	e.mu.Lock()
-	deleted, err := e.deleteKeyLocked(relationName, keyVals)
-	commit := e.onCommit
-	e.mu.Unlock()
-	if err != nil {
-		return false, err
-	}
-	return deleted, e.commitWith(commit)
-}
-
-func (e *Engine) deleteKeyLocked(relationName string, keyVals value.Tuple) (bool, error) {
-	r, ok := e.relations[relationName]
-	if !ok {
-		return false, fmt.Errorf("engine: unknown relation %q", relationName)
-	}
-	lsn := e.nextLSN()
-	if e.onRecord != nil {
-		if err := e.onRecord(Mutation{Kind: MutDelete, LSN: lsn, Relation: relationName, Tuple: keyVals}); err != nil {
-			return false, fmt.Errorf("engine: recording delete: %w", err)
-		}
-	}
-	deleted := r.Delete(lsn, keyVals)
-	if deleted {
-		e.stats.RelationUpdates++
-	}
-	return deleted, nil
-}
-
-func (e *Engine) nextLSN() uint64 {
-	if e.lsnSrc != nil {
-		return e.lsnSrc()
-	}
-	return e.lsn.Add(1)
-}
-
-// LSN returns the current logical sequence number. With an external LSN
-// source installed the router owns the counter; this reports only the
-// internal one.
-func (e *Engine) LSN() uint64 {
-	return e.lsn.Load()
-}
-
-// RestoreLSN advances the LSN to at least lsn. Checkpoint recovery uses it
-// so post-recovery updates keep strictly increasing LSNs.
-func (e *Engine) RestoreLSN(lsn uint64) {
-	for {
-		cur := e.lsn.Load()
-		if lsn <= cur || e.lsn.CompareAndSwap(cur, lsn) {
-			return
-		}
-	}
 }
 
 // GroupNames returns the chronicle group names, sorted.
@@ -1376,25 +1074,6 @@ func (e *Engine) ViewScanRange(name string, lo, hi value.Tuple) ([]value.Tuple, 
 	return out, nil
 }
 
-// RelationRows materializes a relation's live tuples in key order. The
-// rows are caller-owned.
-func (e *Engine) RelationRows(name string) ([]value.Tuple, error) {
-	defer e.lockedReads()()
-	start := time.Now()
-	r, ok := e.cat.Load().relations[name]
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown relation %q", name)
-	}
-	var out []value.Tuple
-	r.Scan(func(t value.Tuple) bool {
-		out = append(out, t.Clone())
-		return true
-	})
-	e.readScans.Add(1)
-	e.readLat.Observe(time.Since(start))
-	return out, nil
-}
-
 // ChronicleRows copies a chronicle's retained window under the
 // chronicle's own read lock. The rows are caller-owned.
 func (e *Engine) ChronicleRows(name string) ([]chronicle.Row, error) {
@@ -1415,15 +1094,6 @@ type ReadStats struct {
 	Lookups int64
 	Scans   int64
 	Latency stats.Snapshot
-}
-
-// ReadStats returns a copy of the read-path metrics.
-func (e *Engine) ReadStats() ReadStats {
-	return ReadStats{
-		Lookups: e.readLookups.Load(),
-		Scans:   e.readScans.Load(),
-		Latency: e.readLat.Snapshot(),
-	}
 }
 
 // ReadHistogram copies the raw read-latency histogram so the shard
@@ -1469,9 +1139,6 @@ func (e *Engine) ViewNames() []string { return e.sortedNames("view") }
 // ChronicleNames returns the chronicle names, sorted.
 func (e *Engine) ChronicleNames() []string { return e.sortedNames("chronicle") }
 
-// RelationNames returns the relation names, sorted.
-func (e *Engine) RelationNames() []string { return e.sortedNames("relation") }
-
 // PeriodicViewNames returns the periodic view family names, sorted.
 func (e *Engine) PeriodicViewNames() []string { return e.sortedNames("periodic view") }
 
@@ -1485,10 +1152,6 @@ func (e *Engine) sortedNames(kind string) []string {
 		}
 	case "chronicle":
 		for n := range c.chronicles {
-			out = append(out, n)
-		}
-	case "relation":
-		for n := range c.relations {
 			out = append(out, n)
 		}
 	case "periodic view":

@@ -9,6 +9,7 @@ import (
 	"chronicledb/internal/calendar"
 	"chronicledb/internal/chronicle"
 	"chronicledb/internal/pred"
+	"chronicledb/internal/relation"
 	"chronicledb/internal/value"
 	"chronicledb/internal/view"
 )
@@ -27,14 +28,17 @@ func custSchema() *value.Schema {
 	)
 }
 
-// newEngine returns an engine with a deterministic clock.
+// newEngine returns an engine with a deterministic clock and its own LSN
+// counter.
 func newEngine(t testing.TB) (*Engine, *int64) {
 	t.Helper()
 	now := int64(0)
+	var lsn uint64
 	e := New(Config{
 		DispatchIndexed: true,
 		RelationHistory: true,
 		Clock:           func() int64 { return now },
+		NextLSN:         func() uint64 { lsn++; return lsn },
 	})
 	return e, &now
 }
@@ -46,6 +50,20 @@ func mustCreateCalls(t testing.TB, e *Engine) *chronicle.Chronicle {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// mustAdoptRelation registers a relation the way the shard router does: the
+// relation is built outside the engine and adopted into its catalog.
+func mustAdoptRelation(t testing.TB, e *Engine, name string, schema *value.Schema) *relation.Relation {
+	t.Helper()
+	r, err := relation.New(name, schema, []int{0}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AdoptRelation(r); err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func usageDef(c *chronicle.Chronicle) view.Def {
@@ -67,7 +85,9 @@ func TestCreateValidation(t *testing.T) {
 	if _, err := e.CreateChronicle("calls", "", callsSchema(), nil); err == nil {
 		t.Error("duplicate chronicle accepted")
 	}
-	if _, err := e.CreateRelation("calls", custSchema(), []int{0}); err == nil {
+	if clash, err := relation.New("calls", custSchema(), []int{0}, false); err != nil {
+		t.Fatal(err)
+	} else if err := e.AdoptRelation(clash); err == nil {
 		t.Error("cross-kind name collision accepted")
 	}
 	if _, err := e.CreateView(usageDef(c), view.StoreHash, pred.True(), nil); err != nil {
@@ -110,29 +130,6 @@ func TestAppendMaintainsViews(t *testing.T) {
 	}
 }
 
-func TestAppendAtAssignsSNAndChronon(t *testing.T) {
-	e, _ := newEngine(t)
-	retain := chronicle.RetainAll
-	c, err := e.CreateChronicle("calls", "telecom", callsSchema(), &retain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sn, err := e.AppendAt("calls", 42, 999, []value.Tuple{{value.Str("a"), value.Int(1)}})
-	if err != nil || sn != 42 {
-		t.Fatalf("AppendAt = %d, %v", sn, err)
-	}
-	var got chronicle.Row
-	c.Scan(func(r chronicle.Row) bool { got = r; return false })
-	if got.SN != 42 || got.Chronon != 999 {
-		t.Errorf("row = %+v", got)
-	}
-	// Next auto append continues after 42.
-	sn, err = e.Append("calls", []value.Tuple{{value.Str("a"), value.Int(1)}})
-	if err != nil || sn != 43 {
-		t.Errorf("next SN = %d, %v", sn, err)
-	}
-}
-
 func TestAppendBatchSharedSN(t *testing.T) {
 	e, _ := newEngine(t)
 	mustCreateCalls(t, e)
@@ -159,68 +156,6 @@ func TestAppendBatchSharedSN(t *testing.T) {
 	}
 	if _, err := e.AppendBatch([]MutationPart{{Chronicle: "ghost"}}); err == nil {
 		t.Error("unknown chronicle in batch accepted")
-	}
-}
-
-func TestProactiveUpdateSemantics(t *testing.T) {
-	// Example 2.2 end to end: the NJ bonus applies per the address at the
-	// time of each flight/call.
-	e, _ := newEngine(t)
-	c := mustCreateCalls(t, e)
-	r, err := e.CreateRelation("customers", custSchema(), []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jr, err := algebra.NewJoinRel(algebra.NewScan(c), r, []int{0}, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := algebra.NewSelect(jr, pred.Or(pred.ColConst(3, pred.Eq, value.Str("nj"))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := e.CreateView(view.Def{
-		Name: "nj_minutes", Expr: sel, Mode: view.SummarizeGroupBy,
-		GroupCols: []int{0},
-		Aggs:      []aggregate.Spec{{Func: aggregate.Sum, Col: 1, Name: "total"}},
-	}, view.StoreHash, pred.True(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	e.Upsert("customers", value.Tuple{value.Str("a"), value.Str("nj")})
-	e.Append("calls", []value.Tuple{{value.Str("a"), value.Int(10)}}) // counts
-	e.Upsert("customers", value.Tuple{value.Str("a"), value.Str("ny")})
-	e.Append("calls", []value.Tuple{{value.Str("a"), value.Int(99)}}) // does not count
-	e.Upsert("customers", value.Tuple{value.Str("a"), value.Str("nj")})
-	e.Append("calls", []value.Tuple{{value.Str("a"), value.Int(7)}}) // counts
-
-	got, ok := v.Lookup(value.Tuple{value.Str("a")})
-	if !ok || got[1].AsInt() != 17 {
-		t.Errorf("nj_minutes(a) = %v, %v (want 17)", got, ok)
-	}
-}
-
-func TestRelationOps(t *testing.T) {
-	e, _ := newEngine(t)
-	if _, err := e.CreateRelation("customers", custSchema(), []int{0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Upsert("customers", value.Tuple{value.Str("a"), value.Str("nj")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Upsert("ghost", value.Tuple{}); err == nil {
-		t.Error("upsert to unknown relation accepted")
-	}
-	deleted, err := e.DeleteKey("customers", value.Tuple{value.Str("a")})
-	if err != nil || !deleted {
-		t.Errorf("DeleteKey = %v, %v", deleted, err)
-	}
-	if _, err := e.DeleteKey("ghost", value.Tuple{}); err == nil {
-		t.Error("delete from unknown relation accepted")
-	}
-	if e.Stats().RelationUpdates != 2 {
-		t.Errorf("RelationUpdates = %d", e.Stats().RelationUpdates)
 	}
 }
 
@@ -315,9 +250,6 @@ func TestRecorderVetoAbortsMutation(t *testing.T) {
 	if v.Len() != 0 || c.LastSN() != -1 {
 		t.Error("vetoed append left state behind")
 	}
-	if err := e.Upsert("customers", value.Tuple{}); err == nil {
-		t.Error("upsert to unknown relation accepted") // still unknown
-	}
 	e.SetRecorder(nil)
 	if _, err := e.Append("calls", []value.Tuple{{value.Str("a"), value.Int(1)}}); err != nil {
 		t.Fatal(err)
@@ -327,7 +259,7 @@ func TestRecorderVetoAbortsMutation(t *testing.T) {
 func TestNamesListing(t *testing.T) {
 	e, _ := newEngine(t)
 	c := mustCreateCalls(t, e)
-	e.CreateRelation("customers", custSchema(), []int{0})
+	mustAdoptRelation(t, e, "customers", custSchema())
 	e.CreateView(usageDef(c), view.StoreHash, pred.True(), nil)
 	cal, _ := calendar.NewPeriodic(0, 10, 10)
 	def := usageDef(c)
@@ -337,8 +269,8 @@ func TestNamesListing(t *testing.T) {
 	if got := e.ChronicleNames(); len(got) != 1 || got[0] != "calls" {
 		t.Errorf("ChronicleNames = %v", got)
 	}
-	if got := e.RelationNames(); len(got) != 1 || got[0] != "customers" {
-		t.Errorf("RelationNames = %v", got)
+	if _, ok := e.Relation("customers"); !ok {
+		t.Error("Relation lookup failed")
 	}
 	if got := e.ViewNames(); len(got) != 1 || got[0] != "usage" {
 		t.Errorf("ViewNames = %v", got)
@@ -395,35 +327,28 @@ func TestDropViewEngine(t *testing.T) {
 	}
 }
 
-func TestRestoreLSNMonotone(t *testing.T) {
-	e, _ := newEngine(t)
-	e.RestoreLSN(100)
-	if e.LSN() != 100 {
-		t.Errorf("LSN = %d", e.LSN())
-	}
-	e.RestoreLSN(50) // must not regress
-	if e.LSN() != 100 {
-		t.Errorf("LSN regressed to %d", e.LSN())
-	}
-	mustCreateCalls(t, e)
-	e.Append("calls", []value.Tuple{{value.Str("a"), value.Int(1)}})
-	if e.LSN() != 101 {
-		t.Errorf("LSN after append = %d", e.LSN())
-	}
-}
-
 func TestAppendBatchAtReplay(t *testing.T) {
 	e, _ := newEngine(t)
-	mustCreateCalls(t, e)
+	retain := chronicle.RetainAll
+	c, err := e.CreateChronicle("calls", "telecom", callsSchema(), &retain)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sn, err := e.AppendBatchAt([]MutationPart{
 		{Chronicle: "calls", Tuples: []value.Tuple{{value.Str("a"), value.Int(1)}}},
 	}, 42, 4200)
 	if err != nil || sn != 42 {
 		t.Fatalf("AppendBatchAt = %d, %v", sn, err)
 	}
-	c, _ := e.Chronicle("calls")
-	if c.LastSN() != 42 {
-		t.Errorf("LastSN = %d", c.LastSN())
+	var got chronicle.Row
+	c.Scan(func(r chronicle.Row) bool { got = r; return false })
+	if got.SN != 42 || got.Chronon != 4200 {
+		t.Errorf("row = %+v", got)
+	}
+	// The next auto append continues after the replayed SN.
+	sn, err = e.Append("calls", []value.Tuple{{value.Str("a"), value.Int(1)}})
+	if err != nil || sn != 43 {
+		t.Errorf("next SN = %d, %v", sn, err)
 	}
 }
 
@@ -447,18 +372,6 @@ func TestNumericCoercion(t *testing.T) {
 	if got.Vals[1].Kind() != value.KindFloat || got.Vals[1].AsFloat() != 9.0 {
 		t.Errorf("coerced value = %v (%s)", got.Vals[1], got.Vals[1].Kind())
 	}
-	// Relations coerce too.
-	if _, err := e.CreateRelation("rates", schema, []int{0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Upsert("rates", value.Tuple{value.Str("x"), value.Int(3)}); err != nil {
-		t.Fatal(err)
-	}
-	r, _ := e.Relation("rates")
-	rt, _ := r.Get(value.Tuple{value.Str("x")})
-	if rt[1].Kind() != value.KindFloat {
-		t.Errorf("relation coercion: %s", rt[1].Kind())
-	}
 	// Incompatible kinds still fail.
 	if _, err := e.Append("ledger", []value.Tuple{{value.Str("a"), value.Str("no")}}); err == nil {
 		t.Error("string in float column accepted")
@@ -471,10 +384,9 @@ func TestNumericCoercion(t *testing.T) {
 	}
 }
 
-func TestRecorderSeesBatchAndRelationMutations(t *testing.T) {
+func TestRecorderSeesBatchMutations(t *testing.T) {
 	e, _ := newEngine(t)
 	mustCreateCalls(t, e)
-	e.CreateRelation("customers", custSchema(), []int{0})
 	var kinds []MutationKind
 	e.SetRecorder(func(m Mutation) error {
 		kinds = append(kinds, m.Kind)
@@ -483,25 +395,10 @@ func TestRecorderSeesBatchAndRelationMutations(t *testing.T) {
 	e.AppendBatch([]MutationPart{
 		{Chronicle: "calls", Tuples: []value.Tuple{{value.Str("a"), value.Int(1)}}},
 	})
-	e.Upsert("customers", value.Tuple{value.Str("a"), value.Str("nj")})
-	e.DeleteKey("customers", value.Tuple{value.Str("a")})
-	want := []MutationKind{MutAppend, MutUpsert, MutDelete}
-	if len(kinds) != len(want) {
+	if len(kinds) != 1 || kinds[0] != MutAppend {
 		t.Fatalf("kinds = %v", kinds)
 	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Errorf("kinds = %v, want %v", kinds, want)
-		}
-	}
-	// A vetoing recorder blocks relation mutations too.
 	e.SetRecorder(func(Mutation) error { return fmt.Errorf("no") })
-	if err := e.Upsert("customers", value.Tuple{value.Str("b"), value.Str("ny")}); err == nil {
-		t.Error("vetoed upsert succeeded")
-	}
-	if _, err := e.DeleteKey("customers", value.Tuple{value.Str("b")}); err == nil {
-		t.Error("vetoed delete succeeded")
-	}
 	if _, err := e.AppendBatch([]MutationPart{
 		{Chronicle: "calls", Tuples: []value.Tuple{{value.Str("a"), value.Int(1)}}},
 	}); err == nil {
@@ -514,9 +411,10 @@ func TestSerializedReadAccessors(t *testing.T) {
 	retain := chronicle.RetainAll
 	e.CreateChronicle("calls", "telecom", callsSchema(), &retain)
 	c, _ := e.Chronicle("calls")
-	e.CreateRelation("customers", custSchema(), []int{0})
+	if err := mustAdoptRelation(t, e, "customers", custSchema()).Upsert(1, value.Tuple{value.Str("a"), value.Str("nj")}); err != nil {
+		t.Fatal(err)
+	}
 	e.CreateView(usageDef(c), view.StoreBTree, pred.True(), nil)
-	e.Upsert("customers", value.Tuple{value.Str("a"), value.Str("nj")})
 	e.Append("calls", []value.Tuple{{value.Str("a"), value.Int(5)}})
 	e.Append("calls", []value.Tuple{{value.Str("b"), value.Int(7)}})
 
@@ -541,13 +439,6 @@ func TestSerializedReadAccessors(t *testing.T) {
 	if _, err := e.ViewScanRange("ghost", nil, nil); err == nil {
 		t.Error("unknown ViewScanRange accepted")
 	}
-	rel, err := e.RelationRows("customers")
-	if err != nil || len(rel) != 1 {
-		t.Errorf("RelationRows = %v %v", rel, err)
-	}
-	if _, err := e.RelationRows("ghost"); err == nil {
-		t.Error("unknown RelationRows accepted")
-	}
 	crows, err := e.ChronicleRows("calls")
 	if err != nil || len(crows) != 2 {
 		t.Errorf("ChronicleRows = %v %v", crows, err)
@@ -555,8 +446,8 @@ func TestSerializedReadAccessors(t *testing.T) {
 	if _, err := e.ChronicleRows("ghost"); err == nil {
 		t.Error("unknown ChronicleRows accepted")
 	}
-	lat := e.MaintenanceLatency()
-	if lat.Count != 2 {
-		t.Errorf("MaintenanceLatency count = %d", lat.Count)
+	lat := e.MaintenanceHistogram()
+	if lat.Snapshot().Count != 2 {
+		t.Errorf("MaintenanceHistogram count = %d", lat.Snapshot().Count)
 	}
 }

@@ -214,10 +214,9 @@ func (d *Door) retire(t uint64) {
 	d.mu.Unlock()
 }
 
-// Batch accumulates the frames captured during one commit unit (one engine
-// mutation, or one coalesced writer pass in the sharded kernel). Publish
-// and Abandon are nil-safe so callers can thread a maybe-nil batch without
-// branching.
+// Batch accumulates the frames captured during one commit unit (one
+// coalesced shard pass). Publish and Abandon are nil-safe so callers can
+// thread a maybe-nil batch without branching.
 type Batch struct {
 	hub    *Hub
 	door   *Door

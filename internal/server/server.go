@@ -581,10 +581,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"maintenance_p99_ns":     int64(lat.P99),
 		"maintenance_max_ns":     int64(lat.Max),
 		// Shared-delta maintenance pipeline: cache hits in the cross-view
-		// CSE plan, the fold parallelism bound, and the top-5 slowest views
-		// by accumulated apply time (per-view attribution).
+		// CSE plan and the top-5 slowest views by accumulated apply time
+		// (per-view attribution).
 		"maint_shared_hits": st.SharedHits,
-		"maint_workers":     s.db.MaintWorkers(),
 		"maint_top_views":   maintTop(s.db),
 		// Read-path traffic: lookups and scans served off view snapshots,
 		// their latency distribution, and the worst-case snapshot staleness.

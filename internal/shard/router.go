@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -14,7 +13,6 @@ import (
 	"chronicledb/internal/dedup"
 	"chronicledb/internal/engine"
 	"chronicledb/internal/feed"
-	"chronicledb/internal/keyenc"
 	"chronicledb/internal/pred"
 	"chronicledb/internal/relation"
 	"chronicledb/internal/stats"
@@ -26,8 +24,6 @@ import (
 type Config struct {
 	// Shards is the number of single-writer shards (≥ 1).
 	Shards int
-	// QueueDepth is each shard's append-queue capacity (default 1024).
-	QueueDepth int
 	// Engine is the per-shard engine configuration.
 	Engine engine.Config
 }
@@ -38,15 +34,14 @@ type Config struct {
 type Router struct {
 	cfg    Config
 	shards []*shardState
-	wg     sync.WaitGroup
 
 	// lsn is the shared LSN allocator: every shard engine and every
 	// relation update draws from it, giving one total mutation order.
 	lsn atomic.Uint64
 
-	// relGate is the epoch barrier. Shard writers and direct appliers hold
-	// the read side per batch; relation updates, checkpoints, and other
-	// quiescing operations take the write side.
+	// relGate is the epoch barrier. Every shard pass holds the read side;
+	// relation updates, checkpoints, and other quiescing operations take
+	// the write side.
 	relGate sync.RWMutex
 	// relMu serializes relation updates (and guards relRecorder/relCommit).
 	relMu       sync.Mutex
@@ -60,19 +55,12 @@ type Router struct {
 	chronHome map[string]int    // chronicle name -> shard index
 	viewHome  map[string]int    // view / periodic-view name -> shard index
 	relations map[string]*relation.Relation
-
-	// closeMu guards closed and the shard queues against concurrent Close.
-	closeMu sync.RWMutex
-	closed  bool
 }
 
 // NewRouter creates a router with cfg.Shards single-writer shards.
 func NewRouter(cfg Config) (*Router, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", cfg.Shards)
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 1024
 	}
 	r := &Router{
 		cfg:       cfg,
@@ -81,16 +69,12 @@ func NewRouter(cfg Config) (*Router, error) {
 		viewHome:  make(map[string]int),
 		relations: make(map[string]*relation.Relation),
 	}
+	ecfg := cfg.Engine
+	ecfg.NextLSN = func() uint64 { return r.lsn.Add(1) }
 	for i := 0; i < cfg.Shards; i++ {
-		s := &shardState{
-			id:   i,
-			eng:  engine.New(cfg.Engine),
-			reqs: make(chan *appendReq, cfg.QueueDepth),
-		}
-		s.eng.SetLSNSource(func() uint64 { return r.lsn.Add(1) })
+		s := &shardState{id: i, eng: engine.New(ecfg)}
+		s.idle.L = &s.mu
 		r.shards = append(r.shards, s)
-		r.wg.Add(1)
-		go s.run(&r.relGate, &r.wg)
 	}
 	return r, nil
 }
@@ -108,28 +92,15 @@ func (r *Router) ShardOfGroup(group string) int {
 	return int(h.Sum32() % uint32(len(r.shards)))
 }
 
-// Close stops every shard writer after draining its queue. Further appends
-// fail; reads keep working.
+// Close stops every shard once its queued appends have been answered.
+// Further appends fail; reads keep working. Idempotent.
 func (r *Router) Close() {
-	r.closeMu.Lock()
-	if r.closed {
-		r.closeMu.Unlock()
-		return
-	}
-	r.closed = true
-	r.closeMu.Unlock()
 	for _, s := range r.shards {
-		close(s.reqs)
-	}
-	r.wg.Wait()
-	// Writers are drained: no maintenance batch can be in flight, so the
-	// per-engine fold pools can retire.
-	for _, s := range r.shards {
-		s.eng.StopMaintenance()
+		s.close()
 	}
 }
 
-// Barrier quiesces every shard's in-flight batches, runs fn with the
+// Barrier quiesces every shard's in-flight pass, runs fn with the
 // database frozen, and resumes. Checkpointing uses it to cut a consistent
 // cross-shard snapshot.
 func (r *Router) Barrier(fn func() error) error {
@@ -156,22 +127,21 @@ func (r *Router) SetRelationCommitter(fn func() error) {
 	r.relCommit = fn
 }
 
-// SetShardCommitter installs shard i's durability hook: the writer
-// goroutine runs it once per coalesced batch, and the direct (replay-style)
-// append paths run it per mutation.
+// SetShardCommitter installs shard i's durability hook, run once per pass.
 func (r *Router) SetShardCommitter(i int, fn func() error) {
 	r.shards[i].commit = fn
 }
 
-// SetFeed installs one shared changefeed hub into every shard engine, in
-// deferred mode: captured frames stay pending until the shard writer (or a
-// direct append path) detaches them with TakeFeed and publishes them after
-// its commit. Every shard draws LSNs from the router's shared allocator
-// and every view is maintained by exactly one shard, so the shared hub
-// merges the multi-shard feeds into per-view streams in LSN order.
+// SetFeed installs one shared changefeed hub into every shard engine:
+// captured frames stay pending until the shard's pass detaches them with
+// TakeFeed and publishes them after its commit. Every shard draws LSNs
+// from the router's shared allocator and every view is maintained by
+// exactly one shard, so the shared hub merges the multi-shard feeds into
+// per-view streams in LSN order.
 func (r *Router) SetFeed(h *feed.Hub) {
 	for _, s := range r.shards {
-		s.eng.SetFeed(h, true)
+		s.eng.SetFeed(h)
+		s.feeds = true
 	}
 }
 
@@ -334,46 +304,36 @@ func (r *Router) homeOfChronicle(name string) (*shardState, error) {
 	return r.shards[idx], nil
 }
 
-// enqueue hands req to shard s's writer and waits for the result.
-func (r *Router) enqueue(s *shardState, req *appendReq) error {
-	r.closeMu.RLock()
-	if r.closed {
-		r.closeMu.RUnlock()
-		return fmt.Errorf("shard: router closed")
+// submit runs a filled request through its chronicle's home shard and
+// returns with its result fields set, req.err included; the caller reads
+// them and recycles the request.
+func (r *Router) submit(chronicleName string, req *appendReq) {
+	s, err := r.homeOfChronicle(chronicleName)
+	if err != nil {
+		req.err = err
+		return
 	}
-	s.reqs <- req
-	r.closeMu.RUnlock()
-	<-req.done
-	return nil
+	s.do(&r.relGate, req)
 }
 
 // Append inserts tuples into one chronicle as a single transaction on its
 // home shard, returning after every affected view there is maintained.
 func (r *Router) Append(chronicleName string, tuples []value.Tuple) (int64, error) {
-	s, err := r.homeOfChronicle(chronicleName)
-	if err != nil {
-		return 0, err
-	}
-	req := &appendReq{chronicle: chronicleName, tuples: tuples, done: make(chan struct{})}
-	if err := r.enqueue(s, req); err != nil {
-		return 0, err
-	}
+	req := getReq()
+	defer putReq(req)
+	req.op, req.chronicle, req.tuples = opAppend, chronicleName, tuples
+	r.submit(chronicleName, req)
 	return req.sn, req.err
 }
 
-// AppendEach inserts each tuple as its own transaction via one queue
-// round-trip — the bulk ingest path the HTTP /append endpoint uses. The
-// shard writer applies the whole run under a single engine-lock
-// acquisition.
+// AppendEach inserts each tuple as its own transaction in one pass — the
+// bulk ingest path the HTTP /append endpoint uses. The whole run is applied
+// under a single engine-lock acquisition.
 func (r *Router) AppendEach(chronicleName string, tuples []value.Tuple) (first, last int64, err error) {
-	s, err := r.homeOfChronicle(chronicleName)
-	if err != nil {
-		return 0, 0, err
-	}
-	req := &appendReq{chronicle: chronicleName, tuples: tuples, each: true, done: make(chan struct{})}
-	if err := r.enqueue(s, req); err != nil {
-		return 0, 0, err
-	}
+	req := getReq()
+	defer putReq(req)
+	req.op, req.chronicle, req.tuples = opEach, chronicleName, tuples
+	r.submit(chronicleName, req)
 	return req.first, req.last, req.err
 }
 
@@ -384,44 +344,25 @@ func (r *Router) AppendEach(chronicleName string, tuples []value.Tuple) (first, 
 // group name), a retried request always lands on the shard holding its
 // dedup entry.
 func (r *Router) AppendEachIdem(chronicleName string, tuples []value.Tuple, clientID, requestID string) (first, last int64, deduped bool, err error) {
-	s, err := r.homeOfChronicle(chronicleName)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	req := &appendReq{
-		chronicle: chronicleName, tuples: tuples, each: true,
-		clientID: clientID, requestID: requestID, done: make(chan struct{}),
-	}
-	if err := r.enqueue(s, req); err != nil {
-		return 0, 0, false, err
-	}
+	req := getReq()
+	defer putReq(req)
+	req.op, req.chronicle, req.tuples = opEachIdem, chronicleName, tuples
+	req.clientID, req.requestID = clientID, requestID
+	r.submit(chronicleName, req)
 	return req.first, req.last, req.deduped, req.err
 }
 
 // AppendEachAt replays an idempotent bulk append with caller-supplied
-// first SN and chronon directly on the home shard (WAL replay path),
+// first SN and chronon on the home shard (WAL replay and follower apply),
 // re-inserting the dedup entry there.
 func (r *Router) AppendEachAt(chronicleName string, firstSN, chronon int64, tuples []value.Tuple, clientID, requestID string) error {
-	s, err := r.homeOfChronicle(chronicleName)
-	if err != nil {
-		return err
-	}
-	r.relGate.RLock()
-	defer r.relGate.RUnlock()
-	err = s.eng.AppendEachAt(chronicleName, firstSN, chronon, tuples, clientID, requestID)
-	fb := s.eng.TakeFeed()
-	if err != nil {
-		fb.Abandon()
-		return err
-	}
-	if s.commit != nil {
-		if cerr := s.commit(); cerr != nil {
-			fb.Abandon()
-			return cerr
-		}
-	}
-	fb.Publish()
-	return nil
+	req := getReq()
+	defer putReq(req)
+	req.op, req.chronicle, req.tuples = opEachIdemAt, chronicleName, tuples
+	req.sn, req.chronon = firstSN, chronon
+	req.clientID, req.requestID = clientID, requestID
+	r.submit(chronicleName, req)
+	return req.err
 }
 
 // AppendBatch inserts tuples into several chronicles of one group
@@ -430,68 +371,25 @@ func (r *Router) AppendBatch(parts []engine.MutationPart) (int64, error) {
 	if len(parts) == 0 {
 		return 0, fmt.Errorf("engine: empty batch")
 	}
-	s, err := r.homeOfChronicle(parts[0].Chronicle)
-	if err != nil {
-		return 0, err
-	}
-	req := &appendReq{parts: parts, done: make(chan struct{})}
-	if err := r.enqueue(s, req); err != nil {
-		return 0, err
-	}
+	req := getReq()
+	defer putReq(req)
+	req.op, req.parts = opBatch, parts
+	r.submit(parts[0].Chronicle, req)
 	return req.sn, req.err
 }
 
-// AppendAt applies an append with caller-supplied SN and chronon directly
-// (bypassing the queue); WAL replay and tests use it.
-func (r *Router) AppendAt(chronicleName string, sn, chronon int64, tuples []value.Tuple) (int64, error) {
-	s, err := r.homeOfChronicle(chronicleName)
-	if err != nil {
-		return 0, err
-	}
-	r.relGate.RLock()
-	defer r.relGate.RUnlock()
-	out, err := s.eng.AppendAt(chronicleName, sn, chronon, tuples)
-	fb := s.eng.TakeFeed()
-	if err != nil {
-		fb.Abandon()
-		return 0, err
-	}
-	if s.commit != nil {
-		if err := s.commit(); err != nil {
-			fb.Abandon()
-			return 0, err
-		}
-	}
-	fb.Publish()
-	return out, nil
-}
-
-// AppendBatchAt is AppendBatch with caller-supplied SN and chronon,
-// applied directly (WAL replay path).
+// AppendBatchAt is AppendBatch with caller-supplied SN and chronon (WAL
+// replay and follower apply).
 func (r *Router) AppendBatchAt(parts []engine.MutationPart, sn, chronon int64) (int64, error) {
 	if len(parts) == 0 {
 		return 0, fmt.Errorf("engine: empty batch")
 	}
-	s, err := r.homeOfChronicle(parts[0].Chronicle)
-	if err != nil {
-		return 0, err
-	}
-	r.relGate.RLock()
-	defer r.relGate.RUnlock()
-	out, err := s.eng.AppendBatchAt(parts, sn, chronon)
-	fb := s.eng.TakeFeed()
-	if err != nil {
-		fb.Abandon()
-		return 0, err
-	}
-	if s.commit != nil {
-		if err := s.commit(); err != nil {
-			fb.Abandon()
-			return 0, err
-		}
-	}
-	fb.Publish()
-	return out, nil
+	req := getReq()
+	defer putReq(req)
+	req.op, req.parts = opBatchAt, parts
+	req.sn, req.chronon = sn, chronon
+	r.submit(parts[0].Chronicle, req)
+	return req.sn, req.err
 }
 
 // --- relation updates (epoch barrier) -----------------------------------
@@ -507,8 +405,8 @@ func (r *Router) relationByName(name string) (*relation.Relation, error) {
 }
 
 // Upsert applies a proactive relation update under the epoch barrier: the
-// router stamps a global LSN, waits for every shard's in-flight batches to
-// drain, applies the update to the shared relation (visible in every
+// router stamps a global LSN, waits for every shard's in-flight pass to
+// finish, applies the update to the shared relation (visible in every
 // shard's catalog), and resumes. Appends that completed before this call
 // used the old version; appends that start after it see the new one — on
 // every shard, exactly the §2.3 semantics.
@@ -581,30 +479,19 @@ func (r *Router) homeOfView(name string) (*shardState, bool) {
 	return r.shards[idx], true
 }
 
-// scatter runs fn once per shard, concurrently, and waits for all of
-// them. Each shard's read path is independently synchronized (engine
-// reads run against per-view snapshots), so fan-out needs no router-level
-// lock; the gather half is whatever fn does with its shard's result —
-// callers write into a per-shard slot indexed by i. With one shard the
-// call is inlined to avoid the goroutine round-trip.
+// scatter runs fn once per shard, in shard order; the gather half is
+// whatever fn does with its shard's result — callers write into a
+// per-shard slot indexed by i. Each call copies a few counters or name
+// lists out from under an engine's own synchronization, less work than
+// starting a goroutine for it, so the shards are visited one after another.
 func (r *Router) scatter(fn func(i int, e *engine.Engine)) {
-	if len(r.shards) == 1 {
-		fn(0, r.shards[0].eng)
-		return
-	}
-	var wg sync.WaitGroup
 	for i, s := range r.shards {
-		wg.Add(1)
-		go func(i int, e *engine.Engine) {
-			defer wg.Done()
-			fn(i, e)
-		}(i, s.eng)
+		fn(i, s.eng)
 	}
-	wg.Wait()
 }
 
-// Stats sums the per-shard engine counters (gathered in parallel) plus
-// router-level relation updates.
+// Stats sums the per-shard engine counters plus router-level relation
+// updates.
 func (r *Router) Stats() engine.Stats {
 	per := make([]engine.Stats, len(r.shards))
 	r.scatter(func(i int, e *engine.Engine) { per[i] = e.Stats() })
@@ -676,14 +563,6 @@ func (r *Router) MaintenanceLatency() stats.Snapshot {
 		merged.Merge(&per[i])
 	}
 	return merged.Snapshot()
-}
-
-// ShardLatencies returns each shard's own latency snapshot, in shard
-// order.
-func (r *Router) ShardLatencies() []stats.Snapshot {
-	out := make([]stats.Snapshot, len(r.shards))
-	r.scatter(func(i int, e *engine.Engine) { out[i] = e.MaintenanceLatency() })
-	return out
 }
 
 // ReadStats merges the per-shard read-path counters and latency
@@ -787,10 +666,6 @@ func (r *Router) ViewSharedPlan(name string) ([]algebra.PlanNodeInfo, bool) {
 	return s.eng.ViewSharedPlan(name)
 }
 
-// MaintWorkers reports the per-shard maintenance parallelism bound (every
-// shard engine resolves the same configuration).
-func (r *Router) MaintWorkers() int { return r.shards[0].eng.MaintWorkers() }
-
 // PeriodicView returns a periodic view family by name.
 func (r *Router) PeriodicView(name string) (*calendar.PeriodicView, bool) {
 	s, ok := r.homeOfView(name)
@@ -849,16 +724,6 @@ func (r *Router) ViewScanAt(name string, fn func(value.Tuple) bool) (uint64, err
 	return s.eng.ViewScanAt(name, fn)
 }
 
-// ViewScanRangeFunc streams the view rows with group key in [lo, hi) from
-// the view's home shard until fn returns false.
-func (r *Router) ViewScanRangeFunc(name string, lo, hi value.Tuple, fn func(value.Tuple) bool) error {
-	s, ok := r.homeOfView(name)
-	if !ok {
-		return fmt.Errorf("engine: unknown view %q", name)
-	}
-	return s.eng.ViewScanRangeFunc(name, lo, hi, fn)
-}
-
 // ViewScanDescFunc streams a view's rows in descending group-key order
 // from its home shard — the "latest N groups" access path.
 func (r *Router) ViewScanDescFunc(name string, fn func(value.Tuple) bool) error {
@@ -867,156 +732,6 @@ func (r *Router) ViewScanDescFunc(name string, fn func(value.Tuple) bool) error 
 		return fmt.Errorf("engine: unknown view %q", name)
 	}
 	return s.eng.ViewScanDescFunc(name, fn)
-}
-
-// MergedRow is one element of a cross-shard merged view scan: a row and
-// the view it came from, delivered in global group-key order.
-type MergedRow struct {
-	View string
-	Row  value.Tuple
-}
-
-// keyedRow pairs a row with its encoded group key for merging.
-type keyedRow struct {
-	key  []byte
-	view string
-	row  value.Tuple
-}
-
-// ViewScanRangeMerged streams rows from several views — typically the same
-// summary partitioned across shards by group — merged into one globally
-// key-ordered stream. One goroutine per involved shard walks that shard's
-// view snapshots (each already key-ordered by its B-tree) and merges its
-// local streams; the gather side then k-way merges the per-shard runs by
-// encoded group key, breaking ties by view name. lo and hi bound the group
-// key half-open range [lo, hi); nil hi means unbounded above, nil lo
-// unbounded below. Rows passed to fn are caller-owned.
-func (r *Router) ViewScanRangeMerged(names []string, lo, hi value.Tuple, fn func(MergedRow) bool) error {
-	byShard := make(map[int][]string)
-	r.mu.RLock()
-	for _, n := range names {
-		idx, ok := r.viewHome[n]
-		if !ok {
-			r.mu.RUnlock()
-			return fmt.Errorf("engine: unknown view %q", n)
-		}
-		byShard[idx] = append(byShard[idx], n)
-	}
-	r.mu.RUnlock()
-
-	var (
-		mu       sync.Mutex
-		runs     [][]keyedRow
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for idx, viewNames := range byShard {
-		wg.Add(1)
-		go func(e *engine.Engine, viewNames []string) {
-			defer wg.Done()
-			run, err := shardRun(e, viewNames, lo, hi)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			runs = append(runs, run)
-		}(r.shards[idx].eng, viewNames)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	mergeKeyed(runs, func(kr keyedRow) bool {
-		return fn(MergedRow{View: kr.view, Row: kr.row})
-	})
-	return nil
-}
-
-// ViewScanMerged is ViewScanRangeMerged over the full key range.
-func (r *Router) ViewScanMerged(names []string, fn func(MergedRow) bool) error {
-	return r.ViewScanRangeMerged(names, nil, nil, fn)
-}
-
-// shardRun collects one shard's contribution to a merged scan: each named
-// view's rows in key order (straight off its snapshot's B-tree iterator),
-// locally merged into a single key-ordered run.
-func shardRun(e *engine.Engine, names []string, lo, hi value.Tuple) ([]keyedRow, error) {
-	var loKey []byte
-	if lo != nil {
-		loKey = keyenc.AppendTuple(nil, lo)
-	}
-	streams := make([][]keyedRow, 0, len(names))
-	for _, n := range names {
-		v, ok := e.View(n)
-		if !ok {
-			return nil, fmt.Errorf("engine: unknown view %q", n)
-		}
-		// The group key is the row minus the trailing aggregate results
-		// (projection views have no aggregates: the whole row is the key).
-		aggs := len(v.Def().Aggs)
-		var rows []keyedRow
-		collect := func(t value.Tuple) bool {
-			key := keyenc.AppendTuple(nil, t[:len(t)-aggs])
-			if loKey != nil && bytes.Compare(key, loKey) < 0 {
-				return true
-			}
-			rows = append(rows, keyedRow{key: key, view: n, row: t})
-			return true
-		}
-		var err error
-		if hi != nil {
-			// An encoded range scan handles both bounds; loKey filtering
-			// above is then redundant but harmless.
-			err = e.ViewScanRangeFunc(n, lo, hi, collect)
-		} else {
-			err = e.ViewScanFunc(n, collect)
-		}
-		if err != nil {
-			return nil, err
-		}
-		streams = append(streams, rows)
-	}
-	var run []keyedRow
-	mergeKeyed(streams, func(kr keyedRow) bool {
-		run = append(run, kr)
-		return true
-	})
-	return run, nil
-}
-
-// mergeKeyed k-way merges key-ordered runs into one key-ordered stream,
-// breaking key ties by view name so output is deterministic regardless of
-// which shard goroutine finished first. Runs are few (≤ shard count), so a
-// linear scan per emit beats a heap.
-func mergeKeyed(runs [][]keyedRow, emit func(keyedRow) bool) {
-	heads := make([]int, len(runs))
-	for {
-		best := -1
-		for i, run := range runs {
-			if heads[i] >= len(run) {
-				continue
-			}
-			if best == -1 {
-				best = i
-				continue
-			}
-			a, b := run[heads[i]], runs[best][heads[best]]
-			if c := bytes.Compare(a.key, b.key); c < 0 || (c == 0 && a.view < b.view) {
-				best = i
-			}
-		}
-		if best == -1 {
-			return
-		}
-		if !emit(runs[best][heads[best]]) {
-			return
-		}
-		heads[best]++
-	}
 }
 
 // RelationRows materializes a relation's live tuples in key order,

@@ -2,9 +2,7 @@ package shard
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 
 	"chronicledb/internal/aggregate"
@@ -93,6 +91,13 @@ func TestRouterBasics(t *testing.T) {
 	if got := r.Stats().Appends; got != 1 {
 		t.Errorf("Stats().Appends = %d", got)
 	}
+	// A restored LSN never regresses, and the next mutation continues it.
+	r.RestoreLSN(100)
+	r.RestoreLSN(50)
+	r.Append("calls", []value.Tuple{{value.Str("alice"), value.Int(1)}})
+	if r.LSN() != 101 {
+		t.Errorf("LSN after RestoreLSN(100), RestoreLSN(50), append = %d", r.LSN())
+	}
 	if home := r.ShardOfGroup("telecom"); home < 0 || home >= r.NumShards() {
 		t.Errorf("ShardOfGroup out of range: %d", home)
 	}
@@ -149,227 +154,98 @@ func TestAppendEachAndBatch(t *testing.T) {
 	}
 }
 
-func TestRouterClose(t *testing.T) {
-	r := newRouter(t, 2)
-	mustCreateChronicle(t, r, "calls", "telecom")
-	r.Close()
-	r.Close() // idempotent
-	if _, err := r.Append("calls", []value.Tuple{{value.Str("a"), value.Int(1)}}); err == nil {
-		t.Error("append after Close succeeded")
-	}
-	// Reads still work.
-	if _, err := r.ChronicleRows("calls"); err != nil {
-		t.Errorf("read after Close: %v", err)
-	}
-}
-
-// TestConcurrentStress drives disjoint chronicle groups from concurrent
-// goroutines while another goroutine interleaves proactive relation
-// updates, then checks every temporal-join view against the AsOf reference
-// evaluation. Run under -race this exercises the single-writer queues, the
-// shared LSN allocator, and the epoch barrier at once; any divergence
-// means the barrier failed to order a relation update against appends.
-func TestConcurrentStress(t *testing.T) {
-	const (
-		groups    = 8
-		perGroup  = 300
-		relOps    = 200
-		numShards = 4
-	)
-	r := newRouter(t, numShards)
+// TestProactiveUpdateSemantics is Example 2.2 end to end on one shard: the
+// NJ bonus applies per the address at the time of each call.
+func TestProactiveUpdateSemantics(t *testing.T) {
+	r := newRouter(t, 1)
+	c := mustCreateChronicle(t, r, "calls", "telecom")
 	rel, err := r.CreateRelation("customers", custSchema(), []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = rel
-	states := []string{"nj", "ny", "ca", "tx", "wa"}
-	for a := 0; a < 16; a++ {
-		if err := r.Upsert("customers", value.Tuple{value.Str(acct(a)), value.Str("nj")}); err != nil {
-			t.Fatal(err)
-		}
+	jr, err := algebra.NewJoinRel(algebra.NewScan(c), rel, []int{0}, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := algebra.NewSelect(jr, pred.Or(pred.ColConst(3, pred.Eq, value.Str("nj"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := r.CreateView(view.Def{
+		Name: "nj_minutes", Expr: sel, Mode: view.SummarizeGroupBy,
+		GroupCols: []int{0},
+		Aggs:      []aggregate.Spec{{Func: aggregate.Sum, Col: 1, Name: "total"}},
+	}, view.StoreHash, pred.True(), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	views := make([]string, groups)
-	for g := 0; g < groups; g++ {
-		c := mustCreateChronicle(t, r, fmt.Sprintf("calls%d", g), fmt.Sprintf("grp%d", g))
-		jr, err := algebra.NewJoinRel(algebra.NewScan(c), rel, []int{0}, []int{0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		def := view.Def{
-			Name:      fmt.Sprintf("by_state%d", g),
-			Expr:      jr,
-			Mode:      view.SummarizeGroupBy,
-			GroupCols: []int{3}, // state
-			Aggs:      []aggregate.Spec{{Func: aggregate.Sum, Col: 1, Name: "total"}},
-		}
-		if _, err := r.CreateView(def, view.StoreBTree, pred.True(), nil); err != nil {
-			t.Fatal(err)
-		}
-		views[g] = def.Name
-	}
+	r.Upsert("customers", value.Tuple{value.Str("a"), value.Str("nj")})
+	r.Append("calls", []value.Tuple{{value.Str("a"), value.Int(10)}}) // counts
+	r.Upsert("customers", value.Tuple{value.Str("a"), value.Str("ny")})
+	r.Append("calls", []value.Tuple{{value.Str("a"), value.Int(99)}}) // does not count
+	r.Upsert("customers", value.Tuple{value.Str("a"), value.Str("nj")})
+	r.Append("calls", []value.Tuple{{value.Str("a"), value.Int(7)}}) // counts
 
-	var wg sync.WaitGroup
-	for g := 0; g < groups; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			name := fmt.Sprintf("calls%d", g)
-			for i := 0; i < perGroup; i++ {
-				tup := value.Tuple{value.Str(acct(rng.Intn(16))), value.Int(int64(rng.Intn(60)))}
-				if i%10 == 0 {
-					// Bulk path: several single-tuple transactions at once.
-					bulk := []value.Tuple{tup, {value.Str(acct(rng.Intn(16))), value.Int(1)}}
-					if _, _, err := r.AppendEach(name, bulk); err != nil {
-						t.Error(err)
-						return
-					}
-					continue
-				}
-				if _, err := r.Append(name, []value.Tuple{tup}); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(99))
-		for i := 0; i < relOps; i++ {
-			a := acct(rng.Intn(16))
-			if i%25 == 24 {
-				// Occasionally drop a customer entirely, then restore it:
-				// appends in between must not join.
-				if _, err := r.DeleteKey("customers", value.Tuple{value.Str(a)}); err != nil {
-					t.Error(err)
-					return
-				}
-				continue
-			}
-			st := states[rng.Intn(len(states))]
-			if err := r.Upsert("customers", value.Tuple{value.Str(a), value.Str(st)}); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-
-	for _, name := range views {
-		v, ok := r.View(name)
-		if !ok {
-			t.Fatalf("view %s missing", name)
-		}
-		want, err := v.Recompute()
-		if err != nil {
-			t.Fatalf("recompute %s: %v", name, err)
-		}
-		if d := multisetDiff(v.Rows(), want); d != 0 {
-			t.Errorf("view %s diverges from AsOf reference in %d row(s)", name, d)
-		}
-	}
-	st := r.Stats()
-	wantAppends := int64(groups * perGroup) // bulk rounds count one transaction per tuple
-	if st.Appends < wantAppends {
-		t.Errorf("Stats().Appends = %d, want ≥ %d", st.Appends, wantAppends)
-	}
-	if st.RelationUpdates == 0 {
-		t.Error("Stats().RelationUpdates = 0")
-	}
-	if r.MaintenanceLatency().Count == 0 {
-		t.Error("merged maintenance histogram is empty")
+	got, ok := v.Lookup(value.Tuple{value.Str("a")})
+	if !ok || got[1].AsInt() != 17 {
+		t.Errorf("nj_minutes(a) = %v, %v (want 17)", got, ok)
 	}
 }
 
-// TestViewScanMerged checks that the scatter/gather merged scan yields one
-// globally key-ordered stream over views homed on different shards, with
-// range bounds and early stop honored.
-func TestViewScanMerged(t *testing.T) {
-	const groups = 6
-	r := newRouter(t, 4)
-	var names []string
-	total := 0
-	for g := 0; g < groups; g++ {
-		c := mustCreateChronicle(t, r, fmt.Sprintf("calls%d", g), fmt.Sprintf("grp%d", g))
-		name := fmt.Sprintf("usage%d", g)
-		if _, err := r.CreateView(usageDef(name, c), view.StoreBTree, pred.True(), nil); err != nil {
-			t.Fatal(err)
-		}
-		names = append(names, name)
-		// Each view gets its own slice of accounts so merged output
-		// interleaves across shards.
-		for i := 0; i < 10; i++ {
-			a := acct(g + groups*i)
-			if _, err := r.Append(c.Name(), []value.Tuple{{value.Str(a), value.Int(int64(i))}}); err != nil {
-				t.Fatal(err)
-			}
-			total++
-		}
+// TestRelationOps covers the router's own mutations: relation updates
+// coerce, count, reach the relation recorder, and are aborted by its veto.
+func TestRelationOps(t *testing.T) {
+	r := newRouter(t, 1)
+	mustCreateChronicle(t, r, "calls", "telecom")
+	if _, err := r.CreateRelation("calls", custSchema(), []int{0}); err == nil {
+		t.Error("cross-kind name collision accepted")
 	}
-
-	var got []MergedRow
-	if err := r.ViewScanMerged(names, func(m MergedRow) bool {
-		got = append(got, m)
-		return true
-	}); err != nil {
+	rates := value.NewSchema(
+		value.Column{Name: "k", Kind: value.KindString},
+		value.Column{Name: "amount", Kind: value.KindFloat},
+	)
+	rel, err := r.CreateRelation("rates", rates, []int{0})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != total {
-		t.Fatalf("merged scan returned %d rows, want %d", len(got), total)
-	}
-	for i := 1; i < len(got); i++ {
-		prev, cur := got[i-1].Row[0].AsString(), got[i].Row[0].AsString()
-		if prev > cur {
-			t.Fatalf("merged scan out of order at %d: %q after %q", i, cur, prev)
-		}
-	}
-
-	// Range bounds: [acct010, acct020) under string ordering.
-	lo, hi := value.Tuple{value.Str(acct(10))}, value.Tuple{value.Str(acct(20))}
-	var ranged []MergedRow
-	if err := r.ViewScanRangeMerged(names, lo, hi, func(m MergedRow) bool {
-		ranged = append(ranged, m)
-		return true
-	}); err != nil {
+	var kinds []engine.MutationKind
+	r.SetRelationRecorder(func(m engine.Mutation) error {
+		kinds = append(kinds, m.Kind)
+		return nil
+	})
+	// An int literal lands in a float column.
+	if err := r.Upsert("rates", value.Tuple{value.Str("x"), value.Int(3)}); err != nil {
 		t.Fatal(err)
 	}
-	if len(ranged) != 10 {
-		t.Fatalf("ranged merged scan returned %d rows, want 10", len(ranged))
+	if rt, _ := rel.Get(value.Tuple{value.Str("x")}); rt[1].Kind() != value.KindFloat {
+		t.Errorf("relation coercion: %s", rt[1].Kind())
 	}
-	for _, m := range ranged {
-		a := m.Row[0].AsString()
-		if a < acct(10) || a >= acct(20) {
-			t.Errorf("row %q outside [%s, %s)", a, acct(10), acct(20))
-		}
+	if err := r.Upsert("ghost", value.Tuple{}); err == nil {
+		t.Error("upsert to unknown relation accepted")
 	}
-
-	// Early stop.
-	seen := 0
-	if err := r.ViewScanMerged(names, func(MergedRow) bool {
-		seen++
-		return seen < 7
-	}); err != nil {
-		t.Fatal(err)
+	deleted, err := r.DeleteKey("rates", value.Tuple{value.Str("x")})
+	if err != nil || !deleted {
+		t.Errorf("DeleteKey = %v, %v", deleted, err)
 	}
-	if seen != 7 {
-		t.Errorf("early-stopped merged scan visited %d rows, want 7", seen)
+	if _, err := r.DeleteKey("ghost", value.Tuple{}); err == nil {
+		t.Error("delete from unknown relation accepted")
 	}
-
-	// Unknown view name fails whole scan.
-	if err := r.ViewScanMerged([]string{"usage0", "nope"}, func(MergedRow) bool { return true }); err == nil {
-		t.Error("merged scan over unknown view succeeded")
+	if got := r.Stats().RelationUpdates; got != 2 {
+		t.Errorf("RelationUpdates = %d", got)
 	}
-
-	// The scans above flowed through the shard engines' read counters, and
-	// B-tree views publish snapshots the staleness gauge can see.
-	if rs := r.ReadStats(); rs.Scans == 0 {
-		t.Error("ReadStats().Scans = 0 after merged scans")
+	if len(kinds) != 2 || kinds[0] != engine.MutUpsert || kinds[1] != engine.MutDelete {
+		t.Errorf("recorded kinds = %v", kinds)
 	}
-	if r.OldestSnapshotUnixNano() == 0 {
-		t.Error("OldestSnapshotUnixNano() = 0 with live B-tree views")
+	r.SetRelationRecorder(func(engine.Mutation) error { return fmt.Errorf("no") })
+	if err := r.Upsert("rates", value.Tuple{value.Str("y"), value.Int(1)}); err == nil {
+		t.Error("vetoed upsert succeeded")
+	}
+	if _, err := r.DeleteKey("rates", value.Tuple{value.Str("y")}); err == nil {
+		t.Error("vetoed delete succeeded")
+	}
+	if rel.Len() != 0 {
+		t.Error("vetoed relation update left state behind")
 	}
 }
 

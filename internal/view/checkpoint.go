@@ -138,7 +138,7 @@ func (v *View) RestoreCheckpoint(data []byte) error {
 		v.store = fresh
 	}
 	if p := v.pg.Load(); p != nil {
-		// A whole-image restore (legacy checkpoint during conversion)
+		// A whole-image restore (the replication bootstrap image)
 		// collapses the pager to one resident dirty block spanning the
 		// key space; the next blocked checkpoint re-cuts it.
 		p.cache.dropView(v)

@@ -69,35 +69,6 @@ func TestSyncErrorPoisonsLog(t *testing.T) {
 	}
 }
 
-func TestResetDurableTruncation(t *testing.T) {
-	// After Reset the truncation is synced: a crash right after must not
-	// resurrect pre-checkpoint records.
-	d := fault.NewDisk()
-	d.MkdirAll("/data", 0o755)
-	path := filepath.Join("/data", "log.wal")
-	l, err := OpenFS(d, path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SyncDir("/data")
-	recs := sampleRecords()
-	l.Append(recs[0])
-	l.Append(recs[1])
-	if err := l.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	d.SetCrashAt(d.Ops())
-	l.Append(recs[2]) // crashes mid-append
-	d.Heal()
-	n, _, err := ReplayFS(d, path, func(Record) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Fatalf("pre-checkpoint records resurrected: n=%d", n)
-	}
-}
-
 func TestWriteFileAtomicCrashKeepsOldFile(t *testing.T) {
 	d := fault.NewDisk()
 	d.MkdirAll("/data", 0o755)

@@ -1,15 +1,16 @@
-// Sharded WAL layout. In sharded mode the database keeps one log segment
-// per single-writer shard plus one segment for router-level relation
-// updates, described by a manifest file. Every record carries the global
-// LSN the router stamped on its mutation, so recovery can merge the
-// segments back into the one total order the paper's proactive-update
-// semantics (§2.3) requires: a relation update replays before exactly the
-// appends it originally preceded, on every shard.
+// WAL layout. The database keeps one log stream per single-writer shard
+// plus one stream for router-level relation updates, each a chain of
+// size-capped segment files described by a manifest file. Every record
+// carries the global LSN the router stamped on its mutation, so recovery can
+// merge the streams back into the one total order the paper's
+// proactive-update semantics (§2.3) requires: a relation update replays
+// before exactly the appends it originally preceded, on every shard.
 package wal
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -26,28 +27,23 @@ var manifestBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // ManifestName is the manifest file name inside the data directory.
 const ManifestName = "wal.manifest"
 
-// RelationSegment is the segment holding router-level relation updates.
-const RelationSegment = "relations.wal"
+// RelationStream is the router-level relation-update stream. A stream is
+// one logical append-only log — one per shard, plus this one — realized on
+// disk as a chain of size-capped segment files.
+const RelationStream = "relations"
 
-// Stream names for the rotated (version-2) layout. A stream is one
-// logical append-only log — the unsharded engine's, one per shard, or the
-// router's relation log — realized on disk as a chain of size-capped
-// segment files.
-const (
-	// ChronicleStream is the unsharded engine's stream.
-	ChronicleStream = "chronicle"
-	// RelationStream is the router-level relation-update stream.
-	RelationStream = "relations"
-)
+// ManifestVersion is the only manifest format read or written.
+const ManifestVersion = 2
+
+// ErrManifestVersion is wrapped by DecodeManifest for a manifest whose
+// version is not ManifestVersion.
+var ErrManifestVersion = errors.New("wal: unsupported manifest version")
 
 // StreamName returns shard i's stream name.
 func StreamName(i int) string { return fmt.Sprintf("shard-%04d", i) }
 
 // SegmentFileName returns the file name of segment seq of a stream.
-// Segment sequence numbers are per-stream and strictly increasing; the
-// names never collide with the legacy single-file names (chronicle.wal,
-// shard-NNNN.wal, relations.wal), so both layouts can coexist in a
-// directory during a conversion.
+// Segment sequence numbers are per-stream and strictly increasing.
 func SegmentFileName(stream string, seq uint64) string {
 	return fmt.Sprintf("%s-%08d.wal", stream, seq)
 }
@@ -57,7 +53,7 @@ func CheckpointFileName(seq uint64) string {
 	return fmt.Sprintf("checkpoint-%08d.bin", seq)
 }
 
-// Segment describes one segment file of a stream in a version-2 manifest.
+// Segment describes one segment file of a stream.
 // An unsealed segment is the stream's active tail: the writer appends to
 // it and its Bytes/MaxLSN are not yet final. Sealing happens at rotation,
 // after the file's content is fsynced, so a sealed entry's MaxLSN is a
@@ -71,10 +67,10 @@ type Segment struct {
 	MaxLSN uint64 `json:"max_lsn,omitempty"` // highest LSN at seal (sealed only)
 }
 
-// CheckpointRef is one entry of the checkpoint chain in a version-2
-// manifest: recovery restores the chain in ascending Seq order (each file
-// replaces the state of the objects it contains) and then replays only
-// WAL records above the last entry's LSN. A Full entry supersedes every
+// CheckpointRef is one entry of the checkpoint chain: recovery restores
+// the chain in ascending Seq order (each file replaces the state of the
+// objects it contains) and then replays only WAL records above the last
+// entry's LSN. A Full entry supersedes every
 // earlier entry; the compactor drops the superseded files.
 type CheckpointRef struct {
 	Name string `json:"name"`
@@ -83,14 +79,9 @@ type CheckpointRef struct {
 	Full bool   `json:"full,omitempty"`
 }
 
-// Manifest describes the WAL layout of a data directory.
-//
-// Version 1 (legacy sharded): Segments lists one grow-until-checkpoint
-// file per shard plus the relation segment; checkpoints live in the
-// fixed-name checkpoint.bin.
-//
-// Version 2 (rotated): Live lists every live segment of every stream and
-// Checkpoints lists the checkpoint chain. The manifest is the single
+// Manifest describes the WAL layout of a data directory: Live lists every
+// live segment of every stream and Checkpoints lists the checkpoint
+// chain. The manifest is the single
 // source of truth for which files recovery reads; it is only ever
 // replaced atomically (WriteFileAtomicFS), so a crash during any flip
 // leaves either the old or the new complete manifest. Files are created
@@ -100,13 +91,9 @@ type CheckpointRef struct {
 type Manifest struct {
 	Version     int             `json:"version"`
 	Shards      int             `json:"shards"`
-	Segments    []string        `json:"segments,omitempty"`    // v1: file names relative to the directory
-	Live        []Segment       `json:"live,omitempty"`        // v2: live segments, all streams
-	Checkpoints []CheckpointRef `json:"checkpoints,omitempty"` // v2: checkpoint chain, ascending Seq
+	Live        []Segment       `json:"live,omitempty"`        // live segments, all streams
+	Checkpoints []CheckpointRef `json:"checkpoints,omitempty"` // checkpoint chain, ascending Seq
 }
-
-// SegmentName returns the legacy (v1) log file name for shard i.
-func SegmentName(i int) string { return fmt.Sprintf("shard-%04d.wal", i) }
 
 // Active returns the index in m.Live of stream's unsealed segment, or -1.
 func (m *Manifest) Active(stream string) int {
@@ -145,21 +132,9 @@ func (m *Manifest) NextCheckpointSeq() uint64 {
 // mutating the last-durable image (which must survive a failed write).
 func (m Manifest) Clone() Manifest {
 	c := m
-	c.Segments = append([]string(nil), m.Segments...)
 	c.Live = append([]Segment(nil), m.Live...)
 	c.Checkpoints = append([]CheckpointRef(nil), m.Checkpoints...)
 	return c
-}
-
-// NewManifest builds the manifest for n shards (n shard segments plus the
-// relation segment).
-func NewManifest(n int) Manifest {
-	m := Manifest{Version: 1, Shards: n}
-	for i := 0; i < n; i++ {
-		m.Segments = append(m.Segments, SegmentName(i))
-	}
-	m.Segments = append(m.Segments, RelationSegment)
-	return m
 }
 
 // WriteManifest atomically persists the manifest into dir.
@@ -193,42 +168,36 @@ func DecodeManifest(data []byte) (Manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return Manifest{}, fmt.Errorf("wal: corrupt manifest: %w", err)
 	}
-	switch m.Version {
-	case 1:
-		if m.Shards <= 0 {
-			return Manifest{}, fmt.Errorf("wal: corrupt manifest: %d shards", m.Shards)
+	if m.Version != ManifestVersion {
+		return Manifest{}, fmt.Errorf("%w %d (want %d)", ErrManifestVersion, m.Version, ManifestVersion)
+	}
+	if m.Shards < 0 {
+		return Manifest{}, fmt.Errorf("wal: corrupt manifest: %d shards", m.Shards)
+	}
+	seen := make(map[string]bool, len(m.Live)+len(m.Checkpoints))
+	for _, s := range m.Live {
+		if s.Name == "" || s.Stream == "" || s.Seq == 0 {
+			return Manifest{}, fmt.Errorf("wal: corrupt manifest: bad segment %+v", s)
 		}
-	case 2:
-		if m.Shards < 0 {
-			return Manifest{}, fmt.Errorf("wal: corrupt manifest: %d shards", m.Shards)
+		if seen[s.Name] {
+			return Manifest{}, fmt.Errorf("wal: corrupt manifest: duplicate entry %s", s.Name)
 		}
-		seen := make(map[string]bool, len(m.Live)+len(m.Checkpoints))
-		for _, s := range m.Live {
-			if s.Name == "" || s.Stream == "" || s.Seq == 0 {
-				return Manifest{}, fmt.Errorf("wal: corrupt manifest: bad segment %+v", s)
-			}
-			if seen[s.Name] {
-				return Manifest{}, fmt.Errorf("wal: corrupt manifest: duplicate entry %s", s.Name)
-			}
-			seen[s.Name] = true
+		seen[s.Name] = true
+	}
+	for _, c := range m.Checkpoints {
+		if c.Name == "" || c.Seq == 0 {
+			return Manifest{}, fmt.Errorf("wal: corrupt manifest: bad checkpoint %+v", c)
 		}
-		for _, c := range m.Checkpoints {
-			if c.Name == "" || c.Seq == 0 {
-				return Manifest{}, fmt.Errorf("wal: corrupt manifest: bad checkpoint %+v", c)
-			}
-			if seen[c.Name] {
-				return Manifest{}, fmt.Errorf("wal: corrupt manifest: duplicate entry %s", c.Name)
-			}
-			seen[c.Name] = true
+		if seen[c.Name] {
+			return Manifest{}, fmt.Errorf("wal: corrupt manifest: duplicate entry %s", c.Name)
 		}
-	default:
-		return Manifest{}, fmt.Errorf("wal: unsupported manifest version %d", m.Version)
+		seen[c.Name] = true
 	}
 	return m, nil
 }
 
 // ReadManifest loads the manifest from dir. A missing manifest reports
-// ok=false without error (the directory predates sharding or is fresh).
+// ok=false without error (the directory is fresh).
 func ReadManifest(dir string) (Manifest, bool, error) {
 	return ReadManifestFS(fault.OS, dir)
 }

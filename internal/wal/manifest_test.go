@@ -22,9 +22,7 @@ func sampleManifests() []Manifest {
 		{Name: CheckpointFileName(6), Seq: 6, LSN: 118},
 	}
 	return []Manifest{
-		NewManifest(1),
-		NewManifest(4),
-		{Version: 2, Shards: 0, Live: []Segment{{Name: SegmentFileName(ChronicleStream, 1), Stream: ChronicleStream, Seq: 1}}},
+		{Version: 2, Shards: 1, Live: []Segment{{Name: SegmentFileName(StreamName(0), 1), Stream: StreamName(0), Seq: 1}}},
 		v2,
 	}
 }
@@ -51,7 +49,7 @@ func TestDecodeManifestRejects(t *testing.T) {
 		`{`,
 		`{"version":0}`,
 		`{"version":3}`,
-		`{"version":1,"shards":0}`,
+		`{"version":1,"shards":2}`,
 		`{"version":2,"shards":-1}`,
 		`{"version":2,"live":[{"name":"","stream":"chronicle","seq":1}]}`,
 		`{"version":2,"live":[{"name":"a.wal","stream":"","seq":1}]}`,
@@ -72,9 +70,6 @@ func TestDecodeManifestRejects(t *testing.T) {
 // re-encode) doesn't count as a lossy round trip — recovery treats the
 // two identically.
 func normalizeManifest(m Manifest) Manifest {
-	if len(m.Segments) == 0 {
-		m.Segments = nil
-	}
 	if len(m.Live) == 0 {
 		m.Live = nil
 	}
@@ -124,15 +119,15 @@ func FuzzManifest(f *testing.F) {
 // the new complete manifest — never a decode error, and never the new one
 // when the flip didn't ack.
 func TestTornManifestFlipRecovers(t *testing.T) {
-	oldM := Manifest{Version: 2, Shards: 0, Live: []Segment{
-		{Name: SegmentFileName(ChronicleStream, 1), Stream: ChronicleStream, Seq: 1},
+	oldM := Manifest{Version: 2, Shards: 1, Live: []Segment{
+		{Name: SegmentFileName(RelationStream, 1), Stream: RelationStream, Seq: 1},
 	}}
 	newM := oldM.Clone()
 	newM.Live[0].Sealed = true
 	newM.Live[0].Bytes = 2048
 	newM.Live[0].MaxLSN = 77
 	newM.Live = append(newM.Live, Segment{
-		Name: SegmentFileName(ChronicleStream, 2), Stream: ChronicleStream, Seq: 2,
+		Name: SegmentFileName(RelationStream, 2), Stream: RelationStream, Seq: 2,
 	})
 	newM.Checkpoints = []CheckpointRef{{Name: CheckpointFileName(1), Seq: 1, LSN: 40, Full: true}}
 
@@ -187,8 +182,8 @@ func TestTornManifestFlipRecovers(t *testing.T) {
 
 // TestReplayMergedDropsCovered: records stamped at or below the given LSN
 // are dropped while the segments are read (recovery passes its checkpoint's
-// LSN), the rest come out in LSN order across segments, and a legacy
-// unstamped record is never dropped.
+// LSN), the rest come out in LSN order across segments, and an unstamped
+// record is never dropped.
 func TestReplayMergedDropsCovered(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, lsns ...uint64) {

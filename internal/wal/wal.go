@@ -92,8 +92,8 @@ const (
 	// SyncNone buffers records and flushes on Flush/Close; the caller has
 	// opted out of per-record durability (tests, bulk loads).
 	SyncNone SyncPolicy = iota
-	// SyncEach fsyncs inside every Append — one fsync per record, the
-	// legacy durable configuration (E16's baseline curve).
+	// SyncEach fsyncs inside every Append — one fsync per record (E16's
+	// baseline curve).
 	SyncEach
 	// SyncGroup writes each record through to the OS inside Append (so a
 	// write failure still aborts the mutation before it is applied) but
@@ -103,8 +103,8 @@ const (
 )
 
 // Log is an append-only record log. It is safe for concurrent use: each
-// shard has a single writer goroutine, but checkpointing (Reset), flushing,
-// and group commits may come from other goroutines.
+// shard has one appender at a time, but flushing and group commits may come
+// from other goroutines.
 type Log struct {
 	mu     sync.Mutex
 	path   string
@@ -115,8 +115,8 @@ type Log struct {
 	buf    []byte
 	seq    uint64 // records appended since open (under mu)
 
-	// Segment rotation (version-2 layout). capBytes == 0 means the log is
-	// a plain single file that never rotates (the legacy layout). All are
+	// Segment rotation. capBytes == 0 means the log is a plain single file
+	// that never rotates (Open; the database always sets a cap). All are
 	// guarded by mu; rotation happens inside Append, before the frame that
 	// would overflow the cap is written, so the hot path adds only a size
 	// comparison.
@@ -337,10 +337,6 @@ func (l *Log) Commit() error {
 		l.mu.Unlock()
 		return fmt.Errorf("wal: sync: %w", serr)
 	}
-	// synced only moves forward: covered was read before the fsync, so a
-	// concurrent Reset (which syncs the truncation and stores the current
-	// seq itself) can at worst leave synced understated, costing one extra
-	// fsync — never overstated.
 	prev := l.synced.Load()
 	if covered > prev {
 		l.synced.Store(covered)
@@ -491,38 +487,6 @@ func (l *Log) Close() error {
 		return err
 	}
 	return l.f.Close()
-}
-
-// Reset truncates the log to empty (after a successful checkpoint) and
-// syncs the truncation, so a later crash cannot resurrect pre-checkpoint
-// records with un-checkpointed bytes appended after them.
-func (l *Log) Reset() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.flushLocked(); err != nil {
-		return err
-	}
-	if err := l.f.Truncate(0); err != nil {
-		l.err = err
-		return fmt.Errorf("wal: truncate: %w", err)
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		l.err = err
-		return fmt.Errorf("wal: seek: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		l.err = err
-		return fmt.Errorf("wal: sync: %w", err)
-	}
-	l.fsyncs.Add(1)
-	if l.seq > l.synced.Load() {
-		l.synced.Store(l.seq) // the truncation sync covers everything appended
-		if l.tapDurable != nil {
-			l.tapDurable(l.seq)
-		}
-	}
-	l.w.Reset(l.f)
-	return nil
 }
 
 // LogMetrics returns the Log's durability counters.

@@ -150,31 +150,6 @@ func TestReplayCallbackError(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "reset.wal")
-	l, err := Open(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Append(sampleRecords()[0])
-	if err := l.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	l.Append(sampleRecords()[3])
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var got []Record
-	n, _, err := Replay(path, func(r Record) error { got = append(got, r); return nil })
-	if err != nil || n != 1 {
-		t.Fatalf("after reset: n=%d err=%v", n, err)
-	}
-	if got[0].Kind != RecUpsert {
-		t.Errorf("after reset: %+v", got[0])
-	}
-}
-
 func TestSyncEach(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sync.wal")

@@ -709,7 +709,7 @@ func TestAppendCallIsTheVisibilityUnit(t *testing.T) {
 // request before anything folds. Either way no view may be left with folded
 // rows its readers cannot see — the live cursor equals the published one —
 // and the next call publishes normally. Both store kinds and a periodic
-// instance, on both kernels.
+// instance, on one shard and on two.
 func TestFailedCallPublishesPrefix(t *testing.T) {
 	good := func(n int) []chronicledb.Tuple {
 		tuples := make([]chronicledb.Tuple, n)
@@ -719,7 +719,7 @@ func TestFailedCallPublishesPrefix(t *testing.T) {
 		return tuples
 	}
 	bad := chronicledb.Tuple{chronicledb.Str("a"), chronicledb.Str("seven")}
-	for _, shards := range []int{0, 2} {
+	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			db := callVisDB(t, chronicledb.Options{Shards: shards})
 			if _, _, err := db.AppendRows("calls", good(2)); err != nil {

@@ -10,14 +10,13 @@ import (
 
 	"chronicledb/internal/chronicle"
 	"chronicledb/internal/dedup"
-	"chronicledb/internal/engine"
 	"chronicledb/internal/sqlparse"
 	"chronicledb/internal/value"
 	"chronicledb/internal/view"
 	"chronicledb/internal/wal"
 )
 
-// Durability layout under Options.Dir (segmented, the default):
+// Durability layout under Options.Dir:
 //
 //	catalog.sql          — every DDL statement, in order (schema is replayed
 //	                       through the normal planner at recovery)
@@ -30,27 +29,26 @@ import (
 //	                       incremental images holding only objects dirtied
 //	                       since the previous cut
 //
-// The legacy layout (Options.WALSegmentBytes < 0) keeps one
-// grow-until-checkpoint WAL per shard (chronicle.wal unsharded, a v1
-// manifest's shard segments sharded) and full checkpoints in the
-// fixed-name checkpoint.bin, truncating the logs after each one.
-//
-// Recovery order: catalog → checkpoint (chain) → WAL tail. Checkpoint and
+// Recovery order: catalog → checkpoint chain → WAL tail. Checkpoint and
 // manifest files are only ever replaced atomically (write-temp, fsync,
 // rename, dirsync), so a crash mid-flip leaves the previous complete
-// image. In the segmented layout the logs are never truncated; instead
-// replay skips records at or below the chain's tip LSN, and the compactor
-// deletes segments wholly below it — recovery work and disk stay
-// proportional to the write rate since the last checkpoint (E12, E20).
+// image. The logs are never truncated; instead replay skips records at or
+// below the chain's tip LSN, and the compactor deletes segments wholly
+// below it — recovery work and disk stay proportional to the write rate
+// since the last checkpoint (E12, E20).
 
-const ckptMagic = "CDBC"
+const (
+	ckptMagic   = "CDBC"
+	ckptVersion = 4 // the only image format read or written
+)
 
 // recover rebuilds in-memory state from disk. Called by Open before the
-// WAL is reopened for appending. It replays every WAL segment present —
-// the legacy single log and/or the manifest's shard segments — merged into
-// global LSN order, so the layout on disk need not match the kernel being
-// opened (shard counts may change across restarts).
-func (db *DB) recover(m wal.Manifest, hadManifest bool) error {
+// WAL is reopened for appending. It replays every live segment the manifest
+// lists, merged into global LSN order, so the streams on disk need not
+// match the kernel being opened (shard counts may change across restarts).
+// A directory without a manifest has no checkpoint and no WAL: the zero
+// Manifest recovers the catalog alone.
+func (db *DB) recover(m wal.Manifest) error {
 	// 1. Catalog: replay DDL. A power cut can tear the final statement
 	// mid-write; every *acked* statement was fully written and fsynced, so
 	// trimming to the last statement terminator drops only unacked bytes.
@@ -83,46 +81,29 @@ func (db *DB) recover(m wal.Manifest, hadManifest bool) error {
 		return fmt.Errorf("chronicledb: catalog: %w", err)
 	}
 
-	// 2. Checkpoint. A version-2 manifest carries a checkpoint chain: a
-	// full image plus incremental images holding only the objects dirtied
-	// since the previous cut. The chain restores in ascending sequence
-	// order — each file *replaces* the state of the objects it contains —
-	// and the tip's LSN is the replay skip threshold. The manifest
-	// invariant (files are fsynced before the flip that references them,
-	// deleted only after the flip that drops them) makes a referenced-but-
-	// missing chain file genuine corruption, not a crash artifact.
-	// Otherwise the legacy fixed-name checkpoint.bin holds one full image.
+	// 2. Checkpoint chain: a full image plus incremental images holding only
+	// the objects dirtied since the previous cut. The chain restores in
+	// ascending sequence order — each file *replaces* the state of the
+	// objects it contains — and the tip's LSN is the replay skip threshold.
+	// The manifest invariant (files are fsynced before the flip that
+	// references them, deleted only after the flip that drops them) makes a
+	// referenced-but-missing chain file genuine corruption, not a crash
+	// artifact.
 	var ckptLSN uint64
-	restored := false
-	if hadManifest && m.Version == 2 {
-		refs := append([]wal.CheckpointRef(nil), m.Checkpoints...)
-		sort.Slice(refs, func(i, j int) bool { return refs[i].Seq < refs[j].Seq })
-		for _, c := range refs {
-			data, err := db.fs.ReadFile(filepath.Join(db.opts.Dir, c.Name))
-			if err != nil {
-				return fmt.Errorf("chronicledb: checkpoint chain %s: %w", c.Name, err)
-			}
-			lsn, err := db.restoreCheckpoint(data, c.Name)
-			if err != nil {
-				return fmt.Errorf("chronicledb: checkpoint chain %s: %w", c.Name, err)
-			}
-			ckptLSN = lsn
-			restored = true
+	refs := append([]wal.CheckpointRef(nil), m.Checkpoints...)
+	sort.Slice(refs, func(i, j int) bool { return refs[i].Seq < refs[j].Seq })
+	for _, c := range refs {
+		data, err := db.fs.ReadFile(filepath.Join(db.opts.Dir, c.Name))
+		if err != nil {
+			return fmt.Errorf("chronicledb: checkpoint chain %s: %w", c.Name, err)
 		}
-	} else {
-		ckptPath := filepath.Join(db.opts.Dir, "checkpoint.bin")
-		if data, err := db.fs.ReadFile(ckptPath); err == nil {
-			lsn, err := db.restoreCheckpoint(data, "checkpoint.bin")
-			if err != nil {
-				return err
-			}
-			ckptLSN = lsn
-			restored = true
-		} else if !os.IsNotExist(err) {
-			return fmt.Errorf("chronicledb: checkpoint: %w", err)
+		lsn, err := db.restoreCheckpoint(data, c.Name)
+		if err != nil {
+			return fmt.Errorf("chronicledb: checkpoint chain %s: %w", c.Name, err)
 		}
+		ckptLSN = lsn
 	}
-	if restored {
+	if len(refs) > 0 {
 		// Every restored view reflects exactly the mutations at or below
 		// the checkpoint LSN; stamp that cursor so changefeed snapshot
 		// splices anchor correctly, and raise the feed horizon — deltas
@@ -137,69 +118,24 @@ func (db *DB) recover(m wal.Manifest, hadManifest bool) error {
 		}
 	}
 
-	// 3. WAL tail: every segment on disk, merged by global LSN so
-	// relation updates interleave with appends exactly as they did live
-	// (§2.3 proactive ordering). Records at or below the checkpoint LSN
-	// are already inside the checkpoint — a crash between the checkpoint
-	// replace and the WAL truncation leaves them in the log, and applying
-	// them twice would double-count appends and resurrect stale relation
-	// versions. Skipping them also keeps the LSN allocator aligned: replay
-	// re-assigns LSNs starting from the checkpoint LSN, so each surviving
-	// record re-acquires exactly the LSN it carried live.
-	var segments []string
-	if hadManifest && m.Version == 2 {
-		// Rotated layout: replay every live segment the manifest lists, in
-		// (stream, seq) order so the stable LSN sort keeps intra-stream
-		// file order for any legacy zero-LSN records.
-		live := append([]wal.Segment(nil), m.Live...)
-		sort.Slice(live, func(i, j int) bool {
-			if live[i].Stream != live[j].Stream {
-				return live[i].Stream < live[j].Stream
-			}
-			return live[i].Seq < live[j].Seq
-		})
-		for _, s := range live {
-			segments = append(segments, s.Name)
-		}
-	} else {
-		segments = []string{"chronicle.wal"}
-		if hadManifest {
-			segments = append(segments, m.Segments...)
-		}
-	}
-	_, err := wal.ReplayMergedFS(db.fs, db.opts.Dir, segments, ckptLSN, func(r wal.Record) error {
-		switch r.Kind {
-		case wal.RecDDL:
+	// 3. WAL tail: every live segment, merged by global LSN so relation
+	// updates interleave with appends exactly as they did live (§2.3
+	// proactive ordering). Records at or below the checkpoint LSN are
+	// already inside the checkpoint, and applying them twice would
+	// double-count appends and resurrect stale relation versions. Skipping
+	// them also keeps the LSN allocator aligned: replay re-assigns LSNs
+	// starting from the checkpoint LSN, so each surviving record re-acquires
+	// exactly the LSN it carried live.
+	_, err := wal.ReplayMergedFS(db.fs, db.opts.Dir, liveSegmentNames(m.Live), ckptLSN, func(r wal.Record) error {
+		if r.Kind == wal.RecDDL {
 			s, err := sqlparse.ParseOne(r.Stmt)
 			if err != nil {
 				return err
 			}
 			_, err = db.execOne(s, execRecovery)
 			return err
-		case wal.RecAppend:
-			parts := make([]engine.MutationPart, len(r.Parts))
-			for i, p := range r.Parts {
-				parts[i] = engine.MutationPart{Chronicle: p.Chronicle, Tuples: p.Tuples}
-			}
-			_, err := db.eng.AppendBatchAt(parts, r.SN, r.Chronon)
-			return err
-		case wal.RecAppendEach:
-			// An idempotent bulk run: re-apply the tuples with their original
-			// consecutive SNs and re-insert the dedup entry, so a client
-			// retry after this recovery still gets the original ack.
-			if len(r.Parts) != 1 {
-				return fmt.Errorf("idempotent append record with %d parts", len(r.Parts))
-			}
-			p := r.Parts[0]
-			return db.eng.AppendEachAt(p.Chronicle, r.SN, r.Chronon, p.Tuples, r.ClientID, r.RequestID)
-		case wal.RecUpsert:
-			return db.eng.Upsert(r.Relation, r.Tuple)
-		case wal.RecDelete:
-			_, err := db.eng.DeleteKey(r.Relation, r.Tuple)
-			return err
-		default:
-			return fmt.Errorf("unknown WAL record kind %d", r.Kind)
 		}
+		return db.applyRecord(r)
 	})
 	if err != nil {
 		return fmt.Errorf("chronicledb: WAL replay: %w", err)
@@ -207,16 +143,13 @@ func (db *DB) recover(m wal.Manifest, hadManifest bool) error {
 	return nil
 }
 
-// Checkpoint atomically persists the database state. In the segmented
-// layout it appends a (usually incremental) image to the checkpoint chain
-// and flips the manifest; the logs are never truncated — replay skips
-// records at or below the chain tip, and the compactor reclaims segments
-// wholly below it. In the legacy layout it writes one full image to
-// checkpoint.bin and truncates the logs. Either way the snapshot is cut
-// with mutations quiesced — under the router's epoch barrier when sharded,
-// under the engine's mutation lock otherwise — so the image is exactly the
-// state at its header LSN. It is a no-op (with an error) for in-memory
-// databases.
+// Checkpoint atomically persists the database state: it appends a (usually
+// incremental) image to the checkpoint chain and flips the manifest; the
+// logs are never truncated — replay skips records at or below the chain
+// tip, and the compactor reclaims segments wholly below it. The snapshot is
+// cut with mutations quiesced under the router's epoch barrier, so the
+// image is exactly the state at its header LSN. It is a no-op (with an
+// error) for in-memory databases.
 func (db *DB) Checkpoint() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -226,35 +159,24 @@ func (db *DB) Checkpoint() error {
 	if err := db.writeGate(); err != nil {
 		return err
 	}
-	write := func() error {
-		if db.segmented() {
-			return db.writeSegmentedCheckpoint()
+	return db.eng.Barrier(db.writeSegmentedCheckpoint)
+}
+
+// liveSegmentNames lists a manifest's live segments in (stream, seq) order,
+// the order ReplayMergedFS's stable LSN sort preserves within a stream.
+func liveSegmentNames(live []wal.Segment) []string {
+	live = append([]wal.Segment(nil), live...)
+	sort.Slice(live, func(i, j int) bool {
+		if live[i].Stream != live[j].Stream {
+			return live[i].Stream < live[j].Stream
 		}
-		data, _, _, _, _, err := db.buildCheckpointImage(2, true)
-		if err != nil {
-			return fmt.Errorf("chronicledb: checkpoint: %w", err)
-		}
-		final := filepath.Join(db.opts.Dir, "checkpoint.bin")
-		if err := wal.WriteFileAtomicFS(db.fs, final, data); err != nil {
-			return fmt.Errorf("chronicledb: checkpoint: %w", err)
-		}
-		for _, l := range db.logs {
-			if err := l.Reset(); err != nil {
-				return fmt.Errorf("chronicledb: truncating WAL after checkpoint: %w", err)
-			}
-		}
-		return nil
+		return live[i].Seq < live[j].Seq
+	})
+	names := make([]string, len(live))
+	for i, s := range live {
+		names[i] = s.Name
 	}
-	if db.router != nil {
-		return db.router.Barrier(write)
-	}
-	if db.uno != nil {
-		// Quiesce the engine for an exact cut. buildCheckpointImage only
-		// uses lock-free accessors (published catalog, atomic LSN,
-		// per-object locks), as Quiesce requires.
-		return db.uno.Quiesce(write)
-	}
-	return write()
+	return names
 }
 
 // blockCommit carries one paged view's pending block refs out of
@@ -276,25 +198,26 @@ type blockCommit struct {
 // reuses across checkpoints (callers hold db.mu, and the image is fully
 // consumed — written to disk — before the next checkpoint starts).
 //
-// version 2 is the legacy format: always a full image. version 3 prefixes
-// a flags byte (bit 0 = full) and supports incremental images: when full
-// is false, chronicles, relations, views, and periodic views are included
-// only if their dirty marker moved since db.ckptMarks was captured (an
-// absent marker means dirty, which covers objects created since the last
-// cut). Groups (8 bytes each) and the dedup table (bounded by capacity)
-// are always included. The returned marks are the markers observed at this
-// cut; the caller installs them as db.ckptMarks only once the image is
-// durably referenced. dirty counts the objects an incremental image
-// includes, so an unchanged database can skip the chain entry entirely.
+// The image is version 4: magic, version byte, a flags byte (bit 0 = full),
+// the LSN, then one section per object kind. When full is false,
+// chronicles, relations, views, and periodic views are included only if
+// their dirty marker moved since db.ckptMarks was captured (an absent
+// marker means dirty, which covers objects created since the last cut).
+// Groups (8 bytes each) and the dedup table (bounded by capacity) are
+// always included. The returned marks are the markers observed at this cut;
+// the caller installs them as db.ckptMarks only once the image is durably
+// referenced. dirty counts the objects an incremental image includes, so an
+// unchanged database can skip the chain entry entirely.
 //
-// version 4 keeps v3's framing and changes only the view payloads: each is
-// prefixed by a subformat byte — 0 for a v1 whole image (unpaged views), 1
-// for a self-contained blocked image (full cuts inline every block so the
-// chain can fold), 2 for a blocked delta (incremental cuts carry only the
-// dirty block runs; restore merges them into the index from earlier chain
-// images, so incremental cost is flat in view cardinality). The returned
-// commits must be applied after the manifest flip that makes the image
-// authoritative.
+// Each view payload is prefixed by a subformat byte — 0 for a whole image
+// (unpaged views), 1 for a self-contained blocked image (full cuts inline
+// every block so the chain can fold), 2 for a blocked delta (incremental
+// cuts carry only the dirty block runs; restore merges them into the index
+// from earlier chain images, so incremental cost is flat in view
+// cardinality). wholeViews forces subformat 0 for every view: the
+// replication bootstrap image travels to a follower that cannot fault
+// blocks from this database's chain files. The returned commits must be
+// applied after the manifest flip that makes the image authoritative.
 //
 // The markers are monotonic mutation counters, recomputed from the objects
 // themselves: chronicle Total+Dropped (either moves on any append or
@@ -302,7 +225,7 @@ type blockCommit struct {
 // DDL (drop, or drop-and-recreate, which could leave a fresh object behind
 // an unchanged marker) is handled by the caller forcing a full image via
 // db.ddlDirty instead.
-func (db *DB) buildCheckpointImage(version byte, full bool) (data []byte, lsn uint64, marks map[string]uint64, dirty int, commits []blockCommit, err error) {
+func (db *DB) buildCheckpointImage(full, wholeViews bool) (data []byte, lsn uint64, marks map[string]uint64, dirty int, commits []blockCommit, err error) {
 	old := db.ckptMarks
 	marks = make(map[string]uint64)
 	include := func(key string, cur uint64) bool {
@@ -321,14 +244,11 @@ func (db *DB) buildCheckpointImage(version byte, full bool) (data []byte, lsn ui
 	lsn = db.eng.LSN()
 	b := db.ckptBuf[:0]
 	b = append(b, ckptMagic...)
-	b = append(b, version)
-	if version >= 3 {
-		var flags byte
-		if full {
-			flags = 1
-		}
-		b = append(b, flags)
+	var flags byte
+	if full {
+		flags = 1
 	}
+	b = append(b, ckptVersion, flags)
 	b = binary.LittleEndian.AppendUint64(b, lsn)
 
 	groups := db.eng.GroupNames()
@@ -397,7 +317,7 @@ func (db *DB) buildCheckpointImage(version byte, full bool) (data []byte, lsn ui
 	for _, name := range incl {
 		v, _ := db.eng.View(name)
 		b = appendName(b, name)
-		if version >= 4 && v.Paged() {
+		if v.Paged() && !wholeViews {
 			var (
 				snap           []byte
 				pend           []view.PendingBlock
@@ -425,12 +345,8 @@ func (db *DB) buildCheckpointImage(version byte, full bool) (data []byte, lsn ui
 			continue
 		}
 		snap := v.Checkpoint()
-		if version >= 4 {
-			b = binary.AppendUvarint(b, uint64(len(snap)+1))
-			b = append(b, 0) // subformat: v1 whole image
-		} else {
-			b = binary.AppendUvarint(b, uint64(len(snap)))
-		}
+		b = binary.AppendUvarint(b, uint64(len(snap)+1))
+		b = append(b, 0) // subformat: whole image
 		b = append(b, snap...)
 	}
 
@@ -451,9 +367,8 @@ func (db *DB) buildCheckpointImage(version byte, full bool) (data []byte, lsn ui
 		b = append(b, snap...)
 	}
 
-	// Dedup table (since v2): the idempotency entries live inside the
-	// checkpoint because replay skips records at or below its LSN (and the
-	// legacy layout truncates the log outright) — without this section a
+	// Dedup table: the idempotency entries live inside the checkpoint
+	// because replay skips records at or below its LSN — without this section a
 	// retry arriving after checkpoint-and-crash would re-apply. The section
 	// is bounded by the table capacity, so checkpoint size does not grow
 	// with total request count. Restoring a chain re-Puts entries; Put
@@ -465,30 +380,23 @@ func (db *DB) buildCheckpointImage(version byte, full bool) (data []byte, lsn ui
 
 // restoreCheckpoint rebuilds state from a checkpoint image and returns
 // the LSN the checkpoint was cut at (the replay skip threshold). fileName
-// is the chain file holding the image; version-4 blocked view sections
-// resolve their inline block payloads relative to it.
+// is the chain file holding the image; blocked view sections resolve their
+// inline block payloads relative to it.
 func (db *DB) restoreCheckpoint(data []byte, fileName string) (uint64, error) {
 	bad := func(what string) error {
 		return fmt.Errorf("chronicledb: corrupt checkpoint (%s)", what)
 	}
-	if len(data) < 13 || string(data[:4]) != ckptMagic {
+	if len(data) < 14 || string(data[:4]) != ckptMagic {
 		return 0, bad("header")
 	}
-	version := data[4]
-	if version < 1 || version > 4 {
-		return 0, fmt.Errorf("chronicledb: unsupported checkpoint version %d", version)
+	if version := data[4]; version != ckptVersion {
+		return 0, fmt.Errorf("chronicledb: unsupported checkpoint version %d (want %d)", version, ckptVersion)
 	}
-	off := 5
-	if version >= 3 {
-		// v3 (chain images) adds a flags byte: bit 0 marks a full image.
-		// Decoding doesn't branch on it — every section carries its own
-		// object count, and an incremental image simply lists fewer — but
-		// the byte keeps full/incremental distinguishable for tooling.
-		if len(data) < 14 {
-			return 0, bad("header")
-		}
-		off++
-	}
+	// data[5] is the flags byte: bit 0 marks a full image. Decoding doesn't
+	// branch on it — every section carries its own object count, and an
+	// incremental image simply lists fewer — but the byte keeps
+	// full/incremental distinguishable for tooling.
+	off := 6
 	lsn := binary.LittleEndian.Uint64(data[off:])
 	off += 8
 	db.eng.RestoreLSN(lsn)
@@ -619,36 +527,26 @@ func (db *DB) restoreCheckpoint(data []byte, fileName string) (uint64, error) {
 		if !ok {
 			return 0, fmt.Errorf("chronicledb: checkpoint references unknown view %q", name)
 		}
-		payload := data[off : off+int(snapLen)]
-		if version >= 4 {
-			// v4 view payloads carry a subformat byte: 0 = v1 whole image,
-			// 1 = blocked image (lazy block index for paged views, eager
-			// fetch-and-decode for views reopened unpaged), 2 = blocked
-			// delta (dirty runs merged into the index restored from earlier
-			// chain images).
-			if snapLen == 0 {
-				return 0, bad("view subformat")
-			}
-			sub, body := payload[0], payload[1:]
-			switch sub {
-			case 0:
-				if err := v.RestoreCheckpoint(body); err != nil {
-					return 0, err
-				}
-			case 1:
-				base := int64(off) + 1 // body's offset within the chain file
-				if err := v.RestoreBlocked(body, fileName, base, db.blockFetch); err != nil {
-					return 0, err
-				}
-			case 2:
-				base := int64(off) + 1
-				if err := v.RestoreBlockedDelta(body, fileName, base); err != nil {
-					return 0, err
-				}
-			default:
-				return 0, bad("view subformat")
-			}
-		} else if err := v.RestoreCheckpoint(payload); err != nil {
+		// The payload carries a subformat byte: 0 = whole image, 1 = blocked
+		// image (lazy block index for paged views, eager fetch-and-decode
+		// for views reopened unpaged), 2 = blocked delta (dirty runs merged
+		// into the index restored from earlier chain images).
+		if snapLen == 0 {
+			return 0, bad("view subformat")
+		}
+		sub, body := data[off], data[off+1:off+int(snapLen)]
+		base := int64(off) + 1 // body's offset within the chain file
+		switch sub {
+		case 0:
+			err = v.RestoreCheckpoint(body)
+		case 1:
+			err = v.RestoreBlocked(body, fileName, base, db.blockFetch)
+		case 2:
+			err = v.RestoreBlockedDelta(body, fileName, base)
+		default:
+			err = bad("view subformat")
+		}
+		if err != nil {
 			return 0, err
 		}
 		off += int(snapLen)
@@ -681,17 +579,15 @@ func (db *DB) restoreCheckpoint(data []byte, fileName string) (uint64, error) {
 		off += int(snapLen)
 	}
 
-	// Dedup table (absent in v1 checkpoints, which predate idempotency).
-	if version >= 2 {
-		used, err := dedup.DecodeSnapshot(data[off:], func(e dedup.Entry) error {
-			db.eng.RestoreDedupEntry(e)
-			return nil
-		})
-		if err != nil {
-			return 0, bad("dedup section")
-		}
-		off += used
+	// Dedup table.
+	used, err := dedup.DecodeSnapshot(data[off:], func(e dedup.Entry) error {
+		db.eng.RestoreDedupEntry(e)
+		return nil
+	})
+	if err != nil {
+		return 0, bad("dedup section")
 	}
+	off += used
 	if off != len(data) {
 		return 0, bad("trailing bytes")
 	}

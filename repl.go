@@ -10,7 +10,7 @@ package chronicledb
 // only after their fsync, in global LSN order. Followers tail the stream
 // (internal/repl.Replica), apply frames into the live engine, write them to
 // their own WAL through the normal recorders, and serve lock-free snapshot
-// reads. Catch-up from any LSN is served from the v2 manifest's segment set
+// reads. Catch-up from any LSN is served from the manifest's segment set
 // (ReplBacklog); anything compacted below the checkpoint chain resyncs from
 // a full snapshot image (ReplSnapshot).
 
@@ -20,7 +20,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -77,8 +76,7 @@ func (db *DB) Role() string {
 // DegradedAcks counts sync-mode writes acked without a follower ack.
 func (db *DB) DegradedAcks() int64 { return db.degradedAcks.Load() }
 
-// ReplSource exposes the primary-side stream source (nil unless the layout
-// is durable and segmented).
+// ReplSource exposes the primary-side stream source (nil without a Dir).
 func (db *DB) ReplSource() *repl.Source { return db.replSrc }
 
 // ReplState snapshots follower progress; ok is false on a primary.
@@ -161,7 +159,7 @@ func (db *DB) startReplica() {
 		FollowerID: db.opts.FollowerID,
 		From:       db.eng.LSN(),
 	}, repl.Callbacks{
-		ApplyRecord: db.applyReplRecord,
+		ApplyRecord: db.applyRecord,
 		ApplyDDL:    db.applyReplDDL,
 		DDLCount:    db.ddlSeq.Load,
 		Snapshot:    db.replSnapshotResync,
@@ -184,12 +182,12 @@ func (db *DB) stopReplica() {
 	}
 }
 
-// applyReplRecord applies one replicated WAL record through the same
-// at-coordinates kernel paths recovery uses, so the follower re-acquires
-// the primary's exact SNs and LSNs. Unlike recovery, the recorders are
-// installed: the applied record lands in the follower's own WAL, making it
-// locally durable and re-servable after promotion.
-func (db *DB) applyReplRecord(r wal.Record) error {
+// applyRecord applies one WAL record at the coordinates it carries, so the
+// kernel re-acquires the original SNs and LSNs. Recovery replay and the
+// follower's stream apply share it; on a follower the recorders are
+// installed, so the applied record lands in the follower's own WAL, making
+// it locally durable and re-servable after promotion.
+func (db *DB) applyRecord(r wal.Record) error {
 	switch r.Kind {
 	case wal.RecAppend:
 		parts := make([]engine.MutationPart, len(r.Parts))
@@ -203,9 +201,10 @@ func (db *DB) applyReplRecord(r wal.Record) error {
 			return fmt.Errorf("idempotent append record with %d parts", len(r.Parts))
 		}
 		p := r.Parts[0]
-		// Re-inserting the dedup entry replicates the idempotency table:
-		// after a failover, a client retrying an acked-but-lost request
-		// against the new primary gets its original ack, not a double apply.
+		// An idempotent bulk run: re-apply the tuples with their original
+		// consecutive SNs and re-insert the dedup entry, so a client retry
+		// after a recovery — or, after a failover, against the new primary —
+		// gets its original ack, not a double apply.
 		return db.eng.AppendEachAt(p.Chronicle, r.SN, r.Chronon, p.Tuples, r.ClientID, r.RequestID)
 	case wal.RecUpsert:
 		return db.eng.Upsert(r.Relation, r.Tuple)
@@ -213,7 +212,7 @@ func (db *DB) applyReplRecord(r wal.Record) error {
 		_, err := db.eng.DeleteKey(r.Relation, r.Tuple)
 		return err
 	default:
-		return fmt.Errorf("unexpected replicated record kind %d", r.Kind)
+		return fmt.Errorf("unknown WAL record kind %d", r.Kind)
 	}
 }
 
@@ -283,21 +282,11 @@ func (db *DB) replSnapshotResync() (uint64, error) {
 
 	var lsn uint64
 	db.mu.Lock()
-	restore := func() error {
+	err = db.eng.Barrier(func() error {
 		l, err := db.restoreCheckpoint(image, "")
-		if err != nil {
-			return err
-		}
 		lsn = l
-		return nil
-	}
-	if db.router != nil {
-		err = db.router.Barrier(restore)
-	} else if db.uno != nil {
-		err = db.uno.Quiesce(restore)
-	} else {
-		err = restore()
-	}
+		return err
+	})
 	if err == nil {
 		// Rebase the changefeed world at the restored frontier: view
 		// deltas inside the snapshot are not individually replayable, so
@@ -344,32 +333,22 @@ func (db *DB) ReplBacklog(from, upTo uint64, fn func(payload []byte, lsn, span u
 	if from >= upTo {
 		return nil
 	}
-	if !db.segmented() {
-		return fmt.Errorf("chronicledb: replication needs the segmented WAL layout")
+	if db.opts.Dir == "" {
+		return fmt.Errorf("chronicledb: replication backlog needs a durable database (Options.Dir)")
 	}
 	db.manMu.Lock()
 	ckpt := db.lastCkptLSN.Load()
-	live := append([]wal.Segment(nil), db.man.Live...)
+	segments := liveSegmentNames(db.man.Live)
 	db.manMu.Unlock()
 	if from < ckpt {
 		return ErrReplGone
-	}
-	sort.Slice(live, func(i, j int) bool {
-		if live[i].Stream != live[j].Stream {
-			return live[i].Stream < live[j].Stream
-		}
-		return live[i].Seq < live[j].Seq
-	})
-	segments := make([]string, len(live))
-	for i, s := range live {
-		segments[i] = s.Name
 	}
 	var buf []byte
 	want := from + 1
 	_, err := wal.ReplayMergedFS(db.fs, db.opts.Dir, segments, 0, func(r wal.Record) error {
 		span := wal.RecordSpan(r)
 		if r.LSN == 0 || span == 0 {
-			return nil // legacy unstamped record or DDL annotation
+			return nil // a DDL annotation consumes no LSN
 		}
 		top := r.LSN + span - 1
 		if top <= from {
@@ -395,9 +374,9 @@ func (db *DB) ReplBacklog(from, upTo uint64, fn func(payload []byte, lsn, span u
 }
 
 // ReplSnapshot builds the full-resync payload: the catalog text plus a
-// self-contained full checkpoint image (version 2: every view inlined,
-// dedup table included — exactly-once survives the resync) cut under a
-// write quiesce, and the image's LSN. Holding db.mu across both keeps the
+// self-contained full checkpoint image (every view a whole image, dedup
+// table included — exactly-once survives the resync) cut under the epoch
+// barrier, and the image's LSN. Holding db.mu across both keeps the
 // catalog and the image mutually consistent (DDL commits under db.mu too).
 func (db *DB) ReplSnapshot() (catalog, image []byte, lsn uint64, err error) {
 	db.mu.Lock()
@@ -409,8 +388,8 @@ func (db *DB) ReplSnapshot() (catalog, image []byte, lsn uint64, err error) {
 		}
 		err = nil
 	}
-	build := func() error {
-		data, l, _, _, _, berr := db.buildCheckpointImage(2, true)
+	err = db.eng.Barrier(func() error {
+		data, l, _, _, _, berr := db.buildCheckpointImage(true, true)
 		if berr != nil {
 			return berr
 		}
@@ -419,14 +398,7 @@ func (db *DB) ReplSnapshot() (catalog, image []byte, lsn uint64, err error) {
 		image = append([]byte(nil), data...)
 		lsn = l
 		return nil
-	}
-	if db.router != nil {
-		err = db.router.Barrier(build)
-	} else if db.uno != nil {
-		err = db.uno.Quiesce(build)
-	} else {
-		err = build()
-	}
+	})
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("chronicledb: snapshot: %w", err)
 	}

@@ -9,7 +9,7 @@ import (
 
 // TestReplAllocGuards pins the follower apply path's steady-state
 // allocation count: applying one replicated append record through
-// applyReplRecord (the recovery-shaped at-coordinates kernel path) must
+// applyRecord (the recovery-shaped at-coordinates kernel path) must
 // stay within the append hot path's own budget — a follower that
 // allocates more per record than its primary does per append can never
 // keep up. `make bench-allocs` runs this alongside the append guards.
@@ -44,7 +44,7 @@ func TestReplAllocGuards(t *testing.T) {
 		return rec
 	}
 	for i := 0; i < 200; i++ {
-		if err := db.applyReplRecord(next()); err != nil {
+		if err := db.applyRecord(next()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,13 +52,13 @@ func TestReplAllocGuards(t *testing.T) {
 	// path adds one parts-slice build, so 3 is the ceiling — measured
 	// steady state is below it.
 	got := testing.AllocsPerRun(1000, func() {
-		if err := db.applyReplRecord(next()); err != nil {
+		if err := db.applyRecord(next()); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if got > 3 {
-		t.Errorf("applyReplRecord: %.1f allocs/op, budget 3 — the follower apply path regressed past the append budget", got)
+		t.Errorf("applyRecord: %.1f allocs/op, budget 3 — the follower apply path regressed past the append budget", got)
 	} else {
-		t.Logf("applyReplRecord: %.1f allocs/op (budget 3, append path budget 2)", got)
+		t.Logf("applyRecord: %.1f allocs/op (budget 3, append path budget 2)", got)
 	}
 }

@@ -19,52 +19,6 @@ func shardedDB(t testing.TB, n int) *DB {
 	return db
 }
 
-// TestShardedEndToEnd runs the canonical telecom scenario through the
-// sharded router: DDL places objects on home shards, appends flow through
-// the single-writer queues, and scatter/gather queries agree with the
-// single-engine answers.
-func TestShardedEndToEnd(t *testing.T) {
-	db := shardedDB(t, 4)
-	if db.Shards() != 4 || db.Router() == nil {
-		t.Fatalf("Shards() = %d", db.Shards())
-	}
-	mustExec(t, db, telecomDDL)
-	mustExec(t, db, `UPSERT INTO customers VALUES ('alice', 'nj'), ('bob', 'ny')`)
-	mustExec(t, db, `APPEND INTO calls VALUES ('alice', 12, 1.5)`)
-	mustExec(t, db, `APPEND INTO calls VALUES ('alice', 8, 0.5), ('bob', 3, 0.25)`)
-
-	res := mustExec(t, db, `SELECT * FROM usage WHERE acct = 'alice'`)
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-	r := res.Rows[0]
-	if r[1].AsInt() != 20 || r[2].AsFloat() != 2.0 || r[3].AsInt() != 2 {
-		t.Errorf("usage(alice) = %v", r)
-	}
-
-	mustExec(t, db, `CREATE VIEW by_state AS
-		SELECT state, SUM(cost) AS revenue FROM calls
-		JOIN customers ON calls.acct = customers.acct
-		GROUP BY state`)
-	mustExec(t, db, `UPSERT INTO customers VALUES ('bob', 'nj')`)
-	mustExec(t, db, `APPEND INTO calls VALUES ('bob', 1, 1.0)`)
-	row, ok, err := db.Lookup("by_state", Str("nj"))
-	if err != nil || !ok || row[1].AsFloat() != 1.0 {
-		t.Errorf("by_state(nj) = %v %v %v", row, ok, err)
-	}
-
-	// Scatter/gather surfaces: stats sum and merged latency histogram.
-	if st := db.Stats(); st.Appends != 3 {
-		t.Errorf("Stats().Appends = %d", st.Appends)
-	}
-	if db.MaintenanceLatency().Count == 0 {
-		t.Error("merged latency histogram empty")
-	}
-	if _, err := db.Exec(`SHOW STATS`); err != nil {
-		t.Errorf("SHOW STATS: %v", err)
-	}
-}
-
 // TestShardedGroupsSpreadShards checks that distinct groups actually land
 // on distinct shards (with 8 groups over 4 shards a single-shard hash
 // would be a routing bug) and stay independent.
@@ -73,7 +27,7 @@ func TestShardedGroupsSpreadShards(t *testing.T) {
 	used := map[int]bool{}
 	for i := 0; i < 8; i++ {
 		mustExec(t, db, fmt.Sprintf(`CREATE CHRONICLE c%d (acct STRING, n INT) IN GROUP g%d RETAIN ALL`, i, i))
-		used[db.Router().ShardOfGroup(fmt.Sprintf("g%d", i))] = true
+		used[db.Engine().ShardOfGroup(fmt.Sprintf("g%d", i))] = true
 		mustExec(t, db, fmt.Sprintf(`APPEND INTO c%d VALUES ('a', %d)`, i, i))
 	}
 	if len(used) < 2 {
@@ -154,75 +108,4 @@ func TestShardedDurability(t *testing.T) {
 		t.Errorf("after checkpoint+tail: by_state(ny) = %v %v %v", row, ok, err)
 	}
 	db.Close()
-}
-
-// TestShardedReshard reopens the same directory under different shard
-// counts — 2 → 3 → unsharded → 4 — and the data must survive every
-// transition (recover old layout, checkpoint, rewrite the manifest).
-func TestShardedReshard(t *testing.T) {
-	dir := t.TempDir()
-	open := func(n int) *DB {
-		db, err := Open(Options{Dir: dir, Shards: n, RelationHistory: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
-	db := open(2)
-	mustExec(t, db, telecomDDL)
-	mustExec(t, db, `UPSERT INTO customers VALUES ('alice', 'nj')`)
-	mustExec(t, db, `APPEND INTO calls VALUES ('alice', 12, 1.5)`)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(db *DB, wantMinutes int64) {
-		t.Helper()
-		row, ok, err := db.Lookup("usage", Str("alice"))
-		if err != nil || !ok || row[1].AsInt() != wantMinutes {
-			t.Errorf("usage(alice) = %v %v %v, want minutes %d", row, ok, err, wantMinutes)
-		}
-	}
-
-	db = open(3)
-	check(db, 12)
-	mustExec(t, db, `APPEND INTO calls VALUES ('alice', 3, 0.5)`)
-	db.Close()
-
-	db = open(0) // back to the single-engine kernel
-	check(db, 15)
-	if db.Shards() != 0 {
-		t.Errorf("Shards() = %d", db.Shards())
-	}
-	if m, ok, err := wal.ReadManifest(dir); err != nil || !ok || m.Version != 2 || m.Shards != 0 {
-		t.Errorf("manifest after unsharded reopen = %+v %v %v (want v2, 0 shards)", m, ok, err)
-	}
-	mustExec(t, db, `APPEND INTO calls VALUES ('alice', 5, 0.5)`)
-	db.Close()
-
-	db = open(4)
-	check(db, 20)
-	if _, err := os.Stat(filepath.Join(dir, "chronicle.wal")); !os.IsNotExist(err) {
-		t.Errorf("legacy WAL still present after sharded reopen: %v", err)
-	}
-	db.Close()
-}
-
-// TestShardedBulkAppendRows covers the facade bulk path the HTTP /append
-// handler uses: every row its own transaction, one kernel crossing.
-func TestShardedBulkAppendRows(t *testing.T) {
-	db := shardedDB(t, 2)
-	mustExec(t, db, telecomDDL)
-	rows := make([]Row, 50)
-	for i := range rows {
-		rows[i] = Row{Str("alice"), Int(1), Float(0.5)}
-	}
-	first, last, err := db.AppendRows("calls", rows)
-	if err != nil || last-first != 49 {
-		t.Fatalf("AppendRows = %d..%d, %v", first, last, err)
-	}
-	row, ok, err := db.Lookup("usage", Str("alice"))
-	if err != nil || !ok || row[3].AsInt() != 50 {
-		t.Errorf("usage(alice) = %v %v %v", row, ok, err)
-	}
 }

@@ -9,9 +9,8 @@ import (
 	"chronicledb/internal/wal"
 )
 
-// Segmented storage layout (DESIGN.md §4f). The default layout replaces
-// the single grow-until-checkpoint WAL per shard with a chain of
-// size-capped segment files per stream, tracked by a version-2 manifest:
+// Segmented storage layout (DESIGN.md §4f): each WAL stream is a chain of
+// size-capped segment files, tracked by a version-2 manifest:
 //
 //   - Append rotates to a fresh segment when the active one would exceed
 //     Options.WALSegmentBytes. Rotation is crash-atomic: the old segment
@@ -40,11 +39,6 @@ const DefaultSegmentBytes int64 = 16 << 20
 // Options.CheckpointFullEvery is 0: every Nth checkpoint is full.
 const DefaultCheckpointFullEvery = 8
 
-// segmented reports whether the DB uses the rotated segment layout.
-func (db *DB) segmented() bool {
-	return db.opts.Dir != "" && db.opts.WALSegmentBytes >= 0
-}
-
 // segmentCap returns the active segment byte cap.
 func (db *DB) segmentCap() int64 {
 	if db.opts.WALSegmentBytes > 0 {
@@ -62,18 +56,14 @@ func (db *DB) fullEvery() int {
 }
 
 // streams returns the kernel's WAL stream names, in log-open order: one
-// per shard plus the relation stream when sharded, the single chronicle
-// stream otherwise.
+// per shard, then the relation stream.
 func (db *DB) streams() []string {
-	if db.router != nil {
-		n := db.router.NumShards()
-		s := make([]string, 0, n+1)
-		for i := 0; i < n; i++ {
-			s = append(s, wal.StreamName(i))
-		}
-		return append(s, wal.RelationStream)
+	n := db.eng.NumShards()
+	s := make([]string, 0, n+1)
+	for i := 0; i < n; i++ {
+		s = append(s, wal.StreamName(i))
 	}
-	return []string{wal.ChronicleStream}
+	return append(s, wal.RelationStream)
 }
 
 // syncPolicy maps Options to the WAL sync policy.
@@ -88,22 +78,18 @@ func (db *DB) syncPolicy() wal.SyncPolicy {
 	return policy
 }
 
-// openSegmented establishes the rotated layout after recovery: it opens
-// (or creates) the active segment of every stream, converts foreign
-// layouts — legacy single-file, v1 sharded, or a v2 manifest with a
-// different shard count — by folding everything recovered into a full
-// chain checkpoint and flipping to a fresh manifest, and sweeps any crash
-// leftovers. Replaces openLogs in segmented mode.
+// openSegmented opens the logs after recovery: it opens (or creates) the
+// active segment of every stream, converts a manifest written under a
+// different shard count by folding everything recovered into a full chain
+// checkpoint and flipping to a fresh manifest, and sweeps any crash
+// leftovers.
 func (db *DB) openSegmented(old wal.Manifest, hadManifest bool) error {
 	dir := db.opts.Dir
-	nshards := 0
-	if db.router != nil {
-		nshards = db.router.NumShards()
-	}
-	convert := !hadManifest || old.Version != 2 || old.Shards != nshards
+	nshards := db.eng.NumShards()
+	convert := !hadManifest || old.Shards != nshards
 	var man wal.Manifest
 	if convert {
-		man = wal.Manifest{Version: 2, Shards: nshards}
+		man = wal.Manifest{Version: wal.ManifestVersion, Shards: nshards}
 	} else {
 		man = old.Clone()
 	}
@@ -116,7 +102,7 @@ func (db *DB) openSegmented(old wal.Manifest, hadManifest bool) error {
 	// Create the active segment of any stream that lacks one, durably,
 	// BEFORE the manifest flip that will reference it. Truncation clears a
 	// leftover with the same name (a conversion can reuse a file name from
-	// the old layout; its records were recovered above and are preserved
+	// the old manifest; its records were recovered above and are preserved
 	// by the conversion checkpoint below).
 	var created []wal.Segment
 	for _, stream := range db.streams() {
@@ -148,12 +134,12 @@ func (db *DB) openSegmented(old wal.Manifest, hadManifest bool) error {
 
 	if convert {
 		// Fold everything just recovered into a full chain checkpoint, so
-		// the old layout's files stop being needed the instant the flip
+		// the old manifest's files stop being needed the instant the flip
 		// lands. A brand-new directory (nothing recovered) skips this and
 		// starts with an empty chain. Open is single-threaded, so no
 		// barrier or quiesce is needed for an exact cut.
 		if db.catalogSynced || hadManifest || db.eng.LSN() > 0 {
-			data, lsn, marks, _, commits, err := db.buildCheckpointImage(4, true)
+			data, lsn, marks, _, commits, err := db.buildCheckpointImage(true, false)
 			if err != nil {
 				return fmt.Errorf("chronicledb: conversion checkpoint: %w", err)
 			}
@@ -184,7 +170,7 @@ func (db *DB) openSegmented(old wal.Manifest, hadManifest bool) error {
 	db.commitBlockRefs(ckptName, ckptCommits)
 
 	if convert {
-		// The flip dropped the old layout; its files are now unreferenced.
+		// The flip dropped the old manifest; its files are now unreferenced.
 		keep := make(map[string]bool, len(man.Live)+len(man.Checkpoints))
 		for _, s := range man.Live {
 			keep[s.Name] = true
@@ -192,15 +178,12 @@ func (db *DB) openSegmented(old wal.Manifest, hadManifest bool) error {
 		for _, c := range man.Checkpoints {
 			keep[c.Name] = true
 		}
-		stale := []string{"chronicle.wal", "checkpoint.bin"}
-		if hadManifest {
-			stale = append(stale, old.Segments...)
-			for _, s := range old.Live {
-				stale = append(stale, s.Name)
-			}
-			for _, c := range old.Checkpoints {
-				stale = append(stale, c.Name)
-			}
+		var stale []string
+		for _, s := range old.Live {
+			stale = append(stale, s.Name)
+		}
+		for _, c := range old.Checkpoints {
+			stale = append(stale, c.Name)
 		}
 		removed := false
 		for _, name := range stale {
@@ -244,7 +227,7 @@ func (db *DB) openSegmented(old wal.Manifest, hadManifest bool) error {
 
 // commitBlockRefs applies the pending block-ref commits of a just-flipped
 // checkpoint and records the cut's block counts for stats. A nil/empty
-// commits list (no paged views, or a legacy-format image) resets nothing.
+// commits list (no paged views) resets nothing.
 func (db *DB) commitBlockRefs(file string, commits []blockCommit) {
 	if len(commits) == 0 {
 		return
@@ -297,7 +280,7 @@ func (db *DB) rotateManifest(sealed, next wal.Segment) error {
 // sweepOrphans deletes storage files in the data directory that the
 // current manifest does not reference: segments or checkpoints created
 // just before a crash that never got their flip, atomic-write temp files,
-// and layout leftovers whose deletion did not complete. Skipped under
+// and conversion leftovers whose deletion did not complete. Skipped under
 // NoCompact, whose whole point is keeping superseded files around.
 func (db *DB) sweepOrphans() {
 	if db.opts.NoCompact {
@@ -336,8 +319,7 @@ func (db *DB) sweepOrphans() {
 
 // writeSegmentedCheckpoint cuts a checkpoint image, appends it to the
 // chain, flips the manifest, and compacts. The caller must have quiesced
-// mutations (router barrier, engine quiesce, or single-threaded Open) and
-// hold db.mu.
+// mutations (router barrier or single-threaded Open) and hold db.mu.
 //
 // Full-vs-incremental policy: the first checkpoint after open is full (no
 // marks yet), DDL since the last cut forces full (a dropped — or dropped
@@ -355,7 +337,7 @@ func (db *DB) writeSegmentedCheckpoint() error {
 			db.ddlDirty.Store(true)
 		}
 	}
-	data, lsn, marks, dirty, commits, err := db.buildCheckpointImage(4, full)
+	data, lsn, marks, dirty, commits, err := db.buildCheckpointImage(full, false)
 	if err != nil {
 		restoreDDL()
 		return err
@@ -390,8 +372,9 @@ func (db *DB) writeSegmentedCheckpoint() error {
 	if !db.opts.NoCompact {
 		live := newMan.Live[:0]
 		for _, s := range newMan.Live {
-			// Conservative: legacy zero-LSN records leave MaxLSN 0, which
-			// only an empty segment may match — never reclaim those.
+			// Conservative: a segment sealed before this process appended to
+			// it reports MaxLSN 0, which only an empty segment may match —
+			// never reclaim those.
 			if s.Sealed && (s.Bytes == 0 || (s.MaxLSN > 0 && s.MaxLSN <= lsn)) {
 				drop = append(drop, s.Name)
 				reclaimedBytes += s.Bytes

@@ -1,6 +1,7 @@
 package chronicledb
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -195,89 +196,132 @@ func TestCheckpointSkipsWhenIdle(t *testing.T) {
 	}
 }
 
-// TestLayoutConversions reopens one directory across legacy unsharded,
-// segmented, legacy sharded (v1), and back, checking data survival and
-// that each layout's files fully replace the previous one's.
+// TestLayoutConversions reopens one directory under shard counts 1 → 4 → 2
+// → 1, checking data survival and that each count's stream files fully
+// replace the previous one's.
 func TestLayoutConversions(t *testing.T) {
 	dir := t.TempDir()
-	open := func(shards int, segBytes int64) *DB {
-		t.Helper()
-		db, err := Open(Options{Dir: dir, Shards: shards, WALSegmentBytes: segBytes})
+	var want, cnt int64
+	for step, shards := range []int{1, 4, 2, 1} {
+		db, err := Open(Options{Dir: dir, Shards: shards, WALSegmentBytes: 512})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("step %d (%d shards): %v", step, shards, err)
 		}
-		return db
-	}
-	exists := func(name string) bool {
-		_, err := os.Stat(filepath.Join(dir, name))
-		return err == nil
-	}
-
-	// Legacy unsharded: classic chronicle.wal, no manifest.
-	db := open(0, -1)
-	mustExec(t, db, storageDDL)
-	var want int64
-	for i := int64(1); i <= 30; i++ {
-		if _, err := db.Append("items", Tuple{Str("a"), Int(i)}); err != nil {
-			t.Fatal(err)
+		if step == 0 {
+			mustExec(t, db, storageDDL)
+		} else if total, n := lookupTotals(t, db, "a"); total != want || n != cnt {
+			t.Fatalf("step %d (%d shards): recovered %d/%d, want %d/%d", step, shards, total, n, want, cnt)
 		}
-		want += i
-	}
-	db.Close()
-	if !exists("chronicle.wal") || exists(wal.ManifestName) {
-		t.Fatal("legacy layout not established")
-	}
+		for i := int64(1); i <= 30; i++ {
+			if _, err := db.Append("items", Tuple{Str("a"), Int(i)}); err != nil {
+				t.Fatal(err)
+			}
+			want += i
+			cnt++
+		}
+		db.Close()
 
-	// → segmented: conversion folds everything into a chain checkpoint and
-	// removes the legacy files.
-	db = open(0, 512)
-	if total, cnt := lookupTotals(t, db, "a"); total != want || cnt != 30 {
-		t.Fatalf("after legacy→segmented: %d/%d, want %d/30", total, cnt, want)
-	}
-	if _, err := db.Append("items", Tuple{Str("a"), Int(7)}); err != nil {
-		t.Fatal(err)
-	}
-	want += 7
-	db.Close()
-	if exists("chronicle.wal") || exists("checkpoint.bin") {
-		t.Error("legacy files survived conversion to segmented")
-	}
-	if m, ok, _ := wal.ReadManifest(dir); !ok || m.Version != 2 || len(m.Checkpoints) == 0 {
-		t.Errorf("segmented manifest after conversion = %+v %v", m, ok)
-	}
-
-	// → legacy sharded (v1): conversion checkpoints into checkpoint.bin
-	// and replaces the v2 manifest with a v1 one.
-	db = open(2, -1)
-	if total, cnt := lookupTotals(t, db, "a"); total != want || cnt != 31 {
-		t.Fatalf("after segmented→v1: %d/%d, want %d/31", total, cnt, want)
-	}
-	if _, err := db.Append("items", Tuple{Str("a"), Int(3)}); err != nil {
-		t.Fatal(err)
-	}
-	want += 3
-	db.Close()
-	if m, ok, _ := wal.ReadManifest(dir); !ok || m.Version != 1 || m.Shards != 2 {
-		t.Errorf("v1 manifest after conversion = %+v %v", m, ok)
-	}
-	if !exists("checkpoint.bin") {
-		t.Error("no checkpoint.bin after conversion to legacy sharded")
-	}
-	entries, _ := os.ReadDir(dir)
-	for _, e := range entries {
-		if strings.Contains(e.Name(), "-0000000") {
-			t.Errorf("segmented file %s survived conversion to v1", e.Name())
+		m, ok, err := wal.ReadManifest(dir)
+		if err != nil || !ok || m.Shards != shards {
+			t.Fatalf("step %d: manifest = %+v %v %v, want %d shards", step, m, ok, err, shards)
+		}
+		if step > 0 && len(m.Checkpoints) == 0 {
+			t.Errorf("step %d: conversion left no chain checkpoint", step)
+		}
+		streams := map[string]bool{wal.RelationStream: true}
+		for i := 0; i < shards; i++ {
+			streams[wal.StreamName(i)] = true
+		}
+		for _, seg := range m.Live {
+			if !streams[seg.Stream] {
+				t.Errorf("step %d: manifest keeps segment %s of a stream %d shards do not have", step, seg.Name, shards)
+			}
+		}
+		// Everything on disk is referenced: the previous count's files are gone.
+		ref := map[string]bool{wal.ManifestName: true, "catalog.sql": true}
+		for _, seg := range m.Live {
+			ref[seg.Name] = true
+		}
+		for _, c := range m.Checkpoints {
+			ref[c.Name] = true
+		}
+		entries, _ := os.ReadDir(dir)
+		for _, e := range entries {
+			if !ref[e.Name()] {
+				t.Errorf("step %d: %s survived the conversion to %d shards", step, e.Name(), shards)
+			}
 		}
 	}
+}
 
-	// → segmented sharded: v1 folds into a fresh chain.
-	db = open(2, 512)
-	if total, cnt := lookupTotals(t, db, "a"); total != want || cnt != 32 {
-		t.Fatalf("after v1→segmented: %d/%d, want %d/32", total, cnt, want)
+// TestOpenRejectsWhatItNoLongerReads: input this version has no reader for
+// is refused by name — never converted, and never started empty over.
+func TestOpenRejectsWhatItNoLongerReads(t *testing.T) {
+	plant := func(name, content string) func(string) error {
+		return func(dir string) error { return os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644) }
 	}
-	db.Close()
-	if exists(wal.SegmentName(0)) || exists(wal.RelationSegment) || exists("checkpoint.bin") {
-		t.Error("v1 files survived conversion to segmented")
+	cases := []struct {
+		name    string
+		opts    Options
+		prepare func(dir string) error
+		is      error  // errors.Is target, when the error is a named one
+		says    string // substring of the message
+	}{
+		{name: "chronicle.wal", prepare: plant("chronicle.wal", "old"), is: ErrUnsupportedLayout, says: "chronicle.wal"},
+		{name: "checkpoint.bin", prepare: plant("checkpoint.bin", "old"), is: ErrUnsupportedLayout, says: "checkpoint.bin"},
+		{name: "shard-NNNN.wal", prepare: plant("shard-0001.wal", "old"), is: ErrUnsupportedLayout, says: "shard-0001.wal"},
+		{name: "relations.wal", prepare: plant("relations.wal", "old"), is: ErrUnsupportedLayout, says: "relations.wal"},
+		{name: "manifest version 1", prepare: plant(wal.ManifestName, `{"version":1,"shards":2}`), is: ErrUnsupportedLayout, says: "manifest version 1"},
+		{name: "checkpoint image version 3", says: "unsupported checkpoint version 3", prepare: func(dir string) error {
+			path := filepath.Join(dir, wal.CheckpointFileName(1))
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			data[4] = 3
+			return os.WriteFile(path, data, 0o644)
+		}},
+		{name: "negative Shards", opts: Options{Shards: -1}, says: "Options.Shards"},
+		{name: "negative WALSegmentBytes", opts: Options{WALSegmentBytes: -1}, says: "Options.WALSegmentBytes"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// A database with one checkpoint, to plant files into and to corrupt.
+			dir := t.TempDir()
+			db, err := Open(Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustExec(t, db, storageDDL)
+			if _, err := db.Append("items", Tuple{Str("a"), Int(1)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			db.Close()
+			if tc.prepare != nil {
+				if err := tc.prepare(dir); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before, _ := os.ReadDir(dir)
+			tc.opts.Dir = dir
+			db, err = Open(tc.opts)
+			if err == nil {
+				db.Close()
+				t.Fatal("Open accepted it")
+			}
+			if tc.is != nil && !errors.Is(err, tc.is) {
+				t.Errorf("error %q is not %q", err, tc.is)
+			}
+			if !strings.Contains(err.Error(), tc.says) {
+				t.Errorf("error %q does not say %q", err, tc.says)
+			}
+			if after, _ := os.ReadDir(dir); len(after) != len(before) {
+				t.Errorf("the refused Open changed the directory: %d entries before, %d after", len(before), len(after))
+			}
+		})
 	}
 }
 
