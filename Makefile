@@ -93,13 +93,16 @@ maint-stress:
 # pins that appending with 64 views sharing one σ prefix stays on the
 # single-view allocation budget (the shared-delta fan-out adds zero
 # allocs/op) and that the shared plan's hit counter grows ≥ V-1 per
-# batch; the structural guard pins that a 64-row call publishes each touched
-# view exactly once; the benchmark prints maint-ns/append across view counts
-# for the shared vs duplicated shapes, and B/op of a 64-row call against a
-# 20 000-group B-tree view (per-row copy-on-write would show there).
+# batch; the structural guards pin that a 64-row call is one maintenance
+# round — each view visited, folded and published exactly once, not once per
+# row; the benchmark prints maint-ns/append across view counts
+# for the shared vs duplicated shapes, B/op of a 64-row call against a
+# 20 000-group B-tree view (per-row copy-on-write would show there), and the
+# cost of a 1 000-row load call of new groups into 64 views (the suite's
+# set-up shape; per-row rounds would show there).
 # -count=1 defeats caching — the guards must run.
 bench-maint:
-	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestMaintPublishesOncePerCall' -v .
+	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall' -v .
 	$(GO) test -run=NONE -bench 'BenchmarkMaintainFanout' -benchmem -benchtime 50x .
 
 # check is the gate for every change: static analysis plus the full suite

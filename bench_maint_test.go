@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	chronicledb "chronicledb"
+	"chronicledb/internal/engine"
 	"chronicledb/internal/view"
 )
 
@@ -42,6 +43,20 @@ func fanoutDB(tb testing.TB, shape string, V int) *chronicledb.DB {
 		}
 	}
 	return db
+}
+
+// fanoutViews returns the handles of fanoutDB's views v0..v(V-1).
+func fanoutViews(tb testing.TB, db *chronicledb.DB, V int) []*view.View {
+	tb.Helper()
+	views := make([]*view.View, V)
+	for i := range views {
+		v, ok := db.View(fmt.Sprintf("v%d", i))
+		if !ok {
+			tb.Fatalf("view v%d missing", i)
+		}
+		views[i] = v
+	}
+	return views
 }
 
 // fanoutTuple passes every filter of both shapes (minutes = 1000 ≥ 255), so
@@ -75,6 +90,39 @@ func BenchmarkMaintainFanout(b *testing.B) {
 		}
 	}
 	b.Run("call64/btree=20000", benchCall64)
+	b.Run("load1000", benchLoad1000)
+}
+
+// benchLoad1000 is the shape of the benchmark suite's set-up: 1 000-row
+// AppendRows calls, every row a group no view holds yet, into the 64-view
+// fan-out — 20 calls into an empty database, then over again. One iteration
+// is one call, so ns/op ÷ 1000 is the load cost per row across 64 views.
+func benchLoad1000(b *testing.B) {
+	const callK, callsPerDB = 1000, 20
+	calls := make([][]chronicledb.Tuple, callsPerDB)
+	for i := range calls {
+		calls[i] = make([]chronicledb.Tuple, callK)
+		for j := range calls[i] {
+			calls[i][j] = chronicledb.Tuple{chronicledb.Str(fmt.Sprintf("acct%05d", i*callK+j)), chronicledb.Int(1000)}
+		}
+	}
+	var db *chronicledb.DB
+	defer func() { db.Close() }()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%callsPerDB == 0 {
+			b.StopTimer()
+			if db != nil {
+				db.Close()
+			}
+			db = fanoutDB(b, "shared", 64)
+			b.StartTimer()
+		}
+		if _, _, err := db.AppendRows("calls", calls[i%callsPerDB]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // benchCall64 is one 64-row AppendRows call against a 20 000-group B-tree
@@ -126,22 +174,15 @@ func benchCall64(b *testing.B) {
 }
 
 // TestMaintPublishesOncePerCall is the structural guard of call-scoped
-// publication: one AppendRows call of 64 rows into the 64-view fan-out folds
-// 64 times into every view and publishes each exactly once — and so does a
-// multi-tuple Append, and a call that touches a view with only some of its
-// rows. A per-row publication coming back shows here as 64.
+// publication: one AppendRows call of 64 rows into the 64-view fan-out
+// publishes every view exactly once — and so does a multi-tuple Append, and a
+// call that touches a view with only some of its rows. A per-row publication
+// coming back shows here as 64.
 func TestMaintPublishesOncePerCall(t *testing.T) {
 	const V, callK = 64, 64
 	db := fanoutDB(t, "duplicated", V) // view i keeps minutes >= i
 	defer db.Close()
-	views := make([]*view.View, V)
-	for i := range views {
-		v, ok := db.View(fmt.Sprintf("v%d", i))
-		if !ok {
-			t.Fatalf("view v%d missing", i)
-		}
-		views[i] = v
-	}
+	views := fanoutViews(t, db, V)
 	publishes := func() []int64 {
 		out := make([]int64, V)
 		for i, v := range views {
@@ -185,6 +226,71 @@ func TestMaintPublishesOncePerCall(t *testing.T) {
 		}
 		if got := after - before[i]; got != want {
 			t.Errorf("half call: view v%d published %d times, want %d", i, got, want)
+		}
+	}
+}
+
+// TestMaintFoldsOncePerCall is the structural guard of call-scoped folding:
+// one AppendRows call of 64 rows into the 64-view fan-out is ONE maintenance
+// round — each affected view is visited once (not once per row), folds once
+// the rows that pass its σ, and publishes once; the rows are still 64 append
+// transactions. A per-row round coming back shows here as ×64.
+func TestMaintFoldsOncePerCall(t *testing.T) {
+	const V, callK = 64, 64
+	db := fanoutDB(t, "duplicated", V) // view i keeps minutes >= i
+	defer db.Close()
+	views := fanoutViews(t, db, V)
+	stats := func() (engine.Stats, []view.Stats) {
+		out := make([]view.Stats, V)
+		for i, v := range views {
+			out[i] = v.Stats()
+		}
+		return db.Stats(), out
+	}
+	// Row j carries minutes = j, so view i keeps the callK-i rows with j >= i.
+	tuples := make([]chronicledb.Tuple, callK)
+	for j := range tuples {
+		tuples[j] = chronicledb.Tuple{chronicledb.Str(fmt.Sprintf("acct%d", j%8)), chronicledb.Int(int64(j))}
+	}
+	for _, tc := range []struct {
+		name string
+		rows int
+		call func(rows []chronicledb.Tuple) error
+	}{
+		{"AppendRows", callK, func(rows []chronicledb.Tuple) error { _, _, err := db.AppendRows("calls", rows); return err }},
+		{"AppendRowsIdem", callK, func(rows []chronicledb.Tuple) error {
+			_, _, _, err := db.AppendRowsIdem("calls", rows, "c", "r")
+			return err
+		}},
+		// The first half of the rows passes the σ of the first half of the
+		// views only; the rest are dispatched (they depend on the chronicle)
+		// and fold an empty delta, which leaves nothing to publish.
+		{"half AppendRows", callK / 2, func(rows []chronicledb.Tuple) error { _, _, err := db.AppendRows("calls", rows); return err }},
+	} {
+		db0, v0 := stats()
+		if err := tc.call(tuples[:tc.rows]); err != nil {
+			t.Fatal(err)
+		}
+		db1, v1 := stats()
+		if got := db1.ViewsMaintained - db0.ViewsMaintained; got != V {
+			t.Errorf("%s: ViewsMaintained rose by %d, want %d (one per affected view per call)", tc.name, got, V)
+		}
+		if got := db1.Appends - db0.Appends; got != int64(tc.rows) {
+			t.Errorf("%s: Appends rose by %d, want %d (a tuple is still its own transaction)", tc.name, got, tc.rows)
+		}
+		for i := range views {
+			want := view.Stats{Applies: 1}
+			if i < tc.rows {
+				want = view.Stats{Applies: 1, DeltaRows: int64(tc.rows - i), Publishes: 1}
+			}
+			got := view.Stats{
+				Applies:   v1[i].Applies - v0[i].Applies,
+				DeltaRows: v1[i].DeltaRows - v0[i].DeltaRows,
+				Publishes: v1[i].Publishes - v0[i].Publishes,
+			}
+			if got != want {
+				t.Errorf("%s: view v%d folded %+v, want %+v", tc.name, i, got, want)
+			}
 		}
 	}
 }

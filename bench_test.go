@@ -307,7 +307,7 @@ func BenchmarkE7_DispatchVsViewCount(b *testing.B) {
 			register(d)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d.Affected(c, rows, 0)
+				d.Affected(c, rows)
 			}
 		})
 		b.Run(fmt.Sprintf("N=%d/linear", n), func(b *testing.B) {
@@ -315,7 +315,7 @@ func BenchmarkE7_DispatchVsViewCount(b *testing.B) {
 			register(d)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d.Affected(c, rows, 0)
+				d.Affected(c, rows)
 			}
 		})
 	}
@@ -336,11 +336,11 @@ func BenchmarkE8_PeriodicLifecycle(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d, _, err := w.NextCall()
+				d, _, err := w.NextCallAt(int64(i / 200 * 1000))
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := pv.Apply(d, int64(i/200*1000)); err != nil {
+				if err := pv.Apply(d); err != nil {
 					b.Fatal(err)
 				}
 			}

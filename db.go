@@ -625,8 +625,8 @@ func (db *DB) Shards() int { return db.eng.NumShards() }
 // Stats returns engine counters, summed across shards.
 func (db *DB) Stats() engine.Stats { return db.eng.Stats() }
 
-// MaintenanceLatency returns the per-append view maintenance latency
-// distribution, merged across shards.
+// MaintenanceLatency returns the view maintenance latency distribution,
+// one observation per append call, merged across shards.
 func (db *DB) MaintenanceLatency() stats.Snapshot { return db.eng.MaintenanceLatency() }
 
 // WALStats aggregates durability counters across every open WAL segment,

@@ -2,16 +2,21 @@ package algebra
 
 import (
 	"fmt"
-	"sort"
 
 	"chronicledb/internal/aggregate"
 	"chronicledb/internal/chronicle"
 	"chronicledb/internal/value"
 )
 
-// BatchDelta is the set of rows inserted into base chronicles by one
-// simultaneous append (one sequence number). Chronicles not present have an
-// empty delta.
+// BatchDelta is the rows one append call inserted into base chronicles: per
+// chronicle, in ascending SN order — one SN for a simultaneous append, many
+// for a call of per-tuple transactions. Rows sharing an SN share its chronon
+// and LSN. Chronicles not present have an empty delta.
+//
+// The order rule: every Δ-rule keys on the sequencing attribute, so the delta
+// of a call is the concatenation of its per-SN deltas, row for row, and every
+// operator's output is again ascending in SN. FIRST/LAST aggregates and the
+// changefeed's per-LSN frames depend on that order, not just on the set.
 type BatchDelta map[*chronicle.Chronicle][]chronicle.Row
 
 // Delta computes the rows this append adds to the expression's output — the
@@ -26,7 +31,7 @@ type BatchDelta map[*chronicle.Chronicle][]chronicle.Row
 //
 //	σ:      Δ = σ(ΔE)
 //	Π:      Δ = Π(ΔE)
-//	∪:      Δ = ΔE₁ ∪ ΔE₂        (dedup within the batch)
+//	∪:      Δ = ΔE₁ ∪ ΔE₂        (merged by SN, dedup within the batch)
 //	−:      Δ = ΔE₁ − ΔE₂        (within the batch)
 //	⋈SN:    Δ = ΔE₁ ⋈ ΔE₂        (old⋈new terms empty: SNs are fresh)
 //	γ(SN):  group the batch only  (new SNs form brand-new groups)
@@ -53,7 +58,7 @@ func Delta(n Node, d BatchDelta) []chronicle.Row {
 		}
 		return out
 	case *Union:
-		return dedupRows(append(append([]chronicle.Row(nil), Delta(n.L, d)...), Delta(n.R, d)...))
+		return unionRows(Delta(n.L, d), Delta(n.R, d))
 	case *Diff:
 		return diffRows(Delta(n.L, d), Delta(n.R, d))
 	case *JoinSN:
@@ -174,6 +179,23 @@ func rowKey(r chronicle.Row) string {
 	return fmt.Sprintf("%d|%s", r.SN, r.Vals.FullKey())
 }
 
+// unionRows is l ∪ r under set semantics in SN order: a stable merge by SN —
+// an SN's l-rows before its r-rows, which is what the union of that SN alone
+// yields — then dedup. Concatenating l and r would interleave the SNs of a
+// multi-SN batch out of order.
+func unionRows(l, r []chronicle.Row) []chronicle.Row {
+	out := make([]chronicle.Row, 0, len(l)+len(r))
+	for len(l) > 0 && len(r) > 0 {
+		if r[0].SN < l[0].SN {
+			out, r = append(out, r[0]), r[1:]
+		} else {
+			out, l = append(out, l[0]), l[1:]
+		}
+	}
+	out = append(append(out, l...), r...)
+	return dedupRows(out)
+}
+
 // dedupRows removes duplicate (SN, tuple) pairs, keeping first occurrences
 // in order.
 func dedupRows(rows []chronicle.Row) []chronicle.Row {
@@ -236,7 +258,9 @@ func joinSN(l, r []chronicle.Row) []chronicle.Row {
 // groupBySN groups rows by (SN, GroupCols) and aggregates. Because grouping
 // includes the sequencing attribute and batch SNs are fresh, the groups are
 // complete within the batch ("the new inserted tuples form one or more
-// brand new groups" — proof of Theorem 4.2).
+// brand new groups" — proof of Theorem 4.2). Groups come out in the order
+// their first rows arrive: the input ascends in SN, so that is SN order, then
+// encounter order within an SN.
 func groupBySN(n *GroupBySN, in []chronicle.Row) []chronicle.Row {
 	if len(in) == 0 {
 		return nil
@@ -244,17 +268,18 @@ func groupBySN(n *GroupBySN, in []chronicle.Row) []chronicle.Row {
 	type grp struct {
 		first  chronicle.Row
 		states []aggregate.State
-		order  int
 	}
-	groups := make(map[string]*grp)
+	index := make(map[string]int)
+	var groups []grp
 	for _, r := range in {
 		k := fmt.Sprintf("%d|%s", r.SN, r.Vals.Key(n.GroupCols))
-		g, ok := groups[k]
+		i, ok := index[k]
 		if !ok {
-			g = &grp{first: r, states: aggregate.NewStates(n.Aggs), order: len(groups)}
-			groups[k] = g
+			i = len(groups)
+			index[k] = i
+			groups = append(groups, grp{first: r, states: aggregate.NewStates(n.Aggs)})
 		}
-		aggregate.Apply(g.states, n.Aggs, r.Vals)
+		aggregate.Apply(groups[i].states, n.Aggs, r.Vals)
 	}
 	out := make([]chronicle.Row, 0, len(groups))
 	for _, g := range groups {
@@ -263,25 +288,5 @@ func groupBySN(n *GroupBySN, in []chronicle.Row) []chronicle.Row {
 		vals = append(vals, aggregate.Results(g.states)...)
 		out = append(out, chronicle.Row{SN: g.first.SN, Chronon: g.first.Chronon, LSN: g.first.LSN, Vals: vals})
 	}
-	// Deterministic output order: by SN, then group-key encounter order.
-	orderOf := func(r chronicle.Row) int {
-		return groups[fmt.Sprintf("%d|%s", r.SN, keyOfOutput(n, r))].order
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].SN != out[j].SN {
-			return out[i].SN < out[j].SN
-		}
-		return orderOf(out[i]) < orderOf(out[j])
-	})
 	return out
-}
-
-// keyOfOutput reconstructs the group key of an output row, whose leading
-// columns are exactly the grouping columns.
-func keyOfOutput(n *GroupBySN, r chronicle.Row) string {
-	idx := make([]int, len(n.GroupCols))
-	for i := range idx {
-		idx[i] = i
-	}
-	return r.Vals.Key(idx)
 }

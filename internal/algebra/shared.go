@@ -307,7 +307,7 @@ func (p *SharedPlan) eval(n *PlanNode, d BatchDelta) []chronicle.Row {
 		n.buf, n.rows = out, out
 	case *Union:
 		l, r := p.eval(n.children[0], d), p.eval(n.children[1], d)
-		n.rows = dedupRows(append(append([]chronicle.Row(nil), l...), r...))
+		n.rows = unionRows(l, r)
 	case *Diff:
 		l, r := p.eval(n.children[0], d), p.eval(n.children[1], d)
 		n.rows = diffRows(l, r)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"chronicledb/internal/aggregate"
+	"chronicledb/internal/chronicle"
 	"chronicledb/internal/pred"
 	"chronicledb/internal/value"
 )
@@ -266,5 +267,87 @@ func TestSharedPlanZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs > 0.5 {
 		t.Errorf("σ/Π shared eval allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestCallDeltaIsPerSNDeltasInOrder is the gate for the order rule of the
+// multi-SN BatchDelta: for random CA expressions (every operator: ∪, −, ⋈SN,
+// γ(SN), ⋈R and ×R included) and random calls of several appends — one tuple,
+// several tuples sharing an SN, or both chronicles at once, with relation
+// updates in between — the delta of the whole call, from Delta and from the
+// shared plan alike, is the concatenation of the per-SN deltas ROW FOR ROW:
+// same rows, same order, same SN/chronon/LSN stamps. FIRST/LAST views and the
+// changefeed's per-LSN frames depend on the order, not just on the set.
+func TestCallDeltaIsPerSNDeltasInOrder(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			f := newFixture(t)
+			f.upsertCust(t, "a", "nj", 500)
+			f.upsertCust(t, "b", "ny", 0)
+
+			exprs := make([]Node, 6)
+			p := NewSharedPlan()
+			for i := range exprs {
+				exprs[i] = randomExpr(rng, f, 3)
+				p.AddView(fmt.Sprintf("v%d", i), exprs[i])
+			}
+			acct := func() string { return string(rune('a' + rng.Intn(3))) }
+			for call := 0; call < 12; call++ {
+				batch := BatchDelta{}
+				perSN := make([][]chronicle.Row, len(exprs))
+				for k := 1 + rng.Intn(9); k > 0; k-- {
+					var d BatchDelta
+					switch rng.Intn(4) {
+					case 0:
+						d = f.appendBoth(t, acct(), int64(rng.Intn(80)), int64(rng.Intn(40)))
+					case 1: // several tuples (a repeat among them) under one SN
+						a := acct()
+						rows, err := f.calls.Append(f.group.NextSN(), f.group.NextSN()*1000, f.nextLSN(), []value.Tuple{
+							{value.Str(a), value.Int(int64(rng.Intn(80)))},
+							{value.Str(acct()), value.Int(int64(rng.Intn(80)))},
+							{value.Str(a), value.Int(int64(rng.Intn(3)))},
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						d = BatchDelta{f.calls: rows}
+					default:
+						d = f.appendCall(t, acct(), int64(rng.Intn(80)))
+					}
+					for i, e := range exprs {
+						perSN[i] = append(perSN[i], Delta(e, d)...)
+					}
+					for c, rows := range d {
+						batch[c] = append(batch[c], rows...)
+					}
+					if rng.Intn(4) == 0 { // a relation version between two SNs of the call
+						f.upsertCust(t, acct(), []string{"nj", "ny", "ca"}[rng.Intn(3)], int64(rng.Intn(100)))
+					}
+				}
+				p.BeginBatch()
+				for i, e := range exprs {
+					label := fmt.Sprintf("call %d expr %d (%s)", call, i, e)
+					sameRowsInOrder(t, label+": Delta", Delta(e, batch), perSN[i])
+					got, _ := p.DeltaFor(fmt.Sprintf("v%d", i), batch)
+					sameRowsInOrder(t, label+": SharedPlan", got, perSN[i])
+				}
+			}
+		})
+	}
+}
+
+func sameRowsInOrder(t *testing.T, label string, got, want []chronicle.Row) {
+	t.Helper()
+	show := func(rows []chronicle.Row) string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = fmt.Sprintf("sn=%d ch=%d lsn=%d %s", r.SN, r.Chronon, r.LSN, r.Vals)
+		}
+		return fmt.Sprint(out)
+	}
+	if g, w := show(got), show(want); g != w {
+		t.Fatalf("%s: the call's delta is not its per-SN deltas in order\ngot:  %s\nwant: %s", label, g, w)
 	}
 }

@@ -228,7 +228,7 @@ func RunE7(cfg Config) (*Table, error) {
 		const probes = 5_000
 		start := time.Now()
 		for i := 0; i < probes; i++ {
-			indexed.Affected(c, rows, 0)
+			indexed.Affected(c, rows)
 		}
 		idxNs := float64(time.Since(start).Nanoseconds()) / probes
 
@@ -238,7 +238,7 @@ func RunE7(cfg Config) (*Table, error) {
 		}
 		start = time.Now()
 		for i := 0; i < linProbes; i++ {
-			linear.Affected(c, rows, 0)
+			linear.Affected(c, rows)
 		}
 		linNs := float64(time.Since(start).Nanoseconds()) / float64(linProbes)
 
@@ -286,12 +286,11 @@ func RunE8(cfg Config) (*Table, error) {
 			total := nPeriods * perPeriod
 			start := time.Now()
 			for i := 0; i < total; i++ {
-				d, _, err := w.NextCall()
+				d, _, err := w.NextCallAt(int64(i / perPeriod * 1000))
 				if err != nil {
 					return nil, err
 				}
-				ch := int64(i / perPeriod * 1000)
-				if err := pv.Apply(d, ch); err != nil {
+				if err := pv.Apply(d); err != nil {
 					return nil, err
 				}
 			}

@@ -72,10 +72,15 @@ func (w *Telecom) FillCustomers(n int) error {
 
 // NextCall appends one pseudo-random call and returns its batch delta.
 func (w *Telecom) NextCall() (algebra.BatchDelta, int64, error) {
+	return w.NextCallAt(int64(w.Group.NextSN())) // 1 chronon per sequence number
+}
+
+// NextCallAt is NextCall with the call's chronon chosen by the caller
+// (periodic families read the chronon off the rows).
+func (w *Telecom) NextCallAt(chronon int64) (algebra.BatchDelta, int64, error) {
 	acct := Acct(w.rng.Intn(w.nAcct))
 	minutes := int64(w.rng.Intn(120))
 	w.lsn++
-	chronon := int64(w.Group.NextSN()) // 1 chronon per sequence number
 	rows, err := w.Calls.Append(w.Group.NextSN(), chronon, w.lsn,
 		[]value.Tuple{{value.Str(acct), value.Int(minutes), value.Float(float64(minutes) * 0.25)}})
 	if err != nil {

@@ -37,6 +37,11 @@ type Calendar interface {
 	// IntervalsAt returns every interval containing ch, in ascending Start
 	// order. For non-overlapping calendars this is at most one interval.
 	IntervalsAt(ch int64) []Interval
+	// SpanAt returns the widest chronon range [lo, hi) around ch on which
+	// IntervalsAt answers as it does at ch: the set changes only where some
+	// interval starts or ends. Maintenance asks once per run of rows inside
+	// the range instead of once per row.
+	SpanAt(ch int64) (lo, hi int64)
 	// String describes the calendar.
 	String() string
 }
@@ -75,6 +80,22 @@ func (f *Fixed) IntervalsAt(ch int64) []Interval {
 		}
 	}
 	return out
+}
+
+// SpanAt returns the nearest interval boundaries at or below and above ch.
+func (f *Fixed) SpanAt(ch int64) (lo, hi int64) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	for _, iv := range f.ivs {
+		for _, b := range [2]int64{iv.Start, iv.End} {
+			if b <= ch && b > lo {
+				lo = b
+			}
+			if b > ch && b < hi {
+				hi = b
+			}
+		}
+	}
+	return lo, hi
 }
 
 // Intervals returns the calendar's intervals in Start order.
@@ -130,6 +151,22 @@ func (p *Periodic) IntervalsAt(ch int64) []Interval {
 		}
 	}
 	return out
+}
+
+// SpanAt brackets ch between the nearest window start (Offset+k·Period) and
+// window end (a start plus Width) on either side of it.
+func (p *Periodic) SpanAt(ch int64) (lo, hi int64) {
+	if ch < p.Offset {
+		return math.MinInt64, p.Offset
+	}
+	lo = p.Offset + (ch-p.Offset)/p.Period*p.Period
+	hi = lo + p.Period
+	firstEnd := p.Offset + p.Width
+	if ch < firstEnd {
+		return lo, min(hi, firstEnd)
+	}
+	end := firstEnd + (ch-firstEnd)/p.Period*p.Period // latest window end ≤ ch
+	return max(lo, end), min(hi, end+p.Period)
 }
 
 // IntervalIndex returns the index k of an interval generated by this

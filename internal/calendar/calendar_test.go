@@ -223,3 +223,44 @@ func TestWindowConstructorErrors(t *testing.T) {
 		t.Error("zero span accepted")
 	}
 }
+
+// TestSpanAtBracketsIntervalsAt: on [lo, hi) around ch the calendar answers
+// as it does at ch, and at lo-1 and hi it answers differently (the range is
+// the widest) — for fixed, billing-period and overlapping calendars.
+func TestSpanAtBracketsIntervalsAt(t *testing.T) {
+	fixed, _ := NewFixed(Interval{10, 40}, Interval{20, 30}, Interval{30, 60}, Interval{90, 95})
+	billing, _ := NewPeriodic(5, 10, 10)
+	moving, _ := NewPeriodic(3, 7, 24)
+	gapped, _ := NewPeriodic(0, 10, 4)
+	same := func(a, b []Interval) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	for _, cal := range []Calendar{fixed, billing, moving, gapped} {
+		for ch := int64(-5); ch < 130; ch++ {
+			lo, hi := cal.SpanAt(ch)
+			if ch < lo || ch >= hi {
+				t.Fatalf("%s: SpanAt(%d) = [%d,%d) does not contain it", cal, ch, lo, hi)
+			}
+			at := cal.IntervalsAt(ch)
+			for x := max(lo, -50); x < min(hi, 200); x++ {
+				if !same(cal.IntervalsAt(x), at) {
+					t.Fatalf("%s: SpanAt(%d) = [%d,%d) but IntervalsAt(%d) = %v, not %v", cal, ch, lo, hi, x, cal.IntervalsAt(x), at)
+				}
+			}
+			if lo > -50 && same(cal.IntervalsAt(lo-1), at) {
+				t.Errorf("%s: SpanAt(%d) starts at %d, yet %d answers alike", cal, ch, lo, lo-1)
+			}
+			if hi < 200 && same(cal.IntervalsAt(hi), at) {
+				t.Errorf("%s: SpanAt(%d) ends at %d, yet %d answers alike", cal, ch, hi, hi)
+			}
+		}
+	}
+}

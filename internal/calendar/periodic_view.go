@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"chronicledb/internal/algebra"
+	"chronicledb/internal/chronicle"
 	"chronicledb/internal/view"
 )
 
@@ -77,8 +78,8 @@ func (p *PeriodicView) Applies() int64 { return p.applies }
 // Apply maintains the family for one append batch on its own: Fold, then
 // Publish. The engine folds every row of an append call and publishes once;
 // Apply serves callers that drive a family directly.
-func (p *PeriodicView) Apply(d algebra.BatchDelta, chronon int64) error {
-	_, err := p.Fold(d, chronon)
+func (p *PeriodicView) Apply(d algebra.BatchDelta) error {
+	_, err := p.Fold(d)
 	p.Publish()
 	return err
 }
@@ -93,38 +94,121 @@ func (p *PeriodicView) Publish() {
 	p.dirty = p.dirty[:0]
 }
 
-// Fold routes one append batch (stamped with its chronon) to every view
-// instance whose interval contains the chronon, creating instances on
-// demand, then expires instances whose grace period has passed. Only the
-// currently active instances are maintained — the Section 5.2 requirement
-// that "only these periodic views need to be maintained upon insertions".
+// Fold routes the rows of one append call to every view instance whose
+// interval contains their chronon, creating instances on demand, and expires
+// instances whose grace period has passed. Only the currently active
+// instances are maintained — the Section 5.2 requirement that "only these
+// periodic views need to be maintained upon insertions".
+//
+// A call's rows carry their own chronons, so a window boundary may fall
+// inside it. The call is folded in maximal runs (in SN order) of rows the
+// calendar treats alike — one IntervalsAt per run — and the outcome is the
+// one folding each SN by itself gives: rows no interval contains are not the
+// family's business (they neither advance its clock nor expire anything,
+// just as dispatch keeps a whole call of them away), and a row arriving
+// after its own interval's grace period folds alone, into an instance that
+// is created for it and expires with it.
+//
 // Nothing becomes visible to readers until Publish; first reports that this
 // fold is the first since the last one to leave something to publish.
-func (p *PeriodicView) Fold(d algebra.BatchDelta, chronon int64) (first bool, err error) {
+func (p *PeriodicView) Fold(d algebra.BatchDelta) (first bool, err error) {
 	clean := len(p.dirty) == 0
 	p.applies++
-	if chronon > p.maxSeen {
-		p.maxSeen = chronon
-	}
-	for _, iv := range p.cal.IntervalsAt(chronon) {
-		inst, ok := p.instances[iv]
+	for rest := d; ; {
+		at, ok := lowestSN(rest)
 		if !ok {
-			def := p.def
-			def.Name = fmt.Sprintf("%s%s", p.name, iv)
-			v, err := view.New(def, p.kind)
-			if err != nil {
-				return false, err
-			}
-			inst = v
-			p.instances[iv] = inst
-			p.created++
+			break
 		}
-		if inst.ApplyRows(inst.Delta(d)) {
-			p.dirty = append(p.dirty, inst)
+		ivs := p.cal.IntervalsAt(at.Chronon)
+		lo, hi := p.cal.SpanAt(at.Chronon)
+		alone := p.pastGrace(ivs)
+		var run algebra.BatchDelta
+		run, rest = cut(rest, func(r chronicle.Row) bool {
+			return r.Chronon < lo || r.Chronon >= hi || (alone && r.SN != at.SN)
+		})
+		if len(ivs) == 0 {
+			continue
+		}
+		for _, rows := range run {
+			for _, r := range rows {
+				p.maxSeen = max(p.maxSeen, r.Chronon)
+			}
+		}
+		for _, iv := range ivs {
+			inst, ok := p.instances[iv]
+			if !ok {
+				def := p.def
+				def.Name = fmt.Sprintf("%s%s", p.name, iv)
+				v, err := view.New(def, p.kind)
+				if err != nil {
+					return false, err
+				}
+				inst = v
+				p.instances[iv] = inst
+				p.created++
+			}
+			if inst.ApplyRows(inst.Delta(run)) {
+				p.dirty = append(p.dirty, inst)
+			}
+		}
+		p.expire()
+	}
+	return clean && len(p.dirty) > 0, nil
+}
+
+// pastGrace reports whether any of the intervals has already outlived its
+// grace period at the family's high-water chronon.
+func (p *PeriodicView) pastGrace(ivs []Interval) bool {
+	for _, iv := range ivs {
+		if p.expireAfter >= 0 && iv.End+p.expireAfter <= p.maxSeen {
+			return true
 		}
 	}
-	p.expire()
-	return clean && len(p.dirty) > 0, nil
+	return false
+}
+
+// lowestSN returns the batch's first row in SN order; ok is false for a
+// batch without rows.
+func lowestSN(d algebra.BatchDelta) (at chronicle.Row, ok bool) {
+	for _, rows := range d {
+		if len(rows) > 0 && (!ok || rows[0].SN < at.SN) {
+			at, ok = rows[0], true
+		}
+	}
+	return at, ok
+}
+
+// cut splits a batch in SN order at the first row stop accepts: head holds
+// the rows of every SN before that row's, tail the rest (nil when no row
+// stops; head is then d itself, at no cost but the scan). stop must answer
+// alike for rows sharing an SN, and must not accept the batch's first row.
+func cut(d algebra.BatchDelta, stop func(chronicle.Row) bool) (head, tail algebra.BatchDelta) {
+	cutSN, found := int64(0), false
+	for _, rows := range d {
+		for _, r := range rows {
+			if found && r.SN >= cutSN {
+				break
+			}
+			if stop(r) {
+				cutSN, found = r.SN, true
+				break
+			}
+		}
+	}
+	if !found {
+		return d, nil
+	}
+	head, tail = make(algebra.BatchDelta, len(d)), make(algebra.BatchDelta, len(d))
+	for c, rows := range d {
+		i := sort.Search(len(rows), func(i int) bool { return rows[i].SN >= cutSN })
+		if i > 0 {
+			head[c] = rows[:i]
+		}
+		if i < len(rows) {
+			tail[c] = rows[i:]
+		}
+	}
+	return head, tail
 }
 
 // expire drops instances whose interval ended more than expireAfter ago.

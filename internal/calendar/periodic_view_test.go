@@ -1,6 +1,8 @@
 package calendar
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 
 	"chronicledb/internal/aggregate"
@@ -73,9 +75,9 @@ func TestBillingPeriods(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Month 0: two calls. Month 1: one call.
-	mustApply(t, pv, f.append(t, 10, "a", 5), 10)
-	mustApply(t, pv, f.append(t, 90, "a", 7), 90)
-	mustApply(t, pv, f.append(t, 150, "a", 100), 150)
+	mustApply(t, pv, f.append(t, 10, "a", 5))
+	mustApply(t, pv, f.append(t, 90, "a", 7))
+	mustApply(t, pv, f.append(t, 150, "a", 100))
 
 	m0, ok := pv.At(Interval{0, 100})
 	if !ok {
@@ -107,12 +109,12 @@ func TestExpiration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustApply(t, pv, f.append(t, 10, "a", 1), 10)
-	mustApply(t, pv, f.append(t, 110, "a", 1), 110) // month 0 not yet expired (ends 100, grace to 150)
+	mustApply(t, pv, f.append(t, 10, "a", 1))
+	mustApply(t, pv, f.append(t, 110, "a", 1)) // month 0 not yet expired (ends 100, grace to 150)
 	if pv.Live() != 2 {
 		t.Fatalf("Live = %d", pv.Live())
 	}
-	mustApply(t, pv, f.append(t, 160, "a", 1), 160) // now month 0 expires
+	mustApply(t, pv, f.append(t, 160, "a", 1)) // now month 0 expires
 	if pv.Live() != 1 {
 		t.Errorf("Live = %d (only month 1 remains)", pv.Live())
 	}
@@ -132,7 +134,7 @@ func TestOverlappingWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One call at ch 25 lands in windows starting at 0, 10, 20.
-	mustApply(t, pv, f.append(t, 25, "a", 4), 25)
+	mustApply(t, pv, f.append(t, 25, "a", 4))
 	if pv.Live() != 3 {
 		t.Fatalf("Live = %d, want 3 overlapping instances", pv.Live())
 	}
@@ -161,7 +163,7 @@ func TestPeriodicOverRetainNoneChronicle(t *testing.T) {
 	cal, _ := NewPeriodic(0, 100, 100)
 	pv, _ := NewPeriodicView("v", f.viewDef(), cal, -1, view.StoreHash)
 	for i := int64(0); i < 250; i += 10 {
-		mustApply(t, pv, f.append(t, i, "a", 1), i)
+		mustApply(t, pv, f.append(t, i, "a", 1))
 	}
 	if f.calls.Len() != 0 {
 		t.Fatal("chronicle stored rows despite RetainNone")
@@ -175,9 +177,9 @@ func TestPeriodicOverRetainNoneChronicle(t *testing.T) {
 	}
 }
 
-func mustApply(t testing.TB, pv *PeriodicView, d algebra.BatchDelta, chronon int64) {
+func mustApply(t testing.TB, pv *PeriodicView, d algebra.BatchDelta) {
 	t.Helper()
-	if err := pv.Apply(d, chronon); err != nil {
+	if err := pv.Apply(d); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -189,8 +191,8 @@ func TestPeriodicCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustApply(t, pv, f.append(t, 10, "a", 5), 10)
-	mustApply(t, pv, f.append(t, 120, "a", 7), 120)
+	mustApply(t, pv, f.append(t, 10, "a", 5))
+	mustApply(t, pv, f.append(t, 120, "a", 7))
 	snap := pv.Checkpoint()
 
 	pv2, err := NewPeriodicView("monthly", f.viewDef(), cal, 150, view.StoreHash)
@@ -211,7 +213,7 @@ func TestPeriodicCheckpointRoundTrip(t *testing.T) {
 		t.Errorf("restored month 0 = %v", got)
 	}
 	// The restored family keeps maintaining and expiring correctly.
-	mustApply(t, pv2, f.append(t, 260, "a", 1), 260) // expires month 0 (end 100 + 150 <= 260)
+	mustApply(t, pv2, f.append(t, 260, "a", 1)) // expires month 0 (end 100 + 150 <= 260)
 	if _, ok := pv2.At(Interval{0, 100}); ok {
 		t.Error("restored family did not expire month 0")
 	}
@@ -224,7 +226,7 @@ func TestPeriodicCheckpointErrors(t *testing.T) {
 	f := newPVFixture(t)
 	cal, _ := NewPeriodic(0, 100, 100)
 	pv, _ := NewPeriodicView("monthly", f.viewDef(), cal, -1, view.StoreHash)
-	mustApply(t, pv, f.append(t, 10, "a", 5), 10)
+	mustApply(t, pv, f.append(t, 10, "a", 5))
 	snap := pv.Checkpoint()
 
 	if err := pv.RestoreCheckpoint(nil); err == nil {
@@ -258,7 +260,7 @@ func TestFoldThenPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustApply(t, pv, f.append(t, 60, "a", 1), 60)
+	mustApply(t, pv, f.append(t, 60, "a", 1))
 	if pv.Live() != 2 {
 		t.Fatalf("live instances = %d, want 2", pv.Live())
 	}
@@ -267,12 +269,12 @@ func TestFoldThenPublish(t *testing.T) {
 		return sum
 	}
 	for i := 0; i < 3; i++ {
-		first, err := pv.Fold(f.append(t, 70, "a", 10), 70)
+		first, err := pv.Fold(f.append(t, 70, "a", 10))
 		if err != nil || first != (i == 0) {
 			t.Fatalf("fold %d: first = %v, err = %v", i, first, err)
 		}
 	}
-	if _, err := pv.Fold(f.append(t, 110, "a", 10), 110); err != nil { // opens window [100,200)
+	if _, err := pv.Fold(f.append(t, 110, "a", 10)); err != nil { // opens window [100,200)
 		t.Fatal(err)
 	}
 	for _, inst := range pv.Instances() {
@@ -291,7 +293,62 @@ func TestFoldThenPublish(t *testing.T) {
 			t.Errorf("after Publish: window %v reads %d, want %d", inst.Interval, got, want[inst.Interval.Start])
 		}
 	}
-	if first, _ := pv.Fold(f.append(t, 120, "a", 1), 120); !first {
+	if first, _ := pv.Fold(f.append(t, 120, "a", 1)); !first {
 		t.Error("the first fold after a Publish did not report itself")
+	}
+}
+
+// TestFoldOfACallEqualsFoldsOfItsRows: a call's rows carry their own
+// chronons, so window boundaries, gaps between windows and expirations fall
+// inside calls. Folding a call at once must leave exactly what folding each of
+// its rows by itself leaves — instances, their contents, the clock and the
+// created/expired counters, all of which the checkpoint image carries — for
+// billing periods, overlapping windows and windows with gaps, with chronons
+// that mostly advance but sometimes step back past a boundary or past an
+// instance's grace period.
+func TestFoldOfACallEqualsFoldsOfItsRows(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var cal Calendar
+		switch seed % 3 {
+		case 0:
+			cal, _ = NewPeriodic(0, 100, 100)
+		case 1:
+			cal, _ = NewPeriodic(10, 50, 120)
+		default:
+			cal, _ = NewPeriodic(0, 100, 40)
+		}
+		expire := []int64{-1, 0, 60}[rng.Intn(3)]
+		f := newPVFixture(t)
+		whole, err := NewPeriodicView("w", f.viewDef(), cal, expire, view.StoreBTree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byRow, _ := NewPeriodicView("w", f.viewDef(), cal, expire, view.StoreBTree)
+		ch := int64(0)
+		for call := 0; call < 25; call++ {
+			batch := algebra.BatchDelta{}
+			for k := 1 + rng.Intn(12); k > 0; k-- {
+				switch rng.Intn(10) {
+				case 0:
+					ch -= int64(rng.Intn(150)) // a late row
+				case 1:
+					ch += int64(rng.Intn(150))
+				default:
+					ch += int64(rng.Intn(25))
+				}
+				row := f.append(t, max(ch, 0), string(rune('a'+rng.Intn(3))), int64(rng.Intn(50)))
+				mustApply(t, byRow, row)
+				batch[f.calls] = append(batch[f.calls], row[f.calls]...)
+			}
+			mustApply(t, whole, batch)
+			if got, want := whole.Checkpoint(), byRow.Checkpoint(); !bytes.Equal(got, want) {
+				t.Fatalf("seed %d call %d (%s, expire %d): folding the call left live=%d created=%d expired=%d, folding its rows live=%d created=%d expired=%d (images differ)",
+					seed, call, cal, expire, whole.Live(), whole.Created(), whole.Expired(), byRow.Live(), byRow.Created(), byRow.Expired())
+			}
+		}
+		if whole.Created() < 3 {
+			t.Errorf("seed %d: only %d instances were ever created; no boundary fell inside a call", seed, whole.Created())
+		}
 	}
 }

@@ -103,10 +103,11 @@ func (c *Chronicle) Append(sn, chronon int64, lsn uint64, tuples []value.Tuple) 
 	return c.AppendInto(sn, chronon, lsn, tuples, nil)
 }
 
-// AppendInto is Append accumulating the stored rows into buf's backing
-// array, so a caller driving the hot path can reuse one row buffer across
-// appends. The chronicle copies what retention keeps, so buf never aliases
-// retained storage; the returned rows are valid until buf's next reuse.
+// AppendInto is Append adding the stored rows to the end of buf, so a caller
+// driving the hot path can reuse one row buffer across appends and gather the
+// rows of several appends in it. The chronicle copies what retention keeps,
+// so buf never aliases retained storage; the returned rows (buf plus this
+// append's) are valid until buf's next reuse.
 func (c *Chronicle) AppendInto(sn, chronon int64, lsn uint64, tuples []value.Tuple, buf []Row) ([]Row, error) {
 	if len(tuples) == 0 {
 		return nil, fmt.Errorf("chronicle %s: empty append", c.name)
@@ -120,14 +121,14 @@ func (c *Chronicle) AppendInto(sn, chronon int64, lsn uint64, tuples []value.Tup
 			return nil, fmt.Errorf("chronicle %s: tuple %d: %w", c.name, i, err)
 		}
 	}
-	rows := buf[:0]
+	rows := buf
 	for _, t := range tuples {
 		rows = append(rows, Row{SN: sn, Chronon: chronon, LSN: lsn, Vals: t})
 	}
 	c.group.lastSN = sn
 	c.mu.Lock()
 	c.lastSN = sn
-	c.store(rows)
+	c.store(rows[len(buf):])
 	c.mu.Unlock()
 	return rows, nil
 }

@@ -35,9 +35,11 @@ type Target struct {
 	Filter          pred.Predicate
 	FilterChronicle *chronicle.Chronicle
 	// ActiveAt optionally reports whether the target is active at a given
-	// chronon (periodic views are maintained only inside their intervals).
-	// nil means always active.
-	ActiveAt func(chronon int64) bool
+	// chronon (periodic views are maintained only inside their intervals),
+	// and the chronon range [lo, hi) around it on which that answer holds, so
+	// a call's rows are asked about once per run, not once per row. nil means
+	// always active.
+	ActiveAt func(chronon int64) (active bool, lo, hi int64)
 
 	// seenSeq dedups within one Affected call; stampSeq dedups across
 	// Affected calls of one maintenance batch (see Stamp). Both are plain
@@ -177,12 +179,13 @@ func (d *Dispatcher) Unregister(id string) bool {
 	return true
 }
 
-// Affected returns the targets that an append of rows into chronicle c at
-// the given chronon may affect, without duplicates. It applies, in order:
-// dependency filtering (which chronicle), active-period filtering, and
-// selection-predicate filtering. The returned slice is the dispatcher's
-// reusable scratch: it is valid only until the next Affected call.
-func (d *Dispatcher) Affected(c *chronicle.Chronicle, rows []chronicle.Row, chronon int64) []*Target {
+// Affected returns the targets that an append call's rows into chronicle c
+// may affect, without duplicates. It applies, in order: dependency filtering
+// (which chronicle), active-period filtering (is the target active at any
+// row's chronon), and selection-predicate filtering. The returned slice is
+// the dispatcher's reusable scratch: it is valid only until the next
+// Affected call.
+func (d *Dispatcher) Affected(c *chronicle.Chronicle, rows []chronicle.Row) []*Target {
 	out := d.outScratch[:0]
 	d.callSeq++
 	emit := func(t *Target) {
@@ -190,7 +193,7 @@ func (d *Dispatcher) Affected(c *chronicle.Chronicle, rows []chronicle.Row, chro
 			return
 		}
 		t.seenSeq = d.callSeq
-		if t.ActiveAt != nil && !t.ActiveAt(chronon) {
+		if t.ActiveAt != nil && !activeAtAny(t, rows) {
 			return
 		}
 		out = append(out, t)
@@ -231,6 +234,22 @@ func (d *Dispatcher) Affected(c *chronicle.Chronicle, rows []chronicle.Row, chro
 	}
 	d.outScratch = out
 	return out
+}
+
+// activeAtAny reports whether the target is active at some row's chronon,
+// asking once per run of rows inside the range the last answer covers.
+func activeAtAny(t *Target, rows []chronicle.Row) bool {
+	var lo, hi int64 // the range of the last "inactive" answer; empty at first
+	for _, r := range rows {
+		if r.Chronon >= lo && r.Chronon < hi {
+			continue
+		}
+		var active bool
+		if active, lo, hi = t.ActiveAt(r.Chronon); active {
+			return true
+		}
+	}
+	return false
 }
 
 // matches reports whether any row satisfies the target's filter.

@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -31,6 +32,28 @@ func newChronicles(t testing.TB) (*chronicle.Group, *chronicle.Chronicle, *chron
 
 func rowsFor(acct string, amount int64) []chronicle.Row {
 	return []chronicle.Row{{SN: 1, Vals: value.Tuple{value.Str(acct), value.Int(amount)}}}
+}
+
+// at stamps rows with a chronon.
+func at(rows []chronicle.Row, ch int64) []chronicle.Row {
+	for i := range rows {
+		rows[i].Chronon = ch
+	}
+	return rows
+}
+
+// window is an ActiveAt for a target active on [lo, hi): it answers with the
+// range on which the answer holds, as a calendar does.
+func window(lo, hi int64) func(int64) (bool, int64, int64) {
+	return func(ch int64) (bool, int64, int64) {
+		switch {
+		case ch < lo:
+			return false, math.MinInt64, lo
+		case ch < hi:
+			return true, lo, hi
+		}
+		return false, hi, math.MaxInt64
+	}
 }
 
 func ids(ts []*Target) []string {
@@ -69,11 +92,11 @@ func TestDependencyFiltering(t *testing.T) {
 		d.Register(&Target{ID: "onA", Chronicles: []*chronicle.Chronicle{a}})
 		d.Register(&Target{ID: "onB", Chronicles: []*chronicle.Chronicle{b}})
 		d.Register(&Target{ID: "onBoth", Chronicles: []*chronicle.Chronicle{a, b}})
-		got := ids(d.Affected(a, rowsFor("x", 1), 0))
+		got := ids(d.Affected(a, rowsFor("x", 1)))
 		if len(got) != 2 || got[0] != "onA" || got[1] != "onBoth" {
 			t.Errorf("indexed=%v: Affected(a) = %v", indexed, got)
 		}
-		got = ids(d.Affected(b, rowsFor("x", 1), 0))
+		got = ids(d.Affected(b, rowsFor("x", 1)))
 		if len(got) != 2 || got[0] != "onB" || got[1] != "onBoth" {
 			t.Errorf("indexed=%v: Affected(b) = %v", indexed, got)
 		}
@@ -93,11 +116,11 @@ func TestEqualityPredicateFiltering(t *testing.T) {
 				FilterChronicle: a,
 			})
 		}
-		got := ids(d.Affected(a, rowsFor("acct7", 5), 0))
+		got := ids(d.Affected(a, rowsFor("acct7", 5)))
 		if len(got) != 1 || got[0] != "balance_acct7" {
 			t.Errorf("indexed=%v: Affected = %v", indexed, got)
 		}
-		if got := d.Affected(a, rowsFor("stranger", 5), 0); len(got) != 0 {
+		if got := d.Affected(a, rowsFor("stranger", 5)); len(got) != 0 {
 			t.Errorf("indexed=%v: stranger matched %v", indexed, ids(got))
 		}
 	}
@@ -113,10 +136,10 @@ func TestGeneralPredicateFiltering(t *testing.T) {
 			Filter:          pred.Or(pred.ColConst(1, pred.Gt, value.Int(100))),
 			FilterChronicle: a,
 		})
-		if got := d.Affected(a, rowsFor("x", 50), 0); len(got) != 0 {
+		if got := d.Affected(a, rowsFor("x", 50)); len(got) != 0 {
 			t.Errorf("indexed=%v: small amount matched", indexed)
 		}
-		if got := d.Affected(a, rowsFor("x", 500), 0); len(got) != 1 {
+		if got := d.Affected(a, rowsFor("x", 500)); len(got) != 1 {
 			t.Errorf("indexed=%v: big amount missed", indexed)
 		}
 	}
@@ -125,16 +148,43 @@ func TestGeneralPredicateFiltering(t *testing.T) {
 func TestActivePeriodFiltering(t *testing.T) {
 	_, a, _ := newChronicles(t)
 	d := New(true)
+	asked := 0
 	d.Register(&Target{
 		ID:         "january",
 		Chronicles: []*chronicle.Chronicle{a},
-		ActiveAt:   func(ch int64) bool { return ch >= 100 && ch < 200 },
+		ActiveAt: func(ch int64) (bool, int64, int64) {
+			asked++
+			return window(100, 200)(ch)
+		},
 	})
-	if got := d.Affected(a, rowsFor("x", 1), 50); len(got) != 0 {
+	if got := d.Affected(a, at(rowsFor("x", 1), 50)); len(got) != 0 {
 		t.Error("inactive target dispatched")
 	}
-	if got := d.Affected(a, rowsFor("x", 1), 150); len(got) != 1 {
+	if got := d.Affected(a, at(rowsFor("x", 1), 150)); len(got) != 1 {
 		t.Error("active target missed")
+	}
+	// A call's rows carry their own chronons: the target is affected when it
+	// is active at any of them, and is asked once per run, not once per row.
+	call := func(chronons ...int64) []chronicle.Row {
+		var rows []chronicle.Row
+		for i, ch := range chronons {
+			rows = append(rows, chronicle.Row{SN: int64(i + 1), Chronon: ch, Vals: value.Tuple{value.Str("x"), value.Int(1)}})
+		}
+		return rows
+	}
+	asked = 0
+	if got := d.Affected(a, call(50, 60, 70, 150, 160)); len(got) != 1 {
+		t.Error("target active at the call's fourth row missed")
+	}
+	if asked != 2 {
+		t.Errorf("ActiveAt asked %d times for two runs", asked)
+	}
+	asked = 0
+	if got := d.Affected(a, call(50, 250, 260, 60)); len(got) != 0 {
+		t.Error("target dispatched for a call that never enters its period")
+	}
+	if asked != 3 {
+		t.Errorf("ActiveAt asked %d times for three runs", asked)
 	}
 }
 
@@ -152,7 +202,7 @@ func TestMultiRowBatchDedup(t *testing.T) {
 			{SN: 1, Vals: value.Tuple{value.Str("acct1"), value.Int(1)}},
 			{SN: 1, Vals: value.Tuple{value.Str("acct1"), value.Int(2)}},
 		}
-		if got := d.Affected(a, rows, 0); len(got) != 1 {
+		if got := d.Affected(a, rows); len(got) != 1 {
 			t.Errorf("indexed=%v: target duplicated: %v", indexed, ids(got))
 		}
 	}
@@ -186,7 +236,7 @@ func TestIndexedMatchesLinear(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			lo := int64(rng.Intn(1000))
 			hi := lo + int64(rng.Intn(1000))
-			tgt.ActiveAt = func(ch int64) bool { return ch >= lo && ch < hi }
+			tgt.ActiveAt = window(lo, hi)
 		}
 		t1, t2 := tgt, tgt
 		if err := linear.Register(&t1); err != nil {
@@ -204,8 +254,8 @@ func TestIndexedMatchesLinear(t *testing.T) {
 		}
 		rows := rowsFor(fmt.Sprintf("acct%d", rng.Intn(25)), int64(rng.Intn(150)))
 		ch := int64(rng.Intn(1200))
-		got := ids(indexed.Affected(c, rows, ch))
-		want := ids(linear.Affected(c, rows, ch))
+		got := ids(indexed.Affected(c, at(rows, ch)))
+		want := ids(linear.Affected(c, at(rows, ch)))
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: indexed %v != linear %v", trial, got, want)
 		}
@@ -247,14 +297,14 @@ func TestUnregister(t *testing.T) {
 		if d.Unregister("ghost") {
 			t.Error("Unregister(ghost) = true")
 		}
-		got := ids(d.Affected(a, rowsFor("x", 1), 0))
+		got := ids(d.Affected(a, rowsFor("x", 1)))
 		if len(got) != 1 || got[0] != "plain" {
 			t.Errorf("indexed=%v: Affected after unregister = %v", indexed, got)
 		}
 		if !d.Unregister("plain") {
 			t.Error("Unregister(plain) = false")
 		}
-		if got := d.Affected(a, rowsFor("x", 1), 0); len(got) != 0 {
+		if got := d.Affected(a, rowsFor("x", 1)); len(got) != 0 {
 			t.Errorf("Affected after full unregister = %v", ids(got))
 		}
 		// The ID is reusable afterwards.

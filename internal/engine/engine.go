@@ -77,15 +77,18 @@ type Config struct {
 	ViewBlockBytes int64
 }
 
-// Stats aggregates engine-level counters.
+// Stats aggregates engine-level counters. The append call is the unit of
+// maintenance: a k-row AppendEach is k append transactions (Appends and
+// TuplesAppended count tuples' transactions, each with its own SN) folded in
+// one maintenance round.
 type Stats struct {
-	Appends         int64
+	Appends         int64 // append transactions (one per SN)
 	TuplesAppended  int64
 	RelationUpdates int64
 	MaintenanceNs   int64 // total time spent maintaining persistent views
-	ViewsMaintained int64 // view-maintenance invocations
+	ViewsMaintained int64 // one per affected view per maintenance round, i.e. per append call
 	DedupHits       int64 // idempotent appends answered from the dedup table
-	SharedHits      int64 // node deltas served from the shared plan's batch cache
+	SharedHits      int64 // node deltas served from the shared plan's per-round cache
 }
 
 // Engine is one shard's chronicle database system state.
@@ -107,7 +110,7 @@ type Engine struct {
 	onRecord func(Mutation) error
 
 	stats    Stats
-	maintLat stats.Histogram // per-append view-maintenance latency
+	maintLat stats.Histogram // view-maintenance latency, one observation per append call
 
 	// cat is the atomically published catalog snapshot: immutable
 	// name→object maps rebuilt under e.mu on every DDL change. Read
@@ -218,9 +221,9 @@ func (e *Engine) publishCatalogLocked() {
 
 // appendScratch backs the allocation-free append path.
 type appendScratch struct {
-	tuple  []value.Tuple                            // AppendEach's one-tuple batch
+	tuple  []value.Tuple                            // the call core's one-tuple batch
 	parts  []MutationPart                           // single-chronicle recorder parts
-	rows   []chronicle.Row                          // stored-row accumulator
+	rows   []chronicle.Row                          // stored rows of one call (at most maintainChunk)
 	batch  []chronicle.BatchPart                    // resolved batch parts
 	deltas map[*chronicle.Chronicle][]chronicle.Row // maintain input
 }
@@ -491,8 +494,9 @@ func (e *Engine) CreatePeriodicView(name string, def view.Def, cal calendar.Cale
 	if err := e.disp.Register(&dispatch.Target{
 		ID:         name,
 		Chronicles: info.Chronicles,
-		ActiveAt: func(ch int64) bool {
-			return len(cal.IntervalsAt(ch)) > 0
+		ActiveAt: func(ch int64) (bool, int64, int64) {
+			lo, hi := cal.SpanAt(ch)
+			return len(cal.IntervalsAt(ch)) > 0, lo, hi
 		},
 	}); err != nil {
 		delete(e.names, name)
@@ -542,42 +546,46 @@ func (e *Engine) Append(chronicleName string, tuples []value.Tuple) (int64, erro
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	defer e.publishDirtyLocked()
-	return e.appendLocked(chronicleName, tuples)
-}
-
-func (e *Engine) appendLocked(chronicleName string, tuples []value.Tuple) (int64, error) {
 	c, ok := e.chronicles[chronicleName]
 	if !ok {
 		return 0, fmt.Errorf("engine: unknown chronicle %q", chronicleName)
 	}
-	for i, t := range tuples {
-		coerced, err := c.Schema().Coerce(t)
-		if err != nil {
-			return 0, fmt.Errorf("engine: chronicle %s: tuple %d: %w", chronicleName, i, err)
-		}
-		tuples[i] = coerced
-	}
-	sn := c.Group().NextSN()
-	chronon := e.cfg.Clock()
-	lsn := e.cfg.NextLSN()
-	if e.onRecord != nil {
-		e.scratch.parts = append(e.scratch.parts[:0], MutationPart{Chronicle: chronicleName, Tuples: tuples})
-		m := Mutation{Kind: MutAppend, LSN: lsn, SN: sn, Chronon: chronon, Parts: e.scratch.parts}
-		if err := e.onRecord(m); err != nil {
-			return 0, fmt.Errorf("engine: recording append: %w", err)
-		}
-	}
-	rows, err := c.AppendInto(sn, chronon, lsn, tuples, e.scratch.rows[:0])
+	sn, rows, err := e.storeLocked(c, tuples, e.scratch.rows[:0])
 	if err != nil {
 		return 0, err
 	}
 	e.scratch.rows = rows
 	clear(e.scratch.deltas)
 	e.scratch.deltas[c] = rows
-	e.maintain(e.scratch.deltas, chronon, lsn)
+	e.maintain(e.scratch.deltas)
 	e.stats.Appends++
 	e.stats.TuplesAppended += int64(len(tuples))
 	return sn, nil
+}
+
+// storeLocked is one append transaction up to its stored rows: the tuples are
+// coerced in place, stamped with the group's next SN, the clock and a fresh
+// LSN, recorded as one MutAppend, and stored; the rows are added to buf. It
+// neither maintains nor counts — Append does that for its one transaction,
+// the call core for all of a call's.
+func (e *Engine) storeLocked(c *chronicle.Chronicle, tuples []value.Tuple, buf []chronicle.Row) (sn int64, rows []chronicle.Row, err error) {
+	for i, t := range tuples {
+		if tuples[i], err = c.Schema().Coerce(t); err != nil {
+			return 0, nil, fmt.Errorf("engine: chronicle %s: tuple %d: %w", c.Name(), i, err)
+		}
+	}
+	sn = c.Group().NextSN()
+	chronon := e.cfg.Clock()
+	lsn := e.cfg.NextLSN()
+	if e.onRecord != nil {
+		e.scratch.parts = append(e.scratch.parts[:0], MutationPart{Chronicle: c.Name(), Tuples: tuples})
+		m := Mutation{Kind: MutAppend, LSN: lsn, SN: sn, Chronon: chronon, Parts: e.scratch.parts}
+		if err := e.onRecord(m); err != nil {
+			return 0, nil, fmt.Errorf("engine: recording append: %w", err)
+		}
+	}
+	rows, err = c.AppendInto(sn, chronon, lsn, tuples, buf)
+	return sn, rows, err
 }
 
 // AppendBatch inserts tuples into several chronicles of one group
@@ -640,7 +648,7 @@ func (e *Engine) appendBatchLocked(parts []MutationPart, snOverride, chOverride 
 	if err := g.AppendBatchInto(sn, chronon, lsn, resolved, e.scratch.deltas); err != nil {
 		return 0, err
 	}
-	e.maintain(e.scratch.deltas, chronon, lsn)
+	e.maintain(e.scratch.deltas)
 	e.stats.Appends++
 	for _, p := range parts {
 		e.stats.TuplesAppended += int64(len(p.Tuples))
@@ -649,12 +657,12 @@ func (e *Engine) appendBatchLocked(parts []MutationPart, snOverride, chOverride 
 }
 
 // AppendEach inserts each tuple as its own append transaction (its own
-// sequence number and view-maintenance round) but acquires the engine
-// lock once for the whole run — the bulk ingest path — and publishes the
-// views once, when the run ends: readers see all of it or none. It returns
-// the first and last sequence numbers assigned. On error, tuples before the
-// failing one remain applied (and are published), matching a loop of Append
-// calls.
+// sequence number, chronon, LSN and WAL record) but acquires the engine lock
+// once for the whole call — the bulk ingest path — folds the call's rows into
+// the views in one maintenance round and publishes them once, when the call
+// ends: readers see all of it or none. It returns the first and last sequence
+// numbers assigned. On error, tuples before the failing one remain applied
+// (and are folded and published), matching a loop of Append calls.
 func (e *Engine) AppendEach(chronicleName string, tuples []value.Tuple) (first, last int64, err error) {
 	if len(tuples) == 0 {
 		return 0, 0, fmt.Errorf("engine: empty append")
@@ -662,19 +670,11 @@ func (e *Engine) AppendEach(chronicleName string, tuples []value.Tuple) (first, 
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	defer e.publishDirtyLocked()
-	for i, t := range tuples {
-		e.scratch.tuple = append(e.scratch.tuple[:0], t)
-		sn, err := e.appendLocked(chronicleName, e.scratch.tuple)
-		if err != nil {
-			// Earlier tuples remain applied, matching a loop of Append calls.
-			return first, last, fmt.Errorf("engine: tuple %d: %w", i, err)
-		}
-		if i == 0 {
-			first = sn
-		}
-		last = sn
+	c, ok := e.chronicles[chronicleName]
+	if !ok {
+		return 0, 0, fmt.Errorf("engine: unknown chronicle %q", chronicleName)
 	}
-	return first, last, nil
+	return e.appendCallLocked(c, tuples, nil)
 }
 
 // AppendEachIdem is AppendEach with exactly-once semantics: the request is
@@ -720,13 +720,10 @@ func (e *Engine) AppendEachAt(chronicleName string, firstSN, chronon int64, tupl
 }
 
 // appendEachAtomicLocked applies one idempotent run: coerce everything,
-// write ONE WAL record carrying the ids, then apply each tuple as its own
-// append transaction (own SN, own view-maintenance round — identical
-// semantics to AppendEach) with sn = firstSN+i, and finally remember the
-// ack. Per-tuple LSN consumption matches replay: the record's LSN is the
-// first tuple's, and each later tuple draws a fresh one. Like every
-// *Locked fold it publishes nothing; the caller does, on the early error
-// return too.
+// write ONE WAL record carrying the ids, apply the tuples as the call core
+// does (each its own append transaction, sn = firstSN+i), and finally
+// remember the ack. Like every *Locked fold it publishes nothing; the caller
+// does, on the early error return too.
 func (e *Engine) appendEachAtomicLocked(chronicleName string, tuples []value.Tuple, clientID, requestID string, snOverride, chOverride *int64) (first, last int64, err error) {
 	c, ok := e.chronicles[chronicleName]
 	if !ok {
@@ -747,44 +744,86 @@ func (e *Engine) appendEachAtomicLocked(chronicleName string, tuples []value.Tup
 	if chOverride != nil {
 		chronon = *chOverride
 	}
-	lsn := e.cfg.NextLSN()
+	run := Mutation{
+		Kind: MutAppendEach, LSN: e.cfg.NextLSN(), SN: firstSN, Chronon: chronon,
+		ClientID: clientID, RequestID: requestID,
+	}
 	if e.onRecord != nil {
 		e.scratch.parts = append(e.scratch.parts[:0], MutationPart{Chronicle: chronicleName, Tuples: tuples})
-		m := Mutation{
-			Kind: MutAppendEach, LSN: lsn, SN: firstSN, Chronon: chronon,
-			Parts: e.scratch.parts, ClientID: clientID, RequestID: requestID,
-		}
-		if err := e.onRecord(m); err != nil {
+		run.Parts = e.scratch.parts
+		if err := e.onRecord(run); err != nil {
 			return 0, 0, fmt.Errorf("engine: recording append: %w", err)
 		}
 	}
-	for i := range tuples {
-		sn := firstSN + int64(i)
-		tupleLSN := lsn
-		if i > 0 {
-			tupleLSN = e.cfg.NextLSN()
-		}
-		e.scratch.tuple = append(e.scratch.tuple[:0], tuples[i])
-		rows, aerr := c.AppendInto(sn, chronon, tupleLSN, e.scratch.tuple, e.scratch.rows[:0])
-		if aerr != nil {
-			// Unreachable in practice: the SNs are consecutive under e.mu
-			// and every tuple was coerced above. Reported for safety.
-			return 0, 0, fmt.Errorf("engine: tuple %d: %w", i, aerr)
-		}
-		e.scratch.rows = rows
-		clear(e.scratch.deltas)
-		e.scratch.deltas[c] = rows
-		e.maintain(e.scratch.deltas, chronon, tupleLSN)
-		e.stats.Appends++
-		e.stats.TuplesAppended++
+	if first, last, err = e.appendCallLocked(c, tuples, &run); err != nil {
+		// Unreachable in practice: the SNs are consecutive under e.mu and
+		// every tuple was coerced above. Reported for safety.
+		return 0, 0, err
 	}
-	last = firstSN + int64(len(tuples)) - 1
 	if e.dedup != nil && clientID != "" {
 		e.dedup.Put(clientID, requestID, dedup.Ack{
-			Chronicle: chronicleName, FirstSN: firstSN, LastSN: last, Rows: len(tuples),
+			Chronicle: chronicleName, FirstSN: first, LastSN: last, Rows: len(tuples),
 		})
 	}
-	return firstSN, last, nil
+	return first, last, nil
+}
+
+// maintainChunk bounds the rows one maintenance round folds: a longer call
+// folds chunk by chunk, so the call buffer and the plan's σ/Π buffers stay
+// bounded while the call is still published once.
+const maintainChunk = 4096
+
+// appendCallLocked is the core every per-tuple append call shares (AppendEach,
+// the idempotent run, its replay). Each tuple becomes its own append
+// transaction — its own SN, chronon, LSN and stored row — and the stored rows
+// gather in one call buffer that is folded into the views in a single
+// maintenance round (one per maintainChunk rows for a longer call). Where the
+// stamps come from is the one difference between the callers: with run nil
+// every tuple is a storeLocked transaction with its own MutAppend record;
+// under an already recorded MutAppendEach run (its tuples coerced before the
+// record was cut) tuple i takes SN run.SN+i, the run's chronon, and the run's
+// LSN for i = 0 or a fresh one — the same LSN consumption live and in replay.
+// A call that fails at tuple i keeps tuples 0..i-1 applied and folds them
+// before it returns; the caller publishes.
+func (e *Engine) appendCallLocked(c *chronicle.Chronicle, tuples []value.Tuple, run *Mutation) (first, last int64, err error) {
+	one := append(e.scratch.tuple[:0], nil) // the one-tuple batch of each transaction
+	for i := 0; i < len(tuples) && err == nil; {
+		rows := e.scratch.rows[:0]
+		for ; i < len(tuples) && len(rows) < maintainChunk; i++ {
+			one[0] = tuples[i]
+			var sn int64
+			var stored []chronicle.Row
+			if run == nil {
+				sn, stored, err = e.storeLocked(c, one, rows)
+			} else {
+				sn = run.SN + int64(i)
+				lsn := run.LSN
+				if i > 0 {
+					lsn = e.cfg.NextLSN()
+				}
+				stored, err = c.AppendInto(sn, run.Chronon, lsn, one, rows)
+			}
+			if err != nil {
+				err = fmt.Errorf("engine: tuple %d: %w", i, err)
+				break
+			}
+			if i == 0 {
+				first = sn
+			}
+			last, rows = sn, stored
+		}
+		e.scratch.rows = rows
+		if len(rows) == 0 {
+			break
+		}
+		e.stats.Appends += int64(len(rows))
+		e.stats.TuplesAppended += int64(len(rows))
+		clear(e.scratch.deltas)
+		e.scratch.deltas[c] = rows
+		e.maintain(e.scratch.deltas)
+	}
+	e.scratch.tuple = one
+	return first, last, err
 }
 
 // Dedup exposes the idempotency table for checkpointing and stats; nil when
@@ -824,21 +863,23 @@ func (e *Engine) DedupStats() (entries int, hits int64, evictions int64) {
 	return entries, hits, evictions
 }
 
-// maintain dispatches one append's deltas to every affected persistent and
-// periodic view: the shared-delta pipeline. It walks the affected targets,
-// pulls each persistent view's expression delta from the shared plan — so a
-// subexpression common to several views is evaluated once per batch —
-// captures it under the mutation's lsn when a changefeed is installed, and
-// folds it into the view before moving on (the plan's buffers and the
-// batch's stored rows are reused by the next mutation). Nothing is
-// published here: a target folded into for the first time since its last
-// publication joins e.dirty, and publishDirtyLocked publishes it when the
-// whole call — this batch and the rest of its rows — is in.
+// maintain is one maintenance round: it dispatches the rows of one append
+// call (ascending in SN, each carrying its own chronon and LSN — see
+// algebra.BatchDelta) to every affected persistent and periodic view: the
+// shared-delta pipeline. It walks the affected targets, pulls each persistent
+// view's expression delta from the shared plan — so a subexpression common to
+// several views is evaluated once per round — captures it for the changefeed
+// when one is installed, one frame per LSN so subscribers see what per-row
+// maintenance would have sent, and folds it into the view before moving on
+// (the plan's buffers and the call's stored rows are reused by the next
+// round). Nothing is published here: a target folded into for the first time
+// since its last publication joins e.dirty, and publishDirtyLocked publishes
+// it when the whole call is in.
 //
 // Catalog access goes through the published snapshot (e.cat.Load()), the
 // same generation the read path sees, so maintenance and DDL agree on the
 // view set by construction rather than by lock-ordering subtlety.
-func (e *Engine) maintain(deltas map[*chronicle.Chronicle][]chronicle.Row, chronon int64, lsn uint64) {
+func (e *Engine) maintain(deltas map[*chronicle.Chronicle][]chronicle.Row) {
 	start := time.Now()
 	batch := algebra.BatchDelta(deltas)
 	cat := e.cat.Load()
@@ -846,7 +887,7 @@ func (e *Engine) maintain(deltas map[*chronicle.Chronicle][]chronicle.Row, chron
 	plan.BeginBatch()
 	e.batchSeq++
 	for c, rows := range deltas {
-		for _, t := range e.disp.Affected(c, rows, chronon) {
+		for _, t := range e.disp.Affected(c, rows) {
 			if t.Stamp(e.batchSeq) {
 				continue // already claimed via another chronicle's delta
 			}
@@ -858,11 +899,8 @@ func (e *Engine) maintain(deltas map[*chronicle.Chronicle][]chronicle.Row, chron
 					// the target — but cheap to keep correct).
 					drows = v.Delta(batch)
 				}
-				if e.feed != nil && len(drows) > 0 {
-					if e.pendingFeed == nil {
-						e.pendingFeed = e.feed.Begin(e.feedDoor)
-					}
-					e.pendingFeed.Capture(t.ID, lsn, drows)
+				if e.feed != nil {
+					e.captureFeed(t.ID, drows)
 				}
 				if v.ApplyRows(drows) {
 					e.dirty = append(e.dirty, v)
@@ -870,7 +908,7 @@ func (e *Engine) maintain(deltas map[*chronicle.Chronicle][]chronicle.Row, chron
 				e.stats.ViewsMaintained++
 			} else if pv, ok := cat.periodics[t.ID]; ok {
 				// A fold error only occurs for invalid defs, which New vetted.
-				if first, _ := pv.Fold(batch, chronon); first {
+				if first, _ := pv.Fold(batch); first {
 					e.dirty = append(e.dirty, pv)
 				}
 				e.stats.ViewsMaintained++
@@ -883,9 +921,28 @@ func (e *Engine) maintain(deltas map[*chronicle.Chronicle][]chronicle.Row, chron
 	e.maintLat.Observe(elapsed)
 }
 
-// MaintenanceHistogram returns a copy of the raw histogram of per-append
-// view maintenance time — the operational readout of the view language's IM
-// class: SCA1 views keep this flat forever. The shard router merges the
+// captureFeed cuts one view's delta for the round into changefeed frames, one
+// per LSN: delta rows ascend in SN and the rows of one mutation share its LSN,
+// so each run of equal LSNs is exactly the frame that mutation's own round
+// would have captured.
+func (e *Engine) captureFeed(view string, drows []chronicle.Row) {
+	for len(drows) > 0 {
+		n := 1
+		for n < len(drows) && drows[n].LSN == drows[0].LSN {
+			n++
+		}
+		if e.pendingFeed == nil {
+			e.pendingFeed = e.feed.Begin(e.feedDoor)
+		}
+		e.pendingFeed.Capture(view, drows[0].LSN, drows[:n])
+		drows = drows[n:]
+	}
+}
+
+// MaintenanceHistogram returns a copy of the raw histogram of view
+// maintenance time, one observation per append call (a k-row call is one
+// round, so it reads higher than k one-row calls would) — the operational
+// readout of the view language's IM class: SCA1 views keep this flat forever. The shard router merges the
 // distributions across engines before summarizing.
 func (e *Engine) MaintenanceHistogram() stats.Histogram {
 	e.mu.RLock()

@@ -451,3 +451,46 @@ func TestSerializedReadAccessors(t *testing.T) {
 		t.Errorf("MaintenanceHistogram count = %d", lat.Snapshot().Count)
 	}
 }
+
+// TestLongCallFoldsInChunks: a call longer than maintainChunk folds chunk by
+// chunk — the call buffer stays bounded — but is still one publication, and a
+// failure past the first chunk keeps (and folds) everything before it.
+func TestLongCallFoldsInChunks(t *testing.T) {
+	e, _ := newEngine(t)
+	c := mustCreateCalls(t, e)
+	v, err := e.CreateView(usageDef(c), view.StoreBTree, pred.True(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = maintainChunk + 10
+	tuples := make([]value.Tuple, n)
+	for i := range tuples {
+		tuples[i] = value.Tuple{value.Str(fmt.Sprintf("acct%d", i%7)), value.Int(1)}
+	}
+	before := v.Stats()
+	first, last, err := e.AppendEach("calls", tuples)
+	if err != nil || last-first != n-1 {
+		t.Fatalf("AppendEach = %d..%d, %v", first, last, err)
+	}
+	st := v.Stats()
+	if folds, pubs := st.Applies-before.Applies, st.Publishes-before.Publishes; folds != 2 || pubs != 1 || st.DeltaRows != n {
+		t.Errorf("%d-row call: %d folds, %d publications, %d delta rows; want 2, 1, %d", n, folds, pubs, st.DeltaRows, n)
+	}
+	if cap(e.scratch.rows) > 2*maintainChunk {
+		t.Errorf("call buffer grew to %d rows, chunk is %d", cap(e.scratch.rows), maintainChunk)
+	}
+
+	tuples[maintainChunk+5] = value.Tuple{value.Str("short")}
+	first, last, err = e.AppendEach("calls", tuples)
+	if err == nil || last-first != maintainChunk+4 {
+		t.Fatalf("failing AppendEach = %d..%d, %v; want the %d-row prefix applied", first, last, err, maintainChunk+5)
+	}
+	var total int64
+	v.Scan(func(row value.Tuple) bool { total += row[2].AsInt(); return true })
+	if want := int64(n + maintainChunk + 5); total != want {
+		t.Errorf("view counts %d rows after the failed call, want %d", total, want)
+	}
+	if st := e.Stats(); st.Appends != n+maintainChunk+5 || st.ViewsMaintained != 4 {
+		t.Errorf("Appends = %d, ViewsMaintained = %d; want %d, 4", st.Appends, st.ViewsMaintained, n+maintainChunk+5)
+	}
+}

@@ -64,12 +64,15 @@ func TestWatchSSE(t *testing.T) {
 			switch ev.Kind {
 			case WatchInfo:
 				resume = ev.Resume
-				close(started)
 			case WatchSnapshot:
 				lastLSN = ev.LSN
 				for _, r := range ev.Rows {
 					snapshotN = int64(r[1].(float64))
 				}
+				// The live appends start only now: the snapshot is cut after
+				// the info event, and one cut after the first of them would
+				// hold six rows, not five.
+				close(started)
 			case WatchDelta:
 				if ev.LSN <= lastLSN {
 					t.Errorf("delta LSN %d after %d", ev.LSN, lastLSN)

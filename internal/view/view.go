@@ -17,9 +17,10 @@
 // Maintenance has two steps with different owners. Folding (ApplyRows)
 // changes the live store and is invisible to readers; publishing (Publish)
 // makes everything folded since the last publication visible at once. The
-// engine folds every row of one append call and publishes each touched view
-// once, before it releases its mutation lock — so the unit a reader can
-// observe is the call, and a k-row call pays for one publication, not k.
+// engine folds the rows of one append call in one ApplyRows and publishes
+// each touched view once, before it releases its mutation lock — so the unit
+// a reader can observe is the call, and a k-row call pays for one fold and
+// one publication, not k.
 package view
 
 import (
@@ -72,7 +73,7 @@ type Def struct {
 // Stats counts maintenance work, the raw material of the experiment
 // harness.
 type Stats struct {
-	Applies   int64 // maintenance invocations (appends seen)
+	Applies   int64 // folds: one per maintenance round that reached the view (an append call, or a chunk of a long one)
 	DeltaRows int64 // expression delta rows folded in
 	Touched   int64 // view entries created or updated
 	ApplyNs   int64 // wall time spent inside ApplyRows (the fold; a publication is O(1) or O(touched))
@@ -335,15 +336,14 @@ func (v *View) Delta(d algebra.BatchDelta) []chronicle.Row {
 // last publication, so a caller folding many batches can list each view it
 // owes a Publish exactly once.
 //
-// Concurrency contract for the parallel maintenance pipeline: ApplyRows on
-// DISTINCT views is safe to call concurrently — each view's state is
-// guarded by its own mu, and the shared block cache's CLOCK sweep runs
-// outside it. Calls on one view must be serialized by the caller (the
-// engine holds its mutation lock across the whole batch), because rows may
-// alias caller-owned scratch that is reused after the call returns, and
-// because appliedLSN ordering assumes batches arrive in LSN order. The
-// rows themselves are read-only here: they may be shared with other views
-// consuming the same precomputed delta.
+// rows is the view's expression delta for one append call (or one chunk of a
+// long one): ascending in SN, each row carrying its own LSN, folded in that
+// order — FIRST and LAST depend on it. Calls on one view must be serialized
+// by the caller (the engine folds under its mutation lock, one view after
+// another), because rows may alias caller-owned scratch that is reused after
+// the call returns, and because appliedLSN ordering assumes calls arrive in
+// LSN order. The rows themselves are read-only here: they may be shared with
+// other views consuming the same precomputed delta.
 func (v *View) ApplyRows(rows []chronicle.Row) (first bool) {
 	start := time.Now()
 	v.mu.Lock()
