@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check cover bench bench-allocs bench-reads bench-ckpt bench-maint maint-stress experiments fuzz examples torture chaos repl-chaos watch-stress loc clean
+.PHONY: all build test race vet check cover bench bench-allocs bench-reads bench-ckpt bench-maint prof-load maint-stress experiments fuzz examples torture chaos repl-chaos watch-stress loc clean
 
 all: check
 
@@ -99,11 +99,34 @@ maint-stress:
 # for the shared vs duplicated shapes, B/op of a 64-row call against a
 # 20 000-group B-tree view (per-row copy-on-write would show there), and the
 # cost of a 1 000-row load call of new groups into 64 views (the suite's
-# set-up shape; per-row rounds would show there).
+# set-up shape; per-row rounds would show there). The load guard pins that
+# call's allocation ceiling (a new group is carved, not allocated), and the
+# viewdebug build counts what a row costs a hash view in hashes, probes and
+# key comparisons and widens the slot-publication window for the lock-free
+# reader test.
 # -count=1 defeats caching — the guards must run.
 bench-maint:
-	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall' -v .
+	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestLoadAllocGuard|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall' -v .
+	$(GO) test -count=1 -tags viewdebug -run 'TestHashStoreCounts|TestHashLockFreeThroughGrowth' -v ./internal/view
 	$(GO) test -run=NONE -bench 'BenchmarkMaintainFanout' -benchmem -benchtime 50x .
+
+# prof-load profiles the two shapes the suite's maintain-fanout workload is
+# made of — the 1 000-row load call of new groups into 64 views (set-up) and
+# the 64-row call into a 20 000-group B-tree view (the timed phase's copy-on-
+# write side) — and prints where the time and the bytes go, so the next
+# performance issue sizes its claim from one command. Profiles and the test
+# binary land in .prof/ (git-ignored). Not part of check.
+PROF_DIR := .prof
+prof-load:
+	mkdir -p $(PROF_DIR)
+	$(GO) test -c -o $(PROF_DIR)/chronicledb.test .
+	for b in load1000 call64/btree=20000; do \
+		n=$$(echo $$b | tr -c 'a-z0-9\n' '_'); \
+		$(PROF_DIR)/chronicledb.test -test.run '^$$' -test.bench "BenchmarkMaintainFanout/$$b$$" -test.benchtime 200x -test.benchmem \
+			-test.cpuprofile $(PROF_DIR)/$$n.cpu -test.memprofile $(PROF_DIR)/$$n.mem || exit 1; \
+		$(GO) tool pprof -top -cum -nodecount 25 $(PROF_DIR)/chronicledb.test $(PROF_DIR)/$$n.cpu 2>/dev/null | sed -n '1,33p'; \
+		$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount 25 $(PROF_DIR)/chronicledb.test $(PROF_DIR)/$$n.mem 2>/dev/null | sed -n '1,32p'; \
+	done
 
 # check is the gate for every change: static analysis plus the full suite
 # under the race detector (the kernel is concurrent by design),

@@ -10,6 +10,7 @@ package chronicledb_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	chronicledb "chronicledb"
@@ -299,6 +300,50 @@ func TestMaintFoldsOncePerCall(t *testing.T) {
 // fan-out: appending with 64 views sharing one σ prefix stays on the same
 // fixed budget as the single-view append — sharing adds nothing — and the
 // shared plan's hit counter proves the prefix was computed once per batch.
+// TestLoadAllocGuard is the allocation ceiling for the load shape (the
+// benchmark suite's set-up, benchLoad1000): one 1 000-row AppendRows of
+// groups no view holds yet, into the 64-view fan-out, into a database that
+// has taken nine such calls already. A new group is carved from its view's
+// chunks and installed by its tag, so the call allocates a few objects per
+// view — chunks, a table that doubles, the pending list — and the row copies
+// of the chronicle, not five to seven objects per row per view (320 000
+// before entries were carved).
+func TestLoadAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const callK, budget = 1000, 32000
+	db := fanoutDB(t, "shared", 64)
+	defer db.Close()
+	call := func(c int) []chronicledb.Tuple {
+		rows := make([]chronicledb.Tuple, callK)
+		for j := range rows {
+			rows[j] = chronicledb.Tuple{chronicledb.Str(fmt.Sprintf("acct%05d", c*callK+j)), chronicledb.Int(1000)}
+		}
+		return rows
+	}
+	for c := 0; c < 9; c++ {
+		if _, _, err := db.AppendRows("calls", call(c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := call(9)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := db.AppendRows("calls", rows); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("1 000 new groups into 64 views: %d objects allocated (%.2f a row a view)", allocs, float64(allocs)/callK/64)
+	if allocs > budget {
+		t.Errorf("the load call allocated %d objects, budget %d", allocs, budget)
+	}
+	if v, _ := db.View("v63"); v.Len() != 10*callK {
+		t.Fatalf("v63 holds %d groups, want %d", v.Len(), 10*callK)
+	}
+}
+
 func TestMaintAllocGuards(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")

@@ -122,319 +122,241 @@ func (s Spec) String(schema *value.Schema) string {
 	return fmt.Sprintf("%s(%s) AS %s", s.Func, col, s.Name)
 }
 
-// State is the per-group running state of one aggregation function. Step
-// folds in one input value in O(1); Merge folds in another state (the
+// State is the per-group running state of one aggregation function: one
+// flat value, stepped by a switch on its function. Step folds in one input
+// value in O(1); Merge folds in another state of the same function (the
 // "decomposable" requirement); Result extracts the current aggregate.
-type State interface {
-	Step(v value.Value)
-	Merge(o State)
-	Result() value.Value
-	Clone() State
+//
+// Every field is an immutable scalar or a pointer to one, so assignment —
+// and copy over a []State — is a deep copy, and a state vector is one block
+// of memory. The fields are shared between functions to keep that block
+// small:
+//
+//	COUNT                n
+//	SUM                  seen, isFloat, w (integer sum), f (float sum)
+//	AVG                  SUM's fields over the non-null inputs, n of them
+//	MIN MAX FIRST LAST   seen, and the held value as kind + w | f | *str
+//	VAR STDDEV           sqrt, n, f (Σx), w (Σx² as IEEE-754 bits)
+//
+// A held string is boxed: inline, its two words would be carried by every
+// state of every function, and the numeric aggregates are the common case.
+// The box is never written after it is made (a new value gets a new box), so
+// copies of a state may share it.
+type State struct {
+	fn      Func
+	seen    bool
+	isFloat bool // SUM, AVG: a float input was seen; the sum continues in f
+	sqrt    bool // VAR, STDDEV: report the standard deviation
+	kind    value.Kind
+	n       int64
+	w       uint64
+	f       float64
+	str     *string
 }
 
 // NewState returns a fresh state for the function.
 func NewState(f Func) State {
-	switch f {
-	case Count:
-		return &countState{}
-	case Sum:
-		return &sumState{}
-	case Min:
-		return &minState{}
-	case Max:
-		return &maxState{}
-	case Avg:
-		return &avgState{}
-	case First:
-		return &firstState{}
-	case Last:
-		return &lastState{}
-	case Var:
-		return &momentState{}
-	case Stddev:
-		return &momentState{sqrt: true}
-	default:
+	if f > Stddev {
 		panic(fmt.Sprintf("aggregate: unknown function %d", f))
 	}
+	return State{fn: f, sqrt: f == Stddev}
 }
 
 // NewStates returns fresh states for each spec.
 func NewStates(specs []Spec) []State {
 	out := make([]State, len(specs))
-	for i, s := range specs {
-		out[i] = NewState(s.Func)
-	}
+	InitStates(out, specs)
 	return out
 }
 
-type countState struct{ n int64 }
-
-func (s *countState) Step(value.Value)    { s.n++ }
-func (s *countState) Merge(o State)       { s.n += o.(*countState).n }
-func (s *countState) Result() value.Value { return value.Int(s.n) }
-func (s *countState) Clone() State        { c := *s; return &c }
-
-// sumState accumulates integers exactly and switches to float arithmetic
-// as soon as any float input is seen.
-type sumState struct {
-	i       int64
-	f       float64
-	isFloat bool
-	seen    bool
+// InitStates resets dst, which the caller sized to len(specs), to fresh
+// states.
+func InitStates(dst []State, specs []Spec) {
+	for i, s := range specs {
+		dst[i] = NewState(s.Func)
+	}
 }
 
-func (s *sumState) Step(v value.Value) {
-	if v.IsNull() {
-		return
+// hold makes v the value the state holds.
+func (s *State) hold(v value.Value) {
+	s.kind, s.w, s.f, s.str = v.Kind(), 0, 0, nil
+	switch s.kind {
+	case value.KindFloat:
+		s.f = v.AsFloat()
+	case value.KindString:
+		str := v.AsString()
+		s.str = &str
+	default:
+		s.w = uint64(v.AsInt())
 	}
-	s.seen = true
-	if v.Kind() == value.KindFloat {
-		if !s.isFloat {
-			s.f = float64(s.i)
-			s.isFloat = true
-		}
-		s.f += v.AsFloat()
-		return
-	}
-	if s.isFloat {
-		s.f += v.AsFloat()
-		return
-	}
-	s.i += v.AsInt()
 }
 
-func (s *sumState) Merge(o State) {
-	os := o.(*sumState)
-	if !os.seen {
-		return
-	}
-	s.seen = true
-	if os.isFloat || s.isFloat {
-		if !s.isFloat {
-			s.f = float64(s.i)
-			s.isFloat = true
-		}
-		if os.isFloat {
-			s.f += os.f
-		} else {
-			s.f += float64(os.i)
-		}
-		return
-	}
-	s.i += os.i
-}
-
-func (s *sumState) Result() value.Value {
-	if !s.seen {
-		return value.Null()
-	}
-	if s.isFloat {
+// held returns the value the state holds.
+func (s *State) held() value.Value {
+	switch s.kind {
+	case value.KindInt:
+		return value.Int(int64(s.w))
+	case value.KindFloat:
 		return value.Float(s.f)
+	case value.KindString:
+		return value.Str(*s.str)
+	case value.KindBool:
+		return value.Bool(s.w != 0)
+	case value.KindTime:
+		return value.Chronon(int64(s.w))
+	default:
+		return value.Null()
 	}
-	return value.Int(s.i)
 }
 
-func (s *sumState) Clone() State { c := *s; return &c }
-
-type minState struct {
-	v    value.Value
-	seen bool
-}
-
-func (s *minState) Step(v value.Value) {
+// Step folds one input value into the state.
+func (s *State) Step(v value.Value) {
+	if s.fn == Count {
+		s.n++
+		return
+	}
 	if v.IsNull() {
 		return
 	}
-	if !s.seen || value.Compare(v, s.v) < 0 {
-		s.v = v
+	switch s.fn {
+	case Sum:
+		s.add(v)
+	case Avg:
+		s.add(v)
+		s.n++
+	case Min:
+		if !s.seen || value.Compare(v, s.held()) < 0 {
+			s.hold(v)
+			s.seen = true
+		}
+	case Max:
+		if !s.seen || value.Compare(v, s.held()) > 0 {
+			s.hold(v)
+			s.seen = true
+		}
+	case First:
+		// Chronicle deltas arrive in sequence order, so the first non-null
+		// value stepped is the earliest in the group.
+		if !s.seen {
+			s.hold(v)
+			s.seen = true
+		}
+	case Last:
+		s.hold(v)
 		s.seen = true
+	case Var, Stddev:
+		x := v.AsFloat()
+		s.n++
+		s.f += x
+		s.w = math.Float64bits(math.Float64frombits(s.w) + x*x)
 	}
 }
 
-func (s *minState) Merge(o State) {
-	os := o.(*minState)
-	if os.seen {
-		s.Step(os.v)
+// add is SUM's step: integers accumulate exactly, and the sum switches to
+// float arithmetic as soon as any float input is seen.
+func (s *State) add(v value.Value) {
+	s.seen = true
+	switch {
+	case v.Kind() == value.KindFloat && !s.isFloat:
+		s.f = float64(int64(s.w)) + v.AsFloat()
+		s.isFloat = true
+	case s.isFloat:
+		s.f += v.AsFloat()
+	default:
+		s.w = uint64(int64(s.w) + v.AsInt())
 	}
 }
 
-func (s *minState) Result() value.Value {
-	if !s.seen {
-		return value.Null()
-	}
-	return s.v
-}
-
-func (s *minState) Clone() State { c := *s; return &c }
-
-type maxState struct {
-	v    value.Value
-	seen bool
-}
-
-func (s *maxState) Step(v value.Value) {
-	if v.IsNull() {
-		return
-	}
-	if !s.seen || value.Compare(v, s.v) > 0 {
-		s.v = v
+// Merge folds o, a state of the same function over rows that follow the
+// receiver's in sequence order, into the receiver.
+func (s *State) Merge(o State) {
+	switch s.fn {
+	case Count:
+		s.n += o.n
+	case Sum, Avg:
+		s.n += o.n
+		if !o.seen {
+			return
+		}
 		s.seen = true
+		switch {
+		case o.isFloat || s.isFloat:
+			if !s.isFloat {
+				s.f = float64(int64(s.w))
+				s.isFloat = true
+			}
+			if o.isFloat {
+				s.f += o.f
+			} else {
+				s.f += float64(int64(o.w))
+			}
+		default:
+			s.w = uint64(int64(s.w) + int64(o.w))
+		}
+	case Min, Max:
+		if o.seen {
+			s.Step(o.held())
+		}
+	case First, Last:
+		// The receiver precedes o in sequence order: its FIRST wins if set,
+		// its LAST loses if o's is.
+		if o.seen && (s.fn == Last || !s.seen) {
+			s.hold(o.held())
+			s.seen = true
+		}
+	case Var, Stddev:
+		s.n += o.n
+		s.f += o.f
+		s.w = math.Float64bits(math.Float64frombits(s.w) + math.Float64frombits(o.w))
 	}
 }
 
-func (s *maxState) Merge(o State) {
-	os := o.(*maxState)
-	if os.seen {
-		s.Step(os.v)
+// Result extracts the current aggregate. AVG and VAR show the paper's
+// decomposition requirement: neither is incrementally computable from its
+// own result, but each derives from functions that are — SUM and COUNT,
+// and (COUNT, Σx, Σx²).
+func (s State) Result() value.Value {
+	switch s.fn {
+	case Count:
+		return value.Int(s.n)
+	case Sum:
+		return s.sum()
+	case Avg:
+		if s.n == 0 {
+			return value.Null()
+		}
+		return value.Float(s.sum().AsFloat() / float64(s.n))
+	case Var, Stddev:
+		if s.n == 0 {
+			return value.Null()
+		}
+		mean := s.f / float64(s.n)
+		variance := math.Float64frombits(s.w)/float64(s.n) - mean*mean
+		if variance < 0 {
+			variance = 0 // numeric noise near zero variance
+		}
+		if s.sqrt {
+			return value.Float(math.Sqrt(variance))
+		}
+		return value.Float(variance)
+	default:
+		if !s.seen {
+			return value.Null()
+		}
+		return s.held()
 	}
 }
 
-func (s *maxState) Result() value.Value {
-	if !s.seen {
+func (s *State) sum() value.Value {
+	switch {
+	case !s.seen:
 		return value.Null()
-	}
-	return s.v
-}
-
-func (s *maxState) Clone() State { c := *s; return &c }
-
-// avgState demonstrates the paper's decomposition requirement: AVG is not
-// itself incrementally computable from its own results, but decomposes into
-// SUM and COUNT, which are.
-type avgState struct {
-	sum sumState
-	n   int64
-}
-
-func (s *avgState) Step(v value.Value) {
-	if v.IsNull() {
-		return
-	}
-	s.sum.Step(v)
-	s.n++
-}
-
-func (s *avgState) Merge(o State) {
-	os := o.(*avgState)
-	s.sum.Merge(&os.sum)
-	s.n += os.n
-}
-
-func (s *avgState) Result() value.Value {
-	if s.n == 0 {
-		return value.Null()
-	}
-	return value.Float(s.sum.Result().AsFloat() / float64(s.n))
-}
-
-func (s *avgState) Clone() State { c := *s; return &c }
-
-// firstState keeps the first non-null value stepped. Because chronicle
-// deltas arrive in sequence order, this is the earliest value in the group.
-type firstState struct {
-	v    value.Value
-	seen bool
-}
-
-func (s *firstState) Step(v value.Value) {
-	if s.seen || v.IsNull() {
-		return
-	}
-	s.v = v
-	s.seen = true
-}
-
-func (s *firstState) Merge(o State) {
-	// The receiver precedes o in sequence order, so it wins if set.
-	os := o.(*firstState)
-	if !s.seen && os.seen {
-		s.v, s.seen = os.v, true
+	case s.isFloat:
+		return value.Float(s.f)
+	default:
+		return value.Int(int64(s.w))
 	}
 }
-
-func (s *firstState) Result() value.Value {
-	if !s.seen {
-		return value.Null()
-	}
-	return s.v
-}
-
-func (s *firstState) Clone() State { c := *s; return &c }
-
-// lastState keeps the most recent non-null value stepped.
-type lastState struct {
-	v    value.Value
-	seen bool
-}
-
-func (s *lastState) Step(v value.Value) {
-	if v.IsNull() {
-		return
-	}
-	s.v = v
-	s.seen = true
-}
-
-func (s *lastState) Merge(o State) {
-	os := o.(*lastState)
-	if os.seen {
-		s.v, s.seen = os.v, true
-	}
-}
-
-func (s *lastState) Result() value.Value {
-	if !s.seen {
-		return value.Null()
-	}
-	return s.v
-}
-
-func (s *lastState) Clone() State { c := *s; return &c }
-
-// momentState implements population variance (and its square root) through
-// the decomposition the paper requires: VAR is not incrementally computable
-// from its own result, but (count, Σx, Σx²) is a set of incrementally
-// computable functions from which it derives.
-type momentState struct {
-	n     int64
-	sum   float64
-	sumSq float64
-	sqrt  bool // report standard deviation instead of variance
-}
-
-func (s *momentState) Step(v value.Value) {
-	if v.IsNull() {
-		return
-	}
-	x := v.AsFloat()
-	s.n++
-	s.sum += x
-	s.sumSq += x * x
-}
-
-func (s *momentState) Merge(o State) {
-	os := o.(*momentState)
-	s.n += os.n
-	s.sum += os.sum
-	s.sumSq += os.sumSq
-}
-
-func (s *momentState) Result() value.Value {
-	if s.n == 0 {
-		return value.Null()
-	}
-	mean := s.sum / float64(s.n)
-	variance := s.sumSq/float64(s.n) - mean*mean
-	if variance < 0 {
-		variance = 0 // numeric noise near zero variance
-	}
-	if s.sqrt {
-		return value.Float(math.Sqrt(variance))
-	}
-	return value.Float(variance)
-}
-
-func (s *momentState) Clone() State { c := *s; return &c }
 
 // Apply folds the value at each spec's column of t into the matching state.
 // It is the single O(1)-per-tuple step at the heart of view maintenance.
@@ -451,93 +373,8 @@ func Apply(states []State, specs []Spec, t value.Tuple) {
 // Results extracts the current value of each state.
 func Results(states []State) value.Tuple {
 	out := make(value.Tuple, len(states))
-	for i, s := range states {
-		out[i] = s.Result()
+	for i := range states {
+		out[i] = states[i].Result()
 	}
 	return out
-}
-
-// CloneStates deep-copies a state vector, used by view checkpoints.
-func CloneStates(states []State) []State {
-	out := make([]State, len(states))
-	for i, s := range states {
-		out[i] = s.Clone()
-	}
-	return out
-}
-
-// CopyState overwrites dst in place with src's value. Both must be states
-// of the same function (same concrete type). Every state is a flat struct
-// of immutable values, so a struct copy is a deep copy — this is the
-// allocation-free counterpart of Clone, used by the hash view store to
-// recycle retired entries.
-func CopyState(dst, src State) bool {
-	switch d := dst.(type) {
-	case *countState:
-		s, ok := src.(*countState)
-		if !ok {
-			return false
-		}
-		*d = *s
-	case *sumState:
-		s, ok := src.(*sumState)
-		if !ok {
-			return false
-		}
-		*d = *s
-	case *minState:
-		s, ok := src.(*minState)
-		if !ok {
-			return false
-		}
-		*d = *s
-	case *maxState:
-		s, ok := src.(*maxState)
-		if !ok {
-			return false
-		}
-		*d = *s
-	case *avgState:
-		s, ok := src.(*avgState)
-		if !ok {
-			return false
-		}
-		*d = *s
-	case *firstState:
-		s, ok := src.(*firstState)
-		if !ok {
-			return false
-		}
-		*d = *s
-	case *lastState:
-		s, ok := src.(*lastState)
-		if !ok {
-			return false
-		}
-		*d = *s
-	case *momentState:
-		s, ok := src.(*momentState)
-		if !ok {
-			return false
-		}
-		*d = *s
-	default:
-		return false
-	}
-	return true
-}
-
-// CopyStates copies each src state into the matching dst slot in place,
-// allocation-free. It reports whether every pair matched; on a mismatch the
-// caller should fall back to CloneStates.
-func CopyStates(dst, src []State) bool {
-	if len(dst) != len(src) {
-		return false
-	}
-	for i := range src {
-		if !CopyState(dst[i], src[i]) {
-			return false
-		}
-	}
-	return true
 }

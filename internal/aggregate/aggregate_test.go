@@ -161,12 +161,14 @@ func TestMergeDecompositionQuick(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	for _, f := range []Func{Count, Sum, Min, Max, Avg, First, Last} {
+// TestAssignmentIsADeepCopy: a State is a flat value, so assigning it is the
+// clone the view stores rely on.
+func TestAssignmentIsADeepCopy(t *testing.T) {
+	for _, f := range []Func{Count, Sum, Min, Max, Avg, First, Last, Var, Stddev} {
 		s := stepAll(f, value.Int(5), value.Int(1))
 		before := s.Result()
-		c := s.Clone()
-		// Mutate the clone heavily; the original must be unaffected.
+		c := s
+		// Mutate the copy heavily; the original must be unaffected.
 		c.Step(value.Int(100))
 		c.Step(value.Int(-100))
 		if !value.Equal(s.Result(), before) {
@@ -234,14 +236,15 @@ func TestApplyAndResults(t *testing.T) {
 	}
 }
 
-func TestCloneStates(t *testing.T) {
+func TestCopyOfStatesIsADeepCopy(t *testing.T) {
 	specs := []Spec{{Func: Sum, Col: 0, Name: "s"}}
 	states := NewStates(specs)
 	Apply(states, specs, value.Tuple{value.Int(5)})
-	copies := CloneStates(states)
+	copies := make([]State, len(states))
+	copy(copies, states)
 	Apply(states, specs, value.Tuple{value.Int(7)})
 	if copies[0].Result().AsInt() != 5 {
-		t.Errorf("CloneStates aliases original: %v", copies[0].Result())
+		t.Errorf("copy aliases original: %v", copies[0].Result())
 	}
 }
 

@@ -12,107 +12,80 @@ import (
 // since chronicles are not retained, a view's aggregate states are the only
 // durable record of past activity and must round-trip exactly.
 
-// AppendState appends the encoding of s (which must be a state produced by
-// NewState(f)) to dst.
+// AppendState appends the encoding of s, a state of function f, to dst.
 func AppendState(dst []byte, f Func, s State) []byte {
-	switch st := s.(type) {
-	case *countState:
-		return binary.LittleEndian.AppendUint64(dst, uint64(st.n))
-	case *sumState:
-		dst = append(dst, encodeBool(st.isFloat), encodeBool(st.seen))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(st.i))
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(st.f))
-	case *minState:
-		return appendSeenValue(dst, st.seen, st.v)
-	case *maxState:
-		return appendSeenValue(dst, st.seen, st.v)
-	case *avgState:
-		dst = append(dst, encodeBool(st.sum.isFloat), encodeBool(st.sum.seen))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(st.sum.i))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(st.sum.f))
-		return binary.LittleEndian.AppendUint64(dst, uint64(st.n))
-	case *firstState:
-		return appendSeenValue(dst, st.seen, st.v)
-	case *lastState:
-		return appendSeenValue(dst, st.seen, st.v)
-	case *momentState:
-		dst = append(dst, encodeBool(st.sqrt))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(st.n))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(st.sum))
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(st.sumSq))
+	switch f {
+	case Count:
+		return binary.LittleEndian.AppendUint64(dst, uint64(s.n))
+	case Sum, Avg:
+		dst = append(dst, encodeBool(s.isFloat), encodeBool(s.seen))
+		dst = binary.LittleEndian.AppendUint64(dst, s.w)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.f))
+		if f == Avg {
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(s.n))
+		}
+		return dst
+	case Min, Max, First, Last:
+		dst = append(dst, encodeBool(s.seen))
+		return value.AppendValue(dst, s.held())
+	case Var, Stddev:
+		dst = append(dst, encodeBool(s.sqrt))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(s.n))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.f))
+		return binary.LittleEndian.AppendUint64(dst, s.w)
 	default:
-		panic(fmt.Sprintf("aggregate: cannot encode state %T for %v", s, f))
+		panic(fmt.Sprintf("aggregate: cannot encode state of function %d", f))
 	}
 }
 
 // DecodeState decodes one state for function f from the front of b,
 // returning the state and bytes consumed.
 func DecodeState(f Func, b []byte) (State, int, error) {
+	s := State{fn: f}
 	switch f {
 	case Count:
 		if len(b) < 8 {
-			return nil, 0, fmt.Errorf("aggregate: truncated count state")
+			return State{}, 0, fmt.Errorf("aggregate: truncated count state")
 		}
-		return &countState{n: int64(binary.LittleEndian.Uint64(b))}, 8, nil
-	case Sum:
-		if len(b) < 18 {
-			return nil, 0, fmt.Errorf("aggregate: truncated sum state")
+		s.n = int64(binary.LittleEndian.Uint64(b))
+		return s, 8, nil
+	case Sum, Avg:
+		size, name := 18, "sum"
+		if f == Avg {
+			size, name = 26, "avg"
 		}
-		return &sumState{
-			isFloat: b[0] != 0,
-			seen:    b[1] != 0,
-			i:       int64(binary.LittleEndian.Uint64(b[2:])),
-			f:       math.Float64frombits(binary.LittleEndian.Uint64(b[10:])),
-		}, 18, nil
-	case Min:
-		seen, v, n, err := decodeSeenValue(b)
+		if len(b) < size {
+			return State{}, 0, fmt.Errorf("aggregate: truncated %s state", name)
+		}
+		s.isFloat, s.seen = b[0] != 0, b[1] != 0
+		s.w = binary.LittleEndian.Uint64(b[2:])
+		s.f = math.Float64frombits(binary.LittleEndian.Uint64(b[10:]))
+		if f == Avg {
+			s.n = int64(binary.LittleEndian.Uint64(b[18:]))
+		}
+		return s, size, nil
+	case Min, Max, First, Last:
+		if len(b) < 1 {
+			return State{}, 0, fmt.Errorf("aggregate: truncated state header")
+		}
+		v, n, err := value.DecodeValue(b[1:])
 		if err != nil {
-			return nil, 0, err
+			return State{}, 0, err
 		}
-		return &minState{seen: seen, v: v}, n, nil
-	case Max:
-		seen, v, n, err := decodeSeenValue(b)
-		if err != nil {
-			return nil, 0, err
-		}
-		return &maxState{seen: seen, v: v}, n, nil
-	case Avg:
-		if len(b) < 26 {
-			return nil, 0, fmt.Errorf("aggregate: truncated avg state")
-		}
-		return &avgState{
-			sum: sumState{
-				isFloat: b[0] != 0,
-				seen:    b[1] != 0,
-				i:       int64(binary.LittleEndian.Uint64(b[2:])),
-				f:       math.Float64frombits(binary.LittleEndian.Uint64(b[10:])),
-			},
-			n: int64(binary.LittleEndian.Uint64(b[18:])),
-		}, 26, nil
-	case First:
-		seen, v, n, err := decodeSeenValue(b)
-		if err != nil {
-			return nil, 0, err
-		}
-		return &firstState{seen: seen, v: v}, n, nil
-	case Last:
-		seen, v, n, err := decodeSeenValue(b)
-		if err != nil {
-			return nil, 0, err
-		}
-		return &lastState{seen: seen, v: v}, n, nil
+		s.hold(v)
+		s.seen = b[0] != 0
+		return s, 1 + n, nil
 	case Var, Stddev:
 		if len(b) < 25 {
-			return nil, 0, fmt.Errorf("aggregate: truncated moment state")
+			return State{}, 0, fmt.Errorf("aggregate: truncated moment state")
 		}
-		return &momentState{
-			sqrt:  b[0] != 0,
-			n:     int64(binary.LittleEndian.Uint64(b[1:])),
-			sum:   math.Float64frombits(binary.LittleEndian.Uint64(b[9:])),
-			sumSq: math.Float64frombits(binary.LittleEndian.Uint64(b[17:])),
-		}, 25, nil
+		s.sqrt = b[0] != 0
+		s.n = int64(binary.LittleEndian.Uint64(b[1:]))
+		s.f = math.Float64frombits(binary.LittleEndian.Uint64(b[9:]))
+		s.w = binary.LittleEndian.Uint64(b[17:])
+		return s, 25, nil
 	default:
-		return nil, 0, fmt.Errorf("aggregate: unknown function %d", f)
+		return State{}, 0, fmt.Errorf("aggregate: unknown function %d", f)
 	}
 }
 
@@ -121,21 +94,4 @@ func encodeBool(b bool) byte {
 		return 1
 	}
 	return 0
-}
-
-func appendSeenValue(dst []byte, seen bool, v value.Value) []byte {
-	dst = append(dst, encodeBool(seen))
-	return value.AppendValue(dst, v)
-}
-
-func decodeSeenValue(b []byte) (bool, value.Value, int, error) {
-	if len(b) < 1 {
-		return false, value.Null(), 0, fmt.Errorf("aggregate: truncated state header")
-	}
-	seen := b[0] != 0
-	v, n, err := value.DecodeValue(b[1:])
-	if err != nil {
-		return false, value.Null(), 0, err
-	}
-	return seen, v, 1 + n, nil
 }

@@ -91,33 +91,63 @@ func decodeBlock(data []byte, mode Summarize, aggs []aggregate.Spec) ([]*entry, 
 		cap = len(body)
 	}
 	entries := make([]*entry, 0, cap)
+	if mode != SummarizeGroupBy {
+		aggs = nil
+	}
+	// Blocks belong to the ordered store, whose shells stay with the
+	// collector; the block's values get an arena of their own, which goes
+	// when the block's entries do.
+	a := new(arena)
+	a.reserve(cap)
 	for i := uint64(0); i < count; i++ {
-		vals, used, err := value.DecodeTuple(body[off:])
+		e, used, err := decodeEntry(body[off:], a, true, aggs)
 		if err != nil {
 			return nil, fmt.Errorf("block entry %d: %w", i, err)
 		}
 		off += used
-		c, n := binary.Uvarint(body[off:])
-		if n <= 0 {
-			return nil, fmt.Errorf("block entry %d: bad count", i)
-		}
-		off += n
-		e := &entry{vals: vals, count: int64(c)}
-		if mode == SummarizeGroupBy {
-			e.states = make([]aggregate.State, len(aggs))
-			for j, spec := range aggs {
-				st, used, err := aggregate.DecodeState(spec.Func, body[off:])
-				if err != nil {
-					return nil, fmt.Errorf("block entry %d state %d: %w", i, j, err)
-				}
-				e.states[j] = st
-				off += used
-			}
-		}
 		entries = append(entries, e)
 	}
 	if off != len(body) {
 		return nil, fmt.Errorf("block: %d trailing bytes", len(body)-off)
 	}
 	return entries, nil
+}
+
+// decodeEntry decodes one entry in block-payload encoding (a whole-image
+// checkpoint uses the same) from the front of b, building it with newEntry,
+// and returns it with the bytes consumed.
+func decodeEntry(b []byte, a *arena, gcShell bool, aggs []aggregate.Spec) (*entry, int, error) {
+	arity, off := binary.Uvarint(b)
+	if off <= 0 {
+		return nil, 0, fmt.Errorf("bad tuple arity")
+	}
+	if arity > uint64(len(b)) {
+		// Each value takes at least one byte, so arity can never exceed the
+		// remaining buffer; this rejects corrupt headers early.
+		return nil, 0, fmt.Errorf("tuple arity %d exceeds buffer", arity)
+	}
+	e := newEntry(a, gcShell, int(arity), aggs, nil)
+	for i := range e.vals {
+		v, used, err := value.DecodeValue(b[off:])
+		if err != nil {
+			return nil, 0, fmt.Errorf("column %d: %w", i, err)
+		}
+		e.vals[i] = v
+		off += used
+	}
+	c, used := binary.Uvarint(b[off:])
+	if used <= 0 {
+		return nil, 0, fmt.Errorf("bad count")
+	}
+	off += used
+	e.count = int64(c)
+	for j, spec := range aggs {
+		st, used, err := aggregate.DecodeState(spec.Func, b[off:])
+		if err != nil {
+			return nil, 0, fmt.Errorf("state %d: %w", j, err)
+		}
+		e.states[j] = st
+		off += used
+	}
+	return e, off, nil
 }

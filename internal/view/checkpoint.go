@@ -4,9 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"chronicledb/internal/aggregate"
 	"chronicledb/internal/keyenc"
-	"chronicledb/internal/value"
 )
 
 // View checkpoints. Because the chronicle itself is not retained, a view's
@@ -38,11 +36,7 @@ func (v *View) Checkpoint() []byte {
 	b = append(b, byte(v.def.Mode))
 	b = binary.AppendUvarint(b, uint64(len(v.def.Aggs)))
 	appendEntry := func(_ []byte, e *entry) bool {
-		b = value.AppendTuple(b, e.vals)
-		b = binary.AppendUvarint(b, uint64(e.count))
-		for i, st := range e.states {
-			b = aggregate.AppendState(b, v.def.Aggs[i].Func, st)
-		}
+		b = appendBlockEntry(b, e, v.def.Aggs)
 		return true
 	}
 	if v.pg.Load() != nil {
@@ -96,32 +90,21 @@ func (v *View) RestoreCheckpoint(data []byte) error {
 	off += n
 
 	fresh := newStore(storeKindOf(v.store))
+	a := new(arena)
+	a.reserve(int(min(count, uint64(len(data)))))
 	var keyBuf []byte
 	for i := uint64(0); i < count; i++ {
-		vals, used, err := value.DecodeTuple(data[off:])
+		e, used, err := decodeEntry(data[off:], a, v.cow, v.aggs)
 		if err != nil {
 			return fmt.Errorf("view %s: entry %d: %w", v.def.Name, i, err)
 		}
 		off += used
-		c, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return fmt.Errorf("view %s: entry %d: bad count", v.def.Name, i)
-		}
-		off += n
-		e := &entry{vals: vals, count: int64(c)}
-		if v.def.Mode == SummarizeGroupBy {
-			e.states = make([]aggregate.State, len(v.def.Aggs))
-			for j, spec := range v.def.Aggs {
-				st, used, err := aggregate.DecodeState(spec.Func, data[off:])
-				if err != nil {
-					return fmt.Errorf("view %s: entry %d state %d: %w", v.def.Name, i, j, err)
-				}
-				e.states[j] = st
-				off += used
-			}
-		}
 		keyBuf = keyenc.AppendTuple(keyBuf[:0], e.vals)
-		fresh.set(keyBuf, e)
+		dup, tag := fresh.get(keyBuf)
+		if dup != nil {
+			return fmt.Errorf("view %s: entry %d repeats a group", v.def.Name, i)
+		}
+		fresh.put(a, keyBuf, tag, e)
 	}
 	if off != len(data) {
 		return fmt.Errorf("view %s: %d trailing checkpoint bytes", v.def.Name, len(data)-off)
@@ -137,12 +120,13 @@ func (v *View) RestoreCheckpoint(data []byte) error {
 	} else {
 		v.store = fresh
 	}
+	v.arena = a
 	if p := v.pg.Load(); p != nil {
 		// A whole-image restore (the replication bootstrap image)
 		// collapses the pager to one resident dirty block spanning the
 		// key space; the next blocked checkpoint re-cuts it.
 		p.cache.dropView(v)
-		b := &blockMeta{resident: true}
+		b := &blockMeta{resident: true, arena: a}
 		v.store.ascend(func(k []byte, e *entry) bool {
 			b.n++
 			b.bytes += estEntryBytes(k, e)

@@ -1,0 +1,132 @@
+package view
+
+import (
+	"encoding/hex"
+	"os"
+	"testing"
+
+	"chronicledb/internal/aggregate"
+	"chronicledb/internal/algebra"
+)
+
+// The image half of the format pin (the state half is in
+// internal/aggregate): a whole-image checkpoint and a blocked checkpoint
+// image written before entries were built by newEntry and states became flat
+// must restore here, and the same rows must produce the same bytes here.
+// testdata/golden_checkpoint.hex and golden_blocked.hex were written by the
+// parent commit running goldenView over goldenRows (GOLDEN_WRITE=1).
+
+// goldenView carries every aggregation function over the fixture's calls
+// chronicle, so every state encoding appears in the images.
+func goldenView(t *testing.T, f *fixture, kind StoreKind) *View {
+	t.Helper()
+	return mustNew(t, Def{
+		Name:      "golden",
+		Expr:      algebra.NewScan(f.calls),
+		Mode:      SummarizeGroupBy,
+		GroupCols: []int{0},
+		Aggs: []aggregate.Spec{
+			{Func: aggregate.Sum, Col: 1, Name: "total"},
+			{Func: aggregate.Count, Col: -1, Name: "n"},
+			{Func: aggregate.Min, Col: 1, Name: "lo"},
+			{Func: aggregate.Max, Col: 0, Name: "hi"},
+			{Func: aggregate.Avg, Col: 1, Name: "mean"},
+			{Func: aggregate.First, Col: 0, Name: "first"},
+			{Func: aggregate.Last, Col: 1, Name: "last"},
+			{Func: aggregate.Var, Col: 1, Name: "var"},
+			{Func: aggregate.Stddev, Col: 1, Name: "sd"},
+		},
+	}, kind)
+}
+
+// goldenRows folds 40 groups, a few of them more than once.
+func goldenRows(t *testing.T, f *fixture, v *View) {
+	t.Helper()
+	for i := 0; i < 40; i++ {
+		v.Apply(f.appendCall(t, acctName(i*7%40), int64(i*13%17-3)))
+	}
+	for i := 0; i < 12; i++ {
+		v.Apply(f.appendCall(t, acctName(i*3), int64(100+i)))
+	}
+}
+
+func goldenFile(t *testing.T, name string, got []byte) []byte {
+	t.Helper()
+	path := "testdata/" + name
+	if os.Getenv("GOLDEN_WRITE") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(hex.EncodeToString(got)+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hex.DecodeString(string(text[:len(text)-1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+func TestGoldenCheckpointImage(t *testing.T) {
+	for _, kind := range []StoreKind{StoreHash, StoreBTree} {
+		f := newFixture(t)
+		v := goldenView(t, f, kind)
+		goldenRows(t, f, v)
+		img := v.Checkpoint()
+		want := goldenFile(t, "golden_checkpoint.hex", img)
+		if string(img) != string(want) {
+			t.Fatalf("%s: the checkpoint of the golden rows differs from the parent's image", kind)
+		}
+		r := goldenView(t, newFixture(t), kind)
+		if err := r.RestoreCheckpoint(want); err != nil {
+			t.Fatalf("%s: restoring the parent's image: %v", kind, err)
+		}
+		if !sameTuples(r.Rows(), v.Rows()) {
+			t.Fatalf("%s: restored rows differ:\n got %v\nwant %v", kind, r.Rows(), v.Rows())
+		}
+		if again := r.Checkpoint(); string(again) != string(want) {
+			t.Fatalf("%s: the restored view checkpoints to different bytes", kind)
+		}
+	}
+}
+
+func TestGoldenBlockedImage(t *testing.T) {
+	f := newFixture(t)
+	sim := newChainSim()
+	v := goldenView(t, f, StoreBTree)
+	v.EnablePaging(512, sim.fetch, NewCache(0))
+	goldenRows(t, f, v)
+	img, _, _, total, err := v.CheckpointBlocked(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total < 4 {
+		t.Fatalf("the golden view cut %d blocks, want several", total)
+	}
+	want := goldenFile(t, "golden_blocked.hex", img)
+	if string(img) != string(want) {
+		t.Fatal("the blocked image of the golden rows differs from the parent's image")
+	}
+	// Eagerly, into an unpaged view, and lazily, into a paged one that
+	// faults every block back in from the image.
+	eager := goldenView(t, newFixture(t), StoreBTree)
+	if err := eager.RestoreBlocked(want, "golden", 0, nil); err != nil {
+		t.Fatalf("restoring the parent's blocked image: %v", err)
+	}
+	sim.files["golden"] = want
+	lazy := goldenView(t, newFixture(t), StoreBTree)
+	lazy.EnablePaging(512, sim.fetch, NewCache(0))
+	if err := lazy.RestoreBlocked(want, "golden", 0, sim.fetch); err != nil {
+		t.Fatalf("restoring the parent's blocked image lazily: %v", err)
+	}
+	for name, r := range map[string]*View{"eager": eager, "lazy": lazy} {
+		if !sameTuples(r.Rows(), v.Rows()) {
+			t.Fatalf("%s: restored rows differ:\n got %v\nwant %v", name, r.Rows(), v.Rows())
+		}
+	}
+}

@@ -43,6 +43,10 @@ type blockMeta struct {
 	ckptMark  uint64 // pager clock at last durably committed encode
 	ref       *BlockRef
 	hot       atomic.Bool // CLOCK reference bit: set on fault and write
+	// arena is where the block's keys and its new groups' values are carved
+	// from while it is resident (created on first need). Eviction drops it
+	// with the entries, so a cold block pins no chunk.
+	arena *arena
 }
 
 // dirty reports whether the block changed since its last committed
@@ -134,12 +138,15 @@ func (v *View) ReleasePaging() {
 }
 
 // ensureWrite faults in the block covering key (writes require residency
-// so checkpoint can re-encode from memory) and stamps it dirty and hot.
-// Caller holds v.mu.
+// so checkpoint can re-encode from memory), stamps it dirty and hot, and
+// sees that it has an arena for what the write may insert. Caller holds v.mu.
 func (v *View) ensureWrite(p *pager, key []byte) *blockMeta {
 	b := p.blocks[p.blockFor(key)]
 	if !b.resident {
 		v.faultIn(p, b)
+	}
+	if b.arena == nil {
+		b.arena = new(arena)
 	}
 	p.mark++
 	b.dirtyMark = p.mark
@@ -206,13 +213,15 @@ func (v *View) pageIn(p *pager, b *blockMeta, pub *btree.Tree[[]byte, *entry]) {
 			v.def.Name, b.ref.File, b.ref.Off, b.ref.Len, err))
 	}
 	ts := v.store.(*treeStore)
+	b.arena = new(arena)
+	b.arena.reserve(len(entries))
 	var keyBuf []byte
 	for _, e := range entries {
-		// Epoch 0 predates every write epoch: the entry is about to be
-		// published, so the first write to it must copy.
-		e.epoch = 0
+		// A decoded entry's stamp is epoch 0, which predates every write
+		// epoch: the entry is about to be published, so the first write to
+		// it must copy.
 		keyBuf = keyenc.AppendTuple(keyBuf[:0], e.vals)
-		key := append([]byte(nil), keyBuf...)
+		key := b.arena.keyBytes(keyBuf)
 		ts.t.Set(key, e)
 		if pub != nil {
 			pub.Set(key, e)
@@ -254,6 +263,7 @@ func (v *View) evictBlock(b *blockMeta) int64 {
 	ts := v.store.(*treeStore)
 	ts.t.DeleteRange(b.lo, hi, b.lo != nil, hasHi)
 	b.resident = false
+	b.arena = nil
 	p.nonResident.Add(1)
 	p.cache.dropResident(b)
 	v.publishLocked()
@@ -755,6 +765,7 @@ func (v *View) RestoreBlocked(data []byte, file string, base int64, fetch FetchF
 
 	// Eager: materialize everything (the view runs unpaged).
 	fresh := newStore(storeKindOf(v.store))
+	a := new(arena)
 	var keyBuf []byte
 	for i, r := range recs {
 		payload := r.payload
@@ -772,9 +783,14 @@ func (v *View) RestoreBlocked(data []byte, file string, base int64, fetch FetchF
 		if err != nil {
 			return fmt.Errorf("view %s: block %d: %w", v.def.Name, i, err)
 		}
+		a.reserve(len(entries))
 		for _, e := range entries {
 			keyBuf = keyenc.AppendTuple(keyBuf[:0], e.vals)
-			fresh.set(keyBuf, e)
+			dup, tag := fresh.get(keyBuf)
+			if dup != nil {
+				return fmt.Errorf("view %s: block %d repeats a group", v.def.Name, i)
+			}
+			fresh.put(a, keyBuf, tag, e)
 		}
 	}
 	v.mu.Lock()
@@ -785,6 +801,7 @@ func (v *View) RestoreBlocked(data []byte, file string, base int64, fetch FetchF
 	} else {
 		v.store = fresh
 	}
+	v.arena = a
 	v.publishLocked()
 	v.mu.Unlock()
 	return nil
@@ -927,7 +944,7 @@ func (v *View) RestoreBlockedDelta(data []byte, file string, base int64) error {
 				}
 				for _, e := range entries {
 					keyBuf = keyenc.AppendTuple(keyBuf[:0], e.vals)
-					ts.set(keyBuf, e)
+					ts.put(v.arena, keyBuf, 0, e)
 				}
 			}
 			continue

@@ -15,34 +15,70 @@ import (
 // tuple), the per-group aggregation states, and a contribution count used
 // for refcounted duplicate elimination in projection views.
 //
-// epoch stamps the publication epoch the entry was created (or last
-// copied) in. B-tree stores publish an immutable snapshot at the end of
-// every append call; an entry whose epoch predates the view's current
-// write epoch is reachable from a published snapshot and must be cloned
-// before mutation so lock-free readers never observe a partial update.
+// An entry reachable by lock-free readers is frozen; maintenance changes a
+// group by building a new version of its entry (newEntry with src set) and
+// swapping that in. vals and key are written once, when the group is
+// created, and shared by every version.
 //
-// key holds the encoded group key for hash-store entries, which double as
-// the table slots of the lock-free hash index (the B-tree store keys its
-// nodes instead and leaves key empty). A published hash entry is frozen
-// exactly like a snapshot-reachable tree entry: maintenance mutates a
-// pending clone and re-installs it atomically at publish.
+// stamp belongs to the store. The ordered store keeps the write epoch the
+// entry was created (or last copied) in: it publishes an immutable snapshot
+// at the end of every append call, and an entry whose epoch predates the
+// view's current write epoch is reachable from a published snapshot and must
+// be copied before mutation. The hash store keeps the key's hash tag in the
+// low half — computed once when a row first meets the key, carried through
+// pending and install — and carvedBit above it.
+//
+// key holds the encoded group key for hash-store entries, which the table
+// compares after a tag match (the ordered store keys its nodes instead and
+// leaves key empty).
 type entry struct {
 	vals   value.Tuple
 	states []aggregate.State
 	count  int64
-	epoch  uint64
+	stamp  uint64
 	key    string
 }
 
-// clone returns a mutable copy of the entry stamped with the given epoch.
-// vals is shared: it is assigned once at entry creation and never mutated
-// in place, so snapshot readers and the live store can alias it safely.
-func (e *entry) clone(epoch uint64) *entry {
-	c := &entry{vals: e.vals, count: e.count, epoch: epoch, key: e.key}
-	if e.states != nil {
-		c.states = aggregate.CloneStates(e.states)
+// carvedBit marks a hash-store entry whose shell (the entry and its states)
+// was carved from an arena chunk: the collector cannot take it back alone,
+// so the store must never let go of it (see hashStore.publish).
+const carvedBit = 1 << 32
+
+func (e *entry) tag() uint32 { return uint32(e.stamp) }
+
+// newEntry is the one place view entries are built: the fold's new groups,
+// decoded blocks and checkpoints, and every copy-on-write version.
+//
+// With src nil it builds a new group of nvals values (for the caller to
+// fill) and one fresh state per spec, carved from a. Only what lives as
+// long as the group is carved under gcShell: the ordered store replaces a
+// shell on the group's first touch in each epoch and cannot know when the
+// last snapshot reader lets go of the old one, so its shells stay with the
+// collector.
+//
+// With src set it builds the next version of src, sharing vals and key and
+// copying count and states. Versions are always the collector's — the hash
+// store recycles them itself while it can (see mutableClone) and needs to be
+// able to drop them when it cannot.
+func newEntry(a *arena, gcShell bool, nvals int, aggs []aggregate.Spec, src *entry) *entry {
+	shell := a
+	if gcShell || src != nil {
+		shell = nil
 	}
-	return c
+	e := shell.entry()
+	if src != nil {
+		e.vals, e.count, e.key = src.vals, src.count, src.key
+		e.states = shell.stateVec(len(src.states))
+		copy(e.states, src.states)
+		return e
+	}
+	e.vals = a.tuple(nvals)
+	e.states = shell.stateVec(len(aggs))
+	aggregate.InitStates(e.states, aggs)
+	if shell != nil {
+		e.stamp = carvedBit
+	}
+	return e
 }
 
 // StoreKind selects the view's group store. The paper's Theorem 4.4 bound,
@@ -69,18 +105,19 @@ func (k StoreKind) String() string {
 
 // store is the minimal interface view maintenance needs. Keys are encoded
 // key bytes owned by the caller: get probes without copying (the hot path
-// reuses one buffer per view), set copies the key before retaining it.
+// reuses one buffer per view), put copies the key, from the arena it is
+// given, before retaining it.
 //
-// get/set/replace are maintenance-side and run under the view's exclusive
-// lock; the hash store's get returns a pending mutable clone so published
+// get and put are maintenance-side and run under the view's exclusive
+// lock; the hash store's get returns a pending mutable version so published
 // entries stay frozen for its lock-free readers.
 type store interface {
-	get(key []byte) (*entry, bool)
-	set(key []byte, e *entry)
-	// replace re-points an existing key at a new entry without copying the
-	// key (the COW path swaps entries on every first touch per epoch). The
-	// key must already be present.
-	replace(key []byte, e *entry)
+	// get returns the entry to mutate for key, or nil, and the store's hash
+	// tag of key, which a put that follows the miss hands back so the key is
+	// hashed once.
+	get(key []byte) (e *entry, tag uint32)
+	// put inserts e, a new group, under key, which get has just missed.
+	put(a *arena, key []byte, tag uint32, e *entry)
 	len() int
 	// ascend visits entries; the B-tree store visits in key order, the hash
 	// store sorts keys on demand (acceptable: scans are query-side).
@@ -94,72 +131,137 @@ func newStore(kind StoreKind) store {
 	return newHashStore()
 }
 
-// hashSeed is the process-wide seed of the hash view index. maphash.Bytes
-// and maphash.String agree on identical content, so byte-slice probes and
-// string installs land in the same slot run.
+// hashSeed is the process-wide seed of the hash view index.
 var hashSeed = maphash.MakeSeed()
 
-// htab is one immutable-size open-addressing table: a power-of-two slot
-// array probed linearly. Slots hold published entries directly (the entry
-// carries its own key), are written only under the view's exclusive lock,
-// and are read by lock-free readers through atomic loads. The table never
-// deletes (views are insert-only), so a nil slot terminates every probe.
-type htab struct {
-	slots []atomic.Pointer[entry]
-	mask  uint64
+// tagOf hashes a key to its 32-bit tag — the one hash a row costs a view.
+// The tag is everything the table knows of a key without following a
+// pointer: its high bits are the key's home slot at any table size and the
+// whole of it is compared before an entry is dereferenced. Zero marks an
+// empty slot, so the low bit (never part of a home slot: tables stay far
+// below 2³¹ slots) is forced on.
+func tagOf(key []byte) uint32 {
+	noteHash()
+	return uint32(maphash.Bytes(hashSeed, key)) | 1
 }
 
-func newHtab(n uint64) *htab {
-	return &htab{slots: make([]atomic.Pointer[entry], n), mask: n - 1}
+// htab is one immutable-size open-addressing table: a power-of-two slot
+// array probed linearly, with each slot's tag in a parallel array, so a
+// probe walks four-byte tags — sixteen to a cache line — and dereferences an
+// entry only where the full tag matches. Slots are written only under the
+// view's exclusive lock and read by lock-free readers through atomic loads.
+// The table never deletes (views are insert-only), so an empty tag
+// terminates every probe.
+//
+// Publication order: the writer stores a slot's pointer, then its tag; a
+// reader loads the tag, then the pointer. A reader that sees a tag therefore
+// sees a fully built entry behind it, and a slot only ever goes empty →
+// entry → newer version of the same key (same tag), so a probe observes
+// either an entry of the key or a consistent absence.
+type htab struct {
+	tags  []atomic.Uint32
+	slots []atomic.Pointer[entry]
+	shift uint8 // home slot of a tag = tag >> shift
+}
+
+func newHtab(logSize uint8) *htab {
+	n := 1 << logSize
+	return &htab{tags: make([]atomic.Uint32, n), slots: make([]atomic.Pointer[entry], n), shift: 32 - logSize}
 }
 
 // probe finds the published entry for key, or nil. Safe for concurrent
-// lock-free readers: slots only transition nil→entry or entry→newer entry
-// for the same key, so a probe observes either the entry or a consistent
-// absence.
-func (t *htab) probe(key []byte) *entry {
-	h := maphash.Bytes(hashSeed, key)
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
-		e := t.slots[i].Load()
-		if e == nil {
+// lock-free readers.
+func (t *htab) probe(tag uint32, key []byte) *entry {
+	noteProbe()
+	mask := uint32(len(t.tags) - 1)
+	for i := tag >> t.shift; ; i = (i + 1) & mask {
+		switch t.tags[i].Load() {
+		case 0:
 			return nil
-		}
-		if e.key == string(key) { // compiler-optimized: no string alloc
-			return e
+		case tag:
+			noteKeyCompare()
+			if e := t.slots[i].Load(); e.key == string(key) { // compiler-optimized: no string alloc
+				return e
+			}
 		}
 	}
 }
 
-// install publishes e under its key: into an empty slot (insert) or over
-// the previous version of the same key (replace, returning the retired
-// entry). Callers must hold the view's exclusive lock and must have sized
-// the table below full (see hashStore.publish).
-func (t *htab) install(e *entry) (old *entry, inserted bool) {
-	h := maphash.String(hashSeed, e.key)
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
-		cur := t.slots[i].Load()
-		if cur == nil {
+// install publishes e: over old, the published version of the same key it
+// was built from (found by tag and pointer, never by key), or, with old nil,
+// as a new key into the first empty slot of its run — get missed the key
+// and pending holds it once, so the run cannot contain it. No entry is
+// dereferenced either way. Callers hold the view's exclusive lock and have
+// sized the table below full (see hashStore.publish).
+func (t *htab) install(e, old *entry) {
+	tag := e.tag()
+	mask := uint32(len(t.tags) - 1)
+	for i := tag >> t.shift; ; i = (i + 1) & mask {
+		switch t.tags[i].Load() {
+		case 0:
 			t.slots[i].Store(e)
-			return nil, true
-		}
-		if cur.key == e.key {
-			t.slots[i].Store(e)
-			return cur, false
+			installGap()
+			t.tags[i].Store(tag)
+			return
+		case tag:
+			if old != nil && t.slots[i].Load() == old {
+				t.slots[i].Store(e)
+				return
+			}
 		}
 	}
+}
+
+// grown returns a table of 1<<logSize slots holding t's entries. A tag's
+// home slot is its high bits, so slot order is tag order up to probe
+// displacement and one sequential sweep of t fills the new table front to
+// back: no key is hashed, no entry dereferenced. The new table is private
+// until the caller publishes it.
+func (t *htab) grown(logSize uint8) *htab {
+	nt := newHtab(logSize)
+	mask := uint32(len(nt.tags) - 1)
+	for i := range t.tags {
+		tag := t.tags[i].Load()
+		if tag == 0 {
+			continue
+		}
+		j := tag >> nt.shift
+		for nt.tags[j].Load() != 0 {
+			j = (j + 1) & mask
+		}
+		nt.slots[j].Store(t.slots[i].Load())
+		nt.tags[j].Store(tag)
+	}
+	return nt
+}
+
+// pend is one entry an append call has created or versioned and not yet
+// published: e is the mutable entry, old the published version it was built
+// from (nil for a new key).
+type pend struct {
+	e, old *entry
+}
+
+// pslot is one slot of the pending index; it is empty unless gen is the
+// store's current generation, so starting a new call resets every slot by
+// bumping that.
+type pslot struct {
+	gen, idx uint32
 }
 
 // hashStore is the unordered group store with lock-free readers. Published
 // state lives in an atomically swapped open-addressing table of frozen
-// entries; maintenance accumulates an append call's mutations as clones in
-// pending (guarded by the view's exclusive lock) and installs them
-// slot-by-slot at publish — one clone and one install per touched entry
-// per call, however many of the call's rows hit it. A point probe is
-// atomic per entry; a scan validates its gather against seq (see collect).
-// Readers announce themselves through the readers counter so the
-// store only recycles a retired entry version into the freelist when no
-// reader could still hold it — which keeps the warm maintenance path
-// allocation-free without ever mutating a reachable entry in place.
+// entries; maintenance accumulates an append call's mutations in pending
+// (guarded by the view's exclusive lock) — new keys and versions of
+// published entries, in arrival order — and installs them slot by slot at
+// publish: one version and one install per touched entry per call, however
+// many of the call's rows hit it. A point probe is atomic per entry; a scan
+// validates its gather against seq (see collect).
+//
+// Readers announce themselves through the readers counter, and the store
+// reuses a retired version's shell only after a publish that found no reader
+// in flight: nothing reachable is ever mutated in place, and the warm
+// maintenance path allocates nothing.
 type hashStore struct {
 	tab     atomic.Pointer[htab]
 	count   atomic.Int64  // published entries, for lock-free len
@@ -168,111 +270,178 @@ type hashStore struct {
 	lsn     atomic.Uint64 // LSN the published table has reached
 
 	// Maintenance state, guarded by the owning view's mu.
-	pending map[string]*entry // unpublished mutable clones and inserts
-	free    []*entry          // recycled entry shells for mutableClone
-	retired []*entry          // versions replaced at this publish, pending recycle
-	used    int               // published slots, for the growth check
+	pending []pend   // this call's entries, in arrival order
+	fresh   int      // how many of them are new keys, for the growth check
+	index   []pslot  // pending by tag, for a call's repeat touches of a key
+	gen     uint32   // current generation of index; never 0
+	free    []*entry // shells no reader can hold, for mutableClone
+	limbo   []*entry // carved shells retired under a reader, awaiting a reader-free publish
+	used    int      // published slots, for the growth check
 }
 
+const minLogSize = 4
+
 func newHashStore() *hashStore {
-	h := &hashStore{pending: make(map[string]*entry)}
-	h.tab.Store(newHtab(16))
+	h := &hashStore{gen: 1}
+	h.tab.Store(newHtab(minLogSize))
 	return h
 }
 
-// mutableClone returns a private copy of a published entry, reusing
-// a freelist shell when one fits (an in-place struct copy of every state —
-// the allocation-free warm path).
+// mutableClone returns a private version of a published entry, reusing a
+// freelist shell when there is one (an in-place copy of every state — the
+// allocation-free warm path).
 func (h *hashStore) mutableClone(src *entry) *entry {
-	if n := len(h.free); n > 0 {
-		c := h.free[n-1]
-		h.free[n-1] = nil
-		h.free = h.free[:n-1]
-		if len(c.states) == len(src.states) && aggregate.CopyStates(c.states, src.states) {
-			c.vals, c.count, c.key, c.epoch = src.vals, src.count, src.key, 0
-			return c
-		}
+	n := len(h.free)
+	if n == 0 {
+		return newEntry(nil, false, 0, nil, src)
 	}
-	c := &entry{vals: src.vals, count: src.count, key: src.key}
-	if src.states != nil {
-		c.states = aggregate.CloneStates(src.states)
-	}
+	c := h.free[n-1]
+	h.free[n-1] = nil
+	h.free = h.free[:n-1]
+	c.vals, c.count, c.key = src.vals, src.count, src.key
+	copy(c.states, src.states)
 	return c
 }
 
-// get returns the mutable entry for key. A published entry is cloned into
+// find returns the position in pending of the entry for key, or -1.
+func (h *hashStore) find(tag uint32, key []byte) int {
+	if len(h.index) == 0 {
+		return -1
+	}
+	mask := uint32(len(h.index) - 1)
+	for i := tag >> 1 & mask; ; i = (i + 1) & mask {
+		s := h.index[i]
+		if s.gen != h.gen {
+			return -1
+		}
+		if e := h.pending[s.idx].e; e.tag() == tag && e.key == string(key) {
+			return int(s.idx)
+		}
+	}
+}
+
+// add appends e to pending and indexes it, keeping the index at most half
+// full.
+func (h *hashStore) add(e, old *entry) {
+	h.pending = append(h.pending, pend{e: e, old: old})
+	if len(h.pending)*2 > len(h.index) {
+		h.index = make([]pslot, max(16, 2*len(h.index)))
+		h.gen = 1
+		for i := range h.pending[:len(h.pending)-1] {
+			h.indexAt(i)
+		}
+	}
+	h.indexAt(len(h.pending) - 1)
+}
+
+func (h *hashStore) indexAt(idx int) {
+	mask := uint32(len(h.index) - 1)
+	i := h.pending[idx].e.tag() >> 1 & mask
+	for h.index[i].gen == h.gen {
+		i = (i + 1) & mask
+	}
+	h.index[i] = pslot{gen: h.gen, idx: uint32(idx)}
+}
+
+// get returns the mutable entry for key. A published entry is versioned into
 // pending on first touch so readers of the current table never see a
-// half-applied state; repeat touches before the next publish hit the clone.
-func (h *hashStore) get(key []byte) (*entry, bool) {
-	if e, ok := h.pending[string(key)]; ok {
-		return e, true
+// half-applied state; repeat touches before the next publish hit the
+// version.
+func (h *hashStore) get(key []byte) (*entry, uint32) {
+	tag := tagOf(key)
+	if i := h.find(tag, key); i >= 0 {
+		return h.pending[i].e, tag
 	}
-	e := h.tab.Load().probe(key)
-	if e == nil {
-		return nil, false
+	old := h.tab.Load().probe(tag, key)
+	if old == nil {
+		return nil, tag
 	}
-	c := h.mutableClone(e)
-	h.pending[c.key] = c
-	return c, true
+	c := h.mutableClone(old)
+	c.stamp = c.stamp&carvedBit | uint64(tag)
+	h.add(c, old)
+	return c, tag
 }
 
-func (h *hashStore) set(key []byte, e *entry) {
-	k := string(key)
-	e.key = k
-	h.pending[k] = e
+func (h *hashStore) put(a *arena, key []byte, tag uint32, e *entry) {
+	e.key = a.keyString(key)
+	e.stamp |= uint64(tag)
+	h.fresh++
+	h.add(e, nil)
 }
-
-func (h *hashStore) replace(key []byte, e *entry) { h.set(key, e) }
 
 func (h *hashStore) len() int { return int(h.count.Load()) }
 
 // publish installs the pending entries into the table (growing it first if
-// the insert load would cross 3/4 full) and stamps the table with the LSN it
-// now reflects, all inside one odd-seq window, then recycles retired entry
-// versions when no lock-free reader is in flight. Runs under the view's
-// exclusive lock.
+// the new keys would take it past 3/4 full) and stamps the table with the
+// LSN it now reflects, all inside one odd-seq window; then it settles the
+// versions the installs retired. Runs under the view's exclusive lock.
+//
+// A reader counted when the installs are done may hold a retired version, or
+// a pointer into the previous table; one that arrives later can reach
+// neither. So with no reader counted, every retired shell — this publish's
+// and those waiting in limbo — is free for reuse. With one counted, none is:
+// a carved shell waits in limbo for the next reader-free publish (dropped, a
+// piece of a chunk is never collected), a collector-owned one is dropped, so
+// that a reader that never leaves costs the collector work, not the store
+// memory.
 func (h *hashStore) publish(lsn uint64) {
 	h.seq.Add(1)
 	if len(h.pending) > 0 {
 		t := h.tab.Load()
-		if (h.used+len(h.pending))*4 > len(t.slots)*3 {
-			n := uint64(len(t.slots))
-			for int(n)*3 <= (h.used+len(h.pending))*4 {
-				n <<= 1
+		if need := h.used + h.fresh; need*4 > len(t.slots)*3 {
+			logSize := 32 - t.shift
+			for need*4 > 3<<logSize {
+				logSize++
 			}
-			nt := newHtab(n)
-			for i := range t.slots {
-				if e := t.slots[i].Load(); e != nil {
-					nt.install(e)
-				}
-			}
-			h.tab.Store(nt)
-			t = nt
+			t = t.grown(logSize)
+			h.tab.Store(t)
 		}
-		for _, e := range h.pending {
-			old, inserted := t.install(e)
-			if inserted {
-				h.used++
-				h.count.Add(1)
-			} else if old != nil {
-				h.retired = append(h.retired, old)
-			}
+		for _, p := range h.pending {
+			t.install(p.e, p.old)
 		}
-		clear(h.pending)
+		h.used += h.fresh
+		h.count.Add(int64(h.fresh))
 	}
 	h.lsn.Store(lsn)
 	h.seq.Add(1)
-	if len(h.retired) > 0 {
-		// A reader counted here may hold pointers into the previous table
-		// or the retired versions; dropping them to the GC is always safe,
-		// recycling is only safe when nobody is reading.
-		if h.readers.Load() == 0 {
-			h.free = append(h.free, h.retired...)
+
+	quiet := h.readers.Load() == 0
+	if quiet {
+		h.free = append(h.free, h.limbo...)
+		clear(h.limbo)
+		h.limbo = h.limbo[:0]
+	}
+	for _, p := range h.pending {
+		switch {
+		case p.old == nil:
+		case quiet:
+			h.free = append(h.free, p.old)
+		case p.old.stamp&carvedBit != 0:
+			h.limbo = append(h.limbo, p.old)
 		}
-		for i := range h.retired {
-			h.retired[i] = nil
-		}
-		h.retired = h.retired[:0]
+	}
+	h.resetPending()
+}
+
+// keepPending is the largest pending list whose buffers the store keeps
+// whatever the calls look like. Larger ones are a bulk load's: they serve its
+// next call, and go when a call that does not need them ends, or every view
+// would hold room for its largest call ever.
+const keepPending = 256
+
+// resetPending empties pending and, by moving to the next generation, its
+// index.
+func (h *hashStore) resetPending() {
+	h.fresh = 0
+	if cap(h.pending) > keepPending && len(h.pending) <= keepPending {
+		h.pending, h.index = nil, nil
+		return
+	}
+	clear(h.pending)
+	h.pending = h.pending[:0]
+	if h.gen++; h.gen == 0 {
+		clear(h.index)
+		h.gen = 1
 	}
 }
 
@@ -280,7 +449,7 @@ func (h *hashStore) publish(lsn uint64) {
 // pending set. Callers bracket the call (through any derived
 // entry use) with readers.Add(1) / Add(-1).
 func (h *hashStore) rget(key []byte) (*entry, bool) {
-	e := h.tab.Load().probe(key)
+	e := h.tab.Load().probe(tagOf(key), key)
 	return e, e != nil
 }
 
@@ -293,9 +462,10 @@ func (h *hashStore) adopt(o *hashStore) {
 	h.count.Store(o.count.Load())
 	h.seq.Add(1)
 	h.used = o.used
-	clear(h.pending)
-	h.free = h.free[:0]
-	h.retired = h.retired[:0]
+	h.resetPending()
+	// The shells belong to the arena the replaced entries were carved from,
+	// which goes with them.
+	h.free, h.limbo = nil, nil
 }
 
 // collect gathers the published entries, unordered, with the LSN the table
@@ -333,10 +503,13 @@ type treeStore struct {
 	t *btree.Tree[[]byte, *entry]
 }
 
-func (t *treeStore) get(key []byte) (*entry, bool) { return t.t.Get(key) }
+func (t *treeStore) get(key []byte) (*entry, uint32) {
+	e, _ := t.t.Get(key)
+	return e, 0
+}
 
-func (t *treeStore) set(key []byte, e *entry) {
-	t.t.Set(append([]byte(nil), key...), e)
+func (t *treeStore) put(a *arena, key []byte, _ uint32, e *entry) {
+	t.t.Set(a.keyBytes(key), e)
 }
 
 // replace overwrites the value under an existing key. The tree keeps the

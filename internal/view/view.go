@@ -128,6 +128,15 @@ type View struct {
 	// atomically so hot read paths can consult it without locks.
 	pg atomic.Pointer[pager]
 
+	// keyCols are the source columns of the group key (and of the entry's
+	// vals): Cols for a projection, GroupCols for a grouping. aggs are the
+	// grouping's aggregations, nil for a projection.
+	keyCols []int
+	aggs    []aggregate.Spec
+	// arena is where an unpaged view's new groups are carved from; a paged
+	// view carves per block (blockMeta.arena).
+	arena *arena
+
 	// Hot-path scratch, reused across maintenance batches. keyBuf holds the
 	// encoded group key being probed (the store copies it only on insert);
 	// deltaBuf backs the expression delta for batch-local operators. Both
@@ -205,6 +214,12 @@ func New(def Def, kind StoreKind) (*View, error) {
 		store:  newStore(kind),
 		info:   algebra.Analyze(def.Expr),
 		cow:    kind == StoreBTree,
+		arena:  new(arena),
+	}
+	if def.Mode == SummarizeProject {
+		v.keyCols = def.Cols
+	} else {
+		v.keyCols, v.aggs = def.GroupCols, def.Aggs
 	}
 	v.publishLocked()
 	return v, nil
@@ -368,60 +383,42 @@ func (v *View) applyRowsLocked(p *pager, rows []chronicle.Row) {
 			v.appliedLSN = r.LSN
 		}
 	}
-	switch v.def.Mode {
-	case SummarizeProject:
-		for _, r := range rows {
-			// Encode the key straight from the source columns; the projected
-			// tuple is only materialized when the entry does not exist yet.
-			v.keyBuf = keyenc.AppendCols(v.keyBuf[:0], r.Vals, v.def.Cols)
-			var blk *blockMeta
-			if p != nil {
-				// Writes require residency: fault the covering block so the
-				// next checkpoint can re-encode it from the live tree.
-				blk = v.ensureWrite(p, v.keyBuf)
-			}
-			e, ok := v.store.get(v.keyBuf)
-			if !ok {
-				e = &entry{vals: r.Vals.Project(v.def.Cols), epoch: v.epoch}
-				v.store.set(v.keyBuf, e)
-				if p != nil {
-					v.noteInsert(p, blk, v.keyBuf, e)
-				}
-			} else if v.cow && e.epoch != v.epoch {
-				// First touch this epoch: the entry is frozen in the
-				// published snapshot; mutate a copy instead.
-				e = e.clone(v.epoch)
-				v.store.replace(v.keyBuf, e)
-			}
-			e.count++
-			v.stats.Touched++
+	for _, r := range rows {
+		// Encode the key straight from the source columns; the entry's
+		// values are only copied out when the group does not exist yet.
+		v.keyBuf = keyenc.AppendCols(v.keyBuf[:0], r.Vals, v.keyCols)
+		a := v.arena
+		var blk *blockMeta
+		if p != nil {
+			// Writes require residency: fault the covering block so the
+			// next checkpoint can re-encode it from the live tree.
+			blk = v.ensureWrite(p, v.keyBuf)
+			a = blk.arena
 		}
-	case SummarizeGroupBy:
-		for _, r := range rows {
-			v.keyBuf = keyenc.AppendCols(v.keyBuf[:0], r.Vals, v.def.GroupCols)
-			var blk *blockMeta
+		e, tag := v.store.get(v.keyBuf)
+		switch {
+		case e == nil:
+			e = newEntry(a, v.cow, len(v.keyCols), v.aggs, nil)
+			for i, c := range v.keyCols {
+				e.vals[i] = r.Vals[c]
+			}
+			if v.cow {
+				e.stamp = v.epoch
+			}
+			v.store.put(a, v.keyBuf, tag, e)
 			if p != nil {
-				blk = v.ensureWrite(p, v.keyBuf)
+				v.noteInsert(p, blk, v.keyBuf, e)
 			}
-			e, ok := v.store.get(v.keyBuf)
-			if !ok {
-				e = &entry{
-					vals:   r.Vals.Project(v.def.GroupCols),
-					states: aggregate.NewStates(v.def.Aggs),
-					epoch:  v.epoch,
-				}
-				v.store.set(v.keyBuf, e)
-				if p != nil {
-					v.noteInsert(p, blk, v.keyBuf, e)
-				}
-			} else if v.cow && e.epoch != v.epoch {
-				e = e.clone(v.epoch)
-				v.store.replace(v.keyBuf, e)
-			}
-			aggregate.Apply(e.states, v.def.Aggs, r.Vals)
-			e.count++
-			v.stats.Touched++
+		case v.cow && e.stamp != v.epoch:
+			// First touch this epoch: the entry is frozen in the published
+			// snapshot; mutate a copy instead.
+			e = newEntry(nil, true, 0, nil, e)
+			e.stamp = v.epoch
+			v.store.(*treeStore).replace(v.keyBuf, e)
 		}
+		aggregate.Apply(e.states, v.aggs, r.Vals)
+		e.count++
+		v.stats.Touched++
 	}
 }
 
