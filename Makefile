@@ -64,11 +64,15 @@ bench-allocs:
 	$(GO) test -run=NONE -bench 'BenchmarkAppendHotPath' -benchmem -benchtime 200x .
 
 # bench-reads is the read-path regression gate: the alloc guards pin the
-# lock-free lookup and latest-N allocation counts, and the read hot-path
-# benchmarks print ns/op for the snapshot traversal. -count=1 defeats
-# caching — the guards must run.
+# lock-free lookup and latest-N allocation counts; the structural guard pins
+# that a summary query by group key is an index look-up at any view size — on
+# a paged view of 1 000 and of 20 000 groups SELECT … WHERE acct = 'k' is one
+# probe, faults at most one block and allocates within one budget, and
+# latest-20 faults at most two; the read hot-path benchmarks print ns/op for
+# the snapshot traversal and for the SQL point query and latest-20, resident
+# and paged, at both sizes. -count=1 defeats caching — the guards must run.
 bench-reads:
-	$(GO) test -count=1 -run 'TestReadAllocGuards' -v .
+	$(GO) test -count=1 -run 'TestReadAllocGuards|TestPointSelectTouchesOneBlock' -v .
 	$(GO) test -run=NONE -bench 'BenchmarkReadHotPath' -benchmem -benchtime 200x .
 
 # bench-ckpt is the blocked-checkpoint regression gate: the structural

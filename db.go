@@ -16,6 +16,7 @@ import (
 	"chronicledb/internal/engine"
 	"chronicledb/internal/fault"
 	"chronicledb/internal/feed"
+	"chronicledb/internal/keyenc"
 	"chronicledb/internal/relation"
 	"chronicledb/internal/repl"
 	"chronicledb/internal/shard"
@@ -103,10 +104,6 @@ type Options struct {
 	RelationHistory bool
 	// NoDispatchIndex disables the Section 5.2 predicate index (ablation).
 	NoDispatchIndex bool
-	// LockedReads restores the engine-wide read lock on every summary
-	// query (the pre-snapshot behavior), so reads serialize against
-	// appends. Ablation baseline for E17; leave false in production.
-	LockedReads bool
 	// Clock supplies chronons for appends; nil uses wall-clock nanoseconds.
 	Clock func() int64
 	// FS overrides the filesystem used for all durable state. Nil means
@@ -299,7 +296,6 @@ func Open(opts Options) (*DB, error) {
 		DefaultRetention: opts.DefaultRetention,
 		RelationHistory:  opts.RelationHistory,
 		DispatchIndexed:  !opts.NoDispatchIndex,
-		LockedReads:      opts.LockedReads,
 		Clock:            opts.Clock,
 		DedupCap:         opts.DedupCap,
 		DedupDisabled:    opts.DedupDisabled,
@@ -616,7 +612,7 @@ func (db *DB) FeedStats() feed.Stats {
 // LSN of the scanned state — the anchor for splicing a snapshot read into
 // the live delta stream. Rows passed to fn are caller-owned.
 func (db *DB) ScanViewAt(viewName string, fn func(Row) bool) (uint64, error) {
-	return db.eng.ViewScanAt(viewName, fn)
+	return db.eng.ViewScan(viewName, view.Window{}, fn)
 }
 
 // Shards reports the shard count.
@@ -838,38 +834,49 @@ func (db *DB) Lookup(viewName string, key ...value.Value) (Row, bool, error) {
 }
 
 // LookupRange returns the view rows whose group key is ≥ lo and < hi under
-// tuple comparison (lo and hi may be key prefixes), in ascending key order.
-// With a BTREE store this is a lock-free index range scan over the view's
-// latest snapshot. The rows are caller-owned.
+// tuple comparison (lo and hi may be key prefixes; an empty lo starts at the
+// first group, an empty hi runs past the last), in ascending key order. With
+// a BTREE store this is a lock-free index range scan over the view's latest
+// snapshot, O(log |V| + answer), and a paged view faults only the blocks the
+// range overlaps; a HASH store gathers and sorts the view. The rows are
+// caller-owned.
 func (db *DB) LookupRange(viewName string, lo, hi Tuple) ([]Row, error) {
-	return db.eng.ViewScanRange(viewName, lo, hi)
+	return db.collect(viewName, view.Window{Lo: keyenc.AppendTuple(nil, lo), Hi: keyenc.AppendTuple(nil, hi)})
 }
 
 // ScanView streams a view's rows in ascending group-key order until fn
 // returns false, without materializing the result. Rows passed to fn are
 // caller-owned.
 func (db *DB) ScanView(viewName string, fn func(Row) bool) error {
-	return db.eng.ViewScanFunc(viewName, fn)
+	_, err := db.eng.ViewScan(viewName, view.Window{}, fn)
+	return err
 }
 
 // ScanViewDesc streams a view's rows in descending group-key order until
 // fn returns false — walk from the top, stop early. Rows passed to fn are
 // caller-owned.
 func (db *DB) ScanViewDesc(viewName string, fn func(Row) bool) error {
-	return db.eng.ViewScanDescFunc(viewName, fn)
+	_, err := db.eng.ViewScan(viewName, view.Window{Desc: true}, fn)
+	return err
 }
 
 // LatestViewRows returns the view's last n rows by group key, highest key
 // first — the "latest N groups" query, answered by a descending snapshot
-// walk that stops after n rows instead of materializing the view.
+// walk that stops after n rows instead of materializing the view; on a paged
+// view it faults the blocks that hold those n rows and no other.
 func (db *DB) LatestViewRows(viewName string, n int) ([]Row, error) {
 	if n <= 0 {
 		return nil, nil
 	}
+	return db.collect(viewName, view.Window{Desc: true, Limit: n})
+}
+
+// collect materializes one window of a view.
+func (db *DB) collect(viewName string, w view.Window) ([]Row, error) {
 	var out []Row
-	err := db.eng.ViewScanDescFunc(viewName, func(t Row) bool {
+	_, err := db.eng.ViewScan(viewName, w, func(t Row) bool {
 		out = append(out, t)
-		return len(out) < n
+		return true
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package chronicledb
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"sort"
@@ -8,6 +9,7 @@ import (
 
 	"chronicledb/internal/chronicle"
 	"chronicledb/internal/engine"
+	"chronicledb/internal/keyenc"
 	"chronicledb/internal/pred"
 	"chronicledb/internal/sqlparse"
 	"chronicledb/internal/stats"
@@ -212,6 +214,9 @@ func (db *DB) execOne(s sqlparse.Statement, mode execMode) (*Result, error) {
 		return db.query(s)
 
 	case *sqlparse.Explain:
+		if s.Query != nil {
+			return db.explainQuery(s.Query)
+		}
 		return db.explain(s.View)
 
 	case *sqlparse.Show:
@@ -315,53 +320,198 @@ func (db *DB) query(q *sqlparse.Query) (*Result, error) {
 	return nil, fmt.Errorf("chronicledb: unknown view, relation, or chronicle %q", q.From)
 }
 
-// queryView answers a SELECT over a persistent view by streaming off the
-// view's snapshot instead of materializing it first. Three shapes stream
-// with early stop at LIMIT:
-//
-//   - no ORDER BY: snapshot iteration order (ascending group key);
-//   - ORDER BY the leading group-key column ASC: the snapshot's B-tree
-//     already yields rows in composite-key order, and sorting by a prefix
-//     of that key preserves it;
-//   - ORDER BY the leading group-key column DESC LIMIT n: the "latest n
-//     groups" query — a descending snapshot walk stops after n matches
-//     without touching the rest of the view.
-//
-// Any other ORDER BY column falls back to materialize-and-sort.
+// queryView answers a SELECT over a persistent view from the view's index:
+// planAccess turns the WHERE clause into a probe of one group key or a walk
+// of one key window, and the rows come from ViewLookup or the one ViewScan
+// entry. Only an ORDER BY the walk cannot deliver — a non-key column, or a
+// key column behind one the WHERE leaves open — sorts what the window
+// yields before LIMIT applies.
 func (db *DB) queryView(v *view.View, q *sqlparse.Query) (*Result, error) {
-	names := v.Schema().Names()
-	preds, err := sqlparse.LowerWhere(names, q.Where)
+	a, err := planAccess(v, q)
 	if err != nil {
 		return nil, err
 	}
-	orderCol, err := resolveOrder(names, q)
-	if err != nil {
-		return nil, err
-	}
-	if q.OrderBy == nil || orderCol == 0 {
-		var out []Row
-		collect := func(t value.Tuple) bool {
-			if !matchesAll(preds, t) {
-				return true
-			}
-			out = append(out, t)
-			return q.Limit <= 0 || len(out) < q.Limit
-		}
-		if q.OrderBy != nil && q.OrderDesc {
-			err = db.eng.ViewScanDescFunc(q.From, collect)
-		} else {
-			err = db.eng.ViewScanFunc(q.From, collect)
-		}
+	var rows []Row
+	if a.point != nil {
+		row, ok, err := db.eng.ViewLookup(q.From, a.point)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Columns: names, Rows: out}, nil
-	}
-	rows, err := db.eng.ViewRows(q.From)
-	if err != nil {
+		if ok && matchesAll(a.residual, row) {
+			rows = []Row{row}
+		}
+	} else if rows, err = db.collect(q.From, a.win); err != nil {
 		return nil, err
 	}
-	return filterRows(names, rows, q)
+	if !a.ordered {
+		rows = sortRows(rows, a.orderCol, q.OrderDesc, q.Limit)
+	}
+	return &Result{Columns: v.Schema().Names(), Rows: rows}, nil
+}
+
+// access is how one SELECT reads a view.
+type access struct {
+	// point is the whole group key when the WHERE clause pins every key
+	// column to a literal: the read is one probe. Otherwise win is the walk.
+	point value.Tuple
+	win   view.Window
+	// residual is the whole WHERE clause, pushed atoms included: the window
+	// only has to contain the answer, the residual decides it. That is what
+	// keeps integer keys past 2⁵³ (which collapse onto one encoding), NULLs
+	// and an integer literal against a FLOAT column from changing an answer.
+	residual []pred.Predicate
+	// ordered says the walk yields the answer's order, so LIMIT went into
+	// the window; otherwise the rows are sorted by orderCol afterwards.
+	ordered  bool
+	orderCol int
+	// lo and hi are the window's bounds as planned, for EXPLAIN to spell.
+	lo, hi bound
+}
+
+// planAccess is the read path's planner step. A view's group-key columns
+// are the leading columns of its schema and its store is keyed on their
+// memcomparable encoding, so a conjunction over them is a key window:
+// single-literal "=" atoms on key columns 0..i-1 make an encoded prefix that
+// every matching key starts with, "<", "<=", ">", ">=" atoms on column i
+// bound the keys under that prefix, and "=" on every key column is one key.
+// OR-groups, "!=", column-to-column atoms and atoms on other columns bound
+// nothing and only filter. ORDER BY is the walk's direction when it names a
+// key column no later than i (the pinned ones do not order anything).
+func planAccess(v *view.View, q *sqlparse.Query) (access, error) {
+	names := v.Schema().Names()
+	preds, err := sqlparse.LowerWhere(names, q.Where)
+	if err != nil {
+		return access{}, err
+	}
+	orderCol, err := resolveOrder(names, q)
+	if err != nil {
+		return access{}, err
+	}
+	a := access{residual: preds, orderCol: orderCol}
+	nkeys := v.KeyLen()
+
+	// The pinned prefix: key columns 0..fixed-1 each equal a literal.
+	pinned := make(value.Tuple, 0, nkeys)
+	for len(pinned) < nkeys {
+		k, ok := pinnedTo(preds, len(pinned))
+		if !ok {
+			break
+		}
+		pinned = append(pinned, k)
+	}
+	fixed := len(pinned)
+	if fixed == nkeys {
+		a.point, a.ordered = pinned, true
+		return a, nil
+	}
+
+	prefix := keyenc.AppendTuple(nil, pinned)
+	lo, hi := bound{key: prefix, vals: pinned}, bound{}
+	if fixed > 0 {
+		hi = after(lo)
+	}
+	for _, p := range preds {
+		atoms := p.Atoms()
+		if len(atoms) != 1 || atoms[0].Right.IsCol || atoms[0].Left != fixed {
+			continue
+		}
+		k := atoms[0].Right.Const
+		at := bound{
+			key:  keyenc.AppendValue(prefix[:len(prefix):len(prefix)], k),
+			vals: append(pinned[:fixed:fixed], k),
+		}
+		// An integer literal at or past 2⁵³ shares its encoding with its
+		// neighbours, so a strict bound on it must not cut at the encoding.
+		exact := k.Kind() != value.KindInt || (k.AsInt() > -1<<53 && k.AsInt() < 1<<53)
+		switch atoms[0].Op {
+		case pred.Gt:
+			if exact {
+				at = after(at)
+			}
+			fallthrough
+		case pred.Ge:
+			if bytes.Compare(at.key, lo.key) > 0 {
+				lo = at
+			}
+		case pred.Lt:
+			if exact {
+				hi = lower(hi, at)
+				break
+			}
+			fallthrough
+		case pred.Le:
+			hi = lower(hi, after(at))
+		}
+	}
+	a.win = view.Window{Lo: lo.key, Hi: hi.key}
+	a.lo, a.hi = lo, hi
+	if len(preds) > 0 {
+		a.win.Keep = func(t value.Tuple) bool { return matchesAll(preds, t) }
+	}
+	// The walk runs in ORDER BY's direction even when a sort follows: the
+	// sort is stable, so rows that tie on the column stay in group-key order,
+	// ascending or descending with it.
+	a.win.Desc = q.OrderBy != nil && q.OrderDesc
+	if a.ordered = orderCol <= fixed; a.ordered {
+		a.win.Limit = q.Limit
+	}
+	return a, nil
+}
+
+// pinnedTo returns the literal a single "=" atom of the conjunction pins
+// column col to.
+func pinnedTo(preds []pred.Predicate, col int) (value.Value, bool) {
+	for _, p := range preds {
+		if c, k, ok := p.EqualityConstant(); ok && c == col {
+			return k, true
+		}
+	}
+	return value.Null(), false
+}
+
+// bound is one end of a key window: the encoded key, and the key prefix it
+// was made from — the prefix's own encoding or, with past set, the first key
+// after every key that starts with it. An empty key leaves the end open.
+type bound struct {
+	key  []byte
+	vals value.Tuple
+	past bool
+}
+
+// after is the bound just past every key that starts with b's.
+func after(b bound) bound {
+	// A key prefix starts with a kind tag below 0xFF, so it has a successor.
+	succ, _ := keyenc.PrefixSuccessor(nil, b.key)
+	return bound{key: succ, vals: b.vals, past: true}
+}
+
+// text spells the bound for EXPLAIN: ('east', 5), after('east'), or open
+// for an open end.
+func (b bound) text(open string) string {
+	switch {
+	case len(b.key) == 0:
+		return open
+	case b.past:
+		return "after" + tupleText(b.vals)
+	}
+	return tupleText(b.vals)
+}
+
+// lower returns the lower of two upper bounds.
+func lower(a, b bound) bound {
+	if a.key == nil || bytes.Compare(b.key, a.key) < 0 {
+		return b
+	}
+	return a
+}
+
+// tupleText spells a key prefix: ('east', 5).
+func tupleText(t value.Tuple) string {
+	parts := make([]string, len(t))
+	for i, v := range t {
+		parts[i] = literalText(v)
+	}
+	return "(" + strings.Join(parts, ", ") + ")"
 }
 
 // resolveOrder maps ORDER BY onto a column index (-1 without ORDER BY),
@@ -397,18 +547,25 @@ func filterRows(names []string, rows []Row, q *sqlparse.Query) (*Result, error) 
 		}
 	}
 	if orderCol >= 0 {
-		sort.SliceStable(out, func(i, j int) bool {
-			c := value.Compare(out[i][orderCol], out[j][orderCol])
-			if q.OrderDesc {
-				return c > 0
-			}
-			return c < 0
-		})
-		if q.Limit > 0 && len(out) > q.Limit {
-			out = out[:q.Limit]
-		}
+		out = sortRows(out, orderCol, q.OrderDesc, q.Limit)
 	}
 	return &Result{Columns: names, Rows: out}, nil
+}
+
+// sortRows orders rows by one column, stably, and cuts them at limit (0 =
+// no limit).
+func sortRows(rows []Row, col int, desc bool, limit int) []Row {
+	sort.SliceStable(rows, func(i, j int) bool {
+		c := value.Compare(rows[i][col], rows[j][col])
+		if desc {
+			return c > 0
+		}
+		return c < 0
+	})
+	if limit > 0 && len(rows) > limit {
+		rows = rows[:limit]
+	}
+	return rows
 }
 
 func matchesAll(preds []pred.Predicate, r Row) bool {
@@ -418,6 +575,74 @@ func matchesAll(preds []pred.Predicate, r Row) bool {
 		}
 	}
 	return true
+}
+
+// explainQuery describes how a SELECT over a view would be read: the access
+// path planAccess chose, what it filters with, the store it reads and, for a
+// paged store, how many of its blocks the read plans to touch.
+func (db *DB) explainQuery(q *sqlparse.Query) (*Result, error) {
+	v, ok := db.eng.View(q.From)
+	if !ok {
+		return nil, fmt.Errorf("chronicledb: EXPLAIN SELECT reads views; %q is not one", q.From)
+	}
+	a, err := planAccess(v, q)
+	if err != nil {
+		return nil, err
+	}
+	planned, total := v.PlannedBlocks(a.win)
+	path := "full"
+	if a.point != nil {
+		path = "point" + tupleText(a.point)
+		planned = min(total, 1)
+	} else {
+		if len(a.win.Lo) > 0 || len(a.win.Hi) > 0 {
+			path = fmt.Sprintf("range[%s, %s)", a.lo.text("-∞"), a.hi.text("+∞"))
+		}
+		if a.win.Desc {
+			path += " desc"
+		} else {
+			path += " asc"
+		}
+		if a.win.Limit > 0 {
+			path += fmt.Sprintf(" limit %d", a.win.Limit)
+		}
+	}
+	residual := make([]string, len(a.residual))
+	for i, p := range a.residual {
+		residual[i] = p.String(v.Schema())
+		if len(p.Atoms()) > 1 {
+			residual[i] = "(" + residual[i] + ")"
+		}
+	}
+	if len(residual) == 0 {
+		residual = []string{"none"}
+	}
+	store := v.StoreKind().String()
+	res := &Result{
+		Columns: []string{"property", "value"},
+		Rows: []Row{
+			{value.Str("access"), value.Str(path)},
+			{value.Str("residual"), value.Str(strings.Join(residual, " AND "))},
+		},
+	}
+	if !a.ordered {
+		order := fmt.Sprintf("by %s", q.OrderBy.Name)
+		if q.OrderDesc {
+			order += " desc"
+		}
+		if q.Limit > 0 {
+			order += fmt.Sprintf(" limit %d", q.Limit)
+		}
+		res.Rows = append(res.Rows, Row{value.Str("sort"), value.Str(order)})
+	}
+	if !v.Paged() {
+		res.Rows = append(res.Rows, Row{value.Str("store"), value.Str(store)})
+		return res, nil
+	}
+	res.Rows = append(res.Rows,
+		Row{value.Str("store"), value.Str(store + " paged")},
+		Row{value.Str("blocks"), value.Str(fmt.Sprintf("%d / %d", planned, total))})
+	return res, nil
 }
 
 // explain describes a persistent or periodic view.
@@ -768,9 +993,13 @@ func condText(c sqlparse.Cond) string {
 	if c.RightCol != nil {
 		return fmt.Sprintf("%s %s %s", refText(c.Left), c.Op, refText(*c.RightCol))
 	}
-	if c.Right.Kind() == value.KindString {
-		return fmt.Sprintf("%s %s '%s'", refText(c.Left), c.Op,
-			strings.ReplaceAll(c.Right.AsString(), "'", "''"))
+	return fmt.Sprintf("%s %s %s", refText(c.Left), c.Op, literalText(c.Right))
+}
+
+// literalText spells a value the way the parser reads it back.
+func literalText(v value.Value) string {
+	if v.Kind() == value.KindString {
+		return "'" + strings.ReplaceAll(v.AsString(), "'", "''") + "'"
 	}
-	return fmt.Sprintf("%s %s %s", refText(c.Left), c.Op, c.Right)
+	return v.String()
 }

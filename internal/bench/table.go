@@ -104,7 +104,7 @@ func All() []Experiment {
 		{"E14", "shard scaling: concurrent appends vs shard count", RunE14},
 		{"E15", "recovery time vs WAL tail length", RunE15},
 		{"E16", "append hot path: allocations and group commit", RunE16},
-		{"E17", "read path: snapshot reads vs locked reads", RunE17},
+		{"E17", "read path: snapshot reads under concurrent maintenance", RunE17},
 		{"E18", "exactly-once ingestion under network chaos", RunE18},
 		{"E19", "changefeed fan-out: delta delivery to live subscribers", RunE19},
 		{"E20", "recovery and disk vs uptime: segmented vs single-file WAL", RunE20},

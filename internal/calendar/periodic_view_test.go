@@ -265,7 +265,7 @@ func TestFoldThenPublish(t *testing.T) {
 		t.Fatalf("live instances = %d, want 2", pv.Live())
 	}
 	total := func(v *view.View) (sum int64) {
-		v.Scan(func(row value.Tuple) bool { sum += row[1].AsInt(); return true })
+		v.Scan(view.Window{}, func(row value.Tuple) bool { sum += row[1].AsInt(); return true })
 		return sum
 	}
 	for i := 0; i < 3; i++ {

@@ -52,11 +52,6 @@ type Config struct {
 	// proactive-update semantics (and AsOf reference evaluation) exact.
 	// Required.
 	NextLSN func() uint64
-	// LockedReads restores the pre-snapshot read path: every read method
-	// acquires the engine-wide mutex, serializing queries against appends.
-	// It exists as the ablation baseline for the E17 experiment and has no
-	// production use.
-	LockedReads bool
 	// DedupCap bounds the idempotency table (entries). Zero means
 	// dedup.DefaultCap.
 	DedupCap int
@@ -986,23 +981,12 @@ func (e *Engine) View(name string) (*view.View, bool) {
 // published catalog and reads object state through per-object
 // synchronization (view snapshots, chronicle/relation read locks) — none
 // of them touches e.mu, so summary queries never serialize against the
-// append hot path. The only exception is Config.LockedReads, the E17
-// ablation baseline, which restores the engine-wide read lock.
+// append hot path.
 //
 // Ownership rule: every tuple returned (or passed to a scan callback) by
 // these methods is caller-owned — the engine clones anything that would
 // otherwise alias store-owned memory, so callers may retain and mutate
 // results freely.
-
-// lockedReads acquires e.mu for the ablation baseline; the returned
-// function releases it. In the default configuration both are no-ops.
-func (e *Engine) lockedReads() func() {
-	if !e.cfg.LockedReads {
-		return func() {}
-	}
-	e.mu.RLock()
-	return e.mu.RUnlock
-}
 
 // ownedRow upholds the ownership rule: projection views hand out the
 // store's interned tuple (immutable, but shared), which is cloned before
@@ -1017,7 +1001,6 @@ func ownedRow(v *view.View, t value.Tuple) value.Tuple {
 // ViewLookup answers a summary query from a persistent view by group key.
 // It runs lock-free against the view's latest published snapshot.
 func (e *Engine) ViewLookup(name string, key value.Tuple) (value.Tuple, bool, error) {
-	defer e.lockedReads()()
 	start := time.Now()
 	v, ok := e.cat.Load().views[name]
 	if !ok {
@@ -1032,35 +1015,21 @@ func (e *Engine) ViewLookup(name string, key value.Tuple) (value.Tuple, bool, er
 	return row, found, nil
 }
 
-// ViewScanFunc streams a view's rows in group-key order until fn returns
-// false. Tuples passed to fn are caller-owned.
-func (e *Engine) ViewScanFunc(name string, fn func(value.Tuple) bool) error {
-	defer e.lockedReads()()
-	start := time.Now()
-	v, ok := e.cat.Load().views[name]
-	if !ok {
-		return fmt.Errorf("engine: unknown view %q", name)
-	}
-	v.Scan(func(t value.Tuple) bool {
-		return fn(ownedRow(v, t))
-	})
-	e.readScans.Add(1)
-	e.readLat.Observe(time.Since(start))
-	return nil
-}
-
-// ViewScanAt streams a view's rows like ViewScanFunc and returns the
-// applied LSN of the scanned state — the changefeed's snapshot catch-up
-// anchor: deltas with LSN ≤ the returned value are already reflected in
-// the rows fn saw. Tuples passed to fn are caller-owned.
-func (e *Engine) ViewScanAt(name string, fn func(value.Tuple) bool) (uint64, error) {
-	defer e.lockedReads()()
+// ViewScan is the one scan entry of the read path: it streams the rows of
+// the window w of a view — a key range, a direction, a limit and a residual
+// filter, the zero Window being the whole view in group-key order — until fn
+// returns false, and returns the LSN of the publication the rows were read
+// from. All rows of one call come from that one publication; the
+// changefeed's snapshot catch-up splices on the LSN (deltas at or below it
+// are reflected in the rows fn saw). Tuples passed to fn are caller-owned;
+// the tuple w.Keep sees is not.
+func (e *Engine) ViewScan(name string, w view.Window, fn func(value.Tuple) bool) (uint64, error) {
 	start := time.Now()
 	v, ok := e.cat.Load().views[name]
 	if !ok {
 		return 0, fmt.Errorf("engine: unknown view %q", name)
 	}
-	lsn := v.ScanAt(func(t value.Tuple) bool {
+	lsn := v.Scan(w, func(t value.Tuple) bool {
 		return fn(ownedRow(v, t))
 	})
 	e.readScans.Add(1)
@@ -1068,73 +1037,9 @@ func (e *Engine) ViewScanAt(name string, fn func(value.Tuple) bool) (uint64, err
 	return lsn, nil
 }
 
-// ViewScanRangeFunc streams the view rows with group key in [lo, hi) in
-// ascending order until fn returns false. Tuples passed to fn are
-// caller-owned.
-func (e *Engine) ViewScanRangeFunc(name string, lo, hi value.Tuple, fn func(value.Tuple) bool) error {
-	defer e.lockedReads()()
-	start := time.Now()
-	v, ok := e.cat.Load().views[name]
-	if !ok {
-		return fmt.Errorf("engine: unknown view %q", name)
-	}
-	v.ScanRange(lo, hi, func(t value.Tuple) bool {
-		return fn(ownedRow(v, t))
-	})
-	e.readScans.Add(1)
-	e.readLat.Observe(time.Since(start))
-	return nil
-}
-
-// ViewScanDescFunc streams a view's rows in descending group-key order —
-// the "latest N groups" access path: walk from the top and stop early.
-// Tuples passed to fn are caller-owned.
-func (e *Engine) ViewScanDescFunc(name string, fn func(value.Tuple) bool) error {
-	defer e.lockedReads()()
-	start := time.Now()
-	v, ok := e.cat.Load().views[name]
-	if !ok {
-		return fmt.Errorf("engine: unknown view %q", name)
-	}
-	v.ScanDesc(func(t value.Tuple) bool {
-		return fn(ownedRow(v, t))
-	})
-	e.readScans.Add(1)
-	e.readLat.Observe(time.Since(start))
-	return nil
-}
-
-// ViewRows materializes a view's contents. The rows are caller-owned.
-func (e *Engine) ViewRows(name string) ([]value.Tuple, error) {
-	var out []value.Tuple
-	err := e.ViewScanFunc(name, func(t value.Tuple) bool {
-		out = append(out, t)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ViewScanRange collects the view rows with group key in [lo, hi). The
-// rows are caller-owned.
-func (e *Engine) ViewScanRange(name string, lo, hi value.Tuple) ([]value.Tuple, error) {
-	var out []value.Tuple
-	err := e.ViewScanRangeFunc(name, lo, hi, func(t value.Tuple) bool {
-		out = append(out, t)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ChronicleRows copies a chronicle's retained window under the
 // chronicle's own read lock. The rows are caller-owned.
 func (e *Engine) ChronicleRows(name string) ([]chronicle.Row, error) {
-	defer e.lockedReads()()
 	start := time.Now()
 	c, ok := e.cat.Load().chronicles[name]
 	if !ok {

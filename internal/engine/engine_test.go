@@ -8,6 +8,7 @@ import (
 	"chronicledb/internal/algebra"
 	"chronicledb/internal/calendar"
 	"chronicledb/internal/chronicle"
+	"chronicledb/internal/keyenc"
 	"chronicledb/internal/pred"
 	"chronicledb/internal/relation"
 	"chronicledb/internal/value"
@@ -425,19 +426,20 @@ func TestSerializedReadAccessors(t *testing.T) {
 	if _, _, err := e.ViewLookup("ghost", nil); err == nil {
 		t.Error("unknown view lookup accepted")
 	}
-	rows, err := e.ViewRows("usage")
+	scan := func(name string, w view.Window) (rows []value.Tuple, err error) {
+		_, err = e.ViewScan(name, w, func(t value.Tuple) bool { rows = append(rows, t); return true })
+		return rows, err
+	}
+	rows, err := scan("usage", view.Window{})
 	if err != nil || len(rows) != 2 {
-		t.Errorf("ViewRows = %v %v", rows, err)
+		t.Errorf("ViewScan = %v %v", rows, err)
 	}
-	if _, err := e.ViewRows("ghost"); err == nil {
-		t.Error("unknown ViewRows accepted")
-	}
-	ranged, err := e.ViewScanRange("usage", value.Tuple{value.Str("a")}, value.Tuple{value.Str("b")})
+	ranged, err := scan("usage", view.Window{Lo: keyenc.AppendValue(nil, value.Str("a")), Hi: keyenc.AppendValue(nil, value.Str("b"))})
 	if err != nil || len(ranged) != 1 || ranged[0][0].AsString() != "a" {
-		t.Errorf("ViewScanRange = %v %v", ranged, err)
+		t.Errorf("ViewScan [a, b) = %v %v", ranged, err)
 	}
-	if _, err := e.ViewScanRange("ghost", nil, nil); err == nil {
-		t.Error("unknown ViewScanRange accepted")
+	if _, err := scan("ghost", view.Window{}); err == nil {
+		t.Error("unknown ViewScan accepted")
 	}
 	crows, err := e.ChronicleRows("calls")
 	if err != nil || len(crows) != 2 {
@@ -486,7 +488,7 @@ func TestLongCallFoldsInChunks(t *testing.T) {
 		t.Fatalf("failing AppendEach = %d..%d, %v; want the %d-row prefix applied", first, last, err, maintainChunk+5)
 	}
 	var total int64
-	v.Scan(func(row value.Tuple) bool { total += row[2].AsInt(); return true })
+	v.Scan(view.Window{}, func(row value.Tuple) bool { total += row[2].AsInt(); return true })
 	if want := int64(n + maintainChunk + 5); total != want {
 		t.Errorf("view counts %d rows after the failed call, want %d", total, want)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"chronicledb/internal/aggregate"
 	"chronicledb/internal/algebra"
+	"chronicledb/internal/keyenc"
 	"chronicledb/internal/pred"
 	"chronicledb/internal/value"
 	"chronicledb/internal/view"
@@ -61,34 +62,24 @@ func TestReadsDoNotAcquireEngineLock(t *testing.T) {
 		if _, ok, err := e.ViewLookup("usage", value.Tuple{value.Str("acct1")}); err != nil || !ok {
 			t.Errorf("ViewLookup = %v, %v", ok, err)
 		}
-		if rows, err := e.ViewRows("usage"); err != nil || len(rows) != 1 {
-			t.Errorf("ViewRows = %d rows, %v", len(rows), err)
-		}
-		if _, err := e.ViewScanRange("usage", nil, value.Tuple{value.Str("zzz")}); err != nil {
-			t.Errorf("ViewScanRange: %v", err)
-		}
-		if err := e.ViewScanFunc("usage", func(value.Tuple) bool { return true }); err != nil {
-			t.Errorf("ViewScanFunc: %v", err)
-		}
-		if err := e.ViewScanDescFunc("usage", func(value.Tuple) bool { return true }); err != nil {
-			t.Errorf("ViewScanDescFunc: %v", err)
-		}
-		// Hash views have no B-tree snapshot; since PR 8 they publish
-		// through an atomic table and must be as lock-free as the rest.
-		if _, ok, err := e.ViewLookup("usage_hash", value.Tuple{value.Str("acct1")}); err != nil || !ok {
-			t.Errorf("hash ViewLookup = %v, %v", ok, err)
-		}
-		if rows, err := e.ViewRows("usage_hash"); err != nil || len(rows) != 1 {
-			t.Errorf("hash ViewRows = %d rows, %v", len(rows), err)
-		}
-		if _, err := e.ViewScanRange("usage_hash", nil, value.Tuple{value.Str("zzz")}); err != nil {
-			t.Errorf("hash ViewScanRange: %v", err)
-		}
-		if err := e.ViewScanFunc("usage_hash", func(value.Tuple) bool { return true }); err != nil {
-			t.Errorf("hash ViewScanFunc: %v", err)
-		}
-		if err := e.ViewScanDescFunc("usage_hash", func(value.Tuple) bool { return true }); err != nil {
-			t.Errorf("hash ViewScanDescFunc: %v", err)
+		// Every shape of the one scan entry, on the B-tree view and on the
+		// hash view (no snapshot; it publishes through an atomic table and
+		// must be as lock-free as the rest).
+		for _, name := range []string{"usage", "usage_hash"} {
+			if _, ok, err := e.ViewLookup(name, value.Tuple{value.Str("acct1")}); err != nil || !ok {
+				t.Errorf("%s: ViewLookup = %v, %v", name, ok, err)
+			}
+			for _, w := range []view.Window{
+				{},
+				{Desc: true},
+				{Hi: keyenc.AppendValue(nil, value.Str("zzz"))},
+				{Lo: keyenc.AppendValue(nil, value.Str("a")), Desc: true, Limit: 1},
+			} {
+				rows := 0
+				if _, err := e.ViewScan(name, w, func(value.Tuple) bool { rows++; return true }); err != nil || rows != 1 {
+					t.Errorf("%s: ViewScan(%+v) = %d rows, %v", name, w, rows, err)
+				}
+			}
 		}
 		if _, err := e.ChronicleRows("calls"); err != nil {
 			t.Errorf("ChronicleRows: %v", err)
@@ -113,40 +104,5 @@ func TestReadsDoNotAcquireEngineLock(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("a read method blocked on e.mu — the lock-free read path regressed")
-	}
-}
-
-// TestLockedReadsAblationSerializes proves the E17 baseline measures what
-// it claims: with Config.LockedReads, the same ViewLookup DOES wait for
-// e.mu, so the ablation restores the pre-snapshot serialization.
-func TestLockedReadsAblationSerializes(t *testing.T) {
-	var lsn uint64
-	e := New(Config{
-		DispatchIndexed: true,
-		RelationHistory: true,
-		LockedReads:     true,
-		Clock:           func() int64 { return 0 },
-		NextLSN:         func() uint64 { lsn++; return lsn },
-	})
-	populateForReads(t, e)
-
-	e.mu.Lock()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		e.ViewLookup("usage", value.Tuple{value.Str("acct1")})
-	}()
-	select {
-	case <-done:
-		e.mu.Unlock()
-		t.Fatal("LockedReads lookup completed while e.mu was held")
-	case <-time.After(50 * time.Millisecond):
-		// Blocked, as the ablation intends.
-	}
-	e.mu.Unlock()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("LockedReads lookup never completed after unlock")
 	}
 }

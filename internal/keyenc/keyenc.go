@@ -172,3 +172,24 @@ func Separator(dst, a, b []byte) []byte {
 		return append(dst, b[:c+1]...)
 	}
 }
+
+// PrefixSuccessor returns the smallest key greater than every key that
+// starts with prefix: prefix with its trailing 0xFF bytes dropped and the
+// byte before them incremented. Together with the prefix itself it bounds
+// the keys that share it — [prefix, PrefixSuccessor(prefix)) — which is how
+// an equality on the leading group-key columns becomes a key window. The
+// result is a comparison key only, like Separator's. ok is false when no
+// such key exists (prefix is empty or all 0xFF): the window has no upper
+// bound. prefix is not modified; the result is appended to dst.
+func PrefixSuccessor(dst, prefix []byte) (succ []byte, ok bool) {
+	n := len(prefix)
+	for n > 0 && prefix[n-1] == 0xFF {
+		n--
+	}
+	if n == 0 {
+		return dst, false
+	}
+	dst = append(dst, prefix[:n]...)
+	dst[len(dst)-1]++
+	return dst, true
+}

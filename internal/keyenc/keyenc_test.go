@@ -211,3 +211,42 @@ func TestSeparator(t *testing.T) {
 		t.Errorf("degenerate Separator = %q, want %q", s, "a")
 	}
 }
+
+// TestPrefixSuccessor pins the bound the WHERE pushdown builds windows from:
+// every key extending the prefix sorts below the successor, the successor is
+// tight (nothing that does not extend the prefix fits between), and a prefix
+// with no successor says so.
+func TestPrefixSuccessor(t *testing.T) {
+	for _, p := range [][]byte{{0x03, 'a', 0, 0}, {0x02, 0xFF, 0xFF}, {0x01}, {0x03, 0xFE, 0xFF}} {
+		succ, ok := PrefixSuccessor(nil, p)
+		if !ok {
+			t.Fatalf("PrefixSuccessor(%x) reports no successor", p)
+		}
+		for _, ext := range [][]byte{nil, {0x00}, {0xFF}, {0xFF, 0xFF, 0xFF}} {
+			k := append(append([]byte(nil), p...), ext...)
+			if bytes.Compare(k, succ) >= 0 {
+				t.Errorf("key %x extends %x but is not below its successor %x", k, p, succ)
+			}
+		}
+		if bytes.HasPrefix(succ, p) || bytes.Compare(succ, p) <= 0 {
+			t.Errorf("PrefixSuccessor(%x) = %x is not past the prefix", p, succ)
+		}
+		// Tight: the successor's own predecessor at the same length extends p
+		// or is p's truncation, so no foreign key fits between.
+		pred := append([]byte(nil), succ...)
+		pred[len(pred)-1]--
+		if !bytes.HasPrefix(p, pred) {
+			t.Errorf("PrefixSuccessor(%x) = %x leaves room for keys outside the prefix", p, succ)
+		}
+	}
+	for _, p := range [][]byte{nil, {}, {0xFF}, {0xFF, 0xFF}} {
+		if succ, ok := PrefixSuccessor(nil, p); ok {
+			t.Errorf("PrefixSuccessor(%x) = %x, want no successor", p, succ)
+		}
+	}
+	// dst is appended to, prefix left alone.
+	p := []byte{0x03, 'k', 0xFF}
+	if succ, _ := PrefixSuccessor([]byte("x"), p); string(succ) != "x\x03l" || p[1] != 'k' {
+		t.Errorf("PrefixSuccessor appended %q (prefix now %x)", succ, p)
+	}
+}

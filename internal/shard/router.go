@@ -675,8 +675,8 @@ func (r *Router) PeriodicView(name string) (*calendar.PeriodicView, bool) {
 	return s.eng.PeriodicView(name)
 }
 
-// ViewLookup answers a summary query from one shard, serialized against
-// that shard's appends.
+// ViewLookup answers a summary query by group key from the view's home
+// shard.
 func (r *Router) ViewLookup(name string, key value.Tuple) (value.Tuple, bool, error) {
 	s, ok := r.homeOfView(name)
 	if !ok {
@@ -685,53 +685,15 @@ func (r *Router) ViewLookup(name string, key value.Tuple) (value.Tuple, bool, er
 	return s.eng.ViewLookup(name, key)
 }
 
-// ViewRows materializes a view's contents from its home shard.
-func (r *Router) ViewRows(name string) ([]value.Tuple, error) {
-	s, ok := r.homeOfView(name)
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown view %q", name)
-	}
-	return s.eng.ViewRows(name)
-}
-
-// ViewScanRange scans a view's key range on its home shard.
-func (r *Router) ViewScanRange(name string, lo, hi value.Tuple) ([]value.Tuple, error) {
-	s, ok := r.homeOfView(name)
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown view %q", name)
-	}
-	return s.eng.ViewScanRange(name, lo, hi)
-}
-
-// ViewScanFunc streams a view's rows in group-key order from its home
-// shard's snapshot until fn returns false.
-func (r *Router) ViewScanFunc(name string, fn func(value.Tuple) bool) error {
-	s, ok := r.homeOfView(name)
-	if !ok {
-		return fmt.Errorf("engine: unknown view %q", name)
-	}
-	return s.eng.ViewScanFunc(name, fn)
-}
-
-// ViewScanAt streams a view's rows from its home shard and returns the
-// applied LSN of the scanned state (the changefeed snapshot catch-up
-// anchor).
-func (r *Router) ViewScanAt(name string, fn func(value.Tuple) bool) (uint64, error) {
+// ViewScan streams the rows of a window of a view from its home shard and
+// returns the LSN of the publication they were read from (see
+// engine.ViewScan).
+func (r *Router) ViewScan(name string, w view.Window, fn func(value.Tuple) bool) (uint64, error) {
 	s, ok := r.homeOfView(name)
 	if !ok {
 		return 0, fmt.Errorf("engine: unknown view %q", name)
 	}
-	return s.eng.ViewScanAt(name, fn)
-}
-
-// ViewScanDescFunc streams a view's rows in descending group-key order
-// from its home shard — the "latest N groups" access path.
-func (r *Router) ViewScanDescFunc(name string, fn func(value.Tuple) bool) error {
-	s, ok := r.homeOfView(name)
-	if !ok {
-		return fmt.Errorf("engine: unknown view %q", name)
-	}
-	return s.eng.ViewScanDescFunc(name, fn)
+	return s.eng.ViewScan(name, w, fn)
 }
 
 // RelationRows materializes a relation's live tuples in key order,

@@ -144,9 +144,11 @@ type DropView struct {
 	Name string
 }
 
-// Explain is "EXPLAIN VIEW name".
+// Explain is "EXPLAIN VIEW name" (View set: describe the view) or
+// "EXPLAIN SELECT ..." (Query set: describe how the query would be read).
 type Explain struct {
-	View string
+	View  string
+	Query *Query
 }
 
 // Show is "SHOW VIEWS|CHRONICLES|RELATIONS|GROUPS|STATS".

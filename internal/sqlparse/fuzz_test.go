@@ -15,6 +15,7 @@ func FuzzParse(f *testing.F) {
 		"DELETE FROM r KEY ('k')",
 		"SELECT * FROM v WHERE a >= 'm' LIMIT 3",
 		"DROP VIEW v; SHOW VIEWS; EXPLAIN VIEW v",
+		"EXPLAIN SELECT * FROM v WHERE a = 1 AND (b < 2 OR c >= 'x') ORDER BY a DESC LIMIT 5",
 		"CREATE VIEW v AS SELECT DISTINCT a FROM c JOIN d ON SN",
 		"-- comment\nSELECT * FROM v",
 		"'unterminated",

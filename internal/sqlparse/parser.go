@@ -122,6 +122,13 @@ func (p *parser) statement() (Statement, error) {
 		return p.query()
 	case p.atKeyword("EXPLAIN"):
 		p.next()
+		if p.atKeyword("SELECT") {
+			q, err := p.query()
+			if err != nil {
+				return nil, err
+			}
+			return &Explain{Query: q.(*Query)}, nil
+		}
 		if err := p.expectKeyword("VIEW"); err != nil {
 			return nil, err
 		}

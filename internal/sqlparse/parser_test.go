@@ -250,9 +250,15 @@ func TestParseQuery(t *testing.T) {
 }
 
 func TestParseExplainShow(t *testing.T) {
-	if e := parseOne(t, "EXPLAIN VIEW balances").(*Explain); e.View != "balances" {
+	if e := parseOne(t, "EXPLAIN VIEW balances").(*Explain); e.View != "balances" || e.Query != nil {
 		t.Errorf("%+v", e)
 	}
+	e := parseOne(t, "EXPLAIN SELECT * FROM balances WHERE acct = 'a' ORDER BY acct DESC LIMIT 3").(*Explain)
+	if q := e.Query; e.View != "" || q == nil || q.From != "balances" || len(q.Where.Conj) != 1 || !q.OrderDesc || q.Limit != 3 {
+		t.Errorf("EXPLAIN SELECT = %+v", e)
+	}
+	expectParseError(t, "EXPLAIN SELECT acct FROM balances", "SELECT *")
+	expectParseError(t, "EXPLAIN balances", "expected VIEW")
 	for _, w := range []string{"VIEWS", "CHRONICLES", "RELATIONS", "STATS"} {
 		if sh := parseOne(t, "SHOW "+w).(*Show); sh.What != w {
 			t.Errorf("SHOW %s = %+v", w, sh)

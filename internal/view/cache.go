@@ -94,6 +94,13 @@ func (c *Cache) removeLocked(i int) {
 		c.idx[c.slots[i].b] = i
 	}
 	c.slots = c.slots[:last]
+	if i+1 == c.hand {
+		// i is the slot the hand just passed — the sweep's own victim. The
+		// block swapped into it has not been looked at this lap; step back so
+		// it is, or a long run of evictions skips every other candidate and
+		// comes around to the referenced blocks it spared.
+		c.hand = i
+	}
 	if c.hand > last {
 		c.hand = 0
 	}

@@ -39,8 +39,8 @@ func (v *View) Checkpoint() []byte {
 		b = appendBlockEntry(b, e, v.def.Aggs)
 		return true
 	}
-	if v.pg.Load() != nil {
-		s := v.scanSnap(nil, nil)
+	if p := v.pg.Load(); p != nil {
+		s, _, _, _ := v.planScan(p, Window{}, 0)
 		b = binary.AppendUvarint(b, uint64(s.tree.Len()))
 		s.tree.Ascend(appendEntry)
 		return b

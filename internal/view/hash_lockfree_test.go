@@ -36,22 +36,22 @@ func TestHashReadsDoNotAcquireViewLock(t *testing.T) {
 			t.Errorf("Len = %d, want 2", n)
 		}
 		rows := 0
-		v.Scan(func(value.Tuple) bool { rows++; return true })
+		v.Scan(Window{}, func(value.Tuple) bool { rows++; return true })
 		if rows != 2 {
 			t.Errorf("Scan visited %d rows, want 2", rows)
 		}
 		rows = 0
-		v.ScanDesc(func(value.Tuple) bool { rows++; return true })
+		v.Scan(Window{Desc: true}, func(value.Tuple) bool { rows++; return true })
 		if rows != 2 {
 			t.Errorf("ScanDesc visited %d rows, want 2", rows)
 		}
 		rows = 0
-		v.ScanRange(nil, value.Tuple{value.Str("zzz")}, func(value.Tuple) bool { rows++; return true })
+		v.Scan(Window{Hi: keyOf(value.Str("zzz"))}, func(value.Tuple) bool { rows++; return true })
 		if rows != 2 {
 			t.Errorf("ScanRange visited %d rows, want 2", rows)
 		}
 		rows = 0
-		v.ScanRangeDesc(nil, value.Tuple{value.Str("zzz")}, func(value.Tuple) bool { rows++; return true })
+		v.Scan(Window{Hi: keyOf(value.Str("zzz")), Desc: true}, func(value.Tuple) bool { rows++; return true })
 		if rows != 2 {
 			t.Errorf("ScanRangeDesc visited %d rows, want 2", rows)
 		}
@@ -97,7 +97,7 @@ func TestHashConcurrentReadersSeeConsistentEntries(t *testing.T) {
 						return
 					}
 				}
-				v.Scan(func(row value.Tuple) bool {
+				v.Scan(Window{}, func(row value.Tuple) bool {
 					if total, n := row[1].AsInt(), row[2].AsInt(); total != 7*n {
 						t.Errorf("torn scan row: %v", row)
 						return false
@@ -200,7 +200,7 @@ func TestHashLockFreeThroughGrowth(t *testing.T) {
 					continue
 				}
 				var groups, folded int64
-				lsn := v.ScanAt(func(row value.Tuple) bool {
+				lsn := v.Scan(Window{}, func(row value.Tuple) bool {
 					if row[1].AsInt() != 7*row[2].AsInt() {
 						t.Errorf("torn scan row %v", row)
 					}

@@ -16,8 +16,9 @@ import (
 // memcomparable separator keys, each block independently dirty-tracked,
 // checkpointed, evicted, and faulted back in. The live tree only holds
 // resident blocks' entries; the published COW snapshot therefore covers
-// the resident set, and readers that miss it fall to a slow path that
-// faults the covering block from the checkpoint chain.
+// the resident set, and a read that may reach a cold block plans which
+// blocks it needs, faults exactly those from the checkpoint chain, and reads
+// one snapshot that holds them (pagedLookup, pagedScan).
 //
 // Invariants (all block state transitions happen under the view's mu):
 //
@@ -42,7 +43,7 @@ type blockMeta struct {
 	dirtyMark uint64 // pager clock at last write into the block
 	ckptMark  uint64 // pager clock at last durably committed encode
 	ref       *BlockRef
-	hot       atomic.Bool // CLOCK reference bit: set on fault and write
+	hot       atomic.Bool // CLOCK reference bit: set by writes and by point, range and limit reads, not by a scan of the whole view
 	// arena is where the block's keys and its new groups' values are carved
 	// from while it is resident (created on first need). Eviction drops it
 	// with the entries, so a cold block pins no chunk.
@@ -67,14 +68,17 @@ type pager struct {
 	published   atomic.Int64 // total as of the last publication (View.Len)
 }
 
-// blockFor returns the index of the block covering key: the greatest
-// blocks[i].lo ≤ key. Hand-written binary search — the write hot path
-// calls this per row and must not allocate a closure.
-func (p *pager) blockFor(key []byte) int {
-	i, j := 1, len(p.blocks)
+// blockFor returns the index of the block covering key.
+func (p *pager) blockFor(key []byte) int { return blockIndex(p.blocks, key) }
+
+// blockIndex returns the index of the block of a block list that covers key:
+// the greatest blocks[i].lo ≤ key. Hand-written binary search — the write
+// hot path calls this per row and must not allocate a closure.
+func blockIndex(blocks []*blockMeta, key []byte) int {
+	i, j := 1, len(blocks)
 	for i < j {
 		m := int(uint(i+j) >> 1)
-		if bytes.Compare(p.blocks[m].lo, key) <= 0 {
+		if bytes.Compare(blocks[m].lo, key) <= 0 {
 			i = m + 1
 		} else {
 			j = m
@@ -122,6 +126,25 @@ func (v *View) EnablePaging(blockBytes int64, fetch FetchFunc, cache *Cache) {
 	p.published.Store(int64(b.n))
 	cache.addResident(v, b)
 	v.pg.Store(p)
+	v.restampLocked(p)
+}
+
+// installBlocksLocked makes a checkpoint's re-cut block list the pager's.
+// Blocks only ever split, so a list of the old length is the old list and
+// the one already published stays. Caller holds v.mu.
+func (v *View) installBlocksLocked(p *pager, blocks []*blockMeta) {
+	if len(blocks) != len(p.blocks) {
+		p.blocks = blocks
+		v.restampLocked(p)
+	}
+}
+
+// restampLocked republishes the current snapshot's tree under the pager's
+// current block list, after the list was replaced without a publication (a
+// checkpoint split a block; paging was switched on). Caller holds v.mu.
+func (v *View) restampLocked(p *pager) {
+	s := v.snap.Load()
+	v.snap.Store(&snapshot{tree: s.tree, at: s.at, lsn: s.lsn, blocks: p.blocks})
 }
 
 // Paged reports whether the view runs on a blocked persistent store.
@@ -143,7 +166,7 @@ func (v *View) ReleasePaging() {
 func (v *View) ensureWrite(p *pager, key []byte) *blockMeta {
 	b := p.blocks[p.blockFor(key)]
 	if !b.resident {
-		v.faultIn(p, b)
+		v.faultIn(p, true, b)
 	}
 	if b.arena == nil {
 		b.arena = new(arena)
@@ -172,8 +195,9 @@ func (v *View) noteInsert(p *pager, b *blockMeta, key []byte, e *entry) {
 // rows no reader may see yet. A cold block is clean — a write faults its
 // block first — so its durable image is its content before and after the
 // call so far, and it is added to a copy of the published tree instead,
-// under the LSN that publication already carried.
-func (v *View) faultIn(p *pager, cold ...*blockMeta) {
+// under the LSN that publication already carried. hot is the reference bit
+// the blocks come in with.
+func (v *View) faultIn(p *pager, hot bool, cold ...*blockMeta) {
 	var pub *btree.Tree[[]byte, *entry]
 	if v.unpublished {
 		// Clone re-tags its receiver; the published tree is never written
@@ -182,12 +206,13 @@ func (v *View) faultIn(p *pager, cold ...*blockMeta) {
 	}
 	for _, b := range cold {
 		v.pageIn(p, b, pub)
+		b.hot.Store(hot)
 	}
 	if pub == nil {
 		v.publishLocked()
 	} else {
 		s := v.snap.Load()
-		v.snap.Store(&snapshot{tree: pub, at: s.at, lsn: s.lsn})
+		v.snap.Store(&snapshot{tree: pub, at: s.at, lsn: s.lsn, blocks: s.blocks})
 	}
 	// After the publication: a reader that sees the lowered count also sees
 	// the snapshot that made it true (Lookup re-checks the snapshot).
@@ -228,7 +253,6 @@ func (v *View) pageIn(p *pager, b *blockMeta, pub *btree.Tree[[]byte, *entry]) {
 		}
 	}
 	b.resident = true
-	b.hot.Store(true)
 	p.cache.misses.Add(1)
 	p.cache.addResident(v, b)
 }
@@ -278,13 +302,13 @@ func (v *View) pagedLookup(key []byte) (value.Tuple, bool) {
 	v.mu.Lock()
 	b := p.blocks[p.blockFor(key)]
 	if !b.resident {
-		v.faultIn(p, b)
+		v.faultIn(p, true, b)
 	} else {
 		// Another reader faulted it between our snapshot load and here,
 		// or the key is genuinely absent from a warm block.
 		p.cache.hits.Add(1)
+		b.hot.Store(true)
 	}
-	b.hot.Store(true)
 	var row value.Tuple
 	e, ok := v.snap.Load().tree.Get(key)
 	if ok && e.count != 0 {
@@ -297,40 +321,119 @@ func (v *View) pagedLookup(key []byte) (value.Tuple, bool) {
 	return row, ok
 }
 
-// scanSnap returns the snapshot a scan over [lo, hi) (nil = unbounded)
-// should walk. For unpaged B-tree views it is the published snapshot; for
-// paged views it first faults in every cold block overlapping the window
-// and republishes, then returns that snapshot — which, being COW, stays
-// complete even if the cache evicts blocks from the live tree while the
-// scan is still running. Returns nil for hash views.
-func (v *View) scanSnap(lo, hi []byte) *snapshot {
-	p := v.pg.Load()
-	if p == nil || p.nonResident.Load() == 0 {
-		return v.snap.Load()
+// pagedScan is Scan on a view with cold blocks. Each round plans a block
+// window under the view's lock, faults the cold blocks inside it and walks
+// one snapshot restricted to it, so the read costs the blocks it reaches, not
+// the view. When the window's key bounds decide the plan it is final and the
+// rows stream to fn. When only the limit does — the plan is the blocks from
+// the walk's starting end whose entry counts add up to it — the counts can
+// promise more rows than the walk finds (Keep turns rows down; the window
+// starts inside its first block), so the rows are held back: a walk that runs
+// dry short of the limit is thrown away and the next round plans for twice as
+// many entries and walks a fresh snapshot. fn sees the rows of the round that
+// sufficed and of no other, so a read never mixes two publications.
+func (v *View) pagedScan(p *pager, w Window, fn func(value.Tuple) bool) uint64 {
+	for need := w.Limit; ; need *= 2 {
+		s, lo, hi, final := v.planScan(p, w, need)
+		if final {
+			v.walk(s, w, lo, hi, fn)
+			return s.lsn
+		}
+		var rows []value.Tuple
+		if v.walk(s, w, lo, hi, func(t value.Tuple) bool { rows = append(rows, t); return true }) == w.Limit {
+			for _, t := range rows {
+				if !fn(t) {
+					break
+				}
+			}
+			return s.lsn
+		}
 	}
+}
+
+// planScan plans one round of pagedScan: of the blocks that overlap w, those
+// the walk needs to find need entries from its starting end (all of them with
+// need 0). It faults the cold ones among them and returns the snapshot that
+// now holds the planned blocks, the key range they cover within w, and whether
+// that is all of w. A read that names part of the view references the blocks
+// it plans; a scan of the whole view does not, and the blocks it faults come
+// in unreferenced — the sweep takes them back first, and the recency the
+// CLOCK had survives a WATCH catch-up or a verification scan.
+func (v *View) planScan(p *pager, w Window, need int) (s *snapshot, lo, hi []byte, final bool) {
 	v.mu.Lock()
+	blocks := p.blocks
+	i0, i1, a, b := p.plan(w, need)
+	hot := w.bounded()
 	var cold []*blockMeta
-	start := 0
-	if lo != nil {
-		start = p.blockFor(lo)
-	}
-	for i := start; i < len(p.blocks); i++ {
-		b := p.blocks[i]
-		if hi != nil && b.lo != nil && bytes.Compare(b.lo, hi) >= 0 {
-			break
+	for _, blk := range blocks[a:b] {
+		switch {
+		case !blk.resident:
+			cold = append(cold, blk)
+		case hot:
+			blk.hot.Store(true)
 		}
-		if !b.resident {
-			cold = append(cold, b)
-		}
-		b.hot.Store(true)
 	}
+	p.cache.hits.Add(int64(b - a - len(cold)))
 	if len(cold) > 0 {
-		v.faultIn(p, cold...)
+		v.faultIn(p, hot, cold...)
 	}
-	s := v.snap.Load()
+	s = v.snap.Load()
+	lo, hi = w.Lo, w.Hi
+	if a > i0 {
+		lo = blocks[a].lo
+	}
+	if b < i1 {
+		hi = blocks[b].lo
+	}
 	v.mu.Unlock()
-	p.cache.maintain()
-	return s
+	if len(cold) > 0 {
+		p.cache.maintain()
+	}
+	return s, lo, hi, a == i0 && b == i1
+}
+
+// plan picks blocks for a read of w: [i0, i1) are the blocks that overlap the
+// window, [a, b) those of them, taken from the walk's starting end, whose
+// entry counts first add up to need (all of them with need 0). Caller holds
+// the view's mu.
+func (p *pager) plan(w Window, need int) (i0, i1, a, b int) {
+	i0, i1 = 0, len(p.blocks)
+	if len(w.Lo) > 0 {
+		i0 = p.blockFor(w.Lo)
+	}
+	if len(w.Hi) > 0 {
+		if i1 = p.blockFor(w.Hi); bytes.Compare(p.blocks[i1].lo, w.Hi) < 0 {
+			i1++ // the block covering Hi holds keys below it
+		}
+		i1 = max(i1, i0) // Hi ≤ Lo: an empty window
+	}
+	a, b = i0, i1
+	if need > 0 {
+		sum := 0
+		if w.Desc {
+			for a = i1; a > i0 && sum < need; sum += p.blocks[a].n {
+				a--
+			}
+		} else {
+			for b = i0; b < i1 && sum < need; b++ {
+				sum += p.blocks[b].n
+			}
+		}
+	}
+	return i0, i1, a, b
+}
+
+// PlannedBlocks reports how many blocks a Scan of w plans in its first round
+// and how many the view has, for EXPLAIN; zeros for an unpaged view.
+func (v *View) PlannedBlocks(w Window) (planned, total int) {
+	p := v.pg.Load()
+	if p == nil {
+		return 0, 0
+	}
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	_, _, a, b := p.plan(w, w.Limit)
+	return b - a, len(p.blocks)
 }
 
 // PendingBlock records where one inline block payload sits inside a
@@ -414,7 +517,7 @@ func (v *View) CheckpointBlocked(full bool) (img []byte, pend []PendingBlock, di
 			newBlocks = append(newBlocks, b)
 		}
 	}
-	p.blocks = newBlocks
+	v.installBlocksLocked(p, newBlocks)
 	totalBlocks = len(newBlocks)
 
 	// Pass 2: assemble the image.
@@ -526,7 +629,7 @@ func (v *View) CheckpointBlockedDelta() (img []byte, pend []PendingBlock, dirtyB
 		runs = append(runs, r)
 		i = j
 	}
-	p.blocks = newBlocks
+	v.installBlocksLocked(p, newBlocks)
 	totalBlocks = len(newBlocks)
 
 	// Pass 2: assemble the image — shared header, then the runs.

@@ -2,9 +2,11 @@ package view
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"chronicledb/internal/algebra"
+	"chronicledb/internal/keyenc"
 	"chronicledb/internal/value"
 )
 
@@ -143,7 +145,7 @@ func TestPagedEvictAndFault(t *testing.T) {
 	// A full scan sees every row exactly once (transient materialization
 	// through the COW snapshot).
 	seen := 0
-	v.Scan(func(value.Tuple) bool { seen++; return true })
+	v.Scan(Window{}, func(value.Tuple) bool { seen++; return true })
 	if seen != groups {
 		t.Fatalf("Scan visited %d rows, want %d", seen, groups)
 	}
@@ -482,7 +484,7 @@ func TestPagedFaultInsideCall(t *testing.T) {
 		}
 		return row[1].AsInt()
 	}
-	lsn0 := v.ScanAt(func(value.Tuple) bool { return false })
+	lsn0 := v.Scan(Window{}, func(value.Tuple) bool { return false })
 	cache.Maintain()
 
 	// The call: two folds into the first block (which the write faults in),
@@ -496,7 +498,7 @@ func TestPagedFaultInsideCall(t *testing.T) {
 	}
 	v.ApplyRows(v.Delta(f.appendCall(t, acctName(1), 100)))
 	var sum int64
-	if lsn := v.ScanAt(func(row value.Tuple) bool { sum += row[1].AsInt(); return true }); lsn != lsn0 || sum != 5*groups {
+	if lsn := v.Scan(Window{}, func(row value.Tuple) bool { sum += row[1].AsInt(); return true }); lsn != lsn0 || sum != 5*groups {
 		t.Errorf("scan inside the call: total %d at LSN %d, want %d at %d", sum, lsn, 5*groups, lsn0)
 	}
 	cache.Maintain() // far over budget, but the call is open
@@ -509,10 +511,224 @@ func TestPagedFaultInsideCall(t *testing.T) {
 		t.Errorf("after Publish: accts 0 and 1 read %d and %d, want 105 each", a, b)
 	}
 	sum = 0
-	if lsn := v.ScanAt(func(row value.Tuple) bool { sum += row[1].AsInt(); return true }); lsn != lsn0+2 || sum != 5*groups+200 {
+	if lsn := v.Scan(Window{}, func(row value.Tuple) bool { sum += row[1].AsInt(); return true }); lsn != lsn0+2 || sum != 5*groups+200 {
 		t.Errorf("scan after Publish: total %d at LSN %d, want %d at %d", sum, lsn, 5*groups+200, lsn0+2)
 	}
 	if cache.Evictions() == 0 {
 		t.Error("nothing was ever evicted")
+	}
+}
+
+// coldCopy checkpoints src in full and restores the image into a fresh paged
+// view under cache: every block of the copy starts cold.
+func coldCopy(t *testing.T, src *View, sim *chainSim, file string, blockBytes int64, cache *Cache) *View {
+	t.Helper()
+	sim.checkpointTo(t, src, file, true)
+	v := pagedView(t, newFixture(t), sim, blockBytes, cache)
+	if err := v.RestoreBlocked(sim.files[file], file, 0, sim.fetch); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// residentBlocks lists the indexes of the view's resident blocks.
+func residentBlocks(v *View) (out []int) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	for i, b := range v.pg.Load().blocks {
+		if b.resident {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// TestPagedScanFaultsOnlyItsWindow: a read of a paged view faults the blocks
+// its window plans and no other. Every case starts from a copy with all
+// blocks cold under an unbounded cache, so the blocks resident afterwards are
+// the blocks the read faulted. Key-bounded windows are checked against the
+// overlap of the window with the block separators, worked out here from the
+// separators alone; limit windows against the fewest blocks, from the walk's
+// starting end, whose entry counts reach the limit; and every answer against
+// the same Scan of the resident source view.
+func TestPagedScanFaultsOnlyItsWindow(t *testing.T) {
+	f := newFixture(t)
+	sim := newChainSim()
+	src := pagedView(t, f, sim, 256, NewCache(0))
+	const groups = 400
+	for i := 0; i < groups; i++ {
+		src.Apply(f.appendCall(t, acctName(i), int64(i)))
+	}
+	key := func(i int) []byte { return keyOf(value.Str(acctName(i))) }
+	succ := func(k []byte) []byte { s, _ := keyenc.PrefixSuccessor(nil, k); return s }
+	every7th := func(t value.Tuple) bool { return t[1].AsInt()%7 == 0 }
+
+	for name, w := range map[string]Window{
+		"point as a range":    {Lo: key(123), Hi: succ(key(123))},
+		"inside one block":    {Lo: key(200), Hi: key(203)},
+		"across blocks":       {Lo: key(90), Hi: key(170)},
+		"across blocks, desc": {Lo: key(90), Hi: key(170), Desc: true},
+		"open above":          {Lo: key(380)},
+		"open below, desc":    {Hi: key(15), Desc: true},
+		"prefix":              {Lo: keyOf(value.Str("acct03"))[:7], Hi: succ(keyOf(value.Str("acct03"))[:7])},
+		"empty":               {Lo: key(300), Hi: key(100)},
+		"range with a limit":  {Lo: key(50), Hi: key(350), Limit: 5},
+		"latest 20":           {Desc: true, Limit: 20},
+		"first 20":            {Limit: 20},
+		"latest 3 kept":       {Desc: true, Limit: 3, Keep: every7th},
+		"first 8 kept":        {Limit: 8, Keep: every7th},
+		"whole view":          {},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cache := NewCache(0)
+			v := coldCopy(t, src, sim, "ck", 256, cache)
+			v.mu.RLock()
+			blocks := v.pg.Load().blocks
+			v.mu.RUnlock()
+
+			var got, want []string
+			lsn := v.Scan(w, func(row value.Tuple) bool { got = append(got, fmt.Sprint(row)); return true })
+			wantLSN := src.Scan(w, func(row value.Tuple) bool { want = append(want, fmt.Sprint(row)); return true })
+			if fmt.Sprint(got) != fmt.Sprint(want) || lsn != 0 && lsn != wantLSN {
+				t.Fatalf("paged answer %v (LSN %d)\nresident answer %v (LSN %d)", got, lsn, want, wantLSN)
+			}
+
+			// overlap: the blocks holding any key of [Lo, Hi).
+			var overlap []int
+			for i, b := range blocks {
+				endsAboveLo := i+1 == len(blocks) || len(w.Lo) == 0 || string(blocks[i+1].lo) > string(w.Lo)
+				startsBelowHi := len(w.Hi) == 0 || string(b.lo) < string(w.Hi)
+				if endsAboveLo && startsBelowHi && (len(w.Lo) == 0 || len(w.Hi) == 0 || string(w.Lo) < string(w.Hi)) {
+					overlap = append(overlap, i)
+				}
+			}
+			faulted := residentBlocks(v)
+			if int64(len(faulted)) != cache.Misses() {
+				t.Errorf("%d blocks resident after %d faults: a block was faulted twice", len(faulted), cache.Misses())
+			}
+			switch {
+			case w.Limit == 0:
+				if fmt.Sprint(faulted) != fmt.Sprint(overlap) {
+					t.Errorf("faulted blocks %v, the window overlaps %v of %d", faulted, overlap, len(blocks))
+				}
+			case w.Keep == nil:
+				// The fewest blocks from the starting end that hold Limit
+				// entries — one more when the window starts inside its first
+				// block and that block's count promised rows it did not have.
+				fewest, sum := 0, 0
+				for k := range overlap {
+					i := overlap[k]
+					if w.Desc {
+						i = overlap[len(overlap)-1-k]
+					}
+					if sum >= w.Limit {
+						break
+					}
+					sum += blocks[i].n
+					fewest++
+				}
+				if len(faulted) < fewest || len(faulted) > fewest+1 {
+					t.Errorf("faulted %d blocks %v for a limit of %d; the counts say %d", len(faulted), faulted, w.Limit, fewest)
+				}
+				fallthrough
+			default:
+				// Contiguous from the starting end and inside the overlap,
+				// and — the point of planning — not the whole view.
+				for k, i := range faulted {
+					want := overlap[k]
+					if w.Desc {
+						want = overlap[len(overlap)-len(faulted)+k]
+					}
+					if i != want {
+						t.Fatalf("faulted blocks %v are not the starting end of the overlap %v", faulted, overlap)
+					}
+				}
+				if len(faulted)*2 > len(blocks) {
+					t.Errorf("a limit of %d faulted %d of %d blocks", w.Limit, len(faulted), len(blocks))
+				}
+			}
+			if p, total := v.PlannedBlocks(w); total != len(blocks) || w.Keep == nil && p > len(faulted) {
+				t.Errorf("PlannedBlocks = %d of %d; the read faulted %d of %d", p, total, len(faulted), len(blocks))
+			}
+		})
+	}
+}
+
+// TestClockSeesLookupHits is the bug guard for the reference bit: a lookup
+// answered from the published snapshot must mark the block it read, or the
+// sweep is first-in-first-out under a read-only load and evicts the most-read
+// block as readily as the least. The view is four times the cache; three
+// lookups in five go to a hot set of blocks that fits the cache with room to
+// spare, the rest walk the cold set. With the bit set on hits the hot set
+// stays resident — its lookups all hit — so the hit ratio is the hot share
+// (plus the odd cold hit); without it every lap of the hand throws the hot
+// blocks out.
+func TestClockSeesLookupHits(t *testing.T) {
+	f := newFixture(t)
+	sim := newChainSim()
+	src := pagedView(t, f, sim, 512, NewCache(0))
+	const groups = 2000
+	for i := 0; i < groups; i++ {
+		src.Apply(f.appendCall(t, acctName(i), 1))
+	}
+	sim.checkpointTo(t, src, "sizing", true)
+	var viewBytes int64
+	src.mu.RLock()
+	blocks := src.pg.Load().blocks
+	for _, b := range blocks {
+		viewBytes += b.bytes
+	}
+	src.mu.RUnlock()
+	cache := NewCache(viewBytes / 4)
+	v := coldCopy(t, src, sim, "ck", 512, cache)
+
+	// The hot set: the groups of the first tenth of the blocks (the cache
+	// holds a quarter of them).
+	hotGroups := 0
+	for _, b := range blocks[:len(blocks)/10] {
+		hotGroups += b.n
+	}
+	rng := rand.New(rand.NewSource(20))
+	lookup := func(i int) {
+		if _, ok := v.Lookup(value.Tuple{value.Str(acctName(i))}); !ok {
+			t.Fatalf("acct %d not found", i)
+		}
+	}
+	const (
+		lookups  = 20000
+		hotShare = 0.6
+	)
+	mix := func(n int) {
+		for i := 0; i < n; i++ {
+			if rng.Float64() < hotShare {
+				lookup(rng.Intn(hotGroups))
+			} else {
+				lookup(hotGroups + rng.Intn(groups-hotGroups))
+			}
+		}
+	}
+	mix(lookups / 10) // warm-up: the hot set comes in
+	h0, m0 := cache.Hits(), cache.Misses()
+	mix(lookups)
+	hits, misses := cache.Hits()-h0, cache.Misses()-m0
+	ratio := float64(hits) / float64(hits+misses)
+	t.Logf("%d blocks, cache of %d bytes for %d; %d hits, %d misses, %d evictions: hit ratio %.3f",
+		len(blocks), cache.Budget(), viewBytes, hits, misses, cache.Evictions(), ratio)
+	if ratio < hotShare-0.05 {
+		t.Errorf("hit ratio %.3f with %.0f%% of the lookups in a hot set that fits the cache: the sweep does not see hits", ratio, 100*hotShare)
+	}
+	if cache.Evictions() == 0 {
+		t.Error("nothing was evicted: the cold set never pressed on the cache")
+	}
+
+	// A scan of the whole view faults everything and references nothing: the
+	// hot set is still there when the sweep has taken the rest back.
+	v.Scan(Window{}, func(value.Tuple) bool { return true })
+	m0 = cache.Misses()
+	for i := 0; i < hotGroups; i++ {
+		lookup(i)
+	}
+	if got := cache.Misses() - m0; got > int64(len(blocks)/10)/4 {
+		t.Errorf("after a full scan %d of the hot set's %d blocks had to be faulted again: the scan erased the CLOCK's recency", got, len(blocks)/10)
 	}
 }

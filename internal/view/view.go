@@ -24,6 +24,7 @@
 package view
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -88,14 +89,33 @@ type snapshot struct {
 	tree *btree.Tree[[]byte, *entry]
 	at   int64  // publication time, UnixNano
 	lsn  uint64 // highest LSN folded in when this snapshot was published
+	// blocks is a paged view's block index as of this snapshot, nil otherwise.
+	// The slice is never written after it is published (a checkpoint that
+	// splits a block and a restore install a new one), and a block's lower
+	// bound never changes, so a reader may search it without the view's lock —
+	// which is all the lock-free hit path wants of it: the covering block's
+	// reference bit.
+	blocks []*blockMeta
+}
+
+// touch tells the CLOCK that the block covering key was read.
+func (s *snapshot) touch(key []byte) {
+	if len(s.blocks) == 0 {
+		return
+	}
+	// Load before store: a hot block's bit is already set, and the common
+	// hit must not bounce its cache line between readers.
+	if b := s.blocks[blockIndex(s.blocks, key)]; !b.hot.Load() {
+		b.hot.Store(true)
+	}
 }
 
 // View is a materialized persistent view with incremental maintenance.
 //
 // Concurrency model: maintenance (ApplyRows/Publish/RestoreCheckpoint) is
 // serialized by the engine and takes mu exclusively. B-tree views publish
-// an immutable copy-on-write snapshot; Lookup/Scan/ScanRange read the
-// latest one with zero locks. Hash views (the zero-allocation maintenance
+// an immutable copy-on-write snapshot; Lookup and Scan read the latest one
+// with zero locks. Hash views (the zero-allocation maintenance
 // fast path) publish through an atomically installed open-addressing table
 // of frozen entries, so their readers are lock-free too — maintenance
 // mutates pending clones and installs them at publish (see hashStore).
@@ -141,7 +161,7 @@ type View struct {
 	// encoded group key being probed (the store copies it only on insert);
 	// deltaBuf backs the expression delta for batch-local operators. Both
 	// belong to the maintenance path, which the engine serializes; the
-	// concurrent read paths (Lookup, ScanRange) use pooled buffers instead.
+	// concurrent read path (Lookup) uses a pooled buffer instead.
 	keyBuf   []byte
 	deltaBuf []chronicle.Row
 
@@ -232,14 +252,19 @@ func New(def Def, kind StoreKind) (*View, error) {
 // clones into the atomic table. Callers must hold mu exclusively (or have
 // sole ownership, as in New).
 func (v *View) publishLocked() {
+	p := v.pg.Load()
 	switch s := v.store.(type) {
 	case *treeStore:
-		v.snap.Store(&snapshot{tree: s.t.Clone(), at: time.Now().UnixNano(), lsn: v.appliedLSN})
+		snap := &snapshot{tree: s.t.Clone(), at: time.Now().UnixNano(), lsn: v.appliedLSN}
+		if p != nil {
+			snap.blocks = p.blocks
+		}
+		v.snap.Store(snap)
 		v.epoch++
 	case *hashStore:
 		s.publish(v.appliedLSN)
 	}
-	if p := v.pg.Load(); p != nil {
+	if p != nil {
 		p.published.Store(p.total)
 	}
 	v.unpublished = false
@@ -286,6 +311,19 @@ func (v *View) Def() Def { return v.def }
 // Schema returns the view's relation schema (no sequencing attribute —
 // "every persistent view expressed in SCA produces a relation").
 func (v *View) Schema() *value.Schema { return v.schema }
+
+// KeyLen returns how many leading columns of the schema form the group key
+// (the grouping columns, or the whole projected tuple): the store is keyed on
+// their encoding, in that order.
+func (v *View) KeyLen() int { return len(v.keyCols) }
+
+// StoreKind returns the kind of the view's group store.
+func (v *View) StoreKind() StoreKind {
+	if v.cow {
+		return StoreBTree
+	}
+	return StoreHash
+}
 
 // Info returns the static analysis of the underlying expression.
 func (v *View) Info() algebra.Info { return v.info }
@@ -439,6 +477,7 @@ func (v *View) Lookup(key value.Tuple) (value.Tuple, bool) {
 		if ok && e.count != 0 {
 			if p != nil {
 				p.cache.hits.Add(1)
+				s.touch(*buf)
 			}
 			return v.rowOf(e), true
 		}
@@ -464,96 +503,90 @@ func (v *View) Lookup(key value.Tuple) (value.Tuple, bool) {
 	return v.rowOf(e), true
 }
 
-// ScanRange visits, in ascending group-key order, every view row whose
-// group key (or projected tuple) is ≥ lo and < hi under tuple comparison;
-// lo and hi may be prefixes of the full key. With the B-tree store this is
-// an index range scan (the ordered store keys on an order-preserving
-// encoding); the hash store degrades to a filtered full scan.
-func (v *View) ScanRange(lo, hi value.Tuple, fn func(value.Tuple) bool) {
-	v.scanRange(lo, hi, false, fn)
+// Window is what one read asks of a view: the encoded group keys in
+// [Lo, Hi), walked in ascending key order or, with Desc, descending, keeping
+// the rows Keep accepts and stopping after Limit of them. An empty Lo starts
+// at the first key and an empty Hi runs past the last; a bound may be a whole
+// key, a prefix of one (the encoding of a key's leading columns) or a
+// keyenc.PrefixSuccessor. The zero Window is the whole view in key order.
+type Window struct {
+	Lo, Hi []byte
+	Desc   bool
+	Limit  int                    // rows to deliver at most; 0 = no limit
+	Keep   func(value.Tuple) bool // residual filter, nil keeps all; must not retain or change the row
 }
 
-// ScanRangeDesc visits the same half-open window as ScanRange in
-// descending group-key order — "latest N" style queries walk it and stop
-// early. The hash store has no order and falls back to a sorted, filtered
-// full scan.
-func (v *View) ScanRangeDesc(lo, hi value.Tuple, fn func(value.Tuple) bool) {
-	v.scanRange(lo, hi, true, fn)
+// bounded reports whether the window asks for less than the whole view.
+func (w Window) bounded() bool { return len(w.Lo) > 0 || len(w.Hi) > 0 || w.Limit > 0 }
+
+// take hands fn a row the walk has reached, if Keep accepts it, counting it
+// in n, and reports whether the read goes on: until fn says stop or the
+// limit is met.
+func (w Window) take(row value.Tuple, n *int, fn func(value.Tuple) bool) bool {
+	if w.Keep != nil && !w.Keep(row) {
+		return true
+	}
+	*n++
+	return fn(row) && *n != w.Limit
 }
 
-func (v *View) scanRange(lo, hi value.Tuple, desc bool, fn func(value.Tuple) bool) {
-	loBuf, hiBuf := keyenc.GetBuf(), keyenc.GetBuf()
-	defer keyenc.PutBuf(loBuf)
-	defer keyenc.PutBuf(hiBuf)
-	loKey := keyenc.AppendTuple(*loBuf, lo)
-	hiKey := keyenc.AppendTuple(*hiBuf, hi)
-	*loBuf, *hiBuf = loKey, hiKey
-	s := v.scanSnap(loKey, hiKey)
+// Scan visits the rows of w until fn returns false and returns the LSN of
+// the publication they were read from: all rows of one Scan come from one
+// publication, whatever the store. The changefeed's snapshot catch-up splices
+// on that LSN — deltas at or below it are reflected in the rows delivered,
+// deltas above it are not. It is the published LSN, not the live store's:
+// between two rows of one append call the live store is ahead of every
+// reader, and a splice on its cursor would drop the call's deltas.
+//
+// An ordered store walks its frozen snapshot from the window's starting end,
+// O(log |V| + rows visited), and a paged one faults only the blocks the read
+// reaches (see pagedScan). The hash store has no order: any window but a
+// point (Lookup) gathers the table, filters and sorts it.
+func (v *View) Scan(w Window, fn func(value.Tuple) bool) uint64 {
+	s := v.snap.Load()
 	if s == nil {
-		v.hashScan(func(e *entry) bool {
-			return e.key >= string(loKey) && e.key < string(hiKey)
-		}, desc, fn)
-		return
+		return v.hashScan(w, fn)
 	}
-	// Lock-free ordered range scan over the frozen snapshot; for paged
-	// views scanSnap faulted the window resident first, and the COW
-	// snapshot stays complete even if eviction runs mid-scan.
-	visit := v.visitor(fn)
-	if desc {
-		s.tree.DescendRange(loKey, hiKey, visit)
-	} else {
-		s.tree.AscendRange(loKey, hiKey, visit)
+	// A cold block is dropped from the snapshot after the count rises and
+	// added to it before the count falls, so a count of zero says the current
+	// snapshot is complete — and s is the current one if it still is.
+	if p := v.pg.Load(); p != nil && (p.nonResident.Load() > 0 || v.snap.Load() != s) {
+		return v.pagedScan(p, w, fn)
 	}
+	v.walk(s, w, w.Lo, w.Hi, fn)
+	return s.lsn
 }
 
-// ScanDesc visits every view row in descending group-key order until fn
-// returns false.
-func (v *View) ScanDesc(fn func(value.Tuple) bool) {
-	if s := v.scanSnap(nil, nil); s != nil {
-		s.tree.Descend(v.visitor(fn))
-		return
+// walk hands fn the rows of w found in s between lo and hi — the window's
+// own bounds or, for a paged read, the planned part of them — and returns how
+// many it handed over. It stops when fn says so or at the window's limit.
+func (v *View) walk(s *snapshot, w Window, lo, hi []byte, fn func(value.Tuple) bool) (n int) {
+	visit := func(_ []byte, e *entry) bool {
+		return e.count == 0 || w.take(v.rowOf(e), &n, fn)
 	}
-	v.hashScan(nil, true, fn)
+	switch t := s.tree; {
+	case !w.Desc && len(hi) == 0:
+		t.AscendGreaterOrEqual(lo, visit)
+	case !w.Desc:
+		t.AscendRange(lo, hi, visit)
+	case len(hi) > 0:
+		t.DescendRange(lo, hi, visit)
+	case len(lo) == 0:
+		t.Descend(visit)
+	default:
+		t.Descend(func(k []byte, e *entry) bool { return bytes.Compare(k, lo) >= 0 && visit(k, e) })
+	}
+	return n
 }
 
-// Scan visits every view row until fn returns false. Both store kinds
-// yield key order and both run lock-free: the B-tree from its frozen
-// snapshot, the hash store from its published atomic table.
-func (v *View) Scan(fn func(value.Tuple) bool) { v.ScanAt(fn) }
-
-// ScanAt visits every view row like Scan and returns the LSN the scanned
-// publication carried: the exact cursor position of the image fn saw. The
-// changefeed's snapshot catch-up uses it to splice into the live stream —
-// deltas with LSN ≤ the returned value are already reflected in the rows
-// delivered, deltas above it are not. It is the published LSN, not the live
-// store's: between two rows of one append call the live store is ahead of
-// every reader, and a splice on its cursor would drop the call's deltas.
-func (v *View) ScanAt(fn func(value.Tuple) bool) uint64 {
-	if s := v.scanSnap(nil, nil); s != nil {
-		s.tree.Ascend(v.visitor(fn))
-		return s.lsn
-	}
-	return v.hashScan(nil, false, fn)
-}
-
-// visitor adapts a row callback to a tree walk, skipping entries whose
-// contribution count has dropped to zero.
-func (v *View) visitor(fn func(value.Tuple) bool) func([]byte, *entry) bool {
-	return func(_ []byte, e *entry) bool {
-		return e.count == 0 || fn(v.rowOf(e))
-	}
-}
-
-// hashScan visits the rows of one publication of a hash view in key order
-// (descending when desc), restricted to entries keep accepts (nil keeps
-// all), and returns that publication's LSN. The table is installed slot by
-// slot, so the gather is validated against the store's publish sequence and
-// repeated if a publication overlapped it; a second collision takes the
+// hashScan is Scan on a hash view: it visits the rows of one publication in
+// key order and returns that publication's LSN. The table is installed slot
+// by slot, so the gather is validated against the store's publish sequence
+// and repeated if a publication overlapped it; a second collision takes the
 // read lock, which excludes publication, so a scan under a writer that
-// publishes faster than it can gather still terminates. The hash store has
-// no order: the gathered entries are sorted on demand (scans are
-// query-side).
-func (v *View) hashScan(keep func(*entry) bool, desc bool, fn func(value.Tuple) bool) uint64 {
+// publishes faster than it can gather still terminates. The gathered entries
+// are sorted on demand (scans are query-side).
+func (v *View) hashScan(w Window, fn func(value.Tuple) bool) uint64 {
 	h := v.store.(*hashStore)
 	h.readers.Add(1)
 	defer h.readers.Add(-1)
@@ -566,15 +599,16 @@ func (v *View) hashScan(keep func(*entry) bool, desc bool, fn func(value.Tuple) 
 		entries, lsn, _ = h.collect()
 		v.mu.RUnlock()
 	}
-	rows := entries[:0]
+	in := entries[:0]
 	for _, e := range entries {
-		if e.count != 0 && (keep == nil || keep(e)) {
-			rows = append(rows, e)
+		if e.count != 0 && e.key >= string(w.Lo) && (len(w.Hi) == 0 || e.key < string(w.Hi)) {
+			in = append(in, e)
 		}
 	}
-	sort.Slice(rows, func(i, j int) bool { return (rows[i].key < rows[j].key) != desc })
-	for _, e := range rows {
-		if !fn(v.rowOf(e)) {
+	sort.Slice(in, func(i, j int) bool { return (in[i].key < in[j].key) != w.Desc })
+	n := 0
+	for _, e := range in {
+		if !w.take(v.rowOf(e), &n, fn) {
 			break
 		}
 	}
@@ -583,7 +617,7 @@ func (v *View) hashScan(keep func(*entry) bool, desc bool, fn func(value.Tuple) 
 
 // AppliedLSN returns the highest LSN folded into the view — the live
 // store's cursor, which inside an append call runs ahead of what readers
-// see (ScanAt reports the published one).
+// see (Scan reports the published one).
 func (v *View) AppliedLSN() uint64 {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
@@ -604,7 +638,7 @@ func (v *View) SetAppliedLSN(lsn uint64) {
 // Rows materializes the view contents as a slice (tests and small queries).
 func (v *View) Rows() []value.Tuple {
 	out := make([]value.Tuple, 0, v.Len())
-	v.Scan(func(t value.Tuple) bool {
+	v.Scan(Window{}, func(t value.Tuple) bool {
 		out = append(out, t)
 		return true
 	})

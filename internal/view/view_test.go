@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"chronicledb/internal/aggregate"
 	"chronicledb/internal/algebra"
 	"chronicledb/internal/chronicle"
+	"chronicledb/internal/keyenc"
 	"chronicledb/internal/pred"
 	"chronicledb/internal/relation"
 	"chronicledb/internal/value"
@@ -416,7 +418,10 @@ func TestRecomputeFailsOnLossyChronicle(t *testing.T) {
 	}
 }
 
-func TestScanRange(t *testing.T) {
+// keyOf encodes a window bound from the values of a key's leading columns.
+func keyOf(vals ...value.Value) []byte { return keyenc.AppendTuple(nil, vals) }
+
+func TestScanWindow(t *testing.T) {
 	f := newFixture(t)
 	for _, kind := range []StoreKind{StoreBTree, StoreHash} {
 		v := mustNew(t, Def{
@@ -428,7 +433,7 @@ func TestScanRange(t *testing.T) {
 			v.Apply(f.appendCall(t, acct, 1))
 		}
 		var got []string
-		v.ScanRange(value.Tuple{value.Str("b")}, value.Tuple{value.Str("d")}, func(t value.Tuple) bool {
+		v.Scan(Window{Lo: keyOf(value.Str("b")), Hi: keyOf(value.Str("d"))}, func(t value.Tuple) bool {
 			got = append(got, t[0].AsString())
 			return true
 		})
@@ -437,7 +442,7 @@ func TestScanRange(t *testing.T) {
 		}
 		// Early stop.
 		count := 0
-		v.ScanRange(value.Tuple{value.Str("a")}, value.Tuple{value.Str("z")}, func(value.Tuple) bool {
+		v.Scan(Window{Lo: keyOf(value.Str("a")), Hi: keyOf(value.Str("z"))}, func(value.Tuple) bool {
 			count++
 			return false
 		})
@@ -446,12 +451,38 @@ func TestScanRange(t *testing.T) {
 		}
 		// Empty range.
 		got = got[:0]
-		v.ScanRange(value.Tuple{value.Str("x")}, value.Tuple{value.Str("y")}, func(t value.Tuple) bool {
+		v.Scan(Window{Lo: keyOf(value.Str("x")), Hi: keyOf(value.Str("y"))}, func(t value.Tuple) bool {
 			got = append(got, t[0].AsString())
 			return true
 		})
 		if len(got) != 0 {
 			t.Errorf("%s: empty range = %v", kind, got)
+		}
+		// Direction, limit and residual filter, with and without bounds; the
+		// limit counts the rows Keep lets through.
+		notCharlie := func(t value.Tuple) bool { return t[0].AsString() != "charlie" }
+		for _, tc := range []struct {
+			w    Window
+			want string
+		}{
+			{Window{Desc: true}, "echo delta charlie bravo alpha"},
+			{Window{Desc: true, Limit: 2}, "echo delta"},
+			{Window{Limit: 2}, "alpha bravo"},
+			{Window{Lo: keyOf(value.Str("b")), Desc: true}, "echo delta charlie bravo"},
+			{Window{Hi: keyOf(value.Str("d")), Desc: true, Limit: 2}, "charlie bravo"},
+			{Window{Lo: keyOf(value.Str("b")), Limit: 3, Keep: notCharlie}, "bravo delta echo"},
+			{Window{Hi: keyOf(value.Str("e")), Desc: true, Limit: 2, Keep: notCharlie}, "delta bravo"},
+			{Window{Lo: keyOf(value.Str("d")), Hi: keyOf(value.Str("b"))}, ""},
+		} {
+			got = got[:0]
+			v.Scan(tc.w, func(t value.Tuple) bool {
+				got = append(got, t[0].AsString())
+				return true
+			})
+			if strings.Join(got, " ") != tc.want {
+				t.Errorf("%s: Scan(%q..%q desc=%v limit=%d keep=%v) = %v, want %s",
+					kind, tc.w.Lo, tc.w.Hi, tc.w.Desc, tc.w.Limit, tc.w.Keep != nil, got, tc.want)
+			}
 		}
 	}
 }
@@ -474,7 +505,7 @@ func TestScanOrderIsTupleOrder(t *testing.T) {
 		}
 		v.Publish()
 		var got []int64
-		v.Scan(func(t value.Tuple) bool { got = append(got, t[0].AsInt()); return true })
+		v.Scan(Window{}, func(t value.Tuple) bool { got = append(got, t[0].AsInt()); return true })
 		want := []int64{-40, -3, 0, 10, 200}
 		for i := range want {
 			if got[i] != want[i] {
@@ -496,7 +527,7 @@ func TestFoldIsInvisibleUntilPublish(t *testing.T) {
 			v := minutesPerAcct(t, f, kind)
 			v.Apply(f.appendCall(t, "a", 10)) // LSN 1, published
 			read := func() (total, groups int64, lsn uint64) {
-				lsn = v.ScanAt(func(row value.Tuple) bool {
+				lsn = v.Scan(Window{}, func(row value.Tuple) bool {
 					total += row[1].AsInt()
 					groups++
 					return true

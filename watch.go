@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"chronicledb/internal/feed"
+	"chronicledb/internal/view"
 )
 
 // WatchEventKind tags a WatchEvent.
@@ -77,7 +78,7 @@ func (db *DB) Watch(ctx context.Context, viewName string, fromLSN uint64, hasFro
 	var filter uint64
 	if kind == feed.ResumeSnapshot {
 		var rows []Row
-		lsn, err := db.eng.ViewScanAt(viewName, func(t Row) bool {
+		lsn, err := db.eng.ViewScan(viewName, view.Window{}, func(t Row) bool {
 			rows = append(rows, t)
 			return true
 		})
