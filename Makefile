@@ -29,8 +29,9 @@ torture:
 # idempotent appends through a fault-injecting transport and a chaos TCP
 # proxy (dropped requests, responses lost after apply, duplicated
 # deliveries, connections reset mid-body) across a mid-run power cut, and
-# the harness asserts exactly-once totals — plus the dedup-disabled
-# ablation over-applying. -count=1 defeats caching: this is the gate for
+# the harness asserts exactly-once totals — plus its at-least-once control
+# (the idempotency pair stripped on the way in) over-applying by exactly the
+# ambiguous-delivery count. -count=1 defeats caching: this is the gate for
 # ingestion-reliability changes and must actually run.
 chaos:
 	$(GO) test -race -count=1 -run 'TestNetworkChaos' -v .
@@ -170,9 +171,9 @@ examples:
 	$(GO) run ./examples/eventmonitor
 	$(GO) run ./examples/livewatch
 
-# loc prints the four size numbers ROADMAP tracks: non-test source lines
-# outside benchmark/, test lines, Options fields, and exported
-# shard.Router methods.
+# loc prints the size numbers ROADMAP tracks: non-test source lines outside
+# benchmark/, test lines, Options fields, exported shard.Router methods,
+# chronicled flags, and the non-test lines of the internal/bench harness.
 loc:
 	@printf 'non-test source lines (excluding benchmark/): '
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
@@ -182,6 +183,10 @@ loc:
 	@awk '/^type Options struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z][A-Za-z]* /{n++} END{print n}' db.go
 	@printf 'exported shard.Router methods: '
 	@grep -c '^func (r \*Router) [A-Z]' internal/shard/router.go
+	@printf 'chronicled flags: '
+	@grep -c '= flag\.[A-Z][a-z0-9]*(' cmd/chronicled/main.go
+	@printf 'internal/bench non-test lines: '
+	@find internal/bench -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 
 clean:
 	$(GO) clean ./...

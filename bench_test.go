@@ -478,36 +478,29 @@ func BenchmarkE12_Recovery(b *testing.B) {
 }
 
 // BenchmarkE13_EndToEndAppend — the full engine path (append → dispatch →
-// delta → maintenance) under per-account views, with and without the
-// Section 5.2 predicate index.
+// delta → maintenance) under per-account views and the Section 5.2
+// predicate index (BenchmarkE7 times the index against a linear check).
 func BenchmarkE13_EndToEndAppend(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		noIndex bool
-	}{{"indexed-dispatch", false}, {"linear-dispatch", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			db, err := chronicledb.Open(chronicledb.Options{NoDispatchIndex: mode.noIndex})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := db.Exec(`CREATE CHRONICLE calls (acct STRING, minutes INT)`); err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 64; i++ {
-				stmt := fmt.Sprintf(`CREATE VIEW v%d AS SELECT acct, SUM(minutes) AS m
-					FROM calls WHERE acct = '%s' GROUP BY acct`, i, bench.Acct(i))
-				if _, err := db.Exec(stmt); err != nil {
-					b.Fatal(err)
-				}
-			}
-			tuple := chronicledb.Tuple{chronicledb.Str(bench.Acct(7)), chronicledb.Int(3)}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Append("calls", tuple); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	db, err := chronicledb.Open(chronicledb.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := db.Exec(`CREATE CHRONICLE calls (acct STRING, minutes INT)`); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		stmt := fmt.Sprintf(`CREATE VIEW v%d AS SELECT acct, SUM(minutes) AS m
+			FROM calls WHERE acct = '%s' GROUP BY acct`, i, bench.Acct(i))
+		if _, err := db.Exec(stmt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	tuple := chronicledb.Tuple{chronicledb.Str(bench.Acct(7)), chronicledb.Int(3)}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Append("calls", tuple); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -134,21 +134,21 @@ func TestBlockedViewCheckpointAndReopen(t *testing.T) {
 	}
 	db2.Close()
 
-	// Reopen with blocked stores disabled: the v4 blocked image must
-	// restore eagerly into a fully-resident view (compat/ablation path).
-	optsOff := opts
-	optsOff.ViewBlockBytes = -1
-	db3, err := Open(optsOff)
+	// Reopen at another block target: the chain's blocks keep the
+	// boundaries they were cut with, restore lazily and serve reads.
+	optsBig := opts
+	optsBig.ViewBlockBytes = 4096
+	db3, err := Open(optsBig)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db3.Close()
-	if w := db3.WALStats(); w.ViewCacheEnabled {
-		t.Fatal("ViewBlockBytes=-1 still enabled the cache")
-	}
 	row, ok, err := db3.Lookup("totals", Str(blockedKey(0)))
 	if err != nil || !ok || row[1].AsInt() != int64(0%7+1)+50 {
-		t.Fatalf("unpaged reopen: %v %v %v", row, ok, err)
+		t.Fatalf("reopen at another block size: %v %v %v", row, ok, err)
+	}
+	if w := db3.WALStats(); w.ViewCacheMisses == 0 {
+		t.Fatal("reopen at another block size restored eagerly")
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	chronicledb "chronicledb"
 	"chronicledb/internal/aggregate"
 	"chronicledb/internal/algebra"
+	"chronicledb/internal/engine"
 	"chronicledb/internal/pred"
 	"chronicledb/internal/server"
 	"chronicledb/internal/value"
@@ -76,7 +77,6 @@ func openCallFoldTwin(t *testing.T, opts chronicledb.Options) *callFoldTwin {
 	opts.Clock = tw.clock.read
 	opts.Feed = true
 	opts.FeedRing = 1 << 14
-	opts.NoCompact = true
 	tw.opts = opts
 	db, err := chronicledb.Open(opts)
 	if err != nil {
@@ -92,7 +92,7 @@ func openCallFoldTwin(t *testing.T, opts chronicledb.Options) *callFoldTwin {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	tw.cancel = cancel
-	for _, name := range db.Engine().ViewNames() {
+	for _, name := range db.Engine().Names(engine.Views) {
 		ready := make(chan struct{})
 		tw.wg.Add(1)
 		go func() {
@@ -156,7 +156,7 @@ func createUnionEdges(t *testing.T, db *chronicledb.DB) {
 // returns the frames delivered so far.
 func (tw *callFoldTwin) watched(t *testing.T) map[string][]string {
 	t.Helper()
-	for _, name := range tw.db.Engine().ViewNames() {
+	for _, name := range tw.db.Engine().Names(engine.Views) {
 		head := tw.db.Feed().HeadLSN(name)
 		waitUntil(t, 10*time.Second, "watcher of "+name, func() bool {
 			tw.mu.Lock()
@@ -187,7 +187,7 @@ func (tw *callFoldTwin) close() {
 func callFoldState(t *testing.T, db *chronicledb.DB) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
-	for _, name := range db.Engine().ViewNames() {
+	for _, name := range db.Engine().Names(engine.Views) {
 		var rows []string
 		if err := db.ScanView(name, func(r chronicledb.Row) bool {
 			rows = append(rows, fmt.Sprint(r))
@@ -198,7 +198,7 @@ func callFoldState(t *testing.T, db *chronicledb.DB) map[string]string {
 		v, _ := db.View(name)
 		out[name] = fmt.Sprintf("lsn=%d %v", v.AppliedLSN(), rows)
 	}
-	for _, name := range db.Engine().PeriodicViewNames() {
+	for _, name := range db.Engine().Names(engine.PeriodicViews) {
 		pv, _ := db.Engine().PeriodicView(name)
 		out[name] = fmt.Sprintf("live=%d created=%d expired=%d image=%s", pv.Live(), pv.Created(), pv.Expired(), hex.EncodeToString(pv.Checkpoint()))
 	}
@@ -395,7 +395,7 @@ func TestCallFoldEqualsRowFolds(t *testing.T) {
 			}
 
 			gotFrames, wantFrames := byCall.watched(t), byRow.watched(t)
-			for _, name := range byCall.db.Engine().ViewNames() {
+			for _, name := range byCall.db.Engine().Names(engine.Views) {
 				got, want := gotFrames[name], wantFrames[name]
 				if len(want) == 0 {
 					t.Errorf("WATCH %s: the one-row twin delivered no frames", name)
@@ -418,7 +418,9 @@ func TestCallFoldEqualsRowFolds(t *testing.T) {
 				return
 			}
 			// Reopen: the WAL replays to the same state, from the same bytes
-			// when every tuple is its own record (AppendRows).
+			// when every tuple is its own record (AppendRows). The logs are
+			// whole: at the default segment cap no segment seals, and
+			// compaction never drops an active one.
 			for _, tw := range twins {
 				tw.close()
 			}

@@ -1,5 +1,5 @@
 // Command chronbench runs the experiment suite that reproduces the
-// chronicle paper's quantitative claims (DESIGN.md experiments E1–E17) and
+// chronicle paper's quantitative claims (DESIGN.md experiments E1–E13) and
 // prints one measured table per experiment.
 //
 // Usage:

@@ -4,10 +4,10 @@
 //
 //	chronicled [-addr :7457] [-dir /var/lib/chronicledb] [-sync]
 //	           [-retain all|none|N] [-checkpoint-every 1m] [-shards N]
-//	           [-wal-segment-bytes N] [-checkpoint-full-every N] [-compact]
+//	           [-wal-segment-bytes N] [-checkpoint-full-every N]
 //	           [-request-timeout 30s] [-max-body 8388608] [-drain-timeout 10s]
 //	           [-max-inflight N] [-max-queue N] [-retry-after 1s]
-//	           [-dedup-cap N] [-dedup-disabled]
+//	           [-dedup-cap N]
 //	           [-feed] [-feed-tail N] [-max-subscribers N] [-heartbeat 10s]
 //	           [-view-cache-bytes N] [-view-block-bytes N]
 //	           [-replica-of URL] [-follower-id ID] [-ack async|sync]
@@ -19,8 +19,7 @@
 // incremental checkpoints, so recovery time and disk footprint are bounded
 // by write rate since the last checkpoint, not by uptime. Each checkpoint
 // also compacts: sealed segments wholly below the checkpoint LSN are
-// deleted (disable with -compact=false to keep every segment for external
-// archiving). Without -dir, the database is in-memory.
+// deleted. Without -dir, the database is in-memory.
 //
 // With -replica-of, the process starts as a read-only follower of the
 // named primary: it streams committed WAL frames, applies them through
@@ -65,7 +64,6 @@ func main() {
 		ckptEvery  = flag.Duration("checkpoint-every", time.Minute, "checkpoint interval (0 disables; durable mode only)")
 		segBytes   = flag.Int64("wal-segment-bytes", 0, "WAL segment rotation cap in bytes (0 = default 16MiB)")
 		ckptFull   = flag.Int("checkpoint-full-every", 0, "fold the incremental chain into a full checkpoint every N checkpoints (0 = default 8)")
-		compact    = flag.Bool("compact", true, "delete WAL segments and checkpoints superseded by the chain (false keeps every file)")
 		initFile   = flag.String("init", "", "SQL file executed at startup (idempotence is the caller's concern)")
 		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "single-writer shards (0 = 1)")
 		reqTimeout = flag.Duration("request-timeout", 30*time.Second, "per-request handling timeout")
@@ -75,9 +73,8 @@ func main() {
 		maxQueue   = flag.Int("max-queue", 0, "writes queued beyond in-flight before 429 shedding (0 = default 128)")
 		retryAfter = flag.Duration("retry-after", 0, "Retry-After hint on shed requests (0 = default 1s)")
 		dedupCap   = flag.Int("dedup-cap", 0, "idempotency dedup entries retained per shard (0 = default 65536)")
-		dedupOff   = flag.Bool("dedup-disabled", false, "disable idempotent-append dedup (at-least-once ingestion)")
 		cacheBytes = flag.Int64("view-cache-bytes", 0, "resident-byte budget for blocked B-tree view stores (0 = unbounded; durable mode only)")
-		blockBytes = flag.Int64("view-block-bytes", 0, "blocked view store block size (0 = default 8KiB, negative = whole-image checkpoints)")
+		blockBytes = flag.Int64("view-block-bytes", 0, "blocked view store block size in bytes (0 = default 8KiB; durable mode only)")
 		feed       = flag.Bool("feed", true, "changefeeds: capture view deltas for /watch subscribers")
 		feedTail   = flag.Int("feed-tail", 0, "per-view resume window in frames (0 = default 1024)")
 		maxSubs    = flag.Int("max-subscribers", 0, "concurrent /watch subscribers before 429 shedding (0 = default 4096)")
@@ -102,9 +99,7 @@ func main() {
 		DefaultRetention:    retention,
 		WALSegmentBytes:     *segBytes,
 		CheckpointFullEvery: *ckptFull,
-		NoCompact:           !*compact,
 		DedupCap:            *dedupCap,
-		DedupDisabled:       *dedupOff,
 		Feed:                *feed,
 		FeedTailFrames:      *feedTail,
 		ViewCacheBytes:      *cacheBytes,

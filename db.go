@@ -39,6 +39,10 @@ var ErrReadOnly = errors.New("chronicledb: database is read-only after a WAL fai
 // directory is touched.
 var ErrUnsupportedLayout = errors.New("chronicledb: unsupported storage layout")
 
+// ErrInvalidOption is wrapped by Open when an Options field holds a value
+// no setting gives meaning to (a negative count or size).
+var ErrInvalidOption = errors.New("chronicledb: invalid option")
+
 // ErrNotPrimary is wrapped by every write rejected on a replica: followers
 // serve reads and apply the replication stream, and only a promotion
 // (DB.Promote, POST /promote) turns one into a writable primary.
@@ -57,10 +61,6 @@ type Options struct {
 	// group commit: concurrent appends queue on the log's commit door and
 	// one fsync acknowledges the whole batch. Ignored without Dir.
 	SyncWAL bool
-	// SyncPerAppend forces the pre-group-commit behavior: one fsync inside
-	// every WAL append. Only meaningful with SyncWAL; kept for the E16
-	// ablation and for callers that want strictly serial durability.
-	SyncPerAppend bool
 	// Shards is the number of single-writer shards chronicle groups (and
 	// their views) are hash-partitioned across, each with its own engine
 	// and WAL stream; relation updates apply under a cross-shard epoch
@@ -82,28 +82,20 @@ type Options struct {
 	// state is partitioned into blocks, checkpoints re-serialize only the
 	// blocks dirtied since the last cut, and the block cache pages cold
 	// blocks from the checkpoint chain. Zero means view.DefaultBlockBytes
-	// (8 KiB); negative disables blocked stores (views stay fully resident
-	// and checkpoint as whole images — the E21 ablation baseline).
+	// (8 KiB); negative is rejected.
 	ViewBlockBytes int64
 	// ViewCacheBytes bounds the bytes of view state resident in memory
 	// across all views and shards; cold clean blocks are evicted (CLOCK)
 	// and fault back in on demand, so total view state can exceed RAM.
 	// Zero means unbounded (blocks are tracked but never evicted). Ignored
-	// when blocked stores are disabled.
+	// without Dir.
 	ViewCacheBytes int64
-	// NoCompact disables segment reclamation: sealed segments wholly below
-	// the checkpoint LSN are kept instead of deleted, and superseded
-	// checkpoint-chain files survive folds. Ablation baseline for E20's
-	// bounded-disk claim; leave false in production.
-	NoCompact bool
 	// DefaultRetention applies to chronicles created without RETAIN. The
 	// zero value (RetainNone) is the pure chronicle model: nothing stored.
 	DefaultRetention Retention
 	// RelationHistory keeps superseded relation versions for AsOf reads.
 	// Needed only when recompute baselines / reference checks will run.
 	RelationHistory bool
-	// NoDispatchIndex disables the Section 5.2 predicate index (ablation).
-	NoDispatchIndex bool
 	// Clock supplies chronons for appends; nil uses wall-clock nanoseconds.
 	Clock func() int64
 	// FS overrides the filesystem used for all durable state. Nil means
@@ -113,10 +105,6 @@ type Options struct {
 	// DedupCap bounds the idempotency table (entries per shard engine).
 	// Zero means the default (64Ki entries).
 	DedupCap int
-	// DedupDisabled turns off request deduplication: AppendRowsIdem applies
-	// every delivery unconditionally (at-least-once). Ablation baseline for
-	// the E18 experiment; leave false in production.
-	DedupDisabled bool
 	// Feed enables changefeeds: every persistent view's maintenance delta
 	// is captured at commit, stamped with its LSN, and published to live
 	// subscribers (DB.Watch, the server's /watch endpoint, WATCH in SQL).
@@ -161,10 +149,6 @@ type Options struct {
 	// "stale-replica" rather than serve arbitrarily old state. Zero means
 	// no bound (reads always served). Ignored on a primary.
 	MaxStaleness time.Duration
-	// ReplBuffer is the per-follower live fan-out buffer in frames; a
-	// follower that falls further behind is dropped to disk catch-up.
-	// Zero means 1024.
-	ReplBuffer int
 }
 
 // Retention re-exports the chronicle retention policy.
@@ -228,9 +212,8 @@ type DB struct {
 	segsReclaimed  atomic.Int64
 
 	// viewCache is the shared block cache behind every paged view; nil
-	// when blocked view stores are disabled (in-memory DB, or
-	// Options.ViewBlockBytes < 0). ckptDirtyBlocks/ckptTotalBlocks
-	// record the block counts of the last checkpoint cut.
+	// in an in-memory DB. ckptDirtyBlocks/ckptTotalBlocks record the block
+	// counts of the last checkpoint cut.
 	viewCache       *view.Cache
 	ckptDirtyBlocks atomic.Int64
 	ckptTotalBlocks atomic.Int64
@@ -275,11 +258,13 @@ func Open(opts Options) (*DB, error) {
 	if db.fs == nil {
 		db.fs = fault.OS
 	}
-	if opts.Shards < 0 {
-		return nil, fmt.Errorf("chronicledb: Options.Shards is %d, want ≥ 0", opts.Shards)
-	}
-	if opts.WALSegmentBytes < 0 {
-		return nil, fmt.Errorf("chronicledb: Options.WALSegmentBytes is %d, want ≥ 0", opts.WALSegmentBytes)
+	switch {
+	case opts.Shards < 0:
+		return nil, fmt.Errorf("%w: Options.Shards is %d, want ≥ 0", ErrInvalidOption, opts.Shards)
+	case opts.WALSegmentBytes < 0:
+		return nil, fmt.Errorf("%w: Options.WALSegmentBytes is %d, want ≥ 0", ErrInvalidOption, opts.WALSegmentBytes)
+	case opts.ViewBlockBytes < 0:
+		return nil, fmt.Errorf("%w: Options.ViewBlockBytes is %d, want ≥ 0", ErrInvalidOption, opts.ViewBlockBytes)
 	}
 	switch opts.AckMode {
 	case "", "async", "sync":
@@ -295,12 +280,10 @@ func Open(opts Options) (*DB, error) {
 	ecfg := engine.Config{
 		DefaultRetention: opts.DefaultRetention,
 		RelationHistory:  opts.RelationHistory,
-		DispatchIndexed:  !opts.NoDispatchIndex,
 		Clock:            opts.Clock,
 		DedupCap:         opts.DedupCap,
-		DedupDisabled:    opts.DedupDisabled,
 	}
-	if opts.Dir != "" && opts.ViewBlockBytes >= 0 {
+	if opts.Dir != "" {
 		// Blocked view stores: B-tree views page fixed-size blocks against
 		// one cache shared across shards, faulting cold blocks back from
 		// the checkpoint chain through the db-level fetcher.
@@ -309,17 +292,16 @@ func Open(opts Options) (*DB, error) {
 		ecfg.BlockFetch = db.blockFetch
 		ecfg.ViewBlockBytes = opts.ViewBlockBytes
 	}
-	eng, err := shard.NewRouter(shard.Config{Shards: max(1, opts.Shards), Engine: ecfg})
-	if err != nil {
-		return nil, fmt.Errorf("chronicledb: %w", err)
-	}
-	db.eng = eng
 	if opts.Feed {
 		// Each shard's pass publishes after its commit, merging every shard's
 		// frames through the shared hub.
 		db.hub = feed.NewHub(feed.Config{TailFrames: opts.FeedTailFrames, Ring: opts.FeedRing})
-		db.eng.SetFeed(db.hub)
 	}
+	eng, err := shard.NewRouter(shard.Config{Shards: max(1, opts.Shards), Engine: ecfg, Feed: db.hub})
+	if err != nil {
+		return nil, fmt.Errorf("chronicledb: %w", err)
+	}
+	db.eng = eng
 	if opts.Dir == "" {
 		db.markOpen()
 		if opts.ReplicaOf != "" {
@@ -434,7 +416,7 @@ func (db *DB) markOpen() {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	db.openMallocs = ms.Mallocs
-	db.openAppends = db.eng.Stats().Appends
+	db.openAppends = db.Stats().Appends
 	db.openTime = time.Now()
 }
 
@@ -480,20 +462,17 @@ func (db *DB) writeGate() error {
 // group-commit door. Committers are installed only under SyncWAL: without
 // it, acknowledged writes were never durable, so there is nothing to commit.
 // Each shard's appends go to its own stream; relation updates (which the
-// router applies itself, under the barrier) go to the relation stream.
+// router applies itself, under the barrier) go to the relation stream, the
+// last log.
 func (db *DB) installRecorders() {
-	relLog := db.logs[len(db.logs)-1]
-	for i := 0; i < db.eng.NumShards(); i++ {
-		log := db.logs[i]
-		db.eng.Engine(i).SetRecorder(db.recorder(log))
+	hooks := make([]shard.WAL, len(db.logs))
+	for i, log := range db.logs {
+		hooks[i].Record = db.recorder(log)
 		if db.opts.SyncWAL {
-			db.eng.SetShardCommitter(i, db.committer(log))
+			hooks[i].Commit = db.committer(log)
 		}
 	}
-	db.eng.SetRelationRecorder(db.recorder(relLog))
-	if db.opts.SyncWAL {
-		db.eng.SetRelationCommitter(db.committer(relLog))
-	}
+	db.eng.SetWAL(hooks)
 }
 
 // recorder builds the WAL recorder for one log: an append failure aborts
@@ -618,12 +597,33 @@ func (db *DB) ScanViewAt(viewName string, fn func(Row) bool) (uint64, error) {
 // Shards reports the shard count.
 func (db *DB) Shards() int { return db.eng.NumShards() }
 
-// Stats returns engine counters, summed across shards.
-func (db *DB) Stats() engine.Stats { return db.eng.Stats() }
+// Stats returns engine counters, summed across shards, plus the relation
+// updates the router applies itself.
+func (db *DB) Stats() engine.Stats {
+	var out engine.Stats
+	db.eng.Each(func(_ int, e *engine.Engine) {
+		st := e.Stats()
+		out.Appends += st.Appends
+		out.TuplesAppended += st.TuplesAppended
+		out.MaintenanceNs += st.MaintenanceNs
+		out.ViewsMaintained += st.ViewsMaintained
+		out.DedupHits += st.DedupHits
+		out.SharedHits += st.SharedHits
+	})
+	out.RelationUpdates = db.eng.RelationUpdates()
+	return out
+}
 
 // MaintenanceLatency returns the view maintenance latency distribution,
 // one observation per append call, merged across shards.
-func (db *DB) MaintenanceLatency() stats.Snapshot { return db.eng.MaintenanceLatency() }
+func (db *DB) MaintenanceLatency() stats.Snapshot {
+	var merged stats.Histogram
+	db.eng.Each(func(_ int, e *engine.Engine) {
+		h := e.MaintenanceHistogram()
+		merged.Merge(&h)
+	})
+	return merged.Snapshot()
+}
 
 // WALStats aggregates durability counters across every open WAL segment,
 // plus process-level hot-path gauges measured since Open.
@@ -714,7 +714,7 @@ func (db *DB) WALStats() WALStats {
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	w.Appends = db.eng.Stats().Appends - db.openAppends
+	w.Appends = db.Stats().Appends - db.openAppends
 	if w.Appends > 0 {
 		w.AllocsPerOp = float64(ms.Mallocs-db.openMallocs) / float64(w.Appends)
 	}
@@ -754,11 +754,11 @@ func (db *DB) Append(chronicleName string, tuples ...value.Tuple) (int64, error)
 	return sn, err
 }
 
-// AppendRows bulk-ingests tuples into a chronicle, one transaction (own
-// sequence number and maintenance round) per tuple, applied under a single
-// kernel pass and made visible to readers as one: a query sees all of the
-// call's rows or none. It returns the first and last sequence numbers
-// assigned; on an error at tuple i the tuples before it stay applied.
+// AppendRows bulk-ingests tuples into a chronicle: each tuple is its own
+// transaction with its own sequence number, and the call is one maintenance
+// round and one publication — a query sees all of the call's rows or none.
+// It returns the first and last sequence numbers assigned; on an error at
+// tuple i the tuples before it stay applied (and are folded and published).
 func (db *DB) AppendRows(chronicleName string, tuples []value.Tuple) (first, last int64, err error) {
 	if err := db.writeGate(); err != nil {
 		return 0, 0, err
@@ -806,7 +806,11 @@ func (db *DB) AppendRowsIdem(chronicleName string, tuples []value.Tuple, clientI
 // DedupStats reports the idempotency table's observability counters,
 // summed across shards.
 func (db *DB) DedupStats() (entries int, hits int64, evictions int64) {
-	return db.eng.DedupStats()
+	db.eng.Each(func(_ int, e *engine.Engine) {
+		n, h, ev := e.DedupStats()
+		entries, hits, evictions = entries+n, hits+h, evictions+ev
+	})
+	return entries, hits, evictions
 }
 
 // Upsert applies a proactive relation update.
@@ -889,7 +893,19 @@ type ReadStats = engine.ReadStats
 
 // ReadStats reports read traffic: lookup and scan counts plus the
 // end-to-end read latency distribution, merged across shards.
-func (db *DB) ReadStats() ReadStats { return db.eng.ReadStats() }
+func (db *DB) ReadStats() ReadStats {
+	var out ReadStats
+	var merged stats.Histogram
+	db.eng.Each(func(_ int, e *engine.Engine) {
+		lookups, scans := e.ReadCounts()
+		out.Lookups += lookups
+		out.Scans += scans
+		h := e.ReadHistogram()
+		merged.Merge(&h)
+	})
+	out.Latency = merged.Snapshot()
+	return out
+}
 
 // ViewMaintStat attributes maintenance cost to one persistent view.
 type ViewMaintStat struct {
@@ -904,7 +920,7 @@ type ViewMaintStat struct {
 // returns all views. Ties and ordering are by ApplyNs descending, then
 // name, so repeated calls are stable.
 func (db *DB) MaintAttribution(k int) []ViewMaintStat {
-	names := db.eng.ViewNames()
+	names := db.eng.Names(engine.Views)
 	out := make([]ViewMaintStat, 0, len(names))
 	for _, n := range names {
 		v, ok := db.eng.View(n)
@@ -930,9 +946,14 @@ func (db *DB) MaintAttribution(k int) []ViewMaintStat {
 // published — the staleness bound of the lock-free read path. Zero means
 // no view currently publishes a snapshot (no views, or all hash-stored).
 func (db *DB) SnapshotAge() time.Duration {
-	at := db.eng.OldestSnapshotUnixNano()
-	if at == 0 {
+	var oldest int64
+	db.eng.Each(func(_ int, e *engine.Engine) {
+		if at := e.OldestSnapshotUnixNano(); at != 0 && (oldest == 0 || at < oldest) {
+			oldest = at
+		}
+	})
+	if oldest == 0 {
 		return 0
 	}
-	return time.Duration(time.Now().UnixNano() - at)
+	return time.Duration(time.Now().UnixNano() - oldest)
 }

@@ -185,25 +185,3 @@ func TestDedupCapBoundsMemory(t *testing.T) {
 		t.Errorf("recent id deduped=%v err=%v, want dedup hit", deduped, err)
 	}
 }
-
-func TestDedupDisabledAblation(t *testing.T) {
-	db, err := Open(Options{DedupDisabled: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	mustExec(t, db, `CREATE CHRONICLE calls (acct STRING, minutes INT) RETAIN ALL`)
-
-	rows := []Row{{Str("alice"), Int(10)}}
-	if _, _, _, err := db.AppendRowsIdem("calls", rows, "client-A", "req-1"); err != nil {
-		t.Fatal(err)
-	}
-	// With dedup off the duplicate applies again — at-least-once semantics.
-	_, _, deduped, err := db.AppendRowsIdem("calls", rows, "client-A", "req-1")
-	if err != nil || deduped {
-		t.Fatalf("ablation duplicate deduped=%v err=%v", deduped, err)
-	}
-	if res := mustExec(t, db, `SELECT * FROM calls`); len(res.Rows) != 2 {
-		t.Errorf("rows = %d, want 2 (duplicate applied)", len(res.Rows))
-	}
-}

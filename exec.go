@@ -304,7 +304,8 @@ func (db *DB) query(q *sqlparse.Query) (*Result, error) {
 		// Detailed queries over the retained window: SN and chronon are
 		// exposed as leading pseudo-columns.
 		names := append([]string{"_sn", "_chronon"}, c.Schema().Names()...)
-		crows, err := db.eng.ChronicleRows(q.From)
+		home, _ := db.eng.Home(q.From) // chronicles are never dropped, so it resolves
+		crows, err := home.ChronicleRows(q.From)
 		if err != nil {
 			return nil, err
 		}
@@ -665,7 +666,8 @@ func (db *DB) explain(name string) (*Result, error) {
 		// last) with each node's cross-view consumer count, so CSE grouping
 		// is inspectable from SQL — two views listing the same node id share
 		// that subexpression's delta.
-		if nodes, ok := db.eng.ViewSharedPlan(name); ok {
+		if home, ok := db.eng.Home(name); ok {
+			nodes, _ := home.ViewSharedPlan(name)
 			for _, n := range nodes {
 				res.Rows = append(res.Rows, Row{
 					value.Str(fmt.Sprintf("plan_node_%d", n.ID)),
@@ -694,14 +696,14 @@ func (db *DB) show(what string) (*Result, error) {
 	switch what {
 	case "VIEWS":
 		res := &Result{Columns: []string{"name", "language", "class", "rows"}}
-		for _, n := range db.eng.ViewNames() {
+		for _, n := range db.eng.Names(engine.Views) {
 			v, _ := db.eng.View(n)
 			res.Rows = append(res.Rows, Row{
 				value.Str(n), value.Str(v.Lang().String()),
 				value.Str(v.IMClass().String()), value.Int(int64(v.Len())),
 			})
 		}
-		for _, n := range db.eng.PeriodicViewNames() {
+		for _, n := range db.eng.Names(engine.PeriodicViews) {
 			pv, _ := db.eng.PeriodicView(n)
 			res.Rows = append(res.Rows, Row{
 				value.Str(n + " (periodic)"), value.Str(pv.Calendar().String()),
@@ -711,7 +713,7 @@ func (db *DB) show(what string) (*Result, error) {
 		return res, nil
 	case "CHRONICLES":
 		res := &Result{Columns: []string{"name", "group", "retained", "total", "last_sn"}}
-		for _, n := range db.eng.ChronicleNames() {
+		for _, n := range db.eng.Names(engine.Chronicles) {
 			c, _ := db.eng.Chronicle(n)
 			res.Rows = append(res.Rows, Row{
 				value.Str(n), value.Str(c.Group().Name()),
@@ -721,14 +723,14 @@ func (db *DB) show(what string) (*Result, error) {
 		return res, nil
 	case "RELATIONS":
 		res := &Result{Columns: []string{"name", "rows", "updates"}}
-		for _, n := range db.eng.RelationNames() {
+		for _, n := range db.eng.Names(engine.Relations) {
 			r, _ := db.eng.Relation(n)
 			res.Rows = append(res.Rows, Row{value.Str(n), value.Int(int64(r.Len())), value.Int(r.Updates())})
 		}
 		return res, nil
 	case "GROUPS":
 		res := &Result{Columns: []string{"name", "chronicles", "last_sn"}}
-		for _, n := range db.eng.GroupNames() {
+		for _, n := range db.eng.Names(engine.Groups) {
 			g, _ := db.eng.Group(n)
 			res.Rows = append(res.Rows, Row{
 				value.Str(n), value.Int(int64(len(g.Members()))), value.Int(g.LastSN()),
@@ -736,8 +738,8 @@ func (db *DB) show(what string) (*Result, error) {
 		}
 		return res, nil
 	case "STATS":
-		st := db.eng.Stats()
-		lat := db.eng.MaintenanceLatency()
+		st := db.Stats()
+		lat := db.MaintenanceLatency()
 		ws := db.WALStats()
 		rs := db.ReadStats()
 		dedupEntries, dedupHits, dedupEvictions := db.DedupStats()

@@ -29,7 +29,11 @@ func TestGroupCommitConcurrentStress(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			t.Run("clean", func(t *testing.T) { groupCommitRun(t, shards, -1) })
-			// Crash points sampled from a clean run's operation count.
+			// Fixed crash points at about 25/50/90 % of a clean run's
+			// operation count (~540–555 ops, moving with goroutine
+			// interleaving), so the subtest names and crash sites are
+			// reproducible. The probe run checks each one still lands
+			// inside the workload.
 			clean := fault.NewDisk()
 			acked, _ := groupCommitWorkload(t, clean, shards)
 			for _, a := range acked {
@@ -38,8 +42,10 @@ func TestGroupCommitConcurrentStress(t *testing.T) {
 				}
 			}
 			ops := clean.Ops()
-			for _, frac := range []float64{0.25, 0.5, 0.9} {
-				at := int(float64(ops) * frac)
+			for _, at := range gcCrashPoints[shards] {
+				if at >= ops {
+					t.Fatalf("crash point %d is past the clean run's %d ops — re-pick gcCrashPoints", at, ops)
+				}
 				t.Run(fmt.Sprintf("crash@%d", at), func(t *testing.T) {
 					groupCommitRun(t, shards, at)
 				})
@@ -53,6 +59,13 @@ const (
 	gcRounds  = 8
 	gcBatch   = 16
 )
+
+// gcCrashPoints maps shard count to the disk-operation indices the
+// crash-at phase kills the disk at (odd indices also tear the write).
+var gcCrashPoints = map[int][]int{
+	1: {138, 276, 496},
+	2: {138, 276, 497},
+}
 
 func groupCommitOptions(disk *fault.Disk, shards int) Options {
 	var chronon atomic.Int64

@@ -91,7 +91,8 @@ type Dispatcher struct {
 }
 
 // New creates a dispatcher. indexed selects whether equality filters are
-// served by the predicate index (the E7 ablation switch).
+// served by the predicate index; the engine always asks for it, and E7 times
+// it against New(false), the linear §5.2 baseline.
 func New(indexed bool) *Dispatcher {
 	return &Dispatcher{
 		indexed:     indexed,

@@ -13,6 +13,8 @@ package engine
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,8 +43,6 @@ type Config struct {
 	RelationHistory bool
 	// DefaultStore is the view store used when a view does not choose.
 	DefaultStore view.StoreKind
-	// DispatchIndexed enables the Section 5.2 predicate index.
-	DispatchIndexed bool
 	// Clock supplies chronons for appends. Nil uses wall-clock nanoseconds.
 	Clock func() int64
 	// NextLSN allocates the LSN of each mutation. The shard router gives
@@ -55,10 +55,6 @@ type Config struct {
 	// DedupCap bounds the idempotency table (entries). Zero means
 	// dedup.DefaultCap.
 	DedupCap int
-	// DedupDisabled turns off request deduplication: idempotent appends
-	// apply unconditionally. It exists as the ablation baseline for the E18
-	// experiment (at-least-once delivery) and has no production use.
-	DedupDisabled bool
 	// ViewCache, together with BlockFetch, enables blocked persistent view
 	// stores: every B-tree view created on this engine pages its state in
 	// fixed-size blocks against the shared cache (shards share one budget).
@@ -126,9 +122,9 @@ type Engine struct {
 	// chronicle copies retained rows, and views copy what they keep.
 	scratch appendScratch
 
-	// dedup is the bounded idempotency table for AppendEachIdem; nil when
-	// Config.DedupDisabled (the E18 at-least-once ablation). It is mutated
-	// only under e.mu but carries its own lock for stats/checkpoint readers.
+	// dedup is the bounded idempotency table for AppendEachIdem. It is
+	// mutated only under e.mu but carries its own lock for stats/checkpoint
+	// readers.
 	dedup *dedup.Table
 
 	// Changefeed state. feed, when set, makes maintain capture every
@@ -269,14 +265,12 @@ func New(cfg Config) *Engine {
 		relations:  make(map[string]*relation.Relation),
 		views:      make(map[string]*view.View),
 		periodics:  make(map[string]*calendar.PeriodicView),
-		disp:       dispatch.New(cfg.DispatchIndexed),
+		disp:       dispatch.New(true),
 		names:      make(map[string]string),
 		scratch: appendScratch{
 			deltas: make(map[*chronicle.Chronicle][]chronicle.Row),
 		},
-	}
-	if !cfg.DedupDisabled {
-		e.dedup = dedup.NewTable(cfg.DedupCap)
+		dedup: dedup.NewTable(cfg.DedupCap),
 	}
 	e.publishCatalogLocked()
 	return e
@@ -309,13 +303,6 @@ func (e *Engine) SetFeed(h *feed.Hub) {
 	defer e.mu.Unlock()
 	e.feed = h
 	e.feedDoor = feed.NewDoor()
-}
-
-// Feed returns the installed changefeed hub, or nil.
-func (e *Engine) Feed() *feed.Hub {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.feed
 }
 
 // publishDirtyLocked is the only place folded view state becomes visible:
@@ -686,11 +673,9 @@ func (e *Engine) AppendEachIdem(chronicleName string, tuples []value.Tuple, clie
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.dedup != nil {
-		if ack, ok := e.dedup.Lookup(clientID, requestID); ok {
-			e.stats.DedupHits++
-			return ack.FirstSN, ack.LastSN, true, nil
-		}
+	if ack, ok := e.dedup.Lookup(clientID, requestID); ok {
+		e.stats.DedupHits++
+		return ack.FirstSN, ack.LastSN, true, nil
 	}
 	defer e.publishDirtyLocked()
 	// If the covering commit fails, the run stays applied in memory without
@@ -755,7 +740,7 @@ func (e *Engine) appendEachAtomicLocked(chronicleName string, tuples []value.Tup
 		// every tuple was coerced above. Reported for safety.
 		return 0, 0, err
 	}
-	if e.dedup != nil && clientID != "" {
+	if clientID != "" {
 		e.dedup.Put(clientID, requestID, dedup.Ack{
 			Chronicle: chronicleName, FirstSN: first, LastSN: last, Rows: len(tuples),
 		})
@@ -821,23 +806,14 @@ func (e *Engine) appendCallLocked(c *chronicle.Chronicle, tuples []value.Tuple, 
 	return first, last, err
 }
 
-// Dedup exposes the idempotency table for checkpointing and stats; nil when
-// dedup is disabled.
-func (e *Engine) Dedup() *dedup.Table { return e.dedup }
-
 // RestoreDedupEntry reinstates one checkpointed idempotency entry.
 func (e *Engine) RestoreDedupEntry(ent dedup.Entry) {
-	if e.dedup != nil {
-		e.dedup.Put(ent.ClientID, ent.RequestID, ent.Ack)
-	}
+	e.dedup.Put(ent.ClientID, ent.RequestID, ent.Ack)
 }
 
 // DedupEntries snapshots the live idempotency entries in insertion order
-// (checkpoint building). Nil when dedup is disabled.
+// (checkpoint building).
 func (e *Engine) DedupEntries() []dedup.Entry {
-	if e.dedup == nil {
-		return nil
-	}
 	out := make([]dedup.Entry, 0, e.dedup.Len())
 	e.dedup.Range(func(ent dedup.Entry) bool {
 		out = append(out, ent)
@@ -851,11 +827,7 @@ func (e *Engine) DedupStats() (entries int, hits int64, evictions int64) {
 	e.mu.RLock()
 	hits = e.stats.DedupHits
 	e.mu.RUnlock()
-	if e.dedup != nil {
-		entries = e.dedup.Len()
-		evictions = e.dedup.Evictions()
-	}
-	return entries, hits, evictions
+	return e.dedup.Len(), hits, e.dedup.Evictions()
 }
 
 // maintain is one maintenance round: it dispatches the rows of one append
@@ -943,17 +915,6 @@ func (e *Engine) MaintenanceHistogram() stats.Histogram {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.maintLat
-}
-
-// GroupNames returns the chronicle group names, sorted.
-func (e *Engine) GroupNames() []string {
-	c := e.cat.Load()
-	out := make([]string, 0, len(c.groups))
-	for n := range c.groups {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Chronicle returns a chronicle by name.
@@ -1095,32 +1056,32 @@ func (e *Engine) Group(name string) (*chronicle.Group, bool) {
 	return g, ok
 }
 
-// ViewNames returns the persistent view names, sorted.
-func (e *Engine) ViewNames() []string { return e.sortedNames("view") }
+// Kind names one kind of catalog object, for Names.
+type Kind uint8
 
-// ChronicleNames returns the chronicle names, sorted.
-func (e *Engine) ChronicleNames() []string { return e.sortedNames("chronicle") }
+// The catalog object kinds.
+const (
+	Groups Kind = iota
+	Chronicles
+	Relations
+	Views
+	PeriodicViews
+)
 
-// PeriodicViewNames returns the periodic view family names, sorted.
-func (e *Engine) PeriodicViewNames() []string { return e.sortedNames("periodic view") }
-
-func (e *Engine) sortedNames(kind string) []string {
+// Names returns the names of the catalog objects of kind k, sorted.
+func (e *Engine) Names(k Kind) []string {
 	c := e.cat.Load()
-	var out []string
-	switch kind {
-	case "view":
-		for n := range c.views {
-			out = append(out, n)
-		}
-	case "chronicle":
-		for n := range c.chronicles {
-			out = append(out, n)
-		}
-	case "periodic view":
-		for n := range c.periodics {
-			out = append(out, n)
-		}
+	switch k {
+	case Groups:
+		return slices.Sorted(maps.Keys(c.groups))
+	case Chronicles:
+		return slices.Sorted(maps.Keys(c.chronicles))
+	case Relations:
+		return slices.Sorted(maps.Keys(c.relations))
+	case Views:
+		return slices.Sorted(maps.Keys(c.views))
+	case PeriodicViews:
+		return slices.Sorted(maps.Keys(c.periodics))
 	}
-	sort.Strings(out)
-	return out
+	return nil
 }

@@ -36,7 +36,6 @@ func newEngine(t testing.TB) (*Engine, *int64) {
 	now := int64(0)
 	var lsn uint64
 	e := New(Config{
-		DispatchIndexed: true,
 		RelationHistory: true,
 		Clock:           func() int64 { return now },
 		NextLSN:         func() uint64 { lsn++; return lsn },
@@ -267,20 +266,20 @@ func TestNamesListing(t *testing.T) {
 	def.Name = "periodic_usage"
 	e.CreatePeriodicView("periodic_usage", def, cal, -1, view.StoreHash)
 
-	if got := e.ChronicleNames(); len(got) != 1 || got[0] != "calls" {
-		t.Errorf("ChronicleNames = %v", got)
+	if got := e.Names(Chronicles); len(got) != 1 || got[0] != "calls" {
+		t.Errorf("Names(Chronicles) = %v", got)
 	}
 	if _, ok := e.Relation("customers"); !ok {
 		t.Error("Relation lookup failed")
 	}
-	if got := e.ViewNames(); len(got) != 1 || got[0] != "usage" {
-		t.Errorf("ViewNames = %v", got)
+	if got := e.Names(Views); len(got) != 1 || got[0] != "usage" {
+		t.Errorf("Names(Views) = %v", got)
 	}
-	if got := e.PeriodicViewNames(); len(got) != 1 || got[0] != "periodic_usage" {
-		t.Errorf("PeriodicViewNames = %v", got)
+	if got := e.Names(PeriodicViews); len(got) != 1 || got[0] != "periodic_usage" {
+		t.Errorf("Names(PeriodicViews) = %v", got)
 	}
-	if got := e.GroupNames(); len(got) != 1 || got[0] != "telecom" {
-		t.Errorf("GroupNames = %v", got)
+	if got := e.Names(Groups); len(got) != 1 || got[0] != "telecom" {
+		t.Errorf("Names(Groups) = %v", got)
 	}
 	if _, ok := e.Group("telecom"); !ok {
 		t.Error("Group lookup failed")

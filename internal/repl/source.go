@@ -53,8 +53,8 @@ func (h frameHeap) Less(i, j int) bool {
 	}
 	return h[i].Span > h[j].Span
 }
-func (h frameHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *frameHeap) Push(x any)        { *h = append(*h, x.(Frame)) }
+func (h frameHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *frameHeap) Push(x any)   { *h = append(*h, x.(Frame)) }
 func (h *frameHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -221,11 +221,13 @@ func (s *Source) releaseLocked() {
 	}
 }
 
+// FollowerBuffer is the live fan-out buffer, in frames, the server gives each
+// follower stream; a follower that falls further behind is shed to disk
+// catch-up.
+const FollowerBuffer = 1024
+
 // Subscribe registers a fan-out stream with the given channel buffer.
 func (s *Source) Subscribe(buffer int) *Sub {
-	if buffer <= 0 {
-		buffer = 1024
-	}
 	s.mu.Lock()
 	sub := &Sub{C: make(chan Frame, buffer), StartLSN: s.next - 1}
 	s.subs[sub] = struct{}{}

@@ -16,15 +16,14 @@ import (
 
 // degradedServer builds a durable DB on a simulated disk, seeds a
 // chronicle, then injects a sync failure so the next append degrades the
-// database to read-only. It uses SyncPerAppend (the fsync happens inside
-// the WAL append, before the mutation reaches memory) so the failed append
-// is both un-acked and invisible; under the default group commit the fsync
-// is deferred, so a failed batch stays visible in memory until the restart
-// reconverges to the durable prefix.
+// database to read-only. The fsync fails at the group-commit door, after
+// the append's WAL write and apply: the append is un-acked, but its row
+// stays visible in memory until a restart reconverges to the durable
+// prefix.
 func degradedServer(t *testing.T) (*httptest.Server, *Client, *fault.Disk) {
 	t.Helper()
 	disk := fault.NewDisk()
-	db, err := chronicledb.Open(chronicledb.Options{Dir: "/data", SyncWAL: true, SyncPerAppend: true, FS: disk})
+	db, err := chronicledb.Open(chronicledb.Options{Dir: "/data", SyncWAL: true, FS: disk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +68,13 @@ func TestReadOnlyDegradation(t *testing.T) {
 		t.Errorf("/exec write while degraded: status %d, want 503", resp.StatusCode)
 	}
 
-	// Reads still work: the acked row is served.
+	// Reads still work: the acked row is served (beside the un-acked one the
+	// failed commit left in memory).
 	res, err := c.Exec(`SELECT * FROM calls`)
 	if err != nil {
 		t.Fatalf("read while degraded: %v", err)
 	}
-	if len(res.Rows) != 1 {
+	if len(res.Rows) == 0 || res.Rows[0][2] != "alice" {
 		t.Errorf("read while degraded: rows = %v", res.Rows)
 	}
 

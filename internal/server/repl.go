@@ -107,7 +107,7 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 		// Subscribe, then fill (lastSent, StartLSN] from the segment set:
 		// every record released after the subscribe arrives on the channel
 		// with LSN > StartLSN, so the two sources tile exactly.
-		sub := src.Subscribe(s.db.ReplBufferFrames())
+		sub := src.Subscribe(repl.FollowerBuffer)
 		err := s.db.ReplBacklog(lastSent, sub.StartLSN, func(payload []byte, lsn, span uint64) error {
 			buf = repl.AppendBodyFrame(buf[:0], repl.FrameRecord, payload)
 			if err := send(buf); err != nil {

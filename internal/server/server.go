@@ -446,10 +446,10 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		}
 		tuples[i] = tuple
 	}
-	// One bulk call: each row is still its own transaction (own SN and
-	// maintenance round), but the whole run crosses the kernel — and, when
-	// sharded, the shard queue — once. With an idempotency pair the run is
-	// atomic and remembered, so retries return the original ack.
+	// One bulk call: each row is still its own transaction with its own SN,
+	// but the whole run crosses the shard queue once and is one maintenance
+	// round and one publication. With an idempotency pair the run is atomic
+	// and remembered, so retries return the original ack.
 	if req.ClientID != "" || req.RequestID != "" {
 		if req.ClientID == "" || req.RequestID == "" {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("client_id and request_id must be set together"))

@@ -13,7 +13,9 @@ import (
 	"chronicledb/internal/aggregate"
 	"chronicledb/internal/algebra"
 	"chronicledb/internal/chronicle"
+	"chronicledb/internal/engine"
 	"chronicledb/internal/pred"
+	"chronicledb/internal/stats"
 	"chronicledb/internal/value"
 	"chronicledb/internal/view"
 )
@@ -25,10 +27,7 @@ func idOf(q *appendReq) int64 { return q.tuples[0][1].AsInt() }
 // it (newRouter retains every row).
 func idRows(t *testing.T, r *Router, name string) map[int64]int {
 	t.Helper()
-	rows, err := r.ChronicleRows(name)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := chronicleRows(t, r, name)
 	out := make(map[int64]int, len(rows))
 	for _, row := range rows {
 		out[row.Vals[1].AsInt()]++
@@ -52,7 +51,7 @@ func TestPromotedLeaderAppliesOnce(t *testing.T) {
 	var passes []int
 	var leaders []int64
 	var closeReturned atomic.Bool
-	r.SetShardCommitter(0, func() error {
+	r.shards[0].commit = func() error {
 		// The commit runs on the leader's goroutine inside its pass, so the
 		// pass's scratch is its to read.
 		passes = append(passes, len(s.batch))
@@ -70,7 +69,7 @@ func TestPromotedLeaderAppliesOnce(t *testing.T) {
 			t.Error("a pass ran after Close returned")
 		}
 		return nil
-	})
+	}
 
 	var wg sync.WaitGroup
 	appendID := func(id int64) {
@@ -113,10 +112,7 @@ func TestPromotedLeaderAppliesOnce(t *testing.T) {
 	if want := []int64{0, 1, maxCoalesce + 1}; fmt.Sprint(leaders) != fmt.Sprint(want) {
 		t.Errorf("pass leaders = %v, want %v (the lead goes to the queue's head)", leaders, want)
 	}
-	rows, err := r.ChronicleRows("calls")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := chronicleRows(t, r, "calls")
 	if len(rows) != queued+1 {
 		t.Fatalf("%d rows applied, want %d", len(rows), queued+1)
 	}
@@ -185,8 +181,8 @@ func concurrentStress(t *testing.T, shards int) {
 		passCount     = make([]int, shards)
 		closeReturned atomic.Bool
 	)
-	for i, s := range r.shards {
-		r.SetShardCommitter(i, func() error {
+	for _, s := range r.shards {
+		s.commit = func() error {
 			if closeReturned.Load() {
 				t.Error("a pass ran after Close returned")
 			}
@@ -201,7 +197,7 @@ func concurrentStress(t *testing.T, shards int) {
 				}
 			}
 			return errCommit
-		})
+		}
 	}
 
 	type answer struct {
@@ -288,8 +284,13 @@ func concurrentStress(t *testing.T, shards int) {
 			t.Errorf("view %s diverges from AsOf reference in %d row(s)", v.Def().Name, d)
 		}
 	}
-	if st := r.Stats(); st.RelationUpdates == 0 || r.MaintenanceLatency().Count == 0 {
-		t.Errorf("RelationUpdates = %d, merged maintenance histogram count = %d", st.RelationUpdates, r.MaintenanceLatency().Count)
+	var maint stats.Histogram
+	r.Each(func(_ int, e *engine.Engine) {
+		h := e.MaintenanceHistogram()
+		maint.Merge(&h)
+	})
+	if n := r.RelationUpdates(); n == 0 || maint.Snapshot().Count == 0 {
+		t.Errorf("RelationUpdates = %d, merged maintenance histogram count = %d", n, maint.Snapshot().Count)
 	}
 
 	applied := make([]map[int64]int, groups)

@@ -10,12 +10,10 @@ import (
 	"chronicledb/internal/algebra"
 	"chronicledb/internal/calendar"
 	"chronicledb/internal/chronicle"
-	"chronicledb/internal/dedup"
 	"chronicledb/internal/engine"
 	"chronicledb/internal/feed"
 	"chronicledb/internal/pred"
 	"chronicledb/internal/relation"
-	"chronicledb/internal/stats"
 	"chronicledb/internal/value"
 	"chronicledb/internal/view"
 )
@@ -26,6 +24,21 @@ type Config struct {
 	Shards int
 	// Engine is the per-shard engine configuration.
 	Engine engine.Config
+	// Feed, when set, is the changefeed hub every shard engine captures
+	// into: frames stay pending until the shard's pass detaches them and
+	// publishes them after its commit. Every shard draws LSNs from the
+	// router's shared allocator and every view is maintained by exactly one
+	// shard, so the shared hub merges the shards' frames into per-view
+	// streams in LSN order.
+	Feed *feed.Hub
+}
+
+// WAL is one WAL stream's hooks. Record observes every mutation before it
+// is applied, and its error aborts the mutation; Commit, when set, makes a
+// pass durable (the stream's group-commit door).
+type WAL struct {
+	Record func(engine.Mutation) error
+	Commit func() error
 }
 
 // Router fronts N single-writer shards. Chronicle groups (and the views
@@ -43,11 +56,10 @@ type Router struct {
 	// relation updates, checkpoints, and other quiescing operations take
 	// the write side.
 	relGate sync.RWMutex
-	// relMu serializes relation updates (and guards relRecorder/relCommit).
-	relMu       sync.Mutex
-	relRecorder func(engine.Mutation) error
-	relCommit   func() error
-	relUpdates  atomic.Int64
+	// relMu serializes relation updates (and guards relWAL).
+	relMu      sync.Mutex
+	relWAL     WAL
+	relUpdates atomic.Int64
 
 	// mu guards the routing catalog.
 	mu        sync.RWMutex
@@ -72,7 +84,10 @@ func NewRouter(cfg Config) (*Router, error) {
 	ecfg := cfg.Engine
 	ecfg.NextLSN = func() uint64 { return r.lsn.Add(1) }
 	for i := 0; i < cfg.Shards; i++ {
-		s := &shardState{id: i, eng: engine.New(ecfg)}
+		s := &shardState{id: i, eng: engine.New(ecfg), feeds: cfg.Feed != nil}
+		if s.feeds {
+			s.eng.SetFeed(cfg.Feed)
+		}
 		s.idle.L = &s.mu
 		r.shards = append(r.shards, s)
 	}
@@ -82,11 +97,32 @@ func NewRouter(cfg Config) (*Router, error) {
 // NumShards returns the shard count.
 func (r *Router) NumShards() int { return len(r.shards) }
 
-// Engine returns shard i's engine (diagnostics, recorder wiring).
-func (r *Router) Engine(i int) *engine.Engine { return r.shards[i].eng }
+// Each runs fn on every shard's engine, in shard order — the one scatter
+// entry: callers gather counters, histograms or entries out of each engine
+// under its own synchronization and combine them themselves.
+func (r *Router) Each(fn func(i int, e *engine.Engine)) {
+	for i, s := range r.shards {
+		fn(i, s.eng)
+	}
+}
 
-// ShardOfGroup returns the shard index owning a group name.
-func (r *Router) ShardOfGroup(group string) int {
+// Home returns the engine of the shard owning the named view, periodic view
+// or chronicle — the one place a name resolves to its shard.
+func (r *Router) Home(name string) (*engine.Engine, bool) {
+	r.mu.RLock()
+	idx, ok := r.viewHome[name]
+	if !ok {
+		idx, ok = r.chronHome[name]
+	}
+	r.mu.RUnlock()
+	if !ok {
+		return nil, false
+	}
+	return r.shards[idx].eng, true
+}
+
+// shardOfGroup returns the shard index owning a group name.
+func (r *Router) shardOfGroup(group string) int {
 	h := fnv.New32a()
 	h.Write([]byte(group))
 	return int(h.Sum32() % uint32(len(r.shards)))
@@ -111,38 +147,17 @@ func (r *Router) Barrier(fn func() error) error {
 	return fn()
 }
 
-// SetRelationRecorder installs the WAL hook for router-level relation
-// updates (the per-shard append hooks are installed on the shard engines).
-func (r *Router) SetRelationRecorder(fn func(engine.Mutation) error) {
-	r.relMu.Lock()
-	defer r.relMu.Unlock()
-	r.relRecorder = fn
-}
-
-// SetRelationCommitter installs the durability hook run after each
-// router-level relation update (the relation segment's group-commit door).
-func (r *Router) SetRelationCommitter(fn func() error) {
-	r.relMu.Lock()
-	defer r.relMu.Unlock()
-	r.relCommit = fn
-}
-
-// SetShardCommitter installs shard i's durability hook, run once per pass.
-func (r *Router) SetShardCommitter(i int, fn func() error) {
-	r.shards[i].commit = fn
-}
-
-// SetFeed installs one shared changefeed hub into every shard engine:
-// captured frames stay pending until the shard's pass detaches them with
-// TakeFeed and publishes them after its commit. Every shard draws LSNs
-// from the router's shared allocator and every view is maintained by
-// exactly one shard, so the shared hub merges the multi-shard feeds into
-// per-view streams in LSN order.
-func (r *Router) SetFeed(h *feed.Hub) {
-	for _, s := range r.shards {
-		s.eng.SetFeed(h)
-		s.feeds = true
+// SetWAL installs the WAL hooks, one per stream in the order the streams
+// are on disk: hooks[i] for shard i's appends, then one for router-level
+// relation updates. Call it before traffic.
+func (r *Router) SetWAL(hooks []WAL) {
+	for i, s := range r.shards {
+		s.eng.SetRecorder(hooks[i].Record)
+		s.commit = hooks[i].Commit
 	}
+	r.relMu.Lock()
+	r.relWAL = hooks[len(r.shards)]
+	r.relMu.Unlock()
 }
 
 // --- catalog ------------------------------------------------------------
@@ -160,7 +175,7 @@ func (r *Router) claim(name, kind string) error {
 
 // CreateGroup creates a chronicle group on its home shard.
 func (r *Router) CreateGroup(name string) (*chronicle.Group, error) {
-	return r.shards[r.ShardOfGroup(name)].eng.CreateGroup(name)
+	return r.shards[r.shardOfGroup(name)].eng.CreateGroup(name)
 }
 
 // CreateChronicle creates a chronicle on the shard owning its group.
@@ -168,7 +183,7 @@ func (r *Router) CreateChronicle(name, groupName string, schema *value.Schema, r
 	if groupName == "" {
 		groupName = name
 	}
-	idx := r.ShardOfGroup(groupName)
+	idx := r.shardOfGroup(groupName)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := r.claim(name, "chronicle"); err != nil {
@@ -424,9 +439,9 @@ func (r *Router) Upsert(relationName string, t value.Tuple) error {
 	r.relGate.Lock()
 	defer r.relGate.Unlock()
 	lsn := r.lsn.Add(1)
-	if r.relRecorder != nil {
+	if r.relWAL.Record != nil {
 		m := engine.Mutation{Kind: engine.MutUpsert, LSN: lsn, Relation: relationName, Tuple: coerced}
-		if err := r.relRecorder(m); err != nil {
+		if err := r.relWAL.Record(m); err != nil {
 			return fmt.Errorf("engine: recording upsert: %w", err)
 		}
 	}
@@ -434,8 +449,8 @@ func (r *Router) Upsert(relationName string, t value.Tuple) error {
 		return err
 	}
 	r.relUpdates.Add(1)
-	if r.relCommit != nil {
-		return r.relCommit()
+	if r.relWAL.Commit != nil {
+		return r.relWAL.Commit()
 	}
 	return nil
 }
@@ -451,9 +466,9 @@ func (r *Router) DeleteKey(relationName string, keyVals value.Tuple) (bool, erro
 	r.relGate.Lock()
 	defer r.relGate.Unlock()
 	lsn := r.lsn.Add(1)
-	if r.relRecorder != nil {
+	if r.relWAL.Record != nil {
 		m := engine.Mutation{Kind: engine.MutDelete, LSN: lsn, Relation: relationName, Tuple: keyVals}
-		if err := r.relRecorder(m); err != nil {
+		if err := r.relWAL.Record(m); err != nil {
 			return false, fmt.Errorf("engine: recording delete: %w", err)
 		}
 	}
@@ -461,145 +476,17 @@ func (r *Router) DeleteKey(relationName string, keyVals value.Tuple) (bool, erro
 	if deleted {
 		r.relUpdates.Add(1)
 	}
-	if r.relCommit != nil {
-		return deleted, r.relCommit()
+	if r.relWAL.Commit != nil {
+		return deleted, r.relWAL.Commit()
 	}
 	return deleted, nil
 }
 
-// --- queries (scatter/gather) -------------------------------------------
+// --- queries --------------------------------------------------------------
 
-func (r *Router) homeOfView(name string) (*shardState, bool) {
-	r.mu.RLock()
-	idx, ok := r.viewHome[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	return r.shards[idx], true
-}
-
-// scatter runs fn once per shard, in shard order; the gather half is
-// whatever fn does with its shard's result — callers write into a
-// per-shard slot indexed by i. Each call copies a few counters or name
-// lists out from under an engine's own synchronization, less work than
-// starting a goroutine for it, so the shards are visited one after another.
-func (r *Router) scatter(fn func(i int, e *engine.Engine)) {
-	for i, s := range r.shards {
-		fn(i, s.eng)
-	}
-}
-
-// Stats sums the per-shard engine counters plus router-level relation
-// updates.
-func (r *Router) Stats() engine.Stats {
-	per := make([]engine.Stats, len(r.shards))
-	r.scatter(func(i int, e *engine.Engine) { per[i] = e.Stats() })
-	var out engine.Stats
-	for _, st := range per {
-		out.Appends += st.Appends
-		out.TuplesAppended += st.TuplesAppended
-		out.RelationUpdates += st.RelationUpdates
-		out.MaintenanceNs += st.MaintenanceNs
-		out.ViewsMaintained += st.ViewsMaintained
-		out.DedupHits += st.DedupHits
-		out.SharedHits += st.SharedHits
-	}
-	out.RelationUpdates += r.relUpdates.Load()
-	return out
-}
-
-// DedupEntries gathers every shard's live idempotency entries (checkpoint
-// building). Order is shard-major; restore routes each entry back to its
-// chronicle's home shard, so cross-shard order is irrelevant.
-func (r *Router) DedupEntries() []dedup.Entry {
-	per := make([][]dedup.Entry, len(r.shards))
-	r.scatter(func(i int, e *engine.Engine) { per[i] = e.DedupEntries() })
-	var out []dedup.Entry
-	for _, ents := range per {
-		out = append(out, ents...)
-	}
-	return out
-}
-
-// RestoreDedupEntry reinstates one checkpointed idempotency entry on the
-// shard owning its chronicle. Entries whose chronicle no longer resolves
-// (dropped between checkpoint and crash) are ignored: with no chronicle
-// there is nothing a retry could double-apply.
-func (r *Router) RestoreDedupEntry(ent dedup.Entry) {
-	s, err := r.homeOfChronicle(ent.Chronicle)
-	if err != nil {
-		return
-	}
-	s.eng.RestoreDedupEntry(ent)
-}
-
-// DedupStats sums the per-shard idempotency-table counters.
-func (r *Router) DedupStats() (entries int, hits int64, evictions int64) {
-	type trio struct {
-		entries   int
-		hits      int64
-		evictions int64
-	}
-	per := make([]trio, len(r.shards))
-	r.scatter(func(i int, e *engine.Engine) {
-		per[i].entries, per[i].hits, per[i].evictions = e.DedupStats()
-	})
-	for _, t := range per {
-		entries += t.entries
-		hits += t.hits
-		evictions += t.evictions
-	}
-	return entries, hits, evictions
-}
-
-// MaintenanceLatency merges every shard's maintenance-latency histogram
-// into one distribution (the SHOW STATS / HTTP gather path).
-func (r *Router) MaintenanceLatency() stats.Snapshot {
-	per := make([]stats.Histogram, len(r.shards))
-	r.scatter(func(i int, e *engine.Engine) { per[i] = e.MaintenanceHistogram() })
-	var merged stats.Histogram
-	for i := range per {
-		merged.Merge(&per[i])
-	}
-	return merged.Snapshot()
-}
-
-// ReadStats merges the per-shard read-path counters and latency
-// histograms into one view of query traffic.
-func (r *Router) ReadStats() engine.ReadStats {
-	lookups := make([]int64, len(r.shards))
-	scans := make([]int64, len(r.shards))
-	hists := make([]stats.Histogram, len(r.shards))
-	r.scatter(func(i int, e *engine.Engine) {
-		lookups[i], scans[i] = e.ReadCounts()
-		hists[i] = e.ReadHistogram()
-	})
-	var out engine.ReadStats
-	var merged stats.Histogram
-	for i := range r.shards {
-		out.Lookups += lookups[i]
-		out.Scans += scans[i]
-		merged.Merge(&hists[i])
-	}
-	out.Latency = merged.Snapshot()
-	return out
-}
-
-// OldestSnapshotUnixNano returns the publication time of the oldest live
-// view snapshot across every shard — the worst-case staleness bound of the
-// lock-free read path. Zero means no shard publishes a snapshot.
-func (r *Router) OldestSnapshotUnixNano() int64 {
-	per := make([]int64, len(r.shards))
-	r.scatter(func(i int, e *engine.Engine) { per[i] = e.OldestSnapshotUnixNano() })
-	var oldest int64
-	for _, at := range per {
-		if at != 0 && (oldest == 0 || at < oldest) {
-			oldest = at
-		}
-	}
-	return oldest
-}
+// RelationUpdates counts the relation upserts and deletes applied since
+// the router was created (engines count only what they apply themselves).
+func (r *Router) RelationUpdates() int64 { return r.relUpdates.Load() }
 
 // LSN returns the current global logical sequence number.
 func (r *Router) LSN() uint64 { return r.lsn.Load() }
@@ -615,11 +502,17 @@ func (r *Router) RestoreLSN(lsn uint64) {
 	}
 }
 
-// GroupNames gathers group names across shards, sorted.
-func (r *Router) GroupNames() []string {
+// Names lists the catalog objects of kind k across shards, sorted — the
+// one catalog listing. Every shard adopts every relation, so relations are
+// listed from the first.
+func (r *Router) Names(k engine.Kind) []string {
+	shards := r.shards
+	if k == engine.Relations {
+		shards = shards[:1]
+	}
 	var out []string
-	for _, s := range r.shards {
-		out = append(out, s.eng.GroupNames()...)
+	for _, s := range shards {
+		out = append(out, s.eng.Names(k)...)
 	}
 	sort.Strings(out)
 	return out
@@ -627,16 +520,16 @@ func (r *Router) GroupNames() []string {
 
 // Group returns a group by name from its home shard.
 func (r *Router) Group(name string) (*chronicle.Group, bool) {
-	return r.shards[r.ShardOfGroup(name)].eng.Group(name)
+	return r.shards[r.shardOfGroup(name)].eng.Group(name)
 }
 
 // Chronicle returns a chronicle by name.
 func (r *Router) Chronicle(name string) (*chronicle.Chronicle, bool) {
-	s, err := r.homeOfChronicle(name)
-	if err != nil {
+	e, ok := r.Home(name)
+	if !ok {
 		return nil, false
 	}
-	return s.eng.Chronicle(name)
+	return e.Chronicle(name)
 }
 
 // Relation returns the shared relation by name.
@@ -649,51 +542,41 @@ func (r *Router) Relation(name string) (*relation.Relation, bool) {
 
 // View returns a persistent view by name from its home shard.
 func (r *Router) View(name string) (*view.View, bool) {
-	s, ok := r.homeOfView(name)
+	e, ok := r.Home(name)
 	if !ok {
 		return nil, false
 	}
-	return s.eng.View(name)
-}
-
-// ViewSharedPlan lists a view's shared-plan nodes from its home shard
-// (sharing is per shard: views co-located with their group share deltas).
-func (r *Router) ViewSharedPlan(name string) ([]algebra.PlanNodeInfo, bool) {
-	s, ok := r.homeOfView(name)
-	if !ok {
-		return nil, false
-	}
-	return s.eng.ViewSharedPlan(name)
+	return e.View(name)
 }
 
 // PeriodicView returns a periodic view family by name.
 func (r *Router) PeriodicView(name string) (*calendar.PeriodicView, bool) {
-	s, ok := r.homeOfView(name)
+	e, ok := r.Home(name)
 	if !ok {
 		return nil, false
 	}
-	return s.eng.PeriodicView(name)
+	return e.PeriodicView(name)
 }
 
 // ViewLookup answers a summary query by group key from the view's home
 // shard.
 func (r *Router) ViewLookup(name string, key value.Tuple) (value.Tuple, bool, error) {
-	s, ok := r.homeOfView(name)
+	e, ok := r.Home(name)
 	if !ok {
 		return nil, false, fmt.Errorf("engine: unknown view %q", name)
 	}
-	return s.eng.ViewLookup(name, key)
+	return e.ViewLookup(name, key)
 }
 
 // ViewScan streams the rows of a window of a view from its home shard and
 // returns the LSN of the publication they were read from (see
 // engine.ViewScan).
 func (r *Router) ViewScan(name string, w view.Window, fn func(value.Tuple) bool) (uint64, error) {
-	s, ok := r.homeOfView(name)
+	e, ok := r.Home(name)
 	if !ok {
 		return 0, fmt.Errorf("engine: unknown view %q", name)
 	}
-	return s.eng.ViewScan(name, w, fn)
+	return e.ViewScan(name, w, fn)
 }
 
 // RelationRows materializes a relation's live tuples in key order,
@@ -711,52 +594,4 @@ func (r *Router) RelationRows(name string) ([]value.Tuple, error) {
 		return true
 	})
 	return out, nil
-}
-
-// ChronicleRows copies a chronicle's retained window from its home shard.
-func (r *Router) ChronicleRows(name string) ([]chronicle.Row, error) {
-	s, err := r.homeOfChronicle(name)
-	if err != nil {
-		return nil, err
-	}
-	return s.eng.ChronicleRows(name)
-}
-
-func (r *Router) gatherNames(get func(*engine.Engine) []string) []string {
-	per := make([][]string, len(r.shards))
-	r.scatter(func(i int, e *engine.Engine) { per[i] = get(e) })
-	var out []string
-	for _, names := range per {
-		out = append(out, names...)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ViewNames returns persistent view names across all shards, sorted.
-func (r *Router) ViewNames() []string {
-	return r.gatherNames(func(e *engine.Engine) []string { return e.ViewNames() })
-}
-
-// ChronicleNames returns chronicle names across all shards, sorted.
-func (r *Router) ChronicleNames() []string {
-	return r.gatherNames(func(e *engine.Engine) []string { return e.ChronicleNames() })
-}
-
-// RelationNames returns the shared relation names, sorted.
-func (r *Router) RelationNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.relations))
-	for n := range r.relations {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// PeriodicViewNames returns periodic view family names across shards,
-// sorted.
-func (r *Router) PeriodicViewNames() []string {
-	return r.gatherNames(func(e *engine.Engine) []string { return e.PeriodicViewNames() })
 }

@@ -33,13 +33,26 @@ func newRouter(t testing.TB, n int) *Router {
 	r, err := NewRouter(Config{Shards: n, Engine: engine.Config{
 		DefaultRetention: chronicle.RetainAll,
 		RelationHistory:  true,
-		DispatchIndexed:  true,
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Close)
 	return r
+}
+
+// chronicleRows copies a chronicle's retained window from its home shard.
+func chronicleRows(t *testing.T, r *Router, name string) []chronicle.Row {
+	t.Helper()
+	e, ok := r.Home(name)
+	if !ok {
+		t.Fatalf("no home for chronicle %q", name)
+	}
+	rows, err := e.ChronicleRows(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }
 
 // usageDef is a per-chronicle group-by summary view.
@@ -88,8 +101,10 @@ func TestRouterBasics(t *testing.T) {
 	if err != nil || !ok || row[1].AsInt() != 10 {
 		t.Fatalf("ViewLookup = %v %v %v", row, ok, err)
 	}
-	if got := r.Stats().Appends; got != 1 {
-		t.Errorf("Stats().Appends = %d", got)
+	var appends int64
+	r.Each(func(_ int, e *engine.Engine) { appends += e.Stats().Appends })
+	if appends != 1 {
+		t.Errorf("Stats().Appends summed over shards = %d", appends)
 	}
 	// A restored LSN never regresses, and the next mutation continues it.
 	r.RestoreLSN(100)
@@ -98,11 +113,11 @@ func TestRouterBasics(t *testing.T) {
 	if r.LSN() != 101 {
 		t.Errorf("LSN after RestoreLSN(100), RestoreLSN(50), append = %d", r.LSN())
 	}
-	if home := r.ShardOfGroup("telecom"); home < 0 || home >= r.NumShards() {
-		t.Errorf("ShardOfGroup out of range: %d", home)
+	if home := r.shardOfGroup("telecom"); home < 0 || home >= r.NumShards() {
+		t.Errorf("shardOfGroup out of range: %d", home)
 	}
-	if names := r.ChronicleNames(); len(names) != 1 || names[0] != "calls" {
-		t.Errorf("ChronicleNames = %v", names)
+	if names := r.Names(engine.Chronicles); len(names) != 1 || names[0] != "calls" {
+		t.Errorf("Names(Chronicles) = %v", names)
 	}
 }
 
@@ -115,8 +130,8 @@ func TestViewHomeFollowsChronicle(t *testing.T) {
 		if _, err := r.CreateView(usageDef("v"+name, c), view.StoreBTree, pred.True(), nil); err != nil {
 			t.Fatal(err)
 		}
-		home := r.ShardOfGroup(group)
-		if _, ok := r.Engine(home).View("v" + name); !ok {
+		home := r.shardOfGroup(group)
+		if _, ok := r.shards[home].eng.View("v" + name); !ok {
 			t.Errorf("view v%s not on home shard %d of group %s", name, home, group)
 		}
 	}
@@ -148,9 +163,9 @@ func TestAppendEachAndBatch(t *testing.T) {
 	if err != nil || sn != 3 {
 		t.Fatalf("AppendBatch = %d, %v", sn, err)
 	}
-	rows, err := r.ChronicleRows("calls")
-	if err != nil || len(rows) != 4 {
-		t.Fatalf("ChronicleRows = %d rows, %v", len(rows), err)
+	rows := chronicleRows(t, r, "calls")
+	if len(rows) != 4 {
+		t.Fatalf("ChronicleRows = %d rows", len(rows))
 	}
 }
 
@@ -210,10 +225,10 @@ func TestRelationOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	var kinds []engine.MutationKind
-	r.SetRelationRecorder(func(m engine.Mutation) error {
+	r.SetWAL([]WAL{{}, {Record: func(m engine.Mutation) error {
 		kinds = append(kinds, m.Kind)
 		return nil
-	})
+	}}})
 	// An int literal lands in a float column.
 	if err := r.Upsert("rates", value.Tuple{value.Str("x"), value.Int(3)}); err != nil {
 		t.Fatal(err)
@@ -231,13 +246,13 @@ func TestRelationOps(t *testing.T) {
 	if _, err := r.DeleteKey("ghost", value.Tuple{}); err == nil {
 		t.Error("delete from unknown relation accepted")
 	}
-	if got := r.Stats().RelationUpdates; got != 2 {
+	if got := r.RelationUpdates(); got != 2 {
 		t.Errorf("RelationUpdates = %d", got)
 	}
 	if len(kinds) != 2 || kinds[0] != engine.MutUpsert || kinds[1] != engine.MutDelete {
 		t.Errorf("recorded kinds = %v", kinds)
 	}
-	r.SetRelationRecorder(func(engine.Mutation) error { return fmt.Errorf("no") })
+	r.SetWAL([]WAL{{}, {Record: func(engine.Mutation) error { return fmt.Errorf("no") }}})
 	if err := r.Upsert("rates", value.Tuple{value.Str("y"), value.Int(1)}); err == nil {
 		t.Error("vetoed upsert succeeded")
 	}

@@ -747,7 +747,9 @@ func (v *View) CommitBlockRefs(file string, base int64, pend []PendingBlock) {
 // lives at base within file. Paged views restore lazily: only the block
 // index is materialized — every block starts cold and faults in on first
 // touch, so recovery cost is flat in view cardinality. Unpaged views
-// (reopened with paging disabled) restore eagerly through fetch.
+// restore eagerly through fetch — no database has one since a durable B-tree
+// view always pages, but the golden and delta-merge tests compare the lazy
+// path against it.
 func (v *View) RestoreBlocked(data []byte, file string, base int64, fetch FetchFunc) error {
 	rest, err := v.checkBlockedHeader(data)
 	if err != nil {

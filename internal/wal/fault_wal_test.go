@@ -16,11 +16,8 @@ import (
 func TestAppendWriteErrorNoMidFileCorruption(t *testing.T) {
 	d := fault.NewDisk()
 	d.MkdirAll("/data", 0o755)
-	path := filepath.Join("/data", "log.wal")
-	l, err := OpenFS(d, path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openLog(t, d, "/data", "log", SyncGroup)
+	path := l.Path()
 	recs := sampleRecords()
 	if err := l.Append(recs[0]); err != nil {
 		t.Fatal(err)
@@ -56,12 +53,12 @@ func TestAppendWriteErrorNoMidFileCorruption(t *testing.T) {
 func TestSyncErrorPoisonsLog(t *testing.T) {
 	d := fault.NewDisk()
 	d.MkdirAll("/data", 0o755)
-	l, err := OpenFS(d, filepath.Join("/data", "log.wal"), true)
-	if err != nil {
+	l := openLog(t, d, "/data", "log", SyncGroup)
+	if err := l.Append(sampleRecords()[0]); err != nil {
 		t.Fatal(err)
 	}
-	d.FailNthSync(0)
-	if err := l.Append(sampleRecords()[0]); !errors.Is(err, fault.ErrInjected) {
+	d.FailNthSync(d.Syncs())
+	if err := l.Commit(); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("want injected sync failure, got %v", err)
 	}
 	if err := l.Append(sampleRecords()[1]); err == nil {

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -186,11 +185,8 @@ func TestTornManifestFlipRecovers(t *testing.T) {
 // record is never dropped.
 func TestReplayMergedDropsCovered(t *testing.T) {
 	dir := t.TempDir()
-	write := func(name string, lsns ...uint64) {
-		l, err := Open(filepath.Join(dir, name), false)
-		if err != nil {
-			t.Fatal(err)
-		}
+	write := func(stream string, lsns ...uint64) {
+		l := openLog(t, fault.OS, dir, stream, SyncNone)
 		for _, lsn := range lsns {
 			if err := l.Append(Record{Kind: RecUpsert, LSN: lsn, Relation: "r", Tuple: value.Tuple{value.Int(int64(lsn))}}); err != nil {
 				t.Fatal(err)
@@ -200,8 +196,8 @@ func TestReplayMergedDropsCovered(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	write("a.wal", 0, 1, 4, 5, 8)
-	write("b.wal", 2, 3, 6, 7)
+	write("a", 0, 1, 4, 5, 8)
+	write("b", 2, 3, 6, 7)
 	for _, tc := range []struct {
 		after uint64
 		want  []uint64
@@ -211,7 +207,7 @@ func TestReplayMergedDropsCovered(t *testing.T) {
 		{8, []uint64{0}},
 	} {
 		var got []uint64
-		n, err := ReplayMergedFS(fault.OS, dir, []string{"a.wal", "b.wal"}, tc.after, func(r Record) error {
+		n, err := ReplayMergedFS(fault.OS, dir, []string{SegmentFileName("a", 1), SegmentFileName("b", 1)}, tc.after, func(r Record) error {
 			got = append(got, r.LSN)
 			return nil
 		})

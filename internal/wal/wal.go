@@ -92,9 +92,6 @@ const (
 	// SyncNone buffers records and flushes on Flush/Close; the caller has
 	// opted out of per-record durability (tests, bulk loads).
 	SyncNone SyncPolicy = iota
-	// SyncEach fsyncs inside every Append — one fsync per record (E16's
-	// baseline curve).
-	SyncEach
 	// SyncGroup writes each record through to the OS inside Append (so a
 	// write failure still aborts the mutation before it is applied) but
 	// defers the fsync to Commit, the group-commit door: one fsync acks
@@ -115,11 +112,9 @@ type Log struct {
 	buf    []byte
 	seq    uint64 // records appended since open (under mu)
 
-	// Segment rotation. capBytes == 0 means the log is a plain single file
-	// that never rotates (Open; the database always sets a cap). All are
-	// guarded by mu; rotation happens inside Append, before the frame that
-	// would overflow the cap is written, so the hot path adds only a size
-	// comparison.
+	// Segment rotation, all guarded by mu. Rotation happens inside Append,
+	// before the frame that would overflow the cap is written, so the hot
+	// path adds only a size comparison.
 	fsys     fault.FS
 	dir      string
 	stream   string
@@ -139,9 +134,9 @@ type Log struct {
 	syncMu sync.Mutex
 	synced atomic.Uint64
 
-	// Durability counters for SHOW STATS / E16. batchHist counts records
-	// acked per fsync; it is guarded by syncMu in SyncGroup mode and by mu
-	// otherwise (a Log never mixes policies), and Metrics takes both.
+	// Durability counters for SHOW STATS. batchHist counts records acked per
+	// fsync; it is guarded by syncMu in SyncGroup mode and by mu otherwise (a
+	// Log never mixes policies), and Metrics takes both.
 	fsyncs    atomic.Int64
 	batchHist stats.Histogram
 
@@ -161,57 +156,30 @@ type Metrics struct {
 	Fsyncs  int64           // fsync calls since open
 	Batches stats.Histogram // records acked per fsync (group-commit batch size)
 
-	Rotations   int64  // segment rotations since open (0 for plain logs)
-	ActiveBytes int64  // bytes in the active segment (whole file for plain logs)
-	ActiveSeq   uint64 // active segment sequence (0 for plain logs)
+	Rotations   int64  // segment rotations since open
+	ActiveBytes int64  // bytes in the active segment
+	ActiveSeq   uint64 // active segment sequence
 }
 
-// Open opens (creating if needed) the log at path for appending. When
-// syncEach is true every record is fsynced — the durable configuration; off,
-// records are buffered and flushed on Flush/Close (faster, test-friendly).
-func Open(path string, syncEach bool) (*Log, error) {
-	return OpenFS(fault.OS, path, syncEach)
-}
-
-// OpenFS is Open against an explicit filesystem.
-func OpenFS(fsys fault.FS, path string, syncEach bool) (*Log, error) {
-	policy := SyncNone
-	if syncEach {
-		policy = SyncEach
-	}
-	return OpenPolicyFS(fsys, path, policy)
-}
-
-// OpenPolicyFS opens the log with an explicit sync policy.
-func OpenPolicyFS(fsys fault.FS, path string, policy SyncPolicy) (*Log, error) {
+// OpenSegmentFS opens a rotated log — the only kind there is: the stream's
+// active segment seq in dir, already holding startBytes bytes, rotating once
+// an append would push the segment past capBytes. onRotate is called inside
+// the rotation, after the old segment's content is durable and the new
+// segment file exists and is fsynced, and must durably register the flip
+// (seal the old entry, add the new one) before the swap is committed — its
+// error aborts both the rotation and the triggering append, latching the
+// sticky error.
+func OpenSegmentFS(fsys fault.FS, dir, stream string, seq uint64, startBytes, capBytes int64, policy SyncPolicy, onRotate func(sealed, next Segment) error) (*Log, error) {
+	path := filepath.Join(dir, SegmentFileName(stream, seq))
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
-	return &Log{path: path, f: f, w: bufio.NewWriterSize(f, 1<<16), policy: policy}, nil
-}
-
-// OpenSegmentFS opens a rotated log: the stream's active segment seq in
-// dir, already holding startBytes bytes, rotating once an append would push
-// the segment past capBytes. onRotate is called inside the rotation, after
-// the old segment's content is durable and the new segment file exists and
-// is fsynced, and must durably register the flip (seal the old entry, add
-// the new one) before the swap is committed — its error aborts both the
-// rotation and the triggering append, latching the sticky error.
-func OpenSegmentFS(fsys fault.FS, dir, stream string, seq uint64, startBytes, capBytes int64, policy SyncPolicy, onRotate func(sealed, next Segment) error) (*Log, error) {
-	path := filepath.Join(dir, SegmentFileName(stream, seq))
-	l, err := OpenPolicyFS(fsys, path, policy)
-	if err != nil {
-		return nil, err
-	}
-	l.fsys = fsys
-	l.dir = dir
-	l.stream = stream
-	l.segSeq = seq
-	l.segBytes = startBytes
-	l.capBytes = capBytes
-	l.onRotate = onRotate
-	return l, nil
+	return &Log{
+		path: path, f: f, w: bufio.NewWriterSize(f, 1<<16), policy: policy,
+		fsys: fsys, dir: dir, stream: stream, segSeq: seq, segBytes: startBytes,
+		capBytes: capBytes, onRotate: onRotate,
+	}, nil
 }
 
 // SetTap installs the replication tap. onAppend is called inside Append,
@@ -255,7 +223,7 @@ func (l *Log) Append(r Record) error {
 	payload := l.buf[8:]
 	binary.LittleEndian.PutUint32(l.buf[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(l.buf[4:], crc32.ChecksumIEEE(payload))
-	if l.capBytes > 0 && l.segBytes > 0 && l.segBytes+int64(len(l.buf)) > l.capBytes {
+	if l.segBytes > 0 && l.segBytes+int64(len(l.buf)) > l.capBytes {
 		if err := l.rotateLocked(); err != nil {
 			return err
 		}
@@ -275,10 +243,7 @@ func (l *Log) Append(r Record) error {
 			l.tapDurable(l.seq)
 		}
 	}
-	switch l.policy {
-	case SyncEach:
-		return l.syncLocked()
-	case SyncGroup:
+	if l.policy == SyncGroup {
 		return l.flushLocked()
 	}
 	return nil
@@ -289,16 +254,11 @@ func (l *Log) Append(r Record) error {
 // in SyncGroup mode), so all Commit adds is the fsync, and concurrent
 // committers share one: whoever holds the door fsyncs on behalf of every
 // record appended up to that moment, and queued committers whose records
-// that fsync covered return without syncing again. In SyncEach mode records
-// are durable the moment Append returns and Commit only reports the sticky
-// error; in SyncNone mode it degrades to Flush (the caller opted out of
-// durability).
+// that fsync covered return without syncing again. In SyncNone mode it
+// degrades to Flush (the caller opted out of durability).
 func (l *Log) Commit() error {
-	if l.policy != SyncGroup {
-		if l.policy == SyncNone {
-			return l.Flush()
-		}
-		return l.Err()
+	if l.policy == SyncNone {
+		return l.Flush()
 	}
 	l.mu.Lock()
 	target := l.seq

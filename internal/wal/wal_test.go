@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"chronicledb/internal/fault"
 	"chronicledb/internal/value"
 )
 
@@ -27,13 +28,21 @@ func sampleRecords() []Record {
 	}
 }
 
-func writeLog(t *testing.T, dir string, recs []Record) string {
+// openLog opens segment 1 of stream in dir under policy, with a cap no test
+// record reaches.
+func openLog(t *testing.T, fsys fault.FS, dir, stream string, policy SyncPolicy) *Log {
 	t.Helper()
-	path := filepath.Join(dir, "test.wal")
-	l, err := Open(path, false)
+	l, err := OpenSegmentFS(fsys, dir, stream, 1, 0, 1<<30, policy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return l
+}
+
+func writeLog(t *testing.T, dir string, recs []Record) string {
+	t.Helper()
+	l := openLog(t, fault.OS, dir, "test", SyncNone)
+	path := l.Path()
 	for _, r := range recs {
 		if err := l.Append(r); err != nil {
 			t.Fatal(err)
@@ -150,34 +159,13 @@ func TestReplayCallbackError(t *testing.T) {
 	}
 }
 
-func TestSyncEach(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sync.wal")
-	l, err := Open(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(sampleRecords()[0]); err != nil {
-		t.Fatal(err)
-	}
-	// With syncEach, the record is durable before Close.
-	n, _, err := Replay(path, func(Record) error { return nil })
-	if err != nil || n != 1 {
-		t.Errorf("pre-close replay: n=%d err=%v", n, err)
-	}
-	l.Close()
-}
-
 func TestReopenAppends(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "re.wal")
-	l, _ := Open(path, false)
+	l := openLog(t, fault.OS, dir, "re", SyncNone)
+	path := l.Path()
 	l.Append(sampleRecords()[0])
 	l.Close()
-	l2, err := Open(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l2 := openLog(t, fault.OS, dir, "re", SyncNone)
 	l2.Append(sampleRecords()[1])
 	l2.Close()
 	n, _, err := Replay(path, func(Record) error { return nil })
@@ -190,12 +178,8 @@ func TestReopenAppends(t *testing.T) {
 }
 
 func TestFlushMakesDurableWithoutClose(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "flush.wal")
-	l, err := Open(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openLog(t, fault.OS, t.TempDir(), "flush", SyncNone)
+	path := l.Path()
 	defer l.Close()
 	l.Append(sampleRecords()[0])
 	// Unflushed, the record may still sit in the buffer.

@@ -1,8 +1,11 @@
 package chronicledb_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -25,8 +28,8 @@ import (
 // reopened behind the same proxy address. The exactly-once contract: after
 // every client's every request is acked, the chronicle holds exactly
 // K·M·R rows and the acked SN ranges tile [0, K·M·R) with no overlap. The
-// ablation subtest turns the dedup table off and shows the same retry
-// discipline over-applies.
+// ablation subtest strips the idempotency pair on the way in and shows the
+// same retry discipline over-applies.
 func TestNetworkChaos(t *testing.T) {
 	t.Run("exactly-once", testChaosExactlyOnce)
 	t.Run("at-least-once-ablation", testChaosAblation)
@@ -214,12 +217,15 @@ func testChaosExactlyOnce(t *testing.T) {
 	}
 }
 
-// testChaosAblation runs the same retry discipline with the dedup table
-// disabled: lost responses and duplicated deliveries now re-apply, so the
-// row count exceeds the number of logical requests — the measurable
-// difference between exactly-once and at-least-once.
+// testChaosAblation runs the same retry discipline without deduplication:
+// a test-local middleware strips client_id/request_id from every /append
+// body before the handler sees it, so the server takes the at-least-once
+// AppendRows path. Every delivery that reaches it applies once, so the run
+// over-applies by exactly the ambiguous-delivery count — each response lost
+// after apply and each duplicated delivery becomes a phantom row — which is
+// the measurable difference between exactly-once and at-least-once.
 func testChaosAblation(t *testing.T) {
-	db, err := chronicledb.Open(chronicledb.Options{DedupDisabled: true})
+	db, err := chronicledb.Open(chronicledb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +233,7 @@ func testChaosAblation(t *testing.T) {
 	if _, err := db.Exec(`CREATE CHRONICLE calls (acct STRING, minutes INT) RETAIN ALL`); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(server.New(db))
+	ts := httptest.NewServer(stripIdempotency(server.New(db)))
 	defer ts.Close()
 
 	chaos := fault.NewNetChaos(7)
@@ -262,7 +268,26 @@ func testChaosAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("ablation: %d logical requests applied as %d rows (%+v)", requests, len(res.Rows), counts)
-	if len(res.Rows) <= requests {
-		t.Errorf("dedup-disabled run applied %d rows for %d requests; expected over-application", len(res.Rows), requests)
+	if want := requests + counts.DroppedResponses + counts.Duplicates; int64(len(res.Rows)) != want {
+		t.Errorf("at-least-once run applied %d rows for %d requests, want %d (one per ambiguous delivery over)", len(res.Rows), requests, want)
 	}
+}
+
+// stripIdempotency removes the idempotency pair from /append bodies before
+// next sees them.
+func stripIdempotency(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/append" {
+			var req server.AppendRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			req.ClientID, req.RequestID = "", ""
+			body, _ := json.Marshal(req) // re-encoding what just decoded cannot fail
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			r.ContentLength = int64(len(body))
+		}
+		next.ServeHTTP(w, r)
+	})
 }

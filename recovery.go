@@ -10,6 +10,7 @@ import (
 
 	"chronicledb/internal/chronicle"
 	"chronicledb/internal/dedup"
+	"chronicledb/internal/engine"
 	"chronicledb/internal/sqlparse"
 	"chronicledb/internal/value"
 	"chronicledb/internal/view"
@@ -108,7 +109,7 @@ func (db *DB) recover(m wal.Manifest) error {
 		// the checkpoint LSN; stamp that cursor so changefeed snapshot
 		// splices anchor correctly, and raise the feed horizon — deltas
 		// inside the checkpoint are not individually replayable.
-		for _, name := range db.eng.ViewNames() {
+		for _, name := range db.eng.Names(engine.Views) {
 			if v, ok := db.eng.View(name); ok {
 				v.SetAppliedLSN(ckptLSN)
 			}
@@ -251,7 +252,7 @@ func (db *DB) buildCheckpointImage(full, wholeViews bool) (data []byte, lsn uint
 	b = append(b, ckptVersion, flags)
 	b = binary.LittleEndian.AppendUint64(b, lsn)
 
-	groups := db.eng.GroupNames()
+	groups := db.eng.Names(engine.Groups)
 	b = binary.AppendUvarint(b, uint64(len(groups)))
 	for _, name := range groups {
 		g, _ := db.eng.Group(name)
@@ -260,7 +261,7 @@ func (db *DB) buildCheckpointImage(full, wholeViews bool) (data []byte, lsn uint
 	}
 
 	var incl []string
-	chrons := db.eng.ChronicleNames()
+	chrons := db.eng.Names(engine.Chronicles)
 	for _, name := range chrons {
 		c, _ := db.eng.Chronicle(name)
 		if include("c:"+name, uint64(c.Total()+c.Dropped())) {
@@ -283,7 +284,7 @@ func (db *DB) buildCheckpointImage(full, wholeViews bool) (data []byte, lsn uint
 	}
 
 	incl = incl[:0]
-	rels := db.eng.RelationNames()
+	rels := db.eng.Names(engine.Relations)
 	for _, name := range rels {
 		r, _ := db.eng.Relation(name)
 		if include("r:"+name, uint64(r.Updates())) {
@@ -306,7 +307,7 @@ func (db *DB) buildCheckpointImage(full, wholeViews bool) (data []byte, lsn uint
 	}
 
 	incl = incl[:0]
-	views := db.eng.ViewNames()
+	views := db.eng.Names(engine.Views)
 	for _, name := range views {
 		v, _ := db.eng.View(name)
 		if include("v:"+name, uint64(v.Stats().Applies)) {
@@ -351,7 +352,7 @@ func (db *DB) buildCheckpointImage(full, wholeViews bool) (data []byte, lsn uint
 	}
 
 	incl = incl[:0]
-	pviews := db.eng.PeriodicViewNames()
+	pviews := db.eng.Names(engine.PeriodicViews)
 	for _, name := range pviews {
 		pv, _ := db.eng.PeriodicView(name)
 		if include("p:"+name, uint64(pv.Applies())) {
@@ -373,7 +374,9 @@ func (db *DB) buildCheckpointImage(full, wholeViews bool) (data []byte, lsn uint
 	// is bounded by the table capacity, so checkpoint size does not grow
 	// with total request count. Restoring a chain re-Puts entries; Put
 	// refreshes duplicates in place, so later chain files win.
-	b = dedup.AppendEntries(b, db.eng.DedupEntries())
+	var entries []dedup.Entry
+	db.eng.Each(func(_ int, e *engine.Engine) { entries = append(entries, e.DedupEntries()...) })
+	b = dedup.AppendEntries(b, entries)
 	db.ckptBuf = b
 	return b, lsn, marks, dirty, commits, nil
 }
@@ -580,8 +583,13 @@ func (db *DB) restoreCheckpoint(data []byte, fileName string) (uint64, error) {
 	}
 
 	// Dedup table.
-	used, err := dedup.DecodeSnapshot(data[off:], func(e dedup.Entry) error {
-		db.eng.RestoreDedupEntry(e)
+	// Each entry goes back to its chronicle's home shard; entries whose
+	// chronicle no longer resolves (dropped between checkpoint and crash) are
+	// ignored — with no chronicle there is nothing a retry could double-apply.
+	used, err := dedup.DecodeSnapshot(data[off:], func(ent dedup.Entry) error {
+		if home, ok := db.eng.Home(ent.Chronicle); ok {
+			home.RestoreDedupEntry(ent)
+		}
 		return nil
 	})
 	if err != nil {

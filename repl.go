@@ -292,7 +292,7 @@ func (db *DB) replSnapshotResync() (uint64, error) {
 		// deltas inside the snapshot are not individually replayable, so
 		// Watch subscribers resume (or snapshot-splice) from lsn exactly
 		// like after a checkpoint restore.
-		for _, name := range db.eng.ViewNames() {
+		for _, name := range db.eng.Names(engine.Views) {
 			if v, ok := db.eng.View(name); ok {
 				v.SetAppliedLSN(lsn)
 			}
@@ -441,7 +441,3 @@ func (db *DB) ReplCatalogTail(n uint64) ([]string, error) {
 // DDLCount reports how many catalog statements this database has applied —
 // the shared index space of the replication stream's DDL frames.
 func (db *DB) DDLCount() uint64 { return db.ddlSeq.Load() }
-
-// ReplBufferFrames reports Options.ReplBuffer (the per-follower live
-// fan-out buffer, in frames; 0 selects the source default).
-func (db *DB) ReplBufferFrames() int { return db.opts.ReplBuffer }

@@ -66,18 +66,6 @@ func (db *DB) streams() []string {
 	return append(s, wal.RelationStream)
 }
 
-// syncPolicy maps Options to the WAL sync policy.
-func (db *DB) syncPolicy() wal.SyncPolicy {
-	policy := wal.SyncNone
-	if db.opts.SyncWAL {
-		policy = wal.SyncGroup
-		if db.opts.SyncPerAppend {
-			policy = wal.SyncEach
-		}
-	}
-	return policy
-}
-
 // openSegmented opens the logs after recovery: it opens (or creates) the
 // active segment of every stream, converts a manifest written under a
 // different shard count by folding everything recovered into a full chain
@@ -203,7 +191,10 @@ func (db *DB) openSegmented(old wal.Manifest, hadManifest bool) error {
 
 	// Open the active segment of every stream, in the same order
 	// installRecorders expects the logs.
-	policy := db.syncPolicy()
+	policy := wal.SyncNone
+	if db.opts.SyncWAL {
+		policy = wal.SyncGroup
+	}
 	for _, stream := range db.streams() {
 		i := man.Active(stream)
 		if i < 0 {
@@ -280,12 +271,8 @@ func (db *DB) rotateManifest(sealed, next wal.Segment) error {
 // sweepOrphans deletes storage files in the data directory that the
 // current manifest does not reference: segments or checkpoints created
 // just before a crash that never got their flip, atomic-write temp files,
-// and conversion leftovers whose deletion did not complete. Skipped under
-// NoCompact, whose whole point is keeping superseded files around.
+// and conversion leftovers whose deletion did not complete.
 func (db *DB) sweepOrphans() {
-	if db.opts.NoCompact {
-		return
-	}
 	names, err := db.fs.ReadDir(db.opts.Dir)
 	if err != nil {
 		return
@@ -369,22 +356,20 @@ func (db *DB) writeSegmentedCheckpoint() error {
 	}
 	newMan.Checkpoints = append(newMan.Checkpoints, wal.CheckpointRef{Name: name, Seq: seq, LSN: lsn, Full: full})
 	var reclaimedBytes, reclaimedSegs int64
-	if !db.opts.NoCompact {
-		live := newMan.Live[:0]
-		for _, s := range newMan.Live {
-			// Conservative: a segment sealed before this process appended to
-			// it reports MaxLSN 0, which only an empty segment may match —
-			// never reclaim those.
-			if s.Sealed && (s.Bytes == 0 || (s.MaxLSN > 0 && s.MaxLSN <= lsn)) {
-				drop = append(drop, s.Name)
-				reclaimedBytes += s.Bytes
-				reclaimedSegs++
-				continue
-			}
-			live = append(live, s)
+	live := newMan.Live[:0]
+	for _, s := range newMan.Live {
+		// Conservative: a segment sealed before this process appended to it
+		// reports MaxLSN 0, which only an empty segment may match — never
+		// reclaim those.
+		if s.Sealed && (s.Bytes == 0 || (s.MaxLSN > 0 && s.MaxLSN <= lsn)) {
+			drop = append(drop, s.Name)
+			reclaimedBytes += s.Bytes
+			reclaimedSegs++
+			continue
 		}
-		newMan.Live = live
+		live = append(live, s)
 	}
+	newMan.Live = live
 
 	if err := wal.WriteManifestFS(db.fs, db.opts.Dir, newMan); err != nil {
 		restoreDDL()
@@ -398,7 +383,7 @@ func (db *DB) writeSegmentedCheckpoint() error {
 	// file a pre-commit ref might still point at.
 	db.commitBlockRefs(name, commits)
 
-	if !db.opts.NoCompact && len(drop) > 0 {
+	if len(drop) > 0 {
 		removed := false
 		for _, n := range drop {
 			if db.fs.Remove(filepath.Join(db.opts.Dir, n)) == nil {

@@ -1,11 +1,14 @@
 package chronicledb
 
 import (
+	"context"
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"chronicledb/internal/fault"
 	"chronicledb/internal/wal"
@@ -264,8 +267,9 @@ func TestOpenRejectsWhatItNoLongerReads(t *testing.T) {
 		name    string
 		opts    Options
 		prepare func(dir string) error
-		is      error  // errors.Is target, when the error is a named one
-		says    string // substring of the message
+		is      error    // errors.Is target, when the error is a named one
+		says    string   // substring of the message
+		flags   []string // start chronicled with these flags instead of calling Open
 	}{
 		{name: "chronicle.wal", prepare: plant("chronicle.wal", "old"), is: ErrUnsupportedLayout, says: "chronicle.wal"},
 		{name: "checkpoint.bin", prepare: plant("checkpoint.bin", "old"), is: ErrUnsupportedLayout, says: "checkpoint.bin"},
@@ -281,11 +285,16 @@ func TestOpenRejectsWhatItNoLongerReads(t *testing.T) {
 			data[4] = 3
 			return os.WriteFile(path, data, 0o644)
 		}},
-		{name: "negative Shards", opts: Options{Shards: -1}, says: "Options.Shards"},
-		{name: "negative WALSegmentBytes", opts: Options{WALSegmentBytes: -1}, says: "Options.WALSegmentBytes"},
+		{name: "negative Shards", opts: Options{Shards: -1}, is: ErrInvalidOption, says: "Options.Shards"},
+		{name: "negative WALSegmentBytes", opts: Options{WALSegmentBytes: -1}, is: ErrInvalidOption, says: "Options.WALSegmentBytes"},
+		{name: "negative ViewBlockBytes", opts: Options{ViewBlockBytes: -1}, is: ErrInvalidOption, says: "Options.ViewBlockBytes"},
+		{name: "chronicled -view-block-bytes -1", flags: []string{"-view-block-bytes", "-1"}, says: "Options.ViewBlockBytes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.flags != nil && testing.Short() {
+				t.Skip("compiles chronicled")
+			}
 			// A database with one checkpoint, to plant files into and to corrupt.
 			dir := t.TempDir()
 			db, err := Open(Options{Dir: dir})
@@ -306,17 +315,34 @@ func TestOpenRejectsWhatItNoLongerReads(t *testing.T) {
 				}
 			}
 			before, _ := os.ReadDir(dir)
-			tc.opts.Dir = dir
-			db, err = Open(tc.opts)
-			if err == nil {
-				db.Close()
-				t.Fatal("Open accepted it")
-			}
-			if tc.is != nil && !errors.Is(err, tc.is) {
-				t.Errorf("error %q is not %q", err, tc.is)
-			}
-			if !strings.Contains(err.Error(), tc.says) {
-				t.Errorf("error %q does not say %q", err, tc.says)
+			if tc.flags != nil {
+				// chronicled must refuse at start: exit non-zero, naming the
+				// option, before it would listen. The binary runs directly so
+				// that the deadline kills the daemon itself if it does start.
+				bin := filepath.Join(t.TempDir(), "chronicled")
+				if out, err := exec.Command("go", "build", "-o", bin, "./cmd/chronicled").CombinedOutput(); err != nil {
+					t.Fatalf("building chronicled: %v\n%s", err, out)
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				defer cancel()
+				args := append([]string{"-dir", dir, "-addr", "127.0.0.1:0"}, tc.flags...)
+				out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+				if err == nil || ctx.Err() != nil || !strings.Contains(string(out), tc.says) {
+					t.Fatalf("chronicled %v: err %v, output %q; want a refusal naming %q", tc.flags, err, out, tc.says)
+				}
+			} else {
+				tc.opts.Dir = dir
+				db, err = Open(tc.opts)
+				if err == nil {
+					db.Close()
+					t.Fatal("Open accepted it")
+				}
+				if tc.is != nil && !errors.Is(err, tc.is) {
+					t.Errorf("error %q is not %q", err, tc.is)
+				}
+				if !strings.Contains(err.Error(), tc.says) {
+					t.Errorf("error %q does not say %q", err, tc.says)
+				}
 			}
 			if after, _ := os.ReadDir(dir); len(after) != len(before) {
 				t.Errorf("the refused Open changed the directory: %d entries before, %d after", len(before), len(after))
