@@ -157,9 +157,11 @@ experiments-quick:
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=30s ./internal/sqlparse/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeValue -fuzztime=30s ./internal/value/
+	$(GO) test -run=NONE -fuzz=FuzzDecodeTuple -fuzztime=30s ./internal/value/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=30s ./internal/wal/
 	$(GO) test -run=NONE -fuzz=FuzzManifest -fuzztime=30s ./internal/wal/
-	$(GO) test -run=NONE -fuzz=FuzzBlock -fuzztime=30s ./internal/view/
+	$(GO) test -run=NONE -fuzz='^FuzzBlock$$' -fuzztime=30s ./internal/view/
+	$(GO) test -run=NONE -fuzz=FuzzBlockedImage -fuzztime=30s ./internal/view/
 	$(GO) test -run=NONE -fuzz=FuzzReplFrame -fuzztime=30s ./internal/repl/
 
 examples:

@@ -99,7 +99,8 @@ func TestCheckpointBlockGuards(t *testing.T) {
 
 // BenchmarkBlockedCheckpoint times one incremental cut after a fixed
 // 64-group dirty set on an 8k-group blocked view (`make bench-ckpt`) —
-// the E21 fast path: dirty blocks re-encode, clean blocks write refs.
+// the E21 fast path: dirty blocks re-encode in runs, clean blocks write
+// nothing.
 func BenchmarkBlockedCheckpoint(b *testing.B) {
 	db := ckptGuardDB(b, 8_000, 0)
 	b.ReportAllocs()

@@ -35,8 +35,8 @@ var ErrReadOnly = errors.New("chronicledb: database is read-only after a WAL fai
 // ErrUnsupportedLayout is wrapped by Open when the directory holds files of
 // a storage layout this version does not read: a single-file WAL
 // (chronicle.wal, shard-NNNN.wal, relations.wal), a fixed-name
-// checkpoint.bin, or a manifest whose version is not 2. Nothing in the
-// directory is touched.
+// checkpoint.bin, a manifest whose version is not 2, or a checkpoint image
+// whose version is not 5. Nothing in the directory is touched.
 var ErrUnsupportedLayout = errors.New("chronicledb: unsupported storage layout")
 
 // ErrInvalidOption is wrapped by Open when an Options field holds a value

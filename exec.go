@@ -596,7 +596,10 @@ func (db *DB) explainQuery(q *sqlparse.Query) (*Result, error) {
 		path = "point" + tupleText(a.point)
 		planned = min(total, 1)
 	} else {
-		if len(a.win.Lo) > 0 || len(a.win.Hi) > 0 {
+		if v.StoreKind() == view.StoreHash {
+			// The hash store has no order: every window reads the whole table.
+			path = "full (hash: gather, filter, sort)"
+		} else if len(a.win.Lo) > 0 || len(a.win.Hi) > 0 {
 			path = fmt.Sprintf("range[%s, %s)", a.lo.text("-∞"), a.hi.text("+∞"))
 		}
 		if a.win.Desc {

@@ -84,3 +84,46 @@ func FuzzBlock(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBlockedImage: RestoreBlocked must never panic on arbitrary bytes, and an
+// image it accepts must leave a block index that starts at -∞ and ascends
+// strictly — the order every read and write of a paged view relies on. The
+// seeds are the golden full image and an incremental image over it.
+func FuzzBlockedImage(f *testing.F) {
+	fx := newFixture(f)
+	sim := newChainSim()
+	src := goldenView(f, fx, StoreBTree)
+	src.EnablePaging(512, sim.fetch, NewCache(0))
+	goldenRows(f, fx, src)
+	full, pend, _, _, err := src.CheckpointBlocked(true)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full) // the golden image: TestGoldenBlockedImage pins these bytes
+	src.CommitBlockRefs("full", 0, pend)
+	src.Apply(fx.appendCall(f, acctName(3), 1))
+	src.Apply(fx.appendCall(f, acctName(30)+"x", 1))
+	delta, _, _, _, err := src.CheckpointBlocked(false)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(delta)
+	f.Add(full[:len(full)-1])
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v := goldenView(t, newFixture(t), StoreBTree)
+		v.EnablePaging(512, sim.fetch, NewCache(0))
+		if v.RestoreBlocked(data, "fuzz", 0) != nil {
+			return
+		}
+		blocks := v.pg.Load().blocks
+		if len(blocks) == 0 || blocks[0].lo != nil {
+			t.Fatal("an accepted image left the index without a -∞ head")
+		}
+		for i := 1; i < len(blocks); i++ {
+			if cmpBound(blocks[i-1].lo, blocks[i].lo) >= 0 {
+				t.Fatalf("an accepted image left blocks %d and %d out of order: %x, %x", i-1, i, blocks[i-1].lo, blocks[i].lo)
+			}
+		}
+	})
+}

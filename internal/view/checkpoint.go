@@ -10,18 +10,65 @@ import (
 // View checkpoints. Because the chronicle itself is not retained, a view's
 // materialization (including aggregation states) is the only durable record
 // of past transactional activity; recovery restores the checkpoint and
-// replays the WAL suffix. The format is:
+// replays the WAL suffix. Both image kinds — the whole image below and the
+// blocked image of a paged view (paged.go) — open with one header:
 //
-//	magic "CDBV", version byte
+//	magic "CDBV", version byte (1 whole, 2 blocked)
 //	schema fingerprint of the expression output (8 bytes LE)
 //	mode byte, aggregation count (uvarint)
+//
+// A whole image then holds every entry:
+//
 //	entry count (uvarint), then per entry:
 //	  vals tuple, count (uvarint), one state per aggregation spec
 
 const (
 	checkpointMagic   = "CDBV"
-	checkpointVersion = 1
+	checkpointVersion = 1 // whole image
+	blockedVersion    = 2 // blocked image
 )
+
+// appendHeader starts an image of the given version under the view's
+// definition.
+func (v *View) appendHeader(b []byte, version byte) []byte {
+	b = append(b, checkpointMagic...)
+	b = append(b, version)
+	b = binary.LittleEndian.AppendUint64(b, v.def.Expr.Schema().Fingerprint())
+	b = append(b, byte(v.def.Mode))
+	return binary.AppendUvarint(b, uint64(len(v.def.Aggs)))
+}
+
+// checkHeader validates an image's header against version and the view's
+// definition and returns the offset just past it.
+func (v *View) checkHeader(data []byte, version byte) (int, error) {
+	if len(data) < len(checkpointMagic)+1+8+1 {
+		return 0, fmt.Errorf("view %s: checkpoint truncated", v.def.Name)
+	}
+	if string(data[:4]) != checkpointMagic {
+		return 0, fmt.Errorf("view %s: bad checkpoint magic", v.def.Name)
+	}
+	if data[4] != version {
+		return 0, fmt.Errorf("view %s: unsupported checkpoint version %d (want %d)", v.def.Name, data[4], version)
+	}
+	off := 5
+	if binary.LittleEndian.Uint64(data[off:]) != v.def.Expr.Schema().Fingerprint() {
+		return 0, fmt.Errorf("view %s: checkpoint schema drift (expression changed since checkpoint)", v.def.Name)
+	}
+	off += 8
+	if Summarize(data[off]) != v.def.Mode {
+		return 0, fmt.Errorf("view %s: checkpoint mode mismatch", v.def.Name)
+	}
+	off++
+	nAggs, n := binary.Uvarint(data[off:])
+	if n <= 0 {
+		return 0, fmt.Errorf("view %s: bad aggregation count", v.def.Name)
+	}
+	if nAggs != uint64(len(v.def.Aggs)) {
+		return 0, fmt.Errorf("view %s: checkpoint has %d aggregations, definition has %d",
+			v.def.Name, nAggs, len(v.def.Aggs))
+	}
+	return off + n, nil
+}
 
 // Checkpoint serializes the view's materialized state. It holds the view
 // read lock, so it sees batch boundaries only, never a half-applied
@@ -29,12 +76,7 @@ const (
 // snapshot instead, so the image covers evicted blocks too and stays
 // complete even if eviction runs mid-encode.
 func (v *View) Checkpoint() []byte {
-	var b []byte
-	b = append(b, checkpointMagic...)
-	b = append(b, checkpointVersion)
-	b = binary.LittleEndian.AppendUint64(b, v.def.Expr.Schema().Fingerprint())
-	b = append(b, byte(v.def.Mode))
-	b = binary.AppendUvarint(b, uint64(len(v.def.Aggs)))
+	b := v.appendHeader(nil, checkpointVersion)
 	appendEntry := func(_ []byte, e *entry) bool {
 		b = appendBlockEntry(b, e, v.def.Aggs)
 		return true
@@ -55,33 +97,9 @@ func (v *View) Checkpoint() []byte {
 // RestoreCheckpoint replaces the view's state with a checkpoint previously
 // produced by a view with the same definition.
 func (v *View) RestoreCheckpoint(data []byte) error {
-	if len(data) < len(checkpointMagic)+1+8+1 {
-		return fmt.Errorf("view %s: checkpoint truncated", v.def.Name)
-	}
-	if string(data[:4]) != checkpointMagic {
-		return fmt.Errorf("view %s: bad checkpoint magic", v.def.Name)
-	}
-	if data[4] != checkpointVersion {
-		return fmt.Errorf("view %s: unsupported checkpoint version %d", v.def.Name, data[4])
-	}
-	off := 5
-	fp := binary.LittleEndian.Uint64(data[off:])
-	off += 8
-	if fp != v.def.Expr.Schema().Fingerprint() {
-		return fmt.Errorf("view %s: checkpoint schema drift (expression changed since checkpoint)", v.def.Name)
-	}
-	if Summarize(data[off]) != v.def.Mode {
-		return fmt.Errorf("view %s: checkpoint mode mismatch", v.def.Name)
-	}
-	off++
-	nAggs, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return fmt.Errorf("view %s: bad aggregation count", v.def.Name)
-	}
-	off += n
-	if int(nAggs) != len(v.def.Aggs) {
-		return fmt.Errorf("view %s: checkpoint has %d aggregations, definition has %d",
-			v.def.Name, nAggs, len(v.def.Aggs))
+	off, err := v.checkHeader(data, checkpointVersion)
+	if err != nil {
+		return err
 	}
 	count, n := binary.Uvarint(data[off:])
 	if n <= 0 {

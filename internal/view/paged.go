@@ -3,7 +3,9 @@ package view
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"chronicledb/internal/btree"
@@ -436,11 +438,11 @@ func (v *View) PlannedBlocks(w Window) (planned, total int) {
 	return b - a, len(p.blocks)
 }
 
-// PendingBlock records where one inline block payload sits inside a
-// blocked checkpoint image. Once the image's file is durable and the
-// manifest flip has made it authoritative, the storage layer calls
-// CommitBlockRefs to turn these into the blocks' durable refs; until
-// then the blocks stay dirty, so a failed checkpoint simply retries.
+// PendingBlock records where one block payload sits inside a blocked
+// checkpoint image. Once the image's file is durable and the manifest flip
+// has made it authoritative, the storage layer calls CommitBlockRefs to turn
+// these into the blocks' durable refs; until then the blocks stay dirty, so
+// a failed checkpoint simply retries.
 type PendingBlock struct {
 	b      *blockMeta
 	Off    int64 // payload offset relative to the image start
@@ -449,18 +451,37 @@ type PendingBlock struct {
 	markAt uint64 // block's dirtyMark when encoded; becomes ckptMark at commit
 }
 
-const (
-	blockedVersion = 2 // "CDBV" version byte for blocked view images
-)
+// The blocked image is the shared header (checkpoint.go), then runs:
+//
+//	run count (uvarint), then per run:
+//	  hi: 0 for +∞, else len(hi)+1 (uvarint) and hi
+//	  block count (uvarint, ≥ 1), then per block, ascending and below hi:
+//	    len(lo) (uvarint) and lo (empty only for the -∞ block)
+//	    entry count (uvarint), len(payload) (uvarint), payload (block.go)
+//
+// A run replaces the key range from its first block's lo up to hi. An
+// incremental cut writes the maximal runs of adjacent dirty blocks; a full
+// cut is the one run that spans (-∞, +∞).
 
-// CheckpointBlocked serializes the view's blocked image. Dirty blocks are
-// re-encoded from the live tree (splitting any that outgrew the target
-// size); clean blocks are written as refs to their existing chain
-// location — unless full is set, in which case every block is inlined
-// (resident blocks re-encoded, cold clean blocks copied forward raw,
-// without decoding) so the image is self-contained and older chain files
-// can be folded away. Returns the image, the pending ref commits, and the
-// dirty/total block counts for observability.
+// CheckpointBlocked serializes the view's blocked image: the blocks that
+// changed since their last committed image — every block when full is set —
+// in maximal runs of adjacent blocks, each stamped with the exclusive upper
+// bound of the key range it covers (the next block's lo, or +∞). Restore
+// splices each run over that range of the index earlier chain images built,
+// so an incremental cut costs the dirty set alone, and a full cut, whose one
+// run spans (-∞, +∞), replaces the index and lets older chain files fold away.
+// Resident blocks in a run are re-encoded from the live tree (splitting any
+// that outgrew the target size); a cold block is clean, so only a full cut
+// carries one, copied forward raw after a CRC check, never decoded. Returns
+// the image, the pending ref commits, and the dirty/total block counts for
+// observability.
+//
+// Run bounds are always boundaries the restorer already knows: block
+// boundaries only ever split (encodeBlockRun never merges adjacent blocks),
+// an uncommitted split stays dirty and is swallowed by its run, and a clean
+// neighbor's lo was committed with the image that made it clean. A view
+// whose blocks were never committed is all dirty, so its first incremental
+// image is one -∞..+∞ run too.
 func (v *View) CheckpointBlocked(full bool) (img []byte, pend []PendingBlock, dirtyBlocks, totalBlocks int, err error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -469,151 +490,51 @@ func (v *View) CheckpointBlocked(full bool) (img []byte, pend []PendingBlock, di
 		return nil, nil, 0, 0, fmt.Errorf("view %s: not paged", v.def.Name)
 	}
 	ts := v.store.(*treeStore)
-
-	// Pass 1: decide each block's fate and re-encode the dirty ones,
-	// installing any splits into a fresh block list as we go.
-	type seg struct {
-		b       *blockMeta
-		payload []byte // inline payload; nil ⇒ emit the existing ref
-	}
-	var segs []seg
-	newBlocks := make([]*blockMeta, 0, len(p.blocks))
-	for i, b := range p.blocks {
-		var hi []byte
-		hasHi := i+1 < len(p.blocks)
-		if hasHi {
-			hi = p.blocks[i+1].lo
-		}
-		switch {
-		case b.dirty() || (full && b.resident):
-			if b.dirty() {
-				dirtyBlocks++
-			}
-			subs, payloads := v.encodeBlockRun(ts, p, b, hi, hasHi)
-			if len(subs) == 1 && subs[0] == b {
-				p.cache.updateBytes(b, int64(len(payloads[0])))
-			} else {
-				p.cache.replaceBlock(v, b, subs)
-			}
-			for j, sb := range subs {
-				segs = append(segs, seg{b: sb, payload: payloads[j]})
-				newBlocks = append(newBlocks, sb)
-			}
-		case full:
-			// Clean and cold: copy the durable payload forward unparsed.
-			data, ferr := p.fetch(*b.ref)
-			if ferr != nil {
-				return nil, nil, 0, 0, fmt.Errorf("view %s: copy-forward %s@%d: %w",
-					v.def.Name, b.ref.File, b.ref.Off, ferr)
-			}
-			if len(data) < 4 || binary.LittleEndian.Uint32(data[len(data)-4:]) != b.ref.CRC {
-				return nil, nil, 0, 0, fmt.Errorf("view %s: copy-forward %s@%d: CRC mismatch",
-					v.def.Name, b.ref.File, b.ref.Off)
-			}
-			segs = append(segs, seg{b: b, payload: data})
-			newBlocks = append(newBlocks, b)
-		default:
-			segs = append(segs, seg{b: b})
-			newBlocks = append(newBlocks, b)
+	in := func(i int) bool { return i < len(p.blocks) && (full || p.blocks[i].dirty()) }
+	runs := 0
+	for i := range p.blocks {
+		if in(i) && (i == 0 || !in(i-1)) {
+			runs++
 		}
 	}
-	v.installBlocksLocked(p, newBlocks)
-	totalBlocks = len(newBlocks)
+	img = v.appendHeader(img, blockedVersion)
+	img = binary.AppendUvarint(img, uint64(runs))
 
-	// Pass 2: assemble the image.
-	img = append(img, checkpointMagic...)
-	img = append(img, blockedVersion)
-	img = binary.LittleEndian.AppendUint64(img, v.def.Expr.Schema().Fingerprint())
-	img = append(img, byte(v.def.Mode))
-	img = binary.AppendUvarint(img, uint64(len(v.def.Aggs)))
-	img = binary.AppendUvarint(img, uint64(len(segs)))
-	for _, s := range segs {
-		img = binary.AppendUvarint(img, uint64(len(s.b.lo)))
-		img = append(img, s.b.lo...)
-		img = binary.AppendUvarint(img, uint64(s.b.n))
-		if s.payload == nil {
-			img = append(img, 0) // ref
-			img = binary.AppendUvarint(img, uint64(len(s.b.ref.File)))
-			img = append(img, s.b.ref.File...)
-			img = binary.AppendUvarint(img, uint64(s.b.ref.Off))
-			img = binary.AppendUvarint(img, uint64(s.b.ref.Len))
-			img = binary.LittleEndian.AppendUint32(img, s.b.ref.CRC)
-			continue
-		}
-		img = append(img, 1) // inline
-		img = binary.AppendUvarint(img, uint64(len(s.payload)))
-		off := int64(len(img))
-		img = append(img, s.payload...)
-		pend = append(pend, PendingBlock{
-			b:      s.b,
-			Off:    off,
-			Len:    int64(len(s.payload)),
-			CRC:    binary.LittleEndian.Uint32(s.payload[len(s.payload)-4:]),
-			markAt: s.b.dirtyMark,
-		})
-	}
-	return img, pend, dirtyBlocks, totalBlocks, nil
-}
-
-// CheckpointBlockedDelta serializes an incremental blocked image carrying
-// only the dirty blocks, grouped into maximal runs of adjacent dirty
-// blocks together with the exclusive upper bound of the key range each
-// run covers (the next clean block's lo, or +∞). Restore merges each run
-// into the block index accumulated from earlier chain images, so the cost
-// of an incremental cut is proportional to the dirty set alone — clean
-// blocks contribute nothing to the image, not even ref records. A view
-// whose blocks were never committed (created since the last cut) is all
-// dirty, so its first delta is a single run covering -∞..+∞ and merges
-// cleanly into an empty index.
-//
-// Run bounds are always boundaries the restorer already knows: block
-// boundaries only ever split (encodeBlockRun never merges adjacent
-// blocks), an uncommitted split stays dirty and is swallowed by its run,
-// and a clean neighbor's lo was committed with the image that made it
-// clean.
-func (v *View) CheckpointBlockedDelta() (img []byte, pend []PendingBlock, dirtyBlocks, totalBlocks int, err error) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	p := v.pg.Load()
-	if p == nil {
-		return nil, nil, 0, 0, fmt.Errorf("view %s: not paged", v.def.Name)
-	}
-	ts := v.store.(*treeStore)
-
-	// Pass 1: gather maximal dirty runs, re-encoding each block (splits
-	// land inside the run, whose covering range is unaffected).
 	type seg struct {
 		b       *blockMeta
 		payload []byte
 	}
-	type drun struct {
-		hi    []byte // exclusive upper bound; nil + !hasHi = +∞
-		hasHi bool
-		segs  []seg
-	}
-	var runs []drun
+	var segs []seg
 	newBlocks := make([]*blockMeta, 0, len(p.blocks))
 	for i := 0; i < len(p.blocks); {
-		if !p.blocks[i].dirty() {
+		if !in(i) {
 			newBlocks = append(newBlocks, p.blocks[i])
 			i++
 			continue
 		}
+		segs = segs[:0]
 		j := i
-		for j < len(p.blocks) && p.blocks[j].dirty() {
-			j++
-		}
-		r := drun{hasHi: j < len(p.blocks)}
-		if r.hasHi {
-			r.hi = p.blocks[j].lo
-		}
-		for k := i; k < j; k++ {
-			b := p.blocks[k]
-			dirtyBlocks++
+		for ; in(j); j++ {
+			b := p.blocks[j]
+			if !b.resident {
+				data, ferr := p.fetch(*b.ref)
+				if ferr == nil && (len(data) < 4 || binary.LittleEndian.Uint32(data[len(data)-4:]) != b.ref.CRC) {
+					ferr = errors.New("CRC mismatch")
+				}
+				if ferr != nil {
+					return nil, nil, 0, 0, fmt.Errorf("view %s: copy-forward %s@%d: %w",
+						v.def.Name, b.ref.File, b.ref.Off, ferr)
+				}
+				segs = append(segs, seg{b: b, payload: data})
+				continue
+			}
+			if b.dirty() {
+				dirtyBlocks++
+			}
 			var hi []byte
-			hasHi := k+1 < len(p.blocks)
+			hasHi := j+1 < len(p.blocks)
 			if hasHi {
-				hi = p.blocks[k+1].lo
+				hi = p.blocks[j+1].lo
 			}
 			subs, payloads := v.encodeBlockRun(ts, p, b, hi, hasHi)
 			if len(subs) == 1 && subs[0] == b {
@@ -621,49 +542,36 @@ func (v *View) CheckpointBlockedDelta() (img []byte, pend []PendingBlock, dirtyB
 			} else {
 				p.cache.replaceBlock(v, b, subs)
 			}
-			for s, sb := range subs {
-				r.segs = append(r.segs, seg{b: sb, payload: payloads[s]})
-				newBlocks = append(newBlocks, sb)
+			for k, sb := range subs {
+				segs = append(segs, seg{b: sb, payload: payloads[k]})
 			}
 		}
-		runs = append(runs, r)
-		i = j
-	}
-	v.installBlocksLocked(p, newBlocks)
-	totalBlocks = len(newBlocks)
-
-	// Pass 2: assemble the image — shared header, then the runs.
-	img = append(img, checkpointMagic...)
-	img = append(img, blockedVersion)
-	img = binary.LittleEndian.AppendUint64(img, v.def.Expr.Schema().Fingerprint())
-	img = append(img, byte(v.def.Mode))
-	img = binary.AppendUvarint(img, uint64(len(v.def.Aggs)))
-	img = binary.AppendUvarint(img, uint64(len(runs)))
-	for _, r := range runs {
-		if r.hasHi {
-			img = binary.AppendUvarint(img, uint64(len(r.hi))+1)
-			img = append(img, r.hi...)
+		if j < len(p.blocks) {
+			img = binary.AppendUvarint(img, uint64(len(p.blocks[j].lo))+1)
+			img = append(img, p.blocks[j].lo...)
 		} else {
 			img = binary.AppendUvarint(img, 0) // +∞
 		}
-		img = binary.AppendUvarint(img, uint64(len(r.segs)))
-		for _, s := range r.segs {
+		img = binary.AppendUvarint(img, uint64(len(segs)))
+		for _, s := range segs {
 			img = binary.AppendUvarint(img, uint64(len(s.b.lo)))
 			img = append(img, s.b.lo...)
 			img = binary.AppendUvarint(img, uint64(s.b.n))
 			img = binary.AppendUvarint(img, uint64(len(s.payload)))
-			off := int64(len(img))
-			img = append(img, s.payload...)
 			pend = append(pend, PendingBlock{
 				b:      s.b,
-				Off:    off,
+				Off:    int64(len(img)),
 				Len:    int64(len(s.payload)),
 				CRC:    binary.LittleEndian.Uint32(s.payload[len(s.payload)-4:]),
 				markAt: s.b.dirtyMark,
 			})
+			img = append(img, s.payload...)
+			newBlocks = append(newBlocks, s.b)
 		}
+		i = j
 	}
-	return img, pend, dirtyBlocks, totalBlocks, nil
+	v.installBlocksLocked(p, newBlocks)
+	return img, pend, dirtyBlocks, len(newBlocks), nil
 }
 
 // encodeBlockRun re-encodes one dirty (hence resident) block's entries
@@ -743,175 +651,6 @@ func (v *View) CommitBlockRefs(file string, base int64, pend []PendingBlock) {
 	}
 }
 
-// RestoreBlocked replaces the view's state from a blocked image that
-// lives at base within file. Paged views restore lazily: only the block
-// index is materialized — every block starts cold and faults in on first
-// touch, so recovery cost is flat in view cardinality. Unpaged views
-// restore eagerly through fetch — no database has one since a durable B-tree
-// view always pages, but the golden and delta-merge tests compare the lazy
-// path against it.
-func (v *View) RestoreBlocked(data []byte, file string, base int64, fetch FetchFunc) error {
-	rest, err := v.checkBlockedHeader(data)
-	if err != nil {
-		return err
-	}
-	blockCount, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return fmt.Errorf("view %s: bad block count", v.def.Name)
-	}
-	off := len(data) - len(rest) + n
-
-	type rec struct {
-		lo      []byte
-		n       int
-		ref     BlockRef
-		payload []byte // inline payload slice into data (eager decode)
-	}
-	maxRecs := int(blockCount)
-	if maxRecs > len(data) {
-		maxRecs = len(data)
-	}
-	recs := make([]rec, 0, maxRecs)
-	for i := uint64(0); i < blockCount; i++ {
-		loLen, n := binary.Uvarint(data[off:])
-		if n <= 0 || off+n+int(loLen) > len(data) {
-			return fmt.Errorf("view %s: block %d: bad lo", v.def.Name, i)
-		}
-		off += n
-		var lo []byte
-		if loLen > 0 {
-			lo = append([]byte(nil), data[off:off+int(loLen)]...)
-		}
-		off += int(loLen)
-		cnt, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return fmt.Errorf("view %s: block %d: bad entry count", v.def.Name, i)
-		}
-		off += n
-		if off >= len(data) {
-			return fmt.Errorf("view %s: block %d: truncated", v.def.Name, i)
-		}
-		flag := data[off]
-		off++
-		r := rec{lo: lo, n: int(cnt)}
-		switch flag {
-		case 0: // ref
-			fl, n := binary.Uvarint(data[off:])
-			if n <= 0 || off+n+int(fl) > len(data) {
-				return fmt.Errorf("view %s: block %d: bad ref file", v.def.Name, i)
-			}
-			off += n
-			r.ref.File = string(data[off : off+int(fl)])
-			off += int(fl)
-			o, n := binary.Uvarint(data[off:])
-			if n <= 0 {
-				return fmt.Errorf("view %s: block %d: bad ref off", v.def.Name, i)
-			}
-			off += n
-			l, n := binary.Uvarint(data[off:])
-			if n <= 0 {
-				return fmt.Errorf("view %s: block %d: bad ref len", v.def.Name, i)
-			}
-			off += n
-			if off+4 > len(data) {
-				return fmt.Errorf("view %s: block %d: truncated ref", v.def.Name, i)
-			}
-			r.ref.Off, r.ref.Len = int64(o), int64(l)
-			r.ref.CRC = binary.LittleEndian.Uint32(data[off:])
-			off += 4
-		case 1: // inline
-			pl, n := binary.Uvarint(data[off:])
-			if n <= 0 || off+n+int(pl) > len(data) {
-				return fmt.Errorf("view %s: block %d: bad inline payload", v.def.Name, i)
-			}
-			off += n
-			if pl < 4 {
-				return fmt.Errorf("view %s: block %d: inline payload too short", v.def.Name, i)
-			}
-			r.payload = data[off : off+int(pl)]
-			r.ref = BlockRef{
-				File: file,
-				Off:  base + int64(off),
-				Len:  int64(pl),
-				CRC:  binary.LittleEndian.Uint32(r.payload[pl-4:]),
-			}
-			off += int(pl)
-		default:
-			return fmt.Errorf("view %s: block %d: unknown flag %d", v.def.Name, i, flag)
-		}
-		recs = append(recs, r)
-	}
-	if off != len(data) {
-		return fmt.Errorf("view %s: %d trailing blocked-checkpoint bytes", v.def.Name, len(data)-off)
-	}
-	if len(recs) == 0 || recs[0].lo != nil {
-		return fmt.Errorf("view %s: blocked image missing -∞ block", v.def.Name)
-	}
-
-	if p := v.pg.Load(); p != nil {
-		// Lazy: install the block index only; every block starts cold.
-		v.mu.Lock()
-		p.cache.dropView(v)
-		v.store = newStore(StoreBTree)
-		blocks := make([]*blockMeta, len(recs))
-		var total int64
-		for i, r := range recs {
-			blocks[i] = &blockMeta{lo: r.lo, n: r.n, bytes: r.ref.Len, ref: &BlockRef{}}
-			*blocks[i].ref = r.ref
-			total += int64(r.n)
-		}
-		p.blocks = blocks
-		p.nonResident.Store(int64(len(blocks)))
-		p.total = total
-		v.publishLocked()
-		v.mu.Unlock()
-		return nil
-	}
-
-	// Eager: materialize everything (the view runs unpaged).
-	fresh := newStore(storeKindOf(v.store))
-	a := new(arena)
-	var keyBuf []byte
-	for i, r := range recs {
-		payload := r.payload
-		if payload == nil {
-			if fetch == nil {
-				return fmt.Errorf("view %s: block %d needs a fetcher to restore eagerly", v.def.Name, i)
-			}
-			var err error
-			payload, err = fetch(r.ref)
-			if err != nil {
-				return fmt.Errorf("view %s: block %d: %w", v.def.Name, i, err)
-			}
-		}
-		entries, err := decodeBlock(payload, v.def.Mode, v.def.Aggs)
-		if err != nil {
-			return fmt.Errorf("view %s: block %d: %w", v.def.Name, i, err)
-		}
-		a.reserve(len(entries))
-		for _, e := range entries {
-			keyBuf = keyenc.AppendTuple(keyBuf[:0], e.vals)
-			dup, tag := fresh.get(keyBuf)
-			if dup != nil {
-				return fmt.Errorf("view %s: block %d repeats a group", v.def.Name, i)
-			}
-			fresh.put(a, keyBuf, tag, e)
-		}
-	}
-	v.mu.Lock()
-	if cur, ok := v.store.(*hashStore); ok {
-		f := fresh.(*hashStore)
-		f.publish(0)
-		cur.adopt(f)
-	} else {
-		v.store = fresh
-	}
-	v.arena = a
-	v.publishLocked()
-	v.mu.Unlock()
-	return nil
-}
-
 // cmpBound compares two block lower bounds, where nil means -∞.
 func cmpBound(a, b []byte) int {
 	switch {
@@ -925,203 +664,128 @@ func cmpBound(a, b []byte) int {
 	return bytes.Compare(a, b)
 }
 
-// RestoreBlockedDelta merges a delta image (CheckpointBlockedDelta) that
-// lives at base within file into the state restored from earlier chain
-// images: each run replaces exactly the key range it covers. Paged views
-// splice the runs' blocks into the block index cold; unpaged views
-// materialize the runs' entries into the live store after deleting the
-// covered ranges.
-func (v *View) RestoreBlockedDelta(data []byte, file string, base int64) error {
-	rest, err := v.checkBlockedHeader(data)
+// RestoreBlocked splices a blocked image that lives at base within file into
+// the block index earlier chain images built: each run's blocks replace, cold,
+// the blocks of the key range the run covers. A full image's one run covers
+// (-∞, +∞) and replaces the whole index. Only the index is built — every
+// block faults in on first touch, so recovery cost is flat in view
+// cardinality — and nothing changes unless the whole image parses. Only a
+// paged view has an index to splice into.
+func (v *View) RestoreBlocked(data []byte, file string, base int64) error {
+	p := v.pg.Load()
+	if p == nil {
+		return fmt.Errorf("view %s: blocked image for a view that does not page", v.def.Name)
+	}
+	off, err := v.checkHeader(data, blockedVersion)
 	if err != nil {
 		return err
 	}
-	off := len(data) - len(rest)
-	runCount, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return fmt.Errorf("view %s: bad delta run count", v.def.Name)
-	}
-	off += n
-
-	type rec struct {
-		lo      []byte
-		n       int
-		ref     BlockRef
-		payload []byte // slice into data
-	}
-	type drun struct {
-		hi    []byte
-		hasHi bool
-		recs  []rec
-	}
-	maxRuns := int(runCount)
-	if maxRuns > len(data) {
-		maxRuns = len(data)
-	}
-	runs := make([]drun, 0, maxRuns)
-	for i := uint64(0); i < runCount; i++ {
-		hiLen, n := binary.Uvarint(data[off:])
-		if n <= 0 || hiLen > 0 && off+n+int(hiLen-1) > len(data) {
-			return fmt.Errorf("view %s: run %d: bad hi", v.def.Name, i)
+	// next reads a uvarint and take the next n bytes; both fail past the end.
+	next := func() (uint64, bool) {
+		x, n := binary.Uvarint(data[off:])
+		if n <= 0 {
+			return 0, false
 		}
 		off += n
-		var r drun
-		if hiLen > 0 {
-			hl := int(hiLen - 1)
-			r.hasHi = true
-			r.hi = append([]byte(nil), data[off:off+hl]...)
-			off += hl
+		return x, true
+	}
+	take := func(n uint64) ([]byte, bool) {
+		if n > uint64(len(data)-off) {
+			return nil, false
 		}
-		blockCount, n := binary.Uvarint(data[off:])
-		if n <= 0 || blockCount == 0 || blockCount > uint64(len(data)) {
-			return fmt.Errorf("view %s: run %d: bad block count", v.def.Name, i)
+		off += int(n)
+		return data[off-int(n) : off], true
+	}
+	type run struct {
+		hi     []byte // exclusive upper bound; nil + !hasHi = +∞
+		hasHi  bool
+		blocks []*blockMeta
+	}
+	nRuns, ok := next()
+	if !ok || nRuns > uint64(len(data)) {
+		return fmt.Errorf("view %s: bad blocked run count", v.def.Name)
+	}
+	runs := make([]run, nRuns)
+	for i := range runs {
+		r := &runs[i]
+		hiLen, ok := next()
+		if ok && hiLen > 0 {
+			r.hi, ok = take(hiLen - 1)
+			r.hi, r.hasHi = bytes.Clone(r.hi), true
 		}
-		off += n
-		r.recs = make([]rec, 0, blockCount)
-		for b := uint64(0); b < blockCount; b++ {
-			loLen, n := binary.Uvarint(data[off:])
-			if n <= 0 || off+n+int(loLen) > len(data) {
-				return fmt.Errorf("view %s: run %d block %d: bad lo", v.def.Name, i, b)
-			}
-			off += n
-			var lo []byte
-			if loLen > 0 {
-				lo = append([]byte(nil), data[off:off+int(loLen)]...)
-			}
-			off += int(loLen)
-			cnt, n := binary.Uvarint(data[off:])
-			if n <= 0 {
-				return fmt.Errorf("view %s: run %d block %d: bad entry count", v.def.Name, i, b)
-			}
-			off += n
-			pl, n := binary.Uvarint(data[off:])
-			if n <= 0 || off+n+int(pl) > len(data) || pl < 4 {
-				return fmt.Errorf("view %s: run %d block %d: bad payload", v.def.Name, i, b)
-			}
-			off += n
-			payload := data[off : off+int(pl)]
-			r.recs = append(r.recs, rec{
-				lo: lo, n: int(cnt), payload: payload,
-				ref: BlockRef{
-					File: file,
-					Off:  base + int64(off),
-					Len:  int64(pl),
-					CRC:  binary.LittleEndian.Uint32(payload[pl-4:]),
-				},
-			})
-			off += int(pl)
+		nBlocks, ok2 := next()
+		if !ok || !ok2 || nBlocks == 0 || nBlocks > uint64(len(data)) {
+			return fmt.Errorf("view %s: run %d: bad hi or block count", v.def.Name, i)
 		}
-		// Blocks within a run must ascend strictly and stay below hi, or
-		// the merged index would lose its ordering invariant.
-		for b := 1; b < len(r.recs); b++ {
-			if cmpBound(r.recs[b-1].lo, r.recs[b].lo) >= 0 {
+		for b := uint64(0); b < nBlocks; b++ {
+			loLen, ok1 := next()
+			lo, ok2 := take(loLen)
+			cnt, ok3 := next()
+			plen, ok4 := next()
+			at := off
+			payload, ok5 := take(plen)
+			if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 || plen < 4 || cnt > plen {
+				return fmt.Errorf("view %s: run %d block %d: bad block", v.def.Name, i, b)
+			}
+			if len(lo) == 0 {
+				lo = nil // -∞
+			}
+			m := &blockMeta{lo: bytes.Clone(lo), n: int(cnt), bytes: int64(plen), ref: &BlockRef{
+				File: file,
+				Off:  base + int64(at),
+				Len:  int64(plen),
+				CRC:  binary.LittleEndian.Uint32(payload[plen-4:]),
+			}}
+			// Blocks ascend strictly, and a run starts at or past the bound of
+			// the one before it, or the spliced index loses its order.
+			switch {
+			case b > 0 && cmpBound(r.blocks[b-1].lo, m.lo) >= 0:
 				return fmt.Errorf("view %s: run %d: blocks out of order", v.def.Name, i)
+			case b == 0 && i > 0 && (!runs[i-1].hasHi || cmpBound(m.lo, runs[i-1].hi) < 0):
+				return fmt.Errorf("view %s: run %d: runs out of order", v.def.Name, i)
 			}
+			r.blocks = append(r.blocks, m)
 		}
-		if r.hasHi && cmpBound(r.recs[len(r.recs)-1].lo, r.hi) >= 0 {
+		if r.hasHi && cmpBound(r.blocks[len(r.blocks)-1].lo, r.hi) >= 0 {
 			return fmt.Errorf("view %s: run %d: block at or past run bound", v.def.Name, i)
 		}
-		runs = append(runs, r)
 	}
 	if off != len(data) {
-		return fmt.Errorf("view %s: %d trailing delta bytes", v.def.Name, len(data)-off)
+		return fmt.Errorf("view %s: %d trailing blocked-checkpoint bytes", v.def.Name, len(data)-off)
 	}
 
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	ts, ok := v.store.(*treeStore)
-	if !ok {
-		return fmt.Errorf("view %s: blocked delta into non-tree store", v.def.Name)
-	}
-	p := v.pg.Load()
+	ts := v.store.(*treeStore)
 	for _, r := range runs {
-		lo := r.recs[0].lo
+		lo := r.blocks[0].lo
 		// Drop the covered range from the live tree (resident entries of
 		// replaced blocks; a no-op when everything is cold).
 		ts.t.DeleteRange(lo, r.hi, lo != nil, r.hasHi)
-		if p == nil {
-			// Eager: the view runs unpaged, materialize the run's entries.
-			var keyBuf []byte
-			for i, rc := range r.recs {
-				entries, derr := decodeBlock(rc.payload, v.def.Mode, v.def.Aggs)
-				if derr != nil {
-					return fmt.Errorf("view %s: delta block %d: %w", v.def.Name, i, derr)
-				}
-				for _, e := range entries {
-					keyBuf = keyenc.AppendTuple(keyBuf[:0], e.vals)
-					ts.put(v.arena, keyBuf, 0, e)
-				}
-			}
-			continue
-		}
-		// Lazy: splice the run's cold blocks over the index span [lo, hi).
 		s := 0
 		for s < len(p.blocks) && cmpBound(p.blocks[s].lo, lo) < 0 {
 			s++
 		}
 		e := s
-		for e < len(p.blocks) && (!r.hasHi || cmpBound(p.blocks[e].lo, r.hi) < 0) {
-			b := p.blocks[e]
-			if b.resident {
+		for ; e < len(p.blocks) && (!r.hasHi || cmpBound(p.blocks[e].lo, r.hi) < 0); e++ {
+			if b := p.blocks[e]; b.resident {
 				p.cache.dropResident(b)
 			} else {
 				p.nonResident.Add(-1)
 			}
-			p.total -= int64(b.n)
-			e++
+			p.total -= int64(p.blocks[e].n)
 		}
-		ins := make([]*blockMeta, len(r.recs))
-		for i, rc := range r.recs {
-			m := &blockMeta{lo: rc.lo, n: rc.n, bytes: rc.ref.Len, ref: &BlockRef{}}
-			*m.ref = rc.ref
-			p.total += int64(rc.n)
-			ins[i] = m
+		for _, b := range r.blocks {
+			p.total += int64(b.n)
 		}
-		p.nonResident.Add(int64(len(ins)))
-		nb := make([]*blockMeta, 0, len(p.blocks)-(e-s)+len(ins))
-		nb = append(nb, p.blocks[:s]...)
-		nb = append(nb, ins...)
-		nb = append(nb, p.blocks[e:]...)
-		p.blocks = nb
+		p.nonResident.Add(int64(len(r.blocks)))
+		p.blocks = slices.Concat(p.blocks[:s], r.blocks, p.blocks[e:])
 	}
-	if p != nil && (len(p.blocks) == 0 || p.blocks[0].lo != nil) {
-		return fmt.Errorf("view %s: blocked delta left index without -∞ block", v.def.Name)
+	if len(p.blocks) == 0 || p.blocks[0].lo != nil {
+		return fmt.Errorf("view %s: blocked image left the index without a -∞ block", v.def.Name)
 	}
 	v.publishLocked()
 	return nil
-}
-
-// checkBlockedHeader validates the blocked image's fixed header and
-// returns the remainder starting at the block count.
-func (v *View) checkBlockedHeader(data []byte) ([]byte, error) {
-	if len(data) < len(checkpointMagic)+1+8+1+1 {
-		return nil, fmt.Errorf("view %s: blocked checkpoint truncated", v.def.Name)
-	}
-	if string(data[:4]) != checkpointMagic {
-		return nil, fmt.Errorf("view %s: bad blocked checkpoint magic", v.def.Name)
-	}
-	if data[4] != blockedVersion {
-		return nil, fmt.Errorf("view %s: unsupported blocked checkpoint version %d", v.def.Name, data[4])
-	}
-	off := 5
-	if fp := binary.LittleEndian.Uint64(data[off:]); fp != v.def.Expr.Schema().Fingerprint() {
-		return nil, fmt.Errorf("view %s: blocked checkpoint schema drift", v.def.Name)
-	}
-	off += 8
-	if Summarize(data[off]) != v.def.Mode {
-		return nil, fmt.Errorf("view %s: blocked checkpoint mode mismatch", v.def.Name)
-	}
-	off++
-	nAggs, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return nil, fmt.Errorf("view %s: bad aggregation count", v.def.Name)
-	}
-	off += n
-	if int(nAggs) != len(v.def.Aggs) {
-		return nil, fmt.Errorf("view %s: blocked checkpoint has %d aggregations, definition has %d",
-			v.def.Name, nAggs, len(v.def.Aggs))
-	}
-	return data[off:], nil
 }
 
 // BlockStats reports the pager's block counts for observability: total

@@ -177,7 +177,7 @@ func TestPagedRestoreLazy(t *testing.T) {
 	f2 := newFixture(t)
 	v2 := pagedView(t, f2, sim, 256, NewCache(0))
 	sim.fetches = 0
-	if err := v2.RestoreBlocked(img, "ck1", 0, sim.fetch); err != nil {
+	if err := v2.RestoreBlocked(img, "ck1", 0); err != nil {
 		t.Fatal(err)
 	}
 	if sim.fetches != 0 {
@@ -202,61 +202,9 @@ func TestPagedRestoreLazy(t *testing.T) {
 	if got, want := fmt.Sprint(v2.Rows()), fmt.Sprint(v.Rows()); got != want {
 		t.Fatalf("restored rows diverge:\n got %s\nwant %s", got, want)
 	}
-}
-
-func TestPagedRestoreEagerUnpaged(t *testing.T) {
-	f := newFixture(t)
-	sim := newChainSim()
-	v := pagedView(t, f, sim, 256, NewCache(0))
-	for i := 0; i < 80; i++ {
-		v.Apply(f.appendCall(t, acctName(i), 3))
-	}
-	img, pend, _, _, err := v.CheckpointBlocked(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.files["ck1"] = img
-	v.CommitBlockRefs("ck1", 0, pend)
-
-	// Unpaged view (paging disabled on reopen) restores eagerly.
-	f2 := newFixture(t)
-	v2 := minutesPerAcct(t, f2, StoreBTree)
-	if err := v2.RestoreBlocked(img, "ck1", 0, sim.fetch); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := fmt.Sprint(v2.Rows()), fmt.Sprint(v.Rows()); got != want {
-		t.Fatalf("eager restore diverges:\n got %s\nwant %s", got, want)
-	}
-}
-
-func TestPagedIncrementalRestoreMixedRefs(t *testing.T) {
-	// Incremental images hold refs into older chain files; a restore from
-	// the newest image must resolve blocks across files.
-	f := newFixture(t)
-	sim := newChainSim()
-	v := pagedView(t, f, sim, 256, NewCache(0))
-	for i := 0; i < 150; i++ {
-		v.Apply(f.appendCall(t, acctName(i), 2))
-	}
-	sim.checkpointTo(t, v, "ck1", true)
-	v.Apply(f.appendCall(t, acctName(3), 2))
-	img, pend, dirty, _, err := v.CheckpointBlocked(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dirty != 1 {
-		t.Fatalf("dirty = %d, want 1", dirty)
-	}
-	sim.files["ck2"] = img
-	v.CommitBlockRefs("ck2", 0, pend)
-
-	f2 := newFixture(t)
-	v2 := pagedView(t, f2, sim, 256, NewCache(0))
-	if err := v2.RestoreBlocked(img, "ck2", 0, sim.fetch); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := fmt.Sprint(v2.Rows()), fmt.Sprint(v.Rows()); got != want {
-		t.Fatalf("mixed-ref restore diverges:\n got %s\nwant %s", got, want)
+	// A view that does not page has no index to splice the image into.
+	if err := minutesPerAcct(t, newFixture(t), StoreBTree).RestoreBlocked(img, "ck1", 0); err == nil {
+		t.Fatal("a blocked image restored into a view that does not page")
 	}
 }
 
@@ -318,7 +266,7 @@ func TestPagedProjectionView(t *testing.T) {
 	}
 	sim.files["ck2"] = img
 	v.CommitBlockRefs("ck2", 0, pend)
-	if err := v2.RestoreBlocked(img, "ck2", 0, sim.fetch); err != nil {
+	if err := v2.RestoreBlocked(img, "ck2", 0); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := fmt.Sprint(v2.Rows()), fmt.Sprint(v.Rows()); got != want {
@@ -347,7 +295,7 @@ func TestBlockedDeltaMergeLazy(t *testing.T) {
 	for j := 0; j < 30; j++ {
 		v.Apply(f.appendCall(t, fmt.Sprintf("acct0100x%02d", j), 1))
 	}
-	delta, dpend, dirty, total, err := v.CheckpointBlockedDelta()
+	delta, dpend, dirty, total, err := v.CheckpointBlocked(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,11 +318,11 @@ func TestBlockedDeltaMergeLazy(t *testing.T) {
 	// Lazy restore: base image, then the delta merges in with no fetches.
 	f2 := newFixture(t)
 	v2 := pagedView(t, f2, sim, 256, NewCache(0))
-	if err := v2.RestoreBlocked(full, "ck1", 0, sim.fetch); err != nil {
+	if err := v2.RestoreBlocked(full, "ck1", 0); err != nil {
 		t.Fatal(err)
 	}
 	sim.fetches = 0
-	if err := v2.RestoreBlockedDelta(delta, "ck2", 0); err != nil {
+	if err := v2.RestoreBlocked(delta, "ck2", 0); err != nil {
 		t.Fatal(err)
 	}
 	if sim.fetches != 0 {
@@ -389,42 +337,6 @@ func TestBlockedDeltaMergeLazy(t *testing.T) {
 	}
 }
 
-func TestBlockedDeltaMergeEager(t *testing.T) {
-	f := newFixture(t)
-	sim := newChainSim()
-	v := pagedView(t, f, sim, 256, NewCache(0))
-	for i := 0; i < 80; i++ {
-		v.Apply(f.appendCall(t, acctName(i), 3))
-	}
-	full, pend, _, _, err := v.CheckpointBlocked(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.files["ck1"] = full
-	v.CommitBlockRefs("ck1", 0, pend)
-	v.Apply(f.appendCall(t, acctName(42), 3))
-	delta, dpend, _, _, err := v.CheckpointBlockedDelta()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.files["ck2"] = delta
-	v.CommitBlockRefs("ck2", 0, dpend)
-
-	// Unpaged reopen: eager base restore, then the delta replaces the
-	// covered range in the live store.
-	f2 := newFixture(t)
-	v2 := minutesPerAcct(t, f2, StoreBTree)
-	if err := v2.RestoreBlocked(full, "ck1", 0, sim.fetch); err != nil {
-		t.Fatal(err)
-	}
-	if err := v2.RestoreBlockedDelta(delta, "ck2", 0); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := fmt.Sprint(v2.Rows()), fmt.Sprint(v.Rows()); got != want {
-		t.Fatalf("eager delta merge diverges:\n got %s\nwant %s", got, want)
-	}
-}
-
 func TestBlockedDeltaFirstImage(t *testing.T) {
 	// A view created after the last full cut has never committed a block:
 	// its first delta is a single -∞..+∞ run and must merge into a fresh
@@ -435,23 +347,107 @@ func TestBlockedDeltaFirstImage(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		v.Apply(f.appendCall(t, acctName(i), 4))
 	}
-	delta, dpend, dirty, _, err := v.CheckpointBlockedDelta()
+	delta, dpend, dirty, _, err := v.CheckpointBlocked(false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dirty == 0 {
 		t.Fatal("first delta saw no dirty blocks")
 	}
+	if off, _ := v.checkHeader(delta, blockedVersion); delta[off] != 1 || delta[off+1] != 0 {
+		t.Fatalf("first delta is not one run up to +∞: % x", delta[off:off+2])
+	}
 	sim.files["ck1"] = delta
 	v.CommitBlockRefs("ck1", 0, dpend)
 
 	f2 := newFixture(t)
 	v2 := pagedView(t, f2, sim, 256, NewCache(0))
-	if err := v2.RestoreBlockedDelta(delta, "ck1", 0); err != nil {
+	if err := v2.RestoreBlocked(delta, "ck1", 0); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := fmt.Sprint(v2.Rows()), fmt.Sprint(v.Rows()); got != want {
 		t.Fatalf("first-image delta diverges:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestBlockedChainRestoresSource: the chain a paged view writes restores to
+// the view. Over 100 groups, a seeded loop folds updates to existing groups
+// and bursts of new groups clustered after one key (which split its block at
+// the next cut), evicts under a tiny cache, and cuts: incremental, with a
+// full cut every fourth, after which the older chain files are deleted. After
+// every cut the live chain — latest full cut onward — restores lazily into a
+// fresh paged view whose rows must equal the source's, row for row; and a
+// replica that has restored every image so far, and has a row of its own
+// written into it before each full image, must equal the source too: a full
+// image replaces a non-empty index.
+func TestBlockedChainRestoresSource(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			f, fr := newFixture(t), newFixture(t)
+			sim := newChainSim()
+			cache := NewCache(1 << 10)
+			v := pagedView(t, f, sim, 256, cache)
+			replica := pagedView(t, fr, sim, 256, NewCache(1<<10))
+			var keys []string
+			for i := 0; i < 100; i++ {
+				keys = append(keys, acctName(i))
+				v.Apply(f.appendCall(t, keys[i], 1))
+			}
+			var chain []string
+			copied := 0
+			for cut := 1; cut <= 16; cut++ {
+				for n := rng.Intn(40); n > 0; n-- {
+					if rng.Intn(4) == 0 {
+						at := keys[rng.Intn(len(keys))]
+						for j := rng.Intn(12); j >= 0; j-- {
+							keys = append(keys, fmt.Sprintf("%s/%02d%02d", at, cut, j))
+							v.Apply(f.appendCall(t, keys[len(keys)-1], 1))
+						}
+					} else {
+						v.Apply(f.appendCall(t, keys[rng.Intn(len(keys))], int64(rng.Intn(9)+1)))
+					}
+					if rng.Intn(8) == 0 {
+						cache.Maintain()
+					}
+				}
+				file, full := fmt.Sprintf("ck%02d", cut), cut%4 == 0
+				fetches := sim.fetches
+				sim.checkpointTo(t, v, file, full)
+				if full {
+					if sim.fetches > fetches {
+						copied++
+					}
+					replica.Apply(fr.appendCall(t, "zzz-not-in-the-source", 1))
+					for _, old := range chain {
+						delete(sim.files, old)
+					}
+					chain = chain[:0]
+				}
+				chain = append(chain, file)
+				if err := replica.RestoreBlocked(sim.files[file], file, 0); err != nil {
+					t.Fatalf("cut %d: replica: %v", cut, err)
+				}
+				r := pagedView(t, newFixture(t), sim, 256, NewCache(1<<10))
+				for _, c := range chain {
+					if err := r.RestoreBlocked(sim.files[c], c, 0); err != nil {
+						t.Fatalf("cut %d: restoring %s: %v", cut, c, err)
+					}
+				}
+				want := fmt.Sprint(v.Rows())
+				for name, got := range map[string]*View{"chain": r, "replica": replica} {
+					if fmt.Sprint(got.Rows()) != want || got.Len() != v.Len() {
+						t.Fatalf("cut %d (%v): the %s restore of %v has %d rows, the source %d:\n got %v\nwant %s",
+							cut, full, name, chain, got.Len(), v.Len(), got.Rows(), want)
+					}
+				}
+				cache.Maintain()
+			}
+			if total, _, _ := v.BlockStats(); total < 16 || copied == 0 || cache.Evictions() == 0 {
+				t.Errorf("%d blocks, %d full cuts copied a cold block forward, %d evictions: the loop never split or went cold",
+					total, copied, cache.Evictions())
+			}
+		})
 	}
 }
 
@@ -525,7 +521,7 @@ func coldCopy(t *testing.T, src *View, sim *chainSim, file string, blockBytes in
 	t.Helper()
 	sim.checkpointTo(t, src, file, true)
 	v := pagedView(t, newFixture(t), sim, blockBytes, cache)
-	if err := v.RestoreBlocked(sim.files[file], file, 0, sim.fetch); err != nil {
+	if err := v.RestoreBlocked(sim.files[file], file, 0); err != nil {
 		t.Fatal(err)
 	}
 	return v

@@ -1251,7 +1251,8 @@ func TestPointSelectTouchesOneBlock(t *testing.T) {
 // TestExplainSelect pins what EXPLAIN SELECT prints for each access path: a
 // point probe, a key range (with what stays residual, the direction and the
 // limit), a walk of the whole view with a sort behind it, the hash store's
-// point and range, and a paged view's planned blocks.
+// point and its one other path — gather the table, filter and sort it,
+// whatever the window — and a paged view's planned blocks.
 func TestExplainSelect(t *testing.T) {
 	mem, err := chronicledb.Open(chronicledb.Options{})
 	if err != nil {
@@ -1285,7 +1286,9 @@ func TestExplainSelect(t *testing.T) {
 		{mem, `SELECT * FROM by_store_h WHERE region = 'east' AND store = 7`,
 			`access=point('east', 7); residual=region = "east" AND store = 7; store=hash`},
 		{mem, `SELECT * FROM by_store_h WHERE region = 'east'`,
-			`access=range[('east'), after('east')) asc; residual=region = "east"; store=hash`},
+			`access=full (hash: gather, filter, sort) asc; residual=region = "east"; store=hash`},
+		{mem, `SELECT * FROM by_store_h ORDER BY region DESC LIMIT 3`,
+			`access=full (hash: gather, filter, sort) desc limit 3; residual=none; store=hash`},
 		{paged, usageSelect(7),
 			`access=point('acct00007'); residual=acct = "acct00007"; store=btree paged; blocks=1 / 5`},
 		{paged, `SELECT * FROM usage WHERE acct >= 'acct00300' AND acct < 'acct00500'`,

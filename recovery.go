@@ -40,7 +40,7 @@ import (
 
 const (
 	ckptMagic   = "CDBC"
-	ckptVersion = 4 // the only image format read or written
+	ckptVersion = 5 // the only image format read or written
 )
 
 // recover rebuilds in-memory state from disk. Called by Open before the
@@ -199,7 +199,7 @@ type blockCommit struct {
 // reuses across checkpoints (callers hold db.mu, and the image is fully
 // consumed — written to disk — before the next checkpoint starts).
 //
-// The image is version 4: magic, version byte, a flags byte (bit 0 = full),
+// The image is version 5: magic, version byte, a flags byte (bit 0 = full),
 // the LSN, then one section per object kind. When full is false,
 // chronicles, relations, views, and periodic views are included only if
 // their dirty marker moved since db.ckptMarks was captured (an absent
@@ -211,11 +211,11 @@ type blockCommit struct {
 // unchanged database can skip the chain entry entirely.
 //
 // Each view payload is prefixed by a subformat byte — 0 for a whole image
-// (unpaged views), 1 for a self-contained blocked image (full cuts inline
-// every block so the chain can fold), 2 for a blocked delta (incremental
-// cuts carry only the dirty block runs; restore merges them into the index
-// from earlier chain images, so incremental cost is flat in view
-// cardinality). wholeViews forces subformat 0 for every view: the
+// (unpaged views), 1 for a blocked image: runs of blocks, each replacing the
+// key range it covers in the index earlier chain images built. A full cut is
+// the one run that spans the key space, so the chain can fold; an
+// incremental cut carries only the dirty runs, so its cost is flat in view
+// cardinality. wholeViews forces subformat 0 for every view: the
 // replication bootstrap image travels to a follower that cannot fault
 // blocks from this database's chain files. The returned commits must be
 // applied after the manifest flip that makes the image authoritative.
@@ -319,26 +319,13 @@ func (db *DB) buildCheckpointImage(full, wholeViews bool) (data []byte, lsn uint
 		v, _ := db.eng.View(name)
 		b = appendName(b, name)
 		if v.Paged() && !wholeViews {
-			var (
-				snap           []byte
-				pend           []view.PendingBlock
-				dirtyB, totalB int
-				cerr           error
-				sub            byte
-			)
-			if full {
-				sub = 1 // self-contained blocked image: the chain can fold
-				snap, pend, dirtyB, totalB, cerr = v.CheckpointBlocked(true)
-			} else {
-				sub = 2 // blocked delta: dirty runs only, merged at restore
-				snap, pend, dirtyB, totalB, cerr = v.CheckpointBlockedDelta()
-			}
+			snap, pend, dirtyB, totalB, cerr := v.CheckpointBlocked(full)
 			if cerr != nil {
 				db.ckptBuf = b
 				return nil, 0, nil, 0, nil, fmt.Errorf("chronicledb: checkpoint view %s: %w", name, cerr)
 			}
 			b = binary.AppendUvarint(b, uint64(len(snap)+1))
-			b = append(b, sub)
+			b = append(b, 1) // subformat: blocked image
 			commits = append(commits, blockCommit{
 				v: v, base: int64(len(b)), pend: pend, dirty: dirtyB, total: totalB,
 			})
@@ -393,7 +380,7 @@ func (db *DB) restoreCheckpoint(data []byte, fileName string) (uint64, error) {
 		return 0, bad("header")
 	}
 	if version := data[4]; version != ckptVersion {
-		return 0, fmt.Errorf("chronicledb: unsupported checkpoint version %d (want %d)", version, ckptVersion)
+		return 0, fmt.Errorf("%w: checkpoint image version %d (want %d)", ErrUnsupportedLayout, version, ckptVersion)
 	}
 	// data[5] is the flags byte: bit 0 marks a full image. Decoding doesn't
 	// branch on it — every section carries its own object count, and an
@@ -531,9 +518,8 @@ func (db *DB) restoreCheckpoint(data []byte, fileName string) (uint64, error) {
 			return 0, fmt.Errorf("chronicledb: checkpoint references unknown view %q", name)
 		}
 		// The payload carries a subformat byte: 0 = whole image, 1 = blocked
-		// image (lazy block index for paged views, eager fetch-and-decode
-		// for views reopened unpaged), 2 = blocked delta (dirty runs merged
-		// into the index restored from earlier chain images).
+		// image (runs spliced into the block index earlier chain images
+		// built).
 		if snapLen == 0 {
 			return 0, bad("view subformat")
 		}
@@ -543,9 +529,7 @@ func (db *DB) restoreCheckpoint(data []byte, fileName string) (uint64, error) {
 		case 0:
 			err = v.RestoreCheckpoint(body)
 		case 1:
-			err = v.RestoreBlocked(body, fileName, base, db.blockFetch)
-		case 2:
-			err = v.RestoreBlockedDelta(body, fileName, base)
+			err = v.RestoreBlocked(body, fileName, base)
 		default:
 			err = bad("view subformat")
 		}

@@ -276,13 +276,13 @@ func TestOpenRejectsWhatItNoLongerReads(t *testing.T) {
 		{name: "shard-NNNN.wal", prepare: plant("shard-0001.wal", "old"), is: ErrUnsupportedLayout, says: "shard-0001.wal"},
 		{name: "relations.wal", prepare: plant("relations.wal", "old"), is: ErrUnsupportedLayout, says: "relations.wal"},
 		{name: "manifest version 1", prepare: plant(wal.ManifestName, `{"version":1,"shards":2}`), is: ErrUnsupportedLayout, says: "manifest version 1"},
-		{name: "checkpoint image version 3", says: "unsupported checkpoint version 3", prepare: func(dir string) error {
+		{name: "checkpoint image version 4", is: ErrUnsupportedLayout, says: "checkpoint image version 4", prepare: func(dir string) error {
 			path := filepath.Join(dir, wal.CheckpointFileName(1))
 			data, err := os.ReadFile(path)
 			if err != nil {
 				return err
 			}
-			data[4] = 3
+			data[4] = 4
 			return os.WriteFile(path, data, 0o644)
 		}},
 		{name: "negative Shards", opts: Options{Shards: -1}, is: ErrInvalidOption, says: "Options.Shards"},
