@@ -174,8 +174,10 @@ examples:
 	$(GO) run ./examples/livewatch
 
 # loc prints the size numbers ROADMAP tracks: non-test source lines outside
-# benchmark/, test lines, Options fields, exported shard.Router methods,
-# chronicled flags, and the non-test lines of the internal/bench harness.
+# benchmark/, test lines, Options fields, exported shard.Router and
+# engine.Engine methods, chronicled flags, the non-test lines of the
+# internal/bench harness, and the declared stats (one entry each in
+# metrics.go, plus the server's own in internal/server/server.go).
 loc:
 	@printf 'non-test source lines (excluding benchmark/): '
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
@@ -185,10 +187,14 @@ loc:
 	@awk '/^type Options struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z][A-Za-z]* /{n++} END{print n}' db.go
 	@printf 'exported shard.Router methods: '
 	@grep -c '^func (r \*Router) [A-Z]' internal/shard/router.go
+	@printf 'exported engine.Engine methods: '
+	@grep -c '^func (e \*Engine) [A-Z]' internal/engine/engine.go
 	@printf 'chronicled flags: '
 	@grep -c '= flag\.[A-Z][a-z0-9]*(' cmd/chronicled/main.go
 	@printf 'internal/bench non-test lines: '
 	@find internal/bench -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf 'declared stats: '
+	@cat metrics.go internal/server/server.go | grep -cE '^\s*\{"|Metric\{(fmt\.Sprintf\()?"|Metric\{Name: "'
 
 clean:
 	$(GO) clean ./...

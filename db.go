@@ -597,32 +597,28 @@ func (db *DB) ScanViewAt(viewName string, fn func(Row) bool) (uint64, error) {
 // Shards reports the shard count.
 func (db *DB) Shards() int { return db.eng.NumShards() }
 
+// counters sums every shard engine's counters in one pass, plus the relation
+// updates the router applies itself. Stats, MaintenanceLatency, ReadStats,
+// DedupStats and SnapshotAge are projections of it.
+func (db *DB) counters() engine.Counters {
+	var sum engine.Counters
+	db.eng.Each(func(_ int, e *engine.Engine) {
+		c := e.Counters()
+		sum.Add(&c)
+	})
+	sum.RelationUpdates = db.eng.RelationUpdates()
+	return sum
+}
+
 // Stats returns engine counters, summed across shards, plus the relation
 // updates the router applies itself.
-func (db *DB) Stats() engine.Stats {
-	var out engine.Stats
-	db.eng.Each(func(_ int, e *engine.Engine) {
-		st := e.Stats()
-		out.Appends += st.Appends
-		out.TuplesAppended += st.TuplesAppended
-		out.MaintenanceNs += st.MaintenanceNs
-		out.ViewsMaintained += st.ViewsMaintained
-		out.DedupHits += st.DedupHits
-		out.SharedHits += st.SharedHits
-	})
-	out.RelationUpdates = db.eng.RelationUpdates()
-	return out
-}
+func (db *DB) Stats() engine.Stats { return db.counters().Stats }
 
 // MaintenanceLatency returns the view maintenance latency distribution,
 // one observation per append call, merged across shards.
 func (db *DB) MaintenanceLatency() stats.Snapshot {
-	var merged stats.Histogram
-	db.eng.Each(func(_ int, e *engine.Engine) {
-		h := e.MaintenanceHistogram()
-		merged.Merge(&h)
-	})
-	return merged.Snapshot()
+	c := db.counters()
+	return c.Maintenance.Snapshot()
 }
 
 // WALStats aggregates durability counters across every open WAL segment,
@@ -638,7 +634,6 @@ type WALStats struct {
 	UptimeSeconds float64 // seconds since Open
 
 	// Storage gauges (zero without a Dir).
-	Segmented              bool
 	SegmentCap             int64  // rotation threshold, bytes
 	Segments               int    // live segment files, all streams
 	SealedSegments         int    // of those, sealed (rotation completed)
@@ -668,7 +663,11 @@ type WALStats struct {
 // mallocs divided by appends since Open), so it includes query and
 // background work — useful as a trend line, not an exact per-op count;
 // the exact counts are guarded by TestAllocGuards.
-func (db *DB) WALStats() WALStats {
+func (db *DB) WALStats() WALStats { return db.walStats(db.counters().Appends) }
+
+// walStats reads the logs, the manifest and the block cache once; appends
+// is the shard sum's append count, which the allocation gauge divides by.
+func (db *DB) walStats(appends int64) WALStats {
 	var w WALStats
 	var batches stats.Histogram
 	for _, l := range db.logs {
@@ -680,7 +679,6 @@ func (db *DB) WALStats() WALStats {
 	}
 	w.Batches = batches.Snapshot()
 	if db.opts.Dir != "" {
-		w.Segmented = true
 		w.SegmentCap = db.segmentCap()
 		for _, l := range db.logs {
 			w.LiveBytes += l.LogMetrics().ActiveBytes
@@ -714,7 +712,7 @@ func (db *DB) WALStats() WALStats {
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	w.Appends = db.Stats().Appends - db.openAppends
+	w.Appends = appends - db.openAppends
 	if w.Appends > 0 {
 		w.AllocsPerOp = float64(ms.Mallocs-db.openMallocs) / float64(w.Appends)
 	}
@@ -806,11 +804,8 @@ func (db *DB) AppendRowsIdem(chronicleName string, tuples []value.Tuple, clientI
 // DedupStats reports the idempotency table's observability counters,
 // summed across shards.
 func (db *DB) DedupStats() (entries int, hits int64, evictions int64) {
-	db.eng.Each(func(_ int, e *engine.Engine) {
-		n, h, ev := e.DedupStats()
-		entries, hits, evictions = entries+n, hits+h, evictions+ev
-	})
-	return entries, hits, evictions
+	c := db.counters()
+	return c.DedupEntries, c.DedupHits, c.DedupEvictions
 }
 
 // Upsert applies a proactive relation update.
@@ -888,23 +883,18 @@ func (db *DB) collect(viewName string, w view.Window) ([]Row, error) {
 	return out, nil
 }
 
-// ReadStats re-exports the read-path counters and latency distribution.
-type ReadStats = engine.ReadStats
+// ReadStats is the read-path counters and latency distribution.
+type ReadStats struct {
+	Lookups int64
+	Scans   int64
+	Latency stats.Snapshot
+}
 
 // ReadStats reports read traffic: lookup and scan counts plus the
 // end-to-end read latency distribution, merged across shards.
 func (db *DB) ReadStats() ReadStats {
-	var out ReadStats
-	var merged stats.Histogram
-	db.eng.Each(func(_ int, e *engine.Engine) {
-		lookups, scans := e.ReadCounts()
-		out.Lookups += lookups
-		out.Scans += scans
-		h := e.ReadHistogram()
-		merged.Merge(&h)
-	})
-	out.Latency = merged.Snapshot()
-	return out
+	c := db.counters()
+	return ReadStats{Lookups: c.Lookups, Scans: c.Scans, Latency: c.Read.Snapshot()}
 }
 
 // ViewMaintStat attributes maintenance cost to one persistent view.
@@ -945,13 +935,9 @@ func (db *DB) MaintAttribution(k int) []ViewMaintStat {
 // SnapshotAge reports how long ago the oldest live view snapshot was
 // published — the staleness bound of the lock-free read path. Zero means
 // no view currently publishes a snapshot (no views, or all hash-stored).
-func (db *DB) SnapshotAge() time.Duration {
-	var oldest int64
-	db.eng.Each(func(_ int, e *engine.Engine) {
-		if at := e.OldestSnapshotUnixNano(); at != 0 && (oldest == 0 || at < oldest) {
-			oldest = at
-		}
-	})
+func (db *DB) SnapshotAge() time.Duration { return snapshotAge(db.counters().OldestSnapshot) }
+
+func snapshotAge(oldest int64) time.Duration {
 	if oldest == 0 {
 		return 0
 	}

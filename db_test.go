@@ -685,12 +685,13 @@ func TestShowStatsIncludesLatency(t *testing.T) {
 	res := mustExec(t, db, `SHOW STATS`)
 	found := false
 	for _, r := range res.Rows {
-		if r[0].AsString() == "maintenance_latency" && strings.Contains(r[1].AsString(), "n=1") {
+		// A histogram with an observation has a p50 of at least its 1 ns bucket.
+		if r[0].AsString() == "maintenance_p50_ns" && r[1].AsInt() > 0 {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("maintenance_latency missing or empty: %s", dumpResult(res))
+		t.Errorf("maintenance_p50_ns missing or empty: %s", dumpResult(res))
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"chronicledb/internal/keyenc"
 	"chronicledb/internal/pred"
 	"chronicledb/internal/sqlparse"
-	"chronicledb/internal/stats"
 	"chronicledb/internal/value"
 	"chronicledb/internal/view"
 )
@@ -741,75 +740,9 @@ func (db *DB) show(what string) (*Result, error) {
 		}
 		return res, nil
 	case "STATS":
-		st := db.Stats()
-		lat := db.MaintenanceLatency()
-		ws := db.WALStats()
-		rs := db.ReadStats()
-		dedupEntries, dedupHits, dedupEvictions := db.DedupStats()
-		fs := db.FeedStats()
-		snapAge := "no snapshots"
-		if age := db.SnapshotAge(); age > 0 {
-			snapAge = fmt.Sprintf("%.1fms", float64(age)/1e6)
-		}
-		res := &Result{
-			Columns: []string{"stat", "value"},
-			Rows: []Row{
-				{value.Str("appends"), value.Int(st.Appends)},
-				{value.Str("tuples_appended"), value.Int(st.TuplesAppended)},
-				{value.Str("relation_updates"), value.Int(st.RelationUpdates)},
-				{value.Str("views_maintained"), value.Int(st.ViewsMaintained)},
-				{value.Str("maintenance_ns"), value.Int(st.MaintenanceNs)},
-				{value.Str("maintenance_latency"), value.Str(lat.String())},
-				{value.Str("maint_shared_hits"), value.Int(st.SharedHits)},
-				{value.Str("read_lookups"), value.Int(rs.Lookups)},
-				{value.Str("read_scans"), value.Int(rs.Scans)},
-				{value.Str("read_latency"), value.Str(rs.Latency.String())},
-				{value.Str("snapshot_age"), value.Str(snapAge)},
-				{value.Str("allocs_per_append"), value.Str(fmt.Sprintf("%.1f", ws.AllocsPerOp))},
-				{value.Str("wal_records"), value.Int(ws.Records)},
-				{value.Str("wal_fsyncs"), value.Int(ws.Fsyncs)},
-				{value.Str("fsyncs_per_sec"), value.Str(fmt.Sprintf("%.1f", ws.FsyncsPerSec))},
-				{value.Str("commit_batch_records"), value.Str(formatBatchSnapshot(ws.Batches))},
-				{value.Str("wal_segments"), value.Int(int64(ws.Segments))},
-				{value.Str("wal_sealed_segments"), value.Int(int64(ws.SealedSegments))},
-				{value.Str("wal_segment_cap"), value.Int(ws.SegmentCap)},
-				{value.Str("wal_live_bytes"), value.Int(ws.LiveBytes)},
-				{value.Str("wal_rotations"), value.Int(ws.Rotations)},
-				{value.Str("wal_reclaimed_bytes"), value.Int(ws.ReclaimedBytes)},
-				{value.Str("wal_segments_reclaimed"), value.Int(ws.SegmentsReclaimed)},
-				{value.Str("checkpoint_chain_len"), value.Int(int64(ws.Checkpoints))},
-				{value.Str("checkpoint_full_total"), value.Int(ws.CheckpointsFull)},
-				{value.Str("checkpoint_incremental_total"), value.Int(ws.CheckpointsIncremental)},
-				{value.Str("checkpoints_folded"), value.Int(ws.CheckpointsFolded)},
-				{value.Str("last_checkpoint_lsn"), value.Int(int64(ws.LastCheckpointLSN))},
-				{value.Str("view_cache_hits"), value.Int(ws.ViewCacheHits)},
-				{value.Str("view_cache_misses"), value.Int(ws.ViewCacheMisses)},
-				{value.Str("view_cache_evictions"), value.Int(ws.ViewCacheEvictions)},
-				{value.Str("view_cache_bytes"), value.Int(ws.ViewCacheBytes)},
-				{value.Str("view_cache_budget"), value.Int(ws.ViewCacheBudget)},
-				{value.Str("ckpt_dirty_blocks"), value.Int(ws.CkptDirtyBlocks)},
-				{value.Str("ckpt_total_blocks"), value.Int(ws.CkptTotalBlocks)},
-				{value.Str("dedup_entries"), value.Int(int64(dedupEntries))},
-				{value.Str("dedup_hits"), value.Int(dedupHits)},
-				{value.Str("dedup_evictions"), value.Int(dedupEvictions)},
-				{value.Str("feed_subscribers"), value.Int(fs.Subscribers)},
-				{value.Str("feed_subscribed_total"), value.Int(int64(fs.SubscribedTotal))},
-				{value.Str("feed_published"), value.Int(int64(fs.Published))},
-				{value.Str("feed_rows_published"), value.Int(int64(fs.RowsPublished))},
-				{value.Str("feed_dropped_slow"), value.Int(int64(fs.DroppedSlow))},
-				{value.Str("feed_catchups_tail"), value.Int(int64(fs.CatchupsTail))},
-				{value.Str("feed_catchups_snapshot"), value.Int(int64(fs.CatchupsSnapshot))},
-				{value.Str("feed_evicted"), value.Int(int64(fs.Evicted))},
-			},
-		}
-		// Per-view maintenance attribution: the top-5 slowest views by
-		// accumulated fold time, so "where does maintenance_ns go" is
-		// answerable without profiling.
-		for i, vs := range db.MaintAttribution(5) {
-			res.Rows = append(res.Rows, Row{
-				value.Str(fmt.Sprintf("maint_top_%d", i+1)),
-				value.Str(fmt.Sprintf("%s apply_ns=%d delta_rows=%d applies=%d", vs.Name, vs.ApplyNs, vs.DeltaRows, vs.Applies)),
-			})
+		res := &Result{Columns: []string{"stat", "value"}}
+		for _, m := range db.Metrics() {
+			res.Rows = append(res.Rows, Row{value.Str(m.Name), m.sqlValue()})
 		}
 		return res, nil
 	default:
@@ -981,17 +914,6 @@ func refText(c sqlparse.ColRef) string {
 		return c.Table + "." + c.Name
 	}
 	return c.Name
-}
-
-// formatBatchSnapshot renders the group-commit batch-size distribution.
-// The histogram reuses the duration machinery to count records per fsync,
-// so the fields are rendered as plain integers, not durations.
-func formatBatchSnapshot(s stats.Snapshot) string {
-	if s.Count == 0 {
-		return "no commits"
-	}
-	return fmt.Sprintf("n=%d mean=%.1f min=%d p50≤%d p95≤%d max=%d",
-		s.Count, float64(s.Mean), int64(s.Min), int64(s.P50), int64(s.P95), int64(s.Max))
 }
 
 func condText(c sqlparse.Cond) string {

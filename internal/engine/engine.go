@@ -78,8 +78,50 @@ type Stats struct {
 	RelationUpdates int64
 	MaintenanceNs   int64 // total time spent maintaining persistent views
 	ViewsMaintained int64 // one per affected view per maintenance round, i.e. per append call
-	DedupHits       int64 // idempotent appends answered from the dedup table
 	SharedHits      int64 // node deltas served from the shared plan's per-round cache
+}
+
+// Counters is everything one engine counts, read at once: the maintenance
+// counters, the idempotency table, the read path, and the age of the oldest
+// view snapshot. Maintenance is the operational readout of the view
+// language's IM class: SCA₁ views keep it flat forever.
+type Counters struct {
+	Stats
+	DedupEntries   int
+	DedupHits      int64 // idempotent appends answered from the dedup table
+	DedupEvictions int64
+	Lookups        int64
+	Scans          int64
+	Maintenance    stats.Histogram // view maintenance time, one observation per append call
+	Read           stats.Histogram // read latency, one observation per lookup or scan
+	OldestSnapshot int64           // unix ns of the oldest live view snapshot; 0 when none
+}
+
+// Add folds o into c: counts sum, histograms merge, and the oldest snapshot
+// is the earlier of the two.
+func (c *Counters) Add(o *Counters) {
+	c.Appends += o.Appends
+	c.TuplesAppended += o.TuplesAppended
+	c.RelationUpdates += o.RelationUpdates
+	c.MaintenanceNs += o.MaintenanceNs
+	c.ViewsMaintained += o.ViewsMaintained
+	c.SharedHits += o.SharedHits
+	c.DedupEntries += o.DedupEntries
+	c.DedupHits += o.DedupHits
+	c.DedupEvictions += o.DedupEvictions
+	c.Lookups += o.Lookups
+	c.Scans += o.Scans
+	c.Maintenance.Merge(&o.Maintenance)
+	c.Read.Merge(&o.Read)
+	c.OldestSnapshot = earlier(c.OldestSnapshot, o.OldestSnapshot)
+}
+
+// earlier returns the earlier of two snapshot times, 0 meaning none.
+func earlier(a, b int64) int64 {
+	if a == 0 || (b != 0 && b < a) {
+		return b
+	}
+	return a
 }
 
 // Engine is one shard's chronicle database system state.
@@ -100,8 +142,9 @@ type Engine struct {
 	// mutation.
 	onRecord func(Mutation) error
 
-	stats    Stats
-	maintLat stats.Histogram // view-maintenance latency, one observation per append call
+	stats     Stats
+	dedupHits int64           // idempotent appends answered from the dedup table
+	maintLat  stats.Histogram // view-maintenance latency, one observation per append call
 
 	// cat is the atomically published catalog snapshot: immutable
 	// name→object maps rebuilt under e.mu on every DDL change. Read
@@ -336,11 +379,20 @@ func (e *Engine) TakeFeed() *feed.Batch {
 	return fb
 }
 
-// Stats returns a copy of the engine counters.
-func (e *Engine) Stats() Stats {
+// Counters reads every engine counter; the ones the writer keeps under e.mu
+// are copied under one read lock, the read path's atomics and the dedup
+// table's own counts outside it.
+func (e *Engine) Counters() Counters {
 	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.stats
+	c := Counters{Stats: e.stats, DedupHits: e.dedupHits, Maintenance: e.maintLat}
+	e.mu.RUnlock()
+	c.DedupEntries, c.DedupEvictions = e.dedup.Len(), e.dedup.Evictions()
+	c.Lookups, c.Scans = e.readLookups.Load(), e.readScans.Load()
+	c.Read = e.readLat.Histogram()
+	for _, v := range e.cat.Load().views {
+		c.OldestSnapshot = earlier(c.OldestSnapshot, v.SnapshotUnixNano())
+	}
+	return c
 }
 
 // claimName enforces one namespace across object kinds.
@@ -674,7 +726,7 @@ func (e *Engine) AppendEachIdem(chronicleName string, tuples []value.Tuple, clie
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if ack, ok := e.dedup.Lookup(clientID, requestID); ok {
-		e.stats.DedupHits++
+		e.dedupHits++
 		return ack.FirstSN, ack.LastSN, true, nil
 	}
 	defer e.publishDirtyLocked()
@@ -822,14 +874,6 @@ func (e *Engine) DedupEntries() []dedup.Entry {
 	return out
 }
 
-// DedupStats reports the idempotency table's observability counters.
-func (e *Engine) DedupStats() (entries int, hits int64, evictions int64) {
-	e.mu.RLock()
-	hits = e.stats.DedupHits
-	e.mu.RUnlock()
-	return e.dedup.Len(), hits, e.dedup.Evictions()
-}
-
 // maintain is one maintenance round: it dispatches the rows of one append
 // call (ascending in SN, each carrying its own chronon and LSN — see
 // algebra.BatchDelta) to every affected persistent and periodic view: the
@@ -904,17 +948,6 @@ func (e *Engine) captureFeed(view string, drows []chronicle.Row) {
 		e.pendingFeed.Capture(view, drows[0].LSN, drows[:n])
 		drows = drows[n:]
 	}
-}
-
-// MaintenanceHistogram returns a copy of the raw histogram of view
-// maintenance time, one observation per append call (a k-row call is one
-// round, so it reads higher than k one-row calls would) — the operational
-// readout of the view language's IM class: SCA1 views keep this flat forever. The shard router merges the
-// distributions across engines before summarizing.
-func (e *Engine) MaintenanceHistogram() stats.Histogram {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.maintLat
 }
 
 // Chronicle returns a chronicle by name.
@@ -1010,38 +1043,6 @@ func (e *Engine) ChronicleRows(name string) ([]chronicle.Row, error) {
 	e.readScans.Add(1)
 	e.readLat.Observe(time.Since(start))
 	return rows, nil
-}
-
-// ReadStats reports the read-path counters and latency distribution.
-type ReadStats struct {
-	Lookups int64
-	Scans   int64
-	Latency stats.Snapshot
-}
-
-// ReadHistogram copies the raw read-latency histogram so the shard
-// router can Merge distributions across engines before summarizing.
-func (e *Engine) ReadHistogram() stats.Histogram {
-	return e.readLat.Histogram()
-}
-
-// ReadCounts returns the raw lookup and scan counters.
-func (e *Engine) ReadCounts() (lookups, scans int64) {
-	return e.readLookups.Load(), e.readScans.Load()
-}
-
-// OldestSnapshotUnixNano returns the publication time of the oldest live
-// view snapshot — how stale the worst-case lock-free read can be. Zero
-// means no view currently publishes a snapshot (no views, or all on the
-// hash store).
-func (e *Engine) OldestSnapshotUnixNano() int64 {
-	var oldest int64
-	for _, v := range e.cat.Load().views {
-		if at := v.SnapshotUnixNano(); at != 0 && (oldest == 0 || at < oldest) {
-			oldest = at
-		}
-	}
-	return oldest
 }
 
 // PeriodicView returns a periodic view family by name.

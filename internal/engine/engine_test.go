@@ -121,7 +121,7 @@ func TestAppendMaintainsViews(t *testing.T) {
 	if !ok || got[1].AsInt() != 15 || got[2].AsInt() != 2 {
 		t.Errorf("usage(a) = %v, %v", got, ok)
 	}
-	st := e.Stats()
+	st := e.Counters().Stats
 	if st.Appends != 2 || st.TuplesAppended != 2 || st.ViewsMaintained != 2 {
 		t.Errorf("Stats = %+v", st)
 	}
@@ -207,8 +207,8 @@ func TestDispatchFilterSkipsUnaffectedViews(t *testing.T) {
 	}
 	e.Append("calls", []value.Tuple{{value.Str("acct3"), value.Int(5)}})
 	// Only acct3's view was maintained.
-	if e.Stats().ViewsMaintained != 1 {
-		t.Errorf("ViewsMaintained = %d, want 1", e.Stats().ViewsMaintained)
+	if e.Counters().ViewsMaintained != 1 {
+		t.Errorf("ViewsMaintained = %d, want 1", e.Counters().ViewsMaintained)
 	}
 	if got, ok := views[3].Lookup(value.Tuple{value.Str("acct3")}); !ok || got[1].AsInt() != 5 {
 		t.Errorf("bal_acct3 = %v, %v", got, ok)
@@ -309,8 +309,8 @@ func TestDropViewEngine(t *testing.T) {
 	}
 	// Appends no longer maintain it.
 	e.Append("calls", []value.Tuple{{value.Str("a"), value.Int(1)}})
-	if e.Stats().ViewsMaintained != 0 {
-		t.Errorf("ViewsMaintained = %d", e.Stats().ViewsMaintained)
+	if e.Counters().ViewsMaintained != 0 {
+		t.Errorf("ViewsMaintained = %d", e.Counters().ViewsMaintained)
 	}
 	// Periodic views drop through the same call.
 	cal, _ := calendar.NewPeriodic(0, 10, 10)
@@ -447,9 +447,9 @@ func TestSerializedReadAccessors(t *testing.T) {
 	if _, err := e.ChronicleRows("ghost"); err == nil {
 		t.Error("unknown ChronicleRows accepted")
 	}
-	lat := e.MaintenanceHistogram()
-	if lat.Snapshot().Count != 2 {
-		t.Errorf("MaintenanceHistogram count = %d", lat.Snapshot().Count)
+	cnt := e.Counters()
+	if n := cnt.Maintenance.Count(); n != 2 {
+		t.Errorf("Counters().Maintenance count = %d", n)
 	}
 }
 
@@ -491,7 +491,7 @@ func TestLongCallFoldsInChunks(t *testing.T) {
 	if want := int64(n + maintainChunk + 5); total != want {
 		t.Errorf("view counts %d rows after the failed call, want %d", total, want)
 	}
-	if st := e.Stats(); st.Appends != n+maintainChunk+5 || st.ViewsMaintained != 4 {
+	if st := e.Counters(); st.Appends != n+maintainChunk+5 || st.ViewsMaintained != 4 {
 		t.Errorf("Appends = %d, ViewsMaintained = %d; want %d, 4", st.Appends, st.ViewsMaintained, n+maintainChunk+5)
 	}
 }

@@ -510,9 +510,11 @@ func (c *Client) Exec(stmt string) (*Response, error) {
 	return &out, nil
 }
 
-// Stats fetches engine counters. Numeric stats arrive as float64 (JSON
-// numbers); read_only is a bool and read_only_cause, when present, the
-// degradation cause.
+// Stats fetches GET /stats: every entry of Server.Metrics by name — the
+// database's list (chronicledb.DB.Metrics) and the server's admission
+// counters. Numbers arrive as float64 (JSON numbers), flags as bool, and
+// text entries (role, maint_top_<i>, read_only_cause when read-only) as
+// string.
 func (c *Client) Stats() (map[string]any, error) {
 	var out map[string]any
 	if err := c.do(http.MethodGet, "/stats", nil, true, &out); err != nil {

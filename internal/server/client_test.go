@@ -336,18 +336,13 @@ func TestAdmissionControlSheds(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra != "2" {
 		t.Errorf("Retry-After = %q, want \"2\"", ra)
 	}
-	if srv.ShedTotal() != 1 {
-		t.Errorf("ShedTotal = %d", srv.ShedTotal())
+	if n := srv.shed.Load(); n != 1 {
+		t.Errorf("shed_total = %d", n)
 	}
 
 	// Health reflects the overload distinctly from read-only degradation.
-	hr, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hr.Body.Close()
-	if hr.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("healthz status = %d, want 429", hr.StatusCode)
+	if code, _ := getHealth(t, srv, ts.URL, true); code != http.StatusTooManyRequests {
+		t.Errorf("healthz status = %d, want 429", code)
 	}
 
 	// Reads stay open while writes shed.

@@ -20,7 +20,7 @@ import (
 // the append's WAL write and apply: the append is un-acked, but its row
 // stays visible in memory until a restart reconverges to the durable
 // prefix.
-func degradedServer(t *testing.T) (*httptest.Server, *Client, *fault.Disk) {
+func degradedServer(t *testing.T) (*Server, *httptest.Server, *Client) {
 	t.Helper()
 	disk := fault.NewDisk()
 	db, err := chronicledb.Open(chronicledb.Options{Dir: "/data", SyncWAL: true, FS: disk})
@@ -28,7 +28,8 @@ func degradedServer(t *testing.T) (*httptest.Server, *Client, *fault.Disk) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	ts := httptest.NewServer(New(db))
+	srv := New(db)
+	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	c := NewClient(ts.URL)
 	if _, err := c.Exec(`CREATE CHRONICLE calls (acct STRING, minutes INT) RETAIN ALL`); err != nil {
@@ -38,11 +39,11 @@ func degradedServer(t *testing.T) (*httptest.Server, *Client, *fault.Disk) {
 		t.Fatal(err)
 	}
 	disk.FailNthSync(disk.Syncs()) // poison the WAL on its next fsync
-	return ts, c, disk
+	return srv, ts, c
 }
 
 func TestReadOnlyDegradation(t *testing.T) {
-	ts, c, _ := degradedServer(t)
+	srv, ts, c := degradedServer(t)
 
 	// The append whose WAL sync fails is not acked…
 	if _, err := c.AppendRows("calls", [][]any{{"bob", 5}}); err == nil {
@@ -82,15 +83,9 @@ func TestReadOnlyDegradation(t *testing.T) {
 	if c.Healthy() {
 		t.Error("degraded server reported healthy")
 	}
-	hresp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var health map[string]string
-	json.NewDecoder(hresp.Body).Decode(&health)
-	hresp.Body.Close()
-	if hresp.StatusCode != http.StatusServiceUnavailable || health["status"] != "degraded" {
-		t.Errorf("healthz = %d %v", hresp.StatusCode, health)
+	code, health := getHealth(t, srv, ts.URL, true)
+	if code != http.StatusServiceUnavailable || health["status"] != "degraded" {
+		t.Errorf("healthz = %d %v", code, health)
 	}
 	if !strings.Contains(health["error"], "wal") {
 		t.Errorf("healthz cause = %q", health["error"])

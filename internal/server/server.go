@@ -281,17 +281,6 @@ func (s *Server) Overloaded() bool {
 	return len(s.inflight) == cap(s.inflight) && s.queued.Load() >= s.maxQueue
 }
 
-// ShedTotal returns how many write requests admission control has turned
-// away with 429.
-func (s *Server) ShedTotal() int64 { return s.shed.Load() }
-
-// WatchShedTotal returns how many /watch subscriptions were turned away
-// with 429 because every MaxSubscribers slot was taken.
-func (s *Server) WatchShedTotal() int64 { return s.watchShed.Load() }
-
-// ActiveSubscribers returns how many /watch streams are connected now.
-func (s *Server) ActiveSubscribers() int { return len(s.watchers) }
-
 // beginDrain tells every live /watch stream to end with a terminal bye
 // event. Idempotent; called by Serve before shutting the listener down.
 func (s *Server) beginDrain() { s.drainOnce.Do(func() { close(s.drainCh) }) }
@@ -543,213 +532,56 @@ func (s *Server) handleLatest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, toResponse(&chronicledb.Result{Columns: v.Schema().Names(), Rows: rows}))
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.db.Stats()
-	lat := s.db.MaintenanceLatency()
-	ws := s.db.WALStats()
-	rs := s.db.ReadStats()
-	dedupEntries, dedupHits, dedupEvictions := s.db.DedupStats()
-	fs := s.db.FeedStats()
-	body := map[string]any{
-		// Admission control and ingestion reliability.
-		"in_flight":   len(s.inflight),
-		"queue_depth": s.queued.Load(),
-		"shed_total":  s.shed.Load(),
-		// Changefeed delivery: live subscriber count, cumulative frames and
-		// rows pushed, slow consumers shed, and how reconnects resumed
-		// (tail replay vs full-snapshot catch-up).
-		"feed_subscribers":       fs.Subscribers,
-		"feed_subscribed_total":  fs.SubscribedTotal,
-		"feed_published":         fs.Published,
-		"feed_rows_published":    fs.RowsPublished,
-		"feed_dropped_slow":      fs.DroppedSlow,
-		"feed_catchups_tail":     fs.CatchupsTail,
-		"feed_catchups_snapshot": fs.CatchupsSnapshot,
-		"feed_evicted":           fs.Evicted,
-		"watch_active":           len(s.watchers),
-		"watch_shed_total":       s.watchShed.Load(),
-		"dedup_entries":          dedupEntries,
-		"dedup_hits":             dedupHits,
-		"dedup_evictions":        dedupEvictions,
-		"shards":                 s.db.Shards(),
-		"appends":                st.Appends,
-		"tuples_appended":        st.TuplesAppended,
-		"relation_updates":       st.RelationUpdates,
-		"views_maintained":       st.ViewsMaintained,
-		"maintenance_ns":         st.MaintenanceNs,
-		"maintenance_p50_ns":     int64(lat.P50),
-		"maintenance_p99_ns":     int64(lat.P99),
-		"maintenance_max_ns":     int64(lat.Max),
-		// Shared-delta maintenance pipeline: cache hits in the cross-view
-		// CSE plan and the top-5 slowest views by accumulated apply time
-		// (per-view attribution).
-		"maint_shared_hits": st.SharedHits,
-		"maint_top_views":   maintTop(s.db),
-		// Read-path traffic: lookups and scans served off view snapshots,
-		// their latency distribution, and the worst-case snapshot staleness.
-		"read_lookups":    rs.Lookups,
-		"read_scans":      rs.Scans,
-		"read_p50_ns":     int64(rs.Latency.P50),
-		"read_p99_ns":     int64(rs.Latency.P99),
-		"read_max_ns":     int64(rs.Latency.Max),
-		"snapshot_age_ns": int64(s.db.SnapshotAge()),
-		"read_only":       false,
-		// Hot-path durability gauges: the commit_batch_* fields count
-		// records acked per fsync (group commit), not durations.
-		"allocs_per_append":  ws.AllocsPerOp,
-		"wal_records":        ws.Records,
-		"wal_fsyncs":         ws.Fsyncs,
-		"fsyncs_per_sec":     ws.FsyncsPerSec,
-		"commit_batch_count": ws.Batches.Count,
-		"commit_batch_mean":  float64(ws.Batches.Mean),
-		"commit_batch_p95":   int64(ws.Batches.P95),
-		"commit_batch_max":   int64(ws.Batches.Max),
-		// Segmented-WAL storage gauges: live segment chain, bytes the
-		// compactor has reclaimed, and the incremental checkpoint chain.
-		// Recovery work is bounded by wal_live_bytes, not uptime.
-		"wal_segmented":                ws.Segmented,
-		"wal_segments":                 ws.Segments,
-		"wal_sealed_segments":          ws.SealedSegments,
-		"wal_segment_cap":              ws.SegmentCap,
-		"wal_live_bytes":               ws.LiveBytes,
-		"wal_rotations":                ws.Rotations,
-		"wal_reclaimed_bytes":          ws.ReclaimedBytes,
-		"wal_segments_reclaimed":       ws.SegmentsReclaimed,
-		"checkpoint_chain_len":         ws.Checkpoints,
-		"checkpoint_full_total":        ws.CheckpointsFull,
-		"checkpoint_incremental_total": ws.CheckpointsIncremental,
-		"checkpoints_folded":           ws.CheckpointsFolded,
-		"last_checkpoint_lsn":          ws.LastCheckpointLSN,
-		// Blocked view stores: block-cache traffic and how much of the last
-		// checkpoint was actually re-serialized (dirty blocks vs total).
-		"view_cache_enabled":   ws.ViewCacheEnabled,
-		"view_cache_hits":      ws.ViewCacheHits,
-		"view_cache_misses":    ws.ViewCacheMisses,
-		"view_cache_evictions": ws.ViewCacheEvictions,
-		"view_cache_bytes":     ws.ViewCacheBytes,
-		"view_cache_budget":    ws.ViewCacheBudget,
-		"ckpt_dirty_blocks":    ws.CkptDirtyBlocks,
-		"ckpt_total_blocks":    ws.CkptTotalBlocks,
-	}
-	if ro, cause := s.db.ReadOnly(); ro {
-		body["read_only"] = true
-		if cause != nil {
-			body["read_only_cause"] = cause.Error()
-		}
-	}
-	// Replication: the role, the follower's advertised staleness bound
-	// inputs (replica_lag_*), and the primary-side stream source gauges.
-	body["role"] = s.db.Role()
-	body["degraded_acks"] = s.db.DegradedAcks()
-	if st, ok := s.db.ReplState(); ok {
-		lagLSN, lagAge := s.db.ReplLag()
-		body["replica_lag_lsn"] = lagLSN
-		body["replica_lag_ns"] = int64(lagAge)
-		body["replica_applied_lsn"] = st.AppliedLSN
-		body["replica_primary_lsn"] = st.PrimaryLSN
-		body["replica_connected"] = st.Connected
-		body["replica_resyncs"] = st.Resyncs
-		body["replica_frames_applied"] = st.FramesApplied
-		body["replica_stale"] = s.db.Stale()
-	}
-	if src := s.db.ReplSource(); src != nil {
-		rs := src.Stats()
-		body["repl_cursor"] = rs.Cursor
-		body["repl_frames_staged"] = rs.Staged
-		body["repl_frames_emitted"] = rs.Emitted
-		body["repl_overflows"] = rs.Overflows
-		body["repl_followers"] = rs.Followers
-		body["repl_follower_acks"] = src.Followers()
-	}
-	writeJSON(w, http.StatusOK, body)
+// Metrics is the database's stats list followed by the server's own five
+// entries: admission control and /watch subscriber admission.
+func (s *Server) Metrics() []chronicledb.Metric {
+	return append(s.db.Metrics(),
+		chronicledb.Metric{Name: "in_flight", Unit: "requests", Help: "write requests executing now", Value: int64(len(s.inflight))},
+		chronicledb.Metric{Name: "queue_depth", Unit: "requests", Help: "write requests waiting for an in-flight slot", Value: s.queued.Load()},
+		chronicledb.Metric{Name: "shed_total", Unit: "requests", Help: "write requests turned away with 429", Health: true, Value: s.shed.Load()},
+		chronicledb.Metric{Name: "watch_active", Unit: "subscribers", Help: "/watch streams connected now", Value: int64(len(s.watchers))},
+		chronicledb.Metric{Name: "watch_shed_total", Unit: "subscribers", Help: "/watch subscriptions turned away with 429", Health: true, Value: s.watchShed.Load()},
+	)
 }
 
-// maintTop renders the per-view maintenance attribution for /stats.
-func maintTop(db *chronicledb.DB) []map[string]any {
-	att := db.MaintAttribution(5)
-	out := make([]map[string]any, len(att))
-	for i, vs := range att {
-		out[i] = map[string]any{
-			"view":       vs.Name,
-			"apply_ns":   vs.ApplyNs,
-			"delta_rows": vs.DeltaRows,
-			"applies":    vs.Applies,
-		}
+// handleStats answers GET /stats: every metric, by name.
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	ms := s.Metrics()
+	body := make(map[string]any, len(ms))
+	for _, m := range ms {
+		body[m.Name] = m.Value
 	}
-	return out
+	writeJSON(w, http.StatusOK, body)
 }
 
 // handleHealth answers 200 while the database accepts writes, 429 while
 // admission control is shedding (transient — retry after backoff), and 503
-// once it has degraded to read-only (permanent until operator action), with
-// the cause — the shape load balancers and operators poll. All values are
-// strings so pollers can decode into a flat map.
+// once it has degraded to read-only (permanent until operator action) or,
+// on a follower, gone past its staleness bound (load balancers route reads
+// to a healthier member) — the shape load balancers and operators poll. The
+// body is the status, the error when there is one, and every health metric;
+// all values are strings so pollers can decode into a flat map, and the
+// keys are the same in every state.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	shed := strconv.FormatInt(s.shed.Load(), 10)
-	subs := strconv.FormatInt(s.db.FeedStats().Subscribers, 10)
-	watchShed := strconv.FormatInt(s.watchShed.Load(), 10)
-	ws := s.db.WALStats()
-	// Storage gauges operators alarm on: a growing wal_live_bytes with a
-	// stale last_checkpoint_lsn means the checkpointer/compactor stalled
-	// and recovery time is climbing.
-	liveBytes := strconv.FormatInt(ws.LiveBytes, 10)
-	ckptLSN := strconv.FormatUint(ws.LastCheckpointLSN, 10)
-	// Blocked-view gauges: resident block-cache bytes (alarm if it tracks
-	// toward the budget with a rising miss rate) and the dirty/total block
-	// split of the last checkpoint cut.
-	cacheBytes := strconv.FormatInt(ws.ViewCacheBytes, 10)
-	dirtyBlocks := strconv.FormatInt(ws.CkptDirtyBlocks, 10) + "/" + strconv.FormatInt(ws.CkptTotalBlocks, 10)
-	role := s.db.Role()
-	// A follower past its staleness bound reports 503 so load balancers
-	// route reads to a healthier member; the lag figures say how far gone.
-	if s.db.Stale() {
-		lagLSN, lagAge := s.db.ReplLag()
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-			"status": "stale", "role": role,
-			"replica_lag_lsn": strconv.FormatUint(lagLSN, 10),
-			"replica_lag_ns":  strconv.FormatInt(int64(lagAge), 10),
-			"error":           "replica lag exceeds the staleness bound",
-		})
-		return
-	}
-	if ro, cause := s.db.ReadOnly(); ro {
-		body := map[string]string{
-			"status": "degraded", "shed_total": shed,
-			"feed_subscribers": subs, "watch_shed_total": watchShed,
-			"wal_live_bytes": liveBytes, "last_checkpoint_lsn": ckptLSN,
-			"view_cache_bytes": cacheBytes, "ckpt_dirty_blocks": dirtyBlocks,
-		}
+	code, body := http.StatusOK, map[string]string{"status": "ok"}
+	ro, cause := s.db.ReadOnly()
+	switch {
+	case s.db.Stale():
+		code, body["status"], body["error"] = http.StatusServiceUnavailable, "stale", "replica lag exceeds the staleness bound"
+	case ro:
+		code, body["status"] = http.StatusServiceUnavailable, "degraded"
 		if cause != nil {
 			body["error"] = cause.Error()
 		}
-		writeJSON(w, http.StatusServiceUnavailable, body)
-		return
+	case s.Overloaded():
+		code, body["status"], body["error"] = http.StatusTooManyRequests, "overloaded", "admission queue full"
 	}
-	if s.Overloaded() {
-		writeJSON(w, http.StatusTooManyRequests, map[string]string{
-			"status":           "overloaded",
-			"error":            "admission queue full",
-			"shed_total":       shed,
-			"feed_subscribers": subs,
-			"watch_shed_total": watchShed,
-			"wal_live_bytes":   liveBytes,
-		})
-		return
+	for _, m := range s.Metrics() {
+		if m.Health {
+			body[m.Name] = fmt.Sprint(m.Value)
+		}
 	}
-	body := map[string]string{
-		"status": "ok", "role": role, "shed_total": shed,
-		"feed_subscribers": subs, "watch_shed_total": watchShed,
-		"wal_live_bytes": liveBytes, "last_checkpoint_lsn": ckptLSN,
-		"view_cache_bytes": cacheBytes, "ckpt_dirty_blocks": dirtyBlocks,
-	}
-	if st, ok := s.db.ReplState(); ok {
-		lagLSN, lagAge := s.db.ReplLag()
-		body["replica_lag_lsn"] = strconv.FormatUint(lagLSN, 10)
-		body["replica_lag_ns"] = strconv.FormatInt(int64(lagAge), 10)
-		body["replica_applied_lsn"] = strconv.FormatUint(st.AppliedLSN, 10)
-		body["replica_connected"] = strconv.FormatBool(st.Connected)
-	}
-	writeJSON(w, http.StatusOK, body)
+	writeJSON(w, code, body)
 }
 
 func toResponse(res *chronicledb.Result) Response {

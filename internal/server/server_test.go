@@ -60,10 +60,51 @@ func TestExecErrorsOverHTTP(t *testing.T) {
 	}
 }
 
+// getHealth fetches GET /healthz and asserts its one shape: the keys are
+// status, error when the state has one, and the health metrics of s —
+// nothing else, in every state.
+func getHealth(t *testing.T, s *Server, url string, withError bool) (int, map[string]string) {
+	t.Helper()
+	resp, err := http.Get(url + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"status": true, "error": withError}
+	for _, m := range s.Metrics() {
+		want[m.Name] = want[m.Name] || m.Health
+	}
+	for k, in := range want {
+		if _, got := body[k]; got != in {
+			t.Errorf("/healthz %s: key %q present = %v, want %v", body["status"], k, got, in)
+		}
+	}
+	for k := range body {
+		if _, declared := want[k]; !declared {
+			t.Errorf("/healthz %s: undeclared key %q", body["status"], k)
+		}
+	}
+	return resp.StatusCode, body
+}
+
 func TestStatsAndHealth(t *testing.T) {
-	_, c := newTestServer(t)
+	db, err := chronicledb.Open(chronicledb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(db)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	c := NewClient(ts.URL)
 	if !c.Healthy() {
 		t.Error("health check failed")
+	}
+	if code, body := getHealth(t, srv, ts.URL, false); code != http.StatusOK || body["status"] != "ok" {
+		t.Errorf("healthz = %d %v", code, body)
 	}
 	c.Exec(`CREATE CHRONICLE calls (acct STRING, minutes INT)`)
 	c.Exec(`APPEND INTO calls VALUES ('alice', 12)`)

@@ -15,7 +15,6 @@ import (
 	"chronicledb/internal/chronicle"
 	"chronicledb/internal/engine"
 	"chronicledb/internal/pred"
-	"chronicledb/internal/stats"
 	"chronicledb/internal/value"
 	"chronicledb/internal/view"
 )
@@ -284,13 +283,13 @@ func concurrentStress(t *testing.T, shards int) {
 			t.Errorf("view %s diverges from AsOf reference in %d row(s)", v.Def().Name, d)
 		}
 	}
-	var maint stats.Histogram
+	var sum engine.Counters
 	r.Each(func(_ int, e *engine.Engine) {
-		h := e.MaintenanceHistogram()
-		maint.Merge(&h)
+		c := e.Counters()
+		sum.Add(&c)
 	})
-	if n := r.RelationUpdates(); n == 0 || maint.Snapshot().Count == 0 {
-		t.Errorf("RelationUpdates = %d, merged maintenance histogram count = %d", n, maint.Snapshot().Count)
+	if n := r.RelationUpdates(); n == 0 || sum.Maintenance.Count() == 0 {
+		t.Errorf("RelationUpdates = %d, merged maintenance histogram count = %d", n, sum.Maintenance.Count())
 	}
 
 	applied := make([]map[int64]int, groups)

@@ -102,7 +102,7 @@ func TestRouterBasics(t *testing.T) {
 		t.Fatalf("ViewLookup = %v %v %v", row, ok, err)
 	}
 	var appends int64
-	r.Each(func(_ int, e *engine.Engine) { appends += e.Stats().Appends })
+	r.Each(func(_ int, e *engine.Engine) { appends += e.Counters().Appends })
 	if appends != 1 {
 		t.Errorf("Stats().Appends summed over shards = %d", appends)
 	}

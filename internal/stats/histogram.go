@@ -5,9 +5,7 @@
 package stats
 
 import (
-	"fmt"
 	"math/bits"
-	"strings"
 	"time"
 )
 
@@ -134,15 +132,4 @@ func (h *Histogram) Snapshot() Snapshot {
 		P95:   h.Quantile(0.95),
 		P99:   h.Quantile(0.99),
 	}
-}
-
-// String renders the snapshot compactly.
-func (s Snapshot) String() string {
-	if s.Count == 0 {
-		return "no observations"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d mean=%s min=%s p50≤%s p95≤%s p99≤%s max=%s",
-		s.Count, s.Mean, s.Min, s.P50, s.P95, s.P99, s.Max)
-	return b.String()
 }

@@ -125,6 +125,11 @@ func (db *DB) ReplLag() (lsn uint64, age time.Duration) {
 	if !ok {
 		return 0, 0
 	}
+	return replLag(st)
+}
+
+// replLag is one follower state's lag, as ReplLag reports it.
+func replLag(st repl.State) (lsn uint64, age time.Duration) {
 	if st.PrimaryLSN > st.AppliedLSN {
 		lsn = st.PrimaryLSN - st.AppliedLSN
 	}

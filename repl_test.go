@@ -292,7 +292,8 @@ func TestReplStaleReads(t *testing.T) {
 		Shards: 2, MaxStaleness: 30 * time.Millisecond,
 	})
 	defer f.Close()
-	tsf := httptest.NewServer(server.NewWith(f, server.Config{}))
+	srvf := server.NewWith(f, server.Config{})
+	tsf := httptest.NewServer(srvf)
 	defer tsf.Close()
 	waitUntil(t, 5*time.Second, "follower staleness", f.Stale)
 
@@ -302,7 +303,8 @@ func TestReplStaleReads(t *testing.T) {
 		t.Fatalf("stale read err = %v, want ErrStaleReplica", err)
 	}
 
-	// /healthz advertises the staleness with figures.
+	// /healthz advertises the staleness with figures, in the shape of every
+	// other state: status, error and the health metrics (replica lag included).
 	hr, err := http.Get(tsf.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -312,6 +314,20 @@ func TestReplStaleReads(t *testing.T) {
 	hr.Body.Close()
 	if hr.StatusCode != http.StatusServiceUnavailable || health["status"] != "stale" {
 		t.Fatalf("healthz = %d %v, want 503 stale", hr.StatusCode, health)
+	}
+	want := map[string]bool{"status": true, "error": true}
+	for _, m := range srvf.Metrics() {
+		if m.Health {
+			want[m.Name] = true
+		}
+	}
+	for k := range health {
+		if !want[k] {
+			t.Errorf("stale /healthz has undeclared key %q", k)
+		}
+	}
+	if _, ok := health["replica_lag_lsn"]; !ok || len(health) != len(want) {
+		t.Errorf("stale /healthz keys = %v, want %v", health, want)
 	}
 
 	// Two endpoints: the stale 503 rotates to the healthy primary.

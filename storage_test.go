@@ -48,7 +48,7 @@ func TestSegmentRotationAndReopen(t *testing.T) {
 		want += i
 	}
 	w := db.WALStats()
-	if !w.Segmented || w.SegmentCap != 256 {
+	if w.SegmentCap != 256 {
 		t.Fatalf("WALStats segmented gauges = %+v", w)
 	}
 	if w.Rotations == 0 || w.Segments < 2 || w.SealedSegments == 0 {
