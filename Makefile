@@ -105,22 +105,26 @@ maint-stress:
 # 20 000-group B-tree view (per-row copy-on-write would show there), and the
 # cost of a 1 000-row load call of new groups into 64 views (the suite's
 # set-up shape; per-row rounds would show there). The load guard pins that
-# call's allocation ceiling (a new group is carved, not allocated), and the
-# viewdebug build counts what a row costs a hash view in hashes, probes and
-# key comparisons and widens the slot-publication window for the lock-free
+# call's allocation ceiling (a new group is carved, not allocated), the
+# group-bytes guard pins the live heap a new group costs a hash, a B-tree and
+# a DISTINCT view (a group is its key and its states), and the viewdebug
+# build counts what a row costs a hash view in hashes, probes and key
+# comparisons and widens the slot-publication window for the lock-free
 # reader test.
 # -count=1 defeats caching — the guards must run.
 bench-maint:
-	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestLoadAllocGuard|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall' -v .
+	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestLoadAllocGuard|TestGroupBytesGuard|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall' -v .
 	$(GO) test -count=1 -tags viewdebug -run 'TestHashStoreCounts|TestHashLockFreeThroughGrowth' -v ./internal/view
 	$(GO) test -run=NONE -bench 'BenchmarkMaintainFanout' -benchmem -benchtime 50x .
 
 # prof-load profiles the two shapes the suite's maintain-fanout workload is
 # made of — the 1 000-row load call of new groups into 64 views (set-up) and
 # the 64-row call into a 20 000-group B-tree view (the timed phase's copy-on-
-# write side) — and prints where the time and the bytes go, so the next
-# performance issue sizes its claim from one command. Profiles and the test
-# binary land in .prof/ (git-ignored). Not part of check.
+# write side) — and prints where the time and the allocated bytes go, and for
+# the load what the loaded views keep (in-use bytes: 20 000 groups in each of
+# 64 views), so the next performance or memory issue sizes its claim from one
+# command. Profiles and the test binary land in .prof/ (git-ignored). Not
+# part of check.
 PROF_DIR := .prof
 prof-load:
 	mkdir -p $(PROF_DIR)
@@ -131,6 +135,9 @@ prof-load:
 			-test.cpuprofile $(PROF_DIR)/$$n.cpu -test.memprofile $(PROF_DIR)/$$n.mem || exit 1; \
 		$(GO) tool pprof -top -cum -nodecount 25 $(PROF_DIR)/chronicledb.test $(PROF_DIR)/$$n.cpu 2>/dev/null | sed -n '1,33p'; \
 		$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount 25 $(PROF_DIR)/chronicledb.test $(PROF_DIR)/$$n.mem 2>/dev/null | sed -n '1,32p'; \
+		if [ $$b = load1000 ]; then \
+			$(GO) tool pprof -sample_index=inuse_space -top -nodecount 25 $(PROF_DIR)/chronicledb.test $(PROF_DIR)/$$n.mem 2>/dev/null | sed -n '1,32p'; \
+		fi; \
 	done
 
 # check is the gate for every change: static analysis plus the full suite
@@ -158,6 +165,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=30s ./internal/sqlparse/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeValue -fuzztime=30s ./internal/value/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeTuple -fuzztime=30s ./internal/value/
+	$(GO) test -run=NONE -fuzz=FuzzKeyenc -fuzztime=30s ./internal/keyenc/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=30s ./internal/wal/
 	$(GO) test -run=NONE -fuzz=FuzzManifest -fuzztime=30s ./internal/wal/
 	$(GO) test -run=NONE -fuzz='^FuzzBlock$$' -fuzztime=30s ./internal/view/

@@ -108,7 +108,7 @@ func benchLoad1000(b *testing.B) {
 		}
 	}
 	var db *chronicledb.DB
-	defer func() { db.Close() }()
+	defer func() { db.Close(); loadHeld = db }()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -125,6 +125,12 @@ func benchLoad1000(b *testing.B) {
 		}
 	}
 }
+
+// loadHeld keeps benchLoad1000's last database reachable once the benchmark
+// returns: a -test.memprofile is written after the benchmarks end, and its
+// in-use sample then shows what the loaded views hold (make prof-load
+// prints it).
+var loadHeld *chronicledb.DB
 
 // benchCall64 is one 64-row AppendRows call against a 20 000-group B-tree
 // view, every row a different existing group. Its B/op is the line to watch:
@@ -341,6 +347,66 @@ func TestLoadAllocGuard(t *testing.T) {
 	}
 	if v, _ := db.View("v63"); v.Len() != 10*callK {
 		t.Fatalf("v63 holds %d groups, want %d", v.Len(), 10*callK)
+	}
+}
+
+// TestGroupBytesGuard pins what a group costs a view in memory, the way the
+// alloc guards pin what a call costs in allocations: the live heap a view
+// gains per new group, read after a collection, over 100 000 groups appended
+// in 1 000-row calls. The chronicle retains nothing, so the growth is the
+// view's — entry shell, states, key, and the store's index share. A group is
+// its key and its states; a second copy of the group values shows here.
+func TestGroupBytesGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under -race")
+	}
+	const groups, callK = 100_000, 1_000
+	for _, tc := range []struct {
+		name, view string
+		budget     float64
+	}{
+		{"hash-one-aggregate", `CREATE VIEW v AS SELECT acct, SUM(minutes) AS m FROM calls GROUP BY acct`, 150},
+		{"btree-three-aggregates", `CREATE VIEW v AS SELECT acct, SUM(minutes) AS m, COUNT(*) AS n, MAX(minutes) AS hi
+			FROM calls GROUP BY acct WITH STORE BTREE`, 290},
+		{"distinct", `CREATE VIEW v AS SELECT DISTINCT acct FROM calls`, 110},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, err := chronicledb.Open(chronicledb.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			for _, stmt := range []string{`CREATE CHRONICLE calls (acct STRING, minutes INT)`, tc.view} {
+				if _, err := db.Exec(stmt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rows := make([]chronicledb.Tuple, callK)
+			heap := func() uint64 {
+				var m runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&m)
+				return m.HeapAlloc
+			}
+			before := heap()
+			for c := 0; c < groups/callK; c++ {
+				for j := range rows {
+					rows[j] = chronicledb.Tuple{chronicledb.Str(fmt.Sprintf("acct%06d", c*callK+j)), chronicledb.Int(1)}
+				}
+				if _, _, err := db.AppendRows("calls", rows); err != nil {
+					t.Fatal(err)
+				}
+			}
+			clear(rows)
+			perGroup := float64(int64(heap())-int64(before)) / groups
+			if v, _ := db.View("v"); v.Len() != groups {
+				t.Fatalf("the view holds %d groups, want %d", v.Len(), groups)
+			}
+			t.Logf("%s: %.0f B/group (budget %.0f)", tc.name, perGroup, tc.budget)
+			if perGroup > tc.budget {
+				t.Errorf("%s: %.0f B/group, budget %.0f — a group grew", tc.name, perGroup, tc.budget)
+			}
+		})
 	}
 }
 

@@ -357,8 +357,8 @@ type access struct {
 	win   view.Window
 	// residual is the whole WHERE clause, pushed atoms included: the window
 	// only has to contain the answer, the residual decides it. That is what
-	// keeps integer keys past 2⁵³ (which collapse onto one encoding), NULLs
-	// and an integer literal against a FLOAT column from changing an answer.
+	// keeps NULLs and a literal of the other numeric kind than its column
+	// from changing an answer.
 	residual []pred.Predicate
 	// ordered says the walk yields the answer's order, so LIMIT went into
 	// the window; otherwise the rows are sorted by orderCol afterwards.
@@ -420,25 +420,16 @@ func planAccess(v *view.View, q *sqlparse.Query) (access, error) {
 			key:  keyenc.AppendValue(prefix[:len(prefix):len(prefix)], k),
 			vals: append(pinned[:fixed:fixed], k),
 		}
-		// An integer literal at or past 2⁵³ shares its encoding with its
-		// neighbours, so a strict bound on it must not cut at the encoding.
-		exact := k.Kind() != value.KindInt || (k.AsInt() > -1<<53 && k.AsInt() < 1<<53)
 		switch atoms[0].Op {
 		case pred.Gt:
-			if exact {
-				at = after(at)
-			}
+			at = after(at)
 			fallthrough
 		case pred.Ge:
 			if bytes.Compare(at.key, lo.key) > 0 {
 				lo = at
 			}
 		case pred.Lt:
-			if exact {
-				hi = lower(hi, at)
-				break
-			}
-			fallthrough
+			hi = lower(hi, at)
 		case pred.Le:
 			hi = lower(hi, after(at))
 		}

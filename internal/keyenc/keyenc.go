@@ -1,29 +1,44 @@
 // Package keyenc provides an order-preserving ("memcomparable") binary
 // encoding of values and tuples: byte-wise comparison of encodings agrees
-// with value.Compare / value.CompareTuples.
+// with value.Compare / value.CompareTuples, and an encoding decodes back to
+// its value (DecodeValue, DecodeKey).
 //
 // The ordered B-tree stores key on this encoding, which is what lets a
 // persistent view support ordered scans and range queries over its group
 // key — the "what indices should be constructed?" question of Section 5.2.
+// Because the encoding is exact and decodable, a view stores each group's
+// values once, as its key, and decodes them when a reader builds the row.
 //
 // Layout, per value (tags chosen so cross-kind order matches value.Compare:
 // nulls < numerics < strings < bools < times):
 //
 //	null:    0x01
-//	numeric: 0x02 + 8-byte sortable float64 (sign-massaged IEEE bits)
+//	numeric: 0x02 + 8-byte sortable float64 f + remainder suffix
 //	string:  0x03 + bytes with 0x00 escaped as 0x00 0xFF + terminator 0x00 0x00
 //	bool:    0x04 + 1 byte
 //	time:    0x05 + 8-byte sortable int64
 //
-// Integers and floats share the numeric class and compare numerically,
-// exactly as value.Compare does. Like SQLite's numeric affinity, integer
-// keys with |v| > 2⁵³ collapse onto their nearest float64 — distinct such
-// keys may encode equal. Chronicle group keys are account numbers, names,
-// and timestamps in practice; the trade-off buys byte-comparable keys.
+// A numeric v, int or float, is encoded as f, the float64 nearest to it
+// (sign-massaged IEEE bits, NaN below -Inf, -0 as 0), then the exact signed
+// remainder r = v − f as a tie-break: one byte 0x80 when r is 0 — every
+// float, and every int with |v| ≤ 2⁵³ — otherwise 0x7F (r < 0) or 0x81
+// (r > 0) and r as a sortable int16 (|r| ≤ 2⁹ for an int64). The numbers
+// are therefore ordered by (f, r), which is their exact numeric order:
+//
+//	NaN < -Inf < … < -2⁶³ < … < -0 = 0 < … < 2⁵³ < 2⁵³+1 < … < 2⁶³-1 < … < +Inf
+//
+// Equal numbers encode equal whatever their kind (Int(5) and Float(5.0) are
+// one group) and distinct ones never do. Which kind a numeric decodes to is
+// the column's: values are coerced to their column kind on append, so the
+// view schema names it.
+//
+// No encoding is a proper prefix of another, so the encodings of a tuple's
+// values concatenate into the tuple's encoding, ordered lexicographically.
 package keyenc
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"sync"
 
@@ -55,17 +70,35 @@ const (
 	tagTime    = 0x05
 )
 
+// Remainder suffix markers of a numeric encoding.
+const (
+	remNeg  = 0x7F
+	remZero = 0x80
+	remPos  = 0x81
+)
+
 // AppendValue appends the order-preserving encoding of v to dst.
 func AppendValue(dst []byte, v value.Value) []byte {
 	switch v.Kind() {
 	case value.KindNull:
 		return append(dst, tagNull)
 	case value.KindInt:
-		dst = append(dst, tagNumeric)
-		return appendSortableFloat(dst, float64(v.AsInt()))
+		i := v.AsInt()
+		f := float64(i)
+		dst = appendSortableFloat(append(dst, tagNumeric), f)
+		r := remainder(i, f)
+		switch {
+		case r < 0:
+			dst = append(dst, remNeg)
+		case r > 0:
+			dst = append(dst, remPos)
+		default:
+			return append(dst, remZero)
+		}
+		return binary.BigEndian.AppendUint16(dst, uint16(r)^1<<15)
 	case value.KindFloat:
-		dst = append(dst, tagNumeric)
-		return appendSortableFloat(dst, v.AsFloat())
+		dst = appendSortableFloat(append(dst, tagNumeric), v.AsFloat())
+		return append(dst, remZero)
 	case value.KindString:
 		dst = append(dst, tagString)
 		s := v.AsString()
@@ -119,33 +152,217 @@ func Key(t value.Tuple, cols []int) string {
 // TupleKey renders the whole tuple.
 func TupleKey(t value.Tuple) string { return string(AppendTuple(nil, t)) }
 
+var (
+	errTruncated = errors.New("keyenc: truncated encoding")
+	errMalformed = errors.New("keyenc: malformed encoding")
+)
+
+// DecodeValue decodes the value encoded at the front of b as a value of a
+// column of the given kind and returns it with the number of bytes it took.
+// The kind decides only what a numeric becomes: a Float in a FLOAT column,
+// otherwise an Int when it is one (a remainder forces Int, a fraction
+// Float). Every NaN decodes as the canonical NaN and -0 as 0, which
+// value.Compare holds equal to what was encoded. Decoding from a string
+// builds string cells as substrings of it, without allocating, unless they
+// hold a NUL; decoding from bytes copies them.
+func DecodeValue[B string | []byte](b B, kind value.Kind) (value.Value, int, error) {
+	return decode(b, kind, true)
+}
+
+// DecodeKey appends to dst the values of a key encoded from one value per
+// entry of kinds, each decoded as that kind (see DecodeValue). It fails
+// unless key holds exactly those values.
+func DecodeKey[B string | []byte](dst value.Tuple, key B, kinds []value.Kind) (value.Tuple, error) {
+	for _, k := range kinds {
+		v, n, err := decode(key, k, true)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, v)
+		key = key[n:]
+	}
+	if len(key) != 0 {
+		return dst, errMalformed
+	}
+	return dst, nil
+}
+
+// CheckKey reports whether key is the canonical encoding of exactly n
+// values — what AppendTuple writes — without building them.
+func CheckKey(key []byte, n int) error {
+	for ; n > 0; n-- {
+		_, used, err := decode(key, value.KindNull, false)
+		if err != nil {
+			return err
+		}
+		key = key[used:]
+	}
+	if len(key) != 0 {
+		return errMalformed
+	}
+	return nil
+}
+
+// decode is DecodeValue; without build it checks a string cell and leaves
+// it unbuilt.
+func decode[B string | []byte](b B, kind value.Kind, build bool) (value.Value, int, error) {
+	if len(b) == 0 {
+		return value.Value{}, 0, errTruncated
+	}
+	switch b[0] {
+	case tagNull:
+		return value.Null(), 1, nil
+	case tagNumeric:
+		return decodeNumeric(b, kind)
+	case tagString:
+		esc := false
+		for i := 1; i+1 < len(b); i++ {
+			if b[i] != 0x00 {
+				continue
+			}
+			switch b[i+1] {
+			case 0x00:
+				switch {
+				case !build:
+					return value.Value{}, i + 2, nil
+				case esc:
+					return value.Str(unescape(b[1:i])), i + 2, nil
+				}
+				return value.Str(string(b[1:i])), i + 2, nil
+			case 0xFF:
+				esc = true
+				i++
+			default:
+				return value.Value{}, 0, errMalformed
+			}
+		}
+		return value.Value{}, 0, errTruncated
+	case tagBool:
+		if len(b) < 2 {
+			return value.Value{}, 0, errTruncated
+		}
+		if b[1] > 1 {
+			return value.Value{}, 0, errMalformed
+		}
+		return value.Bool(b[1] == 1), 2, nil
+	case tagTime:
+		if len(b) < 9 {
+			return value.Value{}, 0, errTruncated
+		}
+		return value.Chronon(int64(bigEndian(b[1:9]) ^ 1<<63)), 9, nil
+	}
+	return value.Value{}, 0, errMalformed
+}
+
+// decodeNumeric decodes a numeric encoding (see the package comment),
+// refusing any that AppendValue would not have written.
+func decodeNumeric[B string | []byte](b B, kind value.Kind) (value.Value, int, error) {
+	if len(b) < 10 {
+		return value.Value{}, 0, errTruncated
+	}
+	bits := bigEndian(b[1:9])
+	f := sortableFloat(bits)
+	if sortableBits(f) != bits {
+		return value.Value{}, 0, errMalformed
+	}
+	integral := f == math.Trunc(f) && f >= -0x1p63 && f <= 0x1p63
+	switch b[9] {
+	case remZero:
+		if kind == value.KindFloat || !integral || f == 0x1p63 {
+			return value.Float(f), 10, nil
+		}
+		return value.Int(int64(f)), 10, nil
+	case remNeg, remPos:
+		if len(b) < 12 {
+			return value.Value{}, 0, errTruncated
+		}
+		r := int64(int16(bigEndian(b[10:12]) ^ 1<<15))
+		if !integral || r == 0 || (r < 0) != (b[9] == remNeg) {
+			return value.Value{}, 0, errMalformed
+		}
+		// i = f + r; a sum that wraps past the int64 range, or an i that f
+		// is not the nearest float64 to, is no encoding.
+		var i int64
+		if f == 0x1p63 {
+			i = r + 1<<62 + 1<<62
+		} else {
+			i = int64(f) + r
+		}
+		if float64(i) != f {
+			return value.Value{}, 0, errMalformed
+		}
+		return value.Int(i), 12, nil
+	}
+	return value.Value{}, 0, errMalformed
+}
+
+// bigEndian reads b as a big-endian unsigned integer.
+func bigEndian[B string | []byte](b B) (x uint64) {
+	for i := 0; i < len(b); i++ {
+		x = x<<8 | uint64(b[i])
+	}
+	return x
+}
+
+// unescape returns an encoded string body with each 0x00 0xFF back to 0x00.
+func unescape[B string | []byte](body B) string {
+	out := make([]byte, 0, len(body))
+	for i := 0; i < len(body); i++ {
+		out = append(out, body[i])
+		if body[i] == 0x00 {
+			i++ // the 0xFF
+		}
+	}
+	return string(out)
+}
+
+// remainder returns i − f exactly, where f = float64(i) is i rounded to the
+// nearest float64: at most half a unit in the last place, 2⁹ for an int64.
+func remainder(i int64, f float64) int64 {
+	if f >= 0x1p63 { // i rounded up past MaxInt64, where int64(f) is undefined
+		return i - 1<<62 - 1<<62
+	}
+	return i - int64(f)
+}
+
 // appendSortableFloat writes f as 8 bytes whose unsigned byte-wise order is
-// the numeric order: positive floats get the sign bit flipped, negative
-// floats get all bits inverted. NaN is normalized below -Inf.
+// the numeric order (see sortableBits).
 func appendSortableFloat(dst []byte, f float64) []byte {
-	if f == 0 {
-		f = 0 // normalize -0.0, which compares equal to +0.0
+	return binary.BigEndian.AppendUint64(dst, sortableBits(f))
+}
+
+// sortableBits maps f to a word whose unsigned order is the numeric order:
+// positive floats get the sign bit flipped, negative floats get all bits
+// inverted. -0 maps as 0, and every NaN to the all-zero word, below -Inf.
+func sortableBits(f float64) uint64 {
+	switch {
+	case math.IsNaN(f):
+		return 0
+	case f == 0:
+		return 1 << 63
+	case f < 0:
+		return ^math.Float64bits(f)
+	default:
+		return math.Float64bits(f) | 1<<63
 	}
-	bits := math.Float64bits(f)
-	if math.IsNaN(f) {
-		bits = 0 // sorts below every real value after the transform
+}
+
+// sortableFloat inverts sortableBits.
+func sortableFloat(bits uint64) float64 {
+	switch {
+	case bits == 0:
+		return math.NaN()
+	case bits&(1<<63) != 0:
+		return math.Float64frombits(bits &^ (1 << 63))
+	default:
+		return math.Float64frombits(^bits)
 	}
-	if bits&(1<<63) != 0 {
-		bits = ^bits
-	} else {
-		bits |= 1 << 63
-	}
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], bits)
-	return append(dst, buf[:]...)
 }
 
 // appendSortableInt writes i as 8 big-endian bytes with the sign bit
 // flipped, so unsigned byte order equals signed numeric order.
 func appendSortableInt(dst []byte, i int64) []byte {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(i)^(1<<63))
-	return append(dst, buf[:]...)
+	return binary.BigEndian.AppendUint64(dst, uint64(i)^(1<<63))
 }
 
 // Separator returns a short key s with a < s ≤ b (byte-wise), appended to

@@ -3,6 +3,7 @@ package keyenc
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -249,4 +250,186 @@ func TestPrefixSuccessor(t *testing.T) {
 	if succ, _ := PrefixSuccessor([]byte("x"), p); string(succ) != "x\x03l" || p[1] != 'k' {
 		t.Errorf("PrefixSuccessor appended %q (prefix now %x)", succ, p)
 	}
+}
+
+// totalOrderValues are the values TestCompareTotalOrder draws triples from:
+// the numbers an inexact int/float comparison gets wrong (±2⁵³±1, ±2⁶³ and
+// their float neighbours, NaN, −0, ±Inf) in both kinds where they exist,
+// seeded random numbers near those edges, and a value of every other kind.
+func totalOrderValues() []value.Value {
+	vals := []value.Value{
+		value.Null(), value.Str(""), value.Str("a\x00"), value.Bool(true), value.Chronon(-1),
+		value.Float(math.NaN()), value.Float(math.Float64frombits(0xFFF8000000000001)), // two NaNs, one
+		value.Float(math.Copysign(0, -1)), value.Float(0), value.Int(0),
+		value.Float(math.Inf(-1)), value.Float(math.Inf(1)), value.Float(0.5), value.Float(-0.5),
+		value.Int(math.MaxInt64), value.Int(math.MinInt64), value.Int(math.MinInt64 + 1), value.Int(math.MaxInt64 - 511),
+		value.Float(0x1p63), value.Float(-0x1p63), value.Float(math.Nextafter(0x1p63, 0)), value.Float(math.Nextafter(-0x1p63, 0)),
+	}
+	for _, base := range []int64{1 << 53, -(1 << 53)} {
+		for d := int64(-2); d <= 2; d++ {
+			vals = append(vals, value.Int(base+d), value.Float(float64(base+d)))
+		}
+		vals = append(vals, value.Float(float64(base)+0.5), value.Float(float64(base)*2+2))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 12; i++ {
+		n := rng.Int63() >> uint(rng.Intn(12))
+		if rng.Intn(2) == 0 {
+			n = -n
+		}
+		vals = append(vals, value.Int(n), value.Float(float64(n)), value.Float(rng.NormFloat64()*float64(n)))
+	}
+	return vals
+}
+
+// TestCompareTotalOrder: value.Compare is a total order — antisymmetric and
+// transitive, equality included — over every triple of totalOrderValues, Hash
+// agrees with its equality, and the encoding's byte order is that order.
+func TestCompareTotalOrder(t *testing.T) {
+	vals := totalOrderValues()
+	cmp := make([][]int, len(vals))
+	for i, a := range vals {
+		cmp[i] = make([]int, len(vals))
+		for j, b := range vals {
+			c := sign(value.Compare(a, b))
+			cmp[i][j] = c
+			if got := sign(bytes.Compare(enc(a), enc(b))); got != c {
+				t.Errorf("bytes.Compare(enc(%v), enc(%v)) = %d, value.Compare = %d", a, b, got, c)
+			}
+			if c == 0 && a.Hash(value.HashSeed) != b.Hash(value.HashSeed) {
+				t.Errorf("%v and %v compare equal but hash differently", a, b)
+			}
+		}
+	}
+	for i := range vals {
+		for j := range vals {
+			if cmp[i][j] != -cmp[j][i] {
+				t.Errorf("Compare(%v, %v) = %d but Compare(%v, %v) = %d", vals[i], vals[j], cmp[i][j], vals[j], vals[i], cmp[j][i])
+			}
+			for k := range vals {
+				if cmp[i][j] <= 0 && cmp[j][k] <= 0 && cmp[i][k] != min(cmp[i][j], cmp[j][k]) {
+					t.Errorf("not transitive: %v ≤ %v ≤ %v but Compare(%v, %v) = %d", vals[i], vals[j], vals[k], vals[i], vals[k], cmp[i][k])
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeRoundTrip: every sample decodes back, under its own kind, to a
+// value of that kind that compares equal, taking exactly its encoding.
+func TestDecodeRoundTrip(t *testing.T) {
+	for _, v := range append(sampleValues(), totalOrderValues()...) {
+		e := enc(v)
+		for _, got := range []func() (value.Value, int, error){
+			func() (value.Value, int, error) { return DecodeValue(e, v.Kind()) },
+			func() (value.Value, int, error) { return DecodeValue(string(e), v.Kind()) },
+		} {
+			d, n, err := got()
+			if err != nil || n != len(e) || d.Kind() != v.Kind() || value.Compare(d, v) != 0 {
+				t.Errorf("decode(enc(%v)) = %v (%s), %d of %d bytes, %v", v, d, d.Kind(), n, len(e), err)
+			}
+		}
+	}
+	// A numeric decodes as its column's kind.
+	if d, _, _ := DecodeValue(enc(value.Int(7)), value.KindFloat); d.Kind() != value.KindFloat {
+		t.Errorf("7 in a FLOAT column decodes as %s", d.Kind())
+	}
+	if d, _, _ := DecodeValue(enc(value.Float(7)), value.KindInt); d.Kind() != value.KindInt {
+		t.Errorf("7.0 in an INT column decodes as %s", d.Kind())
+	}
+	if d, _, _ := DecodeValue(enc(value.Float(7.5)), value.KindInt); d.Kind() != value.KindFloat || d.AsFloat() != 7.5 {
+		t.Errorf("7.5 decodes as %v", d)
+	}
+}
+
+// TestDecodeRejectsMalformed: bytes AppendValue never writes are refused,
+// not decoded into some value.
+func TestDecodeRejectsMalformed(t *testing.T) {
+	seven := enc(value.Int(7))
+	bad := map[string][]byte{
+		"empty":               nil,
+		"unknown tag":         {0x09},
+		"short numeric":       seven[:9],
+		"zero in 3 bytes":     append(append([]byte(nil), seven[:9]...), remPos, 0x80, 0x00),
+		"remainder sign":      append(append([]byte(nil), seven[:9]...), remNeg, 0x80, 0x01),
+		"remainder on 7":      append(append([]byte(nil), seven[:9]...), remPos, 0x80, 0x01),
+		"bad suffix":          append(append([]byte(nil), seven[:9]...), 0x42),
+		"non-canonical float": {tagNumeric, 0xFF, 0xF8, 0, 0, 0, 0, 0, 1, remZero},
+		"unterminated string": {tagString, 'a', 0x00},
+		"bad escape":          {tagString, 'a', 0x00, 0x01, 0x00, 0x00},
+		"bool 2":              {tagBool, 2},
+		"short time":          {tagTime, 1, 2},
+	}
+	for name, b := range bad {
+		if v, _, err := DecodeValue(b, value.KindInt); err == nil {
+			t.Errorf("%s: %x decoded as %v", name, b, v)
+		}
+	}
+	key := AppendTuple(nil, value.Tuple{value.Str("a"), value.Int(1 << 60)})
+	if err := CheckKey(key, 2); err != nil {
+		t.Errorf("CheckKey refuses a two-value key: %v", err)
+	}
+	for _, n := range []int{1, 3} {
+		if CheckKey(key, n) == nil {
+			t.Errorf("CheckKey accepts a two-value key as %d values", n)
+		}
+	}
+}
+
+// TestDecodeStringCellShares: a string cell decoded from a string key is a
+// substring of it — no allocation — which is what makes building a hash
+// view's row from its key free; from bytes it is one copy.
+func TestDecodeStringCellShares(t *testing.T) {
+	key := string(AppendTuple(nil, value.Tuple{value.Str("acct-0007"), value.Int(1<<53 + 1)}))
+	kinds := []value.Kind{value.KindString, value.KindInt}
+	row := make(value.Tuple, 0, 2)
+	if n := testing.AllocsPerRun(100, func() { row, _ = DecodeKey(row[:0], key, kinds) }); n != 0 {
+		t.Errorf("decoding a string key allocates %.0f times, want 0", n)
+	}
+	if row[0].AsString() != "acct-0007" || row[1].AsInt() != 1<<53+1 {
+		t.Errorf("decoded %v", row)
+	}
+	b := []byte(key)
+	if n := testing.AllocsPerRun(100, func() { row, _ = DecodeKey(row[:0], b, kinds) }); n != 1 {
+		t.Errorf("decoding a byte key allocates %.0f times, want 1 (the string cell)", n)
+	}
+}
+
+// FuzzKeyenc: for any int, float and string, each decodes from its
+// encoding under its column kind to an equal value of that kind, the
+// encodings order as value.Compare does, and a tuple of them decodes from
+// its concatenated encoding with nothing left over — each encoding is
+// self-delimiting.
+func FuzzKeyenc(f *testing.F) {
+	f.Add(int64(1<<53+1), float64(1<<53), "a\x00b")
+	f.Add(int64(-(1<<53)-1), float64(-(1 << 53)), "\x00")
+	f.Add(int64(1<<53-1), float64(1<<53+2), "\x00\xff")
+	f.Add(int64(math.MaxInt64), 0x1p63, "")
+	f.Add(int64(math.MinInt64), -0x1p63, "a\x00")
+	f.Add(int64(0), math.Copysign(0, -1), "\x00\x00")
+	f.Add(int64(-1), math.NaN(), "z\xff")
+	f.Fuzz(func(t *testing.T, i int64, x float64, s string) {
+		vals := value.Tuple{value.Int(i), value.Float(x), value.Str(s), value.Int(i ^ 1), value.Float(float64(i))}
+		kinds := []value.Kind{value.KindInt, value.KindFloat, value.KindString, value.KindInt, value.KindFloat}
+		for k, v := range vals {
+			e := enc(v)
+			d, n, err := DecodeValue(e, kinds[k])
+			if err != nil || n != len(e) || d.Kind() != v.Kind() || value.Compare(d, v) != 0 {
+				t.Fatalf("decode(enc(%v)) = %v, %d of %d bytes, %v", v, d, n, len(e), err)
+			}
+			for _, w := range vals {
+				if got, want := sign(bytes.Compare(e, enc(w))), sign(value.Compare(v, w)); got != want {
+					t.Fatalf("enc(%v) vs enc(%v): bytes %d, Compare %d", v, w, got, want)
+				}
+			}
+		}
+		key := AppendTuple(nil, vals)
+		got, err := DecodeKey(nil, key, kinds)
+		if err != nil || value.CompareTuples(got, vals) != 0 || CheckKey(key, len(vals)) != nil {
+			t.Fatalf("tuple %v decodes as %v (%v)", vals, got, err)
+		}
+		if _, err := DecodeKey(nil, append(key, tagNull), kinds); err == nil {
+			t.Fatal("a key with a value left over decodes")
+		}
+	})
 }

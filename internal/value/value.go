@@ -161,16 +161,24 @@ func (v Value) String() string {
 
 // Compare totally orders two values. Nulls sort first; mismatched,
 // non-numeric kinds order by kind tag so that the ordering stays total.
-// Int and float values compare numerically against each other.
+// Int and float values compare by their exact numeric values — an int is
+// never rounded to a float64 first, so Int(2⁵³+1) is above Float(2⁵³) —
+// and NaN sorts below every other number and equals itself.
 func Compare(a, b Value) int {
 	if a.kind == KindNull || b.kind == KindNull {
 		return int(boolToInt(b.kind == KindNull)) - int(boolToInt(a.kind == KindNull))
 	}
 	if a.IsNumeric() && b.IsNumeric() {
-		if a.kind == KindInt && b.kind == KindInt {
+		switch {
+		case a.kind == KindInt && b.kind == KindInt:
 			return cmpInt(a.i, b.i)
+		case a.kind == KindFloat && b.kind == KindFloat:
+			return cmpFloat(a.f, b.f)
+		case a.kind == KindFloat:
+			return cmpFloatInt(a.f, b.i)
+		default:
+			return -cmpFloatInt(b.f, a.i)
 		}
-		return cmpFloat(a.AsFloat(), b.AsFloat())
 	}
 	if a.kind != b.kind {
 		return cmpInt(int64(a.kind), int64(b.kind))
@@ -202,10 +210,15 @@ func (v Value) Hash(h uint64) uint64 {
 		h = fnvUint64(h, uint64(v.i))
 	case KindFloat:
 		// Hash floats by their numeric value so Int(2) and Float(2.0),
-		// which compare equal, also hash equal.
-		if v.f == math.Trunc(v.f) && v.f >= math.MinInt64 && v.f <= math.MaxInt64 {
+		// which compare equal, also hash equal: a float equals an int only
+		// when it is integral and inside the int64 range. Every NaN hashes
+		// as one, as every NaN compares equal.
+		switch {
+		case v.f == math.Trunc(v.f) && v.f >= -0x1p63 && v.f < 0x1p63:
 			h = fnvUint64(h, uint64(int64(v.f)))
-		} else {
+		case math.IsNaN(v.f):
+			h = fnvUint64(h, math.Float64bits(math.NaN()))
+		default:
 			h = fnvUint64(h, math.Float64bits(v.f))
 		}
 	case KindString:
@@ -252,14 +265,34 @@ func cmpInt(a, b int64) int {
 	return 0
 }
 
+// cmpFloat orders floats numerically, with NaN below every other float and
+// equal to itself (-0 and +0 are equal).
 func cmpFloat(a, b float64) int {
 	switch {
 	case a < b:
 		return -1
 	case a > b:
 		return 1
+	case a == b:
+		return 0
 	}
-	return 0
+	return cmpInt(boolToInt(!math.IsNaN(a)), boolToInt(!math.IsNaN(b)))
+}
+
+// cmpFloatInt compares a float with an int exactly: within the int64 range
+// by integral part, then by the fraction's sign.
+func cmpFloatInt(f float64, i int64) int {
+	switch {
+	case math.IsNaN(f), f < -0x1p63: // below every int64
+		return -1
+	case f >= 0x1p63:
+		return 1
+	}
+	t := math.Trunc(f)
+	if c := cmpInt(int64(t), i); c != 0 {
+		return c
+	}
+	return cmpFloat(f, t)
 }
 
 func boolToInt(b bool) int64 {

@@ -5,11 +5,10 @@ import (
 	"strings"
 
 	"chronicledb/internal/aggregate"
-	"chronicledb/internal/value"
 )
 
-// arena hands out the memory view entries are made of — entry shells, group
-// values, aggregation states, key bytes — from chunks it allocates a run at
+// arena hands out the memory view entries are made of — entry shells,
+// aggregation states, key bytes — from chunks it allocates a run at
 // a time, so a new group costs no allocation of its own and pays no
 // size-class rounding. Each chunk serves about as many entries as the arena
 // has handed out so far, between minChunk and maxChunk (see room): a view of
@@ -17,7 +16,7 @@ import (
 // objects per thousand groups and strands at most one chunk's tail.
 //
 // Nothing carved is ever returned one piece at a time. Views are
-// insert-only, so a group's values and key live as long as the view; shells
+// insert-only, so a group's key lives as long as the view; shells
 // are recycled by the hash store's freelist (see hashStore); and a paged
 // view carves per block (blockMeta.arena), so that evicting the block drops
 // the last reference to its chunks and the collector takes them whole.
@@ -27,7 +26,6 @@ import (
 type arena struct {
 	n       int // entries handed out or announced (reserve)
 	entries []entry
-	vals    []value.Value
 	states  []aggregate.State
 	keys    []byte          // ordered-store keys
 	strs    strings.Builder // hash-store keys
@@ -37,8 +35,7 @@ const (
 	minChunk = 8
 	maxChunk = 256
 	// maxChunkBytes is the largest chunk: the allocator's largest small size
-	// class. It also bounds what an arity read from a damaged image can ask
-	// for beyond its own length.
+	// class.
 	maxChunkBytes = 32 << 10
 	// allocHeader is what the allocator puts in front of a pointerful object
 	// of 512 bytes or more. A chunk of exactly a size class's bytes would be
@@ -48,7 +45,6 @@ const (
 
 var (
 	entrySize = int(reflect.TypeOf(entry{}).Size())
-	valueSize = int(reflect.TypeOf(value.Value{}).Size())
 	stateSize = int(reflect.TypeOf(aggregate.State{}).Size())
 )
 
@@ -82,18 +78,6 @@ func (a *arena) entry() *entry {
 	a.entries = a.entries[1:]
 	a.n++
 	return e
-}
-
-func (a *arena) tuple(n int) value.Tuple {
-	if a == nil {
-		return make(value.Tuple, n)
-	}
-	if len(a.vals) < n {
-		a.vals = make([]value.Value, a.room(n, valueSize))
-	}
-	t := a.vals[:n:n]
-	a.vals = a.vals[n:]
-	return t
 }
 
 func (a *arena) stateVec(n int) []aggregate.State {

@@ -6,7 +6,7 @@ import (
 	"hash/crc32"
 
 	"chronicledb/internal/aggregate"
-	"chronicledb/internal/value"
+	"chronicledb/internal/keyenc"
 )
 
 // Blocked view persistence: view entries are laid out in fixed-size blocks
@@ -19,12 +19,12 @@ import (
 // Block payload layout, self-contained and order-independent:
 //
 //	entry count (uvarint), then per entry:
-//	  vals tuple, count (uvarint), one state per aggregation spec
+//	  len(key) (uvarint), key, count (uvarint), one state per aggregation spec
 //	CRC-32C of all preceding payload bytes (4 bytes LE)
 //
-// Entry keys are not stored: they re-derive from the entry values exactly
-// as Apply keys them (keyenc.AppendTuple over vals), the same invariant
-// the v1 whole-image checkpoint relies on.
+// key is the entry's group key exactly as the store holds it (keyenc), and
+// the only copy of the group values: a restore carves it as it stands, and a
+// reader decodes the values from it.
 
 // DefaultBlockBytes is the target encoded size of one view block. 8 KiB
 // keeps a faulted block to a handful of tree inserts while amortizing the
@@ -51,9 +51,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // blockCRC is the checksum stored in a payload trailer and in BlockRefs.
 func blockCRC(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli) }
 
-// appendBlockEntry appends one entry in block-payload encoding.
-func appendBlockEntry(b []byte, e *entry, aggs []aggregate.Spec) []byte {
-	b = value.AppendTuple(b, e.vals)
+// appendBlockEntry appends the entry stored under key in block-payload
+// encoding.
+func appendBlockEntry(b, key []byte, e *entry, aggs []aggregate.Spec) []byte {
+	b = binary.AppendUvarint(b, uint64(len(key)))
+	b = append(b, key...)
 	b = binary.AppendUvarint(b, uint64(e.count))
 	for i, st := range e.states {
 		b = aggregate.AppendState(b, aggs[i].Func, st)
@@ -69,10 +71,17 @@ func sealBlock(dst []byte, entries []byte, n int) []byte {
 	return binary.LittleEndian.AppendUint32(dst, blockCRC(dst))
 }
 
+// keyed is a decoded entry and the key it is stored under, which aliases the
+// bytes it was decoded from.
+type keyed struct {
+	key []byte
+	e   *entry
+}
+
 // decodeBlock decodes a block payload produced by sealBlock, verifying the
 // CRC trailer first so a torn or corrupted block is rejected, never
-// half-applied. mode and aggs come from the owning view's definition.
-func decodeBlock(data []byte, mode Summarize, aggs []aggregate.Spec) ([]*entry, error) {
+// half-applied. Keys hold nkey values; aggs are the owning view's.
+func decodeBlock(data []byte, nkey int, aggs []aggregate.Spec) ([]keyed, error) {
 	if len(data) < 5 {
 		return nil, fmt.Errorf("block truncated: %d bytes", len(data))
 	}
@@ -86,26 +95,17 @@ func decodeBlock(data []byte, mode Summarize, aggs []aggregate.Spec) ([]*entry, 
 		return nil, fmt.Errorf("block: bad entry count")
 	}
 	off := n
-	cap := int(count)
-	if cap > len(body) { // a valid entry takes ≥1 byte; don't trust the count
-		cap = len(body)
-	}
-	entries := make([]*entry, 0, cap)
-	if mode != SummarizeGroupBy {
-		aggs = nil
-	}
-	// Blocks belong to the ordered store, whose shells stay with the
-	// collector; the block's values get an arena of their own, which goes
-	// when the block's entries do.
-	a := new(arena)
-	a.reserve(cap)
+	// A valid entry takes ≥1 byte; don't trust the count.
+	entries := make([]keyed, 0, min(count, uint64(len(body))))
 	for i := uint64(0); i < count; i++ {
-		e, used, err := decodeEntry(body[off:], a, true, aggs)
+		// Blocks belong to the ordered store, whose shells stay with the
+		// collector.
+		key, e, used, err := decodeEntry(body[off:], nil, true, nkey, aggs)
 		if err != nil {
 			return nil, fmt.Errorf("block entry %d: %w", i, err)
 		}
 		off += used
-		entries = append(entries, e)
+		entries = append(entries, keyed{key, e})
 	}
 	if off != len(body) {
 		return nil, fmt.Errorf("block: %d trailing bytes", len(body)-off)
@@ -115,39 +115,32 @@ func decodeBlock(data []byte, mode Summarize, aggs []aggregate.Spec) ([]*entry, 
 
 // decodeEntry decodes one entry in block-payload encoding (a whole-image
 // checkpoint uses the same) from the front of b, building it with newEntry,
-// and returns it with the bytes consumed.
-func decodeEntry(b []byte, a *arena, gcShell bool, aggs []aggregate.Spec) (*entry, int, error) {
-	arity, off := binary.Uvarint(b)
-	if off <= 0 {
-		return nil, 0, fmt.Errorf("bad tuple arity")
+// and returns its key — checked to hold nkey values, and aliasing b — with
+// it and the bytes consumed.
+func decodeEntry(b []byte, a *arena, gcShell bool, nkey int, aggs []aggregate.Spec) ([]byte, *entry, int, error) {
+	klen, off := binary.Uvarint(b)
+	if off <= 0 || klen > uint64(len(b)-off) {
+		return nil, nil, 0, fmt.Errorf("bad key length")
 	}
-	if arity > uint64(len(b)) {
-		// Each value takes at least one byte, so arity can never exceed the
-		// remaining buffer; this rejects corrupt headers early.
-		return nil, 0, fmt.Errorf("tuple arity %d exceeds buffer", arity)
+	key := b[off : off+int(klen)]
+	if err := keyenc.CheckKey(key, nkey); err != nil {
+		return nil, nil, 0, fmt.Errorf("key: %w", err)
 	}
-	e := newEntry(a, gcShell, int(arity), aggs, nil)
-	for i := range e.vals {
-		v, used, err := value.DecodeValue(b[off:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("column %d: %w", i, err)
-		}
-		e.vals[i] = v
-		off += used
-	}
+	off += int(klen)
 	c, used := binary.Uvarint(b[off:])
 	if used <= 0 {
-		return nil, 0, fmt.Errorf("bad count")
+		return nil, nil, 0, fmt.Errorf("bad count")
 	}
 	off += used
+	e := newEntry(a, gcShell, aggs, nil)
 	e.count = int64(c)
 	for j, spec := range aggs {
 		st, used, err := aggregate.DecodeState(spec.Func, b[off:])
 		if err != nil {
-			return nil, 0, fmt.Errorf("state %d: %w", j, err)
+			return nil, nil, 0, fmt.Errorf("state %d: %w", j, err)
 		}
 		e.states[j] = st
 		off += used
 	}
-	return e, off, nil
+	return key, e, off, nil
 }

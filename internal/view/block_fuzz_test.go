@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chronicledb/internal/aggregate"
+	"chronicledb/internal/keyenc"
 	"chronicledb/internal/value"
 )
 
@@ -15,15 +16,15 @@ var fuzzAggs = []aggregate.Spec{
 }
 
 // sealTestBlock encodes entries the way encodeBlockRun does.
-func sealTestBlock(entries []*entry) []byte {
+func sealTestBlock(entries []keyed) []byte {
 	var body []byte
-	for _, e := range entries {
-		body = appendBlockEntry(body, e, fuzzAggs)
+	for _, ke := range entries {
+		body = appendBlockEntry(body, ke.key, ke.e, fuzzAggs)
 	}
 	return sealBlock(nil, body, len(entries))
 }
 
-func fuzzEntry(acct string, total, n int64) *entry {
+func fuzzEntry(acct string, total, n int64) keyed {
 	sum := aggregate.NewState(aggregate.Sum)
 	cnt := aggregate.NewState(aggregate.Count)
 	for i := int64(0); i < n; i++ {
@@ -34,11 +35,7 @@ func fuzzEntry(acct string, total, n int64) *entry {
 		sum.Step(value.Int(share))
 		cnt.Step(value.Int(share))
 	}
-	return &entry{
-		vals:   value.Tuple{value.Str(acct)},
-		count:  n,
-		states: []aggregate.State{sum, cnt},
-	}
+	return keyed{keyenc.AppendValue(nil, value.Str(acct)), &entry{count: n, states: []aggregate.State{sum, cnt}}}
 }
 
 // FuzzBlock: decodeBlock must never panic on arbitrary bytes; payloads it
@@ -47,17 +44,18 @@ func fuzzEntry(acct string, total, n int64) *entry {
 // by the CRC trailer, never half-applied.
 func FuzzBlock(f *testing.F) {
 	f.Add(sealTestBlock(nil))
-	f.Add(sealTestBlock([]*entry{fuzzEntry("acct0001", 30, 2)}))
-	f.Add(sealTestBlock([]*entry{
+	f.Add(sealTestBlock([]keyed{fuzzEntry("acct0001", 30, 2)}))
+	f.Add(sealTestBlock([]keyed{
 		fuzzEntry("a", 1, 1),
 		fuzzEntry("acct0042", 9000, 7),
 		fuzzEntry("zzz", -5, 3),
 	}))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0})
+	f.Add(sealTestBlock([]keyed{fuzzEntry("a\x00", 2, 1), fuzzEntry("a\x00b", 3, 1)}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := decodeBlock(data, SummarizeGroupBy, fuzzAggs)
+		entries, err := decodeBlock(data, 1, fuzzAggs)
 		if err != nil {
 			return
 		}
@@ -69,7 +67,7 @@ func FuzzBlock(f *testing.F) {
 		// Torn writes (any truncation) must be rejected.
 		for _, cut := range []int{1, 4, len(data) / 2} {
 			if cut < len(data) {
-				if _, err := decodeBlock(data[:len(data)-cut], SummarizeGroupBy, fuzzAggs); err == nil {
+				if _, err := decodeBlock(data[:len(data)-cut], 1, fuzzAggs); err == nil {
 					t.Fatalf("torn block (%d bytes cut) decoded without error", cut)
 				}
 			}
@@ -78,7 +76,7 @@ func FuzzBlock(f *testing.F) {
 		if len(data) > 0 {
 			flipped := bytes.Clone(data)
 			flipped[len(flipped)/2] ^= 0x10
-			if _, err := decodeBlock(flipped, SummarizeGroupBy, fuzzAggs); err == nil {
+			if _, err := decodeBlock(flipped, 1, fuzzAggs); err == nil {
 				t.Fatal("bit-flipped block decoded without error")
 			}
 		}

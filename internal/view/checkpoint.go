@@ -3,8 +3,6 @@ package view
 import (
 	"encoding/binary"
 	"fmt"
-
-	"chronicledb/internal/keyenc"
 )
 
 // View checkpoints. Because the chronicle itself is not retained, a view's
@@ -19,8 +17,8 @@ import (
 //
 // A whole image then holds every entry:
 //
-//	entry count (uvarint), then per entry:
-//	  vals tuple, count (uvarint), one state per aggregation spec
+//	entry count (uvarint), then per entry as in a block payload (block.go):
+//	  len(key) (uvarint), key, count (uvarint), one state per aggregation spec
 
 const (
 	checkpointMagic   = "CDBV"
@@ -77,8 +75,8 @@ func (v *View) checkHeader(data []byte, version byte) (int, error) {
 // complete even if eviction runs mid-encode.
 func (v *View) Checkpoint() []byte {
 	b := v.appendHeader(nil, checkpointVersion)
-	appendEntry := func(_ []byte, e *entry) bool {
-		b = appendBlockEntry(b, e, v.def.Aggs)
+	appendEntry := func(k []byte, e *entry) bool {
+		b = appendBlockEntry(b, k, e, v.def.Aggs)
 		return true
 	}
 	if p := v.pg.Load(); p != nil {
@@ -110,19 +108,17 @@ func (v *View) RestoreCheckpoint(data []byte) error {
 	fresh := newStore(storeKindOf(v.store))
 	a := new(arena)
 	a.reserve(int(min(count, uint64(len(data)))))
-	var keyBuf []byte
 	for i := uint64(0); i < count; i++ {
-		e, used, err := decodeEntry(data[off:], a, v.cow, v.aggs)
+		key, e, used, err := decodeEntry(data[off:], a, v.cow, len(v.keyKinds), v.aggs)
 		if err != nil {
 			return fmt.Errorf("view %s: entry %d: %w", v.def.Name, i, err)
 		}
 		off += used
-		keyBuf = keyenc.AppendTuple(keyBuf[:0], e.vals)
-		dup, tag := fresh.get(keyBuf)
+		dup, tag := fresh.get(key)
 		if dup != nil {
 			return fmt.Errorf("view %s: entry %d repeats a group", v.def.Name, i)
 		}
-		fresh.put(a, keyBuf, tag, e)
+		fresh.put(a, key, tag, e)
 	}
 	if off != len(data) {
 		return fmt.Errorf("view %s: %d trailing checkpoint bytes", v.def.Name, len(data)-off)
@@ -162,10 +158,6 @@ func (v *View) RestoreCheckpoint(data []byte) error {
 	v.mu.Unlock()
 	return nil
 }
-
-// Restored entries are re-keyed by e.vals.FullKey(): projection views key
-// by the whole projected tuple and group-by views by the group columns,
-// which are exactly e.vals in both cases (matching Apply's keying).
 
 func storeKindOf(s store) StoreKind {
 	if _, ok := s.(*treeStore); ok {

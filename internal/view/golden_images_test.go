@@ -10,12 +10,11 @@ import (
 )
 
 // The image half of the format pin (the state half is in
-// internal/aggregate): a whole-image checkpoint written before entries were
-// built by newEntry and states became flat must restore here, and the same
-// rows must produce the same bytes here. testdata/golden_checkpoint.hex was
-// written by that parent commit running goldenView over goldenRows
-// (GOLDEN_WRITE=1); golden_blocked.hex was rewritten once by the commit that
-// made a full cut a one-run blocked image, the format change itself.
+// internal/aggregate): the checkpoint images of goldenView over goldenRows
+// must restore here, and the same rows must produce the same bytes here.
+// Both testdata files were rewritten (GOLDEN_WRITE=1) by the commit that
+// made an image entry its stored key instead of a value-encoded tuple — the
+// format change itself — and must not change without one.
 
 // goldenView carries every aggregation function over the fixture's calls
 // chronicle, so every state encoding appears in the images.

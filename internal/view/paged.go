@@ -46,9 +46,9 @@ type blockMeta struct {
 	ckptMark  uint64 // pager clock at last durably committed encode
 	ref       *BlockRef
 	hot       atomic.Bool // CLOCK reference bit: set by writes and by point, range and limit reads, not by a scan of the whole view
-	// arena is where the block's keys and its new groups' values are carved
-	// from while it is resident (created on first need). Eviction drops it
-	// with the entries, so a cold block pins no chunk.
+	// arena is where the block's keys are carved from while it is resident
+	// (created on first need). Eviction drops it with the entries, so a cold
+	// block pins no chunk.
 	arena *arena
 }
 
@@ -234,7 +234,7 @@ func (v *View) pageIn(p *pager, b *blockMeta, pub *btree.Tree[[]byte, *entry]) {
 		panic(fmt.Sprintf("view %s: block fault %s@%d+%d: %v",
 			v.def.Name, b.ref.File, b.ref.Off, b.ref.Len, err))
 	}
-	entries, err := decodeBlock(data, v.def.Mode, v.def.Aggs)
+	entries, err := decodeBlock(data, len(v.keyKinds), v.aggs)
 	if err != nil {
 		panic(fmt.Sprintf("view %s: block %s@%d+%d corrupt: %v",
 			v.def.Name, b.ref.File, b.ref.Off, b.ref.Len, err))
@@ -242,16 +242,14 @@ func (v *View) pageIn(p *pager, b *blockMeta, pub *btree.Tree[[]byte, *entry]) {
 	ts := v.store.(*treeStore)
 	b.arena = new(arena)
 	b.arena.reserve(len(entries))
-	var keyBuf []byte
-	for _, e := range entries {
+	for _, ke := range entries {
 		// A decoded entry's stamp is epoch 0, which predates every write
 		// epoch: the entry is about to be published, so the first write to
 		// it must copy.
-		keyBuf = keyenc.AppendTuple(keyBuf[:0], e.vals)
-		key := b.arena.keyBytes(keyBuf)
-		ts.t.Set(key, e)
+		key := b.arena.keyBytes(ke.key)
+		ts.t.Set(key, ke.e)
 		if pub != nil {
-			pub.Set(key, e)
+			pub.Set(key, ke.e)
 		}
 	}
 	b.resident = true
@@ -314,7 +312,7 @@ func (v *View) pagedLookup(key []byte) (value.Tuple, bool) {
 	var row value.Tuple
 	e, ok := v.snap.Load().tree.Get(key)
 	if ok && e.count != 0 {
-		row = v.rowOf(e)
+		row = rowOf(v, key, e)
 	} else {
 		ok = false
 	}
@@ -589,7 +587,7 @@ func (v *View) encodeBlockRun(ts *treeStore, p *pager, b *blockMeta, hi []byte, 
 	cur := cut{}
 	var entBuf []byte
 	visit := func(k []byte, e *entry) bool {
-		entBuf = appendBlockEntry(entBuf[:0], e, v.def.Aggs)
+		entBuf = appendBlockEntry(entBuf[:0], k, e, v.def.Aggs)
 		if cur.n > 0 && int64(len(cur.ents)+len(entBuf)) > p.blockBytes {
 			cuts = append(cuts, cur)
 			cur = cut{}

@@ -8,17 +8,18 @@ import (
 
 	"chronicledb/internal/aggregate"
 	"chronicledb/internal/btree"
-	"chronicledb/internal/value"
 )
 
-// entry is one materialized view row: the group values (or projected
-// tuple), the per-group aggregation states, and a contribution count used
-// for refcounted duplicate elimination in projection views.
+// entry is one materialized view row: the per-group aggregation states and
+// a contribution count used for refcounted duplicate elimination in
+// projection views. The group values (or projected tuple) are not kept
+// apart: the store holds them once, as the entry's encoded key, and a reader
+// decodes them from it (see rowOf).
 //
 // An entry reachable by lock-free readers is frozen; maintenance changes a
 // group by building a new version of its entry (newEntry with src set) and
-// swapping that in. vals and key are written once, when the group is
-// created, and shared by every version.
+// swapping that in. key is written once, when the group is created, and
+// shared by every version.
 //
 // stamp belongs to the store. The ordered store keeps the write epoch the
 // entry was created (or last copied) in: it publishes an immutable snapshot
@@ -32,7 +33,6 @@ import (
 // compares after a tag match (the ordered store keys its nodes instead and
 // leaves key empty).
 type entry struct {
-	vals   value.Tuple
 	states []aggregate.State
 	count  int64
 	stamp  uint64
@@ -49,30 +49,28 @@ func (e *entry) tag() uint32 { return uint32(e.stamp) }
 // newEntry is the one place view entries are built: the fold's new groups,
 // decoded blocks and checkpoints, and every copy-on-write version.
 //
-// With src nil it builds a new group of nvals values (for the caller to
-// fill) and one fresh state per spec, carved from a. Only what lives as
-// long as the group is carved under gcShell: the ordered store replaces a
-// shell on the group's first touch in each epoch and cannot know when the
-// last snapshot reader lets go of the old one, so its shells stay with the
-// collector.
+// With src nil it builds a new group with one fresh state per spec, carved
+// from a. Only what lives as long as the group is carved under gcShell: the
+// ordered store replaces a shell on the group's first touch in each epoch
+// and cannot know when the last snapshot reader lets go of the old one, so
+// its shells stay with the collector.
 //
-// With src set it builds the next version of src, sharing vals and key and
-// copying count and states. Versions are always the collector's — the hash
-// store recycles them itself while it can (see mutableClone) and needs to be
-// able to drop them when it cannot.
-func newEntry(a *arena, gcShell bool, nvals int, aggs []aggregate.Spec, src *entry) *entry {
+// With src set it builds the next version of src, sharing key and copying
+// count and states. Versions are always the collector's — the hash store
+// recycles them itself while it can (see mutableClone) and needs to be able
+// to drop them when it cannot.
+func newEntry(a *arena, gcShell bool, aggs []aggregate.Spec, src *entry) *entry {
 	shell := a
 	if gcShell || src != nil {
 		shell = nil
 	}
 	e := shell.entry()
 	if src != nil {
-		e.vals, e.count, e.key = src.vals, src.count, src.key
+		e.count, e.key = src.count, src.key
 		e.states = shell.stateVec(len(src.states))
 		copy(e.states, src.states)
 		return e
 	}
-	e.vals = a.tuple(nvals)
 	e.states = shell.stateVec(len(aggs))
 	aggregate.InitStates(e.states, aggs)
 	if shell != nil {
@@ -293,12 +291,12 @@ func newHashStore() *hashStore {
 func (h *hashStore) mutableClone(src *entry) *entry {
 	n := len(h.free)
 	if n == 0 {
-		return newEntry(nil, false, 0, nil, src)
+		return newEntry(nil, false, nil, src)
 	}
 	c := h.free[n-1]
 	h.free[n-1] = nil
 	h.free = h.free[:n-1]
-	c.vals, c.count, c.key = src.vals, src.count, src.key
+	c.count, c.key = src.count, src.key
 	copy(c.states, src.states)
 	return c
 }

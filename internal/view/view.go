@@ -148,11 +148,13 @@ type View struct {
 	// atomically so hot read paths can consult it without locks.
 	pg atomic.Pointer[pager]
 
-	// keyCols are the source columns of the group key (and of the entry's
-	// vals): Cols for a projection, GroupCols for a grouping. aggs are the
-	// grouping's aggregations, nil for a projection.
-	keyCols []int
-	aggs    []aggregate.Spec
+	// keyCols are the source columns of the group key: Cols for a
+	// projection, GroupCols for a grouping. keyKinds are their kinds, the
+	// leading columns of the schema, which a row's values decode as. aggs
+	// are the grouping's aggregations, nil for a projection.
+	keyCols  []int
+	keyKinds []value.Kind
+	aggs     []aggregate.Spec
 	// arena is where an unpaged view's new groups are carved from; a paged
 	// view carves per block (blockMeta.arena).
 	arena *arena
@@ -240,6 +242,9 @@ func New(def Def, kind StoreKind) (*View, error) {
 		v.keyCols = def.Cols
 	} else {
 		v.keyCols, v.aggs = def.GroupCols, def.Aggs
+	}
+	for i := range v.keyCols {
+		v.keyKinds = append(v.keyKinds, schema.Col(i).Kind)
 	}
 	v.publishLocked()
 	return v, nil
@@ -422,8 +427,8 @@ func (v *View) applyRowsLocked(p *pager, rows []chronicle.Row) {
 		}
 	}
 	for _, r := range rows {
-		// Encode the key straight from the source columns; the entry's
-		// values are only copied out when the group does not exist yet.
+		// Encode the key straight from the source columns; a new group
+		// keeps a copy of it, and the key is the only copy of its values.
 		v.keyBuf = keyenc.AppendCols(v.keyBuf[:0], r.Vals, v.keyCols)
 		a := v.arena
 		var blk *blockMeta
@@ -436,10 +441,7 @@ func (v *View) applyRowsLocked(p *pager, rows []chronicle.Row) {
 		e, tag := v.store.get(v.keyBuf)
 		switch {
 		case e == nil:
-			e = newEntry(a, v.cow, len(v.keyCols), v.aggs, nil)
-			for i, c := range v.keyCols {
-				e.vals[i] = r.Vals[c]
-			}
+			e = newEntry(a, v.cow, v.aggs, nil)
 			if v.cow {
 				e.stamp = v.epoch
 			}
@@ -450,7 +452,7 @@ func (v *View) applyRowsLocked(p *pager, rows []chronicle.Row) {
 		case v.cow && e.stamp != v.epoch:
 			// First touch this epoch: the entry is frozen in the published
 			// snapshot; mutate a copy instead.
-			e = newEntry(nil, true, 0, nil, e)
+			e = newEntry(nil, true, nil, e)
 			e.stamp = v.epoch
 			v.store.(*treeStore).replace(v.keyBuf, e)
 		}
@@ -479,7 +481,7 @@ func (v *View) Lookup(key value.Tuple) (value.Tuple, bool) {
 				p.cache.hits.Add(1)
 				s.touch(*buf)
 			}
-			return v.rowOf(e), true
+			return rowOf(v, *buf, e), true
 		}
 		if p != nil && (p.nonResident.Load() > 0 || v.snap.Load() != s) {
 			// The key may live in an evicted block — or in one faulted in
@@ -500,7 +502,7 @@ func (v *View) Lookup(key value.Tuple) (value.Tuple, bool) {
 	if !ok || e.count == 0 {
 		return nil, false
 	}
-	return v.rowOf(e), true
+	return rowOf(v, e.key, e), true
 }
 
 // Window is what one read asks of a view: the encoded group keys in
@@ -561,8 +563,8 @@ func (v *View) Scan(w Window, fn func(value.Tuple) bool) uint64 {
 // own bounds or, for a paged read, the planned part of them — and returns how
 // many it handed over. It stops when fn says so or at the window's limit.
 func (v *View) walk(s *snapshot, w Window, lo, hi []byte, fn func(value.Tuple) bool) (n int) {
-	visit := func(_ []byte, e *entry) bool {
-		return e.count == 0 || w.take(v.rowOf(e), &n, fn)
+	visit := func(k []byte, e *entry) bool {
+		return e.count == 0 || w.take(rowOf(v, k, e), &n, fn)
 	}
 	switch t := s.tree; {
 	case !w.Desc && len(hi) == 0:
@@ -608,7 +610,7 @@ func (v *View) hashScan(w Window, fn func(value.Tuple) bool) uint64 {
 	sort.Slice(in, func(i, j int) bool { return (in[i].key < in[j].key) != w.Desc })
 	n := 0
 	for _, e := range in {
-		if !w.take(v.rowOf(e), &n, fn) {
+		if !w.take(rowOf(v, e.key, e), &n, fn) {
 			break
 		}
 	}
@@ -645,13 +647,18 @@ func (v *View) Rows() []value.Tuple {
 	return out
 }
 
-func (v *View) rowOf(e *entry) value.Tuple {
-	if v.def.Mode == SummarizeProject {
-		return e.vals
+// rowOf builds the view row of the entry stored under key: the group values
+// decoded from the key, then the aggregation results. A hash entry's key is a
+// string, and its string cells are substrings of it; an ordered store's key
+// is the tree's bytes, which each string cell copies. Every key reaching here
+// was written by the encoder or checked when it was restored (CheckKey), so
+// it decodes.
+func rowOf[K string | []byte](v *View, key K, e *entry) value.Tuple {
+	out := make(value.Tuple, 0, len(v.keyKinds)+len(e.states))
+	out, _ = keyenc.DecodeKey(out, key, v.keyKinds)
+	for i := range e.states {
+		out = append(out, e.states[i].Result())
 	}
-	out := make(value.Tuple, 0, len(e.vals)+len(e.states))
-	out = append(out, e.vals...)
-	out = append(out, aggregate.Results(e.states)...)
 	return out
 }
 

@@ -882,13 +882,10 @@ func TestFailedCallPublishesPrefix(t *testing.T) {
 
 // diffKeys are the values the differential test draws group keys from, per
 // column kind: ordinary ones and the ones the key encoding is careful about —
-// an integer past 2⁵³ in either direction (it shares its encoding with its
-// neighbours), NULL, the empty string, a NUL byte inside a string, and
-// numbers that are equal across kinds. diffLiterals adds, for WHERE clauses
-// only, those neighbours. No two keys of a column share an encoding: where
-// they do, they are one group when the column is the whole key, and ORDER BY
-// the column follows the index, not the integers — the hole ROADMAP item 3
-// owns, and not what this test is about.
+// integers past 2⁵³ in either direction, which a float64 cannot tell apart
+// (2⁵³ and 2⁵³+1 are both stored, and FLOAT keys hold 2⁵³ too), NULL, the
+// empty string, a NUL byte inside a string, and numbers that are equal across
+// kinds. diffLiterals adds, for WHERE clauses only, more such neighbours.
 var diffKeys = map[string][]chronicledb.Value{
 	"STRING": {
 		chronicledb.Str(""), chronicledb.Str("a"), chronicledb.Str("a\x00"), chronicledb.Str("a\x00b"),
@@ -896,7 +893,7 @@ var diffKeys = map[string][]chronicledb.Value{
 	},
 	"INT": {
 		chronicledb.Int(-7), chronicledb.Int(0), chronicledb.Int(1), chronicledb.Int(2), chronicledb.Int(3), chronicledb.Int(40),
-		chronicledb.Int(1<<53 + 1), chronicledb.Int(-(1 << 53) - 1), chronicledb.Int(1<<63 - 1), chronicledb.Null(),
+		chronicledb.Int(1 << 53), chronicledb.Int(1<<53 + 1), chronicledb.Int(-(1 << 53) - 1), chronicledb.Int(1<<63 - 1), chronicledb.Null(),
 	},
 	"FLOAT": {
 		chronicledb.Float(-7.5), chronicledb.Float(0), chronicledb.Float(1), chronicledb.Float(2.5), chronicledb.Float(3),

@@ -40,7 +40,7 @@ import (
 
 const (
 	ckptMagic   = "CDBC"
-	ckptVersion = 5 // the only image format read or written
+	ckptVersion = 6 // the only image format read or written
 )
 
 // recover rebuilds in-memory state from disk. Called by Open before the

@@ -263,6 +263,19 @@ func TestOpenRejectsWhatItNoLongerReads(t *testing.T) {
 	plant := func(name, content string) func(string) error {
 		return func(dir string) error { return os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644) }
 	}
+	// imageVersion restamps the checkpoint image as an older version: v5
+	// entries hold a value-encoded tuple where v6 holds the stored key.
+	imageVersion := func(version byte) func(string) error {
+		return func(dir string) error {
+			path := filepath.Join(dir, wal.CheckpointFileName(1))
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			data[4] = version
+			return os.WriteFile(path, data, 0o644)
+		}
+	}
 	cases := []struct {
 		name    string
 		opts    Options
@@ -276,15 +289,8 @@ func TestOpenRejectsWhatItNoLongerReads(t *testing.T) {
 		{name: "shard-NNNN.wal", prepare: plant("shard-0001.wal", "old"), is: ErrUnsupportedLayout, says: "shard-0001.wal"},
 		{name: "relations.wal", prepare: plant("relations.wal", "old"), is: ErrUnsupportedLayout, says: "relations.wal"},
 		{name: "manifest version 1", prepare: plant(wal.ManifestName, `{"version":1,"shards":2}`), is: ErrUnsupportedLayout, says: "manifest version 1"},
-		{name: "checkpoint image version 4", is: ErrUnsupportedLayout, says: "checkpoint image version 4", prepare: func(dir string) error {
-			path := filepath.Join(dir, wal.CheckpointFileName(1))
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			data[4] = 4
-			return os.WriteFile(path, data, 0o644)
-		}},
+		{name: "checkpoint image version 4", is: ErrUnsupportedLayout, says: "checkpoint image version 4", prepare: imageVersion(4)},
+		{name: "checkpoint image version 5", is: ErrUnsupportedLayout, says: "checkpoint image version 5", prepare: imageVersion(5)},
 		{name: "negative Shards", opts: Options{Shards: -1}, is: ErrInvalidOption, says: "Options.Shards"},
 		{name: "negative WALSegmentBytes", opts: Options{WALSegmentBytes: -1}, is: ErrInvalidOption, says: "Options.WALSegmentBytes"},
 		{name: "negative ViewBlockBytes", opts: Options{ViewBlockBytes: -1}, is: ErrInvalidOption, says: "Options.ViewBlockBytes"},
