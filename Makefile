@@ -58,10 +58,11 @@ watch-stress:
 
 # bench-allocs is the allocation-regression gate: the AllocsPerRun guards
 # pin the hot path's steady-state allocation counts (zero for the micro
-# paths, a small fixed budget end-to-end), and the append benchmarks print
-# the allocs/op trend. -count=1 defeats caching — the guards must run.
+# paths, a small fixed budget end-to-end, a few objects for a 64-row call
+# into a key-join view), and the append benchmarks print the allocs/op
+# trend. -count=1 defeats caching — the guards must run.
 bench-allocs:
-	$(GO) test -count=1 -run 'TestAllocGuards|TestReplAllocGuards' -v .
+	$(GO) test -count=1 -run 'TestAllocGuards|TestReplAllocGuards|TestKeyJoinAllocGuard' -v .
 	$(GO) test -run=NONE -bench 'BenchmarkAppendHotPath' -benchmem -benchtime 200x .
 
 # bench-reads is the read-path regression gate: the alloc guards pin the
@@ -107,13 +108,16 @@ maint-stress:
 # set-up shape; per-row rounds would show there). The load guard pins that
 # call's allocation ceiling (a new group is carved, not allocated), the
 # group-bytes guard pins the live heap a new group costs a hash, a B-tree and
-# a DISTINCT view (a group is its key and its states), and the viewdebug
+# a DISTINCT view (a group is its key and its states), the relation- and
+# dedup-bytes guards pin what a relation row (one string, loaded by UPSERT or
+# restored from a checkpoint) and an idempotency entry (one ring record)
+# cost, and the viewdebug
 # build counts what a row costs a hash view in hashes, probes and key
 # comparisons and widens the slot-publication window for the lock-free
 # reader test.
 # -count=1 defeats caching — the guards must run.
 bench-maint:
-	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestLoadAllocGuard|TestGroupBytesGuard|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall' -v .
+	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestLoadAllocGuard|TestGroupBytesGuard|TestRelationBytesGuard|TestDedupBytesGuard|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall' -v .
 	$(GO) test -count=1 -tags viewdebug -run 'TestHashStoreCounts|TestHashLockFreeThroughGrowth' -v ./internal/view
 	$(GO) test -run=NONE -bench 'BenchmarkMaintainFanout' -benchmem -benchtime 50x .
 

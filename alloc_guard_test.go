@@ -137,3 +137,69 @@ func TestAllocGuards(t *testing.T) {
 		})
 	})
 }
+
+// TestKeyJoinAllocGuard pins what a key join costs a call: one 64-row
+// AppendRows into a chronicle⋈relation view grouped by a relation column. The
+// probe key is built in the join node's scratch and each relation row is
+// decoded straight into the call's output rows, so the call allocates a few
+// objects in all, not several per row (503 on this shape when every row
+// copied the key columns, built a key string and concatenated a fresh tuple).
+func TestKeyJoinAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const accounts, callK, budget = 1000, 64, 70
+	db, err := chronicledb.Open(chronicledb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, stmt := range []string{
+		`CREATE CHRONICLE calls (acct STRING, minutes INT, cost FLOAT)`,
+		`CREATE RELATION customers (acct STRING, state STRING, plan STRING, KEY(acct))`,
+		`CREATE VIEW revenue AS SELECT state, SUM(cost) AS c, COUNT(*) AS n
+			FROM calls JOIN customers ON calls.acct = customers.acct GROUP BY state`,
+	} {
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	states := []string{"nj", "ny", "ca", "tx"}
+	for a := 0; a < accounts; a++ {
+		row := chronicledb.Tuple{chronicledb.Str(bench.Acct(a)), chronicledb.Str(states[a%len(states)]), chronicledb.Str("gold")}
+		if err := db.Upsert("customers", row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Rows stride through the accounts; one in eight has no customer and is
+	// dropped by the join.
+	calls := make([][]chronicledb.Tuple, 16)
+	for i := range calls {
+		calls[i] = make([]chronicledb.Tuple, callK)
+		for j := range calls[i] {
+			a := (i*callK + j) * 37 % accounts
+			if j%8 == 7 {
+				a += accounts
+			}
+			calls[i][j] = chronicledb.Tuple{chronicledb.Str(bench.Acct(a)), chronicledb.Int(3), chronicledb.Float(0.25)}
+		}
+	}
+	n := 0
+	call := func() {
+		if _, _, err := db.AppendRows("calls", calls[n%len(calls)]); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	for i := 0; i < 100; i++ {
+		call()
+	}
+	got := testing.AllocsPerRun(200, call)
+	t.Logf("64-row call into one key-join view: %.1f allocs/call (budget %d)", got, budget)
+	if got > budget {
+		t.Errorf("key-join call: %.1f allocs, budget %d — the join allocates per row again", got, budget)
+	}
+	if v, _ := db.View("revenue"); v.Len() != len(states) {
+		t.Fatalf("revenue holds %d groups, want %d", v.Len(), len(states))
+	}
+}

@@ -11,9 +11,11 @@ package chronicledb_test
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	chronicledb "chronicledb"
+	"chronicledb/internal/dedup"
 	"chronicledb/internal/engine"
 	"chronicledb/internal/view"
 )
@@ -449,5 +451,115 @@ func TestMaintAllocGuards(t *testing.T) {
 	st := db64.Stats()
 	if min := st.Appends * 63; st.SharedHits < min {
 		t.Errorf("SharedHits = %d over %d appends, want ≥ %d", st.SharedHits, st.Appends, min)
+	}
+}
+
+// liveHeap is the heap in use after a collection.
+func liveHeap() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestRelationBytesGuard pins what a relation row costs in memory, the way
+// TestGroupBytesGuard pins a group: the live heap 100 000 customers rows
+// take, loaded once through UPSERT statements and once through a checkpoint
+// restore. A row is one string in the relation's B-tree — its key, then its
+// value-encoded tuple — so a per-row object graph coming back shows here.
+func TestRelationBytesGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under -race")
+	}
+	const rows, stmtK, budget = 100_000, 1_000, 120
+	plans := []string{"basic", "gold", "family"}
+	load := func(t *testing.T, db *chronicledb.DB) {
+		var sb strings.Builder
+		for lo := 0; lo < rows; lo += stmtK {
+			sb.Reset()
+			sb.WriteString("UPSERT INTO customers VALUES ")
+			for a := lo; a < lo+stmtK; a++ {
+				if a > lo {
+					sb.WriteString(", ")
+				}
+				fmt.Fprintf(&sb, "('acct%06d', 's%d', '%s')", a, a%50, plans[a%len(plans)])
+			}
+			if _, err := db.Exec(sb.String()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(t *testing.T, path string, db *chronicledb.DB, grew uint64) {
+		t.Helper()
+		if r, _ := db.Relation("customers"); r.Len() != rows {
+			t.Fatalf("customers holds %d rows, want %d", r.Len(), rows)
+		}
+		perRow := float64(grew) / rows
+		t.Logf("%s: %.0f B/row (budget %d)", path, perRow, budget)
+		if perRow > budget {
+			t.Errorf("%s: %.0f B/row, budget %d — a relation row grew", path, perRow, budget)
+		}
+	}
+	const ddl = `CREATE RELATION customers (acct STRING, state STRING, plan STRING, KEY(acct))`
+	t.Run("upsert", func(t *testing.T) {
+		db, err := chronicledb.Open(chronicledb.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if _, err := db.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+		before := liveHeap()
+		load(t, db)
+		check(t, "upsert", db, liveHeap()-before)
+	})
+	t.Run("restore", func(t *testing.T) {
+		dir := t.TempDir()
+		db, err := chronicledb.Open(chronicledb.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+		load(t, db)
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		db.Close()
+		before := liveHeap()
+		db, err = chronicledb.Open(chronicledb.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		check(t, "restore", db, liveHeap()-before)
+	})
+}
+
+// TestDedupBytesGuard pins what an idempotency entry costs: the live heap of
+// 20 000 entries put with fresh id strings, as JSON decoding hands them to
+// the table. An entry is one record in the table's ring, one index slot and
+// one key string; retaining the caller's two id strings shows here.
+func TestDedupBytesGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under -race")
+	}
+	const entries, budget = 20_000, 125
+	before := liveHeap()
+	table := dedup.NewTable(0)
+	for i := 0; i < entries; i++ {
+		cid := fmt.Sprintf("bench-client-%d", i%4)
+		rid := fmt.Sprintf("q%d", i)
+		table.Put(cid, rid, dedup.Ack{Chronicle: "calls", FirstSN: int64(16 * i), LastSN: int64(16*i + 15), Rows: 16})
+	}
+	perEntry := float64(liveHeap()-before) / entries
+	if table.Len() != entries {
+		t.Fatalf("the table holds %d entries, want %d", table.Len(), entries)
+	}
+	t.Logf("%.0f B/entry (budget %d)", perEntry, budget)
+	if perEntry > budget {
+		t.Errorf("%.0f B/entry, budget %d — a dedup entry grew", perEntry, budget)
 	}
 }

@@ -186,10 +186,12 @@ func (db *DB) execOne(s sqlparse.Statement, mode execMode) (*Result, error) {
 		return &Result{Message: fmt.Sprintf("view %s dropped", s.Name)}, nil
 
 	case *sqlparse.Upsert:
-		for _, r := range s.Rows {
-			if err := db.eng.Upsert(s.Relation, value.Tuple(r)); err != nil {
-				return nil, err
-			}
+		tuples := make([]value.Tuple, len(s.Rows))
+		for i, r := range s.Rows {
+			tuples[i] = value.Tuple(r)
+		}
+		if err := db.eng.Upsert(s.Relation, tuples...); err != nil {
+			return nil, err
 		}
 		if mode == execLive {
 			db.ackWait()

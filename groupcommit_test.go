@@ -2,6 +2,7 @@ package chronicledb
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -166,5 +167,52 @@ func groupCommitRun(t *testing.T, shards, crashAt int) {
 			t.Errorf("worker %d: %d rows recovered, want between %d (acked) and %d (acked+batch in flight)",
 				w, n, a, a+gcBatch)
 		}
+	}
+}
+
+// TestUpsertStatementCommitsOnce: an UPSERT statement is one relation
+// transaction — one epoch-gate hold and one commit — so a durable 1 000-tuple
+// UPSERT costs one fsync, not one a tuple, while each tuple keeps its own LSN
+// and WAL record and every row survives a reopen.
+func TestUpsertStatementCommitsOnce(t *testing.T) {
+	const tuples = 1000
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir, SyncWAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE RELATION customers (acct STRING, state STRING, KEY(acct))`)
+	var stmt strings.Builder
+	stmt.WriteString("UPSERT INTO customers VALUES ")
+	for i := 0; i < tuples; i++ {
+		if i > 0 {
+			stmt.WriteString(", ")
+		}
+		fmt.Fprintf(&stmt, "('acct%04d', 'nj')", i)
+	}
+	before, lsn0 := db.WALStats(), db.eng.LSN()
+	mustExec(t, db, stmt.String())
+	after := db.WALStats()
+	if got := after.Fsyncs - before.Fsyncs; got != 1 {
+		t.Errorf("a %d-tuple UPSERT raised wal_fsyncs by %d, want 1", tuples, got)
+	}
+	if got := after.Records - before.Records; got != tuples {
+		t.Errorf("a %d-tuple UPSERT wrote %d WAL records, want one a tuple", tuples, got)
+	}
+	if got := db.eng.LSN() - lsn0; got != tuples {
+		t.Errorf("a %d-tuple UPSERT took %d LSNs, want one a tuple", tuples, got)
+	}
+	// A statement with one bad tuple applies none of them.
+	if _, err := db.Exec(`UPSERT INTO customers VALUES ('late', 'ca'), ('acct0001', 7)`); err == nil {
+		t.Error("an UPSERT with a mistyped tuple succeeded")
+	}
+	db.Close()
+	db, err = Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if r, _ := db.Relation("customers"); r.Len() != tuples {
+		t.Errorf("reopened customers holds %d rows, want %d", r.Len(), tuples)
 	}
 }

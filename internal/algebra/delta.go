@@ -68,7 +68,8 @@ func Delta(n Node, d BatchDelta) []chronicle.Row {
 	case *CrossRel:
 		return deltaCrossRel(n, Delta(n.In, d))
 	case *JoinRel:
-		return deltaJoinRel(n, Delta(n.In, d))
+		out, _ := deltaJoinRel(n, Delta(n.In, d), nil, nil)
+		return out
 	default:
 		panic(fmt.Sprintf("algebra: unknown node %T", n))
 	}
@@ -124,47 +125,44 @@ func deltaCrossRel(n *CrossRel, in []chronicle.Row) []chronicle.Row {
 }
 
 // deltaJoinRel joins each input delta row against the relation version at
-// the row's instant (per-Δ-tuple key lookup when the join is on the key).
-func deltaJoinRel(n *JoinRel, in []chronicle.Row) []chronicle.Row {
-	var out []chronicle.Row
-	for _, r := range in {
-		for _, rt := range relMatches(n, r) {
-			out = append(out, concatRow(r, rt))
-		}
+// the row's instant, appending the joined rows to out, and returns them with
+// probe, the scratch it built key probes in. A key join is one O(log|R|)
+// probe per row: the relation row is decoded straight into the output row,
+// and the call's output rows share one value slab, so the rows cost no
+// allocation of their own. A non-key join scans (the CA-but-not-CA⋈ cost).
+func deltaJoinRel(n *JoinRel, in, out []chronicle.Row, probe []byte) ([]chronicle.Row, []byte) {
+	if len(in) == 0 {
+		return out, probe
 	}
-	return out
-}
-
-// relMatches returns the relation tuples joining with row r, honoring the
-// temporal-join semantics via the row's LSN. A key join is a single
-// O(log|R|) lookup; a non-key join scans (the CA-but-not-CA⋈ cost).
-func relMatches(n *JoinRel, r chronicle.Row) []value.Tuple {
-	if n.onKey {
-		keyCols := n.R.KeyCols()
-		ordered := make(value.Tuple, len(keyCols))
-		for i, kc := range keyCols {
-			for j, rc := range n.RelCols {
-				if rc == kc {
-					ordered[i] = r.Vals[n.InCols[j]]
+	if !n.onKey {
+		for _, r := range in {
+			n.R.ScanAsOf(r.LSN, func(rt value.Tuple) bool {
+				for i, rc := range n.RelCols {
+					if !value.Equal(r.Vals[n.InCols[i]], rt[rc]) {
+						return true
+					}
 				}
-			}
-		}
-		if t, ok := n.R.GetAsOf(r.LSN, ordered); ok {
-			return []value.Tuple{t}
-		}
-		return nil
-	}
-	var out []value.Tuple
-	n.R.ScanAsOf(r.LSN, func(rt value.Tuple) bool {
-		for i, rc := range n.RelCols {
-			if !value.Equal(r.Vals[n.InCols[i]], rt[rc]) {
+				out = append(out, concatRow(r, rt))
 				return true
-			}
+			})
 		}
-		out = append(out, rt)
-		return true
-	})
-	return out
+		return out, probe
+	}
+	vals := make(value.Tuple, 0, len(in)*n.schema.Len())
+	for _, r := range in {
+		probe = probe[:0]
+		for _, c := range n.keyIn {
+			probe = value.AppendKey(probe, r.Vals[c])
+		}
+		start := len(vals)
+		joined, ok := n.R.AppendAsOf(append(vals, r.Vals...), r.LSN, probe)
+		if !ok {
+			continue
+		}
+		vals = joined
+		out = append(out, chronicle.Row{SN: r.SN, Chronon: r.Chronon, LSN: r.LSN, Vals: vals[start:len(vals):len(vals)]})
+	}
+	return out, probe
 }
 
 func concatRow(r chronicle.Row, rel value.Tuple) chronicle.Row {

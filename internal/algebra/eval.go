@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"chronicledb/internal/chronicle"
-	"chronicledb/internal/value"
 )
 
 // Evaluate computes the full output of a chronicle algebra expression from
@@ -54,21 +53,9 @@ func eval(n Node) []chronicle.Row {
 	case *GroupBySN:
 		return groupBySN(n, eval(n.In))
 	case *CrossRel:
-		var out []chronicle.Row
-		for _, r := range eval(n.In) {
-			n.R.ScanAsOf(r.LSN, func(rt value.Tuple) bool {
-				out = append(out, concatRow(r, rt))
-				return true
-			})
-		}
-		return out
+		return deltaCrossRel(n, eval(n.In))
 	case *JoinRel:
-		var out []chronicle.Row
-		for _, r := range eval(n.In) {
-			for _, rt := range relMatches(n, r) {
-				out = append(out, concatRow(r, rt))
-			}
-		}
+		out, _ := deltaJoinRel(n, eval(n.In), nil, nil)
 		return out
 	default:
 		panic(fmt.Sprintf("algebra: unknown node %T", n))

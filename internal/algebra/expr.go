@@ -276,6 +276,7 @@ type JoinRel struct {
 
 	schema *value.Schema
 	onKey  bool
+	keyIn  []int // with onKey: the chronicle-side column of each relation key column, in key order
 }
 
 // NewJoinRel validates the join columns and records whether the join is on
@@ -302,14 +303,24 @@ func NewJoinRel(in Node, r *relation.Relation, inCols, relCols []int) (*JoinRel,
 			return nil, fmt.Errorf("algebra: join column kinds differ: %s vs %s", ck, rk)
 		}
 	}
-	return &JoinRel{
+	j := &JoinRel{
 		In:      in,
 		R:       r,
 		InCols:  append([]int(nil), inCols...),
 		RelCols: append([]int(nil), relCols...),
 		schema:  in.Schema().Concat(r.Schema(), r.Name()+"."),
 		onKey:   r.IsKey(relCols),
-	}, nil
+	}
+	if j.onKey {
+		for _, kc := range r.KeyCols() {
+			for i, c := range relCols {
+				if c == kc {
+					j.keyIn = append(j.keyIn, inCols[i])
+				}
+			}
+		}
+	}
+	return j, nil
 }
 
 // OnKey reports whether the join is on the relation's key — Definition

@@ -128,11 +128,13 @@ type PlanNode struct {
 
 	// epoch stamps the batch rows was computed for; rows is valid only
 	// while epoch equals the plan's current batch epoch. buf is the node's
-	// persistent output buffer for batch-local operators (σ/Π), reused
-	// across batches so steady-state delta computation allocates nothing.
+	// persistent output buffer for σ, Π and key joins, reused across
+	// batches so steady-state delta computation allocates nothing; probe is
+	// a key join's scratch for its relation key probes.
 	epoch uint64
 	rows  []chronicle.Row
 	buf   []chronicle.Row
+	probe []byte
 }
 
 // PlanNodeInfo describes one plan node for EXPLAIN.
@@ -319,7 +321,8 @@ func (p *SharedPlan) eval(n *PlanNode, d BatchDelta) []chronicle.Row {
 	case *CrossRel:
 		n.rows = deltaCrossRel(e, p.eval(n.children[0], d))
 	case *JoinRel:
-		n.rows = deltaJoinRel(e, p.eval(n.children[0], d))
+		n.buf, n.probe = deltaJoinRel(e, p.eval(n.children[0], d), n.buf[:0], n.probe)
+		n.rows = n.buf
 	default:
 		panic(fmt.Sprintf("algebra: unknown node %T", n.Expr))
 	}

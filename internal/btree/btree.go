@@ -116,25 +116,68 @@ func (t *Tree[K, V]) Get(key K) (V, bool) {
 	return zero, false
 }
 
+// Find returns the entry cmp reports equal to what it seeks. cmp(k) is
+// negative, zero or positive as the sought key is below, equal to or above
+// k: a caller can probe with a key of another shape — a byte slice against
+// string keys — without converting it.
+func (t *Tree[K, V]) Find(cmp func(K) int) (K, V, bool) {
+	n := t.root
+	for n != nil {
+		lo, hi := 0, len(n.items)
+		for lo < hi {
+			mid := (lo + hi) / 2
+			c := cmp(n.items[mid].key)
+			if c == 0 {
+				return n.items[mid].key, n.items[mid].val, true
+			}
+			if c > 0 {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if n.children == nil {
+			break
+		}
+		n = n.children[lo]
+	}
+	var k K
+	var v V
+	return k, v, false
+}
+
 // Set inserts key with value val, replacing any existing entry. It reports
-// whether the key was already present.
+// whether the key was already present. An existing entry keeps the key it
+// was stored under.
 func (t *Tree[K, V]) Set(key K, val V) (replaced bool) {
+	_, replaced = t.set(key, val, false)
+	return replaced
+}
+
+// Put is Set that also stores key in place of an equal key already present,
+// and returns the key it displaced — for keys that carry more than their
+// order, like a row that sorts by its key columns.
+func (t *Tree[K, V]) Put(key K, val V) (old K, replaced bool) {
+	return t.set(key, val, true)
+}
+
+func (t *Tree[K, V]) set(key K, val V, swapKey bool) (old K, replaced bool) {
 	if t.root == nil {
 		t.root = &node[K, V]{items: []item[K, V]{{key, val}}, cow: t.cow}
 		t.size = 1
-		return false
+		return old, false
 	}
 	t.root = t.mutable(t.root)
 	if len(t.root.items) >= maxItems {
-		old := t.root
-		t.root = &node[K, V]{children: []*node[K, V]{old}, cow: t.cow}
+		root := t.root
+		t.root = &node[K, V]{children: []*node[K, V]{root}, cow: t.cow}
 		t.splitChild(t.root, 0)
 	}
-	replaced = t.insertNonFull(t.root, key, val)
+	old, replaced = t.insertNonFull(t.root, key, val, swapKey)
 	if !replaced {
 		t.size++
 	}
-	return replaced
+	return old, replaced
 }
 
 // Delete removes key from the tree and reports whether it was present.
@@ -407,28 +450,32 @@ func (t *Tree[K, V]) splitChild(parent *node[K, V], i int) {
 
 // insertNonFull inserts into the subtree rooted at n, which must be
 // mutable and not full; every child it descends into is made mutable
-// first, so the whole root-to-leaf path is owned by this tree.
-func (t *Tree[K, V]) insertNonFull(n *node[K, V], key K, val V) (replaced bool) {
+// first, so the whole root-to-leaf path is owned by this tree. An equal
+// entry takes val, and key too when swapKey is set; old is its former key.
+func (t *Tree[K, V]) insertNonFull(n *node[K, V], key K, val V, swapKey bool) (old K, replaced bool) {
 	for {
 		i, eq := t.search(n, key)
-		if eq {
-			n.items[i].val = val
-			return true
-		}
-		if n.children == nil {
+		if !eq && n.children == nil {
 			n.items = append(n.items, item[K, V]{})
 			copy(n.items[i+1:], n.items[i:])
 			n.items[i] = item[K, V]{key, val}
-			return false
+			return old, false
 		}
-		if len(n.children[i].items) >= maxItems {
+		if !eq && len(n.children[i].items) >= maxItems {
 			t.splitChild(n, i)
 			if t.less(n.items[i].key, key) {
 				i++
-			} else if !t.less(key, n.items[i].key) {
-				n.items[i].val = val
-				return true
+			} else {
+				eq = !t.less(key, n.items[i].key)
 			}
+		}
+		if eq {
+			it := &n.items[i]
+			old, it.val = it.key, val
+			if swapKey {
+				it.key = key
+			}
+			return old, true
 		}
 		n = t.mutableChild(n, i)
 	}

@@ -51,6 +51,46 @@ func TestSetGetReplace(t *testing.T) {
 	}
 }
 
+// TestPutSwapsKeyFind: keys that order by a prefix — a row sorted by its
+// first byte — are replaced whole by Put, kept by Set, and found by a probe of
+// another type through Find, across enough entries to split nodes.
+func TestPutSwapsKeyFind(t *testing.T) {
+	tr := New[string, int](func(a, b string) bool { return a[0] < b[0] })
+	row := func(i int, s string) string { return string([]byte{byte(i)}) + s }
+	probe := func(i int) func(string) int {
+		p := []byte{byte(i)}
+		return func(k string) int { return int(p[0]) - int(k[0]) }
+	}
+	for i := 0; i < 200; i++ {
+		tr.Set(row(i, "a"), i)
+	}
+	for i := 0; i < 200; i++ {
+		old, replaced := tr.Put(row(i, "b"), -i)
+		if !replaced || old != row(i, "a") {
+			t.Fatalf("Put(%d) displaced %q, %v", i, old, replaced)
+		}
+	}
+	if !tr.Set(row(7, "c"), 7) {
+		t.Error("Set of a present key reported an insert")
+	}
+	if tr.Len() != 200 {
+		t.Fatalf("Len = %d, want 200", tr.Len())
+	}
+	for i := 0; i < 200; i++ {
+		k, v, ok := tr.Find(probe(i))
+		want := -i
+		if i == 7 {
+			want = 7 // Set replaced the value and kept the key
+		}
+		if !ok || k != row(i, "b") || v != want {
+			t.Fatalf("Find(%d) = %q, %d, %v", i, k, v, ok)
+		}
+	}
+	if _, _, ok := tr.Find(probe(250)); ok {
+		t.Error("Find of an absent key hit")
+	}
+}
+
 func TestLargeInsertDeleteAscending(t *testing.T) {
 	const n = 10000
 	tr := intTree()

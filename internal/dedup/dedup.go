@@ -26,8 +26,9 @@ import (
 )
 
 // DefaultCap is the entry bound used when a Table is created with no
-// explicit capacity. At ~100 bytes an entry this bounds the table to a few
-// megabytes.
+// explicit capacity. An entry costs about 120 bytes of heap — its record in
+// the ring, its slot in the index and its one key string — so a full table
+// of the default capacity holds about 8 MB.
 const DefaultCap = 1 << 16
 
 // Ack is the stored acknowledgment of an applied request.
@@ -46,18 +47,29 @@ type Entry struct {
 	Ack
 }
 
-// key identifies a request. A struct key keeps lookups allocation-free.
-type key struct{ cid, rid string }
+// record is one entry as the table keeps it: its key, uvarint(len cid) ‖
+// cid ‖ rid, the one string the entry allocates; its chronicle as an index
+// into the table's interned names; and its ack's numbers.
+type record struct {
+	key         string
+	chron       int32
+	rows        int32 // a request's row count; a call is far below 2³¹ rows
+	first, last int64
+}
 
-// Table is the bounded idempotency table. It carries its own mutex: the
-// write path mutates it under the engine lock, but stats and checkpoint
-// readers arrive from other goroutines.
+// Table is the bounded idempotency table: a FIFO ring of fixed records behind
+// an index from key to ring slot. It carries its own mutex: the write path
+// mutates it under the engine lock, but stats and checkpoint readers arrive
+// from other goroutines.
 type Table struct {
 	mu        sync.Mutex
 	cap       int
-	m         map[key]Ack
-	order     []key // insertion order; order[head:] are live
-	head      int
+	index     map[string]int32
+	ring      []record // insertion order from head, wrapping once full
+	head      int      // the oldest record, once the ring is full
+	chrons    []string // interned chronicle names
+	chronIdx  map[string]int32
+	buf       []byte // the key Lookup and Put are probing with
 	evictions int64
 }
 
@@ -67,7 +79,7 @@ func NewTable(capacity int) *Table {
 	if capacity <= 0 {
 		capacity = DefaultCap
 	}
-	return &Table{cap: capacity, m: make(map[key]Ack)}
+	return &Table{cap: capacity, index: make(map[string]int32), chronIdx: make(map[string]int32)}
 }
 
 // Cap returns the entry bound.
@@ -77,7 +89,7 @@ func (t *Table) Cap() int { return t.cap }
 func (t *Table) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.m)
+	return len(t.ring)
 }
 
 // Evictions returns how many entries the capacity bound has pushed out.
@@ -87,59 +99,90 @@ func (t *Table) Evictions() int64 {
 	return t.evictions
 }
 
+// probe builds the key of (clientID, requestID) in t.buf.
+func (t *Table) probe(clientID, requestID string) []byte {
+	t.buf = binary.AppendUvarint(t.buf[:0], uint64(len(clientID)))
+	t.buf = append(append(t.buf, clientID...), requestID...)
+	return t.buf
+}
+
 // Lookup returns the stored ack for (clientID, requestID), if present.
 func (t *Table) Lookup(clientID, requestID string) (Ack, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	a, ok := t.m[key{clientID, requestID}]
-	return a, ok
+	i, ok := t.index[string(t.probe(clientID, requestID))]
+	if !ok {
+		return Ack{}, false
+	}
+	return t.ring[i].ack(t.chrons), true
 }
 
-// Put stores the ack for (clientID, requestID), evicting the oldest
-// entries if the table is at capacity. Re-putting an existing pair
-// refreshes the ack without growing the order log.
+// Put stores the ack for (clientID, requestID), evicting the oldest entry if
+// the table is at capacity. Re-putting an existing pair refreshes the ack in
+// place, keeping its position in the eviction order.
 func (t *Table) Put(clientID, requestID string, a Ack) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	k := key{clientID, requestID}
-	if _, ok := t.m[k]; ok {
-		t.m[k] = a
+	rec := record{chron: t.intern(a.Chronicle), rows: int32(a.Rows), first: a.FirstSN, last: a.LastSN}
+	if i, ok := t.index[string(t.probe(clientID, requestID))]; ok {
+		rec.key = t.ring[i].key
+		t.ring[i] = rec
 		return
 	}
-	for len(t.m) >= t.cap {
-		oldest := t.order[t.head]
-		t.order[t.head] = key{} // release the strings
-		t.head++
-		if _, ok := t.m[oldest]; ok {
-			delete(t.m, oldest)
-			t.evictions++
-		}
+	rec.key = string(t.buf)
+	if len(t.ring) < t.cap {
+		t.index[rec.key] = int32(len(t.ring))
+		t.ring = append(t.ring, rec)
+		return
 	}
-	t.m[k] = a
-	// Compact the order log once the dead prefix dominates, so the slice
-	// is bounded by O(cap) rather than growing with total request count.
-	if t.head > len(t.order)/2 && t.head > t.cap {
-		t.order = append(t.order[:0], t.order[t.head:]...)
-		t.head = 0
+	delete(t.index, t.ring[t.head].key)
+	t.evictions++
+	t.index[rec.key] = int32(t.head)
+	t.ring[t.head] = rec
+	t.head = (t.head + 1) % len(t.ring)
+}
+
+// intern returns the index of chronicle name in t.chrons, adding it if new.
+func (t *Table) intern(name string) int32 {
+	i, ok := t.chronIdx[name]
+	if !ok {
+		i = int32(len(t.chrons))
+		t.chrons = append(t.chrons, name)
+		t.chronIdx[name] = i
 	}
-	t.order = append(t.order, k)
+	return i
+}
+
+func (r *record) ack(chrons []string) Ack {
+	return Ack{Chronicle: chrons[r.chron], FirstSN: r.first, LastSN: r.last, Rows: int(r.rows)}
 }
 
 // Range calls fn for every live entry in insertion order until fn returns
 // false. The table is locked for the duration; callers must not call back
-// into the table.
+// into the table. An entry's id strings share the table's key.
 func (t *Table) Range(fn func(Entry) bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, k := range t.order[t.head:] {
-		a, ok := t.m[k]
-		if !ok {
-			continue
-		}
-		if !fn(Entry{ClientID: k.cid, RequestID: k.rid, Ack: a}) {
+	for n := range t.ring {
+		r := &t.ring[(t.head+n)%len(t.ring)]
+		cid, rid := split(r.key)
+		if !fn(Entry{ClientID: cid, RequestID: rid, Ack: r.ack(t.chrons)}) {
 			return
 		}
 	}
+}
+
+// split returns the two ids a key joins.
+func split(key string) (clientID, requestID string) {
+	var n, shift uint
+	i := 0
+	for ; key[i] >= 0x80; i++ {
+		n |= uint(key[i]&0x7f) << shift
+		shift += 7
+	}
+	n |= uint(key[i]) << shift
+	i++
+	return key[i : i+int(n)], key[i+int(n):]
 }
 
 // AppendEntries serializes entries onto dst and returns the extended

@@ -1,7 +1,10 @@
 package dedup
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -46,27 +49,98 @@ func TestTableFIFOEviction(t *testing.T) {
 	}
 }
 
-// The order slice must not grow without bound as old entries are evicted:
-// head-index compaction keeps its length proportional to the cap, not to
-// the total number of requests ever seen.
+// The table's footprint must not grow with the number of requests it has
+// seen, only with its capacity: after 100×cap puts it holds exactly the cap
+// newest entries, in insertion order, and at capacity a Put of a new pair
+// allocates at most its one key string and a Lookup nothing.
 func TestTableMemoryBound(t *testing.T) {
 	const cap = 64
 	tb := NewTable(cap)
-	for i := 0; i < 100*cap; i++ {
-		tb.Put("c", fmt.Sprintf("r%d", i), Ack{FirstSN: int64(i)})
+	ids := make([]string, 100*cap)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("r%d", i)
+		tb.Put("c", ids[i], Ack{FirstSN: int64(i)})
 	}
 	if tb.Len() != cap {
 		t.Fatalf("Len = %d, want %d", tb.Len(), cap)
 	}
-	if n := len(tb.order) - tb.head; n != cap {
-		t.Errorf("live order window = %d, want %d", n, cap)
+	if got, want := tb.Evictions(), int64(len(ids)-cap); got != want {
+		t.Errorf("Evictions = %d, want %d", got, want)
 	}
-	// Compaction keeps the backing slice within a small multiple of cap.
-	if len(tb.order) > 4*cap {
-		t.Errorf("order slice length = %d after %d puts, want ≤ %d", len(tb.order), 100*cap, 4*cap)
+	next := len(ids) - cap
+	tb.Range(func(e Entry) bool {
+		if e.RequestID != ids[next] || e.FirstSN != int64(next) {
+			t.Errorf("Range yielded %s (first SN %d), want %s", e.RequestID, e.FirstSN, ids[next])
+		}
+		next++
+		return true
+	})
+	if next != len(ids) {
+		t.Errorf("Range visited %d entries, want %d", next-(len(ids)-cap), cap)
 	}
-	if len(tb.m) != cap {
-		t.Errorf("map size = %d, want %d", len(tb.m), cap)
+	i := 0
+	if allocs := testing.AllocsPerRun(500, func() {
+		tb.Put("c", ids[i%len(ids)], Ack{Chronicle: "calls", FirstSN: int64(i)})
+		i++
+	}); allocs > 1 {
+		t.Errorf("Put at capacity allocates %.1f objects, want ≤ 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(500, func() { tb.Lookup("c", ids[len(ids)-1]) }); allocs != 0 {
+		t.Errorf("Lookup allocates %.1f objects, want 0", allocs)
+	}
+	if tb.Len() != cap {
+		t.Errorf("Len = %d after more puts, want %d", tb.Len(), cap)
+	}
+}
+
+// TestTableMatchesReference drives the table and a plain FIFO map through
+// seeded Put, re-Put and Lookup sequences at small capacities: every Lookup,
+// Len, Evictions, the Range order and the AppendEntries bytes must agree.
+func TestTableMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := 1 + rng.Intn(8)
+		tb := NewTable(capacity)
+		type pair struct{ cid, rid string }
+		var order []pair // reference: insertion order of the live pairs
+		acks := map[pair]Ack{}
+		var evictions int64
+		chrons := []string{"calls", "taps", ""}
+		for step := 0; step < 300; step++ {
+			// Client ids of several lengths, including ones whose ids
+			// concatenate alike ("a"+"bc" vs "ab"+"c").
+			p := pair{[]string{"a", "ab", "", "client-0123456789"}[rng.Intn(4)], []string{"bc", "c", "", "r1"}[rng.Intn(4)]}
+			if rng.Intn(3) == 0 {
+				got, ok := tb.Lookup(p.cid, p.rid)
+				want, wok := acks[p]
+				if ok != wok || got != want {
+					t.Fatalf("seed %d step %d: Lookup(%q,%q) = %+v %v, want %+v %v", seed, step, p.cid, p.rid, got, ok, want, wok)
+				}
+				continue
+			}
+			a := Ack{Chronicle: chrons[rng.Intn(len(chrons))], FirstSN: rng.Int63n(1000), LastSN: rng.Int63n(1000), Rows: rng.Intn(100)}
+			tb.Put(strings.Clone(p.cid), strings.Clone(p.rid), a)
+			if _, ok := acks[p]; !ok {
+				if len(order) == capacity {
+					delete(acks, order[0])
+					order = order[1:]
+					evictions++
+				}
+				order = append(order, p)
+			}
+			acks[p] = a
+			if tb.Len() != len(order) || tb.Evictions() != evictions {
+				t.Fatalf("seed %d step %d: Len %d Evictions %d, want %d %d", seed, step, tb.Len(), tb.Evictions(), len(order), evictions)
+			}
+		}
+		var got, want []Entry
+		tb.Range(func(e Entry) bool { got = append(got, e); return true })
+		for _, p := range order {
+			want = append(want, Entry{ClientID: p.cid, RequestID: p.rid, Ack: acks[p]})
+		}
+		if !bytes.Equal(AppendEntries(nil, got), AppendEntries(nil, want)) {
+			t.Fatalf("seed %d: Range = %+v, want %+v", seed, got, want)
+		}
 	}
 }
 

@@ -419,36 +419,44 @@ func (r *Router) relationByName(name string) (*relation.Relation, error) {
 	return rel, nil
 }
 
-// Upsert applies a proactive relation update under the epoch barrier: the
-// router stamps a global LSN, waits for every shard's in-flight pass to
-// finish, applies the update to the shared relation (visible in every
-// shard's catalog), and resumes. Appends that completed before this call
-// used the old version; appends that start after it see the new one — on
-// every shard, exactly the §2.3 semantics.
-func (r *Router) Upsert(relationName string, t value.Tuple) error {
+// Upsert applies proactive relation updates under the epoch barrier: the
+// router waits for every shard's in-flight pass to finish, stamps each tuple
+// with the next global LSN, records it and applies it to the shared relation
+// (visible in every shard's catalog), commits once, and resumes. Appends
+// that completed before this call used the old version; appends that start
+// after it see the new one — on every shard, exactly the §2.3 semantics. The
+// tuples are validated before any is recorded, so a bad one applies none.
+func (r *Router) Upsert(relationName string, tuples ...value.Tuple) error {
 	rel, err := r.relationByName(relationName)
 	if err != nil {
 		return err
 	}
-	coerced, err := rel.Schema().Coerce(t)
-	if err != nil {
-		return fmt.Errorf("engine: relation %s: %w", relationName, err)
+	coerced := make([]value.Tuple, len(tuples))
+	for i, t := range tuples {
+		if coerced[i], err = rel.Schema().Coerce(t); err != nil {
+			return fmt.Errorf("engine: relation %s: %w", relationName, err)
+		}
+		if err := rel.Validate(coerced[i]); err != nil {
+			return err
+		}
 	}
 	r.relMu.Lock()
 	defer r.relMu.Unlock()
 	r.relGate.Lock()
 	defer r.relGate.Unlock()
-	lsn := r.lsn.Add(1)
-	if r.relWAL.Record != nil {
-		m := engine.Mutation{Kind: engine.MutUpsert, LSN: lsn, Relation: relationName, Tuple: coerced}
-		if err := r.relWAL.Record(m); err != nil {
-			return fmt.Errorf("engine: recording upsert: %w", err)
+	for _, t := range coerced {
+		lsn := r.lsn.Add(1)
+		if r.relWAL.Record != nil {
+			m := engine.Mutation{Kind: engine.MutUpsert, LSN: lsn, Relation: relationName, Tuple: t}
+			if err := r.relWAL.Record(m); err != nil {
+				return fmt.Errorf("engine: recording upsert: %w", err)
+			}
 		}
+		if err := rel.Upsert(lsn, t); err != nil {
+			return err
+		}
+		r.relUpdates.Add(1)
 	}
-	if err := rel.Upsert(lsn, coerced); err != nil {
-		return err
-	}
-	r.relUpdates.Add(1)
 	if r.relWAL.Commit != nil {
 		return r.relWAL.Commit()
 	}
@@ -588,9 +596,12 @@ func (r *Router) RelationRows(name string) ([]value.Tuple, error) {
 	}
 	r.relGate.RLock()
 	defer r.relGate.RUnlock()
-	var out []value.Tuple
+	// The scan's tuple is scratch: every row is copied into one slab.
+	out := make([]value.Tuple, 0, rel.Len())
+	vals := make(value.Tuple, 0, cap(out)*rel.Schema().Len())
 	rel.Scan(func(t value.Tuple) bool {
-		out = append(out, t.Clone())
+		vals = append(vals, t...)
+		out = append(out, vals[len(vals)-len(t):len(vals):len(vals)])
 		return true
 	})
 	return out, nil

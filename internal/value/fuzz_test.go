@@ -35,6 +35,11 @@ func FuzzDecodeTuple(f *testing.F) {
 	f.Add([]byte{0x02})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tup, n, err := DecodeTuple(data)
+		// The string decoder reads the same bytes the same way.
+		stup, sn, serr := DecodeTupleString(nil, string(data))
+		if (err == nil) != (serr == nil) || sn != n || (err == nil && !TuplesEqual(stup, tup)) {
+			t.Fatalf("string decoder disagrees: %v %d %v, want %v %d %v", stup, sn, serr, tup, n, err)
+		}
 		if err != nil {
 			return
 		}

@@ -261,6 +261,36 @@ func TestEncodeDecodeTupleRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeTupleStringInPlace: the string decoder appends after what dst
+// holds, reads what DecodeTuple reads, and — into a dst with room — allocates
+// nothing, its string cells sharing the encoded string.
+func TestDecodeTupleStringInPlace(t *testing.T) {
+	tup := Tuple{Int(1), Str("x"), Float(2.5), Bool(true), Null(), Chronon(77), Str("hello world")}
+	enc := string(AppendTuple(nil, tup))
+	lead := Tuple{Str("lead")}
+	got, n, err := DecodeTupleString(lead, enc+"trailing")
+	if err != nil || n != len(enc) {
+		t.Fatalf("DecodeTupleString: %v, consumed %d of %d", err, n, len(enc))
+	}
+	if want := append(lead.Clone(), tup...); !TuplesEqual(got, want) {
+		t.Errorf("decoded %v, want %v", got, want)
+	}
+	for _, v := range sampleValues() {
+		s := string(AppendValue(nil, v))
+		got, n, err := DecodeValueString(s)
+		if err != nil || n != len(s) || got != v {
+			t.Errorf("DecodeValueString(%v) = %v, %d, %v", v, got, n, err)
+		}
+	}
+	dst := make(Tuple, 0, len(tup))
+	if allocs := testing.AllocsPerRun(100, func() { dst, _, _ = DecodeTupleString(dst[:0], enc) }); allocs != 0 {
+		t.Errorf("decoding in place allocated %.0f objects, want 0", allocs)
+	}
+	if _, _, err := DecodeTupleString(nil, enc[:len(enc)-1]); err == nil {
+		t.Error("truncated string decoded")
+	}
+}
+
 func TestDecodeTupleErrors(t *testing.T) {
 	if _, _, err := DecodeTuple(nil); err == nil {
 		t.Error("expected error on empty buffer")

@@ -294,16 +294,7 @@ func (db *DB) buildCheckpointImage(full, wholeViews bool) (data []byte, lsn uint
 	b = binary.AppendUvarint(b, uint64(len(incl)))
 	for _, name := range incl {
 		r, _ := db.eng.Relation(name)
-		b = appendName(b, name)
-		var tuples []value.Tuple
-		r.Scan(func(t value.Tuple) bool {
-			tuples = append(tuples, t)
-			return true
-		})
-		b = binary.AppendUvarint(b, uint64(len(tuples)))
-		for _, t := range tuples {
-			b = value.AppendTuple(b, t)
-		}
+		b = r.AppendImage(appendName(b, name))
 	}
 
 	incl = incl[:0]
@@ -472,28 +463,16 @@ func (db *DB) restoreCheckpoint(data []byte, fileName string) (uint64, error) {
 			return 0, bad("relation name")
 		}
 		off += used
-		nTuples, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return 0, bad("relation tuples")
-		}
-		off += n
 		r, ok := db.eng.Relation(name)
 		if !ok {
 			return 0, fmt.Errorf("chronicledb: checkpoint references unknown relation %q", name)
 		}
 		// A chain restore can hit the same relation more than once; each
-		// image's tuple set must replace the previous one, not merge in.
-		r.Reset()
-		for j := uint64(0); j < nTuples; j++ {
-			t, used, err := value.DecodeTuple(data[off:])
-			if err != nil {
-				return 0, bad("relation tuple")
-			}
-			off += used
-			if err := r.Upsert(lsn, t); err != nil {
-				return 0, err
-			}
+		// image's rows replace the previous one's, not merge in.
+		if used, err = r.RestoreImage(lsn, data[off:]); err != nil {
+			return 0, fmt.Errorf("chronicledb: corrupt checkpoint: %w", err)
 		}
+		off += used
 	}
 
 	// Views.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"chronicledb/internal/fault"
+	"chronicledb/internal/value"
 	"chronicledb/internal/wal"
 )
 
@@ -354,6 +355,49 @@ func TestOpenRejectsWhatItNoLongerReads(t *testing.T) {
 				t.Errorf("the refused Open changed the directory: %d entries before, %d after", len(before), len(after))
 			}
 		})
+	}
+}
+
+// TestOpenRejectsMalformedRelationRow: a relation row in the checkpoint image
+// is stored as it stands, so Open validates it first — a row that decodes but
+// does not fit the relation fails Open with a corrupt-checkpoint error
+// instead of a later panic.
+func TestOpenRejectsMalformedRelationRow(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE RELATION customers (acct STRING, state STRING, KEY(acct));
+		UPSERT INTO customers VALUES ('alice', 'nj'), ('bob', 'ny')`)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	path := filepath.Join(dir, wal.CheckpointFileName(1))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Bob's row becomes one of the same length with a null key: the image
+	// still decodes, the row no longer fits the relation.
+	row := value.AppendTuple(nil, Tuple{Str("bob"), Str("ny")})
+	bad := value.AppendTuple(nil, Tuple{Null(), Str("bobxny")})
+	i := strings.Index(string(data), string(row))
+	if i < 0 || len(bad) != len(row) {
+		t.Fatal("the checkpoint image does not hold bob's row as encoded")
+	}
+	copy(data[i:], bad)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(Options{Dir: dir})
+	if err == nil {
+		db.Close()
+		t.Fatal("Open accepted a relation row of the wrong kind")
+	}
+	if !strings.Contains(err.Error(), "corrupt checkpoint") || !strings.Contains(err.Error(), "null key") {
+		t.Errorf("error %q does not report the customers row's null key", err)
 	}
 }
 
