@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check cover bench bench-allocs bench-reads bench-ckpt bench-maint prof-load maint-stress experiments fuzz examples torture chaos repl-chaos watch-stress loc clean
+.PHONY: all build test race vet check cover bench bench-allocs bench-reads bench-ckpt bench-maint prof-load maint-stress fuzz examples torture chaos repl-chaos watch-stress loc clean
 
 all: check
 
@@ -111,14 +111,13 @@ maint-stress:
 # a DISTINCT view (a group is its key and its states), the relation- and
 # dedup-bytes guards pin what a relation row (one string, loaded by UPSERT or
 # restored from a checkpoint) and an idempotency entry (one ring record)
-# cost, and the viewdebug
-# build counts what a row costs a hash view in hashes, probes and key
-# comparisons and widens the slot-publication window for the lock-free
-# reader test.
+# cost, the hash-count guard prints what a row costs a hash view in hashes,
+# probes and key comparisons, and the lock-free reader test races readers
+# against a table that doubles eleven times.
 # -count=1 defeats caching — the guards must run.
 bench-maint:
 	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestLoadAllocGuard|TestGroupBytesGuard|TestRelationBytesGuard|TestDedupBytesGuard|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall' -v .
-	$(GO) test -count=1 -tags viewdebug -run 'TestHashStoreCounts|TestHashLockFreeThroughGrowth' -v ./internal/view
+	$(GO) test -count=1 -run 'TestHashStoreCounts|TestHashLockFreeThroughGrowth' -v ./internal/view
 	$(GO) test -run=NONE -bench 'BenchmarkMaintainFanout' -benchmem -benchtime 50x .
 
 # prof-load profiles the two shapes the suite's maintain-fanout workload is
@@ -159,12 +158,6 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-experiments:
-	$(GO) run ./cmd/chronbench
-
-experiments-quick:
-	$(GO) run ./cmd/chronbench -quick
-
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=30s ./internal/sqlparse/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeValue -fuzztime=30s ./internal/value/
@@ -187,9 +180,9 @@ examples:
 
 # loc prints the size numbers ROADMAP tracks: non-test source lines outside
 # benchmark/, test lines, Options fields, exported shard.Router and
-# engine.Engine methods, chronicled flags, the non-test lines of the
-# internal/bench harness, and the declared stats (one entry each in
-# metrics.go, plus the server's own in internal/server/server.go).
+# engine.Engine methods, chronicled flags, the non-test lines of
+# internal/bench (the telecom workload), and the declared stats (one entry
+# each in metrics.go, plus the server's own in internal/server/server.go).
 loc:
 	@printf 'non-test source lines (excluding benchmark/): '
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l

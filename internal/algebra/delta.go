@@ -66,9 +66,9 @@ func Delta(n Node, d BatchDelta) []chronicle.Row {
 	case *GroupBySN:
 		return groupBySN(n, Delta(n.In, d))
 	case *CrossRel:
-		return deltaCrossRel(n, Delta(n.In, d))
+		return deltaCrossRel(n, Delta(n.In, d), &n.Work)
 	case *JoinRel:
-		out, _ := deltaJoinRel(n, Delta(n.In, d), nil, nil)
+		out, _ := deltaJoinRel(n, Delta(n.In, d), nil, nil, &n.Work)
 		return out
 	default:
 		panic(fmt.Sprintf("algebra: unknown node %T", n))
@@ -111,12 +111,40 @@ func DeltaInto(n Node, d BatchDelta, scratch []chronicle.Row) (rows, keep []chro
 	}
 }
 
+// RelWork is what a relation operator's deltas read of its relation, in the
+// units Theorem 4.5's classes are stated in: key probes, each one descent of
+// the relation's tree (IM-log(R)), and relation rows visited by scans, |R| per
+// input row for a product or a non-key join (IM-Rᵏ). The deltas through one
+// node are serialized by the engine's mutation lock, so the counts are plain
+// integers; the reference evaluator does not count.
+type RelWork struct {
+	Probes, Scanned int64
+}
+
+// RelationWork sums the RelWork of every relation operator in n.
+func RelationWork(n Node) RelWork {
+	var w RelWork
+	switch n := n.(type) {
+	case *CrossRel:
+		w = n.Work
+	case *JoinRel:
+		w = n.Work
+	}
+	for _, c := range n.children() {
+		cw := RelationWork(c)
+		w.Probes += cw.Probes
+		w.Scanned += cw.Scanned
+	}
+	return w
+}
+
 // deltaCrossRel pairs each input delta row with the relation version at the
-// row's instant (Δ(E × R) = ΔE × R@t).
-func deltaCrossRel(n *CrossRel, in []chronicle.Row) []chronicle.Row {
+// row's instant (Δ(E × R) = ΔE × R@t), counting the rows it visits in w.
+func deltaCrossRel(n *CrossRel, in []chronicle.Row, w *RelWork) []chronicle.Row {
 	var out []chronicle.Row
 	for _, r := range in {
 		n.R.ScanAsOf(r.LSN, func(rt value.Tuple) bool {
+			w.Scanned++
 			out = append(out, concatRow(r, rt))
 			return true
 		})
@@ -130,13 +158,15 @@ func deltaCrossRel(n *CrossRel, in []chronicle.Row) []chronicle.Row {
 // probe per row: the relation row is decoded straight into the output row,
 // and the call's output rows share one value slab, so the rows cost no
 // allocation of their own. A non-key join scans (the CA-but-not-CA⋈ cost).
-func deltaJoinRel(n *JoinRel, in, out []chronicle.Row, probe []byte) ([]chronicle.Row, []byte) {
+// The probes and the rows scanned are counted in w.
+func deltaJoinRel(n *JoinRel, in, out []chronicle.Row, probe []byte, w *RelWork) ([]chronicle.Row, []byte) {
 	if len(in) == 0 {
 		return out, probe
 	}
 	if !n.onKey {
 		for _, r := range in {
 			n.R.ScanAsOf(r.LSN, func(rt value.Tuple) bool {
+				w.Scanned++
 				for i, rc := range n.RelCols {
 					if !value.Equal(r.Vals[n.InCols[i]], rt[rc]) {
 						return true
@@ -155,6 +185,7 @@ func deltaJoinRel(n *JoinRel, in, out []chronicle.Row, probe []byte) ([]chronicl
 			probe = value.AppendKey(probe, r.Vals[c])
 		}
 		start := len(vals)
+		w.Probes++
 		joined, ok := n.R.AppendAsOf(append(vals, r.Vals...), r.LSN, probe)
 		if !ok {
 			continue

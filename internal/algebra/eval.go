@@ -53,9 +53,9 @@ func eval(n Node) []chronicle.Row {
 	case *GroupBySN:
 		return groupBySN(n, eval(n.In))
 	case *CrossRel:
-		return deltaCrossRel(n, eval(n.In))
+		return deltaCrossRel(n, eval(n.In), new(RelWork))
 	case *JoinRel:
-		out, _ := deltaJoinRel(n, eval(n.In), nil, nil)
+		out, _ := deltaJoinRel(n, eval(n.In), nil, nil, new(RelWork))
 		return out
 	default:
 		panic(fmt.Sprintf("algebra: unknown node %T", n))

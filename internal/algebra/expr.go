@@ -246,6 +246,8 @@ func (g *GroupBySN) String() string {
 type CrossRel struct {
 	In Node
 	R  *relation.Relation
+	// Work is what maintenance deltas through this node have read of R.
+	Work RelWork
 
 	schema *value.Schema
 }
@@ -273,6 +275,8 @@ type JoinRel struct {
 	R       *relation.Relation
 	InCols  []int // chronicle-side join columns
 	RelCols []int // relation-side join columns
+	// Work is what maintenance deltas through this node have read of R.
+	Work RelWork
 
 	schema *value.Schema
 	onKey  bool

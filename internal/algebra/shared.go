@@ -319,9 +319,9 @@ func (p *SharedPlan) eval(n *PlanNode, d BatchDelta) []chronicle.Row {
 	case *GroupBySN:
 		n.rows = groupBySN(e, p.eval(n.children[0], d))
 	case *CrossRel:
-		n.rows = deltaCrossRel(e, p.eval(n.children[0], d))
+		n.rows = deltaCrossRel(e, p.eval(n.children[0], d), &e.Work)
 	case *JoinRel:
-		n.buf, n.probe = deltaJoinRel(e, p.eval(n.children[0], d), n.buf[:0], n.probe)
+		n.buf, n.probe = deltaJoinRel(e, p.eval(n.children[0], d), n.buf[:0], n.probe, &e.Work)
 		n.rows = n.buf
 	default:
 		panic(fmt.Sprintf("algebra: unknown node %T", n.Expr))

@@ -1,3 +1,9 @@
+// Package bench is the synthetic telecom workload the paper's experiments run
+// on: a call-record chronicle, a keyed customer relation, and the canonical
+// CA₁, CA⋈ and cross-product views over them. Its test asserts each claim of
+// E1–E13 (DESIGN.md §3) on counted work — rows read, probes, hashes, tree
+// heights, views maintained — so the theorems gate every go test run; the
+// root alloc guards drive the same generator. Timing is benchmark/'s job.
 package bench
 
 import (
@@ -134,7 +140,7 @@ func (w *Telecom) CrossDef(name string) (view.Def, error) {
 	}, nil
 }
 
-// MustView materializes a definition or panics (harness-internal).
+// MustView materializes a definition or panics (for tests).
 func MustView(def view.Def, kind view.StoreKind) *view.View {
 	v, err := view.New(def, kind)
 	if err != nil {

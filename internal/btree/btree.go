@@ -99,6 +99,20 @@ func (t *Tree[K, V]) mutableChild(n *node[K, V], i int) *node[K, V] {
 // Len returns the number of entries in the tree.
 func (t *Tree[K, V]) Len() int { return t.size }
 
+// Height returns the number of levels from the root to the leaves, 0 for an
+// empty tree: the most nodes a lookup visits. Every node but the root has at
+// least degree children, so it is at most 1 + ⌈log_degree Len⌉.
+func (t *Tree[K, V]) Height() int {
+	if t.root == nil {
+		return 0
+	}
+	h := 1
+	for n := t.root; n.children != nil; n = n.children[0] {
+		h++
+	}
+	return h
+}
+
 // Get returns the value stored under key.
 func (t *Tree[K, V]) Get(key K) (V, bool) {
 	n := t.root

@@ -18,7 +18,8 @@ import (
 // aggregation function and keyed by group. Appends cost O(1); deriving the
 // current window value merges the W bucket partials — independent of how
 // many records fell inside the window. NaiveWindow is the strawman that
-// retains raw records and re-aggregates; E6 compares the two.
+// retains raw records and re-aggregates; E6 checks that both agree with
+// MovingSum at every refresh.
 
 // MovingWindow maintains per-key cyclic buffers of per-bucket aggregation
 // partials.

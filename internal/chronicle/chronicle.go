@@ -48,6 +48,11 @@ const (
 // before later appends). mu additionally guards the retained-row window so
 // read methods (Len, Scan, RowsCopy, ...) can run concurrently with
 // appends without holding the engine-wide lock.
+//
+// The methods that hand out stored rows — Scan, ScanRange, Rows and
+// RowsCopy — count them (RowsRead). Persistent-view maintenance never calls
+// them; the count is how a test shows that it reads no stored row. They hold
+// mu exclusively to count: none of them is on the append or view-read path.
 type Chronicle struct {
 	name       string
 	schema     *value.Schema
@@ -55,13 +60,14 @@ type Chronicle struct {
 	retain     Retention
 	retainSpan int64 // chronon span to keep; 0 = no time-based trimming
 
-	// mu guards rows, dropped, and lastSN: append grows rows in place and
+	// mu guards rows, dropped, lastSN and read: append grows rows in place and
 	// trim replaces the backing array, so readers must not alias them
 	// unsynchronized.
 	mu      sync.RWMutex
 	rows    []Row
 	dropped int64 // rows discarded by the retention window
 	lastSN  int64 // largest SN appended to this chronicle; -1 if none
+	read    int64 // stored rows handed out (see RowsRead)
 }
 
 // Name returns the chronicle's name.
@@ -201,12 +207,21 @@ func (c *Chronicle) LastSN() int64 {
 	return c.lastSN
 }
 
-// Scan visits every retained row in sequence order until fn returns false.
-// fn runs under the chronicle read lock and must not append.
-func (c *Chronicle) Scan(fn func(Row) bool) {
+// RowsRead returns the number of stored rows Scan, ScanRange, Rows and RowsCopy
+// have handed out.
+func (c *Chronicle) RowsRead() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	return c.read
+}
+
+// Scan visits every retained row in sequence order until fn returns false.
+// fn runs under the chronicle lock and must not call the chronicle.
+func (c *Chronicle) Scan(fn func(Row) bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, r := range c.rows {
+		c.read++
 		if !fn(r) {
 			return
 		}
@@ -214,10 +229,10 @@ func (c *Chronicle) Scan(fn func(Row) bool) {
 }
 
 // ScanRange visits retained rows with loSN <= SN < hiSN in sequence order.
-// fn runs under the chronicle read lock and must not append.
+// fn runs under the chronicle lock and must not call the chronicle.
 func (c *Chronicle) ScanRange(loSN, hiSN int64, fn func(Row) bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	// Rows are SN-sorted by construction; binary-search the start.
 	lo, hi := 0, len(c.rows)
 	for lo < hi {
@@ -229,26 +244,36 @@ func (c *Chronicle) ScanRange(loSN, hiSN int64, fn func(Row) bool) {
 		}
 	}
 	for _, r := range c.rows[lo:] {
-		if r.SN >= hiSN || !fn(r) {
+		if r.SN >= hiSN {
+			return
+		}
+		c.read++
+		if !fn(r) {
 			return
 		}
 	}
 }
 
 // Rows returns the retained rows. The result aliases internal storage and
-// must not be modified; it exists for baselines and tests that run with
-// appends quiesced. Concurrent readers use RowsCopy.
-func (c *Chronicle) Rows() []Row { return c.rows }
+// must not be modified; it exists for the reference evaluator and checkpoints,
+// which run with appends quiesced. Concurrent readers use RowsCopy.
+func (c *Chronicle) Rows() []Row {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.read += int64(len(c.rows))
+	return c.rows
+}
 
 // RowsCopy returns a copy of the retained rows taken under the chronicle
-// read lock: safe to hold while appends continue, and a consistent image
-// of the retention window at one instant.
+// lock: safe to hold while appends continue, and a consistent image of the
+// retention window at one instant.
 func (c *Chronicle) RowsCopy() []Row {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if len(c.rows) == 0 {
 		return nil
 	}
+	c.read += int64(len(c.rows))
 	return append([]Row(nil), c.rows...)
 }
 

@@ -65,18 +65,18 @@ func (t *Target) Stamp(seq uint64) (already bool) {
 
 // Dispatcher routes appends to affected targets.
 type Dispatcher struct {
-	indexed bool
-
-	byChronicle map[*chronicle.Chronicle][]*Target
 	// eqIndex[c][col][constKey] lists targets whose filter is "col = const"
-	// on chronicle c. Only consulted when indexed.
+	// on chronicle c.
 	eqIndex map[*chronicle.Chronicle]map[int]map[string][]*Target
 	// unindexed[c] lists targets on c that the equality index cannot serve.
 	unindexed map[*chronicle.Chronicle][]*Target
 
 	ids map[string]bool
 
-	// Probes and Scanned instrument E7: how many targets were examined.
+	// Probes counts equality-index probes (one per indexed column per row)
+	// and Scanned the unindexed targets whose filter was evaluated: the work
+	// §5.2 says must not grow with the number of unaffected targets. Affected
+	// is serialized by its caller, so they are plain integers.
 	Probes  int64
 	Scanned int64
 
@@ -90,21 +90,14 @@ type Dispatcher struct {
 	callSeq uint64
 }
 
-// New creates a dispatcher. indexed selects whether equality filters are
-// served by the predicate index; the engine always asks for it, and E7 times
-// it against New(false), the linear §5.2 baseline.
-func New(indexed bool) *Dispatcher {
+// New creates a dispatcher.
+func New() *Dispatcher {
 	return &Dispatcher{
-		indexed:     indexed,
-		byChronicle: make(map[*chronicle.Chronicle][]*Target),
-		eqIndex:     make(map[*chronicle.Chronicle]map[int]map[string][]*Target),
-		unindexed:   make(map[*chronicle.Chronicle][]*Target),
-		ids:         make(map[string]bool),
+		eqIndex:   make(map[*chronicle.Chronicle]map[int]map[string][]*Target),
+		unindexed: make(map[*chronicle.Chronicle][]*Target),
+		ids:       make(map[string]bool),
 	}
 }
-
-// Indexed reports whether the predicate index is in use.
-func (d *Dispatcher) Indexed() bool { return d.indexed }
 
 // Register adds a target.
 func (d *Dispatcher) Register(t *Target) error {
@@ -119,8 +112,7 @@ func (d *Dispatcher) Register(t *Target) error {
 	}
 	d.ids[t.ID] = true
 	for _, c := range t.Chronicles {
-		d.byChronicle[c] = append(d.byChronicle[c], t)
-		if d.indexed && c == t.FilterChronicle {
+		if c == t.FilterChronicle {
 			if col, k, ok := t.Filter.EqualityConstant(); ok {
 				cols, exists := d.eqIndex[c]
 				if !exists {
@@ -161,9 +153,6 @@ func (d *Dispatcher) Unregister(id string) bool {
 		}
 		return out
 	}
-	for c, list := range d.byChronicle {
-		d.byChronicle[c] = drop(list)
-	}
 	for c, list := range d.unindexed {
 		d.unindexed[c] = drop(list)
 	}
@@ -200,34 +189,21 @@ func (d *Dispatcher) Affected(c *chronicle.Chronicle, rows []chronicle.Row) []*T
 		out = append(out, t)
 	}
 
-	if d.indexed {
-		if cols := d.eqIndex[c]; cols != nil {
-			for col, byConst := range cols {
-				for _, r := range rows {
-					d.Probes++
-					if col >= len(r.Vals) {
-						continue
-					}
-					// The probe key is built in reusable scratch; the
-					// map[string] lookup does not copy the bytes.
-					d.keyScratch = value.AppendKey(d.keyScratch[:0], r.Vals[col])
-					for _, t := range byConst[string(d.keyScratch)] {
-						emit(t)
-					}
-				}
+	for col, byConst := range d.eqIndex[c] {
+		for _, r := range rows {
+			d.Probes++
+			if col >= len(r.Vals) {
+				continue
 			}
-		}
-		for _, t := range d.unindexed[c] {
-			d.Scanned++
-			if d.matches(t, c, rows) {
+			// The probe key is built in reusable scratch; the map[string]
+			// lookup does not copy the bytes.
+			d.keyScratch = value.AppendKey(d.keyScratch[:0], r.Vals[col])
+			for _, t := range byConst[string(d.keyScratch)] {
 				emit(t)
 			}
 		}
-		d.outScratch = out
-		return out
 	}
-
-	for _, t := range d.byChronicle[c] {
+	for _, t := range d.unindexed[c] {
 		d.Scanned++
 		if d.matches(t, c, rows) {
 			emit(t)

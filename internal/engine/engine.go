@@ -308,7 +308,7 @@ func New(cfg Config) *Engine {
 		relations:  make(map[string]*relation.Relation),
 		views:      make(map[string]*view.View),
 		periodics:  make(map[string]*calendar.PeriodicView),
-		disp:       dispatch.New(true),
+		disp:       dispatch.New(),
 		names:      make(map[string]string),
 		scratch: appendScratch{
 			deltas: make(map[*chronicle.Chronicle][]chronicle.Row),

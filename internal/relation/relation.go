@@ -124,6 +124,14 @@ func (r *Relation) Len() int {
 	return r.rows.Len()
 }
 
+// Height returns the height of the live rows' tree: the nodes one key probe
+// visits at most, O(log|R|) (the IM-log(R) bound of Theorem 4.5).
+func (r *Relation) Height() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.rows.Height()
+}
+
 // Updates returns the number of upserts and deletes ever applied.
 func (r *Relation) Updates() int64 {
 	r.mu.RLock()

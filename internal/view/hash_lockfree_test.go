@@ -3,6 +3,7 @@ package view
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -142,10 +143,10 @@ func sevenRows(lsn uint64, accts ...string) []chronicle.Row {
 // counted, "lookup of X returned Y" and "torn or half-built" both fire, and
 // -race reports the write in mutableClone against the read in rowOf. With
 // install storing the tag before the pointer, the lookup of an in-flight key
-// dereferences a nil slot in htab.probe — reliably only under -tags
-// viewdebug, which yields between the two stores (make bench-maint runs the
-// test that way too); a few cycles apart, twenty plain runs never met the
-// window.
+// dereferences a nil slot in htab.probe. The two stores are a few cycles
+// apart, so the test widens the window: installHook yields the processor
+// between them at every 256th install (without it, twenty runs never met the
+// window; at every install the test took 18 s under -race).
 func TestHashLockFreeThroughGrowth(t *testing.T) {
 	const (
 		calls      = 260
@@ -155,6 +156,13 @@ func TestHashLockFreeThroughGrowth(t *testing.T) {
 	f := newFixture(t)
 	v := minutesPerAcct(t, f, StoreHash)
 	key := func(i int) string { return fmt.Sprintf("k%06d", i) }
+	installs := 0 // the writer is this goroutine: no reader runs the hook
+	installHook = func() {
+		if installs++; installs%256 == 0 {
+			runtime.Gosched()
+		}
+	}
+	t.Cleanup(func() { installHook = nil })
 
 	var published atomic.Int64 // calls whose Publish has returned
 	stop := make(chan struct{})

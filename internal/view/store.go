@@ -81,8 +81,9 @@ func newEntry(a *arena, gcShell bool, aggs []aggregate.Spec, src *entry) *entry 
 
 // StoreKind selects the view's group store. The paper's Theorem 4.4 bound,
 // O(t·log|V|), corresponds to the ordered B-tree store; the hash store is
-// the "modulo index look ups" fast path with O(t) expected time. E10
-// measures the difference.
+// the "modulo index look ups" fast path with O(t) expected time. E10 counts
+// both: the tree's height against the log bound, the hash store's hashes,
+// probes and key comparisons per row.
 type StoreKind uint8
 
 const (
@@ -139,9 +140,13 @@ var hashSeed = maphash.MakeSeed()
 // empty slot, so the low bit (never part of a home slot: tables stay far
 // below 2³¹ slots) is forced on.
 func tagOf(key []byte) uint32 {
-	noteHash()
 	return uint32(maphash.Bytes(hashSeed, key)) | 1
 }
+
+// installHook, when set, runs between the two stores that publish a new slot.
+// TestHashLockFreeThroughGrowth sets it to yield the processor there, so that
+// its readers meet the half-published slot the store order exists for.
+var installHook func()
 
 // htab is one immutable-size open-addressing table: a power-of-two slot
 // array probed linearly, with each slot's tag in a parallel array, so a
@@ -167,19 +172,19 @@ func newHtab(logSize uint8) *htab {
 	return &htab{tags: make([]atomic.Uint32, n), slots: make([]atomic.Pointer[entry], n), shift: 32 - logSize}
 }
 
-// probe finds the published entry for key, or nil. Safe for concurrent
-// lock-free readers.
-func (t *htab) probe(tag uint32, key []byte) *entry {
-	noteProbe()
+// probe finds the published entry for key, or nil, and reports how many keys
+// it compared (each one an entry dereference). Safe for concurrent lock-free
+// readers.
+func (t *htab) probe(tag uint32, key []byte) (e *entry, compares int) {
 	mask := uint32(len(t.tags) - 1)
 	for i := tag >> t.shift; ; i = (i + 1) & mask {
 		switch t.tags[i].Load() {
 		case 0:
-			return nil
+			return nil, compares
 		case tag:
-			noteKeyCompare()
+			compares++
 			if e := t.slots[i].Load(); e.key == string(key) { // compiler-optimized: no string alloc
-				return e
+				return e, compares
 			}
 		}
 	}
@@ -198,7 +203,9 @@ func (t *htab) install(e, old *entry) {
 		switch t.tags[i].Load() {
 		case 0:
 			t.slots[i].Store(e)
-			installGap()
+			if installHook != nil {
+				installHook()
+			}
 			t.tags[i].Store(tag)
 			return
 		case tag:
@@ -275,6 +282,12 @@ type hashStore struct {
 	free    []*entry // shells no reader can hold, for mutableClone
 	limbo   []*entry // carved shells retired under a reader, awaiting a reader-free publish
 	used    int      // published slots, for the growth check
+
+	// The fold's work in the store's own units: key hashes, table probes and
+	// key comparisons (entry dereferences, in the table or in pending).
+	// Guarded by the view's mu like the rest; readers' probes are not
+	// counted.
+	hashes, probes, compares int64
 }
 
 const minLogSize = 4
@@ -312,8 +325,10 @@ func (h *hashStore) find(tag uint32, key []byte) int {
 		if s.gen != h.gen {
 			return -1
 		}
-		if e := h.pending[s.idx].e; e.tag() == tag && e.key == string(key) {
-			return int(s.idx)
+		if e := h.pending[s.idx].e; e.tag() == tag {
+			if h.compares++; e.key == string(key) {
+				return int(s.idx)
+			}
 		}
 	}
 }
@@ -346,11 +361,14 @@ func (h *hashStore) indexAt(idx int) {
 // half-applied state; repeat touches before the next publish hit the
 // version.
 func (h *hashStore) get(key []byte) (*entry, uint32) {
+	h.hashes++
 	tag := tagOf(key)
 	if i := h.find(tag, key); i >= 0 {
 		return h.pending[i].e, tag
 	}
-	old := h.tab.Load().probe(tag, key)
+	old, n := h.tab.Load().probe(tag, key)
+	h.probes++
+	h.compares += int64(n)
 	if old == nil {
 		return nil, tag
 	}
@@ -447,7 +465,7 @@ func (h *hashStore) resetPending() {
 // pending set. Callers bracket the call (through any derived
 // entry use) with readers.Add(1) / Add(-1).
 func (h *hashStore) rget(key []byte) (*entry, bool) {
-	e := h.tab.Load().probe(tagOf(key), key)
+	e, _ := h.tab.Load().probe(tagOf(key), key)
 	return e, e != nil
 }
 

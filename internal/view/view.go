@@ -71,14 +71,21 @@ type Def struct {
 	Aggs      []aggregate.Spec
 }
 
-// Stats counts maintenance work, the raw material of the experiment
-// harness.
+// Stats counts maintenance work: the per-view counts that Theorem 4.4's
+// bound is stated in, which the theorem tests assert on (internal/bench),
+// and the readouts behind the maintenance metrics.
 type Stats struct {
 	Applies   int64 // folds: one per maintenance round that reached the view (an append call, or a chunk of a long one)
 	DeltaRows int64 // expression delta rows folded in
-	Touched   int64 // view entries created or updated
+	Touched   int64 // store probes: one per delta row, creating or updating its entry
 	ApplyNs   int64 // wall time spent inside ApplyRows (the fold; a publication is O(1) or O(touched))
 	Publishes int64 // publications of folded state (one per append call that touched the view)
+
+	// A hash view's fold in the store's own units, zero for an ordered view
+	// (whose probe is one descent, Height): key hashes, table probes (a
+	// second touch of a key in one call finds its pending version instead),
+	// and key comparisons, each an entry dereference.
+	Hashes, Probes, KeyCompares int64
 }
 
 // snapshot is an immutable, atomically published image of a B-tree view
@@ -344,7 +351,21 @@ func (v *View) IMClass() algebra.IMClass { return v.info.IMClass() }
 func (v *View) Stats() Stats {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return v.stats
+	st := v.stats
+	if h, ok := v.store.(*hashStore); ok {
+		st.Hashes, st.Probes, st.KeyCompares = h.hashes, h.probes, h.compares
+	}
+	return st
+}
+
+// Height returns the height of an ordered view's published tree — the nodes
+// one probe visits at most, O(log|V|) — and 0 for a hash view. A paged view's
+// tree holds its resident blocks.
+func (v *View) Height() int {
+	if s := v.snap.Load(); s != nil {
+		return s.tree.Height()
+	}
+	return 0
 }
 
 // Len returns the number of rows currently in the view. B-tree views
