@@ -103,8 +103,9 @@ maint-stress:
 # round — each view visited, folded and published exactly once, not once per
 # row; the benchmark prints maint-ns/append across view counts
 # for the shared vs duplicated shapes, B/op of a 64-row call against a
-# 20 000-group B-tree view (per-row copy-on-write would show there), and the
-# cost of a 1 000-row load call of new groups into 64 views (the suite's
+# 20 000-group B-tree view (per-row copy-on-write, or copies the store
+# stopped recycling, would show there; the tree-call guard pins that call at
+# 8 KB and 32 objects), and the cost of a 1 000-row load call of new groups into 64 views (the suite's
 # set-up shape; per-row rounds would show there). The load guard pins that
 # call's allocation ceiling (a new group is carved, not allocated), the
 # group-bytes guard pins the live heap a new group costs a hash, a B-tree and
@@ -112,12 +113,14 @@ maint-stress:
 # dedup-bytes guards pin what a relation row (one string, loaded by UPSERT or
 # restored from a checkpoint) and an idempotency entry (one ring record)
 # cost, the hash-count guard prints what a row costs a hash view in hashes,
-# probes and key comparisons, and the lock-free reader test races readers
-# against a table that doubles eleven times.
+# probes and key comparisons, the lock-free reader test races readers
+# against a table that doubles eleven times, and its ordered-store twin races
+# lookups, scans, latest-N and checkpoints against a writer that recycles
+# nodes and entry versions, plain and paged, beside its permanent-reader bound.
 # -count=1 defeats caching — the guards must run.
 bench-maint:
-	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestLoadAllocGuard|TestGroupBytesGuard|TestRelationBytesGuard|TestDedupBytesGuard|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall' -v .
-	$(GO) test -count=1 -run 'TestHashStoreCounts|TestHashLockFreeThroughGrowth' -v ./internal/view
+	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestLoadAllocGuard|TestGroupBytesGuard|TestTreeCallBytesGuard|TestRelationBytesGuard|TestDedupBytesGuard|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall' -v .
+	$(GO) test -count=1 -run 'TestHashStoreCounts|TestHashLockFreeThroughGrowth|TestTreeRecyclingUnderReaders|TestTreePoolBoundedUnderPermanentReader' -v ./internal/view
 	$(GO) test -run=NONE -bench 'BenchmarkMaintainFanout' -benchmem -benchtime 50x .
 
 # prof-load profiles the two shapes the suite's maintain-fanout workload is

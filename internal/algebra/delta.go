@@ -68,8 +68,7 @@ func Delta(n Node, d BatchDelta) []chronicle.Row {
 	case *CrossRel:
 		return deltaCrossRel(n, Delta(n.In, d), &n.Work)
 	case *JoinRel:
-		out, _ := deltaJoinRel(n, Delta(n.In, d), nil, nil, &n.Work)
-		return out
+		return deltaJoinRel(n, Delta(n.In, d), nil, new(joinScratch), &n.Work)
 	default:
 		panic(fmt.Sprintf("algebra: unknown node %T", n))
 	}
@@ -152,16 +151,24 @@ func deltaCrossRel(n *CrossRel, in []chronicle.Row, w *RelWork) []chronicle.Row 
 	return out
 }
 
+// joinScratch is what a key join builds its output in: the key probe, and
+// the value slab the output rows are cut from. A caller that keeps it across
+// calls (the shared plan, per node) reuses both, so the rows a call joins
+// overwrite the last call's.
+type joinScratch struct {
+	probe []byte
+	vals  value.Tuple
+}
+
 // deltaJoinRel joins each input delta row against the relation version at
-// the row's instant, appending the joined rows to out, and returns them with
-// probe, the scratch it built key probes in. A key join is one O(log|R|)
-// probe per row: the relation row is decoded straight into the output row,
-// and the call's output rows share one value slab, so the rows cost no
-// allocation of their own. A non-key join scans (the CA-but-not-CA⋈ cost).
-// The probes and the rows scanned are counted in w.
-func deltaJoinRel(n *JoinRel, in, out []chronicle.Row, probe []byte, w *RelWork) ([]chronicle.Row, []byte) {
+// the row's instant, appending the joined rows to out. A key join is one
+// O(log|R|) probe per row: the probe key is built in sc, the relation row is
+// decoded straight into the output row, and the output rows share sc's value
+// slab, so warm, a call's rows cost no allocation. A non-key join scans (the
+// CA-but-not-CA⋈ cost). The probes and the rows scanned are counted in w.
+func deltaJoinRel(n *JoinRel, in, out []chronicle.Row, sc *joinScratch, w *RelWork) []chronicle.Row {
 	if len(in) == 0 {
-		return out, probe
+		return out
 	}
 	if !n.onKey {
 		for _, r := range in {
@@ -176,24 +183,30 @@ func deltaJoinRel(n *JoinRel, in, out []chronicle.Row, probe []byte, w *RelWork)
 				return true
 			})
 		}
-		return out, probe
+		return out
 	}
-	vals := make(value.Tuple, 0, len(in)*n.schema.Len())
+	// Sized for every row up front: the slab never moves while rows are cut
+	// from it.
+	vals := sc.vals[:0]
+	if need := len(in) * n.schema.Len(); cap(vals) < need {
+		vals = make(value.Tuple, 0, need)
+	}
 	for _, r := range in {
-		probe = probe[:0]
+		sc.probe = sc.probe[:0]
 		for _, c := range n.keyIn {
-			probe = value.AppendKey(probe, r.Vals[c])
+			sc.probe = value.AppendKey(sc.probe, r.Vals[c])
 		}
 		start := len(vals)
 		w.Probes++
-		joined, ok := n.R.AppendAsOf(append(vals, r.Vals...), r.LSN, probe)
+		joined, ok := n.R.AppendAsOf(append(vals, r.Vals...), r.LSN, sc.probe)
 		if !ok {
 			continue
 		}
 		vals = joined
 		out = append(out, chronicle.Row{SN: r.SN, Chronon: r.Chronon, LSN: r.LSN, Vals: vals[start:len(vals):len(vals)]})
 	}
-	return out, probe
+	sc.vals = vals
+	return out
 }
 
 func concatRow(r chronicle.Row, rel value.Tuple) chronicle.Row {

@@ -55,8 +55,7 @@ func eval(n Node) []chronicle.Row {
 	case *CrossRel:
 		return deltaCrossRel(n, eval(n.In), new(RelWork))
 	case *JoinRel:
-		out, _ := deltaJoinRel(n, eval(n.In), nil, nil, new(RelWork))
-		return out
+		return deltaJoinRel(n, eval(n.In), nil, new(joinScratch), new(RelWork))
 	default:
 		panic(fmt.Sprintf("algebra: unknown node %T", n))
 	}

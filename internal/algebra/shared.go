@@ -129,12 +129,15 @@ type PlanNode struct {
 	// epoch stamps the batch rows was computed for; rows is valid only
 	// while epoch equals the plan's current batch epoch. buf is the node's
 	// persistent output buffer for σ, Π and key joins, reused across
-	// batches so steady-state delta computation allocates nothing; probe is
-	// a key join's scratch for its relation key probes.
+	// batches so steady-state delta computation allocates nothing; join is a
+	// key join's probe and value slab, reused the same way. Reuse is safe
+	// because no consumer keeps a delta row past its round: a view's fold
+	// encodes the key it keeps and steps states by value, and the changefeed
+	// copies each frame (feed.Batch.Capture).
 	epoch uint64
 	rows  []chronicle.Row
 	buf   []chronicle.Row
-	probe []byte
+	join  joinScratch
 }
 
 // PlanNodeInfo describes one plan node for EXPLAIN.
@@ -321,7 +324,7 @@ func (p *SharedPlan) eval(n *PlanNode, d BatchDelta) []chronicle.Row {
 	case *CrossRel:
 		n.rows = deltaCrossRel(e, p.eval(n.children[0], d), &e.Work)
 	case *JoinRel:
-		n.buf, n.probe = deltaJoinRel(e, p.eval(n.children[0], d), n.buf[:0], n.probe, &e.Work)
+		n.buf = deltaJoinRel(e, p.eval(n.children[0], d), n.buf[:0], &n.join, &e.Work)
 		n.rows = n.buf
 	default:
 		panic(fmt.Sprintf("algebra: unknown node %T", n.Expr))

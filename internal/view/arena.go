@@ -16,10 +16,11 @@ import (
 // objects per thousand groups and strands at most one chunk's tail.
 //
 // Nothing carved is ever returned one piece at a time. Views are
-// insert-only, so a group's key lives as long as the view; shells
-// are recycled by the hash store's freelist (see hashStore); and a paged
-// view carves per block (blockMeta.arena), so that evicting the block drops
-// the last reference to its chunks and the collector takes them whole.
+// insert-only, so a group's key lives as long as the view; a retired shell
+// goes to the view's free list, of either store, never back to its chunk
+// (see shells); and a paged view carves its keys per block
+// (blockMeta.arena), so that evicting the block drops the last reference to
+// its chunks and the collector takes them whole.
 //
 // A nil *arena is the heap: every method allocates the piece on its own, for
 // entries the collector must own (see newEntry).

@@ -98,9 +98,9 @@ func decodeBlock(data []byte, nkey int, aggs []aggregate.Spec) ([]keyed, error) 
 	// A valid entry takes ≥1 byte; don't trust the count.
 	entries := make([]keyed, 0, min(count, uint64(len(body))))
 	for i := uint64(0); i < count; i++ {
-		// Blocks belong to the ordered store, whose shells stay with the
-		// collector.
-		key, e, used, err := decodeEntry(body[off:], nil, true, nkey, aggs)
+		// Blocks belong to paged views, whose shells stay with the collector
+		// (see blockMeta.arena).
+		key, e, used, err := decodeEntry(body[off:], nil, nkey, aggs)
 		if err != nil {
 			return nil, fmt.Errorf("block entry %d: %w", i, err)
 		}
@@ -114,10 +114,10 @@ func decodeBlock(data []byte, nkey int, aggs []aggregate.Spec) ([]keyed, error) 
 }
 
 // decodeEntry decodes one entry in block-payload encoding (a whole-image
-// checkpoint uses the same) from the front of b, building it with newEntry,
-// and returns its key — checked to hold nkey values, and aliasing b — with
-// it and the bytes consumed.
-func decodeEntry(b []byte, a *arena, gcShell bool, nkey int, aggs []aggregate.Spec) ([]byte, *entry, int, error) {
+// checkpoint uses the same) from the front of b, building it with newEntry
+// from a, and returns its key — checked to hold nkey values, and aliasing b —
+// with it and the bytes consumed.
+func decodeEntry(b []byte, a *arena, nkey int, aggs []aggregate.Spec) ([]byte, *entry, int, error) {
 	klen, off := binary.Uvarint(b)
 	if off <= 0 || klen > uint64(len(b)-off) {
 		return nil, nil, 0, fmt.Errorf("bad key length")
@@ -132,7 +132,7 @@ func decodeEntry(b []byte, a *arena, gcShell bool, nkey int, aggs []aggregate.Sp
 		return nil, nil, 0, fmt.Errorf("bad count")
 	}
 	off += used
-	e := newEntry(a, gcShell, aggs, nil)
+	e := newEntry(a, aggs, nil)
 	e.count = int64(c)
 	for j, spec := range aggs {
 		st, used, err := aggregate.DecodeState(spec.Func, b[off:])

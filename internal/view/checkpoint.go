@@ -80,6 +80,11 @@ func (v *View) Checkpoint() []byte {
 		return true
 	}
 	if p := v.pg.Load(); p != nil {
+		// The walk reads the snapshot without the lock, and the faults and
+		// evictions planScan sets off publish meanwhile: counted, it keeps
+		// what it reads from being reused under it.
+		v.readers.Add(1)
+		defer v.readers.Add(-1)
 		s, _, _, _ := v.planScan(p, Window{}, 0)
 		b = binary.AppendUvarint(b, uint64(s.tree.Len()))
 		s.tree.Ascend(appendEntry)
@@ -105,11 +110,14 @@ func (v *View) RestoreCheckpoint(data []byte) error {
 	}
 	off += n
 
-	fresh := newStore(storeKindOf(v.store))
-	a := new(arena)
+	fresh := newStore(storeKindOf(v.store), &v.shells)
+	a, shell := new(arena), (*arena)(nil)
+	if v.pg.Load() == nil {
+		shell = a // a paged view's are the collector's: see blockMeta.arena
+	}
 	a.reserve(int(min(count, uint64(len(data)))))
 	for i := uint64(0); i < count; i++ {
-		key, e, used, err := decodeEntry(data[off:], a, v.cow, len(v.keyKinds), v.aggs)
+		key, e, used, err := decodeEntry(data[off:], shell, len(v.keyKinds), v.aggs)
 		if err != nil {
 			return fmt.Errorf("view %s: entry %d: %w", v.def.Name, i, err)
 		}
@@ -124,6 +132,9 @@ func (v *View) RestoreCheckpoint(data []byte) error {
 		return fmt.Errorf("view %s: %d trailing checkpoint bytes", v.def.Name, len(data)-off)
 	}
 	v.mu.Lock()
+	// The shells belong to the arena the replaced entries were carved from,
+	// which goes with them.
+	v.shells = shells{}
 	if cur, ok := v.store.(*hashStore); ok {
 		// Hash readers reach the table through v.store without any lock,
 		// so the store pointer must never change once published: install

@@ -141,7 +141,7 @@ func sevenRows(lsn uint64, accts ...string) []chronicle.Row {
 //
 // Mutation-checked. With publish recycling retired shells while a reader is
 // counted, "lookup of X returned Y" and "torn or half-built" both fire, and
-// -race reports the write in mutableClone against the read in rowOf. With
+// -race reports the write in shells.version against the read in rowOf. With
 // install storing the tag before the pointer, the lookup of an in-flight key
 // dereferences a nil slot in htab.probe. The two stores are a few cycles
 // apart, so the test widens the window: installHook yields the processor
@@ -264,17 +264,17 @@ func TestHashLockFreeThroughGrowth(t *testing.T) {
 func TestHashShellsBoundedUnderPermanentReader(t *testing.T) {
 	f := newFixture(t)
 	v := minutesPerAcct(t, f, StoreHash)
-	h := v.store.(*hashStore)
+	sh := &v.shells
 	keys := []string{"a", "b", "c", "d"}
 	v.ApplyRows(sevenRows(1, keys...))
 	v.Publish()
 
-	h.readers.Add(1) // a scan that never returns
+	v.readers.Add(1) // a scan that never returns
 	for round := uint64(2); round < 10002; round++ {
 		v.ApplyRows(sevenRows(round, "a"))
 		v.Publish()
-		if len(h.limbo) != 1 || len(h.free) != 0 {
-			t.Fatalf("round %d under a reader: %d shells in limbo, %d free; want 1, 0", round, len(h.limbo), len(h.free))
+		if len(sh.limbo) != 1 || len(sh.free) != 0 {
+			t.Fatalf("round %d under a reader: %d shells in limbo, %d free; want 1, 0", round, len(sh.limbo), len(sh.free))
 		}
 	}
 	// Touching every key strands every carved shell once — the bound is the
@@ -283,19 +283,19 @@ func TestHashShellsBoundedUnderPermanentReader(t *testing.T) {
 		v.ApplyRows(sevenRows(round, keys...))
 		v.Publish()
 	}
-	if len(h.limbo) != len(keys) || len(h.free) != 0 {
-		t.Fatalf("after touching %d keys under a reader: %d in limbo, %d free", len(keys), len(h.limbo), len(h.free))
+	if len(sh.limbo) != len(keys) || len(sh.free) != 0 {
+		t.Fatalf("after touching %d keys under a reader: %d in limbo, %d free", len(keys), len(sh.limbo), len(sh.free))
 	}
-	waiting := append([]*entry(nil), h.limbo...)
+	waiting := append([]*entry(nil), sh.limbo...)
 
-	h.readers.Add(-1)
+	v.readers.Add(-1)
 	v.ApplyRows(sevenRows(10012, "a"))
 	v.Publish()
-	if len(h.limbo) != 0 {
-		t.Fatalf("%d shells still in limbo after a reader-free publish", len(h.limbo))
+	if len(sh.limbo) != 0 {
+		t.Fatalf("%d shells still in limbo after a reader-free publish", len(sh.limbo))
 	}
 	for _, s := range waiting {
-		if !slices.Contains(h.free, s) {
+		if !slices.Contains(sh.free, s) {
 			t.Fatal("a shell that waited in limbo was not recycled")
 		}
 	}

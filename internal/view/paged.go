@@ -48,7 +48,9 @@ type blockMeta struct {
 	hot       atomic.Bool // CLOCK reference bit: set by writes and by point, range and limit reads, not by a scan of the whole view
 	// arena is where the block's keys are carved from while it is resident
 	// (created on first need). Eviction drops it with the entries, so a cold
-	// block pins no chunk.
+	// block pins no chunk. Entry shells are not carved from it: the view
+	// recycles a shell beyond the life of its block, and a carved one would
+	// pin the chunk.
 	arena *arena
 }
 

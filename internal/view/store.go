@@ -3,6 +3,7 @@ package view
 import (
 	"bytes"
 	"hash/maphash"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -17,17 +18,17 @@ import (
 // decodes them from it (see rowOf).
 //
 // An entry reachable by lock-free readers is frozen; maintenance changes a
-// group by building a new version of its entry (newEntry with src set) and
-// swapping that in. key is written once, when the group is created, and
-// shared by every version.
+// group by building a new version of its entry (shells.version) and swapping
+// that in. key is written once, when the group is created, and shared by
+// every version.
 //
-// stamp belongs to the store. The ordered store keeps the write epoch the
-// entry was created (or last copied) in: it publishes an immutable snapshot
-// at the end of every append call, and an entry whose epoch predates the
-// view's current write epoch is reachable from a published snapshot and must
-// be copied before mutation. The hash store keeps the key's hash tag in the
-// low half — computed once when a row first meets the key, carried through
-// pending and install — and carvedBit above it.
+// stamp's top bit is carvedBit; the rest belongs to the store. The ordered
+// store keeps the write epoch the entry was created (or last copied) in: it
+// publishes an immutable snapshot at the end of every append call, and an
+// entry whose epoch predates the view's current write epoch is reachable
+// from a published snapshot and must be copied before mutation. The hash
+// store keeps the key's hash tag in the low half — computed once when a row
+// first meets the key, carried through pending and install.
 //
 // key holds the encoded group key for hash-store entries, which the table
 // compares after a tag match (the ordered store keys its nodes instead and
@@ -39,44 +40,113 @@ type entry struct {
 	key    string
 }
 
-// carvedBit marks a hash-store entry whose shell (the entry and its states)
-// was carved from an arena chunk: the collector cannot take it back alone,
-// so the store must never let go of it (see hashStore.publish).
-const carvedBit = 1 << 32
+// carvedBit marks an entry whose shell (the entry and its states) was carved
+// from an arena chunk: the collector cannot take it back alone, so the view
+// must never let go of it (see shells.settle).
+const carvedBit = 1 << 63
 
 func (e *entry) tag() uint32 { return uint32(e.stamp) }
 
+// epoch is the write epoch an ordered-store entry was made in.
+func (e *entry) epoch() uint64 { return e.stamp &^ carvedBit }
+
 // newEntry is the one place view entries are built: the fold's new groups,
-// decoded blocks and checkpoints, and every copy-on-write version.
+// decoded blocks and checkpoints, and the copy-on-write versions the view's
+// free shells cannot serve.
 //
 // With src nil it builds a new group with one fresh state per spec, carved
-// from a. Only what lives as long as the group is carved under gcShell: the
-// ordered store replaces a shell on the group's first touch in each epoch
-// and cannot know when the last snapshot reader lets go of the old one, so
-// its shells stay with the collector.
+// from a (the heap when a is nil). Either store may carve it: the view
+// recycles a retired shell once no reader can hold it, and keeps a carved one
+// that a reader might hold until then (see shells).
 //
-// With src set it builds the next version of src, sharing key and copying
-// count and states. Versions are always the collector's — the hash store
-// recycles them itself while it can (see mutableClone) and needs to be able
-// to drop them when it cannot.
-func newEntry(a *arena, gcShell bool, aggs []aggregate.Spec, src *entry) *entry {
-	shell := a
-	if gcShell || src != nil {
-		shell = nil
-	}
-	e := shell.entry()
+// With src set it builds the next version of src on the heap, sharing key and
+// copying count and states. Versions are the collector's, so that a
+// publication that finds a reader can drop them.
+func newEntry(a *arena, aggs []aggregate.Spec, src *entry) *entry {
 	if src != nil {
-		e.count, e.key = src.count, src.key
-		e.states = shell.stateVec(len(src.states))
-		copy(e.states, src.states)
-		return e
+		return &entry{count: src.count, key: src.key, states: slices.Clone(src.states)}
 	}
-	e.states = shell.stateVec(len(aggs))
+	e := a.entry()
+	e.states = a.stateVec(len(aggs))
 	aggregate.InitStates(e.states, aggs)
-	if shell != nil {
+	if a != nil {
 		e.stamp = carvedBit
 	}
 	return e
+}
+
+// shells recycles the entry versions of one view, for both stores. A store
+// copies a published entry before its first change in a call — the ordered
+// store into the live tree, the hash store into pending — and retires the
+// version it replaced; the publication that ends the call settles what was
+// retired (View.publishLocked). Guarded by the view's mu.
+type shells struct {
+	retired []*entry // versions replaced since the last publication
+	free    []*entry // shells no reader can hold, for version
+	limbo   []*entry // carved shells retired under a reader, awaiting a reader-free publication
+	// most is the most versions one publication has retired, and the bound
+	// of free, which only carved shells pass.
+	most int
+}
+
+// version returns a private copy of a published entry, in a free shell when
+// there is one (an in-place copy of every state — the allocation-free warm
+// path). The copy's stamp holds only its own shell's carvedBit; the caller
+// stamps the rest.
+func (s *shells) version(src *entry) *entry {
+	n := len(s.free)
+	if n == 0 {
+		return newEntry(nil, nil, src)
+	}
+	c := s.free[n-1]
+	s.free[n-1] = nil
+	s.free = s.free[:n-1]
+	c.count, c.key = src.count, src.key
+	copy(c.states, src.states)
+	c.stamp &= carvedBit
+	return c
+}
+
+// retire records that e, a published version, was replaced in the live
+// store.
+func (s *shells) retire(e *entry) { s.retired = append(s.retired, e) }
+
+// settle ends a publication's reclamation. quiet reports that no reader was
+// counted once the publication was stored: a reader counted then may hold a
+// retired version, one that arrives later can reach none. So with quiet set,
+// every retired shell — this publication's and those waiting in limbo — is
+// free for reuse. Without it none is: a carved shell waits in limbo for the
+// next reader-free publication (dropped, a piece of a chunk is never
+// collected), a collector-owned one is dropped, so that a reader that never
+// leaves costs the collector work, not the store memory.
+func (s *shells) settle(quiet bool) {
+	s.most = max(s.most, len(s.retired))
+	if quiet {
+		s.free = append(s.free, s.limbo...)
+		clear(s.limbo)
+		s.limbo = s.limbo[:0]
+		s.free = append(s.free, s.retired...)
+	} else {
+		for _, e := range s.retired {
+			if e.stamp&carvedBit != 0 {
+				s.limbo = append(s.limbo, e)
+			}
+		}
+	}
+	clear(s.retired)
+	s.retired = s.retired[:0]
+	if len(s.free) > s.most {
+		// Past the bound the collector's shells go; carved ones stay, for the
+		// reason limbo keeps them.
+		kept := s.free[:s.most]
+		for _, e := range s.free[s.most:] {
+			if e.stamp&carvedBit != 0 {
+				kept = append(kept, e)
+			}
+		}
+		clear(s.free[len(kept):])
+		s.free = kept
+	}
 }
 
 // StoreKind selects the view's group store. The paper's Theorem 4.4 bound,
@@ -109,7 +179,8 @@ func (k StoreKind) String() string {
 //
 // get and put are maintenance-side and run under the view's exclusive
 // lock; the hash store's get returns a pending mutable version so published
-// entries stay frozen for its lock-free readers.
+// entries stay frozen for its lock-free readers (the ordered store leaves
+// versioning to the view).
 type store interface {
 	// get returns the entry to mutate for key, or nil, and the store's hash
 	// tag of key, which a put that follows the miss hands back so the key is
@@ -123,11 +194,14 @@ type store interface {
 	ascend(fn func(key []byte, e *entry) bool)
 }
 
-func newStore(kind StoreKind) store {
+// newStore returns an empty store of the given kind; a hash store makes its
+// versions from sh. An ordered store's tree recycles its nodes: it becomes
+// the view's live tree, the only one that retires.
+func newStore(kind StoreKind, sh *shells) store {
 	if kind == StoreBTree {
-		return &treeStore{t: btree.New[[]byte, *entry](func(a, b []byte) bool { return bytes.Compare(a, b) < 0 })}
+		return &treeStore{t: btree.NewRecycling[[]byte, *entry](func(a, b []byte) bool { return bytes.Compare(a, b) < 0 })}
 	}
-	return newHashStore()
+	return newHashStore(sh)
 }
 
 // hashSeed is the process-wide seed of the hash view index.
@@ -263,25 +337,22 @@ type pslot struct {
 // many of the call's rows hit it. A point probe is atomic per entry; a scan
 // validates its gather against seq (see collect).
 //
-// Readers announce themselves through the readers counter, and the store
-// reuses a retired version's shell only after a publish that found no reader
-// in flight: nothing reachable is ever mutated in place, and the warm
+// Versions come from the view's shells and go back to them when publish
+// retires them, so nothing reachable is ever mutated in place and the warm
 // maintenance path allocates nothing.
 type hashStore struct {
-	tab     atomic.Pointer[htab]
-	count   atomic.Int64  // published entries, for lock-free len
-	readers atomic.Int64  // in-flight lock-free readers
-	seq     atomic.Uint64 // publish sequence: odd while an install pass runs
-	lsn     atomic.Uint64 // LSN the published table has reached
+	tab   atomic.Pointer[htab]
+	count atomic.Int64  // published entries, for lock-free len
+	seq   atomic.Uint64 // publish sequence: odd while an install pass runs
+	lsn   atomic.Uint64 // LSN the published table has reached
 
 	// Maintenance state, guarded by the owning view's mu.
-	pending []pend   // this call's entries, in arrival order
-	fresh   int      // how many of them are new keys, for the growth check
-	index   []pslot  // pending by tag, for a call's repeat touches of a key
-	gen     uint32   // current generation of index; never 0
-	free    []*entry // shells no reader can hold, for mutableClone
-	limbo   []*entry // carved shells retired under a reader, awaiting a reader-free publish
-	used    int      // published slots, for the growth check
+	pending []pend  // this call's entries, in arrival order
+	fresh   int     // how many of them are new keys, for the growth check
+	index   []pslot // pending by tag, for a call's repeat touches of a key
+	gen     uint32  // current generation of index; never 0
+	used    int     // published slots, for the growth check
+	sh      *shells // the view's, for versions
 
 	// The fold's work in the store's own units: key hashes, table probes and
 	// key comparisons (entry dereferences, in the table or in pending).
@@ -292,26 +363,10 @@ type hashStore struct {
 
 const minLogSize = 4
 
-func newHashStore() *hashStore {
-	h := &hashStore{gen: 1}
+func newHashStore(sh *shells) *hashStore {
+	h := &hashStore{gen: 1, sh: sh}
 	h.tab.Store(newHtab(minLogSize))
 	return h
-}
-
-// mutableClone returns a private version of a published entry, reusing a
-// freelist shell when there is one (an in-place copy of every state — the
-// allocation-free warm path).
-func (h *hashStore) mutableClone(src *entry) *entry {
-	n := len(h.free)
-	if n == 0 {
-		return newEntry(nil, false, nil, src)
-	}
-	c := h.free[n-1]
-	h.free[n-1] = nil
-	h.free = h.free[:n-1]
-	c.count, c.key = src.count, src.key
-	copy(c.states, src.states)
-	return c
 }
 
 // find returns the position in pending of the entry for key, or -1.
@@ -372,8 +427,8 @@ func (h *hashStore) get(key []byte) (*entry, uint32) {
 	if old == nil {
 		return nil, tag
 	}
-	c := h.mutableClone(old)
-	c.stamp = c.stamp&carvedBit | uint64(tag)
+	c := h.sh.version(old)
+	c.stamp |= uint64(tag)
 	h.add(c, old)
 	return c, tag
 }
@@ -389,17 +444,9 @@ func (h *hashStore) len() int { return int(h.count.Load()) }
 
 // publish installs the pending entries into the table (growing it first if
 // the new keys would take it past 3/4 full) and stamps the table with the
-// LSN it now reflects, all inside one odd-seq window; then it settles the
-// versions the installs retired. Runs under the view's exclusive lock.
-//
-// A reader counted when the installs are done may hold a retired version, or
-// a pointer into the previous table; one that arrives later can reach
-// neither. So with no reader counted, every retired shell — this publish's
-// and those waiting in limbo — is free for reuse. With one counted, none is:
-// a carved shell waits in limbo for the next reader-free publish (dropped, a
-// piece of a chunk is never collected), a collector-owned one is dropped, so
-// that a reader that never leaves costs the collector work, not the store
-// memory.
+// LSN it now reflects, all inside one odd-seq window; then it retires the
+// versions the installs replaced, for the view to settle. Runs under the
+// view's exclusive lock.
 func (h *hashStore) publish(lsn uint64) {
 	h.seq.Add(1)
 	if len(h.pending) > 0 {
@@ -420,20 +467,9 @@ func (h *hashStore) publish(lsn uint64) {
 	}
 	h.lsn.Store(lsn)
 	h.seq.Add(1)
-
-	quiet := h.readers.Load() == 0
-	if quiet {
-		h.free = append(h.free, h.limbo...)
-		clear(h.limbo)
-		h.limbo = h.limbo[:0]
-	}
 	for _, p := range h.pending {
-		switch {
-		case p.old == nil:
-		case quiet:
-			h.free = append(h.free, p.old)
-		case p.old.stamp&carvedBit != 0:
-			h.limbo = append(h.limbo, p.old)
+		if p.old != nil {
+			h.sh.retire(p.old)
 		}
 	}
 	h.resetPending()
@@ -462,8 +498,8 @@ func (h *hashStore) resetPending() {
 }
 
 // rget is the lock-free reader probe: published entries only, never the
-// pending set. Callers bracket the call (through any derived
-// entry use) with readers.Add(1) / Add(-1).
+// pending set. Callers count themselves in the view's readers across the
+// call and any use of the entry.
 func (h *hashStore) rget(key []byte) (*entry, bool) {
 	e, _ := h.tab.Load().probe(tagOf(key), key)
 	return e, e != nil
@@ -479,17 +515,14 @@ func (h *hashStore) adopt(o *hashStore) {
 	h.seq.Add(1)
 	h.used = o.used
 	h.resetPending()
-	// The shells belong to the arena the replaced entries were carved from,
-	// which goes with them.
-	h.free, h.limbo = nil, nil
 }
 
 // collect gathers the published entries, unordered, with the LSN the table
 // carries. stable reports that no publication overlapped the gather, so
 // the entries and the LSN belong to one publication; a caller that needs
 // that retries, or excludes publication with the view's read lock. It reads
-// the table once and only through atomic loads; read-path callers bracket
-// it (and their use of the entries) with the readers counter.
+// the table once and only through atomic loads; read-path callers count
+// themselves in the view's readers across it and their use of the entries.
 func (h *hashStore) collect() (entries []*entry, lsn uint64, stable bool) {
 	seq := h.seq.Load()
 	t := h.tab.Load()

@@ -122,12 +122,21 @@ func (s *snapshot) touch(key []byte) {
 // Concurrency model: maintenance (ApplyRows/Publish/RestoreCheckpoint) is
 // serialized by the engine and takes mu exclusively. B-tree views publish
 // an immutable copy-on-write snapshot; Lookup and Scan read the latest one
-// with zero locks. Hash views (the zero-allocation maintenance
-// fast path) publish through an atomically installed open-addressing table
-// of frozen entries, so their readers are lock-free too — maintenance
-// mutates pending clones and installs them at publish (see hashStore).
-// Either way a reader sees the state as of the last Publish, stamped with
-// the LSN that publication carried, never the rows folded since.
+// with zero locks. Hash views publish through an atomically installed
+// open-addressing table of frozen entries, so their readers are lock-free
+// too — maintenance mutates pending clones and installs them at publish
+// (see hashStore). Either way a reader sees the state as of the last
+// Publish, stamped with the LSN that publication carried, never the rows
+// folded since.
+//
+// Reclamation is the same for both stores. Every reader of published state
+// counts itself in readers before it loads a snapshot or table and out when
+// it is done with what it reached. A publication that finds no reader
+// counted after it has stored the new state frees what the calls since the
+// last one replaced — tree nodes and entry versions — for the next call to
+// reuse; one that finds a reader leaves them to the collector, carved shells
+// aside (see publishLocked). The warm maintenance path of either store allocates
+// nothing of its own.
 type View struct {
 	def    Def
 	schema *value.Schema
@@ -144,6 +153,10 @@ type View struct {
 	// reachable from it are frozen: the maintenance path clones an entry
 	// before its first mutation in each epoch (see entry.epoch).
 	snap atomic.Pointer[snapshot]
+	// readers counts the lock-free readers in flight, of either store.
+	readers atomic.Int64
+	// shells recycles the entry versions either store replaces.
+	shells shells
 	// epoch is the current write epoch, bumped at each publication. Only
 	// meaningful when cow is true.
 	epoch uint64
@@ -240,11 +253,11 @@ func New(def Def, kind StoreKind) (*View, error) {
 	v := &View{
 		def:    def,
 		schema: schema,
-		store:  newStore(kind),
 		info:   algebra.Analyze(def.Expr),
 		cow:    kind == StoreBTree,
 		arena:  new(arena),
 	}
+	v.store = newStore(kind, &v.shells)
 	if def.Mode == SummarizeProject {
 		v.keyCols = def.Cols
 	} else {
@@ -263,10 +276,20 @@ func New(def Def, kind StoreKind) (*View, error) {
 // any published entry copies it first; hash stores install their pending
 // clones into the atomic table. Callers must hold mu exclusively (or have
 // sole ownership, as in New).
+//
+// Then it settles what the live store replaced since the last publication:
+// the tree nodes its path copies left and the entry versions either store
+// swapped out. All of it is reachable from older published state only, so a
+// reader counted now may hold some and one that arrives later can reach
+// none. With no reader counted it all becomes reusable. With one, the nodes
+// and heap versions go to the collector and carved shells wait in limbo
+// (shells.settle).
 func (v *View) publishLocked() {
 	p := v.pg.Load()
+	var live *btree.Tree[[]byte, *entry]
 	switch s := v.store.(type) {
 	case *treeStore:
+		live = s.t
 		snap := &snapshot{tree: s.t.Clone(), at: time.Now().UnixNano(), lsn: v.appliedLSN}
 		if p != nil {
 			snap.blocks = p.blocks
@@ -276,6 +299,15 @@ func (v *View) publishLocked() {
 	case *hashStore:
 		s.publish(v.appliedLSN)
 	}
+	quiet := v.readers.Load() == 0
+	if live != nil {
+		if quiet {
+			live.Reclaim()
+		} else {
+			live.Forget()
+		}
+	}
+	v.shells.settle(quiet)
 	if p != nil {
 		p.published.Store(p.total)
 	}
@@ -362,6 +394,8 @@ func (v *View) Stats() Stats {
 // one probe visits at most, O(log|V|) — and 0 for a hash view. A paged view's
 // tree holds its resident blocks.
 func (v *View) Height() int {
+	v.readers.Add(1)
+	defer v.readers.Add(-1)
 	if s := v.snap.Load(); s != nil {
 		return s.tree.Height()
 	}
@@ -451,31 +485,33 @@ func (v *View) applyRowsLocked(p *pager, rows []chronicle.Row) {
 		// Encode the key straight from the source columns; a new group
 		// keeps a copy of it, and the key is the only copy of its values.
 		v.keyBuf = keyenc.AppendCols(v.keyBuf[:0], r.Vals, v.keyCols)
-		a := v.arena
+		a, shell := v.arena, v.arena
 		var blk *blockMeta
 		if p != nil {
 			// Writes require residency: fault the covering block so the
 			// next checkpoint can re-encode it from the live tree.
 			blk = v.ensureWrite(p, v.keyBuf)
-			a = blk.arena
+			a, shell = blk.arena, nil // keys only: see blockMeta.arena
 		}
 		e, tag := v.store.get(v.keyBuf)
 		switch {
 		case e == nil:
-			e = newEntry(a, v.cow, v.aggs, nil)
+			e = newEntry(shell, v.aggs, nil)
 			if v.cow {
-				e.stamp = v.epoch
+				e.stamp |= v.epoch
 			}
 			v.store.put(a, v.keyBuf, tag, e)
 			if p != nil {
 				v.noteInsert(p, blk, v.keyBuf, e)
 			}
-		case v.cow && e.stamp != v.epoch:
+		case v.cow && e.epoch() != v.epoch:
 			// First touch this epoch: the entry is frozen in the published
-			// snapshot; mutate a copy instead.
-			e = newEntry(nil, true, nil, e)
-			e.stamp = v.epoch
+			// snapshot; mutate a copy instead, and retire the original.
+			old := e
+			e = v.shells.version(old)
+			e.stamp |= v.epoch
 			v.store.(*treeStore).replace(v.keyBuf, e)
+			v.shells.retire(old)
 		}
 		aggregate.Apply(e.states, v.aggs, r.Vals)
 		e.count++
@@ -493,6 +529,8 @@ func (v *View) Lookup(key value.Tuple) (value.Tuple, bool) {
 	buf := keyenc.GetBuf()
 	defer keyenc.PutBuf(buf)
 	*buf = keyenc.AppendTuple(*buf, key)
+	v.readers.Add(1)
+	defer v.readers.Add(-1)
 	if s := v.snap.Load(); s != nil {
 		// Lock-free: the snapshot tree and every entry in it are frozen.
 		e, ok := s.tree.Get(*buf)
@@ -515,11 +553,8 @@ func (v *View) Lookup(key value.Tuple) (value.Tuple, bool) {
 	}
 	// Lock-free: published hash entries are frozen (maintenance mutates
 	// clones and re-installs atomically); the readers count keeps the entry
-	// out of the freelist while we materialize the row.
-	h := v.store.(*hashStore)
-	h.readers.Add(1)
-	defer h.readers.Add(-1)
-	e, ok := h.rget(*buf)
+	// off the free list while we materialize the row.
+	e, ok := v.store.(*hashStore).rget(*buf)
 	if !ok || e.count == 0 {
 		return nil, false
 	}
@@ -565,7 +600,13 @@ func (w Window) take(row value.Tuple, n *int, fn func(value.Tuple) bool) bool {
 // O(log |V| + rows visited), and a paged one faults only the blocks the read
 // reaches (see pagedScan). The hash store has no order: any window but a
 // point (Lookup) gathers the table, filters and sorts it.
+//
+// The scan counts itself a reader until fn has seen its last row, so nothing
+// it can reach is reused meanwhile — across the rounds of a paged read, too,
+// whose faults and the evictions they set off publish under it.
 func (v *View) Scan(w Window, fn func(value.Tuple) bool) uint64 {
+	v.readers.Add(1)
+	defer v.readers.Add(-1)
 	s := v.snap.Load()
 	if s == nil {
 		return v.hashScan(w, fn)
@@ -611,8 +652,6 @@ func (v *View) walk(s *snapshot, w Window, lo, hi []byte, fn func(value.Tuple) b
 // are sorted on demand (scans are query-side).
 func (v *View) hashScan(w Window, fn func(value.Tuple) bool) uint64 {
 	h := v.store.(*hashStore)
-	h.readers.Add(1)
-	defer h.readers.Add(-1)
 	entries, lsn, stable := h.collect()
 	if !stable {
 		entries, lsn, stable = h.collect()
