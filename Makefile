@@ -59,10 +59,11 @@ watch-stress:
 # bench-allocs is the allocation-regression gate: the AllocsPerRun guards
 # pin the hot path's steady-state allocation counts (zero for the micro
 # paths, a small fixed budget end-to-end, a few objects for a 64-row call
-# into a key-join view), and the append benchmarks print the allocs/op
+# into a key-join view, one per group for a 64-row call through a grouping
+# on the sequencing attribute), and the append benchmarks print the allocs/op
 # trend. -count=1 defeats caching — the guards must run.
 bench-allocs:
-	$(GO) test -count=1 -run 'TestAllocGuards|TestReplAllocGuards|TestKeyJoinAllocGuard' -v .
+	$(GO) test -count=1 -run 'TestAllocGuards|TestReplAllocGuards|TestKeyJoinAllocGuard|TestGroupBySNAllocGuard' -v .
 	$(GO) test -run=NONE -bench 'BenchmarkAppendHotPath' -benchmem -benchtime 200x .
 
 # bench-reads is the read-path regression gate: the alloc guards pin the
@@ -171,6 +172,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzBlock$$' -fuzztime=30s ./internal/view/
 	$(GO) test -run=NONE -fuzz=FuzzBlockedImage -fuzztime=30s ./internal/view/
 	$(GO) test -run=NONE -fuzz=FuzzReplFrame -fuzztime=30s ./internal/repl/
+	$(GO) test -run=NONE -fuzz=FuzzDecodeStates -fuzztime=30s ./internal/aggregate/
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -14,6 +14,7 @@ import (
 
 	chronicledb "chronicledb"
 	"chronicledb/internal/aggregate"
+	"chronicledb/internal/algebra"
 	"chronicledb/internal/bench"
 	"chronicledb/internal/chronicle"
 	feedpkg "chronicledb/internal/feed"
@@ -49,9 +50,10 @@ func TestAllocGuards(t *testing.T) {
 	})
 
 	t.Run("aggregate-step", func(t *testing.T) {
-		st := aggregate.NewState(aggregate.Sum)
+		l, _ := aggregate.NewLayout([]aggregate.Spec{{Func: aggregate.Sum}}, []value.Kind{value.KindInt})
+		st := l.New()
 		v := value.Int(3)
-		allocGuard(t, "sum.Step", 0, func() { st.Step(v) })
+		allocGuard(t, "sum.Step", 0, func() { l.Step(st, value.Tuple{v}) })
 	})
 
 	t.Run("view-apply", func(t *testing.T) {
@@ -201,5 +203,55 @@ func TestKeyJoinAllocGuard(t *testing.T) {
 	}
 	if v, _ := db.View("revenue"); v.Len() != len(states) {
 		t.Fatalf("revenue holds %d groups, want %d", v.Len(), len(states))
+	}
+}
+
+// TestGroupBySNAllocGuard pins what a grouping on the sequencing attribute
+// costs a call: one 64-row call through the shared plan into GROUPBY(SN, acct)
+// with SUM, COUNT and MAX, the 64 rows one SN over 16 accounts. The group key
+// is built in the node's scratch, the states are stepped in its word slab and
+// the output rows cut from its value slab, so warm, a call allocates only
+// the index's copy of each group key: 16 (395 when every row formatted its
+// key and every group allocated its states and its row).
+func TestGroupBySNAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const callK, accounts, budget = 64, 16, 16
+	calls, err := chronicle.NewGroup("g").NewChronicle("calls", value.NewSchema(
+		value.Column{Name: "acct", Kind: value.KindString},
+		value.Column{Name: "minutes", Kind: value.KindInt},
+	), chronicle.RetainNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := algebra.NewGroupBySN(algebra.NewScan(calls), []int{0}, []aggregate.Spec{
+		{Func: aggregate.Sum, Col: 1, Name: "m"},
+		{Func: aggregate.Count, Col: -1, Name: "n"},
+		{Func: aggregate.Max, Col: 1, Name: "hi"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := algebra.NewSharedPlan()
+	plan.AddView("g", node)
+	rows := make([]chronicle.Row, callK)
+	for i := range rows {
+		rows[i] = chronicle.Row{SN: 1, Vals: value.Tuple{value.Str(bench.Acct(i % accounts)), value.Int(int64(i))}}
+	}
+	d := algebra.BatchDelta{calls: rows}
+	call := func() {
+		plan.BeginBatch()
+		if out, _ := plan.DeltaFor("g", d); len(out) != accounts {
+			t.Fatalf("the call formed %d groups, want %d", len(out), accounts)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		call()
+	}
+	got := testing.AllocsPerRun(200, call)
+	t.Logf("64-row call into GROUPBY(SN, acct): %.1f allocs/call (budget %d)", got, budget)
+	if got > budget {
+		t.Errorf("grouping call: %.1f allocs, budget %d — the grouping allocates per row again", got, budget)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	chronicledb "chronicledb"
 	"chronicledb/internal/aggregate"
 	"chronicledb/internal/calendar"
+	"chronicledb/internal/value"
 )
 
 const day = int64(24 * 3600)
@@ -44,7 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	naive, err := calendar.NewNaiveWindow(aggregate.Sum, 30*day)
+	naive, err := calendar.NewNaiveWindow(aggregate.Sum, value.KindInt, 30*day)
 	if err != nil {
 		log.Fatal(err)
 	}

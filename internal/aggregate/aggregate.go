@@ -7,6 +7,25 @@
 // SUM and COUNT, and functions "decomposable into incremental computation
 // functions" (AVG = SUM/COUNT). Because chronicles are insert-only, MIN and
 // MAX are incrementally maintainable without keeping group members.
+//
+// A list of aggregations over typed input columns compiles into one Layout,
+// and a group's states under it are a run of words — a Group. The layout
+// fixes, once per view, what no group needs to repeat: which function, over
+// which kind, in which words. Word 0 of every group counts its rows; a
+// mask word follows when some state can be empty while the group is not
+// (its inputs all NULL so far); then each aggregation takes its own words:
+//
+//	COUNT                 none: word 0 is the count
+//	SUM                   the sum, an int or a float by the column kind
+//	AVG                   the sum, then n (the non-null inputs)
+//	VAR STDDEV            n, Σx, Σx² (floats)
+//	MIN MAX FIRST LAST    the held value: an int, float, bool or chronon;
+//	                      over a STRING column none, a string slot instead
+//
+// SUM, MIN, MAX, FIRST and LAST keep a seen bit in the mask; AVG, VAR and
+// STDDEV read theirs off n. The words hold no pointers, so the collector
+// never follows one; the string-held values sit beside them, in Group.Strs,
+// and a numeric-only layout has none.
 package aggregate
 
 import (
@@ -122,259 +141,381 @@ func (s Spec) String(schema *value.Schema) string {
 	return fmt.Sprintf("%s(%s) AS %s", s.Func, col, s.Name)
 }
 
-// State is the per-group running state of one aggregation function: one
-// flat value, stepped by a switch on its function. Step folds in one input
-// value in O(1); Merge folds in another state of the same function (the
-// "decomposable" requirement); Result extracts the current aggregate.
-//
-// Every field is an immutable scalar or a pointer to one, so assignment —
-// and copy over a []State — is a deep copy, and a state vector is one block
-// of memory. The fields are shared between functions to keep that block
-// small:
-//
-//	COUNT                n
-//	SUM                  seen, isFloat, w (integer sum), f (float sum)
-//	AVG                  SUM's fields over the non-null inputs, n of them
-//	MIN MAX FIRST LAST   seen, and the held value as kind + w | f | *str
-//	VAR STDDEV           sqrt, n, f (Σx), w (Σx² as IEEE-754 bits)
-//
-// A held string is boxed: inline, its two words would be carried by every
-// state of every function, and the numeric aggregates are the common case.
-// The box is never written after it is made (a new value gets a new box), so
-// copies of a state may share it.
-type State struct {
-	fn      Func
-	seen    bool
-	isFloat bool // SUM, AVG: a float input was seen; the sum continues in f
-	sqrt    bool // VAR, STDDEV: report the standard deviation
-	kind    value.Kind
-	n       int64
-	w       uint64
-	f       float64
-	str     *string
+// Group is one group's states under a Layout: Words, Layout.Words of them,
+// and Strs, the string-held values, Layout.Strs of them. All zero is the
+// empty group, so fresh memory needs no set-up, and copying both slices is a
+// deep copy (a held string is never written, only replaced).
+type Group struct {
+	Words []uint64
+	Strs  []string
 }
 
-// NewState returns a fresh state for the function.
-func NewState(f Func) State {
-	if f > Stddev {
-		panic(fmt.Sprintf("aggregate: unknown function %d", f))
+// Reset makes g the empty group.
+func (g Group) Reset() {
+	clear(g.Words)
+	clear(g.Strs)
+}
+
+// CopyFrom makes g a copy of src, a group of the same layout.
+func (g Group) CopyFrom(src Group) {
+	copy(g.Words, src.Words)
+	copy(g.Strs, src.Strs)
+}
+
+// code is what an aggregation's words hold and how a step changes them,
+// chosen once per spec when the layout is compiled.
+type code uint8
+
+const (
+	cCount code = iota
+	cSumInt
+	cSumFloat
+	cAvgInt
+	cAvgFloat
+	cMoments // VAR, STDDEV
+	cMin
+	cMax
+	cFirst
+	cLast
+)
+
+// op is one compiled aggregation.
+type op struct {
+	code code
+	col  int        // input column; -1 for COUNT(*)
+	kind value.Kind // input column kind
+	at   int        // first word, or the string slot of a string-held value
+	mask int        // the seen bit's word, 0 when the state keeps none
+	bit  uint64
+	str  bool // MIN MAX FIRST LAST over STRING: the value is held in Strs[at]
+	sqrt bool // STDDEV
+}
+
+// Layout is a list of aggregations compiled against the kinds of their input
+// columns: where each one's state lives in a group's words and the operation
+// that steps it. It is immutable and may be shared.
+type Layout struct {
+	specs []Spec
+	ops   []op // one per spec
+	words int
+	strs  int
+}
+
+// NewLayout compiles specs; kinds[i] is the kind of spec i's input column
+// (COUNT ignores it). Numeric functions need an INT or FLOAT column, and MIN,
+// MAX, FIRST and LAST a typed one.
+func NewLayout(specs []Spec, kinds []value.Kind) (*Layout, error) {
+	if len(kinds) != len(specs) {
+		return nil, fmt.Errorf("aggregate: %d specs, %d input kinds", len(specs), len(kinds))
 	}
-	return State{fn: f, sqrt: f == Stddev}
-}
-
-// NewStates returns fresh states for each spec.
-func NewStates(specs []Spec) []State {
-	out := make([]State, len(specs))
-	InitStates(out, specs)
-	return out
-}
-
-// InitStates resets dst, which the caller sized to len(specs), to fresh
-// states.
-func InitStates(dst []State, specs []Spec) {
+	l := &Layout{specs: append([]Spec(nil), specs...), ops: make([]op, len(specs)), words: 1}
+	seen := 0
 	for i, s := range specs {
-		dst[i] = NewState(s.Func)
-	}
-}
-
-// hold makes v the value the state holds.
-func (s *State) hold(v value.Value) {
-	s.kind, s.w, s.f, s.str = v.Kind(), 0, 0, nil
-	switch s.kind {
-	case value.KindFloat:
-		s.f = v.AsFloat()
-	case value.KindString:
-		str := v.AsString()
-		s.str = &str
-	default:
-		s.w = uint64(v.AsInt())
-	}
-}
-
-// held returns the value the state holds.
-func (s *State) held() value.Value {
-	switch s.kind {
-	case value.KindInt:
-		return value.Int(int64(s.w))
-	case value.KindFloat:
-		return value.Float(s.f)
-	case value.KindString:
-		return value.Str(*s.str)
-	case value.KindBool:
-		return value.Bool(s.w != 0)
-	case value.KindTime:
-		return value.Chronon(int64(s.w))
-	default:
-		return value.Null()
-	}
-}
-
-// Step folds one input value into the state.
-func (s *State) Step(v value.Value) {
-	if s.fn == Count {
-		s.n++
-		return
-	}
-	if v.IsNull() {
-		return
-	}
-	switch s.fn {
-	case Sum:
-		s.add(v)
-	case Avg:
-		s.add(v)
-		s.n++
-	case Min:
-		if !s.seen || value.Compare(v, s.held()) < 0 {
-			s.hold(v)
-			s.seen = true
-		}
-	case Max:
-		if !s.seen || value.Compare(v, s.held()) > 0 {
-			s.hold(v)
-			s.seen = true
-		}
-	case First:
-		// Chronicle deltas arrive in sequence order, so the first non-null
-		// value stepped is the earliest in the group.
-		if !s.seen {
-			s.hold(v)
-			s.seen = true
-		}
-	case Last:
-		s.hold(v)
-		s.seen = true
-	case Var, Stddev:
-		x := v.AsFloat()
-		s.n++
-		s.f += x
-		s.w = math.Float64bits(math.Float64frombits(s.w) + x*x)
-	}
-}
-
-// add is SUM's step: integers accumulate exactly, and the sum switches to
-// float arithmetic as soon as any float input is seen.
-func (s *State) add(v value.Value) {
-	s.seen = true
-	switch {
-	case v.Kind() == value.KindFloat && !s.isFloat:
-		s.f = float64(int64(s.w)) + v.AsFloat()
-		s.isFloat = true
-	case s.isFloat:
-		s.f += v.AsFloat()
-	default:
-		s.w = uint64(int64(s.w) + v.AsInt())
-	}
-}
-
-// Merge folds o, a state of the same function over rows that follow the
-// receiver's in sequence order, into the receiver.
-func (s *State) Merge(o State) {
-	switch s.fn {
-	case Count:
-		s.n += o.n
-	case Sum, Avg:
-		s.n += o.n
-		if !o.seen {
-			return
-		}
-		s.seen = true
-		switch {
-		case o.isFloat || s.isFloat:
-			if !s.isFloat {
-				s.f = float64(int64(s.w))
-				s.isFloat = true
+		o := op{col: s.Col, kind: kinds[i]}
+		numeric := o.kind == value.KindInt || o.kind == value.KindFloat
+		float := o.kind == value.KindFloat
+		switch s.Func {
+		case Count:
+			o.code = cCount
+		case Sum, Avg, Var, Stddev:
+			if !numeric {
+				return nil, fmt.Errorf("aggregate: %s needs a numeric column, not %s", s.Func, o.kind)
 			}
-			if o.isFloat {
-				s.f += o.f
-			} else {
-				s.f += float64(int64(o.w))
+			switch {
+			case s.Func == Sum && float:
+				o.code = cSumFloat
+			case s.Func == Sum:
+				o.code = cSumInt
+			case s.Func == Avg && float:
+				o.code = cAvgFloat
+			case s.Func == Avg:
+				o.code = cAvgInt
+			default:
+				o.code, o.sqrt = cMoments, s.Func == Stddev
 			}
+		case Min, Max, First, Last:
+			switch o.kind {
+			case value.KindInt, value.KindFloat, value.KindBool, value.KindTime, value.KindString:
+			default:
+				return nil, fmt.Errorf("aggregate: %s needs a typed column, not %s", s.Func, o.kind)
+			}
+			o.code = [...]code{Min: cMin, Max: cMax, First: cFirst, Last: cLast}[s.Func]
+			o.str = o.kind == value.KindString
 		default:
-			s.w = uint64(int64(s.w) + int64(o.w))
+			return nil, fmt.Errorf("aggregate: unknown function %d", s.Func)
 		}
-	case Min, Max:
-		if o.seen {
-			s.Step(o.held())
+		if s.Col < 0 && o.code != cCount {
+			return nil, fmt.Errorf("aggregate: %s needs an input column", s.Func)
 		}
-	case First, Last:
-		// The receiver precedes o in sequence order: its FIRST wins if set,
-		// its LAST loses if o's is.
-		if o.seen && (s.fn == Last || !s.seen) {
-			s.hold(o.held())
-			s.seen = true
+		if o.code == cSumInt || o.code == cSumFloat || o.code >= cMin {
+			// The mask words follow word 0.
+			o.mask, o.bit = 1+seen/64, 1<<(seen%64)
+			seen++
 		}
-	case Var, Stddev:
-		s.n += o.n
-		s.f += o.f
-		s.w = math.Float64bits(math.Float64frombits(s.w) + math.Float64frombits(o.w))
+		l.ops[i] = o
+	}
+	l.words += (seen + 63) / 64
+	for i := range l.ops {
+		o := &l.ops[i]
+		switch {
+		case o.code == cCount:
+		case o.str:
+			o.at = l.strs
+			l.strs++
+		default:
+			o.at = l.words
+			l.words += wordsOf[o.code]
+		}
+	}
+	return l, nil
+}
+
+// wordsOf is how many words a state of each code takes.
+var wordsOf = [...]int{cSumInt: 1, cSumFloat: 1, cAvgInt: 2, cAvgFloat: 2, cMoments: 3, cMin: 1, cMax: 1, cFirst: 1, cLast: 1}
+
+// Specs returns the aggregations the layout was compiled from.
+func (l *Layout) Specs() []Spec { return l.specs }
+
+// Words returns how many words a group takes: at least one, its row count.
+func (l *Layout) Words() int { return l.words }
+
+// Strs returns how many string-held values a group takes.
+func (l *Layout) Strs() int { return l.strs }
+
+// New returns an empty group of its own.
+func (l *Layout) New() Group {
+	g := Group{Words: make([]uint64, l.words)}
+	if l.strs > 0 {
+		g.Strs = make([]string, l.strs)
+	}
+	return g
+}
+
+// Step folds one row into g: it counts the row in word 0 and steps each
+// aggregation with the value at its column, skipping NULLs. It is the single
+// O(1)-per-tuple step at the heart of view maintenance.
+func (l *Layout) Step(g Group, t value.Tuple) {
+	w := g.Words
+	w[0]++
+	for i := range l.ops {
+		o := &l.ops[i]
+		if o.code == cCount {
+			continue // word 0
+		}
+		v := t[o.col]
+		if v.IsNull() {
+			continue
+		}
+		switch o.code {
+		case cSumInt:
+			w[o.at] += uint64(v.AsInt())
+			w[o.mask] |= o.bit
+		case cSumFloat:
+			w[o.at] = addFloat(w[o.at], v.AsFloat())
+			w[o.mask] |= o.bit
+		case cAvgInt:
+			w[o.at] += uint64(v.AsInt())
+			w[o.at+1]++
+		case cAvgFloat:
+			w[o.at] = addFloat(w[o.at], v.AsFloat())
+			w[o.at+1]++
+		case cMoments:
+			x := v.AsFloat()
+			w[o.at]++
+			w[o.at+1] = addFloat(w[o.at+1], x)
+			w[o.at+2] = addFloat(w[o.at+2], x*x)
+		default:
+			if o.str {
+				o.holdStr(g, v.AsString())
+			} else {
+				o.hold(w, o.word(v))
+			}
+		}
 	}
 }
 
-// Result extracts the current aggregate. AVG and VAR show the paper's
-// decomposition requirement: neither is incrementally computable from its
-// own result, but each derives from functions that are — SUM and COUNT,
-// and (COUNT, Σx, Σx²).
-func (s State) Result() value.Value {
-	switch s.fn {
-	case Count:
-		return value.Int(s.n)
-	case Sum:
-		return s.sum()
-	case Avg:
-		if s.n == 0 {
+// Merge folds src, a group of the same layout over rows that follow g's in
+// sequence order (FIRST and LAST depend on it), into g — the paper's
+// "decomposable" requirement.
+func (l *Layout) Merge(g, src Group) {
+	w, s := g.Words, src.Words
+	w[0] += s[0]
+	for i := range l.ops {
+		o := &l.ops[i]
+		switch o.code {
+		case cCount: // word 0
+		case cSumInt:
+			if o.seen(s) {
+				w[o.at] += s[o.at]
+				w[o.mask] |= o.bit
+			}
+		case cSumFloat:
+			if o.seen(s) {
+				w[o.at] = addFloat(w[o.at], math.Float64frombits(s[o.at]))
+				w[o.mask] |= o.bit
+			}
+		case cAvgInt:
+			w[o.at] += s[o.at]
+			w[o.at+1] += s[o.at+1]
+		case cAvgFloat:
+			w[o.at] = addFloat(w[o.at], math.Float64frombits(s[o.at]))
+			w[o.at+1] += s[o.at+1]
+		case cMoments:
+			w[o.at] += s[o.at]
+			w[o.at+1] = addFloat(w[o.at+1], math.Float64frombits(s[o.at+1]))
+			w[o.at+2] = addFloat(w[o.at+2], math.Float64frombits(s[o.at+2]))
+		default:
+			switch {
+			case !o.seen(s):
+			case o.str:
+				o.holdStr(g, src.Strs[o.at])
+			default:
+				o.hold(w, s[o.at])
+			}
+		}
+	}
+}
+
+// seen reports whether the state holds a value: some non-null input reached
+// it.
+func (o *op) seen(w []uint64) bool { return w[o.mask]&o.bit != 0 }
+
+// word is v as a held word: a float's bits, any other kind's integer.
+func (o *op) word(v value.Value) uint64 {
+	if o.kind == value.KindFloat {
+		return math.Float64bits(v.AsFloat())
+	}
+	return uint64(v.AsInt())
+}
+
+// hold offers x to a MIN, MAX, FIRST or LAST state held in a word.
+func (o *op) hold(w []uint64, x uint64) {
+	if o.seen(w) {
+		switch cur := w[o.at]; o.code {
+		case cFirst:
+			return
+		case cMin:
+			if !o.less(x, cur) {
+				return
+			}
+		case cMax:
+			if !o.less(cur, x) {
+				return
+			}
+		}
+	}
+	w[o.at] = x
+	w[o.mask] |= o.bit
+}
+
+// less orders two held words the way value.Compare orders their values.
+func (o *op) less(a, b uint64) bool {
+	if o.kind == value.KindFloat {
+		return floatLess(math.Float64frombits(a), math.Float64frombits(b))
+	}
+	return int64(a) < int64(b)
+}
+
+// holdStr offers x to a MIN, MAX, FIRST or LAST state held in a string slot.
+func (o *op) holdStr(g Group, x string) {
+	if o.seen(g.Words) {
+		switch cur := g.Strs[o.at]; o.code {
+		case cFirst:
+			return
+		case cMin:
+			if x >= cur {
+				return
+			}
+		case cMax:
+			if x <= cur {
+				return
+			}
+		}
+	}
+	g.Strs[o.at] = x
+	g.Words[o.mask] |= o.bit
+}
+
+// floatLess orders floats the way value.Compare does: NaN below every number.
+func floatLess(a, b float64) bool { return a < b || (a != a && b == b) }
+
+func addFloat(w uint64, x float64) uint64 {
+	return math.Float64bits(math.Float64frombits(w) + x)
+}
+
+// Result returns the current value of aggregation i. AVG and VAR show the
+// paper's decomposition requirement: neither is incrementally computable
+// from its own result, but each derives from functions that are — SUM and
+// COUNT, and (COUNT, Σx, Σx²).
+func (l *Layout) Result(g Group, i int) value.Value {
+	o, w := &l.ops[i], g.Words
+	switch o.code {
+	case cCount:
+		return value.Int(int64(w[0]))
+	case cSumInt:
+		if !o.seen(w) {
 			return value.Null()
 		}
-		return value.Float(s.sum().AsFloat() / float64(s.n))
-	case Var, Stddev:
-		if s.n == 0 {
+		return value.Int(int64(w[o.at]))
+	case cSumFloat:
+		if !o.seen(w) {
 			return value.Null()
 		}
-		mean := s.f / float64(s.n)
-		variance := math.Float64frombits(s.w)/float64(s.n) - mean*mean
+		return value.Float(math.Float64frombits(w[o.at]))
+	case cAvgInt, cAvgFloat:
+		n := int64(w[o.at+1])
+		if n == 0 {
+			return value.Null()
+		}
+		sum := float64(int64(w[o.at]))
+		if o.code == cAvgFloat {
+			sum = math.Float64frombits(w[o.at])
+		}
+		return value.Float(sum / float64(n))
+	case cMoments:
+		n := int64(w[o.at])
+		if n == 0 {
+			return value.Null()
+		}
+		mean := math.Float64frombits(w[o.at+1]) / float64(n)
+		variance := math.Float64frombits(w[o.at+2])/float64(n) - mean*mean
 		if variance < 0 {
 			variance = 0 // numeric noise near zero variance
 		}
-		if s.sqrt {
+		if o.sqrt {
 			return value.Float(math.Sqrt(variance))
 		}
 		return value.Float(variance)
 	default:
-		if !s.seen {
+		if !o.seen(w) {
 			return value.Null()
 		}
-		return s.held()
-	}
-}
-
-func (s *State) sum() value.Value {
-	switch {
-	case !s.seen:
-		return value.Null()
-	case s.isFloat:
-		return value.Float(s.f)
-	default:
-		return value.Int(int64(s.w))
-	}
-}
-
-// Apply folds the value at each spec's column of t into the matching state.
-// It is the single O(1)-per-tuple step at the heart of view maintenance.
-func Apply(states []State, specs []Spec, t value.Tuple) {
-	for i, sp := range specs {
-		if sp.Func == Count && sp.Col < 0 {
-			states[i].Step(value.Int(1))
-			continue
+		if o.str {
+			return value.Str(g.Strs[o.at])
 		}
-		states[i].Step(t[sp.Col])
+		return held(o.kind, w[o.at])
 	}
 }
 
-// Results extracts the current value of each state.
-func Results(states []State) value.Tuple {
-	out := make(value.Tuple, len(states))
-	for i := range states {
-		out[i] = states[i].Result()
+// held is the value of kind k a word holds.
+func held(k value.Kind, x uint64) value.Value {
+	switch k {
+	case value.KindFloat:
+		return value.Float(math.Float64frombits(x))
+	case value.KindBool:
+		return value.Bool(x != 0)
+	case value.KindTime:
+		return value.Chronon(int64(x))
+	default:
+		return value.Int(int64(x))
 	}
-	return out
+}
+
+// AppendResults appends the current value of every aggregation, in spec
+// order, to dst.
+func (l *Layout) AppendResults(dst value.Tuple, g Group) value.Tuple {
+	for i := range l.ops {
+		dst = append(dst, l.Result(g, i))
+	}
+	return dst
 }

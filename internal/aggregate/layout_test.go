@@ -1,0 +1,242 @@
+package aggregate
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"testing"
+
+	"chronicledb/internal/value"
+)
+
+// The model test: a layout must compute, through any chunking of its input
+// and any in-order merge of the parts, what a plain per-function fold of the
+// column computes.
+
+var modelKinds = []value.Kind{value.KindInt, value.KindFloat, value.KindString, value.KindBool, value.KindTime}
+
+// randValue draws a value of kind k, or NULL one time in five. Floats are
+// quarters, so every sum, and every sum of squares, is exact in any order
+// and chunked folds can be compared bit for bit; NaN turns up now and then.
+func randValue(r *rand.Rand, k value.Kind) value.Value {
+	if r.Intn(5) == 0 {
+		return value.Null()
+	}
+	switch k {
+	case value.KindInt:
+		return value.Int(r.Int63n(2001) - 1000)
+	case value.KindFloat:
+		if r.Intn(50) == 0 {
+			return value.Float(math.NaN())
+		}
+		return value.Float(float64(r.Intn(801)-400) / 4)
+	case value.KindString:
+		return value.Str(string([]byte{'a' + byte(r.Intn(3)), 'a' + byte(r.Intn(3))})[:1+r.Intn(2)])
+	case value.KindBool:
+		return value.Bool(r.Intn(2) == 0)
+	default:
+		return value.Chronon(r.Int63n(1 << 40))
+	}
+}
+
+// randSpecs draws 1–6 aggregations over a schema of the given kinds, each
+// valid for its column's kind.
+func randSpecs(r *rand.Rand, kinds []value.Kind) ([]Spec, []value.Kind) {
+	var specs []Spec
+	var in []value.Kind
+	for len(specs) < 1+r.Intn(6) {
+		f, col := Func(r.Intn(int(Stddev)+1)), r.Intn(len(kinds))
+		k := kinds[col]
+		numeric := k == value.KindInt || k == value.KindFloat
+		switch {
+		case f == Count && r.Intn(2) == 0:
+			col, k = -1, value.KindInt
+		case (f == Sum || f == Avg || f == Var || f == Stddev) && !numeric:
+			continue
+		}
+		specs = append(specs, Spec{Func: f, Col: col, Name: "a"})
+		in = append(in, k)
+	}
+	return specs, in
+}
+
+// reference is the plain fold of spec s over rows.
+func reference(s Spec, k value.Kind, rows []value.Tuple) value.Value {
+	if s.Func == Count {
+		return value.Int(int64(len(rows)))
+	}
+	var vals []value.Value
+	for _, r := range rows {
+		if !r[s.Col].IsNull() {
+			vals = append(vals, r[s.Col])
+		}
+	}
+	if len(vals) == 0 {
+		return value.Null()
+	}
+	switch s.Func {
+	case Sum, Avg:
+		var n int64
+		var f float64
+		for _, v := range vals {
+			n += v.AsInt()
+			f += v.AsFloat()
+		}
+		switch {
+		case s.Func == Avg && k == value.KindFloat:
+			return value.Float(f / float64(len(vals)))
+		case s.Func == Avg:
+			return value.Float(float64(n) / float64(len(vals)))
+		case k == value.KindFloat:
+			return value.Float(f)
+		}
+		return value.Int(n)
+	case Var, Stddev:
+		var sx, sxx float64
+		for _, v := range vals {
+			sx += v.AsFloat()
+			sxx += v.AsFloat() * v.AsFloat()
+		}
+		n := float64(len(vals))
+		variance := sxx/n - (sx/n)*(sx/n)
+		if variance < 0 {
+			variance = 0
+		}
+		if s.Func == Stddev {
+			return value.Float(math.Sqrt(variance))
+		}
+		return value.Float(variance)
+	case First:
+		return vals[0]
+	case Last:
+		return vals[len(vals)-1]
+	}
+	best := vals[0]
+	for _, v := range vals[1:] {
+		if c := value.Compare(v, best); (s.Func == Min && c < 0) || (s.Func == Max && c > 0) {
+			best = v
+		}
+	}
+	return best
+}
+
+// sameValue is value equality that also tells a NULL, an int and a float
+// apart.
+func sameValue(a, b value.Value) bool { return a.Kind() == b.Kind() && value.Equal(a, b) }
+
+func TestLayoutMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 400; trial++ {
+		kinds := make([]value.Kind, 1+r.Intn(4))
+		for i := range kinds {
+			kinds[i] = modelKinds[r.Intn(len(modelKinds))]
+		}
+		specs, in := randSpecs(r, kinds)
+		l, err := NewLayout(specs, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]value.Tuple, r.Intn(40))
+		for i := range rows {
+			rows[i] = make(value.Tuple, len(kinds))
+			for c, k := range kinds {
+				rows[i][c] = randValue(r, k)
+			}
+		}
+
+		// One group stepped row by row; random chunks, each stepped into a
+		// group of its own and merged in order; two halves merged.
+		whole := l.New()
+		for _, row := range rows {
+			l.Step(whole, row)
+		}
+		chunked := l.New()
+		for lo := 0; lo < len(rows); {
+			hi := lo + 1 + r.Intn(len(rows)-lo)
+			part := l.New()
+			for _, row := range rows[lo:hi] {
+				l.Step(part, row)
+			}
+			l.Merge(chunked, part)
+			lo = hi
+		}
+		split := r.Intn(len(rows) + 1)
+		left, right := l.New(), l.New()
+		for _, row := range rows[:split] {
+			l.Step(left, row)
+		}
+		for _, row := range rows[split:] {
+			l.Step(right, row)
+		}
+		l.Merge(left, right)
+		decoded := l.New()
+		if _, err := l.DecodeStates(decoded, whole.Words[0], l.AppendStates(nil, whole)); err != nil {
+			t.Fatalf("trial %d: decode: %v", trial, err)
+		}
+
+		for i, s := range specs {
+			want := reference(s, in[i], rows)
+			for name, g := range map[string]Group{"stepped": whole, "chunked": chunked, "halves": left, "decoded": decoded} {
+				if got := l.Result(g, i); !sameValue(got, want) {
+					t.Fatalf("trial %d: %s over %s, %s: %v, want %v (%d rows)", trial, s.Func, in[i], name, got, want, len(rows))
+				}
+			}
+		}
+	}
+}
+
+// fuzzLayout holds one state of every function, over every kind a state can
+// keep its value in.
+var fuzzLayout = func() *Layout {
+	specs := []Spec{
+		{Func: Count, Col: -1}, {Func: Sum, Col: 0}, {Func: Sum, Col: 1}, {Func: Avg, Col: 0}, {Func: Avg, Col: 1},
+		{Func: Min, Col: 2}, {Func: Max, Col: 4}, {Func: First, Col: 3}, {Func: Last, Col: 1},
+		{Func: Var, Col: 0}, {Func: Stddev, Col: 1}, {Func: Max, Col: 0},
+	}
+	cols := []value.Kind{value.KindInt, value.KindFloat, value.KindString, value.KindBool, value.KindTime}
+	in := make([]value.Kind, len(specs))
+	for i, s := range specs {
+		in[i] = value.KindInt
+		if s.Col >= 0 {
+			in[i] = cols[s.Col]
+		}
+	}
+	l, err := NewLayout(specs, in)
+	if err != nil {
+		panic(err)
+	}
+	return l
+}()
+
+// FuzzDecodeStates: malformed or truncated bytes are an error and never a
+// panic, and what decodes re-encodes to the bytes it was decoded from.
+func FuzzDecodeStates(f *testing.F) {
+	r := rand.New(rand.NewSource(2))
+	for n := 0; n < 4; n++ {
+		g := fuzzLayout.New()
+		for i := 0; i < n*3; i++ {
+			row := make(value.Tuple, len(modelKinds))
+			for c, k := range modelKinds {
+				row[c] = randValue(r, k)
+			}
+			fuzzLayout.Step(g, row)
+		}
+		f.Add(g.Words[0], fuzzLayout.AppendStates(nil, g))
+	}
+	f.Fuzz(func(t *testing.T, rows uint64, b []byte) {
+		g := fuzzLayout.New()
+		n, err := fuzzLayout.DecodeStates(g, rows, b)
+		if err != nil {
+			return
+		}
+		if re := fuzzLayout.AppendStates(nil, g); !bytes.Equal(re, b[:n]) {
+			t.Fatalf("decoded states re-encode differently:\n in  %x\n out %x", b[:n], re)
+		}
+		for cut := 1; cut <= n; cut++ {
+			if _, err := fuzzLayout.DecodeStates(fuzzLayout.New(), rows, b[:n-cut]); err == nil {
+				t.Fatalf("states cut by %d bytes decoded", cut)
+			}
+		}
+		fuzzLayout.AppendResults(nil, g)
+	})
+}

@@ -64,7 +64,7 @@ func Delta(n Node, d BatchDelta) []chronicle.Row {
 	case *JoinSN:
 		return joinSN(Delta(n.L, d), Delta(n.R, d))
 	case *GroupBySN:
-		return groupBySN(n, Delta(n.In, d))
+		return groupBySN(n, Delta(n.In, d), nil, new(groupScratch))
 	case *CrossRel:
 		return deltaCrossRel(n, Delta(n.In, d), &n.Work)
 	case *JoinRel:
@@ -297,38 +297,71 @@ func joinSN(l, r []chronicle.Row) []chronicle.Row {
 	return dedupRows(out)
 }
 
-// groupBySN groups rows by (SN, GroupCols) and aggregates. Because grouping
-// includes the sequencing attribute and batch SNs are fresh, the groups are
-// complete within the batch ("the new inserted tuples form one or more
-// brand new groups" — proof of Theorem 4.2). Groups come out in the order
-// their first rows arrive: the input ascends in SN, so that is SN order, then
-// encounter order within an SN.
-func groupBySN(n *GroupBySN, in []chronicle.Row) []chronicle.Row {
+// groupScratch is what a grouping builds its output in: the group key, the
+// index of the call's groups, their first rows and the words their states
+// are carved from, and the value slab the output rows are cut from. A caller
+// that keeps it across calls (the shared plan, per node) reuses all of it,
+// so the rows a call groups overwrite the last call's.
+type groupScratch struct {
+	key    []byte
+	index  map[string]int
+	firsts []chronicle.Row
+	words  []uint64
+	strs   []string
+	vals   value.Tuple
+}
+
+// groupBySN groups rows by (SN, GroupCols) and aggregates, appending one row
+// per group to out. Because grouping includes the sequencing attribute and
+// batch SNs are fresh, the groups are complete within the batch ("the new
+// inserted tuples form one or more brand new groups" — proof of Theorem
+// 4.2). Groups come out in the order their first rows arrive: the input
+// ascends in SN, so that is SN order, then encounter order within an SN.
+// Warm, a call allocates only the index's copy of each new group key.
+func groupBySN(n *GroupBySN, in, out []chronicle.Row, sc *groupScratch) []chronicle.Row {
 	if len(in) == 0 {
-		return nil
+		return out
 	}
-	type grp struct {
-		first  chronicle.Row
-		states []aggregate.State
+	l := n.layout
+	nw, ns := l.Words(), l.Strs()
+	group := func(i int) aggregate.Group {
+		return aggregate.Group{Words: sc.words[i*nw : (i+1)*nw], Strs: sc.strs[i*ns : (i+1)*ns]}
 	}
-	index := make(map[string]int)
-	var groups []grp
+	if sc.index == nil {
+		sc.index = make(map[string]int)
+	}
+	clear(sc.index)
+	sc.firsts, sc.words, sc.strs = sc.firsts[:0], sc.words[:0], sc.strs[:0]
 	for _, r := range in {
-		k := fmt.Sprintf("%d|%s", r.SN, r.Vals.Key(n.GroupCols))
-		i, ok := index[k]
-		if !ok {
-			i = len(groups)
-			index[k] = i
-			groups = append(groups, grp{first: r, states: aggregate.NewStates(n.Aggs)})
+		sc.key = value.AppendKey(sc.key[:0], value.Int(r.SN))
+		for _, c := range n.GroupCols {
+			sc.key = value.AppendKey(sc.key, r.Vals[c])
 		}
-		aggregate.Apply(groups[i].states, n.Aggs, r.Vals)
+		i, ok := sc.index[string(sc.key)]
+		if !ok {
+			i = len(sc.firsts)
+			sc.index[string(sc.key)] = i
+			sc.firsts = append(sc.firsts, r)
+			sc.words = append(sc.words, make([]uint64, nw)...)
+			sc.strs = append(sc.strs, make([]string, ns)...)
+		}
+		l.Step(group(i), r.Vals)
 	}
-	out := make([]chronicle.Row, 0, len(groups))
-	for _, g := range groups {
-		vals := make(value.Tuple, 0, len(n.GroupCols)+len(n.Aggs))
-		vals = append(vals, g.first.Vals.Project(n.GroupCols)...)
-		vals = append(vals, aggregate.Results(g.states)...)
-		out = append(out, chronicle.Row{SN: g.first.SN, Chronon: g.first.Chronon, LSN: g.first.LSN, Vals: vals})
+	// Sized for every row up front: the slab never moves while rows are cut
+	// from it.
+	width := len(n.GroupCols) + len(n.Aggs)
+	vals := sc.vals[:0]
+	if need := len(sc.firsts) * width; cap(vals) < need {
+		vals = make(value.Tuple, 0, need)
 	}
+	for i, first := range sc.firsts {
+		start := len(vals)
+		for _, c := range n.GroupCols {
+			vals = append(vals, first.Vals[c])
+		}
+		vals = l.AppendResults(vals, group(i))
+		out = append(out, chronicle.Row{SN: first.SN, Chronon: first.Chronon, LSN: first.LSN, Vals: vals[start:len(vals):len(vals)]})
+	}
+	sc.vals = vals
 	return out
 }

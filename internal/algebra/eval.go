@@ -51,7 +51,7 @@ func eval(n Node) []chronicle.Row {
 	case *JoinSN:
 		return joinSN(eval(n.L), eval(n.R))
 	case *GroupBySN:
-		return groupBySN(n, eval(n.In))
+		return groupBySN(n, eval(n.In), nil, new(groupScratch))
 	case *CrossRel:
 		return deltaCrossRel(n, eval(n.In), new(RelWork))
 	case *JoinRel:

@@ -177,6 +177,7 @@ type GroupBySN struct {
 	Aggs      []aggregate.Spec
 
 	schema *value.Schema
+	layout *aggregate.Layout // Aggs over their input kinds
 }
 
 // NewGroupBySN validates grouping columns and aggregation specs.
@@ -194,6 +195,7 @@ func NewGroupBySN(in Node, groupCols []int, aggs []aggregate.Spec) (*GroupBySN, 
 	for _, c := range groupCols {
 		cols = append(cols, inSchema.Col(c))
 	}
+	inKinds := make([]value.Kind, 0, len(aggs))
 	for _, a := range aggs {
 		if a.Col >= inSchema.Len() || (a.Col < 0 && a.Func != aggregate.Count) {
 			return nil, fmt.Errorf("algebra: aggregation %s references column %d out of range", a.Func, a.Col)
@@ -205,7 +207,12 @@ func NewGroupBySN(in Node, groupCols []int, aggs []aggregate.Spec) (*GroupBySN, 
 		if a.Name == "" {
 			return nil, fmt.Errorf("algebra: aggregation %s needs an output name", a.Func)
 		}
+		inKinds = append(inKinds, in)
 		cols = append(cols, value.Column{Name: a.Name, Kind: a.ResultKind(in)})
+	}
+	layout, err := aggregate.NewLayout(aggs, inKinds)
+	if err != nil {
+		return nil, fmt.Errorf("algebra: %w", err)
 	}
 	seen := map[string]bool{}
 	for _, c := range cols {
@@ -219,6 +226,7 @@ func NewGroupBySN(in Node, groupCols []int, aggs []aggregate.Spec) (*GroupBySN, 
 		GroupCols: append([]int(nil), groupCols...),
 		Aggs:      append([]aggregate.Spec(nil), aggs...),
 		schema:    value.NewSchema(cols...),
+		layout:    layout,
 	}, nil
 }
 

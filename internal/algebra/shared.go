@@ -128,9 +128,10 @@ type PlanNode struct {
 
 	// epoch stamps the batch rows was computed for; rows is valid only
 	// while epoch equals the plan's current batch epoch. buf is the node's
-	// persistent output buffer for σ, Π and key joins, reused across
-	// batches so steady-state delta computation allocates nothing; join is a
-	// key join's probe and value slab, reused the same way. Reuse is safe
+	// persistent output buffer for σ, Π, key joins and groupings, reused
+	// across batches so steady-state delta computation allocates nothing;
+	// join is a key join's probe and value slab, and group a grouping's key,
+	// index and word slab, reused the same way. Reuse is safe
 	// because no consumer keeps a delta row past its round: a view's fold
 	// encodes the key it keeps and steps states by value, and the changefeed
 	// copies each frame (feed.Batch.Capture).
@@ -138,6 +139,7 @@ type PlanNode struct {
 	rows  []chronicle.Row
 	buf   []chronicle.Row
 	join  joinScratch
+	group groupScratch
 }
 
 // PlanNodeInfo describes one plan node for EXPLAIN.
@@ -320,7 +322,8 @@ func (p *SharedPlan) eval(n *PlanNode, d BatchDelta) []chronicle.Row {
 		l, r := p.eval(n.children[0], d), p.eval(n.children[1], d)
 		n.rows = joinSN(l, r)
 	case *GroupBySN:
-		n.rows = groupBySN(e, p.eval(n.children[0], d))
+		n.buf = groupBySN(e, p.eval(n.children[0], d), n.buf[:0], &n.group)
+		n.rows = n.buf
 	case *CrossRel:
 		n.rows = deltaCrossRel(e, p.eval(n.children[0], d), &e.Work)
 	case *JoinRel:

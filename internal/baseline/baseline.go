@@ -83,16 +83,20 @@ func ScanQuery(c *chronicle.Chronicle, keyCol int, key value.Value, fn aggregate
 	if c.Dropped() > 0 {
 		return value.Null(), fmt.Errorf("baseline: chronicle %s dropped %d rows; scan answer would be wrong", c.Name(), c.Dropped())
 	}
-	st := aggregate.NewState(fn)
+	in := value.KindInt
+	if col >= 0 {
+		in = c.Schema().Col(col).Kind
+	}
+	l, err := aggregate.NewLayout([]aggregate.Spec{{Func: fn, Col: col}}, []value.Kind{in})
+	if err != nil {
+		return value.Null(), fmt.Errorf("baseline: %w", err)
+	}
+	g := l.New()
 	c.Scan(func(r chronicle.Row) bool {
 		if value.Equal(r.Vals[keyCol], key) {
-			if col < 0 {
-				st.Step(value.Int(1))
-			} else {
-				st.Step(r.Vals[col])
-			}
+			l.Step(g, r.Vals)
 		}
 		return true
 	})
-	return st.Result(), nil
+	return l.Result(g, 0), nil
 }

@@ -265,11 +265,11 @@ func e5(t *testing.T) {
 func e6(t *testing.T) {
 	const perBucket = 16
 	for _, buckets := range []int{8, 64} {
-		ring, err := calendar.NewMovingWindow(aggregate.Sum, 1, buckets)
+		ring, err := calendar.NewMovingWindow(aggregate.Sum, value.KindInt, 1, buckets)
 		ok(t, err)
 		fast, err := calendar.NewMovingSum(1, buckets)
 		ok(t, err)
-		naive, err := calendar.NewNaiveWindow(aggregate.Sum, int64(buckets))
+		naive, err := calendar.NewNaiveWindow(aggregate.Sum, value.KindInt, int64(buckets))
 		ok(t, err)
 		for i := 0; i < buckets*perBucket*4; i++ {
 			ch := int64(i/perBucket) * 3 / 2 // every third bucket gets no events

@@ -136,11 +136,11 @@ func TestPeriodicIntervalsAtQuick(t *testing.T) {
 
 func TestMovingWindowMatchesNaive(t *testing.T) {
 	for _, fn := range []aggregate.Func{aggregate.Sum, aggregate.Count, aggregate.Max, aggregate.Min} {
-		ring, err := NewMovingWindow(fn, 1, 30)
+		ring, err := NewMovingWindow(fn, value.KindInt, 1, 30)
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive, err := NewNaiveWindow(fn, 30)
+		naive, err := NewNaiveWindow(fn, value.KindInt, 30)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestMovingWindowMatchesNaive(t *testing.T) {
 }
 
 func TestMovingWindowLargeGapClears(t *testing.T) {
-	ring, _ := NewMovingWindow(aggregate.Sum, 1, 5)
+	ring, _ := NewMovingWindow(aggregate.Sum, value.KindInt, 1, 5)
 	ring.Add("k", 0, value.Int(10))
 	if got := ring.Value("k", 0); got.AsInt() != 10 {
 		t.Fatalf("Value = %v", got)
@@ -184,7 +184,7 @@ func TestMovingWindowLargeGapClears(t *testing.T) {
 
 func TestMovingSumMatchesWindow(t *testing.T) {
 	fast, _ := NewMovingSum(1, 30)
-	ring, _ := NewMovingWindow(aggregate.Sum, 1, 30)
+	ring, _ := NewMovingWindow(aggregate.Sum, value.KindFloat, 1, 30)
 	rng := rand.New(rand.NewSource(9))
 	ch := int64(0)
 	for i := 0; i < 3000; i++ {
@@ -210,16 +210,16 @@ func TestMovingSumMatchesWindow(t *testing.T) {
 }
 
 func TestWindowConstructorErrors(t *testing.T) {
-	if _, err := NewMovingWindow(aggregate.Sum, 0, 5); err == nil {
+	if _, err := NewMovingWindow(aggregate.Sum, value.KindInt, 0, 5); err == nil {
 		t.Error("zero bucket width accepted")
 	}
-	if _, err := NewMovingWindow(aggregate.Sum, 1, 0); err == nil {
+	if _, err := NewMovingWindow(aggregate.Sum, value.KindInt, 1, 0); err == nil {
 		t.Error("zero bucket count accepted")
 	}
 	if _, err := NewMovingSum(0, 5); err == nil {
 		t.Error("zero bucket width accepted")
 	}
-	if _, err := NewNaiveWindow(aggregate.Sum, 0); err == nil {
+	if _, err := NewNaiveWindow(aggregate.Sum, value.KindInt, 0); err == nil {
 		t.Error("zero span accepted")
 	}
 }

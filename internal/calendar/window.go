@@ -22,26 +22,43 @@ import (
 // MovingSum at every refresh.
 
 // MovingWindow maintains per-key cyclic buffers of per-bucket aggregation
-// partials.
+// partials: each bucket is a group of the window's layout.
 type MovingWindow struct {
-	fn          aggregate.Func
+	l           *aggregate.Layout
 	bucketWidth int64 // chronon width of one bucket
 	n           int   // number of buckets in the window
 	byKey       map[string]*winRing
+	merged      aggregate.Group // Value's scratch
 }
 
+// winRing is one key's buckets, laid end to end.
 type winRing struct {
 	lastBucket int64 // absolute index of the newest bucket
-	states     []aggregate.State
+	words      []uint64
+	strs       []string
 	started    bool
 }
 
-// NewMovingWindow creates a window of n buckets of the given chronon width.
-func NewMovingWindow(fn aggregate.Func, bucketWidth int64, n int) (*MovingWindow, error) {
+// NewMovingWindow creates a window of n buckets of the given chronon width,
+// aggregating fn over values of kind in.
+func NewMovingWindow(fn aggregate.Func, in value.Kind, bucketWidth int64, n int) (*MovingWindow, error) {
 	if bucketWidth <= 0 || n <= 0 {
 		return nil, fmt.Errorf("calendar: window needs positive bucket width and count")
 	}
-	return &MovingWindow{fn: fn, bucketWidth: bucketWidth, n: n, byKey: make(map[string]*winRing)}, nil
+	l, err := oneColumn(fn, in)
+	if err != nil {
+		return nil, err
+	}
+	return &MovingWindow{l: l, bucketWidth: bucketWidth, n: n, byKey: make(map[string]*winRing), merged: l.New()}, nil
+}
+
+// oneColumn compiles fn over a single column of kind in.
+func oneColumn(fn aggregate.Func, in value.Kind) (*aggregate.Layout, error) {
+	l, err := aggregate.NewLayout([]aggregate.Spec{{Func: fn, Col: 0}}, []value.Kind{in})
+	if err != nil {
+		return nil, fmt.Errorf("calendar: %w", err)
+	}
+	return l, nil
 }
 
 // Buckets returns the window length in buckets.
@@ -52,33 +69,35 @@ func (w *MovingWindow) Buckets() int { return w.n }
 func (w *MovingWindow) Add(key string, chronon int64, v value.Value) {
 	r := w.ring(key)
 	w.advance(r, chronon/w.bucketWidth)
-	r.states[int(r.lastBucket%int64(w.n)+int64(w.n))%w.n].Step(v)
+	w.l.Step(w.bucket(r, r.lastBucket), value.Tuple{v})
 }
 
 // Value derives the aggregate over the last n buckets ending at the bucket
-// containing chronon — the "sum of these 30 numbers".
+// containing chronon — the "sum of these 30 numbers". The buckets merge
+// oldest first, so FIRST and LAST see their rows in order.
 func (w *MovingWindow) Value(key string, chronon int64) value.Value {
-	r, ok := w.byKey[key]
-	if !ok {
-		// An absent key aggregates like an empty group (COUNT 0, SUM null).
-		return aggregate.NewState(w.fn).Result()
+	w.merged.Reset()
+	// An absent key aggregates like an empty group (COUNT 0, SUM null).
+	if r, ok := w.byKey[key]; ok {
+		w.advance(r, chronon/w.bucketWidth)
+		for b := r.lastBucket - int64(w.n) + 1; b <= r.lastBucket; b++ {
+			w.l.Merge(w.merged, w.bucket(r, b))
+		}
 	}
-	w.advance(r, chronon/w.bucketWidth)
-	merged := aggregate.NewState(w.fn)
-	for _, s := range r.states {
-		merged.Merge(s)
-	}
-	return merged.Result()
+	return w.l.Result(w.merged, 0)
+}
+
+// bucket returns the group of absolute bucket b in r.
+func (w *MovingWindow) bucket(r *winRing, b int64) aggregate.Group {
+	i := int(b%int64(w.n)+int64(w.n)) % w.n
+	nw, ns := w.l.Words(), w.l.Strs()
+	return aggregate.Group{Words: r.words[i*nw : (i+1)*nw], Strs: r.strs[i*ns : (i+1)*ns]}
 }
 
 func (w *MovingWindow) ring(key string) *winRing {
 	r, ok := w.byKey[key]
 	if !ok {
-		states := make([]aggregate.State, w.n)
-		for i := range states {
-			states[i] = aggregate.NewState(w.fn)
-		}
-		r = &winRing{states: states}
+		r = &winRing{words: make([]uint64, w.n*w.l.Words()), strs: make([]string, w.n*w.l.Strs())}
 		w.byKey[key] = r
 	}
 	return r
@@ -95,14 +114,12 @@ func (w *MovingWindow) advance(r *winRing, bucket int64) {
 	if bucket <= r.lastBucket {
 		return
 	}
-	steps := bucket - r.lastBucket
-	if steps >= int64(w.n) {
-		for i := range r.states {
-			r.states[i] = aggregate.NewState(w.fn)
-		}
+	if bucket-r.lastBucket >= int64(w.n) {
+		clear(r.words)
+		clear(r.strs)
 	} else {
 		for b := r.lastBucket + 1; b <= bucket; b++ {
-			r.states[int(b%int64(w.n)+int64(w.n))%w.n] = aggregate.NewState(w.fn)
+			w.bucket(r, b).Reset()
 		}
 	}
 	r.lastBucket = bucket
@@ -180,7 +197,7 @@ func (w *MovingSum) advance(r *sumRing, bucket int64) {
 // re-aggregates the window on each query — O(records in window), the cost
 // the cyclic buffer exists to avoid.
 type NaiveWindow struct {
-	fn     aggregate.Func
+	l      *aggregate.Layout
 	window int64 // chronon span covered
 	byKey  map[string][]event
 }
@@ -191,12 +208,16 @@ type event struct {
 }
 
 // NewNaiveWindow creates the re-aggregating baseline covering a span of
-// window chronons.
-func NewNaiveWindow(fn aggregate.Func, window int64) (*NaiveWindow, error) {
+// window chronons, aggregating fn over values of kind in.
+func NewNaiveWindow(fn aggregate.Func, in value.Kind, window int64) (*NaiveWindow, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("calendar: window span must be positive")
 	}
-	return &NaiveWindow{fn: fn, window: window, byKey: make(map[string][]event)}, nil
+	l, err := oneColumn(fn, in)
+	if err != nil {
+		return nil, err
+	}
+	return &NaiveWindow{l: l, window: window, byKey: make(map[string][]event)}, nil
 }
 
 // Add records one event.
@@ -212,11 +233,11 @@ func (w *NaiveWindow) Add(key string, chronon int64, v value.Value) {
 
 // Value re-aggregates the retained window as of chronon.
 func (w *NaiveWindow) Value(key string, chronon int64) value.Value {
-	s := aggregate.NewState(w.fn)
+	g := w.l.New()
 	for _, e := range w.byKey[key] {
 		if e.chronon > chronon-w.window && e.chronon <= chronon {
-			s.Step(e.v)
+			w.l.Step(g, value.Tuple{e.v})
 		}
 	}
-	return s.Result()
+	return w.l.Result(g, 0)
 }

@@ -3,17 +3,17 @@ package view
 import (
 	"reflect"
 	"strings"
-
-	"chronicledb/internal/aggregate"
+	"unsafe"
 )
 
-// arena hands out the memory view entries are made of — entry shells,
-// aggregation states, key bytes — from chunks it allocates a run at
-// a time, so a new group costs no allocation of its own and pays no
-// size-class rounding. Each chunk serves about as many entries as the arena
-// has handed out so far, between minChunk and maxChunk (see room): a view of
-// a few groups never pays for a full chunk, a large one allocates a few
-// objects per thousand groups and strands at most one chunk's tail.
+// arena hands out the memory view entries are made of — shells (an entry
+// and its group's states, see shape) and key bytes — from chunks it
+// allocates a run at a time, so a new group costs no allocation of its own
+// and pays no size-class rounding. Each chunk serves about as many entries
+// as the arena has handed out so far, between minChunk and maxChunk (see
+// room): a view of a few groups never pays for a full chunk, a large one
+// allocates a few objects per thousand groups and strands at most one
+// chunk's tail.
 //
 // Nothing carved is ever returned one piece at a time. Views are
 // insert-only, so a group's key lives as long as the view; a retired shell
@@ -25,11 +25,13 @@ import (
 // A nil *arena is the heap: every method allocates the piece on its own, for
 // entries the collector must own (see newEntry).
 type arena struct {
-	n       int // entries handed out or announced (reserve)
-	entries []entry
-	states  []aggregate.State
-	keys    []byte          // ordered-store keys
-	strs    strings.Builder // hash-store keys
+	n int // entries handed out or announced (reserve)
+	// slab holds shells of one shape — an arena serves one view — used of
+	// them handed out, size in all.
+	slab       unsafe.Pointer
+	used, size int
+	keys       []byte          // ordered-store keys
+	strs       strings.Builder // hash-store keys
 }
 
 const (
@@ -42,11 +44,6 @@ const (
 	// of 512 bytes or more. A chunk of exactly a size class's bytes would be
 	// bumped into the next class by it, and lose a sixteenth.
 	allocHeader = 8
-)
-
-var (
-	entrySize = int(reflect.TypeOf(entry{}).Size())
-	stateSize = int(reflect.TypeOf(aggregate.State{}).Size())
 )
 
 // chunk returns how many entries the next chunk should serve.
@@ -68,32 +65,20 @@ func (a *arena) room(per, size int) int {
 // its count).
 func (a *arena) reserve(n int) { a.n = max(a.n, n) }
 
-func (a *arena) entry() *entry {
+// shell returns a zeroed shell of shape sh: an entry whose group is empty.
+func (a *arena) shell(sh *shape) *entry {
 	if a == nil {
-		return new(entry)
+		return (*entry)(reflect.New(sh.typ).UnsafePointer())
 	}
-	if len(a.entries) == 0 {
-		a.entries = make([]entry, a.room(1, entrySize))
+	if a.used == a.size {
+		a.size = a.room(1, sh.bytes)
+		a.slab = reflect.MakeSlice(reflect.SliceOf(sh.typ), a.size, a.size).UnsafePointer()
+		a.used = 0
 	}
-	e := &a.entries[0]
-	a.entries = a.entries[1:]
+	e := (*entry)(unsafe.Add(a.slab, a.used*sh.bytes))
+	a.used++
 	a.n++
 	return e
-}
-
-func (a *arena) stateVec(n int) []aggregate.State {
-	if n == 0 {
-		return nil
-	}
-	if a == nil {
-		return make([]aggregate.State, n)
-	}
-	if len(a.states) < n {
-		a.states = make([]aggregate.State, a.room(n, stateSize))
-	}
-	s := a.states[:n:n]
-	a.states = a.states[n:]
-	return s
 }
 
 // keyBytes returns a private copy of key.

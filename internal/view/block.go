@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"chronicledb/internal/aggregate"
 	"chronicledb/internal/keyenc"
 )
 
@@ -53,14 +52,11 @@ func blockCRC(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli
 
 // appendBlockEntry appends the entry stored under key in block-payload
 // encoding.
-func appendBlockEntry(b, key []byte, e *entry, aggs []aggregate.Spec) []byte {
+func appendBlockEntry(b, key []byte, e *entry, sh *shape) []byte {
 	b = binary.AppendUvarint(b, uint64(len(key)))
 	b = append(b, key...)
-	b = binary.AppendUvarint(b, uint64(e.count))
-	for i, st := range e.states {
-		b = aggregate.AppendState(b, aggs[i].Func, st)
-	}
-	return b
+	b = binary.AppendUvarint(b, uint64(e.count()))
+	return sh.l.AppendStates(b, e.group(sh))
 }
 
 // sealBlock prefixes the encoded entries with their count and appends the
@@ -80,8 +76,8 @@ type keyed struct {
 
 // decodeBlock decodes a block payload produced by sealBlock, verifying the
 // CRC trailer first so a torn or corrupted block is rejected, never
-// half-applied. Keys hold nkey values; aggs are the owning view's.
-func decodeBlock(data []byte, nkey int, aggs []aggregate.Spec) ([]keyed, error) {
+// half-applied. Keys hold nkey values; sh is the owning view's shape.
+func decodeBlock(data []byte, nkey int, sh *shape) ([]keyed, error) {
 	if len(data) < 5 {
 		return nil, fmt.Errorf("block truncated: %d bytes", len(data))
 	}
@@ -100,7 +96,7 @@ func decodeBlock(data []byte, nkey int, aggs []aggregate.Spec) ([]keyed, error) 
 	for i := uint64(0); i < count; i++ {
 		// Blocks belong to paged views, whose shells stay with the collector
 		// (see blockMeta.arena).
-		key, e, used, err := decodeEntry(body[off:], nil, nkey, aggs)
+		key, e, used, err := decodeEntry(body[off:], nil, nkey, sh)
 		if err != nil {
 			return nil, fmt.Errorf("block entry %d: %w", i, err)
 		}
@@ -117,7 +113,7 @@ func decodeBlock(data []byte, nkey int, aggs []aggregate.Spec) ([]keyed, error) 
 // checkpoint uses the same) from the front of b, building it with newEntry
 // from a, and returns its key — checked to hold nkey values, and aliasing b —
 // with it and the bytes consumed.
-func decodeEntry(b []byte, a *arena, nkey int, aggs []aggregate.Spec) ([]byte, *entry, int, error) {
+func decodeEntry(b []byte, a *arena, nkey int, sh *shape) ([]byte, *entry, int, error) {
 	klen, off := binary.Uvarint(b)
 	if off <= 0 || klen > uint64(len(b)-off) {
 		return nil, nil, 0, fmt.Errorf("bad key length")
@@ -132,15 +128,10 @@ func decodeEntry(b []byte, a *arena, nkey int, aggs []aggregate.Spec) ([]byte, *
 		return nil, nil, 0, fmt.Errorf("bad count")
 	}
 	off += used
-	e := newEntry(a, aggs, nil)
-	e.count = int64(c)
-	for j, spec := range aggs {
-		st, used, err := aggregate.DecodeState(spec.Func, b[off:])
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("state %d: %w", j, err)
-		}
-		e.states[j] = st
-		off += used
+	e := newEntry(a, sh, nil)
+	used, err := sh.l.DecodeStates(e.group(sh), c, b[off:])
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	return key, e, off, nil
+	return key, e, off + used, nil
 }

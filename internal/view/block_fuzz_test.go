@@ -9,33 +9,37 @@ import (
 	"chronicledb/internal/value"
 )
 
-// fuzzAggs matches the minutes_per_acct fixture: SUM + COUNT over int col 1.
-var fuzzAggs = []aggregate.Spec{
-	{Func: aggregate.Sum, Col: 1, Name: "total"},
-	{Func: aggregate.Count, Col: -1, Name: "n"},
-}
+// fuzzShape matches the minutes_per_acct fixture: SUM + COUNT over int col 1.
+var fuzzShape = func() *shape {
+	l, err := aggregate.NewLayout([]aggregate.Spec{
+		{Func: aggregate.Sum, Col: 1, Name: "total"},
+		{Func: aggregate.Count, Col: -1, Name: "n"},
+	}, []value.Kind{value.KindInt, value.KindInt})
+	if err != nil {
+		panic(err)
+	}
+	return newShape(l)
+}()
 
 // sealTestBlock encodes entries the way encodeBlockRun does.
 func sealTestBlock(entries []keyed) []byte {
 	var body []byte
 	for _, ke := range entries {
-		body = appendBlockEntry(body, ke.key, ke.e, fuzzAggs)
+		body = appendBlockEntry(body, ke.key, ke.e, fuzzShape)
 	}
 	return sealBlock(nil, body, len(entries))
 }
 
 func fuzzEntry(acct string, total, n int64) keyed {
-	sum := aggregate.NewState(aggregate.Sum)
-	cnt := aggregate.NewState(aggregate.Count)
+	e := newEntry(nil, fuzzShape, nil)
 	for i := int64(0); i < n; i++ {
 		share := total / n
 		if i == 0 {
 			share += total % n
 		}
-		sum.Step(value.Int(share))
-		cnt.Step(value.Int(share))
+		fuzzShape.l.Step(e.group(fuzzShape), value.Tuple{value.Str(acct), value.Int(share)})
 	}
-	return keyed{keyenc.AppendValue(nil, value.Str(acct)), &entry{count: n, states: []aggregate.State{sum, cnt}}}
+	return keyed{keyenc.AppendValue(nil, value.Str(acct)), e}
 }
 
 // FuzzBlock: decodeBlock must never panic on arbitrary bytes; payloads it
@@ -55,7 +59,7 @@ func FuzzBlock(f *testing.F) {
 	f.Add(sealTestBlock([]keyed{fuzzEntry("a\x00", 2, 1), fuzzEntry("a\x00b", 3, 1)}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := decodeBlock(data, 1, fuzzAggs)
+		entries, err := decodeBlock(data, 1, fuzzShape)
 		if err != nil {
 			return
 		}
@@ -67,7 +71,7 @@ func FuzzBlock(f *testing.F) {
 		// Torn writes (any truncation) must be rejected.
 		for _, cut := range []int{1, 4, len(data) / 2} {
 			if cut < len(data) {
-				if _, err := decodeBlock(data[:len(data)-cut], 1, fuzzAggs); err == nil {
+				if _, err := decodeBlock(data[:len(data)-cut], 1, fuzzShape); err == nil {
 					t.Fatalf("torn block (%d bytes cut) decoded without error", cut)
 				}
 			}
@@ -76,7 +80,7 @@ func FuzzBlock(f *testing.F) {
 		if len(data) > 0 {
 			flipped := bytes.Clone(data)
 			flipped[len(flipped)/2] ^= 0x10
-			if _, err := decodeBlock(flipped, 1, fuzzAggs); err == nil {
+			if _, err := decodeBlock(flipped, 1, fuzzShape); err == nil {
 				t.Fatal("bit-flipped block decoded without error")
 			}
 		}

@@ -76,7 +76,7 @@ func (v *View) checkHeader(data []byte, version byte) (int, error) {
 func (v *View) Checkpoint() []byte {
 	b := v.appendHeader(nil, checkpointVersion)
 	appendEntry := func(k []byte, e *entry) bool {
-		b = appendBlockEntry(b, k, e, v.def.Aggs)
+		b = appendBlockEntry(b, k, e, v.sh)
 		return true
 	}
 	if p := v.pg.Load(); p != nil {
@@ -117,7 +117,7 @@ func (v *View) RestoreCheckpoint(data []byte) error {
 	}
 	a.reserve(int(min(count, uint64(len(data)))))
 	for i := uint64(0); i < count; i++ {
-		key, e, used, err := decodeEntry(data[off:], shell, len(v.keyKinds), v.aggs)
+		key, e, used, err := decodeEntry(data[off:], shell, len(v.keyKinds), v.sh)
 		if err != nil {
 			return fmt.Errorf("view %s: entry %d: %w", v.def.Name, i, err)
 		}
@@ -134,7 +134,7 @@ func (v *View) RestoreCheckpoint(data []byte) error {
 	v.mu.Lock()
 	// The shells belong to the arena the replaced entries were carved from,
 	// which goes with them.
-	v.shells = shells{}
+	v.shells = shells{sh: v.sh}
 	if cur, ok := v.store.(*hashStore); ok {
 		// Hash readers reach the table through v.store without any lock,
 		// so the store pointer must never change once published: install
@@ -154,7 +154,7 @@ func (v *View) RestoreCheckpoint(data []byte) error {
 		b := &blockMeta{resident: true, arena: a}
 		v.store.ascend(func(k []byte, e *entry) bool {
 			b.n++
-			b.bytes += estEntryBytes(k, e)
+			b.bytes += v.estEntryBytes(k)
 			return true
 		})
 		p.mark++

@@ -91,10 +91,11 @@ func blockIndex(blocks []*blockMeta, key []byte) int {
 	return i - 1
 }
 
-// estEntryBytes is the insert-time estimate of an entry's encoded size;
-// each checkpoint replaces estimates with exact encoded sizes.
-func estEntryBytes(key []byte, e *entry) int64 {
-	return int64(len(key) + 8 + 10*len(e.states))
+// estEntryBytes is the insert-time estimate of the encoded size of the entry
+// stored under key; each checkpoint replaces estimates with exact encoded
+// sizes.
+func (v *View) estEntryBytes(key []byte) int64 {
+	return int64(len(key) + 8 + 10*len(v.sh.l.Specs()))
 }
 
 // EnablePaging converts a B-tree view into a blocked persistent store
@@ -119,7 +120,7 @@ func (v *View) EnablePaging(blockBytes int64, fetch FetchFunc, cache *Cache) {
 	b := &blockMeta{resident: true}
 	ts.t.Ascend(func(k []byte, e *entry) bool {
 		b.n++
-		b.bytes += estEntryBytes(k, e)
+		b.bytes += v.estEntryBytes(k)
 		return true
 	})
 	p.mark++
@@ -181,10 +182,10 @@ func (v *View) ensureWrite(p *pager, key []byte) *blockMeta {
 	return b
 }
 
-// noteInsert attributes a fresh entry to its covering block. Caller holds
-// v.mu.
-func (v *View) noteInsert(p *pager, b *blockMeta, key []byte, e *entry) {
-	est := estEntryBytes(key, e)
+// noteInsert attributes the fresh entry under key to its covering block.
+// Caller holds v.mu.
+func (v *View) noteInsert(p *pager, b *blockMeta, key []byte) {
+	est := v.estEntryBytes(key)
 	b.n++
 	b.bytes += est
 	p.total++
@@ -236,7 +237,7 @@ func (v *View) pageIn(p *pager, b *blockMeta, pub *btree.Tree[[]byte, *entry]) {
 		panic(fmt.Sprintf("view %s: block fault %s@%d+%d: %v",
 			v.def.Name, b.ref.File, b.ref.Off, b.ref.Len, err))
 	}
-	entries, err := decodeBlock(data, len(v.keyKinds), v.aggs)
+	entries, err := decodeBlock(data, len(v.keyKinds), v.sh)
 	if err != nil {
 		panic(fmt.Sprintf("view %s: block %s@%d+%d corrupt: %v",
 			v.def.Name, b.ref.File, b.ref.Off, b.ref.Len, err))
@@ -313,7 +314,7 @@ func (v *View) pagedLookup(key []byte) (value.Tuple, bool) {
 	}
 	var row value.Tuple
 	e, ok := v.snap.Load().tree.Get(key)
-	if ok && e.count != 0 {
+	if ok && e.count() != 0 {
 		row = rowOf(v, key, e)
 	} else {
 		ok = false
@@ -589,7 +590,7 @@ func (v *View) encodeBlockRun(ts *treeStore, p *pager, b *blockMeta, hi []byte, 
 	cur := cut{}
 	var entBuf []byte
 	visit := func(k []byte, e *entry) bool {
-		entBuf = appendBlockEntry(entBuf[:0], k, e, v.def.Aggs)
+		entBuf = appendBlockEntry(entBuf[:0], k, e, v.sh)
 		if cur.n > 0 && int64(len(cur.ents)+len(entBuf)) > p.blockBytes {
 			cuts = append(cuts, cur)
 			cur = cut{}

@@ -728,3 +728,29 @@ func TestClockSeesLookupHits(t *testing.T) {
 		t.Errorf("after a full scan %d of the hot set's %d blocks had to be faulted again: the scan erased the CLOCK's recency", got, len(blocks)/10)
 	}
 }
+
+// TestPagedAccountedBytes pins what a paged view charges its cache for
+// groups it has not checkpointed yet: the insert-time estimate, key + 8 + 10
+// per aggregation. read-http sizes its block cache at half its view's
+// accounted bytes, so a changed estimate changes that workload.
+func TestPagedAccountedBytes(t *testing.T) {
+	const groups, want = 20_000, 790_000
+	f := newFixture(t)
+	cache := NewCache(0)
+	v := pagedView(t, f, newChainSim(), DefaultBlockBytes, cache)
+	tuples := make([]value.Tuple, groups)
+	for i := range tuples {
+		tuples[i] = value.Tuple{value.Str(acctName(i)), value.Int(1)}
+	}
+	rows, err := f.calls.Append(f.group.NextSN(), 0, f.nextLSN(), tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Apply(algebra.BatchDelta{f.calls: rows})
+	if v.Len() != groups {
+		t.Fatalf("the view holds %d groups, want %d", v.Len(), groups)
+	}
+	if got := cache.UsedBytes(); got != want {
+		t.Errorf("%d groups are accounted at %d bytes, want %d", groups, got, want)
+	}
+}

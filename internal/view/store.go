@@ -3,19 +3,22 @@ package view
 import (
 	"bytes"
 	"hash/maphash"
-	"slices"
+	"reflect"
 	"sort"
 	"sync/atomic"
+	"unsafe"
 
 	"chronicledb/internal/aggregate"
 	"chronicledb/internal/btree"
 )
 
-// entry is one materialized view row: the per-group aggregation states and
-// a contribution count used for refcounted duplicate elimination in
-// projection views. The group values (or projected tuple) are not kept
-// apart: the store holds them once, as the entry's encoded key, and a reader
-// decodes them from it (see rowOf).
+// entry is one materialized view row: the group's states under the view's
+// layout and the contribution count used for refcounted duplicate
+// elimination in projection views, which is the group's word 0. The group
+// values (or projected tuple) are not kept apart: the store holds them once,
+// as the entry's encoded key, and a reader decodes them from it (see rowOf).
+// The states are not fields: an entry is the head of a shell, and its
+// group's words and string slots follow it in the same object (see shape).
 //
 // An entry reachable by lock-free readers is frozen; maintenance changes a
 // group by building a new version of its entry (shells.version) and swapping
@@ -34,15 +37,16 @@ import (
 // compares after a tag match (the ordered store keys its nodes instead and
 // leaves key empty).
 type entry struct {
-	states []aggregate.State
-	count  int64
-	stamp  uint64
-	key    string
+	stamp uint64
+	key   string
 }
 
-// carvedBit marks an entry whose shell (the entry and its states) was carved
-// from an arena chunk: the collector cannot take it back alone, so the view
-// must never let go of it (see shells.settle).
+// entrySize is where a shell's words begin.
+const entrySize = int(unsafe.Sizeof(entry{}))
+
+// carvedBit marks an entry whose shell was carved from an arena chunk: the
+// collector cannot take it back alone, so the view must never let go of it
+// (see shells.settle).
 const carvedBit = 1 << 63
 
 func (e *entry) tag() uint32 { return uint32(e.stamp) }
@@ -50,27 +54,62 @@ func (e *entry) tag() uint32 { return uint32(e.stamp) }
 // epoch is the write epoch an ordered-store entry was made in.
 func (e *entry) epoch() uint64 { return e.stamp &^ carvedBit }
 
+// count is the group's word 0: the rows folded into it.
+func (e *entry) count() int64 { return *(*int64)(unsafe.Add(unsafe.Pointer(e), entrySize)) }
+
+// group returns the states that follow e in its shell, of shape sh.
+func (e *entry) group(sh *shape) aggregate.Group {
+	words := unsafe.Add(unsafe.Pointer(e), entrySize)
+	g := aggregate.Group{Words: unsafe.Slice((*uint64)(words), sh.l.Words())}
+	if n := sh.l.Strs(); n > 0 {
+		g.Strs = unsafe.Slice((*string)(unsafe.Add(words, 8*sh.l.Words())), n)
+	}
+	return g
+}
+
+// shape is how one view's groups sit in memory: a shell is the entry, then
+// the group's words, then its string slots, in one object whose Go type is
+// built for the view's layout. The entry a probe reaches and the words the
+// fold steps share cache lines, and a group is one object of exactly its
+// size; the type marks only the entry's key and the string slots as
+// pointers, so the collector reads the words as plain data.
+type shape struct {
+	l     *aggregate.Layout
+	typ   reflect.Type
+	bytes int
+}
+
+func newShape(l *aggregate.Layout) *shape {
+	fields := []reflect.StructField{
+		{Name: "E", Type: reflect.TypeOf(entry{})},
+		{Name: "W", Type: reflect.ArrayOf(l.Words(), reflect.TypeOf(uint64(0)))},
+	}
+	if l.Strs() > 0 {
+		// Never a zero-length last field: the compiler pads one.
+		fields = append(fields, reflect.StructField{Name: "S", Type: reflect.ArrayOf(l.Strs(), reflect.TypeOf(""))})
+	}
+	typ := reflect.StructOf(fields)
+	return &shape{l: l, typ: typ, bytes: int(typ.Size())}
+}
+
 // newEntry is the one place view entries are built: the fold's new groups,
 // decoded blocks and checkpoints, and the copy-on-write versions the view's
-// free shells cannot serve.
+// free shells cannot serve. It carves a shell of shape sh from a (the heap
+// when a is nil): fresh words are the empty group.
 //
-// With src nil it builds a new group with one fresh state per spec, carved
-// from a (the heap when a is nil). Either store may carve it: the view
-// recycles a retired shell once no reader can hold it, and keeps a carved one
-// that a reader might hold until then (see shells).
-//
-// With src set it builds the next version of src on the heap, sharing key and
-// copying count and states. Versions are the collector's, so that a
-// publication that finds a reader can drop them.
-func newEntry(a *arena, aggs []aggregate.Spec, src *entry) *entry {
-	if src != nil {
-		return &entry{count: src.count, key: src.key, states: slices.Clone(src.states)}
-	}
-	e := a.entry()
-	e.states = a.stateVec(len(aggs))
-	aggregate.InitStates(e.states, aggs)
+// With src set it builds the next version of src, sharing key and copying
+// the group. Versions are the collector's (a is nil), so that a publication
+// that finds a reader can drop them. New groups may be carved by either
+// store: the view recycles a retired shell once no reader can hold it, and
+// keeps a carved one that a reader might hold until then (see shells).
+func newEntry(a *arena, sh *shape, src *entry) *entry {
+	e := a.shell(sh)
 	if a != nil {
 		e.stamp = carvedBit
+	}
+	if src != nil {
+		e.key = src.key
+		e.group(sh).CopyFrom(src.group(sh))
 	}
 	return e
 }
@@ -81,6 +120,7 @@ func newEntry(a *arena, aggs []aggregate.Spec, src *entry) *entry {
 // version it replaced; the publication that ends the call settles what was
 // retired (View.publishLocked). Guarded by the view's mu.
 type shells struct {
+	sh      *shape   // the view's, which every shell has
 	retired []*entry // versions replaced since the last publication
 	free    []*entry // shells no reader can hold, for version
 	limbo   []*entry // carved shells retired under a reader, awaiting a reader-free publication
@@ -90,19 +130,19 @@ type shells struct {
 }
 
 // version returns a private copy of a published entry, in a free shell when
-// there is one (an in-place copy of every state — the allocation-free warm
+// there is one (an in-place copy of its words — the allocation-free warm
 // path). The copy's stamp holds only its own shell's carvedBit; the caller
 // stamps the rest.
 func (s *shells) version(src *entry) *entry {
 	n := len(s.free)
 	if n == 0 {
-		return newEntry(nil, nil, src)
+		return newEntry(nil, s.sh, src)
 	}
 	c := s.free[n-1]
 	s.free[n-1] = nil
 	s.free = s.free[:n-1]
-	c.count, c.key = src.count, src.key
-	copy(c.states, src.states)
+	c.key = src.key
+	c.group(s.sh).CopyFrom(src.group(s.sh))
 	c.stamp &= carvedBit
 	return c
 }

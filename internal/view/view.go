@@ -170,11 +170,13 @@ type View struct {
 
 	// keyCols are the source columns of the group key: Cols for a
 	// projection, GroupCols for a grouping. keyKinds are their kinds, the
-	// leading columns of the schema, which a row's values decode as. aggs
-	// are the grouping's aggregations, nil for a projection.
+	// leading columns of the schema, which a row's values decode as. sh holds
+	// the grouping's aggregations compiled against their input kinds (for a
+	// projection the empty layout: a group's words are its count alone) and
+	// the shells its groups live in.
 	keyCols  []int
 	keyKinds []value.Kind
-	aggs     []aggregate.Spec
+	sh       *shape
 	// arena is where an unpaged view's new groups are carved from; a paged
 	// view carves per block (blockMeta.arena).
 	arena *arena
@@ -211,6 +213,8 @@ func New(def Def, kind StoreKind) (*View, error) {
 	}
 	inSchema := def.Expr.Schema()
 	var schema *value.Schema
+	var aggs []aggregate.Spec
+	var inKinds []value.Kind
 	switch def.Mode {
 	case SummarizeProject:
 		if len(def.Cols) == 0 {
@@ -244,11 +248,17 @@ func New(def Def, kind StoreKind) (*View, error) {
 			if a.Col >= 0 {
 				in = inSchema.Col(a.Col).Kind
 			}
+			inKinds = append(inKinds, in)
 			cols = append(cols, value.Column{Name: a.Name, Kind: a.ResultKind(in)})
 		}
 		schema = value.NewSchema(cols...)
+		aggs = def.Aggs
 	default:
 		return nil, fmt.Errorf("view %s: unknown summarization mode %d", def.Name, def.Mode)
+	}
+	layout, err := aggregate.NewLayout(aggs, inKinds)
+	if err != nil {
+		return nil, fmt.Errorf("view %s: %w", def.Name, err)
 	}
 	v := &View{
 		def:    def,
@@ -256,12 +266,14 @@ func New(def Def, kind StoreKind) (*View, error) {
 		info:   algebra.Analyze(def.Expr),
 		cow:    kind == StoreBTree,
 		arena:  new(arena),
+		sh:     newShape(layout),
 	}
+	v.shells.sh = v.sh
 	v.store = newStore(kind, &v.shells)
 	if def.Mode == SummarizeProject {
 		v.keyCols = def.Cols
 	} else {
-		v.keyCols, v.aggs = def.GroupCols, def.Aggs
+		v.keyCols = def.GroupCols
 	}
 	for i := range v.keyCols {
 		v.keyKinds = append(v.keyKinds, schema.Col(i).Kind)
@@ -496,13 +508,13 @@ func (v *View) applyRowsLocked(p *pager, rows []chronicle.Row) {
 		e, tag := v.store.get(v.keyBuf)
 		switch {
 		case e == nil:
-			e = newEntry(shell, v.aggs, nil)
+			e = newEntry(shell, v.sh, nil)
 			if v.cow {
 				e.stamp |= v.epoch
 			}
 			v.store.put(a, v.keyBuf, tag, e)
 			if p != nil {
-				v.noteInsert(p, blk, v.keyBuf, e)
+				v.noteInsert(p, blk, v.keyBuf)
 			}
 		case v.cow && e.epoch() != v.epoch:
 			// First touch this epoch: the entry is frozen in the published
@@ -513,8 +525,7 @@ func (v *View) applyRowsLocked(p *pager, rows []chronicle.Row) {
 			v.store.(*treeStore).replace(v.keyBuf, e)
 			v.shells.retire(old)
 		}
-		aggregate.Apply(e.states, v.aggs, r.Vals)
-		e.count++
+		v.sh.l.Step(e.group(v.sh), r.Vals)
 		v.stats.Touched++
 	}
 }
@@ -535,7 +546,7 @@ func (v *View) Lookup(key value.Tuple) (value.Tuple, bool) {
 		// Lock-free: the snapshot tree and every entry in it are frozen.
 		e, ok := s.tree.Get(*buf)
 		p := v.pg.Load()
-		if ok && e.count != 0 {
+		if ok && e.count() != 0 {
 			if p != nil {
 				p.cache.hits.Add(1)
 				s.touch(*buf)
@@ -555,7 +566,7 @@ func (v *View) Lookup(key value.Tuple) (value.Tuple, bool) {
 	// clones and re-installs atomically); the readers count keeps the entry
 	// off the free list while we materialize the row.
 	e, ok := v.store.(*hashStore).rget(*buf)
-	if !ok || e.count == 0 {
+	if !ok || e.count() == 0 {
 		return nil, false
 	}
 	return rowOf(v, e.key, e), true
@@ -626,7 +637,7 @@ func (v *View) Scan(w Window, fn func(value.Tuple) bool) uint64 {
 // many it handed over. It stops when fn says so or at the window's limit.
 func (v *View) walk(s *snapshot, w Window, lo, hi []byte, fn func(value.Tuple) bool) (n int) {
 	visit := func(k []byte, e *entry) bool {
-		return e.count == 0 || w.take(rowOf(v, k, e), &n, fn)
+		return e.count() == 0 || w.take(rowOf(v, k, e), &n, fn)
 	}
 	switch t := s.tree; {
 	case !w.Desc && len(hi) == 0:
@@ -663,7 +674,7 @@ func (v *View) hashScan(w Window, fn func(value.Tuple) bool) uint64 {
 	}
 	in := entries[:0]
 	for _, e := range entries {
-		if e.count != 0 && e.key >= string(w.Lo) && (len(w.Hi) == 0 || e.key < string(w.Hi)) {
+		if e.count() != 0 && e.key >= string(w.Lo) && (len(w.Hi) == 0 || e.key < string(w.Hi)) {
 			in = append(in, e)
 		}
 	}
@@ -714,12 +725,9 @@ func (v *View) Rows() []value.Tuple {
 // was written by the encoder or checked when it was restored (CheckKey), so
 // it decodes.
 func rowOf[K string | []byte](v *View, key K, e *entry) value.Tuple {
-	out := make(value.Tuple, 0, len(v.keyKinds)+len(e.states))
+	out := make(value.Tuple, 0, len(v.keyKinds)+len(v.sh.l.Specs()))
 	out, _ = keyenc.DecodeKey(out, key, v.keyKinds)
-	for i := range e.states {
-		out = append(out, e.states[i].Result())
-	}
-	return out
+	return v.sh.l.AppendResults(out, e.group(v.sh))
 }
 
 // Recompute answers what the view *should* contain by reference-evaluating
