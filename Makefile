@@ -113,15 +113,22 @@ maint-stress:
 # a DISTINCT view (a group is its key and its states), the relation- and
 # dedup-bytes guards pin what a relation row (one string, loaded by UPSERT or
 # restored from a checkpoint) and an idempotency entry (one ring record)
-# cost, the hash-count guard prints what a row costs a hash view in hashes,
-# probes and key comparisons, the lock-free reader test races readers
-# against a table that doubles eleven times, and its ordered-store twin races
+# cost, the hash-count guard prints what a call costs hash views sharing a key
+# directory in hashes, probes and key comparisons per row and entry versions
+# per group, the lock-free reader test races readers against a directory that
+# doubles eleven times, its sibling twin (ten runs under the race detector)
+# races readers of each of three members publishing at different points of one
+# call, the late-member test pins that a view joining a populated directory
+# holds none of its keys, the drop test drops one of five members and checks
+# the other four across a checkpoint, a reopen and a follower resync, and the
+# ordered-store twin races
 # lookups, scans, latest-N and checkpoints against a writer that recycles
 # nodes and entry versions, plain and paged, beside its permanent-reader bound.
 # -count=1 defeats caching — the guards must run.
 bench-maint:
-	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestLoadAllocGuard|TestGroupBytesGuard|TestTreeCallBytesGuard|TestRelationBytesGuard|TestDedupBytesGuard|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall' -v .
+	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestLoadAllocGuard|TestGroupBytesGuard|TestTreeCallBytesGuard|TestRelationBytesGuard|TestDedupBytesGuard|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall|TestDirMembersSurviveADrop' -v .
 	$(GO) test -count=1 -run 'TestHashStoreCounts|TestHashLockFreeThroughGrowth|TestTreeRecyclingUnderReaders|TestTreePoolBoundedUnderPermanentReader' -v ./internal/view
+	$(GO) test -race -count=10 -run 'TestDirSiblingsLockFreeThroughGrowth|TestDirLateMember' ./internal/view
 	$(GO) test -run=NONE -bench 'BenchmarkMaintainFanout' -benchmem -benchtime 50x .
 
 # prof-load profiles the two shapes the suite's maintain-fanout workload is

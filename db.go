@@ -507,6 +507,7 @@ func (db *DB) recorder(log *wal.Log) func(engine.Mutation) error {
 			rec.Parts = parts
 		case engine.MutUpsert:
 			rec.Kind = wal.RecUpsert
+			rec.Tuples = m.Tuples
 		case engine.MutDelete:
 			rec.Kind = wal.RecDelete
 		}

@@ -655,7 +655,14 @@ func (db *DB) explain(name string) (*Result, error) {
 				{value.Str("unions_u"), value.Int(int64(info.Unions))},
 				{value.Str("joins_j"), value.Int(int64(info.Joins))},
 				{value.Str("rows"), value.Int(int64(v.Len()))},
+				{value.Str("store"), value.Str(v.StoreKind().String())},
 			},
+		}
+		if d := v.Dir(); d != nil {
+			// The key directory the view shares with the views that fold the
+			// same expression by the same columns: their keys are held once.
+			res.Rows = append(res.Rows, Row{value.Str("directory"),
+				value.Str(fmt.Sprintf("%s: %d views, %d keys", d.Name(), d.Members(), d.Len()))})
 		}
 		// Shared-delta plan: the view's interned node ids (post-order, root
 		// last) with each node's cross-view consumer count, so CSE grouping
@@ -690,19 +697,26 @@ func (db *DB) explain(name string) (*Result, error) {
 func (db *DB) show(what string) (*Result, error) {
 	switch what {
 	case "VIEWS":
-		res := &Result{Columns: []string{"name", "language", "class", "rows"}}
+		// directory and dir_views name a hash view's key directory and how
+		// many views share it; an ordered view has none.
+		res := &Result{Columns: []string{"name", "language", "class", "rows", "store", "directory", "dir_views"}}
 		for _, n := range db.eng.Names(engine.Views) {
 			v, _ := db.eng.View(n)
+			dir, members := "", 0
+			if d := v.Dir(); d != nil {
+				dir, members = d.Name(), d.Members()
+			}
 			res.Rows = append(res.Rows, Row{
 				value.Str(n), value.Str(v.Lang().String()),
 				value.Str(v.IMClass().String()), value.Int(int64(v.Len())),
+				value.Str(v.StoreKind().String()), value.Str(dir), value.Int(int64(members)),
 			})
 		}
 		for _, n := range db.eng.Names(engine.PeriodicViews) {
 			pv, _ := db.eng.PeriodicView(n)
 			res.Rows = append(res.Rows, Row{
 				value.Str(n + " (periodic)"), value.Str(pv.Calendar().String()),
-				value.Str(""), value.Int(int64(pv.Live())),
+				value.Str(""), value.Int(int64(pv.Live())), value.Str(""), value.Str(""), value.Int(0),
 			})
 		}
 		return res, nil

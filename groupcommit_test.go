@@ -171,9 +171,9 @@ func groupCommitRun(t *testing.T, shards, crashAt int) {
 }
 
 // TestUpsertStatementCommitsOnce: an UPSERT statement is one relation
-// transaction — one epoch-gate hold and one commit — so a durable 1 000-tuple
-// UPSERT costs one fsync, not one a tuple, while each tuple keeps its own LSN
-// and WAL record and every row survives a reopen.
+// transaction — one epoch-gate hold, one WAL frame and one commit — so a
+// durable 1 000-tuple UPSERT costs one write and one fsync, not one a tuple,
+// while each tuple keeps its own LSN and every row survives a reopen.
 func TestUpsertStatementCommitsOnce(t *testing.T) {
 	const tuples = 1000
 	dir := t.TempDir()
@@ -196,8 +196,8 @@ func TestUpsertStatementCommitsOnce(t *testing.T) {
 	if got := after.Fsyncs - before.Fsyncs; got != 1 {
 		t.Errorf("a %d-tuple UPSERT raised wal_fsyncs by %d, want 1", tuples, got)
 	}
-	if got := after.Records - before.Records; got != tuples {
-		t.Errorf("a %d-tuple UPSERT wrote %d WAL records, want one a tuple", tuples, got)
+	if got := after.Records - before.Records; got != 1 {
+		t.Errorf("a %d-tuple UPSERT wrote %d WAL records, want one a statement", tuples, got)
 	}
 	if got := db.eng.LSN() - lsn0; got != tuples {
 		t.Errorf("a %d-tuple UPSERT took %d LSNs, want one a tuple", tuples, got)
@@ -214,5 +214,56 @@ func TestUpsertStatementCommitsOnce(t *testing.T) {
 	defer db.Close()
 	if r, _ := db.Relation("customers"); r.Len() != tuples {
 		t.Errorf("reopened customers holds %d rows, want %d", r.Len(), tuples)
+	}
+}
+
+// TestUpsertStatementFailsWhole: a 1 000-tuple UPSERT whose WAL write fails
+// halfway — the disk fills at the bytes of about 500 tuples — applies none of
+// its tuples, in memory or after a power cut and reopen: the statement is one
+// frame, torn, and a torn frame does not replay.
+func TestUpsertStatementFailsWhole(t *testing.T) {
+	const tuples = 1000
+	disk := fault.NewDisk()
+	db, err := Open(Options{Dir: "/data", SyncWAL: true, FS: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE RELATION customers (acct STRING, state STRING, KEY(acct))`)
+	mustExec(t, db, `CREATE RELATION prospects (acct STRING, state STRING, KEY(acct))`)
+	upsert := func(rel string) string {
+		var stmt strings.Builder
+		fmt.Fprintf(&stmt, "UPSERT INTO %s VALUES ", rel)
+		for i := 0; i < tuples; i++ {
+			if i > 0 {
+				stmt.WriteString(", ")
+			}
+			fmt.Fprintf(&stmt, "('acct%04d', 'nj')", i)
+		}
+		return stmt.String()
+	}
+	// A statement of the same shape sizes the write that is to fail.
+	before := disk.BytesWritten()
+	mustExec(t, db, upsert("prospects"))
+	disk.SetCapacity(2*disk.BytesWritten() - before - (disk.BytesWritten()-before)/2)
+	if _, err := db.Exec(upsert("customers")); err == nil {
+		t.Fatal("an UPSERT whose write failed halfway succeeded")
+	}
+	if r, _ := db.Relation("customers"); r.Len() != 0 {
+		t.Errorf("after the failed UPSERT customers holds %d rows in memory, want none", r.Len())
+	}
+	db.Close()
+	disk.SetCapacity(0)
+	disk.PowerCut()
+	disk.Heal()
+	db, err = Open(Options{Dir: "/data", SyncWAL: true, FS: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if r, _ := db.Relation("customers"); r.Len() != 0 {
+		t.Errorf("reopened customers holds %d rows of the failed UPSERT, want none", r.Len())
+	}
+	if r, _ := db.Relation("prospects"); r.Len() != tuples {
+		t.Errorf("reopened prospects holds %d rows, want %d", r.Len(), tuples)
 	}
 }

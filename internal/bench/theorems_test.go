@@ -102,13 +102,14 @@ func classViews(t *testing.T, customers, appends int) (*Telecom, []*view.View, [
 }
 
 // e1 — Theorems 4.4/4.5 vs Proposition 3.1: a CA₁ view's maintenance reads
-// no stored chronicle row at any |C| and makes one store probe per delta
-// row; recomputing the view (full relational algebra) reads all |C| rows.
+// no stored chronicle row at any |C| and makes one directory probe and
+// reaches one entry per delta row; recomputing the view (full relational
+// algebra) reads all |C| rows.
 func e1(t *testing.T) {
 	const appends = 100
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		w, v := grown(t, n)
-		st, read := v.Stats(), w.Calls.RowsRead()
+		st, ds, read := v.Stats(), v.Dir().Stats(), w.Calls.RowsRead()
 		for i := 0; i < appends; i++ {
 			v.Apply(next(t, w))
 		}
@@ -116,9 +117,9 @@ func e1(t *testing.T) {
 			t.Errorf("|C|=%d: maintenance read %d stored rows, want 0", n, r)
 		}
 		after := v.Stats()
-		rows, probes, table := after.DeltaRows-st.DeltaRows, after.Touched-st.Touched, after.Probes-st.Probes
-		if rows != appends || probes != rows || table != rows {
-			t.Errorf("|C|=%d: %d appends, %d delta rows, %d store probes, %d table probes; want one each per append", n, appends, rows, probes, table)
+		rows, reached, probes := after.DeltaRows-st.DeltaRows, after.Touched-st.Touched, v.Dir().Stats().Probes-ds.Probes
+		if rows != appends || reached != rows || probes != rows {
+			t.Errorf("|C|=%d: %d appends, %d delta rows, %d entries reached, %d directory probes; want one each per append", n, appends, rows, reached, probes)
 		}
 		rc, err := baseline.NewRecompute(w.UsageDef("usage_rc"))
 		ok(t, err)
@@ -355,38 +356,67 @@ func e9(t *testing.T) {
 	}
 }
 
-// e10 — Theorem 4.4, "modulo index look ups": at any |V| a hash view's fold
-// costs one key hash and one table probe per delta row, growth included, and
-// ≤ 1.01 key comparisons a probe; a B-tree probe descends ≤ 1 + ⌈log₃₂ |V|⌉.
+// e10 — Theorem 4.4, "modulo index look ups": at any |V| hash views that
+// share a key directory cost one key hash and at most one directory probe per
+// delta row per call for all of them, growth included, ≤ 1.01 keys read back
+// a probe, and each view one entry version per distinct group per call; a
+// B-tree probe descends ≤ 1 + ⌈log₃₂ |V|⌉ and reaches one entry per row.
 func e10(t *testing.T) {
-	const appends = 1000
+	const appends, members = 1000, 3
 	for _, size := range []int{1_000, 10_000, 100_000} {
 		for _, kind := range []view.StoreKind{view.StoreHash, view.StoreBTree} {
 			w := telecom(t, size, chronicle.RetainNone, false, 0)
-			v := MustView(w.UsageDef("usage"), kind)
+			// Three summaries of one expression by one column, as the engine
+			// builds them: hash views share one directory.
+			var d *view.Dir
+			if kind == view.StoreHash {
+				d = view.NewDir("usage", []int{0})
+			}
+			vs := make([]*view.View, members)
+			for i := range vs {
+				v, err := view.NewIn(w.UsageDef(fmt.Sprintf("usage%d", i)), kind, d)
+				ok(t, err)
+				vs[i] = v
+			}
+			call := uint64(0)
+			fold := func(rows []chronicle.Row) {
+				call++
+				for _, v := range vs {
+					v.ApplyCall(call, rows)
+				}
+				for _, v := range vs {
+					v.Publish()
+				}
+			}
 			// |V| groups, one synthesized row each, loaded by calls of a
-			// thousand: a hash table doubles under published entries.
+			// thousand: the directory's table doubles under published entries.
 			rows := make([]chronicle.Row, 1000)
 			for lo := 0; lo < size; lo += len(rows) {
 				for i := range rows {
 					rows[i] = chronicle.Row{SN: int64(lo + i), Vals: value.Tuple{value.Str(Acct(lo + i)), value.Int(1), value.Float(0.1)}}
 				}
-				v.ApplyRows(rows)
-				v.Publish()
+				fold(rows)
 			}
 			for i := 0; i < appends; i++ {
-				v.Apply(next(t, w))
+				fold(vs[0].Delta(next(t, w)))
 			}
-			st, folded := v.Stats(), int64(size+appends)
-			switch {
-			case st.Touched != folded:
-				t.Errorf("|V|=%d %s: %d store probes for %d rows", size, kind, st.Touched, folded)
-			case kind == view.StoreBTree && !logHeight(v.Height(), size):
-				t.Errorf("|V|=%d: B-tree height %d", size, v.Height())
-			case kind == view.StoreHash && (st.Hashes != folded || st.Probes != folded):
-				t.Errorf("|V|=%d: %d hashes and %d table probes for %d rows, want one of each a row", size, st.Hashes, st.Probes, folded)
-			case float64(st.KeyCompares) > 1.01*float64(st.Probes):
-				t.Errorf("|V|=%d: %d key comparisons over %d probes", size, st.KeyCompares, st.Probes)
+			folded := int64(size + appends)
+			for _, v := range vs {
+				st := v.Stats()
+				switch {
+				case st.Touched != folded || st.Versions != folded:
+					t.Errorf("|V|=%d %s: %d entries reached and %d versions for %d rows, each a group of its call", size, kind, st.Touched, st.Versions, folded)
+				case kind == view.StoreBTree && !logHeight(v.Height(), size):
+					t.Errorf("|V|=%d: B-tree height %d", size, v.Height())
+				}
+			}
+			if d == nil {
+				continue
+			}
+			if ds := d.Stats(); ds.Hashes != folded || ds.Probes != folded {
+				t.Errorf("|V|=%d: %d hashes and %d directory probes for %d rows into %d views, want one of each a row", size, ds.Hashes, ds.Probes, folded, members)
+			} else if float64(ds.KeyCompares) > 1.01*float64(ds.Probes) {
+				t.Errorf("|V|=%d: %d keys read back over %d probes", size, ds.KeyCompares, ds.Probes)
 			}
 		}
 	}

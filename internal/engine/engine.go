@@ -95,6 +95,7 @@ type Counters struct {
 	Maintenance    stats.Histogram // view maintenance time, one observation per append call
 	Read           stats.Histogram // read latency, one observation per lookup or scan
 	OldestSnapshot int64           // unix ns of the oldest live view snapshot; 0 when none
+	DirKeys        int64           // group keys held by the hash views' key directories, each once per directory
 }
 
 // Add folds o into c: counts sum, histograms merge, and the oldest snapshot
@@ -114,6 +115,7 @@ func (c *Counters) Add(o *Counters) {
 	c.Maintenance.Merge(&o.Maintenance)
 	c.Read.Merge(&o.Read)
 	c.OldestSnapshot = earlier(c.OldestSnapshot, o.OldestSnapshot)
+	c.DirKeys += o.DirKeys
 }
 
 // earlier returns the earlier of two snapshot times, 0 meaning none.
@@ -136,6 +138,10 @@ type Engine struct {
 	periodics  map[string]*calendar.PeriodicView
 	disp       *dispatch.Dispatcher
 	names      map[string]string // object name -> kind, for cross-kind uniqueness
+	// dirs holds the hash views' key directories by dirKey: the views that
+	// fold one expression by the same columns share one (view.Dir), which
+	// counts them and goes when the last is dropped.
+	dirs map[string]*view.Dir
 
 	// onRecord, when set, observes every durable mutation before it is
 	// applied; the WAL layer hooks in here. Returning an error aborts the
@@ -270,7 +276,8 @@ type Mutation struct {
 	Chronon   int64
 	Parts     []MutationPart // appends
 	Relation  string         // relation updates
-	Tuple     value.Tuple    // upsert tuple or delete key values
+	Tuple     value.Tuple    // delete key values
+	Tuples    []value.Tuple  // MutUpsert: the statement's tuples, at LSN, LSN+1, …
 	ClientID  string         // MutAppendEach: idempotency pair
 	RequestID string         // MutAppendEach: idempotency pair
 }
@@ -310,6 +317,7 @@ func New(cfg Config) *Engine {
 		periodics:  make(map[string]*calendar.PeriodicView),
 		disp:       dispatch.New(),
 		names:      make(map[string]string),
+		dirs:       make(map[string]*view.Dir),
 		scratch: appendScratch{
 			deltas: make(map[*chronicle.Chronicle][]chronicle.Row),
 		},
@@ -385,6 +393,9 @@ func (e *Engine) TakeFeed() *feed.Batch {
 func (e *Engine) Counters() Counters {
 	e.mu.RLock()
 	c := Counters{Stats: e.stats, DedupHits: e.dedupHits, Maintenance: e.maintLat}
+	for _, d := range e.dirs {
+		c.DirKeys += int64(d.Len())
+	}
 	e.mu.RUnlock()
 	c.DedupEntries, c.DedupEvictions = e.dedup.Len(), e.dedup.Evictions()
 	c.Lookups, c.Scans = e.readLookups.Load(), e.readScans.Load()
@@ -475,7 +486,15 @@ func (e *Engine) CreateView(def view.Def, kind view.StoreKind, filter pred.Predi
 	if err := e.claimName(def.Name, "view"); err != nil {
 		return nil, err
 	}
-	v, err := view.New(def, kind)
+	var dir *view.Dir
+	var dkey string
+	if kind == view.StoreHash {
+		dkey = dirKey(def)
+		if dir = e.dirs[dkey]; dir == nil {
+			dir = view.NewDir(def.Name, def.KeyCols())
+		}
+	}
+	v, err := view.NewIn(def, kind, dir)
 	if err != nil {
 		delete(e.names, def.Name)
 		return nil, err
@@ -495,12 +514,23 @@ func (e *Engine) CreateView(def view.Def, kind view.StoreKind, filter pred.Predi
 	if e.cfg.ViewCache != nil && e.cfg.BlockFetch != nil {
 		v.EnablePaging(e.cfg.ViewBlockBytes, e.cfg.BlockFetch, e.cfg.ViewCache)
 	}
+	if dir != nil {
+		dir.Acquire()
+		e.dirs[dkey] = dir
+	}
 	// Fold in any retained history so the view is current from creation.
 	e.backfill(v)
 	e.publishDirtyLocked()
 	e.views[def.Name] = v
 	e.publishCatalogLocked()
 	return v, nil
+}
+
+// dirKey names the key directory of a hash view: views with structurally
+// equal expressions fold equal deltas, and grouping them by the same columns
+// they meet the same keys.
+func dirKey(def view.Def) string {
+	return fmt.Sprintf("%v|%s", def.KeyCols(), algebra.Fingerprint(def.Expr))
 }
 
 // backfill replays retained chronicle rows into a fresh view. Chronicles
@@ -551,6 +581,9 @@ func (e *Engine) DropView(name string) error {
 	case "view":
 		if v := e.views[name]; v != nil {
 			v.ReleasePaging()
+			if d := v.Dir(); d != nil && d.Release() == 0 {
+				delete(e.dirs, dirKey(v.Def()))
+			}
 		}
 		delete(e.views, name)
 	case "periodic view":
@@ -913,7 +946,7 @@ func (e *Engine) maintain(deltas map[*chronicle.Chronicle][]chronicle.Row) {
 				if e.feed != nil {
 					e.captureFeed(t.ID, drows)
 				}
-				if v.ApplyRows(drows) {
+				if v.ApplyCall(e.batchSeq, drows) {
 					e.dirty = append(e.dirty, v)
 				}
 				e.stats.ViewsMaintained++

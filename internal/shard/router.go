@@ -420,12 +420,14 @@ func (r *Router) relationByName(name string) (*relation.Relation, error) {
 }
 
 // Upsert applies proactive relation updates under the epoch barrier: the
-// router waits for every shard's in-flight pass to finish, stamps each tuple
-// with the next global LSN, records it and applies it to the shared relation
-// (visible in every shard's catalog), commits once, and resumes. Appends
-// that completed before this call used the old version; appends that start
-// after it see the new one — on every shard, exactly the §2.3 semantics. The
-// tuples are validated before any is recorded, so a bad one applies none.
+// router waits for every shard's in-flight pass to finish, stamps the tuples
+// with the next consecutive global LSNs, records them as one WAL frame,
+// applies them to the shared relation (visible in every shard's catalog),
+// commits once, and resumes. Appends that completed before this call used
+// the old version; appends that start after it see the new one — on every
+// shard, exactly the §2.3 semantics. The statement is one transaction: the
+// tuples are validated before any is recorded, so a bad one applies none,
+// and a failed write applies none either.
 func (r *Router) Upsert(relationName string, tuples ...value.Tuple) error {
 	rel, err := r.relationByName(relationName)
 	if err != nil {
@@ -444,15 +446,18 @@ func (r *Router) Upsert(relationName string, tuples ...value.Tuple) error {
 	defer r.relMu.Unlock()
 	r.relGate.Lock()
 	defer r.relGate.Unlock()
-	for _, t := range coerced {
-		lsn := r.lsn.Add(1)
-		if r.relWAL.Record != nil {
-			m := engine.Mutation{Kind: engine.MutUpsert, LSN: lsn, Relation: relationName, Tuple: t}
-			if err := r.relWAL.Record(m); err != nil {
-				return fmt.Errorf("engine: recording upsert: %w", err)
-			}
+	if len(coerced) == 0 {
+		return nil
+	}
+	first := r.lsn.Add(uint64(len(coerced))) - uint64(len(coerced)) + 1
+	if r.relWAL.Record != nil {
+		m := engine.Mutation{Kind: engine.MutUpsert, LSN: first, Relation: relationName, Tuples: coerced}
+		if err := r.relWAL.Record(m); err != nil {
+			return fmt.Errorf("engine: recording upsert: %w", err)
 		}
-		if err := rel.Upsert(lsn, t); err != nil {
+	}
+	for i, t := range coerced {
+		if err := rel.Upsert(first+uint64(i), t); err != nil {
 			return err
 		}
 		r.relUpdates.Add(1)

@@ -2,13 +2,12 @@ package view
 
 import (
 	"reflect"
-	"strings"
 	"unsafe"
 )
 
 // arena hands out the memory view entries are made of — shells (an entry
-// and its group's states, see shape) and key bytes — from chunks it
-// allocates a run at a time, so a new group costs no allocation of its own
+// and its group's states, see shape) and ordered-store key bytes — from
+// chunks it allocates a run at a time, so a new group costs no allocation of its own
 // and pays no size-class rounding. Each chunk serves about as many entries
 // as the arena has handed out so far, between minChunk and maxChunk (see
 // room): a view of a few groups never pays for a full chunk, a large one
@@ -30,8 +29,7 @@ type arena struct {
 	// them handed out, size in all.
 	slab       unsafe.Pointer
 	used, size int
-	keys       []byte          // ordered-store keys
-	strs       strings.Builder // hash-store keys
+	keys       []byte // ordered-store keys
 }
 
 const (
@@ -93,20 +91,4 @@ func (a *arena) keyBytes(key []byte) []byte {
 	a.keys = a.keys[len(key):]
 	copy(k, key)
 	return k
-}
-
-// keyString returns a private copy of key as a string. A strings.Builder is
-// the chunk: its String shares the buffer, later writes only append, and a
-// buffer it outgrows stays behind for the strings already cut from it.
-func (a *arena) keyString(key []byte) string {
-	if a == nil {
-		return string(key)
-	}
-	if a.strs.Cap()-a.strs.Len() < len(key) {
-		a.strs.Reset()
-		a.strs.Grow(a.room(len(key), 1))
-	}
-	off := a.strs.Len()
-	a.strs.Write(key)
-	return a.strs.String()[off:]
 }

@@ -110,23 +110,14 @@ func (v *View) RestoreCheckpoint(data []byte) error {
 	}
 	off += n
 
-	fresh := newStore(storeKindOf(v.store), &v.shells)
 	a, shell := new(arena), (*arena)(nil)
 	if v.pg.Load() == nil {
 		shell = a // a paged view's are the collector's: see blockMeta.arena
 	}
 	a.reserve(int(min(count, uint64(len(data)))))
-	for i := uint64(0); i < count; i++ {
-		key, e, used, err := decodeEntry(data[off:], shell, len(v.keyKinds), v.sh)
-		if err != nil {
-			return fmt.Errorf("view %s: entry %d: %w", v.def.Name, i, err)
-		}
-		off += used
-		dup, tag := fresh.get(key)
-		if dup != nil {
-			return fmt.Errorf("view %s: entry %d repeats a group", v.def.Name, i)
-		}
-		fresh.put(a, key, tag, e)
+	fresh := newStore(v.StoreKind(), v.Dir(), &v.shells)
+	if off, err = v.restoreEntries(fresh, a, shell, data, off, count); err != nil {
+		return err
 	}
 	if off != len(data) {
 		return fmt.Errorf("view %s: %d trailing checkpoint bytes", v.def.Name, len(data)-off)
@@ -136,12 +127,10 @@ func (v *View) RestoreCheckpoint(data []byte) error {
 	// which goes with them.
 	v.shells = shells{sh: v.sh}
 	if cur, ok := v.store.(*hashStore); ok {
-		// Hash readers reach the table through v.store without any lock,
-		// so the store pointer must never change once published: install
-		// the fresh entries and adopt the new table in place.
-		f := fresh.(*hashStore)
-		f.publish(0)
-		cur.adopt(f)
+		// Hash readers reach the entries through v.store without any lock,
+		// so the store pointer must never change once published: adopt the
+		// fresh array in place.
+		cur.adopt(fresh.(*hashStore))
 	} else {
 		v.store = fresh
 	}
@@ -170,9 +159,39 @@ func (v *View) RestoreCheckpoint(data []byte) error {
 	return nil
 }
 
-func storeKindOf(s store) StoreKind {
-	if _, ok := s.(*treeStore); ok {
-		return StoreBTree
+// restoreEntries decodes count entries of a whole image from data at off into
+// fresh, carving keys from a and shells from shell, and returns the offset
+// past them. A hash view's keys are interned into its directory, under the
+// directory's lock, which the caller must not hold with the view's.
+func (v *View) restoreEntries(fresh store, a, shell *arena, data []byte, off int, count uint64) (int, error) {
+	if d := v.Dir(); d != nil {
+		d.mu.Lock()
+		defer d.mu.Unlock()
 	}
-	return StoreHash
+	for i := uint64(0); i < count; i++ {
+		key, e, used, err := decodeEntry(data[off:], shell, len(v.keyKinds), v.sh)
+		if err != nil {
+			return 0, fmt.Errorf("view %s: entry %d: %w", v.def.Name, i, err)
+		}
+		off += used
+		dup := false
+		switch f := fresh.(type) {
+		case *treeStore:
+			if dup = f.get(key) != nil; !dup {
+				f.put(a, key, e)
+			}
+		case *hashStore:
+			// The directory may hold the key already, for a sibling; the
+			// group is this view's first copy of it or a repeat.
+			s := f.pub.slot(f.dir.intern(key))
+			if dup = s.Load() != nil; !dup {
+				s.Store(e)
+				f.count.Add(1)
+			}
+		}
+		if dup {
+			return 0, fmt.Errorf("view %s: entry %d repeats a group", v.def.Name, i)
+		}
+	}
+	return off, nil
 }

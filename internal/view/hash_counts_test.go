@@ -4,58 +4,131 @@ import (
 	"fmt"
 	"testing"
 
+	"chronicledb/internal/aggregate"
+	"chronicledb/internal/algebra"
 	"chronicledb/internal/value"
 )
 
-// TestHashStoreCounts pins what a row costs a hash view, in the store's own
-// units, at the benchmark's 20 000 groups: one key hash and one table probe
-// per row — none for table growth, none at publish — and at most 1.01 key
-// comparisons (entry dereferences) per probe, hit or miss. Readers are not
-// counted (the counts are the writer's), so the lookup pass sums the
-// comparisons the table's probe reports to each reader.
+// siblings returns n hash views folding the fixture's calls by account into
+// one key directory, as the engine builds them for views over one
+// expression: each a different aggregation of the same rows.
+func siblings(t testing.TB, f *fixture, d *Dir, n int) []*View {
+	t.Helper()
+	aggs := []aggregate.Spec{
+		{Func: aggregate.Sum, Col: 1, Name: "total"},
+		{Func: aggregate.Count, Col: -1, Name: "n"},
+		{Func: aggregate.Max, Col: 1, Name: "hi"},
+		{Func: aggregate.Min, Col: 1, Name: "lo"},
+		{Func: aggregate.Avg, Col: 1, Name: "mean"},
+	}
+	vs := make([]*View, n)
+	for i := range vs {
+		// The first two aggregations keep the minutes-per-account row shape
+		// (total, n) every member can be checked against.
+		v, err := NewIn(Def{
+			Name:      fmt.Sprintf("member%d", i),
+			Expr:      algebra.NewScan(f.calls),
+			Mode:      SummarizeGroupBy,
+			GroupCols: []int{0},
+			Aggs:      append(aggs[:2:2], aggs[2+i%3]),
+		}, StoreHash, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Acquire()
+		vs[i] = v
+	}
+	return vs
+}
+
+// TestHashStoreCounts pins what a call costs hash views sharing a key
+// directory, in the directory's units, at the benchmark's 20 000 groups and
+// five views: one key hash and one directory probe per delta row per call —
+// not per view, none for table growth, none at publish — at most 1.01 keys
+// read back per probe, hit or miss, and one entry version per distinct group
+// per view, however many of the call's rows the group has. Readers are not
+// counted (the counts are the writer's), so the lookup pass sums what the
+// table's probe reports to each reader.
+//
+// Mutation-checked: a member that resolves the call's rows itself instead of
+// taking the resolution the first member paid for makes five hashes a row.
 func TestHashStoreCounts(t *testing.T) {
-	const groups, perCall = 20000, 1000
+	const groups, perCall, members = 20000, 1000, 5
 	f := newFixture(t)
-	v := minutesPerAcct(t, f, StoreHash)
-	h := v.store.(*hashStore)
+	d := NewDir("calls_by_acct", []int{0})
+	vs := siblings(t, f, d, members)
 	accts := make([]string, groups)
 	for i := range accts {
 		accts[i] = fmt.Sprintf("acct%05d", i)
 	}
-	lsn := uint64(0)
+	lsn, call := uint64(0), uint64(0)
 	// load: new groups, every probe misses and the table doubles eleven
-	// times; touch: existing groups, every probe hits and every publish
-	// installs over a published version.
+	// times; touch: existing groups, each twice a call, so every view
+	// versions a published entry and folds two rows into it.
 	for _, pass := range []struct {
 		name        string
+		perGroup    int
 		maxCompares float64
-	}{{"load", 0.01}, {"touch", 1.01}} {
-		before := v.Stats()
+	}{{"load", 1, 0.01}, {"touch", 2, 1.01}} {
+		before := d.Stats()
+		var versions, touched int64
+		for _, v := range vs {
+			versions -= v.Stats().Versions
+			touched -= v.Stats().Touched
+		}
 		for lo := 0; lo < groups; lo += perCall {
 			lsn++
-			v.ApplyRows(sevenRows(lsn, accts[lo:lo+perCall]...))
-			v.Publish()
+			call++
+			var keys []string
+			for range pass.perGroup {
+				keys = append(keys, accts[lo:lo+perCall]...)
+			}
+			rows := sevenRows(lsn, keys...)
+			for _, v := range vs {
+				v.ApplyCall(call, rows)
+			}
+			for _, v := range vs {
+				v.Publish()
+			}
 		}
-		st := v.Stats()
+		st := d.Stats()
+		for _, v := range vs {
+			versions += v.Stats().Versions
+			touched += v.Stats().Touched
+		}
+		rows := int64(groups * pass.perGroup)
 		hashes, probes, compares := st.Hashes-before.Hashes, st.Probes-before.Probes, st.KeyCompares-before.KeyCompares
-		t.Logf("%s: %d rows, %d hashes, %d probes, %d key comparisons", pass.name, groups, hashes, probes, compares)
-		if hashes != groups || probes != groups || float64(compares) > pass.maxCompares*groups {
-			t.Errorf("%s: want one hash and one probe a row, at most %.2f key comparisons a probe", pass.name, pass.maxCompares)
+		t.Logf("%s: %d rows into %d views: %d hashes, %d probes, %d keys read back; %d versions, %d entries reached",
+			pass.name, rows, members, hashes, probes, compares, versions, touched)
+		if hashes != rows || probes != rows || float64(compares) > pass.maxCompares*float64(rows) {
+			t.Errorf("%s: want one hash and one probe a row for all %d views, at most %.2f keys read back a probe", pass.name, members, pass.maxCompares)
+		}
+		if versions != members*groups || touched != members*groups {
+			t.Errorf("%s: want one version and one entry reached per group per view (%d)", pass.name, members*groups)
 		}
 	}
-	if slots := len(h.tab.Load().slots); slots != 32768 {
+	if slots := len(d.tab.Load().slots); slots != 32768 {
 		t.Fatalf("table has %d slots for %d groups, want 32768", slots, groups)
+	}
+	if d.Len() != groups || d.Members() != members {
+		t.Fatalf("directory holds %d keys for %d members", d.Len(), d.Members())
 	}
 	compares := 0
 	for _, a := range accts {
 		key := keyOf(value.Str(a))
-		e, n := h.tab.Load().probe(tagOf(key), key)
-		if e == nil {
+		_, _, found, n := d.tab.Load().probe(d, tagOf(key), key)
+		if !found {
 			t.Fatalf("%s missing", a)
 		}
 		compares += n
 	}
 	if float64(compares) > 1.01*groups {
-		t.Errorf("lookup: %d key comparisons over %d probes, want at most 1.01 a probe", compares, groups)
+		t.Errorf("lookup: %d keys read back over %d probes, want at most 1.01 a probe", compares, groups)
+	}
+	for _, v := range vs {
+		row, ok := v.Lookup(value.Tuple{value.Str(accts[7])})
+		if !ok || row[1].AsInt() != 21 || row[2].AsInt() != 3 {
+			t.Fatalf("%s: %v %v, want 21 minutes in 3 rows", v.Name(), row, ok)
+		}
 	}
 }

@@ -247,8 +247,7 @@ func TestHashLockFreeThroughGrowth(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	h := v.store.(*hashStore)
-	if slots := len(h.tab.Load().slots); slots < 16<<10 {
+	if slots := len(v.Dir().tab.Load().slots); slots < 16<<10 {
 		t.Fatalf("table ended at %d slots: fewer than ten doublings", slots)
 	}
 	if v.Len() != calls*newPerCall {
@@ -308,5 +307,194 @@ func TestHashShellsBoundedUnderPermanentReader(t *testing.T) {
 		if row, ok := v.Lookup(value.Tuple{value.Str(k)}); !ok || row[1].AsInt() != 7*row[2].AsInt() {
 			t.Fatalf("%s: %v %v", k, row, ok)
 		}
+	}
+}
+
+// TestDirSiblingsLockFreeThroughGrowth races lock-free readers of three
+// views sharing one key directory against a writer that takes the directory
+// through eleven doublings while the members fold and publish each call at
+// different points of it: the first publishes before the others fold, the
+// second folds, the third folds and publishes, then the second publishes. A
+// member's reader must see its own publications only — a key a sibling has
+// interned, or even published, is absent from a member that has not folded
+// it — whole, and never a key's entry under another key.
+func TestDirSiblingsLockFreeThroughGrowth(t *testing.T) {
+	const (
+		calls      = 260
+		newPerCall = 64
+		oldPerCall = 16
+	)
+	f := newFixture(t)
+	d := NewDir("calls_by_acct", []int{0})
+	vs := siblings(t, f, d, 3)
+	key := func(i int) string { return fmt.Sprintf("k%06d", i) }
+	installs := 0 // the writer is this goroutine: no reader runs the hook
+	installHook = func() {
+		if installs++; installs%256 == 0 {
+			runtime.Gosched()
+		}
+	}
+	t.Cleanup(func() { installHook = nil })
+
+	published := make([]atomic.Int64, len(vs)) // calls each member has published
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			v, pub := vs[r], &published[r]
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				p := pub.Load()
+				if p == 0 {
+					continue
+				}
+				k := key(rng.Intn(int(p) * newPerCall))
+				row, ok := v.Lookup(value.Tuple{value.Str(k)})
+				switch {
+				case !ok:
+					t.Errorf("%s: published key %s missed (%d calls published)", v.Name(), k, p)
+					return
+				case row[0].AsString() != k:
+					t.Errorf("%s: lookup of %s returned %s", v.Name(), k, row[0].AsString())
+					return
+				case row[1].AsInt() != 7*row[2].AsInt() || row[2].AsInt() == 0:
+					t.Errorf("%s: torn or half-built entry %v", v.Name(), row)
+					return
+				}
+				// Past what this member has published: there or not yet — a
+				// sibling may have it — but whole.
+				k = key(int(p)*newPerCall + rng.Intn(2*newPerCall))
+				if row, ok := v.Lookup(value.Tuple{value.Str(k)}); ok && (row[0].AsString() != k || row[1].AsInt() != 7*row[2].AsInt()) {
+					t.Errorf("%s: half-built entry for %s: %v", v.Name(), k, row)
+					return
+				}
+				if i%32 != 0 {
+					continue
+				}
+				var groups, folded int64
+				lsn := v.Scan(Window{}, func(row value.Tuple) bool {
+					if row[1].AsInt() != 7*row[2].AsInt() {
+						t.Errorf("%s: torn scan row %v", v.Name(), row)
+					}
+					groups++
+					folded += row[2].AsInt()
+					return true
+				})
+				if int64(lsn) < p {
+					t.Errorf("%s: scan at LSN %d after call %d was published", v.Name(), lsn, p)
+					return
+				}
+				if groups != int64(lsn)*newPerCall || folded != int64(lsn)*(newPerCall+oldPerCall) {
+					t.Errorf("%s: scan at LSN %d holds %d groups, %d rows; that publication has %d, %d", v.Name(),
+						lsn, groups, folded, int64(lsn)*newPerCall, int64(lsn)*(newPerCall+oldPerCall))
+					return
+				}
+			}
+		}(r)
+	}
+
+	rng := rand.New(rand.NewSource(99))
+	accts := make([]string, 0, newPerCall+oldPerCall)
+	for c := 1; c <= calls; c++ {
+		accts = accts[:0]
+		for j := 0; j < newPerCall; j++ {
+			accts = append(accts, key((c-1)*newPerCall+j))
+		}
+		for j := 0; j < oldPerCall; j++ {
+			accts = append(accts, key(rng.Intn(max(c-1, 1)*newPerCall)))
+		}
+		rows := sevenRows(uint64(c), accts...)
+		call := uint64(c)
+		vs[0].ApplyCall(call, rows)
+		vs[0].Publish()
+		published[0].Store(int64(c))
+		if _, ok := vs[1].Lookup(value.Tuple{value.Str(accts[0])}); ok {
+			t.Fatalf("call %d: %s sees %s, which only a sibling has folded", c, vs[1].Name(), accts[0])
+		}
+		vs[1].ApplyCall(call, rows)
+		vs[2].ApplyCall(call, rows)
+		vs[2].Publish()
+		published[2].Store(int64(c))
+		vs[1].Publish()
+		published[1].Store(int64(c))
+	}
+	close(stop)
+	wg.Wait()
+
+	if slots := len(d.tab.Load().slots); slots < 16<<10 {
+		t.Fatalf("directory table ended at %d slots: fewer than ten doublings", slots)
+	}
+	if st := d.Stats(); st.Hashes != calls*(newPerCall+oldPerCall) {
+		t.Fatalf("%d key hashes for %d rows into three members, want one a row", st.Hashes, calls*(newPerCall+oldPerCall))
+	}
+	for _, v := range vs {
+		if v.Len() != calls*newPerCall {
+			t.Fatalf("%s: Len = %d, want %d", v.Name(), v.Len(), calls*newPerCall)
+		}
+	}
+}
+
+// TestDirLateMember: a view that joins a populated directory holds none of
+// its keys — an id it has not published is absent, point read or scan — and
+// from then on folds the rows it is given, old keys and new, without touching
+// its siblings. A checkpoint of it restores into a third member by interning
+// into the same directory: no key is added twice, and the images match.
+func TestDirLateMember(t *testing.T) {
+	f := newFixture(t)
+	d := NewDir("calls_by_acct", []int{0})
+	first := siblings(t, f, d, 1)[0]
+	old := make([]string, 1000)
+	for i := range old {
+		old[i] = fmt.Sprintf("old%04d", i)
+	}
+	first.ApplyCall(1, sevenRows(1, old...))
+	first.Publish()
+
+	late := siblings(t, f, d, 2)[1]
+	if late.Len() != 0 || len(late.Rows()) != 0 {
+		t.Fatalf("a late member starts with %d rows", late.Len())
+	}
+	for _, k := range old[:50] {
+		if _, ok := late.Lookup(value.Tuple{value.Str(k)}); ok {
+			t.Fatalf("late member sees %s, folded before it existed", k)
+		}
+	}
+	rows := sevenRows(2, "old0007", "new0001", "old0999", "new0001")
+	first.ApplyCall(2, rows)
+	late.ApplyCall(2, rows)
+	first.Publish()
+	late.Publish()
+	got := late.Rows()
+	if len(got) != 3 || got[0][0].AsString() != "new0001" || got[0][2].AsInt() != 2 || got[1][0].AsString() != "old0007" || got[1][2].AsInt() != 1 {
+		t.Fatalf("late member rows: %v", got)
+	}
+	if first.Len() != 1001 {
+		t.Fatalf("the first member holds %d groups, want 1001", first.Len())
+	}
+	if row, _ := first.Lookup(value.Tuple{value.Str("old0007")}); row[2].AsInt() != 2 {
+		t.Fatalf("the first member's old0007: %v", row)
+	}
+
+	img := late.Checkpoint()
+	third := siblings(t, f, d, 2)[1] // the late member's definition
+	keys := d.Len()
+	if err := third.RestoreCheckpoint(img); err != nil {
+		t.Fatal(err)
+	}
+	if d.Len() != keys {
+		t.Fatalf("restore grew the directory %d → %d keys it already held", keys, d.Len())
+	}
+	if !sameTuples(third.Rows(), got) || string(third.Checkpoint()) != string(img) {
+		t.Fatalf("restored member: %v, want %v", third.Rows(), got)
+	}
+	if err := third.RestoreCheckpoint(append(img[:len(img):len(img)], img[len(img)-20:]...)); err == nil {
+		t.Fatal("an image with trailing bytes restored")
 	}
 }

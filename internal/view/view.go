@@ -12,7 +12,8 @@
 // The view is materialized and kept current after every append. Maintenance
 // consumes only the algebra's batch delta — never the chronicles, never the
 // intermediate expressions — in Space = |V| and Time = O(t·log|V|) per
-// Theorem 4.4 (O(t) expected with the hash store).
+// Theorem 4.4 (O(t) expected with the hash store, whose key directory hands
+// a fold each distinct group of its delta once: see Dir).
 //
 // Maintenance has two steps with different owners. Folding (ApplyRows)
 // changes the live store and is invisible to readers; publishing (Publish)
@@ -26,6 +27,7 @@ package view
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -71,21 +73,28 @@ type Def struct {
 	Aggs      []aggregate.Spec
 }
 
+// KeyCols returns the source columns of the view's group key: Cols for a
+// projection, GroupCols for a grouping.
+func (d Def) KeyCols() []int {
+	if d.Mode == SummarizeProject {
+		return d.Cols
+	}
+	return d.GroupCols
+}
+
 // Stats counts maintenance work: the per-view counts that Theorem 4.4's
 // bound is stated in, which the theorem tests assert on (internal/bench),
 // and the readouts behind the maintenance metrics.
 type Stats struct {
 	Applies   int64 // folds: one per maintenance round that reached the view (an append call, or a chunk of a long one)
 	DeltaRows int64 // expression delta rows folded in
-	Touched   int64 // store probes: one per delta row, creating or updating its entry
+	// Touched counts the entries folds reached: an ordered view probes its
+	// tree once per delta row, a hash view reaches each distinct group of a
+	// fold once (its directory resolved the rows; see Dir.Stats).
+	Touched   int64
+	Versions  int64 // entries made: a new group, or a copy of a published entry before its first change in a call
 	ApplyNs   int64 // wall time spent inside ApplyRows (the fold; a publication is O(1) or O(touched))
 	Publishes int64 // publications of folded state (one per append call that touched the view)
-
-	// A hash view's fold in the store's own units, zero for an ordered view
-	// (whose probe is one descent, Height): key hashes, table probes (a
-	// second touch of a key in one call finds its pending version instead),
-	// and key comparisons, each an entry dereference.
-	Hashes, Probes, KeyCompares int64
 }
 
 // snapshot is an immutable, atomically published image of a B-tree view
@@ -122,16 +131,16 @@ func (s *snapshot) touch(key []byte) {
 // Concurrency model: maintenance (ApplyRows/Publish/RestoreCheckpoint) is
 // serialized by the engine and takes mu exclusively. B-tree views publish
 // an immutable copy-on-write snapshot; Lookup and Scan read the latest one
-// with zero locks. Hash views publish through an atomically installed
-// open-addressing table of frozen entries, so their readers are lock-free
-// too — maintenance mutates pending clones and installs them at publish
+// with zero locks. Hash views publish frozen entries into an id-indexed
+// array beside a lock-free key directory, so their readers are lock-free
+// too — maintenance mutates pending versions and stores them at publish
 // (see hashStore). Either way a reader sees the state as of the last
 // Publish, stamped with the LSN that publication carried, never the rows
 // folded since.
 //
 // Reclamation is the same for both stores. Every reader of published state
-// counts itself in readers before it loads a snapshot or table and out when
-// it is done with what it reached. A publication that finds no reader
+// counts itself in readers before it loads a snapshot or an entry and out
+// when it is done with what it reached. A publication that finds no reader
 // counted after it has stored the new state frees what the calls since the
 // last one replaced — tree nodes and entry versions — for the next call to
 // reuse; one that finds a reader leaves them to the collector, carved shells
@@ -147,7 +156,8 @@ type View struct {
 	// mu guards the live store's maintenance state, stats, and scratch.
 	// Writers (maintenance, restore) hold it exclusively; readers are
 	// lock-free, except that a hash scan which keeps colliding with
-	// publications falls back to the read side (see hashScan).
+	// publications falls back to the read side (see hashScan). A hash view's
+	// fold also holds its directory's lock, inside mu.
 	mu sync.RWMutex
 	// snap is the latest published snapshot; nil for hash stores. Entries
 	// reachable from it are frozen: the maintenance path clones an entry
@@ -182,10 +192,11 @@ type View struct {
 	arena *arena
 
 	// Hot-path scratch, reused across maintenance batches. keyBuf holds the
-	// encoded group key being probed (the store copies it only on insert);
-	// deltaBuf backs the expression delta for batch-local operators. Both
-	// belong to the maintenance path, which the engine serializes; the
-	// concurrent read path (Lookup) uses a pooled buffer instead.
+	// encoded group key an ordered store probes (it copies it only on
+	// insert); deltaBuf backs the expression delta for batch-local
+	// operators. Both belong to the maintenance path, which the engine
+	// serializes; the concurrent read path (Lookup) uses a pooled buffer
+	// instead.
 	keyBuf   []byte
 	deltaBuf []chronicle.Row
 
@@ -200,11 +211,18 @@ type View struct {
 	unpublished bool
 }
 
-// New validates a definition and materializes an empty view. The result is
-// current for the (necessarily empty-so-far) suffix of appends; callers who
-// create views over chronicles with existing retained rows should feed the
-// retained rows through Apply (the engine does this at DDL time).
-func New(def Def, kind StoreKind) (*View, error) {
+// New validates a definition and materializes an empty view; a hash view
+// gets a key directory of its own. The result is current for the
+// (necessarily empty-so-far) suffix of appends; callers who create views over
+// chronicles with existing retained rows should feed the retained rows
+// through Apply (the engine does this at DDL time).
+func New(def Def, kind StoreKind) (*View, error) { return NewIn(def, kind, nil) }
+
+// NewIn is New for a hash view whose keys live in d, a directory shared with
+// the views that fold the same expression by the same columns; a nil d, or
+// an ordered view, gets none shared. The caller counts the view in d
+// (Dir.Acquire). Keys d already holds are groups the view does not have.
+func NewIn(def Def, kind StoreKind, d *Dir) (*View, error) {
 	if def.Name == "" {
 		return nil, fmt.Errorf("view: name required")
 	}
@@ -269,12 +287,16 @@ func New(def Def, kind StoreKind) (*View, error) {
 		sh:     newShape(layout),
 	}
 	v.shells.sh = v.sh
-	v.store = newStore(kind, &v.shells)
-	if def.Mode == SummarizeProject {
-		v.keyCols = def.Cols
-	} else {
-		v.keyCols = def.GroupCols
+	v.keyCols = def.KeyCols()
+	if kind == StoreHash {
+		if d == nil {
+			d = NewDir(def.Name, v.keyCols)
+			d.Acquire()
+		} else if !slices.Equal(d.keyCols, v.keyCols) {
+			return nil, fmt.Errorf("view %s: directory %s keys columns %v, the view groups by %v", def.Name, d.name, d.keyCols, v.keyCols)
+		}
 	}
+	v.store = newStore(kind, d, &v.shells)
 	for i := range v.keyCols {
 		v.keyKinds = append(v.keyKinds, schema.Col(i).Kind)
 	}
@@ -285,8 +307,8 @@ func New(def Def, kind StoreKind) (*View, error) {
 // publishLocked makes the live store visible to lock-free readers, stamped
 // with the LSN it has reached. B-tree stores publish an immutable
 // copy-on-write snapshot and open a new write epoch so the next mutation of
-// any published entry copies it first; hash stores install their pending
-// clones into the atomic table. Callers must hold mu exclusively (or have
+// any published entry copies it first; hash stores store their pending
+// versions into their id arrays. Callers must hold mu exclusively (or have
 // sole ownership, as in New).
 //
 // Then it settles what the live store replaced since the last publication:
@@ -373,6 +395,14 @@ func (v *View) Schema() *value.Schema { return v.schema }
 // their encoding, in that order.
 func (v *View) KeyLen() int { return len(v.keyCols) }
 
+// Dir returns the key directory of a hash view, nil for an ordered one.
+func (v *View) Dir() *Dir {
+	if h, ok := v.store.(*hashStore); ok {
+		return h.dir
+	}
+	return nil
+}
+
 // StoreKind returns the kind of the view's group store.
 func (v *View) StoreKind() StoreKind {
 	if v.cow {
@@ -395,11 +425,7 @@ func (v *View) IMClass() algebra.IMClass { return v.info.IMClass() }
 func (v *View) Stats() Stats {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	st := v.stats
-	if h, ok := v.store.(*hashStore); ok {
-		st.Hashes, st.Probes, st.KeyCompares = h.hashes, h.probes, h.compares
-	}
-	return st
+	return v.stats
 }
 
 // Height returns the height of an ordered view's published tree — the nodes
@@ -469,30 +495,62 @@ func (v *View) Delta(d algebra.BatchDelta) []chronicle.Row {
 // the call returns, and because appliedLSN ordering assumes calls arrive in
 // LSN order. The rows themselves are read-only here: they may be shared with
 // other views consuming the same precomputed delta.
-func (v *View) ApplyRows(rows []chronicle.Row) (first bool) {
+func (v *View) ApplyRows(rows []chronicle.Row) (first bool) { return v.ApplyCall(0, rows) }
+
+// ApplyCall is ApplyRows for the engine's maintenance round call: the views
+// sharing a key directory that fold one round's rows resolve them once (see
+// Dir.resolve). Calls on the views of one directory must be serialized by the
+// caller, as the engine does; a nonzero call must name one round's rows.
+func (v *View) ApplyCall(call uint64, rows []chronicle.Row) (first bool) {
 	start := time.Now()
 	v.mu.Lock()
 	first = !v.unpublished && len(rows) > 0
-	v.applyRowsLocked(v.pg.Load(), rows)
+	v.stats.Applies++
+	v.stats.DeltaRows += int64(len(rows))
+	if len(rows) > 0 {
+		// Set before the first row folds: a block fault below must already
+		// treat the live tree as ahead of the published one.
+		v.unpublished = true
+		for _, r := range rows {
+			if r.LSN > v.appliedLSN {
+				v.appliedLSN = r.LSN
+			}
+		}
+		if h, ok := v.store.(*hashStore); ok {
+			v.foldHash(h, call, rows)
+		} else {
+			v.foldTree(v.pg.Load(), rows)
+		}
+	}
 	v.stats.ApplyNs += time.Since(start).Nanoseconds()
 	v.mu.Unlock()
 	return first
 }
 
-func (v *View) applyRowsLocked(p *pager, rows []chronicle.Row) {
-	v.stats.Applies++
-	v.stats.DeltaRows += int64(len(rows))
-	if len(rows) == 0 {
-		return
-	}
-	// Set before the first row folds: a block fault below must already
-	// treat the live tree as ahead of the published one.
-	v.unpublished = true
-	for _, r := range rows {
-		if r.LSN > v.appliedLSN {
-			v.appliedLSN = r.LSN
+// foldHash folds one fold's rows into a hash view: its directory resolves
+// them to the fold's distinct groups, each with its rows in SN order, and
+// each group is versioned (or created) once and steps its rows.
+func (v *View) foldHash(h *hashStore, call uint64, rows []chronicle.Row) {
+	h.dir.mu.Lock()
+	defer h.dir.mu.Unlock()
+	res := h.dir.resolve(call, rows)
+	indexed := h.beginFold()
+	made := len(h.pending)
+	l := v.sh.l
+	for g, id := range res.ids {
+		e := h.live(id, v.arena, indexed)
+		grp := e.group(v.sh)
+		for _, i := range res.rows(g) {
+			l.Step(grp, rows[i].Vals)
 		}
 	}
+	v.stats.Touched += int64(len(res.ids))
+	v.stats.Versions += int64(len(h.pending) - made)
+}
+
+// foldTree folds rows into an ordered view, one tree probe a row.
+func (v *View) foldTree(p *pager, rows []chronicle.Row) {
+	ts := v.store.(*treeStore)
 	for _, r := range rows {
 		// Encode the key straight from the source columns; a new group
 		// keeps a copy of it, and the key is the only copy of its values.
@@ -505,25 +563,25 @@ func (v *View) applyRowsLocked(p *pager, rows []chronicle.Row) {
 			blk = v.ensureWrite(p, v.keyBuf)
 			a, shell = blk.arena, nil // keys only: see blockMeta.arena
 		}
-		e, tag := v.store.get(v.keyBuf)
+		e := ts.get(v.keyBuf)
 		switch {
 		case e == nil:
 			e = newEntry(shell, v.sh, nil)
-			if v.cow {
-				e.stamp |= v.epoch
-			}
-			v.store.put(a, v.keyBuf, tag, e)
+			e.stamp |= v.epoch
+			ts.put(a, v.keyBuf, e)
+			v.stats.Versions++
 			if p != nil {
 				v.noteInsert(p, blk, v.keyBuf)
 			}
-		case v.cow && e.epoch() != v.epoch:
+		case e.epoch() != v.epoch:
 			// First touch this epoch: the entry is frozen in the published
 			// snapshot; mutate a copy instead, and retire the original.
 			old := e
 			e = v.shells.version(old)
 			e.stamp |= v.epoch
-			v.store.(*treeStore).replace(v.keyBuf, e)
+			ts.replace(v.keyBuf, e)
 			v.shells.retire(old)
+			v.stats.Versions++
 		}
 		v.sh.l.Step(e.group(v.sh), r.Vals)
 		v.stats.Touched++
@@ -562,14 +620,15 @@ func (v *View) Lookup(key value.Tuple) (value.Tuple, bool) {
 		}
 		return nil, false
 	}
-	// Lock-free: published hash entries are frozen (maintenance mutates
-	// clones and re-installs atomically); the readers count keeps the entry
-	// off the free list while we materialize the row.
-	e, ok := v.store.(*hashStore).rget(*buf)
-	if !ok || e.count() == 0 {
+	// Lock-free: the directory gives the key's id, and published hash
+	// entries are frozen (maintenance mutates versions and stores them
+	// atomically); the readers count keeps the entry off the free list while
+	// we materialize the row.
+	k, e := v.store.(*hashStore).rget(*buf)
+	if e == nil || e.count() == 0 {
 		return nil, false
 	}
-	return rowOf(v, e.key, e), true
+	return rowOf(v, k, e), true
 }
 
 // Window is what one read asks of a view: the encoded group keys in
@@ -610,7 +669,7 @@ func (w Window) take(row value.Tuple, n *int, fn func(value.Tuple) bool) bool {
 // An ordered store walks its frozen snapshot from the window's starting end,
 // O(log |V| + rows visited), and a paged one faults only the blocks the read
 // reaches (see pagedScan). The hash store has no order: any window but a
-// point (Lookup) gathers the table, filters and sorts it.
+// point (Lookup) gathers the published entries, filters and sorts them.
 //
 // The scan counts itself a reader until fn has seen its last row, so nothing
 // it can reach is reused meanwhile — across the rounds of a paged read, too,
@@ -655,7 +714,7 @@ func (v *View) walk(s *snapshot, w Window, lo, hi []byte, fn func(value.Tuple) b
 }
 
 // hashScan is Scan on a hash view: it visits the rows of one publication in
-// key order and returns that publication's LSN. The table is installed slot
+// key order and returns that publication's LSN. The entries are stored slot
 // by slot, so the gather is validated against the store's publish sequence
 // and repeated if a publication overlapped it; a second collision takes the
 // read lock, which excludes publication, so a scan under a writer that
@@ -673,15 +732,15 @@ func (v *View) hashScan(w Window, fn func(value.Tuple) bool) uint64 {
 		v.mu.RUnlock()
 	}
 	in := entries[:0]
-	for _, e := range entries {
-		if e.count() != 0 && e.key >= string(w.Lo) && (len(w.Hi) == 0 || e.key < string(w.Hi)) {
-			in = append(in, e)
+	for _, ke := range entries {
+		if ke.e.count() != 0 && ke.key >= string(w.Lo) && (len(w.Hi) == 0 || ke.key < string(w.Hi)) {
+			in = append(in, ke)
 		}
 	}
 	sort.Slice(in, func(i, j int) bool { return (in[i].key < in[j].key) != w.Desc })
 	n := 0
-	for _, e := range in {
-		if !w.take(rowOf(v, e.key, e), &n, fn) {
+	for _, ke := range in {
+		if !w.take(rowOf(v, ke.key, ke.e), &n, fn) {
 			break
 		}
 	}
@@ -719,11 +778,11 @@ func (v *View) Rows() []value.Tuple {
 }
 
 // rowOf builds the view row of the entry stored under key: the group values
-// decoded from the key, then the aggregation results. A hash entry's key is a
-// string, and its string cells are substrings of it; an ordered store's key
-// is the tree's bytes, which each string cell copies. Every key reaching here
-// was written by the encoder or checked when it was restored (CheckKey), so
-// it decodes.
+// decoded from the key, then the aggregation results. A hash entry's key is
+// its directory's string, and its string cells are substrings of it; an
+// ordered store's key is the tree's bytes, which each string cell copies.
+// Every key reaching here was written by the encoder or checked when it was
+// restored (CheckKey), so it decodes.
 func rowOf[K string | []byte](v *View, key K, e *entry) value.Tuple {
 	out := make(value.Tuple, 0, len(v.keyKinds)+len(v.sh.l.Specs()))
 	out, _ = keyenc.DecodeKey(out, key, v.keyKinds)

@@ -264,16 +264,14 @@ func SyncDir(dir string) error {
 // order, calling fn for each. Each segment is individually LSN-ascending
 // (it had a single writer), so this is a merge; torn tails are tolerated
 // per segment exactly as in Replay. A record stamped at or below after is
-// dropped as it is read and never held: recovery passes its checkpoint's
-// LSN, so segments the checkpoint already covers cost their decoding and
-// no memory. It reports the total records applied.
+// skipped as it is read, never decoded or held: recovery passes its
+// checkpoint's LSN, so segments the checkpoint already covers cost their
+// reading and checksums only. It reports the total records applied.
 func ReplayMergedFS(fsys fault.FS, dir string, segments []string, after uint64, fn func(Record) error) (int, error) {
 	var all []Record
 	for _, seg := range segments {
-		_, _, err := ReplayFS(fsys, filepath.Join(dir, seg), func(r Record) error {
-			if r.LSN == 0 || r.LSN > after {
-				all = append(all, r)
-			}
+		_, _, err := replayAfter(fsys, filepath.Join(dir, seg), after, func(r Record) error {
+			all = append(all, r)
 			return nil
 		})
 		if err != nil {

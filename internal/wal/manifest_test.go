@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -188,7 +189,7 @@ func TestReplayMergedDropsCovered(t *testing.T) {
 	write := func(stream string, lsns ...uint64) {
 		l := openLog(t, fault.OS, dir, stream, SyncNone)
 		for _, lsn := range lsns {
-			if err := l.Append(Record{Kind: RecUpsert, LSN: lsn, Relation: "r", Tuple: value.Tuple{value.Int(int64(lsn))}}); err != nil {
+			if err := l.Append(Record{Kind: RecUpsert, LSN: lsn, Relation: "r", Tuples: []value.Tuple{{value.Int(int64(lsn))}}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -217,5 +218,39 @@ func TestReplayMergedDropsCovered(t *testing.T) {
 		if n != len(tc.want) || !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("after %d: replayed %d records %v, want %v", tc.after, n, got, tc.want)
 		}
+	}
+}
+
+// TestReplayMergedSkipsCoveredUndecoded: a covered frame is dropped on its
+// kind byte and LSN, not decoded — replaying a segment that the given LSN
+// covers whole allocates as much at 2 000 frames as at 200 (the reader, its
+// buffer and the payload buffer), where decoding would allocate each frame's
+// tuples.
+func TestReplayMergedSkipsCoveredUndecoded(t *testing.T) {
+	allocs := func(frames int) float64 {
+		dir := t.TempDir()
+		l := openLog(t, fault.OS, dir, "a", SyncNone)
+		for lsn := uint64(1); lsn <= uint64(frames); lsn++ {
+			rec := Record{Kind: RecAppendEach, LSN: lsn, SN: int64(lsn), ClientID: "c", RequestID: fmt.Sprintf("%05d", lsn),
+				Parts: []Part{{Chronicle: "calls", Tuples: []value.Tuple{{value.Str("acct"), value.Int(int64(lsn))}}}}}
+			if err := l.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs := []string{SegmentFileName("a", 1)}
+		return testing.AllocsPerRun(5, func() {
+			n, err := ReplayMergedFS(fault.OS, dir, segs, uint64(frames), func(Record) error { return nil })
+			if err != nil || n != 0 {
+				t.Fatalf("replayed %d records, err %v; want none", n, err)
+			}
+		})
+	}
+	small, large := allocs(200), allocs(2000)
+	t.Logf("replaying a covered segment: %.0f allocations at 200 frames, %.0f at 2 000", small, large)
+	if large > small {
+		t.Errorf("covered frames allocate: %.0f at 200 frames, %.0f at 2 000", small, large)
 	}
 }

@@ -50,7 +50,10 @@ const (
 	RecDDL RecordKind = iota
 	// RecAppend is a chronicle append (possibly multi-chronicle).
 	RecAppend
-	// RecUpsert is a proactive relation upsert.
+	// RecUpsert is one UPSERT statement, a proactive relation update: one
+	// relation, its tuples at consecutive LSNs starting at the record's. The
+	// statement is one frame, so it becomes durable — and replays — whole or
+	// not at all.
 	RecUpsert
 	// RecDelete is a proactive relation delete (Tuple holds key values).
 	RecDelete
@@ -73,15 +76,16 @@ type Part struct {
 // Record is one durable mutation.
 type Record struct {
 	Kind      RecordKind
-	LSN       uint64 // global logical sequence number (orders records across segments)
-	Stmt      string // RecDDL
-	SN        int64  // RecAppend / RecAppendEach (first SN of the run)
-	Chronon   int64  // RecAppend / RecAppendEach
-	Parts     []Part // RecAppend / RecAppendEach (exactly one part)
-	Relation  string // RecUpsert / RecDelete
-	Tuple     value.Tuple
-	ClientID  string // RecAppendEach
-	RequestID string // RecAppendEach
+	LSN       uint64        // global logical sequence number (orders records across segments)
+	Stmt      string        // RecDDL
+	SN        int64         // RecAppend / RecAppendEach (first SN of the run)
+	Chronon   int64         // RecAppend / RecAppendEach
+	Parts     []Part        // RecAppend / RecAppendEach (exactly one part)
+	Relation  string        // RecUpsert / RecDelete
+	Tuple     value.Tuple   // RecDelete (key values)
+	Tuples    []value.Tuple // RecUpsert
+	ClientID  string        // RecAppendEach
+	RequestID string        // RecAppendEach
 }
 
 // SyncPolicy selects when a Log makes appended records durable.
@@ -477,6 +481,13 @@ func Replay(path string, fn func(Record) error) (n int, ignored int64, err error
 // through a buffered reader rather than loaded whole, so replaying a long
 // tail does not double resident memory.
 func ReplayFS(fsys fault.FS, path string, fn func(Record) error) (n int, ignored int64, err error) {
+	return replayAfter(fsys, path, 0, fn)
+}
+
+// replayAfter is ReplayFS that skips, undecoded, every frame stamped at or
+// below after: a covered frame costs its read and its CRC, and is dropped on
+// its kind byte and LSN. LSN-0 frames (DDL annotations) always apply.
+func replayAfter(fsys fault.FS, path string, after uint64, fn func(Record) error) (n int, ignored int64, err error) {
 	f, err := fsys.Open(path)
 	if os.IsNotExist(err) {
 		return 0, 0, nil
@@ -518,6 +529,9 @@ func ReplayFS(fsys fault.FS, path string, fn func(Record) error) (n int, ignored
 		if crc32.ChecksumIEEE(payload) != crc {
 			return n, 8 + int64(plen) + drain(br), nil
 		}
+		if lsn, sz := binary.Uvarint(payload[1:]); sz > 0 && lsn != 0 && lsn <= after {
+			continue
+		}
 		rec, derr := decodeRecord(payload)
 		if derr != nil {
 			return n, 8 + int64(plen) + drain(br), nil
@@ -556,9 +570,15 @@ func encodeRecord(dst []byte, r Record) []byte {
 			dst = appendString(dst, r.ClientID)
 			dst = appendString(dst, r.RequestID)
 		}
-	case RecUpsert, RecDelete:
+	case RecDelete:
 		dst = appendString(dst, r.Relation)
 		dst = value.AppendTuple(dst, r.Tuple)
+	case RecUpsert:
+		dst = appendString(dst, r.Relation)
+		dst = binary.AppendUvarint(dst, uint64(len(r.Tuples)))
+		for _, t := range r.Tuples {
+			dst = value.AppendTuple(dst, t)
+		}
 	}
 	return dst
 }
@@ -630,7 +650,7 @@ func decodeRecord(b []byte) (Record, error) {
 			r.ClientID = cid
 			r.RequestID = rid
 		}
-	case RecUpsert, RecDelete:
+	case RecDelete:
 		name, used, err := readString(b)
 		if err != nil {
 			return Record{}, err
@@ -642,6 +662,27 @@ func decodeRecord(b []byte) (Record, error) {
 		}
 		r.Relation = name
 		r.Tuple = t
+	case RecUpsert:
+		name, used, err := readString(b)
+		if err != nil {
+			return Record{}, err
+		}
+		b = b[used:]
+		n, sz := binary.Uvarint(b)
+		if sz <= 0 || n > uint64(len(b)) {
+			return Record{}, fmt.Errorf("wal: bad tuple count")
+		}
+		b = b[sz:]
+		r.Relation = name
+		r.Tuples = make([]value.Tuple, 0, n)
+		for i := uint64(0); i < n; i++ {
+			t, used, err := value.DecodeTuple(b)
+			if err != nil {
+				return Record{}, err
+			}
+			r.Tuples = append(r.Tuples, t)
+			b = b[used:]
+		}
 	default:
 		return Record{}, fmt.Errorf("wal: unknown record kind %d", r.Kind)
 	}
@@ -659,11 +700,13 @@ func EncodeRecord(dst []byte, r Record) []byte { return encodeRecord(dst, r) }
 func DecodeRecord(b []byte) (Record, error) { return decodeRecord(b) }
 
 // RecordSpan returns how many LSNs r occupies in the global order: an
-// idempotent bulk append assigns one LSN per tuple (the record's LSN is the
-// first), a DDL record is an ordering annotation that consumes none, and
-// every other record exactly one.
+// idempotent bulk append and an UPSERT statement assign one LSN per tuple
+// (the record's LSN is the first), a DDL record is an ordering annotation
+// that consumes none, and every other record exactly one.
 func RecordSpan(r Record) uint64 {
 	switch r.Kind {
+	case RecUpsert:
+		return max(1, uint64(len(r.Tuples)))
 	case RecAppendEach:
 		var n uint64
 		for _, p := range r.Parts {

@@ -23,7 +23,7 @@ func sampleRecords() []Record {
 			{Chronicle: "calls", Tuples: []value.Tuple{{value.Str("c"), value.Int(1)}}},
 			{Chronicle: "payments", Tuples: []value.Tuple{{value.Str("c"), value.Int(9)}}},
 		}},
-		{Kind: RecUpsert, Relation: "customers", Tuple: value.Tuple{value.Str("a"), value.Str("nj")}},
+		{Kind: RecUpsert, Relation: "customers", Tuples: []value.Tuple{{value.Str("a"), value.Str("nj")}, {value.Str("b"), value.Str("ny")}}},
 		{Kind: RecDelete, Relation: "customers", Tuple: value.Tuple{value.Str("a")}},
 	}
 }

@@ -212,7 +212,9 @@ func (db *DB) applyRecord(r wal.Record) error {
 		// gets its original ack, not a double apply.
 		return db.eng.AppendEachAt(p.Chronicle, r.SN, r.Chronon, p.Tuples, r.ClientID, r.RequestID)
 	case wal.RecUpsert:
-		return db.eng.Upsert(r.Relation, r.Tuple)
+		// One statement: its tuples take consecutive LSNs again, from the
+		// record's.
+		return db.eng.Upsert(r.Relation, r.Tuples...)
 	case wal.RecDelete:
 		_, err := db.eng.DeleteKey(r.Relation, r.Tuple)
 		return err
