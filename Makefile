@@ -72,7 +72,7 @@ bench-allocs:
 # a paged view of 1 000 and of 20 000 groups SELECT … WHERE acct = 'k' is one
 # probe, faults at most one block and allocates within one budget, and
 # latest-20 faults at most two; the read hot-path benchmarks print ns/op for
-# the snapshot traversal and for the SQL point query and latest-20, resident
+# the lock-free walks and for the SQL point query and latest-20, resident
 # and paged, at both sizes. -count=1 defeats caching — the guards must run.
 bench-reads:
 	$(GO) test -count=1 -run 'TestReadAllocGuards|TestPointSelectTouchesOneBlock' -v .
@@ -81,7 +81,7 @@ bench-reads:
 # bench-ckpt is the blocked-checkpoint regression gate: the structural
 # guards pin that an incremental cut re-serializes the dirty block set,
 # not the view (same dirty blocks at 4x the cardinality) and that paged
-# hot-key lookups stay on the lock-free snapshot path's allocation budget;
+# hot-key lookups stay on the lock-free read path's allocation budget;
 # the benchmark prints one incremental cut's wall time with its
 # dirty/total block counts. -count=1 defeats caching — the guards must run.
 bench-ckpt:
@@ -104,37 +104,39 @@ maint-stress:
 # round — each view visited, folded and published exactly once, not once per
 # row; the benchmark prints maint-ns/append across view counts
 # for the shared vs duplicated shapes, B/op of a 64-row call against a
-# 20 000-group B-tree view (per-row copy-on-write, or copies the store
-# stopped recycling, would show there; the tree-call guard pins that call at
-# 8 KB and 32 objects), and the cost of a 1 000-row load call of new groups into 64 views (the suite's
-# set-up shape; per-row rounds would show there). The load guard pins that
-# call's allocation ceiling (a new group is carved, not allocated), the
-# group-bytes guard pins the live heap a new group costs a hash, a B-tree and
-# a DISTINCT view (a group is its key and its states), the relation- and
+# 20 000-group view created WITH STORE BTREE (a copy of an entry the store
+# stopped recycling, or an existing key ordered again, would show there; the
+# tree-call guard pins that call at 512 B and 2 objects), and the cost of a
+# 1 000-row load call of new groups into 64 views (the suite's set-up shape;
+# per-row rounds would show there). The load guard pins that call's
+# allocation ceiling (a new group is carved, not allocated), the group-bytes
+# guard pins the live heap a new group costs a view of one and of three
+# aggregates, a DISTINCT view and views sharing one σ (a group is its key,
+# its place in the key order, and its states), the relation- and
 # dedup-bytes guards pin what a relation row (one string, loaded by UPSERT or
 # restored from a checkpoint) and an idempotency entry (one ring record)
-# cost, the hash-count guard prints what a call costs hash views sharing a key
+# cost, the hash-count guard prints what a call costs views sharing a key
 # directory in hashes, probes and key comparisons per row and entry versions
 # per group, the lock-free reader test races readers against a directory that
 # doubles eleven times, its sibling twin (ten runs under the race detector)
 # races readers of each of three members publishing at different points of one
-# call, the late-member test pins that a view joining a populated directory
-# holds none of its keys, the drop test drops one of five members and checks
-# the other four across a checkpoint, a reopen and a follower resync, and the
-# ordered-store twin races
-# lookups, scans, latest-N and checkpoints against a writer that recycles
-# nodes and entry versions, plain and paged, beside its permanent-reader bound.
+# call, the order twin (ten runs under the race detector) races range, latest-N
+# and whole walks and checkpoints of three such members, plain and paged,
+# against a writer that grows the key order at random places, the
+# late-member test pins that a view joining a populated directory holds none
+# of its keys, and the drop test drops one of six members and checks the
+# others across a checkpoint, a reopen and a follower resync.
 # -count=1 defeats caching — the guards must run.
 bench-maint:
 	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestLoadAllocGuard|TestGroupBytesGuard|TestTreeCallBytesGuard|TestRelationBytesGuard|TestDedupBytesGuard|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall|TestDirMembersSurviveADrop' -v .
-	$(GO) test -count=1 -run 'TestHashStoreCounts|TestHashLockFreeThroughGrowth|TestTreeRecyclingUnderReaders|TestTreePoolBoundedUnderPermanentReader' -v ./internal/view
-	$(GO) test -race -count=10 -run 'TestDirSiblingsLockFreeThroughGrowth|TestDirLateMember' ./internal/view
+	$(GO) test -count=1 -run 'TestHashStoreCounts|TestHashLockFreeThroughGrowth' -v ./internal/view
+	$(GO) test -race -count=10 -run 'TestDirSiblingsLockFreeThroughGrowth|TestDirLateMember|TestDirOrderUnderReaders' ./internal/view
 	$(GO) test -run=NONE -bench 'BenchmarkMaintainFanout' -benchmem -benchtime 50x .
 
 # prof-load profiles the two shapes the suite's maintain-fanout workload is
 # made of — the 1 000-row load call of new groups into 64 views (set-up) and
-# the 64-row call into a 20 000-group B-tree view (the timed phase's copy-on-
-# write side) — and prints where the time and the allocated bytes go, and for
+# the 64-row call into a 20 000-group view created WITH STORE BTREE (the
+# timed phase's versioning side) — and prints where the time and the allocated bytes go, and for
 # the load what the loaded views keep (in-use bytes: 20 000 groups in each of
 # 64 views), so the next performance or memory issue sizes its claim from one
 # command. Profiles and the test binary land in .prof/ (git-ignored). Not

@@ -20,7 +20,6 @@ import (
 	feedpkg "chronicledb/internal/feed"
 	"chronicledb/internal/keyenc"
 	"chronicledb/internal/value"
-	"chronicledb/internal/view"
 )
 
 // allocGuard asserts the steady-state allocation count of fn.
@@ -62,7 +61,7 @@ func TestAllocGuards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vw := bench.MustView(w.UsageDef("usage"), view.StoreHash)
+		vw := bench.MustView(w.UsageDef("usage"))
 		rows := []chronicle.Row{{SN: 1, Vals: value.Tuple{
 			value.Str(bench.Acct(3)), value.Int(7), value.Float(0.1)}}}
 		for i := 0; i < 100; i++ {

@@ -134,13 +134,14 @@ func benchLoad1000(b *testing.B) {
 // prints it).
 var loadHeld *chronicledb.DB
 
-// benchCall64 is one 64-row AppendRows call against a 20 000-group B-tree
-// view, every row a different existing group. Its B/op is the line to watch:
-// with one publication per call a node on the way to two of the call's
-// groups is path-copied once; with one per row the root and every interior
-// node were copied 64 times over (≈24 KB a row). The copies reuse the nodes
-// and entry versions the calls before replaced, so warm they allocate
-// nothing (TestTreeCallBytesGuard).
+// benchCall64 is one 64-row AppendRows call against a 20 000-group view
+// created WITH STORE BTREE, every row a different existing group. Its B/op
+// is the line to watch: a call versions each of its groups once, from the
+// entry versions the calls before replaced, and orders no key — every one is
+// in the directory already — so warm it allocates nothing
+// (TestTreeCallBytesGuard). When the view kept its own copy-on-write B-tree,
+// a publication per row path-copied the root and every interior node 64
+// times over (≈24 KB a row).
 func benchCall64(b *testing.B) {
 	db, calls := call64DB(b)
 	defer db.Close()
@@ -153,9 +154,9 @@ func benchCall64(b *testing.B) {
 	}
 }
 
-// call64DB is benchCall64's database — one B-tree view of 20 000 groups,
-// loaded — and 64 calls of 64 rows that stride through the groups, so the
-// rows of a call spread over the tree.
+// call64DB is benchCall64's database — one view of 20 000 groups, created
+// WITH STORE BTREE and loaded — and 64 calls of 64 rows that stride through
+// the groups, so the rows of a call spread over the key order.
 func call64DB(tb testing.TB) (*chronicledb.DB, [][]chronicledb.Tuple) {
 	tb.Helper()
 	const groups, callK = 20000, 64
@@ -189,17 +190,19 @@ func call64DB(tb testing.TB) (*chronicledb.DB, [][]chronicledb.Tuple) {
 }
 
 // TestTreeCallBytesGuard pins what a warm 64-row call into a 20 000-group
-// B-tree view allocates: at most 8 KB and 32 objects. The call path-copies
-// the nodes on the way to its groups and copies each group's entry, but a
-// publication that finds no reader recycles what the call before replaced,
-// so the copies are filled from the view's free lists. Dropping the
-// replaced nodes and versions to the collector instead showed here as
-// 112 855 B and 316 objects a call.
+// ordered view — created WITH STORE BTREE, a member of its key directory
+// like any view — allocates: at most 512 B and 2 objects. The call copies
+// each group's entry, but a publication that finds no reader recycles the
+// versions the call before replaced, so the copies are filled from the
+// view's free shells, and an existing key costs the directory's order
+// nothing. The view's own copy-on-write B-tree, with its nodes recycled the
+// same way, read 151 B in 2 objects here; dropping the replaced nodes and
+// versions to the collector instead showed 112 855 B and 316 objects a call.
 func TestTreeCallBytesGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	const maxBytes, maxAllocs = 8 << 10, 32
+	const maxBytes, maxAllocs = 512, 2
 	db, calls := call64DB(t)
 	defer db.Close()
 	n := 0
@@ -221,7 +224,7 @@ func TestTreeCallBytesGuard(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
 	allocs := testing.AllocsPerRun(runs, call)
-	t.Logf("warm 64-row call into a 20 000-group B-tree view: %.0f B, %.1f allocs (budget %d B, %d)", bytes, allocs, maxBytes, maxAllocs)
+	t.Logf("warm 64-row call into a 20 000-group ordered view: %.0f B, %.1f allocs (budget %d B, %d)", bytes, allocs, maxBytes, maxAllocs)
 	if bytes > maxBytes || allocs > maxAllocs {
 		t.Errorf("a warm call allocates %.0f B in %.1f objects, budget %d B and %d", bytes, allocs, maxBytes, maxAllocs)
 	}
@@ -401,36 +404,52 @@ func TestLoadAllocGuard(t *testing.T) {
 // alloc guards pin what a call costs in allocations: the live heap a view
 // gains per new group, read after a collection, over 100 000 groups appended
 // in 1 000-row calls. The chronicle retains nothing, so the growth is the
-// view's — entry shell, state words, key, and the store's index share. A
-// group is its key and its words; a second copy of the group values, or a
-// state that repeats what its view's layout fixes, shows here. Hash views
-// over one σ by one column share a key directory, so five of them cost less
-// per view-group than one: the key and its table slot are paid once.
+// view's — entry shell, state words, key, and the directory's share: its
+// table slot, the key's place in the key order, and the view's slot in its
+// array of entries. A group is its key and its words; a second copy of the
+// group values, or a state that repeats what its view's layout fixes, shows
+// here. Views over one σ by one column share a key directory, so five of them
+// cost less per view-group than one: the key, its table slot and its place
+// in the order are paid once — and a view created WITH STORE BTREE is one of
+// them like any other.
 func TestGroupBytesGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under -race")
 	}
 	const groups, callK = 100_000, 1_000
-	five := make([]string, 5)
-	for i, agg := range []string{"SUM(minutes)", "COUNT(*)", "MAX(minutes)", "MIN(minutes)", "AVG(minutes)"} {
-		five[i] = fmt.Sprintf(`CREATE VIEW v%d AS SELECT acct, %s AS a FROM calls WHERE minutes > 0 GROUP BY acct`, i, agg)
+	sigma := func(aggs ...string) []string {
+		out := make([]string, len(aggs))
+		for i, agg := range aggs {
+			out[i] = fmt.Sprintf(`CREATE VIEW v%d AS SELECT acct, %s FROM calls WHERE minutes > 0 GROUP BY acct`, i, agg)
+		}
+		out[0] = strings.Replace(out[0], "v0", "v", 1)
+		return out
 	}
-	five[0] = strings.Replace(five[0], "v0", "v", 1)
+	five := sigma("SUM(minutes) AS a", "COUNT(*) AS a", "MAX(minutes) AS a", "MIN(minutes) AS a", "AVG(minutes) AS a")
+	// maintain-fanout's shape: the first of a σ's summaries is read in key
+	// order (created WITH STORE BTREE), the others by key.
+	eight := sigma("SUM(minutes) AS m, COUNT(*) AS n, MAX(minutes) AS hi", "SUM(minutes) AS a", "COUNT(*) AS a",
+		"MAX(minutes) AS a", "MIN(minutes) AS a", "AVG(minutes) AS a", "FIRST(minutes) AS a", "LAST(minutes) AS a")
+	eight[0] += " WITH STORE BTREE"
 	for _, tc := range []struct {
 		name   string
 		views  []string
 		budget float64
 	}{
-		{"hash-one-aggregate", []string{`CREATE VIEW v AS SELECT acct, SUM(minutes) AS m FROM calls GROUP BY acct`}, 90},
+		// Each budget is the reading when every view joined a key directory
+		// that keeps its keys' order, plus a few bytes.
+		{"hash-one-aggregate", []string{`CREATE VIEW v AS SELECT acct, SUM(minutes) AS m FROM calls GROUP BY acct`}, 100},
+		// 124 B when the view kept its own B-tree of key copies.
 		{"btree-three-aggregates", []string{`CREATE VIEW v AS SELECT acct, SUM(minutes) AS m, COUNT(*) AS n, MAX(minutes) AS hi
-			FROM calls GROUP BY acct WITH STORE BTREE`}, 130},
-		{"distinct", []string{`CREATE VIEW v AS SELECT DISTINCT acct FROM calls`}, 75},
+			FROM calls GROUP BY acct WITH STORE BTREE`}, 108},
+		{"distinct", []string{`CREATE VIEW v AS SELECT DISTINCT acct FROM calls`}, 84},
 		// A string-held MIN keeps the row's string in a slot beside the words
 		// (174 B when each state boxed it).
-		{"hash-string-min", []string{`CREATE VIEW v AS SELECT acct, MIN(acct) AS lo FROM calls GROUP BY acct`}, 115},
+		{"hash-string-min", []string{`CREATE VIEW v AS SELECT acct, MIN(acct) AS lo FROM calls GROUP BY acct`}, 124},
 		// Bytes per view-group: one key directory holds the five views' keys
 		// (90 B when each view kept its own table and key copies).
-		{"five-hash-views-one-sigma", five, 55},
+		{"five-hash-views-one-sigma", five, 52},
+		{"eight-views-one-sigma-one-ordered", eight, 52},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db, err := chronicledb.Open(chronicledb.Options{})
@@ -460,6 +479,10 @@ func TestGroupBytesGuard(t *testing.T) {
 				}
 			}
 			clear(rows)
+			// A read in key order keeps nothing: the order is the directory's.
+			if last, err := db.LatestViewRows("v", 3); err != nil || len(last) != 3 || last[0][0].AsString() != fmt.Sprintf("acct%06d", groups-1) {
+				t.Fatalf("the latest groups: %v %v", last, err)
+			}
 			perGroup := float64(int64(heap())-int64(before)) / groups / float64(len(tc.views))
 			if v, _ := db.View("v"); v.Len() != groups {
 				t.Fatalf("the view holds %d groups, want %d", v.Len(), groups)

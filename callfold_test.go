@@ -147,7 +147,7 @@ func createUnionEdges(t *testing.T, db *chronicledb.DB) {
 			{Func: aggregate.Last, Col: 1, Name: "last_m"},
 			{Func: aggregate.Count, Col: -1, Name: "n"},
 		},
-	}, view.StoreHash, pred.True(), nil); err != nil {
+	}, pred.True(), nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -73,7 +73,7 @@ func main() {
 		maxQueue   = flag.Int("max-queue", 0, "writes queued beyond in-flight before 429 shedding (0 = default 128)")
 		retryAfter = flag.Duration("retry-after", 0, "Retry-After hint on shed requests (0 = default 1s)")
 		dedupCap   = flag.Int("dedup-cap", 0, "idempotency dedup entries retained per shard (0 = default 65536)")
-		cacheBytes = flag.Int64("view-cache-bytes", 0, "resident-byte budget for blocked B-tree view stores (0 = unbounded; durable mode only)")
+		cacheBytes = flag.Int64("view-cache-bytes", 0, "resident-byte budget for blocked view stores (0 = unbounded; durable mode only)")
 		blockBytes = flag.Int64("view-block-bytes", 0, "blocked view store block size in bytes (0 = default 8KiB; durable mode only)")
 		feed       = flag.Bool("feed", true, "changefeeds: capture view deltas for /watch subscribers")
 		feedTail   = flag.Int("feed-tail", 0, "per-view resume window in frames (0 = default 1024)")

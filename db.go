@@ -78,8 +78,8 @@ type Options struct {
 	// DefaultCheckpointFullEvery; 1 makes every checkpoint full.
 	CheckpointFullEvery int
 	// ViewBlockBytes is the target encoded size of one view block in the
-	// blocked persistent view store (durable databases only): B-tree view
-	// state is partitioned into blocks, checkpoints re-serialize only the
+	// blocked persistent view store (durable databases only): every view's
+	// entries are partitioned into blocks, checkpoints re-serialize only the
 	// blocks dirtied since the last cut, and the block cache pages cold
 	// blocks from the checkpoint chain. Zero means view.DefaultBlockBytes
 	// (8 KiB); negative is rejected.
@@ -284,7 +284,7 @@ func Open(opts Options) (*DB, error) {
 		DedupCap:         opts.DedupCap,
 	}
 	if opts.Dir != "" {
-		// Blocked view stores: B-tree views page fixed-size blocks against
+		// Blocked view stores: every view pages fixed-size blocks against
 		// one cache shared across shards, faulting cold blocks back from
 		// the checkpoint chain through the db-level fetcher.
 		db.viewCache = view.NewCache(opts.ViewCacheBytes)
@@ -599,8 +599,8 @@ func (db *DB) ScanViewAt(viewName string, fn func(Row) bool) (uint64, error) {
 func (db *DB) Shards() int { return db.eng.NumShards() }
 
 // counters sums every shard engine's counters in one pass, plus the relation
-// updates the router applies itself. Stats, MaintenanceLatency, ReadStats,
-// DedupStats and SnapshotAge are projections of it.
+// updates the router applies itself. Stats, MaintenanceLatency, ReadStats
+// and DedupStats are projections of it.
 func (db *DB) counters() engine.Counters {
 	var sum engine.Counters
 	db.eng.Each(func(_ int, e *engine.Engine) {
@@ -835,10 +835,9 @@ func (db *DB) Lookup(viewName string, key ...value.Value) (Row, bool, error) {
 
 // LookupRange returns the view rows whose group key is ≥ lo and < hi under
 // tuple comparison (lo and hi may be key prefixes; an empty lo starts at the
-// first group, an empty hi runs past the last), in ascending key order. With
-// a BTREE store this is a lock-free index range scan over the view's latest
-// snapshot, O(log |V| + answer), and a paged view faults only the blocks the
-// range overlaps; a HASH store gathers and sorts the view. The rows are
+// first group, an empty hi runs past the last), in ascending key order: a
+// lock-free walk of the view's key order, O(log |V| + answer), and on a
+// paged view it faults only the blocks the range overlaps. The rows are
 // caller-owned.
 func (db *DB) LookupRange(viewName string, lo, hi Tuple) ([]Row, error) {
 	return db.collect(viewName, view.Window{Lo: keyenc.AppendTuple(nil, lo), Hi: keyenc.AppendTuple(nil, hi)})
@@ -861,8 +860,8 @@ func (db *DB) ScanViewDesc(viewName string, fn func(Row) bool) error {
 }
 
 // LatestViewRows returns the view's last n rows by group key, highest key
-// first — the "latest N groups" query, answered by a descending snapshot
-// walk that stops after n rows instead of materializing the view; on a paged
+// first — the "latest N groups" query, answered by a descending walk of the
+// key order that stops after n rows instead of materializing the view; on a paged
 // view it faults the blocks that hold those n rows and no other.
 func (db *DB) LatestViewRows(viewName string, n int) ([]Row, error) {
 	if n <= 0 {
@@ -931,16 +930,4 @@ func (db *DB) MaintAttribution(k int) []ViewMaintStat {
 		out = out[:k]
 	}
 	return out
-}
-
-// SnapshotAge reports how long ago the oldest live view snapshot was
-// published — the staleness bound of the lock-free read path. Zero means
-// no view currently publishes a snapshot (no views, or all hash-stored).
-func (db *DB) SnapshotAge() time.Duration { return snapshotAge(db.counters().OldestSnapshot) }
-
-func snapshotAge(oldest int64) time.Duration {
-	if oldest == 0 {
-		return 0
-	}
-	return time.Duration(time.Now().UnixNano() - oldest)
 }

@@ -34,7 +34,7 @@ func main() {
 	must(db, `CREATE RELATION accounts (acct STRING, holder STRING, KEY(acct))`)
 	must(db, `CREATE VIEW dollar_balance AS
 		SELECT acct, SUM(amount) AS balance, COUNT(*) AS txns
-		FROM ledger GROUP BY acct WITH STORE BTREE`)
+		FROM ledger GROUP BY acct`)
 	must(db, `UPSERT INTO accounts VALUES ('chk-001', 'R. Customer')`)
 
 	deposit(db, "chk-001", 500)

@@ -33,7 +33,7 @@ func main() {
 		CREATE VIEW settled AS
 			SELECT authorized.merchant, COUNT(*) AS events, SUM(authorized.amount) AS volume
 			FROM authorized JOIN captured ON SN
-			GROUP BY authorized.merchant WITH STORE BTREE;
+			GROUP BY authorized.merchant;
 
 		-- Authorizations that were NOT captured in the same step show up
 		-- here but not in settled: the monitoring delta.
@@ -80,7 +80,7 @@ func main() {
 		log.Fatalf("composite detection broken: %d pending", pending)
 	}
 
-	// Range query over the ordered view: merchants a…h.
+	// Range query over the view's key order: merchants a…h.
 	rows, err := db.LookupRange("settled",
 		chronicledb.Tuple{chronicledb.Str("a")}, chronicledb.Tuple{chronicledb.Str("h")})
 	if err != nil {

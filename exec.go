@@ -125,14 +125,14 @@ func (db *DB) execOne(s sqlparse.Statement, mode execMode) (*Result, error) {
 		}
 		if plan.Periodic != nil {
 			_, err = db.eng.CreatePeriodicView(s.Name, plan.Def, plan.Periodic.Calendar,
-				plan.Periodic.ExpireAfter, plan.Store)
+				plan.Periodic.ExpireAfter)
 			if err != nil {
 				return nil, err
 			}
 			return db.ddlDone(s, mode, "periodic view %s created (%s, %s)",
 				s.Name, plan.Info.Lang, plan.Info.IMClass())
 		}
-		if _, err := db.eng.CreateView(plan.Def, plan.Store, plan.Filter, plan.FilterChronicle); err != nil {
+		if _, err := db.eng.CreateView(plan.Def, plan.Filter, plan.FilterChronicle); err != nil {
 			return nil, err
 		}
 		return db.ddlDone(s, mode, "view %s created (%s, %s)", s.Name, plan.Info.Lang, plan.Info.IMClass())
@@ -588,10 +588,7 @@ func (db *DB) explainQuery(q *sqlparse.Query) (*Result, error) {
 		path = "point" + tupleText(a.point)
 		planned = min(total, 1)
 	} else {
-		if v.StoreKind() == view.StoreHash {
-			// The hash store has no order: every window reads the whole table.
-			path = "full (hash: gather, filter, sort)"
-		} else if len(a.win.Lo) > 0 || len(a.win.Hi) > 0 {
+		if len(a.win.Lo) > 0 || len(a.win.Hi) > 0 {
 			path = fmt.Sprintf("range[%s, %s)", a.lo.text("-∞"), a.hi.text("+∞"))
 		}
 		if a.win.Desc {
@@ -613,7 +610,6 @@ func (db *DB) explainQuery(q *sqlparse.Query) (*Result, error) {
 	if len(residual) == 0 {
 		residual = []string{"none"}
 	}
-	store := v.StoreKind().String()
 	res := &Result{
 		Columns: []string{"property", "value"},
 		Rows: []Row{
@@ -631,20 +627,27 @@ func (db *DB) explainQuery(q *sqlparse.Query) (*Result, error) {
 		}
 		res.Rows = append(res.Rows, Row{value.Str("sort"), value.Str(order)})
 	}
-	if !v.Paged() {
-		res.Rows = append(res.Rows, Row{value.Str("store"), value.Str(store)})
-		return res, nil
+	res.Rows = append(res.Rows, Row{value.Str("store"), value.Str(storeOf(v))})
+	if v.Paged() {
+		res.Rows = append(res.Rows, Row{value.Str("blocks"), value.Str(fmt.Sprintf("%d / %d", planned, total))})
 	}
-	res.Rows = append(res.Rows,
-		Row{value.Str("store"), value.Str(store + " paged")},
-		Row{value.Str("blocks"), value.Str(fmt.Sprintf("%d / %d", planned, total))})
 	return res, nil
+}
+
+// storeOf names where a view's entries live: "paged" when blocks of them
+// come and go against the block cache, "resident" when all stay in memory.
+// Either way the keys stay in the view's directory.
+func storeOf(v *view.View) string {
+	if v.Paged() {
+		return "paged"
+	}
+	return "resident"
 }
 
 // explain describes a persistent or periodic view.
 func (db *DB) explain(name string) (*Result, error) {
 	if v, ok := db.eng.View(name); ok {
-		info := v.Info()
+		info, d := v.Info(), v.Dir()
 		res := &Result{
 			Columns: []string{"property", "value"},
 			Rows: []Row{
@@ -655,14 +658,12 @@ func (db *DB) explain(name string) (*Result, error) {
 				{value.Str("unions_u"), value.Int(int64(info.Unions))},
 				{value.Str("joins_j"), value.Int(int64(info.Joins))},
 				{value.Str("rows"), value.Int(int64(v.Len()))},
-				{value.Str("store"), value.Str(v.StoreKind().String())},
+				{value.Str("store"), value.Str(storeOf(v))},
+				// The key directory the view shares with the views that fold
+				// the same expression by the same columns: their keys and
+				// key order are held once.
+				{value.Str("directory"), value.Str(fmt.Sprintf("%s: %d views, %d keys", d.Name(), d.Members(), d.Len()))},
 			},
-		}
-		if d := v.Dir(); d != nil {
-			// The key directory the view shares with the views that fold the
-			// same expression by the same columns: their keys are held once.
-			res.Rows = append(res.Rows, Row{value.Str("directory"),
-				value.Str(fmt.Sprintf("%s: %d views, %d keys", d.Name(), d.Members(), d.Len()))})
 		}
 		// Shared-delta plan: the view's interned node ids (post-order, root
 		// last) with each node's cross-view consumer count, so CSE grouping
@@ -697,19 +698,16 @@ func (db *DB) explain(name string) (*Result, error) {
 func (db *DB) show(what string) (*Result, error) {
 	switch what {
 	case "VIEWS":
-		// directory and dir_views name a hash view's key directory and how
-		// many views share it; an ordered view has none.
+		// directory and dir_views name a view's key directory and how many
+		// views share it.
 		res := &Result{Columns: []string{"name", "language", "class", "rows", "store", "directory", "dir_views"}}
 		for _, n := range db.eng.Names(engine.Views) {
 			v, _ := db.eng.View(n)
-			dir, members := "", 0
-			if d := v.Dir(); d != nil {
-				dir, members = d.Name(), d.Members()
-			}
+			d := v.Dir()
 			res.Rows = append(res.Rows, Row{
 				value.Str(n), value.Str(v.Lang().String()),
 				value.Str(v.IMClass().String()), value.Int(int64(v.Len())),
-				value.Str(v.StoreKind().String()), value.Str(dir), value.Int(int64(members)),
+				value.Str(storeOf(v)), value.Str(d.Name()), value.Int(int64(d.Members())),
 			})
 		}
 		for _, n := range db.eng.Names(engine.PeriodicViews) {
@@ -909,9 +907,6 @@ func renderCreateView(s *sqlparse.CreateView) string {
 		if s.Periodic.Expire != nil {
 			fmt.Fprintf(&b, " EXPIRE %d", *s.Periodic.Expire)
 		}
-	}
-	if s.Store != "" {
-		fmt.Fprintf(&b, " WITH STORE %s", s.Store)
 	}
 	return b.String()
 }

@@ -33,7 +33,7 @@ type Recompute struct {
 // NewRecompute validates the definition eagerly (by instantiating a
 // throwaway view) and returns the baseline.
 func NewRecompute(def view.Def) (*Recompute, error) {
-	if _, err := view.New(def, view.StoreHash); err != nil {
+	if _, err := view.New(def); err != nil {
 		return nil, err
 	}
 	return &Recompute{def: def}, nil
@@ -47,7 +47,7 @@ func (r *Recompute) Refresh() ([]value.Tuple, error) {
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
-	v, err := view.New(r.def, view.StoreHash)
+	v, err := view.New(r.def)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +62,7 @@ func (r *Recompute) Lookup(key value.Tuple) (value.Tuple, bool, error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("baseline: %w", err)
 	}
-	v, err := view.New(r.def, view.StoreHash)
+	v, err := view.New(r.def)
 	if err != nil {
 		return nil, false, err
 	}

@@ -34,7 +34,7 @@ func usageDef(c *chronicle.Chronicle) view.Def {
 func TestRecomputeMatchesIncremental(t *testing.T) {
 	g, c := newCalls(t, chronicle.RetainAll)
 	def := usageDef(c)
-	incr, err := view.New(def, view.StoreHash)
+	incr, err := view.New(def)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -72,7 +73,7 @@ func next(t *testing.T, w *Telecom) algebra.BatchDelta {
 // (totals per account) maintained over all of them.
 func grown(t *testing.T, n int) (*Telecom, *view.View) {
 	w := telecom(t, 1024, chronicle.RetainAll, false, 0)
-	v := MustView(w.UsageDef("usage"), view.StoreHash)
+	v := MustView(w.UsageDef("usage"))
 	for i := 0; i < n; i++ {
 		v.Apply(next(t, w))
 	}
@@ -88,7 +89,7 @@ func classViews(t *testing.T, customers, appends int) (*Telecom, []*view.View, [
 	ok(t, err)
 	cd, err := w.CrossDef("cacross")
 	ok(t, err)
-	views := []*view.View{MustView(w.UsageDef("ca1"), view.StoreHash), MustView(kd, view.StoreHash), MustView(cd, view.StoreHash)}
+	views := []*view.View{MustView(w.UsageDef("ca1")), MustView(kd), MustView(cd)}
 	read := make([]int64, len(views))
 	for i := 0; i < appends; i++ {
 		d := next(t, w)
@@ -323,7 +324,7 @@ func e8(t *testing.T) {
 			w := telecom(t, 64, chronicle.RetainNone, false, 0)
 			cal, err := calendar.NewPeriodic(0, 1000, 1000)
 			ok(t, err)
-			pv, err := calendar.NewPeriodicView("monthly", w.UsageDef("monthly"), cal, expireAfter, view.StoreHash)
+			pv, err := calendar.NewPeriodicView("monthly", w.UsageDef("monthly"), cal, expireAfter)
 			ok(t, err)
 			for i := 0; i < periods*perPeriod; i++ {
 				d, _, err := w.NextCallAt(int64(i / perPeriod * 1000))
@@ -356,68 +357,74 @@ func e9(t *testing.T) {
 	}
 }
 
-// e10 — Theorem 4.4, "modulo index look ups": at any |V| hash views that
+// e10 — Theorem 4.4, "modulo index look ups": at any |V| the views that
 // share a key directory cost one key hash and at most one directory probe per
 // delta row per call for all of them, growth included, ≤ 1.01 keys read back
-// a probe, and each view one entry version per distinct group per call; a
-// B-tree probe descends ≤ 1 + ⌈log₃₂ |V|⌉ and reaches one entry per row.
+// a probe, and each view one entry version per distinct group per call. The
+// order over the directory's keys — every view's ordered index — costs a new
+// key at most 3·⌈log₂|V|⌉ keys read, and a key the directory holds none.
+//
+// Mutation-checked: a directory that orders every resolved id, not only the
+// new ones, reads keys for the appends' existing groups.
 func e10(t *testing.T) {
-	const appends, members = 1000, 3
+	const appends, members, c = 1000, 3, 3
 	for _, size := range []int{1_000, 10_000, 100_000} {
-		for _, kind := range []view.StoreKind{view.StoreHash, view.StoreBTree} {
-			w := telecom(t, size, chronicle.RetainNone, false, 0)
-			// Three summaries of one expression by one column, as the engine
-			// builds them: hash views share one directory.
-			var d *view.Dir
-			if kind == view.StoreHash {
-				d = view.NewDir("usage", []int{0})
-			}
-			vs := make([]*view.View, members)
-			for i := range vs {
-				v, err := view.NewIn(w.UsageDef(fmt.Sprintf("usage%d", i)), kind, d)
-				ok(t, err)
-				vs[i] = v
-			}
-			call := uint64(0)
-			fold := func(rows []chronicle.Row) {
-				call++
-				for _, v := range vs {
-					v.ApplyCall(call, rows)
-				}
-				for _, v := range vs {
-					v.Publish()
-				}
-			}
-			// |V| groups, one synthesized row each, loaded by calls of a
-			// thousand: the directory's table doubles under published entries.
-			rows := make([]chronicle.Row, 1000)
-			for lo := 0; lo < size; lo += len(rows) {
-				for i := range rows {
-					rows[i] = chronicle.Row{SN: int64(lo + i), Vals: value.Tuple{value.Str(Acct(lo + i)), value.Int(1), value.Float(0.1)}}
-				}
-				fold(rows)
-			}
-			for i := 0; i < appends; i++ {
-				fold(vs[0].Delta(next(t, w)))
-			}
-			folded := int64(size + appends)
+		w := telecom(t, size, chronicle.RetainNone, false, 0)
+		// Three summaries of one expression by one column, as the engine
+		// builds them: they share one directory.
+		d := view.NewDir("usage", []int{0})
+		vs := make([]*view.View, members)
+		for i := range vs {
+			v, err := view.NewIn(w.UsageDef(fmt.Sprintf("usage%d", i)), d)
+			ok(t, err)
+			vs[i] = v
+		}
+		call := uint64(0)
+		fold := func(rows []chronicle.Row) {
+			call++
 			for _, v := range vs {
-				st := v.Stats()
-				switch {
-				case st.Touched != folded || st.Versions != folded:
-					t.Errorf("|V|=%d %s: %d entries reached and %d versions for %d rows, each a group of its call", size, kind, st.Touched, st.Versions, folded)
-				case kind == view.StoreBTree && !logHeight(v.Height(), size):
-					t.Errorf("|V|=%d: B-tree height %d", size, v.Height())
-				}
+				v.ApplyCall(call, rows)
 			}
-			if d == nil {
-				continue
+			for _, v := range vs {
+				v.Publish()
 			}
-			if ds := d.Stats(); ds.Hashes != folded || ds.Probes != folded {
-				t.Errorf("|V|=%d: %d hashes and %d directory probes for %d rows into %d views, want one of each a row", size, ds.Hashes, ds.Probes, folded, members)
-			} else if float64(ds.KeyCompares) > 1.01*float64(ds.Probes) {
-				t.Errorf("|V|=%d: %d keys read back over %d probes", size, ds.KeyCompares, ds.Probes)
+		}
+		// |V| groups, one synthesized row each, loaded by calls of a
+		// thousand in no key order: the directory's table doubles under
+		// published entries, and every key is ordered by a search.
+		rows := make([]chronicle.Row, 1000)
+		perm := rand.New(rand.NewSource(int64(size))).Perm(size)
+		for lo := 0; lo < size; lo += len(rows) {
+			for i := range rows {
+				rows[i] = chronicle.Row{SN: int64(lo + i), Vals: value.Tuple{value.Str(Acct(perm[lo+i])), value.Int(1), value.Float(0.1)}}
 			}
+			fold(rows)
+		}
+		loaded := d.Stats()
+		for i := 0; i < appends; i++ {
+			fold(vs[0].Delta(next(t, w)))
+		}
+		folded := int64(size + appends)
+		for _, v := range vs {
+			if st := v.Stats(); st.Touched != folded || st.Versions != folded {
+				t.Errorf("|V|=%d %s: %d entries reached and %d versions for %d rows, each a group of its call", size, v.Name(), st.Touched, st.Versions, folded)
+			}
+		}
+		ds := d.Stats()
+		if ds.Hashes != folded || ds.Probes != folded {
+			t.Errorf("|V|=%d: %d hashes and %d directory probes for %d rows into %d views, want one of each a row", size, ds.Hashes, ds.Probes, folded, members)
+		} else if float64(ds.KeyCompares) > 1.01*float64(ds.Probes) {
+			t.Errorf("|V|=%d: %d keys read back over %d probes", size, ds.KeyCompares, ds.Probes)
+		}
+		bound := int64(c * bits.Len(uint(size-1)))
+		perKey := float64(loaded.OrderVisits) / float64(size)
+		t.Logf("|V|=%d: %.1f keys read to order a new key (bound %d)", size, perKey, bound)
+		if loaded.OrderVisits > bound*int64(size) {
+			t.Errorf("|V|=%d: ordering the keys read %.1f keys a key, bound %d", size, perKey, bound)
+		}
+		if d.Len() != size || ds.OrderVisits != loaded.OrderVisits {
+			t.Errorf("|V|=%d: %d appends to existing groups read %d keys to order %d new ones, want none",
+				size, appends, ds.OrderVisits-loaded.OrderVisits, d.Len()-size)
 		}
 	}
 }
@@ -431,7 +438,7 @@ func e11(t *testing.T) {
 		w := telecom(t, 256, chronicle.RetainAll, true, 256)
 		kd, err := w.KeyJoinDef("by_state")
 		ok(t, err)
-		v := MustView(kd, view.StoreBTree)
+		v := MustView(kd)
 		rng := rand.New(rand.NewSource(9))
 		for i := 0; i < n; i++ {
 			if rng.Intn(10) != 0 {

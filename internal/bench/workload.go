@@ -141,8 +141,8 @@ func (w *Telecom) CrossDef(name string) (view.Def, error) {
 }
 
 // MustView materializes a definition or panics (for tests).
-func MustView(def view.Def, kind view.StoreKind) *view.View {
-	v, err := view.New(def, kind)
+func MustView(def view.Def) *view.View {
+	v, err := view.New(def)
 	if err != nil {
 		panic(err)
 	}

@@ -3,29 +3,17 @@
 //
 // The chronicle model's complexity results are stated "modulo index look
 // ups" (Section 3) and Theorem 4.4 bounds view maintenance by
-// O(t·log|V|); this tree is the ordered index behind relation key lookups,
-// view group stores, and range scans that realize those bounds.
+// O(t·log|V|); this tree is the ordered index behind relation key lookups
+// and range scans.
 //
 // Trees support cheap copy-on-write clones: Clone shares every node with
 // the original in O(1), and subsequent mutations on either tree copy only
 // the root-to-leaf path they touch. A clone that is never mutated again is
 // an immutable snapshot that concurrent readers may traverse without any
 // synchronization while the original keeps absorbing writes.
-//
-// A recycling tree (NewRecycling) also reuses the nodes its copies replace.
-// A node a write copies away from may still be read through an older clone,
-// so it is not reused at once: it is retired, and Reclaim turns the retired
-// nodes into a free list that later copies and splits are filled from — once
-// the caller knows that no clone which could reach them is read any more.
-// Forget drops them to the collector instead. Only the recycling tree itself
-// retires: its clones never do, so every retired node is one that left the
-// recycling tree, and no node reachable from it is ever on the free list.
 package btree
 
-import (
-	"slices"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // degree is the minimum number of children of an internal node. Nodes hold
 // between degree-1 and 2*degree-1 items. 32 keeps nodes cache-friendly
@@ -44,13 +32,12 @@ const (
 var gens atomic.Uint64
 
 // Tree is a B-tree mapping keys of type K to values of type V. The zero
-// value is not usable; construct trees with New or NewRecycling.
+// value is not usable; construct trees with New.
 type Tree[K, V any] struct {
 	less func(a, b K) bool
 	root *node[K, V]
 	size int
 	gen  uint64
-	pool *pool[K, V] // nil unless the tree recycles
 }
 
 type item[K, V any] struct {
@@ -64,44 +51,9 @@ type node[K, V any] struct {
 	gen      uint64        // owner generation; mutable only by the tree holding it
 }
 
-// pool is a recycling tree's node store.
-//
-// A free leaf serves only a copy whose items array the allocator would put
-// in the same size class or the one above, so reuse leaves the live tree's
-// arrays about as lean as fresh copies would: the recycling tree gives every
-// new items array its whole size class, so all leaves of one class have one
-// capacity, and keeps free leaves by that capacity (bucket). Served by
-// whichever free leaf was at hand, or by the smallest that fit, the arrays of
-// a 20 000-key view drifted to the largest each had ever needed, 1 126 KB
-// where fresh copies take 719 KB, and a daemon's peak resident set rose 4 %.
-// The class above is the slack a leaf that grew across a class boundary
-// since its last copy needs: without it, the copies the free leaves could
-// not serve cost maintain-fanout's timed phase 16 MB of allocation.
-type pool[K, V any] struct {
-	retired []*node[K, V]               // copied away from since the last Reclaim or Forget
-	leaves  [maxItems + 2][]*node[K, V] // reusable leaves, by bucket
-	inner   []*node[K, V]               // reusable inner nodes
-	free    int                         // nodes in leaves and inner
-	// class[n] is the bucket of a new items array with room for n, once one
-	// has been made.
-	class [maxItems + 2]int
-	// most is the most nodes one Reclaim or Forget has settled, and the bound
-	// of free: as many as the busiest round between two of them ever
-	// replaced.
-	most int
-}
-
 // New returns an empty tree ordered by less.
 func New[K, V any](less func(a, b K) bool) *Tree[K, V] {
 	return &Tree[K, V]{less: less, gen: gens.Add(1)}
-}
-
-// NewRecycling returns an empty recycling tree ordered by less: it retires
-// the nodes its copies replace, for Reclaim to reuse.
-func NewRecycling[K, V any](less func(a, b K) bool) *Tree[K, V] {
-	t := New[K, V](less)
-	t.pool = new(pool[K, V])
-	return t
 }
 
 // Clone returns a copy of the tree sharing all nodes with the receiver.
@@ -109,10 +61,8 @@ func NewRecycling[K, V any](less func(a, b K) bool) *Tree[K, V] {
 // mutating it (path copying), so the two diverge without ever observing
 // each other's writes. A clone that is not mutated further is safe for
 // concurrent lock-free reads even while the original continues to change.
-// The clone does not recycle, whatever the receiver does.
 func (t *Tree[K, V]) Clone() *Tree[K, V] {
 	c := *t
-	c.pool = nil
 	// Fresh generations on both sides orphan every existing node: neither
 	// tree owns them any more, so the first mutation on either side copies.
 	g := gens.Add(2)
@@ -120,136 +70,26 @@ func (t *Tree[K, V]) Clone() *Tree[K, V] {
 	return &c
 }
 
-// Reclaim makes every retired node reusable. The caller promises that no
-// clone taken before the tree's last write is read any more: such a clone
-// may reach them, while one taken since shares none of them. No-op unless
-// the tree recycles.
-func (t *Tree[K, V]) Reclaim() {
-	p := t.pool
-	if p == nil {
-		return
-	}
-	p.most = max(p.most, len(p.retired))
-	// The nodes just retired are the likeliest to fit the next round's
-	// copies; free nodes the last round left unused make room for them.
-	p.trim(p.free + len(p.retired) - p.most)
-	for _, n := range p.retired {
-		if n.children != nil {
-			p.inner = append(p.inner, n)
-		} else {
-			b := bucket(cap(n.items))
-			p.leaves[b] = append(p.leaves[b], n)
-		}
-	}
-	p.free += len(p.retired)
-	clear(p.retired)
-	p.retired = p.retired[:0]
-}
-
-// trim drops n of the free nodes, at most all of them, to the collector,
-// the largest leaves first.
-func (p *pool[K, V]) trim(n int) {
-	if n <= 0 {
-		return
-	}
-	p.free -= n
-	for b := len(p.leaves) - 1; b >= 0 && n > 0; b-- {
-		p.leaves[b], n = dropLast(p.leaves[b], n)
-	}
-	p.inner, _ = dropLast(p.inner, n)
-}
-
-// bucket is where a free leaf whose items array has capacity c is kept: by
-// that capacity, with every capacity past the largest a copy asks for in the
-// last bucket. A leaf in bucket b has room for b items.
-func bucket(c int) int { return min(c, maxItems+1) }
-
-// dropLast removes up to n elements from the end of f and returns it with
-// how many more are left to remove.
-func dropLast[E any](f []*E, n int) ([]*E, int) {
-	k := min(n, len(f))
-	clear(f[len(f)-k:])
-	return f[:len(f)-k], n - k
-}
-
-// Forget drops the retired nodes to the collector, for when a clone that may
-// reach them is still read. No-op unless the tree recycles.
-func (t *Tree[K, V]) Forget() {
-	if p := t.pool; p != nil {
-		p.most = max(p.most, len(p.retired))
-		clear(p.retired)
-		p.retired = p.retired[:0]
-	}
-}
-
-// Pool reports what a recycling tree keeps for reuse — held, the nodes
-// retired or free — and bound, the most nodes one Reclaim or Forget has
-// settled so far, which the free nodes never exceed. Zeros for a tree that
-// does not recycle.
-func (t *Tree[K, V]) Pool() (held, bound int) {
-	if p := t.pool; p != nil {
-		return len(p.retired) + p.free, p.most
-	}
-	return 0, 0
-}
-
-// newLeaf returns a leaf the tree owns with room for want items: when the
-// tree recycles, a free leaf of the size class a new array for want takes
-// or, when there is none, of the class above; else a new leaf.
+// newLeaf returns a leaf the tree owns with room for want items.
 func (t *Tree[K, V]) newLeaf(want int) *node[K, V] {
-	p := t.pool
-	if p == nil {
-		return &node[K, V]{items: make([]item[K, V], 0, want), gen: t.gen}
-	}
-	b := p.class[want]
-	if b > 0 && b <= maxItems && len(p.leaves[b]) == 0 {
-		b = p.class[b+1] // the class above
-	}
-	if b > 0 && len(p.leaves[b]) > 0 {
-		return t.take(&p.leaves[b])
-	}
-	// Grow rounds the array up to its size class, which costs no memory the
-	// allocator would not take anyway, and shows which class that is.
-	items := slices.Grow([]item[K, V](nil), want)
-	p.class[want] = bucket(cap(items))
-	return &node[K, V]{items: items, gen: t.gen}
+	return &node[K, V]{items: make([]item[K, V], 0, want), gen: t.gen}
 }
 
-// newInner returns an inner node the tree owns, a free one when the tree
-// recycles and has one.
-func (t *Tree[K, V]) newInner() *node[K, V] {
-	if p := t.pool; p != nil && len(p.inner) > 0 {
-		return t.take(&p.inner)
-	}
-	return &node[K, V]{gen: t.gen}
-}
-
-// take removes the last node of a non-empty free list and makes it the
-// tree's.
-func (t *Tree[K, V]) take(f *[]*node[K, V]) *node[K, V] {
-	l := *f
-	n := l[len(l)-1]
-	l[len(l)-1] = nil
-	*f = l[:len(l)-1]
-	t.pool.free--
-	n.gen = t.gen
-	return n
-}
+// newInner returns an inner node the tree owns.
+func (t *Tree[K, V]) newInner() *node[K, V] { return &node[K, V]{gen: t.gen} }
 
 // refill sets dst to a copy of src: in dst's own array when that has room
-// for want elements, else in a new one of exactly want. A reused array holds
-// nothing past the copy.
+// for want elements, else in a new one of exactly want.
 func refill[E any](dst, src []E, want int) []E {
 	if cap(dst) < want {
 		dst = make([]E, 0, want)
 	}
-	clear(dst[len(src):cap(dst)])
 	return append(dst[:0], src...)
 }
 
 // mutable returns a node the tree may modify in place, copying n's items
-// and child pointers into a node of its own when n is shared with a clone;
-// a recycling tree retires n then. The copy has room for one more item: a
+// and child pointers into a node of its own when n is shared with a clone.
+// The copy has room for one more item: a
 // node is copied because it is about to change, and a copy sized to its
 // exact length would be reallocated by the very insert that asked for it.
 // Room for one and not for a full node, because most copies are asked for by
@@ -268,9 +108,6 @@ func (t *Tree[K, V]) mutable(n *node[K, V]) *node[K, V] {
 		m.children = refill(m.children, n.children, len(n.children)+1)
 	}
 	m.items = refill(m.items, n.items, len(n.items)+1)
-	if t.pool != nil {
-		t.pool.retired = append(t.pool.retired, n)
-	}
 	return m
 }
 

@@ -66,7 +66,7 @@ func (p *PeriodicView) RestoreCheckpoint(data []byte) error {
 		off += n
 		def := p.def
 		def.Name = fmt.Sprintf("%s%s", p.name, iv)
-		v, err := view.New(def, p.kind)
+		v, err := view.New(def)
 		if err != nil {
 			return fmt.Errorf("calendar: %s: %w", p.name, err)
 		}

@@ -18,7 +18,6 @@ type PeriodicView struct {
 	name        string
 	def         view.Def
 	cal         Calendar
-	kind        view.StoreKind
 	expireAfter int64 // chronons past interval end; <0 keeps instances forever
 
 	instances map[Interval]*view.View
@@ -32,7 +31,7 @@ type PeriodicView struct {
 // NewPeriodicView builds the family. def is the per-interval SCA view
 // definition; expireAfter is the grace period after an interval's end
 // before its instance is discarded (negative keeps all instances).
-func NewPeriodicView(name string, def view.Def, cal Calendar, expireAfter int64, kind view.StoreKind) (*PeriodicView, error) {
+func NewPeriodicView(name string, def view.Def, cal Calendar, expireAfter int64) (*PeriodicView, error) {
 	if name == "" {
 		return nil, fmt.Errorf("calendar: periodic view needs a name")
 	}
@@ -42,14 +41,13 @@ func NewPeriodicView(name string, def view.Def, cal Calendar, expireAfter int64,
 	// Validate the definition once by instantiating a throwaway view.
 	probe := def
 	probe.Name = name + "[probe]"
-	if _, err := view.New(probe, kind); err != nil {
+	if _, err := view.New(probe); err != nil {
 		return nil, fmt.Errorf("calendar: periodic view %s: %w", name, err)
 	}
 	return &PeriodicView{
 		name:        name,
 		def:         def,
 		cal:         cal,
-		kind:        kind,
 		expireAfter: expireAfter,
 		instances:   make(map[Interval]*view.View),
 	}, nil
@@ -139,7 +137,7 @@ func (p *PeriodicView) Fold(d algebra.BatchDelta) (first bool, err error) {
 			if !ok {
 				def := p.def
 				def.Name = fmt.Sprintf("%s%s", p.name, iv)
-				v, err := view.New(def, p.kind)
+				v, err := view.New(def)
 				if err != nil {
 					return false, err
 				}

@@ -41,8 +41,6 @@ type Config struct {
 	// RelationHistory retains superseded relation versions for AsOf reads
 	// (needed only by reference evaluation and recompute baselines).
 	RelationHistory bool
-	// DefaultStore is the view store used when a view does not choose.
-	DefaultStore view.StoreKind
 	// Clock supplies chronons for appends. Nil uses wall-clock nanoseconds.
 	Clock func() int64
 	// NextLSN allocates the LSN of each mutation. The shard router gives
@@ -56,7 +54,7 @@ type Config struct {
 	// dedup.DefaultCap.
 	DedupCap int
 	// ViewCache, together with BlockFetch, enables blocked persistent view
-	// stores: every B-tree view created on this engine pages its state in
+	// stores: every view created on this engine pages its entries in
 	// fixed-size blocks against the shared cache (shards share one budget).
 	// Nil leaves views fully resident.
 	ViewCache *view.Cache
@@ -82,9 +80,9 @@ type Stats struct {
 }
 
 // Counters is everything one engine counts, read at once: the maintenance
-// counters, the idempotency table, the read path, and the age of the oldest
-// view snapshot. Maintenance is the operational readout of the view
-// language's IM class: SCA₁ views keep it flat forever.
+// counters, the idempotency table, the read path and the key directories.
+// Maintenance is the operational readout of the view language's IM class:
+// SCA₁ views keep it flat forever.
 type Counters struct {
 	Stats
 	DedupEntries   int
@@ -94,12 +92,10 @@ type Counters struct {
 	Scans          int64
 	Maintenance    stats.Histogram // view maintenance time, one observation per append call
 	Read           stats.Histogram // read latency, one observation per lookup or scan
-	OldestSnapshot int64           // unix ns of the oldest live view snapshot; 0 when none
-	DirKeys        int64           // group keys held by the hash views' key directories, each once per directory
+	DirKeys        int64           // group keys held by the views' key directories, each once per directory
 }
 
-// Add folds o into c: counts sum, histograms merge, and the oldest snapshot
-// is the earlier of the two.
+// Add folds o into c: counts sum and histograms merge.
 func (c *Counters) Add(o *Counters) {
 	c.Appends += o.Appends
 	c.TuplesAppended += o.TuplesAppended
@@ -114,16 +110,7 @@ func (c *Counters) Add(o *Counters) {
 	c.Scans += o.Scans
 	c.Maintenance.Merge(&o.Maintenance)
 	c.Read.Merge(&o.Read)
-	c.OldestSnapshot = earlier(c.OldestSnapshot, o.OldestSnapshot)
 	c.DirKeys += o.DirKeys
-}
-
-// earlier returns the earlier of two snapshot times, 0 meaning none.
-func earlier(a, b int64) int64 {
-	if a == 0 || (b != 0 && b < a) {
-		return b
-	}
-	return a
 }
 
 // Engine is one shard's chronicle database system state.
@@ -138,7 +125,7 @@ type Engine struct {
 	periodics  map[string]*calendar.PeriodicView
 	disp       *dispatch.Dispatcher
 	names      map[string]string // object name -> kind, for cross-kind uniqueness
-	// dirs holds the hash views' key directories by dirKey: the views that
+	// dirs holds the views' key directories by dirKey: the views that
 	// fold one expression by the same columns share one (view.Dir), which
 	// counts them and goes when the last is dropped.
 	dirs map[string]*view.Dir
@@ -156,7 +143,7 @@ type Engine struct {
 	// name→object maps rebuilt under e.mu on every DDL change. Read
 	// methods resolve names through it without touching e.mu, so queries
 	// never serialize against the append path. The objects themselves are
-	// individually synchronized (views publish COW snapshots; chronicles
+	// individually synchronized (views publish frozen entries; chronicles
 	// and relations carry their own read locks).
 	cat atomic.Pointer[catalog]
 
@@ -400,9 +387,6 @@ func (e *Engine) Counters() Counters {
 	c.DedupEntries, c.DedupEvictions = e.dedup.Len(), e.dedup.Evictions()
 	c.Lookups, c.Scans = e.readLookups.Load(), e.readScans.Load()
 	c.Read = e.readLat.Histogram()
-	for _, v := range e.cat.Load().views {
-		c.OldestSnapshot = earlier(c.OldestSnapshot, v.SnapshotUnixNano())
-	}
 	return c
 }
 
@@ -480,21 +464,18 @@ func (e *Engine) AdoptRelation(r *relation.Relation) error {
 // CreateView materializes a persistent view and registers it for dispatch.
 // filter/filterChronicle optionally narrow dispatch (Section 5.2); pass the
 // zero predicate to dispatch on dependency alone.
-func (e *Engine) CreateView(def view.Def, kind view.StoreKind, filter pred.Predicate, filterChronicle *chronicle.Chronicle) (*view.View, error) {
+func (e *Engine) CreateView(def view.Def, filter pred.Predicate, filterChronicle *chronicle.Chronicle) (*view.View, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.claimName(def.Name, "view"); err != nil {
 		return nil, err
 	}
-	var dir *view.Dir
-	var dkey string
-	if kind == view.StoreHash {
-		dkey = dirKey(def)
-		if dir = e.dirs[dkey]; dir == nil {
-			dir = view.NewDir(def.Name, def.KeyCols())
-		}
+	dkey := dirKey(def)
+	dir := e.dirs[dkey]
+	if dir == nil {
+		dir = view.NewDir(def.Name, def.KeyCols())
 	}
-	v, err := view.NewIn(def, kind, dir)
+	v, err := view.NewIn(def, dir)
 	if err != nil {
 		delete(e.names, def.Name)
 		return nil, err
@@ -509,15 +490,13 @@ func (e *Engine) CreateView(def view.Def, kind view.StoreKind, filter pred.Predi
 		delete(e.names, def.Name)
 		return nil, err
 	}
-	// Page B-tree views against the shared block cache before backfill or
+	// Page views against the shared block cache before backfill or
 	// publication, so every entry the view ever holds is block-attributed.
 	if e.cfg.ViewCache != nil && e.cfg.BlockFetch != nil {
 		v.EnablePaging(e.cfg.ViewBlockBytes, e.cfg.BlockFetch, e.cfg.ViewCache)
 	}
-	if dir != nil {
-		dir.Acquire()
-		e.dirs[dkey] = dir
-	}
+	dir.Acquire()
+	e.dirs[dkey] = dir
 	// Fold in any retained history so the view is current from creation.
 	e.backfill(v)
 	e.publishDirtyLocked()
@@ -526,9 +505,9 @@ func (e *Engine) CreateView(def view.Def, kind view.StoreKind, filter pred.Predi
 	return v, nil
 }
 
-// dirKey names the key directory of a hash view: views with structurally
-// equal expressions fold equal deltas, and grouping them by the same columns
-// they meet the same keys.
+// dirKey names the key directory of a view: views with structurally equal
+// expressions fold equal deltas, and grouping them by the same columns they
+// meet the same keys.
 func dirKey(def view.Def) string {
 	return fmt.Sprintf("%v|%s", def.KeyCols(), algebra.Fingerprint(def.Expr))
 }
@@ -543,13 +522,13 @@ func (e *Engine) backfill(v *view.View) {
 }
 
 // CreatePeriodicView creates a periodic view family (Section 5.1).
-func (e *Engine) CreatePeriodicView(name string, def view.Def, cal calendar.Calendar, expireAfter int64, kind view.StoreKind) (*calendar.PeriodicView, error) {
+func (e *Engine) CreatePeriodicView(name string, def view.Def, cal calendar.Calendar, expireAfter int64) (*calendar.PeriodicView, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.claimName(name, "periodic view"); err != nil {
 		return nil, err
 	}
-	pv, err := calendar.NewPeriodicView(name, def, cal, expireAfter, kind)
+	pv, err := calendar.NewPeriodicView(name, def, cal, expireAfter)
 	if err != nil {
 		delete(e.names, name)
 		return nil, err
@@ -581,7 +560,7 @@ func (e *Engine) DropView(name string) error {
 	case "view":
 		if v := e.views[name]; v != nil {
 			v.ReleasePaging()
-			if d := v.Dir(); d != nil && d.Release() == 0 {
+			if v.Dir().Release() == 0 {
 				delete(e.dirs, dirKey(v.Def()))
 			}
 		}
@@ -996,9 +975,9 @@ func (e *Engine) Relation(name string) (*relation.Relation, bool) {
 }
 
 // View returns a persistent view by name. View read methods are
-// internally synchronized (B-tree views publish immutable snapshots, hash
-// views an atomic table of frozen entries), so the handle may be used while
-// other goroutines append.
+// internally synchronized (a view publishes an atomic array of frozen
+// entries beside its lock-free key directory), so the handle may be used
+// while other goroutines append.
 func (e *Engine) View(name string) (*view.View, bool) {
 	v, ok := e.cat.Load().views[name]
 	return v, ok
@@ -1006,7 +985,7 @@ func (e *Engine) View(name string) (*view.View, bool) {
 
 // Read path. Every method below resolves names through the atomically
 // published catalog and reads object state through per-object
-// synchronization (view snapshots, chronicle/relation read locks) — none
+// synchronization (published view entries, chronicle/relation read locks) — none
 // of them touches e.mu, so summary queries never serialize against the
 // append hot path.
 //
@@ -1026,7 +1005,7 @@ func ownedRow(v *view.View, t value.Tuple) value.Tuple {
 }
 
 // ViewLookup answers a summary query from a persistent view by group key.
-// It runs lock-free against the view's latest published snapshot.
+// It runs lock-free against the view's latest publication.
 func (e *Engine) ViewLookup(name string, key value.Tuple) (value.Tuple, bool, error) {
 	start := time.Now()
 	v, ok := e.cat.Load().views[name]

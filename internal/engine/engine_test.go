@@ -90,10 +90,10 @@ func TestCreateValidation(t *testing.T) {
 	} else if err := e.AdoptRelation(clash); err == nil {
 		t.Error("cross-kind name collision accepted")
 	}
-	if _, err := e.CreateView(usageDef(c), view.StoreHash, pred.True(), nil); err != nil {
+	if _, err := e.CreateView(usageDef(c), pred.True(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.CreateView(usageDef(c), view.StoreHash, pred.True(), nil); err == nil {
+	if _, err := e.CreateView(usageDef(c), pred.True(), nil); err == nil {
 		t.Error("duplicate view accepted")
 	}
 	if _, err := e.CreateGroup("telecom"); err == nil {
@@ -107,7 +107,7 @@ func TestCreateValidation(t *testing.T) {
 func TestAppendMaintainsViews(t *testing.T) {
 	e, _ := newEngine(t)
 	c := mustCreateCalls(t, e)
-	v, err := e.CreateView(usageDef(c), view.StoreHash, pred.True(), nil)
+	v, err := e.CreateView(usageDef(c), pred.True(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestPeriodicViewThroughEngine(t *testing.T) {
 	}
 	def := usageDef(c)
 	def.Name = "monthly"
-	pv, err := e.CreatePeriodicView("monthly", def, cal, -1, view.StoreHash)
+	pv, err := e.CreatePeriodicView("monthly", def, cal, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestDispatchFilterSkipsUnaffectedViews(t *testing.T) {
 			Name: "bal_" + acct, Expr: sel, Mode: view.SummarizeGroupBy,
 			GroupCols: []int{0},
 			Aggs:      []aggregate.Spec{{Func: aggregate.Sum, Col: 1, Name: "total"}},
-		}, view.StoreHash, pred.Or(pred.ColConst(0, pred.Eq, value.Str(acct))), c)
+		}, pred.Or(pred.ColConst(0, pred.Eq, value.Str(acct))), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestBackfillFromRetainedChronicle(t *testing.T) {
 	e.Append("history", []value.Tuple{{value.Str("a"), value.Int(20)}})
 	def := usageDef(c)
 	def.Name = "late_view"
-	v, err := e.CreateView(def, view.StoreHash, pred.True(), nil)
+	v, err := e.CreateView(def, pred.True(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestBackfillFromRetainedChronicle(t *testing.T) {
 func TestRecorderVetoAbortsMutation(t *testing.T) {
 	e, _ := newEngine(t)
 	c := mustCreateCalls(t, e)
-	v, _ := e.CreateView(usageDef(c), view.StoreHash, pred.True(), nil)
+	v, _ := e.CreateView(usageDef(c), pred.True(), nil)
 	e.SetRecorder(func(Mutation) error { return fmt.Errorf("disk full") })
 	if _, err := e.Append("calls", []value.Tuple{{value.Str("a"), value.Int(1)}}); err == nil {
 		t.Fatal("append succeeded despite recorder veto")
@@ -260,11 +260,11 @@ func TestNamesListing(t *testing.T) {
 	e, _ := newEngine(t)
 	c := mustCreateCalls(t, e)
 	mustAdoptRelation(t, e, "customers", custSchema())
-	e.CreateView(usageDef(c), view.StoreHash, pred.True(), nil)
+	e.CreateView(usageDef(c), pred.True(), nil)
 	cal, _ := calendar.NewPeriodic(0, 10, 10)
 	def := usageDef(c)
 	def.Name = "periodic_usage"
-	e.CreatePeriodicView("periodic_usage", def, cal, -1, view.StoreHash)
+	e.CreatePeriodicView("periodic_usage", def, cal, -1)
 
 	if got := e.Names(Chronicles); len(got) != 1 || got[0] != "calls" {
 		t.Errorf("Names(Chronicles) = %v", got)
@@ -292,7 +292,7 @@ func TestNamesListing(t *testing.T) {
 func TestDropViewEngine(t *testing.T) {
 	e, _ := newEngine(t)
 	c := mustCreateCalls(t, e)
-	if _, err := e.CreateView(usageDef(c), view.StoreHash, pred.True(), nil); err != nil {
+	if _, err := e.CreateView(usageDef(c), pred.True(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.DropView("usage"); err != nil {
@@ -316,7 +316,7 @@ func TestDropViewEngine(t *testing.T) {
 	cal, _ := calendar.NewPeriodic(0, 10, 10)
 	def := usageDef(c)
 	def.Name = "p"
-	if _, err := e.CreatePeriodicView("p", def, cal, -1, view.StoreHash); err != nil {
+	if _, err := e.CreatePeriodicView("p", def, cal, -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.DropView("p"); err != nil {
@@ -414,7 +414,7 @@ func TestSerializedReadAccessors(t *testing.T) {
 	if err := mustAdoptRelation(t, e, "customers", custSchema()).Upsert(1, value.Tuple{value.Str("a"), value.Str("nj")}); err != nil {
 		t.Fatal(err)
 	}
-	e.CreateView(usageDef(c), view.StoreBTree, pred.True(), nil)
+	e.CreateView(usageDef(c), pred.True(), nil)
 	e.Append("calls", []value.Tuple{{value.Str("a"), value.Int(5)}})
 	e.Append("calls", []value.Tuple{{value.Str("b"), value.Int(7)}})
 
@@ -459,7 +459,7 @@ func TestSerializedReadAccessors(t *testing.T) {
 func TestLongCallFoldsInChunks(t *testing.T) {
 	e, _ := newEngine(t)
 	c := mustCreateCalls(t, e)
-	v, err := e.CreateView(usageDef(c), view.StoreBTree, pred.True(), nil)
+	v, err := e.CreateView(usageDef(c), pred.True(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

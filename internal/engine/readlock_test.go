@@ -18,7 +18,7 @@ import (
 func populateForReads(t *testing.T, e *Engine) {
 	t.Helper()
 	c := mustCreateCalls(t, e)
-	if _, err := e.CreateView(usageDef(c), view.StoreBTree, pred.True(), nil); err != nil {
+	if _, err := e.CreateView(usageDef(c), pred.True(), nil); err != nil {
 		t.Fatal(err)
 	}
 	hdef := view.Def{
@@ -31,7 +31,7 @@ func populateForReads(t *testing.T, e *Engine) {
 			{Func: aggregate.Count, Col: -1, Name: "n"},
 		},
 	}
-	if _, err := e.CreateView(hdef, view.StoreHash, pred.True(), nil); err != nil {
+	if _, err := e.CreateView(hdef, pred.True(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := mustAdoptRelation(t, e, "customers", custSchema()).Upsert(1, value.Tuple{value.Str("acct1"), value.Str("nj")}); err != nil {
@@ -100,7 +100,7 @@ func TestReadsDoNotAcquireEngineLock(t *testing.T) {
 	}
 	e.mu.Unlock()
 	// The counters are read under the engine lock, and they saw the reads.
-	if c := e.Counters(); c.Lookups == 0 || c.OldestSnapshot == 0 {
-		t.Errorf("Counters() lookups = %d, oldest snapshot = %d after reads of a live B-tree view", c.Lookups, c.OldestSnapshot)
+	if c := e.Counters(); c.Lookups == 0 {
+		t.Errorf("Counters() lookups = %d after reads of a live view", c.Lookups)
 	}
 }

@@ -498,8 +498,8 @@ func tupleFromJSON(schema *value.Schema, raw []any) (value.Tuple, error) {
 }
 
 // handleLatest answers GET /latest?view=NAME&n=N: the view's last n rows
-// by group key, highest first — a descending walk over the view's
-// lock-free snapshot that stops after n rows. Dashboards poll it for
+// by group key, highest first — a descending lock-free walk of the view's
+// key order that stops after n rows. Dashboards poll it for
 // "most recent groups" without paying for a full materialization.
 func (s *Server) handleLatest(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("view")

@@ -171,9 +171,6 @@ func TestLatestEndpoint(t *testing.T) {
 	if st["read_scans"].(float64) == 0 {
 		t.Errorf("read_scans = %v", st["read_scans"])
 	}
-	if _, ok := st["snapshot_age_ns"]; !ok {
-		t.Error("snapshot_age_ns missing from stats")
-	}
 }
 
 func TestBadRequests(t *testing.T) {

@@ -167,7 +167,7 @@ func concurrentStress(t *testing.T, shards int) {
 			GroupCols: []int{3}, // state
 			Aggs:      []aggregate.Spec{{Func: aggregate.Sum, Col: 1, Name: "total"}},
 		}
-		if _, err := r.CreateView(def, view.StoreBTree, pred.True(), nil); err != nil {
+		if _, err := r.CreateView(def, pred.True(), nil); err != nil {
 			t.Fatal(err)
 		}
 		chronicles[g] = c

@@ -248,7 +248,7 @@ func (r *Router) homeOfDef(name string, expr algebra.Node) (int, error) {
 
 // CreateView materializes a persistent view on the shard owning its
 // chronicles and registers it with that shard's dispatcher.
-func (r *Router) CreateView(def view.Def, kind view.StoreKind, filter pred.Predicate, filterChronicle *chronicle.Chronicle) (*view.View, error) {
+func (r *Router) CreateView(def view.Def, filter pred.Predicate, filterChronicle *chronicle.Chronicle) (*view.View, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	idx, err := r.homeOfDef(def.Name, def.Expr)
@@ -261,7 +261,7 @@ func (r *Router) CreateView(def view.Def, kind view.StoreKind, filter pred.Predi
 	// Backfill inside CreateView reads relation state: hold the epoch
 	// gate so a concurrent relation update cannot tear the initial scan.
 	r.relGate.RLock()
-	v, err := r.shards[idx].eng.CreateView(def, kind, filter, filterChronicle)
+	v, err := r.shards[idx].eng.CreateView(def, filter, filterChronicle)
 	r.relGate.RUnlock()
 	if err != nil {
 		delete(r.names, def.Name)
@@ -272,7 +272,7 @@ func (r *Router) CreateView(def view.Def, kind view.StoreKind, filter pred.Predi
 }
 
 // CreatePeriodicView creates a periodic view family on its home shard.
-func (r *Router) CreatePeriodicView(name string, def view.Def, cal calendar.Calendar, expireAfter int64, kind view.StoreKind) (*calendar.PeriodicView, error) {
+func (r *Router) CreatePeriodicView(name string, def view.Def, cal calendar.Calendar, expireAfter int64) (*calendar.PeriodicView, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	idx, err := r.homeOfDef(name, def.Expr)
@@ -282,7 +282,7 @@ func (r *Router) CreatePeriodicView(name string, def view.Def, cal calendar.Cale
 	if err := r.claim(name, "periodic view"); err != nil {
 		return nil, err
 	}
-	pv, err := r.shards[idx].eng.CreatePeriodicView(name, def, cal, expireAfter, kind)
+	pv, err := r.shards[idx].eng.CreatePeriodicView(name, def, cal, expireAfter)
 	if err != nil {
 		delete(r.names, name)
 		return nil, err

@@ -84,10 +84,10 @@ func TestRouterBasics(t *testing.T) {
 	if _, err := r.CreateChronicle("calls", "", callsSchema(), nil); err == nil {
 		t.Error("duplicate chronicle accepted")
 	}
-	if _, err := r.CreateView(usageDef("usage", c), view.StoreHash, pred.True(), nil); err != nil {
+	if _, err := r.CreateView(usageDef("usage", c), pred.True(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.CreateView(usageDef("usage", c), view.StoreHash, pred.True(), nil); err == nil {
+	if _, err := r.CreateView(usageDef("usage", c), pred.True(), nil); err == nil {
 		t.Error("duplicate view accepted")
 	}
 	sn, err := r.Append("calls", []value.Tuple{{value.Str("alice"), value.Int(10)}})
@@ -127,7 +127,7 @@ func TestViewHomeFollowsChronicle(t *testing.T) {
 		group := fmt.Sprintf("g%d", i)
 		name := fmt.Sprintf("calls%d", i)
 		c := mustCreateChronicle(t, r, name, group)
-		if _, err := r.CreateView(usageDef("v"+name, c), view.StoreBTree, pred.True(), nil); err != nil {
+		if _, err := r.CreateView(usageDef("v"+name, c), pred.True(), nil); err != nil {
 			t.Fatal(err)
 		}
 		home := r.shardOfGroup(group)
@@ -139,7 +139,7 @@ func TestViewHomeFollowsChronicle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.CreateView(usageDef("orphan", ghost), view.StoreHash, pred.True(), nil); err == nil || !strings.Contains(err.Error(), "unknown chronicle") {
+	if _, err := r.CreateView(usageDef("orphan", ghost), pred.True(), nil); err == nil || !strings.Contains(err.Error(), "unknown chronicle") {
 		t.Errorf("view over unregistered chronicle: err = %v", err)
 	}
 }
@@ -190,7 +190,7 @@ func TestProactiveUpdateSemantics(t *testing.T) {
 		Name: "nj_minutes", Expr: sel, Mode: view.SummarizeGroupBy,
 		GroupCols: []int{0},
 		Aggs:      []aggregate.Spec{{Func: aggregate.Sum, Col: 1, Name: "total"}},
-	}, view.StoreHash, pred.True(), nil)
+	}, pred.True(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

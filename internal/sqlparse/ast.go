@@ -90,6 +90,8 @@ type PeriodicClause struct {
 //	  [WHERE boolexpr] [GROUP BY cols]
 //	  [EVERY p [WIDTH w] [OFFSET o] [EXPIRE e]]
 //	  [WITH STORE HASH|BTREE]
+//
+// The WITH STORE clause is accepted and ignored: every view keeps one store.
 type CreateView struct {
 	Name     string
 	Distinct bool
@@ -100,7 +102,6 @@ type CreateView struct {
 	Where    *BoolExpr
 	GroupBy  []ColRef
 	Periodic *PeriodicClause
-	Store    string // "", "HASH", "BTREE"
 }
 
 // AppendPart is one chronicle's share of an append statement.

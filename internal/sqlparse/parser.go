@@ -489,10 +489,9 @@ func (p *parser) createView() (Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch s := strings.ToUpper(store); s {
-		case "HASH", "BTREE":
-			v.Store = s
-		default:
+		// Every view keeps one kind of store; the clause is accepted for the
+		// DDL written before it was, and changes nothing.
+		if s := strings.ToUpper(store); s != "HASH" && s != "BTREE" {
 			return nil, p.errf("store must be HASH or BTREE")
 		}
 	}

@@ -138,7 +138,7 @@ func TestParseCreateView(t *testing.T) {
 	if !ok {
 		t.Fatalf("parsed %T", s)
 	}
-	if v.Name != "balances" || v.From != "calls" || v.Store != "BTREE" {
+	if v.Name != "balances" || v.From != "calls" {
 		t.Errorf("%+v", v)
 	}
 	if len(v.Items) != 3 || v.Items[1].Agg != "SUM" || v.Items[1].As != "total" || !v.Items[2].Star {

@@ -23,8 +23,7 @@ type Catalog interface {
 // ViewPlan is a lowered CREATE VIEW: an SCA definition plus dispatch and
 // periodic metadata.
 type ViewPlan struct {
-	Def   view.Def
-	Store view.StoreKind
+	Def view.Def
 	// Filter/FilterChronicle feed the Section 5.2 dispatcher when the view
 	// carries an indexable base-chronicle predicate.
 	Filter          pred.Predicate
@@ -275,14 +274,6 @@ func PlanView(cat Catalog, s *CreateView) (*ViewPlan, error) {
 				def.Cols = append(def.Cols, idx)
 			}
 		}
-	}
-
-	// Store.
-	switch s.Store {
-	case "BTREE":
-		plan.Store = view.StoreBTree
-	default:
-		plan.Store = view.StoreHash
 	}
 
 	// Periodic.

@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -102,9 +103,6 @@ func TestPlanSimpleGroupBy(t *testing.T) {
 	}
 	if plan.Info.Lang != algebra.LangCA1 || plan.Info.IMClass() != algebra.IMConstant {
 		t.Errorf("classified %s/%s", plan.Info.Lang, plan.Info.IMClass())
-	}
-	if plan.Store != view.StoreHash {
-		t.Errorf("default store = %v", plan.Store)
 	}
 }
 
@@ -233,12 +231,18 @@ func TestPlanPeriodic(t *testing.T) {
 	}
 }
 
+// TestPlanStoreSelection: every view has one store, and the WITH STORE
+// clause of older DDL is accepted and changes nothing — the plan is the one
+// without it.
 func TestPlanStoreSelection(t *testing.T) {
 	cat := newCatalog(t)
-	plan := planView(t, cat,
-		"CREATE VIEW v AS SELECT acct, COUNT(*) AS n FROM calls GROUP BY acct WITH STORE BTREE")
-	if plan.Store != view.StoreBTree {
-		t.Errorf("store = %v", plan.Store)
+	const stmt = "CREATE VIEW v AS SELECT acct, COUNT(*) AS n FROM calls GROUP BY acct"
+	want := planView(t, cat, stmt)
+	for _, store := range []string{"BTREE", "HASH", "btree"} {
+		plan := planView(t, cat, stmt+" WITH STORE "+store)
+		if fmt.Sprint(plan.Def, plan.Info) != fmt.Sprint(want.Def, want.Info) {
+			t.Errorf("WITH STORE %s planned %+v, want %+v", store, plan.Def, want.Def)
+		}
 	}
 }
 

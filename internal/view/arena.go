@@ -5,21 +5,18 @@ import (
 	"unsafe"
 )
 
-// arena hands out the memory view entries are made of — shells (an entry
-// and its group's states, see shape) and ordered-store key bytes — from
-// chunks it allocates a run at a time, so a new group costs no allocation of its own
+// arena hands out the memory view entries are made of — shells, an entry
+// and its group's states (see shape) — from chunks it allocates a run at a
+// time, so a new group costs no allocation of its own
 // and pays no size-class rounding. Each chunk serves about as many entries
 // as the arena has handed out so far, between minChunk and maxChunk (see
 // room): a view of a few groups never pays for a full chunk, a large one
 // allocates a few objects per thousand groups and strands at most one
 // chunk's tail.
 //
-// Nothing carved is ever returned one piece at a time. Views are
-// insert-only, so a group's key lives as long as the view; a retired shell
-// goes to the view's free list, of either store, never back to its chunk
-// (see shells); and a paged view carves its keys per block
-// (blockMeta.arena), so that evicting the block drops the last reference to
-// its chunks and the collector takes them whole.
+// Nothing carved is ever returned one piece at a time: a retired shell goes
+// to the view's free list, never back to its chunk (see shells). A paged view
+// carves nothing, so that evicting a block leaves the collector its entries.
 //
 // A nil *arena is the heap: every method allocates the piece on its own, for
 // entries the collector must own (see newEntry).
@@ -29,7 +26,6 @@ type arena struct {
 	// them handed out, size in all.
 	slab       unsafe.Pointer
 	used, size int
-	keys       []byte // ordered-store keys
 }
 
 const (
@@ -47,15 +43,15 @@ const (
 // chunk returns how many entries the next chunk should serve.
 func (a *arena) chunk() int { return min(max(a.n, minChunk), maxChunk) }
 
-// room returns the length of the next chunk of a slab whose elements take
-// size bytes and whose entries take per of them: what chunk() entries need,
-// rounded so that the chunk and its header fill a power-of-two size class.
-func (a *arena) room(per, size int) int {
+// room returns how many shells of size bytes the next chunk holds: what
+// chunk() entries need, rounded so that the chunk and its header fill a
+// power-of-two size class.
+func (a *arena) room(size int) int {
 	class := 64
-	for want := min(per*a.chunk()*size, maxChunkBytes); class < want; {
+	for want := min(a.chunk()*size, maxChunkBytes); class < want; {
 		class <<= 1
 	}
-	return max(per, (class-allocHeader)/size)
+	return max(1, (class-allocHeader)/size)
 }
 
 // reserve announces that n entries are about to be built, so that the first
@@ -69,7 +65,7 @@ func (a *arena) shell(sh *shape) *entry {
 		return (*entry)(reflect.New(sh.typ).UnsafePointer())
 	}
 	if a.used == a.size {
-		a.size = a.room(1, sh.bytes)
+		a.size = a.room(sh.bytes)
 		a.slab = reflect.MakeSlice(reflect.SliceOf(sh.typ), a.size, a.size).UnsafePointer()
 		a.used = 0
 	}
@@ -77,18 +73,4 @@ func (a *arena) shell(sh *shape) *entry {
 	a.used++
 	a.n++
 	return e
-}
-
-// keyBytes returns a private copy of key.
-func (a *arena) keyBytes(key []byte) []byte {
-	if a == nil {
-		return append([]byte(nil), key...)
-	}
-	if len(a.keys) < len(key) {
-		a.keys = make([]byte, a.room(len(key), 1))
-	}
-	k := a.keys[:len(key):len(key)]
-	a.keys = a.keys[len(key):]
-	copy(k, key)
-	return k
 }

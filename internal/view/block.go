@@ -21,12 +21,12 @@ import (
 //	  len(key) (uvarint), key, count (uvarint), one state per aggregation spec
 //	CRC-32C of all preceding payload bytes (4 bytes LE)
 //
-// key is the entry's group key exactly as the store holds it (keyenc), and
-// the only copy of the group values: a restore carves it as it stands, and a
-// reader decodes the values from it.
+// key is the entry's group key exactly as the directory holds it (keyenc),
+// and the only copy of the group values: a restore interns it as it stands,
+// and a reader decodes the values from it.
 
 // DefaultBlockBytes is the target encoded size of one view block. 8 KiB
-// keeps a faulted block to a handful of tree inserts while amortizing the
+// keeps a faulted block to a handful of directory probes while amortizing the
 // per-block header and CRC across dozens-to-hundreds of entries.
 const DefaultBlockBytes = 8 << 10
 
@@ -52,7 +52,7 @@ func blockCRC(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli
 
 // appendBlockEntry appends the entry stored under key in block-payload
 // encoding.
-func appendBlockEntry(b, key []byte, e *entry, sh *shape) []byte {
+func appendBlockEntry(b []byte, key string, e *entry, sh *shape) []byte {
 	b = binary.AppendUvarint(b, uint64(len(key)))
 	b = append(b, key...)
 	b = binary.AppendUvarint(b, uint64(e.count()))
@@ -95,7 +95,7 @@ func decodeBlock(data []byte, nkey int, sh *shape) ([]keyed, error) {
 	entries := make([]keyed, 0, min(count, uint64(len(body))))
 	for i := uint64(0); i < count; i++ {
 		// Blocks belong to paged views, whose shells stay with the collector
-		// (see blockMeta.arena).
+		// (see arena).
 		key, e, used, err := decodeEntry(body[off:], nil, nkey, sh)
 		if err != nil {
 			return nil, fmt.Errorf("block entry %d: %w", i, err)

@@ -25,7 +25,7 @@ var fuzzShape = func() *shape {
 func sealTestBlock(entries []keyed) []byte {
 	var body []byte
 	for _, ke := range entries {
-		body = appendBlockEntry(body, ke.key, ke.e, fuzzShape)
+		body = appendBlockEntry(body, string(ke.key), ke.e, fuzzShape)
 	}
 	return sealBlock(nil, body, len(entries))
 }
@@ -94,7 +94,7 @@ func FuzzBlock(f *testing.F) {
 func FuzzBlockedImage(f *testing.F) {
 	fx := newFixture(f)
 	sim := newChainSim()
-	src := goldenView(f, fx, StoreBTree)
+	src := goldenView(f, fx)
 	src.EnablePaging(512, sim.fetch, NewCache(0))
 	goldenRows(f, fx, src)
 	full, pend, _, _, err := src.CheckpointBlocked(true)
@@ -113,7 +113,7 @@ func FuzzBlockedImage(f *testing.F) {
 	f.Add(full[:len(full)-1])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v := goldenView(t, newFixture(t), StoreBTree)
+		v := goldenView(t, newFixture(t))
 		v.EnablePaging(512, sim.fetch, NewCache(0))
 		if v.RestoreBlocked(data, "fuzz", 0) != nil {
 			return

@@ -68,32 +68,35 @@ func (v *View) checkHeader(data []byte, version byte) (int, error) {
 	return off + n, nil
 }
 
-// Checkpoint serializes the view's materialized state. It holds the view
-// read lock, so it sees batch boundaries only, never a half-applied
-// maintenance batch. A paged view serializes from a fully-faulted COW
-// snapshot instead, so the image covers evicted blocks too and stays
-// complete even if eviction runs mid-encode.
+// Checkpoint serializes the view's materialized state, every entry in key
+// order. It holds the view's lock, so it sees publications only, never a
+// half-applied maintenance batch; a paged view faults its cold blocks first,
+// so the image covers evicted blocks too.
 func (v *View) Checkpoint() []byte {
 	b := v.appendHeader(nil, checkpointVersion)
-	appendEntry := func(k []byte, e *entry) bool {
-		b = appendBlockEntry(b, k, e, v.sh)
+	p := v.pg.Load()
+	v.mu.Lock()
+	if p != nil {
+		var cold []*blockMeta
+		for _, blk := range p.blocks {
+			if !blk.resident {
+				cold = append(cold, blk)
+			}
+		}
+		if len(cold) > 0 {
+			v.faultIn(p, false, cold...)
+		}
+	}
+	h := v.store
+	b = binary.AppendUvarint(b, uint64(h.count.Load()))
+	h.each(nil, nil, func(id uint32, e *entry) bool {
+		b = appendBlockEntry(b, h.dir.key(id), e, v.sh)
 		return true
+	})
+	v.mu.Unlock()
+	if p != nil {
+		p.cache.maintain()
 	}
-	if p := v.pg.Load(); p != nil {
-		// The walk reads the snapshot without the lock, and the faults and
-		// evictions planScan sets off publish meanwhile: counted, it keeps
-		// what it reads from being reused under it.
-		v.readers.Add(1)
-		defer v.readers.Add(-1)
-		s, _, _, _ := v.planScan(p, Window{}, 0)
-		b = binary.AppendUvarint(b, uint64(s.tree.Len()))
-		s.tree.Ascend(appendEntry)
-		return b
-	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	b = binary.AppendUvarint(b, uint64(v.store.len()))
-	v.store.ascend(appendEntry)
 	return b
 }
 
@@ -110,13 +113,13 @@ func (v *View) RestoreCheckpoint(data []byte) error {
 	}
 	off += n
 
-	a, shell := new(arena), (*arena)(nil)
+	var a *arena // a paged view's are the collector's: see arena
 	if v.pg.Load() == nil {
-		shell = a // a paged view's are the collector's: see blockMeta.arena
+		a = new(arena)
+		a.reserve(int(min(count, uint64(len(data)))))
 	}
-	a.reserve(int(min(count, uint64(len(data)))))
-	fresh := newStore(v.StoreKind(), v.Dir(), &v.shells)
-	if off, err = v.restoreEntries(fresh, a, shell, data, off, count); err != nil {
+	fresh := &store{dir: v.store.dir}
+	if off, err = v.restoreEntries(fresh, a, data, off, count); err != nil {
 		return err
 	}
 	if off != len(data) {
@@ -124,35 +127,21 @@ func (v *View) RestoreCheckpoint(data []byte) error {
 	}
 	v.mu.Lock()
 	// The shells belong to the arena the replaced entries were carved from,
-	// which goes with them.
+	// which goes with them. Readers reach the entries through v.store without
+	// any lock, so the store pointer never changes: it adopts the fresh array
+	// in place.
 	v.shells = shells{sh: v.sh}
-	if cur, ok := v.store.(*hashStore); ok {
-		// Hash readers reach the entries through v.store without any lock,
-		// so the store pointer must never change once published: adopt the
-		// fresh array in place.
-		cur.adopt(fresh.(*hashStore))
-	} else {
-		v.store = fresh
+	v.store.adopt(fresh)
+	if a != nil {
+		v.arena = a
 	}
-	v.arena = a
 	if p := v.pg.Load(); p != nil {
-		// A whole-image restore (the replication bootstrap image)
-		// collapses the pager to one resident dirty block spanning the
-		// key space; the next blocked checkpoint re-cuts it.
+		// A whole-image restore (the replication bootstrap image) collapses
+		// the pager to one resident dirty block spanning the key space; the
+		// next blocked checkpoint re-cuts it.
 		p.cache.dropView(v)
-		b := &blockMeta{resident: true, arena: a}
-		v.store.ascend(func(k []byte, e *entry) bool {
-			b.n++
-			b.bytes += v.estEntryBytes(k)
-			return true
-		})
-		p.mark++
-		b.dirtyMark = p.mark
-		b.hot.Store(true)
-		p.blocks = []*blockMeta{b}
-		p.nonResident.Store(0)
-		p.total = int64(b.n)
-		p.cache.addResident(v, b)
+		p.setBlocks([]*blockMeta{v.wholeBlock(p)})
+		p.cache.addResident(v, p.blocks[0])
 	}
 	v.publishLocked()
 	v.mu.Unlock()
@@ -160,38 +149,27 @@ func (v *View) RestoreCheckpoint(data []byte) error {
 }
 
 // restoreEntries decodes count entries of a whole image from data at off into
-// fresh, carving keys from a and shells from shell, and returns the offset
-// past them. A hash view's keys are interned into its directory, under the
-// directory's lock, which the caller must not hold with the view's.
-func (v *View) restoreEntries(fresh store, a, shell *arena, data []byte, off int, count uint64) (int, error) {
-	if d := v.Dir(); d != nil {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-	}
+// fresh, carving shells from a, and returns the offset past them. The keys
+// are interned into the view's directory, under the directory's lock, which
+// the caller must not hold with the view's.
+func (v *View) restoreEntries(fresh *store, a *arena, data []byte, off int, count uint64) (int, error) {
+	d := fresh.dir
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	for i := uint64(0); i < count; i++ {
-		key, e, used, err := decodeEntry(data[off:], shell, len(v.keyKinds), v.sh)
+		key, e, used, err := decodeEntry(data[off:], a, len(v.keyKinds), v.sh)
 		if err != nil {
 			return 0, fmt.Errorf("view %s: entry %d: %w", v.def.Name, i, err)
 		}
 		off += used
-		dup := false
-		switch f := fresh.(type) {
-		case *treeStore:
-			if dup = f.get(key) != nil; !dup {
-				f.put(a, key, e)
-			}
-		case *hashStore:
-			// The directory may hold the key already, for a sibling; the
-			// group is this view's first copy of it or a repeat.
-			s := f.pub.slot(f.dir.intern(key))
-			if dup = s.Load() != nil; !dup {
-				s.Store(e)
-				f.count.Add(1)
-			}
-		}
-		if dup {
+		// The directory may hold the key already, for a sibling; the group is
+		// this view's first copy of it or a repeat.
+		s := fresh.pub.slot(d.intern(key))
+		if s.Load() != nil {
 			return 0, fmt.Errorf("view %s: entry %d repeats a group", v.def.Name, i)
 		}
+		s.Store(e)
+		fresh.count.Add(1)
 	}
 	return off, nil
 }

@@ -12,18 +12,20 @@ import (
 )
 
 // Dir is a key directory: an append-only table from an encoded group key to
-// a dense id, holding each key's bytes once for every hash view that shares
-// it. Views whose expressions are structurally equal (algebra.Fingerprint)
-// and that group by the same columns fold the same delta rows into the same
-// keys — the paper's many summaries of one chronicle by one attribute — so
-// the engine hands them one directory: a key is encoded, hashed and probed
-// once per row per call for all of them, and each view keeps only an
-// id-indexed array of its published entries (see hashStore).
+// a dense id, holding each key's bytes once for every view that shares it,
+// and the order of those keys (see order). Views whose expressions are
+// structurally equal (algebra.Fingerprint) and that group by the same columns
+// fold the same delta rows into the same keys — the paper's many summaries of
+// one chronicle by one attribute — so the engine hands them one directory: a
+// key is encoded, hashed and probed once per row per call for all of them,
+// ordered once when it is new, and each view keeps only an id-indexed array
+// of its published entries (see store).
 //
 // Readers are lock-free: a probe loads the table and each slot atomically,
-// and a key is written before the slot that names it is published. Writers
-// (a call's resolution, a checkpoint restore) hold mu. Ids are never reused
-// and keys never removed, so an id a reader found stays that key's.
+// and a key is written before the slot that names it is published and before
+// the order links it. Writers (a call's resolution, a block fault, a
+// checkpoint restore) hold mu. Ids are never reused and keys never removed,
+// so an id a reader found stays that key's.
 type Dir struct {
 	keyCols []int // the source columns a row's key is encoded from
 
@@ -54,6 +56,8 @@ type Dir struct {
 	groupOf []uint64
 	keyBuf  []byte
 
+	ord order
+
 	// The writer's work: key hashes, table probes and key comparisons (each
 	// an id's key read back). Guarded by mu; readers' probes are not counted.
 	hashes, probes, compares int64
@@ -83,6 +87,7 @@ type DirStats struct {
 	Hashes      int64 // keys hashed: one per delta row per resolution, one per restored entry
 	Probes      int64 // table probes: one per hash
 	KeyCompares int64 // keys read back after a tag match
+	OrderVisits int64 // keys read to order the new ones: none for a key the directory held
 }
 
 // NewDir returns an empty directory for views grouping by keyCols, the
@@ -113,7 +118,7 @@ func (d *Dir) Len() int { return int(d.size.Load()) }
 func (d *Dir) Stats() DirStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return DirStats{Hashes: d.hashes, Probes: d.probes, KeyCompares: d.compares}
+	return DirStats{Hashes: d.hashes, Probes: d.probes, KeyCompares: d.compares, OrderVisits: d.ord.visits}
 }
 
 // hashSeed is the process-wide seed of the key directories.
@@ -206,7 +211,8 @@ func (d *Dir) key(id uint32) string {
 }
 
 // intern returns key's id, adding the key if d does not hold it: one hash
-// and one table probe. Callers hold mu.
+// and one table probe, and for a new key its place in the order. Callers
+// hold mu.
 func (d *Dir) intern(key []byte) uint32 {
 	d.hashes++
 	d.probes++
@@ -235,6 +241,7 @@ func (d *Dir) intern(key []byte) uint32 {
 	t.slots[at].Store(uint64(tag)<<32 | uint64(id))
 	d.n++
 	d.size.Store(int64(d.n))
+	d.insert(id)
 	return id
 }
 

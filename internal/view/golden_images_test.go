@@ -18,7 +18,7 @@ import (
 
 // goldenView carries every aggregation function over the fixture's calls
 // chronicle, so every state encoding appears in the images.
-func goldenView(t testing.TB, f *fixture, kind StoreKind) *View {
+func goldenView(t testing.TB, f *fixture) *View {
 	t.Helper()
 	return mustNew(t, Def{
 		Name:      "golden",
@@ -36,7 +36,7 @@ func goldenView(t testing.TB, f *fixture, kind StoreKind) *View {
 			{Func: aggregate.Var, Col: 1, Name: "var"},
 			{Func: aggregate.Stddev, Col: 1, Name: "sd"},
 		},
-	}, kind)
+	})
 }
 
 // goldenRows folds 40 groups, a few of them more than once.
@@ -73,32 +73,30 @@ func goldenFile(t *testing.T, name string, got []byte) []byte {
 }
 
 func TestGoldenCheckpointImage(t *testing.T) {
-	for _, kind := range []StoreKind{StoreHash, StoreBTree} {
-		f := newFixture(t)
-		v := goldenView(t, f, kind)
-		goldenRows(t, f, v)
-		img := v.Checkpoint()
-		want := goldenFile(t, "golden_checkpoint.hex", img)
-		if string(img) != string(want) {
-			t.Fatalf("%s: the checkpoint of the golden rows differs from the parent's image", kind)
-		}
-		r := goldenView(t, newFixture(t), kind)
-		if err := r.RestoreCheckpoint(want); err != nil {
-			t.Fatalf("%s: restoring the parent's image: %v", kind, err)
-		}
-		if !sameTuples(r.Rows(), v.Rows()) {
-			t.Fatalf("%s: restored rows differ:\n got %v\nwant %v", kind, r.Rows(), v.Rows())
-		}
-		if again := r.Checkpoint(); string(again) != string(want) {
-			t.Fatalf("%s: the restored view checkpoints to different bytes", kind)
-		}
+	f := newFixture(t)
+	v := goldenView(t, f)
+	goldenRows(t, f, v)
+	img := v.Checkpoint()
+	want := goldenFile(t, "golden_checkpoint.hex", img)
+	if string(img) != string(want) {
+		t.Fatalf("the checkpoint of the golden rows differs from the parent's image")
+	}
+	r := goldenView(t, newFixture(t))
+	if err := r.RestoreCheckpoint(want); err != nil {
+		t.Fatalf("restoring the parent's image: %v", err)
+	}
+	if !sameTuples(r.Rows(), v.Rows()) {
+		t.Fatalf("restored rows differ:\n got %v\nwant %v", r.Rows(), v.Rows())
+	}
+	if again := r.Checkpoint(); string(again) != string(want) {
+		t.Fatalf("the restored view checkpoints to different bytes")
 	}
 }
 
 func TestGoldenBlockedImage(t *testing.T) {
 	f := newFixture(t)
 	sim := newChainSim()
-	v := goldenView(t, f, StoreBTree)
+	v := goldenView(t, f)
 	v.EnablePaging(512, sim.fetch, NewCache(0))
 	goldenRows(t, f, v)
 	img, _, _, total, err := v.CheckpointBlocked(true)
@@ -116,7 +114,7 @@ func TestGoldenBlockedImage(t *testing.T) {
 	// image; re-cut in full, cold (blocks copied forward) and resident (blocks
 	// re-encoded), it writes the same bytes.
 	sim.files["golden"] = want
-	r := goldenView(t, newFixture(t), StoreBTree)
+	r := goldenView(t, newFixture(t))
 	r.EnablePaging(512, sim.fetch, NewCache(0))
 	if err := r.RestoreBlocked(want, "golden", 0); err != nil {
 		t.Fatalf("restoring the golden blocked image: %v", err)

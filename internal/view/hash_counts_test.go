@@ -31,7 +31,7 @@ func siblings(t testing.TB, f *fixture, d *Dir, n int) []*View {
 			Mode:      SummarizeGroupBy,
 			GroupCols: []int{0},
 			Aggs:      append(aggs[:2:2], aggs[2+i%3]),
-		}, StoreHash, d)
+		}, d)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ import (
 // here; now they read the atomically published table.
 func TestHashReadsDoNotAcquireViewLock(t *testing.T) {
 	f := newFixture(t)
-	v := minutesPerAcct(t, f, StoreHash)
+	v := minutesPerAcct(t, f)
 	v.Apply(f.appendCall(t, "acct1", 10))
 	v.Apply(f.appendCall(t, "acct2", 20))
 
@@ -73,7 +73,7 @@ func TestHashReadsDoNotAcquireViewLock(t *testing.T) {
 // under -race this also checks the publication ordering itself.
 func TestHashConcurrentReadersSeeConsistentEntries(t *testing.T) {
 	f := newFixture(t)
-	v := minutesPerAcct(t, f, StoreHash)
+	v := minutesPerAcct(t, f)
 	accts := []string{"a", "b", "c", "d"}
 	for _, a := range accts {
 		v.Apply(f.appendCall(t, a, 7))
@@ -154,7 +154,7 @@ func TestHashLockFreeThroughGrowth(t *testing.T) {
 		oldPerCall = 16
 	)
 	f := newFixture(t)
-	v := minutesPerAcct(t, f, StoreHash)
+	v := minutesPerAcct(t, f)
 	key := func(i int) string { return fmt.Sprintf("k%06d", i) }
 	installs := 0 // the writer is this goroutine: no reader runs the hook
 	installHook = func() {
@@ -262,7 +262,7 @@ func TestHashLockFreeThroughGrowth(t *testing.T) {
 // the reader leaves recycles everything that waited.
 func TestHashShellsBoundedUnderPermanentReader(t *testing.T) {
 	f := newFixture(t)
-	v := minutesPerAcct(t, f, StoreHash)
+	v := minutesPerAcct(t, f)
 	sh := &v.shells
 	keys := []string{"a", "b", "c", "d"}
 	v.ApplyRows(sevenRows(1, keys...))

@@ -8,29 +8,31 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"chronicledb/internal/btree"
 	"chronicledb/internal/keyenc"
 	"chronicledb/internal/value"
 )
 
-// The pager turns a B-tree view store into a blocked persistent store:
-// the key space is partitioned into fixed-target-size blocks bounded by
+// The pager turns a view's store into a blocked persistent store: the key
+// space is partitioned into fixed-target-size blocks bounded by
 // memcomparable separator keys, each block independently dirty-tracked,
-// checkpointed, evicted, and faulted back in. The live tree only holds
-// resident blocks' entries; the published COW snapshot therefore covers
-// the resident set, and a read that may reach a cold block plans which
-// blocks it needs, faults exactly those from the checkpoint chain, and reads
-// one snapshot that holds them (pagedLookup, pagedScan).
+// checkpointed, evicted, and faulted back in. A block is a key range of the
+// directory's order; the store's array holds the entries of resident blocks
+// only, and a read that may reach a cold block plans which blocks it needs,
+// faults exactly those from the checkpoint chain, and reads them under the
+// view's lock (pagedLookup, pagedScan). Keys are not paged: once a block
+// has been faulted its keys stay in the directory, shared with the
+// directory's other views, and eviction drops the view's entries only.
 //
 // Invariants (all block state transitions happen under the view's mu):
 //
-//   - resident ⇒ in the published snapshot: every fault ends by publishing
-//     the block (faultIn), and eviction by publishing its absence, so a
-//     reader that misses the snapshot while nonResident is 0 may conclude
-//     the key does not exist.
+//   - resident ⇒ published: a fault stores the block's entries into the
+//     store's array before it lowers nonResident, and an eviction raises
+//     nonResident before it clears them, each inside one odd-seq window, so a
+//     reader that misses an entry while nonResident is 0 and seq did not move
+//     may conclude the key does not exist.
 //   - dirty ⇒ resident: a write faults the covering block first, so a
-//     dirty block's entries are always in the live tree and a checkpoint
-//     can re-encode it from memory.
+//     dirty block's entries are always in memory and a checkpoint can
+//     re-encode it.
 //   - evictable ⇒ clean with a durable ref: eviction only drops entries
 //     that the checkpoint chain can reproduce byte-for-byte.
 //   - blocks[0].lo == nil (-∞); blocks ascend strictly by lo, so every
@@ -41,17 +43,11 @@ type blockMeta struct {
 	lo        []byte // inclusive lower bound; nil on the first block = -∞
 	n         int    // logical entries attributed to the block
 	bytes     int64  // encoded size: exact after a checkpoint, estimated between
-	resident  bool   // entries present in the live tree
+	resident  bool   // entries present in the store
 	dirtyMark uint64 // pager clock at last write into the block
 	ckptMark  uint64 // pager clock at last durably committed encode
 	ref       *BlockRef
 	hot       atomic.Bool // CLOCK reference bit: set by writes and by point, range and limit reads, not by a scan of the whole view
-	// arena is where the block's keys are carved from while it is resident
-	// (created on first need). Eviction drops it with the entries, so a cold
-	// block pins no chunk. Entry shells are not carved from it: the view
-	// recycles a shell beyond the life of its block, and a carved one would
-	// pin the chunk.
-	arena *arena
 }
 
 // dirty reports whether the block changed since its last committed
@@ -59,30 +55,52 @@ type blockMeta struct {
 func (b *blockMeta) dirty() bool { return b.ref == nil || b.dirtyMark > b.ckptMark }
 
 // pager is the per-view paging state. blocks, total and every blockMeta
-// field except hot are guarded by the owning view's mu; nonResident and
-// published are atomics so the read paths can consult them without locks.
+// field except hot are guarded by the owning view's mu; index, nonResident
+// and published are atomics so the read paths can consult them without
+// locks.
 type pager struct {
-	blockBytes  int64
-	fetch       FetchFunc
-	cache       *Cache
-	blocks      []*blockMeta
+	blockBytes int64
+	fetch      FetchFunc
+	cache      *Cache
+	blocks     []*blockMeta
+	// index is blocks as last installed, for lock-free readers: the slice is
+	// never written after it is stored, and a block's lower bound never
+	// changes, which is all the lock-free hit path wants of it — the
+	// covering block's reference bit.
+	index       atomic.Pointer[[]*blockMeta]
 	mark        uint64 // monotonic write clock feeding dirtyMark/ckptMark
 	nonResident atomic.Int64
 	total       int64        // logical entries across all blocks, live
 	published   atomic.Int64 // total as of the last publication (View.Len)
 }
 
+// setBlocks installs a new block list. Caller holds the view's mu.
+func (p *pager) setBlocks(blocks []*blockMeta) {
+	p.blocks = blocks
+	p.index.Store(&blocks)
+}
+
+// touch tells the CLOCK that the block covering key was read. Lock-free.
+func (p *pager) touch(key []byte) {
+	blocks := *p.index.Load()
+	// Load before store: a hot block's bit is already set, and the common
+	// hit must not bounce its cache line between readers.
+	if b := blocks[blockIndex(blocks, bytesString(key))]; !b.hot.Load() {
+		b.hot.Store(true)
+	}
+}
+
 // blockFor returns the index of the block covering key.
-func (p *pager) blockFor(key []byte) int { return blockIndex(p.blocks, key) }
+func (p *pager) blockFor(key string) int { return blockIndex(p.blocks, key) }
 
 // blockIndex returns the index of the block of a block list that covers key:
 // the greatest blocks[i].lo ≤ key. Hand-written binary search — the write
-// hot path calls this per row and must not allocate a closure.
-func blockIndex(blocks []*blockMeta, key []byte) int {
+// hot path calls this per group and must not allocate a closure.
+func blockIndex(blocks []*blockMeta, key string) int {
 	i, j := 1, len(blocks)
 	for i < j {
 		m := int(uint(i+j) >> 1)
-		if bytes.Compare(blocks[m].lo, key) <= 0 {
+		if string(blocks[m].lo) <= key {
 			i = m + 1
 		} else {
 			j = m
@@ -91,21 +109,29 @@ func blockIndex(blocks []*blockMeta, key []byte) int {
 	return i - 1
 }
 
+// bounds returns the key range of block i: its lo and the next block's, nil
+// for +∞.
+func (p *pager) bounds(i int) (lo, hi []byte) {
+	if i+1 < len(p.blocks) {
+		hi = p.blocks[i+1].lo
+	}
+	return p.blocks[i].lo, hi
+}
+
 // estEntryBytes is the insert-time estimate of the encoded size of the entry
 // stored under key; each checkpoint replaces estimates with exact encoded
 // sizes.
-func (v *View) estEntryBytes(key []byte) int64 {
+func (v *View) estEntryBytes(key string) int64 {
 	return int64(len(key) + 8 + 10*len(v.sh.l.Specs()))
 }
 
-// EnablePaging converts a B-tree view into a blocked persistent store
-// with the given target block size (≤0 selects DefaultBlockBytes), block
-// fetcher, and shared cache. Must be called before the view is visible to
-// concurrent readers (the engine calls it at CreateView, before
-// backfill); no-op for hash views and views already paged.
+// EnablePaging makes the view a blocked persistent store with the given
+// target block size (≤0 selects DefaultBlockBytes), block fetcher, and
+// shared cache. Must be called before the view is visible to concurrent
+// readers (the engine calls it at CreateView, before backfill); no-op for
+// views already paged.
 func (v *View) EnablePaging(blockBytes int64, fetch FetchFunc, cache *Cache) {
-	ts, ok := v.store.(*treeStore)
-	if !ok || fetch == nil || cache == nil {
+	if fetch == nil || cache == nil {
 		return
 	}
 	if blockBytes <= 0 {
@@ -117,39 +143,28 @@ func (v *View) EnablePaging(blockBytes int64, fetch FetchFunc, cache *Cache) {
 		return
 	}
 	p := &pager{blockBytes: blockBytes, fetch: fetch, cache: cache}
+	p.setBlocks([]*blockMeta{v.wholeBlock(p)})
+	cache.addResident(v, p.blocks[0])
+	v.pg.Store(p)
+}
+
+// wholeBlock returns one resident dirty block spanning the key space and
+// holding the store's entries, for a view that starts paging or restores a
+// whole image. Caller holds v.mu.
+func (v *View) wholeBlock(p *pager) *blockMeta {
 	b := &blockMeta{resident: true}
-	ts.t.Ascend(func(k []byte, e *entry) bool {
+	v.store.each(nil, nil, func(id uint32, e *entry) bool {
 		b.n++
-		b.bytes += v.estEntryBytes(k)
+		b.bytes += v.estEntryBytes(v.store.dir.key(id))
 		return true
 	})
 	p.mark++
 	b.dirtyMark = p.mark
 	b.hot.Store(true)
-	p.blocks = []*blockMeta{b}
+	p.nonResident.Store(0)
 	p.total = int64(b.n)
-	p.published.Store(int64(b.n))
-	cache.addResident(v, b)
-	v.pg.Store(p)
-	v.restampLocked(p)
-}
-
-// installBlocksLocked makes a checkpoint's re-cut block list the pager's.
-// Blocks only ever split, so a list of the old length is the old list and
-// the one already published stays. Caller holds v.mu.
-func (v *View) installBlocksLocked(p *pager, blocks []*blockMeta) {
-	if len(blocks) != len(p.blocks) {
-		p.blocks = blocks
-		v.restampLocked(p)
-	}
-}
-
-// restampLocked republishes the current snapshot's tree under the pager's
-// current block list, after the list was replaced without a publication (a
-// checkpoint split a block; paging was switched on). Caller holds v.mu.
-func (v *View) restampLocked(p *pager) {
-	s := v.snap.Load()
-	v.snap.Store(&snapshot{tree: s.tree, at: s.at, lsn: s.lsn, blocks: p.blocks})
+	p.published.Store(p.total)
+	return b
 }
 
 // Paged reports whether the view runs on a blocked persistent store.
@@ -166,15 +181,12 @@ func (v *View) ReleasePaging() {
 }
 
 // ensureWrite faults in the block covering key (writes require residency
-// so checkpoint can re-encode from memory), stamps it dirty and hot, and
-// sees that it has an arena for what the write may insert. Caller holds v.mu.
-func (v *View) ensureWrite(p *pager, key []byte) *blockMeta {
+// so checkpoint can re-encode from memory) and stamps it dirty and hot.
+// Caller holds v.mu and the directory's lock.
+func (v *View) ensureWrite(p *pager, key string) *blockMeta {
 	b := p.blocks[p.blockFor(key)]
 	if !b.resident {
-		v.faultIn(p, true, b)
-	}
-	if b.arena == nil {
-		b.arena = new(arena)
+		v.faultInLocked(p, true, b)
 	}
 	p.mark++
 	b.dirtyMark = p.mark
@@ -184,7 +196,7 @@ func (v *View) ensureWrite(p *pager, key []byte) *blockMeta {
 
 // noteInsert attributes the fresh entry under key to its covering block.
 // Caller holds v.mu.
-func (v *View) noteInsert(p *pager, b *blockMeta, key []byte) {
+func (v *View) noteInsert(p *pager, b *blockMeta, key string) {
 	est := v.estEntryBytes(key)
 	b.n++
 	b.bytes += est
@@ -192,46 +204,41 @@ func (v *View) noteInsert(p *pager, b *blockMeta, key []byte) {
 	p.cache.grow(est)
 }
 
-// faultIn loads cold blocks from the checkpoint chain into the live tree
-// and publishes them, so the snapshot keeps covering the resident set.
-// Caller holds v.mu. With nothing folded since the last publication the
-// live tree is the published state plus those blocks, and it is published
-// as usual. Inside an append call it is not: the live tree already holds
-// rows no reader may see yet. A cold block is clean — a write faults its
-// block first — so its durable image is its content before and after the
-// call so far, and it is added to a copy of the published tree instead,
-// under the LSN that publication already carried. hot is the reference bit
-// the blocks come in with.
+// faultIn loads cold blocks from the checkpoint chain into the store, with
+// the reference bit hot. Caller holds v.mu, not the directory's lock.
 func (v *View) faultIn(p *pager, hot bool, cold ...*blockMeta) {
-	var pub *btree.Tree[[]byte, *entry]
-	if v.unpublished {
-		// Clone re-tags its receiver; the published tree is never written
-		// through, so that is invisible to its readers.
-		pub = v.snap.Load().tree.Clone()
-	}
+	d := v.store.dir
+	d.mu.Lock()
+	v.faultInLocked(p, hot, cold...)
+	d.mu.Unlock()
+}
+
+// faultInLocked is faultIn for a caller that holds the directory's lock too.
+// A cold block is clean — a write faults its block first — so its durable
+// image is its content before and after any call in progress: its entries
+// go straight into the published array, inside one odd-seq window, under
+// the LSN the last publication carried, and an open call's pending versions
+// stay apart.
+func (v *View) faultInLocked(p *pager, hot bool, cold ...*blockMeta) {
+	h := v.store
+	h.seq.Add(1)
 	for _, b := range cold {
-		v.pageIn(p, b, pub)
+		v.pageIn(p, b)
 		b.hot.Store(hot)
 	}
-	if pub == nil {
-		v.publishLocked()
-	} else {
-		s := v.snap.Load()
-		v.snap.Store(&snapshot{tree: pub, at: s.at, lsn: s.lsn, blocks: s.blocks})
-	}
-	// After the publication: a reader that sees the lowered count also sees
-	// the snapshot that made it true (Lookup re-checks the snapshot).
+	h.seq.Add(1)
+	// After the entries: a reader that sees the lowered count also sees them.
 	p.nonResident.Add(-int64(len(cold)))
 }
 
-// pageIn loads one block from the checkpoint chain into the live tree and,
-// when pub is set, into that tree too (the two share keys and entries).
-// Caller holds v.mu. A failure here panics: the manifest invariant keeps
-// every referenced chain file on disk until a newer image replaces it, so
-// a failed fetch means the store is gone or corrupted underneath us — and
-// on the write path the WAL record was already durable before ApplyRows,
-// so there is no caller that could meaningfully continue.
-func (v *View) pageIn(p *pager, b *blockMeta, pub *btree.Tree[[]byte, *entry]) {
+// pageIn loads one block from the checkpoint chain into the store, interning
+// its keys. Caller holds v.mu and the directory's lock. A failure here
+// panics: the manifest invariant keeps every referenced chain file on disk
+// until a newer image replaces it, so a failed fetch means the store is gone
+// or corrupted underneath us — and on the write path the WAL record was
+// already durable before ApplyRows, so there is no caller that could
+// meaningfully continue.
+func (v *View) pageIn(p *pager, b *blockMeta) {
 	data, err := p.fetch(*b.ref)
 	if err != nil {
 		panic(fmt.Sprintf("view %s: block fault %s@%d+%d: %v",
@@ -242,31 +249,36 @@ func (v *View) pageIn(p *pager, b *blockMeta, pub *btree.Tree[[]byte, *entry]) {
 		panic(fmt.Sprintf("view %s: block %s@%d+%d corrupt: %v",
 			v.def.Name, b.ref.File, b.ref.Off, b.ref.Len, err))
 	}
-	ts := v.store.(*treeStore)
-	b.arena = new(arena)
-	b.arena.reserve(len(entries))
+	h := v.store
 	for _, ke := range entries {
-		// A decoded entry's stamp is epoch 0, which predates every write
-		// epoch: the entry is about to be published, so the first write to
-		// it must copy.
-		key := b.arena.keyBytes(ke.key)
-		ts.t.Set(key, ke.e)
-		if pub != nil {
-			pub.Set(key, ke.e)
-		}
+		h.pub.slot(h.dir.intern(ke.key)).Store(ke.e)
 	}
+	h.count.Add(int64(len(entries)))
 	b.resident = true
 	p.cache.misses.Add(1)
 	p.cache.addResident(v, b)
 }
 
-// evictBlock drops a clean block's entries from the live tree and
-// publishes the shrunken snapshot, returning the bytes freed (0 when the
-// block turns out to be stale, dirty, or already evicted — the cache's
-// CLOCK sweep calls this without holding any lock and re-verifies here).
-// A view with folded-but-unpublished rows gives up nothing: publishing its
-// live tree now would expose part of an append call. Its own Publish runs
-// the sweep again.
+// dropRange clears the store's entries in [lo, hi), inside one odd-seq
+// window, and returns how many there were. Caller holds v.mu.
+func (v *View) dropRange(lo, hi []byte) {
+	h := v.store
+	h.seq.Add(1)
+	h.each(lo, hi, func(id uint32, _ *entry) bool {
+		h.pub.at(id).Store(nil)
+		h.count.Add(-1)
+		return true
+	})
+	h.seq.Add(1)
+}
+
+// evictBlock drops a clean block's entries from the store, returning the
+// bytes freed (0 when the block turns out to be stale, dirty, or already
+// evicted — the cache's CLOCK sweep calls this without holding any lock and
+// re-verifies here). A view with folded-but-unpublished rows gives up
+// nothing: its own Publish runs the sweep again. The entries are the
+// collector's (a paged view carves none), so a reader still holding one
+// keeps it alive.
 func (v *View) evictBlock(b *blockMeta) int64 {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -274,50 +286,37 @@ func (v *View) evictBlock(b *blockMeta) int64 {
 	if p == nil || v.unpublished || !b.resident || b.dirty() {
 		return 0
 	}
-	probe := b.lo
-	if probe == nil {
-		probe = []byte{}
-	}
-	idx := p.blockFor(probe)
-	if idx < 0 || idx >= len(p.blocks) || p.blocks[idx] != b {
+	idx := p.blockFor(string(b.lo))
+	if p.blocks[idx] != b {
 		return 0 // replaced by a split or a restore since it was picked
 	}
-	var hi []byte
-	hasHi := idx+1 < len(p.blocks)
-	if hasHi {
-		hi = p.blocks[idx+1].lo
-	}
-	ts := v.store.(*treeStore)
-	ts.t.DeleteRange(b.lo, hi, b.lo != nil, hasHi)
-	b.resident = false
-	b.arena = nil
+	// Before the entries go: a reader that misses one sees the raised count.
 	p.nonResident.Add(1)
+	v.dropRange(p.bounds(idx))
+	b.resident = false
 	p.cache.dropResident(b)
-	v.publishLocked()
 	return b.bytes
 }
 
-// pagedLookup is the read slow path: the key missed the published
-// snapshot while some blocks are cold, so fault the covering block and
-// probe the snapshot that now covers it.
+// pagedLookup is the read slow path: the key missed the published entries
+// while some blocks are cold, so fault the covering block and probe again.
 func (v *View) pagedLookup(key []byte) (value.Tuple, bool) {
 	p := v.pg.Load()
 	v.mu.Lock()
-	b := p.blocks[p.blockFor(key)]
+	b := p.blocks[p.blockFor(bytesString(key))]
 	if !b.resident {
 		v.faultIn(p, true, b)
 	} else {
-		// Another reader faulted it between our snapshot load and here,
-		// or the key is genuinely absent from a warm block.
+		// Another reader faulted it since the probe, or the key is genuinely
+		// absent from a warm block.
 		p.cache.hits.Add(1)
 		b.hot.Store(true)
 	}
 	var row value.Tuple
-	e, ok := v.snap.Load().tree.Get(key)
-	if ok && e.count() != 0 {
-		row = rowOf(v, key, e)
-	} else {
-		ok = false
+	k, e := v.store.rget(key)
+	ok := e != nil && e.count() != 0
+	if ok {
+		row = rowOf(v, k, e)
 	}
 	v.mu.Unlock()
 	p.cache.maintain()
@@ -325,44 +324,38 @@ func (v *View) pagedLookup(key []byte) (value.Tuple, bool) {
 }
 
 // pagedScan is Scan on a view with cold blocks. Each round plans a block
-// window under the view's lock, faults the cold blocks inside it and walks
-// one snapshot restricted to it, so the read costs the blocks it reaches, not
-// the view. When the window's key bounds decide the plan it is final and the
-// rows stream to fn. When only the limit does — the plan is the blocks from
-// the walk's starting end whose entry counts add up to it — the counts can
+// window under the view's lock, faults the cold blocks inside it and gathers
+// the rows of the part of the window they cover, so the read costs the blocks
+// it reaches, not the view. When the window's key bounds decide the plan the
+// round is final. When only the limit does — the plan is the blocks from the
+// walk's starting end whose entry counts add up to it — the counts can
 // promise more rows than the walk finds (Keep turns rows down; the window
-// starts inside its first block), so the rows are held back: a walk that runs
-// dry short of the limit is thrown away and the next round plans for twice as
-// many entries and walks a fresh snapshot. fn sees the rows of the round that
-// sufficed and of no other, so a read never mixes two publications.
+// starts inside its first block): a round that runs dry short of the limit is
+// thrown away and the next plans for twice as many entries. fn sees the rows
+// of the round that sufficed and of no other, so a read never mixes two
+// publications.
 func (v *View) pagedScan(p *pager, w Window, fn func(value.Tuple) bool) uint64 {
+	rows := getRows()
+	defer putRows(rows)
 	for need := w.Limit; ; need *= 2 {
-		s, lo, hi, final := v.planScan(p, w, need)
-		if final {
-			v.walk(s, w, lo, hi, fn)
-			return s.lsn
-		}
-		var rows []value.Tuple
-		if v.walk(s, w, lo, hi, func(t value.Tuple) bool { rows = append(rows, t); return true }) == w.Limit {
-			for _, t := range rows {
-				if !fn(t) {
-					break
-				}
-			}
-			return s.lsn
+		lsn, final := v.planScan(p, w, need, rows)
+		if final || len(*rows) == w.Limit {
+			deliver(*rows, fn)
+			return lsn
 		}
 	}
 }
 
-// planScan plans one round of pagedScan: of the blocks that overlap w, those
+// planScan runs one round of pagedScan: of the blocks that overlap w, those
 // the walk needs to find need entries from its starting end (all of them with
-// need 0). It faults the cold ones among them and returns the snapshot that
-// now holds the planned blocks, the key range they cover within w, and whether
-// that is all of w. A read that names part of the view references the blocks
-// it plans; a scan of the whole view does not, and the blocks it faults come
-// in unreferenced — the sweep takes them back first, and the recency the
-// CLOCK had survives a WATCH catch-up or a verification scan.
-func (v *View) planScan(p *pager, w Window, need int) (s *snapshot, lo, hi []byte, final bool) {
+// need 0). It faults the cold ones among them, gathers into rows the rows of
+// w in the key range the planned blocks cover, and returns the LSN they carry
+// and whether that range is all of w. A read that names part of the view
+// references the blocks it plans; a scan of the whole view does not, and the
+// blocks it faults come in unreferenced — the sweep takes them back first,
+// and the recency the CLOCK had survives a WATCH catch-up or a verification
+// scan.
+func (v *View) planScan(p *pager, w Window, need int, rows *[]value.Tuple) (lsn uint64, final bool) {
 	v.mu.Lock()
 	blocks := p.blocks
 	i0, i1, a, b := p.plan(w, need)
@@ -380,19 +373,20 @@ func (v *View) planScan(p *pager, w Window, need int) (s *snapshot, lo, hi []byt
 	if len(cold) > 0 {
 		v.faultIn(p, hot, cold...)
 	}
-	s = v.snap.Load()
-	lo, hi = w.Lo, w.Hi
+	lo, hi := w.Lo, w.Hi
 	if a > i0 {
 		lo = blocks[a].lo
 	}
 	if b < i1 {
 		hi = blocks[b].lo
 	}
+	*rows = v.collect(w, lo, hi, (*rows)[:0])
+	lsn = v.store.lsn.Load()
 	v.mu.Unlock()
 	if len(cold) > 0 {
 		p.cache.maintain()
 	}
-	return s, lo, hi, a == i0 && b == i1
+	return lsn, a == i0 && b == i1
 }
 
 // plan picks blocks for a read of w: [i0, i1) are the blocks that overlap the
@@ -402,10 +396,10 @@ func (v *View) planScan(p *pager, w Window, need int) (s *snapshot, lo, hi []byt
 func (p *pager) plan(w Window, need int) (i0, i1, a, b int) {
 	i0, i1 = 0, len(p.blocks)
 	if len(w.Lo) > 0 {
-		i0 = p.blockFor(w.Lo)
+		i0 = p.blockFor(bytesString(w.Lo))
 	}
 	if len(w.Hi) > 0 {
-		if i1 = p.blockFor(w.Hi); bytes.Compare(p.blocks[i1].lo, w.Hi) < 0 {
+		if i1 = p.blockFor(bytesString(w.Hi)); bytes.Compare(p.blocks[i1].lo, w.Hi) < 0 {
 			i1++ // the block covering Hi holds keys below it
 		}
 		i1 = max(i1, i0) // Hi ≤ Lo: an empty window
@@ -471,7 +465,7 @@ type PendingBlock struct {
 // splices each run over that range of the index earlier chain images built,
 // so an incremental cut costs the dirty set alone, and a full cut, whose one
 // run spans (-∞, +∞), replaces the index and lets older chain files fold away.
-// Resident blocks in a run are re-encoded from the live tree (splitting any
+// Resident blocks in a run are re-encoded from the store (splitting any
 // that outgrew the target size); a cold block is clean, so only a full cut
 // carries one, copied forward raw after a CRC check, never decoded. Returns
 // the image, the pending ref commits, and the dirty/total block counts for
@@ -490,7 +484,6 @@ func (v *View) CheckpointBlocked(full bool) (img []byte, pend []PendingBlock, di
 	if p == nil {
 		return nil, nil, 0, 0, fmt.Errorf("view %s: not paged", v.def.Name)
 	}
-	ts := v.store.(*treeStore)
 	in := func(i int) bool { return i < len(p.blocks) && (full || p.blocks[i].dirty()) }
 	runs := 0
 	for i := range p.blocks {
@@ -532,12 +525,8 @@ func (v *View) CheckpointBlocked(full bool) (img []byte, pend []PendingBlock, di
 			if b.dirty() {
 				dirtyBlocks++
 			}
-			var hi []byte
-			hasHi := j+1 < len(p.blocks)
-			if hasHi {
-				hi = p.blocks[j+1].lo
-			}
-			subs, payloads := v.encodeBlockRun(ts, p, b, hi, hasHi)
+			_, hi := p.bounds(j)
+			subs, payloads := v.encodeBlockRun(p, b, hi)
 			if len(subs) == 1 && subs[0] == b {
 				p.cache.updateBytes(b, int64(len(payloads[0])))
 			} else {
@@ -571,16 +560,19 @@ func (v *View) CheckpointBlocked(full bool) (img []byte, pend []PendingBlock, di
 		}
 		i = j
 	}
-	v.installBlocksLocked(p, newBlocks)
+	if len(newBlocks) != len(p.blocks) {
+		// Blocks only ever split, so a list of the old length is the old list.
+		p.setBlocks(newBlocks)
+	}
 	return img, pend, dirtyBlocks, len(newBlocks), nil
 }
 
-// encodeBlockRun re-encodes one dirty (hence resident) block's entries
-// from the live tree, cutting the run into ≤blockBytes payloads. A run
-// that still fits reuses the block's own meta; an overgrown run splits
-// into fresh metas whose boundaries are short keyenc separators. Caller
-// holds v.mu.
-func (v *View) encodeBlockRun(ts *treeStore, p *pager, b *blockMeta, hi []byte, hasHi bool) ([]*blockMeta, [][]byte) {
+// encodeBlockRun re-encodes one dirty (hence resident) block's entries —
+// the store's entries in [b.lo, hi), hi nil for +∞ — cutting the run into
+// ≤blockBytes payloads. A run that still fits reuses the block's own meta;
+// an overgrown run splits into fresh metas whose boundaries are short keyenc
+// separators. Caller holds v.mu.
+func (v *View) encodeBlockRun(p *pager, b *blockMeta, hi []byte) ([]*blockMeta, [][]byte) {
 	type cut struct {
 		first, last []byte
 		ents        []byte
@@ -589,7 +581,9 @@ func (v *View) encodeBlockRun(ts *treeStore, p *pager, b *blockMeta, hi []byte, 
 	var cuts []cut
 	cur := cut{}
 	var entBuf []byte
-	visit := func(k []byte, e *entry) bool {
+	d := v.store.dir
+	v.store.each(b.lo, hi, func(id uint32, e *entry) bool {
+		k := d.key(id)
 		entBuf = appendBlockEntry(entBuf[:0], k, e, v.sh)
 		if cur.n > 0 && int64(len(cur.ents)+len(entBuf)) > p.blockBytes {
 			cuts = append(cuts, cur)
@@ -602,17 +596,7 @@ func (v *View) encodeBlockRun(ts *treeStore, p *pager, b *blockMeta, hi []byte, 
 		cur.ents = append(cur.ents, entBuf...)
 		cur.n++
 		return true
-	}
-	switch {
-	case b.lo == nil && !hasHi:
-		ts.t.Ascend(visit)
-	case b.lo == nil:
-		ts.t.AscendLessThan(hi, visit)
-	case !hasHi:
-		ts.t.AscendGreaterOrEqual(b.lo, visit)
-	default:
-		ts.t.AscendRange(b.lo, hi, visit)
-	}
+	})
 	cuts = append(cuts, cur) // possibly empty: an empty block still encodes
 
 	payloads := make([][]byte, len(cuts))
@@ -757,34 +741,35 @@ func (v *View) RestoreBlocked(data []byte, file string, base int64) error {
 
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	ts := v.store.(*treeStore)
+	blocks := p.blocks
 	for _, r := range runs {
 		lo := r.blocks[0].lo
-		// Drop the covered range from the live tree (resident entries of
+		// Drop the covered range from the store (resident entries of
 		// replaced blocks; a no-op when everything is cold).
-		ts.t.DeleteRange(lo, r.hi, lo != nil, r.hasHi)
+		v.dropRange(lo, r.hi)
 		s := 0
-		for s < len(p.blocks) && cmpBound(p.blocks[s].lo, lo) < 0 {
+		for s < len(blocks) && cmpBound(blocks[s].lo, lo) < 0 {
 			s++
 		}
 		e := s
-		for ; e < len(p.blocks) && (!r.hasHi || cmpBound(p.blocks[e].lo, r.hi) < 0); e++ {
-			if b := p.blocks[e]; b.resident {
+		for ; e < len(blocks) && (!r.hasHi || cmpBound(blocks[e].lo, r.hi) < 0); e++ {
+			if b := blocks[e]; b.resident {
 				p.cache.dropResident(b)
 			} else {
 				p.nonResident.Add(-1)
 			}
-			p.total -= int64(p.blocks[e].n)
+			p.total -= int64(blocks[e].n)
 		}
 		for _, b := range r.blocks {
 			p.total += int64(b.n)
 		}
 		p.nonResident.Add(int64(len(r.blocks)))
-		p.blocks = slices.Concat(p.blocks[:s], r.blocks, p.blocks[e:])
+		blocks = slices.Concat(blocks[:s], r.blocks, blocks[e:])
 	}
-	if len(p.blocks) == 0 || p.blocks[0].lo != nil {
+	if len(blocks) == 0 || blocks[0].lo != nil {
 		return fmt.Errorf("view %s: blocked image left the index without a -∞ block", v.def.Name)
 	}
+	p.setBlocks(blocks)
 	v.publishLocked()
 	return nil
 }

@@ -52,7 +52,7 @@ func (c *chainSim) checkpointTo(t *testing.T, v *View, file string, full bool) (
 // size so a few hundred rows span many blocks.
 func pagedView(t *testing.T, f *fixture, sim *chainSim, blockBytes int64, cache *Cache) *View {
 	t.Helper()
-	v := minutesPerAcct(t, f, StoreBTree)
+	v := minutesPerAcct(t, f)
 	v.EnablePaging(blockBytes, sim.fetch, cache)
 	if !v.Paged() {
 		t.Fatal("EnablePaging did not take")
@@ -203,7 +203,7 @@ func TestPagedRestoreLazy(t *testing.T) {
 		t.Fatalf("restored rows diverge:\n got %s\nwant %s", got, want)
 	}
 	// A view that does not page has no index to splice the image into.
-	if err := minutesPerAcct(t, newFixture(t), StoreBTree).RestoreBlocked(img, "ck1", 0); err == nil {
+	if err := minutesPerAcct(t, newFixture(t)).RestoreBlocked(img, "ck1", 0); err == nil {
 		t.Fatal("a blocked image restored into a view that does not page")
 	}
 }
@@ -245,7 +245,7 @@ func TestPagedProjectionView(t *testing.T) {
 		Expr: algebra.NewScan(f.calls),
 		Mode: SummarizeProject,
 		Cols: []int{0},
-	}, StoreBTree)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestPagedProjectionView(t *testing.T) {
 	}
 	sim.checkpointTo(t, v, "ck1", true)
 	f2 := newFixture(t)
-	v2, err := New(Def{Name: "accts", Expr: algebra.NewScan(f2.calls), Mode: SummarizeProject, Cols: []int{0}}, StoreBTree)
+	v2, err := New(Def{Name: "accts", Expr: algebra.NewScan(f2.calls), Mode: SummarizeProject, Cols: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}

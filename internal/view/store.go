@@ -1,35 +1,27 @@
 package view
 
 import (
-	"bytes"
 	"reflect"
-	"sort"
 	"sync/atomic"
 	"unsafe"
 
 	"chronicledb/internal/aggregate"
-	"chronicledb/internal/btree"
 )
 
 // entry is one materialized view row: the group's states under the view's
 // layout and the contribution count used for refcounted duplicate
 // elimination in projection views, which is the group's word 0. The group
-// values (or projected tuple) are not kept here: the ordered store holds
-// them once as the tree key, the hash store as its directory's key (see
-// Dir), and a reader decodes them from there (see rowOf). The states are not
-// fields either: an entry is the head of a shell, and its group's words and
-// string slots follow it in the same object (see shape).
+// values (or projected tuple) are not kept here: the view's directory holds
+// them once as the key (see Dir), and a reader decodes them from there (see
+// rowOf). The states are not fields either: an entry is the head of a shell,
+// and its group's words and string slots follow it in the same object (see
+// shape).
 //
 // An entry reachable by lock-free readers is frozen; maintenance changes a
-// group by building a new version of its entry (shells.version) and swapping
-// that in.
+// group by building a new version of its entry (shells.version), pending
+// until the publication that swaps it in (store.publish).
 //
-// stamp's top bit is carvedBit. The ordered store keeps in the rest the
-// write epoch the entry was created (or last copied) in: it publishes an
-// immutable snapshot at the end of every append call, and an entry whose
-// epoch predates the view's current write epoch is reachable from a
-// published snapshot and must be copied before mutation. The hash store
-// keeps its pending versions apart (hashStore.pending) and needs no epoch.
+// stamp is carvedBit or zero.
 type entry struct {
 	stamp uint64
 }
@@ -41,9 +33,6 @@ const entrySize = int(unsafe.Sizeof(entry{}))
 // collector cannot take it back alone, so the view must never let go of it
 // (see shells.settle).
 const carvedBit = 1 << 63
-
-// epoch is the write epoch an ordered-store entry was made in.
-func (e *entry) epoch() uint64 { return e.stamp &^ carvedBit }
 
 // count is the group's word 0: the rows folded into it.
 func (e *entry) count() int64 { return *(*int64)(unsafe.Add(unsafe.Pointer(e), entrySize)) }
@@ -84,14 +73,15 @@ func newShape(l *aggregate.Layout) *shape {
 }
 
 // newEntry is the one place view entries are built: the fold's new groups,
-// decoded blocks and checkpoints, and the copy-on-write versions the view's
-// free shells cannot serve. It carves a shell of shape sh from a (the heap
-// when a is nil): fresh words are the empty group.
+// decoded blocks and checkpoints, and the versions the view's free shells
+// cannot serve. It carves a shell of shape sh from a (the heap when a is
+// nil): fresh words are the empty group.
 //
-// With src set it builds the next version of src, copying the group. Versions are the collector's (a is nil), so that a publication
-// that finds a reader can drop them. New groups may be carved by either
-// store: the view recycles a retired shell once no reader can hold it, and
-// keeps a carved one that a reader might hold until then (see shells).
+// With src set it builds the next version of src, copying the group.
+// Versions are the collector's (a is nil), so that a publication that finds a
+// reader can drop them. New groups may be carved: the view recycles a retired
+// shell once no reader can hold it, and keeps a carved one that a reader
+// might hold until then (see shells).
 func newEntry(a *arena, sh *shape, src *entry) *entry {
 	e := a.shell(sh)
 	if a != nil {
@@ -103,11 +93,10 @@ func newEntry(a *arena, sh *shape, src *entry) *entry {
 	return e
 }
 
-// shells recycles the entry versions of one view, for both stores. A store
-// copies a published entry before its first change in a call — the ordered
-// store into the live tree, the hash store into pending — and retires the
-// version it replaced; the publication that ends the call settles what was
-// retired (View.publishLocked). Guarded by the view's mu.
+// shells recycles the entry versions of one view. The store copies a
+// published entry into pending before its first change in a call and
+// retires the version it replaced; the publication that ends the call
+// settles what was retired (View.publishLocked). Guarded by the view's mu.
 type shells struct {
 	sh      *shape   // the view's, which every shell has
 	retired []*entry // versions replaced since the last publication
@@ -120,8 +109,7 @@ type shells struct {
 
 // version returns a private copy of a published entry, in a free shell when
 // there is one (an in-place copy of its words — the allocation-free warm
-// path). The copy's stamp holds only its own shell's carvedBit; the caller
-// stamps the rest.
+// path). The copy's stamp keeps its own shell's carvedBit.
 func (s *shells) version(src *entry) *entry {
 	n := len(s.free)
 	if n == 0 {
@@ -135,8 +123,7 @@ func (s *shells) version(src *entry) *entry {
 	return c
 }
 
-// retire records that e, a published version, was replaced in the live
-// store.
+// retire records that e, a published version, was replaced.
 func (s *shells) retire(e *entry) { s.retired = append(s.retired, e) }
 
 // settle ends a publication's reclamation. quiet reports that no reader was
@@ -177,52 +164,6 @@ func (s *shells) settle(quiet bool) {
 	}
 }
 
-// StoreKind selects the view's group store. The paper's Theorem 4.4 bound,
-// O(t·log|V|), corresponds to the ordered B-tree store; the hash store is
-// the "modulo index look ups" fast path with O(t) expected time. E10 counts
-// both: the tree's height against the log bound, the hash store's directory
-// hashes and probes per row and its entry versions per group.
-type StoreKind uint8
-
-const (
-	// StoreHash is an unordered hash store: O(1) expected per touch.
-	StoreHash StoreKind = iota
-	// StoreBTree is an ordered B-tree store: O(log|V|) per touch, ordered
-	// scans, range queries.
-	StoreBTree
-)
-
-// String names the store kind.
-func (k StoreKind) String() string {
-	if k == StoreHash {
-		return "hash"
-	}
-	return "btree"
-}
-
-// store is what the view's read, checkpoint and restore paths need of either
-// store; maintenance reaches the concrete store (treeStore's get, put and
-// replace; hashStore's fold) because the two are keyed differently — the
-// ordered store by the encoded key, the hash store by its directory's id.
-type store interface {
-	len() int
-	// ascend visits entries with their keys; the B-tree store visits in key
-	// order, the hash store sorts keys on demand (acceptable: scans are
-	// query-side). Callers hold the view's lock.
-	ascend(fn func(key []byte, e *entry) bool)
-}
-
-// newStore returns an empty store of the given kind; a hash store keys its
-// entries by d's ids and makes its versions from sh. An ordered store's tree
-// recycles its nodes: it becomes the view's live tree, the only one that
-// retires.
-func newStore(kind StoreKind, d *Dir, sh *shells) store {
-	if kind == StoreBTree {
-		return &treeStore{t: btree.NewRecycling[[]byte, *entry](func(a, b []byte) bool { return bytes.Compare(a, b) < 0 })}
-	}
-	return &hashStore{dir: d, sh: sh}
-}
-
 // pend is one entry a call has created or versioned and not yet published:
 // e is the mutable entry of id, old the published version it was built from
 // (nil for a group new to the view).
@@ -238,21 +179,22 @@ type pslot struct {
 	gen, idx uint32
 }
 
-// hashStore is the unordered group store with lock-free readers. Its keys
-// live in the directory it shares with the views that fold the same delta by
-// the same columns (Dir); what the store holds is an id-indexed array of its
-// published entries, frozen, where a nil slot or an id past the array's end
-// is a group the view does not have. A call's fold versions each touched
-// group once — the directory hands it the call's distinct ids — into pending,
-// and publish stores each pending entry into its slot: one version and one
-// store per touched group per call. A point read probes the directory, then
-// the array, each atomically; a scan validates its gather against seq (see
-// collect).
+// store is a view's group store, with lock-free readers. Its keys live in
+// the directory it shares with the views that fold the same delta by the same
+// columns (Dir), and so does their order; what the store holds is an
+// id-indexed array of its published entries, frozen, where a nil slot or an
+// id past the array's end is a group the view does not have (or, paged, does
+// not have resident). A call's fold versions each touched group once — the
+// directory hands it the call's distinct ids — into pending, and publish
+// stores each pending entry into its slot: one version and one store per
+// touched group per call. A point read probes the directory, then the array,
+// each atomically; a window read walks the directory's order over the array
+// and validates what it gathered against seq (see View.Scan).
 //
 // Versions come from the view's shells and go back to them when publish
 // retires them, so nothing reachable is ever mutated in place and the warm
 // maintenance path allocates nothing.
-type hashStore struct {
+type store struct {
 	dir   *Dir
 	pub   paged[atomic.Pointer[entry]]
 	count atomic.Int64  // published entries, for lock-free len
@@ -270,7 +212,7 @@ type hashStore struct {
 }
 
 // published returns the published entry of id, or nil. Lock-free.
-func (h *hashStore) published(id uint32) *entry {
+func (h *store) published(id uint32) *entry {
 	if p := h.pub.at(id); p != nil {
 		return p.Load()
 	}
@@ -281,7 +223,7 @@ func (h *hashStore) published(id uint32) *entry {
 // array. It returns the directory's copy of key with the entry, nil when the
 // view does not have the group. Callers count themselves in the view's
 // readers across the call and any use of the entry.
-func (h *hashStore) rget(key []byte) (string, *entry) {
+func (h *store) rget(key []byte) (string, *entry) {
 	id, ok := h.dir.lookup(key)
 	if !ok {
 		return "", nil
@@ -291,16 +233,17 @@ func (h *hashStore) rget(key []byte) (string, *entry) {
 
 // live returns the entry of id to fold into: the version pending since the
 // last publication, a new version of the published entry, or — for a group
-// new to the view — a new entry carved from a. The caller folds each id once
-// a fold; indexed says an earlier fold of this publication may have met it.
-func (h *hashStore) live(id uint32, a *arena, indexed bool) *entry {
+// new to the view, which it reports — a new entry carved from a. The caller
+// folds each id once a fold; indexed says an earlier fold of this publication
+// may have met it.
+func (h *store) live(id uint32, a *arena, indexed bool) (e *entry, isNew bool) {
 	if indexed {
 		if i := h.find(id); i >= 0 {
-			return h.pending[i].e
+			return h.pending[i].e, false
 		}
 	}
-	var e, old *entry
-	if old = h.published(id); old != nil {
+	old := h.published(id)
+	if old != nil {
 		e = h.sh.version(old)
 	} else {
 		e = newEntry(a, h.sh.sh, nil)
@@ -310,13 +253,13 @@ func (h *hashStore) live(id uint32, a *arena, indexed bool) *entry {
 	if indexed {
 		h.indexAt(len(h.pending) - 1)
 	}
-	return e
+	return e, old == nil
 }
 
 // beginFold prepares a fold: the first of a publication needs no index, a
 // later one indexes what the earlier ones left pending. It reports whether
 // live must consult the index.
-func (h *hashStore) beginFold() (indexed bool) {
+func (h *store) beginFold() (indexed bool) {
 	if len(h.pending) == 0 {
 		return false
 	}
@@ -343,7 +286,7 @@ func bitsFor(n int) uint {
 	return b
 }
 
-func (h *hashStore) find(id uint32) int {
+func (h *store) find(id uint32) int {
 	mask := uint32(len(h.index) - 1)
 	for i := id * 0x9E3779B1 & mask; ; i = (i + 1) & mask {
 		s := h.index[i]
@@ -356,7 +299,7 @@ func (h *hashStore) find(id uint32) int {
 	}
 }
 
-func (h *hashStore) indexAt(idx int) {
+func (h *store) indexAt(idx int) {
 	if len(h.pending)*2 > len(h.index) {
 		h.index = make([]pslot, 2*len(h.index))
 		h.gen = 1
@@ -372,13 +315,11 @@ func (h *hashStore) indexAt(idx int) {
 	h.index[i] = pslot{gen: h.gen, idx: uint32(idx)}
 }
 
-func (h *hashStore) len() int { return int(h.count.Load()) }
-
 // publish stores the pending entries into their slots and stamps the array
 // with the LSN it now reflects, inside one odd-seq window; then it retires
 // the versions it replaced, for the view to settle. Runs under the view's
 // exclusive lock.
-func (h *hashStore) publish(lsn uint64) {
+func (h *store) publish(lsn uint64) {
 	h.seq.Add(1)
 	for _, p := range h.pending {
 		h.pub.slot(p.id).Store(p.e)
@@ -400,7 +341,7 @@ func (h *hashStore) publish(lsn uint64) {
 // would hold room for its largest call ever.
 const keepPending = 256
 
-func (h *hashStore) resetPending() {
+func (h *store) resetPending() {
 	h.fresh = 0
 	if cap(h.pending) > keepPending && len(h.pending) <= keepPending {
 		h.pending, h.index = nil, nil
@@ -410,10 +351,10 @@ func (h *hashStore) resetPending() {
 	h.pending = h.pending[:0]
 }
 
-// adopt replaces the published state with another hash store's, in place,
+// adopt replaces the published state with another store's, in place,
 // so concurrent lock-free readers never observe a dangling store pointer.
 // Runs under the view's exclusive lock; o must be fully published.
-func (h *hashStore) adopt(o *hashStore) {
+func (h *store) adopt(o *store) {
 	h.seq.Add(1)
 	h.pub.pages.Store(o.pub.pages.Load())
 	h.count.Store(o.count.Load())
@@ -421,65 +362,14 @@ func (h *hashStore) adopt(o *hashStore) {
 	h.resetPending()
 }
 
-// keyedEntry is an entry and the key it is stored under.
-type keyedEntry struct {
-	key string
-	e   *entry
-}
-
-// collect gathers the published entries with their keys, unordered, and the
-// LSN they carry. stable reports that no publication overlapped the gather,
-// so the entries and the LSN belong to one publication; a caller that needs
-// that retries, or excludes publication with the view's read lock. It reads
-// the array only through atomic loads; read-path callers count themselves in
-// the view's readers across it and their use of the entries.
-func (h *hashStore) collect() (entries []keyedEntry, lsn uint64, stable bool) {
-	seq := h.seq.Load()
-	entries = make([]keyedEntry, 0, h.count.Load())
-	h.pub.each(func(id uint32, p *atomic.Pointer[entry]) {
-		if e := p.Load(); e != nil {
-			entries = append(entries, keyedEntry{h.dir.key(id), e})
+// each visits the published entries of [lo, hi) in key order, until fn
+// returns false. Callers exclude publication (they hold the view's lock) or
+// validate against seq.
+func (h *store) each(lo, hi []byte, fn func(id uint32, e *entry) bool) {
+	h.dir.walk(lo, hi, false, func(id uint32) bool {
+		if e := h.published(id); e != nil {
+			return fn(id, e)
 		}
+		return true
 	})
-	lsn = h.lsn.Load()
-	return entries, lsn, seq&1 == 0 && h.seq.Load() == seq
-}
-
-// ascend visits published entries in key order. Callers hold the view's
-// lock (checkpoint, restore), so no publication can overlap the gather.
-func (h *hashStore) ascend(fn func([]byte, *entry) bool) {
-	entries, _, _ := h.collect()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
-	for _, ke := range entries {
-		if !fn([]byte(ke.key), ke.e) {
-			return
-		}
-	}
-}
-
-type treeStore struct {
-	t *btree.Tree[[]byte, *entry]
-}
-
-func (t *treeStore) get(key []byte) *entry {
-	e, _ := t.t.Get(key)
-	return e
-}
-
-func (t *treeStore) put(a *arena, key []byte, e *entry) {
-	t.t.Set(a.keyBytes(key), e)
-}
-
-// replace overwrites the value under an existing key. The tree keeps the
-// key bytes it stored at insert time (Set does not retain the probe key
-// when the key is already present), so the caller's scratch buffer is
-// safe to pass without copying.
-func (t *treeStore) replace(key []byte, e *entry) {
-	t.t.Set(key, e)
-}
-
-func (t *treeStore) len() int { return t.t.Len() }
-
-func (t *treeStore) ascend(fn func([]byte, *entry) bool) {
-	t.t.Ascend(fn)
 }

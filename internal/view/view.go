@@ -12,8 +12,9 @@
 // The view is materialized and kept current after every append. Maintenance
 // consumes only the algebra's batch delta — never the chronicles, never the
 // intermediate expressions — in Space = |V| and Time = O(t·log|V|) per
-// Theorem 4.4 (O(t) expected with the hash store, whose key directory hands
-// a fold each distinct group of its delta once: see Dir).
+// Theorem 4.4: the view's key directory hands a fold each distinct group of
+// its delta once, in O(1) expected per row, and orders the keys new to it in
+// O(log|V|) each (see Dir and order).
 //
 // Maintenance has two steps with different owners. Folding (ApplyRows)
 // changes the live store and is invisible to readers; publishing (Publish)
@@ -25,17 +26,14 @@
 package view
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"chronicledb/internal/aggregate"
 	"chronicledb/internal/algebra"
-	"chronicledb/internal/btree"
 	"chronicledb/internal/chronicle"
 	"chronicledb/internal/keyenc"
 	"chronicledb/internal/value"
@@ -88,91 +86,48 @@ func (d Def) KeyCols() []int {
 type Stats struct {
 	Applies   int64 // folds: one per maintenance round that reached the view (an append call, or a chunk of a long one)
 	DeltaRows int64 // expression delta rows folded in
-	// Touched counts the entries folds reached: an ordered view probes its
-	// tree once per delta row, a hash view reaches each distinct group of a
-	// fold once (its directory resolved the rows; see Dir.Stats).
+	// Touched counts the entries folds reached: each distinct group of a
+	// fold once (the directory resolved the rows; see Dir.Stats).
 	Touched   int64
 	Versions  int64 // entries made: a new group, or a copy of a published entry before its first change in a call
 	ApplyNs   int64 // wall time spent inside ApplyRows (the fold; a publication is O(1) or O(touched))
 	Publishes int64 // publications of folded state (one per append call that touched the view)
 }
 
-// snapshot is an immutable, atomically published image of a B-tree view
-// store. The tree shares nodes with the live store via copy-on-write and
-// is never mutated after publication, so readers traverse it without any
-// locks while maintenance keeps writing to the live tree.
-type snapshot struct {
-	tree *btree.Tree[[]byte, *entry]
-	at   int64  // publication time, UnixNano
-	lsn  uint64 // highest LSN folded in when this snapshot was published
-	// blocks is a paged view's block index as of this snapshot, nil otherwise.
-	// The slice is never written after it is published (a checkpoint that
-	// splits a block and a restore install a new one), and a block's lower
-	// bound never changes, so a reader may search it without the view's lock —
-	// which is all the lock-free hit path wants of it: the covering block's
-	// reference bit.
-	blocks []*blockMeta
-}
-
-// touch tells the CLOCK that the block covering key was read.
-func (s *snapshot) touch(key []byte) {
-	if len(s.blocks) == 0 {
-		return
-	}
-	// Load before store: a hot block's bit is already set, and the common
-	// hit must not bounce its cache line between readers.
-	if b := s.blocks[blockIndex(s.blocks, key)]; !b.hot.Load() {
-		b.hot.Store(true)
-	}
-}
-
 // View is a materialized persistent view with incremental maintenance.
 //
 // Concurrency model: maintenance (ApplyRows/Publish/RestoreCheckpoint) is
-// serialized by the engine and takes mu exclusively. B-tree views publish
-// an immutable copy-on-write snapshot; Lookup and Scan read the latest one
-// with zero locks. Hash views publish frozen entries into an id-indexed
-// array beside a lock-free key directory, so their readers are lock-free
-// too — maintenance mutates pending versions and stores them at publish
-// (see hashStore). Either way a reader sees the state as of the last
+// serialized by the engine and takes mu exclusively. The view publishes
+// frozen entries into an id-indexed array beside a lock-free key directory,
+// so its readers are lock-free: maintenance mutates pending versions and
+// stores them at publish (see store). A reader sees the state as of the last
 // Publish, stamped with the LSN that publication carried, never the rows
 // folded since.
 //
-// Reclamation is the same for both stores. Every reader of published state
-// counts itself in readers before it loads a snapshot or an entry and out
-// when it is done with what it reached. A publication that finds no reader
-// counted after it has stored the new state frees what the calls since the
-// last one replaced — tree nodes and entry versions — for the next call to
-// reuse; one that finds a reader leaves them to the collector, carved shells
-// aside (see publishLocked). The warm maintenance path of either store allocates
-// nothing of its own.
+// Every reader of published state counts itself in readers before it loads
+// an entry and out when it is done with what it reached. A publication that
+// finds no reader counted after it has stored the new state frees the entry
+// versions the calls since the last one replaced for the next call to reuse;
+// one that finds a reader leaves them to the collector, carved shells aside
+// (see publishLocked). The warm maintenance path allocates nothing of its
+// own.
 type View struct {
 	def    Def
 	schema *value.Schema
-	store  store
+	store  *store
 	info   algebra.Info
 	stats  Stats
 
-	// mu guards the live store's maintenance state, stats, and scratch.
-	// Writers (maintenance, restore) hold it exclusively; readers are
-	// lock-free, except that a hash scan which keeps colliding with
-	// publications falls back to the read side (see hashScan). A hash view's
-	// fold also holds its directory's lock, inside mu.
+	// mu guards the store's maintenance state, stats, and scratch. Writers
+	// (maintenance, restore, block faults and evictions) hold it exclusively;
+	// readers are lock-free, except that a window read which keeps colliding
+	// with publications falls back to the read side (see Scan). A fold also
+	// holds the directory's lock, inside mu.
 	mu sync.RWMutex
-	// snap is the latest published snapshot; nil for hash stores. Entries
-	// reachable from it are frozen: the maintenance path clones an entry
-	// before its first mutation in each epoch (see entry.epoch).
-	snap atomic.Pointer[snapshot]
-	// readers counts the lock-free readers in flight, of either store.
+	// readers counts the lock-free readers in flight.
 	readers atomic.Int64
-	// shells recycles the entry versions either store replaces.
+	// shells recycles the entry versions the store replaces.
 	shells shells
-	// epoch is the current write epoch, bumped at each publication. Only
-	// meaningful when cow is true.
-	epoch uint64
-	// cow reports whether the store is a B-tree that publishes snapshots
-	// and therefore needs entry-level copy-on-write.
-	cow bool
 	// pg is the blocked-store pager, set by EnablePaging before the view
 	// is visible to concurrent readers; nil for unpaged views. Stored
 	// atomically so hot read paths can consult it without locks.
@@ -188,41 +143,36 @@ type View struct {
 	keyKinds []value.Kind
 	sh       *shape
 	// arena is where an unpaged view's new groups are carved from; a paged
-	// view carves per block (blockMeta.arena).
+	// view's are the collector's (see arena).
 	arena *arena
 
-	// Hot-path scratch, reused across maintenance batches. keyBuf holds the
-	// encoded group key an ordered store probes (it copies it only on
-	// insert); deltaBuf backs the expression delta for batch-local
-	// operators. Both belong to the maintenance path, which the engine
-	// serializes; the concurrent read path (Lookup) uses a pooled buffer
-	// instead.
-	keyBuf   []byte
+	// deltaBuf backs the expression delta for batch-local operators. It
+	// belongs to the maintenance path, which the engine serializes.
 	deltaBuf []chronicle.Row
 
 	// appliedLSN is the highest LSN among delta rows folded into the view,
 	// the cursor position of the live store. Each publication carries the
-	// value it had then (snapshot.lsn, hashStore.lsn); the changefeed's
-	// snapshot catch-up splices on that published value: deliver the
-	// snapshot, then filter live frames with LSN ≤ it.
+	// value it had then (store.lsn); the changefeed's snapshot catch-up
+	// splices on that published value: deliver the snapshot, then filter live
+	// frames with LSN ≤ it.
 	appliedLSN uint64
 	// unpublished reports that rows were folded since the last publication:
 	// the live store is ahead of what readers see.
 	unpublished bool
 }
 
-// New validates a definition and materializes an empty view; a hash view
-// gets a key directory of its own. The result is current for the
-// (necessarily empty-so-far) suffix of appends; callers who create views over
-// chronicles with existing retained rows should feed the retained rows
-// through Apply (the engine does this at DDL time).
-func New(def Def, kind StoreKind) (*View, error) { return NewIn(def, kind, nil) }
+// New validates a definition and materializes an empty view with a key
+// directory of its own. The result is current for the (necessarily
+// empty-so-far) suffix of appends; callers who create views over chronicles
+// with existing retained rows should feed the retained rows through Apply
+// (the engine does this at DDL time).
+func New(def Def) (*View, error) { return NewIn(def, nil) }
 
-// NewIn is New for a hash view whose keys live in d, a directory shared with
-// the views that fold the same expression by the same columns; a nil d, or
-// an ordered view, gets none shared. The caller counts the view in d
-// (Dir.Acquire). Keys d already holds are groups the view does not have.
-func NewIn(def Def, kind StoreKind, d *Dir) (*View, error) {
+// NewIn is New for a view whose keys live in d, a directory shared with the
+// views that fold the same expression by the same columns; a nil d gets one
+// of its own. The caller counts the view in d (Dir.Acquire). Keys d already
+// holds are groups the view does not have.
+func NewIn(def Def, d *Dir) (*View, error) {
 	if def.Name == "" {
 		return nil, fmt.Errorf("view: name required")
 	}
@@ -282,21 +232,18 @@ func NewIn(def Def, kind StoreKind, d *Dir) (*View, error) {
 		def:    def,
 		schema: schema,
 		info:   algebra.Analyze(def.Expr),
-		cow:    kind == StoreBTree,
 		arena:  new(arena),
 		sh:     newShape(layout),
 	}
 	v.shells.sh = v.sh
 	v.keyCols = def.KeyCols()
-	if kind == StoreHash {
-		if d == nil {
-			d = NewDir(def.Name, v.keyCols)
-			d.Acquire()
-		} else if !slices.Equal(d.keyCols, v.keyCols) {
-			return nil, fmt.Errorf("view %s: directory %s keys columns %v, the view groups by %v", def.Name, d.name, d.keyCols, v.keyCols)
-		}
+	if d == nil {
+		d = NewDir(def.Name, v.keyCols)
+		d.Acquire()
+	} else if !slices.Equal(d.keyCols, v.keyCols) {
+		return nil, fmt.Errorf("view %s: directory %s keys columns %v, the view groups by %v", def.Name, d.name, d.keyCols, v.keyCols)
 	}
-	v.store = newStore(kind, d, &v.shells)
+	v.store = &store{dir: d, sh: &v.shells}
 	for i := range v.keyCols {
 		v.keyKinds = append(v.keyKinds, schema.Col(i).Kind)
 	}
@@ -305,44 +252,20 @@ func NewIn(def Def, kind StoreKind, d *Dir) (*View, error) {
 }
 
 // publishLocked makes the live store visible to lock-free readers, stamped
-// with the LSN it has reached. B-tree stores publish an immutable
-// copy-on-write snapshot and open a new write epoch so the next mutation of
-// any published entry copies it first; hash stores store their pending
-// versions into their id arrays. Callers must hold mu exclusively (or have
-// sole ownership, as in New).
+// with the LSN it has reached: the store swaps its pending versions into its
+// array. Callers must hold mu exclusively (or have sole ownership, as in
+// New).
 //
-// Then it settles what the live store replaced since the last publication:
-// the tree nodes its path copies left and the entry versions either store
-// swapped out. All of it is reachable from older published state only, so a
+// Then it settles the entry versions the store swapped out since the last
+// publication. They are reachable from older published state only, so a
 // reader counted now may hold some and one that arrives later can reach
-// none. With no reader counted it all becomes reusable. With one, the nodes
-// and heap versions go to the collector and carved shells wait in limbo
+// none. With no reader counted they all become reusable. With one, heap
+// versions go to the collector and carved shells wait in limbo
 // (shells.settle).
 func (v *View) publishLocked() {
-	p := v.pg.Load()
-	var live *btree.Tree[[]byte, *entry]
-	switch s := v.store.(type) {
-	case *treeStore:
-		live = s.t
-		snap := &snapshot{tree: s.t.Clone(), at: time.Now().UnixNano(), lsn: v.appliedLSN}
-		if p != nil {
-			snap.blocks = p.blocks
-		}
-		v.snap.Store(snap)
-		v.epoch++
-	case *hashStore:
-		s.publish(v.appliedLSN)
-	}
-	quiet := v.readers.Load() == 0
-	if live != nil {
-		if quiet {
-			live.Reclaim()
-		} else {
-			live.Forget()
-		}
-	}
-	v.shells.settle(quiet)
-	if p != nil {
+	v.store.publish(v.appliedLSN)
+	v.shells.settle(v.readers.Load() == 0)
+	if p := v.pg.Load(); p != nil {
 		p.published.Store(p.total)
 	}
 	v.unpublished = false
@@ -371,15 +294,6 @@ func (v *View) Publish() {
 	}
 }
 
-// SnapshotUnixNano returns the publication time of the current snapshot,
-// or 0 when the view has none (hash store).
-func (v *View) SnapshotUnixNano() int64 {
-	if s := v.snap.Load(); s != nil {
-		return s.at
-	}
-	return 0
-}
-
 // Name returns the view's name.
 func (v *View) Name() string { return v.def.Name }
 
@@ -395,21 +309,8 @@ func (v *View) Schema() *value.Schema { return v.schema }
 // their encoding, in that order.
 func (v *View) KeyLen() int { return len(v.keyCols) }
 
-// Dir returns the key directory of a hash view, nil for an ordered one.
-func (v *View) Dir() *Dir {
-	if h, ok := v.store.(*hashStore); ok {
-		return h.dir
-	}
-	return nil
-}
-
-// StoreKind returns the kind of the view's group store.
-func (v *View) StoreKind() StoreKind {
-	if v.cow {
-		return StoreBTree
-	}
-	return StoreHash
-}
+// Dir returns the view's key directory.
+func (v *View) Dir() *Dir { return v.store.dir }
 
 // Info returns the static analysis of the underlying expression.
 func (v *View) Info() algebra.Info { return v.info }
@@ -428,36 +329,15 @@ func (v *View) Stats() Stats {
 	return v.stats
 }
 
-// Height returns the height of an ordered view's published tree — the nodes
-// one probe visits at most, O(log|V|) — and 0 for a hash view. A paged view's
-// tree holds its resident blocks.
-func (v *View) Height() int {
-	v.readers.Add(1)
-	defer v.readers.Add(-1)
-	if s := v.snap.Load(); s != nil {
-		return s.tree.Height()
-	}
-	return 0
-}
-
-// Len returns the number of rows currently in the view. B-tree views
-// answer from the published snapshot, hash views from the published entry
-// count — neither takes a lock.
+// Len returns the number of rows currently in the view, from the published
+// entry count — without a lock.
 func (v *View) Len() int {
 	if p := v.pg.Load(); p != nil {
-		// The live tree and snapshot only hold resident blocks' entries;
-		// the pager tracks the logical count across all blocks.
+		// The store holds the resident blocks' entries; the pager tracks the
+		// logical count across all blocks.
 		return int(p.published.Load())
 	}
-	if s := v.snap.Load(); s != nil {
-		return s.tree.Len()
-	}
-	if h, ok := v.store.(*hashStore); ok {
-		return int(h.count.Load())
-	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.store.len()
+	return int(v.store.count.Load())
 }
 
 // Apply maintains the view for one append batch on its own: it computes the
@@ -509,36 +389,45 @@ func (v *View) ApplyCall(call uint64, rows []chronicle.Row) (first bool) {
 	v.stats.DeltaRows += int64(len(rows))
 	if len(rows) > 0 {
 		// Set before the first row folds: a block fault below must already
-		// treat the live tree as ahead of the published one.
+		// treat the live store as ahead of the published one.
 		v.unpublished = true
 		for _, r := range rows {
 			if r.LSN > v.appliedLSN {
 				v.appliedLSN = r.LSN
 			}
 		}
-		if h, ok := v.store.(*hashStore); ok {
-			v.foldHash(h, call, rows)
-		} else {
-			v.foldTree(v.pg.Load(), rows)
-		}
+		v.fold(call, rows)
 	}
 	v.stats.ApplyNs += time.Since(start).Nanoseconds()
 	v.mu.Unlock()
 	return first
 }
 
-// foldHash folds one fold's rows into a hash view: its directory resolves
-// them to the fold's distinct groups, each with its rows in SN order, and
-// each group is versioned (or created) once and steps its rows.
-func (v *View) foldHash(h *hashStore, call uint64, rows []chronicle.Row) {
+// fold folds one fold's rows: the directory resolves them to the fold's
+// distinct groups, each with its rows in SN order, and each group is
+// versioned (or created) once and steps its rows. A paged view first faults
+// the block of each group the fold writes, so that a checkpoint can re-encode
+// it from memory.
+func (v *View) fold(call uint64, rows []chronicle.Row) {
+	h, p := v.store, v.pg.Load()
 	h.dir.mu.Lock()
 	defer h.dir.mu.Unlock()
 	res := h.dir.resolve(call, rows)
 	indexed := h.beginFold()
 	made := len(h.pending)
-	l := v.sh.l
+	l, a := v.sh.l, v.arena
+	if p != nil {
+		a = nil // see arena
+	}
 	for g, id := range res.ids {
-		e := h.live(id, v.arena, indexed)
+		var blk *blockMeta
+		if p != nil {
+			blk = v.ensureWrite(p, h.dir.key(id))
+		}
+		e, isNew := h.live(id, a, indexed)
+		if isNew && blk != nil {
+			v.noteInsert(p, blk, h.dir.key(id))
+		}
 		grp := e.group(v.sh)
 		for _, i := range res.rows(g) {
 			l.Step(grp, rows[i].Vals)
@@ -548,50 +437,14 @@ func (v *View) foldHash(h *hashStore, call uint64, rows []chronicle.Row) {
 	v.stats.Versions += int64(len(h.pending) - made)
 }
 
-// foldTree folds rows into an ordered view, one tree probe a row.
-func (v *View) foldTree(p *pager, rows []chronicle.Row) {
-	ts := v.store.(*treeStore)
-	for _, r := range rows {
-		// Encode the key straight from the source columns; a new group
-		// keeps a copy of it, and the key is the only copy of its values.
-		v.keyBuf = keyenc.AppendCols(v.keyBuf[:0], r.Vals, v.keyCols)
-		a, shell := v.arena, v.arena
-		var blk *blockMeta
-		if p != nil {
-			// Writes require residency: fault the covering block so the
-			// next checkpoint can re-encode it from the live tree.
-			blk = v.ensureWrite(p, v.keyBuf)
-			a, shell = blk.arena, nil // keys only: see blockMeta.arena
-		}
-		e := ts.get(v.keyBuf)
-		switch {
-		case e == nil:
-			e = newEntry(shell, v.sh, nil)
-			e.stamp |= v.epoch
-			ts.put(a, v.keyBuf, e)
-			v.stats.Versions++
-			if p != nil {
-				v.noteInsert(p, blk, v.keyBuf)
-			}
-		case e.epoch() != v.epoch:
-			// First touch this epoch: the entry is frozen in the published
-			// snapshot; mutate a copy instead, and retire the original.
-			old := e
-			e = v.shells.version(old)
-			e.stamp |= v.epoch
-			ts.replace(v.keyBuf, e)
-			v.shells.retire(old)
-			v.stats.Versions++
-		}
-		v.sh.l.Step(e.group(v.sh), r.Vals)
-		v.stats.Touched++
-	}
-}
-
 // Lookup returns the view row whose group (or projected tuple) equals key.
 // For group-by views key lists the grouping values in GroupCols order; for
 // projection views it is the full projected tuple. This is the paper's
 // summary query: answered from the view, never from the chronicle.
+//
+// Lock-free: the directory gives the key's id, and published entries are
+// frozen (maintenance mutates versions and stores them atomically); the
+// readers count keeps the entry off the free list while the row is built.
 func (v *View) Lookup(key value.Tuple) (value.Tuple, bool) {
 	// Lookups run concurrently with maintenance, so the probe key is built
 	// in a pooled buffer, not the view's maintenance scratch.
@@ -600,35 +453,23 @@ func (v *View) Lookup(key value.Tuple) (value.Tuple, bool) {
 	*buf = keyenc.AppendTuple(*buf, key)
 	v.readers.Add(1)
 	defer v.readers.Add(-1)
-	if s := v.snap.Load(); s != nil {
-		// Lock-free: the snapshot tree and every entry in it are frozen.
-		e, ok := s.tree.Get(*buf)
-		p := v.pg.Load()
-		if ok && e.count() != 0 {
-			if p != nil {
-				p.cache.hits.Add(1)
-				s.touch(*buf)
-			}
-			return rowOf(v, *buf, e), true
+	h, p := v.store, v.pg.Load()
+	seq := h.seq.Load()
+	k, e := h.rget(*buf)
+	if e != nil && e.count() != 0 {
+		if p != nil {
+			p.cache.hits.Add(1)
+			p.touch(*buf)
 		}
-		if p != nil && (p.nonResident.Load() > 0 || v.snap.Load() != s) {
-			// The key may live in an evicted block — or in one faulted in
-			// since s was loaded, which a newer snapshot then covers (a
-			// fault publishes before it lowers nonResident). Fully-resident
-			// paged views never get here.
-			return v.pagedLookup(*buf)
-		}
-		return nil, false
+		return rowOf(v, k, e), true
 	}
-	// Lock-free: the directory gives the key's id, and published hash
-	// entries are frozen (maintenance mutates versions and stores them
-	// atomically); the readers count keeps the entry off the free list while
-	// we materialize the row.
-	k, e := v.store.(*hashStore).rget(*buf)
-	if e == nil || e.count() == 0 {
-		return nil, false
+	// The key may live in an evicted block — or in one faulted in since the
+	// probe, which changed seq (a fault stores its entries before it lowers
+	// nonResident). Fully-resident paged views never get here.
+	if p != nil && (p.nonResident.Load() > 0 || h.seq.Load() != seq) {
+		return v.pagedLookup(*buf)
 	}
-	return rowOf(v, k, e), true
+	return nil, false
 }
 
 // Window is what one read asks of a view: the encoded group keys in
@@ -660,91 +501,99 @@ func (w Window) take(row value.Tuple, n *int, fn func(value.Tuple) bool) bool {
 
 // Scan visits the rows of w until fn returns false and returns the LSN of
 // the publication they were read from: all rows of one Scan come from one
-// publication, whatever the store. The changefeed's snapshot catch-up splices
-// on that LSN — deltas at or below it are reflected in the rows delivered,
-// deltas above it are not. It is the published LSN, not the live store's:
-// between two rows of one append call the live store is ahead of every
-// reader, and a splice on its cursor would drop the call's deltas.
+// publication. The changefeed's snapshot catch-up splices on that LSN —
+// deltas at or below it are reflected in the rows delivered, deltas above it
+// are not. It is the published LSN, not the live store's: between two rows
+// of one append call the live store is ahead of every reader, and a splice on
+// its cursor would drop the call's deltas.
 //
-// An ordered store walks its frozen snapshot from the window's starting end,
-// O(log |V| + rows visited), and a paged one faults only the blocks the read
-// reaches (see pagedScan). The hash store has no order: any window but a
-// point (Lookup) gathers the published entries, filters and sorts them.
+// A read is one walk of the directory's order from the window's starting
+// end, O(log|keys| + keys visited), over the view's published entries. The
+// entries are stored slot by slot, so the walk gathers the rows first and
+// checks them against the store's publish sequence: a publication that
+// overlapped the walk sends it round again, and a second collision takes the
+// read lock, which excludes publication, so a read under a writer that
+// publishes faster than it can walk still terminates. A paged view with cold
+// blocks faults only the blocks the read reaches (see pagedScan).
 //
 // The scan counts itself a reader until fn has seen its last row, so nothing
-// it can reach is reused meanwhile — across the rounds of a paged read, too,
-// whose faults and the evictions they set off publish under it.
+// it can reach is reused meanwhile.
 func (v *View) Scan(w Window, fn func(value.Tuple) bool) uint64 {
 	v.readers.Add(1)
 	defer v.readers.Add(-1)
-	s := v.snap.Load()
-	if s == nil {
-		return v.hashScan(w, fn)
-	}
-	// A cold block is dropped from the snapshot after the count rises and
-	// added to it before the count falls, so a count of zero says the current
-	// snapshot is complete — and s is the current one if it still is.
-	if p := v.pg.Load(); p != nil && (p.nonResident.Load() > 0 || v.snap.Load() != s) {
-		return v.pagedScan(p, w, fn)
-	}
-	v.walk(s, w, w.Lo, w.Hi, fn)
-	return s.lsn
-}
-
-// walk hands fn the rows of w found in s between lo and hi — the window's
-// own bounds or, for a paged read, the planned part of them — and returns how
-// many it handed over. It stops when fn says so or at the window's limit.
-func (v *View) walk(s *snapshot, w Window, lo, hi []byte, fn func(value.Tuple) bool) (n int) {
-	visit := func(k []byte, e *entry) bool {
-		return e.count() == 0 || w.take(rowOf(v, k, e), &n, fn)
-	}
-	switch t := s.tree; {
-	case !w.Desc && len(hi) == 0:
-		t.AscendGreaterOrEqual(lo, visit)
-	case !w.Desc:
-		t.AscendRange(lo, hi, visit)
-	case len(hi) > 0:
-		t.DescendRange(lo, hi, visit)
-	case len(lo) == 0:
-		t.Descend(visit)
-	default:
-		t.Descend(func(k []byte, e *entry) bool { return bytes.Compare(k, lo) >= 0 && visit(k, e) })
-	}
-	return n
-}
-
-// hashScan is Scan on a hash view: it visits the rows of one publication in
-// key order and returns that publication's LSN. The entries are stored slot
-// by slot, so the gather is validated against the store's publish sequence
-// and repeated if a publication overlapped it; a second collision takes the
-// read lock, which excludes publication, so a scan under a writer that
-// publishes faster than it can gather still terminates. The gathered entries
-// are sorted on demand (scans are query-side).
-func (v *View) hashScan(w Window, fn func(value.Tuple) bool) uint64 {
-	h := v.store.(*hashStore)
-	entries, lsn, stable := h.collect()
-	if !stable {
-		entries, lsn, stable = h.collect()
-	}
-	if !stable {
-		v.mu.RLock()
-		entries, lsn, _ = h.collect()
-		v.mu.RUnlock()
-	}
-	in := entries[:0]
-	for _, ke := range entries {
-		if ke.e.count() != 0 && ke.key >= string(w.Lo) && (len(w.Hi) == 0 || ke.key < string(w.Hi)) {
-			in = append(in, ke)
+	rows := getRows()
+	defer putRows(rows)
+	h, p := v.store, v.pg.Load()
+	for try := 0; ; try++ {
+		locked := try == 2
+		if locked {
+			v.mu.RLock()
+		}
+		// seq before nonResident: an eviction raises the count before it
+		// clears its entries, so a walk that saw the count at zero and seq
+		// unchanged saw every entry.
+		seq := h.seq.Load()
+		if p != nil && p.nonResident.Load() > 0 {
+			if locked {
+				v.mu.RUnlock()
+			}
+			return v.pagedScan(p, w, fn)
+		}
+		*rows = v.collect(w, w.Lo, w.Hi, (*rows)[:0])
+		lsn := h.lsn.Load()
+		if locked {
+			v.mu.RUnlock()
+		}
+		if locked || seq&1 == 0 && h.seq.Load() == seq {
+			deliver(*rows, fn)
+			return lsn
 		}
 	}
-	sort.Slice(in, func(i, j int) bool { return (in[i].key < in[j].key) != w.Desc })
-	n := 0
-	for _, ke := range in {
-		if !w.take(rowOf(v, ke.key, ke.e), &n, fn) {
-			break
+}
+
+// collect appends to rows the rows of w whose keys lie in [lo, hi) — the
+// window's own bounds or, for a paged read, the planned part of them — in
+// the window's direction, up to its limit.
+func (v *View) collect(w Window, lo, hi []byte, rows []value.Tuple) []value.Tuple {
+	h := v.store
+	h.dir.walk(lo, hi, w.Desc, func(id uint32) bool {
+		e := h.published(id)
+		if e == nil || e.count() == 0 {
+			return true
+		}
+		row := rowOf(v, h.dir.key(id), e)
+		if w.Keep != nil && !w.Keep(row) {
+			return true
+		}
+		rows = append(rows, row)
+		return len(rows) != w.Limit
+	})
+	return rows
+}
+
+// deliver hands fn the rows until it says stop.
+func deliver(rows []value.Tuple, fn func(value.Tuple) bool) {
+	for _, r := range rows {
+		if !fn(r) {
+			return
 		}
 	}
-	return lsn
+}
+
+// rowBufs recycles the slices reads gather their rows in; the rows are the
+// caller's.
+var rowBufs = sync.Pool{New: func() any { return new([]value.Tuple) }}
+
+func getRows() *[]value.Tuple { return rowBufs.Get().(*[]value.Tuple) }
+
+// putRows returns a gather buffer, unless a scan of a large view grew it.
+func putRows(rows *[]value.Tuple) {
+	if cap(*rows) > 1024 {
+		return
+	}
+	clear(*rows)
+	*rows = (*rows)[:0]
+	rowBufs.Put(rows)
 }
 
 // AppliedLSN returns the highest LSN folded into the view — the live
@@ -778,12 +627,11 @@ func (v *View) Rows() []value.Tuple {
 }
 
 // rowOf builds the view row of the entry stored under key: the group values
-// decoded from the key, then the aggregation results. A hash entry's key is
-// its directory's string, and its string cells are substrings of it; an
-// ordered store's key is the tree's bytes, which each string cell copies.
-// Every key reaching here was written by the encoder or checked when it was
+// decoded from the key, then the aggregation results. The key is the
+// directory's string, and the row's string cells are substrings of it. Every
+// key reaching here was written by the encoder or checked when it was
 // restored (CheckKey), so it decodes.
-func rowOf[K string | []byte](v *View, key K, e *entry) value.Tuple {
+func rowOf(v *View, key string, e *entry) value.Tuple {
 	out := make(value.Tuple, 0, len(v.keyKinds)+len(v.sh.l.Specs()))
 	out, _ = keyenc.DecodeKey(out, key, v.keyKinds)
 	return v.sh.l.AppendResults(out, e.group(v.sh))
@@ -798,7 +646,7 @@ func (v *View) Recompute() ([]value.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	fresh, err := New(v.def, StoreBTree)
+	fresh, err := New(v.def)
 	if err != nil {
 		return nil, err
 	}

@@ -57,7 +57,7 @@ func (f *fixture) appendCall(t testing.TB, acct string, minutes int64) algebra.B
 }
 
 // minutesPerAcct is the canonical example view: total minutes per account.
-func minutesPerAcct(t testing.TB, f *fixture, kind StoreKind) *View {
+func minutesPerAcct(t testing.TB, f *fixture) *View {
 	t.Helper()
 	v, err := New(Def{
 		Name:      "minutes_per_acct",
@@ -68,7 +68,7 @@ func minutesPerAcct(t testing.TB, f *fixture, kind StoreKind) *View {
 			{Func: aggregate.Sum, Col: 1, Name: "total"},
 			{Func: aggregate.Count, Col: -1, Name: "n"},
 		},
-	}, kind)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestNewValidation(t *testing.T) {
 		{Name: "v", Expr: scan, Mode: Summarize(9), Cols: []int{0}}, // bad mode
 	}
 	for i, def := range cases {
-		if _, err := New(def, StoreHash); err == nil {
+		if _, err := New(def); err == nil {
 			t.Errorf("case %d: invalid definition accepted: %+v", i, def)
 		}
 	}
@@ -101,7 +101,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestGroupByViewBasics(t *testing.T) {
 	f := newFixture(t)
-	v := minutesPerAcct(t, f, StoreHash)
+	v := minutesPerAcct(t, f)
 	if v.Name() != "minutes_per_acct" || v.Len() != 0 {
 		t.Fatal("fresh view state")
 	}
@@ -135,7 +135,7 @@ func TestProjectViewRefcounts(t *testing.T) {
 		Expr: algebra.NewScan(f.calls),
 		Mode: SummarizeProject,
 		Cols: []int{0},
-	}, StoreBTree)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestViewOverSelection(t *testing.T) {
 		Mode:      SummarizeGroupBy,
 		GroupCols: []int{0},
 		Aggs:      []aggregate.Spec{{Func: aggregate.Count, Col: -1, Name: "n"}},
-	}, StoreHash)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestViewOverSelection(t *testing.T) {
 
 func TestViewClassification(t *testing.T) {
 	f := newFixture(t)
-	v := minutesPerAcct(t, f, StoreHash)
+	v := minutesPerAcct(t, f)
 	if v.Lang() != algebra.LangCA1 || v.IMClass() != algebra.IMConstant {
 		t.Errorf("SCA1 view classified %s/%s", v.Lang(), v.IMClass())
 	}
@@ -193,7 +193,7 @@ func TestViewClassification(t *testing.T) {
 		Name: "with_state", Expr: jr, Mode: SummarizeGroupBy,
 		GroupCols: []int{3},
 		Aggs:      []aggregate.Spec{{Func: aggregate.Sum, Col: 1, Name: "total"}},
-	}, StoreHash)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,13 +206,10 @@ func TestSummarizeString(t *testing.T) {
 	if SummarizeProject.String() != "project" || SummarizeGroupBy.String() != "groupby" {
 		t.Error("Summarize strings")
 	}
-	if StoreHash.String() != "hash" || StoreBTree.String() != "btree" {
-		t.Error("StoreKind strings")
-	}
 }
 
 // TestIncrementalMatchesRecompute is the golden invariant at the view level
-// for both store kinds and both summarization modes, on a random stream.
+// for both summarization modes, on a random stream.
 func TestIncrementalMatchesRecompute(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		f := newFixture(t)
@@ -224,12 +221,11 @@ func TestIncrementalMatchesRecompute(t *testing.T) {
 			t.Fatal(err)
 		}
 		views := []*View{
-			minutesPerAcct(t, f, StoreHash),
-			minutesPerAcct(t, f, StoreBTree),
+			minutesPerAcct(t, f),
 			mustNew(t, Def{
 				Name: "accts", Expr: algebra.NewScan(f.calls),
 				Mode: SummarizeProject, Cols: []int{0},
-			}, StoreHash),
+			}),
 			mustNew(t, Def{
 				Name: "state_minutes", Expr: jr, Mode: SummarizeGroupBy,
 				GroupCols: []int{3},
@@ -239,7 +235,7 @@ func TestIncrementalMatchesRecompute(t *testing.T) {
 					{Func: aggregate.Max, Col: 1, Name: "longest"},
 					{Func: aggregate.Avg, Col: 1, Name: "mean"},
 				},
-			}, StoreBTree),
+			}),
 		}
 
 		rng := rand.New(rand.NewSource(seed))
@@ -269,9 +265,9 @@ func TestIncrementalMatchesRecompute(t *testing.T) {
 	}
 }
 
-func mustNew(t testing.TB, def Def, kind StoreKind) *View {
+func mustNew(t testing.TB, def Def) *View {
 	t.Helper()
-	v, err := New(def, kind)
+	v, err := New(def)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,47 +296,45 @@ func sameTuples(a, b []value.Tuple) bool {
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	f := newFixture(t)
-	for _, kind := range []StoreKind{StoreHash, StoreBTree} {
-		for _, mode := range []Summarize{SummarizeGroupBy, SummarizeProject} {
-			def := Def{Name: fmt.Sprintf("v_%s_%s", kind, mode), Expr: algebra.NewScan(f.calls)}
-			if mode == SummarizeGroupBy {
-				def.Mode = SummarizeGroupBy
-				def.GroupCols = []int{0}
-				def.Aggs = []aggregate.Spec{
-					{Func: aggregate.Sum, Col: 1, Name: "total"},
-					{Func: aggregate.Avg, Col: 1, Name: "mean"},
-				}
-			} else {
-				def.Mode = SummarizeProject
-				def.Cols = []int{0}
+	for _, mode := range []Summarize{SummarizeGroupBy, SummarizeProject} {
+		def := Def{Name: fmt.Sprintf("v_%s", mode), Expr: algebra.NewScan(f.calls)}
+		if mode == SummarizeGroupBy {
+			def.Mode = SummarizeGroupBy
+			def.GroupCols = []int{0}
+			def.Aggs = []aggregate.Spec{
+				{Func: aggregate.Sum, Col: 1, Name: "total"},
+				{Func: aggregate.Avg, Col: 1, Name: "mean"},
 			}
-			v := mustNew(t, def, kind)
-			for i := 0; i < 20; i++ {
-				v.Apply(f.appendCall(t, string(rune('a'+i%4)), int64(i)))
-			}
-			snap := v.Checkpoint()
+		} else {
+			def.Mode = SummarizeProject
+			def.Cols = []int{0}
+		}
+		v := mustNew(t, def)
+		for i := 0; i < 20; i++ {
+			v.Apply(f.appendCall(t, string(rune('a'+i%4)), int64(i)))
+		}
+		snap := v.Checkpoint()
 
-			v2 := mustNew(t, def, kind)
-			if err := v2.RestoreCheckpoint(snap); err != nil {
-				t.Fatalf("%s: restore: %v", def.Name, err)
-			}
-			if !sameTuples(v.Rows(), v2.Rows()) {
-				t.Fatalf("%s: restore mismatch:\n%v\nvs\n%v", def.Name, v.Rows(), v2.Rows())
-			}
-			// The restored view must keep maintaining correctly.
-			d := f.appendCall(t, "a", 100)
-			v.Apply(d)
-			v2.Apply(d)
-			if !sameTuples(v.Rows(), v2.Rows()) {
-				t.Fatalf("%s: diverged after post-restore append", def.Name)
-			}
+		v2 := mustNew(t, def)
+		if err := v2.RestoreCheckpoint(snap); err != nil {
+			t.Fatalf("%s: restore: %v", def.Name, err)
+		}
+		if !sameTuples(v.Rows(), v2.Rows()) {
+			t.Fatalf("%s: restore mismatch:\n%v\nvs\n%v", def.Name, v.Rows(), v2.Rows())
+		}
+		// The restored view must keep maintaining correctly.
+		d := f.appendCall(t, "a", 100)
+		v.Apply(d)
+		v2.Apply(d)
+		if !sameTuples(v.Rows(), v2.Rows()) {
+			t.Fatalf("%s: diverged after post-restore append", def.Name)
 		}
 	}
 }
 
 func TestCheckpointErrors(t *testing.T) {
 	f := newFixture(t)
-	v := minutesPerAcct(t, f, StoreHash)
+	v := minutesPerAcct(t, f)
 	v.Apply(f.appendCall(t, "a", 1))
 	snap := v.Checkpoint()
 
@@ -373,7 +367,7 @@ func TestCheckpointErrors(t *testing.T) {
 		Name: "v2", Expr: algebra.NewScan(other), Mode: SummarizeGroupBy,
 		GroupCols: []int{0},
 		Aggs:      []aggregate.Spec{{Func: aggregate.Count, Col: -1, Name: "n"}},
-	}, StoreHash)
+	})
 	if err := v2.RestoreCheckpoint(snap); err == nil {
 		t.Error("schema drift accepted")
 	}
@@ -382,7 +376,7 @@ func TestCheckpointErrors(t *testing.T) {
 		Name: "v3", Expr: algebra.NewScan(f.calls), Mode: SummarizeGroupBy,
 		GroupCols: []int{0},
 		Aggs:      []aggregate.Spec{{Func: aggregate.Count, Col: -1, Name: "n"}},
-	}, StoreHash)
+	})
 	if err := v3.RestoreCheckpoint(snap); err == nil {
 		t.Error("agg count mismatch accepted")
 	}
@@ -402,7 +396,7 @@ func TestRecomputeFailsOnLossyChronicle(t *testing.T) {
 		Name: "v", Expr: algebra.NewScan(c), Mode: SummarizeGroupBy,
 		GroupCols: []int{0},
 		Aggs:      []aggregate.Spec{{Func: aggregate.Sum, Col: 1, Name: "s"}},
-	}, StoreHash)
+	})
 	rows, err := c.Append(0, 0, 1, []value.Tuple{{value.Str("a"), value.Int(5)}})
 	if err != nil {
 		t.Fatal(err)
@@ -423,66 +417,64 @@ func keyOf(vals ...value.Value) []byte { return keyenc.AppendTuple(nil, vals) }
 
 func TestScanWindow(t *testing.T) {
 	f := newFixture(t)
-	for _, kind := range []StoreKind{StoreBTree, StoreHash} {
-		v := mustNew(t, Def{
-			Name: fmt.Sprintf("ranged_%s", kind), Expr: algebra.NewScan(f.calls),
-			Mode: SummarizeGroupBy, GroupCols: []int{0},
-			Aggs: []aggregate.Spec{{Func: aggregate.Sum, Col: 1, Name: "total"}},
-		}, kind)
-		for _, acct := range []string{"delta", "alpha", "echo", "bravo", "charlie"} {
-			v.Apply(f.appendCall(t, acct, 1))
-		}
-		var got []string
-		v.Scan(Window{Lo: keyOf(value.Str("b")), Hi: keyOf(value.Str("d"))}, func(t value.Tuple) bool {
-			got = append(got, t[0].AsString())
-			return true
-		})
-		if len(got) != 2 || got[0] != "bravo" || got[1] != "charlie" {
-			t.Errorf("%s: ScanRange = %v", kind, got)
-		}
-		// Early stop.
-		count := 0
-		v.Scan(Window{Lo: keyOf(value.Str("a")), Hi: keyOf(value.Str("z"))}, func(value.Tuple) bool {
-			count++
-			return false
-		})
-		if count != 1 {
-			t.Errorf("%s: early stop visited %d", kind, count)
-		}
-		// Empty range.
+	v := mustNew(t, Def{
+		Name: "ranged", Expr: algebra.NewScan(f.calls),
+		Mode: SummarizeGroupBy, GroupCols: []int{0},
+		Aggs: []aggregate.Spec{{Func: aggregate.Sum, Col: 1, Name: "total"}},
+	})
+	for _, acct := range []string{"delta", "alpha", "echo", "bravo", "charlie"} {
+		v.Apply(f.appendCall(t, acct, 1))
+	}
+	var got []string
+	v.Scan(Window{Lo: keyOf(value.Str("b")), Hi: keyOf(value.Str("d"))}, func(t value.Tuple) bool {
+		got = append(got, t[0].AsString())
+		return true
+	})
+	if len(got) != 2 || got[0] != "bravo" || got[1] != "charlie" {
+		t.Errorf("ScanRange = %v", got)
+	}
+	// Early stop.
+	count := 0
+	v.Scan(Window{Lo: keyOf(value.Str("a")), Hi: keyOf(value.Str("z"))}, func(value.Tuple) bool {
+		count++
+		return false
+	})
+	if count != 1 {
+		t.Errorf("early stop visited %d", count)
+	}
+	// Empty range.
+	got = got[:0]
+	v.Scan(Window{Lo: keyOf(value.Str("x")), Hi: keyOf(value.Str("y"))}, func(t value.Tuple) bool {
+		got = append(got, t[0].AsString())
+		return true
+	})
+	if len(got) != 0 {
+		t.Errorf("empty range = %v", got)
+	}
+	// Direction, limit and residual filter, with and without bounds; the
+	// limit counts the rows Keep lets through.
+	notCharlie := func(t value.Tuple) bool { return t[0].AsString() != "charlie" }
+	for _, tc := range []struct {
+		w    Window
+		want string
+	}{
+		{Window{Desc: true}, "echo delta charlie bravo alpha"},
+		{Window{Desc: true, Limit: 2}, "echo delta"},
+		{Window{Limit: 2}, "alpha bravo"},
+		{Window{Lo: keyOf(value.Str("b")), Desc: true}, "echo delta charlie bravo"},
+		{Window{Hi: keyOf(value.Str("d")), Desc: true, Limit: 2}, "charlie bravo"},
+		{Window{Lo: keyOf(value.Str("b")), Limit: 3, Keep: notCharlie}, "bravo delta echo"},
+		{Window{Hi: keyOf(value.Str("e")), Desc: true, Limit: 2, Keep: notCharlie}, "delta bravo"},
+		{Window{Lo: keyOf(value.Str("d")), Hi: keyOf(value.Str("b"))}, ""},
+	} {
 		got = got[:0]
-		v.Scan(Window{Lo: keyOf(value.Str("x")), Hi: keyOf(value.Str("y"))}, func(t value.Tuple) bool {
+		v.Scan(tc.w, func(t value.Tuple) bool {
 			got = append(got, t[0].AsString())
 			return true
 		})
-		if len(got) != 0 {
-			t.Errorf("%s: empty range = %v", kind, got)
-		}
-		// Direction, limit and residual filter, with and without bounds; the
-		// limit counts the rows Keep lets through.
-		notCharlie := func(t value.Tuple) bool { return t[0].AsString() != "charlie" }
-		for _, tc := range []struct {
-			w    Window
-			want string
-		}{
-			{Window{Desc: true}, "echo delta charlie bravo alpha"},
-			{Window{Desc: true, Limit: 2}, "echo delta"},
-			{Window{Limit: 2}, "alpha bravo"},
-			{Window{Lo: keyOf(value.Str("b")), Desc: true}, "echo delta charlie bravo"},
-			{Window{Hi: keyOf(value.Str("d")), Desc: true, Limit: 2}, "charlie bravo"},
-			{Window{Lo: keyOf(value.Str("b")), Limit: 3, Keep: notCharlie}, "bravo delta echo"},
-			{Window{Hi: keyOf(value.Str("e")), Desc: true, Limit: 2, Keep: notCharlie}, "delta bravo"},
-			{Window{Lo: keyOf(value.Str("d")), Hi: keyOf(value.Str("b"))}, ""},
-		} {
-			got = got[:0]
-			v.Scan(tc.w, func(t value.Tuple) bool {
-				got = append(got, t[0].AsString())
-				return true
-			})
-			if strings.Join(got, " ") != tc.want {
-				t.Errorf("%s: Scan(%q..%q desc=%v limit=%d keep=%v) = %v, want %s",
-					kind, tc.w.Lo, tc.w.Hi, tc.w.Desc, tc.w.Limit, tc.w.Keep != nil, got, tc.want)
-			}
+		if strings.Join(got, " ") != tc.want {
+			t.Errorf("Scan(%q..%q desc=%v limit=%d keep=%v) = %v, want %s",
+				tc.w.Lo, tc.w.Hi, tc.w.Desc, tc.w.Limit, tc.w.Keep != nil, got, tc.want)
 		}
 	}
 }
@@ -494,74 +486,91 @@ func TestScanOrderIsTupleOrder(t *testing.T) {
 	c, _ := g.NewChronicle("nums", value.NewSchema(
 		value.Column{Name: "n", Kind: value.KindInt},
 	), chronicle.RetainNone)
-	for _, kind := range []StoreKind{StoreBTree, StoreHash} {
-		v := mustNew(t, Def{
-			Name: fmt.Sprintf("byn_%s", kind), Expr: algebra.NewScan(c),
-			Mode: SummarizeGroupBy, GroupCols: []int{0},
-			Aggs: []aggregate.Spec{{Func: aggregate.Count, Col: -1, Name: "cnt"}},
-		}, kind)
-		for _, n := range []int64{10, -3, 200, 0, -40} {
-			v.ApplyRows([]chronicle.Row{{SN: n, Vals: value.Tuple{value.Int(n)}}})
-		}
-		v.Publish()
-		var got []int64
-		v.Scan(Window{}, func(t value.Tuple) bool { got = append(got, t[0].AsInt()); return true })
-		want := []int64{-40, -3, 0, 10, 200}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: scan order = %v, want %v", kind, got, want)
-			}
+	v := mustNew(t, Def{
+		Name: "byn", Expr: algebra.NewScan(c),
+		Mode: SummarizeGroupBy, GroupCols: []int{0},
+		Aggs: []aggregate.Spec{{Func: aggregate.Count, Col: -1, Name: "cnt"}},
+	})
+	for _, n := range []int64{10, -3, 200, 0, -40} {
+		v.ApplyRows([]chronicle.Row{{SN: n, Vals: value.Tuple{value.Int(n)}}})
+	}
+	v.Publish()
+	var got []int64
+	v.Scan(Window{}, func(t value.Tuple) bool { got = append(got, t[0].AsInt()); return true })
+	want := []int64{-40, -3, 0, 10, 200}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("scan order = %v, want %v", got, want)
 		}
 	}
 }
 
 // TestFoldIsInvisibleUntilPublish is the fold-vs-publish contract on one
-// view of each store kind: ApplyRows changes nothing a reader can see —
+// view: ApplyRows changes nothing a reader can see —
 // not the rows, not the count, not the LSN a scan reports — and reports only
 // its first fold since the last publication; Publish makes all of it visible
 // at once, under the highest LSN folded, and a second Publish is a no-op.
+// With a shared directory, a sibling folds and publishes every row first:
+// the keys it adds to the directory and its order are still not the view's.
 func TestFoldIsInvisibleUntilPublish(t *testing.T) {
-	for _, kind := range []StoreKind{StoreHash, StoreBTree} {
-		t.Run(kind.String(), func(t *testing.T) {
-			f := newFixture(t)
-			v := minutesPerAcct(t, f, kind)
-			v.Apply(f.appendCall(t, "a", 10)) // LSN 1, published
-			read := func() (total, groups int64, lsn uint64) {
-				lsn = v.Scan(Window{}, func(row value.Tuple) bool {
-					total += row[1].AsInt()
-					groups++
-					return true
-				})
-				return total, groups, lsn
-			}
-			for i, acct := range []string{"a", "b", "a"} {
-				first := v.ApplyRows(v.Delta(f.appendCall(t, acct, 5))) // LSNs 2..4
-				if first != (i == 0) {
-					t.Errorf("fold %d: first = %v", i, first)
-				}
-			}
-			if total, groups, lsn := read(); total != 10 || groups != 1 || lsn != 1 || v.Len() != 1 {
-				t.Errorf("before Publish: total %d over %d groups at LSN %d, Len %d; want the published 10/1/1/1",
-					total, groups, lsn, v.Len())
-			}
-			if _, ok := v.Lookup(value.Tuple{value.Str("b")}); ok {
-				t.Error("before Publish: a group only folded is already found")
-			}
-			if v.AppliedLSN() != 4 {
-				t.Errorf("live cursor = %d, want 4", v.AppliedLSN())
-			}
-			v.Publish()
-			v.Publish()
-			if total, groups, lsn := read(); total != 25 || groups != 2 || lsn != 4 || v.Len() != 2 {
-				t.Errorf("after Publish: total %d over %d groups at LSN %d, Len %d; want 25/2/4/2",
-					total, groups, lsn, v.Len())
-			}
-			if st := v.Stats(); st.Publishes != 2 || st.Applies != 4 {
-				t.Errorf("stats = %+v, want 2 publications for 4 folds", st)
-			}
-			if v.ApplyRows(nil) {
-				t.Error("an empty fold claimed a publication")
-			}
+	for _, name := range []string{"own_directory", "shared_directory"} {
+		t.Run(name, func(t *testing.T) { foldIsInvisibleUntilPublish(t, name == "shared_directory") })
+	}
+}
+
+func foldIsInvisibleUntilPublish(t *testing.T, shared bool) {
+	f := newFixture(t)
+	v := minutesPerAcct(t, f)
+	var sibling *View
+	if shared {
+		sibling = siblings(t, f, v.Dir(), 1)[0]
+	}
+	fold := func(d algebra.BatchDelta) bool {
+		rows := v.Delta(d)
+		if sibling != nil {
+			sibling.ApplyRows(rows)
+			sibling.Publish()
+		}
+		return v.ApplyRows(rows)
+	}
+	if !fold(f.appendCall(t, "a", 10)) { // LSN 1, published
+		t.Fatal("the first fold did not claim a publication")
+	}
+	v.Publish()
+	read := func() (total, groups int64, lsn uint64) {
+		lsn = v.Scan(Window{}, func(row value.Tuple) bool {
+			total += row[1].AsInt()
+			groups++
+			return true
 		})
+		return total, groups, lsn
+	}
+	for i, acct := range []string{"a", "b", "a"} {
+		first := fold(f.appendCall(t, acct, 5)) // LSNs 2..4
+		if first != (i == 0) {
+			t.Errorf("fold %d: first = %v", i, first)
+		}
+	}
+	if total, groups, lsn := read(); total != 10 || groups != 1 || lsn != 1 || v.Len() != 1 {
+		t.Errorf("before Publish: total %d over %d groups at LSN %d, Len %d; want the published 10/1/1/1",
+			total, groups, lsn, v.Len())
+	}
+	if _, ok := v.Lookup(value.Tuple{value.Str("b")}); ok {
+		t.Error("before Publish: a group only folded is already found")
+	}
+	if v.AppliedLSN() != 4 {
+		t.Errorf("live cursor = %d, want 4", v.AppliedLSN())
+	}
+	v.Publish()
+	v.Publish()
+	if total, groups, lsn := read(); total != 25 || groups != 2 || lsn != 4 || v.Len() != 2 {
+		t.Errorf("after Publish: total %d over %d groups at LSN %d, Len %d; want 25/2/4/2",
+			total, groups, lsn, v.Len())
+	}
+	if st := v.Stats(); st.Publishes != 2 || st.Applies != 4 {
+		t.Errorf("stats = %+v, want 2 publications for 4 folds", st)
+	}
+	if v.ApplyRows(nil) {
+		t.Error("an empty fold claimed a publication")
 	}
 }

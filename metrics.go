@@ -44,16 +44,15 @@ func (db *DB) Metrics() []Metric {
 		{"maintenance_p99_ns", "ns/call", "99th-percentile view maintenance time of an append call", false, int64(maint.P99)},
 		{"maintenance_max_ns", "ns/call", "longest view maintenance time of an append call", false, int64(maint.Max)},
 		{"maint_shared_hits", "nodes/call", "plan-node deltas served from the shared plan's per-call cache", false, c.SharedHits},
-		{"read_lookups", "requests", "point lookups served off view snapshots", false, c.Lookups},
-		{"read_scans", "requests", "scans served off view snapshots", false, c.Scans},
+		{"read_lookups", "requests", "point lookups served off published view entries", false, c.Lookups},
+		{"read_scans", "requests", "scans served off published view entries", false, c.Scans},
 		{"read_p50_ns", "ns/request", "median latency of a lookup or scan", false, int64(read.P50)},
 		{"read_p99_ns", "ns/request", "99th-percentile latency of a lookup or scan", false, int64(read.P99)},
 		{"read_max_ns", "ns/request", "longest lookup or scan", false, int64(read.Max)},
-		{"snapshot_age_ns", "ns", "age of the oldest live view snapshot, the worst-case staleness of a lock-free read (0: none)", false, int64(snapshotAge(c.OldestSnapshot))},
 		{"dedup_entries", "entries", "idempotency entries held", false, int64(c.DedupEntries)},
 		{"dedup_hits", "requests", "idempotent appends answered with their original ack", false, c.DedupHits},
 		{"dedup_evictions", "entries", "idempotency entries pushed out by the capacity bound", false, c.DedupEvictions},
-		{"view_dir_keys", "keys", "group keys held by the hash views' key directories: each once, however many views share its directory", false, c.DirKeys},
+		{"view_dir_keys", "keys", "group keys held by the views' key directories: each once, however many views share its directory", false, c.DirKeys},
 	}
 	for i, v := range db.MaintAttribution(5) {
 		ms = append(ms, Metric{fmt.Sprintf("maint_top_%d", i+1), "text", "the i-th slowest view by accumulated fold time", false,

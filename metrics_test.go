@@ -205,9 +205,6 @@ func TestStatsDeclaredOnce(t *testing.T) {
 			}
 			continue
 		}
-		if name == "snapshot_age_ns" {
-			continue // ages with the clock
-		}
 		if got != want {
 			t.Errorf("%s: /stats %v, SHOW STATS %v", name, got, want)
 		}

@@ -59,7 +59,11 @@ func (db *DB) recover(m wal.Manifest) error {
 	if src, err := db.fs.ReadFile(db.catalogPath); err == nil && len(src) > 0 {
 		text := string(src)
 		if i := strings.LastIndex(text, ";"); i >= 0 {
+			// A statement is written with its terminator and a newline.
 			text = text[:i+1]
+			if strings.HasPrefix(string(src[i+1:]), "\n") {
+				text += "\n"
+			}
 		}
 		stmts, err := sqlparse.Parse(text)
 		if err != nil {
