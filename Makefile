@@ -125,10 +125,19 @@ maint-stress:
 # against a writer that grows the key order at random places, the
 # late-member test pins that a view joining a populated directory holds none
 # of its keys, and the drop test drops one of six members and checks the
-# others across a checkpoint, a reopen and a follower resync.
+# others across a checkpoint, a reopen and a follower resync. For periodic
+# families: the counted test pins that four families of one σ resolve each run
+# of a call once a family, for both of its instances; the mixed-membership
+# test checks a paged view and a family sharing a directory across a
+# checkpoint, a power cut, a follower resync and a drop of either; the bound
+# test pins that a family expiring its instances over changing keys holds the
+# keys of its live instances only; and the resolution twin (ten runs under the
+# race detector) pins that an instance folding two equally long runs of one
+# call is handed each run's own resolution.
 # -count=1 defeats caching — the guards must run.
 bench-maint:
-	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestLoadAllocGuard|TestGroupBytesGuard|TestTreeCallBytesGuard|TestRelationBytesGuard|TestDedupBytesGuard|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall|TestDirMembersSurviveADrop' -v .
+	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestLoadAllocGuard|TestGroupBytesGuard|TestTreeCallBytesGuard|TestRelationBytesGuard|TestDedupBytesGuard|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall|TestDirMembersSurviveADrop|TestFamilyRunResolvedOnce|TestFamilyAndViewShareADirectory|TestExpiringFamilyKeysStayBounded' -v .
+	$(GO) test -race -count=10 -run 'TestFamilyCallFoldEqualsRowFolds' .
 	$(GO) test -count=1 -run 'TestHashStoreCounts|TestHashLockFreeThroughGrowth' -v ./internal/view
 	$(GO) test -race -count=10 -run 'TestDirSiblingsLockFreeThroughGrowth|TestDirLateMember|TestDirOrderUnderReaders' ./internal/view
 	$(GO) test -run=NONE -bench 'BenchmarkMaintainFanout' -benchmem -benchtime 50x .

@@ -411,7 +411,8 @@ func TestLoadAllocGuard(t *testing.T) {
 // here. Views over one σ by one column share a key directory, so five of them
 // cost less per view-group than one: the key, its table slot and its place
 // in the order are paid once — and a view created WITH STORE BTREE is one of
-// them like any other.
+// them like any other, and so is a periodic family's every instance, which
+// the family case measures per instance-group.
 func TestGroupBytesGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under -race")
@@ -431,6 +432,12 @@ func TestGroupBytesGuard(t *testing.T) {
 	eight := sigma("SUM(minutes) AS m, COUNT(*) AS n, MAX(minutes) AS hi", "SUM(minutes) AS a", "COUNT(*) AS a",
 		"MAX(minutes) AS a", "MIN(minutes) AS a", "AVG(minutes) AS a", "FIRST(minutes) AS a", "LAST(minutes) AS a")
 	eight[0] += " WITH STORE BTREE"
+	// maintain-fanout's four moving windows; the clock puts every row in the
+	// windows [0,200) and [100,300), so each family keeps two live instances.
+	var windows []string
+	for i, agg := range []string{"SUM(minutes) AS m", "COUNT(*) AS n", "MAX(minutes) AS hi", "SUM(minutes) AS m, COUNT(*) AS n, MAX(minutes) AS hi"} {
+		windows = append(windows, fmt.Sprintf(`CREATE PERIODIC VIEW w%d AS SELECT acct, %s FROM calls GROUP BY acct EVERY 100 WIDTH 200`, i, agg))
+	}
 	for _, tc := range []struct {
 		name   string
 		views  []string
@@ -450,9 +457,12 @@ func TestGroupBytesGuard(t *testing.T) {
 		// (90 B when each view kept its own table and key copies).
 		{"five-hash-views-one-sigma", five, 52},
 		{"eight-views-one-sigma-one-ordered", eight, 52},
+		// Bytes per instance-group (94 B when each instance kept a
+		// directory of its own).
+		{"four-window-families-two-instances", windows, 50},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			db, err := chronicledb.Open(chronicledb.Options{})
+			db, err := chronicledb.Open(chronicledb.Options{Clock: func() int64 { return 150 }})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -480,12 +490,27 @@ func TestGroupBytesGuard(t *testing.T) {
 			}
 			clear(rows)
 			// A read in key order keeps nothing: the order is the directory's.
-			if last, err := db.LatestViewRows("v", 3); err != nil || len(last) != 3 || last[0][0].AsString() != fmt.Sprintf("acct%06d", groups-1) {
-				t.Fatalf("the latest groups: %v %v", last, err)
+			if _, ok := db.View("v"); ok {
+				if last, err := db.LatestViewRows("v", 3); err != nil || len(last) != 3 || last[0][0].AsString() != fmt.Sprintf("acct%06d", groups-1) {
+					t.Fatalf("the latest groups: %v %v", last, err)
+				}
 			}
-			perGroup := float64(int64(heap())-int64(before)) / groups / float64(len(tc.views))
-			if v, _ := db.View("v"); v.Len() != groups {
-				t.Fatalf("the view holds %d groups, want %d", v.Len(), groups)
+			var members []*view.View // the views, and the families' instances
+			for _, n := range db.Engine().Names(engine.Views) {
+				v, _ := db.View(n)
+				members = append(members, v)
+			}
+			for _, n := range db.Engine().Names(engine.PeriodicViews) {
+				pv, _ := db.Engine().PeriodicView(n)
+				for _, inst := range pv.Instances() {
+					members = append(members, inst.View)
+				}
+			}
+			perGroup := float64(int64(heap())-int64(before)) / groups / float64(len(members))
+			for _, v := range members {
+				if v.Len() != groups {
+					t.Fatalf("%s holds %d groups, want %d", v.Name(), v.Len(), groups)
+				}
 			}
 			t.Logf("%s: %.0f B/group (budget %.0f)", tc.name, perGroup, tc.budget)
 			if perGroup > tc.budget {
@@ -545,9 +570,9 @@ func liveHeap() uint64 {
 	return m.HeapAlloc
 }
 
-// TestRelationBytesGuard pins what a relation row costs in memory, the way
-// TestGroupBytesGuard pins a group: the live heap 100 000 customers rows
-// take, loaded once through UPSERT statements and once through a checkpoint
+// TestRelationBytesGuard pins what a relation row costs in memory, as the
+// group-bytes guard (TestGroupBytesGuard) pins a group: the live heap 100 000
+// customers rows take, loaded once through UPSERT statements and once through a checkpoint
 // restore. A row is one string in the relation's B-tree — its key, then its
 // value-encoded tuple — so a per-row object graph coming back shows here.
 func TestRelationBytesGuard(t *testing.T) {

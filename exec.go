@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"chronicledb/internal/algebra"
 	"chronicledb/internal/chronicle"
 	"chronicledb/internal/engine"
 	"chronicledb/internal/keyenc"
@@ -659,29 +660,12 @@ func (db *DB) explain(name string) (*Result, error) {
 				{value.Str("joins_j"), value.Int(int64(info.Joins))},
 				{value.Str("rows"), value.Int(int64(v.Len()))},
 				{value.Str("store"), value.Str(storeOf(v))},
-				// The key directory the view shares with the views that fold
-				// the same expression by the same columns: their keys and
-				// key order are held once.
-				{value.Str("directory"), value.Str(fmt.Sprintf("%s: %d views, %d keys", d.Name(), d.Members(), d.Len()))},
 			},
 		}
-		// Shared-delta plan: the view's interned node ids (post-order, root
-		// last) with each node's cross-view consumer count, so CSE grouping
-		// is inspectable from SQL — two views listing the same node id share
-		// that subexpression's delta.
-		if home, ok := db.eng.Home(name); ok {
-			nodes, _ := home.ViewSharedPlan(name)
-			for _, n := range nodes {
-				res.Rows = append(res.Rows, Row{
-					value.Str(fmt.Sprintf("plan_node_%d", n.ID)),
-					value.Str(fmt.Sprintf("consumers=%d %s", n.Consumers, n.Expr)),
-				})
-			}
-		}
-		return res, nil
+		return db.explainShared(res, name, d), nil
 	}
 	if pv, ok := db.eng.PeriodicView(name); ok {
-		return &Result{
+		res := &Result{
 			Columns: []string{"property", "value"},
 			Rows: []Row{
 				{value.Str("calendar"), value.Str(pv.Calendar().String())},
@@ -689,9 +673,33 @@ func (db *DB) explain(name string) (*Result, error) {
 				{value.Str("created"), value.Int(pv.Created())},
 				{value.Str("expired"), value.Int(pv.Expired())},
 			},
-		}, nil
+		}
+		return db.explainShared(res, name, pv.Dir()), nil
 	}
 	return nil, fmt.Errorf("chronicledb: unknown view %q", name)
+}
+
+// explainShared ends the EXPLAIN of a view or periodic family with its key
+// directory (the keys and key order of every member folding the same
+// expression by the same columns, held once) and its shared-delta plan
+// nodes, post-order, root last, with their consumer counts: two views
+// listing the same node id share that subexpression's delta.
+func (db *DB) explainShared(res *Result, name string, d *view.Dir) *Result {
+	dir := "one per instance" // a family that expires its instances
+	if d != nil {
+		dir = fmt.Sprintf("%s: %d views, %d keys", d.Name(), d.Members(), d.Len())
+	}
+	res.Rows = append(res.Rows, Row{value.Str("directory"), value.Str(dir)})
+	if home, ok := db.eng.Home(name); ok {
+		nodes, _ := home.ViewSharedPlan(name)
+		for _, n := range nodes {
+			res.Rows = append(res.Rows, Row{
+				value.Str(fmt.Sprintf("plan_node_%d", n.ID)),
+				value.Str(fmt.Sprintf("consumers=%d %s", n.Consumers, n.Expr)),
+			})
+		}
+	}
+	return res
 }
 
 // show lists catalog objects or engine statistics.
@@ -701,21 +709,24 @@ func (db *DB) show(what string) (*Result, error) {
 		// directory and dir_views name a view's key directory and how many
 		// views share it.
 		res := &Result{Columns: []string{"name", "language", "class", "rows", "store", "directory", "dir_views"}}
-		for _, n := range db.eng.Names(engine.Views) {
-			v, _ := db.eng.View(n)
-			d := v.Dir()
+		add := func(name string, info algebra.Info, rows int, store string, d *view.Dir) {
+			dir, members := "", 0 // a family that expires its instances: one each
+			if d != nil {
+				dir, members = d.Name(), d.Members()
+			}
 			res.Rows = append(res.Rows, Row{
-				value.Str(n), value.Str(v.Lang().String()),
-				value.Str(v.IMClass().String()), value.Int(int64(v.Len())),
-				value.Str(storeOf(v)), value.Str(d.Name()), value.Int(int64(d.Members())),
+				value.Str(name), value.Str(info.Lang.String()), value.Str(info.IMClass().String()),
+				value.Int(int64(rows)), value.Str(store), value.Str(dir), value.Int(int64(members)),
 			})
 		}
+		for _, n := range db.eng.Names(engine.Views) {
+			v, _ := db.eng.View(n)
+			add(n, v.Info(), v.Len(), storeOf(v), v.Dir())
+		}
+		// A family's rows are its live instances, which are resident.
 		for _, n := range db.eng.Names(engine.PeriodicViews) {
 			pv, _ := db.eng.PeriodicView(n)
-			res.Rows = append(res.Rows, Row{
-				value.Str(n + " (periodic)"), value.Str(pv.Calendar().String()),
-				value.Str(""), value.Int(int64(pv.Live())), value.Str(""), value.Str(""), value.Int(0),
-			})
+			add(n+" (periodic)", algebra.Analyze(pv.Def().Expr), pv.Live(), "resident", pv.Dir())
 		}
 		return res, nil
 	case "CHRONICLES":

@@ -316,7 +316,9 @@ func e7(t *testing.T) {
 
 // e8 — Section 5.1: a periodic family whose instances expire keeps at most
 // two live however many periods pass; without expiration every period's
-// instance stays.
+// instance stays. Kept instances keep their keys in the family's one
+// directory, which holds each key seen once, however many periods held it;
+// an instance that expires keeps its own, which goes with it.
 func e8(t *testing.T) {
 	const perPeriod = 20
 	for _, periods := range []int{12, 60} {
@@ -324,15 +326,35 @@ func e8(t *testing.T) {
 			w := telecom(t, 64, chronicle.RetainNone, false, 0)
 			cal, err := calendar.NewPeriodic(0, 1000, 1000)
 			ok(t, err)
-			pv, err := calendar.NewPeriodicView("monthly", w.UsageDef("monthly"), cal, expireAfter)
+			pv, err := calendar.NewPeriodicView("monthly", w.UsageDef("monthly"), cal, expireAfter, nil)
 			ok(t, err)
+			seen, held := map[string]bool{}, 0 // keys seen; keys the instances ever held, summed
 			for i := 0; i < periods*perPeriod; i++ {
 				d, _, err := w.NextCallAt(int64(i / perPeriod * 1000))
 				ok(t, err)
+				for _, r := range d[w.Calls] {
+					seen[r.Vals[0].AsString()] = true
+				}
 				ok(t, pv.Apply(d))
+				if i%perPeriod == perPeriod-1 {
+					for _, inst := range pv.ActiveAt(int64(i / perPeriod * 1000)) {
+						held += inst.Len()
+					}
+				}
 			}
 			if live := pv.Live(); expireAfter >= 0 && live > 2 || expireAfter < 0 && live != periods {
 				t.Errorf("%d periods, expireAfter %d: %d live instances", periods, expireAfter, live)
+			}
+			if expireAfter >= 0 {
+				for _, inst := range pv.Instances() {
+					if keys := inst.View.Dir().Len(); keys != inst.View.Len() {
+						t.Errorf("%d periods, expireAfter %d: instance %v's directory holds %d keys for its %d groups",
+							periods, expireAfter, inst.Interval, keys, inst.View.Len())
+					}
+				}
+			} else if keys := pv.Dir().Len(); keys != len(seen) || periods == 60 && held < 10*keys {
+				t.Errorf("%d periods, expireAfter %d: the family's directory holds %d keys, want the %d seen (its instances held %d)",
+					periods, expireAfter, keys, len(seen), held)
 			}
 		}
 	}

@@ -64,9 +64,7 @@ func (p *PeriodicView) RestoreCheckpoint(data []byte) error {
 			return fmt.Errorf("calendar: %s: truncated instance snapshot %d", p.name, i)
 		}
 		off += n
-		def := p.def
-		def.Name = fmt.Sprintf("%s%s", p.name, iv)
-		v, err := view.New(def)
+		v, err := p.instance(iv)
 		if err != nil {
 			return fmt.Errorf("calendar: %s: %w", p.name, err)
 		}

@@ -14,11 +14,20 @@ import (
 // first receives a tuple ("starting to maintain a view as soon as its time
 // interval starts") and dropped once the stream's chronon passes their
 // expiration time, so only finitely many are ever live.
+//
+// Every instance folds the same expression by the same columns. A family
+// that keeps its instances keeps their keys in one key directory, which the
+// engine shares with the views of that expression (view.Dir), so a key is
+// held once however many instances hold it. A directory never drops a key,
+// so a family whose instances expire gives each its own, which goes with it:
+// its key state stays bounded by its live instances however many keys the
+// stream moves through.
 type PeriodicView struct {
 	name        string
 	def         view.Def
 	cal         Calendar
-	expireAfter int64 // chronons past interval end; <0 keeps instances forever
+	dir         *view.Dir // the instances' directory; nil: one per instance
+	expireAfter int64     // chronons past interval end; <0 keeps instances forever
 
 	instances map[Interval]*view.View
 	dirty     []*view.View // instances folded into since the last Publish
@@ -30,24 +39,34 @@ type PeriodicView struct {
 
 // NewPeriodicView builds the family. def is the per-interval SCA view
 // definition; expireAfter is the grace period after an interval's end
-// before its instance is discarded (negative keeps all instances).
-func NewPeriodicView(name string, def view.Def, cal Calendar, expireAfter int64) (*PeriodicView, error) {
+// before its instance is discarded (negative keeps all instances). d is the
+// directory of def's views, which a family that keeps its instances shares,
+// nil for one of its own; the caller counts the family in Dir() once
+// (Dir.Acquire). A family that expires its instances ignores d.
+func NewPeriodicView(name string, def view.Def, cal Calendar, expireAfter int64, d *view.Dir) (*PeriodicView, error) {
 	if name == "" {
 		return nil, fmt.Errorf("calendar: periodic view needs a name")
 	}
 	if cal == nil {
 		return nil, fmt.Errorf("calendar: periodic view %s needs a calendar", name)
 	}
+	if expireAfter >= 0 {
+		d = nil
+	} else if d == nil {
+		d = view.NewDir(name, def.KeyCols())
+		d.Acquire()
+	}
 	// Validate the definition once by instantiating a throwaway view.
 	probe := def
 	probe.Name = name + "[probe]"
-	if _, err := view.New(probe); err != nil {
+	if _, err := view.NewIn(probe, d); err != nil {
 		return nil, fmt.Errorf("calendar: periodic view %s: %w", name, err)
 	}
 	return &PeriodicView{
 		name:        name,
 		def:         def,
 		cal:         cal,
+		dir:         d,
 		expireAfter: expireAfter,
 		instances:   make(map[Interval]*view.View),
 	}, nil
@@ -55,6 +74,13 @@ func NewPeriodicView(name string, def view.Def, cal Calendar, expireAfter int64)
 
 // Name returns the family name.
 func (p *PeriodicView) Name() string { return p.name }
+
+// Def returns the per-interval view definition.
+func (p *PeriodicView) Def() view.Def { return p.def }
+
+// Dir returns the key directory the family's instances share, or nil when
+// each has its own.
+func (p *PeriodicView) Dir() *view.Dir { return p.dir }
 
 // Calendar returns the family's calendar.
 func (p *PeriodicView) Calendar() Calendar { return p.cal }
@@ -73,11 +99,12 @@ func (p *PeriodicView) Expired() int64 { return p.expired }
 // monotonic dirty marker: an unchanged count means unchanged state.
 func (p *PeriodicView) Applies() int64 { return p.applies }
 
-// Apply maintains the family for one append batch on its own: Fold, then
-// Publish. The engine folds every row of an append call and publishes once;
-// Apply serves callers that drive a family directly.
+// Apply maintains the family for one append batch on its own: it computes
+// the expression delta, folds it outside any maintenance round, and
+// publishes. The engine folds every row of an append call and publishes
+// once; Apply serves callers that drive a family directly.
 func (p *PeriodicView) Apply(d algebra.BatchDelta) error {
-	_, err := p.Fold(d)
+	_, err := p.Fold(0, d, algebra.Delta(p.def.Expr, d))
 	p.Publish()
 	return err
 }
@@ -107,9 +134,17 @@ func (p *PeriodicView) Publish() {
 // after its own interval's grace period folds alone, into an instance that
 // is created for it and expires with it.
 //
+// delta is the family's expression delta for d, ascending in SN — the
+// engine's shared plan computes it once per round for every view and family
+// of the expression. Each run's instances fold the run's slice of it with
+// ApplyCall(round, slice): the slice is a window of delta itself, never a
+// copy, so one round's slices are told apart by where they start and how
+// long they are, and the instances that fold one run in turn resolve its
+// rows once (view.Dir).
+//
 // Nothing becomes visible to readers until Publish; first reports that this
 // fold is the first since the last one to leave something to publish.
-func (p *PeriodicView) Fold(d algebra.BatchDelta) (first bool, err error) {
+func (p *PeriodicView) Fold(round uint64, d algebra.BatchDelta, delta []chronicle.Row) (first bool, err error) {
 	clean := len(p.dirty) == 0
 	p.applies++
 	for rest := d; ; {
@@ -124,6 +159,12 @@ func (p *PeriodicView) Fold(d algebra.BatchDelta) (first bool, err error) {
 		run, rest = cut(rest, func(r chronicle.Row) bool {
 			return r.Chronon < lo || r.Chronon >= hi || (alone && r.SN != at.SN)
 		})
+		n := len(delta)
+		if next, ok := lowestSN(rest); ok {
+			n = sort.Search(n, func(i int) bool { return delta[i].SN >= next.SN })
+		}
+		slice := delta[:n:n]
+		delta = delta[n:]
 		if len(ivs) == 0 {
 			continue
 		}
@@ -135,9 +176,7 @@ func (p *PeriodicView) Fold(d algebra.BatchDelta) (first bool, err error) {
 		for _, iv := range ivs {
 			inst, ok := p.instances[iv]
 			if !ok {
-				def := p.def
-				def.Name = fmt.Sprintf("%s%s", p.name, iv)
-				v, err := view.New(def)
+				v, err := p.instance(iv)
 				if err != nil {
 					return false, err
 				}
@@ -145,13 +184,21 @@ func (p *PeriodicView) Fold(d algebra.BatchDelta) (first bool, err error) {
 				p.instances[iv] = inst
 				p.created++
 			}
-			if inst.ApplyRows(inst.Delta(run)) {
+			if inst.ApplyCall(round, slice) {
 				p.dirty = append(p.dirty, inst)
 			}
 		}
 		p.expire()
 	}
 	return clean && len(p.dirty) > 0, nil
+}
+
+// instance makes the empty instance of interval iv, in the family's
+// directory or one of its own.
+func (p *PeriodicView) instance(iv Interval) (*view.View, error) {
+	def := p.def
+	def.Name = fmt.Sprintf("%s%s", p.name, iv)
+	return view.NewIn(def, p.dir)
 }
 
 // pastGrace reports whether any of the intervals has already outlived its

@@ -54,15 +54,15 @@ func (f *pvFixture) viewDef() view.Def {
 func TestNewPeriodicViewValidation(t *testing.T) {
 	f := newPVFixture(t)
 	cal, _ := NewPeriodic(0, 100, 100)
-	if _, err := NewPeriodicView("", f.viewDef(), cal, 0); err == nil {
+	if _, err := NewPeriodicView("", f.viewDef(), cal, 0, nil); err == nil {
 		t.Error("empty name accepted")
 	}
-	if _, err := NewPeriodicView("v", f.viewDef(), nil, 0); err == nil {
+	if _, err := NewPeriodicView("v", f.viewDef(), nil, 0, nil); err == nil {
 		t.Error("nil calendar accepted")
 	}
 	bad := f.viewDef()
 	bad.GroupCols = []int{7}
-	if _, err := NewPeriodicView("v", bad, cal, 0); err == nil {
+	if _, err := NewPeriodicView("v", bad, cal, 0, nil); err == nil {
 		t.Error("invalid inner definition accepted")
 	}
 }
@@ -70,7 +70,7 @@ func TestNewPeriodicViewValidation(t *testing.T) {
 func TestBillingPeriods(t *testing.T) {
 	f := newPVFixture(t)
 	cal, _ := NewPeriodic(0, 100, 100) // "months" of 100 chronons
-	pv, err := NewPeriodicView("monthly_minutes", f.viewDef(), cal, -1)
+	pv, err := NewPeriodicView("monthly_minutes", f.viewDef(), cal, -1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestBillingPeriods(t *testing.T) {
 func TestExpiration(t *testing.T) {
 	f := newPVFixture(t)
 	cal, _ := NewPeriodic(0, 100, 100)
-	pv, err := NewPeriodicView("v", f.viewDef(), cal, 50) // 50-chronon grace
+	pv, err := NewPeriodicView("v", f.viewDef(), cal, 50, nil) // 50-chronon grace
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestExpiration(t *testing.T) {
 func TestOverlappingWindows(t *testing.T) {
 	f := newPVFixture(t)
 	cal, _ := NewPeriodic(0, 10, 30) // every 10 chronons, 30-chronon window
-	pv, err := NewPeriodicView("moving", f.viewDef(), cal, 0)
+	pv, err := NewPeriodicView("moving", f.viewDef(), cal, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestPeriodicOverRetainNoneChronicle(t *testing.T) {
 		t.Fatal("fixture should retain nothing")
 	}
 	cal, _ := NewPeriodic(0, 100, 100)
-	pv, _ := NewPeriodicView("v", f.viewDef(), cal, -1)
+	pv, _ := NewPeriodicView("v", f.viewDef(), cal, -1, nil)
 	for i := int64(0); i < 250; i += 10 {
 		mustApply(t, pv, f.append(t, i, "a", 1))
 	}
@@ -187,7 +187,7 @@ func mustApply(t testing.TB, pv *PeriodicView, d algebra.BatchDelta) {
 func TestPeriodicCheckpointRoundTrip(t *testing.T) {
 	f := newPVFixture(t)
 	cal, _ := NewPeriodic(0, 100, 100)
-	pv, err := NewPeriodicView("monthly", f.viewDef(), cal, 150)
+	pv, err := NewPeriodicView("monthly", f.viewDef(), cal, 150, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestPeriodicCheckpointRoundTrip(t *testing.T) {
 	mustApply(t, pv, f.append(t, 120, "a", 7))
 	snap := pv.Checkpoint()
 
-	pv2, err := NewPeriodicView("monthly", f.viewDef(), cal, 150)
+	pv2, err := NewPeriodicView("monthly", f.viewDef(), cal, 150, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestPeriodicCheckpointRoundTrip(t *testing.T) {
 func TestPeriodicCheckpointErrors(t *testing.T) {
 	f := newPVFixture(t)
 	cal, _ := NewPeriodic(0, 100, 100)
-	pv, _ := NewPeriodicView("monthly", f.viewDef(), cal, -1)
+	pv, _ := NewPeriodicView("monthly", f.viewDef(), cal, -1, nil)
 	mustApply(t, pv, f.append(t, 10, "a", 5))
 	snap := pv.Checkpoint()
 
@@ -256,7 +256,7 @@ func TestPeriodicCheckpointErrors(t *testing.T) {
 func TestFoldThenPublish(t *testing.T) {
 	f := newPVFixture(t)
 	cal, _ := NewPeriodic(0, 50, 100) // windows of 100 every 50: two cover each chronon past 50
-	pv, err := NewPeriodicView("w", f.viewDef(), cal, -1)
+	pv, err := NewPeriodicView("w", f.viewDef(), cal, -1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,13 +268,14 @@ func TestFoldThenPublish(t *testing.T) {
 		v.Scan(view.Window{}, func(row value.Tuple) bool { sum += row[1].AsInt(); return true })
 		return sum
 	}
+	fold := func(d algebra.BatchDelta) (bool, error) { return pv.Fold(0, d, algebra.Delta(pv.Def().Expr, d)) }
 	for i := 0; i < 3; i++ {
-		first, err := pv.Fold(f.append(t, 70, "a", 10))
+		first, err := fold(f.append(t, 70, "a", 10))
 		if err != nil || first != (i == 0) {
 			t.Fatalf("fold %d: first = %v, err = %v", i, first, err)
 		}
 	}
-	if _, err := pv.Fold(f.append(t, 110, "a", 10)); err != nil { // opens window [100,200)
+	if _, err := fold(f.append(t, 110, "a", 10)); err != nil { // opens window [100,200)
 		t.Fatal(err)
 	}
 	for _, inst := range pv.Instances() {
@@ -293,7 +294,7 @@ func TestFoldThenPublish(t *testing.T) {
 			t.Errorf("after Publish: window %v reads %d, want %d", inst.Interval, got, want[inst.Interval.Start])
 		}
 	}
-	if first, _ := pv.Fold(f.append(t, 120, "a", 1)); !first {
+	if first, _ := fold(f.append(t, 120, "a", 1)); !first {
 		t.Error("the first fold after a Publish did not report itself")
 	}
 }
@@ -320,11 +321,11 @@ func TestFoldOfACallEqualsFoldsOfItsRows(t *testing.T) {
 		}
 		expire := []int64{-1, 0, 60}[rng.Intn(3)]
 		f := newPVFixture(t)
-		whole, err := NewPeriodicView("w", f.viewDef(), cal, expire)
+		whole, err := NewPeriodicView("w", f.viewDef(), cal, expire, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		byRow, _ := NewPeriodicView("w", f.viewDef(), cal, expire)
+		byRow, _ := NewPeriodicView("w", f.viewDef(), cal, expire, nil)
 		ch := int64(0)
 		for call := 0; call < 25; call++ {
 			batch := algebra.BatchDelta{}

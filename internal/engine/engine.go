@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -230,18 +229,16 @@ func (e *Engine) publishCatalogLocked() {
 	for n, pv := range e.periodics {
 		c.periodics[n] = pv
 	}
-	// Rebuild the shared-delta plan: hash-cons every view expression so
-	// common subexpressions compute their delta once per batch. Sorted view
-	// order keeps plan-node IDs deterministic across restarts (EXPLAIN shows
-	// them).
+	// Rebuild the shared-delta plan: hash-cons every view and periodic
+	// family expression so common subexpressions compute their delta once
+	// per batch. Sorted order, views first, keeps plan-node IDs deterministic
+	// across restarts (EXPLAIN shows them).
 	c.plan = algebra.NewSharedPlan()
-	names := make([]string, 0, len(e.views))
-	for n := range e.views {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(e.views)) {
 		c.plan.AddView(n, e.views[n].Def().Expr)
+	}
+	for _, n := range slices.Sorted(maps.Keys(e.periodics)) {
+		c.plan.AddView(n, e.periodics[n].Def().Expr)
 	}
 	e.cat.Store(c)
 }
@@ -314,15 +311,12 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// ViewSharedPlan lists the shared-plan nodes of one view's expression in
-// post-order (root last), with each node's cross-view consumer count — the
-// EXPLAIN readout of delta sharing. ok is false for unknown views.
+// ViewSharedPlan lists the shared-plan nodes of a view's or periodic family's
+// expression in post-order (root last), with each node's cross-view consumer
+// count — the EXPLAIN readout of delta sharing. ok is false for unknown names.
 func (e *Engine) ViewSharedPlan(name string) (nodes []algebra.PlanNodeInfo, ok bool) {
-	cat := e.cat.Load()
-	if _, exists := cat.views[name]; !exists {
-		return nil, false
-	}
-	return cat.plan.ViewNodes(name), true
+	nodes = e.cat.Load().plan.ViewNodes(name)
+	return nodes, nodes != nil
 }
 
 // SetRecorder installs the durable-mutation observer (the WAL hook).
@@ -470,11 +464,7 @@ func (e *Engine) CreateView(def view.Def, filter pred.Predicate, filterChronicle
 	if err := e.claimName(def.Name, "view"); err != nil {
 		return nil, err
 	}
-	dkey := dirKey(def)
-	dir := e.dirs[dkey]
-	if dir == nil {
-		dir = view.NewDir(def.Name, def.KeyCols())
-	}
+	dir := e.dirLocked(def)
 	v, err := view.NewIn(def, dir)
 	if err != nil {
 		delete(e.names, def.Name)
@@ -495,8 +485,7 @@ func (e *Engine) CreateView(def view.Def, filter pred.Predicate, filterChronicle
 	if e.cfg.ViewCache != nil && e.cfg.BlockFetch != nil {
 		v.EnablePaging(e.cfg.ViewBlockBytes, e.cfg.BlockFetch, e.cfg.ViewCache)
 	}
-	dir.Acquire()
-	e.dirs[dkey] = dir
+	e.acquireDirLocked(dir, def)
 	// Fold in any retained history so the view is current from creation.
 	e.backfill(v)
 	e.publishDirtyLocked()
@@ -507,9 +496,25 @@ func (e *Engine) CreateView(def view.Def, filter pred.Predicate, filterChronicle
 
 // dirKey names the key directory of a view: views with structurally equal
 // expressions fold equal deltas, and grouping them by the same columns they
-// meet the same keys.
+// meet the same keys. A periodic family's instances are such views.
 func dirKey(def view.Def) string {
 	return fmt.Sprintf("%v|%s", def.KeyCols(), algebra.Fingerprint(def.Expr))
+}
+
+// dirLocked returns the key directory for def, or a new one named after it
+// that acquireDirLocked registers once the member made in it is in.
+func (e *Engine) dirLocked(def view.Def) *view.Dir {
+	if d := e.dirs[dirKey(def)]; d != nil {
+		return d
+	}
+	return view.NewDir(def.Name, def.KeyCols())
+}
+
+// acquireDirLocked counts a new member of definition def in d, and d in the
+// engine; releaseDirLocked undoes it.
+func (e *Engine) acquireDirLocked(d *view.Dir, def view.Def) {
+	d.Acquire()
+	e.dirs[dirKey(def)] = d
 }
 
 // backfill replays retained chronicle rows into a fresh view. Chronicles
@@ -528,7 +533,7 @@ func (e *Engine) CreatePeriodicView(name string, def view.Def, cal calendar.Cale
 	if err := e.claimName(name, "periodic view"); err != nil {
 		return nil, err
 	}
-	pv, err := calendar.NewPeriodicView(name, def, cal, expireAfter)
+	pv, err := calendar.NewPeriodicView(name, def, cal, expireAfter, e.dirLocked(def))
 	if err != nil {
 		delete(e.names, name)
 		return nil, err
@@ -545,6 +550,9 @@ func (e *Engine) CreatePeriodicView(name string, def view.Def, cal calendar.Cale
 		delete(e.names, name)
 		return nil, err
 	}
+	if pv.Dir() != nil { // a family that keeps its instances
+		e.acquireDirLocked(pv.Dir(), def)
+	}
 	e.periodics[name] = pv
 	e.publishCatalogLocked()
 	return pv, nil
@@ -560,12 +568,13 @@ func (e *Engine) DropView(name string) error {
 	case "view":
 		if v := e.views[name]; v != nil {
 			v.ReleasePaging()
-			if v.Dir().Release() == 0 {
-				delete(e.dirs, dirKey(v.Def()))
-			}
+			e.releaseDirLocked(v.Dir(), v.Def())
 		}
 		delete(e.views, name)
 	case "periodic view":
+		if pv := e.periodics[name]; pv != nil && pv.Dir() != nil {
+			e.releaseDirLocked(pv.Dir(), pv.Def())
+		}
 		delete(e.periodics, name)
 	default:
 		e.mu.Unlock()
@@ -582,6 +591,14 @@ func (e *Engine) DropView(name string) error {
 		h.DropView(name)
 	}
 	return nil
+}
+
+// releaseDirLocked counts a dropped member out of d, and d out of the
+// engine with its last member.
+func (e *Engine) releaseDirLocked(d *view.Dir, def view.Def) {
+	if d.Release() == 0 {
+		delete(e.dirs, dirKey(def))
+	}
 }
 
 // Append inserts tuples into one chronicle as a single transaction: the
@@ -914,14 +931,12 @@ func (e *Engine) maintain(deltas map[*chronicle.Chronicle][]chronicle.Row) {
 			if t.Stamp(e.batchSeq) {
 				continue // already claimed via another chronicle's delta
 			}
+			// cat.plan holds every view and family of cat, and nothing else.
+			drows, planned := plan.DeltaFor(t.ID, batch)
+			if !planned {
+				continue
+			}
 			if v, ok := cat.views[t.ID]; ok {
-				drows, planned := plan.DeltaFor(t.ID, batch)
-				if !planned {
-					// The published plan predates this view (not reachable
-					// today — CreateView republishes before any append sees
-					// the target — but cheap to keep correct).
-					drows = v.Delta(batch)
-				}
 				if e.feed != nil {
 					e.captureFeed(t.ID, drows)
 				}
@@ -931,7 +946,7 @@ func (e *Engine) maintain(deltas map[*chronicle.Chronicle][]chronicle.Row) {
 				e.stats.ViewsMaintained++
 			} else if pv, ok := cat.periodics[t.ID]; ok {
 				// A fold error only occurs for invalid defs, which New vetted.
-				if first, _ := pv.Fold(batch); first {
+				if first, _ := pv.Fold(e.batchSeq, batch, drows); first {
 					e.dirty = append(e.dirty, pv)
 				}
 				e.stats.ViewsMaintained++

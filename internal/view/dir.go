@@ -273,11 +273,13 @@ func (d *Dir) keep(key []byte) uint64 {
 
 // resolve hands a member the resolution of rows, one fold's delta: each
 // row's key encoded, hashed and looked up (added when new) once, the rows
-// grouped by id. call names the maintenance round: the members of d folding
-// the same round get the resolution the first of them paid for, checked to be
-// of the same rows. Zero never matches — a fold outside the engine's rounds
-// resolves its own rows. Callers hold mu; the resolution is valid until the
-// next resolve.
+// grouped by id. call names the maintenance round, whose rows stay put until
+// it ends, so a round's slice of them is named by its first row and length:
+// the members of d folding the same slice in one round — every view its
+// whole delta, a periodic family's instances a run of it
+// (calendar.PeriodicView.Fold) — get the resolution the first of them paid
+// for. Zero never matches — a fold outside the engine's rounds resolves its
+// own rows. Callers hold mu; the resolution is valid until the next resolve.
 func (d *Dir) resolve(call uint64, rows []chronicle.Row) *resolution {
 	var first *chronicle.Row
 	if len(rows) > 0 {

@@ -52,7 +52,7 @@ func (db *DB) Metrics() []Metric {
 		{"dedup_entries", "entries", "idempotency entries held", false, int64(c.DedupEntries)},
 		{"dedup_hits", "requests", "idempotent appends answered with their original ack", false, c.DedupHits},
 		{"dedup_evictions", "entries", "idempotency entries pushed out by the capacity bound", false, c.DedupEvictions},
-		{"view_dir_keys", "keys", "group keys held by the views' key directories: each once, however many views share its directory", false, c.DirKeys},
+		{"view_dir_keys", "keys", "group keys held by the key directories of views and of periodic families that keep their instances: each once, however many share its directory", false, c.DirKeys},
 	}
 	for i, v := range db.MaintAttribution(5) {
 		ms = append(ms, Metric{fmt.Sprintf("maint_top_%d", i+1), "text", "the i-th slowest view by accumulated fold time", false,
