@@ -20,10 +20,14 @@ vet:
 
 # torture enumerates every crash point of the scripted workload on the
 # simulated disk (internal/fault) and verifies exact recovery, under the
-# race detector. -count=1 defeats test caching: the harness is the gate
-# for durability changes and must actually run.
+# race detector; then it races DDL (create, drop, re-create under another
+# definition) against checkpoints, twenty times, power-cutting and
+# reopening after every round — a checkpoint that took its catalog prefix
+# outside the DDL exclusion fails it. -count defeats test caching: the
+# harness is the gate for durability changes and must actually run.
 torture:
 	$(GO) test -race -count=1 -run 'TestCrashTorture' -v .
+	$(GO) test -race -count=20 -run 'TestDDLRacesCheckpoint' .
 
 # chaos is the network-torture gate: concurrent retrying clients push
 # idempotent appends through a fault-injecting transport and a chaos TCP
@@ -41,11 +45,14 @@ chaos:
 # the chaos proxy and fault-injecting transport, a mid-run primary
 # power-cut, POST /promote on the follower, proxy retarget — asserting the
 # acked SN ranges tile exactly on the promoted database (zero lost, zero
-# duplicated acks), plus the stream/bootstrap/sync-ack/staleness suite.
+# duplicated acks), plus the stream/bootstrap/sync-ack/staleness suite and
+# the bootstrap's own: DDL after a checkpoint on a bootstrapped and a
+# restarted follower, a chain folded while it streams, a power cut at every
+# disk operation of a bootstrap, and a follower without a directory.
 # -count=1 defeats caching: this is the gate for replication changes and
 # must actually run.
 repl-chaos:
-	$(GO) test -race -count=1 -run 'TestReplChaosFailover|TestReplBasic|TestReplSnapshotBootstrap|TestReplSyncAck|TestReplStaleReads|TestReplPromoteFailover|TestRetryable503Codes' -v .
+	$(GO) test -race -count=1 -run 'TestReplChaosFailover|TestReplBasic|TestReplSnapshotBootstrap|TestReplSyncAck|TestReplStaleReads|TestReplPromoteFailover|TestRetryable503Codes|TestRestoreAgainstCatalogPrefix|TestReplBootstrapWhileChainFolds|TestReplBootstrapPowerCut|TestReplFollowerWithoutDir' -v .
 
 # watch-stress is the changefeed fan-out gate: many SSE subscribers and
 # concurrent appenders race under the race detector while every delivered

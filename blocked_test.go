@@ -151,51 +151,3 @@ func TestBlockedViewCheckpointAndReopen(t *testing.T) {
 		t.Fatal("reopen at another block size restored eagerly")
 	}
 }
-
-// TestWholeViewImageRestores: the replication bootstrap image carries every
-// view whole (a follower cannot fault blocks from the primary's chain
-// files) and restores into a database whose views are paged.
-func TestWholeViewImageRestores(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{Dir: dir, WALSegmentBytes: 4096, ViewBlockBytes: 256}
-	db, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	mustExec(t, db, blockedDDL)
-	for i := 0; i < 50; i++ {
-		if _, err := db.Append("items", Tuple{Str(blockedKey(i)), Int(3)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, lsn, _, _, commits, err := db.buildCheckpointImage(true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(commits) != 0 {
-		t.Fatalf("a whole-view image produced %d block commits", len(commits))
-	}
-	if lsn == 0 {
-		t.Fatal("image cut at LSN 0")
-	}
-	img := append([]byte(nil), data...)
-
-	// Restore the image into a second database with the same schema.
-	dir2 := t.TempDir()
-	db2, err := Open(Options{Dir: dir2, WALSegmentBytes: 4096, ViewBlockBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	mustExec(t, db2, blockedDDL)
-	if _, err := db2.restoreCheckpoint(img, "checkpoint-00000001.bin"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		row, ok, err := db2.Lookup("totals", Str(blockedKey(i)))
-		if err != nil || !ok || row[1].AsInt() != 3 {
-			t.Fatalf("restore key %d: %v %v %v", i, row, ok, err)
-		}
-	}
-}

@@ -36,7 +36,7 @@ var ErrReadOnly = errors.New("chronicledb: database is read-only after a WAL fai
 // a storage layout this version does not read: a single-file WAL
 // (chronicle.wal, shard-NNNN.wal, relations.wal), a fixed-name
 // checkpoint.bin, a manifest whose version is not 2, or a checkpoint image
-// whose version is not 5. Nothing in the directory is touched.
+// whose version is not 6. Nothing in the directory is touched.
 var ErrUnsupportedLayout = errors.New("chronicledb: unsupported storage layout")
 
 // ErrInvalidOption is wrapped by Open when an Options field holds a value
@@ -126,7 +126,10 @@ type Options struct {
 	// base URL (e.g. "http://10.0.0.1:7457"): it opens read-only for
 	// clients, tails the primary's replication stream, and applies every
 	// frame through the recovery paths, so reads, scans, and Watch serve
-	// the primary's state within the replication lag. Empty means primary.
+	// the primary's state within the replication lag. A follower the
+	// primary compacted its log past bootstraps from the primary's
+	// checkpoint files, which needs Dir: without one it reports a named
+	// error (DB.ReplErr) and stays put. Empty means primary.
 	ReplicaOf string
 	// FollowerID identifies this follower in the primary's ack table and
 	// stream handler. Empty generates a random id at Open; set it to keep a
@@ -193,15 +196,17 @@ type DB struct {
 	// Storage state (zero/nil without a Dir). man is the current
 	// durable manifest; manMu serializes flips (rotation hook, checkpoint,
 	// stats snapshots). ckptMarks are the dirty markers captured at the
-	// last checkpoint — nil forces the next checkpoint full; ddlDirty does
-	// the same after DDL (drops are invisible to the monotonic markers).
-	// incrSinceFull counts chain entries since the last fold; it and
-	// ckptMarks are guarded by db.mu (checkpoints are serialized).
+	// last checkpoint — nil forces the next checkpoint full. ckptCatalog is
+	// the catalog prefix the chain was cut against; DDL since then forces
+	// the next checkpoint full too (drops are invisible to the monotonic
+	// markers), so every image of one chain shares one prefix.
+	// incrSinceFull counts chain entries since the last fold; it, ckptMarks
+	// and ckptCatalog are guarded by db.mu (checkpoints are serialized).
 	man           wal.Manifest
 	manMu         sync.Mutex
 	ckptMarks     map[string]uint64
+	ckptCatalog   uint64
 	incrSinceFull int
-	ddlDirty      atomic.Bool
 
 	// Storage observability counters.
 	lastCkptLSN    atomic.Uint64
@@ -250,7 +255,8 @@ type DB struct {
 }
 
 // Open creates or reopens a database. With Options.Dir set, Open replays
-// the catalog, the checkpoint chain, and the WAL tail, in that order.
+// the catalog prefix the checkpoint chain was cut against, the chain, the
+// rest of the catalog, and the WAL tail, in that order.
 // Reopening a directory with a different shard count recovers the old
 // streams, checkpoints, and rewrites the WAL streams for the new count.
 func Open(opts Options) (*DB, error) {

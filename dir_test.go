@@ -134,6 +134,9 @@ func TestDirMembersSurviveADrop(t *testing.T) {
 	})
 	check("on the follower", f, 5)
 
+	// The follower ends its stream request first: the server's Close waits
+	// for every open request.
+	f.Close()
 	ts.Close()
 	if err := db.Close(); err != nil {
 		t.Fatal(err)

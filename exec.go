@@ -73,6 +73,15 @@ func (db *DB) execOne(s sqlparse.Statement, mode execMode) (*Result, error) {
 			}
 		}
 	}
+	switch s.(type) {
+	case *sqlparse.CreateGroup, *sqlparse.CreateChronicle, *sqlparse.CreateRelation,
+		*sqlparse.CreateView, *sqlparse.DropView:
+		// A DDL statement changes the engine and the catalog as one step
+		// under db.mu, which a checkpoint holds too: the catalog prefix a
+		// chain records is exactly the DDL its images reflect.
+		db.mu.Lock()
+		defer db.mu.Unlock()
+	}
 	switch s := s.(type) {
 	case *sqlparse.CreateGroup:
 		if _, err := db.eng.CreateGroup(s.Name); err != nil {
@@ -178,13 +187,7 @@ func (db *DB) execOne(s sqlparse.Statement, mode execMode) (*Result, error) {
 		if err := db.eng.DropView(s.Name); err != nil {
 			return nil, err
 		}
-		db.ddlDirty.Store(true) // force the next checkpoint full (see ddlDone)
-		if mode == execRecovery {
-			db.ddlSeq.Add(1)
-		} else if err := db.commitDDL(fmt.Sprintf("DROP VIEW %s", s.Name)); err != nil {
-			return nil, err
-		}
-		return &Result{Message: fmt.Sprintf("view %s dropped", s.Name)}, nil
+		return db.ddlDone(s, mode, "view %s dropped", s.Name)
 
 	case *sqlparse.Upsert:
 		tuples := make([]value.Tuple, len(s.Rows))
@@ -234,17 +237,12 @@ func (db *DB) execOne(s sqlparse.Statement, mode execMode) (*Result, error) {
 	}
 }
 
-// ddlDone persists a DDL statement to the catalog and acknowledges it. It
-// also flags the DDL for the incremental checkpointer: the monotonic dirty
-// markers cannot see a drop (or a drop-and-recreate that resets a counter
-// behind an unchanged name), so the next checkpoint after any DDL is
-// written full.
+// ddlDone persists a DDL statement to the catalog and acknowledges it.
 func (db *DB) ddlDone(s sqlparse.Statement, mode execMode, format string, args ...any) (*Result, error) {
-	db.ddlDirty.Store(true)
 	if mode == execRecovery {
-		// The statement came from the catalog (or a WAL DDL record);
-		// count it so ddlSeq ends equal to the catalog length without
-		// rewriting the file it was read from.
+		// The statement came from the catalog; count it so ddlSeq ends
+		// equal to the catalog length without rewriting the file it was
+		// read from.
 		db.ddlSeq.Add(1)
 	} else if err := db.commitDDL(renderDDL(s)); err != nil {
 		return nil, err
@@ -256,12 +254,9 @@ func (db *DB) ddlDone(s sqlparse.Statement, mode execMode, format string, args .
 // statement to catalog.sql (fsynced), assigns it the next catalog index,
 // and stages it for the replication stream stamped with the engine's
 // current LSN frontier — the record order it must follow on a follower.
-// Index assignment, the catalog append, and staging all happen under db.mu
-// so concurrent DDL cannot interleave catalog order and stream order
-// differently.
+// The caller holds db.mu, so index assignment, the catalog append, and
+// staging cannot interleave catalog order and stream order differently.
 func (db *DB) commitDDL(stmt string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	if db.catalogPath != "" {
 		f, err := db.fs.OpenFile(db.catalogPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -826,6 +821,8 @@ func renderDDL(s sqlparse.Statement) string {
 		return b.String()
 	case *sqlparse.CreateView:
 		return renderCreateView(s)
+	case *sqlparse.DropView:
+		return "DROP VIEW " + s.Name
 	default:
 		panic(fmt.Sprintf("chronicledb: renderDDL(%T)", s))
 	}

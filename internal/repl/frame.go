@@ -20,6 +20,15 @@
 //	1 heartbeat: u64 LE primary durable LSN (the released cursor).
 //	2 ddl:       uvarint catalog index, uvarint LSN annotation, then the
 //	             statement text to the end of the payload.
+//	3 manifest:  a wal.EncodeManifest payload naming a checkpoint chain.
+//	4 file:      the next bytes of the chain file being shipped; an empty
+//	             body ends the file.
+//
+// A bootstrap (GET /repl/snapshot) is one manifest frame whose refs all
+// carry the catalog prefix k the chain was cut against, then the ddl
+// frames of catalog statements 0..k-1, then each chain file in the
+// manifest's order as file frames: the files exactly as they lie on the
+// primary's disk.
 //
 // DDL never enters the WAL (the catalog file is its durable home), so it
 // rides the stream as its own frame type carrying its position in the
@@ -41,6 +50,8 @@ const (
 	FrameRecord    byte = 0
 	FrameHeartbeat byte = 1
 	FrameDDL       byte = 2
+	FrameManifest  byte = 3
+	FrameFile      byte = 4
 )
 
 // maxFrame caps a stream frame payload; a length prefix beyond it is
@@ -127,7 +138,7 @@ type FrameReader struct {
 
 // NewFrameReader wraps r for frame decoding.
 func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{br: bufio.NewReaderSize(r, 1 << 16)}
+	return &FrameReader{br: bufio.NewReaderSize(r, 1<<16)}
 }
 
 // Next reads one frame, returning its type and the payload after the type

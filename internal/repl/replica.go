@@ -32,8 +32,8 @@ type Callbacks struct {
 	DDLCount func() uint64
 	// Snapshot performs a full resync after the primary reports the
 	// requested LSN is gone (compacted below its checkpoint), returning
-	// the restored LSN frontier.
-	Snapshot func() (uint64, error)
+	// the restored LSN frontier. ctx ends when the replica stops.
+	Snapshot func(ctx context.Context) (uint64, error)
 }
 
 // Config configures a Replica.
@@ -181,7 +181,7 @@ func (r *Replica) stream() error {
 		if r.cb.Snapshot == nil {
 			return fmt.Errorf("repl: primary compacted past lsn %d and no snapshot hook", from)
 		}
-		lsn, err := r.cb.Snapshot()
+		lsn, err := r.cb.Snapshot(r.ctx)
 		if err != nil {
 			return fmt.Errorf("repl: snapshot resync: %w", err)
 		}

@@ -6,8 +6,9 @@
 //	     segment set, then live fan-out), with heartbeats carrying the
 //	     primary's durable cursor. 410 Gone when L was compacted below the
 //	     checkpoint chain — the follower resyncs from /repl/snapshot.
-//	GET  /repl/snapshot — catalog text + full checkpoint image + LSN, for
-//	     bootstrapping an empty follower.
+//	GET  /repl/snapshot — the checkpoint chain's manifest, the catalog
+//	     prefix it was cut against, and its files byte for byte, for
+//	     bootstrapping a follower the log was compacted past.
 //	POST /repl/ack — follower's applied-LSN acknowledgement (sync ack mode).
 //	POST /promote — seal the replica's WAL at its last applied LSN and start
 //	     accepting writes: explicit failover.
@@ -174,20 +175,23 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
-	catalog, image, lsn, err := s.db.ReplSnapshot()
-	if err != nil {
+	rc := http.NewResponseController(w)
+	started := false
+	err := s.db.ReplSnapshot(func(frame []byte) error {
+		if !started {
+			w.Header().Set("Content-Type", "application/octet-stream")
+			w.WriteHeader(http.StatusOK)
+			started = true
+		}
+		// Per-write deadline, as on /repl/stream: a stalled follower is
+		// detected per frame.
+		rc.SetWriteDeadline(time.Now().Add(s.writeWindow))
+		_, err := w.Write(frame)
+		return err
+	})
+	if err != nil && !started {
 		writeError(w, http.StatusInternalServerError, err)
-		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Repl-Lsn", strconv.FormatUint(lsn, 10))
-	w.Header().Set("X-Repl-Catalog-Bytes", strconv.Itoa(len(catalog)))
-	w.Header().Set("Content-Length", strconv.Itoa(len(catalog)+len(image)))
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(catalog); err != nil {
-		return
-	}
-	w.Write(image)
 }
 
 func (s *Server) handleReplAck(w http.ResponseWriter, r *http.Request) {

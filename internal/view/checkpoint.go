@@ -70,33 +70,21 @@ func (v *View) checkHeader(data []byte, version byte) (int, error) {
 
 // Checkpoint serializes the view's materialized state, every entry in key
 // order. It holds the view's lock, so it sees publications only, never a
-// half-applied maintenance batch; a paged view faults its cold blocks first,
-// so the image covers evicted blocks too.
+// half-applied maintenance batch. A paged view checkpoints blocked
+// (CheckpointBlocked): its cold blocks are not in memory to serialize.
 func (v *View) Checkpoint() []byte {
-	b := v.appendHeader(nil, checkpointVersion)
-	p := v.pg.Load()
-	v.mu.Lock()
-	if p != nil {
-		var cold []*blockMeta
-		for _, blk := range p.blocks {
-			if !blk.resident {
-				cold = append(cold, blk)
-			}
-		}
-		if len(cold) > 0 {
-			v.faultIn(p, false, cold...)
-		}
+	if v.Paged() {
+		panic(fmt.Sprintf("view %s: whole image of a paged view", v.def.Name))
 	}
+	b := v.appendHeader(nil, checkpointVersion)
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	h := v.store
 	b = binary.AppendUvarint(b, uint64(h.count.Load()))
 	h.each(nil, nil, func(id uint32, e *entry) bool {
 		b = appendBlockEntry(b, h.dir.key(id), e, v.sh)
 		return true
 	})
-	v.mu.Unlock()
-	if p != nil {
-		p.cache.maintain()
-	}
 	return b
 }
 
@@ -136,9 +124,9 @@ func (v *View) RestoreCheckpoint(data []byte) error {
 		v.arena = a
 	}
 	if p := v.pg.Load(); p != nil {
-		// A whole-image restore (the replication bootstrap image) collapses
-		// the pager to one resident dirty block spanning the key space; the
-		// next blocked checkpoint re-cuts it.
+		// A whole-image restore (an image written before views paged)
+		// collapses the pager to one resident dirty block spanning the key
+		// space; the next blocked checkpoint re-cuts it.
 		p.cache.dropView(v)
 		p.setBlocks([]*blockMeta{v.wholeBlock(p)})
 		p.cache.addResident(v, p.blocks[0])

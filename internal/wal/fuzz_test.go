@@ -9,6 +9,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(RecAppend), 0, 0})
+	f.Add([]byte{0, 1, 3, 'a', 'b', 'c'}) // kind 0: never written, refused
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeRecord(data)
 		if err != nil {

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -72,11 +73,18 @@ type Segment struct {
 // objects it contains) and then replays only WAL records above the last
 // entry's LSN. A Full entry supersedes every
 // earlier entry; the compactor drops the superseded files.
+//
+// Catalog is the number of catalog statements the image was cut against:
+// recovery replays that prefix, restores the chain, then replays the rest
+// of the catalog. Zero — the field is absent from manifests written before
+// it existed — means the whole catalog precedes the chain, which is exact
+// for a chain cut before any DDL too, since its images hold no object.
 type CheckpointRef struct {
-	Name string `json:"name"`
-	Seq  uint64 `json:"seq"`
-	LSN  uint64 `json:"lsn"`
-	Full bool   `json:"full,omitempty"`
+	Name    string `json:"name"`
+	Seq     uint64 `json:"seq"`
+	LSN     uint64 `json:"lsn"`
+	Full    bool   `json:"full,omitempty"`
+	Catalog uint64 `json:"catalog,omitempty"`
 }
 
 // Manifest describes the WAL layout of a data directory: Live lists every
@@ -137,12 +145,7 @@ func (m Manifest) Clone() Manifest {
 	return c
 }
 
-// WriteManifest atomically persists the manifest into dir.
-func WriteManifest(dir string, m Manifest) error {
-	return WriteManifestFS(fault.OS, dir, m)
-}
-
-// WriteManifestFS is WriteManifest against an explicit filesystem.
+// WriteManifestFS atomically persists the manifest into dir.
 func WriteManifestFS(fsys fault.FS, dir string, m Manifest) error {
 	buf := manifestBufs.Get().(*bytes.Buffer)
 	defer func() { buf.Reset(); manifestBufs.Put(buf) }()
@@ -185,7 +188,7 @@ func DecodeManifest(data []byte) (Manifest, error) {
 		seen[s.Name] = true
 	}
 	for _, c := range m.Checkpoints {
-		if c.Name == "" || c.Seq == 0 {
+		if c.Seq == 0 || c.Name != CheckpointFileName(c.Seq) {
 			return Manifest{}, fmt.Errorf("wal: corrupt manifest: bad checkpoint %+v", c)
 		}
 		if seen[c.Name] {
@@ -196,13 +199,8 @@ func DecodeManifest(data []byte) (Manifest, error) {
 	return m, nil
 }
 
-// ReadManifest loads the manifest from dir. A missing manifest reports
+// ReadManifestFS loads the manifest from dir. A missing manifest reports
 // ok=false without error (the directory is fresh).
-func ReadManifest(dir string) (Manifest, bool, error) {
-	return ReadManifestFS(fault.OS, dir)
-}
-
-// ReadManifestFS is ReadManifest against an explicit filesystem.
 func ReadManifestFS(fsys fault.FS, dir string) (Manifest, bool, error) {
 	data, err := fsys.ReadFile(filepath.Join(dir, ManifestName))
 	if os.IsNotExist(err) {
@@ -218,17 +216,21 @@ func ReadManifestFS(fsys fault.FS, dir string) (Manifest, bool, error) {
 	return m, true, nil
 }
 
-// WriteFileAtomic writes data to path with crash-safe replacement: the
+// WriteFileAtomicFS writes data to path with crash-safe replacement: the
 // bytes land in a temp file in the same directory, are fsynced, renamed
 // over the target, and the directory is fsynced so the rename itself is
 // durable. A crash at any point leaves either the old complete file or the
 // new complete file — never a truncated mix.
-func WriteFileAtomic(path string, data []byte) error {
-	return WriteFileAtomicFS(fault.OS, path, data)
+func WriteFileAtomicFS(fsys fault.FS, path string, data []byte) error {
+	return WriteFileAtomicFromFS(fsys, path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
-// WriteFileAtomicFS is WriteFileAtomic against an explicit filesystem.
-func WriteFileAtomicFS(fsys fault.FS, path string, data []byte) error {
+// WriteFileAtomicFromFS is WriteFileAtomicFS for content that write
+// produces piecewise, so a file need never be held whole in memory.
+func WriteFileAtomicFromFS(fsys fault.FS, path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -236,7 +238,7 @@ func WriteFileAtomicFS(fsys fault.FS, path string, data []byte) error {
 	}
 	tmpName := tmp.Name()
 	cleanup := func() { tmp.Close(); fsys.Remove(tmpName) }
-	if _, err := tmp.Write(data); err != nil {
+	if err := write(tmp); err != nil {
 		cleanup()
 		return fmt.Errorf("wal: atomic write: %w", err)
 	}
@@ -253,11 +255,6 @@ func WriteFileAtomicFS(fsys fault.FS, path string, data []byte) error {
 		return fmt.Errorf("wal: atomic write: %w", err)
 	}
 	return fsys.SyncDir(dir)
-}
-
-// SyncDir fsyncs a directory so renames and unlinks inside it are durable.
-func SyncDir(dir string) error {
-	return fault.OS.SyncDir(dir)
 }
 
 // ReplayMergedFS replays the records of every listed segment in global LSN

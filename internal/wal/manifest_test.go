@@ -18,8 +18,8 @@ func sampleManifests() []Manifest {
 		{Name: SegmentFileName(RelationStream, 2), Stream: RelationStream, Seq: 2},
 	}
 	v2.Checkpoints = []CheckpointRef{
-		{Name: CheckpointFileName(5), Seq: 5, LSN: 90, Full: true},
-		{Name: CheckpointFileName(6), Seq: 6, LSN: 118},
+		{Name: CheckpointFileName(5), Seq: 5, LSN: 90, Full: true, Catalog: 3},
+		{Name: CheckpointFileName(6), Seq: 6, LSN: 118, Catalog: 3},
 	}
 	return []Manifest{
 		{Version: 2, Shards: 1, Live: []Segment{{Name: SegmentFileName(StreamName(0), 1), Stream: StreamName(0), Seq: 1}}},
@@ -57,6 +57,8 @@ func TestDecodeManifestRejects(t *testing.T) {
 		`{"version":2,"live":[{"name":"a.wal","stream":"chronicle","seq":1},{"name":"a.wal","stream":"chronicle","seq":2}]}`,
 		`{"version":2,"checkpoints":[{"name":"","seq":1}]}`,
 		`{"version":2,"checkpoints":[{"name":"c.bin","seq":0}]}`,
+		`{"version":2,"checkpoints":[{"name":"checkpoint-00000002.bin","seq":1}]}`,
+		`{"version":2,"checkpoints":[{"name":"../checkpoint-00000001.bin","seq":1}]}`,
 	}
 	for _, s := range bad {
 		if _, err := DecodeManifest([]byte(s)); err == nil {

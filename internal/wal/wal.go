@@ -45,9 +45,8 @@ type RecordKind uint8
 
 // The record kinds.
 const (
-	// RecDDL is a schema statement (stored as its source text and replayed
-	// through the statement executor).
-	RecDDL RecordKind = iota
+	// Kind 0 is never written: DDL is not logged, catalog.sql holds it.
+	_ RecordKind = iota
 	// RecAppend is a chronicle append (possibly multi-chronicle).
 	RecAppend
 	// RecUpsert is one UPSERT statement, a proactive relation update: one
@@ -77,7 +76,6 @@ type Part struct {
 type Record struct {
 	Kind      RecordKind
 	LSN       uint64        // global logical sequence number (orders records across segments)
-	Stmt      string        // RecDDL
 	SN        int64         // RecAppend / RecAppendEach (first SN of the run)
 	Chronon   int64         // RecAppend / RecAppendEach
 	Parts     []Part        // RecAppend / RecAppendEach (exactly one part)
@@ -469,24 +467,19 @@ func (l *Log) LogMetrics() Metrics {
 	}
 }
 
-// Replay reads records from path in order, calling fn for each. It stops
+// ReplayFS reads records from path in order, calling fn for each. It stops
 // cleanly at the first torn or corrupt frame (the crash tail), reporting
 // how many records were applied and how many trailing bytes were ignored.
-// A missing file replays zero records.
-func Replay(path string, fn func(Record) error) (n int, ignored int64, err error) {
-	return ReplayFS(fault.OS, path, fn)
-}
-
-// ReplayFS is Replay against an explicit filesystem. The log is streamed
-// through a buffered reader rather than loaded whole, so replaying a long
-// tail does not double resident memory.
+// A missing file replays zero records. The log is streamed through a
+// buffered reader rather than loaded whole, so replaying a long tail does
+// not double resident memory.
 func ReplayFS(fsys fault.FS, path string, fn func(Record) error) (n int, ignored int64, err error) {
 	return replayAfter(fsys, path, 0, fn)
 }
 
 // replayAfter is ReplayFS that skips, undecoded, every frame stamped at or
 // below after: a covered frame costs its read and its CRC, and is dropped on
-// its kind byte and LSN. LSN-0 frames (DDL annotations) always apply.
+// its kind byte and LSN. LSN-0 frames always apply.
 func replayAfter(fsys fault.FS, path string, after uint64, fn func(Record) error) (n int, ignored int64, err error) {
 	f, err := fsys.Open(path)
 	if os.IsNotExist(err) {
@@ -553,8 +546,6 @@ func encodeRecord(dst []byte, r Record) []byte {
 	dst = append(dst, byte(r.Kind))
 	dst = binary.AppendUvarint(dst, r.LSN)
 	switch r.Kind {
-	case RecDDL:
-		dst = appendString(dst, r.Stmt)
 	case RecAppend, RecAppendEach:
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(r.SN))
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Chronon))
@@ -596,12 +587,6 @@ func decodeRecord(b []byte) (Record, error) {
 	r.LSN = lsn
 	b = b[sz:]
 	switch r.Kind {
-	case RecDDL:
-		stmt, _, err := readString(b)
-		if err != nil {
-			return Record{}, err
-		}
-		r.Stmt = stmt
 	case RecAppend, RecAppendEach:
 		if len(b) < 16 {
 			return Record{}, fmt.Errorf("wal: truncated append header")
@@ -701,8 +686,7 @@ func DecodeRecord(b []byte) (Record, error) { return decodeRecord(b) }
 
 // RecordSpan returns how many LSNs r occupies in the global order: an
 // idempotent bulk append and an UPSERT statement assign one LSN per tuple
-// (the record's LSN is the first), a DDL record is an ordering annotation
-// that consumes none, and every other record exactly one.
+// (the record's LSN is the first), and every other record exactly one.
 func RecordSpan(r Record) uint64 {
 	switch r.Kind {
 	case RecUpsert:
@@ -716,8 +700,6 @@ func RecordSpan(r Record) uint64 {
 			return 1
 		}
 		return n
-	case RecDDL:
-		return 0
 	}
 	return 1
 }

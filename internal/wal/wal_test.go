@@ -12,7 +12,6 @@ import (
 
 func sampleRecords() []Record {
 	return []Record{
-		{Kind: RecDDL, Stmt: "CREATE CHRONICLE calls (acct STRING, minutes INT)"},
 		{Kind: RecAppend, SN: 7, Chronon: 1234, Parts: []Part{
 			{Chronicle: "calls", Tuples: []value.Tuple{
 				{value.Str("a"), value.Int(10)},
@@ -55,7 +54,7 @@ func writeLog(t *testing.T, dir string, recs []Record) string {
 }
 
 func recordsEqual(a, b Record) bool {
-	if a.Kind != b.Kind || a.Stmt != b.Stmt || a.SN != b.SN || a.Chronon != b.Chronon ||
+	if a.Kind != b.Kind || a.SN != b.SN || a.Chronon != b.Chronon ||
 		a.Relation != b.Relation || len(a.Parts) != len(b.Parts) {
 		return false
 	}
@@ -79,7 +78,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	recs := sampleRecords()
 	path := writeLog(t, t.TempDir(), recs)
 	var got []Record
-	n, ignored, err := Replay(path, func(r Record) error {
+	n, ignored, err := ReplayFS(fault.OS, path, func(r Record) error {
 		got = append(got, r)
 		return nil
 	})
@@ -97,7 +96,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 }
 
 func TestReplayMissingFile(t *testing.T) {
-	n, ignored, err := Replay(filepath.Join(t.TempDir(), "absent.wal"), func(Record) error { return nil })
+	n, ignored, err := ReplayFS(fault.OS, filepath.Join(t.TempDir(), "absent.wal"), func(Record) error { return nil })
 	if err != nil || n != 0 || ignored != 0 {
 		t.Errorf("missing file: n=%d ignored=%d err=%v", n, ignored, err)
 	}
@@ -115,7 +114,7 @@ func TestReplayTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got int
-	n, ignored, err := Replay(path, func(Record) error { got++; return nil })
+	n, ignored, err := ReplayFS(fault.OS, path, func(Record) error { got++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +133,7 @@ func TestReplayCorruptMiddleStops(t *testing.T) {
 	// Flip one byte inside the second record's payload.
 	data[20] ^= 0xFF
 	os.WriteFile(path, data, 0o644)
-	n, ignored, err := Replay(path, func(Record) error { return nil })
+	n, ignored, err := ReplayFS(fault.OS, path, func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +147,7 @@ func TestReplayCorruptMiddleStops(t *testing.T) {
 
 func TestReplayCallbackError(t *testing.T) {
 	path := writeLog(t, t.TempDir(), sampleRecords())
-	_, _, err := Replay(path, func(r Record) error {
+	_, _, err := ReplayFS(fault.OS, path, func(r Record) error {
 		if r.Kind == RecUpsert {
 			return os.ErrInvalid
 		}
@@ -168,7 +167,7 @@ func TestReopenAppends(t *testing.T) {
 	l2 := openLog(t, fault.OS, dir, "re", SyncNone)
 	l2.Append(sampleRecords()[1])
 	l2.Close()
-	n, _, err := Replay(path, func(Record) error { return nil })
+	n, _, err := ReplayFS(fault.OS, path, func(Record) error { return nil })
 	if err != nil || n != 2 {
 		t.Errorf("reopen: n=%d err=%v", n, err)
 	}
@@ -186,7 +185,7 @@ func TestFlushMakesDurableWithoutClose(t *testing.T) {
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	n, _, err := Replay(path, func(Record) error { return nil })
+	n, _, err := ReplayFS(fault.OS, path, func(Record) error { return nil })
 	if err != nil || n != 1 {
 		t.Errorf("after Flush: n=%d err=%v", n, err)
 	}
@@ -204,7 +203,7 @@ func TestReplayUnknownKindStops(t *testing.T) {
 	if err := os.WriteFile(path, frame, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	n, ignored, err := Replay(path, func(Record) error { return nil })
+	n, ignored, err := ReplayFS(fault.OS, path, func(Record) error { return nil })
 	if err != nil || n != 0 || ignored == 0 {
 		t.Errorf("unknown kind: n=%d ignored=%d err=%v", n, ignored, err)
 	}
@@ -215,7 +214,8 @@ func TestDecodeRecordErrors(t *testing.T) {
 		{},                         // empty
 		{byte(RecAppend), 1, 2, 3}, // truncated append header
 		{byte(RecUpsert)},          // missing name
-		{byte(RecDDL), 200},        // bad string length
+		{byte(RecDelete), 1, 200},  // bad string length
+		{0, 1},                     // kind 0 is never written
 	}
 	for i, b := range cases {
 		if _, err := decodeRecord(b); err == nil {

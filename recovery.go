@@ -30,7 +30,8 @@ import (
 //	                       incremental images holding only objects dirtied
 //	                       since the previous cut
 //
-// Recovery order: catalog → checkpoint chain → WAL tail. Checkpoint and
+// Recovery order: the catalog prefix the checkpoint chain was cut against
+// → the chain → the rest of the catalog → the WAL tail. Checkpoint and
 // manifest files are only ever replaced atomically (write-temp, fsync,
 // rename, dirsync), so a crash mid-flip leaves the previous complete
 // image. The logs are never truncated; instead replay skips records at or
@@ -50,77 +51,46 @@ const (
 // A directory without a manifest has no checkpoint and no WAL: the zero
 // Manifest recovers the catalog alone.
 func (db *DB) recover(m wal.Manifest) error {
-	// 1. Catalog: replay DDL. A power cut can tear the final statement
-	// mid-write; every *acked* statement was fully written and fsynced, so
-	// trimming to the last statement terminator drops only unacked bytes.
-	// A catalog with no terminator at all is corruption, not a torn tail
-	// (the file's dir entry only becomes durable after the first acked
-	// statement), and still fails the parse below.
-	if src, err := db.fs.ReadFile(db.catalogPath); err == nil && len(src) > 0 {
-		text := string(src)
-		if i := strings.LastIndex(text, ";"); i >= 0 {
-			// A statement is written with its terminator and a newline.
-			text = text[:i+1]
-			if strings.HasPrefix(string(src[i+1:]), "\n") {
-				text += "\n"
-			}
+	// 1. Catalog: parse the DDL.
+	stmts, text, torn, err := db.readCatalog()
+	if err != nil {
+		return err
+	}
+	if torn {
+		// Repair the torn tail now: the file is opened in append mode for
+		// future DDL, which must land after the last valid statement, not
+		// after the garbage.
+		if err := wal.WriteFileAtomicFS(db.fs, db.catalogPath, []byte(text)); err != nil {
+			return fmt.Errorf("chronicledb: repairing torn catalog: %w", err)
 		}
-		stmts, err := sqlparse.Parse(text)
-		if err != nil {
-			return fmt.Errorf("chronicledb: corrupt catalog: %w", err)
-		}
-		if len(text) < len(src) {
-			// Repair the torn tail now: the file is opened in append
-			// mode for future DDL, which must land after the last valid
-			// statement, not after the garbage.
-			if err := wal.WriteFileAtomicFS(db.fs, db.catalogPath, []byte(text)); err != nil {
-				return fmt.Errorf("chronicledb: repairing torn catalog: %w", err)
-			}
-		}
+	}
+	replay := func(stmts []sqlparse.Statement) error {
 		for _, s := range stmts {
 			if _, err := db.execOne(s, execRecovery); err != nil {
 				return fmt.Errorf("chronicledb: replaying catalog: %w", err)
 			}
 		}
-	} else if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("chronicledb: catalog: %w", err)
+		return nil
 	}
 
-	// 2. Checkpoint chain: a full image plus incremental images holding only
-	// the objects dirtied since the previous cut. The chain restores in
-	// ascending sequence order — each file *replaces* the state of the
-	// objects it contains — and the tip's LSN is the replay skip threshold.
-	// The manifest invariant (files are fsynced before the flip that
-	// references them, deleted only after the flip that drops them) makes a
-	// referenced-but-missing chain file genuine corruption, not a crash
-	// artifact.
-	var ckptLSN uint64
-	refs := append([]wal.CheckpointRef(nil), m.Checkpoints...)
-	sort.Slice(refs, func(i, j int) bool { return refs[i].Seq < refs[j].Seq })
-	for _, c := range refs {
-		data, err := db.fs.ReadFile(filepath.Join(db.opts.Dir, c.Name))
-		if err != nil {
-			return fmt.Errorf("chronicledb: checkpoint chain %s: %w", c.Name, err)
-		}
-		lsn, err := db.restoreCheckpoint(data, c.Name)
-		if err != nil {
-			return fmt.Errorf("chronicledb: checkpoint chain %s: %w", c.Name, err)
-		}
-		ckptLSN = lsn
+	// 2. The catalog prefix the chain was cut against, the chain, then the
+	// rest of the catalog: each image restores into exactly the objects it
+	// was cut from, and DDL after the cut applies to the restored state —
+	// a view created later backfills from the restored chronicle, one
+	// dropped later goes after its image restored.
+	k, err := chainCatalog(m.Checkpoints, len(stmts))
+	if err != nil {
+		return err
 	}
-	if len(refs) > 0 {
-		// Every restored view reflects exactly the mutations at or below
-		// the checkpoint LSN; stamp that cursor so changefeed snapshot
-		// splices anchor correctly, and raise the feed horizon — deltas
-		// inside the checkpoint are not individually replayable.
-		for _, name := range db.eng.Names(engine.Views) {
-			if v, ok := db.eng.View(name); ok {
-				v.SetAppliedLSN(ckptLSN)
-			}
-		}
-		if db.hub != nil {
-			db.hub.SetBase(ckptLSN)
-		}
+	if err := replay(stmts[:k]); err != nil {
+		return err
+	}
+	ckptLSN, err := db.restoreChain(m.Checkpoints)
+	if err != nil {
+		return err
+	}
+	if err := replay(stmts[k:]); err != nil {
+		return err
 	}
 
 	// 3. WAL tail: every live segment, merged by global LSN so relation
@@ -131,21 +101,104 @@ func (db *DB) recover(m wal.Manifest) error {
 	// them also keeps the LSN allocator aligned: replay re-assigns LSNs
 	// starting from the checkpoint LSN, so each surviving record re-acquires
 	// exactly the LSN it carried live.
-	_, err := wal.ReplayMergedFS(db.fs, db.opts.Dir, liveSegmentNames(m.Live), ckptLSN, func(r wal.Record) error {
-		if r.Kind == wal.RecDDL {
-			s, err := sqlparse.ParseOne(r.Stmt)
-			if err != nil {
-				return err
-			}
-			_, err = db.execOne(s, execRecovery)
-			return err
-		}
-		return db.applyRecord(r)
-	})
-	if err != nil {
+	if _, err := wal.ReplayMergedFS(db.fs, db.opts.Dir, liveSegmentNames(m.Live), ckptLSN, db.applyRecord); err != nil {
 		return fmt.Errorf("chronicledb: WAL replay: %w", err)
 	}
 	return nil
+}
+
+// readCatalog reads and parses catalog.sql; text is the catalog trimmed to
+// its last whole statement. A power cut can tear the final statement
+// mid-write; every *acked* statement was fully written and fsynced, so
+// trimming to the last statement terminator drops only unacked bytes, and
+// torn reports that it did. A catalog with no terminator at all is
+// corruption, not a torn tail (the file's dir entry only becomes durable
+// after the first acked statement), and still fails the parse.
+func (db *DB) readCatalog() (stmts []sqlparse.Statement, text string, torn bool, err error) {
+	src, err := db.fs.ReadFile(db.catalogPath)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, "", false, fmt.Errorf("chronicledb: catalog: %w", err)
+	}
+	if len(src) == 0 {
+		return nil, "", false, nil
+	}
+	text = string(src)
+	if i := strings.LastIndex(text, ";"); i >= 0 {
+		// A statement is written with its terminator and a newline.
+		text = text[:i+1]
+		if strings.HasPrefix(string(src[i+1:]), "\n") {
+			text += "\n"
+		}
+	}
+	if stmts, err = sqlparse.Parse(text); err != nil {
+		return nil, "", false, fmt.Errorf("chronicledb: corrupt catalog: %w", err)
+	}
+	return stmts, text, len(text) < len(src), nil
+}
+
+// chainCatalog returns how many of a catalog's n statements precede the
+// checkpoint chain refs: the prefix the chain was cut against (see
+// wal.CheckpointRef.Catalog). DDL forces a full cut, which folds the chain,
+// so every ref of one chain carries the same prefix.
+func chainCatalog(refs []wal.CheckpointRef, n int) (int, error) {
+	if len(refs) == 0 {
+		return 0, nil // nothing restores against the catalog
+	}
+	k := refs[0].Catalog
+	for _, c := range refs[1:] {
+		if c.Catalog != k {
+			return 0, fmt.Errorf("chronicledb: checkpoint chain %s cut against %d catalog statements, %s against %d",
+				refs[0].Name, k, c.Name, c.Catalog)
+		}
+	}
+	if k == 0 {
+		k = uint64(n)
+	}
+	if k > uint64(n) {
+		return 0, fmt.Errorf("chronicledb: checkpoint chain cut against %d catalog statements; the catalog holds %d", k, n)
+	}
+	return int(k), nil
+}
+
+// restoreChain restores a checkpoint chain — a full image plus incremental
+// images holding only the objects dirtied since the previous cut — and
+// returns its tip LSN, the replay skip threshold. Recovery and a
+// follower's bootstrap both restore through it. The chain restores in
+// ascending sequence order: each file *replaces* the state of the objects
+// it contains. The manifest invariant (files are fsynced before the flip
+// that references them, deleted only after the flip that drops them) makes
+// a referenced-but-missing chain file genuine corruption, not a crash
+// artifact.
+func (db *DB) restoreChain(refs []wal.CheckpointRef) (uint64, error) {
+	refs = append([]wal.CheckpointRef(nil), refs...)
+	sort.Slice(refs, func(i, j int) bool { return refs[i].Seq < refs[j].Seq })
+	var lsn uint64
+	for _, c := range refs {
+		data, err := db.fs.ReadFile(filepath.Join(db.opts.Dir, c.Name))
+		if err == nil {
+			lsn, err = db.restoreCheckpoint(data, c.Name)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("chronicledb: checkpoint chain %s: %w", c.Name, err)
+		}
+	}
+	if len(refs) > 0 {
+		// Every restored view reflects exactly the mutations at or below
+		// the chain's LSN; stamp that cursor so changefeed snapshot
+		// splices anchor correctly, and raise the feed horizon — deltas
+		// inside the checkpoint are not individually replayable. Below it
+		// the log may be compacted: a follower asking for it is told so.
+		db.lastCkptLSN.Store(lsn)
+		for _, name := range db.eng.Names(engine.Views) {
+			if v, ok := db.eng.View(name); ok {
+				v.SetAppliedLSN(lsn)
+			}
+		}
+		if db.hub != nil {
+			db.hub.SetBase(lsn)
+		}
+	}
+	return lsn, nil
 }
 
 // Checkpoint atomically persists the database state: it appends a (usually
@@ -219,33 +272,18 @@ type blockCommit struct {
 // key range it covers in the index earlier chain images built. A full cut is
 // the one run that spans the key space, so the chain can fold; an
 // incremental cut carries only the dirty runs, so its cost is flat in view
-// cardinality. wholeViews forces subformat 0 for every view: the
-// replication bootstrap image travels to a follower that cannot fault
-// blocks from this database's chain files. The returned commits must be
-// applied after the manifest flip that makes the image authoritative.
+// cardinality. Every view of a durable database pages, so every view is
+// written blocked; subformat 0 is only read (images written before views
+// paged). The returned commits must be applied after the manifest flip
+// that makes the image authoritative.
 //
 // The markers are monotonic mutation counters, recomputed from the objects
 // themselves: chronicle Total+Dropped (either moves on any append or
 // retention drop), relation Updates, view Applies, periodic-view Applies.
 // DDL (drop, or drop-and-recreate, which could leave a fresh object behind
-// an unchanged marker) is handled by the caller forcing a full image via
-// db.ddlDirty instead.
-func (db *DB) buildCheckpointImage(full, wholeViews bool) (data []byte, lsn uint64, marks map[string]uint64, dirty int, commits []blockCommit, err error) {
-	old := db.ckptMarks
-	marks = make(map[string]uint64)
-	include := func(key string, cur uint64) bool {
-		marks[key] = cur
-		if full {
-			return true
-		}
-		prev, ok := old[key]
-		if !ok || prev != cur {
-			dirty++
-			return true
-		}
-		return false
-	}
-
+// an unchanged marker) is handled by the caller forcing a full image when
+// the catalog moved since the last cut instead.
+func (db *DB) buildCheckpointImage(full bool) (data []byte, lsn uint64, marks map[string]uint64, dirty int, commits []blockCommit, err error) {
 	lsn = db.eng.LSN()
 	b := db.ckptBuf[:0]
 	b = append(b, ckptMagic...)
@@ -264,16 +302,30 @@ func (db *DB) buildCheckpointImage(full, wholeViews bool) (data []byte, lsn uint
 		b = binary.LittleEndian.AppendUint64(b, uint64(g.LastSN()))
 	}
 
-	var incl []string
-	chrons := db.eng.Names(engine.Chronicles)
-	for _, name := range chrons {
-		c, _ := db.eng.Chronicle(name)
-		if include("c:"+name, uint64(c.Total()+c.Dropped())) {
-			incl = append(incl, name)
+	// included lists the objects of a kind the image holds — those whose
+	// marker moved since the last cut, or all of them in a full image — and
+	// appends their count.
+	marks = make(map[string]uint64)
+	included := func(kind engine.Kind, prefix string, marker func(name string) uint64) []string {
+		var incl []string
+		for _, name := range db.eng.Names(kind) {
+			cur := marker(name)
+			marks[prefix+name] = cur
+			if prev, ok := db.ckptMarks[prefix+name]; full || !ok || prev != cur {
+				if !full {
+					dirty++
+				}
+				incl = append(incl, name)
+			}
 		}
+		b = binary.AppendUvarint(b, uint64(len(incl)))
+		return incl
 	}
-	b = binary.AppendUvarint(b, uint64(len(incl)))
-	for _, name := range incl {
+
+	for _, name := range included(engine.Chronicles, "c:", func(name string) uint64 {
+		c, _ := db.eng.Chronicle(name)
+		return uint64(c.Total() + c.Dropped())
+	}) {
 		c, _ := db.eng.Chronicle(name)
 		b = appendName(b, name)
 		b = binary.LittleEndian.AppendUint64(b, uint64(c.Dropped()))
@@ -287,62 +339,37 @@ func (db *DB) buildCheckpointImage(full, wholeViews bool) (data []byte, lsn uint
 		}
 	}
 
-	incl = incl[:0]
-	rels := db.eng.Names(engine.Relations)
-	for _, name := range rels {
+	for _, name := range included(engine.Relations, "r:", func(name string) uint64 {
 		r, _ := db.eng.Relation(name)
-		if include("r:"+name, uint64(r.Updates())) {
-			incl = append(incl, name)
-		}
-	}
-	b = binary.AppendUvarint(b, uint64(len(incl)))
-	for _, name := range incl {
+		return uint64(r.Updates())
+	}) {
 		r, _ := db.eng.Relation(name)
 		b = r.AppendImage(appendName(b, name))
 	}
 
-	incl = incl[:0]
-	views := db.eng.Names(engine.Views)
-	for _, name := range views {
+	for _, name := range included(engine.Views, "v:", func(name string) uint64 {
 		v, _ := db.eng.View(name)
-		if include("v:"+name, uint64(v.Stats().Applies)) {
-			incl = append(incl, name)
-		}
-	}
-	b = binary.AppendUvarint(b, uint64(len(incl)))
-	for _, name := range incl {
+		return uint64(v.Stats().Applies)
+	}) {
 		v, _ := db.eng.View(name)
 		b = appendName(b, name)
-		if v.Paged() && !wholeViews {
-			snap, pend, dirtyB, totalB, cerr := v.CheckpointBlocked(full)
-			if cerr != nil {
-				db.ckptBuf = b
-				return nil, 0, nil, 0, nil, fmt.Errorf("chronicledb: checkpoint view %s: %w", name, cerr)
-			}
-			b = binary.AppendUvarint(b, uint64(len(snap)+1))
-			b = append(b, 1) // subformat: blocked image
-			commits = append(commits, blockCommit{
-				v: v, base: int64(len(b)), pend: pend, dirty: dirtyB, total: totalB,
-			})
-			b = append(b, snap...)
-			continue
+		snap, pend, dirtyB, totalB, cerr := v.CheckpointBlocked(full)
+		if cerr != nil {
+			db.ckptBuf = b
+			return nil, 0, nil, 0, nil, fmt.Errorf("chronicledb: checkpoint view %s: %w", name, cerr)
 		}
-		snap := v.Checkpoint()
 		b = binary.AppendUvarint(b, uint64(len(snap)+1))
-		b = append(b, 0) // subformat: whole image
+		b = append(b, 1) // subformat: blocked image
+		commits = append(commits, blockCommit{
+			v: v, base: int64(len(b)), pend: pend, dirty: dirtyB, total: totalB,
+		})
 		b = append(b, snap...)
 	}
 
-	incl = incl[:0]
-	pviews := db.eng.Names(engine.PeriodicViews)
-	for _, name := range pviews {
+	for _, name := range included(engine.PeriodicViews, "p:", func(name string) uint64 {
 		pv, _ := db.eng.PeriodicView(name)
-		if include("p:"+name, uint64(pv.Applies())) {
-			incl = append(incl, name)
-		}
-	}
-	b = binary.AppendUvarint(b, uint64(len(incl)))
-	for _, name := range incl {
+		return uint64(pv.Applies())
+	}) {
 		pv, _ := db.eng.PeriodicView(name)
 		snap := pv.Checkpoint()
 		b = appendName(b, name)
@@ -368,11 +395,8 @@ func (db *DB) buildCheckpointImage(full, wholeViews bool) (data []byte, lsn uint
 // is the chain file holding the image; blocked view sections resolve their
 // inline block payloads relative to it.
 func (db *DB) restoreCheckpoint(data []byte, fileName string) (uint64, error) {
-	bad := func(what string) error {
-		return fmt.Errorf("chronicledb: corrupt checkpoint (%s)", what)
-	}
 	if len(data) < 14 || string(data[:4]) != ckptMagic {
-		return 0, bad("header")
+		return 0, fmt.Errorf("chronicledb: corrupt checkpoint (header)")
 	}
 	if version := data[4]; version != ckptVersion {
 		return 0, fmt.Errorf("%w: checkpoint image version %d (want %d)", ErrUnsupportedLayout, version, ckptVersion)
@@ -381,70 +405,27 @@ func (db *DB) restoreCheckpoint(data []byte, fileName string) (uint64, error) {
 	// branch on it — every section carries its own object count, and an
 	// incremental image simply lists fewer — but the byte keeps
 	// full/incremental distinguishable for tooling.
-	off := 6
-	lsn := binary.LittleEndian.Uint64(data[off:])
-	off += 8
+	r := &ckptReader{data: data, off: 6}
+	lsn := r.u64("lsn")
 	db.eng.RestoreLSN(lsn)
 
-	// Groups.
-	nGroups, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return 0, bad("group count")
-	}
-	off += n
-	for i := uint64(0); i < nGroups; i++ {
-		name, used, err := readName(data[off:])
-		if err != nil {
-			return 0, bad("group name")
-		}
-		off += used
-		if len(data)-off < 8 {
-			return 0, bad("group sn")
-		}
-		lastSN := int64(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
-		if g, ok := db.eng.Group(name); ok && lastSN >= 0 {
+	for n := r.uvarint("group count"); n > 0 && r.ok(); n-- {
+		name, lastSN := r.name("group name"), int64(r.u64("group sn"))
+		if g, ok := db.eng.Group(name); ok && lastSN >= 0 && r.ok() {
 			g.RestoreLastSN(lastSN)
 		}
 	}
 
-	// Chronicles.
-	nChron, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return 0, bad("chronicle count")
-	}
-	off += n
-	for i := uint64(0); i < nChron; i++ {
-		name, used, err := readName(data[off:])
-		if err != nil {
-			return 0, bad("chronicle name")
+	for n := r.uvarint("chronicle count"); n > 0 && r.ok(); n-- {
+		name, dropped := r.name("chronicle name"), int64(r.u64("chronicle dropped"))
+		var rows []chronicle.Row
+		for m := r.uvarint("chronicle rows"); m > 0 && r.ok(); m-- {
+			row := chronicle.Row{SN: int64(r.u64("chronicle row sn")), Chronon: int64(r.u64("chronicle row chronon")), LSN: r.u64("chronicle row lsn")}
+			row.Vals = r.tuple("chronicle row tuple")
+			rows = append(rows, row)
 		}
-		off += used
-		if len(data)-off < 8 {
-			return 0, bad("chronicle dropped")
-		}
-		dropped := int64(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
-		nRows, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return 0, bad("chronicle rows")
-		}
-		off += n
-		rows := make([]chronicle.Row, nRows)
-		for j := range rows {
-			if len(data)-off < 24 {
-				return 0, bad("chronicle row header")
-			}
-			rows[j].SN = int64(binary.LittleEndian.Uint64(data[off:]))
-			rows[j].Chronon = int64(binary.LittleEndian.Uint64(data[off+8:]))
-			rows[j].LSN = binary.LittleEndian.Uint64(data[off+16:])
-			off += 24
-			t, used, err := value.DecodeTuple(data[off:])
-			if err != nil {
-				return 0, bad("chronicle row tuple")
-			}
-			rows[j].Vals = t
-			off += used
+		if !r.ok() {
+			break
 		}
 		c, ok := db.eng.Chronicle(name)
 		if !ok {
@@ -455,116 +436,87 @@ func (db *DB) restoreCheckpoint(data []byte, fileName string) (uint64, error) {
 		}
 	}
 
-	// Relations.
-	nRels, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return 0, bad("relation count")
-	}
-	off += n
-	for i := uint64(0); i < nRels; i++ {
-		name, used, err := readName(data[off:])
-		if err != nil {
-			return 0, bad("relation name")
+	for n := r.uvarint("relation count"); n > 0 && r.ok(); n-- {
+		name := r.name("relation name")
+		rel, ok := db.eng.Relation(name)
+		if !r.ok() {
+			break
 		}
-		off += used
-		r, ok := db.eng.Relation(name)
 		if !ok {
 			return 0, fmt.Errorf("chronicledb: checkpoint references unknown relation %q", name)
 		}
 		// A chain restore can hit the same relation more than once; each
 		// image's rows replace the previous one's, not merge in.
-		if used, err = r.RestoreImage(lsn, data[off:]); err != nil {
+		used, err := rel.RestoreImage(lsn, data[r.off:])
+		if err != nil {
 			return 0, fmt.Errorf("chronicledb: corrupt checkpoint: %w", err)
 		}
-		off += used
+		r.off += used
 	}
 
-	// Views.
-	nViews, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return 0, bad("view count")
-	}
-	off += n
-	for i := uint64(0); i < nViews; i++ {
-		name, used, err := readName(data[off:])
-		if err != nil {
-			return 0, bad("view name")
+	for n := r.uvarint("view count"); n > 0 && r.ok(); n-- {
+		name := r.name("view name")
+		snap := r.bytes(r.uvarint("view snapshot"), "view snapshot")
+		if !r.ok() {
+			break
 		}
-		off += used
-		snapLen, n := binary.Uvarint(data[off:])
-		if n <= 0 || uint64(len(data)-off-n) < snapLen {
-			return 0, bad("view snapshot")
-		}
-		off += n
 		v, ok := db.eng.View(name)
 		if !ok {
 			return 0, fmt.Errorf("chronicledb: checkpoint references unknown view %q", name)
 		}
 		// The payload carries a subformat byte: 0 = whole image, 1 = blocked
 		// image (runs spliced into the block index earlier chain images
-		// built).
-		if snapLen == 0 {
-			return 0, bad("view subformat")
-		}
-		sub, body := data[off], data[off+1:off+int(snapLen)]
-		base := int64(off) + 1 // body's offset within the chain file
-		switch sub {
-		case 0:
-			err = v.RestoreCheckpoint(body)
-		case 1:
-			err = v.RestoreBlocked(body, fileName, base)
+		// built), whose payloads sit at base within the chain file.
+		var err error
+		switch base := int64(r.off - len(snap) + 1); {
+		case len(snap) > 0 && snap[0] == 0:
+			err = v.RestoreCheckpoint(snap[1:])
+		case len(snap) > 0 && snap[0] == 1:
+			err = v.RestoreBlocked(snap[1:], fileName, base)
 		default:
-			err = bad("view subformat")
+			err = fmt.Errorf("chronicledb: corrupt checkpoint (view subformat)")
 		}
 		if err != nil {
 			return 0, err
 		}
-		off += int(snapLen)
 	}
 
-	// Periodic views.
-	nPViews, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return 0, bad("periodic view count")
-	}
-	off += n
-	for i := uint64(0); i < nPViews; i++ {
-		name, used, err := readName(data[off:])
-		if err != nil {
-			return 0, bad("periodic view name")
+	for n := r.uvarint("periodic view count"); n > 0 && r.ok(); n-- {
+		name := r.name("periodic view name")
+		snap := r.bytes(r.uvarint("periodic view snapshot"), "periodic view snapshot")
+		if !r.ok() {
+			break
 		}
-		off += used
-		snapLen, n := binary.Uvarint(data[off:])
-		if n <= 0 || uint64(len(data)-off-n) < snapLen {
-			return 0, bad("periodic view snapshot")
-		}
-		off += n
 		pv, ok := db.eng.PeriodicView(name)
 		if !ok {
 			return 0, fmt.Errorf("chronicledb: checkpoint references unknown periodic view %q", name)
 		}
-		if err := pv.RestoreCheckpoint(data[off : off+int(snapLen)]); err != nil {
+		if err := pv.RestoreCheckpoint(snap); err != nil {
 			return 0, err
 		}
-		off += int(snapLen)
 	}
 
 	// Dedup table.
 	// Each entry goes back to its chronicle's home shard; entries whose
 	// chronicle no longer resolves (dropped between checkpoint and crash) are
 	// ignored — with no chronicle there is nothing a retry could double-apply.
-	used, err := dedup.DecodeSnapshot(data[off:], func(ent dedup.Entry) error {
-		if home, ok := db.eng.Home(ent.Chronicle); ok {
-			home.RestoreDedupEntry(ent)
+	if r.ok() {
+		used, err := dedup.DecodeSnapshot(data[r.off:], func(ent dedup.Entry) error {
+			if home, ok := db.eng.Home(ent.Chronicle); ok {
+				home.RestoreDedupEntry(ent)
+			}
+			return nil
+		})
+		if err != nil {
+			r.fail("dedup section")
 		}
-		return nil
-	})
-	if err != nil {
-		return 0, bad("dedup section")
+		r.off += used
 	}
-	off += used
-	if off != len(data) {
-		return 0, bad("trailing bytes")
+	if r.ok() && r.off != len(data) {
+		r.fail("trailing bytes")
+	}
+	if !r.ok() {
+		return 0, fmt.Errorf("chronicledb: corrupt checkpoint (%s)", r.bad)
 	}
 	return lsn, nil
 }
@@ -574,10 +526,61 @@ func appendName(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func readName(b []byte) (string, int, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || uint64(len(b)-sz) < n {
-		return "", 0, fmt.Errorf("bad name")
+// ckptReader decodes a checkpoint image front to back. The first short or
+// malformed field sticks: it moves the offset to the end, every later read
+// returns a zero value, and the section loops, which check ok, stop.
+type ckptReader struct {
+	data []byte
+	off  int
+	bad  string // what failed first; empty while the image reads
+}
+
+func (r *ckptReader) ok() bool { return r.bad == "" }
+
+func (r *ckptReader) fail(what string) {
+	if r.ok() {
+		r.bad = what
 	}
-	return string(b[sz : sz+int(n)]), sz + int(n), nil
+	r.off = len(r.data)
+}
+
+func (r *ckptReader) uvarint(what string) uint64 {
+	x, n := binary.Uvarint(r.data[r.off:])
+	if n <= 0 {
+		r.fail(what)
+		return 0
+	}
+	r.off += n
+	return x
+}
+
+func (r *ckptReader) u64(what string) uint64 {
+	if b := r.bytes(8, what); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// bytes returns the next n bytes (nil once the image failed to read).
+func (r *ckptReader) bytes(n uint64, what string) []byte {
+	if uint64(len(r.data)-r.off) < n {
+		r.fail(what)
+		return nil
+	}
+	r.off += int(n)
+	return r.data[r.off-int(n) : r.off]
+}
+
+func (r *ckptReader) name(what string) string {
+	return string(r.bytes(r.uvarint(what), what))
+}
+
+func (r *ckptReader) tuple(what string) value.Tuple {
+	t, used, err := value.DecodeTuple(r.data[r.off:])
+	if err != nil {
+		r.fail(what)
+		return nil
+	}
+	r.off += used
+	return t
 }

@@ -11,20 +11,23 @@ package chronicledb
 // (internal/repl.Replica), apply frames into the live engine, write them to
 // their own WAL through the normal recorders, and serve lock-free snapshot
 // reads. Catch-up from any LSN is served from the manifest's segment set
-// (ReplBacklog); anything compacted below the checkpoint chain resyncs from
-// a full snapshot image (ReplSnapshot).
+// (ReplBacklog). A follower whose position was compacted below the
+// checkpoint chain bootstraps from the primary's own files (ReplSnapshot):
+// the catalog prefix the chain was cut against and the chain files byte
+// for byte, restored through the same restoreChain recovery uses.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"strconv"
+	"path/filepath"
 	"strings"
 	"time"
 
 	"chronicledb/internal/engine"
+	"chronicledb/internal/fault"
 	"chronicledb/internal/repl"
 	"chronicledb/internal/sqlparse"
 	"chronicledb/internal/wal"
@@ -242,15 +245,30 @@ func (db *DB) applyReplDDL(idx uint64, stmt string) error {
 	return err
 }
 
-// replSnapshotResync bootstraps an empty follower from the primary's full
-// snapshot after the stream start LSN was compacted away (410 Gone). A
-// non-empty follower cannot resync in place — its state diverged from the
-// primary's retained log — and fails loudly instead.
-func (db *DB) replSnapshotResync() (uint64, error) {
-	if db.eng.LSN() != 0 || db.ddlSeq.Load() != 0 {
-		return 0, fmt.Errorf("chronicledb: replica diverged from the primary's retained log; wipe the data directory and restart")
+// replSnapshotResync bootstraps a follower from the primary's checkpoint
+// files after its stream start LSN was compacted away (410 Gone). It
+// replays the catalog prefix the chain was cut against through the replica
+// path, writes each chain file atomically under a name of its own chain,
+// flips its manifest to name them, and restores them through restoreChain,
+// exactly as recovery would; the stream then resumes at the chain's tip
+// with the catalog past the prefix. A power cut part way leaves the
+// manifest naming the follower's previous chain, so it reopens as it was
+// and resyncs again, or the whole new one. A follower holding records past
+// its own chain cannot resync in place and fails loudly, as does one
+// without a directory: it has nowhere to keep the files its paged views
+// fault blocks from.
+func (db *DB) replSnapshotResync(ctx context.Context) (uint64, error) {
+	if db.opts.Dir == "" {
+		return 0, fmt.Errorf("chronicledb: the primary compacted its log past this follower, which cannot bootstrap from the primary's checkpoint files without Options.Dir; give it a data directory")
 	}
-	resp, err := http.Get(strings.TrimRight(db.opts.ReplicaOf, "/") + "/repl/snapshot")
+	if db.eng.LSN() != db.lastCkptLSN.Load() {
+		return 0, errDiverged
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(db.opts.ReplicaOf, "/")+"/repl/snapshot", nil)
+	if err != nil {
+		return 0, err
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, err
 	}
@@ -259,69 +277,98 @@ func (db *DB) replSnapshotResync() (uint64, error) {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return 0, fmt.Errorf("chronicledb: snapshot fetch: primary returned %s", resp.Status)
 	}
-	catBytes, err := strconv.Atoi(resp.Header.Get("X-Repl-Catalog-Bytes"))
-	if err != nil || catBytes < 0 {
-		return 0, fmt.Errorf("chronicledb: snapshot fetch: bad X-Repl-Catalog-Bytes")
+	fr := repl.NewFrameReader(resp.Body)
+	next := func(want byte) ([]byte, error) {
+		typ, payload, err := fr.Next()
+		if err == nil && typ != want {
+			err = fmt.Errorf("chronicledb: snapshot frame type %d, want %d", typ, want)
+		}
+		return payload, err
 	}
-	body, err := io.ReadAll(resp.Body)
+	payload, err := next(repl.FrameManifest)
 	if err != nil {
 		return 0, err
 	}
-	if len(body) < catBytes {
-		return 0, fmt.Errorf("chronicledb: snapshot fetch: truncated body")
+	man, err := wal.DecodeManifest(payload)
+	if err != nil {
+		return 0, err
 	}
-	catalog, image := body[:catBytes], body[catBytes:]
-
-	// Replay the primary's catalog through the replica path: it lands in
-	// the follower's own catalog file and DDL counter, so the stream's
-	// ddl= handshake and a later restart both line up.
-	if len(strings.TrimSpace(string(catalog))) > 0 {
-		stmts, err := sqlparse.Parse(string(catalog))
+	var k uint64 // no chain: the stream ships the whole catalog
+	if len(man.Checkpoints) > 0 {
+		k = man.Checkpoints[0].Catalog
+	}
+	if db.ddlSeq.Load() > k {
+		return 0, errDiverged
+	}
+	for range k {
+		if payload, err = next(repl.FrameDDL); err != nil {
+			return 0, err
+		}
+		idx, _, stmt, err := repl.DecodeDDLFrame(payload)
 		if err != nil {
-			return 0, fmt.Errorf("chronicledb: snapshot catalog: %w", err)
+			return 0, err
 		}
-		for _, s := range stmts {
-			if _, err := db.execOne(s, execReplica); err != nil {
-				return 0, fmt.Errorf("chronicledb: snapshot catalog: %w", err)
-			}
+		if err := db.applyReplDDL(idx, stmt); err != nil {
+			return 0, err
 		}
 	}
 
-	var lsn uint64
+	// The files take the next names of the follower's own chain: nothing
+	// references them until the flip, and a blocked image names no file, so
+	// its blocks resolve against whichever name it is restored from. db.mu
+	// keeps a local checkpoint out; no barrier is needed, since the apply
+	// goroutine running this is the follower's only writer.
 	db.mu.Lock()
-	err = db.eng.Barrier(func() error {
-		l, err := db.restoreCheckpoint(image, "")
-		lsn = l
-		return err
-	})
-	if err == nil {
-		// Rebase the changefeed world at the restored frontier: view
-		// deltas inside the snapshot are not individually replayable, so
-		// Watch subscribers resume (or snapshot-splice) from lsn exactly
-		// like after a checkpoint restore.
-		for _, name := range db.eng.Names(engine.Views) {
-			if v, ok := db.eng.View(name); ok {
-				v.SetAppliedLSN(lsn)
+	defer db.mu.Unlock()
+	db.manMu.Lock()
+	seq := db.man.NextCheckpointSeq()
+	db.manMu.Unlock()
+	refs := make([]wal.CheckpointRef, len(man.Checkpoints))
+	for i, c := range man.Checkpoints {
+		refs[i] = wal.CheckpointRef{Name: wal.CheckpointFileName(seq), Seq: seq, LSN: c.LSN, Full: c.Full, Catalog: k}
+		seq++
+		err := wal.WriteFileAtomicFromFS(db.fs, filepath.Join(db.opts.Dir, refs[i].Name), func(w io.Writer) error {
+			for {
+				chunk, err := next(repl.FrameFile)
+				if err != nil || len(chunk) == 0 {
+					return err
+				}
+				if _, err := w.Write(chunk); err != nil {
+					return err
+				}
 			}
+		})
+		if err != nil {
+			return 0, fmt.Errorf("chronicledb: snapshot %s: %w", c.Name, err)
 		}
-		if db.hub != nil {
-			db.hub.SetBase(lsn)
-		}
-		db.ddlDirty.Store(true)
 	}
-	db.mu.Unlock()
+	db.manMu.Lock()
+	m := db.man.Clone()
+	old := m.Checkpoints
+	m.Checkpoints = refs
+	if err = wal.WriteManifestFS(db.fs, db.opts.Dir, m); err == nil {
+		db.man = m
+	}
+	db.manMu.Unlock()
+	if err != nil {
+		return 0, fmt.Errorf("chronicledb: %w", err)
+	}
+	lsn, err := db.restoreChain(refs)
 	if err != nil {
 		return 0, fmt.Errorf("chronicledb: snapshot restore: %w", err)
 	}
-	// Cut a local checkpoint so a follower restart recovers to lsn instead
-	// of finding an empty WAL and needing the snapshot again.
-	if db.opts.Dir != "" {
-		if err := db.Checkpoint(); err != nil {
-			return 0, fmt.Errorf("chronicledb: snapshot restore: %w", err)
-		}
+	// Only now does no view fault a block from the chain the flip replaced.
+	for _, c := range old {
+		db.fs.Remove(filepath.Join(db.opts.Dir, c.Name)) // a leftover is swept at the next open
 	}
+	db.ckptMarks = nil // the next local checkpoint is full and folds the chain
+	db.incrSinceFull = 0
 	return lsn, nil
 }
+
+// errDiverged is a follower's resync refusal once it holds state the
+// primary's checkpoint files would not replace.
+var errDiverged = errors.New("chronicledb: replica diverged from the primary's retained log; wipe the data directory and restart")
 
 // ReplGone reports whether a stream from LSN `from` can no longer be
 // served from the segment set (records at or below the checkpoint LSN may
@@ -352,22 +399,18 @@ func (db *DB) ReplBacklog(from, upTo uint64, fn func(payload []byte, lsn, span u
 	}
 	var buf []byte
 	want := from + 1
-	_, err := wal.ReplayMergedFS(db.fs, db.opts.Dir, segments, 0, func(r wal.Record) error {
+	// Records stamped at or below from are skipped as they are read. One
+	// that straddles from is skipped too, and the next one then shows as a
+	// gap: a follower only ever applies whole records.
+	_, err := wal.ReplayMergedFS(db.fs, db.opts.Dir, segments, from, func(r wal.Record) error {
 		span := wal.RecordSpan(r)
-		if r.LSN == 0 || span == 0 {
-			return nil // a DDL annotation consumes no LSN
-		}
-		top := r.LSN + span - 1
-		if top <= from {
-			return nil
-		}
 		if r.LSN > upTo {
 			return errStopReplay
 		}
 		if r.LSN != want {
 			return fmt.Errorf("chronicledb: replication backlog gap at lsn %d (want %d): segment compacted mid-read", r.LSN, want)
 		}
-		want = top + 1
+		want = r.LSN + span
 		buf = wal.EncodeRecord(buf[:0], r)
 		return fn(buf, r.LSN, span)
 	})
@@ -380,69 +423,109 @@ func (db *DB) ReplBacklog(from, upTo uint64, fn func(payload []byte, lsn, span u
 	return err
 }
 
-// ReplSnapshot builds the full-resync payload: the catalog text plus a
-// self-contained full checkpoint image (every view a whole image, dedup
-// table included — exactly-once survives the resync) cut under the epoch
-// barrier, and the image's LSN. Holding db.mu across both keeps the
-// catalog and the image mutually consistent (DDL commits under db.mu too).
-func (db *DB) ReplSnapshot() (catalog, image []byte, lsn uint64, err error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.catalogPath != "" {
-		catalog, err = db.fs.ReadFile(db.catalogPath)
-		if err != nil && !os.IsNotExist(err) {
-			return nil, nil, 0, err
-		}
-		err = nil
+// ReplSnapshot streams, through send, the bootstrap of a follower whose
+// start LSN was compacted away: the chain manifest, the catalog prefix the
+// chain was cut against, then every chain file byte for byte (the frames
+// are documented in internal/repl). The files are opened under manMu and
+// streamed with no lock and no barrier held: an open handle outlives the
+// compactor's Remove, so a full checkpoint that folds the chain mid-stream
+// cannot pull a file out from under it, and writers never wait on a
+// follower. send must consume its frame before returning.
+func (db *DB) ReplSnapshot(send func(frame []byte) error) error {
+	if db.opts.Dir == "" {
+		return fmt.Errorf("chronicledb: snapshot needs a durable database (Options.Dir)")
 	}
-	err = db.eng.Barrier(func() error {
-		data, l, _, _, _, berr := db.buildCheckpointImage(true, true)
-		if berr != nil {
-			return berr
+	db.manMu.Lock()
+	refs := append([]wal.CheckpointRef(nil), db.man.Checkpoints...)
+	files := make([]fault.File, 0, len(refs))
+	var err error
+	for _, c := range refs {
+		var f fault.File
+		if f, err = db.fs.Open(filepath.Join(db.opts.Dir, c.Name)); err != nil {
+			break
 		}
-		// buildCheckpointImage reuses db.ckptBuf; copy out before the next
-		// checkpoint overwrites it.
-		image = append([]byte(nil), data...)
-		lsn = l
-		return nil
-	})
+		files = append(files, f)
+	}
+	db.manMu.Unlock()
+	defer func() {
+		for _, f := range files {
+			f.Close()
+		}
+	}()
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("chronicledb: snapshot: %w", err)
+		return fmt.Errorf("chronicledb: snapshot: %w", err)
 	}
-	return catalog, image, lsn, nil
+	stmts, err := db.ReplCatalogTail(0)
+	if err != nil {
+		return err
+	}
+	k, err := chainCatalog(refs, len(stmts))
+	if err != nil {
+		return err
+	}
+	for i := range refs {
+		refs[i].Catalog = uint64(k)
+	}
+	man, err := wal.EncodeManifest(wal.Manifest{Version: wal.ManifestVersion, Checkpoints: refs})
+	if err != nil {
+		return err
+	}
+	buf := repl.AppendBodyFrame(nil, repl.FrameManifest, man)
+	if err := send(buf); err != nil {
+		return err
+	}
+	for i, stmt := range stmts[:k] {
+		buf = repl.AppendDDLFrame(buf[:0], uint64(i), 0, stmt)
+		if err := send(buf); err != nil {
+			return err
+		}
+	}
+	chunk := make([]byte, 64<<10)
+	for i, f := range files {
+		for {
+			n, rerr := f.Read(chunk)
+			if n > 0 {
+				buf = repl.AppendBodyFrame(buf[:0], repl.FrameFile, chunk[:n])
+				if err := send(buf); err != nil {
+					return err
+				}
+			}
+			if rerr == io.EOF {
+				break
+			}
+			if rerr != nil {
+				return fmt.Errorf("chronicledb: snapshot %s: %w", refs[i].Name, rerr)
+			}
+		}
+		buf = repl.AppendBodyFrame(buf[:0], repl.FrameFile, nil) // ends the file
+		if err := send(buf); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ReplCatalogTail returns the catalog statements from index n on (0-based),
 // rendered without trailing semicolons — the form StageDDL ships and
 // ParseOne accepts. The stream handler replays these to a follower whose
 // ddl= handshake reported fewer applied statements than the primary has.
+// The statements are counted as recovery counts them, so index i is the
+// statement a chain cut against a prefix of i+1 reflects.
 func (db *DB) ReplCatalogTail(n uint64) ([]string, error) {
 	if db.catalogPath == "" {
 		return nil, nil
 	}
 	db.mu.Lock()
-	src, err := db.fs.ReadFile(db.catalogPath)
+	stmts, _, _, err := db.readCatalog()
 	db.mu.Unlock()
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
+	if err != nil || n >= uint64(len(stmts)) {
 		return nil, err
 	}
-	text := string(src)
-	if i := strings.LastIndex(text, ";"); i >= 0 {
-		text = text[:i+1]
+	tail := make([]string, 0, len(stmts)-int(n))
+	for _, s := range stmts[n:] {
+		tail = append(tail, renderDDL(s))
 	}
-	var stmts []string
-	for _, piece := range strings.Split(text, ";\n") {
-		if s := strings.TrimSpace(strings.TrimSuffix(piece, ";")); s != "" {
-			stmts = append(stmts, s)
-		}
-	}
-	if n >= uint64(len(stmts)) {
-		return nil, nil
-	}
-	return stmts[n:], nil
+	return tail, nil
 }
 
 // DDLCount reports how many catalog statements this database has applied —

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -137,6 +138,32 @@ func TestReplBasic(t *testing.T) {
 	waitUntil(t, 10*time.Second, "post-restart catch-up", func() bool {
 		return usageTotal(t, f2, "a") == 10 && usageTotal(t, f2, "c") == 10
 	})
+
+	// The backlog skips what a follower holds as it reads the segments: from
+	// an LSN in the middle of one it delivers exactly (from, upTo], and a
+	// from inside a record of several LSNs (a three-row UPSERT) is a loud
+	// gap, never a silent skip.
+	mustExec(t, db, `CREATE RELATION rates (acct STRING, rate INT, KEY(acct))`)
+	mustExec(t, db, `UPSERT INTO rates VALUES ('a', 1), ('b', 2), ('c', 3)`)
+	upsert := db.Engine().LSN() - 2
+	if _, err := db.Append("calls", chronicledb.Tuple{chronicledb.Str("d"), chronicledb.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	upTo := db.Engine().LSN()
+	want := uint64(8)
+	err := db.ReplBacklog(want-1, upTo, func(_ []byte, lsn, span uint64) error {
+		if lsn != want {
+			return fmt.Errorf("backlog from %d delivered lsn %d next, want %d", 7, lsn, want)
+		}
+		want = lsn + span
+		return nil
+	})
+	if err != nil || want != upTo+1 {
+		t.Fatalf("backlog (7, %d]: ended before lsn %d: %v", upTo, want, err)
+	}
+	if err := db.ReplBacklog(upsert, upTo, func([]byte, uint64, uint64) error { return nil }); err == nil || !strings.Contains(err.Error(), "gap") {
+		t.Fatalf("backlog from inside the UPSERT at lsn %d: err %v, want a gap", upsert, err)
+	}
 }
 
 // TestReplSnapshotBootstrap: a follower whose start LSN was compacted

@@ -2,7 +2,6 @@ package chronicledb
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 
@@ -82,16 +81,11 @@ func (db *DB) openSegmented(old wal.Manifest, hadManifest bool) error {
 		man = old.Clone()
 	}
 
-	// Deferred from the conversion checkpoint below: blocked view refs may
-	// only be committed once the manifest flip references their file.
-	var ckptCommits []blockCommit
-	var ckptName string
-
 	// Create the active segment of any stream that lacks one, durably,
-	// BEFORE the manifest flip that will reference it. Truncation clears a
-	// leftover with the same name (a conversion can reuse a file name from
-	// the old manifest; its records were recovered above and are preserved
-	// by the conversion checkpoint below).
+	// BEFORE the manifest flip that will reference it. The empty file
+	// replaces a leftover with the same name (a conversion can reuse a file
+	// name from the old manifest; its records were recovered above and are
+	// preserved by the conversion checkpoint below).
 	var created []wal.Segment
 	for _, stream := range db.streams() {
 		if man.Active(stream) >= 0 {
@@ -99,94 +93,35 @@ func (db *DB) openSegmented(old wal.Manifest, hadManifest bool) error {
 		}
 		seq := man.MaxSeq(stream) + 1
 		seg := wal.Segment{Name: wal.SegmentFileName(stream, seq), Stream: stream, Seq: seq}
-		f, err := db.fs.OpenFile(filepath.Join(dir, seg.Name), os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			return fmt.Errorf("chronicledb: creating segment %s: %w", seg.Name, err)
-		}
-		if err := f.Truncate(0); err == nil {
-			err = f.Sync()
-		} else {
-			f.Close()
-			return fmt.Errorf("chronicledb: creating segment %s: %w", seg.Name, err)
-		}
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("chronicledb: creating segment %s: %w", seg.Name, err)
-		}
-		if err := f.Close(); err != nil {
+		if err := wal.WriteFileAtomicFS(db.fs, filepath.Join(dir, seg.Name), nil); err != nil {
 			return fmt.Errorf("chronicledb: creating segment %s: %w", seg.Name, err)
 		}
 		man.Live = append(man.Live, seg)
 		created = append(created, seg)
 	}
 
-	if convert {
-		// Fold everything just recovered into a full chain checkpoint, so
-		// the old manifest's files stop being needed the instant the flip
-		// lands. A brand-new directory (nothing recovered) skips this and
-		// starts with an empty chain. Open is single-threaded, so no
-		// barrier or quiesce is needed for an exact cut.
-		if db.catalogSynced || hadManifest || db.eng.LSN() > 0 {
-			data, lsn, marks, _, commits, err := db.buildCheckpointImage(true, false)
-			if err != nil {
-				return fmt.Errorf("chronicledb: conversion checkpoint: %w", err)
-			}
-			name := wal.CheckpointFileName(1)
-			if err := wal.WriteFileAtomicFS(db.fs, filepath.Join(dir, name), data); err != nil {
-				return fmt.Errorf("chronicledb: conversion checkpoint: %w", err)
-			}
-			man.Checkpoints = append(man.Checkpoints, wal.CheckpointRef{Name: name, Seq: 1, LSN: lsn, Full: true})
-			db.ckptMarks = marks
-			db.lastCkptLSN.Store(lsn)
-			db.ckptFull.Add(1)
-			ckptCommits = commits
-			ckptName = name
-			// Catalog replay runs through ddlDone, which flags DDL; this
-			// full image just captured all of it.
-			db.ddlDirty.Store(false)
+	db.man = man
+	switch {
+	case convert && (db.catalogSynced || hadManifest || db.eng.LSN() > 0):
+		// Fold everything just recovered into a full chain checkpoint, whose
+		// flip is the conversion's: the old manifest's files stop being
+		// needed the instant it lands. A brand-new directory (nothing
+		// recovered) skips this and starts with an empty chain. Open is
+		// single-threaded, so no barrier or quiesce is needed for an exact
+		// cut.
+		if err := db.writeSegmentedCheckpoint(); err != nil {
+			return fmt.Errorf("chronicledb: conversion checkpoint: %w", err)
 		}
-	}
-
-	if convert || len(created) > 0 {
+	case convert || len(created) > 0:
 		// The flip. Its atomic replace ends with a dirsync, which also
 		// makes the just-created segments' directory entries durable.
 		if err := wal.WriteManifestFS(db.fs, dir, man); err != nil {
 			return fmt.Errorf("chronicledb: %w", err)
 		}
 	}
-	db.man = man
-	db.commitBlockRefs(ckptName, ckptCommits)
 
-	if convert {
-		// The flip dropped the old manifest; its files are now unreferenced.
-		keep := make(map[string]bool, len(man.Live)+len(man.Checkpoints))
-		for _, s := range man.Live {
-			keep[s.Name] = true
-		}
-		for _, c := range man.Checkpoints {
-			keep[c.Name] = true
-		}
-		var stale []string
-		for _, s := range old.Live {
-			stale = append(stale, s.Name)
-		}
-		for _, c := range old.Checkpoints {
-			stale = append(stale, c.Name)
-		}
-		removed := false
-		for _, name := range stale {
-			if keep[name] {
-				continue
-			}
-			if db.fs.Remove(filepath.Join(dir, name)) == nil {
-				removed = true
-			}
-		}
-		if removed {
-			// Best-effort: a failed dirsync leaves orphans for the sweep.
-			db.fs.SyncDir(dir)
-		}
-	}
+	// A conversion's flip dropped the old manifest: the sweep deletes its
+	// files with any other crash leftover.
 	db.sweepOrphans()
 
 	// Open the active segment of every stream, in the same order
@@ -196,12 +131,12 @@ func (db *DB) openSegmented(old wal.Manifest, hadManifest bool) error {
 		policy = wal.SyncGroup
 	}
 	for _, stream := range db.streams() {
-		i := man.Active(stream)
+		i := db.man.Active(stream)
 		if i < 0 {
 			db.closeLogs()
 			return fmt.Errorf("chronicledb: manifest has no active segment for stream %s", stream)
 		}
-		seg := man.Live[i]
+		seg := db.man.Live[i]
 		var start int64
 		if fi, err := db.fs.Stat(filepath.Join(dir, seg.Name)); err == nil {
 			start = fi.Size()
@@ -214,28 +149,6 @@ func (db *DB) openSegmented(old wal.Manifest, hadManifest bool) error {
 		db.logs = append(db.logs, log)
 	}
 	return nil
-}
-
-// commitBlockRefs applies the pending block-ref commits of a just-flipped
-// checkpoint and records the cut's block counts for stats. A nil/empty
-// commits list (no paged views) resets nothing.
-func (db *DB) commitBlockRefs(file string, commits []blockCommit) {
-	if len(commits) == 0 {
-		return
-	}
-	var dirty, total int64
-	for _, bc := range commits {
-		bc.v.CommitBlockRefs(file, bc.base, bc.pend)
-		dirty += int64(bc.dirty)
-		total += int64(bc.total)
-	}
-	db.ckptDirtyBlocks.Store(dirty)
-	db.ckptTotalBlocks.Store(total)
-	// The cut just turned the write burst's dirty blocks clean (hence
-	// evictable); shed to budget now instead of waiting for a read fault.
-	if db.viewCache != nil {
-		db.viewCache.Maintain()
-	}
 }
 
 // rotateManifest is the segment-rotation hook: called by a log, under its
@@ -316,17 +229,15 @@ func (db *DB) sweepOrphans() {
 // compactor deletes their files. Segments are reclaimed on every
 // checkpoint: a sealed segment whose MaxLSN is at or below the new tip LSN
 // holds only records the chain already covers.
+//
+// The image records the catalog prefix k it was cut against. DDL runs
+// under db.mu, which the caller holds, so no statement is half applied:
+// the image reflects exactly catalog statements 0..k-1.
 func (db *DB) writeSegmentedCheckpoint() error {
-	wasDDL := db.ddlDirty.Swap(false)
-	full := db.ckptMarks == nil || wasDDL || db.incrSinceFull+1 >= db.fullEvery()
-	restoreDDL := func() {
-		if wasDDL {
-			db.ddlDirty.Store(true)
-		}
-	}
-	data, lsn, marks, dirty, commits, err := db.buildCheckpointImage(full, false)
+	k := db.ddlSeq.Load()
+	full := db.ckptMarks == nil || k != db.ckptCatalog || db.incrSinceFull+1 >= db.fullEvery()
+	data, lsn, marks, dirty, commits, err := db.buildCheckpointImage(full)
 	if err != nil {
-		restoreDDL()
 		return err
 	}
 	if !full && dirty == 0 && lsn == db.lastCkptLSN.Load() {
@@ -340,7 +251,6 @@ func (db *DB) writeSegmentedCheckpoint() error {
 	seq := db.man.NextCheckpointSeq()
 	name := wal.CheckpointFileName(seq)
 	if err := wal.WriteFileAtomicFS(db.fs, filepath.Join(db.opts.Dir, name), data); err != nil {
-		restoreDDL()
 		return fmt.Errorf("chronicledb: checkpoint: %w", err)
 	}
 
@@ -354,7 +264,7 @@ func (db *DB) writeSegmentedCheckpoint() error {
 		}
 		newMan.Checkpoints = newMan.Checkpoints[:0]
 	}
-	newMan.Checkpoints = append(newMan.Checkpoints, wal.CheckpointRef{Name: name, Seq: seq, LSN: lsn, Full: full})
+	newMan.Checkpoints = append(newMan.Checkpoints, wal.CheckpointRef{Name: name, Seq: seq, LSN: lsn, Full: full, Catalog: k})
 	var reclaimedBytes, reclaimedSegs int64
 	live := newMan.Live[:0]
 	for _, s := range newMan.Live {
@@ -372,7 +282,6 @@ func (db *DB) writeSegmentedCheckpoint() error {
 	newMan.Live = live
 
 	if err := wal.WriteManifestFS(db.fs, db.opts.Dir, newMan); err != nil {
-		restoreDDL()
 		// The chain file just written is unreferenced; the next open's
 		// sweep collects it.
 		return fmt.Errorf("chronicledb: checkpoint: %w", err)
@@ -380,8 +289,23 @@ func (db *DB) writeSegmentedCheckpoint() error {
 	db.man = newMan
 	// The flip made the new image authoritative: install the blocked views'
 	// durable refs now, before the compactor deletes any superseded chain
-	// file a pre-commit ref might still point at.
-	db.commitBlockRefs(name, commits)
+	// file a pre-commit ref might still point at, and record the cut's
+	// block counts.
+	if len(commits) > 0 {
+		var dirtyBlocks, totalBlocks int64
+		for _, bc := range commits {
+			bc.v.CommitBlockRefs(name, bc.base, bc.pend)
+			dirtyBlocks += int64(bc.dirty)
+			totalBlocks += int64(bc.total)
+		}
+		db.ckptDirtyBlocks.Store(dirtyBlocks)
+		db.ckptTotalBlocks.Store(totalBlocks)
+		// The cut just turned the write burst's dirty blocks clean (hence
+		// evictable); shed to budget now instead of waiting for a read fault.
+		if db.viewCache != nil {
+			db.viewCache.Maintain()
+		}
+	}
 
 	if len(drop) > 0 {
 		removed := false
@@ -397,6 +321,7 @@ func (db *DB) writeSegmentedCheckpoint() error {
 	}
 
 	db.ckptMarks = marks
+	db.ckptCatalog = k
 	db.lastCkptLSN.Store(lsn)
 	if full {
 		db.ckptFull.Add(1)

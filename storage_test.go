@@ -61,7 +61,7 @@ func TestSegmentRotationAndReopen(t *testing.T) {
 	db.Close()
 
 	// The manifest must reference exactly the .wal files on disk.
-	m, ok, err := wal.ReadManifest(dir)
+	m, ok, err := wal.ReadManifestFS(fault.OS, dir)
 	if err != nil || !ok || m.Version != 2 {
 		t.Fatalf("manifest = %+v %v %v", m, ok, err)
 	}
@@ -225,7 +225,7 @@ func TestLayoutConversions(t *testing.T) {
 		}
 		db.Close()
 
-		m, ok, err := wal.ReadManifest(dir)
+		m, ok, err := wal.ReadManifestFS(fault.OS, dir)
 		if err != nil || !ok || m.Shards != shards {
 			t.Fatalf("step %d: manifest = %+v %v %v, want %d shards", step, m, ok, err, shards)
 		}
