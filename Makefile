@@ -131,7 +131,9 @@ maint-stress:
 # and whole walks and checkpoints of three such members, plain and paged,
 # against a writer that grows the key order at random places, the
 # late-member test pins that a view joining a populated directory holds none
-# of its keys, and the drop test drops one of six members and checks the
+# of its keys, the two shell tests (ten runs under the race detector) pin that
+# a reader that never leaves strands carved shells in limbo only, whether the
+# fold or a whole-image restore carved them, and the drop test drops one of six members and checks the
 # others across a checkpoint, a reopen and a follower resync. For periodic
 # families: the counted test pins that four families of one σ resolve each run
 # of a call once a family, for both of its instances; the mixed-membership
@@ -146,7 +148,7 @@ bench-maint:
 	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestLoadAllocGuard|TestGroupBytesGuard|TestTreeCallBytesGuard|TestRelationBytesGuard|TestDedupBytesGuard|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall|TestDirMembersSurviveADrop|TestFamilyRunResolvedOnce|TestFamilyAndViewShareADirectory|TestExpiringFamilyKeysStayBounded' -v .
 	$(GO) test -race -count=10 -run 'TestFamilyCallFoldEqualsRowFolds' .
 	$(GO) test -count=1 -run 'TestHashStoreCounts|TestHashLockFreeThroughGrowth' -v ./internal/view
-	$(GO) test -race -count=10 -run 'TestDirSiblingsLockFreeThroughGrowth|TestDirLateMember|TestDirOrderUnderReaders' ./internal/view
+	$(GO) test -race -count=10 -run 'TestDirSiblingsLockFreeThroughGrowth|TestDirLateMember|TestDirOrderUnderReaders|TestHashShellsBoundedUnderPermanentReader|TestRestoredShellsUnderPermanentReader' ./internal/view
 	$(GO) test -run=NONE -bench 'BenchmarkMaintainFanout' -benchmem -benchtime 50x .
 
 # prof-load profiles the two shapes the suite's maintain-fanout workload is

@@ -404,7 +404,7 @@ func TestLoadAllocGuard(t *testing.T) {
 // alloc guards pin what a call costs in allocations: the live heap a view
 // gains per new group, read after a collection, over 100 000 groups appended
 // in 1 000-row calls. The chronicle retains nothing, so the growth is the
-// view's — entry shell, state words, key, and the directory's share: its
+// view's — its shell of state words, key, and the directory's share: its
 // table slot, the key's place in the key order, and the view's slot in its
 // array of entries. A group is its key and its words; a second copy of the
 // group values, or a state that repeats what its view's layout fixes, shows
@@ -443,23 +443,24 @@ func TestGroupBytesGuard(t *testing.T) {
 		views  []string
 		budget float64
 	}{
-		// Each budget is the reading when every view joined a key directory
-		// that keeps its keys' order, plus a few bytes.
-		{"hash-one-aggregate", []string{`CREATE VIEW v AS SELECT acct, SUM(minutes) AS m FROM calls GROUP BY acct`}, 100},
+		// Each budget is the reading once a group became its words alone —
+		// no entry head, the seen bits in the count word — plus at most 4 B.
+		// The reading before that follows each case.
+		{"hash-one-aggregate", []string{`CREATE VIEW v AS SELECT acct, SUM(minutes) AS m FROM calls GROUP BY acct`}, 85}, // 97 B
 		// 124 B when the view kept its own B-tree of key copies.
 		{"btree-three-aggregates", []string{`CREATE VIEW v AS SELECT acct, SUM(minutes) AS m, COUNT(*) AS n, MAX(minutes) AS hi
-			FROM calls GROUP BY acct WITH STORE BTREE`}, 108},
-		{"distinct", []string{`CREATE VIEW v AS SELECT DISTINCT acct FROM calls`}, 84},
+			FROM calls GROUP BY acct WITH STORE BTREE`}, 93}, // 105 B
+		{"distinct", []string{`CREATE VIEW v AS SELECT DISTINCT acct FROM calls`}, 77}, // 81 B
 		// A string-held MIN keeps the row's string in a slot beside the words
 		// (174 B when each state boxed it).
-		{"hash-string-min", []string{`CREATE VIEW v AS SELECT acct, MIN(acct) AS lo FROM calls GROUP BY acct`}, 124},
+		{"hash-string-min", []string{`CREATE VIEW v AS SELECT acct, MIN(acct) AS lo FROM calls GROUP BY acct`}, 109}, // 121 B
 		// Bytes per view-group: one key directory holds the five views' keys
 		// (90 B when each view kept its own table and key copies).
-		{"five-hash-views-one-sigma", five, 52},
-		{"eight-views-one-sigma-one-ordered", eight, 52},
+		{"five-hash-views-one-sigma", five, 41},          // 49 B
+		{"eight-views-one-sigma-one-ordered", eight, 38}, // 48 B
 		// Bytes per instance-group (94 B when each instance kept a
 		// directory of its own).
-		{"four-window-families-two-instances", windows, 50},
+		{"four-window-families-two-instances", windows, 37}, // 46 B
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db, err := chronicledb.Open(chronicledb.Options{Clock: func() int64 { return 150 }})

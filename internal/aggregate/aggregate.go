@@ -11,9 +11,11 @@
 // A list of aggregations over typed input columns compiles into one Layout,
 // and a group's states under it are a run of words — a Group. The layout
 // fixes, once per view, what no group needs to repeat: which function, over
-// which kind, in which words. Word 0 of every group counts its rows; a
-// mask word follows when some state can be empty while the group is not
-// (its inputs all NULL so far); then each aggregation takes its own words:
+// which kind, in which words. Word 0 of every group counts its rows in its
+// low 56 bits (Group.Rows), and its top byte holds the seen bits of the first
+// eight states that can be empty while the group is not (their inputs all
+// NULL so far); a ninth such state spills to a mask word after word 0, and
+// every 64 more to another. Then each aggregation takes its own words:
 //
 //	COUNT                 none: word 0 is the count
 //	SUM                   the sum, an int or a float by the column kind
@@ -22,10 +24,10 @@
 //	MIN MAX FIRST LAST    the held value: an int, float, bool or chronon;
 //	                      over a STRING column none, a string slot instead
 //
-// SUM, MIN, MAX, FIRST and LAST keep a seen bit in the mask; AVG, VAR and
-// STDDEV read theirs off n. The words hold no pointers, so the collector
-// never follows one; the string-held values sit beside them, in Group.Strs,
-// and a numeric-only layout has none.
+// SUM, MIN, MAX, FIRST and LAST keep a seen bit; AVG, VAR and STDDEV read
+// theirs off n. The words hold no pointers, so the collector never follows
+// one; the string-held values sit beside them, in Group.Strs, and a
+// numeric-only layout has none.
 package aggregate
 
 import (
@@ -156,6 +158,20 @@ func (g Group) Reset() {
 	clear(g.Strs)
 }
 
+// countBits is how many low bits of word 0 count the group's rows; the
+// byte above them holds seen bits (see NewLayout).
+const countBits = 56
+
+// maxRows is the most rows a group can count: one more would carry into the
+// seen bits. DecodeStates refuses a count past it; a fold adds one per
+// chronicle row, and no chronicle gets near 2⁵⁶ rows.
+const maxRows = 1<<countBits - 1
+
+// Rows returns the rows folded into g: word 0's count, without the seen
+// bits it shares the word with. It is how anything outside the package reads
+// word 0.
+func (g Group) Rows() uint64 { return g.Words[0] & maxRows }
+
 // CopyFrom makes g a copy of src, a group of the same layout.
 func (g Group) CopyFrom(src Group) {
 	copy(g.Words, src.Words)
@@ -185,10 +201,10 @@ type op struct {
 	col  int        // input column; -1 for COUNT(*)
 	kind value.Kind // input column kind
 	at   int        // first word, or the string slot of a string-held value
-	mask int        // the seen bit's word, 0 when the state keeps none
-	bit  uint64
-	str  bool // MIN MAX FIRST LAST over STRING: the value is held in Strs[at]
-	sqrt bool // STDDEV
+	mask int        // the seen bit's word: 0, the count word, for the first eight
+	bit  uint64     // the seen bit in it; 0 when the state keeps none
+	str  bool       // MIN MAX FIRST LAST over STRING: the value is held in Strs[at]
+	sqrt bool       // STDDEV
 }
 
 // Layout is a list of aggregations compiled against the kinds of their input
@@ -248,13 +264,19 @@ func NewLayout(specs []Spec, kinds []value.Kind) (*Layout, error) {
 			return nil, fmt.Errorf("aggregate: %s needs an input column", s.Func)
 		}
 		if o.code == cSumInt || o.code == cSumFloat || o.code >= cMin {
-			// The mask words follow word 0.
-			o.mask, o.bit = 1+seen/64, 1<<(seen%64)
+			// The first eight seen bits fill word 0's top byte, the rest the
+			// mask words that follow it.
+			if seen < 64-countBits {
+				o.bit = 1 << (countBits + seen)
+			} else {
+				spill := seen - (64 - countBits)
+				o.mask, o.bit = 1+spill/64, 1<<(spill%64)
+			}
 			seen++
 		}
 		l.ops[i] = o
 	}
-	l.words += (seen + 63) / 64
+	l.words += (max(seen-(64-countBits), 0) + 63) / 64
 	for i := range l.ops {
 		o := &l.ops[i]
 		switch {
@@ -339,7 +361,7 @@ func (l *Layout) Step(g Group, t value.Tuple) {
 // "decomposable" requirement.
 func (l *Layout) Merge(g, src Group) {
 	w, s := g.Words, src.Words
-	w[0] += s[0]
+	w[0] += s[0] & maxRows // the seen bits are ORed per state below
 	for i := range l.ops {
 		o := &l.ops[i]
 		switch o.code {
@@ -451,7 +473,7 @@ func (l *Layout) Result(g Group, i int) value.Value {
 	o, w := &l.ops[i], g.Words
 	switch o.code {
 	case cCount:
-		return value.Int(int64(w[0]))
+		return value.Int(int64(g.Rows()))
 	case cSumInt:
 		if !o.seen(w) {
 			return value.Null()

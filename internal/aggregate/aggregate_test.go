@@ -242,8 +242,8 @@ func TestApplyAndResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Words() != 4 || l.Strs() != 0 {
-		t.Errorf("COUNT, SUM, MAX take %d words and %d strings, want 4 (count, mask, sum, max) and 0", l.Words(), l.Strs())
+	if l.Words() != 3 || l.Strs() != 0 {
+		t.Errorf("COUNT, SUM, MAX take %d words and %d strings, want 3 (count and seen bits, sum, max) and 0", l.Words(), l.Strs())
 	}
 	g := l.New()
 	rows := []value.Tuple{
@@ -314,7 +314,7 @@ func TestEncodeDecodeStateRoundTrip(t *testing.T) {
 			s := fold(l, stream.vals...)
 			enc := l.AppendStates(nil, s)
 			got := l.New()
-			n, err := l.DecodeStates(got, s.Words[0], enc)
+			n, err := l.DecodeStates(got, s.Rows(), enc)
 			if err != nil {
 				t.Fatalf("%s: decode: %v", f, err)
 			}
@@ -421,7 +421,7 @@ func TestVarEncodeRoundTrip(t *testing.T) {
 		s := fold(l, value.Int(1), value.Int(5), value.Int(9))
 		enc := l.AppendStates(nil, s)
 		got := l.New()
-		n, err := l.DecodeStates(got, s.Words[0], enc)
+		n, err := l.DecodeStates(got, s.Rows(), enc)
 		if err != nil || n != len(enc) {
 			t.Fatalf("%s: decode %v n=%d", f, err, n)
 		}

@@ -43,7 +43,7 @@ func (l *Layout) AppendStates(dst []byte, g Group) []byte {
 		o := &l.ops[i]
 		switch o.code {
 		case cCount:
-			dst = binary.LittleEndian.AppendUint64(dst, w[0])
+			dst = binary.LittleEndian.AppendUint64(dst, g.Rows())
 		case cSumInt:
 			dst = appendSum(dst, false, o.seen(w), w[o.at], 0)
 		case cSumFloat:
@@ -92,8 +92,12 @@ func flag(b bool) byte {
 // of the layout that rows rows have reached, and returns the bytes consumed.
 // It accepts exactly what AppendStates writes: malformed or truncated bytes
 // are an error, and so — a *MismatchError — is a well-formed state the layout
-// cannot hold. On error g is left partly written.
+// cannot hold, and so is a row count past maxRows. On error g is left partly
+// written.
 func (l *Layout) DecodeStates(g Group, rows uint64, b []byte) (int, error) {
+	if rows > maxRows {
+		return 0, fmt.Errorf("aggregate: a group of %d rows: at most %d fit", rows, uint64(maxRows))
+	}
 	g.Reset()
 	w := g.Words
 	w[0] = rows

@@ -104,7 +104,7 @@ func TestStateEncodingGolden(t *testing.T) {
 			continue
 		}
 		dec := l.New()
-		n, err := l.DecodeStates(dec, s.Words[0], enc)
+		n, err := l.DecodeStates(dec, s.Rows(), enc)
 		if err != nil || n != len(enc) {
 			t.Errorf("%s over stream %d: decode consumed %d of %d: %v", g.f, g.stream, n, len(enc), err)
 			continue

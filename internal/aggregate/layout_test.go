@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"chronicledb/internal/value"
@@ -170,7 +171,7 @@ func TestLayoutMatchesReference(t *testing.T) {
 		}
 		l.Merge(left, right)
 		decoded := l.New()
-		if _, err := l.DecodeStates(decoded, whole.Words[0], l.AppendStates(nil, whole)); err != nil {
+		if _, err := l.DecodeStates(decoded, whole.Rows(), l.AppendStates(nil, whole)); err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
 
@@ -221,8 +222,15 @@ func FuzzDecodeStates(f *testing.F) {
 			}
 			fuzzLayout.Step(g, row)
 		}
-		f.Add(g.Words[0], fuzzLayout.AppendStates(nil, g))
+		f.Add(g.Rows(), fuzzLayout.AppendStates(nil, g))
 	}
+	// A group at the most rows a count word holds, and the same states under
+	// one row more.
+	g := fuzzLayout.New()
+	fuzzLayout.Step(g, value.Tuple{value.Int(1), value.Float(2), value.Str("a"), value.Bool(true), value.Chronon(3)})
+	g.Words[0] |= maxRows
+	f.Add(uint64(maxRows), fuzzLayout.AppendStates(nil, g))
+	f.Add(uint64(maxRows)+1, fuzzLayout.AppendStates(nil, g))
 	f.Fuzz(func(t *testing.T, rows uint64, b []byte) {
 		g := fuzzLayout.New()
 		n, err := fuzzLayout.DecodeStates(g, rows, b)
@@ -239,4 +247,110 @@ func FuzzDecodeStates(f *testing.F) {
 		}
 		fuzzLayout.AppendResults(nil, g)
 	})
+}
+
+// TestCountWordBound: word 0 counts up to 2⁵⁶−1 rows under its seen bits. A
+// decode accepts a group of that many rows, keeping both the count and the
+// bits, and refuses one row more — also for a layout without a COUNT state
+// to disagree with the count.
+func TestCountWordBound(t *testing.T) {
+	for _, specs := range [][]Spec{
+		{{Func: Count, Col: -1}, {Func: Sum, Col: 0}, {Func: Max, Col: 0}},
+		{{Func: Sum, Col: 0}, {Func: Max, Col: 0}},
+	} {
+		l, err := NewLayout(specs, []value.Kind{value.KindInt, value.KindInt, value.KindInt}[:len(specs)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := l.New()
+		l.Step(g, value.Tuple{value.Int(7)})
+		g.Words[0] |= maxRows
+		enc := l.AppendStates(nil, g)
+		got := l.New()
+		if _, err := l.DecodeStates(got, 1<<56-1, enc); err != nil {
+			t.Fatalf("%d states, a group of 2⁵⁶−1 rows: %v", len(specs), err)
+		}
+		want := value.Tuple{value.Int(1<<56 - 1), value.Int(7), value.Int(7)}[3-len(specs):]
+		if res := l.AppendResults(nil, got); !value.TuplesEqual(res, want) || got.Rows() != 1<<56-1 {
+			t.Errorf("%d states: decoded %v (%d rows), want %v", len(specs), res, got.Rows(), want)
+		}
+		if _, err := l.DecodeStates(l.New(), 1<<56, enc); err == nil {
+			t.Errorf("%d states: a group of 2⁵⁶ rows decoded", len(specs))
+		}
+	}
+}
+
+// TestMergeSumsCountsUnderSeenBits: merging two groups whose count words
+// both carry seen bits, one of them in common, adds the counts exactly and
+// ORs the bits.
+func TestMergeSumsCountsUnderSeenBits(t *testing.T) {
+	l, err := NewLayout([]Spec{{Func: Count, Col: -1}, {Func: Sum, Col: 0}, {Func: Min, Col: 1}, {Func: Last, Col: 2}},
+		[]value.Kind{value.KindInt, value.KindInt, value.KindInt, value.KindInt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := l.New(), l.New()
+	for i := range 300 { // a sees SUM and MIN
+		l.Step(a, value.Tuple{value.Int(int64(i)), value.Int(9), value.Null()})
+	}
+	for range 212 { // b sees MIN and LAST
+		l.Step(b, value.Tuple{value.Null(), value.Int(4), value.Int(8)})
+	}
+	abits, bbits := a.Words[0]&^maxRows, b.Words[0]&^maxRows
+	if abits&bbits == 0 || abits == bbits {
+		t.Fatalf("seen bits %x and %x: want two sets that share a bit and differ", abits, bbits)
+	}
+	l.Merge(a, b)
+	if a.Rows() != 512 || a.Words[0]&^maxRows != abits|bbits {
+		t.Errorf("merged %d rows with seen bits %x, want 512 and %x", a.Rows(), a.Words[0]&^maxRows, abits|bbits)
+	}
+	want := value.Tuple{value.Int(512), value.Int(299 * 300 / 2), value.Int(4), value.Int(8)}
+	if got := l.AppendResults(nil, a); !value.TuplesEqual(got, want) {
+		t.Errorf("merged results %v, want %v", got, want)
+	}
+}
+
+// TestNinthSeenBitSpills: eight seen bits fit in word 0's top byte; a ninth
+// state that keeps one spills to a mask word, and a group round-trips with
+// only that bit set.
+func TestNinthSeenBitSpills(t *testing.T) {
+	specs := make([]Spec, 9)
+	kinds := make([]value.Kind, 9)
+	for i := range specs {
+		specs[i], kinds[i] = Spec{Func: Sum, Col: i}, value.KindInt
+	}
+	l, err := NewLayout(specs, kinds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Words() != 11 {
+		t.Fatalf("nine SUMs take %d words, want 11 (count, mask, nine sums)", l.Words())
+	}
+	row := make(value.Tuple, 9)
+	for i := range row {
+		row[i] = value.Null()
+	}
+	row[8] = value.Int(5)
+	g := l.New()
+	l.Step(g, row)
+	l.Step(g, row)
+	if g.Words[0] != 2 || g.Words[1] != 1 {
+		t.Fatalf("count word %x, mask word %x: want the count alone, and the ninth bit in the mask", g.Words[0], g.Words[1])
+	}
+	got := l.New()
+	if _, err := l.DecodeStates(got, g.Rows(), l.AppendStates(nil, g)); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Words, g.Words) {
+		t.Errorf("round trip: words %x, want %x", got.Words, g.Words)
+	}
+	for i := range specs {
+		want := value.Null()
+		if i == 8 {
+			want = value.Int(10)
+		}
+		if res := l.Result(got, i); !sameValue(res, want) {
+			t.Errorf("SUM %d: %v, want %v", i, res, want)
+		}
+	}
 }

@@ -5,8 +5,8 @@ import (
 	"unsafe"
 )
 
-// arena hands out the memory view entries are made of — shells, an entry
-// and its group's states (see shape) — from chunks it allocates a run at a
+// arena hands out the memory view entries are made of — shells, a group's
+// words and string slots (see shape) — from chunks it allocates a run at a
 // time, so a new group costs no allocation of its own
 // and pays no size-class rounding. Each chunk serves about as many entries
 // as the arena has handed out so far, between minChunk and maxChunk (see
@@ -59,7 +59,7 @@ func (a *arena) room(size int) int {
 // its count).
 func (a *arena) reserve(n int) { a.n = max(a.n, n) }
 
-// shell returns a zeroed shell of shape sh: an entry whose group is empty.
+// shell returns a zeroed shell of shape sh: the empty group.
 func (a *arena) shell(sh *shape) *entry {
 	if a == nil {
 		return (*entry)(reflect.New(sh.typ).UnsafePointer())

@@ -55,7 +55,7 @@ func blockCRC(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli
 func appendBlockEntry(b []byte, key string, e *entry, sh *shape) []byte {
 	b = binary.AppendUvarint(b, uint64(len(key)))
 	b = append(b, key...)
-	b = binary.AppendUvarint(b, uint64(e.count()))
+	b = binary.AppendUvarint(b, e.count())
 	return sh.l.AppendStates(b, e.group(sh))
 }
 

@@ -152,11 +152,13 @@ func (v *View) restoreEntries(fresh *store, a *arena, data []byte, off int, coun
 		off += used
 		// The directory may hold the key already, for a sibling; the group is
 		// this view's first copy of it or a repeat.
-		s := fresh.pub.slot(d.intern(key))
+		id := d.intern(key)
+		s := fresh.pub.slot(id)
 		if s.Load() != nil {
 			return 0, fmt.Errorf("view %s: entry %d repeats a group", v.def.Name, i)
 		}
 		s.Store(e)
+		fresh.markCarved(id, a != nil)
 		fresh.count.Add(1)
 	}
 	return off, nil

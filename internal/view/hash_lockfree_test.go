@@ -310,6 +310,64 @@ func TestHashShellsBoundedUnderPermanentReader(t *testing.T) {
 	}
 }
 
+// TestRestoredShellsUnderPermanentReader: a whole-image restore into an
+// unpaged view carves every entry, and the store, not the entry, remembers
+// which shells are carved. Under a reader that never leaves, the restored
+// shells a call replaces wait in limbo, the collector's versions that replace
+// them are dropped when they are replaced in turn, and the first publish
+// after the reader leaves recycles exactly what waited. A store that took
+// every shell for the collector's would drop the carved ones; one that took
+// every shell for carved would keep every version in limbo.
+func TestRestoredShellsUnderPermanentReader(t *testing.T) {
+	f := newFixture(t)
+	src := minutesPerAcct(t, f)
+	keys := []string{"a", "b", "c", "d"}
+	src.ApplyRows(sevenRows(1, keys...))
+	src.Publish()
+	v := minutesPerAcct(t, f)
+	if err := v.RestoreCheckpoint(src.Checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	sh := &v.shells
+	shells := func() [3]int { return [3]int{len(sh.limbo), len(sh.free), len(sh.freeHeap)} }
+
+	v.readers.Add(1) // a scan that never returns
+	for round := uint64(2); round < 12; round++ {
+		v.ApplyRows(sevenRows(round, "a", "b"))
+		v.Publish()
+		if got := shells(); got != [3]int{2, 0, 0} {
+			t.Fatalf("round %d under a reader: %v shells in limbo, free, free heap; want [2 0 0]", round, got)
+		}
+	}
+	v.ApplyRows(sevenRows(12, "c"))
+	v.Publish()
+	if got := shells(); got != [3]int{3, 0, 0} {
+		t.Fatalf("after a third restored group under a reader: %v; want [3 0 0]", got)
+	}
+	waiting := append([]*entry(nil), sh.limbo...)
+
+	v.readers.Add(-1)
+	v.ApplyRows(sevenRows(13, "d"))
+	v.Publish()
+	if got := shells(); got != [3]int{0, 4, 0} {
+		t.Fatalf("after a reader-free publish: %v; want [0 4 0]", got)
+	}
+	for _, s := range waiting {
+		if !slices.Contains(sh.free, s) {
+			t.Fatal("a restored shell that waited in limbo was not recycled")
+		}
+	}
+	rows := sevenRows(14, keys...)
+	if n := testing.AllocsPerRun(50, func() { v.ApplyRows(rows); v.Publish() }); n != 0 {
+		t.Fatalf("a warm call allocates %.0f objects after the reader left", n)
+	}
+	for _, k := range keys {
+		if row, ok := v.Lookup(value.Tuple{value.Str(k)}); !ok || row[1].AsInt() != 7*row[2].AsInt() {
+			t.Fatalf("%s: %v %v", k, row, ok)
+		}
+	}
+}
+
 // TestDirSiblingsLockFreeThroughGrowth races lock-free readers of three
 // views sharing one key directory against a writer that takes the directory
 // through eleven doublings while the members fold and publish each call at

@@ -266,6 +266,7 @@ func (v *View) dropRange(lo, hi []byte) {
 	h.seq.Add(1)
 	h.each(lo, hi, func(id uint32, _ *entry) bool {
 		h.pub.at(id).Store(nil)
+		h.markCarved(id, false)
 		h.count.Add(-1)
 		return true
 	})

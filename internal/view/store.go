@@ -9,50 +9,41 @@ import (
 )
 
 // entry is one materialized view row: the group's states under the view's
-// layout and the contribution count used for refcounted duplicate
-// elimination in projection views, which is the group's word 0. The group
+// layout, whose word 0 is the row count that also serves as the contribution
+// count for refcounted duplicate elimination in projection views. The group
 // values (or projected tuple) are not kept here: the view's directory holds
 // them once as the key (see Dir), and a reader decodes them from there (see
-// rowOf). The states are not fields either: an entry is the head of a shell,
-// and its group's words and string slots follow it in the same object (see
-// shape).
+// rowOf). An entry is its shell — the group's words, then its string slots
+// (see shape) — and *entry points at word 0; nothing else is kept per group.
+// Whether a shell was carved from an arena is the store's to know (see
+// store.carved), and only maintenance asks.
 //
 // An entry reachable by lock-free readers is frozen; maintenance changes a
 // group by building a new version of its entry (shells.version), pending
 // until the publication that swaps it in (store.publish).
-//
-// stamp is carvedBit or zero.
 type entry struct {
-	stamp uint64
+	w0 uint64
 }
 
-// entrySize is where a shell's words begin.
-const entrySize = int(unsafe.Sizeof(entry{}))
+// count is the rows folded into the group.
+func (e *entry) count() uint64 {
+	return aggregate.Group{Words: unsafe.Slice(&e.w0, 1)}.Rows()
+}
 
-// carvedBit marks an entry whose shell was carved from an arena chunk: the
-// collector cannot take it back alone, so the view must never let go of it
-// (see shells.settle).
-const carvedBit = 1 << 63
-
-// count is the group's word 0: the rows folded into it.
-func (e *entry) count() int64 { return *(*int64)(unsafe.Add(unsafe.Pointer(e), entrySize)) }
-
-// group returns the states that follow e in its shell, of shape sh.
+// group returns the states that make up e's shell, of shape sh.
 func (e *entry) group(sh *shape) aggregate.Group {
-	words := unsafe.Add(unsafe.Pointer(e), entrySize)
-	g := aggregate.Group{Words: unsafe.Slice((*uint64)(words), sh.l.Words())}
+	g := aggregate.Group{Words: unsafe.Slice(&e.w0, sh.l.Words())}
 	if n := sh.l.Strs(); n > 0 {
-		g.Strs = unsafe.Slice((*string)(unsafe.Add(words, 8*sh.l.Words())), n)
+		g.Strs = unsafe.Slice((*string)(unsafe.Add(unsafe.Pointer(e), 8*sh.l.Words())), n)
 	}
 	return g
 }
 
-// shape is how one view's groups sit in memory: a shell is the entry, then
-// the group's words, then its string slots, in one object whose Go type is
-// built for the view's layout. The entry a probe reaches and the words the
-// fold steps share cache lines, and a group is one object of exactly its
-// size; the type marks only the string slots as pointers, so the collector
-// reads the words as plain data and does not scan a numeric shell at all.
+// shape is how one view's groups sit in memory: a shell is the group's
+// words, then its string slots, in one object whose Go type is built for the
+// view's layout. A group is one object of exactly its size, and the type
+// marks only the string slots as pointers, so the collector reads the words
+// as plain data and does not scan a numeric shell at all.
 type shape struct {
 	l     *aggregate.Layout
 	typ   reflect.Type
@@ -61,7 +52,6 @@ type shape struct {
 
 func newShape(l *aggregate.Layout) *shape {
 	fields := []reflect.StructField{
-		{Name: "E", Type: reflect.TypeOf(entry{})},
 		{Name: "W", Type: reflect.ArrayOf(l.Words(), reflect.TypeOf(uint64(0)))},
 	}
 	if l.Strs() > 0 {
@@ -84,47 +74,59 @@ func newShape(l *aggregate.Layout) *shape {
 // might hold until then (see shells).
 func newEntry(a *arena, sh *shape, src *entry) *entry {
 	e := a.shell(sh)
-	if a != nil {
-		e.stamp = carvedBit
-	}
 	if src != nil {
 		e.group(sh).CopyFrom(src.group(sh))
 	}
 	return e
 }
 
-// shells recycles the entry versions of one view. The store copies a
-// published entry into pending before its first change in a call and
-// retires the version it replaced; the publication that ends the call
-// settles what was retired (View.publishLocked). Guarded by the view's mu.
+// shells recycles the entry versions of one view, keeping carved shells and
+// the collector's apart: the collector cannot take a carved shell back alone,
+// so the view must never let go of one, while a heap shell it may drop. The
+// store copies a published entry into pending before its first change in a
+// call and retires the version it replaced, telling which kind it is; the
+// publication that ends the call settles what was retired
+// (View.publishLocked). Guarded by the view's mu.
 type shells struct {
-	sh      *shape   // the view's, which every shell has
-	retired []*entry // versions replaced since the last publication
-	free    []*entry // shells no reader can hold, for version
-	limbo   []*entry // carved shells retired under a reader, awaiting a reader-free publication
+	sh *shape // the view's, which every shell has
+	// Versions replaced since the last publication: carved, and the
+	// collector's.
+	retired, retiredHeap []*entry
+	// Shells no reader can hold, for version: carved, and the collector's.
+	free, freeHeap []*entry
+	limbo          []*entry // carved shells retired under a reader, awaiting a reader-free publication
 	// most is the most versions one publication has retired, and the bound
-	// of free, which only carved shells pass.
+	// of the free shells, which only carved ones pass.
 	most int
 }
 
-// version returns a private copy of a published entry, in a free shell when
-// there is one (an in-place copy of its words — the allocation-free warm
-// path). The copy's stamp keeps its own shell's carvedBit.
-func (s *shells) version(src *entry) *entry {
-	n := len(s.free)
-	if n == 0 {
-		return newEntry(nil, s.sh, src)
+// version returns a private copy of a published entry and whether its shell
+// is carved: in a free shell when there is one, carved first (an in-place
+// copy of its words — the allocation-free warm path), else the collector's.
+func (s *shells) version(src *entry) (e *entry, carved bool) {
+	list := &s.free
+	if len(*list) == 0 {
+		list = &s.freeHeap
 	}
-	c := s.free[n-1]
-	s.free[n-1] = nil
-	s.free = s.free[:n-1]
-	c.group(s.sh).CopyFrom(src.group(s.sh))
-	c.stamp &= carvedBit
-	return c
+	n := len(*list)
+	if n == 0 {
+		return newEntry(nil, s.sh, src), false
+	}
+	e = (*list)[n-1]
+	(*list)[n-1] = nil
+	*list = (*list)[:n-1]
+	e.group(s.sh).CopyFrom(src.group(s.sh))
+	return e, list == &s.free
 }
 
 // retire records that e, a published version, was replaced.
-func (s *shells) retire(e *entry) { s.retired = append(s.retired, e) }
+func (s *shells) retire(e *entry, carved bool) {
+	if carved {
+		s.retired = append(s.retired, e)
+	} else {
+		s.retiredHeap = append(s.retiredHeap, e)
+	}
+}
 
 // settle ends a publication's reclamation. quiet reports that no reader was
 // counted once the publication was stored: a reader counted then may hold a
@@ -135,41 +137,35 @@ func (s *shells) retire(e *entry) { s.retired = append(s.retired, e) }
 // collected), a collector-owned one is dropped, so that a reader that never
 // leaves costs the collector work, not the store memory.
 func (s *shells) settle(quiet bool) {
-	s.most = max(s.most, len(s.retired))
+	s.most = max(s.most, len(s.retired)+len(s.retiredHeap))
 	if quiet {
 		s.free = append(s.free, s.limbo...)
 		clear(s.limbo)
 		s.limbo = s.limbo[:0]
 		s.free = append(s.free, s.retired...)
+		s.freeHeap = append(s.freeHeap, s.retiredHeap...)
 	} else {
-		for _, e := range s.retired {
-			if e.stamp&carvedBit != 0 {
-				s.limbo = append(s.limbo, e)
-			}
-		}
+		s.limbo = append(s.limbo, s.retired...)
 	}
 	clear(s.retired)
 	s.retired = s.retired[:0]
-	if len(s.free) > s.most {
-		// Past the bound the collector's shells go; carved ones stay, for the
-		// reason limbo keeps them.
-		kept := s.free[:s.most]
-		for _, e := range s.free[s.most:] {
-			if e.stamp&carvedBit != 0 {
-				kept = append(kept, e)
-			}
-		}
-		clear(s.free[len(kept):])
-		s.free = kept
+	clear(s.retiredHeap)
+	s.retiredHeap = s.retiredHeap[:0]
+	// Past the bound the collector's shells go; carved ones stay, for the
+	// reason limbo keeps them.
+	if keep := max(s.most-len(s.free), 0); len(s.freeHeap) > keep {
+		clear(s.freeHeap[keep:])
+		s.freeHeap = s.freeHeap[:keep]
 	}
 }
 
 // pend is one entry a call has created or versioned and not yet published:
 // e is the mutable entry of id, old the published version it was built from
-// (nil for a group new to the view).
+// (nil for a group new to the view), and each one's shell carved or not.
 type pend struct {
-	id     uint32
-	e, old *entry
+	id                uint32
+	carved, oldCarved bool
+	e, old            *entry
 }
 
 // pslot is one slot of the pending index; it is empty unless gen is the
@@ -209,6 +205,9 @@ type store struct {
 	index   []pslot
 	gen     uint32
 	sh      *shells
+	// carved holds a bit per id, set when the published entry of id is a
+	// shell carved from an arena; readers never ask.
+	carved []uint64
 }
 
 // published returns the published entry of id, or nil. Lock-free.
@@ -242,18 +241,41 @@ func (h *store) live(id uint32, a *arena, indexed bool) (e *entry, isNew bool) {
 			return h.pending[i].e, false
 		}
 	}
-	old := h.published(id)
-	if old != nil {
-		e = h.sh.version(old)
+	p := pend{id: id, old: h.published(id)}
+	if p.old != nil {
+		p.oldCarved = h.isCarved(id)
+		p.e, p.carved = h.sh.version(p.old)
 	} else {
-		e = newEntry(a, h.sh.sh, nil)
+		p.e, p.carved = newEntry(a, h.sh.sh, nil), a != nil
 		h.fresh++
 	}
-	h.pending = append(h.pending, pend{id: id, e: e, old: old})
+	h.pending = append(h.pending, p)
 	if indexed {
 		h.indexAt(len(h.pending) - 1)
 	}
-	return e, old == nil
+	return p.e, p.old == nil
+}
+
+// isCarved reports whether the published entry of id is a carved shell.
+func (h *store) isCarved(id uint32) bool {
+	w := int(id / 64)
+	return w < len(h.carved) && h.carved[w]&(1<<(id%64)) != 0
+}
+
+// markCarved records whether the published entry of id is a carved shell.
+func (h *store) markCarved(id uint32, carved bool) {
+	w := int(id / 64)
+	if w >= len(h.carved) {
+		if !carved {
+			return
+		}
+		h.carved = append(h.carved, make([]uint64, w+1-len(h.carved))...)
+	}
+	if carved {
+		h.carved[w] |= 1 << (id % 64)
+	} else {
+		h.carved[w] &^= 1 << (id % 64)
+	}
 }
 
 // beginFold prepares a fold: the first of a publication needs no index, a
@@ -328,8 +350,9 @@ func (h *store) publish(lsn uint64) {
 	h.lsn.Store(lsn)
 	h.seq.Add(1)
 	for _, p := range h.pending {
+		h.markCarved(p.id, p.carved)
 		if p.old != nil {
-			h.sh.retire(p.old)
+			h.sh.retire(p.old, p.oldCarved)
 		}
 	}
 	h.resetPending()
@@ -359,6 +382,7 @@ func (h *store) adopt(o *store) {
 	h.pub.pages.Store(o.pub.pages.Load())
 	h.count.Store(o.count.Load())
 	h.seq.Add(1)
+	h.carved = o.carved
 	h.resetPending()
 }
 
