@@ -118,8 +118,9 @@ maint-stress:
 # per-row rounds would show there). The load guard pins that call's
 # allocation ceiling (a new group is carved, not allocated), the group-bytes
 # guard pins the live heap a new group costs a view of one and of three
-# aggregates, a DISTINCT view and views sharing one σ (a group is its key,
-# its place in the key order, and its states), the relation- and
+# aggregates, a DISTINCT view, views sharing one σ and its table, and a view
+# made late beside them with a table of its own (a group is its key, its
+# place in the key order, and its states), the relation- and
 # dedup-bytes guards pin what a relation row (one string, loaded by UPSERT or
 # restored from a checkpoint) and an idempotency entry (one ring record)
 # cost, the hash-count guard prints what a call costs views sharing a key
@@ -142,11 +143,16 @@ maint-stress:
 # test pins that a family expiring its instances over changing keys holds the
 # keys of its live instances only; and the resolution twin (ten runs under the
 # race detector) pins that an instance folding two equally long runs of one
-# call is handed each run's own resolution.
+# call is handed each run's own resolution. For shared tables: the twin test
+# pins that every view of a table equals its twin with a table of its own and
+# its expression recomputed, across late members, a drop and re-create and a
+# Go-API view dispatched otherwise; and the reader test (ten runs under the
+# race detector) races lookups, scans and latest-N on every view of a table
+# against the one writer that publishes it and drops one of the views.
 # -count=1 defeats caching — the guards must run.
 bench-maint:
-	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestLoadAllocGuard|TestGroupBytesGuard|TestTreeCallBytesGuard|TestRelationBytesGuard|TestDedupBytesGuard|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall|TestDirMembersSurviveADrop|TestFamilyRunResolvedOnce|TestFamilyAndViewShareADirectory|TestExpiringFamilyKeysStayBounded' -v .
-	$(GO) test -race -count=10 -run 'TestFamilyCallFoldEqualsRowFolds' .
+	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestLoadAllocGuard|TestGroupBytesGuard|TestTreeCallBytesGuard|TestRelationBytesGuard|TestDedupBytesGuard|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall|TestDirMembersSurviveADrop|TestFamilyRunResolvedOnce|TestFamilyAndViewShareADirectory|TestExpiringFamilyKeysStayBounded|TestSharedTableEqualsTwins' -v .
+	$(GO) test -race -count=10 -run 'TestFamilyCallFoldEqualsRowFolds|TestSharedTableReadersLockFree' .
 	$(GO) test -count=1 -run 'TestHashStoreCounts|TestHashLockFreeThroughGrowth' -v ./internal/view
 	$(GO) test -race -count=10 -run 'TestDirSiblingsLockFreeThroughGrowth|TestDirLateMember|TestDirOrderUnderReaders|TestHashShellsBoundedUnderPermanentReader|TestRestoredShellsUnderPermanentReader' ./internal/view
 	$(GO) test -run=NONE -bench 'BenchmarkMaintainFanout' -benchmem -benchtime 50x .

@@ -412,7 +412,9 @@ func TestLoadAllocGuard(t *testing.T) {
 // cost less per view-group than one: the key, its table slot and its place
 // in the order are paid once — and a view created WITH STORE BTREE is one of
 // them like any other, and so is a periodic family's every instance, which
-// the family case measures per instance-group.
+// the family case measures per instance-group. Made before the first group,
+// they share one table too, so a group's count word, shell and entry slot
+// are paid once as well; a view made later pays its own.
 func TestGroupBytesGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under -race")
@@ -441,26 +443,33 @@ func TestGroupBytesGuard(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		views  []string
+		late   []string // created once the views' table holds a group
 		budget float64
 	}{
 		// Each budget is the reading once a group became its words alone —
 		// no entry head, the seen bits in the count word — plus at most 4 B.
 		// The reading before that follows each case.
-		{"hash-one-aggregate", []string{`CREATE VIEW v AS SELECT acct, SUM(minutes) AS m FROM calls GROUP BY acct`}, 85}, // 97 B
+		{"hash-one-aggregate", []string{`CREATE VIEW v AS SELECT acct, SUM(minutes) AS m FROM calls GROUP BY acct`}, nil, 85}, // 97 B
 		// 124 B when the view kept its own B-tree of key copies.
 		{"btree-three-aggregates", []string{`CREATE VIEW v AS SELECT acct, SUM(minutes) AS m, COUNT(*) AS n, MAX(minutes) AS hi
-			FROM calls GROUP BY acct WITH STORE BTREE`}, 93}, // 105 B
-		{"distinct", []string{`CREATE VIEW v AS SELECT DISTINCT acct FROM calls`}, 77}, // 81 B
+			FROM calls GROUP BY acct WITH STORE BTREE`}, nil, 93}, // 105 B
+		{"distinct", []string{`CREATE VIEW v AS SELECT DISTINCT acct FROM calls`}, nil, 77}, // 81 B
 		// A string-held MIN keeps the row's string in a slot beside the words
 		// (174 B when each state boxed it).
-		{"hash-string-min", []string{`CREATE VIEW v AS SELECT acct, MIN(acct) AS lo FROM calls GROUP BY acct`}, 109}, // 121 B
+		{"hash-string-min", []string{`CREATE VIEW v AS SELECT acct, MIN(acct) AS lo FROM calls GROUP BY acct`}, nil, 109}, // 121 B
 		// Bytes per view-group: one key directory holds the five views' keys
-		// (90 B when each view kept its own table and key copies).
-		{"five-hash-views-one-sigma", five, 41},          // 49 B
-		{"eight-views-one-sigma-one-ordered", eight, 38}, // 48 B
+		// (90 B when each view kept its own table and key copies), and one
+		// table their groups (37 and 34 B when each view kept a group of its
+		// own: each budget is the shared table's reading plus at most 4 B).
+		{"five-hash-views-one-sigma", five, nil, 27},          // 49 B
+		{"eight-views-one-sigma-one-ordered", eight, nil, 20}, // 48 B
+		// A view made after the table holds a group has a table of its own in
+		// the directory it shares: the pair costs a lone view (81 B) plus the
+		// late view's own shell and entry slot (17 B), 49 B per view-group.
+		{"late-member-own-table", sigma("SUM(minutes) AS a"), sigma("", "COUNT(*) AS a")[1:], 53},
 		// Bytes per instance-group (94 B when each instance kept a
 		// directory of its own).
-		{"four-window-families-two-instances", windows, 37}, // 46 B
+		{"four-window-families-two-instances", windows, nil, 37}, // 46 B
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db, err := chronicledb.Open(chronicledb.Options{Clock: func() int64 { return 150 }})
@@ -471,6 +480,19 @@ func TestGroupBytesGuard(t *testing.T) {
 			for _, stmt := range append([]string{`CREATE CHRONICLE calls (acct STRING, minutes INT)`}, tc.views...) {
 				if _, err := db.Exec(stmt); err != nil {
 					t.Fatal(err)
+				}
+			}
+			if len(tc.late) > 0 {
+				if _, err := db.Append("calls", chronicledb.Tuple{chronicledb.Str("acct000000"), chronicledb.Int(1)}); err != nil {
+					t.Fatal(err)
+				}
+				for _, stmt := range tc.late {
+					if _, err := db.Exec(stmt); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if v, _ := db.View("v1"); len(v.TableViews()) != 1 {
+					t.Fatalf("the late view shares a table with %v", v.TableViews())
 				}
 			}
 			rows := make([]chronicledb.Tuple, callK)

@@ -903,7 +903,9 @@ func (db *DB) ReadStats() ReadStats {
 	return ReadStats{Lookups: c.Lookups, Scans: c.Scans, Latency: c.Read.Snapshot()}
 }
 
-// ViewMaintStat attributes maintenance cost to one persistent view.
+// ViewMaintStat attributes maintenance cost to one persistent view. Views
+// that share a table (view.Join) are folded once for all of them, and each
+// reports that work: the table's.
 type ViewMaintStat struct {
 	Name      string
 	Applies   int64 // maintenance invocations

@@ -6,7 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"chronicledb/internal/value"
 	"chronicledb/internal/wal"
 )
 
@@ -727,5 +729,34 @@ func TestShowGroups(t *testing.T) {
 	r := res.Rows[0]
 	if r[0].AsString() != "telecom" || r[1].AsInt() != 2 || r[2].AsInt() != 0 {
 		t.Errorf("group row = %v", r)
+	}
+}
+
+// TestAppendLiteralsOwnTheirBytes: a string literal is a substring of its
+// statement, so an APPEND copies the string cells it hands the engine — a
+// retained row, or a MIN holding its string, must not keep the whole
+// statement alive.
+func TestAppendLiteralsOwnTheirBytes(t *testing.T) {
+	db := memDB(t)
+	defer db.Close()
+	mustExec(t, db, "CREATE CHRONICLE calls (acct STRING, plan STRING) RETAIN ALL")
+	mustExec(t, db, "CREATE VIEW lo AS SELECT acct, MIN(plan) AS p FROM calls GROUP BY acct")
+	stmt := "APPEND INTO calls VALUES ('a', 'gold'), ('b', 'it''s')"
+	mustExec(t, db, stmt)
+	inStmt := func(s string) bool {
+		p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(stmt)))
+		return p >= lo && p < lo+uintptr(len(stmt))
+	}
+	c, _ := db.Chronicle("calls")
+	for _, r := range c.Rows() {
+		for _, v := range r.Vals {
+			if inStmt(v.AsString()) {
+				t.Errorf("retained row %v holds a substring of its statement", r.Vals)
+			}
+		}
+	}
+	v, _ := db.View("lo")
+	if row, ok := v.Lookup(value.Tuple{value.Str("a")}); !ok || row[1].AsString() != "gold" || inStmt(row[1].AsString()) {
+		t.Errorf("MIN(plan) of a = %v %v: want gold, not a substring of its statement", row, ok)
 	}
 }

@@ -151,10 +151,7 @@ func (db *DB) execOne(s sqlparse.Statement, mode execMode) (*Result, error) {
 		total := 0
 		if len(s.Parts) == 1 {
 			part := s.Parts[0]
-			tuples := make([]value.Tuple, len(part.Rows))
-			for i, r := range part.Rows {
-				tuples[i] = value.Tuple(r)
-			}
+			tuples := tuplesOf(part.Rows)
 			sn, err := db.eng.Append(part.Chronicle, tuples)
 			if err != nil {
 				return nil, err
@@ -166,10 +163,7 @@ func (db *DB) execOne(s sqlparse.Statement, mode execMode) (*Result, error) {
 		}
 		parts := make([]engine.MutationPart, len(s.Parts))
 		for i, p := range s.Parts {
-			tuples := make([]value.Tuple, len(p.Rows))
-			for j, r := range p.Rows {
-				tuples[j] = value.Tuple(r)
-			}
+			tuples := tuplesOf(p.Rows)
 			parts[i] = engine.MutationPart{Chronicle: p.Chronicle, Tuples: tuples}
 			total += len(tuples)
 		}
@@ -630,6 +624,23 @@ func (db *DB) explainQuery(q *sqlparse.Query) (*Result, error) {
 	return res, nil
 }
 
+// tuplesOf makes an APPEND statement's rows the engine's tuples. A string
+// literal is a substring of its statement, so each string cell is copied: a
+// retained chronicle row, or a MIN, MAX, FIRST or LAST holding the string,
+// would otherwise keep the whole statement alive.
+func tuplesOf(rows [][]value.Value) []value.Tuple {
+	tuples := make([]value.Tuple, len(rows))
+	for i, r := range rows {
+		for j, v := range r {
+			if v.Kind() == value.KindString {
+				r[j] = value.Str(strings.Clone(v.AsString()))
+			}
+		}
+		tuples[i] = value.Tuple(r)
+	}
+	return tuples
+}
+
 // storeOf names where a view's entries live: "paged" when blocks of them
 // come and go against the block cache, "resident" when all stay in memory.
 // Either way the keys stay in the view's directory.
@@ -655,6 +666,7 @@ func (db *DB) explain(name string) (*Result, error) {
 				{value.Str("joins_j"), value.Int(int64(info.Joins))},
 				{value.Str("rows"), value.Int(int64(v.Len()))},
 				{value.Str("store"), value.Str(storeOf(v))},
+				{value.Str("groups"), value.Str(groupsOf(v))},
 			},
 		}
 		return db.explainShared(res, name, d), nil
@@ -672,6 +684,22 @@ func (db *DB) explain(name string) (*Result, error) {
 		return db.explainShared(res, name, pv.Dir()), nil
 	}
 	return nil, fmt.Errorf("chronicledb: unknown view %q", name)
+}
+
+// groupsOf says whose groups a view's rows are read from: its own table's,
+// or one it shares with the views that fold the same delta by the same key
+// (view.Join).
+func groupsOf(v *view.View) string {
+	var others []string
+	for _, n := range v.TableViews() {
+		if n != v.Name() {
+			others = append(others, n)
+		}
+	}
+	if len(others) == 0 {
+		return "own table"
+	}
+	return "shared with " + strings.Join(others, ", ")
 }
 
 // explainShared ends the EXPLAIN of a view or periodic family with its key
@@ -702,9 +730,9 @@ func (db *DB) show(what string) (*Result, error) {
 	switch what {
 	case "VIEWS":
 		// directory and dir_views name a view's key directory and how many
-		// views share it.
-		res := &Result{Columns: []string{"name", "language", "class", "rows", "store", "directory", "dir_views"}}
-		add := func(name string, info algebra.Info, rows int, store string, d *view.Dir) {
+		// views share it; table_views counts the views sharing its groups.
+		res := &Result{Columns: []string{"name", "language", "class", "rows", "store", "directory", "dir_views", "table_views"}}
+		add := func(name string, info algebra.Info, rows int, store string, d *view.Dir, tableViews int) {
 			dir, members := "", 0 // a family that expires its instances: one each
 			if d != nil {
 				dir, members = d.Name(), d.Members()
@@ -712,16 +740,18 @@ func (db *DB) show(what string) (*Result, error) {
 			res.Rows = append(res.Rows, Row{
 				value.Str(name), value.Str(info.Lang.String()), value.Str(info.IMClass().String()),
 				value.Int(int64(rows)), value.Str(store), value.Str(dir), value.Int(int64(members)),
+				value.Int(int64(tableViews)),
 			})
 		}
 		for _, n := range db.eng.Names(engine.Views) {
 			v, _ := db.eng.View(n)
-			add(n, v.Info(), v.Len(), storeOf(v), v.Dir())
+			add(n, v.Info(), v.Len(), storeOf(v), v.Dir(), len(v.TableViews()))
 		}
-		// A family's rows are its live instances, which are resident.
+		// A family's rows are its live instances, which are resident and
+		// have a table each.
 		for _, n := range db.eng.Names(engine.PeriodicViews) {
 			pv, _ := db.eng.PeriodicView(n)
-			add(n+" (periodic)", algebra.Analyze(pv.Def().Expr), pv.Live(), "resident", pv.Dir())
+			add(n+" (periodic)", algebra.Analyze(pv.Def().Expr), pv.Live(), "resident", pv.Dir(), 1)
 		}
 		return res, nil
 	case "CHRONICLES":

@@ -33,6 +33,7 @@ package aggregate
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"chronicledb/internal/value"
 )
@@ -290,6 +291,36 @@ func NewLayout(specs []Spec, kinds []value.Kind) (*Layout, error) {
 		}
 	}
 	return l, nil
+}
+
+// Union compiles a layout holding l's aggregations, then those of o that l
+// lacks, and returns where each of o's lands in it: an aggregation of the
+// same function over the same column as one already there shares its state
+// (every COUNT is word 0). An aggregation of l keeps its index, so a reader
+// of l's results by index reads the union's alike; the words move, so no
+// group of l carries over.
+func (l *Layout) Union(o *Layout) (*Layout, []int) {
+	all := append([]Spec(nil), l.specs...)
+	kinds := make([]value.Kind, len(l.ops), len(l.ops)+len(o.ops))
+	for i := range l.ops {
+		kinds[i] = l.ops[i].kind
+	}
+	at := make([]int, len(o.specs))
+	for i, s := range o.specs {
+		at[i] = slices.IndexFunc(all, func(u Spec) bool {
+			return u.Func == s.Func && (u.Col == s.Col || s.Func == Count)
+		})
+		if at[i] < 0 {
+			at[i] = len(all)
+			all = append(all, s)
+			kinds = append(kinds, o.ops[i].kind)
+		}
+	}
+	u, err := NewLayout(all, kinds)
+	if err != nil {
+		panic(fmt.Sprintf("aggregate: the union of two layouts: %v", err)) // both compiled
+	}
+	return u, at
 }
 
 // wordsOf is how many words a state of each code takes.

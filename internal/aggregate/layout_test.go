@@ -354,3 +354,62 @@ func TestNinthSeenBitSpills(t *testing.T) {
 		}
 	}
 }
+
+// TestUnionReadsEachLayoutsResults: a union layout folds one group for
+// several lists of aggregations, and each list's results read through the
+// indices Union returns are those of a layout of its own; a spec already
+// there — the same function over the same column, or any COUNT — is not
+// added again, and the seen bits of the union spill past word 0 as a layout
+// of them all would.
+func TestUnionReadsEachLayoutsResults(t *testing.T) {
+	kinds := []value.Kind{value.KindInt, value.KindFloat, value.KindString}
+	a := []Spec{{Func: Sum, Col: 0, Name: "s"}, {Func: Count, Col: -1, Name: "n"}, {Func: Min, Col: 2, Name: "lo"},
+		{Func: Max, Col: 0, Name: "hi"}, {Func: First, Col: 1, Name: "f"}}
+	b := []Spec{{Func: Sum, Col: 0, Name: "again"}, {Func: Count, Col: 0, Name: "c"}, {Func: Avg, Col: 1, Name: "avg"},
+		{Func: Last, Col: 2, Name: "l"}, {Func: Sum, Col: 1, Name: "fs"}, {Func: Max, Col: 2, Name: "shi"},
+		{Func: Min, Col: 0, Name: "ilo"}, {Func: Last, Col: 0, Name: "il"}, {Func: Sum, Col: 1, Name: "fs2"}}
+	kindsOf := func(specs []Spec) []value.Kind {
+		out := make([]value.Kind, len(specs))
+		for i, s := range specs {
+			out[i] = value.KindInt
+			if s.Col >= 0 {
+				out[i] = kinds[s.Col]
+			}
+		}
+		return out
+	}
+	la, err := NewLayout(a, kindsOf(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, err := NewLayout(b, kindsOf(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, at := la.Union(lb)
+	// b's SUM(0) and COUNT are a's; its second SUM(1) is its first.
+	if want := []int{0, 1, 5, 6, 7, 8, 9, 10, 7}; !slices.Equal(at, want) {
+		t.Fatalf("b lands at %v, want %v", at, want)
+	}
+	if len(u.Specs()) != 11 || u.Words() <= la.Words() {
+		t.Fatalf("union of %d specs in %d words", len(u.Specs()), u.Words())
+	}
+	r := rand.New(rand.NewSource(7))
+	gu, ga, gb := u.New(), la.New(), lb.New()
+	for range 200 {
+		row := value.Tuple{randValue(r, kinds[0]), randValue(r, kinds[1]), randValue(r, kinds[2])}
+		u.Step(gu, row)
+		la.Step(ga, row)
+		lb.Step(gb, row)
+	}
+	for i := range a {
+		if got, want := u.Result(gu, i), la.Result(ga, i); !sameValue(got, want) {
+			t.Errorf("a's %s: %v through the union, %v alone", a[i].Name, got, want)
+		}
+	}
+	for i := range b {
+		if got, want := u.Result(gu, at[i]), lb.Result(gb, i); !sameValue(got, want) {
+			t.Errorf("b's %s: %v through the union, %v alone", b[i].Name, got, want)
+		}
+	}
+}

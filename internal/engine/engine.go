@@ -128,6 +128,10 @@ type Engine struct {
 	// fold one expression by the same columns share one (view.Dir), which
 	// counts them and goes when the last is dropped.
 	dirs map[string]*view.Dir
+	// tables holds, by dirKey, the table a new view of that directory may
+	// join (view.Join) and the dispatch it is folded under; it goes when the
+	// last of the table's views is dropped.
+	tables map[string]*openTable
 
 	// onRecord, when set, observes every durable mutation before it is
 	// applied; the WAL layer hooks in here. Returning an error aborts the
@@ -185,6 +189,21 @@ type Engine struct {
 // publisher is a maintenance target holding folded rows its readers cannot
 // see yet: a persistent view or a periodic family.
 type publisher interface{ Publish() }
+
+// openTable is a directory's table that views may still join: host is one of
+// its views, and filter and on the dispatch filter all of them were
+// registered with — views dispatched alike are folded in the same rounds.
+type openTable struct {
+	host   *view.View
+	filter pred.Predicate
+	on     *chronicle.Chronicle
+}
+
+// admits reports whether a new view registered with filter on c may join t:
+// it is dispatched as t's views are, and t holds no group yet.
+func (t *openTable) admits(filter pred.Predicate, c *chronicle.Chronicle) bool {
+	return t.on == c && slices.Equal(t.filter.Atoms(), filter.Atoms()) && t.host.TableEmpty()
+}
 
 // catalog is one immutable generation of the engine's name tables. A new
 // generation is built and published on every DDL statement; maps inside a
@@ -302,6 +321,7 @@ func New(cfg Config) *Engine {
 		disp:       dispatch.New(),
 		names:      make(map[string]string),
 		dirs:       make(map[string]*view.Dir),
+		tables:     make(map[string]*openTable),
 		scratch: appendScratch{
 			deltas: make(map[*chronicle.Chronicle][]chronicle.Row),
 		},
@@ -458,14 +478,38 @@ func (e *Engine) AdoptRelation(r *relation.Relation) error {
 // CreateView materializes a persistent view and registers it for dispatch.
 // filter/filterChronicle optionally narrow dispatch (Section 5.2); pass the
 // zero predicate to dispatch on dependency alone.
+//
+// A view that does not page joins its directory's open table (view.Join)
+// when it is dispatched as that table's views are and the table holds no
+// group — so neither does the view's retained history. Any other view gets a
+// table of its own, and an unpaged one opens it to later views when its
+// directory has none that may still be joined.
 func (e *Engine) CreateView(def view.Def, filter pred.Predicate, filterChronicle *chronicle.Chronicle) (*view.View, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.claimName(def.Name, "view"); err != nil {
 		return nil, err
 	}
+	// The retained history the view starts with; nil when a chronicle has
+	// dropped rows, and the view is then current only for the append suffix
+	// (which is all the pure model can promise).
+	var history []chronicle.Row
+	var herr error
+	if def.Expr != nil {
+		history, herr = algebra.Evaluate(def.Expr)
+	}
+	paged := e.cfg.ViewCache != nil && e.cfg.BlockFetch != nil
+	key := dirKey(def)
 	dir := e.dirLocked(def)
-	v, err := view.NewIn(def, dir)
+	var v *view.View
+	var err error
+	open := e.tables[key]
+	joins := open != nil && !paged && len(history) == 0 && open.admits(filter, filterChronicle)
+	if joins {
+		v, err = view.Join(def, open.host)
+	} else {
+		v, err = view.NewIn(def, dir)
+	}
 	if err != nil {
 		delete(e.names, def.Name)
 		return nil, err
@@ -477,17 +521,23 @@ func (e *Engine) CreateView(def view.Def, filter pred.Predicate, filterChronicle
 		Filter:          filter,
 		FilterChronicle: filterChronicle,
 	}); err != nil {
+		v.Leave()
 		delete(e.names, def.Name)
 		return nil, err
 	}
 	// Page views against the shared block cache before backfill or
 	// publication, so every entry the view ever holds is block-attributed.
-	if e.cfg.ViewCache != nil && e.cfg.BlockFetch != nil {
+	if paged {
 		v.EnablePaging(e.cfg.ViewBlockBytes, e.cfg.BlockFetch, e.cfg.ViewCache)
+	} else if open == nil || !open.host.TableEmpty() {
+		e.tables[key] = &openTable{host: v, filter: filter, on: filterChronicle}
 	}
 	e.acquireDirLocked(dir, def)
-	// Fold in any retained history so the view is current from creation.
-	e.backfill(v)
+	// Fold in the retained history so the view is current from creation:
+	// into a table of its own, for a view that joined one had none.
+	if herr == nil && !joins && v.ApplyRows(history) {
+		e.dirty = append(e.dirty, v)
+	}
 	e.publishDirtyLocked()
 	e.views[def.Name] = v
 	e.publishCatalogLocked()
@@ -515,15 +565,6 @@ func (e *Engine) dirLocked(def view.Def) *view.Dir {
 func (e *Engine) acquireDirLocked(d *view.Dir, def view.Def) {
 	d.Acquire()
 	e.dirs[dirKey(def)] = d
-}
-
-// backfill replays retained chronicle rows into a fresh view. Chronicles
-// with dropped rows cannot be backfilled; the view is then current only for
-// the append suffix (which is all the pure model can promise).
-func (e *Engine) backfill(v *view.View) {
-	if rows, err := algebra.Evaluate(v.Def().Expr); err == nil && v.ApplyRows(rows) {
-		e.dirty = append(e.dirty, v)
-	}
 }
 
 // CreatePeriodicView creates a periodic view family (Section 5.1).
@@ -568,6 +609,7 @@ func (e *Engine) DropView(name string) error {
 	case "view":
 		if v := e.views[name]; v != nil {
 			v.ReleasePaging()
+			e.leaveTableLocked(v)
 			e.releaseDirLocked(v.Dir(), v.Def())
 		}
 		delete(e.views, name)
@@ -591,6 +633,20 @@ func (e *Engine) DropView(name string) error {
 		h.DropView(name)
 	}
 	return nil
+}
+
+// leaveTableLocked takes a dropped view out of its table; an open table
+// whose host it was is handed to another of its views, or goes with it.
+func (e *Engine) leaveTableLocked(v *view.View) {
+	v.Leave()
+	key := dirKey(v.Def())
+	if t := e.tables[key]; t != nil && t.host == v {
+		if rest := v.TableViews(); len(rest) > 0 {
+			t.host = e.views[rest[0]]
+		} else {
+			delete(e.tables, key)
+		}
+	}
 }
 
 // releaseDirLocked counts a dropped member out of d, and d out of the

@@ -12,6 +12,7 @@ func FuzzParse(f *testing.F) {
 		"CREATE PERIODIC VIEW p AS SELECT a, COUNT(*) FROM c GROUP BY a EVERY 100 WIDTH 300 OFFSET 1 EXPIRE 5",
 		"APPEND INTO c VALUES ('a', 1, 2.5, TRUE, NULL) ALSO INTO d VALUES (9)",
 		"UPSERT INTO r VALUES ('k', 1)",
+		"UPSERT INTO r VALUES ('o''k', 1), ('''', 2), ('', 3), ('a''''b', 4), ('end''', 5)",
 		"DELETE FROM r KEY ('k')",
 		"SELECT * FROM v WHERE a >= 'm' LIMIT 3",
 		"DROP VIEW v; SHOW VIEWS; EXPLAIN VIEW v",

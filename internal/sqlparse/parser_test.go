@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -48,6 +49,61 @@ func TestLexerBasics(t *testing.T) {
 	}
 	if !found {
 		t.Error("escaped string not lexed")
+	}
+}
+
+// TestLexerQuotedLiterals: a literal is the text between its quotes with
+// each doubled quote made one, whether or not it has any.
+func TestLexerQuotedLiterals(t *testing.T) {
+	for src, want := range map[string]string{
+		`''`:           ``,
+		`'plain'`:      `plain`,
+		`'o''k'`:       `o'k`,
+		`''''`:         `'`,
+		`''''''`:       `''`,
+		`'a''''b'`:     `a''b`,
+		`'''lead'`:     `'lead`,
+		`'trail'''`:    `trail'`,
+		`'x'' -- y'`:   `x' -- y`,
+		"'two\nlines'": "two\nlines",
+	} {
+		toks, err := lex(src)
+		if err != nil {
+			t.Errorf("lex(%q): %v", src, err)
+			continue
+		}
+		if len(toks) != 2 || toks[0].kind != tokString || toks[0].text != want {
+			t.Errorf("lex(%q) = %+v, want one literal %q", src, toks, want)
+		}
+	}
+	for _, src := range []string{`'`, `'''`, `'a''`, `'it''s`} {
+		if _, err := lex(src); err == nil {
+			t.Errorf("lex(%q) accepted an unterminated literal", src)
+		}
+	}
+}
+
+// TestLexAllocGuard pins what lexing a bulk load costs: a 1 000-tuple
+// UPSERT, the shape a customer table is loaded in, lexes in a handful of
+// allocations — the token slice, not one per literal or per doubling.
+func TestLexAllocGuard(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("UPSERT INTO customers VALUES ")
+	for a := range 1000 {
+		if a > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "('a%05d', 'S%02d', 'P%d')", a, a%50, a/50%4)
+	}
+	src := sb.String()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := lex(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("lexing a %d-byte, 1 000-tuple UPSERT: %.0f allocs", len(src), allocs)
+	if allocs > 4 {
+		t.Errorf("lexing a 1 000-tuple UPSERT: %.0f allocs, budget 4", allocs)
 	}
 }
 

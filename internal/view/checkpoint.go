@@ -71,7 +71,11 @@ func (v *View) checkHeader(data []byte, version byte) (int, error) {
 // Checkpoint serializes the view's materialized state, every entry in key
 // order. It holds the view's lock, so it sees publications only, never a
 // half-applied maintenance batch. A paged view checkpoints blocked
-// (CheckpointBlocked): its cold blocks are not in memory to serialize.
+// (CheckpointBlocked): its cold blocks are not in memory to serialize. An
+// image holds the states of a view of def alone, so a view whose table's
+// layout holds other views' aggregations (Join) has none; the engine
+// checkpoints paged views and periodic instances only, and neither shares a
+// table.
 func (v *View) Checkpoint() []byte {
 	if v.Paged() {
 		panic(fmt.Sprintf("view %s: whole image of a paged view", v.def.Name))
@@ -79,6 +83,9 @@ func (v *View) Checkpoint() []byte {
 	b := v.appendHeader(nil, checkpointVersion)
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	if !v.own() {
+		panic(fmt.Sprintf("view %s: whole image of a view sharing its table", v.def.Name))
+	}
 	h := v.store
 	b = binary.AppendUvarint(b, uint64(h.count.Load()))
 	h.each(nil, nil, func(id uint32, e *entry) bool {
@@ -91,6 +98,12 @@ func (v *View) Checkpoint() []byte {
 // RestoreCheckpoint replaces the view's state with a checkpoint previously
 // produced by a view with the same definition.
 func (v *View) RestoreCheckpoint(data []byte) error {
+	v.mu.RLock()
+	alone := v.alone()
+	v.mu.RUnlock()
+	if !alone {
+		return fmt.Errorf("view %s: restore into a shared table", v.def.Name)
+	}
 	off, err := v.checkHeader(data, checkpointVersion)
 	if err != nil {
 		return err

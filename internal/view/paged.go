@@ -142,6 +142,9 @@ func (v *View) EnablePaging(blockBytes int64, fetch FetchFunc, cache *Cache) {
 	if v.pg.Load() != nil {
 		return
 	}
+	if !v.alone() {
+		panic(fmt.Sprintf("view %s: paging a shared table", v.def.Name))
+	}
 	p := &pager{blockBytes: blockBytes, fetch: fetch, cache: cache}
 	p.setBlocks([]*blockMeta{v.wholeBlock(p)})
 	cache.addResident(v, p.blocks[0])

@@ -22,14 +22,14 @@
 // engine folds the rows of one append call in one ApplyRows and publishes
 // each touched view once, before it releases its mutation lock — so the unit
 // a reader can observe is the call, and a k-row call pays for one fold and
-// one publication, not k.
+// one publication, not k. Views that share a table (Join) share both steps:
+// the table is folded and published once a call for all of them.
 package view
 
 import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"chronicledb/internal/aggregate"
@@ -80,85 +80,49 @@ func (d Def) KeyCols() []int {
 	return d.GroupCols
 }
 
-// Stats counts maintenance work: the per-view counts that Theorem 4.4's
+// Stats counts maintenance work: the per-table counts that Theorem 4.4's
 // bound is stated in, which the theorem tests assert on (internal/bench),
-// and the readouts behind the maintenance metrics.
+// and the readouts behind the maintenance metrics. A table counts its own
+// work, so the views sharing one read the same counts: a round folded once
+// for all of them is one Apply.
 type Stats struct {
-	Applies   int64 // folds: one per maintenance round that reached the view (an append call, or a chunk of a long one)
+	Applies   int64 // folds: one per maintenance round that reached the table (an append call, or a chunk of a long one)
 	DeltaRows int64 // expression delta rows folded in
 	// Touched counts the entries folds reached: each distinct group of a
 	// fold once (the directory resolved the rows; see Dir.Stats).
 	Touched   int64
 	Versions  int64 // entries made: a new group, or a copy of a published entry before its first change in a call
 	ApplyNs   int64 // wall time spent inside ApplyRows (the fold; a publication is O(1) or O(touched))
-	Publishes int64 // publications of folded state (one per append call that touched the view)
+	Publishes int64 // publications of folded state (one per append call that touched the table)
 }
 
-// View is a materialized persistent view with incremental maintenance.
+// View is a materialized persistent view with incremental maintenance: its
+// definition, its schema, the table its groups live in, and where its columns
+// sit in the table's layout.
 //
-// Concurrency model: maintenance (ApplyRows/Publish/RestoreCheckpoint) is
-// serialized by the engine and takes mu exclusively. The view publishes
-// frozen entries into an id-indexed array beside a lock-free key directory,
-// so its readers are lock-free: maintenance mutates pending versions and
-// stores them at publish (see store). A reader sees the state as of the last
-// Publish, stamped with the LSN that publication carried, never the rows
-// folded since.
-//
-// Every reader of published state counts itself in readers before it loads
-// an entry and out when it is done with what it reached. A publication that
-// finds no reader counted after it has stored the new state frees the entry
-// versions the calls since the last one replaced for the next call to reuse;
-// one that finds a reader leaves them to the collector, carved shells aside
-// (see publishLocked). The warm maintenance path allocates nothing of its
-// own.
+// The views of one key directory that fold the same delta — the same
+// dispatch, none paged — may share one table (see Join): one group per key
+// holds the union of their aggregations, so a row is folded, versioned and
+// published once for all of them, and each reads its own columns of it
+// (rowOf). A view made by New or NewIn has a table of its own.
 type View struct {
 	def    Def
 	schema *value.Schema
-	store  *store
 	info   algebra.Info
-	stats  Stats
-
-	// mu guards the store's maintenance state, stats, and scratch. Writers
-	// (maintenance, restore, block faults and evictions) hold it exclusively;
-	// readers are lock-free, except that a window read which keeps colliding
-	// with publications falls back to the read side (see Scan). A fold also
-	// holds the directory's lock, inside mu.
-	mu sync.RWMutex
-	// readers counts the lock-free readers in flight.
-	readers atomic.Int64
-	// shells recycles the entry versions the store replaces.
-	shells shells
-	// pg is the blocked-store pager, set by EnablePaging before the view
-	// is visible to concurrent readers; nil for unpaged views. Stored
-	// atomically so hot read paths can consult it without locks.
-	pg atomic.Pointer[pager]
+	*table
+	// cols are the view's aggregations' indices in the table's layout, in
+	// the order of def.Aggs; a projection has none.
+	cols []int
 
 	// keyCols are the source columns of the group key: Cols for a
 	// projection, GroupCols for a grouping. keyKinds are their kinds, the
-	// leading columns of the schema, which a row's values decode as. sh holds
-	// the grouping's aggregations compiled against their input kinds (for a
-	// projection the empty layout: a group's words are its count alone) and
-	// the shells its groups live in.
+	// leading columns of the schema, which a row's values decode as.
 	keyCols  []int
 	keyKinds []value.Kind
-	sh       *shape
-	// arena is where an unpaged view's new groups are carved from; a paged
-	// view's are the collector's (see arena).
-	arena *arena
 
-	// deltaBuf backs the expression delta for batch-local operators. It
-	// belongs to the maintenance path, which the engine serializes.
+	// deltaBuf backs the expression delta for batch-local operators (Delta).
+	// It belongs to the maintenance path, which the engine serializes.
 	deltaBuf []chronicle.Row
-
-	// appliedLSN is the highest LSN among delta rows folded into the view,
-	// the cursor position of the live store. Each publication carries the
-	// value it had then (store.lsn); the changefeed's snapshot catch-up
-	// splices on that published value: deliver the snapshot, then filter live
-	// frames with LSN ≤ it.
-	appliedLSN uint64
-	// unpublished reports that rows were folded since the last publication:
-	// the live store is ahead of what readers see.
-	unpublished bool
 }
 
 // New validates a definition and materializes an empty view with a key
@@ -171,111 +135,99 @@ func New(def Def) (*View, error) { return NewIn(def, nil) }
 // NewIn is New for a view whose keys live in d, a directory shared with the
 // views that fold the same expression by the same columns; a nil d gets one
 // of its own. The caller counts the view in d (Dir.Acquire). Keys d already
-// holds are groups the view does not have.
+// holds are groups the view does not have. The view has a table of its own.
 func NewIn(def Def, d *Dir) (*View, error) {
-	if def.Name == "" {
-		return nil, fmt.Errorf("view: name required")
-	}
-	if def.Expr == nil {
-		return nil, fmt.Errorf("view %s: expression required", def.Name)
-	}
-	inSchema := def.Expr.Schema()
-	var schema *value.Schema
-	var aggs []aggregate.Spec
-	var inKinds []value.Kind
-	switch def.Mode {
-	case SummarizeProject:
-		if len(def.Cols) == 0 {
-			return nil, fmt.Errorf("view %s: projection needs at least one column", def.Name)
-		}
-		for _, c := range def.Cols {
-			if c < 0 || c >= inSchema.Len() {
-				return nil, fmt.Errorf("view %s: projection column %d out of range", def.Name, c)
-			}
-		}
-		schema = inSchema.Project(def.Cols)
-	case SummarizeGroupBy:
-		if len(def.Aggs) == 0 {
-			return nil, fmt.Errorf("view %s: grouping needs at least one aggregation", def.Name)
-		}
-		cols := make([]value.Column, 0, len(def.GroupCols)+len(def.Aggs))
-		for _, c := range def.GroupCols {
-			if c < 0 || c >= inSchema.Len() {
-				return nil, fmt.Errorf("view %s: grouping column %d out of range", def.Name, c)
-			}
-			cols = append(cols, inSchema.Col(c))
-		}
-		for _, a := range def.Aggs {
-			if a.Col >= inSchema.Len() || (a.Col < 0 && a.Func != aggregate.Count) {
-				return nil, fmt.Errorf("view %s: aggregation %s column %d out of range", def.Name, a.Func, a.Col)
-			}
-			if a.Name == "" {
-				return nil, fmt.Errorf("view %s: aggregation %s needs an output name", def.Name, a.Func)
-			}
-			in := value.KindInt
-			if a.Col >= 0 {
-				in = inSchema.Col(a.Col).Kind
-			}
-			inKinds = append(inKinds, in)
-			cols = append(cols, value.Column{Name: a.Name, Kind: a.ResultKind(in)})
-		}
-		schema = value.NewSchema(cols...)
-		aggs = def.Aggs
-	default:
-		return nil, fmt.Errorf("view %s: unknown summarization mode %d", def.Name, def.Mode)
-	}
-	layout, err := aggregate.NewLayout(aggs, inKinds)
+	v, layout, err := compile(def)
 	if err != nil {
-		return nil, fmt.Errorf("view %s: %w", def.Name, err)
+		return nil, err
 	}
-	v := &View{
-		def:    def,
-		schema: schema,
-		info:   algebra.Analyze(def.Expr),
-		arena:  new(arena),
-		sh:     newShape(layout),
-	}
-	v.shells.sh = v.sh
-	v.keyCols = def.KeyCols()
 	if d == nil {
 		d = NewDir(def.Name, v.keyCols)
 		d.Acquire()
 	} else if !slices.Equal(d.keyCols, v.keyCols) {
 		return nil, fmt.Errorf("view %s: directory %s keys columns %v, the view groups by %v", def.Name, d.name, d.keyCols, v.keyCols)
 	}
-	v.store = &store{dir: d, sh: &v.shells}
-	for i := range v.keyCols {
-		v.keyKinds = append(v.keyKinds, schema.Col(i).Kind)
+	v.table = newTable(d, newShape(layout))
+	v.cols = make([]int, len(layout.Specs()))
+	for i := range v.cols {
+		v.cols[i] = i
 	}
+	v.members = []*View{v}
 	v.publishLocked()
 	return v, nil
 }
 
-// publishLocked makes the live store visible to lock-free readers, stamped
-// with the LSN it has reached: the store swaps its pending versions into its
-// array. Callers must hold mu exclusively (or have sole ownership, as in
-// New).
-//
-// Then it settles the entry versions the store swapped out since the last
-// publication. They are reachable from older published state only, so a
-// reader counted now may hold some and one that arrives later can reach
-// none. With no reader counted they all become reusable. With one, heap
-// versions go to the collector and carved shells wait in limbo
-// (shells.settle).
-func (v *View) publishLocked() {
-	v.store.publish(v.appliedLSN)
-	v.shells.settle(v.readers.Load() == 0)
-	if p := v.pg.Load(); p != nil {
-		p.published.Store(p.total)
+// compile validates def and returns its view without a table, with the
+// layout of its aggregations (empty for a projection).
+func compile(def Def) (*View, *aggregate.Layout, error) {
+	if def.Name == "" {
+		return nil, nil, fmt.Errorf("view: name required")
 	}
-	v.unpublished = false
+	if def.Expr == nil {
+		return nil, nil, fmt.Errorf("view %s: expression required", def.Name)
+	}
+	inSchema := def.Expr.Schema()
+	var schema *value.Schema
+	var specs []aggregate.Spec
+	var kinds []value.Kind
+	switch def.Mode {
+	case SummarizeProject:
+		if len(def.Cols) == 0 {
+			return nil, nil, fmt.Errorf("view %s: projection needs at least one column", def.Name)
+		}
+		for _, c := range def.Cols {
+			if c < 0 || c >= inSchema.Len() {
+				return nil, nil, fmt.Errorf("view %s: projection column %d out of range", def.Name, c)
+			}
+		}
+		schema = inSchema.Project(def.Cols)
+	case SummarizeGroupBy:
+		if len(def.Aggs) == 0 {
+			return nil, nil, fmt.Errorf("view %s: grouping needs at least one aggregation", def.Name)
+		}
+		cols := make([]value.Column, 0, len(def.GroupCols)+len(def.Aggs))
+		for _, c := range def.GroupCols {
+			if c < 0 || c >= inSchema.Len() {
+				return nil, nil, fmt.Errorf("view %s: grouping column %d out of range", def.Name, c)
+			}
+			cols = append(cols, inSchema.Col(c))
+		}
+		for _, a := range def.Aggs {
+			if a.Col >= inSchema.Len() || (a.Col < 0 && a.Func != aggregate.Count) {
+				return nil, nil, fmt.Errorf("view %s: aggregation %s column %d out of range", def.Name, a.Func, a.Col)
+			}
+			if a.Name == "" {
+				return nil, nil, fmt.Errorf("view %s: aggregation %s needs an output name", def.Name, a.Func)
+			}
+			in := value.KindInt
+			if a.Col >= 0 {
+				in = inSchema.Col(a.Col).Kind
+			}
+			kinds = append(kinds, in)
+			cols = append(cols, value.Column{Name: a.Name, Kind: a.ResultKind(in)})
+		}
+		schema = value.NewSchema(cols...)
+		specs = def.Aggs
+	default:
+		return nil, nil, fmt.Errorf("view %s: unknown summarization mode %d", def.Name, def.Mode)
+	}
+	layout, err := aggregate.NewLayout(specs, kinds)
+	if err != nil {
+		return nil, nil, fmt.Errorf("view %s: %w", def.Name, err)
+	}
+	v := &View{def: def, schema: schema, info: algebra.Analyze(def.Expr), keyCols: def.KeyCols()}
+	for i := range v.keyCols {
+		v.keyKinds = append(v.keyKinds, schema.Col(i).Kind)
+	}
+	return v, layout, nil
 }
 
 // Publish makes every row folded since the last publication visible to
-// readers, atomically; with nothing folded it does nothing. The engine
-// calls it once per touched view at the end of each append call, before it
-// releases its mutation lock. Like ApplyRows, calls on one view must be
-// serialized by the caller; distinct views may publish concurrently.
+// readers, atomically; with nothing folded it does nothing. It publishes the
+// view's table, so every view sharing it flips with it. The engine calls it
+// once per touched table at the end of each append call, before it releases
+// its mutation lock. Like ApplyRows, calls on one view must be serialized by
+// the caller; views of distinct tables may publish concurrently.
 func (v *View) Publish() {
 	v.mu.Lock()
 	if !v.unpublished {
@@ -322,7 +274,7 @@ func (v *View) Lang() algebra.Lang { return v.info.Lang }
 // (Theorem 4.5).
 func (v *View) IMClass() algebra.IMClass { return v.info.IMClass() }
 
-// Stats returns maintenance counters.
+// Stats returns the maintenance counters of the view's table.
 func (v *View) Stats() Stats {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
@@ -379,11 +331,19 @@ func (v *View) ApplyRows(rows []chronicle.Row) (first bool) { return v.ApplyCall
 
 // ApplyCall is ApplyRows for the engine's maintenance round call: the views
 // sharing a key directory that fold one round's rows resolve them once (see
-// Dir.resolve). Calls on the views of one directory must be serialized by the
-// caller, as the engine does; a nonzero call must name one round's rows.
+// Dir.resolve), and the views sharing a table fold them once — the first of
+// them to get the round's rows folds them into the table, and every other
+// returns at once, reporting false. Calls on the views of one directory must
+// be serialized by the caller, as the engine does; a nonzero call must name
+// one round's rows, and the views of a shared table must be folded through
+// rounds, or each would fold the rows again.
 func (v *View) ApplyCall(call uint64, rows []chronicle.Row) (first bool) {
 	start := time.Now()
 	v.mu.Lock()
+	if v.folded(call, rows) {
+		v.mu.Unlock()
+		return false
+	}
 	first = !v.unpublished && len(rows) > 0
 	v.stats.Applies++
 	v.stats.DeltaRows += int64(len(rows))
@@ -403,9 +363,10 @@ func (v *View) ApplyCall(call uint64, rows []chronicle.Row) (first bool) {
 	return first
 }
 
-// fold folds one fold's rows: the directory resolves them to the fold's
-// distinct groups, each with its rows in SN order, and each group is
-// versioned (or created) once and steps its rows. A paged view first faults
+// fold folds one fold's rows into the table: the directory resolves them
+// to the fold's distinct groups, each with its rows in SN order, and each
+// group is versioned (or created) once and steps its rows under the table's
+// layout, the union of its views' aggregations. A paged view first faults
 // the block of each group the fold writes, so that a checkpoint can re-encode
 // it from memory.
 func (v *View) fold(call uint64, rows []chronicle.Row) {
@@ -627,14 +588,19 @@ func (v *View) Rows() []value.Tuple {
 }
 
 // rowOf builds the view row of the entry stored under key: the group values
-// decoded from the key, then the aggregation results. The key is the
+// decoded from the key, then the results of the view's own aggregations in
+// the table's group. The key is the
 // directory's string, and the row's string cells are substrings of it. Every
 // key reaching here was written by the encoder or checked when it was
 // restored (CheckKey), so it decodes.
 func rowOf(v *View, key string, e *entry) value.Tuple {
-	out := make(value.Tuple, 0, len(v.keyKinds)+len(v.sh.l.Specs()))
+	out := make(value.Tuple, 0, len(v.keyKinds)+len(v.cols))
 	out, _ = keyenc.DecodeKey(out, key, v.keyKinds)
-	return v.sh.l.AppendResults(out, e.group(v.sh))
+	l, g := v.sh.l, e.group(v.sh)
+	for _, c := range v.cols {
+		out = append(out, l.Result(g, c))
+	}
+	return out
 }
 
 // Recompute answers what the view *should* contain by reference-evaluating
