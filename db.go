@@ -482,40 +482,13 @@ func (db *DB) installRecorders() {
 }
 
 // recorder builds the WAL recorder for one log: an append failure aborts
-// the mutation (the engine applies nothing after a recorder error) and
-// latches the read-only degradation. The record's Parts slice is scratch
-// owned by the closure — safe because each recorder is called only under
-// its engine's (or the router's relation) mutation lock, and the log copies
-// everything into its frame buffer before Append returns.
-func (db *DB) recorder(log *wal.Log) func(engine.Mutation) error {
-	var parts []wal.Part
-	return func(m engine.Mutation) error {
+// the mutation (the kernel applies nothing after a recorder error) and
+// latches the read-only degradation. The kernel hands over the record it
+// applies; the log copies it into its frame buffer before Append returns.
+func (db *DB) recorder(log *wal.Log) func(wal.Record) error {
+	return func(rec wal.Record) error {
 		if err := db.writeGate(); err != nil {
 			return err
-		}
-		rec := wal.Record{LSN: m.LSN, SN: m.SN, Chronon: m.Chronon, Relation: m.Relation, Tuple: m.Tuple}
-		switch m.Kind {
-		case engine.MutAppend:
-			rec.Kind = wal.RecAppend
-			parts = parts[:0]
-			for _, p := range m.Parts {
-				parts = append(parts, wal.Part{Chronicle: p.Chronicle, Tuples: p.Tuples})
-			}
-			rec.Parts = parts
-		case engine.MutAppendEach:
-			rec.Kind = wal.RecAppendEach
-			rec.ClientID = m.ClientID
-			rec.RequestID = m.RequestID
-			parts = parts[:0]
-			for _, p := range m.Parts {
-				parts = append(parts, wal.Part{Chronicle: p.Chronicle, Tuples: p.Tuples})
-			}
-			rec.Parts = parts
-		case engine.MutUpsert:
-			rec.Kind = wal.RecUpsert
-			rec.Tuples = m.Tuples
-		case engine.MutDelete:
-			rec.Kind = wal.RecDelete
 		}
 		if err := log.Append(rec); err != nil {
 			db.failWrites(err)

@@ -1,6 +1,8 @@
 package chronicledb
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -528,6 +530,39 @@ func TestDropViewDurable(t *testing.T) {
 	}
 }
 
+// TestRejectedAppendIsNotLogged: an append the kernel cannot store — no
+// tuples, or parts in two groups — fails before its record is cut, so it
+// draws no LSN and the log still replays.
+func TestRejectedAppendIsNotLogged(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE CHRONICLE a (x INT); CREATE CHRONICLE b (x INT)`)
+	if _, err := db.Append("a"); err == nil || err.Error() != "chronicle a: empty append" {
+		t.Errorf("empty append: %v", err)
+	}
+	if _, err := db.Exec(`APPEND INTO a VALUES (1) ALSO INTO b VALUES (2)`); err == nil || !strings.Contains(err.Error(), "belongs to group") {
+		t.Errorf("append across groups: %v", err)
+	}
+	if got := db.Engine().LSN(); got != 0 {
+		t.Errorf("rejected appends drew LSNs up to %d", got)
+	}
+	mustExec(t, db, `APPEND INTO a VALUES (3)`)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(Options{Dir: dir, Shards: 1})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer db.Close()
+	if got := db.Engine().LSN(); got != 1 {
+		t.Errorf("reopened at LSN %d, want 1", got)
+	}
+}
+
 func TestCorruptCheckpointRejected(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Options{Dir: dir})
@@ -553,6 +588,28 @@ func TestCorruptCheckpointRejected(t *testing.T) {
 	}
 	if _, err := Open(Options{Dir: dir}); err == nil {
 		t.Error("corrupt checkpoint accepted")
+	}
+	// A view payload that is neither a whole image (subformat 0) nor a
+	// blocked one (1) is rejected.
+	name := []byte("\x05usage")
+	at := bytes.Index(data, name)
+	if at < 0 || bytes.Index(data[at+1:], name) >= 0 {
+		t.Fatal("the checkpoint image does not name view usage once")
+	}
+	_, n := binary.Uvarint(data[at+len(name):])
+	sub := at + len(name) + n
+	if data[sub] != 1 {
+		t.Fatalf("view usage's subformat byte = %d, want 1", data[sub])
+	}
+	for _, b := range []byte{2, 0xff} {
+		bad := append([]byte(nil), data...)
+		bad[sub] = b
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(Options{Dir: dir}); err == nil || !strings.Contains(err.Error(), "view subformat") {
+			t.Errorf("view subformat %d: %v", b, err)
+		}
 	}
 	// Truncated checkpoint also rejected.
 	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {

@@ -15,6 +15,7 @@ import (
 	"chronicledb/internal/sqlparse"
 	"chronicledb/internal/value"
 	"chronicledb/internal/view"
+	"chronicledb/internal/wal"
 )
 
 // Exec parses and executes one or more semicolon-separated statements,
@@ -149,22 +150,10 @@ func (db *DB) execOne(s sqlparse.Statement, mode execMode) (*Result, error) {
 
 	case *sqlparse.Append:
 		total := 0
-		if len(s.Parts) == 1 {
-			part := s.Parts[0]
-			tuples := tuplesOf(part.Rows)
-			sn, err := db.eng.Append(part.Chronicle, tuples)
-			if err != nil {
-				return nil, err
-			}
-			if mode == execLive {
-				db.ackWait()
-			}
-			return &Result{Message: fmt.Sprintf("appended %d tuple(s) at sequence number %d", len(tuples), sn)}, nil
-		}
-		parts := make([]engine.MutationPart, len(s.Parts))
+		parts := make([]wal.Part, len(s.Parts))
 		for i, p := range s.Parts {
 			tuples := tuplesOf(p.Rows)
-			parts[i] = engine.MutationPart{Chronicle: p.Chronicle, Tuples: tuples}
+			parts[i] = wal.Part{Chronicle: p.Chronicle, Tuples: tuples}
 			total += len(tuples)
 		}
 		sn, err := db.eng.AppendBatch(parts)
@@ -173,6 +162,9 @@ func (db *DB) execOne(s sqlparse.Statement, mode execMode) (*Result, error) {
 		}
 		if mode == execLive {
 			db.ackWait()
+		}
+		if len(parts) == 1 {
+			return &Result{Message: fmt.Sprintf("appended %d tuple(s) at sequence number %d", total, sn)}, nil
 		}
 		return &Result{Message: fmt.Sprintf("appended %d tuple(s) across %d chronicles at sequence number %d",
 			total, len(parts), sn)}, nil

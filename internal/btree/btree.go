@@ -3,8 +3,9 @@
 //
 // The chronicle model's complexity results are stated "modulo index look
 // ups" (Section 3) and Theorem 4.4 bounds view maintenance by
-// O(t·log|V|); this tree is the ordered index behind relation key lookups
-// and range scans.
+// O(t·log|V|); this tree is the ordered index behind relation key lookups:
+// a relation's current rows and its superseded versions are each one tree,
+// read by key and walked in key order.
 //
 // Trees support cheap copy-on-write clones: Clone shares every node with
 // the original in O(1), and subsequent mutations on either tree copy only
@@ -239,36 +240,6 @@ func (t *Tree[K, V]) Delete(key K) bool {
 	return deleted
 }
 
-// Min returns the smallest entry.
-func (t *Tree[K, V]) Min() (K, V, bool) {
-	if t.root == nil {
-		var k K
-		var v V
-		return k, v, false
-	}
-	n := t.root
-	for n.children != nil {
-		n = n.children[0]
-	}
-	it := n.items[0]
-	return it.key, it.val, true
-}
-
-// Max returns the largest entry.
-func (t *Tree[K, V]) Max() (K, V, bool) {
-	if t.root == nil {
-		var k K
-		var v V
-		return k, v, false
-	}
-	n := t.root
-	for n.children != nil {
-		n = n.children[len(n.children)-1]
-	}
-	it := n.items[len(n.items)-1]
-	return it.key, it.val, true
-}
-
 // Ascend visits every entry in ascending key order until fn returns false.
 func (t *Tree[K, V]) Ascend(fn func(key K, val V) bool) {
 	t.ascend(t.root, fn)
@@ -288,153 +259,6 @@ func (t *Tree[K, V]) ascend(n *node[K, V], fn func(K, V) bool) bool {
 	}
 	if n.children != nil {
 		return t.ascend(n.children[len(n.children)-1], fn)
-	}
-	return true
-}
-
-// AscendRange visits entries with lo <= key < hi in ascending order until fn
-// returns false.
-func (t *Tree[K, V]) AscendRange(lo, hi K, fn func(key K, val V) bool) {
-	t.ascendRange(t.root, lo, hi, fn)
-}
-
-func (t *Tree[K, V]) ascendRange(n *node[K, V], lo, hi K, fn func(K, V) bool) bool {
-	if n == nil {
-		return true
-	}
-	start, _ := t.search(n, lo)
-	for i := start; i < len(n.items); i++ {
-		it := n.items[i]
-		if !t.less(it.key, hi) {
-			// Everything at and after it.key is >= hi; still descend into
-			// the child to its left for in-range keys.
-			if n.children != nil {
-				return t.ascendRange(n.children[i], lo, hi, fn)
-			}
-			return true
-		}
-		if n.children != nil && !t.ascendRange(n.children[i], lo, hi, fn) {
-			return false
-		}
-		if !t.less(it.key, lo) && !fn(it.key, it.val) {
-			return false
-		}
-	}
-	if n.children != nil {
-		return t.ascendRange(n.children[len(n.children)-1], lo, hi, fn)
-	}
-	return true
-}
-
-// AscendGreaterOrEqual visits entries with key >= lo in ascending order.
-func (t *Tree[K, V]) AscendGreaterOrEqual(lo K, fn func(key K, val V) bool) {
-	t.ascendGE(t.root, lo, fn)
-}
-
-func (t *Tree[K, V]) ascendGE(n *node[K, V], lo K, fn func(K, V) bool) bool {
-	if n == nil {
-		return true
-	}
-	start, _ := t.search(n, lo)
-	for i := start; i < len(n.items); i++ {
-		if n.children != nil && !t.ascendGE(n.children[i], lo, fn) {
-			return false
-		}
-		it := n.items[i]
-		if !t.less(it.key, lo) && !fn(it.key, it.val) {
-			return false
-		}
-	}
-	if n.children != nil {
-		return t.ascendGE(n.children[len(n.children)-1], lo, fn)
-	}
-	return true
-}
-
-// AscendLessThan visits entries with key < hi in ascending order until fn
-// returns false.
-func (t *Tree[K, V]) AscendLessThan(hi K, fn func(key K, val V) bool) {
-	t.ascendLT(t.root, hi, fn)
-}
-
-func (t *Tree[K, V]) ascendLT(n *node[K, V], hi K, fn func(K, V) bool) bool {
-	if n == nil {
-		return true
-	}
-	for i, it := range n.items {
-		if !t.less(it.key, hi) {
-			if n.children != nil {
-				return t.ascendLT(n.children[i], hi, fn)
-			}
-			return true
-		}
-		if n.children != nil && !t.ascendLT(n.children[i], hi, fn) {
-			return false
-		}
-		if !fn(it.key, it.val) {
-			return false
-		}
-	}
-	if n.children != nil {
-		return t.ascendLT(n.children[len(n.children)-1], hi, fn)
-	}
-	return true
-}
-
-// Descend visits every entry in descending key order until fn returns
-// false.
-func (t *Tree[K, V]) Descend(fn func(key K, val V) bool) {
-	t.descend(t.root, fn)
-}
-
-func (t *Tree[K, V]) descend(n *node[K, V], fn func(K, V) bool) bool {
-	if n == nil {
-		return true
-	}
-	if n.children != nil && !t.descend(n.children[len(n.children)-1], fn) {
-		return false
-	}
-	for i := len(n.items) - 1; i >= 0; i-- {
-		it := n.items[i]
-		if !fn(it.key, it.val) {
-			return false
-		}
-		if n.children != nil && !t.descend(n.children[i], fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// DescendRange visits entries with lo <= key < hi in descending key order
-// until fn returns false — the same half-open window as AscendRange,
-// walked newest-first.
-func (t *Tree[K, V]) DescendRange(lo, hi K, fn func(key K, val V) bool) {
-	t.descendRange(t.root, lo, hi, fn)
-}
-
-func (t *Tree[K, V]) descendRange(n *node[K, V], lo, hi K, fn func(K, V) bool) bool {
-	if n == nil {
-		return true
-	}
-	// end is the first index with key >= hi: items[end-1] and below may be
-	// in range, and children[end] can still hold keys below hi.
-	end, _ := t.search(n, hi)
-	if n.children != nil && !t.descendRange(n.children[end], lo, hi, fn) {
-		return false
-	}
-	for i := end - 1; i >= 0; i-- {
-		it := n.items[i]
-		if t.less(it.key, lo) {
-			// it.key and everything left of it is below the window.
-			return true
-		}
-		if !fn(it.key, it.val) {
-			return false
-		}
-		if n.children != nil && !t.descendRange(n.children[i], lo, hi, fn) {
-			return false
-		}
 	}
 	return true
 }
@@ -625,29 +449,4 @@ func (t *Tree[K, V]) mergeChildren(n *node[K, V], i int) {
 	left.children = append(left.children, right.children...)
 	n.items = append(n.items[:i], n.items[i+1:]...)
 	n.children = append(n.children[:i+1], n.children[i+2:]...)
-}
-
-// DeleteRange removes every key in the half-open window [lo, hi) and
-// returns how many were removed. hasLo/hasHi mark which bounds are
-// present; an absent bound is unbounded on that side. Keys are collected
-// first and then deleted one by one, so the walk never observes its own
-// mutations — block eviction in the paged view store deletes one block's
-// key run this way.
-func (t *Tree[K, V]) DeleteRange(lo, hi K, hasLo, hasHi bool) int {
-	keys := make([]K, 0, 16)
-	collect := func(k K, _ V) bool { keys = append(keys, k); return true }
-	switch {
-	case hasLo && hasHi:
-		t.AscendRange(lo, hi, collect)
-	case hasLo:
-		t.AscendGreaterOrEqual(lo, collect)
-	case hasHi:
-		t.AscendLessThan(hi, collect)
-	default:
-		t.Ascend(collect)
-	}
-	for _, k := range keys {
-		t.Delete(k)
-	}
-	return len(keys)
 }

@@ -22,12 +22,6 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Delete(1) {
 		t.Error("Delete on empty tree reported true")
 	}
-	if _, _, ok := tr.Min(); ok {
-		t.Error("Min on empty tree")
-	}
-	if _, _, ok := tr.Max(); ok {
-		t.Error("Max on empty tree")
-	}
 	count := 0
 	tr.Ascend(func(int, string) bool { count++; return true })
 	if count != 0 {
@@ -172,19 +166,6 @@ func TestRandomOpsAgainstMap(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	tr := intTree()
-	for _, k := range []int{50, 20, 90, 10, 70} {
-		tr.Set(k, "x")
-	}
-	if k, _, ok := tr.Min(); !ok || k != 10 {
-		t.Errorf("Min = %d, %v", k, ok)
-	}
-	if k, _, ok := tr.Max(); !ok || k != 90 {
-		t.Errorf("Max = %d, %v", k, ok)
-	}
-}
-
 func TestAscendEarlyStop(t *testing.T) {
 	tr := intTree()
 	for i := 0; i < 100; i++ {
@@ -197,85 +178,6 @@ func TestAscendEarlyStop(t *testing.T) {
 	})
 	if count != 10 {
 		t.Errorf("visited %d, want 10", count)
-	}
-}
-
-func TestAscendRange(t *testing.T) {
-	tr := intTree()
-	for i := 0; i < 1000; i++ {
-		tr.Set(i*2, "x") // even keys 0..1998
-	}
-	var got []int
-	tr.AscendRange(101, 111, func(k int, _ string) bool {
-		got = append(got, k)
-		return true
-	})
-	want := []int{102, 104, 106, 108, 110}
-	if len(got) != len(want) {
-		t.Fatalf("AscendRange = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AscendRange = %v, want %v", got, want)
-		}
-	}
-	// Range with lo == existing key includes it; hi exclusive.
-	got = got[:0]
-	tr.AscendRange(100, 104, func(k int, _ string) bool {
-		got = append(got, k)
-		return true
-	})
-	if len(got) != 2 || got[0] != 100 || got[1] != 102 {
-		t.Fatalf("AscendRange inclusive-lo = %v", got)
-	}
-}
-
-func TestAscendRangeRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	tr := intTree()
-	present := map[int]bool{}
-	for i := 0; i < 3000; i++ {
-		k := rng.Intn(5000)
-		tr.Set(k, "x")
-		present[k] = true
-	}
-	for trial := 0; trial < 200; trial++ {
-		lo := rng.Intn(5000)
-		hi := lo + rng.Intn(500)
-		var got []int
-		tr.AscendRange(lo, hi, func(k int, _ string) bool {
-			got = append(got, k)
-			return true
-		})
-		var want []int
-		for k := lo; k < hi; k++ {
-			if present[k] {
-				want = append(want, k)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("range [%d,%d): got %d keys, want %d", lo, hi, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("range [%d,%d): got %v, want %v", lo, hi, got, want)
-			}
-		}
-	}
-}
-
-func TestAscendGreaterOrEqual(t *testing.T) {
-	tr := intTree()
-	for i := 0; i < 100; i++ {
-		tr.Set(i*3, "x")
-	}
-	var got []int
-	tr.AscendGreaterOrEqual(290, func(k int, _ string) bool {
-		got = append(got, k)
-		return true
-	})
-	if len(got) != 3 || got[0] != 291 || got[2] != 297 {
-		t.Fatalf("AscendGE = %v", got)
 	}
 }
 
@@ -342,47 +244,5 @@ func BenchmarkGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Get(i & (1<<20 - 1))
-	}
-}
-
-func TestDeleteRange(t *testing.T) {
-	newT := func() *Tree[int, int] {
-		tr := New[int, int](func(a, b int) bool { return a < b })
-		for i := 0; i < 100; i++ {
-			tr.Set(i, i)
-		}
-		return tr
-	}
-	tr := newT()
-	if n := tr.DeleteRange(10, 20, true, true); n != 10 {
-		t.Fatalf("DeleteRange[10,20) = %d, want 10", n)
-	}
-	if tr.Len() != 90 {
-		t.Fatalf("Len = %d, want 90", tr.Len())
-	}
-	if _, ok := tr.Get(10); ok {
-		t.Fatal("key 10 survived DeleteRange")
-	}
-	if _, ok := tr.Get(20); !ok {
-		t.Fatal("key 20 (exclusive hi) deleted")
-	}
-	tr = newT()
-	if n := tr.DeleteRange(90, 0, true, false); n != 10 {
-		t.Fatalf("DeleteRange[90,∞) = %d, want 10", n)
-	}
-	tr = newT()
-	if n := tr.DeleteRange(0, 10, false, true); n != 10 {
-		t.Fatalf("DeleteRange(-∞,10) = %d, want 10", n)
-	}
-	tr = newT()
-	if n := tr.DeleteRange(0, 0, false, false); n != 100 || tr.Len() != 0 {
-		t.Fatalf("DeleteRange unbounded = %d len=%d, want 100, 0", n, tr.Len())
-	}
-	// A clone made before the delete is unaffected (COW holds).
-	tr = newT()
-	snap := tr.Clone()
-	tr.DeleteRange(0, 50, true, true)
-	if snap.Len() != 100 {
-		t.Fatalf("clone Len = %d after DeleteRange on source, want 100", snap.Len())
 	}
 }

@@ -2,7 +2,6 @@ package btree
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -239,132 +238,6 @@ func TestQuickCloneDeleteRebalance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDescend(t *testing.T) {
-	tr := intTree()
-	for i := 0; i < 1000; i++ {
-		tr.Set(i*2, "x")
-	}
-	var got []int
-	tr.Descend(func(k int, _ string) bool {
-		got = append(got, k)
-		return len(got) < 5
-	})
-	want := []int{1998, 1996, 1994, 1992, 1990}
-	if len(got) != len(want) {
-		t.Fatalf("Descend = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Descend = %v, want %v", got, want)
-		}
-	}
-	// Full descent is the exact reverse of ascent.
-	var up, down []int
-	tr.Ascend(func(k int, _ string) bool { up = append(up, k); return true })
-	tr.Descend(func(k int, _ string) bool { down = append(down, k); return true })
-	if len(up) != len(down) {
-		t.Fatalf("Descend visited %d, Ascend %d", len(down), len(up))
-	}
-	for i := range up {
-		if up[i] != down[len(down)-1-i] {
-			t.Fatalf("Descend not reverse of Ascend at %d", i)
-		}
-	}
-}
-
-func TestDescendRangeRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	tr := intTree()
-	present := map[int]bool{}
-	for i := 0; i < 3000; i++ {
-		k := rng.Intn(5000)
-		tr.Set(k, "x")
-		present[k] = true
-	}
-	for trial := 0; trial < 200; trial++ {
-		lo := rng.Intn(5000)
-		hi := lo + rng.Intn(500)
-		var got []int
-		tr.DescendRange(lo, hi, func(k int, _ string) bool {
-			got = append(got, k)
-			return true
-		})
-		var want []int
-		for k := hi - 1; k >= lo; k-- {
-			if present[k] {
-				want = append(want, k)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("desc range [%d,%d): got %d keys, want %d (%v vs %v)", lo, hi, len(got), len(want), got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("desc range [%d,%d): got %v, want %v", lo, hi, got, want)
-			}
-		}
-	}
-}
-
-func TestDescendRangeEarlyStop(t *testing.T) {
-	tr := intTree()
-	for i := 0; i < 500; i++ {
-		tr.Set(i, "x")
-	}
-	var got []int
-	tr.DescendRange(100, 400, func(k int, _ string) bool {
-		got = append(got, k)
-		return len(got) < 3
-	})
-	if len(got) != 3 || got[0] != 399 || got[1] != 398 || got[2] != 397 {
-		t.Fatalf("DescendRange early stop = %v", got)
-	}
-}
-
-func TestAscendLessThan(t *testing.T) {
-	tr := intTree()
-	for i := 0; i < 100; i++ {
-		tr.Set(i*3, "x")
-	}
-	var got []int
-	tr.AscendLessThan(10, func(k int, _ string) bool {
-		got = append(got, k)
-		return true
-	})
-	if len(got) != 4 || got[0] != 0 || got[3] != 9 {
-		t.Fatalf("AscendLessThan = %v", got)
-	}
-	// Randomized cross-check against AscendRange from min.
-	rng := rand.New(rand.NewSource(5))
-	tr2 := intTree()
-	for i := 0; i < 2000; i++ {
-		tr2.Set(rng.Intn(4000), "x")
-	}
-	for trial := 0; trial < 50; trial++ {
-		hi := rng.Intn(4000)
-		var a, b []int
-		tr2.AscendLessThan(hi, func(k int, _ string) bool { a = append(a, k); return true })
-		tr2.Ascend(func(k int, _ string) bool {
-			if k >= hi {
-				return false
-			}
-			b = append(b, k)
-			return true
-		})
-		if len(a) != len(b) {
-			t.Fatalf("hi=%d: AscendLessThan %d keys, want %d", hi, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("hi=%d: mismatch %v vs %v", hi, a, b)
-			}
-		}
-		if !sort.IntsAreSorted(a) {
-			t.Fatalf("AscendLessThan not sorted: %v", a)
-		}
 	}
 }
 

@@ -364,42 +364,44 @@ type BatchPart struct {
 // error nothing is stored.
 func (g *Group) AppendBatch(sn, chronon int64, lsn uint64, parts []BatchPart) (map[*Chronicle][]Row, error) {
 	out := make(map[*Chronicle][]Row, len(parts))
-	if err := g.AppendBatchInto(sn, chronon, lsn, parts, out); err != nil {
+	if _, err := g.AppendBatchInto(sn, chronon, lsn, parts, nil, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 // AppendBatchInto is AppendBatch filling a caller-supplied delta map, so
-// the engine can reuse one map across batches. The stored rows slice is
-// placed in the map directly (not copied again) — the chronicle's retention
-// copy is the only copy between validation and view maintenance.
-func (g *Group) AppendBatchInto(sn, chronon int64, lsn uint64, parts []BatchPart, out map[*Chronicle][]Row) error {
+// the engine can reuse one map across batches. The stored rows are added to
+// buf, which is returned, and each part's share of it is placed in the map
+// directly (not copied again) — the chronicle's retention copy is the only
+// copy between validation and view maintenance.
+func (g *Group) AppendBatchInto(sn, chronon int64, lsn uint64, parts []BatchPart, buf []Row, out map[*Chronicle][]Row) ([]Row, error) {
 	if len(parts) == 0 {
-		return fmt.Errorf("group %s: empty batch", g.name)
+		return nil, fmt.Errorf("group %s: empty batch", g.name)
 	}
 	if sn <= g.lastSN {
-		return fmt.Errorf("group %s: sequence number %d not greater than group maximum %d",
+		return nil, fmt.Errorf("group %s: sequence number %d not greater than group maximum %d",
 			g.name, sn, g.lastSN)
 	}
 	for _, p := range parts {
 		if p.C.group != g {
-			return fmt.Errorf("group %s: chronicle %s belongs to group %s", g.name, p.C.name, p.C.group.name)
+			return nil, fmt.Errorf("group %s: chronicle %s belongs to group %s", g.name, p.C.name, p.C.group.name)
 		}
 		if len(p.Tuples) == 0 {
-			return fmt.Errorf("group %s: empty part for chronicle %s", g.name, p.C.name)
+			return nil, fmt.Errorf("group %s: empty part for chronicle %s", g.name, p.C.name)
 		}
 		for i, t := range p.Tuples {
 			if err := p.C.schema.Validate(t); err != nil {
-				return fmt.Errorf("chronicle %s: tuple %d: %w", p.C.name, i, err)
+				return nil, fmt.Errorf("chronicle %s: tuple %d: %w", p.C.name, i, err)
 			}
 		}
 	}
 	for _, p := range parts {
-		rows := make([]Row, len(p.Tuples))
-		for i, t := range p.Tuples {
-			rows[i] = Row{SN: sn, Chronon: chronon, LSN: lsn, Vals: t}
+		start := len(buf)
+		for _, t := range p.Tuples {
+			buf = append(buf, Row{SN: sn, Chronon: chronon, LSN: lsn, Vals: t})
 		}
+		rows := buf[start:len(buf):len(buf)]
 		p.C.mu.Lock()
 		p.C.store(rows)
 		p.C.lastSN = sn
@@ -411,7 +413,7 @@ func (g *Group) AppendBatchInto(sn, chronon int64, lsn uint64, parts []BatchPart
 		}
 	}
 	g.lastSN = sn
-	return nil
+	return buf, nil
 }
 
 // RestoreLastSN force-sets the group's high-water mark. It exists solely

@@ -7,8 +7,10 @@
 // per shard behind its router, which owns what cuts across shards — the LSN
 // allocator, relation updates under the epoch barrier (the proactive
 // ordering of Section 2.3), commits and changefeed publication. The engine
-// serializes its own updates under one mutex. Durability (WAL, checkpoints)
-// is layered on top by the public chronicledb package.
+// serializes its own updates under one mutex. It hands every append to its
+// recorder as the wal.Record it applies, and replays one the same way; the
+// log itself and checkpoints are layered on top by the public chronicledb
+// package.
 package engine
 
 import (
@@ -30,6 +32,7 @@ import (
 	"chronicledb/internal/stats"
 	"chronicledb/internal/value"
 	"chronicledb/internal/view"
+	"chronicledb/internal/wal"
 )
 
 // Config controls engine-wide defaults.
@@ -133,10 +136,10 @@ type Engine struct {
 	// last of the table's views is dropped.
 	tables map[string]*openTable
 
-	// onRecord, when set, observes every durable mutation before it is
+	// onRecord, when set, observes every append record before it is
 	// applied; the WAL layer hooks in here. Returning an error aborts the
-	// mutation.
-	onRecord func(Mutation) error
+	// append.
+	onRecord func(wal.Record) error
 
 	stats     Stats
 	dedupHits int64           // idempotent appends answered from the dedup table
@@ -265,46 +268,11 @@ func (e *Engine) publishCatalogLocked() {
 // appendScratch backs the allocation-free append path.
 type appendScratch struct {
 	tuple  []value.Tuple                            // the call core's one-tuple batch
-	parts  []MutationPart                           // single-chronicle recorder parts
+	parts  []wal.Part                               // single-chronicle record parts
 	rows   []chronicle.Row                          // stored rows of one call (at most maintainChunk)
 	batch  []chronicle.BatchPart                    // resolved batch parts
 	deltas map[*chronicle.Chronicle][]chronicle.Row // maintain input
 }
-
-// Mutation describes one durable engine mutation, in replayable form.
-type Mutation struct {
-	Kind      MutationKind
-	LSN       uint64 // logical sequence number assigned to this mutation
-	SN        int64  // sequence number (MutAppendEach: first SN of the run)
-	Chronon   int64
-	Parts     []MutationPart // appends
-	Relation  string         // relation updates
-	Tuple     value.Tuple    // delete key values
-	Tuples    []value.Tuple  // MutUpsert: the statement's tuples, at LSN, LSN+1, …
-	ClientID  string         // MutAppendEach: idempotency pair
-	RequestID string         // MutAppendEach: idempotency pair
-}
-
-// MutationPart is one chronicle's share of an append.
-type MutationPart struct {
-	Chronicle string
-	Tuples    []value.Tuple
-}
-
-// MutationKind tags a Mutation.
-type MutationKind uint8
-
-// The mutation kinds.
-const (
-	MutAppend MutationKind = iota
-	MutUpsert
-	MutDelete
-	// MutAppendEach is an idempotent bulk append: one chronicle, one run of
-	// per-tuple append transactions with consecutive sequence numbers, all
-	// recorded as a single WAL frame together with the (ClientID, RequestID)
-	// pair — the rows and the dedup entry become durable atomically.
-	MutAppendEach
-)
 
 // New creates an empty engine.
 func New(cfg Config) *Engine {
@@ -339,8 +307,8 @@ func (e *Engine) ViewSharedPlan(name string) (nodes []algebra.PlanNodeInfo, ok b
 	return nodes, nodes != nil
 }
 
-// SetRecorder installs the durable-mutation observer (the WAL hook).
-func (e *Engine) SetRecorder(fn func(Mutation) error) {
+// SetRecorder installs the append-record observer (the WAL hook).
+func (e *Engine) SetRecorder(fn func(wal.Record) error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.onRecord = fn
@@ -657,36 +625,11 @@ func (e *Engine) releaseDirLocked(d *view.Dir, def view.Def) {
 	}
 }
 
-// Append inserts tuples into one chronicle as a single transaction: the
-// record is appended with the next group sequence number, affected views
-// are identified, and each is maintained incrementally — the complete
-// per-transaction pipeline whose cost Section 3 is about.
-func (e *Engine) Append(chronicleName string, tuples []value.Tuple) (int64, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	defer e.publishDirtyLocked()
-	c, ok := e.chronicles[chronicleName]
-	if !ok {
-		return 0, fmt.Errorf("engine: unknown chronicle %q", chronicleName)
-	}
-	sn, rows, err := e.storeLocked(c, tuples, e.scratch.rows[:0])
-	if err != nil {
-		return 0, err
-	}
-	e.scratch.rows = rows
-	clear(e.scratch.deltas)
-	e.scratch.deltas[c] = rows
-	e.maintain(e.scratch.deltas)
-	e.stats.Appends++
-	e.stats.TuplesAppended += int64(len(tuples))
-	return sn, nil
-}
-
-// storeLocked is one append transaction up to its stored rows: the tuples are
-// coerced in place, stamped with the group's next SN, the clock and a fresh
-// LSN, recorded as one MutAppend, and stored; the rows are added to buf. It
-// neither maintains nor counts — Append does that for its one transaction,
-// the call core for all of a call's.
+// storeLocked is one append transaction of a per-tuple call up to its stored
+// rows: the tuples are coerced in place, stamped with the group's next SN, the
+// clock and a fresh LSN, recorded as one RecAppend, and stored; the rows are
+// added to buf. It neither maintains nor counts — the call core does that for
+// all of a call's transactions.
 func (e *Engine) storeLocked(c *chronicle.Chronicle, tuples []value.Tuple, buf []chronicle.Row) (sn int64, rows []chronicle.Row, err error) {
 	for i, t := range tuples {
 		if tuples[i], err = c.Schema().Coerce(t); err != nil {
@@ -697,9 +640,9 @@ func (e *Engine) storeLocked(c *chronicle.Chronicle, tuples []value.Tuple, buf [
 	chronon := e.cfg.Clock()
 	lsn := e.cfg.NextLSN()
 	if e.onRecord != nil {
-		e.scratch.parts = append(e.scratch.parts[:0], MutationPart{Chronicle: c.Name(), Tuples: tuples})
-		m := Mutation{Kind: MutAppend, LSN: lsn, SN: sn, Chronon: chronon, Parts: e.scratch.parts}
-		if err := e.onRecord(m); err != nil {
+		e.scratch.parts = append(e.scratch.parts[:0], wal.Part{Chronicle: c.Name(), Tuples: tuples})
+		rec := wal.Record{Kind: wal.RecAppend, LSN: lsn, SN: sn, Chronon: chronon, Parts: e.scratch.parts}
+		if err := e.onRecord(rec); err != nil {
 			return 0, nil, fmt.Errorf("engine: recording append: %w", err)
 		}
 	}
@@ -707,37 +650,64 @@ func (e *Engine) storeLocked(c *chronicle.Chronicle, tuples []value.Tuple, buf [
 	return sn, rows, err
 }
 
-// AppendBatch inserts tuples into several chronicles of one group
-// simultaneously, sharing a single sequence number.
-func (e *Engine) AppendBatch(parts []MutationPart) (int64, error) {
+// AppendBatch inserts tuples into the chronicles of one group as a single
+// append transaction sharing one sequence number: the record is stamped with
+// the group's next SN, the clock and a fresh LSN, recorded, and stored, and
+// every affected view is maintained — the complete per-transaction pipeline
+// whose cost Section 3 is about. A single-chronicle append is a batch of one
+// part.
+func (e *Engine) AppendBatch(parts []wal.Part) (int64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	defer e.publishDirtyLocked()
-	return e.appendBatchLocked(parts, nil, nil)
+	return e.appendBatchLocked(wal.Record{Kind: wal.RecAppend, Parts: parts}, false)
 }
 
-// AppendBatchAt is AppendBatch with caller-supplied SN and chronon (WAL
-// replay and follower apply).
-func (e *Engine) AppendBatchAt(parts []MutationPart, sn, chronon int64) (int64, error) {
+// Replay applies one append record at the coordinates it carries (WAL
+// recovery and follower apply): a RecAppend re-takes its SN and chronon, a
+// RecAppendEach its first SN and chronon and re-inserts its dedup entry, so a
+// retry after recovery still hits. Each draws the LSNs it drew live.
+func (e *Engine) Replay(rec wal.Record) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	defer e.publishDirtyLocked()
-	return e.appendBatchLocked(parts, &sn, &chronon)
+	switch rec.Kind {
+	case wal.RecAppend:
+		_, err := e.appendBatchLocked(rec, true)
+		return err
+	case wal.RecAppendEach:
+		if len(rec.Parts) != 1 {
+			return fmt.Errorf("idempotent append record with %d parts", len(rec.Parts))
+		}
+		_, _, err := e.appendEachAtomicLocked(rec, true)
+		return err
+	}
+	return fmt.Errorf("engine: WAL record kind %d is not an append", rec.Kind)
 }
 
-func (e *Engine) appendBatchLocked(parts []MutationPart, snOverride, chOverride *int64) (int64, error) {
-	if len(parts) == 0 {
+// appendBatchLocked applies one RecAppend: rec carries its parts and, when
+// replay is set, the SN and chronon to re-take. Every part is resolved and
+// coerced before the record is cut, so a batch that cannot apply is never
+// recorded. The clock is read on replay too, so an injected clock advances
+// as it did live.
+func (e *Engine) appendBatchLocked(rec wal.Record, replay bool) (int64, error) {
+	if len(rec.Parts) == 0 {
 		return 0, fmt.Errorf("engine: empty batch")
 	}
 	resolved := e.scratch.batch[:0]
 	var g *chronicle.Group
-	for _, p := range parts {
+	for _, p := range rec.Parts {
 		c, ok := e.chronicles[p.Chronicle]
 		if !ok {
 			return 0, fmt.Errorf("engine: unknown chronicle %q", p.Chronicle)
 		}
+		if len(p.Tuples) == 0 {
+			return 0, fmt.Errorf("chronicle %s: empty append", p.Chronicle)
+		}
 		if g == nil {
 			g = c.Group()
+		} else if c.Group() != g {
+			return 0, fmt.Errorf("group %s: chronicle %s belongs to group %s", g.Name(), c.Name(), c.Group().Name())
 		}
 		for j, t := range p.Tuples {
 			coerced, err := c.Schema().Coerce(t)
@@ -749,30 +719,26 @@ func (e *Engine) appendBatchLocked(parts []MutationPart, snOverride, chOverride 
 		resolved = append(resolved, chronicle.BatchPart{C: c, Tuples: p.Tuples})
 	}
 	e.scratch.batch = resolved
-	sn := g.NextSN()
-	if snOverride != nil {
-		sn = *snOverride
+	sn, chronon := g.NextSN(), e.cfg.Clock()
+	if !replay {
+		rec.SN, rec.Chronon = sn, chronon
 	}
-	chronon := e.cfg.Clock()
-	if chOverride != nil {
-		chronon = *chOverride
-	}
-	lsn := e.cfg.NextLSN()
+	rec.LSN = e.cfg.NextLSN()
 	if e.onRecord != nil {
-		if err := e.onRecord(Mutation{Kind: MutAppend, LSN: lsn, SN: sn, Chronon: chronon, Parts: parts}); err != nil {
+		if err := e.onRecord(rec); err != nil {
 			return 0, fmt.Errorf("engine: recording append: %w", err)
 		}
 	}
 	clear(e.scratch.deltas)
-	if err := g.AppendBatchInto(sn, chronon, lsn, resolved, e.scratch.deltas); err != nil {
+	rows, err := g.AppendBatchInto(rec.SN, rec.Chronon, rec.LSN, resolved, e.scratch.rows[:0], e.scratch.deltas)
+	if err != nil {
 		return 0, err
 	}
+	e.scratch.rows = rows
 	e.maintain(e.scratch.deltas)
 	e.stats.Appends++
-	for _, p := range parts {
-		e.stats.TuplesAppended += int64(len(p.Tuples))
-	}
-	return sn, nil
+	e.stats.TuplesAppended += int64(len(rows))
+	return rec.SN, nil
 }
 
 // AppendEach inserts each tuple as its own append transaction (its own
@@ -819,67 +785,52 @@ func (e *Engine) AppendEachIdem(chronicleName string, tuples []value.Tuple, clie
 	// being durably acknowledged. The DB facade latches read-only on that
 	// error, which is what keeps the dedup entry from turning a failed
 	// commit into a false positive ack on retry.
-	first, last, err = e.appendEachAtomicLocked(chronicleName, tuples, clientID, requestID, nil, nil)
+	e.scratch.parts = append(e.scratch.parts[:0], wal.Part{Chronicle: chronicleName, Tuples: tuples})
+	run := wal.Record{Kind: wal.RecAppendEach, ClientID: clientID, RequestID: requestID, Parts: e.scratch.parts}
+	first, last, err = e.appendEachAtomicLocked(run, false)
 	if err != nil {
 		return 0, 0, false, err
 	}
 	return first, last, false, nil
 }
 
-// AppendEachAt replays a MutAppendEach record: caller-supplied first SN and
-// chronon, re-inserting the dedup entry so post-recovery retries still hit.
-func (e *Engine) AppendEachAt(chronicleName string, firstSN, chronon int64, tuples []value.Tuple, clientID, requestID string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	defer e.publishDirtyLocked()
-	_, _, err := e.appendEachAtomicLocked(chronicleName, tuples, clientID, requestID, &firstSN, &chronon)
-	return err
-}
-
-// appendEachAtomicLocked applies one idempotent run: coerce everything,
-// write ONE WAL record carrying the ids, apply the tuples as the call core
-// does (each its own append transaction, sn = firstSN+i), and finally
-// remember the ack. Like every *Locked fold it publishes nothing; the caller
-// does, on the early error return too.
-func (e *Engine) appendEachAtomicLocked(chronicleName string, tuples []value.Tuple, clientID, requestID string, snOverride, chOverride *int64) (first, last int64, err error) {
-	c, ok := e.chronicles[chronicleName]
+// appendEachAtomicLocked applies one idempotent run, a RecAppendEach of one
+// part whose SN and chronon are re-taken when replay is set: coerce
+// everything, write ONE WAL record carrying the ids, apply the tuples as the
+// call core does (each its own append transaction, sn = run.SN+i), and
+// finally remember the ack. Like every *Locked fold it publishes nothing; the
+// caller does, on the early error return too.
+func (e *Engine) appendEachAtomicLocked(run wal.Record, replay bool) (first, last int64, err error) {
+	p := run.Parts[0]
+	c, ok := e.chronicles[p.Chronicle]
 	if !ok {
-		return 0, 0, fmt.Errorf("engine: unknown chronicle %q", chronicleName)
+		return 0, 0, fmt.Errorf("engine: unknown chronicle %q", p.Chronicle)
 	}
-	for i, t := range tuples {
+	for i, t := range p.Tuples {
 		coerced, cerr := c.Schema().Coerce(t)
 		if cerr != nil {
-			return 0, 0, fmt.Errorf("engine: chronicle %s: tuple %d: %w", chronicleName, i, cerr)
+			return 0, 0, fmt.Errorf("engine: chronicle %s: tuple %d: %w", p.Chronicle, i, cerr)
 		}
-		tuples[i] = coerced
+		p.Tuples[i] = coerced
 	}
-	firstSN := c.Group().NextSN()
-	if snOverride != nil {
-		firstSN = *snOverride
+	sn, chronon := c.Group().NextSN(), e.cfg.Clock()
+	if !replay {
+		run.SN, run.Chronon = sn, chronon
 	}
-	chronon := e.cfg.Clock()
-	if chOverride != nil {
-		chronon = *chOverride
-	}
-	run := Mutation{
-		Kind: MutAppendEach, LSN: e.cfg.NextLSN(), SN: firstSN, Chronon: chronon,
-		ClientID: clientID, RequestID: requestID,
-	}
+	run.LSN = e.cfg.NextLSN()
 	if e.onRecord != nil {
-		e.scratch.parts = append(e.scratch.parts[:0], MutationPart{Chronicle: chronicleName, Tuples: tuples})
-		run.Parts = e.scratch.parts
 		if err := e.onRecord(run); err != nil {
 			return 0, 0, fmt.Errorf("engine: recording append: %w", err)
 		}
 	}
-	if first, last, err = e.appendCallLocked(c, tuples, &run); err != nil {
+	if first, last, err = e.appendCallLocked(c, p.Tuples, &run); err != nil {
 		// Unreachable in practice: the SNs are consecutive under e.mu and
 		// every tuple was coerced above. Reported for safety.
 		return 0, 0, err
 	}
-	if clientID != "" {
-		e.dedup.Put(clientID, requestID, dedup.Ack{
-			Chronicle: chronicleName, FirstSN: first, LastSN: last, Rows: len(tuples),
+	if run.ClientID != "" {
+		e.dedup.Put(run.ClientID, run.RequestID, dedup.Ack{
+			Chronicle: p.Chronicle, FirstSN: first, LastSN: last, Rows: len(p.Tuples),
 		})
 	}
 	return first, last, nil
@@ -896,13 +847,13 @@ const maintainChunk = 4096
 // gather in one call buffer that is folded into the views in a single
 // maintenance round (one per maintainChunk rows for a longer call). Where the
 // stamps come from is the one difference between the callers: with run nil
-// every tuple is a storeLocked transaction with its own MutAppend record;
-// under an already recorded MutAppendEach run (its tuples coerced before the
+// every tuple is a storeLocked transaction with its own RecAppend record;
+// under an already recorded RecAppendEach run (its tuples coerced before the
 // record was cut) tuple i takes SN run.SN+i, the run's chronon, and the run's
 // LSN for i = 0 or a fresh one — the same LSN consumption live and in replay.
 // A call that fails at tuple i keeps tuples 0..i-1 applied and folds them
 // before it returns; the caller publishes.
-func (e *Engine) appendCallLocked(c *chronicle.Chronicle, tuples []value.Tuple, run *Mutation) (first, last int64, err error) {
+func (e *Engine) appendCallLocked(c *chronicle.Chronicle, tuples []value.Tuple, run *wal.Record) (first, last int64, err error) {
 	one := append(e.scratch.tuple[:0], nil) // the one-tuple batch of each transaction
 	for i := 0; i < len(tuples) && err == nil; {
 		rows := e.scratch.rows[:0]

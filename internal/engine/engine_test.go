@@ -13,6 +13,7 @@ import (
 	"chronicledb/internal/relation"
 	"chronicledb/internal/value"
 	"chronicledb/internal/view"
+	"chronicledb/internal/wal"
 )
 
 func callsSchema() *value.Schema {
@@ -41,6 +42,11 @@ func newEngine(t testing.TB) (*Engine, *int64) {
 		NextLSN:         func() uint64 { lsn++; return lsn },
 	})
 	return e, &now
+}
+
+// appendOne is a single-chronicle append: a batch of one part.
+func appendOne(e *Engine, chronicleName string, tuples []value.Tuple) (int64, error) {
+	return e.AppendBatch([]wal.Part{{Chronicle: chronicleName, Tuples: tuples}})
 }
 
 func mustCreateCalls(t testing.TB, e *Engine) *chronicle.Chronicle {
@@ -111,10 +117,10 @@ func TestAppendMaintainsViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Append("calls", []value.Tuple{{value.Str("a"), value.Int(10)}}); err != nil {
+	if _, err := appendOne(e, "calls", []value.Tuple{{value.Str("a"), value.Int(10)}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Append("calls", []value.Tuple{{value.Str("a"), value.Int(5)}}); err != nil {
+	if _, err := appendOne(e, "calls", []value.Tuple{{value.Str("a"), value.Int(5)}}); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := v.Lookup(value.Tuple{value.Str("a")})
@@ -125,7 +131,7 @@ func TestAppendMaintainsViews(t *testing.T) {
 	if st.Appends != 2 || st.TuplesAppended != 2 || st.ViewsMaintained != 2 {
 		t.Errorf("Stats = %+v", st)
 	}
-	if _, err := e.Append("nope", nil); err == nil {
+	if _, err := appendOne(e, "nope", nil); err == nil {
 		t.Error("append to unknown chronicle accepted")
 	}
 }
@@ -139,7 +145,7 @@ func TestAppendBatchSharedSN(t *testing.T) {
 	), nil); err != nil {
 		t.Fatal(err)
 	}
-	sn, err := e.AppendBatch([]MutationPart{
+	sn, err := e.AppendBatch([]wal.Part{
 		{Chronicle: "calls", Tuples: []value.Tuple{{value.Str("a"), value.Int(1)}}},
 		{Chronicle: "payments", Tuples: []value.Tuple{{value.Str("a"), value.Int(9)}}},
 	})
@@ -154,7 +160,7 @@ func TestAppendBatchSharedSN(t *testing.T) {
 	if _, err := e.AppendBatch(nil); err == nil {
 		t.Error("empty batch accepted")
 	}
-	if _, err := e.AppendBatch([]MutationPart{{Chronicle: "ghost"}}); err == nil {
+	if _, err := e.AppendBatch([]wal.Part{{Chronicle: "ghost"}}); err == nil {
 		t.Error("unknown chronicle in batch accepted")
 	}
 }
@@ -173,9 +179,9 @@ func TestPeriodicViewThroughEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	*now = 50
-	e.Append("calls", []value.Tuple{{value.Str("a"), value.Int(3)}})
+	appendOne(e, "calls", []value.Tuple{{value.Str("a"), value.Int(3)}})
 	*now = 150
-	e.Append("calls", []value.Tuple{{value.Str("a"), value.Int(4)}})
+	appendOne(e, "calls", []value.Tuple{{value.Str("a"), value.Int(4)}})
 	if pv.Live() != 2 {
 		t.Fatalf("Live = %d", pv.Live())
 	}
@@ -205,7 +211,7 @@ func TestDispatchFilterSkipsUnaffectedViews(t *testing.T) {
 		}
 		views = append(views, v)
 	}
-	e.Append("calls", []value.Tuple{{value.Str("acct3"), value.Int(5)}})
+	appendOne(e, "calls", []value.Tuple{{value.Str("acct3"), value.Int(5)}})
 	// Only acct3's view was maintained.
 	if e.Counters().ViewsMaintained != 1 {
 		t.Errorf("ViewsMaintained = %d, want 1", e.Counters().ViewsMaintained)
@@ -225,8 +231,8 @@ func TestBackfillFromRetainedChronicle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Append("history", []value.Tuple{{value.Str("a"), value.Int(10)}})
-	e.Append("history", []value.Tuple{{value.Str("a"), value.Int(20)}})
+	appendOne(e, "history", []value.Tuple{{value.Str("a"), value.Int(10)}})
+	appendOne(e, "history", []value.Tuple{{value.Str("a"), value.Int(20)}})
 	def := usageDef(c)
 	def.Name = "late_view"
 	v, err := e.CreateView(def, pred.True(), nil)
@@ -243,15 +249,15 @@ func TestRecorderVetoAbortsMutation(t *testing.T) {
 	e, _ := newEngine(t)
 	c := mustCreateCalls(t, e)
 	v, _ := e.CreateView(usageDef(c), pred.True(), nil)
-	e.SetRecorder(func(Mutation) error { return fmt.Errorf("disk full") })
-	if _, err := e.Append("calls", []value.Tuple{{value.Str("a"), value.Int(1)}}); err == nil {
+	e.SetRecorder(func(wal.Record) error { return fmt.Errorf("disk full") })
+	if _, err := appendOne(e, "calls", []value.Tuple{{value.Str("a"), value.Int(1)}}); err == nil {
 		t.Fatal("append succeeded despite recorder veto")
 	}
 	if v.Len() != 0 || c.LastSN() != -1 {
 		t.Error("vetoed append left state behind")
 	}
 	e.SetRecorder(nil)
-	if _, err := e.Append("calls", []value.Tuple{{value.Str("a"), value.Int(1)}}); err != nil {
+	if _, err := appendOne(e, "calls", []value.Tuple{{value.Str("a"), value.Int(1)}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -308,7 +314,7 @@ func TestDropViewEngine(t *testing.T) {
 		t.Error("dropping a chronicle as a view accepted")
 	}
 	// Appends no longer maintain it.
-	e.Append("calls", []value.Tuple{{value.Str("a"), value.Int(1)}})
+	appendOne(e, "calls", []value.Tuple{{value.Str("a"), value.Int(1)}})
 	if e.Counters().ViewsMaintained != 0 {
 		t.Errorf("ViewsMaintained = %d", e.Counters().ViewsMaintained)
 	}
@@ -327,18 +333,18 @@ func TestDropViewEngine(t *testing.T) {
 	}
 }
 
-func TestAppendBatchAtReplay(t *testing.T) {
+func TestReplayAtRecordCoordinates(t *testing.T) {
 	e, _ := newEngine(t)
 	retain := chronicle.RetainAll
 	c, err := e.CreateChronicle("calls", "telecom", callsSchema(), &retain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, err := e.AppendBatchAt([]MutationPart{
+	err = e.Replay(wal.Record{Kind: wal.RecAppend, SN: 42, Chronon: 4200, Parts: []wal.Part{
 		{Chronicle: "calls", Tuples: []value.Tuple{{value.Str("a"), value.Int(1)}}},
-	}, 42, 4200)
-	if err != nil || sn != 42 {
-		t.Fatalf("AppendBatchAt = %d, %v", sn, err)
+	}})
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
 	}
 	var got chronicle.Row
 	c.Scan(func(r chronicle.Row) bool { got = r; return false })
@@ -346,9 +352,27 @@ func TestAppendBatchAtReplay(t *testing.T) {
 		t.Errorf("row = %+v", got)
 	}
 	// The next auto append continues after the replayed SN.
-	sn, err = e.Append("calls", []value.Tuple{{value.Str("a"), value.Int(1)}})
+	sn, err := appendOne(e, "calls", []value.Tuple{{value.Str("a"), value.Int(1)}})
 	if err != nil || sn != 43 {
 		t.Errorf("next SN = %d, %v", sn, err)
+	}
+	// An idempotent run re-takes its first SN and chronon and its dedup entry.
+	err = e.Replay(wal.Record{Kind: wal.RecAppendEach, SN: 50, Chronon: 5000, ClientID: "c", RequestID: "r",
+		Parts: []wal.Part{{Chronicle: "calls", Tuples: []value.Tuple{
+			{value.Str("a"), value.Int(1)}, {value.Str("b"), value.Int(2)},
+		}}}})
+	if err != nil {
+		t.Fatalf("Replay each: %v", err)
+	}
+	first, last, deduped, err := e.AppendEachIdem("calls", []value.Tuple{{value.Str("a"), value.Int(1)}}, "c", "r")
+	if err != nil || !deduped || first != 50 || last != 51 {
+		t.Errorf("retry after replay = %d..%d deduped=%v, %v", first, last, deduped, err)
+	}
+	if err := e.Replay(wal.Record{Kind: wal.RecAppendEach, SN: 60}); err == nil {
+		t.Error("idempotent record without a part replayed")
+	}
+	if err := e.Replay(wal.Record{Kind: wal.RecUpsert, Relation: "r"}); err == nil {
+		t.Error("relation record replayed by an engine")
 	}
 }
 
@@ -364,7 +388,7 @@ func TestNumericCoercion(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An int literal lands in a float column.
-	if _, err := e.Append("ledger", []value.Tuple{{value.Str("a"), value.Int(9)}}); err != nil {
+	if _, err := appendOne(e, "ledger", []value.Tuple{{value.Str("a"), value.Int(9)}}); err != nil {
 		t.Fatal(err)
 	}
 	var got chronicle.Row
@@ -373,11 +397,11 @@ func TestNumericCoercion(t *testing.T) {
 		t.Errorf("coerced value = %v (%s)", got.Vals[1], got.Vals[1].Kind())
 	}
 	// Incompatible kinds still fail.
-	if _, err := e.Append("ledger", []value.Tuple{{value.Str("a"), value.Str("no")}}); err == nil {
+	if _, err := appendOne(e, "ledger", []value.Tuple{{value.Str("a"), value.Str("no")}}); err == nil {
 		t.Error("string in float column accepted")
 	}
 	// Batch path coerces as well.
-	if _, err := e.AppendBatch([]MutationPart{
+	if _, err := e.AppendBatch([]wal.Part{
 		{Chronicle: "ledger", Tuples: []value.Tuple{{value.Str("b"), value.Int(4)}}},
 	}); err != nil {
 		t.Fatal(err)
@@ -387,19 +411,19 @@ func TestNumericCoercion(t *testing.T) {
 func TestRecorderSeesBatchMutations(t *testing.T) {
 	e, _ := newEngine(t)
 	mustCreateCalls(t, e)
-	var kinds []MutationKind
-	e.SetRecorder(func(m Mutation) error {
+	var kinds []wal.RecordKind
+	e.SetRecorder(func(m wal.Record) error {
 		kinds = append(kinds, m.Kind)
 		return nil
 	})
-	e.AppendBatch([]MutationPart{
+	e.AppendBatch([]wal.Part{
 		{Chronicle: "calls", Tuples: []value.Tuple{{value.Str("a"), value.Int(1)}}},
 	})
-	if len(kinds) != 1 || kinds[0] != MutAppend {
+	if len(kinds) != 1 || kinds[0] != wal.RecAppend {
 		t.Fatalf("kinds = %v", kinds)
 	}
-	e.SetRecorder(func(Mutation) error { return fmt.Errorf("no") })
-	if _, err := e.AppendBatch([]MutationPart{
+	e.SetRecorder(func(wal.Record) error { return fmt.Errorf("no") })
+	if _, err := e.AppendBatch([]wal.Part{
 		{Chronicle: "calls", Tuples: []value.Tuple{{value.Str("a"), value.Int(1)}}},
 	}); err == nil {
 		t.Error("vetoed batch append succeeded")
@@ -415,8 +439,8 @@ func TestSerializedReadAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.CreateView(usageDef(c), pred.True(), nil)
-	e.Append("calls", []value.Tuple{{value.Str("a"), value.Int(5)}})
-	e.Append("calls", []value.Tuple{{value.Str("b"), value.Int(7)}})
+	appendOne(e, "calls", []value.Tuple{{value.Str("a"), value.Int(5)}})
+	appendOne(e, "calls", []value.Tuple{{value.Str("b"), value.Int(7)}})
 
 	row, ok, err := e.ViewLookup("usage", value.Tuple{value.Str("a")})
 	if err != nil || !ok || row[1].AsInt() != 5 {

@@ -38,7 +38,7 @@ func populateForReads(t *testing.T, e *Engine) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := e.Append("calls", []value.Tuple{{value.Str("acct1"), value.Int(int64(i))}}); err != nil {
+		if _, err := appendOne(e, "calls", []value.Tuple{{value.Str("acct1"), value.Int(int64(i))}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -20,7 +20,12 @@ import (
 )
 
 // idOf reads the unique id a test append carries in its first tuple.
-func idOf(q *appendReq) int64 { return q.tuples[0][1].AsInt() }
+func idOf(q *appendReq) int64 {
+	if q.op == opBatch {
+		return q.parts[0].Tuples[0][1].AsInt()
+	}
+	return q.tuples[0][1].AsInt()
+}
 
 // idRows maps each id found in the chronicle's rows to how many rows carry
 // it (newRouter retains every row).

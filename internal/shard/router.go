@@ -16,6 +16,7 @@ import (
 	"chronicledb/internal/relation"
 	"chronicledb/internal/value"
 	"chronicledb/internal/view"
+	"chronicledb/internal/wal"
 )
 
 // Config configures a Router.
@@ -33,11 +34,11 @@ type Config struct {
 	Feed *feed.Hub
 }
 
-// WAL is one WAL stream's hooks. Record observes every mutation before it
-// is applied, and its error aborts the mutation; Commit, when set, makes a
+// WAL is one WAL stream's hooks. Record observes every record before it is
+// applied, and its error aborts the mutation; Commit, when set, makes a
 // pass durable (the stream's group-commit door).
 type WAL struct {
-	Record func(engine.Mutation) error
+	Record func(wal.Record) error
 	Commit func() error
 }
 
@@ -332,11 +333,14 @@ func (r *Router) submit(chronicleName string, req *appendReq) {
 }
 
 // Append inserts tuples into one chronicle as a single transaction on its
-// home shard, returning after every affected view there is maintained.
+// home shard, returning after every affected view there is maintained: it is
+// AppendBatch over one part, kept in the pooled request so the call
+// allocates nothing.
 func (r *Router) Append(chronicleName string, tuples []value.Tuple) (int64, error) {
 	req := getReq()
 	defer putReq(req)
-	req.op, req.chronicle, req.tuples = opAppend, chronicleName, tuples
+	req.one[0] = wal.Part{Chronicle: chronicleName, Tuples: tuples}
+	req.op, req.parts = opBatch, req.one[:]
 	r.submit(chronicleName, req)
 	return req.sn, req.err
 }
@@ -367,22 +371,9 @@ func (r *Router) AppendEachIdem(chronicleName string, tuples []value.Tuple, clie
 	return req.first, req.last, req.deduped, req.err
 }
 
-// AppendEachAt replays an idempotent bulk append with caller-supplied
-// first SN and chronon on the home shard (WAL replay and follower apply),
-// re-inserting the dedup entry there.
-func (r *Router) AppendEachAt(chronicleName string, firstSN, chronon int64, tuples []value.Tuple, clientID, requestID string) error {
-	req := getReq()
-	defer putReq(req)
-	req.op, req.chronicle, req.tuples = opEachIdemAt, chronicleName, tuples
-	req.sn, req.chronon = firstSN, chronon
-	req.clientID, req.requestID = clientID, requestID
-	r.submit(chronicleName, req)
-	return req.err
-}
-
 // AppendBatch inserts tuples into several chronicles of one group
 // simultaneously, sharing one sequence number.
-func (r *Router) AppendBatch(parts []engine.MutationPart) (int64, error) {
+func (r *Router) AppendBatch(parts []wal.Part) (int64, error) {
 	if len(parts) == 0 {
 		return 0, fmt.Errorf("engine: empty batch")
 	}
@@ -393,18 +384,29 @@ func (r *Router) AppendBatch(parts []engine.MutationPart) (int64, error) {
 	return req.sn, req.err
 }
 
-// AppendBatchAt is AppendBatch with caller-supplied SN and chronon (WAL
-// replay and follower apply).
-func (r *Router) AppendBatchAt(parts []engine.MutationPart, sn, chronon int64) (int64, error) {
-	if len(parts) == 0 {
-		return 0, fmt.Errorf("engine: empty batch")
+// Replay applies one WAL record at the coordinates it carries, so the kernel
+// re-takes the original SNs and LSNs (recovery and follower apply): an append
+// record goes to its chronicle's home shard, an UPSERT or a key delete runs
+// as Upsert and DeleteKey do, drawing the same LSNs again.
+func (r *Router) Replay(rec wal.Record) error {
+	switch rec.Kind {
+	case wal.RecUpsert:
+		return r.Upsert(rec.Relation, rec.Tuples...)
+	case wal.RecDelete:
+		_, err := r.DeleteKey(rec.Relation, rec.Tuple)
+		return err
+	case wal.RecAppend, wal.RecAppendEach:
+		if len(rec.Parts) == 0 {
+			return fmt.Errorf("engine: empty batch")
+		}
+	default:
+		return fmt.Errorf("unknown WAL record kind %d", rec.Kind)
 	}
 	req := getReq()
 	defer putReq(req)
-	req.op, req.parts = opBatchAt, parts
-	req.sn, req.chronon = sn, chronon
-	r.submit(parts[0].Chronicle, req)
-	return req.sn, req.err
+	req.op, req.rec = opReplay, rec
+	r.submit(rec.Parts[0].Chronicle, req)
+	return req.err
 }
 
 // --- relation updates (epoch barrier) -----------------------------------
@@ -451,8 +453,8 @@ func (r *Router) Upsert(relationName string, tuples ...value.Tuple) error {
 	}
 	first := r.lsn.Add(uint64(len(coerced))) - uint64(len(coerced)) + 1
 	if r.relWAL.Record != nil {
-		m := engine.Mutation{Kind: engine.MutUpsert, LSN: first, Relation: relationName, Tuples: coerced}
-		if err := r.relWAL.Record(m); err != nil {
+		rec := wal.Record{Kind: wal.RecUpsert, LSN: first, Relation: relationName, Tuples: coerced}
+		if err := r.relWAL.Record(rec); err != nil {
 			return fmt.Errorf("engine: recording upsert: %w", err)
 		}
 	}
@@ -480,8 +482,8 @@ func (r *Router) DeleteKey(relationName string, keyVals value.Tuple) (bool, erro
 	defer r.relGate.Unlock()
 	lsn := r.lsn.Add(1)
 	if r.relWAL.Record != nil {
-		m := engine.Mutation{Kind: engine.MutDelete, LSN: lsn, Relation: relationName, Tuple: keyVals}
-		if err := r.relWAL.Record(m); err != nil {
+		rec := wal.Record{Kind: wal.RecDelete, LSN: lsn, Relation: relationName, Tuple: keyVals}
+		if err := r.relWAL.Record(rec); err != nil {
 			return false, fmt.Errorf("engine: recording delete: %w", err)
 		}
 	}

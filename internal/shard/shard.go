@@ -24,6 +24,7 @@ import (
 	"chronicledb/internal/engine"
 	"chronicledb/internal/feed"
 	"chronicledb/internal/value"
+	"chronicledb/internal/wal"
 )
 
 // maxCoalesce bounds how many appends one pass applies under a single
@@ -36,12 +37,10 @@ var errClosed = errors.New("shard: router closed")
 type appendOp uint8
 
 const (
-	opAppend     appendOp = iota // one transaction: chronicle, tuples
-	opBatch                      // one SN across a group's chronicles: parts
-	opEach                       // one transaction per tuple: chronicle, tuples
-	opEachIdem                   // opEach, exactly once under (clientID, requestID)
-	opBatchAt                    // replay of opAppend/opBatch at sn, chronon
-	opEachIdemAt                 // replay of opEachIdem at sn (first), chronon
+	opBatch    appendOp = iota // one transaction, one SN across a group's chronicles: parts
+	opEach                     // one transaction per tuple: chronicle, tuples
+	opEachIdem                 // opEach, exactly once under (clientID, requestID)
+	opReplay                   // an append record at its own coordinates: rec
 )
 
 // appendReq is one append on its way through a shard's combining queue.
@@ -51,12 +50,13 @@ type appendReq struct {
 	op        appendOp
 	chronicle string
 	tuples    []value.Tuple
-	parts     []engine.MutationPart
+	parts     []wal.Part
+	one       [1]wal.Part // parts of a single-chronicle append
 	clientID  string
 	requestID string
-	chronon   int64 // replay ops only
+	rec       wal.Record // opReplay
 
-	sn          int64 // in: replay SN; out: single/batch result
+	sn          int64 // opBatch result
 	first, last int64 // bulk result
 	deduped     bool  // opEachIdem: answered from the dedup table
 	err         error
@@ -79,18 +79,14 @@ func putReq(q *appendReq) {
 
 func (q *appendReq) apply(eng *engine.Engine) {
 	switch q.op {
-	case opAppend:
-		q.sn, q.err = eng.Append(q.chronicle, q.tuples)
 	case opBatch:
 		q.sn, q.err = eng.AppendBatch(q.parts)
 	case opEach:
 		q.first, q.last, q.err = eng.AppendEach(q.chronicle, q.tuples)
 	case opEachIdem:
 		q.first, q.last, q.deduped, q.err = eng.AppendEachIdem(q.chronicle, q.tuples, q.clientID, q.requestID)
-	case opBatchAt:
-		q.sn, q.err = eng.AppendBatchAt(q.parts, q.sn, q.chronon)
-	case opEachIdemAt:
-		q.err = eng.AppendEachAt(q.chronicle, q.sn, q.chronon, q.tuples, q.clientID, q.requestID)
+	case opReplay:
+		q.err = eng.Replay(q.rec)
 	}
 }
 

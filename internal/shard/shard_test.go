@@ -12,6 +12,7 @@ import (
 	"chronicledb/internal/pred"
 	"chronicledb/internal/value"
 	"chronicledb/internal/view"
+	"chronicledb/internal/wal"
 )
 
 func callsSchema() *value.Schema {
@@ -156,7 +157,7 @@ func TestAppendEachAndBatch(t *testing.T) {
 	if err != nil || first != 0 || last != 2 {
 		t.Fatalf("AppendEach = %d..%d, %v", first, last, err)
 	}
-	sn, err := r.AppendBatch([]engine.MutationPart{
+	sn, err := r.AppendBatch([]wal.Part{
 		{Chronicle: "calls", Tuples: []value.Tuple{{value.Str("d"), value.Int(4)}}},
 		{Chronicle: "payments", Tuples: []value.Tuple{{value.Str("d"), value.Int(9)}}},
 	})
@@ -224,8 +225,8 @@ func TestRelationOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var kinds []engine.MutationKind
-	r.SetWAL([]WAL{{}, {Record: func(m engine.Mutation) error {
+	var kinds []wal.RecordKind
+	r.SetWAL([]WAL{{}, {Record: func(m wal.Record) error {
 		kinds = append(kinds, m.Kind)
 		return nil
 	}}})
@@ -249,10 +250,10 @@ func TestRelationOps(t *testing.T) {
 	if got := r.RelationUpdates(); got != 2 {
 		t.Errorf("RelationUpdates = %d", got)
 	}
-	if len(kinds) != 2 || kinds[0] != engine.MutUpsert || kinds[1] != engine.MutDelete {
+	if len(kinds) != 2 || kinds[0] != wal.RecUpsert || kinds[1] != wal.RecDelete {
 		t.Errorf("recorded kinds = %v", kinds)
 	}
-	r.SetWAL([]WAL{{}, {Record: func(engine.Mutation) error { return fmt.Errorf("no") }}})
+	r.SetWAL([]WAL{{}, {Record: func(wal.Record) error { return fmt.Errorf("no") }}})
 	if err := r.Upsert("rates", value.Tuple{value.Str("y"), value.Int(1)}); err == nil {
 		t.Error("vetoed upsert succeeded")
 	}

@@ -101,7 +101,7 @@ func (db *DB) recover(m wal.Manifest) error {
 	// them also keeps the LSN allocator aligned: replay re-assigns LSNs
 	// starting from the checkpoint LSN, so each surviving record re-acquires
 	// exactly the LSN it carried live.
-	if _, err := wal.ReplayMergedFS(db.fs, db.opts.Dir, liveSegmentNames(m.Live), ckptLSN, db.applyRecord); err != nil {
+	if _, err := wal.ReplayMergedFS(db.fs, db.opts.Dir, liveSegmentNames(m.Live), ckptLSN, db.eng.Replay); err != nil {
 		return fmt.Errorf("chronicledb: WAL replay: %w", err)
 	}
 	return nil
@@ -256,7 +256,7 @@ type blockCommit struct {
 // reuses across checkpoints (callers hold db.mu, and the image is fully
 // consumed — written to disk — before the next checkpoint starts).
 //
-// The image is version 5: magic, version byte, a flags byte (bit 0 = full),
+// The image is version 6: magic, version byte, a flags byte (bit 0 = full),
 // the LSN, then one section per object kind. When full is false,
 // chronicles, relations, views, and periodic views are included only if
 // their dirty marker moved since db.ckptMarks was captured (an absent
@@ -274,8 +274,8 @@ type blockCommit struct {
 // incremental cut carries only the dirty runs, so its cost is flat in view
 // cardinality. Every view of a durable database pages, so every view is
 // written blocked; subformat 0 is only read (images written before views
-// paged). The returned commits must be applied after the manifest flip
-// that makes the image authoritative.
+// paged, as testdata/catalog_with_store holds). The returned commits must be
+// applied after the manifest flip that makes the image authoritative.
 //
 // The markers are monotonic mutation counters, recomputed from the objects
 // themselves: chronicle Total+Dropped (either moves on any append or

@@ -26,7 +26,6 @@ import (
 	"strings"
 	"time"
 
-	"chronicledb/internal/engine"
 	"chronicledb/internal/fault"
 	"chronicledb/internal/repl"
 	"chronicledb/internal/sqlparse"
@@ -167,7 +166,7 @@ func (db *DB) startReplica() {
 		FollowerID: db.opts.FollowerID,
 		From:       db.eng.LSN(),
 	}, repl.Callbacks{
-		ApplyRecord: db.applyRecord,
+		ApplyRecord: db.eng.Replay,
 		ApplyDDL:    db.applyReplDDL,
 		DDLCount:    db.ddlSeq.Load,
 		Snapshot:    db.replSnapshotResync,
@@ -187,42 +186,6 @@ func (db *DB) stopReplica() {
 	db.replMu.Unlock()
 	if r != nil {
 		r.Stop()
-	}
-}
-
-// applyRecord applies one WAL record at the coordinates it carries, so the
-// kernel re-acquires the original SNs and LSNs. Recovery replay and the
-// follower's stream apply share it; on a follower the recorders are
-// installed, so the applied record lands in the follower's own WAL, making
-// it locally durable and re-servable after promotion.
-func (db *DB) applyRecord(r wal.Record) error {
-	switch r.Kind {
-	case wal.RecAppend:
-		parts := make([]engine.MutationPart, len(r.Parts))
-		for i, p := range r.Parts {
-			parts[i] = engine.MutationPart{Chronicle: p.Chronicle, Tuples: p.Tuples}
-		}
-		_, err := db.eng.AppendBatchAt(parts, r.SN, r.Chronon)
-		return err
-	case wal.RecAppendEach:
-		if len(r.Parts) != 1 {
-			return fmt.Errorf("idempotent append record with %d parts", len(r.Parts))
-		}
-		p := r.Parts[0]
-		// An idempotent bulk run: re-apply the tuples with their original
-		// consecutive SNs and re-insert the dedup entry, so a client retry
-		// after a recovery — or, after a failover, against the new primary —
-		// gets its original ack, not a double apply.
-		return db.eng.AppendEachAt(p.Chronicle, r.SN, r.Chronon, p.Tuples, r.ClientID, r.RequestID)
-	case wal.RecUpsert:
-		// One statement: its tuples take consecutive LSNs again, from the
-		// record's.
-		return db.eng.Upsert(r.Relation, r.Tuples...)
-	case wal.RecDelete:
-		_, err := db.eng.DeleteKey(r.Relation, r.Tuple)
-		return err
-	default:
-		return fmt.Errorf("unknown WAL record kind %d", r.Kind)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // TestReplAllocGuards pins the follower apply path's steady-state
 // allocation count: applying one replicated append record through
-// applyRecord (the recovery-shaped at-coordinates kernel path) must
+// the kernel's Replay (the path recovery and the follower share) must
 // stay within the append hot path's own budget — a follower that
 // allocates more per record than its primary does per append can never
 // keep up. `make bench-allocs` runs this alongside the append guards.
@@ -44,21 +44,20 @@ func TestReplAllocGuards(t *testing.T) {
 		return rec
 	}
 	for i := 0; i < 200; i++ {
-		if err := db.applyRecord(next()); err != nil {
+		if err := db.eng.Replay(next()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// db.Append's end-to-end budget is 2 (alloc_guard_test.go); the apply
-	// path adds one parts-slice build, so 3 is the ceiling — measured
-	// steady state is below it.
+	// db.Append's end-to-end budget is 2 (alloc_guard_test.go), and a
+	// replayed record is applied as it arrives, so the budget is the same.
 	got := testing.AllocsPerRun(1000, func() {
-		if err := db.applyRecord(next()); err != nil {
+		if err := db.eng.Replay(next()); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if got > 3 {
-		t.Errorf("applyRecord: %.1f allocs/op, budget 3 — the follower apply path regressed past the append budget", got)
+	if got > 2 {
+		t.Errorf("Replay: %.1f allocs/op, budget 2 — the follower apply path regressed past the append budget", got)
 	} else {
-		t.Logf("applyRecord: %.1f allocs/op (budget 3, append path budget 2)", got)
+		t.Logf("Replay: %.1f allocs/op (budget 2, the append path's)", got)
 	}
 }
