@@ -80,9 +80,13 @@ bench-allocs:
 # probe, faults at most one block and allocates within one budget, and
 # latest-20 faults at most two; the read hot-path benchmarks print ns/op for
 # the lock-free walks and for the SQL point query and latest-20, resident
-# and paged, at both sizes. -count=1 defeats caching — the guards must run.
+# and paged, at both sizes; the lock guards pin that every read shape and an
+# append to another shard complete while a CREATE VIEW holds the DDL lock
+# waiting for its home shard's engine, and while every shard's engine lock
+# is held. -count=1 defeats caching — the guards must run.
 bench-reads:
 	$(GO) test -count=1 -run 'TestReadAllocGuards|TestPointSelectTouchesOneBlock' -v .
+	$(GO) test -count=1 -run 'TestReadsDoNotWaitForDDL|TestReadsDoNotAcquireEngineLock' -v ./internal/shard
 	$(GO) test -run=NONE -bench 'BenchmarkReadHotPath' -benchmem -benchtime 200x .
 
 # bench-ckpt is the blocked-checkpoint regression gate: the structural
@@ -145,8 +149,8 @@ maint-stress:
 # race detector) pins that an instance folding two equally long runs of one
 # call is handed each run's own resolution. For shared tables: the twin test
 # pins that every view of a table equals its twin with a table of its own and
-# its expression recomputed, across late members, a drop and re-create and a
-# Go-API view dispatched otherwise; and the reader test (ten runs under the
+# its expression recomputed, across late members and a drop and re-create;
+# and the reader test (ten runs under the
 # race detector) races lookups, scans and latest-N on every view of a table
 # against the one writer that publishes it and drops one of the views.
 # -count=1 defeats caching — the guards must run.

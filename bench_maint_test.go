@@ -17,6 +17,7 @@ import (
 	chronicledb "chronicledb"
 	"chronicledb/internal/dedup"
 	"chronicledb/internal/engine"
+	"chronicledb/internal/shard"
 	"chronicledb/internal/view"
 )
 
@@ -519,11 +520,11 @@ func TestGroupBytesGuard(t *testing.T) {
 				}
 			}
 			var members []*view.View // the views, and the families' instances
-			for _, n := range db.Engine().Names(engine.Views) {
+			for _, n := range db.Engine().Names(shard.Views) {
 				v, _ := db.View(n)
 				members = append(members, v)
 			}
-			for _, n := range db.Engine().Names(engine.PeriodicViews) {
+			for _, n := range db.Engine().Names(shard.PeriodicViews) {
 				pv, _ := db.Engine().PeriodicView(n)
 				for _, inst := range pv.Instances() {
 					members = append(members, inst.View)

@@ -27,9 +27,9 @@ import (
 	chronicledb "chronicledb"
 	"chronicledb/internal/aggregate"
 	"chronicledb/internal/algebra"
-	"chronicledb/internal/engine"
 	"chronicledb/internal/pred"
 	"chronicledb/internal/server"
+	"chronicledb/internal/shard"
 	"chronicledb/internal/value"
 	"chronicledb/internal/view"
 )
@@ -92,7 +92,7 @@ func openCallFoldTwin(t *testing.T, opts chronicledb.Options) *callFoldTwin {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	tw.cancel = cancel
-	for _, name := range db.Engine().Names(engine.Views) {
+	for _, name := range db.Engine().Names(shard.Views) {
 		ready := make(chan struct{})
 		tw.wg.Add(1)
 		go func() {
@@ -147,7 +147,7 @@ func createUnionEdges(t *testing.T, db *chronicledb.DB) {
 			{Func: aggregate.Last, Col: 1, Name: "last_m"},
 			{Func: aggregate.Count, Col: -1, Name: "n"},
 		},
-	}, pred.True(), nil); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -156,7 +156,7 @@ func createUnionEdges(t *testing.T, db *chronicledb.DB) {
 // returns the frames delivered so far.
 func (tw *callFoldTwin) watched(t *testing.T) map[string][]string {
 	t.Helper()
-	for _, name := range tw.db.Engine().Names(engine.Views) {
+	for _, name := range tw.db.Engine().Names(shard.Views) {
 		head := tw.db.Feed().HeadLSN(name)
 		waitUntil(t, 10*time.Second, "watcher of "+name, func() bool {
 			tw.mu.Lock()
@@ -187,7 +187,7 @@ func (tw *callFoldTwin) close() {
 func callFoldState(t *testing.T, db *chronicledb.DB) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
-	for _, name := range db.Engine().Names(engine.Views) {
+	for _, name := range db.Engine().Names(shard.Views) {
 		var rows []string
 		if err := db.ScanView(name, func(r chronicledb.Row) bool {
 			rows = append(rows, fmt.Sprint(r))
@@ -198,7 +198,7 @@ func callFoldState(t *testing.T, db *chronicledb.DB) map[string]string {
 		v, _ := db.View(name)
 		out[name] = fmt.Sprintf("lsn=%d %v", v.AppliedLSN(), rows)
 	}
-	for _, name := range db.Engine().Names(engine.PeriodicViews) {
+	for _, name := range db.Engine().Names(shard.PeriodicViews) {
 		pv, _ := db.Engine().PeriodicView(name)
 		out[name] = fmt.Sprintf("live=%d created=%d expired=%d image=%s", pv.Live(), pv.Created(), pv.Expired(), hex.EncodeToString(pv.Checkpoint()))
 	}
@@ -395,7 +395,7 @@ func TestCallFoldEqualsRowFolds(t *testing.T) {
 			}
 
 			gotFrames, wantFrames := byCall.watched(t), byRow.watched(t)
-			for _, name := range byCall.db.Engine().Names(engine.Views) {
+			for _, name := range byCall.db.Engine().Names(shard.Views) {
 				got, want := gotFrames[name], wantFrames[name]
 				if len(want) == 0 {
 					t.Errorf("WATCH %s: the one-row twin delivered no frames", name)

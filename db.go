@@ -577,27 +577,14 @@ func (db *DB) ScanViewAt(viewName string, fn func(Row) bool) (uint64, error) {
 // Shards reports the shard count.
 func (db *DB) Shards() int { return db.eng.NumShards() }
 
-// counters sums every shard engine's counters in one pass, plus the relation
-// updates the router applies itself. Stats, MaintenanceLatency, ReadStats
-// and DedupStats are projections of it.
-func (db *DB) counters() engine.Counters {
-	var sum engine.Counters
-	db.eng.Each(func(_ int, e *engine.Engine) {
-		c := e.Counters()
-		sum.Add(&c)
-	})
-	sum.RelationUpdates = db.eng.RelationUpdates()
-	return sum
-}
-
 // Stats returns engine counters, summed across shards, plus the relation
 // updates the router applies itself.
-func (db *DB) Stats() engine.Stats { return db.counters().Stats }
+func (db *DB) Stats() engine.Stats { return db.eng.Counters().Stats }
 
 // MaintenanceLatency returns the view maintenance latency distribution,
 // one observation per append call, merged across shards.
 func (db *DB) MaintenanceLatency() stats.Snapshot {
-	c := db.counters()
+	c := db.eng.Counters()
 	return c.Maintenance.Snapshot()
 }
 
@@ -643,7 +630,7 @@ type WALStats struct {
 // mallocs divided by appends since Open), so it includes query and
 // background work — useful as a trend line, not an exact per-op count;
 // the exact counts are guarded by TestAllocGuards.
-func (db *DB) WALStats() WALStats { return db.walStats(db.counters().Appends) }
+func (db *DB) WALStats() WALStats { return db.walStats(db.eng.Counters().Appends) }
 
 // walStats reads the logs, the manifest and the block cache once; appends
 // is the shard sum's append count, which the allocation gauge divides by.
@@ -784,7 +771,7 @@ func (db *DB) AppendRowsIdem(chronicleName string, tuples []value.Tuple, clientI
 // DedupStats reports the idempotency table's observability counters,
 // summed across shards.
 func (db *DB) DedupStats() (entries int, hits int64, evictions int64) {
-	c := db.counters()
+	c := db.eng.Counters()
 	return c.DedupEntries, c.DedupHits, c.DedupEvictions
 }
 
@@ -872,7 +859,7 @@ type ReadStats struct {
 // ReadStats reports read traffic: lookup and scan counts plus the
 // end-to-end read latency distribution, merged across shards.
 func (db *DB) ReadStats() ReadStats {
-	c := db.counters()
+	c := db.eng.Counters()
 	return ReadStats{Lookups: c.Lookups, Scans: c.Scans, Latency: c.Read.Snapshot()}
 }
 
@@ -891,7 +878,7 @@ type ViewMaintStat struct {
 // returns all views. Ties and ordering are by ApplyNs descending, then
 // name, so repeated calls are stable.
 func (db *DB) MaintAttribution(k int) []ViewMaintStat {
-	names := db.eng.Names(engine.Views)
+	names := db.eng.Names(shard.Views)
 	out := make([]ViewMaintStat, 0, len(names))
 	for _, n := range names {
 		v, ok := db.eng.View(n)

@@ -9,9 +9,9 @@ import (
 
 	"chronicledb/internal/algebra"
 	"chronicledb/internal/chronicle"
-	"chronicledb/internal/engine"
 	"chronicledb/internal/keyenc"
 	"chronicledb/internal/pred"
+	"chronicledb/internal/shard"
 	"chronicledb/internal/sqlparse"
 	"chronicledb/internal/value"
 	"chronicledb/internal/view"
@@ -143,7 +143,7 @@ func (db *DB) execOne(s sqlparse.Statement, mode execMode) (*Result, error) {
 			return db.ddlDone(s, mode, "periodic view %s created (%s, %s)",
 				s.Name, plan.Info.Lang, plan.Info.IMClass())
 		}
-		if _, err := db.eng.CreateView(plan.Def, plan.Filter, plan.FilterChronicle); err != nil {
+		if _, err := db.eng.CreateView(plan.Def); err != nil {
 			return nil, err
 		}
 		return db.ddlDone(s, mode, "view %s created (%s, %s)", s.Name, plan.Info.Lang, plan.Info.IMClass())
@@ -287,8 +287,7 @@ func (db *DB) query(q *sqlparse.Query) (*Result, error) {
 		// Detailed queries over the retained window: SN and chronon are
 		// exposed as leading pseudo-columns.
 		names := append([]string{"_sn", "_chronon"}, c.Schema().Names()...)
-		home, _ := db.eng.Home(q.From) // chronicles are never dropped, so it resolves
-		crows, err := home.ChronicleRows(q.From)
+		crows, err := db.eng.ChronicleRows(q.From)
 		if err != nil {
 			return nil, err
 		}
@@ -735,20 +734,20 @@ func (db *DB) show(what string) (*Result, error) {
 				value.Int(int64(tableViews)),
 			})
 		}
-		for _, n := range db.eng.Names(engine.Views) {
+		for _, n := range db.eng.Names(shard.Views) {
 			v, _ := db.eng.View(n)
 			add(n, v.Info(), v.Len(), storeOf(v), v.Dir(), len(v.TableViews()))
 		}
 		// A family's rows are its live instances, which are resident and
 		// have a table each.
-		for _, n := range db.eng.Names(engine.PeriodicViews) {
+		for _, n := range db.eng.Names(shard.PeriodicViews) {
 			pv, _ := db.eng.PeriodicView(n)
 			add(n+" (periodic)", algebra.Analyze(pv.Def().Expr), pv.Live(), "resident", pv.Dir(), 1)
 		}
 		return res, nil
 	case "CHRONICLES":
 		res := &Result{Columns: []string{"name", "group", "retained", "total", "last_sn"}}
-		for _, n := range db.eng.Names(engine.Chronicles) {
+		for _, n := range db.eng.Names(shard.Chronicles) {
 			c, _ := db.eng.Chronicle(n)
 			res.Rows = append(res.Rows, Row{
 				value.Str(n), value.Str(c.Group().Name()),
@@ -758,14 +757,14 @@ func (db *DB) show(what string) (*Result, error) {
 		return res, nil
 	case "RELATIONS":
 		res := &Result{Columns: []string{"name", "rows", "updates"}}
-		for _, n := range db.eng.Names(engine.Relations) {
+		for _, n := range db.eng.Names(shard.Relations) {
 			r, _ := db.eng.Relation(n)
 			res.Rows = append(res.Rows, Row{value.Str(n), value.Int(int64(r.Len())), value.Int(r.Updates())})
 		}
 		return res, nil
 	case "GROUPS":
 		res := &Result{Columns: []string{"name", "chronicles", "last_sn"}}
-		for _, n := range db.eng.Names(engine.Groups) {
+		for _, n := range db.eng.Names(shard.Groups) {
 			g, _ := db.eng.Group(n)
 			res.Rows = append(res.Rows, Row{
 				value.Str(n), value.Int(int64(len(g.Members()))), value.Int(g.LastSN()),

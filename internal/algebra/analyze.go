@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"chronicledb/internal/chronicle"
+	"chronicledb/internal/pred"
 	"chronicledb/internal/relation"
 )
 
@@ -139,4 +140,42 @@ func Analyze(n Node) Info {
 	}
 	walk(n, 1)
 	return info
+}
+
+// DispatchFilter is the Section 5.2 dispatch filter an expression's own
+// definition gives it: an append to base whose rows all fail filter cannot
+// affect the expression. It walks down to the base scan through σ nodes,
+// projections, GROUP BY SN and the left input of SN-joins, relation joins and
+// cross products, and takes the σ nearest the scan that tests a column of
+// base for equality with a constant and has only σ nodes and left join inputs
+// between it and the scan. A union or a difference on the way, or no such σ,
+// gives the true filter and a nil base.
+func DispatchFilter(n Node) (filter pred.Predicate, base *chronicle.Chronicle) {
+	var path []pred.Predicate // the σ predicates below the last Π or GROUP BY, top down
+	for {
+		switch m := n.(type) {
+		case *Select:
+			path = append(path, m.P)
+			n = m.In
+		case *Project:
+			path, n = path[:0], m.In
+		case *GroupBySN:
+			path, n = path[:0], m.In
+		case *JoinSN:
+			n = m.L
+		case *JoinRel:
+			n = m.In
+		case *CrossRel:
+			n = m.In
+		case *Scan:
+			for i := len(path) - 1; i >= 0; i-- {
+				if col, k, ok := path[i].EqualityConstant(); ok && col < m.C.Schema().Len() {
+					return pred.Or(pred.ColConst(col, pred.Eq, k)), m.C
+				}
+			}
+			return pred.True(), nil
+		default: // a union or a difference
+			return pred.True(), nil
+		}
+	}
 }

@@ -323,3 +323,63 @@ func TestLangAndIMClassStrings(t *testing.T) {
 		t.Error("IMClass strings")
 	}
 }
+
+// TestDispatchFilter walks DispatchFilter's rule: the σ nearest the scan
+// that tests a base column for a constant, through σ nodes and left join
+// inputs only; a Π or GROUP BY SN hides the σ nodes above it, and a union or
+// difference gives no filter.
+func TestDispatchFilter(t *testing.T) {
+	f := newFixture(t)
+	must := func(n Node, err error) Node {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	sel := func(in Node, col int, op pred.Op, k value.Value) Node {
+		return must(NewSelect(in, pred.Or(pred.ColConst(col, op, k))))
+	}
+	scan := NewScan(f.calls)
+	eqA := sel(scan, 0, pred.Eq, value.Str("a"))
+	joined := must(NewJoinRel(sel(scan, 0, pred.Eq, value.Str("a")), f.cust, []int{0}, []int{0}))
+	crossed := must(NewCrossRel(scan, f.cust))
+	snJoin := must(NewJoinSN(scan, NewScan(f.payments)))
+	proj := must(NewProject(eqA, []int{1}))
+	grouped := must(NewGroupBySN(scan, []int{0}, []aggregate.Spec{{Func: aggregate.Count, Col: -1, Name: "n"}}))
+	for _, tc := range []struct {
+		name string
+		expr Node
+		col  int    // -1: no filter
+		k    string // the constant the filter tests
+	}{
+		{"scan", scan, -1, ""},
+		{"σ", eqA, 0, "a"},
+		{"range σ", sel(scan, 1, pred.Gt, value.Int(3)), -1, ""},
+		{"nearest the scan", sel(sel(scan, 0, pred.Eq, value.Str("b")), 0, pred.Eq, value.Str("c")), 0, "b"},
+		{"range below equality", sel(sel(scan, 1, pred.Gt, value.Int(3)), 0, pred.Eq, value.Str("c")), 0, "c"},
+		{"σ over a key join", sel(must(NewJoinRel(scan, f.cust, []int{0}, []int{0})), 0, pred.Eq, value.Str("d")), 0, "d"},
+		{"σ on a relation column", sel(must(NewJoinRel(scan, f.cust, []int{0}, []int{0})), 3, pred.Eq, value.Str("nj")), -1, ""},
+		{"σ below a key join", joined, 0, "a"},
+		{"σ over a cross product", sel(crossed, 0, pred.Eq, value.Str("e")), 0, "e"},
+		{"σ over an SN join", sel(snJoin, 0, pred.Eq, value.Str("f")), 0, "f"},
+		{"σ on the SN join's right input", sel(snJoin, 2, pred.Eq, value.Str("g")), -1, ""},
+		{"σ under Π", proj, 0, "a"},
+		{"σ over Π", sel(must(NewProject(scan, []int{0})), 0, pred.Eq, value.Str("h")), -1, ""},
+		{"σ over GROUP BY SN", sel(grouped, 0, pred.Eq, value.Str("i")), -1, ""},
+		{"union", must(NewUnion(eqA, eqA)), -1, ""},
+		{"σ over a difference", sel(must(NewDiff(eqA, scan)), 0, pred.Eq, value.Str("j")), -1, ""},
+	} {
+		filter, base := DispatchFilter(tc.expr)
+		if tc.col < 0 {
+			if base != nil || !filter.IsTrue() {
+				t.Errorf("%s: filter %v on %v, want none", tc.name, filter.Atoms(), base)
+			}
+			continue
+		}
+		col, k, ok := filter.EqualityConstant()
+		if base != f.calls || !ok || col != tc.col || k.AsString() != tc.k {
+			t.Errorf("%s: filter %v on %v, want col %d = %q on calls", tc.name, filter.Atoms(), base, tc.col, tc.k)
+		}
+	}
+}

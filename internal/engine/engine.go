@@ -4,10 +4,12 @@
 // Section 5.1 and the affected-view dispatch of Section 5.2.
 //
 // The engine is the in-memory state of one shard: internal/shard runs one
-// per shard behind its router, which owns what cuts across shards — the LSN
-// allocator, relation updates under the epoch barrier (the proactive
-// ordering of Section 2.3), commits and changefeed publication. The engine
-// serializes its own updates under one mutex. It hands every append to its
+// per shard behind its router, which owns what cuts across shards — the
+// catalog every name resolves through, the LSN allocator, relation updates
+// under the epoch barrier (the proactive ordering of Section 2.3), commits
+// and changefeed publication. The engine holds no catalog: it keeps the
+// chronicles, views and families it maintains, under the one mutex that
+// serializes its updates. It hands every append to its
 // recorder as the wal.Record it applies, and replays one the same way; the
 // log itself and checkpoints are layered on top by the public chronicledb
 // package.
@@ -27,8 +29,6 @@ import (
 	"chronicledb/internal/dedup"
 	"chronicledb/internal/dispatch"
 	"chronicledb/internal/feed"
-	"chronicledb/internal/pred"
-	"chronicledb/internal/relation"
 	"chronicledb/internal/stats"
 	"chronicledb/internal/value"
 	"chronicledb/internal/view"
@@ -82,9 +82,9 @@ type Stats struct {
 }
 
 // Counters is everything one engine counts, read at once: the maintenance
-// counters, the idempotency table, the read path and the key directories.
-// Maintenance is the operational readout of the view language's IM class:
-// SCA₁ views keep it flat forever.
+// counters, the idempotency table and the key directories — and, summed by
+// the shard router, the read path it serves. Maintenance is the operational
+// readout of the view language's IM class: SCA₁ views keep it flat forever.
 type Counters struct {
 	Stats
 	DedupEntries   int
@@ -115,26 +115,27 @@ func (c *Counters) Add(o *Counters) {
 	c.DirKeys += o.DirKeys
 }
 
-// Engine is one shard's chronicle database system state.
+// Engine is one shard's chronicle database system state. Its maps are what
+// the append path and maintenance need under e.mu; readers resolve names
+// through the shard router's catalog and never touch them.
 type Engine struct {
 	mu  sync.RWMutex
 	cfg Config
 
-	groups     map[string]*chronicle.Group
 	chronicles map[string]*chronicle.Chronicle
-	relations  map[string]*relation.Relation
 	views      map[string]*view.View
 	periodics  map[string]*calendar.PeriodicView
 	disp       *dispatch.Dispatcher
-	names      map[string]string // object name -> kind, for cross-kind uniqueness
 	// dirs holds the views' key directories by dirKey: the views that
 	// fold one expression by the same columns share one (view.Dir), which
 	// counts them and goes when the last is dropped.
 	dirs map[string]*view.Dir
-	// tables holds, by dirKey, the table a new view of that directory may
-	// join (view.Join) and the dispatch it is folded under; it goes when the
-	// last of the table's views is dropped.
-	tables map[string]*openTable
+	// tables holds, by dirKey, a view of the table a new view of that
+	// directory may join (view.Join); it goes when the last of the table's
+	// views is dropped. Views of one directory fold one expression, so their
+	// definitions give them one dispatch filter and they are folded in the
+	// same rounds.
+	tables map[string]*view.View
 
 	// onRecord, when set, observes every append record before it is
 	// applied; the WAL layer hooks in here. Returning an error aborts the
@@ -145,19 +146,11 @@ type Engine struct {
 	dedupHits int64           // idempotent appends answered from the dedup table
 	maintLat  stats.Histogram // view-maintenance latency, one observation per append call
 
-	// cat is the atomically published catalog snapshot: immutable
-	// name→object maps rebuilt under e.mu on every DDL change. Read
-	// methods resolve names through it without touching e.mu, so queries
-	// never serialize against the append path. The objects themselves are
-	// individually synchronized (views publish frozen entries; chronicles
-	// and relations carry their own read locks).
-	cat atomic.Pointer[catalog]
-
-	// Read-path metrics, updated with atomics so the lock-free read
-	// methods stay lock-free while still being observable.
-	readLookups atomic.Int64
-	readScans   atomic.Int64
-	readLat     stats.AtomicHistogram
+	// plan is the shared-delta plan over every persistent view and periodic
+	// family of the engine, rebuilt under e.mu on every DDL statement and
+	// immutable in structure thereafter; its per-batch caches belong to the
+	// maintenance path under e.mu. EXPLAIN reads it without the lock.
+	plan atomic.Pointer[algebra.SharedPlan]
 
 	// scratch is hot-path memory reused across mutations under e.mu. It
 	// never escapes a mutation: recorders encode synchronously, the
@@ -193,76 +186,20 @@ type Engine struct {
 // see yet: a persistent view or a periodic family.
 type publisher interface{ Publish() }
 
-// openTable is a directory's table that views may still join: host is one of
-// its views, and filter and on the dispatch filter all of them were
-// registered with — views dispatched alike are folded in the same rounds.
-type openTable struct {
-	host   *view.View
-	filter pred.Predicate
-	on     *chronicle.Chronicle
-}
-
-// admits reports whether a new view registered with filter on c may join t:
-// it is dispatched as t's views are, and t holds no group yet.
-func (t *openTable) admits(filter pred.Predicate, c *chronicle.Chronicle) bool {
-	return t.on == c && slices.Equal(t.filter.Atoms(), filter.Atoms()) && t.host.TableEmpty()
-}
-
-// catalog is one immutable generation of the engine's name tables. A new
-// generation is built and published on every DDL statement; maps inside a
-// published catalog are never written again.
-type catalog struct {
-	groups     map[string]*chronicle.Group
-	chronicles map[string]*chronicle.Chronicle
-	relations  map[string]*relation.Relation
-	views      map[string]*view.View
-	periodics  map[string]*calendar.PeriodicView
-	// plan is the shared-delta plan over every persistent view in this
-	// generation: structurally, it belongs to the catalog (rebuilt on DDL,
-	// immutable thereafter), while its per-batch caches are owned by the
-	// maintenance path under e.mu — a published generation is only ever
-	// evaluated by the engine that built it.
-	plan *algebra.SharedPlan
-}
-
-// publishCatalogLocked snapshots the mutable catalog maps into a fresh
-// immutable generation for lock-free name resolution. Callers hold e.mu
+// rebuildPlanLocked rebuilds the shared-delta plan: it hash-conses every
+// view and periodic family expression so common subexpressions compute their
+// delta once per batch. Sorted order, views first, keeps plan-node IDs
+// deterministic across restarts (EXPLAIN shows them). Callers hold e.mu
 // exclusively (or have sole ownership, as in New).
-func (e *Engine) publishCatalogLocked() {
-	c := &catalog{
-		groups:     make(map[string]*chronicle.Group, len(e.groups)),
-		chronicles: make(map[string]*chronicle.Chronicle, len(e.chronicles)),
-		relations:  make(map[string]*relation.Relation, len(e.relations)),
-		views:      make(map[string]*view.View, len(e.views)),
-		periodics:  make(map[string]*calendar.PeriodicView, len(e.periodics)),
-	}
-	for n, g := range e.groups {
-		c.groups[n] = g
-	}
-	for n, ch := range e.chronicles {
-		c.chronicles[n] = ch
-	}
-	for n, r := range e.relations {
-		c.relations[n] = r
-	}
-	for n, v := range e.views {
-		c.views[n] = v
-	}
-	for n, pv := range e.periodics {
-		c.periodics[n] = pv
-	}
-	// Rebuild the shared-delta plan: hash-cons every view and periodic
-	// family expression so common subexpressions compute their delta once
-	// per batch. Sorted order, views first, keeps plan-node IDs deterministic
-	// across restarts (EXPLAIN shows them).
-	c.plan = algebra.NewSharedPlan()
+func (e *Engine) rebuildPlanLocked() {
+	p := algebra.NewSharedPlan()
 	for _, n := range slices.Sorted(maps.Keys(e.views)) {
-		c.plan.AddView(n, e.views[n].Def().Expr)
+		p.AddView(n, e.views[n].Def().Expr)
 	}
 	for _, n := range slices.Sorted(maps.Keys(e.periodics)) {
-		c.plan.AddView(n, e.periodics[n].Def().Expr)
+		p.AddView(n, e.periodics[n].Def().Expr)
 	}
-	e.cat.Store(c)
+	e.plan.Store(p)
 }
 
 // appendScratch backs the allocation-free append path.
@@ -281,21 +218,18 @@ func New(cfg Config) *Engine {
 	}
 	e := &Engine{
 		cfg:        cfg,
-		groups:     make(map[string]*chronicle.Group),
 		chronicles: make(map[string]*chronicle.Chronicle),
-		relations:  make(map[string]*relation.Relation),
 		views:      make(map[string]*view.View),
 		periodics:  make(map[string]*calendar.PeriodicView),
 		disp:       dispatch.New(),
-		names:      make(map[string]string),
 		dirs:       make(map[string]*view.Dir),
-		tables:     make(map[string]*openTable),
+		tables:     make(map[string]*view.View),
 		scratch: appendScratch{
 			deltas: make(map[*chronicle.Chronicle][]chronicle.Row),
 		},
 		dedup: dedup.NewTable(cfg.DedupCap),
 	}
-	e.publishCatalogLocked()
+	e.rebuildPlanLocked()
 	return e
 }
 
@@ -303,7 +237,7 @@ func New(cfg Config) *Engine {
 // expression in post-order (root last), with each node's cross-view consumer
 // count — the EXPLAIN readout of delta sharing. ok is false for unknown names.
 func (e *Engine) ViewSharedPlan(name string) (nodes []algebra.PlanNodeInfo, ok bool) {
-	nodes = e.cat.Load().plan.ViewNodes(name)
+	nodes = e.plan.Load().ViewNodes(name)
 	return nodes, nodes != nil
 }
 
@@ -357,8 +291,8 @@ func (e *Engine) TakeFeed() *feed.Batch {
 }
 
 // Counters reads every engine counter; the ones the writer keeps under e.mu
-// are copied under one read lock, the read path's atomics and the dedup
-// table's own counts outside it.
+// are copied under one read lock, the dedup table's own counts outside it.
+// The read path's counters are the router's.
 func (e *Engine) Counters() Counters {
 	e.mu.RLock()
 	c := Counters{Stats: e.stats, DedupHits: e.dedupHits, Maintenance: e.maintLat}
@@ -367,97 +301,37 @@ func (e *Engine) Counters() Counters {
 	}
 	e.mu.RUnlock()
 	c.DedupEntries, c.DedupEvictions = e.dedup.Len(), e.dedup.Evictions()
-	c.Lookups, c.Scans = e.readLookups.Load(), e.readScans.Load()
-	c.Read = e.readLat.Histogram()
 	return c
 }
 
-// claimName enforces one namespace across object kinds.
-func (e *Engine) claimName(name, kind string) error {
-	if name == "" {
-		return fmt.Errorf("engine: empty %s name", kind)
-	}
-	if existing, ok := e.names[name]; ok {
-		return fmt.Errorf("engine: name %q already used by a %s", name, existing)
-	}
-	e.names[name] = kind
-	return nil
-}
-
-// CreateGroup creates a chronicle group.
-func (e *Engine) CreateGroup(name string) (*chronicle.Group, error) {
+// CreateChronicle creates a chronicle in group g, whose members this engine
+// appends to under e.mu. The router has claimed the name.
+func (e *Engine) CreateChronicle(name string, g *chronicle.Group, schema *value.Schema, retain *chronicle.Retention) (*chronicle.Chronicle, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.groups[name]; ok {
-		return nil, fmt.Errorf("engine: group %q already exists", name)
-	}
-	g := chronicle.NewGroup(name)
-	e.groups[name] = g
-	e.publishCatalogLocked()
-	return g, nil
-}
-
-// CreateChronicle creates a chronicle inside a (possibly new) group.
-// groupName may be empty, in which case the chronicle gets a private group
-// of the same name.
-func (e *Engine) CreateChronicle(name, groupName string, schema *value.Schema, retain *chronicle.Retention) (*chronicle.Chronicle, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if groupName == "" {
-		groupName = name
-	}
-	g, ok := e.groups[groupName]
-	if !ok {
-		g = chronicle.NewGroup(groupName)
-	}
 	r := e.cfg.DefaultRetention
 	if retain != nil {
 		r = *retain
 	}
-	if err := e.claimName(name, "chronicle"); err != nil {
-		return nil, err
-	}
 	c, err := g.NewChronicle(name, schema, r)
 	if err != nil {
-		delete(e.names, name)
 		return nil, err
 	}
-	e.groups[groupName] = g
 	e.chronicles[name] = c
-	e.publishCatalogLocked()
 	return c, nil
 }
 
-// AdoptRelation registers an externally created relation in this engine's
-// catalog. The shard router uses it to share one relation instance across
-// every shard: relations cut across chronicle groups, so all shards must
-// resolve a relation name to the same versioned state.
-func (e *Engine) AdoptRelation(r *relation.Relation) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.claimName(r.Name(), "relation"); err != nil {
-		return err
-	}
-	e.relations[r.Name()] = r
-	e.publishCatalogLocked()
-	return nil
-}
-
-// CreateView materializes a persistent view and registers it for dispatch.
-// filter/filterChronicle optionally narrow dispatch (Section 5.2); pass the
-// zero predicate to dispatch on dependency alone.
+// CreateView materializes a persistent view and registers it for dispatch,
+// narrowed (Section 5.2) by the filter its definition gives it
+// (algebra.DispatchFilter). The router has claimed the name.
 //
 // A view that does not page joins its directory's open table (view.Join)
-// when it is dispatched as that table's views are and the table holds no
-// group — so neither does the view's retained history. Any other view gets a
-// table of its own, and an unpaged one opens it to later views when its
-// directory has none that may still be joined.
-func (e *Engine) CreateView(def view.Def, filter pred.Predicate, filterChronicle *chronicle.Chronicle) (*view.View, error) {
+// when the table holds no group — so neither does the view's retained
+// history. Any other view gets a table of its own, and an unpaged one opens
+// it to later views when its directory has none that may still be joined.
+func (e *Engine) CreateView(def view.Def) (*view.View, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.claimName(def.Name, "view"); err != nil {
-		return nil, err
-	}
 	// The retained history the view starts with; nil when a chronicle has
 	// dropped rows, and the view is then current only for the append suffix
 	// (which is all the pure model can promise).
@@ -471,34 +345,32 @@ func (e *Engine) CreateView(def view.Def, filter pred.Predicate, filterChronicle
 	dir := e.dirLocked(def)
 	var v *view.View
 	var err error
-	open := e.tables[key]
-	joins := open != nil && !paged && len(history) == 0 && open.admits(filter, filterChronicle)
+	host := e.tables[key]
+	joins := host != nil && !paged && len(history) == 0 && host.TableEmpty()
 	if joins {
-		v, err = view.Join(def, open.host)
+		v, err = view.Join(def, host)
 	} else {
 		v, err = view.NewIn(def, dir)
 	}
 	if err != nil {
-		delete(e.names, def.Name)
 		return nil, err
 	}
-	info := v.Info()
+	filter, base := algebra.DispatchFilter(def.Expr)
 	if err := e.disp.Register(&dispatch.Target{
 		ID:              def.Name,
-		Chronicles:      info.Chronicles,
+		Chronicles:      v.Info().Chronicles,
 		Filter:          filter,
-		FilterChronicle: filterChronicle,
+		FilterChronicle: base,
 	}); err != nil {
 		v.Leave()
-		delete(e.names, def.Name)
 		return nil, err
 	}
 	// Page views against the shared block cache before backfill or
 	// publication, so every entry the view ever holds is block-attributed.
 	if paged {
 		v.EnablePaging(e.cfg.ViewBlockBytes, e.cfg.BlockFetch, e.cfg.ViewCache)
-	} else if open == nil || !open.host.TableEmpty() {
-		e.tables[key] = &openTable{host: v, filter: filter, on: filterChronicle}
+	} else if host == nil || !host.TableEmpty() {
+		e.tables[key] = v
 	}
 	e.acquireDirLocked(dir, def)
 	// Fold in the retained history so the view is current from creation:
@@ -508,7 +380,7 @@ func (e *Engine) CreateView(def view.Def, filter pred.Predicate, filterChronicle
 	}
 	e.publishDirtyLocked()
 	e.views[def.Name] = v
-	e.publishCatalogLocked()
+	e.rebuildPlanLocked()
 	return v, nil
 }
 
@@ -535,16 +407,14 @@ func (e *Engine) acquireDirLocked(d *view.Dir, def view.Def) {
 	e.dirs[dirKey(def)] = d
 }
 
-// CreatePeriodicView creates a periodic view family (Section 5.1).
+// CreatePeriodicView creates a periodic view family (Section 5.1),
+// dispatched on its dependencies and its calendar. The router has claimed
+// the name.
 func (e *Engine) CreatePeriodicView(name string, def view.Def, cal calendar.Calendar, expireAfter int64) (*calendar.PeriodicView, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.claimName(name, "periodic view"); err != nil {
-		return nil, err
-	}
 	pv, err := calendar.NewPeriodicView(name, def, cal, expireAfter, e.dirLocked(def))
 	if err != nil {
-		delete(e.names, name)
 		return nil, err
 	}
 	info := algebra.Analyze(def.Expr)
@@ -556,14 +426,13 @@ func (e *Engine) CreatePeriodicView(name string, def view.Def, cal calendar.Cale
 			return len(cal.IntervalsAt(ch)) > 0, lo, hi
 		},
 	}); err != nil {
-		delete(e.names, name)
 		return nil, err
 	}
 	if pv.Dir() != nil { // a family that keeps its instances
 		e.acquireDirLocked(pv.Dir(), def)
 	}
 	e.periodics[name] = pv
-	e.publishCatalogLocked()
+	e.rebuildPlanLocked()
 	return pv, nil
 }
 
@@ -573,26 +442,22 @@ func (e *Engine) CreatePeriodicView(name string, def view.Def, cal calendar.Cale
 // for good — the chronicle it summarized was never stored).
 func (e *Engine) DropView(name string) error {
 	e.mu.Lock()
-	switch e.names[name] {
-	case "view":
-		if v := e.views[name]; v != nil {
-			v.ReleasePaging()
-			e.leaveTableLocked(v)
-			e.releaseDirLocked(v.Dir(), v.Def())
-		}
+	if v := e.views[name]; v != nil {
+		v.ReleasePaging()
+		e.leaveTableLocked(v)
+		e.releaseDirLocked(v.Dir(), v.Def())
 		delete(e.views, name)
-	case "periodic view":
-		if pv := e.periodics[name]; pv != nil && pv.Dir() != nil {
+	} else if pv := e.periodics[name]; pv != nil {
+		if pv.Dir() != nil {
 			e.releaseDirLocked(pv.Dir(), pv.Def())
 		}
 		delete(e.periodics, name)
-	default:
+	} else {
 		e.mu.Unlock()
 		return fmt.Errorf("engine: no view named %q", name)
 	}
-	delete(e.names, name)
 	e.disp.Unregister(name)
-	e.publishCatalogLocked()
+	e.rebuildPlanLocked()
 	h := e.feed
 	e.mu.Unlock()
 	if h != nil {
@@ -608,9 +473,9 @@ func (e *Engine) DropView(name string) error {
 func (e *Engine) leaveTableLocked(v *view.View) {
 	v.Leave()
 	key := dirKey(v.Def())
-	if t := e.tables[key]; t != nil && t.host == v {
+	if e.tables[key] == v {
 		if rest := v.TableViews(); len(rest) > 0 {
-			t.host = e.views[rest[0]]
+			e.tables[key] = e.views[rest[0]]
 		} else {
 			delete(e.tables, key)
 		}
@@ -923,14 +788,12 @@ func (e *Engine) DedupEntries() []dedup.Entry {
 // since its last publication joins e.dirty, and publishDirtyLocked publishes
 // it when the whole call is in.
 //
-// Catalog access goes through the published snapshot (e.cat.Load()), the
-// same generation the read path sees, so maintenance and DDL agree on the
-// view set by construction rather than by lock-ordering subtlety.
+// It reads the engine's views, families and plan under the e.mu it runs
+// under, which DDL takes too, so maintenance and DDL agree on the view set.
 func (e *Engine) maintain(deltas map[*chronicle.Chronicle][]chronicle.Row) {
 	start := time.Now()
 	batch := algebra.BatchDelta(deltas)
-	cat := e.cat.Load()
-	plan := cat.plan
+	plan := e.plan.Load()
 	plan.BeginBatch()
 	e.batchSeq++
 	for c, rows := range deltas {
@@ -938,12 +801,12 @@ func (e *Engine) maintain(deltas map[*chronicle.Chronicle][]chronicle.Row) {
 			if t.Stamp(e.batchSeq) {
 				continue // already claimed via another chronicle's delta
 			}
-			// cat.plan holds every view and family of cat, and nothing else.
+			// plan holds every view and family of the engine, and nothing else.
 			drows, planned := plan.DeltaFor(t.ID, batch)
 			if !planned {
 				continue
 			}
-			if v, ok := cat.views[t.ID]; ok {
+			if v, ok := e.views[t.ID]; ok {
 				if e.feed != nil {
 					e.captureFeed(t.ID, drows)
 				}
@@ -951,7 +814,7 @@ func (e *Engine) maintain(deltas map[*chronicle.Chronicle][]chronicle.Row) {
 					e.dirty = append(e.dirty, v)
 				}
 				e.stats.ViewsMaintained++
-			} else if pv, ok := cat.periodics[t.ID]; ok {
+			} else if pv, ok := e.periodics[t.ID]; ok {
 				// A fold error only occurs for invalid defs, which New vetted.
 				if first, _ := pv.Fold(e.batchSeq, batch, drows); first {
 					e.dirty = append(e.dirty, pv)
@@ -982,141 +845,4 @@ func (e *Engine) captureFeed(view string, drows []chronicle.Row) {
 		e.pendingFeed.Capture(view, drows[0].LSN, drows[:n])
 		drows = drows[n:]
 	}
-}
-
-// Chronicle returns a chronicle by name.
-func (e *Engine) Chronicle(name string) (*chronicle.Chronicle, bool) {
-	c, ok := e.cat.Load().chronicles[name]
-	return c, ok
-}
-
-// Relation returns a relation by name.
-func (e *Engine) Relation(name string) (*relation.Relation, bool) {
-	r, ok := e.cat.Load().relations[name]
-	return r, ok
-}
-
-// View returns a persistent view by name. View read methods are
-// internally synchronized (a view publishes an atomic array of frozen
-// entries beside its lock-free key directory), so the handle may be used
-// while other goroutines append.
-func (e *Engine) View(name string) (*view.View, bool) {
-	v, ok := e.cat.Load().views[name]
-	return v, ok
-}
-
-// Read path. Every method below resolves names through the atomically
-// published catalog and reads object state through per-object
-// synchronization (published view entries, chronicle/relation read locks) — none
-// of them touches e.mu, so summary queries never serialize against the
-// append hot path.
-//
-// Ownership rule: every tuple returned (or passed to a scan callback) by
-// these methods is caller-owned — the engine clones anything that would
-// otherwise alias store-owned memory, so callers may retain and mutate
-// results freely.
-
-// ownedRow upholds the ownership rule: projection views hand out the
-// store's interned tuple (immutable, but shared), which is cloned before
-// it escapes; group-by rows are already materialized per call.
-func ownedRow(v *view.View, t value.Tuple) value.Tuple {
-	if v.Def().Mode == view.SummarizeProject {
-		return t.Clone()
-	}
-	return t
-}
-
-// ViewLookup answers a summary query from a persistent view by group key.
-// It runs lock-free against the view's latest publication.
-func (e *Engine) ViewLookup(name string, key value.Tuple) (value.Tuple, bool, error) {
-	start := time.Now()
-	v, ok := e.cat.Load().views[name]
-	if !ok {
-		return nil, false, fmt.Errorf("engine: unknown view %q", name)
-	}
-	row, found := v.Lookup(key)
-	if found {
-		row = ownedRow(v, row)
-	}
-	e.readLookups.Add(1)
-	e.readLat.Observe(time.Since(start))
-	return row, found, nil
-}
-
-// ViewScan is the one scan entry of the read path: it streams the rows of
-// the window w of a view — a key range, a direction, a limit and a residual
-// filter, the zero Window being the whole view in group-key order — until fn
-// returns false, and returns the LSN of the publication the rows were read
-// from. All rows of one call come from that one publication; the
-// changefeed's snapshot catch-up splices on the LSN (deltas at or below it
-// are reflected in the rows fn saw). Tuples passed to fn are caller-owned;
-// the tuple w.Keep sees is not.
-func (e *Engine) ViewScan(name string, w view.Window, fn func(value.Tuple) bool) (uint64, error) {
-	start := time.Now()
-	v, ok := e.cat.Load().views[name]
-	if !ok {
-		return 0, fmt.Errorf("engine: unknown view %q", name)
-	}
-	lsn := v.Scan(w, func(t value.Tuple) bool {
-		return fn(ownedRow(v, t))
-	})
-	e.readScans.Add(1)
-	e.readLat.Observe(time.Since(start))
-	return lsn, nil
-}
-
-// ChronicleRows copies a chronicle's retained window under the
-// chronicle's own read lock. The rows are caller-owned.
-func (e *Engine) ChronicleRows(name string) ([]chronicle.Row, error) {
-	start := time.Now()
-	c, ok := e.cat.Load().chronicles[name]
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown chronicle %q", name)
-	}
-	rows := c.RowsCopy()
-	e.readScans.Add(1)
-	e.readLat.Observe(time.Since(start))
-	return rows, nil
-}
-
-// PeriodicView returns a periodic view family by name.
-func (e *Engine) PeriodicView(name string) (*calendar.PeriodicView, bool) {
-	pv, ok := e.cat.Load().periodics[name]
-	return pv, ok
-}
-
-// Group returns a chronicle group by name.
-func (e *Engine) Group(name string) (*chronicle.Group, bool) {
-	g, ok := e.cat.Load().groups[name]
-	return g, ok
-}
-
-// Kind names one kind of catalog object, for Names.
-type Kind uint8
-
-// The catalog object kinds.
-const (
-	Groups Kind = iota
-	Chronicles
-	Relations
-	Views
-	PeriodicViews
-)
-
-// Names returns the names of the catalog objects of kind k, sorted.
-func (e *Engine) Names(k Kind) []string {
-	c := e.cat.Load()
-	switch k {
-	case Groups:
-		return slices.Sorted(maps.Keys(c.groups))
-	case Chronicles:
-		return slices.Sorted(maps.Keys(c.chronicles))
-	case Relations:
-		return slices.Sorted(maps.Keys(c.relations))
-	case Views:
-		return slices.Sorted(maps.Keys(c.views))
-	case PeriodicViews:
-		return slices.Sorted(maps.Keys(c.periodics))
-	}
-	return nil
 }

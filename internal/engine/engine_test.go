@@ -8,9 +8,9 @@ import (
 	"chronicledb/internal/algebra"
 	"chronicledb/internal/calendar"
 	"chronicledb/internal/chronicle"
-	"chronicledb/internal/keyenc"
 	"chronicledb/internal/pred"
 	"chronicledb/internal/relation"
+	"chronicledb/internal/sqlparse"
 	"chronicledb/internal/value"
 	"chronicledb/internal/view"
 	"chronicledb/internal/wal"
@@ -51,25 +51,11 @@ func appendOne(e *Engine, chronicleName string, tuples []value.Tuple) (int64, er
 
 func mustCreateCalls(t testing.TB, e *Engine) *chronicle.Chronicle {
 	t.Helper()
-	c, err := e.CreateChronicle("calls", "telecom", callsSchema(), nil)
+	c, err := e.CreateChronicle("calls", chronicle.NewGroup("telecom"), callsSchema(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
-}
-
-// mustAdoptRelation registers a relation the way the shard router does: the
-// relation is built outside the engine and adopted into its catalog.
-func mustAdoptRelation(t testing.TB, e *Engine, name string, schema *value.Schema) *relation.Relation {
-	t.Helper()
-	r, err := relation.New(name, schema, []int{0}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AdoptRelation(r); err != nil {
-		t.Fatal(err)
-	}
-	return r
 }
 
 func usageDef(c *chronicle.Chronicle) view.Def {
@@ -85,35 +71,10 @@ func usageDef(c *chronicle.Chronicle) view.Def {
 	}
 }
 
-func TestCreateValidation(t *testing.T) {
-	e, _ := newEngine(t)
-	c := mustCreateCalls(t, e)
-	if _, err := e.CreateChronicle("calls", "", callsSchema(), nil); err == nil {
-		t.Error("duplicate chronicle accepted")
-	}
-	if clash, err := relation.New("calls", custSchema(), []int{0}, false); err != nil {
-		t.Fatal(err)
-	} else if err := e.AdoptRelation(clash); err == nil {
-		t.Error("cross-kind name collision accepted")
-	}
-	if _, err := e.CreateView(usageDef(c), pred.True(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.CreateView(usageDef(c), pred.True(), nil); err == nil {
-		t.Error("duplicate view accepted")
-	}
-	if _, err := e.CreateGroup("telecom"); err == nil {
-		t.Error("duplicate group accepted")
-	}
-	if _, err := e.CreateGroup("newgroup"); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestAppendMaintainsViews(t *testing.T) {
 	e, _ := newEngine(t)
 	c := mustCreateCalls(t, e)
-	v, err := e.CreateView(usageDef(c), pred.True(), nil)
+	v, err := e.CreateView(usageDef(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +99,8 @@ func TestAppendMaintainsViews(t *testing.T) {
 
 func TestAppendBatchSharedSN(t *testing.T) {
 	e, _ := newEngine(t)
-	mustCreateCalls(t, e)
-	if _, err := e.CreateChronicle("payments", "telecom", value.NewSchema(
+	calls := mustCreateCalls(t, e)
+	if _, err := e.CreateChronicle("payments", calls.Group(), value.NewSchema(
 		value.Column{Name: "acct", Kind: value.KindString},
 		value.Column{Name: "amount", Kind: value.KindInt},
 	), nil); err != nil {
@@ -152,8 +113,7 @@ func TestAppendBatchSharedSN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls, _ := e.Chronicle("calls")
-	pays, _ := e.Chronicle("payments")
+	pays := e.chronicles["payments"]
 	if calls.LastSN() != sn || pays.LastSN() != sn {
 		t.Errorf("SNs differ: %d vs %d vs %d", calls.LastSN(), pays.LastSN(), sn)
 	}
@@ -191,6 +151,26 @@ func TestPeriodicViewThroughEngine(t *testing.T) {
 	}
 }
 
+// sqlCatalog is the sqlparse.Catalog of an engine and its relations.
+type sqlCatalog struct {
+	e         *Engine
+	relations map[string]*relation.Relation
+}
+
+func (c sqlCatalog) Chronicle(name string) (*chronicle.Chronicle, bool) {
+	ch, ok := c.e.chronicles[name]
+	return ch, ok
+}
+
+func (c sqlCatalog) Relation(name string) (*relation.Relation, bool) {
+	r, ok := c.relations[name]
+	return r, ok
+}
+
+// TestDispatchFilterSkipsUnaffectedViews: a view is dispatched on the filter
+// its own definition gives it — eight per-account σ views, a σ over a key
+// join made through the Go API and a SQL JOIN … WHERE view are each skipped
+// by an append that fails their σ.
 func TestDispatchFilterSkipsUnaffectedViews(t *testing.T) {
 	e, _ := newEngine(t)
 	c := mustCreateCalls(t, e)
@@ -205,7 +185,7 @@ func TestDispatchFilterSkipsUnaffectedViews(t *testing.T) {
 			Name: "bal_" + acct, Expr: sel, Mode: view.SummarizeGroupBy,
 			GroupCols: []int{0},
 			Aggs:      []aggregate.Spec{{Func: aggregate.Sum, Col: 1, Name: "total"}},
-		}, pred.Or(pred.ColConst(0, pred.Eq, value.Str(acct))), c)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,12 +202,64 @@ func TestDispatchFilterSkipsUnaffectedViews(t *testing.T) {
 	if views[0].Len() != 0 {
 		t.Error("unrelated view touched")
 	}
+
+	cust, err := relation.New("customers", custSchema(), []int{0}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cust.Upsert(1, value.Tuple{value.Str("vip"), value.Str("nj")}); err != nil {
+		t.Fatal(err)
+	}
+	jr, err := algebra.NewJoinRel(algebra.NewScan(c), cust, []int{0}, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := algebra.NewSelect(jr, pred.Or(pred.ColConst(0, pred.Eq, value.Str("vip"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	goView, err := e.CreateView(view.Def{
+		Name: "vip_go", Expr: sel, Mode: view.SummarizeGroupBy,
+		GroupCols: []int{3},
+		Aggs:      []aggregate.Spec{{Func: aggregate.Sum, Col: 1, Name: "total"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := sqlparse.ParseOne(`CREATE VIEW vip_sql AS SELECT state, SUM(minutes) AS total
+		FROM calls JOIN customers ON calls.acct = customers.acct
+		WHERE calls.acct = 'vip' GROUP BY state`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sqlparse.PlanView(sqlCatalog{e, map[string]*relation.Relation{"customers": cust}}, stmt.(*sqlparse.CreateView))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sqlView, err := e.CreateView(plan.Def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := e.Counters().ViewsMaintained
+	appendOne(e, "calls", []value.Tuple{{value.Str("acct5"), value.Int(1)}})
+	if n := e.Counters().ViewsMaintained - before; n != 1 {
+		t.Errorf("an append to acct5 maintained %d views, want bal_acct5 alone", n)
+	}
+	appendOne(e, "calls", []value.Tuple{{value.Str("vip"), value.Int(7)}})
+	if n := e.Counters().ViewsMaintained - before; n != 3 {
+		t.Errorf("an append to vip maintained %d views in all, want vip_go and vip_sql besides", n)
+	}
+	for _, v := range []*view.View{goView, sqlView} {
+		if got, ok := v.Lookup(value.Tuple{value.Str("nj")}); !ok || got[1].AsInt() != 7 {
+			t.Errorf("%s(nj) = %v, %v", v.Def().Name, got, ok)
+		}
+	}
 }
 
 func TestBackfillFromRetainedChronicle(t *testing.T) {
 	e, _ := newEngine(t)
 	retain := chronicle.RetainAll
-	c, err := e.CreateChronicle("history", "", callsSchema(), &retain)
+	c, err := e.CreateChronicle("history", chronicle.NewGroup("history"), callsSchema(), &retain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +267,7 @@ func TestBackfillFromRetainedChronicle(t *testing.T) {
 	appendOne(e, "history", []value.Tuple{{value.Str("a"), value.Int(20)}})
 	def := usageDef(c)
 	def.Name = "late_view"
-	v, err := e.CreateView(def, pred.True(), nil)
+	v, err := e.CreateView(def)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +280,7 @@ func TestBackfillFromRetainedChronicle(t *testing.T) {
 func TestRecorderVetoAbortsMutation(t *testing.T) {
 	e, _ := newEngine(t)
 	c := mustCreateCalls(t, e)
-	v, _ := e.CreateView(usageDef(c), pred.True(), nil)
+	v, _ := e.CreateView(usageDef(c))
 	e.SetRecorder(func(wal.Record) error { return fmt.Errorf("disk full") })
 	if _, err := appendOne(e, "calls", []value.Tuple{{value.Str("a"), value.Int(1)}}); err == nil {
 		t.Fatal("append succeeded despite recorder veto")
@@ -262,49 +294,16 @@ func TestRecorderVetoAbortsMutation(t *testing.T) {
 	}
 }
 
-func TestNamesListing(t *testing.T) {
-	e, _ := newEngine(t)
-	c := mustCreateCalls(t, e)
-	mustAdoptRelation(t, e, "customers", custSchema())
-	e.CreateView(usageDef(c), pred.True(), nil)
-	cal, _ := calendar.NewPeriodic(0, 10, 10)
-	def := usageDef(c)
-	def.Name = "periodic_usage"
-	e.CreatePeriodicView("periodic_usage", def, cal, -1)
-
-	if got := e.Names(Chronicles); len(got) != 1 || got[0] != "calls" {
-		t.Errorf("Names(Chronicles) = %v", got)
-	}
-	if _, ok := e.Relation("customers"); !ok {
-		t.Error("Relation lookup failed")
-	}
-	if got := e.Names(Views); len(got) != 1 || got[0] != "usage" {
-		t.Errorf("Names(Views) = %v", got)
-	}
-	if got := e.Names(PeriodicViews); len(got) != 1 || got[0] != "periodic_usage" {
-		t.Errorf("Names(PeriodicViews) = %v", got)
-	}
-	if got := e.Names(Groups); len(got) != 1 || got[0] != "telecom" {
-		t.Errorf("Names(Groups) = %v", got)
-	}
-	if _, ok := e.Group("telecom"); !ok {
-		t.Error("Group lookup failed")
-	}
-	if _, ok := e.PeriodicView("periodic_usage"); !ok {
-		t.Error("PeriodicView lookup failed")
-	}
-}
-
 func TestDropViewEngine(t *testing.T) {
 	e, _ := newEngine(t)
 	c := mustCreateCalls(t, e)
-	if _, err := e.CreateView(usageDef(c), pred.True(), nil); err != nil {
+	if _, err := e.CreateView(usageDef(c)); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.DropView("usage"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := e.View("usage"); ok {
+	if _, ok := e.views["usage"]; ok {
 		t.Error("view still present")
 	}
 	if err := e.DropView("usage"); err == nil {
@@ -328,7 +327,7 @@ func TestDropViewEngine(t *testing.T) {
 	if err := e.DropView("p"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := e.PeriodicView("p"); ok {
+	if _, ok := e.periodics["p"]; ok {
 		t.Error("periodic view still present")
 	}
 }
@@ -336,7 +335,7 @@ func TestDropViewEngine(t *testing.T) {
 func TestReplayAtRecordCoordinates(t *testing.T) {
 	e, _ := newEngine(t)
 	retain := chronicle.RetainAll
-	c, err := e.CreateChronicle("calls", "telecom", callsSchema(), &retain)
+	c, err := e.CreateChronicle("calls", chronicle.NewGroup("telecom"), callsSchema(), &retain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +382,7 @@ func TestNumericCoercion(t *testing.T) {
 		value.Column{Name: "amount", Kind: value.KindFloat},
 	)
 	retain := chronicle.RetainAll
-	c, err := e.CreateChronicle("ledger", "", schema, &retain)
+	c, err := e.CreateChronicle("ledger", chronicle.NewGroup("ledger"), schema, &retain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,60 +429,13 @@ func TestRecorderSeesBatchMutations(t *testing.T) {
 	}
 }
 
-func TestSerializedReadAccessors(t *testing.T) {
-	e, _ := newEngine(t)
-	retain := chronicle.RetainAll
-	e.CreateChronicle("calls", "telecom", callsSchema(), &retain)
-	c, _ := e.Chronicle("calls")
-	if err := mustAdoptRelation(t, e, "customers", custSchema()).Upsert(1, value.Tuple{value.Str("a"), value.Str("nj")}); err != nil {
-		t.Fatal(err)
-	}
-	e.CreateView(usageDef(c), pred.True(), nil)
-	appendOne(e, "calls", []value.Tuple{{value.Str("a"), value.Int(5)}})
-	appendOne(e, "calls", []value.Tuple{{value.Str("b"), value.Int(7)}})
-
-	row, ok, err := e.ViewLookup("usage", value.Tuple{value.Str("a")})
-	if err != nil || !ok || row[1].AsInt() != 5 {
-		t.Errorf("ViewLookup = %v %v %v", row, ok, err)
-	}
-	if _, _, err := e.ViewLookup("ghost", nil); err == nil {
-		t.Error("unknown view lookup accepted")
-	}
-	scan := func(name string, w view.Window) (rows []value.Tuple, err error) {
-		_, err = e.ViewScan(name, w, func(t value.Tuple) bool { rows = append(rows, t); return true })
-		return rows, err
-	}
-	rows, err := scan("usage", view.Window{})
-	if err != nil || len(rows) != 2 {
-		t.Errorf("ViewScan = %v %v", rows, err)
-	}
-	ranged, err := scan("usage", view.Window{Lo: keyenc.AppendValue(nil, value.Str("a")), Hi: keyenc.AppendValue(nil, value.Str("b"))})
-	if err != nil || len(ranged) != 1 || ranged[0][0].AsString() != "a" {
-		t.Errorf("ViewScan [a, b) = %v %v", ranged, err)
-	}
-	if _, err := scan("ghost", view.Window{}); err == nil {
-		t.Error("unknown ViewScan accepted")
-	}
-	crows, err := e.ChronicleRows("calls")
-	if err != nil || len(crows) != 2 {
-		t.Errorf("ChronicleRows = %v %v", crows, err)
-	}
-	if _, err := e.ChronicleRows("ghost"); err == nil {
-		t.Error("unknown ChronicleRows accepted")
-	}
-	cnt := e.Counters()
-	if n := cnt.Maintenance.Count(); n != 2 {
-		t.Errorf("Counters().Maintenance count = %d", n)
-	}
-}
-
 // TestLongCallFoldsInChunks: a call longer than maintainChunk folds chunk by
 // chunk — the call buffer stays bounded — but is still one publication, and a
 // failure past the first chunk keeps (and folds) everything before it.
 func TestLongCallFoldsInChunks(t *testing.T) {
 	e, _ := newEngine(t)
 	c := mustCreateCalls(t, e)
-	v, err := e.CreateView(usageDef(c), pred.True(), nil)
+	v, err := e.CreateView(usageDef(c))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,17 +3,19 @@ package shard
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"chronicledb/internal/algebra"
 	"chronicledb/internal/calendar"
 	"chronicledb/internal/chronicle"
 	"chronicledb/internal/engine"
 	"chronicledb/internal/feed"
-	"chronicledb/internal/pred"
 	"chronicledb/internal/relation"
+	"chronicledb/internal/stats"
 	"chronicledb/internal/value"
 	"chronicledb/internal/view"
 	"chronicledb/internal/wal"
@@ -44,7 +46,8 @@ type WAL struct {
 
 // Router fronts N single-writer shards. Chronicle groups (and the views
 // that depend on them) are hash-partitioned across shards; relations are
-// shared state updated under an epoch barrier; queries scatter/gather.
+// shared state updated under an epoch barrier; queries scatter/gather. The
+// router holds the database's one catalog: every name resolves through it.
 type Router struct {
 	cfg    Config
 	shards []*shardState
@@ -62,12 +65,81 @@ type Router struct {
 	relWAL     WAL
 	relUpdates atomic.Int64
 
-	// mu guards the routing catalog.
-	mu        sync.RWMutex
-	names     map[string]string // object name -> kind, across all shards
-	chronHome map[string]int    // chronicle name -> shard index
-	viewHome  map[string]int    // view / periodic-view name -> shard index
-	relations map[string]*relation.Relation
+	// cat is the published catalog. Readers and every append's routing load
+	// it without a lock; DDL publishes the next generation under ddl, a
+	// mutex only DDL takes.
+	cat atomic.Pointer[catalog]
+	ddl sync.Mutex
+
+	// Read-path metrics, updated with atomics so the lock-free read
+	// methods stay lock-free while still being observable.
+	readLookups atomic.Int64
+	readScans   atomic.Int64
+	readLat     stats.AtomicHistogram
+}
+
+// Kind names one kind of catalog object, for Names.
+type Kind uint8
+
+// The catalog object kinds.
+const (
+	Groups Kind = iota
+	Chronicles
+	Relations
+	Views
+	PeriodicViews
+)
+
+// String names the kind as errors do.
+func (k Kind) String() string {
+	return [...]string{"group", "chronicle", "relation", "view", "periodic view"}[k]
+}
+
+// entry is one named catalog object: its kind, the shard that owns it (a
+// relation's is 0, and every shard reads it), and the object itself.
+type entry struct {
+	kind Kind
+	home int
+	obj  any
+}
+
+// catalog is one immutable generation of the name table: chronicles,
+// relations, views and periodic views share one namespace, groups have one
+// of their own. A generation is never written once published; DDL clones
+// it, applies its one change and publishes the clone.
+type catalog struct {
+	names  map[string]entry
+	groups map[string]*chronicle.Group
+}
+
+// find resolves a name of one kind through the published catalog, without
+// a lock.
+func find[T any](r *Router, name string) (obj T, home int, ok bool) {
+	e := r.cat.Load().names[name]
+	obj, ok = e.obj.(T)
+	return obj, e.home, ok
+}
+
+// claim reports why name cannot be given to a new object of kind k in the
+// current generation, if it cannot. Callers hold r.ddl, so the name stays
+// free until they publish.
+func (r *Router) claim(name string, k Kind) error {
+	if name == "" {
+		return fmt.Errorf("shard: empty %s name", k)
+	}
+	if e, ok := r.cat.Load().names[name]; ok {
+		return fmt.Errorf("engine: name %q already used by a %s", name, e.kind)
+	}
+	return nil
+}
+
+// publish installs the next catalog generation: the current one with change
+// applied to a copy. Callers hold r.ddl.
+func (r *Router) publish(change func(c *catalog)) {
+	old := r.cat.Load()
+	c := &catalog{names: maps.Clone(old.names), groups: maps.Clone(old.groups)}
+	change(c)
+	r.cat.Store(c)
 }
 
 // NewRouter creates a router with cfg.Shards single-writer shards.
@@ -75,13 +147,8 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", cfg.Shards)
 	}
-	r := &Router{
-		cfg:       cfg,
-		names:     make(map[string]string),
-		chronHome: make(map[string]int),
-		viewHome:  make(map[string]int),
-		relations: make(map[string]*relation.Relation),
-	}
+	r := &Router{cfg: cfg}
+	r.cat.Store(&catalog{names: map[string]entry{}, groups: map[string]*chronicle.Group{}})
 	ecfg := cfg.Engine
 	ecfg.NextLSN = func() uint64 { return r.lsn.Add(1) }
 	for i := 0; i < cfg.Shards; i++ {
@@ -108,18 +175,13 @@ func (r *Router) Each(fn func(i int, e *engine.Engine)) {
 }
 
 // Home returns the engine of the shard owning the named view, periodic view
-// or chronicle — the one place a name resolves to its shard.
+// or chronicle.
 func (r *Router) Home(name string) (*engine.Engine, bool) {
-	r.mu.RLock()
-	idx, ok := r.viewHome[name]
-	if !ok {
-		idx, ok = r.chronHome[name]
-	}
-	r.mu.RUnlock()
-	if !ok {
+	e, ok := r.cat.Load().names[name]
+	if !ok || e.kind == Relations {
 		return nil, false
 	}
-	return r.shards[idx].eng, true
+	return r.shards[e.home].eng, true
 }
 
 // shardOfGroup returns the shard index owning a group name.
@@ -163,63 +225,60 @@ func (r *Router) SetWAL(hooks []WAL) {
 
 // --- catalog ------------------------------------------------------------
 
-func (r *Router) claim(name, kind string) error {
-	if name == "" {
-		return fmt.Errorf("shard: empty %s name", kind)
-	}
-	if existing, ok := r.names[name]; ok {
-		return fmt.Errorf("engine: name %q already used by a %s", name, existing)
-	}
-	r.names[name] = kind
-	return nil
-}
-
-// CreateGroup creates a chronicle group on its home shard.
+// CreateGroup creates a chronicle group; its chronicles go to its home
+// shard.
 func (r *Router) CreateGroup(name string) (*chronicle.Group, error) {
-	return r.shards[r.shardOfGroup(name)].eng.CreateGroup(name)
+	r.ddl.Lock()
+	defer r.ddl.Unlock()
+	if _, ok := r.Group(name); ok {
+		return nil, fmt.Errorf("engine: group %q already exists", name)
+	}
+	g := chronicle.NewGroup(name)
+	r.publish(func(c *catalog) { c.groups[name] = g })
+	return g, nil
 }
 
-// CreateChronicle creates a chronicle on the shard owning its group.
+// CreateChronicle creates a chronicle inside a (possibly new) group, on the
+// shard owning the group. groupName may be empty, in which case the chronicle
+// gets a private group of the same name.
 func (r *Router) CreateChronicle(name, groupName string, schema *value.Schema, retain *chronicle.Retention) (*chronicle.Chronicle, error) {
 	if groupName == "" {
 		groupName = name
 	}
 	idx := r.shardOfGroup(groupName)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.claim(name, "chronicle"); err != nil {
+	r.ddl.Lock()
+	defer r.ddl.Unlock()
+	if err := r.claim(name, Chronicles); err != nil {
 		return nil, err
 	}
-	c, err := r.shards[idx].eng.CreateChronicle(name, groupName, schema, retain)
+	g, ok := r.Group(groupName)
+	if !ok {
+		g = chronicle.NewGroup(groupName)
+	}
+	ch, err := r.shards[idx].eng.CreateChronicle(name, g, schema, retain)
 	if err != nil {
-		delete(r.names, name)
 		return nil, err
 	}
-	r.chronHome[name] = idx
-	return c, nil
+	r.publish(func(c *catalog) {
+		c.names[name] = entry{Chronicles, idx, ch}
+		c.groups[groupName] = g
+	})
+	return ch, nil
 }
 
 // CreateRelation creates a relation shared by every shard: relations cut
-// across groups, so one versioned instance is adopted into every shard's
-// catalog and all shards resolve the name to the same state.
+// across groups, so one versioned instance serves every shard's views.
 func (r *Router) CreateRelation(name string, schema *value.Schema, keyCols []int) (*relation.Relation, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.claim(name, "relation"); err != nil {
+	r.ddl.Lock()
+	defer r.ddl.Unlock()
+	if err := r.claim(name, Relations); err != nil {
 		return nil, err
 	}
 	rel, err := relation.New(name, schema, keyCols, r.cfg.Engine.RelationHistory)
 	if err != nil {
-		delete(r.names, name)
 		return nil, err
 	}
-	for _, s := range r.shards {
-		if err := s.eng.AdoptRelation(rel); err != nil {
-			delete(r.names, name)
-			return nil, fmt.Errorf("shard %d: %w", s.id, err)
-		}
-	}
-	r.relations[name] = rel
+	r.publish(func(c *catalog) { c.names[name] = entry{Relations, 0, rel} })
 	return rel, nil
 }
 
@@ -234,7 +293,7 @@ func (r *Router) homeOfDef(name string, expr algebra.Node) (int, error) {
 	}
 	home := -1
 	for _, c := range info.Chronicles {
-		idx, ok := r.chronHome[c.Name()]
+		_, idx, ok := find[*chronicle.Chronicle](r, c.Name())
 		if !ok {
 			return 0, fmt.Errorf("shard: view %q references unknown chronicle %q", name, c.Name())
 		}
@@ -248,72 +307,70 @@ func (r *Router) homeOfDef(name string, expr algebra.Node) (int, error) {
 }
 
 // CreateView materializes a persistent view on the shard owning its
-// chronicles and registers it with that shard's dispatcher.
-func (r *Router) CreateView(def view.Def, filter pred.Predicate, filterChronicle *chronicle.Chronicle) (*view.View, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// chronicles and registers it with that shard's dispatcher. Only that
+// shard's appends wait for its backfill: readers and the other shards go on
+// against the catalog published before it.
+func (r *Router) CreateView(def view.Def) (*view.View, error) {
+	r.ddl.Lock()
+	defer r.ddl.Unlock()
 	idx, err := r.homeOfDef(def.Name, def.Expr)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.claim(def.Name, "view"); err != nil {
+	if err := r.claim(def.Name, Views); err != nil {
 		return nil, err
 	}
 	// Backfill inside CreateView reads relation state: hold the epoch
 	// gate so a concurrent relation update cannot tear the initial scan.
 	r.relGate.RLock()
-	v, err := r.shards[idx].eng.CreateView(def, filter, filterChronicle)
+	v, err := r.shards[idx].eng.CreateView(def)
 	r.relGate.RUnlock()
 	if err != nil {
-		delete(r.names, def.Name)
 		return nil, err
 	}
-	r.viewHome[def.Name] = idx
+	r.publish(func(c *catalog) { c.names[def.Name] = entry{Views, idx, v} })
 	return v, nil
 }
 
 // CreatePeriodicView creates a periodic view family on its home shard.
 func (r *Router) CreatePeriodicView(name string, def view.Def, cal calendar.Calendar, expireAfter int64) (*calendar.PeriodicView, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.ddl.Lock()
+	defer r.ddl.Unlock()
 	idx, err := r.homeOfDef(name, def.Expr)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.claim(name, "periodic view"); err != nil {
+	if err := r.claim(name, PeriodicViews); err != nil {
 		return nil, err
 	}
 	pv, err := r.shards[idx].eng.CreatePeriodicView(name, def, cal, expireAfter)
 	if err != nil {
-		delete(r.names, name)
 		return nil, err
 	}
-	r.viewHome[name] = idx
+	r.publish(func(c *catalog) { c.names[name] = entry{PeriodicViews, idx, pv} })
 	return pv, nil
 }
 
-// DropView removes a persistent or periodic view from its home shard.
+// DropView removes a persistent or periodic view from its home shard; its
+// name is free again.
 func (r *Router) DropView(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	idx, ok := r.viewHome[name]
-	if !ok {
+	r.ddl.Lock()
+	defer r.ddl.Unlock()
+	e, ok := r.cat.Load().names[name]
+	if !ok || (e.kind != Views && e.kind != PeriodicViews) {
 		return fmt.Errorf("engine: no view named %q", name)
 	}
-	if err := r.shards[idx].eng.DropView(name); err != nil {
+	if err := r.shards[e.home].eng.DropView(name); err != nil {
 		return err
 	}
-	delete(r.viewHome, name)
-	delete(r.names, name)
+	r.publish(func(c *catalog) { delete(c.names, name) })
 	return nil
 }
 
 // --- appends ------------------------------------------------------------
 
 func (r *Router) homeOfChronicle(name string) (*shardState, error) {
-	r.mu.RLock()
-	idx, ok := r.chronHome[name]
-	r.mu.RUnlock()
+	_, idx, ok := find[*chronicle.Chronicle](r, name)
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown chronicle %q", name)
 	}
@@ -412,9 +469,7 @@ func (r *Router) Replay(rec wal.Record) error {
 // --- relation updates (epoch barrier) -----------------------------------
 
 func (r *Router) relationByName(name string) (*relation.Relation, error) {
-	r.mu.RLock()
-	rel, ok := r.relations[name]
-	r.mu.RUnlock()
+	rel, ok := r.Relation(name)
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown relation %q", name)
 	}
@@ -424,7 +479,7 @@ func (r *Router) relationByName(name string) (*relation.Relation, error) {
 // Upsert applies proactive relation updates under the epoch barrier: the
 // router waits for every shard's in-flight pass to finish, stamps the tuples
 // with the next consecutive global LSNs, records them as one WAL frame,
-// applies them to the shared relation (visible in every shard's catalog),
+// applies them to the shared relation (which every shard's views read),
 // commits once, and resumes. Appends that completed before this call used
 // the old version; appends that start after it see the new one — on every
 // shard, exactly the §2.3 semantics. The statement is one transaction: the
@@ -499,9 +554,19 @@ func (r *Router) DeleteKey(relationName string, keyVals value.Tuple) (bool, erro
 
 // --- queries --------------------------------------------------------------
 
-// RelationUpdates counts the relation upserts and deletes applied since
-// the router was created (engines count only what they apply themselves).
-func (r *Router) RelationUpdates() int64 { return r.relUpdates.Load() }
+// Counters sums every shard engine's counters, with the relation updates the
+// router applies and the read path it serves.
+func (r *Router) Counters() engine.Counters {
+	var sum engine.Counters
+	for _, s := range r.shards {
+		c := s.eng.Counters()
+		sum.Add(&c)
+	}
+	sum.RelationUpdates = r.relUpdates.Load()
+	sum.Lookups, sum.Scans = r.readLookups.Load(), r.readScans.Load()
+	sum.Read = r.readLat.Histogram()
+	return sum
+}
 
 // LSN returns the current global logical sequence number.
 func (r *Router) LSN() uint64 { return r.lsn.Load() }
@@ -517,81 +582,126 @@ func (r *Router) RestoreLSN(lsn uint64) {
 	}
 }
 
-// Names lists the catalog objects of kind k across shards, sorted — the
-// one catalog listing. Every shard adopts every relation, so relations are
-// listed from the first.
-func (r *Router) Names(k engine.Kind) []string {
-	shards := r.shards
-	if k == engine.Relations {
-		shards = shards[:1]
+// Read path. Every method below resolves names through the published
+// catalog and reads object state through per-object synchronization
+// (published view entries, chronicle and relation read locks): none takes a
+// lock a writer holds for long, so reads never wait on DDL or maintenance.
+//
+// Ownership rule: every tuple returned (or passed to a scan callback) by
+// these methods is caller-owned — the router clones anything that would
+// otherwise alias store-owned memory, so callers may retain and mutate
+// results freely.
+
+// Names lists the catalog objects of kind k, sorted.
+func (r *Router) Names(k Kind) []string {
+	c := r.cat.Load()
+	if k == Groups {
+		return slices.Sorted(maps.Keys(c.groups))
 	}
 	var out []string
-	for _, s := range shards {
-		out = append(out, s.eng.Names(k)...)
+	for n, e := range c.names {
+		if e.kind == k {
+			out = append(out, n)
+		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
-// Group returns a group by name from its home shard.
+// Group returns a chronicle group by name.
 func (r *Router) Group(name string) (*chronicle.Group, bool) {
-	return r.shards[r.shardOfGroup(name)].eng.Group(name)
+	g, ok := r.cat.Load().groups[name]
+	return g, ok
 }
 
 // Chronicle returns a chronicle by name.
 func (r *Router) Chronicle(name string) (*chronicle.Chronicle, bool) {
-	e, ok := r.Home(name)
-	if !ok {
-		return nil, false
-	}
-	return e.Chronicle(name)
+	c, _, ok := find[*chronicle.Chronicle](r, name)
+	return c, ok
 }
 
 // Relation returns the shared relation by name.
 func (r *Router) Relation(name string) (*relation.Relation, bool) {
-	r.mu.RLock()
-	rel, ok := r.relations[name]
-	r.mu.RUnlock()
+	rel, _, ok := find[*relation.Relation](r, name)
 	return rel, ok
 }
 
-// View returns a persistent view by name from its home shard.
+// View returns a persistent view by name. View read methods are internally
+// synchronized (a view publishes an atomic array of frozen entries beside
+// its lock-free key directory), so the handle may be used while other
+// goroutines append.
 func (r *Router) View(name string) (*view.View, bool) {
-	e, ok := r.Home(name)
-	if !ok {
-		return nil, false
-	}
-	return e.View(name)
+	v, _, ok := find[*view.View](r, name)
+	return v, ok
 }
 
 // PeriodicView returns a periodic view family by name.
 func (r *Router) PeriodicView(name string) (*calendar.PeriodicView, bool) {
-	e, ok := r.Home(name)
-	if !ok {
-		return nil, false
-	}
-	return e.PeriodicView(name)
+	pv, _, ok := find[*calendar.PeriodicView](r, name)
+	return pv, ok
 }
 
-// ViewLookup answers a summary query by group key from the view's home
-// shard.
+// ownedRow upholds the ownership rule: projection views hand out the
+// store's interned tuple (immutable, but shared), which is cloned before
+// it escapes; group-by rows are already materialized per call.
+func ownedRow(v *view.View, t value.Tuple) value.Tuple {
+	if v.Def().Mode == view.SummarizeProject {
+		return t.Clone()
+	}
+	return t
+}
+
+// ViewLookup answers a summary query from a persistent view by group key,
+// against the view's latest publication.
 func (r *Router) ViewLookup(name string, key value.Tuple) (value.Tuple, bool, error) {
-	e, ok := r.Home(name)
+	start := time.Now()
+	v, ok := r.View(name)
 	if !ok {
 		return nil, false, fmt.Errorf("engine: unknown view %q", name)
 	}
-	return e.ViewLookup(name, key)
+	row, found := v.Lookup(key)
+	if found {
+		row = ownedRow(v, row)
+	}
+	r.readLookups.Add(1)
+	r.readLat.Observe(time.Since(start))
+	return row, found, nil
 }
 
-// ViewScan streams the rows of a window of a view from its home shard and
-// returns the LSN of the publication they were read from (see
-// engine.ViewScan).
+// ViewScan is the one scan entry of the read path: it streams the rows of
+// the window w of a view — a key range, a direction, a limit and a residual
+// filter, the zero Window being the whole view in group-key order — until fn
+// returns false, and returns the LSN of the publication the rows were read
+// from. All rows of one call come from that one publication; the
+// changefeed's snapshot catch-up splices on the LSN (deltas at or below it
+// are reflected in the rows fn saw). Tuples passed to fn are caller-owned;
+// the tuple w.Keep sees is not.
 func (r *Router) ViewScan(name string, w view.Window, fn func(value.Tuple) bool) (uint64, error) {
-	e, ok := r.Home(name)
+	start := time.Now()
+	v, ok := r.View(name)
 	if !ok {
 		return 0, fmt.Errorf("engine: unknown view %q", name)
 	}
-	return e.ViewScan(name, w, fn)
+	lsn := v.Scan(w, func(t value.Tuple) bool {
+		return fn(ownedRow(v, t))
+	})
+	r.readScans.Add(1)
+	r.readLat.Observe(time.Since(start))
+	return lsn, nil
+}
+
+// ChronicleRows copies a chronicle's retained window under the chronicle's
+// own read lock. The rows are caller-owned.
+func (r *Router) ChronicleRows(name string) ([]chronicle.Row, error) {
+	start := time.Now()
+	c, ok := r.Chronicle(name)
+	if !ok {
+		return nil, fmt.Errorf("engine: unknown chronicle %q", name)
+	}
+	rows := c.RowsCopy()
+	r.readScans.Add(1)
+	r.readLat.Observe(time.Since(start))
+	return rows, nil
 }
 
 // RelationRows materializes a relation's live tuples in key order,

@@ -11,7 +11,7 @@
 // coordination. The one cross-cutting mutation — a proactive relation
 // update (§2.3) — is applied under an epoch barrier: the router stamps a
 // global LSN, quiesces every shard's in-flight passes, applies the update
-// to the shared relation state visible from every shard's catalog, and
+// to the shared relation state every shard's views read, and
 // resumes. Because all shards draw LSNs from one shared allocator, the
 // paper's semantics hold globally: a relation update is ordered before
 // exactly the appends that started after it, on every shard.

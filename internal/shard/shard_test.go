@@ -42,14 +42,10 @@ func newRouter(t testing.TB, n int) *Router {
 	return r
 }
 
-// chronicleRows copies a chronicle's retained window from its home shard.
+// chronicleRows copies a chronicle's retained window.
 func chronicleRows(t *testing.T, r *Router, name string) []chronicle.Row {
 	t.Helper()
-	e, ok := r.Home(name)
-	if !ok {
-		t.Fatalf("no home for chronicle %q", name)
-	}
-	rows, err := e.ChronicleRows(name)
+	rows, err := r.ChronicleRows(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +81,10 @@ func TestRouterBasics(t *testing.T) {
 	if _, err := r.CreateChronicle("calls", "", callsSchema(), nil); err == nil {
 		t.Error("duplicate chronicle accepted")
 	}
-	if _, err := r.CreateView(usageDef("usage", c), pred.True(), nil); err != nil {
+	if _, err := r.CreateView(usageDef("usage", c)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.CreateView(usageDef("usage", c), pred.True(), nil); err == nil {
+	if _, err := r.CreateView(usageDef("usage", c)); err == nil {
 		t.Error("duplicate view accepted")
 	}
 	sn, err := r.Append("calls", []value.Tuple{{value.Str("alice"), value.Int(10)}})
@@ -117,7 +113,7 @@ func TestRouterBasics(t *testing.T) {
 	if home := r.shardOfGroup("telecom"); home < 0 || home >= r.NumShards() {
 		t.Errorf("shardOfGroup out of range: %d", home)
 	}
-	if names := r.Names(engine.Chronicles); len(names) != 1 || names[0] != "calls" {
+	if names := r.Names(Chronicles); len(names) != 1 || names[0] != "calls" {
 		t.Errorf("Names(Chronicles) = %v", names)
 	}
 }
@@ -128,11 +124,11 @@ func TestViewHomeFollowsChronicle(t *testing.T) {
 		group := fmt.Sprintf("g%d", i)
 		name := fmt.Sprintf("calls%d", i)
 		c := mustCreateChronicle(t, r, name, group)
-		if _, err := r.CreateView(usageDef("v"+name, c), pred.True(), nil); err != nil {
+		if _, err := r.CreateView(usageDef("v"+name, c)); err != nil {
 			t.Fatal(err)
 		}
 		home := r.shardOfGroup(group)
-		if _, ok := r.shards[home].eng.View("v" + name); !ok {
+		if e, ok := r.Home("v" + name); !ok || e != r.shards[home].eng {
 			t.Errorf("view v%s not on home shard %d of group %s", name, home, group)
 		}
 	}
@@ -140,7 +136,7 @@ func TestViewHomeFollowsChronicle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.CreateView(usageDef("orphan", ghost), pred.True(), nil); err == nil || !strings.Contains(err.Error(), "unknown chronicle") {
+	if _, err := r.CreateView(usageDef("orphan", ghost)); err == nil || !strings.Contains(err.Error(), "unknown chronicle") {
 		t.Errorf("view over unregistered chronicle: err = %v", err)
 	}
 }
@@ -191,7 +187,7 @@ func TestProactiveUpdateSemantics(t *testing.T) {
 		Name: "nj_minutes", Expr: sel, Mode: view.SummarizeGroupBy,
 		GroupCols: []int{0},
 		Aggs:      []aggregate.Spec{{Func: aggregate.Sum, Col: 1, Name: "total"}},
-	}, pred.True(), nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +243,7 @@ func TestRelationOps(t *testing.T) {
 	if _, err := r.DeleteKey("ghost", value.Tuple{}); err == nil {
 		t.Error("delete from unknown relation accepted")
 	}
-	if got := r.RelationUpdates(); got != 2 {
+	if got := r.Counters().RelationUpdates; got != 2 {
 		t.Errorf("RelationUpdates = %d", got)
 	}
 	if len(kinds) != 2 || kinds[0] != wal.RecUpsert || kinds[1] != wal.RecDelete {

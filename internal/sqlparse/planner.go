@@ -20,14 +20,11 @@ type Catalog interface {
 	Relation(name string) (*relation.Relation, bool)
 }
 
-// ViewPlan is a lowered CREATE VIEW: an SCA definition plus dispatch and
-// periodic metadata.
+// ViewPlan is a lowered CREATE VIEW: an SCA definition plus periodic
+// metadata. The engine works out the view's dispatch filter from the
+// definition (algebra.DispatchFilter).
 type ViewPlan struct {
 	Def view.Def
-	// Filter/FilterChronicle feed the Section 5.2 dispatcher when the view
-	// carries an indexable base-chronicle predicate.
-	Filter          pred.Predicate
-	FilterChronicle *chronicle.Chronicle
 	// Periodic is non-nil for CREATE PERIODIC VIEW.
 	Periodic *PeriodicPlan
 	Info     algebra.Info
@@ -99,7 +96,6 @@ func PlanView(cat Catalog, s *CreateView) (*ViewPlan, error) {
 	var expr algebra.Node = algebra.NewScan(base)
 	res := &resolver{}
 	res.add(s.From, base.Schema().Names())
-	baseCols := base.Schema().Len()
 
 	// Joins.
 	for _, jc := range s.Joins {
@@ -169,7 +165,7 @@ func PlanView(cat Catalog, s *CreateView) (*ViewPlan, error) {
 	}
 
 	// WHERE: one stacked selection per AND-group.
-	plan := &ViewPlan{Filter: pred.True()}
+	plan := &ViewPlan{}
 	if s.Where != nil {
 		for _, group := range s.Where.Conj {
 			p, err := lowerGroup(res, group)
@@ -181,13 +177,6 @@ func PlanView(cat Catalog, s *CreateView) (*ViewPlan, error) {
 				return nil, fmt.Errorf("sql: %w", err)
 			}
 			expr = se
-			// Dispatch filter: first equality-on-base-chronicle-constant group.
-			if plan.FilterChronicle == nil {
-				if col, k, ok := p.EqualityConstant(); ok && col < baseCols {
-					plan.Filter = pred.Or(pred.ColConst(col, pred.Eq, k))
-					plan.FilterChronicle = base
-				}
-			}
 		}
 	}
 

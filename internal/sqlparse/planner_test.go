@@ -183,16 +183,17 @@ func TestPlanDispatchFilterExtraction(t *testing.T) {
 		SELECT acct, SUM(cost) AS total FROM calls
 		WHERE acct = 'acct7' AND minutes > 0
 		GROUP BY acct`)
-	if plan.FilterChronicle == nil {
+	filter, base := algebra.DispatchFilter(plan.Def.Expr)
+	if base == nil {
 		t.Fatal("dispatch filter not extracted")
 	}
-	if col, k, ok := plan.Filter.EqualityConstant(); !ok || col != 0 || k.AsString() != "acct7" {
+	if col, k, ok := filter.EqualityConstant(); !ok || col != 0 || k.AsString() != "acct7" {
 		t.Errorf("filter = %v %v %v", col, k, ok)
 	}
 	// Range-only WHERE extracts nothing.
 	plan = planView(t, cat, `CREATE VIEW big AS
 		SELECT acct, SUM(cost) AS total FROM calls WHERE minutes > 100 GROUP BY acct`)
-	if plan.FilterChronicle != nil {
+	if _, base := algebra.DispatchFilter(plan.Def.Expr); base != nil {
 		t.Error("range filter wrongly used for dispatch index")
 	}
 }

@@ -31,7 +31,7 @@ type Metric struct {
 // database, replica_* on a follower, repl_* where a replication source runs
 // (every durable database).
 func (db *DB) Metrics() []Metric {
-	c := db.counters()
+	c := db.eng.Counters()
 	maint, read := c.Maintenance.Snapshot(), c.Read.Snapshot()
 	ms := []Metric{
 		{"shards", "count", "single-writer shards the chronicle groups are hash-partitioned across", false, int64(db.Shards())},

@@ -11,6 +11,7 @@ import (
 	"chronicledb/internal/chronicle"
 	"chronicledb/internal/dedup"
 	"chronicledb/internal/engine"
+	"chronicledb/internal/shard"
 	"chronicledb/internal/sqlparse"
 	"chronicledb/internal/value"
 	"chronicledb/internal/view"
@@ -189,7 +190,7 @@ func (db *DB) restoreChain(refs []wal.CheckpointRef) (uint64, error) {
 		// inside the checkpoint are not individually replayable. Below it
 		// the log may be compacted: a follower asking for it is told so.
 		db.lastCkptLSN.Store(lsn)
-		for _, name := range db.eng.Names(engine.Views) {
+		for _, name := range db.eng.Names(shard.Views) {
 			if v, ok := db.eng.View(name); ok {
 				v.SetAppliedLSN(lsn)
 			}
@@ -294,7 +295,7 @@ func (db *DB) buildCheckpointImage(full bool) (data []byte, lsn uint64, marks ma
 	b = append(b, ckptVersion, flags)
 	b = binary.LittleEndian.AppendUint64(b, lsn)
 
-	groups := db.eng.Names(engine.Groups)
+	groups := db.eng.Names(shard.Groups)
 	b = binary.AppendUvarint(b, uint64(len(groups)))
 	for _, name := range groups {
 		g, _ := db.eng.Group(name)
@@ -306,7 +307,7 @@ func (db *DB) buildCheckpointImage(full bool) (data []byte, lsn uint64, marks ma
 	// marker moved since the last cut, or all of them in a full image — and
 	// appends their count.
 	marks = make(map[string]uint64)
-	included := func(kind engine.Kind, prefix string, marker func(name string) uint64) []string {
+	included := func(kind shard.Kind, prefix string, marker func(name string) uint64) []string {
 		var incl []string
 		for _, name := range db.eng.Names(kind) {
 			cur := marker(name)
@@ -322,7 +323,7 @@ func (db *DB) buildCheckpointImage(full bool) (data []byte, lsn uint64, marks ma
 		return incl
 	}
 
-	for _, name := range included(engine.Chronicles, "c:", func(name string) uint64 {
+	for _, name := range included(shard.Chronicles, "c:", func(name string) uint64 {
 		c, _ := db.eng.Chronicle(name)
 		return uint64(c.Total() + c.Dropped())
 	}) {
@@ -339,7 +340,7 @@ func (db *DB) buildCheckpointImage(full bool) (data []byte, lsn uint64, marks ma
 		}
 	}
 
-	for _, name := range included(engine.Relations, "r:", func(name string) uint64 {
+	for _, name := range included(shard.Relations, "r:", func(name string) uint64 {
 		r, _ := db.eng.Relation(name)
 		return uint64(r.Updates())
 	}) {
@@ -347,7 +348,7 @@ func (db *DB) buildCheckpointImage(full bool) (data []byte, lsn uint64, marks ma
 		b = r.AppendImage(appendName(b, name))
 	}
 
-	for _, name := range included(engine.Views, "v:", func(name string) uint64 {
+	for _, name := range included(shard.Views, "v:", func(name string) uint64 {
 		v, _ := db.eng.View(name)
 		return uint64(v.Stats().Applies)
 	}) {
@@ -366,7 +367,7 @@ func (db *DB) buildCheckpointImage(full bool) (data []byte, lsn uint64, marks ma
 		b = append(b, snap...)
 	}
 
-	for _, name := range included(engine.PeriodicViews, "p:", func(name string) uint64 {
+	for _, name := range included(shard.PeriodicViews, "p:", func(name string) uint64 {
 		pv, _ := db.eng.PeriodicView(name)
 		return uint64(pv.Applies())
 	}) {

@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"chronicledb/internal/engine"
+	"chronicledb/internal/shard"
 	"chronicledb/internal/sqlparse"
 )
 
@@ -61,7 +61,7 @@ func TestRenderDDLRoundTrip(t *testing.T) {
 	}
 
 	// The two databases end with identical schemas and view classifications.
-	for _, viewName := range db1.Engine().Names(engine.Views) {
+	for _, viewName := range db1.Engine().Names(shard.Views) {
 		v1, _ := db1.View(viewName)
 		v2, ok := db2.View(viewName)
 		if !ok {

@@ -16,9 +16,9 @@ import (
 	"time"
 
 	chronicledb "chronicledb"
-	"chronicledb/internal/engine"
 	"chronicledb/internal/fault"
 	"chronicledb/internal/server"
+	"chronicledb/internal/shard"
 )
 
 const (
@@ -60,7 +60,7 @@ func runSteps(t *testing.T, db *chronicledb.DB, steps []string, durable bool) {
 func viewRows(t *testing.T, db *chronicledb.DB) map[string][]string {
 	t.Helper()
 	out := map[string][]string{}
-	for _, name := range db.Engine().Names(engine.Views) {
+	for _, name := range db.Engine().Names(shard.Views) {
 		res, err := db.Exec("SELECT * FROM " + name)
 		if err != nil {
 			t.Fatalf("SELECT * FROM %s: %v", name, err)

@@ -11,11 +11,10 @@ import (
 	"testing"
 
 	chronicledb "chronicledb"
-	"chronicledb/internal/pred"
 	"chronicledb/internal/value"
 )
 
-// The views of one key directory that are dispatched alike share one table
+// The views of one key directory share one table
 // when they are made before it holds a group: one group per key holds the
 // union of their aggregations. These tests check that a view of a shared
 // table is the view it would be alone (Theorem 4.2 under fusion), and that
@@ -74,9 +73,7 @@ func sortedRows(t *testing.T, db *chronicledb.DB, name string) []string {
 // recomputed over the whole chronicle. On the way, a view made after the
 // table has groups gets a table of its own — with retained history to fold,
 // and without (pings keeps none, so a shared table would show it groups of
-// rows it never saw) — a member is dropped and re-made, and a view made
-// through the Go API with a dispatch filter other than its directory's
-// table's gets a table of its own.
+// rows it never saw) — and a member is dropped and re-made.
 func TestSharedTableEqualsTwins(t *testing.T) {
 	open := func() *chronicledb.DB {
 		db, err := chronicledb.Open(chronicledb.Options{})
@@ -93,26 +90,6 @@ func TestSharedTableEqualsTwins(t *testing.T) {
 		t.Helper()
 		mustExec(t, db, fmt.Sprintf("CREATE VIEW %s AS %s", name, sel))
 	}
-	// filtered is sums' definition made through the Go API, dispatched on
-	// the predicate its σ already applies: its rows are sums' rows, but its
-	// dispatch filter is not its table's.
-	createFiltered := func(db *chronicledb.DB) {
-		t.Helper()
-		sums, _ := db.View("sums")
-		if sums == nil {
-			mustExec(t, db, "CREATE VIEW sums AS "+tableMembers["sums"])
-			defer mustExec(t, db, "DROP VIEW sums")
-			sums, _ = db.View("sums")
-		}
-		def := sums.Def()
-		def.Name = "filtered"
-		calls, _ := db.Chronicle("calls")
-		notX := pred.Or(pred.ColConst(0, pred.Ne, value.Str("x")))
-		if _, err := db.Engine().CreateView(def, notX, calls); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	fused := open()
 	twins := map[string]*chronicledb.DB{}
 	for _, members := range []map[string]string{tableMembers, pingMembers, lateMembers} {
@@ -124,9 +101,6 @@ func TestSharedTableEqualsTwins(t *testing.T) {
 			}
 		}
 	}
-	createFiltered(fused)
-	twins["filtered"] = open()
-	createFiltered(twins["filtered"])
 
 	shares := func(name string, want ...string) {
 		t.Helper()
@@ -143,7 +117,6 @@ func TestSharedTableEqualsTwins(t *testing.T) {
 	for _, n := range pingsTable {
 		shares(n, pingsTable...)
 	}
-	shares("filtered", "filtered")
 
 	rng := rand.New(rand.NewSource(42))
 	plans := []string{"basic", "gold", "", "pro", "zeta"}
