@@ -223,14 +223,15 @@ func (db *DB) execOne(s sqlparse.Statement, mode execMode) (*Result, error) {
 	}
 }
 
-// ddlDone persists a DDL statement to the catalog and acknowledges it.
+// ddlDone persists a DDL statement to the catalog, its text as the client
+// wrote it, and acknowledges it.
 func (db *DB) ddlDone(s sqlparse.Statement, mode execMode, format string, args ...any) (*Result, error) {
 	if mode == execRecovery {
 		// The statement came from the catalog; count it so ddlSeq ends
 		// equal to the catalog length without rewriting the file it was
 		// read from.
 		db.ddlSeq.Add(1)
-	} else if err := db.commitDDL(renderDDL(s)); err != nil {
+	} else if err := db.commitDDL(s.Text()); err != nil {
 		return nil, err
 	}
 	return &Result{Message: fmt.Sprintf(format, args...)}, nil
@@ -795,166 +796,7 @@ func schemaOf(cols []sqlparse.ColumnDef) (*value.Schema, error) {
 	return value.NewSchema(vcols...), nil
 }
 
-// renderDDL reconstructs statement text for the catalog. Rather than
-// re-printing the AST, the executor records the original statements; this
-// helper renders the subset of statements that reach it.
-func renderDDL(s sqlparse.Statement) string {
-	switch s := s.(type) {
-	case *sqlparse.CreateGroup:
-		return fmt.Sprintf("CREATE GROUP %s", s.Name)
-	case *sqlparse.CreateChronicle:
-		var b strings.Builder
-		fmt.Fprintf(&b, "CREATE CHRONICLE %s (", s.Name)
-		for i, c := range s.Cols {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(&b, "%s %s", c.Name, strings.ToUpper(c.Kind.String()))
-		}
-		b.WriteString(")")
-		if s.Group != "" {
-			fmt.Fprintf(&b, " IN GROUP %s", s.Group)
-		}
-		if s.Retain != nil {
-			switch *s.Retain {
-			case -1:
-				b.WriteString(" RETAIN ALL")
-			case 0:
-				b.WriteString(" RETAIN NONE")
-			default:
-				fmt.Fprintf(&b, " RETAIN %d", *s.Retain)
-			}
-		}
-		if s.Window != nil {
-			fmt.Fprintf(&b, " WINDOW %d", *s.Window)
-		}
-		return b.String()
-	case *sqlparse.CreateRelation:
-		var b strings.Builder
-		fmt.Fprintf(&b, "CREATE RELATION %s (", s.Name)
-		for i, c := range s.Cols {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(&b, "%s %s", c.Name, strings.ToUpper(c.Kind.String()))
-		}
-		fmt.Fprintf(&b, ", KEY(%s))", strings.Join(s.Keys, ", "))
-		return b.String()
-	case *sqlparse.CreateView:
-		return renderCreateView(s)
-	case *sqlparse.DropView:
-		return "DROP VIEW " + s.Name
-	default:
-		panic(fmt.Sprintf("chronicledb: renderDDL(%T)", s))
-	}
-}
-
-func renderCreateView(s *sqlparse.CreateView) string {
-	var b strings.Builder
-	if s.Periodic != nil {
-		fmt.Fprintf(&b, "CREATE PERIODIC VIEW %s AS SELECT ", s.Name)
-	} else {
-		fmt.Fprintf(&b, "CREATE VIEW %s AS SELECT ", s.Name)
-	}
-	if s.Distinct {
-		b.WriteString("DISTINCT ")
-	}
-	if s.Star {
-		b.WriteString("*")
-	}
-	for i, it := range s.Items {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		switch {
-		case it.Agg != "" && it.Star:
-			fmt.Fprintf(&b, "%s(*)", it.Agg)
-		case it.Agg != "":
-			fmt.Fprintf(&b, "%s(%s)", it.Agg, refText(it.Col))
-		default:
-			b.WriteString(refText(it.Col))
-		}
-		if it.As != "" {
-			fmt.Fprintf(&b, " AS %s", it.As)
-		}
-	}
-	fmt.Fprintf(&b, " FROM %s", s.From)
-	for _, j := range s.Joins {
-		if j.Cross {
-			fmt.Fprintf(&b, " CROSS JOIN %s", j.Relation)
-			continue
-		}
-		if j.OnSN {
-			fmt.Fprintf(&b, " JOIN %s ON SN", j.Relation)
-			continue
-		}
-		fmt.Fprintf(&b, " JOIN %s ON ", j.Relation)
-		for i, c := range j.On {
-			if i > 0 {
-				b.WriteString(" AND ")
-			}
-			fmt.Fprintf(&b, "%s %s %s", refText(c.Left), c.Op, refText(*c.RightCol))
-		}
-	}
-	if s.Where != nil {
-		b.WriteString(" WHERE ")
-		for gi, group := range s.Where.Conj {
-			if gi > 0 {
-				b.WriteString(" AND ")
-			}
-			if len(group) > 1 {
-				b.WriteString("(")
-			}
-			for ci, c := range group {
-				if ci > 0 {
-					b.WriteString(" OR ")
-				}
-				b.WriteString(condText(c))
-			}
-			if len(group) > 1 {
-				b.WriteString(")")
-			}
-		}
-	}
-	if len(s.GroupBy) > 0 {
-		b.WriteString(" GROUP BY ")
-		for i, g := range s.GroupBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(refText(g))
-		}
-	}
-	if s.Periodic != nil {
-		fmt.Fprintf(&b, " EVERY %d", s.Periodic.Period)
-		if s.Periodic.Width != 0 && s.Periodic.Width != s.Periodic.Period {
-			fmt.Fprintf(&b, " WIDTH %d", s.Periodic.Width)
-		}
-		if s.Periodic.Offset != 0 {
-			fmt.Fprintf(&b, " OFFSET %d", s.Periodic.Offset)
-		}
-		if s.Periodic.Expire != nil {
-			fmt.Fprintf(&b, " EXPIRE %d", *s.Periodic.Expire)
-		}
-	}
-	return b.String()
-}
-
-func refText(c sqlparse.ColRef) string {
-	if c.Table != "" {
-		return c.Table + "." + c.Name
-	}
-	return c.Name
-}
-
-func condText(c sqlparse.Cond) string {
-	if c.RightCol != nil {
-		return fmt.Sprintf("%s %s %s", refText(c.Left), c.Op, refText(*c.RightCol))
-	}
-	return fmt.Sprintf("%s %s %s", refText(c.Left), c.Op, literalText(c.Right))
-}
-
-// literalText spells a value the way the parser reads it back.
+// literalText spells a value for EXPLAIN, a string quoted as SQL writes it.
 func literalText(v value.Value) string {
 	if v.Kind() == value.KindString {
 		return "'" + strings.ReplaceAll(v.AsString(), "'", "''") + "'"

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"chronicledb/internal/sqlparse"
 )
 
 // RenderTable writes an aligned text table followed by a row count.
@@ -47,47 +49,37 @@ func RenderTable(w io.Writer, columns []string, rows [][]string) {
 	fmt.Fprintf(w, "(%d row(s))\n", len(rows))
 }
 
-// Splitter accumulates input lines into statements terminated by ';'.
-// Semicolons inside single-quoted string literals do not terminate.
+// Splitter accumulates input lines into statements terminated by ';'. Where
+// a statement ends is sqlparse.Split's call: a ';' inside a string literal or
+// a comment ends nothing.
 type Splitter struct {
-	pending  strings.Builder
-	inString bool
+	pending string // input after the last ';', from its first token on
 }
 
-// Feed adds one input line and returns any completed statements.
+// Feed adds one input line and returns any completed statements, each
+// trimmed, with its ';'. Input the lexer rejects is returned whole as one
+// statement, so running it reports the error instead of leaving it pending.
 func (s *Splitter) Feed(line string) []string {
-	var out []string
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		s.pending.WriteByte(c)
-		switch {
-		case c == '\'':
-			// A doubled quote inside a string is an escape, not a close.
-			if s.inString && i+1 < len(line) && line[i+1] == '\'' {
-				s.pending.WriteByte('\'')
-				i++
-				continue
-			}
-			s.inString = !s.inString
-		case c == ';' && !s.inString:
-			stmt := strings.TrimSpace(s.pending.String())
-			s.pending.Reset()
-			if stmt != ";" && stmt != "" {
-				out = append(out, stmt)
-			}
-		}
+	src := s.pending + line
+	s.pending = ""
+	pieces, rest, err := sqlparse.Split(src)
+	if err != nil {
+		return []string{strings.TrimSpace(src)}
 	}
-	s.pending.WriteByte('\n')
+	var out []string
+	from := 0
+	for _, p := range pieces {
+		out = append(out, strings.TrimSpace(src[from:p.End]))
+		from = p.End
+	}
+	if rest != "" {
+		s.pending = rest + "\n"
+	}
 	return out
 }
 
 // Pending reports whether a partial statement is buffered.
-func (s *Splitter) Pending() bool {
-	return strings.TrimSpace(s.pending.String()) != ""
-}
+func (s *Splitter) Pending() bool { return s.pending != "" }
 
 // Reset discards any buffered partial statement.
-func (s *Splitter) Reset() {
-	s.pending.Reset()
-	s.inString = false
-}
+func (s *Splitter) Reset() { s.pending = "" }

@@ -3,6 +3,8 @@ package cli
 import (
 	"strings"
 	"testing"
+
+	"chronicledb/internal/sqlparse"
 )
 
 func TestRenderTable(t *testing.T) {
@@ -104,5 +106,65 @@ func TestSplitterBlankAndEmptyStatements(t *testing.T) {
 	var s Splitter
 	if got := s.Feed(";;  ;"); got != nil {
 		t.Errorf("empty statements emitted: %v", got)
+	}
+}
+
+// TestSplitterComments: a '--' comment runs to the end of its line, so an
+// apostrophe or a ';' in it neither opens a string nor ends a statement.
+func TestSplitterComments(t *testing.T) {
+	var s Splitter
+	if got := s.Feed("SELECT * FROM v; -- don't"); len(got) != 1 || got[0] != "SELECT * FROM v;" {
+		t.Errorf("Feed = %q", got)
+	}
+	if s.Pending() {
+		t.Error("a trailing comment left the splitter pending")
+	}
+	if got := s.Feed("SELECT * FROM w;"); len(got) != 1 || got[0] != "SELECT * FROM w;" {
+		t.Errorf("the statement after the comment = %q", got)
+	}
+	if got := s.Feed("SELECT * -- all; every column"); got != nil {
+		t.Errorf("a ';' in a comment split: %q", got)
+	}
+	if got := s.Feed("FROM v;"); len(got) != 1 || got[0] != "SELECT * -- all; every column\nFROM v;" {
+		t.Errorf("Feed = %q", got)
+	}
+}
+
+func TestSplitterMultiLineStatement(t *testing.T) {
+	var s Splitter
+	for _, line := range []string{"CREATE VIEW v AS", "  SELECT acct, SUM(n) AS total", "  FROM c WHERE acct != 'x;", "y'", "  GROUP BY acct"} {
+		if got := s.Feed(line); got != nil {
+			t.Fatalf("Feed(%q) = %q before the ';'", line, got)
+		}
+		if !s.Pending() {
+			t.Fatalf("nothing pending after %q", line)
+		}
+	}
+	got := s.Feed("; SELECT * FROM v;")
+	want := []string{"CREATE VIEW v AS\n  SELECT acct, SUM(n) AS total\n  FROM c WHERE acct != 'x;\ny'\n  GROUP BY acct\n;", "SELECT * FROM v;"}
+	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("Feed = %q, want %q", got, want)
+	}
+	if s.Pending() {
+		t.Error("Pending after the last ';'")
+	}
+}
+
+// TestSplitterLexError: input the lexer rejects comes back as one statement
+// at once, so the shell runs it and reports the error; nothing stays pending.
+func TestSplitterLexError(t *testing.T) {
+	var s Splitter
+	got := s.Feed("SELECT * FROM v WHERE a ! 1")
+	if len(got) != 1 || got[0] != "SELECT * FROM v WHERE a ! 1" {
+		t.Fatalf("Feed = %q", got)
+	}
+	if _, err := sqlparse.Parse(got[0]); err == nil || !strings.Contains(err.Error(), "'!'") {
+		t.Errorf("running it reports %v", err)
+	}
+	if s.Pending() {
+		t.Error("a statement the lexer rejects was left pending")
+	}
+	if got := s.Feed("SELECT * FROM v;"); len(got) != 1 || got[0] != "SELECT * FROM v;" {
+		t.Errorf("the next statement = %q", got)
 	}
 }

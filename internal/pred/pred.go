@@ -68,26 +68,6 @@ func (o Op) eval(cmp int) bool {
 	}
 }
 
-// Negate returns the operator whose truth value is the complement.
-func (o Op) Negate() Op {
-	switch o {
-	case Eq:
-		return Ne
-	case Ne:
-		return Eq
-	case Lt:
-		return Ge
-	case Le:
-		return Gt
-	case Gt:
-		return Le
-	case Ge:
-		return Lt
-	default:
-		return o
-	}
-}
-
 // Operand is the right-hand side of an atom: either another column or a
 // constant.
 type Operand struct {
@@ -234,21 +214,6 @@ func (p Predicate) EqualityConstant() (col int, k value.Value, ok bool) {
 		return 0, value.Null(), false
 	}
 	return a.Left, a.Right.Const, true
-}
-
-// Remap returns a copy of the predicate with every column index translated
-// through f. The algebra uses it when predicates are pushed through
-// projections.
-func (p Predicate) Remap(f func(int) int) Predicate {
-	atoms := make([]Atom, len(p.atoms))
-	for i, a := range p.atoms {
-		a.Left = f(a.Left)
-		if a.Right.IsCol {
-			a.Right.Col = f(a.Right.Col)
-		}
-		atoms[i] = a
-	}
-	return Predicate{atoms: atoms}
 }
 
 // String renders the predicate as "a OR b OR ...".

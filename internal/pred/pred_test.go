@@ -21,33 +21,6 @@ func TestOpString(t *testing.T) {
 	}
 }
 
-func TestOpNegate(t *testing.T) {
-	pairs := map[Op]Op{Eq: Ne, Ne: Eq, Lt: Ge, Ge: Lt, Gt: Le, Le: Gt}
-	for op, neg := range pairs {
-		if op.Negate() != neg {
-			t.Errorf("%v.Negate() = %v, want %v", op, op.Negate(), neg)
-		}
-	}
-}
-
-func TestOpNegateComplementQuick(t *testing.T) {
-	f := func(a, b int32) bool {
-		x, y := value.Int(int64(a)), value.Int(int64(b))
-		row := tup(x, y)
-		for _, op := range []Op{Eq, Ne, Lt, Le, Gt, Ge} {
-			atom := ColCol(0, op, 1)
-			negated := ColCol(0, op.Negate(), 1)
-			if atom.Eval(row) == negated.Eval(row) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestAtomEvalColConst(t *testing.T) {
 	row := tup(value.Int(10), value.Str("nj"))
 	for _, tc := range []struct {
@@ -145,19 +118,6 @@ func TestEqualityConstant(t *testing.T) {
 	}
 	if _, _, ok := True().EqualityConstant(); ok {
 		t.Error("True should not qualify")
-	}
-}
-
-func TestRemap(t *testing.T) {
-	p := Or(ColCol(0, Lt, 1), ColConst(2, Eq, value.Int(9)))
-	m := p.Remap(func(i int) int { return i + 10 })
-	atoms := m.Atoms()
-	if atoms[0].Left != 10 || atoms[0].Right.Col != 11 || atoms[1].Left != 12 {
-		t.Errorf("Remap atoms = %+v", atoms)
-	}
-	// Original must be untouched.
-	if p.Atoms()[0].Left != 0 {
-		t.Error("Remap mutated original")
 	}
 }
 

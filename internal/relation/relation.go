@@ -154,10 +154,6 @@ func (r *Relation) reset() {
 	}
 }
 
-// KeyString renders a key-values slice (in keyCols order) into the internal
-// key representation.
-func (r *Relation) KeyString(keyVals value.Tuple) string { return string(appendProbe(nil, keyVals)) }
-
 // appendProbe appends the key encoding of keyVals, in keyCols order.
 func appendProbe(dst []byte, keyVals value.Tuple) []byte {
 	for _, v := range keyVals {

@@ -3,7 +3,20 @@ package sqlparse
 import "chronicledb/internal/value"
 
 // Statement is any parsed statement.
-type Statement interface{ stmt() }
+type Statement interface {
+	// Text is the statement as its source wrote it, from its first token to
+	// the end of its last: a comment before or after it and the ';' that
+	// ends it are outside. The catalog and the replication stream keep DDL
+	// in this form, so it reads back exactly as it was accepted.
+	Text() string
+	setText(string)
+}
+
+// source holds a statement's text; every statement type embeds it.
+type source struct{ text string }
+
+func (s *source) Text() string     { return s.text }
+func (s *source) setText(t string) { s.text = t }
 
 // ColumnDef is one column of a CREATE CHRONICLE / CREATE RELATION.
 type ColumnDef struct {
@@ -13,6 +26,7 @@ type ColumnDef struct {
 
 // CreateGroup is "CREATE GROUP name".
 type CreateGroup struct {
+	source
 	Name string
 }
 
@@ -21,6 +35,7 @@ type CreateGroup struct {
 //
 //	[RETAIN ALL|NONE|n] [WINDOW chronons]".
 type CreateChronicle struct {
+	source
 	Name   string
 	Cols   []ColumnDef
 	Group  string
@@ -31,6 +46,7 @@ type CreateChronicle struct {
 // CreateRelation is
 // "CREATE RELATION name (col type, ..., KEY(col, ...))".
 type CreateRelation struct {
+	source
 	Name string
 	Cols []ColumnDef
 	Keys []string
@@ -93,6 +109,7 @@ type PeriodicClause struct {
 //
 // The WITH STORE clause is accepted and ignored: every view keeps one store.
 type CreateView struct {
+	source
 	Name     string
 	Distinct bool
 	Items    []SelectItem
@@ -115,17 +132,20 @@ type AppendPart struct {
 // single sequence number — the paper's "multiple tuples with the same
 // sequence number can be inserted simultaneously".
 type Append struct {
+	source
 	Parts []AppendPart
 }
 
 // Upsert is "UPSERT INTO relation VALUES (...), (...)".
 type Upsert struct {
+	source
 	Relation string
 	Rows     [][]value.Value
 }
 
 // Delete is "DELETE FROM relation KEY (...)": a proactive delete by key.
 type Delete struct {
+	source
 	Relation string
 	Key      []value.Value
 }
@@ -133,6 +153,7 @@ type Delete struct {
 // Query is "SELECT * FROM view-or-relation [WHERE boolexpr]
 // [ORDER BY col [DESC]] [LIMIT n]".
 type Query struct {
+	source
 	From      string
 	Where     *BoolExpr
 	OrderBy   *ColRef // nil = storage order
@@ -142,18 +163,21 @@ type Query struct {
 
 // DropView is "DROP VIEW name" (persistent or periodic).
 type DropView struct {
+	source
 	Name string
 }
 
 // Explain is "EXPLAIN VIEW name" (View set: describe the view) or
 // "EXPLAIN SELECT ..." (Query set: describe how the query would be read).
 type Explain struct {
+	source
 	View  string
 	Query *Query
 }
 
 // Show is "SHOW VIEWS|CHRONICLES|RELATIONS|GROUPS|STATS".
 type Show struct {
+	source
 	What string
 }
 
@@ -163,21 +187,9 @@ type Show struct {
 // Only streaming surfaces (the CLI, DB.Watch, GET /watch) can execute it —
 // a request/response Exec cannot hold a stream open.
 type Watch struct {
+	source
 	View    string
 	FromLSN uint64
 	HasFrom bool
 	Limit   int // 0 = unlimited
 }
-
-func (*CreateGroup) stmt()     {}
-func (*CreateChronicle) stmt() {}
-func (*CreateRelation) stmt()  {}
-func (*CreateView) stmt()      {}
-func (*DropView) stmt()        {}
-func (*Append) stmt()          {}
-func (*Upsert) stmt()          {}
-func (*Delete) stmt()          {}
-func (*Query) stmt()           {}
-func (*Explain) stmt()         {}
-func (*Show) stmt()            {}
-func (*Watch) stmt()           {}

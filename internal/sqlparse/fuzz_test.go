@@ -1,9 +1,15 @@
 package sqlparse
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // FuzzParse: the parser must never panic on arbitrary input, and anything
-// it accepts must be an understood statement type.
+// it accepts must be an understood statement type. It also holds the
+// catalog's property: a statement's text, written with its ';' as the
+// catalog writes it, parses back to the same statement, and Split cuts the
+// script at the same places.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"CREATE CHRONICLE calls (acct STRING, minutes INT) IN GROUP g RETAIN 10",
@@ -22,6 +28,13 @@ func FuzzParse(f *testing.F) {
 		"'unterminated",
 		"SELECT * FROM",
 		"CREATE ((((",
+		"CREATE VIEW big AS SELECT acct, COUNT(*) AS n FROM calls WHERE cost > 1000000.0 GROUP BY acct",
+		"CREATE VIEW tiny AS SELECT acct, COUNT(*) AS n FROM calls WHERE cost > 0.0000001 GROUP BY acct",
+		"CREATE VIEW huge AS SELECT acct, COUNT(*) AS n FROM calls WHERE cost < 100000000000000000000.0 GROUP BY acct",
+		"CREATE VIEW q AS SELECT a FROM c WHERE a = 'a;b' OR a = 'o''k'",
+		"-- before; don't\nCREATE VIEW v AS SELECT a, -- inside; it's\n COUNT(*) FROM c GROUP BY a -- after; done\n;\n-- end",
+		"SELECT * FROM v; -- don't; SELECT * FROM w",
+		"WATCH v FROM LSN 7 LIMIT 2; SELECT * FROM v WHERE a <> 1",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -31,12 +44,26 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, s := range stmts {
+		pieces, rest, err := Split(src + "\n;")
+		if err != nil || rest != "" || len(pieces) != len(stmts) {
+			t.Fatalf("Split(%q) = %d statements, rest %q, %v; Parse gave %d", src, len(pieces), rest, err, len(stmts))
+		}
+		for i, s := range stmts {
 			switch s.(type) {
 			case *CreateGroup, *CreateChronicle, *CreateRelation, *CreateView,
-				*DropView, *Append, *Upsert, *Delete, *Query, *Explain, *Show:
+				*DropView, *Append, *Upsert, *Delete, *Query, *Explain, *Show, *Watch:
 			default:
 				t.Fatalf("unknown statement type %T", s)
+			}
+			if pieces[i].Text != s.Text() {
+				t.Fatalf("statement %d: Split's text %q, Parse's %q", i, pieces[i].Text, s.Text())
+			}
+			again, err := Parse(s.Text() + ";\n")
+			if err != nil || len(again) != 1 {
+				t.Fatalf("statement %d %q read back as %d statements: %v", i, s.Text(), len(again), err)
+			}
+			if !reflect.DeepEqual(again[0], s) {
+				t.Fatalf("statement %d %q read back as\n%#v\nwant\n%#v", i, s.Text(), again[0], s)
 			}
 		}
 	})

@@ -8,7 +8,8 @@ import (
 	"chronicledb/internal/value"
 )
 
-// Parse parses a semicolon-separated script into statements.
+// Parse parses a semicolon-separated script into statements, each with its
+// text (Statement.Text).
 func Parse(src string) ([]Statement, error) {
 	toks, err := lex(src)
 	if err != nil {
@@ -21,10 +22,12 @@ func Parse(src string) ([]Statement, error) {
 			p.next()
 			continue
 		}
+		first := p.i
 		s, err := p.statement()
 		if err != nil {
 			return nil, err
 		}
+		s.setText(src[toks[first].pos:toks[p.i-1].end])
 		out = append(out, s)
 		if !p.atPunct(";") && !p.at(tokEOF) {
 			return nil, p.errf("expected ';' after statement")

@@ -356,3 +356,77 @@ func TestParseErrorsGeneral(t *testing.T) {
 	expectParseError(t, "APPEND INTO c VALUES 1", `"("`)
 	expectParseError(t, "CREATE VIEW v AS SELECT SUM( FROM c", "")
 }
+
+// TestStatementText: a statement's text runs from its first token to the
+// end of its last, a quoted ';' and an inner comment included; a comment
+// around it and its ';' are not part of it.
+func TestStatementText(t *testing.T) {
+	src := "-- lead; don't\nCREATE GROUP g ;\n\tAPPEND INTO c VALUES ('a;b', 'o''k', -- inner; it's\n1.0) -- trail\n;; SELECT * FROM v WHERE a <> 1"
+	want := []string{
+		"CREATE GROUP g",
+		"APPEND INTO c VALUES ('a;b', 'o''k', -- inner; it's\n1.0)",
+		"SELECT * FROM v WHERE a <> 1",
+	}
+	stmts, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stmts) != len(want) {
+		t.Fatalf("parsed %d statements", len(stmts))
+	}
+	for i, s := range stmts {
+		if s.Text() != want[i] {
+			t.Errorf("statement %d text %q, want %q", i, s.Text(), want[i])
+		}
+	}
+	if s := parseOne(t, "EXPLAIN SELECT * FROM v"); s.Text() != "EXPLAIN SELECT * FROM v" {
+		t.Errorf("EXPLAIN text %q", s.Text())
+	}
+}
+
+// TestSplit: a script is cut at its ';' tokens; what follows the last one
+// is the rest, from its first token; a source the end cuts inside a token
+// ends inside the rest, and any other lexical error is an error.
+func TestSplit(t *testing.T) {
+	for _, tc := range []struct {
+		src   string
+		texts []string
+		rest  string
+		err   string
+	}{
+		{src: ""},
+		{src: " ;; -- only a comment; don't\n"},
+		{src: "A; B; C", texts: []string{"A", "B"}, rest: "C"},
+		{src: "A;\nCREATE VIEW v AS SELECT x FROM c WHERE s = 'a;", texts: []string{"A"}, rest: "CREATE VIEW v AS SELECT x FROM c WHERE s = 'a;"},
+		{src: "A;\n-- next; up\nB -- counts; per acct", texts: []string{"A"}, rest: "B -- counts; per acct"},
+		{src: "A;\n'open", texts: []string{"A"}, rest: "'open"},
+		{src: "A; x !", texts: []string{"A"}, rest: "x !"},
+		{src: "A; x -", texts: []string{"A"}, rest: "x -"},
+		{src: "A; -", texts: []string{"A"}, rest: "-"},
+		{src: "x ! y;", err: "'!'"},
+		{src: "A; x @", err: "unexpected character"},
+		{src: "'a;b' -- c;\n;'o''k';", texts: []string{"'a;b'", "'o''k'"}},
+	} {
+		pieces, rest, err := Split(tc.src)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("Split(%q) error %v, want %q", tc.src, err, tc.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Split(%q): %v", tc.src, err)
+			continue
+		}
+		var texts []string
+		for _, p := range pieces {
+			texts = append(texts, p.Text)
+			if p.End < 1 || tc.src[p.End-1] != ';' {
+				t.Errorf("Split(%q): piece %q ends at %d, not past a ';'", tc.src, p.Text, p.End)
+			}
+		}
+		if fmt.Sprint(texts) != fmt.Sprint(tc.texts) || rest != tc.rest {
+			t.Errorf("Split(%q) = %q, rest %q; want %q, rest %q", tc.src, texts, rest, tc.texts, tc.rest)
+		}
+	}
+}

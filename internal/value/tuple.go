@@ -36,16 +36,6 @@ func (t Tuple) Hash() uint64 {
 	return h
 }
 
-// HashCols hashes only the values at the given column indexes, in order.
-// It is the grouping key used by view group stores and hash joins.
-func (t Tuple) HashCols(cols []int) uint64 {
-	h := HashSeed
-	for _, c := range cols {
-		h = t[c].Hash(h)
-	}
-	return h
-}
-
 // Project returns a new tuple containing the values at the given indexes.
 func (t Tuple) Project(idx []int) Tuple {
 	out := make(Tuple, len(idx))

@@ -373,14 +373,3 @@ func TestCompareTuples(t *testing.T) {
 		}
 	}
 }
-
-func TestHashCols(t *testing.T) {
-	a := Tuple{Int(1), Str("x"), Int(5)}
-	b := Tuple{Int(2), Str("x"), Int(5)}
-	if a.HashCols([]int{1, 2}) != b.HashCols([]int{1, 2}) {
-		t.Error("HashCols should ignore excluded columns")
-	}
-	if a.HashCols([]int{0}) == b.HashCols([]int{0}) {
-		t.Error("HashCols should reflect included columns")
-	}
-}

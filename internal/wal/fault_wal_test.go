@@ -41,7 +41,7 @@ func TestAppendWriteErrorNoMidFileCorruption(t *testing.T) {
 	// The first record survives; the half-written frame is a torn tail,
 	// not mid-file corruption hiding behind later garbage.
 	var got []Record
-	n, _, err := ReplayFS(d, path, func(r Record) error { got = append(got, r); return nil })
+	n, _, err := replayAfter(d, path, 0, func(r Record) error { got = append(got, r); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -467,19 +467,14 @@ func (l *Log) LogMetrics() Metrics {
 	}
 }
 
-// ReplayFS reads records from path in order, calling fn for each. It stops
-// cleanly at the first torn or corrupt frame (the crash tail), reporting
-// how many records were applied and how many trailing bytes were ignored.
-// A missing file replays zero records. The log is streamed through a
-// buffered reader rather than loaded whole, so replaying a long tail does
-// not double resident memory.
-func ReplayFS(fsys fault.FS, path string, fn func(Record) error) (n int, ignored int64, err error) {
-	return replayAfter(fsys, path, 0, fn)
-}
-
-// replayAfter is ReplayFS that skips, undecoded, every frame stamped at or
-// below after: a covered frame costs its read and its CRC, and is dropped on
-// its kind byte and LSN. LSN-0 frames always apply.
+// replayAfter reads records from path in order, calling fn for each, and
+// skips, undecoded, every frame stamped at or below after: a covered frame
+// costs its read and its CRC, and is dropped on its kind byte and LSN. LSN-0
+// frames always apply. It stops cleanly at the first torn or corrupt frame
+// (the crash tail), reporting how many records were applied and how many
+// trailing bytes were ignored. A missing file replays zero records. The log
+// is streamed through a buffered reader rather than loaded whole, so
+// replaying a long tail does not double resident memory.
 func replayAfter(fsys fault.FS, path string, after uint64, fn func(Record) error) (n int, ignored int64, err error) {
 	f, err := fsys.Open(path)
 	if os.IsNotExist(err) {

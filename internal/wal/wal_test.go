@@ -78,7 +78,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	recs := sampleRecords()
 	path := writeLog(t, t.TempDir(), recs)
 	var got []Record
-	n, ignored, err := ReplayFS(fault.OS, path, func(r Record) error {
+	n, ignored, err := replayAfter(fault.OS, path, 0, func(r Record) error {
 		got = append(got, r)
 		return nil
 	})
@@ -96,7 +96,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 }
 
 func TestReplayMissingFile(t *testing.T) {
-	n, ignored, err := ReplayFS(fault.OS, filepath.Join(t.TempDir(), "absent.wal"), func(Record) error { return nil })
+	n, ignored, err := replayAfter(fault.OS, filepath.Join(t.TempDir(), "absent.wal"), 0, func(Record) error { return nil })
 	if err != nil || n != 0 || ignored != 0 {
 		t.Errorf("missing file: n=%d ignored=%d err=%v", n, ignored, err)
 	}
@@ -114,7 +114,7 @@ func TestReplayTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got int
-	n, ignored, err := ReplayFS(fault.OS, path, func(Record) error { got++; return nil })
+	n, ignored, err := replayAfter(fault.OS, path, 0, func(Record) error { got++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestReplayCorruptMiddleStops(t *testing.T) {
 	// Flip one byte inside the second record's payload.
 	data[20] ^= 0xFF
 	os.WriteFile(path, data, 0o644)
-	n, ignored, err := ReplayFS(fault.OS, path, func(Record) error { return nil })
+	n, ignored, err := replayAfter(fault.OS, path, 0, func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestReplayCorruptMiddleStops(t *testing.T) {
 
 func TestReplayCallbackError(t *testing.T) {
 	path := writeLog(t, t.TempDir(), sampleRecords())
-	_, _, err := ReplayFS(fault.OS, path, func(r Record) error {
+	_, _, err := replayAfter(fault.OS, path, 0, func(r Record) error {
 		if r.Kind == RecUpsert {
 			return os.ErrInvalid
 		}
@@ -167,7 +167,7 @@ func TestReopenAppends(t *testing.T) {
 	l2 := openLog(t, fault.OS, dir, "re", SyncNone)
 	l2.Append(sampleRecords()[1])
 	l2.Close()
-	n, _, err := ReplayFS(fault.OS, path, func(Record) error { return nil })
+	n, _, err := replayAfter(fault.OS, path, 0, func(Record) error { return nil })
 	if err != nil || n != 2 {
 		t.Errorf("reopen: n=%d err=%v", n, err)
 	}
@@ -185,7 +185,7 @@ func TestFlushMakesDurableWithoutClose(t *testing.T) {
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	n, _, err := ReplayFS(fault.OS, path, func(Record) error { return nil })
+	n, _, err := replayAfter(fault.OS, path, 0, func(Record) error { return nil })
 	if err != nil || n != 1 {
 		t.Errorf("after Flush: n=%d err=%v", n, err)
 	}
@@ -203,7 +203,7 @@ func TestReplayUnknownKindStops(t *testing.T) {
 	if err := os.WriteFile(path, frame, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	n, ignored, err := ReplayFS(fault.OS, path, func(Record) error { return nil })
+	n, ignored, err := replayAfter(fault.OS, path, 0, func(Record) error { return nil })
 	if err != nil || n != 0 || ignored == 0 {
 		t.Errorf("unknown kind: n=%d ignored=%d err=%v", n, ignored, err)
 	}

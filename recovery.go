@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"chronicledb/internal/chronicle"
 	"chronicledb/internal/dedup"
@@ -20,8 +19,9 @@ import (
 
 // Durability layout under Options.Dir:
 //
-//	catalog.sql          — every DDL statement, in order (schema is replayed
-//	                       through the normal planner at recovery)
+//	catalog.sql          — every DDL statement, in order, as the client wrote
+//	                       it (Statement.Text) and then ";\n"; the schema is
+//	                       replayed through the normal planner at recovery
 //	wal.manifest         — version-2 manifest: the live WAL segments of every
 //	                       stream plus the checkpoint chain; the single source
 //	                       of truth for which files recovery reads
@@ -111,10 +111,12 @@ func (db *DB) recover(m wal.Manifest) error {
 // readCatalog reads and parses catalog.sql; text is the catalog trimmed to
 // its last whole statement. A power cut can tear the final statement
 // mid-write; every *acked* statement was fully written and fsynced, so
-// trimming to the last statement terminator drops only unacked bytes, and
-// torn reports that it did. A catalog with no terminator at all is
-// corruption, not a torn tail (the file's dir entry only becomes durable
-// after the first acked statement), and still fails the parse.
+// dropping what follows the last ';' token (sqlparse.Split) drops only
+// unacked bytes, and torn reports that it did. A ';' inside a literal or a
+// comment of the torn statement is not a terminator. A catalog with no
+// terminator at all is corruption, not a torn tail (the file's dir entry
+// only becomes durable after the first acked statement), and so is any
+// lexical error but a token the end of the file cut off.
 func (db *DB) readCatalog() (stmts []sqlparse.Statement, text string, torn bool, err error) {
 	src, err := db.fs.ReadFile(db.catalogPath)
 	if err != nil && !os.IsNotExist(err) {
@@ -124,14 +126,15 @@ func (db *DB) readCatalog() (stmts []sqlparse.Statement, text string, torn bool,
 		return nil, "", false, nil
 	}
 	text = string(src)
-	if i := strings.LastIndex(text, ";"); i >= 0 {
-		// A statement is written with its terminator and a newline.
-		text = text[:i+1]
-		if strings.HasPrefix(string(src[i+1:]), "\n") {
-			text += "\n"
-		}
+	pieces, rest, err := sqlparse.Split(text)
+	if err == nil && len(pieces) == 0 && rest != "" {
+		err = fmt.Errorf("no statement terminator")
 	}
-	if stmts, err = sqlparse.Parse(text); err != nil {
+	if err == nil {
+		text = text[:len(text)-len(rest)]
+		stmts, err = sqlparse.Parse(text)
+	}
+	if err != nil {
 		return nil, "", false, fmt.Errorf("chronicledb: corrupt catalog: %w", err)
 	}
 	return stmts, text, len(text) < len(src), nil

@@ -469,8 +469,8 @@ func (db *DB) ReplSnapshot(send func(frame []byte) error) error {
 }
 
 // ReplCatalogTail returns the catalog statements from index n on (0-based),
-// rendered without trailing semicolons — the form StageDDL ships and
-// ParseOne accepts. The stream handler replays these to a follower whose
+// each as written, without its ';' — the form StageDDL ships and ParseOne
+// accepts. The stream handler replays these to a follower whose
 // ddl= handshake reported fewer applied statements than the primary has.
 // The statements are counted as recovery counts them, so index i is the
 // statement a chain cut against a prefix of i+1 reflects.
@@ -486,7 +486,7 @@ func (db *DB) ReplCatalogTail(n uint64) ([]string, error) {
 	}
 	tail := make([]string, 0, len(stmts)-int(n))
 	for _, s := range stmts[n:] {
-		tail = append(tail, renderDDL(s))
+		tail = append(tail, s.Text())
 	}
 	return tail, nil
 }
