@@ -567,13 +567,6 @@ func (db *DB) FeedStats() feed.Stats {
 	return db.hub.Stats()
 }
 
-// ScanViewAt streams a view's rows like ScanView and returns the applied
-// LSN of the scanned state — the anchor for splicing a snapshot read into
-// the live delta stream. Rows passed to fn are caller-owned.
-func (db *DB) ScanViewAt(viewName string, fn func(Row) bool) (uint64, error) {
-	return db.eng.ViewScan(viewName, view.Window{}, fn)
-}
-
 // Shards reports the shard count.
 func (db *DB) Shards() int { return db.eng.NumShards() }
 

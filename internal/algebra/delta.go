@@ -74,42 +74,6 @@ func Delta(n Node, d BatchDelta) []chronicle.Row {
 	}
 }
 
-// DeltaInto is Delta writing its output, when the operator permits, into
-// scratch's backing array, so a view can reuse one delta buffer across
-// batches. It returns the delta rows plus the buffer the caller should
-// retain for the next batch; the two are distinct because a Scan delta *is*
-// the batch's stored rows — those must never become the reuse buffer, or
-// the next batch would overwrite rows the chronicle retains. The invariant:
-// rows either starts at keep's backing array index 0 (so an enclosing
-// operator may transform it in place, write index ≤ read index) or is
-// entirely foreign and keep is untouched scratch. Operators with
-// batch-local σ/Π output fill the buffer; everything else falls back to
-// Delta and allocates as before.
-func DeltaInto(n Node, d BatchDelta, scratch []chronicle.Row) (rows, keep []chronicle.Row) {
-	switch n := n.(type) {
-	case *Scan:
-		return d[n.C], scratch
-	case *Select:
-		in, buf := DeltaInto(n.In, d, scratch)
-		out := buf[:0]
-		for _, r := range in {
-			if n.P.Eval(r.Vals) {
-				out = append(out, r)
-			}
-		}
-		return out, out
-	case *Project:
-		in, buf := DeltaInto(n.In, d, scratch)
-		out := buf[:0]
-		for _, r := range in {
-			out = append(out, chronicle.Row{SN: r.SN, Chronon: r.Chronon, LSN: r.LSN, Vals: r.Vals.Project(n.Cols)})
-		}
-		return out, out
-	default:
-		return Delta(n, d), scratch
-	}
-}
-
 // RelWork is what a relation operator's deltas read of its relation, in the
 // units Theorem 4.5's classes are stated in: key probes, each one descent of
 // the relation's tree (IM-log(R)), and relation rows visited by scans, |R| per

@@ -326,8 +326,7 @@ func NewHub(cfg Config) *Hub {
 // it, so subscriber queues share it rather than adding a second lock to
 // the publish path).
 type feedView struct {
-	hub  *Hub
-	name string
+	hub *Hub
 
 	mu         sync.Mutex
 	tail       []*Frame // circular buffer, cap == Config.TailFrames
@@ -352,7 +351,6 @@ func (h *Hub) viewFeed(name string) *feedView {
 	}
 	fv = &feedView{
 		hub:  h,
-		name: name,
 		tail: make([]*Frame, h.cfg.TailFrames),
 		subs: make(map[*Subscription]struct{}),
 	}
@@ -392,9 +390,7 @@ func (h *Hub) publish(f *Frame) {
 	h.rowsPublished.Add(uint64(rows))
 }
 
-// HeadLSN returns the highest LSN published for a view (0 if none). The
-// server's heartbeats advertise it so an idle subscriber's cursor still
-// advances.
+// HeadLSN returns the highest LSN published for a view (0 if none).
 func (h *Hub) HeadLSN(view string) uint64 {
 	h.mu.RLock()
 	fv := h.views[view]
@@ -528,9 +524,6 @@ type Subscription struct {
 // C signals that frames (or a close) are ready; receive then Drain.
 func (s *Subscription) C() <-chan struct{} { return s.notify }
 
-// View names the view this subscription watches.
-func (s *Subscription) View() string { return s.fv.name }
-
 // enqueueLocked adds one live frame; false means the ring is full and the
 // subscriber must be shed. Caller holds fv.mu.
 func (s *Subscription) enqueueLocked(f *Frame) bool {
@@ -565,13 +558,6 @@ func (s *Subscription) Drain(dst []*Frame) []*Frame {
 	}
 	s.fv.mu.Unlock()
 	return dst
-}
-
-// Pending reports how many frames Drain would return.
-func (s *Subscription) Pending() int {
-	s.fv.mu.Lock()
-	defer s.fv.mu.Unlock()
-	return len(s.backlog) + s.n
 }
 
 // Closed reports whether the subscription has stopped and why.

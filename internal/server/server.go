@@ -123,7 +123,6 @@ const (
 	defaultMaxSubs        = 4096
 	defaultHeartbeat      = 10 * time.Second
 	defaultReplHeartbeat  = 500 * time.Millisecond
-	maxPollWait           = 30 * time.Second
 )
 
 // Server serves a DB over HTTP.
@@ -587,13 +586,18 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 func toResponse(res *chronicledb.Result) Response {
 	out := Response{Columns: res.Columns, Message: res.Message}
 	for _, row := range res.Rows {
-		jr := make([]any, len(row))
-		for i, v := range row {
-			jr[i] = jsonValue(v)
-		}
-		out.Rows = append(out.Rows, jr)
+		out.Rows = append(out.Rows, jsonValues(row))
 	}
 	return out
+}
+
+// jsonValues copies a tuple into its wire shape.
+func jsonValues(t value.Tuple) []any {
+	vals := make([]any, len(t))
+	for i, v := range t {
+		vals[i] = jsonValue(v)
+	}
+	return vals
 }
 
 // jsonValue maps a typed value onto its natural JSON shape.

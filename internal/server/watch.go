@@ -2,8 +2,7 @@
 // Server-Sent Events — one long-lived GET whose body is a stream of
 // `event:`/`data:` records — because SSE survives proxies, needs no
 // special client library, and reconnects carry a cursor in plain query
-// parameters. A `poll=1` long-poll fallback serves clients that cannot
-// hold a streaming body.
+// parameters.
 //
 // Wire protocol (every data payload is JSON):
 //
@@ -26,8 +25,7 @@ import (
 	"strconv"
 	"time"
 
-	"chronicledb/internal/feed"
-	"chronicledb/internal/value"
+	chronicledb "chronicledb"
 )
 
 // watchInfo opens every stream: the view's columns, the resolved starting
@@ -70,27 +68,10 @@ type watchBye struct {
 	LSN    uint64 `json:"lsn"`
 }
 
-// watchPollResponse is the long-poll (`poll=1`) reply: at most one
-// snapshot, any deltas that arrived, and the cursor for the next poll.
-type watchPollResponse struct {
-	View     string       `json:"view"`
-	Columns  []string     `json:"columns"`
-	Resume   string       `json:"resume"`
-	Snapshot *watchRows   `json:"snapshot,omitempty"`
-	Deltas   []watchDelta `json:"deltas,omitempty"`
-	NextLSN  uint64       `json:"next_lsn"`
-	End      string       `json:"end,omitempty"`
-}
-
-// handleWatch answers GET /watch?view=NAME[&from_lsn=N][&poll=1&wait=D].
+// handleWatch answers GET /watch?view=NAME[&from_lsn=N].
 // Subscribers are admitted under their own MaxSubscribers gate — a watcher
 // flood sheds watchers with 429, never append capacity, and vice versa.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	hub := s.db.Feed()
-	if hub == nil {
-		writeError(w, http.StatusUnprocessableEntity, fmt.Errorf("changefeeds are disabled on this server"))
-		return
-	}
 	q := r.URL.Query()
 	name := q.Get("view")
 	if name == "" {
@@ -124,12 +105,15 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer func() { <-s.watchers }()
 
-	cols := v.Schema().Names()
-	if q.Get("poll") == "1" {
-		s.watchPoll(w, r, hub, name, cols, fromLSN, hasFrom)
+	// The DB splices: it registers before it reads any snapshot. It also
+	// refuses the watch when changefeeds are off.
+	ws, err := s.db.OpenWatch(name, fromLSN, hasFrom)
+	if err != nil {
+		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	s.watchStream(w, r, hub, name, cols, fromLSN, hasFrom)
+	defer ws.Close()
+	s.watchStream(w, r, ws, name, v.Schema().Names())
 }
 
 // sseSend writes one SSE event under a fresh per-write deadline and
@@ -150,182 +134,56 @@ func (s *Server) sseSend(w http.ResponseWriter, rc *http.ResponseController, eve
 
 // watchStream serves the SSE path: info, optional snapshot, then live
 // deltas with heartbeats, ending in a terminal bye.
-func (s *Server) watchStream(w http.ResponseWriter, r *http.Request, hub *feed.Hub, name string, cols []string, fromLSN uint64, hasFrom bool) {
-	// Register before reading any snapshot: every delta committed after
-	// this point is already being enqueued, so filtering frames at or below
-	// the snapshot LSN splices catch-up into live with no gap or duplicate.
-	sub, kind := hub.Subscribe(name, fromLSN, hasFrom)
-	defer sub.Close()
-
+func (s *Server) watchStream(w http.ResponseWriter, r *http.Request, ws *chronicledb.WatchStream, name string, cols []string) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
 
-	cursor := uint64(0)
-	if hasFrom {
-		cursor = fromLSN
-	}
-	if err := s.sseSend(w, rc, "info", watchInfo{View: name, Columns: cols, FromLSN: cursor, Resume: kind.String()}); err != nil {
+	if err := s.sseSend(w, rc, "info", watchInfo{View: name, Columns: cols, FromLSN: ws.LSN(), Resume: ws.Resume()}); err != nil {
 		return
 	}
-	var filter uint64
-	if kind == feed.ResumeSnapshot {
-		snap := watchRows{View: name}
-		lsn, err := s.db.ScanViewAt(name, func(t value.Tuple) bool {
-			row := make([]any, len(t))
-			for i, cv := range t {
-				row[i] = jsonValue(cv)
+	send := func(ev chronicledb.WatchEvent) bool {
+		switch ev.Kind {
+		case chronicledb.WatchSnapshot:
+			snap := watchRows{View: name, LSN: ev.LSN}
+			for _, t := range ev.Rows {
+				snap.Rows = append(snap.Rows, jsonValues(t))
 			}
-			snap.Rows = append(snap.Rows, row)
-			return true
-		})
-		if err != nil {
-			s.sseSend(w, rc, "bye", watchBye{Reason: "error: " + err.Error(), LSN: cursor})
-			return
+			return s.sseSend(w, rc, "snapshot", snap) == nil
+		case chronicledb.WatchDelta:
+			d := watchDelta{View: name, LSN: ev.LSN, Rows: make([]watchDeltaRow, len(ev.Deltas))}
+			for i, row := range ev.Deltas {
+				d.Rows[i] = watchDeltaRow{SN: row.SN, Chronon: row.Chronon, Vals: jsonValues(row.Vals)}
+			}
+			return s.sseSend(w, rc, "delta", d) == nil
 		}
-		snap.LSN = lsn
-		if err := s.sseSend(w, rc, "snapshot", snap); err != nil {
-			return
-		}
-		cursor, filter = lsn, lsn
+		s.sseSend(w, rc, "bye", watchBye{Reason: ev.Reason, LSN: ev.LSN})
+		return false
 	}
 
 	hb := time.NewTicker(s.heartbeat)
 	defer hb.Stop()
-	var frames []*feed.Frame
 	for {
+		more, err := ws.Next(send)
+		if err != nil {
+			s.sseSend(w, rc, "bye", watchBye{Reason: "error: " + err.Error(), LSN: ws.LSN()})
+		}
+		if !more {
+			return
+		}
 		select {
 		case <-r.Context().Done():
 			return
 		case <-s.drainCh:
-			s.sseSend(w, rc, "bye", watchBye{Reason: "drain", LSN: cursor})
+			s.sseSend(w, rc, "bye", watchBye{Reason: "drain", LSN: ws.LSN()})
 			return
 		case <-hb.C:
-			if err := s.sseSend(w, rc, "hb", watchHB{LSN: cursor}); err != nil {
+			if err := s.sseSend(w, rc, "hb", watchHB{LSN: ws.LSN()}); err != nil {
 				return
 			}
-		case <-sub.C():
-			frames = sub.Drain(frames[:0])
-			failed := false
-			for i, f := range frames {
-				if failed || f.LSN <= filter {
-					f.Release()
-					frames[i] = nil
-					continue
-				}
-				d := deltaPayload(name, f)
-				f.Release()
-				frames[i] = nil
-				if err := s.sseSend(w, rc, "delta", d); err != nil {
-					failed = true
-					continue
-				}
-				cursor = d.LSN
-			}
-			if failed {
-				return
-			}
-			if closed, reason := sub.Closed(); closed {
-				s.sseSend(w, rc, "bye", watchBye{Reason: reason.String(), LSN: cursor})
-				return
-			}
+		case <-ws.Ready():
 		}
 	}
-}
-
-// watchPoll serves the long-poll fallback: one bounded request that
-// returns the catch-up (snapshot or backlog) immediately, or waits up to
-// `wait` for the first live delta, then replies with the next cursor.
-func (s *Server) watchPoll(w http.ResponseWriter, r *http.Request, hub *feed.Hub, name string, cols []string, fromLSN uint64, hasFrom bool) {
-	wait := time.Duration(0)
-	if raw := r.URL.Query().Get("wait"); raw != "" {
-		d, err := time.ParseDuration(raw)
-		if err != nil || d < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("wait must be a duration like 5s"))
-			return
-		}
-		if d > maxPollWait {
-			d = maxPollWait
-		}
-		wait = d
-	}
-	sub, kind := hub.Subscribe(name, fromLSN, hasFrom)
-	defer sub.Close()
-
-	resp := watchPollResponse{View: name, Columns: cols, Resume: kind.String()}
-	cursor := uint64(0)
-	if hasFrom {
-		cursor = fromLSN
-	}
-	var filter uint64
-	if kind == feed.ResumeSnapshot {
-		snap := watchRows{View: name}
-		lsn, err := s.db.ScanViewAt(name, func(t value.Tuple) bool {
-			row := make([]any, len(t))
-			for i, cv := range t {
-				row[i] = jsonValue(cv)
-			}
-			snap.Rows = append(snap.Rows, row)
-			return true
-		})
-		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, err)
-			return
-		}
-		snap.LSN = lsn
-		resp.Snapshot = &snap
-		cursor, filter = lsn, lsn
-	}
-
-	deadline := time.NewTimer(wait)
-	defer deadline.Stop()
-	var frames []*feed.Frame
-	for {
-		frames = sub.Drain(frames[:0])
-		for i, f := range frames {
-			if f.LSN <= filter {
-				f.Release()
-				frames[i] = nil
-				continue
-			}
-			d := deltaPayload(name, f)
-			f.Release()
-			frames[i] = nil
-			resp.Deltas = append(resp.Deltas, d)
-			cursor = d.LSN
-		}
-		closed, reason := sub.Closed()
-		if closed {
-			resp.End = reason.String()
-		}
-		if len(resp.Deltas) > 0 || resp.Snapshot != nil || closed || wait == 0 {
-			break
-		}
-		select {
-		case <-sub.C():
-			continue
-		case <-deadline.C:
-		case <-r.Context().Done():
-		case <-s.drainCh:
-		}
-		wait = 0 // one final drain, then answer with whatever arrived
-	}
-	resp.NextLSN = cursor
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// deltaPayload converts one feed frame into its wire shape. Values are
-// copied out before the caller releases the frame back to its pool.
-func deltaPayload(name string, f *feed.Frame) watchDelta {
-	d := watchDelta{View: name, LSN: f.LSN, Rows: make([]watchDeltaRow, len(f.Rows))}
-	for j, row := range f.Rows {
-		vals := make([]any, len(row.Vals))
-		for k, cv := range row.Vals {
-			vals[k] = jsonValue(cv)
-		}
-		d.Rows[j] = watchDeltaRow{SN: row.SN, Chronon: row.Chronon, Vals: vals}
-	}
-	return d
 }

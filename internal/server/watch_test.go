@@ -1,13 +1,12 @@
 // End-to-end tests for the /watch changefeed surface: SSE streaming with
-// snapshot catch-up, cursor resume across reconnects, the long-poll
-// fallback, the MaxSubscribers admission gate, and graceful drain.
+// snapshot catch-up, cursor resume across reconnects, the MaxSubscribers
+// admission gate, and graceful drain.
 package server
 
 import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -149,74 +148,6 @@ func TestWatchSSEResume(t *testing.T) {
 	}
 }
 
-// TestWatchLongPoll exercises the poll=1 fallback: the first request
-// returns the snapshot, the next request waits for and returns a delta,
-// carrying the cursor forward in next_lsn.
-func TestWatchLongPoll(t *testing.T) {
-	ts, c := newFeedServer(t, Config{})
-	for i := 0; i < 3; i++ {
-		if _, err := c.Exec(`APPEND INTO calls VALUES ('a', 1)`); err != nil {
-			t.Fatal(err)
-		}
-	}
-	poll := func(url string) watchPollResponse {
-		t.Helper()
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("poll status = %d", resp.StatusCode)
-		}
-		var out watchPollResponse
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	first := poll(ts.URL + "/watch?view=usage&poll=1")
-	if first.Snapshot == nil || len(first.Snapshot.Rows) != 1 {
-		t.Fatalf("first poll snapshot = %+v", first.Snapshot)
-	}
-	if n := first.Snapshot.Rows[0][1].(float64); n != 3 {
-		t.Fatalf("snapshot count = %v, want 3", n)
-	}
-	if first.NextLSN == 0 {
-		t.Fatal("first poll carried no cursor")
-	}
-
-	// Appends racing the next poll: issue the append first so wait=5s
-	// returns as soon as the delta lands.
-	if _, err := c.Exec(`APPEND INTO calls VALUES ('a', 1)`); err != nil {
-		t.Fatal(err)
-	}
-	second := poll(fmt.Sprintf("%s/watch?view=usage&poll=1&wait=5s&from_lsn=%d", ts.URL, first.NextLSN))
-	if second.Snapshot != nil {
-		t.Fatal("cursor poll replayed a snapshot")
-	}
-	var sum int64
-	for _, d := range second.Deltas {
-		if d.LSN <= first.NextLSN {
-			t.Fatalf("poll delta LSN %d not above cursor %d", d.LSN, first.NextLSN)
-		}
-		sum += int64(len(d.Rows))
-	}
-	if sum != 1 {
-		t.Fatalf("poll delta rows = %d, want 1", sum)
-	}
-	if second.NextLSN <= first.NextLSN {
-		t.Fatalf("next_lsn did not advance: %d -> %d", first.NextLSN, second.NextLSN)
-	}
-
-	// An empty wait=0 poll at the head returns no deltas and holds the cursor.
-	third := poll(fmt.Sprintf("%s/watch?view=usage&poll=1&from_lsn=%d", ts.URL, second.NextLSN))
-	if len(third.Deltas) != 0 || third.NextLSN != second.NextLSN {
-		t.Fatalf("idle poll = %+v, want empty at cursor %d", third, second.NextLSN)
-	}
-}
-
 // TestWatchAdmissionGate caps subscribers at 1: the second watcher sheds
 // with 429 + Retry-After without touching the append admission slots.
 func TestWatchAdmissionGate(t *testing.T) {
@@ -269,10 +200,9 @@ func TestWatchAdmissionGate(t *testing.T) {
 func TestWatchErrors(t *testing.T) {
 	ts, _ := newFeedServer(t, Config{})
 	for path, want := range map[string]int{
-		"/watch":                             http.StatusBadRequest,          // missing view
-		"/watch?view=ghost":                  http.StatusUnprocessableEntity, // unknown view
-		"/watch?view=usage&from_lsn=abc":     http.StatusBadRequest,          // bad cursor
-		"/watch?view=usage&poll=1&wait=nope": http.StatusBadRequest,          // bad wait
+		"/watch":                         http.StatusBadRequest,          // missing view
+		"/watch?view=ghost":              http.StatusUnprocessableEntity, // unknown view
+		"/watch?view=usage&from_lsn=abc": http.StatusBadRequest,          // bad cursor
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

@@ -119,10 +119,6 @@ type View struct {
 	// leading columns of the schema, which a row's values decode as.
 	keyCols  []int
 	keyKinds []value.Kind
-
-	// deltaBuf backs the expression delta for batch-local operators (Delta).
-	// It belongs to the maintenance path, which the engine serializes.
-	deltaBuf []chronicle.Row
 }
 
 // New validates a definition and materializes an empty view with a key
@@ -303,14 +299,10 @@ func (v *View) Apply(d algebra.BatchDelta) {
 }
 
 // Delta computes the expression delta for one append batch without
-// applying it. The rows alias the view's maintenance scratch and are valid
-// until the next Delta call; the engine uses the split form to capture the
-// delta for the changefeed between computing and folding it.
-func (v *View) Delta(d algebra.BatchDelta) []chronicle.Row {
-	rows, keep := algebra.DeltaInto(v.def.Expr, d, v.deltaBuf[:0])
-	v.deltaBuf = keep
-	return rows
-}
+// applying it. The engine does not use it — it takes each view's delta from
+// the shared plan; Delta and ApplyRows serve callers that drive a view
+// directly.
+func (v *View) Delta(d algebra.BatchDelta) []chronicle.Row { return algebra.Delta(v.def.Expr, d) }
 
 // ApplyRows folds precomputed expression delta rows into the live store
 // and publishes nothing: readers keep seeing the last publication until the

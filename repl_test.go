@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -248,6 +249,92 @@ func TestReplSnapshotBootstrap(t *testing.T) {
 			t.Fatal("no replicated delta reached the follower watch")
 		}
 	}
+}
+
+// TestReplResyncLargerThanViewCache bootstraps a follower whose view cache
+// holds a few blocks of a view of thousands of groups: the snapshot restore
+// must page the view in under the budget, not load it whole, and the
+// follower must answer every key and a full scan as the primary does, then
+// and after the stream resumes.
+func TestReplResyncLargerThanViewCache(t *testing.T) {
+	const keys = 2000
+	db, ts := openPrimary(t, chronicledb.Options{Shards: 2})
+	defer ts.Close()
+	defer db.Close()
+	mustExec(t, db, `CREATE CHRONICLE calls (acct STRING, minutes INT) RETAIN ALL`)
+	mustExec(t, db, `CREATE VIEW usage AS SELECT acct, SUM(minutes) AS total FROM calls GROUP BY acct`)
+	appendKeys := func(from, to int) {
+		t.Helper()
+		tuples := make([]chronicledb.Tuple, 0, to-from)
+		for i := from; i < to; i++ {
+			tuples = append(tuples, chronicledb.Tuple{chronicledb.Str(fmt.Sprintf("acct%05d", i)), chronicledb.Int(int64(i%7 + 1))})
+		}
+		if _, _, err := db.AppendRows("calls", tuples); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < keys; i += 500 {
+		appendKeys(i, i+500)
+	}
+	// Checkpoint + compaction: the follower must bootstrap from the files.
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	f := openFollower(t, ts.URL, t.TempDir(), chronicledb.Options{Shards: 2, ViewBlockBytes: 256, ViewCacheBytes: 1 << 10})
+	defer f.Close()
+	scan := func(d *chronicledb.DB) []string {
+		t.Helper()
+		var rows []string
+		if err := d.ScanView("usage", func(r chronicledb.Row) bool {
+			rows = append(rows, fmt.Sprint(r))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	converged := func(what string, groups int) {
+		t.Helper()
+		want := scan(db)
+		if len(want) != groups {
+			t.Fatalf("%s: the primary holds %d groups, want %d", what, len(want), groups)
+		}
+		waitUntil(t, 20*time.Second, what, func() bool {
+			st, ok := f.ReplState()
+			return ok && st.Resyncs > 0 && slices.Equal(scan(f), want)
+		})
+		for i := 0; i < groups; i++ {
+			acct := chronicledb.Str(fmt.Sprintf("acct%05d", i))
+			wr, wok, werr := db.Lookup("usage", acct)
+			gr, gok, gerr := f.Lookup("usage", acct)
+			if werr != nil || gerr != nil || wok != gok || fmt.Sprint(wr) != fmt.Sprint(gr) {
+				t.Fatalf("%s: lookup %v: follower %v %v %v, primary %v %v %v", what, acct, gr, gok, gerr, wr, wok, werr)
+			}
+		}
+	}
+	withinBudget := func(what string) {
+		t.Helper()
+		w := f.WALStats()
+		if w.ViewCacheBudget != 1<<10 || w.ViewCacheBytes > w.ViewCacheBudget {
+			t.Fatalf("%s: %d view bytes resident, budget %d", what, w.ViewCacheBytes, w.ViewCacheBudget)
+		}
+		if w.ViewCacheMisses == 0 || w.ViewCacheEvictions == 0 {
+			t.Fatalf("%s: %d block faults and %d evictions: the view never paged", what, w.ViewCacheMisses, w.ViewCacheEvictions)
+		}
+	}
+	converged("snapshot bootstrap", keys)
+	withinBudget("snapshot bootstrap")
+
+	// The stream resumes after the bootstrap: new groups and old ones. The
+	// blocks it writes stay dirty, so resident, until the follower's next
+	// checkpoint cut turns them clean.
+	appendKeys(keys-100, keys+100)
+	converged("streamed appends", keys+100)
+	if err := f.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	withinBudget("the follower's checkpoint")
 }
 
 // TestReplSyncAck: in sync ack mode an append ack waits for a follower

@@ -28,7 +28,8 @@ const (
 )
 
 // WatchRow is one delta row: the chronicle-algebra expression output that
-// maintenance folded into the view, in caller-owned memory.
+// maintenance folded into the view. DB.Watch hands it out in caller-owned
+// memory; WatchStream.Next lends it.
 type WatchRow struct {
 	SN      int64
 	Chronon int64
@@ -44,84 +45,150 @@ type WatchEvent struct {
 	Reason string     // WatchEnd: "slow", "dropped", or "closed"
 }
 
-// Watch subscribes to a persistent view's changefeed and streams events to
-// fn until fn returns false, ctx is done, or the subscription ends (shed
-// as slow, or the view dropped — fn then receives a terminal WatchEnd).
-//
-// With hasFrom, fromLSN is a resume cursor: the LSN of the last delta the
-// caller already has. If it is inside the in-memory resume window the
-// stream continues exactly at fromLSN+1; otherwise — and always without a
-// cursor — fn first receives a WatchSnapshot of the view at some LSN S,
-// then deltas from S+1 on. Either way the delivered LSN sequence is
-// gapless and duplicate-free, and every delta delivered is durable
-// (published only after its WAL commit).
+// WatchStream is one spliced subscription to a persistent view's
+// changefeed, read by pulling: Next hands out whatever is ready, and Ready
+// signals when more is. It is the one place that subscribes to the feed
+// hub: it registers before it reads any snapshot, filters deltas at or
+// below the snapshot's LSN and releases every frame it is handed, so its
+// readers — DB.Watch and the server's /watch stream — see a gapless,
+// duplicate-free LSN sequence. A WatchStream is not safe for concurrent
+// use.
+type WatchStream struct {
+	db     *DB
+	view   string
+	sub    *feed.Subscription
+	resume feed.ResumeKind
+	snap   bool   // the snapshot is still owed
+	filter uint64 // deltas at or below it are in the snapshot
+	cursor uint64 // the last position handed out
+	done   bool
+	frames []*feed.Frame
+	rows   []WatchRow // borrowed delta rows, reused across deltas
+}
+
+// OpenWatch subscribes to a persistent view's changefeed. With hasFrom,
+// fromLSN is a resume cursor: the LSN of the last delta the caller already
+// has. If it is inside the in-memory resume window the stream continues
+// exactly at fromLSN+1; otherwise — and always without a cursor — Next
+// first hands out a WatchSnapshot of the view at some LSN S, then deltas
+// from S+1 on. Every delta handed out is durable (published only after its
+// WAL commit). The caller must Close the stream.
 //
 // Requires Options.Feed.
-func (db *DB) Watch(ctx context.Context, viewName string, fromLSN uint64, hasFrom bool, fn func(WatchEvent) bool) error {
+func (db *DB) OpenWatch(viewName string, fromLSN uint64, hasFrom bool) (*WatchStream, error) {
 	if db.hub == nil {
-		return fmt.Errorf("chronicledb: changefeeds are disabled (set Options.Feed)")
+		return nil, fmt.Errorf("chronicledb: changefeeds are disabled (set Options.Feed)")
 	}
 	if _, ok := db.eng.View(viewName); !ok {
-		return fmt.Errorf("chronicledb: unknown view %q", viewName)
+		return nil, fmt.Errorf("chronicledb: unknown view %q", viewName)
 	}
-	// Register first, then read the snapshot: a delta applied after the
-	// snapshot is loaded has LSN > the snapshot's LSN and is already being
-	// enqueued to the live subscription, so filtering frames ≤ S below
+	// Register first; Next reads the snapshot later. A delta applied after
+	// the snapshot is loaded has LSN > the snapshot's LSN and is already
+	// being enqueued to the live subscription, so filtering frames ≤ S
 	// makes the splice exact.
 	sub, kind := db.hub.Subscribe(viewName, fromLSN, hasFrom)
-	defer sub.Close()
-
-	cursor := fromLSN
-	if !hasFrom {
-		cursor = 0
+	w := &WatchStream{db: db, view: viewName, sub: sub, resume: kind, snap: kind == feed.ResumeSnapshot}
+	if hasFrom {
+		w.cursor = fromLSN
 	}
-	var filter uint64
-	if kind == feed.ResumeSnapshot {
+	return w, nil
+}
+
+// Resume names how the stream catches up: "tail" (deltas from the cursor
+// on) or "snapshot" (a snapshot first).
+func (w *WatchStream) Resume() string { return w.resume.String() }
+
+// LSN is the stream's cursor: the LSN of the last snapshot or delta handed
+// out — before any, the resume cursor, or 0 without one.
+func (w *WatchStream) LSN() uint64 { return w.cursor }
+
+// Ready signals that deltas, or the end, may be waiting for Next.
+func (w *WatchStream) Ready() <-chan struct{} { return w.sub.C() }
+
+// Next hands fn, in order, the snapshot if it is owed, every delta ready
+// now, and a terminal WatchEnd if the subscription ended (shed as slow, or
+// the view dropped). A WatchDelta's rows are borrowed: they are valid only
+// until fn returns. Next reports false once the stream is over — fn
+// returned false, or the end was handed out — and an error if the snapshot
+// could not be read.
+func (w *WatchStream) Next(fn func(WatchEvent) bool) (bool, error) {
+	if w.done {
+		return false, nil
+	}
+	if w.snap {
+		w.snap = false
 		var rows []Row
-		lsn, err := db.eng.ViewScan(viewName, view.Window{}, func(t Row) bool {
+		lsn, err := w.db.eng.ViewScan(w.view, view.Window{}, func(t Row) bool {
 			rows = append(rows, t)
 			return true
 		})
 		if err != nil {
+			w.done = true
+			return false, err
+		}
+		w.cursor, w.filter = lsn, lsn
+		if !fn(WatchEvent{Kind: WatchSnapshot, LSN: lsn, Rows: rows}) {
+			w.done = true
+			return false, nil
+		}
+	}
+	w.frames = w.sub.Drain(w.frames[:0])
+	for i, f := range w.frames {
+		if !w.done && f.LSN > w.filter {
+			w.rows = w.rows[:0]
+			for _, r := range f.Rows {
+				w.rows = append(w.rows, WatchRow{SN: r.SN, Chronon: r.Chronon, Vals: r.Vals})
+			}
+			w.cursor = f.LSN
+			w.done = !fn(WatchEvent{Kind: WatchDelta, LSN: f.LSN, Deltas: w.rows})
+		}
+		f.Release()
+		w.frames[i] = nil
+	}
+	if w.done {
+		return false, nil
+	}
+	if closed, reason := w.sub.Closed(); closed {
+		w.done = true
+		fn(WatchEvent{Kind: WatchEnd, LSN: w.cursor, Reason: reason.String()})
+		return false, nil
+	}
+	return true, nil
+}
+
+// Close unregisters the subscription. It is safe to call more than once.
+func (w *WatchStream) Close() { w.sub.Close() }
+
+// Watch subscribes to a persistent view's changefeed and streams events to
+// fn until fn returns false, ctx is done, or the subscription ends (shed
+// as slow, or the view dropped — fn then receives a terminal WatchEnd).
+// The resume cursor and the splice are OpenWatch's; every row fn receives
+// is caller-owned.
+//
+// Requires Options.Feed.
+func (db *DB) Watch(ctx context.Context, viewName string, fromLSN uint64, hasFrom bool, fn func(WatchEvent) bool) error {
+	w, err := db.OpenWatch(viewName, fromLSN, hasFrom)
+	if err != nil {
+		return err
+	}
+	defer w.Close()
+	own := func(ev WatchEvent) bool {
+		if ev.Kind == WatchDelta {
+			ev.Deltas = append([]WatchRow(nil), ev.Deltas...)
+			for i := range ev.Deltas {
+				ev.Deltas[i].Vals = ev.Deltas[i].Vals.Clone()
+			}
+		}
+		return fn(ev)
+	}
+	for {
+		if more, err := w.Next(own); !more {
 			return err
 		}
-		if !fn(WatchEvent{Kind: WatchSnapshot, LSN: lsn, Rows: rows}) {
-			return nil
-		}
-		cursor, filter = lsn, lsn
-	}
-
-	var frames []*feed.Frame
-	for {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-sub.C():
-		}
-		frames = sub.Drain(frames[:0])
-		stop := false
-		for i, f := range frames {
-			if stop || f.LSN <= filter {
-				f.Release()
-				continue
-			}
-			ev := WatchEvent{Kind: WatchDelta, LSN: f.LSN, Deltas: make([]WatchRow, len(f.Rows))}
-			for j, r := range f.Rows {
-				ev.Deltas[j] = WatchRow{SN: r.SN, Chronon: r.Chronon, Vals: r.Vals.Clone()}
-			}
-			f.Release()
-			frames[i] = nil
-			cursor = ev.LSN
-			if !fn(ev) {
-				stop = true
-			}
-		}
-		if stop {
-			return nil
-		}
-		if closed, reason := sub.Closed(); closed {
-			fn(WatchEvent{Kind: WatchEnd, LSN: cursor, Reason: reason.String()})
-			return nil
+		case <-w.Ready():
 		}
 	}
 }

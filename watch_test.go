@@ -7,13 +7,15 @@ package chronicledb_test
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"math/rand/v2"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	chronicledb "chronicledb"
+	"chronicledb/internal/server"
 )
 
 // openFeedDB opens an in-memory database with changefeeds on.
@@ -356,94 +358,226 @@ func TestWatchStress(t *testing.T) {
 	}
 }
 
-// TestWatchOpenedMidCall pins the pairing a snapshot catch-up relies on: the
-// LSN a snapshot carries is that of the publication it scanned, not of the
-// live store. The view is on the hash store, which has no frozen image to
-// stamp, and a single writer sends long AppendRows calls back to back, so
-// nearly every watch opens between two rows of a call — where the live
-// store's cursor is ahead of anything a reader can see. A snapshot stamped
-// with that cursor would filter out deltas its rows do not reflect, and the
-// subscriber's fold (snapshot count plus delta rows) would stay short of the
-// view for good; a snapshot showing part of a call would not be a whole
-// number of calls.
+// TestWatchOpenedMidCall pins the splice where it can go wrong: at a watch
+// opened while an append call is in flight. One writer sends long AppendRows
+// calls of one fixed tuple back to back, so the view's count after the row
+// with SN k is k+1 (SNs start at 0), and watchers keep opening watches at
+// random points of a call's length. Each watch must deliver a snapshot
+// holding a whole number of calls and then, as its first delta, the row
+// right after it: SN = count. The view is on the hash store, which has no
+// frozen image to stamp. A snapshot stamped with the live store's cursor,
+// which runs ahead of the publication it scanned while a call is mid-way,
+// filters out rows it does not show, so the first delta skips past count
+// (or, at the last call, never comes). A splice that lets through the frame
+// at the snapshot's own LSN delivers a row the snapshot already counts. Each
+// transport is checked: the embedded DB.Watch, and server.Client.Watch over
+// SSE.
 func TestWatchOpenedMidCall(t *testing.T) {
 	const (
 		callK    = 256
-		calls    = 60
+		calls    = 150
 		watchers = 6
 	)
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			db, err := chronicledb.Open(chronicledb.Options{Feed: true, Shards: shards, FeedRing: 1 << 15})
+			for _, transport := range []string{"embedded", "http"} {
+				t.Run(transport, func(t *testing.T) {
+					db, err := chronicledb.Open(chronicledb.Options{Feed: true, Shards: shards, FeedRing: 1 << 15})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer db.Close()
+					watch := midCallEmbedded(db)
+					if transport == "http" {
+						ts := httptest.NewServer(server.New(db))
+						defer ts.Close()
+						watch = midCallHTTP(server.NewClient(ts.URL))
+					}
+					watchOpenedMidCall(t, db, watch, callK, calls, watchers)
+				})
+			}
+		})
+	}
+}
+
+// TestWatchEndsWhenViewDropped: dropping a watched view ends its stream
+// with the reason "dropped", on either transport.
+func TestWatchEndsWhenViewDropped(t *testing.T) {
+	for _, transport := range []string{"embedded", "http"} {
+		t.Run(transport, func(t *testing.T) {
+			db := openFeedDB(t, 1)
+			watch := midCallEmbedded(db)
+			if transport == "http" {
+				ts := httptest.NewServer(server.New(db))
+				defer ts.Close()
+				watch = midCallHTTP(server.NewClient(ts.URL))
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			var end string
+			err := watch(ctx, func(ev midCallEvent) bool {
+				if ev.snapshot {
+					if _, err := db.Exec(`DROP VIEW usage`); err != nil {
+						t.Error(err)
+						return false
+					}
+					return true
+				}
+				end = ev.end
+				return end == ""
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer db.Close()
-			for _, stmt := range []string{
-				`CREATE CHRONICLE calls (acct STRING, minutes INT)`,
-				`CREATE VIEW usage AS SELECT acct, COUNT(*) AS n FROM calls GROUP BY acct`,
-			} {
-				if _, err := db.Exec(stmt); err != nil {
-					t.Fatal(err)
-				}
+			if end != "dropped" {
+				t.Fatalf("the stream ended with %q, want dropped", end)
 			}
-			tuples := make([]chronicledb.Tuple, callK)
-			for i := range tuples {
-				tuples[i] = chronicledb.Tuple{chronicledb.Str("a"), chronicledb.Int(1)}
-			}
-			const total = int64(calls * callK)
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			defer cancel()
-
-			var sent atomic.Int64 // calls the writer has completed
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < calls; i++ {
-					if _, _, err := db.AppendRows("calls", tuples); err != nil {
-						t.Error(err)
-						return
-					}
-					sent.Add(1)
-				}
-			}()
-			for w := 0; w < watchers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					// Stagger the opens across the writer's run.
-					for sent.Load() < int64(w*calls/(watchers+1)) && ctx.Err() == nil {
-						runtime.Gosched()
-					}
-					var seen int64
-					err := db.Watch(ctx, "usage", 0, false, func(ev chronicledb.WatchEvent) bool {
-						switch ev.Kind {
-						case chronicledb.WatchSnapshot:
-							for _, r := range ev.Rows {
-								seen += r[1].AsInt()
-							}
-							if seen%callK != 0 {
-								t.Errorf("watcher %d: snapshot at LSN %d counts %d rows: part of a call is visible", w, ev.LSN, seen)
-							}
-						case chronicledb.WatchDelta:
-							seen += int64(len(ev.Deltas))
-						case chronicledb.WatchEnd:
-							t.Errorf("watcher %d: ended (%s) at %d of %d rows", w, ev.Reason, seen, total)
-							return false
-						}
-						return seen < total
-					})
-					if ctx.Err() != nil {
-						t.Errorf("watcher %d: snapshot + deltas stuck at %d rows, the view holds %d: the splice dropped deltas", w, seen, total)
-					} else if err != nil {
-						t.Errorf("watcher %d: %v", w, err)
-					} else if seen != total {
-						t.Errorf("watcher %d: snapshot + deltas = %d rows, want %d (duplicate delivery)", w, seen, total)
-					}
-				}(w)
-			}
-			wg.Wait()
 		})
 	}
+}
+
+// midCallEvent is what the transport tables read of one event, on either
+// transport: a snapshot's sum of the view's count column, a delta's first
+// SN, or the reason a stream ended.
+type midCallEvent struct {
+	snapshot bool
+	lsn      uint64
+	rows     int64 // a snapshot's count
+	sn       int64 // a delta's first SN
+	end      string
+}
+
+type midCallWatch func(ctx context.Context, fn func(midCallEvent) bool) error
+
+func midCallEmbedded(db *chronicledb.DB) midCallWatch {
+	return func(ctx context.Context, fn func(midCallEvent) bool) error {
+		return db.Watch(ctx, "usage", 0, false, func(ev chronicledb.WatchEvent) bool {
+			switch ev.Kind {
+			case chronicledb.WatchSnapshot:
+				var n int64
+				for _, r := range ev.Rows {
+					n += r[1].AsInt()
+				}
+				return fn(midCallEvent{snapshot: true, lsn: ev.LSN, rows: n})
+			case chronicledb.WatchDelta:
+				return fn(midCallEvent{lsn: ev.LSN, sn: ev.Deltas[0].SN})
+			}
+			return fn(midCallEvent{lsn: ev.LSN, end: ev.Reason})
+		})
+	}
+}
+
+func midCallHTTP(c *server.Client) midCallWatch {
+	return func(ctx context.Context, fn func(midCallEvent) bool) error {
+		return c.Watch(ctx, "usage", 0, false, func(ev server.WatchEvent) bool {
+			switch ev.Kind {
+			case server.WatchInfo:
+				return true
+			case server.WatchSnapshot:
+				var n int64
+				for _, r := range ev.Rows {
+					n += int64(r[1].(float64))
+				}
+				return fn(midCallEvent{snapshot: true, lsn: ev.LSN, rows: n})
+			case server.WatchDelta:
+				return fn(midCallEvent{lsn: ev.LSN, sn: ev.Deltas[0].SN})
+			}
+			return fn(midCallEvent{lsn: ev.LSN, end: ev.Reason})
+		})
+	}
+}
+
+func watchOpenedMidCall(t *testing.T, db *chronicledb.DB, watch midCallWatch, callK, calls, watchers int) {
+	for _, stmt := range []string{
+		`CREATE CHRONICLE calls (acct STRING, minutes INT)`,
+		`CREATE VIEW usage AS SELECT acct, COUNT(*) AS n FROM calls GROUP BY acct`,
+		// Folded after usage in each call, before anything is published:
+		// they hold usage's live cursor ahead of its publication for most
+		// of the call.
+		`CREATE VIEW by_minutes AS SELECT minutes, COUNT(*) AS n FROM calls GROUP BY minutes`,
+		`CREATE VIEW long_calls AS SELECT acct, SUM(minutes) AS total FROM calls WHERE minutes > 0 GROUP BY acct`,
+		`CREATE VIEW both_cols AS SELECT acct, minutes, COUNT(*) AS n FROM calls GROUP BY acct, minutes`,
+	} {
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tuples := make([]chronicledb.Tuple, callK)
+	for i := range tuples {
+		tuples[i] = chronicledb.Tuple{chronicledb.Str("a"), chronicledb.Int(1)}
+	}
+	total := int64(calls * callK)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	// callNs is how long the writer's last call took: the watchers open
+	// their watches at random points of a call's length, so some land
+	// inside a call and some between two.
+	var sent, callNs atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer sent.Store(int64(calls)) // lets the watchers out if a call fails
+		for c := 0; c < calls; c++ {
+			start := time.Now()
+			if _, _, err := db.AppendRows("calls", tuples); err != nil {
+				t.Error(err)
+				return
+			}
+			callNs.Store(int64(time.Since(start)))
+			sent.Add(1)
+		}
+	}()
+	// probe opens one watch and reads its snapshot and first delta.
+	probe := func(w int) bool {
+		var count int64
+		snapshot := false
+		ok := true
+		err := watch(ctx, func(ev midCallEvent) bool {
+			switch {
+			case ev.snapshot:
+				count, snapshot = ev.rows, true
+				if count%int64(callK) != 0 {
+					t.Errorf("watcher %d: snapshot at LSN %d counts %d rows: part of a call is visible", w, ev.lsn, count)
+					ok = false
+				}
+				return ok && count < total
+			case ev.end != "":
+				t.Errorf("watcher %d: ended (%s) after a snapshot of %d rows", w, ev.end, count)
+			case !snapshot:
+				t.Errorf("watcher %d: a delta at LSN %d before any snapshot", w, ev.lsn)
+			case ev.sn != count:
+				t.Errorf("watcher %d: a snapshot of %d rows, then a delta from SN %d at LSN %d, want SN %d (the splice dropped or repeated rows)", w, count, ev.sn, ev.lsn, count)
+			default:
+				return false
+			}
+			ok = false
+			return false
+		})
+		if ctx.Err() != nil {
+			t.Errorf("watcher %d: stuck after a snapshot of %d rows, the view holds %d: the splice dropped deltas", w, count, total)
+			return false
+		}
+		if err != nil {
+			t.Errorf("watcher %d: %v", w, err)
+			return false
+		}
+		return ok
+	}
+	for w := 0; w < watchers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(w), 1))
+			for {
+				done := sent.Load() == int64(calls) // one last watch after the writer's last call
+				time.Sleep(time.Duration(rng.Int64N(callNs.Load() + 1)))
+				if !probe(w) || done {
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
