@@ -28,11 +28,18 @@ import (
 // tuple passes every filter), different delta-computation sharing.
 func fanoutDB(tb testing.TB, shape string, V int) *chronicledb.DB {
 	tb.Helper()
-	db, err := chronicledb.Open(chronicledb.Options{})
+	return openFanout(tb, chronicledb.Options{}, `CREATE CHRONICLE calls (acct STRING, minutes INT)`, shape, V)
+}
+
+// openFanout is fanoutDB over the chronicle calls that ddl creates, opened
+// with opts.
+func openFanout(tb testing.TB, opts chronicledb.Options, ddl, shape string, V int) *chronicledb.DB {
+	tb.Helper()
+	db, err := chronicledb.Open(opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := db.Exec(`CREATE CHRONICLE calls (acct STRING, minutes INT)`); err != nil {
+	if _, err := db.Exec(ddl); err != nil {
 		tb.Fatal(err)
 	}
 	for i := 0; i < V; i++ {
@@ -99,15 +106,16 @@ func BenchmarkMaintainFanout(b *testing.B) {
 
 // benchLoad1000 is the shape of the benchmark suite's set-up: 1 000-row
 // AppendRows calls, every row a group no view holds yet, into the 64-view
-// fan-out — 20 calls into an empty database, then over again. One iteration
-// is one call, so ns/op ÷ 1000 is the load cost per row across 64 views.
+// fan-out and maintain-fanout's four moving windows (loadDB) — 20 calls into
+// an empty database, then over again. One iteration is one call, so ns/op ÷
+// 1000 is the load cost per row across 64 views and 8 window instances.
 func benchLoad1000(b *testing.B) {
 	const callK, callsPerDB = 1000, 20
 	calls := make([][]chronicledb.Tuple, callsPerDB)
 	for i := range calls {
 		calls[i] = make([]chronicledb.Tuple, callK)
 		for j := range calls[i] {
-			calls[i][j] = chronicledb.Tuple{chronicledb.Str(fmt.Sprintf("acct%05d", i*callK+j)), chronicledb.Int(1000)}
+			calls[i][j] = chronicledb.Tuple{chronicledb.Str(fmt.Sprintf("acct%05d", i*callK+j)), chronicledb.Int(1000), chronicledb.Float(0.5)}
 		}
 	}
 	var db *chronicledb.DB
@@ -120,13 +128,37 @@ func benchLoad1000(b *testing.B) {
 			if db != nil {
 				db.Close()
 			}
-			db = fanoutDB(b, "shared", 64)
+			db = loadDB(b)
 			b.StartTimer()
 		}
 		if _, _, err := db.AppendRows("calls", calls[i%callsPerDB]); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// loadDB is benchLoad1000's database: fanoutDB's 64 views of one σ, over a
+// chronicle that carries maintain-fanout's cost column too, and
+// maintain-fanout's four moving windows (benchmark/catalog.go: SUM(minutes),
+// SUM(cost), COUNT(*) and the three together, EVERY 400 000 WIDTH 800 000).
+// As in the suite's in-process workload, the clock ticks once a row from a
+// full window in, so each row folds into two instances of every window.
+func loadDB(tb testing.TB) *chronicledb.DB {
+	tb.Helper()
+	const every, width = 400_000, 800_000
+	tick := int64(width)
+	db := openFanout(tb, chronicledb.Options{Clock: func() int64 { tick++; return tick }},
+		`CREATE CHRONICLE calls (acct STRING, minutes INT, cost FLOAT)`, "shared", 64)
+	for _, w := range [][2]string{
+		{"w_min", "SUM(minutes) AS v_min"}, {"w_cost", "SUM(cost) AS v_cost"}, {"w_n", "COUNT(*) AS v_n"},
+		{"w_all", "SUM(minutes) AS v_min, SUM(cost) AS v_cost, COUNT(*) AS v_n"},
+	} {
+		stmt := fmt.Sprintf(`CREATE PERIODIC VIEW %s AS SELECT acct, %s FROM calls GROUP BY acct EVERY %d WIDTH %d`, w[0], w[1], every, width)
+		if _, err := db.Exec(stmt); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return db
 }
 
 // loadHeld keeps benchLoad1000's last database reachable once the benchmark
@@ -413,9 +445,12 @@ func TestLoadAllocGuard(t *testing.T) {
 // cost less per view-group than one: the key, its table slot and its place
 // in the order are paid once — and a view created WITH STORE BTREE is one of
 // them like any other, and so is a periodic family's every instance, which
-// the family case measures per instance-group. Made before the first group,
+// the family cases measure per instance-group. Made before the first group,
 // they share one table too, so a group's count word, shell and entry slot
-// are paid once as well; a view made later pays its own.
+// are paid once as well; a view made later pays its own. So do families of
+// one calendar: their instances of an interval born after they were made
+// share its table, and a family made while an interval is live has a table
+// of its own for it.
 func TestGroupBytesGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under -race")
@@ -445,32 +480,39 @@ func TestGroupBytesGuard(t *testing.T) {
 		name   string
 		views  []string
 		late   []string // created once the views' table holds a group
+		loner  string   // the late view or family, whose groups are its own
 		budget float64
 	}{
 		// Each budget is the reading once a group became its words alone —
 		// no entry head, the seen bits in the count word — plus at most 4 B.
 		// The reading before that follows each case.
-		{"hash-one-aggregate", []string{`CREATE VIEW v AS SELECT acct, SUM(minutes) AS m FROM calls GROUP BY acct`}, nil, 85}, // 97 B
+		{"hash-one-aggregate", []string{`CREATE VIEW v AS SELECT acct, SUM(minutes) AS m FROM calls GROUP BY acct`}, nil, "", 85}, // 97 B
 		// 124 B when the view kept its own B-tree of key copies.
 		{"btree-three-aggregates", []string{`CREATE VIEW v AS SELECT acct, SUM(minutes) AS m, COUNT(*) AS n, MAX(minutes) AS hi
-			FROM calls GROUP BY acct WITH STORE BTREE`}, nil, 93}, // 105 B
-		{"distinct", []string{`CREATE VIEW v AS SELECT DISTINCT acct FROM calls`}, nil, 77}, // 81 B
+			FROM calls GROUP BY acct WITH STORE BTREE`}, nil, "", 93}, // 105 B
+		{"distinct", []string{`CREATE VIEW v AS SELECT DISTINCT acct FROM calls`}, nil, "", 77}, // 81 B
 		// A string-held MIN keeps the row's string in a slot beside the words
 		// (174 B when each state boxed it).
-		{"hash-string-min", []string{`CREATE VIEW v AS SELECT acct, MIN(acct) AS lo FROM calls GROUP BY acct`}, nil, 109}, // 121 B
+		{"hash-string-min", []string{`CREATE VIEW v AS SELECT acct, MIN(acct) AS lo FROM calls GROUP BY acct`}, nil, "", 109}, // 121 B
 		// Bytes per view-group: one key directory holds the five views' keys
 		// (90 B when each view kept its own table and key copies), and one
 		// table their groups (37 and 34 B when each view kept a group of its
 		// own: each budget is the shared table's reading plus at most 4 B).
-		{"five-hash-views-one-sigma", five, nil, 27},          // 49 B
-		{"eight-views-one-sigma-one-ordered", eight, nil, 20}, // 48 B
+		{"five-hash-views-one-sigma", five, nil, "", 27},          // 49 B
+		{"eight-views-one-sigma-one-ordered", eight, nil, "", 20}, // 48 B
 		// A view made after the table holds a group has a table of its own in
 		// the directory it shares: the pair costs a lone view (81 B) plus the
 		// late view's own shell and entry slot (17 B), 49 B per view-group.
-		{"late-member-own-table", sigma("SUM(minutes) AS a"), sigma("", "COUNT(*) AS a")[1:], 53},
+		{"late-member-own-table", sigma("SUM(minutes) AS a"), sigma("", "COUNT(*) AS a")[1:], "v1", 53},
 		// Bytes per instance-group (94 B when each instance kept a
-		// directory of its own).
-		{"four-window-families-two-instances", windows, nil, 37}, // 46 B
+		// directory of its own, 33 B when each kept a table of its own: the
+		// budget is the reading once an interval's four instances share one
+		// table, plus 4 B).
+		{"four-window-families-two-instances", windows, nil, "", 19}, // 46 B, 33 B
+		// The fourth family, made while both intervals are live, keeps a
+		// table of its own for each; the other three share theirs. Two
+		// tables an interval for eight instances: between the two cases.
+		{"late-window-family-own-tables", windows[:3], windows[3:], "w3", 28},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db, err := chronicledb.Open(chronicledb.Options{Clock: func() int64 { return 150 }})
@@ -491,9 +533,6 @@ func TestGroupBytesGuard(t *testing.T) {
 					if _, err := db.Exec(stmt); err != nil {
 						t.Fatal(err)
 					}
-				}
-				if v, _ := db.View("v1"); len(v.TableViews()) != 1 {
-					t.Fatalf("the late view shares a table with %v", v.TableViews())
 				}
 			}
 			rows := make([]chronicledb.Tuple, callK)
@@ -531,6 +570,11 @@ func TestGroupBytesGuard(t *testing.T) {
 				}
 			}
 			perGroup := float64(int64(heap())-int64(before)) / groups / float64(len(members))
+			if tc.loner != "" {
+				if shares := tableShares(db, tc.loner); len(shares) != 1 {
+					t.Fatalf("the late %s shares a table with %v", tc.loner, shares)
+				}
+			}
 			for _, v := range members {
 				if v.Len() != groups {
 					t.Fatalf("%s holds %d groups, want %d", v.Name(), v.Len(), groups)
@@ -542,6 +586,16 @@ func TestGroupBytesGuard(t *testing.T) {
 			}
 		})
 	}
+}
+
+// tableShares names the views, or the families, whose groups name reads
+// from one table with its own, name among them.
+func tableShares(db *chronicledb.DB, name string) []string {
+	if v, ok := db.View(name); ok {
+		return v.TableViews()
+	}
+	pv, _ := db.Engine().PeriodicView(name)
+	return pv.TableFamilies()
 }
 
 func TestMaintAllocGuards(t *testing.T) {

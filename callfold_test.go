@@ -157,7 +157,7 @@ func createUnionEdges(t *testing.T, db *chronicledb.DB) {
 func (tw *callFoldTwin) watched(t *testing.T) map[string][]string {
 	t.Helper()
 	for _, name := range tw.db.Engine().Names(shard.Views) {
-		head := tw.db.Feed().HeadLSN(name)
+		head := chronicledb.FeedHeadLSN(tw.db, name)
 		waitUntil(t, 10*time.Second, "watcher of "+name, func() bool {
 			tw.mu.Lock()
 			defer tw.mu.Unlock()

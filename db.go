@@ -555,9 +555,6 @@ func (db *DB) Flush() error {
 // Engine exposes the kernel for advanced callers (benchmarks, tests).
 func (db *DB) Engine() *shard.Router { return db.eng }
 
-// Feed returns the changefeed hub, or nil when Options.Feed is off.
-func (db *DB) Feed() *feed.Hub { return db.hub }
-
 // FeedStats snapshots the changefeed counters (zero value when feeds are
 // disabled).
 func (db *DB) FeedStats() feed.Stats {

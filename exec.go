@@ -9,6 +9,7 @@ import (
 
 	"chronicledb/internal/algebra"
 	"chronicledb/internal/chronicle"
+	"chronicledb/internal/engine"
 	"chronicledb/internal/keyenc"
 	"chronicledb/internal/pred"
 	"chronicledb/internal/shard"
@@ -658,19 +659,21 @@ func (db *DB) explain(name string) (*Result, error) {
 				{value.Str("joins_j"), value.Int(int64(info.Joins))},
 				{value.Str("rows"), value.Int(int64(v.Len()))},
 				{value.Str("store"), value.Str(storeOf(v))},
-				{value.Str("groups"), value.Str(groupsOf(v))},
+				{value.Str("groups"), value.Str(groupsOf(name, v.TableViews()))},
 			},
 		}
 		return db.explainShared(res, name, d), nil
 	}
 	if pv, ok := db.eng.PeriodicView(name); ok {
+		info := db.familyInfo(name)
 		res := &Result{
 			Columns: []string{"property", "value"},
 			Rows: []Row{
 				{value.Str("calendar"), value.Str(pv.Calendar().String())},
-				{value.Str("live_instances"), value.Int(int64(pv.Live()))},
-				{value.Str("created"), value.Int(pv.Created())},
-				{value.Str("expired"), value.Int(pv.Expired())},
+				{value.Str("live_instances"), value.Int(int64(info.Live))},
+				{value.Str("created"), value.Int(info.Created)},
+				{value.Str("expired"), value.Int(info.Expired)},
+				{value.Str("groups"), value.Str(groupsOf(name, info.Tables))},
 			},
 		}
 		return db.explainShared(res, name, pv.Dir()), nil
@@ -678,13 +681,24 @@ func (db *DB) explain(name string) (*Result, error) {
 	return nil, fmt.Errorf("chronicledb: unknown view %q", name)
 }
 
-// groupsOf says whose groups a view's rows are read from: its own table's,
-// or one it shares with the views that fold the same delta by the same key
-// (view.Join).
-func groupsOf(v *view.View) string {
+// familyInfo reads a periodic family's counts and table sharing on its
+// home shard, under the lock its maintenance holds.
+func (db *DB) familyInfo(name string) engine.FamilyInfo {
+	var info engine.FamilyInfo
+	if home, ok := db.eng.Home(name); ok {
+		info, _ = home.FamilyInfo(name)
+	}
+	return info
+}
+
+// groupsOf says whose groups the rows of a view, or of a family's
+// instances, are read from: its own table's, or one it shares with the
+// views or families that fold the same delta by the same key (view.Join).
+// sharers names them, name among them.
+func groupsOf(name string, sharers []string) string {
 	var others []string
-	for _, n := range v.TableViews() {
-		if n != v.Name() {
+	for _, n := range sharers {
+		if n != name {
 			others = append(others, n)
 		}
 	}
@@ -739,11 +753,13 @@ func (db *DB) show(what string) (*Result, error) {
 			v, _ := db.eng.View(n)
 			add(n, v.Info(), v.Len(), storeOf(v), v.Dir(), len(v.TableViews()))
 		}
-		// A family's rows are its live instances, which are resident and
-		// have a table each.
+		// A family's rows are its live instances, which are resident; its
+		// table_views counts the families of its cohort whose instances
+		// share their tables with its own.
 		for _, n := range db.eng.Names(shard.PeriodicViews) {
 			pv, _ := db.eng.PeriodicView(n)
-			add(n+" (periodic)", algebra.Analyze(pv.Def().Expr), pv.Live(), "resident", pv.Dir(), 1)
+			info := db.familyInfo(n)
+			add(n+" (periodic)", algebra.Analyze(pv.Def().Expr), info.Live, "resident", pv.Dir(), len(info.Tables))
 		}
 		return res, nil
 	case "CHRONICLES":

@@ -18,10 +18,10 @@ import (
 // TestFamilyRunResolvedOnce counts the work of a call into four families of
 // one σ, each with two live instances, whose window boundary falls inside
 // the call: the call folds in two runs, each into two instances of every
-// family. The one directory the families share hashes and probes each σ'd
-// row once a family: the instances of a family that fold a run share its
-// resolution, and a directory keeps the last one only, which the next run
-// replaces before the next family folds.
+// family. The four are one cohort, so each interval's four instances share a
+// table, and the one directory the families share hashes and probes each
+// σ'd row once: the tables that fold a run share its resolution, and the
+// cohort folds the round once for every family.
 //
 // Mutation-checked: instances that resolve their own rows (folding outside
 // the round) hash a row once per instance.
@@ -81,10 +81,9 @@ func TestFamilyRunResolvedOnce(t *testing.T) {
 	before := dir.Stats()
 	sigmad := call(10)
 	st := dir.Stats()
-	want := sigmad * int64(len(families))
-	if hashes, probes := st.Hashes-before.Hashes, st.Probes-before.Probes; hashes != want || probes != want {
-		t.Errorf("a two-run call of %d σ'd rows into 8 instances of %d families: %d key hashes and %d probes, want %d of each (one a row a family)",
-			sigmad, len(families), hashes, probes, want)
+	if hashes, probes := st.Hashes-before.Hashes, st.Probes-before.Probes; hashes != sigmad || probes != sigmad {
+		t.Errorf("a two-run call of %d σ'd rows into 8 instances of %d families: %d key hashes and %d probes, want %d of each (one a row)",
+			sigmad, len(families), hashes, probes, sigmad)
 	}
 	for _, pv := range families {
 		if pv.Live() != 3 || pv.Created() != 3 {

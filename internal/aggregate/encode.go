@@ -38,38 +38,54 @@ func (e *MismatchError) Error() string {
 
 // AppendStates appends the encoding of g's states to dst.
 func (l *Layout) AppendStates(dst []byte, g Group) []byte {
-	w := g.Words
 	for i := range l.ops {
-		o := &l.ops[i]
-		switch o.code {
-		case cCount:
-			dst = binary.LittleEndian.AppendUint64(dst, g.Rows())
-		case cSumInt:
-			dst = appendSum(dst, false, o.seen(w), w[o.at], 0)
-		case cSumFloat:
-			dst = appendSum(dst, o.seen(w), o.seen(w), 0, w[o.at])
-		case cAvgInt, cAvgFloat:
-			n := w[o.at+1]
-			if o.code == cAvgInt {
-				dst = appendSum(dst, false, n != 0, w[o.at], 0)
-			} else {
-				dst = appendSum(dst, n != 0, n != 0, 0, w[o.at])
-			}
-			dst = binary.LittleEndian.AppendUint64(dst, n)
-		case cMoments:
-			dst = append(dst, flag(o.sqrt))
-			for _, x := range w[o.at : o.at+3] {
-				dst = binary.LittleEndian.AppendUint64(dst, x)
-			}
+		dst = l.ops[i].appendState(dst, g)
+	}
+	return dst
+}
+
+// AppendStatesOf appends the encoding of g's states at the indices at, in
+// that order. A state's encoding does not depend on where its words sit, so
+// for the indices Union returned for one of its layouts these are the bytes
+// that layout's AppendStates writes for the same rows.
+func (l *Layout) AppendStatesOf(dst []byte, g Group, at []int) []byte {
+	for _, i := range at {
+		dst = l.ops[i].appendState(dst, g)
+	}
+	return dst
+}
+
+// appendState appends the encoding of o's state in g to dst.
+func (o *op) appendState(dst []byte, g Group) []byte {
+	w := g.Words
+	switch o.code {
+	case cCount:
+		dst = binary.LittleEndian.AppendUint64(dst, g.Rows())
+	case cSumInt:
+		dst = appendSum(dst, false, o.seen(w), w[o.at], 0)
+	case cSumFloat:
+		dst = appendSum(dst, o.seen(w), o.seen(w), 0, w[o.at])
+	case cAvgInt, cAvgFloat:
+		n := w[o.at+1]
+		if o.code == cAvgInt {
+			dst = appendSum(dst, false, n != 0, w[o.at], 0)
+		} else {
+			dst = appendSum(dst, n != 0, n != 0, 0, w[o.at])
+		}
+		dst = binary.LittleEndian.AppendUint64(dst, n)
+	case cMoments:
+		dst = append(dst, flag(o.sqrt))
+		for _, x := range w[o.at : o.at+3] {
+			dst = binary.LittleEndian.AppendUint64(dst, x)
+		}
+	default:
+		switch {
+		case !o.seen(w):
+			dst = append(dst, 0, byte(value.KindNull))
+		case o.str:
+			dst = value.AppendValue(append(dst, 1), value.Str(g.Strs[o.at]))
 		default:
-			switch {
-			case !o.seen(w):
-				dst = append(dst, 0, byte(value.KindNull))
-			case o.str:
-				dst = value.AppendValue(append(dst, 1), value.Str(g.Strs[o.at]))
-			default:
-				dst = value.AppendValue(append(dst, 1), held(o.kind, w[o.at]))
-			}
+			dst = value.AppendValue(append(dst, 1), held(o.kind, w[o.at]))
 		}
 	}
 	return dst

@@ -42,7 +42,8 @@ type Calendar interface {
 	// interval starts or ends. Maintenance asks once per run of rows inside
 	// the range instead of once per row.
 	SpanAt(ch int64) (lo, hi int64)
-	// String describes the calendar.
+	// String describes the calendar: two calendars with one String have
+	// the same intervals (the engine's cohorts rely on it).
 	String() string
 }
 
@@ -101,8 +102,17 @@ func (f *Fixed) SpanAt(ch int64) (lo, hi int64) {
 // Intervals returns the calendar's intervals in Start order.
 func (f *Fixed) Intervals() []Interval { return append([]Interval(nil), f.ivs...) }
 
-// String describes the calendar.
-func (f *Fixed) String() string { return fmt.Sprintf("fixed(%d intervals)", len(f.ivs)) }
+// String describes the calendar by its intervals.
+func (f *Fixed) String() string {
+	b := []byte("fixed(")
+	for i, iv := range f.ivs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, iv.String()...)
+	}
+	return string(append(b, ')'))
+}
 
 // Periodic is an infinite calendar of intervals [Offset+k·Period,
 // Offset+k·Period+Width) for every integer k ≥ 0.
@@ -179,12 +189,17 @@ func (p *Periodic) IntervalIndex(iv Interval) (int64, bool) {
 	return rel / p.Period, true
 }
 
-// String describes the calendar.
+// String describes the calendar; a width equal to the period and a zero
+// offset go unsaid.
 func (p *Periodic) String() string {
-	if p.Width == p.Period {
-		return fmt.Sprintf("periodic(period=%d)", p.Period)
+	s := fmt.Sprintf("periodic(period=%d", p.Period)
+	if p.Width != p.Period {
+		s += fmt.Sprintf(", width=%d", p.Width)
 	}
-	return fmt.Sprintf("periodic(period=%d, width=%d)", p.Period, p.Width)
+	if p.Offset != 0 {
+		s += fmt.Sprintf(", offset=%d", p.Offset)
+	}
+	return s + ")"
 }
 
 // MaxOverlap returns the largest number of intervals that can contain a

@@ -10,6 +10,11 @@ import (
 // Periodic-view checkpoints: each live instance's interval and view state,
 // plus the counters that drive expiration. Without this, truncating the WAL
 // at a checkpoint would silently reset every open billing period.
+//
+// An instance's image holds the family's own columns (view.Checkpoint), so a
+// family's image is the same bytes whether or not its instances share
+// tables with its cohort's. A restore gives every instance a table of its
+// own; the cohort shares tables again from the next interval born.
 
 const pvMagic = "CDBP"
 
@@ -17,7 +22,7 @@ const pvMagic = "CDBP"
 func (p *PeriodicView) Checkpoint() []byte {
 	var b []byte
 	b = append(b, pvMagic...)
-	b = binary.LittleEndian.AppendUint64(b, uint64(p.maxSeen))
+	b = binary.LittleEndian.AppendUint64(b, uint64(p.co.maxSeen))
 	b = binary.LittleEndian.AppendUint64(b, uint64(p.created))
 	b = binary.LittleEndian.AppendUint64(b, uint64(p.expired))
 	infos := p.Instances()
@@ -33,7 +38,8 @@ func (p *PeriodicView) Checkpoint() []byte {
 }
 
 // RestoreCheckpoint replaces the family's instances with a checkpoint
-// produced by a family with the same definition.
+// produced by a family with the same definition, each with a table of its
+// own.
 func (p *PeriodicView) RestoreCheckpoint(data []byte) error {
 	if len(data) < 4+24 || string(data[:4]) != pvMagic {
 		return fmt.Errorf("calendar: %s: bad periodic checkpoint", p.name)
@@ -64,7 +70,7 @@ func (p *PeriodicView) RestoreCheckpoint(data []byte) error {
 			return fmt.Errorf("calendar: %s: truncated instance snapshot %d", p.name, i)
 		}
 		off += n
-		v, err := p.instance(iv)
+		v, err := view.NewIn(p.instanceDef(iv), p.dir)
 		if err != nil {
 			return fmt.Errorf("calendar: %s: %w", p.name, err)
 		}
@@ -77,8 +83,13 @@ func (p *PeriodicView) RestoreCheckpoint(data []byte) error {
 	if off != len(data) {
 		return fmt.Errorf("calendar: %s: %d trailing checkpoint bytes", p.name, len(data)-off)
 	}
+	for _, v := range p.instances {
+		v.Leave()
+	}
 	p.instances = instances
-	p.maxSeen = maxSeen
+	// The cohort's members restore images of one high-water chronon, or an
+	// earlier image before a later one of a chain.
+	p.co.maxSeen = max(p.co.maxSeen, maxSeen)
 	p.created = created
 	p.expired = expired
 	return nil

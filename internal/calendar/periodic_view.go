@@ -2,6 +2,7 @@ package calendar
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"chronicledb/internal/algebra"
@@ -22,27 +23,50 @@ import (
 // so a family whose instances expire gives each its own, which goes with it:
 // its key state stays bounded by its live instances however many keys the
 // stream moves through.
+//
+// A family is folded as a member of its cohort: the families the engine
+// found to fold the same expression by the same columns on the same calendar
+// with the same expiry (Share), a cohort of one for a family that matches
+// none. The cohort owns the stream's high-water chronon and cuts each round
+// into runs once for all its members, and the instances its members get
+// when an interval is born share one table (view.Join): a row is folded,
+// versioned and published once per interval however many families hold it,
+// and each instance reads its own columns of the table's groups.
 type PeriodicView struct {
 	name        string
 	def         view.Def
 	cal         Calendar
 	dir         *view.Dir // the instances' directory; nil: one per instance
 	expireAfter int64     // chronons past interval end; <0 keeps instances forever
+	co          *cohort
 
 	instances map[Interval]*view.View
 	dirty     []*view.View // instances folded into since the last Publish
-	maxSeen   int64        // high-water chronon, drives expiration
+	owed      bool         // a Fold has reported dirty instances the last Publish has not published
 	created   int64
 	expired   int64
 	applies   int64 // maintenance invocations; the checkpoint dirty marker
 }
 
-// NewPeriodicView builds the family. def is the per-interval SCA view
-// definition; expireAfter is the grace period after an interval's end
-// before its instance is discarded (negative keeps all instances). d is the
-// directory of def's views, which a family that keeps its instances shares,
-// nil for one of its own; the caller counts the family in Dir() once
-// (Dir.Acquire). A family that expires its instances ignores d.
+// cohort is the families whose instances of one interval can share a table:
+// they fold one delta by the same key in the same rounds, and cut it into
+// the same runs. It folds each round once for all of them, so every member
+// meets the same high-water chronon and expires the same intervals.
+type cohort struct {
+	members     []*PeriodicView // in the order they joined
+	cal         Calendar
+	expireAfter int64
+	maxSeen     int64  // high-water chronon, drives expiration
+	round       uint64 // the round folded last; 0 never matches
+}
+
+// NewPeriodicView builds the family, a cohort of one. def is the
+// per-interval SCA view definition; expireAfter is the grace period after
+// an interval's end before its instance is discarded (negative keeps all
+// instances). d is the directory of def's views, which a family that keeps
+// its instances shares, nil for one of its own; the caller counts the
+// family in Dir() once (Dir.Acquire). A family that expires its instances
+// ignores d.
 func NewPeriodicView(name string, def view.Def, cal Calendar, expireAfter int64, d *view.Dir) (*PeriodicView, error) {
 	if name == "" {
 		return nil, fmt.Errorf("calendar: periodic view needs a name")
@@ -62,14 +86,58 @@ func NewPeriodicView(name string, def view.Def, cal Calendar, expireAfter int64,
 	if _, err := view.NewIn(probe, d); err != nil {
 		return nil, fmt.Errorf("calendar: periodic view %s: %w", name, err)
 	}
-	return &PeriodicView{
+	p := &PeriodicView{
 		name:        name,
 		def:         def,
 		cal:         cal,
 		dir:         d,
 		expireAfter: expireAfter,
 		instances:   make(map[Interval]*view.View),
-	}, nil
+	}
+	p.co = &cohort{members: []*PeriodicView{p}, cal: cal, expireAfter: expireAfter}
+	return p, nil
+}
+
+// Share makes p, a family that has folded nothing yet, a member of peer's
+// cohort. The caller vouches that the two fold the same expression by the
+// same columns in the same rounds, on the same calendar with the same
+// expiry. p meets the cohort's high-water chronon from now on; an interval
+// born from now on gives p an instance in the table the other members'
+// instances of it share, and one already live gives p an instance with a
+// table of its own (see birth). A cohort of more than one must be folded in
+// nonzero rounds (Fold), as the engine folds.
+func (p *PeriodicView) Share(peer *PeriodicView) {
+	p.co = peer.co
+	p.co.members = append(p.co.members, p)
+}
+
+// Leave takes a dropped family out of its cohort, and its instances out of
+// the tables they share.
+func (p *PeriodicView) Leave() {
+	c := p.co
+	c.members = slices.DeleteFunc(c.members, func(m *PeriodicView) bool { return m == p })
+	for _, v := range p.instances {
+		v.Leave()
+	}
+}
+
+// TableFamilies names the families whose live instances share a table with
+// one of p's, p first and the rest in the order they joined its cohort:
+// p alone when its instances have their tables to themselves.
+func (p *PeriodicView) TableFamilies() []string {
+	names := []string{p.name}
+	for _, m := range p.co.members {
+		if m == p {
+			continue
+		}
+		for iv, v := range p.instances {
+			if o, ok := m.instances[iv]; ok && o.SharesTable(v) {
+				names = append(names, m.name)
+				break
+			}
+		}
+	}
+	return names
 }
 
 // Name returns the family name.
@@ -84,6 +152,10 @@ func (p *PeriodicView) Dir() *view.Dir { return p.dir }
 
 // Calendar returns the family's calendar.
 func (p *PeriodicView) Calendar() Calendar { return p.cal }
+
+// ExpireAfter returns the grace period after an interval's end before its
+// instance is discarded; negative keeps every instance.
+func (p *PeriodicView) ExpireAfter() int64 { return p.expireAfter }
 
 // Live returns the number of live instances.
 func (p *PeriodicView) Live() int { return len(p.instances) }
@@ -102,7 +174,8 @@ func (p *PeriodicView) Applies() int64 { return p.applies }
 // Apply maintains the family for one append batch on its own: it computes
 // the expression delta, folds it outside any maintenance round, and
 // publishes. The engine folds every row of an append call and publishes
-// once; Apply serves callers that drive a family directly.
+// once; Apply serves callers that drive a family of a cohort of one
+// directly.
 func (p *PeriodicView) Apply(d algebra.BatchDelta) error {
 	_, err := p.Fold(0, d, algebra.Delta(p.def.Expr, d))
 	p.Publish()
@@ -117,6 +190,7 @@ func (p *PeriodicView) Publish() {
 		p.dirty[i] = nil
 	}
 	p.dirty = p.dirty[:0]
+	p.owed = false
 }
 
 // Fold routes the rows of one append call to every view instance whose
@@ -142,19 +216,33 @@ func (p *PeriodicView) Publish() {
 // long they are, and the instances that fold one run in turn resolve its
 // rows once (view.Dir).
 //
-// Nothing becomes visible to readers until Publish; first reports that this
-// fold is the first since the last one to leave something to publish.
+// The family's cohort folds the round for every member the first time one
+// of them is folded in it; the other members' Folds of that round find it
+// done. Nothing becomes visible to readers until Publish; first reports that
+// this fold is the first since the last Publish to leave something to
+// publish.
 func (p *PeriodicView) Fold(round uint64, d algebra.BatchDelta, delta []chronicle.Row) (first bool, err error) {
-	clean := len(p.dirty) == 0
 	p.applies++
+	err = p.co.fold(round, d, delta)
+	first = !p.owed && len(p.dirty) > 0
+	p.owed = len(p.dirty) > 0
+	return first, err
+}
+
+// fold is Fold for every member of the cohort, once a round.
+func (c *cohort) fold(round uint64, d algebra.BatchDelta, delta []chronicle.Row) error {
+	if round != 0 && round == c.round {
+		return nil
+	}
+	c.round = round
 	for rest := d; ; {
 		at, ok := lowestSN(rest)
 		if !ok {
 			break
 		}
-		ivs := p.cal.IntervalsAt(at.Chronon)
-		lo, hi := p.cal.SpanAt(at.Chronon)
-		alone := p.pastGrace(ivs)
+		ivs := c.cal.IntervalsAt(at.Chronon)
+		lo, hi := c.cal.SpanAt(at.Chronon)
+		alone := c.pastGrace(ivs)
 		var run algebra.BatchDelta
 		run, rest = cut(rest, func(r chronicle.Row) bool {
 			return r.Chronon < lo || r.Chronon >= hi || (alone && r.SN != at.SN)
@@ -170,42 +258,77 @@ func (p *PeriodicView) Fold(round uint64, d algebra.BatchDelta, delta []chronicl
 		}
 		for _, rows := range run {
 			for _, r := range rows {
-				p.maxSeen = max(p.maxSeen, r.Chronon)
+				c.maxSeen = max(c.maxSeen, r.Chronon)
 			}
 		}
 		for _, iv := range ivs {
-			inst, ok := p.instances[iv]
-			if !ok {
-				v, err := p.instance(iv)
-				if err != nil {
-					return false, err
-				}
-				inst = v
-				p.instances[iv] = inst
-				p.created++
+			if err := c.birth(iv); err != nil {
+				return err
 			}
-			if inst.ApplyCall(round, slice) {
-				p.dirty = append(p.dirty, inst)
+			for _, m := range c.members {
+				if inst := m.instances[iv]; inst.ApplyCall(round, slice) {
+					m.dirty = append(m.dirty, inst)
+				}
 			}
 		}
-		p.expire()
+		c.expire()
 	}
-	return clean && len(p.dirty) > 0, nil
+	return nil
 }
 
-// instance makes the empty instance of interval iv, in the family's
-// directory or one of its own.
-func (p *PeriodicView) instance(iv Interval) (*view.View, error) {
+// birth gives every member that lacks one an empty instance of iv. When no
+// member has one, the interval is born: the first member's instance is made
+// in its family's directory, or one of its own, and every other member's
+// joins its table (view.Join) before anything is folded into it. A member
+// that lacks an instance of a live interval — it joined the cohort after the
+// interval was born — gets an instance with a table of its own, as a view
+// made after its directory's table holds groups does: that table holds rows
+// the member never had.
+func (c *cohort) birth(iv Interval) error {
+	var host *view.View
+	for _, m := range c.members {
+		if v, ok := m.instances[iv]; ok {
+			host = v
+			break
+		}
+	}
+	born := host == nil
+	for _, m := range c.members {
+		if _, ok := m.instances[iv]; ok {
+			continue
+		}
+		def := m.instanceDef(iv)
+		var v *view.View
+		var err error
+		if born && host != nil {
+			v, err = view.Join(def, host)
+		} else {
+			v, err = view.NewIn(def, m.dir)
+			if host == nil {
+				host = v
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("calendar: %s: %w", m.name, err)
+		}
+		m.instances[iv] = v
+		m.created++
+	}
+	return nil
+}
+
+// instanceDef is the definition of the family's instance of interval iv.
+func (p *PeriodicView) instanceDef(iv Interval) view.Def {
 	def := p.def
-	def.Name = fmt.Sprintf("%s%s", p.name, iv)
-	return view.NewIn(def, p.dir)
+	def.Name = p.name + iv.String()
+	return def
 }
 
 // pastGrace reports whether any of the intervals has already outlived its
-// grace period at the family's high-water chronon.
-func (p *PeriodicView) pastGrace(ivs []Interval) bool {
+// grace period at the cohort's high-water chronon.
+func (c *cohort) pastGrace(ivs []Interval) bool {
 	for _, iv := range ivs {
-		if p.expireAfter >= 0 && iv.End+p.expireAfter <= p.maxSeen {
+		if c.expireAfter >= 0 && iv.End+c.expireAfter <= c.maxSeen {
 			return true
 		}
 	}
@@ -256,15 +379,18 @@ func cut(d algebra.BatchDelta, stop func(chronicle.Row) bool) (head, tail algebr
 	return head, tail
 }
 
-// expire drops instances whose interval ended more than expireAfter ago.
-func (p *PeriodicView) expire() {
-	if p.expireAfter < 0 {
+// expire drops the members' instances whose interval ended more than
+// expireAfter ago.
+func (c *cohort) expire() {
+	if c.expireAfter < 0 {
 		return
 	}
-	for iv := range p.instances {
-		if iv.End+p.expireAfter <= p.maxSeen {
-			delete(p.instances, iv)
-			p.expired++
+	for _, m := range c.members {
+		for iv := range m.instances {
+			if iv.End+c.expireAfter <= c.maxSeen {
+				delete(m.instances, iv)
+				m.expired++
+			}
 		}
 	}
 }

@@ -353,3 +353,76 @@ func TestFoldOfACallEqualsFoldsOfItsRows(t *testing.T) {
 		}
 	}
 }
+
+// TestCohortImageIsTheFamilys: families of one cohort fold each round once
+// for all of them into one table per interval, and each family's image is
+// the bytes a family of its own writes after the same calls — for kept and
+// expiring instances, over overlapping windows, with rows that step back
+// past a boundary or a grace period.
+func TestCohortImageIsTheFamilys(t *testing.T) {
+	aggs := [][]aggregate.Spec{
+		{{Func: aggregate.Sum, Col: 1, Name: "total"}},
+		{{Func: aggregate.Count, Col: -1, Name: "n"}, {Func: aggregate.Max, Col: 1, Name: "hi"}},
+		{{Func: aggregate.Last, Col: 1, Name: "last"}, {Func: aggregate.Sum, Col: 1, Name: "again"}},
+	}
+	for _, expire := range []int64{-1, 60} {
+		f := newPVFixture(t)
+		cal, _ := NewPeriodic(0, 50, 100)
+		var cohort, alone []*PeriodicView
+		for i, a := range aggs {
+			def := f.viewDef()
+			def.Aggs = a
+			name := string(rune('a' + i))
+			pv, err := NewPeriodicView(name, def, cal, expire, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i > 0 {
+				pv.Share(cohort[0])
+			}
+			cohort = append(cohort, pv)
+			solo, _ := NewPeriodicView(name, def, cal, expire, nil)
+			alone = append(alone, solo)
+		}
+		rng := rand.New(rand.NewSource(expire))
+		ch := int64(0)
+		for round := uint64(1); round <= 40; round++ {
+			batch := algebra.BatchDelta{}
+			for k := 1 + rng.Intn(10); k > 0; k-- {
+				ch = max(ch+int64(rng.Intn(30))-5, 0)
+				if rng.Intn(8) == 0 {
+					ch = max(ch-120, 0)
+				}
+				row := f.append(t, ch, string(rune('a'+rng.Intn(4))), int64(rng.Intn(50)))
+				batch[f.calls] = append(batch[f.calls], row[f.calls]...)
+			}
+			delta := algebra.Delta(f.viewDef().Expr, batch) // one delta for the round, as the shared plan gives it
+			for _, pv := range append(cohort, alone...) {
+				if _, err := pv.Fold(round, batch, delta); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, pv := range append(cohort, alone...) {
+				pv.Publish()
+			}
+			for i, pv := range cohort {
+				if got, want := pv.Checkpoint(), alone[i].Checkpoint(); !bytes.Equal(got, want) {
+					t.Fatalf("expire %d round %d: %s's image in its cohort differs from its image alone", expire, round, pv.Name())
+				}
+			}
+		}
+		for _, inst := range cohort[0].Instances() {
+			for _, pv := range cohort[1:] {
+				if v, ok := pv.At(inst.Interval); !ok || !v.SharesTable(inst.View) {
+					t.Errorf("expire %d: %s%v does not share a's table", expire, pv.Name(), inst.Interval)
+				}
+			}
+		}
+		if got := cohort[1].TableFamilies(); len(got) != 3 {
+			t.Errorf("expire %d: b shares its tables with %v, want all three", expire, got)
+		}
+		if cohort[0].Created() < 5 || (expire >= 0 && cohort[0].Expired() == 0) {
+			t.Errorf("expire %d: %d instances created, %d expired: too few boundaries crossed", expire, cohort[0].Created(), cohort[0].Expired())
+		}
+	}
+}

@@ -410,12 +410,24 @@ func (e *Engine) acquireDirLocked(d *view.Dir, def view.Def) {
 // CreatePeriodicView creates a periodic view family (Section 5.1),
 // dispatched on its dependencies and its calendar. The router has claimed
 // the name.
+//
+// The family joins the cohort of the engine's families that match it
+// (cohortKey): from the next interval born on, its instance of an interval
+// shares one table with theirs (calendar.PeriodicView.Share). A family that
+// matches none is a cohort of one.
 func (e *Engine) CreatePeriodicView(name string, def view.Def, cal calendar.Calendar, expireAfter int64) (*calendar.PeriodicView, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	pv, err := calendar.NewPeriodicView(name, def, cal, expireAfter, e.dirLocked(def))
 	if err != nil {
 		return nil, err
+	}
+	key := cohortKey(def, cal, expireAfter)
+	for _, peer := range e.periodics { // the matches are one cohort
+		if cohortKey(peer.Def(), peer.Calendar(), peer.ExpireAfter()) == key {
+			pv.Share(peer)
+			break
+		}
 	}
 	info := algebra.Analyze(def.Expr)
 	if err := e.disp.Register(&dispatch.Target{
@@ -436,6 +448,36 @@ func (e *Engine) CreatePeriodicView(name string, def view.Def, cal calendar.Cale
 	return pv, nil
 }
 
+// FamilyInfo is what SHOW VIEWS and EXPLAIN VIEW report of a periodic
+// family.
+type FamilyInfo struct {
+	Live             int
+	Created, Expired int64
+	Tables           []string // the families sharing its tables, it first (calendar.PeriodicView.TableFamilies)
+}
+
+// FamilyInfo reads family name's counts and table sharing under the lock
+// its maintenance holds, which changes its instances; ok is false for an
+// unknown name.
+func (e *Engine) FamilyInfo(name string) (info FamilyInfo, ok bool) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	pv := e.periodics[name]
+	if pv == nil {
+		return FamilyInfo{}, false
+	}
+	return FamilyInfo{Live: pv.Live(), Created: pv.Created(), Expired: pv.Expired(), Tables: pv.TableFamilies()}, true
+}
+
+// cohortKey names the cohort of a periodic family: families of one
+// directory key — one expression, so one dispatch filter, folded by the same
+// columns — on one calendar with one expiry fold the same rows into the same
+// intervals in the same rounds, and so can share each interval's table. The
+// engine is one shard's: every family it holds has it as home.
+func cohortKey(def view.Def, cal calendar.Calendar, expireAfter int64) string {
+	return fmt.Sprintf("%s|%s|%d", dirKey(def), cal, expireAfter)
+}
+
 // DropView removes a persistent or periodic view from the database. The
 // paper's model has "a fixed number of persistent views"; dropping is the
 // administrative escape hatch (a dropped view's summarized history is gone
@@ -448,6 +490,7 @@ func (e *Engine) DropView(name string) error {
 		e.releaseDirLocked(v.Dir(), v.Def())
 		delete(e.views, name)
 	} else if pv := e.periodics[name]; pv != nil {
+		pv.Leave()
 		if pv.Dir() != nil {
 			e.releaseDirLocked(pv.Dir(), pv.Def())
 		}

@@ -116,17 +116,21 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	s.watchStream(w, r, ws, name, v.Schema().Names())
 }
 
-// sseSend writes one SSE event under a fresh per-write deadline and
-// flushes it to the wire. The deadline is what bounds a stalled client:
-// the stream has no overall timeout, but no single event may take longer
-// than the server's write window to drain.
-func (s *Server) sseSend(w http.ResponseWriter, rc *http.ResponseController, event string, body any) error {
-	rc.SetWriteDeadline(time.Now().Add(s.writeWindow))
+// sseWrite writes one SSE event to w, unflushed.
+func sseWrite(w http.ResponseWriter, event string, body any) error {
 	data, err := json.Marshal(body)
 	if err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
+	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
+	return err
+}
+
+// sseSend writes one event on its own: under a fresh write deadline, then
+// flushed to the wire.
+func (s *Server) sseSend(w http.ResponseWriter, rc *http.ResponseController, event string, body any) error {
+	rc.SetWriteDeadline(time.Now().Add(s.writeWindow))
+	if err := sseWrite(w, event, body); err != nil {
 		return err
 	}
 	return rc.Flush()
@@ -134,6 +138,12 @@ func (s *Server) sseSend(w http.ResponseWriter, rc *http.ResponseController, eve
 
 // watchStream serves the SSE path: info, optional snapshot, then live
 // deltas with heartbeats, ending in a terminal bye.
+//
+// Every event one ws.Next hands out — a commit's frames arrive together, one
+// per LSN — is written under one write deadline and flushed once, so a k-row
+// call costs a stream one flush, not k. The deadline is what bounds a
+// stalled client: the stream has no overall timeout, but no batch of events
+// may take longer than the server's write window to drain.
 func (s *Server) watchStream(w http.ResponseWriter, r *http.Request, ws *chronicledb.WatchStream, name string, cols []string) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -144,6 +154,16 @@ func (s *Server) watchStream(w http.ResponseWriter, r *http.Request, ws *chronic
 	if err := s.sseSend(w, rc, "info", watchInfo{View: name, Columns: cols, FromLSN: ws.LSN(), Resume: ws.Resume()}); err != nil {
 		return
 	}
+	var (
+		werr    error // the batch's first write error; the rest of it is skipped
+		written bool  // the batch wrote an event, which a flush owes the wire
+	)
+	write := func(event string, body any) bool {
+		if werr == nil {
+			werr, written = sseWrite(w, event, body), true
+		}
+		return werr == nil
+	}
 	send := func(ev chronicledb.WatchEvent) bool {
 		switch ev.Kind {
 		case chronicledb.WatchSnapshot:
@@ -151,28 +171,30 @@ func (s *Server) watchStream(w http.ResponseWriter, r *http.Request, ws *chronic
 			for _, t := range ev.Rows {
 				snap.Rows = append(snap.Rows, jsonValues(t))
 			}
-			return s.sseSend(w, rc, "snapshot", snap) == nil
+			return write("snapshot", snap)
 		case chronicledb.WatchDelta:
 			d := watchDelta{View: name, LSN: ev.LSN, Rows: make([]watchDeltaRow, len(ev.Deltas))}
 			for i, row := range ev.Deltas {
 				d.Rows[i] = watchDeltaRow{SN: row.SN, Chronon: row.Chronon, Vals: jsonValues(row.Vals)}
 			}
-			return s.sseSend(w, rc, "delta", d) == nil
+			return write("delta", d)
 		}
-		s.sseSend(w, rc, "bye", watchBye{Reason: ev.Reason, LSN: ev.LSN})
+		write("bye", watchBye{Reason: ev.Reason, LSN: ev.LSN})
 		return false
 	}
 
 	hb := time.NewTicker(s.heartbeat)
 	defer hb.Stop()
 	for {
+		rc.SetWriteDeadline(time.Now().Add(s.writeWindow))
 		more, err := ws.Next(send)
 		if err != nil {
-			s.sseSend(w, rc, "bye", watchBye{Reason: "error: " + err.Error(), LSN: ws.LSN()})
+			write("bye", watchBye{Reason: "error: " + err.Error(), LSN: ws.LSN()})
 		}
-		if !more {
+		if werr != nil || written && rc.Flush() != nil || !more {
 			return
 		}
+		written = false
 		select {
 		case <-r.Context().Done():
 			return

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -323,5 +324,77 @@ read:
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Serve did not return after drain")
+	}
+}
+
+// flushCounter counts the flushes a handler asks of its connection; every
+// other control reaches the connection through Unwrap.
+type flushCounter struct {
+	http.ResponseWriter
+	n *atomic.Int64
+}
+
+func (f flushCounter) Flush() {
+	f.n.Add(1)
+	http.NewResponseController(f.ResponseWriter).Flush()
+}
+
+func (f flushCounter) Unwrap() http.ResponseWriter { return f.ResponseWriter }
+
+// TestWatchFlushesOncePerBatch: a 16-row AppendRows reaches a stream as 16
+// delta events, one per LSN, in the SSE wire format, written together and
+// flushed once — twice should the call's frames straddle two wake-ups —
+// not once an event.
+func TestWatchFlushesOncePerBatch(t *testing.T) {
+	db, err := chronicledb.Open(chronicledb.Options{Feed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	srv := NewWith(db, Config{Heartbeat: time.Hour})
+	var flushes atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ServeHTTP(flushCounter{w, &flushes}, r)
+	}))
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	for _, stmt := range []string{`CREATE CHRONICLE calls (acct STRING, minutes INT)`, `CREATE VIEW usage AS SELECT acct, COUNT(*) AS n FROM calls GROUP BY acct`} {
+		if _, err := c.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	started, done := make(chan struct{}), make(chan error, 1)
+	var events, rows int
+	go func() {
+		done <- c.Watch(ctx, "usage", 0, false, func(ev WatchEvent) bool {
+			switch ev.Kind {
+			case WatchSnapshot:
+				close(started)
+			case WatchDelta:
+				events++
+				rows += len(ev.Deltas)
+			}
+			return rows < 16
+		})
+	}()
+	<-started
+	before := flushes.Load()
+	call := make([][]any, 16)
+	for i := range call {
+		call[i] = []any{"a", i}
+	}
+	if _, err := c.AppendRows("calls", call); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if events != 16 || rows != 16 {
+		t.Fatalf("%d delta events of %d rows, want 16 of one row each", events, rows)
+	}
+	if n := flushes.Load() - before; n < 1 || n > 2 {
+		t.Errorf("a 16-row call cost the stream %d flushes, want 1 or 2", n)
 	}
 }

@@ -53,10 +53,15 @@ func blockCRC(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli
 // appendBlockEntry appends the entry stored under key in block-payload
 // encoding.
 func appendBlockEntry(b []byte, key string, e *entry, sh *shape) []byte {
+	return sh.l.AppendStates(appendEntryHead(b, key, e), e.group(sh))
+}
+
+// appendEntryHead appends what precedes an entry's states: its key and its
+// count.
+func appendEntryHead(b []byte, key string, e *entry) []byte {
 	b = binary.AppendUvarint(b, uint64(len(key)))
 	b = append(b, key...)
-	b = binary.AppendUvarint(b, e.count())
-	return sh.l.AppendStates(b, e.group(sh))
+	return binary.AppendUvarint(b, e.count())
 }
 
 // sealBlock prefixes the encoded entries with their count and appends the

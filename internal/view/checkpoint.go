@@ -72,10 +72,11 @@ func (v *View) checkHeader(data []byte, version byte) (int, error) {
 // order. It holds the view's lock, so it sees publications only, never a
 // half-applied maintenance batch. A paged view checkpoints blocked
 // (CheckpointBlocked): its cold blocks are not in memory to serialize. An
-// image holds the states of a view of def alone, so a view whose table's
-// layout holds other views' aggregations (Join) has none; the engine
-// checkpoints paged views and periodic instances only, and neither shares a
-// table.
+// image holds the states of a view of def alone: a view whose table's layout
+// holds other views' aggregations (Join) writes its own columns of each
+// group, so its image is the bytes a table of its own would give. The
+// engine writes whole images of periodic instances, which share a table
+// with the other families of their cohort.
 func (v *View) Checkpoint() []byte {
 	if v.Paged() {
 		panic(fmt.Sprintf("view %s: whole image of a paged view", v.def.Name))
@@ -83,13 +84,10 @@ func (v *View) Checkpoint() []byte {
 	b := v.appendHeader(nil, checkpointVersion)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if !v.own() {
-		panic(fmt.Sprintf("view %s: whole image of a view sharing its table", v.def.Name))
-	}
 	h := v.store
 	b = binary.AppendUvarint(b, uint64(h.count.Load()))
 	h.each(nil, nil, func(id uint32, e *entry) bool {
-		b = appendBlockEntry(b, h.dir.key(id), e, v.sh)
+		b = v.sh.l.AppendStatesOf(appendEntryHead(b, h.dir.key(id), e), e.group(v.sh), v.cols)
 		return true
 	})
 	return b

@@ -177,6 +177,9 @@ func (v *View) TableViews() []string {
 	return names
 }
 
+// SharesTable reports whether v and o read their groups from one table.
+func (v *View) SharesTable(o *View) bool { return v.table == o.table }
+
 // TableEmpty reports whether v's table holds no group, published or
 // pending: whether a view could still Join it.
 func (v *View) TableEmpty() bool {
