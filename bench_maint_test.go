@@ -441,9 +441,10 @@ func TestLoadAllocGuard(t *testing.T) {
 // table slot, the key's place in the key order, and the view's slot in its
 // array of entries. A group is its key and its words; a second copy of the
 // group values, or a state that repeats what its view's layout fixes, shows
-// here. Views over one σ by one column share a key directory, so five of them
-// cost less per view-group than one: the key, its table slot and its place
-// in the order are paid once — and a view created WITH STORE BTREE is one of
+// here. Views by one column of one chronicle share a key directory, whatever
+// their σ, so five of them cost less per view-group than one: the key, its
+// table slot and its place in the order are paid once — and a view created
+// WITH STORE BTREE is one of
 // them like any other, and so is a periodic family's every instance, which
 // the family cases measure per instance-group. Made before the first group,
 // they share one table too, so a group's count word, shell and entry slot
@@ -476,43 +477,54 @@ func TestGroupBytesGuard(t *testing.T) {
 	for i, agg := range []string{"SUM(minutes) AS m", "COUNT(*) AS n", "MAX(minutes) AS hi", "SUM(minutes) AS m, COUNT(*) AS n, MAX(minutes) AS hi"} {
 		windows = append(windows, fmt.Sprintf(`CREATE PERIODIC VIEW w%d AS SELECT acct, %s FROM calls GROUP BY acct EVERY 100 WIDTH 200`, i, agg))
 	}
+	// Eight σ prefixes over one key, a view each, every row passing all
+	// eight: the views share the key's directory, not a table.
+	var prefixes []string
+	for p := range 8 {
+		prefixes = append(prefixes, fmt.Sprintf(`CREATE VIEW v%d AS SELECT acct, SUM(minutes) AS m FROM calls WHERE minutes > %d GROUP BY acct`, p, -p))
+	}
 	for _, tc := range []struct {
 		name   string
 		views  []string
 		late   []string // created once the views' table holds a group
 		loner  string   // the late view or family, whose groups are its own
 		budget float64
+		perKey bool // the budget is per key, for all the views: not per view-group
 	}{
 		// Each budget is the reading once a group became its words alone —
 		// no entry head, the seen bits in the count word — plus at most 4 B.
 		// The reading before that follows each case.
-		{"hash-one-aggregate", []string{`CREATE VIEW v AS SELECT acct, SUM(minutes) AS m FROM calls GROUP BY acct`}, nil, "", 85}, // 97 B
+		{"hash-one-aggregate", []string{`CREATE VIEW v AS SELECT acct, SUM(minutes) AS m FROM calls GROUP BY acct`}, nil, "", 85, false}, // 97 B
 		// 124 B when the view kept its own B-tree of key copies.
 		{"btree-three-aggregates", []string{`CREATE VIEW v AS SELECT acct, SUM(minutes) AS m, COUNT(*) AS n, MAX(minutes) AS hi
-			FROM calls GROUP BY acct WITH STORE BTREE`}, nil, "", 93}, // 105 B
-		{"distinct", []string{`CREATE VIEW v AS SELECT DISTINCT acct FROM calls`}, nil, "", 77}, // 81 B
+			FROM calls GROUP BY acct WITH STORE BTREE`}, nil, "", 93, false}, // 105 B
+		{"distinct", []string{`CREATE VIEW v AS SELECT DISTINCT acct FROM calls`}, nil, "", 77, false}, // 81 B
 		// A string-held MIN keeps the row's string in a slot beside the words
 		// (174 B when each state boxed it).
-		{"hash-string-min", []string{`CREATE VIEW v AS SELECT acct, MIN(acct) AS lo FROM calls GROUP BY acct`}, nil, "", 109}, // 121 B
+		{"hash-string-min", []string{`CREATE VIEW v AS SELECT acct, MIN(acct) AS lo FROM calls GROUP BY acct`}, nil, "", 109, false}, // 121 B
 		// Bytes per view-group: one key directory holds the five views' keys
 		// (90 B when each view kept its own table and key copies), and one
 		// table their groups (37 and 34 B when each view kept a group of its
 		// own: each budget is the shared table's reading plus at most 4 B).
-		{"five-hash-views-one-sigma", five, nil, "", 27},          // 49 B
-		{"eight-views-one-sigma-one-ordered", eight, nil, "", 20}, // 48 B
+		{"five-hash-views-one-sigma", five, nil, "", 27, false},          // 49 B
+		{"eight-views-one-sigma-one-ordered", eight, nil, "", 20, false}, // 48 B
 		// A view made after the table holds a group has a table of its own in
 		// the directory it shares: the pair costs a lone view (81 B) plus the
 		// late view's own shell and entry slot (17 B), 49 B per view-group.
-		{"late-member-own-table", sigma("SUM(minutes) AS a"), sigma("", "COUNT(*) AS a")[1:], "v1", 53},
+		{"late-member-own-table", sigma("SUM(minutes) AS a"), sigma("", "COUNT(*) AS a")[1:], "v1", 53, false},
 		// Bytes per instance-group (94 B when each instance kept a
 		// directory of its own, 33 B when each kept a table of its own: the
 		// budget is the reading once an interval's four instances share one
 		// table, plus 4 B).
-		{"four-window-families-two-instances", windows, nil, "", 19}, // 46 B, 33 B
+		{"four-window-families-two-instances", windows, nil, "", 19, false}, // 46 B, 33 B
 		// The fourth family, made while both intervals are live, keeps a
 		// table of its own for each; the other three share theirs. Two
 		// tables an interval for eight instances: between the two cases.
-		{"late-window-family-own-tables", windows[:3], windows[3:], "w3", 28},
+		{"late-window-family-own-tables", windows[:3], windows[3:], "w3", 28, false},
+		// Bytes per key for all eight (645 B when each σ kept a directory of
+		// its own): one directory holds the key, its table slot and its place
+		// in the order once, and each σ keeps a table of its own.
+		{name: "eight-sigmas-one-key", views: prefixes, budget: 269, perKey: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db, err := chronicledb.Open(chronicledb.Options{Clock: func() int64 { return 150 }})
@@ -569,7 +581,10 @@ func TestGroupBytesGuard(t *testing.T) {
 					members = append(members, inst.View)
 				}
 			}
-			perGroup := float64(int64(heap())-int64(before)) / groups / float64(len(members))
+			perGroup := float64(int64(heap())-int64(before)) / groups
+			if !tc.perKey {
+				perGroup /= float64(len(members))
+			}
 			if tc.loner != "" {
 				if shares := tableShares(db, tc.loner); len(shares) != 1 {
 					t.Fatalf("the late %s shares a table with %v", tc.loner, shares)
@@ -580,9 +595,13 @@ func TestGroupBytesGuard(t *testing.T) {
 					t.Fatalf("%s holds %d groups, want %d", v.Name(), v.Len(), groups)
 				}
 			}
-			t.Logf("%s: %.0f B/group (budget %.0f)", tc.name, perGroup, tc.budget)
+			unit := "group"
+			if tc.perKey {
+				unit = "key"
+			}
+			t.Logf("%s: %.0f B/%s (budget %.0f)", tc.name, perGroup, unit, tc.budget)
 			if perGroup > tc.budget {
-				t.Errorf("%s: %.0f B/group, budget %.0f — a group grew", tc.name, perGroup, tc.budget)
+				t.Errorf("%s: %.0f B/%s, budget %.0f — a group grew", tc.name, perGroup, unit, tc.budget)
 			}
 		})
 	}

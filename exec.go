@@ -709,10 +709,11 @@ func groupsOf(name string, sharers []string) string {
 }
 
 // explainShared ends the EXPLAIN of a view or periodic family with its key
-// directory (the keys and key order of every member folding the same
-// expression by the same columns, held once) and its shared-delta plan
-// nodes, post-order, root last, with their consumer counts: two views
-// listing the same node id share that subexpression's delta.
+// directory (the keys and key order of every member whose key traces to the
+// same columns of one chronicle, whatever its σ, held once) and its
+// shared-delta plan nodes, post-order, root last, with their consumer
+// counts: two views listing the same node id share that subexpression's
+// delta.
 func (db *DB) explainShared(res *Result, name string, d *view.Dir) *Result {
 	dir := "one per instance" // a family that expires its instances
 	if d != nil {
@@ -736,7 +737,9 @@ func (db *DB) show(what string) (*Result, error) {
 	switch what {
 	case "VIEWS":
 		// directory and dir_views name a view's key directory and how many
-		// views share it; table_views counts the views sharing its groups.
+		// members share it — the views and kept families whose keys trace to
+		// the same columns of one chronicle, whatever their σ; table_views
+		// counts the views sharing its groups.
 		res := &Result{Columns: []string{"name", "language", "class", "rows", "store", "directory", "dir_views", "table_views"}}
 		add := func(name string, info algebra.Info, rows int, store string, d *view.Dir, tableViews int) {
 			dir, members := "", 0 // a family that expires its instances: one each

@@ -179,3 +179,27 @@ func DispatchFilter(n Node) (filter pred.Predicate, base *chronicle.Chronicle) {
 		}
 	}
 }
+
+// KeySource traces cols, columns of n's output, through a chain of σ and Π
+// to the scan they are read from: every row of n carries, at cols, the
+// values its base row holds at base. ok is false when the chain meets any
+// other operator. Views that group by one key source meet the same keys
+// whatever their σ, so they can share a key directory.
+func KeySource(n Node, cols []int) (scan *Scan, base []int, ok bool) {
+	base = append([]int(nil), cols...)
+	for {
+		switch m := n.(type) {
+		case *Select:
+			n = m.In
+		case *Project:
+			for i, c := range base {
+				base[i] = m.Cols[c]
+			}
+			n = m.In
+		case *Scan:
+			return m, base, true
+		default:
+			return nil, nil, false
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -381,5 +382,52 @@ func TestDispatchFilter(t *testing.T) {
 		if base != f.calls || !ok || col != tc.col || k.AsString() != tc.k {
 			t.Errorf("%s: filter %v on %v, want col %d = %q on calls", tc.name, filter.Atoms(), base, tc.col, tc.k)
 		}
+	}
+}
+
+// TestKeySource traces key columns through σ and Π to the scan, and stops
+// at any other operator: the key sources views share a directory by.
+func TestKeySource(t *testing.T) {
+	f := newFixture(t)
+	must := func(n Node, err error) Node {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	scan := NewScan(f.calls)
+	gt := func(in Node) Node { return must(NewSelect(in, pred.Or(pred.ColConst(1, pred.Gt, value.Int(3))))) }
+	swapped := must(NewProject(gt(scan), []int{1, 0}))
+	for _, tc := range []struct {
+		name string
+		expr Node
+		cols []int
+		base []int // nil: no source
+	}{
+		{"scan", scan, []int{0}, []int{0}},
+		{"σ", gt(scan), []int{0, 1}, []int{0, 1}},
+		{"Π moves the key", swapped, []int{1}, []int{0}},
+		{"σ over Π over σ", gt(swapped), []int{1, 0}, []int{0, 1}},
+		{"Π of Π", must(NewProject(swapped, []int{1})), []int{0}, []int{0}},
+		{"key join", must(NewJoinRel(scan, f.cust, []int{0}, []int{0})), []int{0}, nil},
+		{"union", must(NewUnion(scan, gt(scan))), []int{0}, nil},
+		{"difference", must(NewDiff(scan, gt(scan))), []int{0}, nil},
+		{"σ over an SN join", gt(must(NewJoinSN(scan, NewScan(f.payments)))), []int{0}, nil},
+	} {
+		got, base, ok := KeySource(tc.expr, tc.cols)
+		if tc.base == nil {
+			if ok {
+				t.Errorf("%s: source %v %v, want none", tc.name, got, base)
+			}
+			continue
+		}
+		if !ok || got.C != f.calls || fmt.Sprint(base) != fmt.Sprint(tc.base) {
+			t.Errorf("%s: source %v %v (%v), want calls %v", tc.name, got, base, ok, tc.base)
+		}
+	}
+	cols := []int{1}
+	if KeySource(swapped, cols); cols[0] != 1 {
+		t.Errorf("KeySource rewrote its argument: %v", cols)
 	}
 }

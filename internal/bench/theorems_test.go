@@ -394,7 +394,7 @@ func e10(t *testing.T) {
 		w := telecom(t, size, chronicle.RetainNone, false, 0)
 		// Three summaries of one expression by one column, as the engine
 		// builds them: they share one directory.
-		d := view.NewDir("usage", []int{0})
+		d := view.NewDir("usage")
 		vs := make([]*view.View, members)
 		for i := range vs {
 			v, err := view.NewIn(w.UsageDef(fmt.Sprintf("usage%d", i)), d)

@@ -18,11 +18,12 @@ import (
 //
 // Every instance folds the same expression by the same columns. A family
 // that keeps its instances keeps their keys in one key directory, which the
-// engine shares with the views of that expression (view.Dir), so a key is
-// held once however many instances hold it. A directory never drops a key,
-// so a family whose instances expire gives each its own, which goes with it:
-// its key state stays bounded by its live instances however many keys the
-// stream moves through.
+// engine shares with the views and families whose keys trace to the same
+// chronicle columns (view.Dir), so a key is held once however many
+// instances hold it. A directory never drops a key, so a family whose
+// instances expire gives each its own, which goes with it: its key state
+// stays bounded by its live instances however many keys the stream moves
+// through.
 //
 // A family is folded as a member of its cohort: the families the engine
 // found to fold the same expression by the same columns on the same calendar
@@ -77,7 +78,7 @@ func NewPeriodicView(name string, def view.Def, cal Calendar, expireAfter int64,
 	if expireAfter >= 0 {
 		d = nil
 	} else if d == nil {
-		d = view.NewDir(name, def.KeyCols())
+		d = view.NewDir(name)
 		d.Acquire()
 	}
 	// Validate the definition once by instantiating a throwaway view.

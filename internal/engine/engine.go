@@ -126,15 +126,16 @@ type Engine struct {
 	views      map[string]*view.View
 	periodics  map[string]*calendar.PeriodicView
 	disp       *dispatch.Dispatcher
-	// dirs holds the views' key directories by dirKey: the views that
-	// fold one expression by the same columns share one (view.Dir), which
-	// counts them and goes when the last is dropped.
+	// dirs holds the views' key directories by dirKey: the views and kept
+	// families whose keys trace to the same columns of one chronicle share
+	// one (view.Dir), whatever their σ; it counts them and goes when the
+	// last is dropped.
 	dirs map[string]*view.Dir
-	// tables holds, by dirKey, a view of the table a new view of that
-	// directory may join (view.Join); it goes when the last of the table's
-	// views is dropped. Views of one directory fold one expression, so their
-	// definitions give them one dispatch filter and they are folded in the
-	// same rounds.
+	// tables holds, by table key (view.Def.TableKey), a view of the table a
+	// new view of that key may join (view.Join); it goes when the last of
+	// the table's views is dropped. Views of one table key fold one
+	// expression by the same columns, so their definitions give them one
+	// dispatch filter and they are folded in the same rounds.
 	tables map[string]*view.View
 
 	// onRecord, when set, observes every append record before it is
@@ -325,10 +326,12 @@ func (e *Engine) CreateChronicle(name string, g *chronicle.Group, schema *value.
 // narrowed (Section 5.2) by the filter its definition gives it
 // (algebra.DispatchFilter). The router has claimed the name.
 //
-// A view that does not page joins its directory's open table (view.Join)
-// when the table holds no group — so neither does the view's retained
-// history. Any other view gets a table of its own, and an unpaged one opens
-// it to later views when its directory has none that may still be joined.
+// A view that does not page joins the open table of its table key
+// (view.Join) when the table holds no group — so neither does the view's
+// retained history. Any other view gets a table of its own, and an unpaged
+// one opens it to later views when its table key has none that may still be
+// joined. Either way its keys live in the directory of its key source
+// (dirKey).
 func (e *Engine) CreateView(def view.Def) (*view.View, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -341,7 +344,7 @@ func (e *Engine) CreateView(def view.Def) (*view.View, error) {
 		history, herr = algebra.Evaluate(def.Expr)
 	}
 	paged := e.cfg.ViewCache != nil && e.cfg.BlockFetch != nil
-	key := dirKey(def)
+	key := def.TableKey()
 	dir := e.dirLocked(def)
 	var v *view.View
 	var err error
@@ -384,11 +387,17 @@ func (e *Engine) CreateView(def view.Def) (*view.View, error) {
 	return v, nil
 }
 
-// dirKey names the key directory of a view: views with structurally equal
-// expressions fold equal deltas, and grouping them by the same columns they
-// meet the same keys. A periodic family's instances are such views.
+// dirKey names the key directory of a view: its key source, the columns
+// of one chronicle its key traces to through σ and Π (algebra.KeySource).
+// Views and kept families that group one chronicle by the same columns meet
+// the same keys whatever their σ — the paper's many summaries of one
+// chronicle by one attribute — and hold them once. A key read through a
+// join, a union or a difference names its directory by its table key.
 func dirKey(def view.Def) string {
-	return fmt.Sprintf("%v|%s", def.KeyCols(), algebra.Fingerprint(def.Expr))
+	if scan, base, ok := algebra.KeySource(def.Expr, def.KeyCols()); ok {
+		return fmt.Sprintf("%v|%s", base, algebra.Fingerprint(scan))
+	}
+	return def.TableKey()
 }
 
 // dirLocked returns the key directory for def, or a new one named after it
@@ -397,7 +406,7 @@ func (e *Engine) dirLocked(def view.Def) *view.Dir {
 	if d := e.dirs[dirKey(def)]; d != nil {
 		return d
 	}
-	return view.NewDir(def.Name, def.KeyCols())
+	return view.NewDir(def.Name)
 }
 
 // acquireDirLocked counts a new member of definition def in d, and d in the
@@ -469,13 +478,13 @@ func (e *Engine) FamilyInfo(name string) (info FamilyInfo, ok bool) {
 	return FamilyInfo{Live: pv.Live(), Created: pv.Created(), Expired: pv.Expired(), Tables: pv.TableFamilies()}, true
 }
 
-// cohortKey names the cohort of a periodic family: families of one
-// directory key — one expression, so one dispatch filter, folded by the same
-// columns — on one calendar with one expiry fold the same rows into the same
-// intervals in the same rounds, and so can share each interval's table. The
-// engine is one shard's: every family it holds has it as home.
+// cohortKey names the cohort of a periodic family: families of one table
+// key — one expression, so one dispatch filter, folded by the same columns —
+// on one calendar with one expiry fold the same rows into the same intervals
+// in the same rounds, and so can share each interval's table. The engine is
+// one shard's: every family it holds has it as home.
 func cohortKey(def view.Def, cal calendar.Calendar, expireAfter int64) string {
-	return fmt.Sprintf("%s|%s|%d", dirKey(def), cal, expireAfter)
+	return fmt.Sprintf("%s|%s|%d", def.TableKey(), cal, expireAfter)
 }
 
 // DropView removes a persistent or periodic view from the database. The
@@ -515,7 +524,7 @@ func (e *Engine) DropView(name string) error {
 // whose host it was is handed to another of its views, or goes with it.
 func (e *Engine) leaveTableLocked(v *view.View) {
 	v.Leave()
-	key := dirKey(v.Def())
+	key := v.Def().TableKey()
 	if e.tables[key] == v {
 		if rest := v.TableViews(); len(rest) > 0 {
 			e.tables[key] = e.views[rest[0]]

@@ -49,7 +49,8 @@ type Config struct {
 	TailFrames int
 	// Ring is the per-subscriber live buffer, in frames. A subscriber whose
 	// ring overflows is shed (ReasonSlow) rather than allowed to apply
-	// backpressure to the append path. Zero means DefaultRing.
+	// backpressure to the append path. Zero means DefaultRing. A ring starts
+	// at ringStart frames and doubles as frames wait in it, up to Ring.
 	Ring int
 }
 
@@ -58,6 +59,10 @@ const (
 	DefaultTailFrames = 1024
 	DefaultRing       = 256
 )
+
+// ringStart is a new subscription's ring, in frames: a subscriber that keeps
+// up never needs more, and one that falls behind grows it.
+const ringStart = 16
 
 // Stats is a point-in-time snapshot of the hub counters.
 type Stats struct {
@@ -431,7 +436,8 @@ func (h *Hub) Subscribe(view string, fromLSN uint64, hasFrom bool) (*Subscriptio
 	sub := &Subscription{
 		fv:     fv,
 		notify: make(chan struct{}, 1),
-		ring:   make([]*Frame, h.cfg.Ring),
+		ring:   make([]*Frame, min(ringStart, h.cfg.Ring)),
+		most:   h.cfg.Ring,
 	}
 	fv.mu.Lock()
 	horizon := fv.evictedLSN
@@ -514,8 +520,9 @@ type Subscription struct {
 	notify chan struct{}
 
 	backlog []*Frame
-	ring    []*Frame // circular buffer, cap == Config.Ring
+	ring    []*Frame // circular buffer, grown by doubling up to most
 	head, n int
+	most    int // Config.Ring: the frames it may hold before it is shed
 
 	closed bool
 	reason CloseReason
@@ -524,11 +531,17 @@ type Subscription struct {
 // C signals that frames (or a close) are ready; receive then Drain.
 func (s *Subscription) C() <-chan struct{} { return s.notify }
 
-// enqueueLocked adds one live frame; false means the ring is full and the
-// subscriber must be shed. Caller holds fv.mu.
+// enqueueLocked adds one live frame, doubling a full ring up to its bound;
+// false means the ring holds Config.Ring frames and the subscriber must be
+// shed. Caller holds fv.mu.
 func (s *Subscription) enqueueLocked(f *Frame) bool {
 	if s.n == len(s.ring) {
-		return false
+		if s.n == s.most {
+			return false
+		}
+		ring := make([]*Frame, min(2*len(s.ring), s.most))
+		copy(ring[copy(ring, s.ring[s.head:]):], s.ring[:s.head])
+		s.ring, s.head = ring, 0
 	}
 	f.retain()
 	s.ring[(s.head+s.n)%len(s.ring)] = f

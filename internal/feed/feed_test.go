@@ -1,6 +1,7 @@
 package feed
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -314,5 +315,76 @@ func TestEmptyBatchSkipsCapture(t *testing.T) {
 	b.Publish()
 	if st := h.Stats(); st.Published != 0 {
 		t.Fatalf("published = %d, want 0", st.Published)
+	}
+}
+
+// TestRingGrowsToItsBound: a subscriber that falls behind grows its ring
+// from ringStart up to Config.Ring, a bound that is no power of two, and
+// keeps every frame in LSN order across growth from a wrapped head; it is
+// shed exactly when Config.Ring frames wait and one more arrives.
+func TestRingGrowsToItsBound(t *testing.T) {
+	const bound = 100
+	h := NewHub(Config{Ring: bound, TailFrames: 4})
+	d := NewDoor()
+	sub, _ := h.Subscribe("v", 0, false)
+	lsn := uint64(0)
+	publish := func(n int) {
+		for range n {
+			lsn++
+			publishOne(h, d, "v", lsn, int64(lsn))
+		}
+	}
+	// Move the head off zero, so the first growth copies a wrapped ring.
+	publish(ringStart - 3)
+	if got, _ := drainLSNs(sub, nil); len(got) != ringStart-3 {
+		t.Fatalf("drained %d frames, want %d", len(got), ringStart-3)
+	}
+	first := lsn + 1
+	publish(bound)
+	if closed, _ := sub.Closed(); closed {
+		t.Fatalf("shed with %d frames waiting, the bound", bound)
+	}
+	if len(sub.ring) != bound {
+		t.Fatalf("the ring holds %d slots with %d frames waiting, want %d", len(sub.ring), bound, bound)
+	}
+	got, _ := drainLSNs(sub, nil)
+	for i, l := range got {
+		if l != first+uint64(i) {
+			t.Fatalf("frame %d has LSN %d, want %d: %v", i, l, first+uint64(i), got)
+		}
+	}
+	if len(got) != bound {
+		t.Fatalf("drained %d frames, want %d", len(got), bound)
+	}
+	publish(bound + 1)
+	if closed, reason := sub.Closed(); !closed || reason != ReasonSlow {
+		t.Fatalf("closed=%v reason=%v with %d frames pending, want a slow shed", closed, reason, bound+1)
+	}
+	if st := h.Stats(); st.DroppedSlow != 1 || st.Subscribers != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestShortSubscriptionBytes: a subscription that ends before it falls
+// behind costs its ring's start, not Config.Ring frames — a watch that some
+// configurations bound at 1<<15 frames used to allocate 256 KiB up front.
+func TestShortSubscriptionBytes(t *testing.T) {
+	h := NewHub(Config{Ring: 1 << 15})
+	d := NewDoor()
+	publishOne(h, d, "v", 1, 1) // the view's tail exists before the count
+	const subs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range subs {
+		sub, _ := h.Subscribe("v", 0, false)
+		publishOne(h, d, "v", uint64(i+2), 1)
+		drainLSNs(sub, nil)
+		sub.Close()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / subs
+	t.Logf("a short subscription with Ring %d: %d B", 1<<15, per)
+	if per > 1024 {
+		t.Errorf("a short subscription allocates %d B, budget 1 KiB", per)
 	}
 }

@@ -13,13 +13,15 @@ import (
 
 // Dir is a key directory: an append-only table from an encoded group key to
 // a dense id, holding each key's bytes once for every view that shares it,
-// and the order of those keys (see order). Views whose expressions are
-// structurally equal (algebra.Fingerprint) and that group by the same columns
-// fold the same delta rows into the same keys — the paper's many summaries of
-// one chronicle by one attribute — so the engine hands them one directory: a
-// key is encoded, hashed and probed once per row per call for all of them,
+// and the order of those keys (see order). Views whose keys are read from the
+// same columns of one chronicle, through any σ and Π (algebra.KeySource),
+// encode the same keys — the paper's many summaries of one chronicle by one
+// attribute — so the engine hands them one directory: a key is held once and
 // ordered once when it is new, and each view keeps only an id-indexed array
-// of its published entries (see store).
+// of its published entries (see store). Each member encodes its rows with its
+// own key columns, which may sit at other positions of its expression's
+// output than a sibling's; the members that fold one delta by the same
+// columns resolve it once per call for all of them (see resolve).
 //
 // Readers are lock-free: a probe loads the table and each slot atomically,
 // and a key is written before the slot that names it is published and before
@@ -27,8 +29,6 @@ import (
 // checkpoint restore) hold mu. Ids are never reused and keys never removed,
 // so an id a reader found stays that key's.
 type Dir struct {
-	keyCols []int // the source columns a row's key is encoded from
-
 	mu   sync.Mutex
 	tab  atomic.Pointer[dtab]
 	n    uint32       // ids handed out
@@ -49,12 +49,13 @@ type Dir struct {
 	// resolve), and the scratch that builds it: groupOf is an open-addressing
 	// table of the resolution's ids, each slot id+1 in the high half and its
 	// group in the low, empty between resolutions.
-	call    uint64
-	first   *chronicle.Row
-	nrows   int
-	res     resolution
-	groupOf []uint64
-	keyBuf  []byte
+	call     uint64
+	tableKey string // the table key of the member that paid for it (Def.TableKey)
+	first    *chronicle.Row
+	nrows    int
+	res      resolution
+	groupOf  []uint64
+	keyBuf   []byte
 
 	ord order
 
@@ -90,11 +91,10 @@ type DirStats struct {
 	OrderVisits int64 // keys read to order the new ones: none for a key the directory held
 }
 
-// NewDir returns an empty directory for views grouping by keyCols, the
-// source columns of the key in key order. name labels it in EXPLAIN and SHOW
+// NewDir returns an empty directory. name labels it in EXPLAIN and SHOW
 // VIEWS.
-func NewDir(name string, keyCols []int) *Dir {
-	d := &Dir{name: name, keyCols: keyCols}
+func NewDir(name string) *Dir {
+	d := &Dir{name: name}
 	d.tab.Store(newDtab(minLogSize))
 	return d
 }
@@ -271,24 +271,27 @@ func (d *Dir) keep(key []byte) uint64 {
 	return w
 }
 
-// resolve hands a member the resolution of rows, one fold's delta: each
-// row's key encoded, hashed and looked up (added when new) once, the rows
-// grouped by id. call names the maintenance round, whose rows stay put until
-// it ends, so a round's slice of them is named by its first row and length:
-// the members of d folding the same slice in one round — every view its
-// whole delta, a periodic family's instances a run of it
-// (calendar.PeriodicView.Fold) — get the resolution the first of them paid
-// for. Zero never matches — a fold outside the engine's rounds resolves its
-// own rows. Callers hold mu; the resolution is valid until the next resolve.
-func (d *Dir) resolve(call uint64, rows []chronicle.Row) *resolution {
+// resolve hands member m the resolution of rows, one fold's delta: each
+// row's key encoded with m's key columns, hashed and looked up (added when
+// new) once, the rows grouped by id. call names the maintenance round, whose
+// rows stay put until it ends, so a round's slice of one delta is named by
+// its first row and length, and the delta by m's table key: the members of d
+// folding the same slice of the same delta by the same columns in one round —
+// every view of a table key its whole delta, a periodic family's instances a
+// run of it (calendar.PeriodicView.Fold) — get the resolution the first of
+// them paid for. A member of another table key folds another delta, or the
+// same one by other columns, and resolves its own, wherever its rows sit.
+// Zero never matches — a fold outside the engine's rounds resolves its own
+// rows. Callers hold mu; the resolution is valid until the next resolve.
+func (d *Dir) resolve(call uint64, m *View, rows []chronicle.Row) *resolution {
 	var first *chronicle.Row
 	if len(rows) > 0 {
 		first = &rows[0]
 	}
-	if call != 0 && call == d.call && first == d.first && len(rows) == d.nrows {
+	if call != 0 && call == d.call && m.tableKey == d.tableKey && first == d.first && len(rows) == d.nrows {
 		return &d.res
 	}
-	d.call, d.first, d.nrows = call, first, len(rows)
+	d.call, d.tableKey, d.first, d.nrows = call, m.tableKey, first, len(rows)
 	r := &d.res
 	r.ids, r.ends = r.ids[:0], r.ends[:0]
 	r.group = grow(r.group, len(rows))
@@ -299,7 +302,7 @@ func (d *Dir) resolve(call uint64, rows []chronicle.Row) *resolution {
 	}
 	tab, mask := d.groupOf[:1<<bits], uint32(1<<bits-1)
 	for i := range rows {
-		d.keyBuf = keyenc.AppendCols(d.keyBuf[:0], rows[i].Vals, d.keyCols)
+		d.keyBuf = keyenc.AppendCols(d.keyBuf[:0], rows[i].Vals, m.keyCols)
 		id := d.intern(d.keyBuf)
 		j := id * 0x9E3779B1 >> (32 - bits) & mask
 		for tab[j] != 0 && uint32(tab[j]>>32) != id+1 {

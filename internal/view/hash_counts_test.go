@@ -55,7 +55,7 @@ func siblings(t testing.TB, f *fixture, d *Dir, n int) []*View {
 func TestHashStoreCounts(t *testing.T) {
 	const groups, perCall, members = 20000, 1000, 5
 	f := newFixture(t)
-	d := NewDir("calls_by_acct", []int{0})
+	d := NewDir("calls_by_acct")
 	vs := siblings(t, f, d, members)
 	accts := make([]string, groups)
 	for i := range accts {
@@ -130,5 +130,78 @@ func TestHashStoreCounts(t *testing.T) {
 		if !ok || row[1].AsInt() != 21 || row[2].AsInt() != 3 {
 			t.Fatalf("%s: %v %v, want 21 minutes in 3 rows", v.Name(), row, ok)
 		}
+	}
+}
+
+// TestDirMembersOfOtherKeys: a directory's members need not fold one delta,
+// nor find their key at one position of it. Three views share d: usage
+// groups calls by account, byMinutes groups the very same rows by minutes,
+// and swapped groups Π[minutes, acct](calls) by its second column, the
+// account. Each call folds into the three in turn, usage and byMinutes the
+// same slice, as the engine's plan hands its Scan node's rows to every view
+// over the bare chronicle. Each view holds exactly what its reference fold
+// (Recompute) holds, and the keys usage and swapped share are held once.
+//
+// Mutation-checked: resolving with the first member's key columns fails
+// swapped; reusing a call's resolution for a member of another table key —
+// naming it by call, first row and length alone — fails byMinutes.
+func TestDirMembersOfOtherKeys(t *testing.T) {
+	f := newFixture(t)
+	swappedExpr, err := algebra.NewProject(algebra.NewScan(f.calls), []int{1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := []aggregate.Spec{{Func: aggregate.Sum, Col: 1, Name: "total"}, {Func: aggregate.Count, Col: -1, Name: "n"}}
+	d := NewDir("calls")
+	var vs []*View
+	for _, def := range []Def{
+		{Name: "usage", Expr: algebra.NewScan(f.calls), Mode: SummarizeGroupBy, GroupCols: []int{0}, Aggs: sum},
+		{Name: "byMinutes", Expr: algebra.NewScan(f.calls), Mode: SummarizeGroupBy, GroupCols: []int{1},
+			Aggs: []aggregate.Spec{{Func: aggregate.Count, Col: -1, Name: "n"}}},
+		{Name: "swapped", Expr: swappedExpr, Mode: SummarizeGroupBy, GroupCols: []int{1},
+			Aggs: []aggregate.Spec{{Func: aggregate.Sum, Col: 0, Name: "total"}, {Func: aggregate.Count, Col: -1, Name: "n"}}},
+	} {
+		v, err := NewIn(def, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Acquire()
+		vs = append(vs, v)
+	}
+	accts, minutes := map[string]bool{}, map[int64]bool{}
+	for call := uint64(1); call <= 20; call++ {
+		tuples := make([]value.Tuple, 30)
+		for j := range tuples {
+			a, m := fmt.Sprintf("acct%02d", (int(call)*7+j*3)%40), int64((int(call)+j)%9)
+			tuples[j] = value.Tuple{value.Str(a), value.Int(m)}
+			accts[a], minutes[m] = true, true
+		}
+		rows, err := f.calls.Append(f.group.NextSN(), 0, f.nextLSN(), tuples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := algebra.BatchDelta{f.calls: rows}
+		for _, v := range vs {
+			delta := rows // the Scan's rows, one slice for the views over it
+			if v.Name() == "swapped" {
+				delta = algebra.Delta(swappedExpr, batch)
+			}
+			v.ApplyCall(call, delta)
+		}
+		for _, v := range vs {
+			v.Publish()
+		}
+	}
+	for _, v := range vs {
+		want, err := v.Recompute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := v.Rows(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s sharing a directory:\n%v\nits reference fold:\n%v", v.Name(), got, want)
+		}
+	}
+	if d.Len() != len(accts)+len(minutes) {
+		t.Errorf("the directory holds %d keys, want %d accounts and %d minute values", d.Len(), len(accts), len(minutes))
 	}
 }

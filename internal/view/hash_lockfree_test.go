@@ -383,7 +383,7 @@ func TestDirSiblingsLockFreeThroughGrowth(t *testing.T) {
 		oldPerCall = 16
 	)
 	f := newFixture(t)
-	d := NewDir("calls_by_acct", []int{0})
+	d := NewDir("calls_by_acct")
 	vs := siblings(t, f, d, 3)
 	key := func(i int) string { return fmt.Sprintf("k%06d", i) }
 	installs := 0 // the writer is this goroutine: no reader runs the hook
@@ -506,7 +506,7 @@ func TestDirSiblingsLockFreeThroughGrowth(t *testing.T) {
 // into the same directory: no key is added twice, and the images match.
 func TestDirLateMember(t *testing.T) {
 	f := newFixture(t)
-	d := NewDir("calls_by_acct", []int{0})
+	d := NewDir("calls_by_acct")
 	first := siblings(t, f, d, 1)[0]
 	old := make([]string, 1000)
 	for i := range old {

@@ -146,7 +146,7 @@ func TestDirOrderUnderReaders(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newOrderSchedule(tc.calls, tc.newPer, tc.oldPer)
 			f := newFixture(t)
-			d := NewDir("calls_by_acct", []int{0})
+			d := NewDir("calls_by_acct")
 			vs := siblings(t, f, d, 3)
 			chain := &lockedChain{sim: newChainSim()}
 			var cache *Cache
@@ -236,7 +236,7 @@ func TestDirOrderUnderReaders(t *testing.T) {
 				// definition over a directory of its own.
 				into := make([]*View, len(vs))
 				for m := range into {
-					into[m] = siblings(t, newFixture(t), NewDir("restored", []int{0}), m+1)[m]
+					into[m] = siblings(t, newFixture(t), NewDir("restored"), m+1)[m]
 				}
 				reader(4, func(rng *rand.Rand, m int, p int64) error {
 					if err := into[m].RestoreCheckpoint(vs[m].Checkpoint()); err != nil {

@@ -124,11 +124,11 @@ func (t *table) publishLocked() {
 // Join returns a view of def that shares host's table: the table's layout
 // grows by the aggregations of def it lacks, and the view reads its columns
 // from the same groups. def must fold the same delta as host, group by the
-// same columns, and be folded in the same rounds — the engine's directory
-// key and dispatch filter — for the table to hold each view's groups. The
-// table must hold no group yet, live or pending, and must not page: the
-// groups it holds are host's, which a view joining now never had, and a
-// layout cannot grow under them. The new view counts itself in host's
+// same columns, and be folded in the same rounds — one table key
+// (Def.TableKey) and dispatch filter — for the table to hold each view's
+// groups. The table must hold no group yet, live or pending, and must not
+// page: the groups it holds are host's, which a view joining now never had,
+// and a layout cannot grow under them. The new view counts itself in host's
 // directory as NewIn's caller does (Dir.Acquire).
 func Join(def Def, host *View) (*View, error) {
 	v, l, err := compile(def)

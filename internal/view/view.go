@@ -28,7 +28,6 @@ package view
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -80,6 +79,14 @@ func (d Def) KeyCols() []int {
 	return d.GroupCols
 }
 
+// TableKey names what a view of d folds: its key columns and its
+// expression's structure (algebra.Fingerprint). Views of one table key fold
+// equal deltas by equal keys in every round, so they may share a table
+// (Join), and their directory resolves a round's rows once for all of them.
+func (d Def) TableKey() string {
+	return fmt.Sprintf("%v|%s", d.KeyCols(), algebra.Fingerprint(d.Expr))
+}
+
 // Stats counts maintenance work: the per-table counts that Theorem 4.4's
 // bound is stated in, which the theorem tests assert on (internal/bench),
 // and the readouts behind the maintenance metrics. A table counts its own
@@ -119,6 +126,9 @@ type View struct {
 	// leading columns of the schema, which a row's values decode as.
 	keyCols  []int
 	keyKinds []value.Kind
+	// tableKey is def.TableKey(): what the view folds, which names a
+	// resolution in its directory (Dir.resolve).
+	tableKey string
 }
 
 // New validates a definition and materializes an empty view with a key
@@ -129,19 +139,19 @@ type View struct {
 func New(def Def) (*View, error) { return NewIn(def, nil) }
 
 // NewIn is New for a view whose keys live in d, a directory shared with the
-// views that fold the same expression by the same columns; a nil d gets one
-// of its own. The caller counts the view in d (Dir.Acquire). Keys d already
-// holds are groups the view does not have. The view has a table of its own.
+// views whose keys are drawn from the same values — the same columns of one
+// chronicle (algebra.KeySource), which the caller vouches for; a nil d gets
+// one of its own. The caller counts the view in d (Dir.Acquire). Keys d
+// already holds are groups the view does not have. The view has a table of
+// its own.
 func NewIn(def Def, d *Dir) (*View, error) {
 	v, layout, err := compile(def)
 	if err != nil {
 		return nil, err
 	}
 	if d == nil {
-		d = NewDir(def.Name, v.keyCols)
+		d = NewDir(def.Name)
 		d.Acquire()
-	} else if !slices.Equal(d.keyCols, v.keyCols) {
-		return nil, fmt.Errorf("view %s: directory %s keys columns %v, the view groups by %v", def.Name, d.name, d.keyCols, v.keyCols)
 	}
 	v.table = newTable(d, newShape(layout))
 	v.cols = make([]int, len(layout.Specs()))
@@ -211,7 +221,7 @@ func compile(def Def) (*View, *aggregate.Layout, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("view %s: %w", def.Name, err)
 	}
-	v := &View{def: def, schema: schema, info: algebra.Analyze(def.Expr), keyCols: def.KeyCols()}
+	v := &View{def: def, schema: schema, info: algebra.Analyze(def.Expr), keyCols: def.KeyCols(), tableKey: def.TableKey()}
 	for i := range v.keyCols {
 		v.keyKinds = append(v.keyKinds, schema.Col(i).Kind)
 	}
@@ -365,7 +375,7 @@ func (v *View) fold(call uint64, rows []chronicle.Row) {
 	h, p := v.store, v.pg.Load()
 	h.dir.mu.Lock()
 	defer h.dir.mu.Unlock()
-	res := h.dir.resolve(call, rows)
+	res := h.dir.resolve(call, v, rows)
 	indexed := h.beginFold()
 	made := len(h.pending)
 	l, a := v.sh.l, v.arena
