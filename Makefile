@@ -69,9 +69,12 @@ watch-stress:
 # paths, a small fixed budget end-to-end, a few objects for a 64-row call
 # into a key-join view, one per group for a 64-row call through a grouping
 # on the sequencing attribute), and the append benchmarks print the allocs/op
-# trend. -count=1 defeats caching — the guards must run.
+# trend; the dedup guards pin that a Put of a new id into a full idempotency
+# table and a Lookup allocate nothing. -count=1 defeats caching — the guards
+# must run.
 bench-allocs:
 	$(GO) test -count=1 -run 'TestAllocGuards|TestReplAllocGuards|TestKeyJoinAllocGuard|TestGroupBySNAllocGuard' -v .
+	$(GO) test -count=1 -run 'TestTableAllocGuard|TestTableMemoryBound' -v ./internal/dedup
 	$(GO) test -run=NONE -bench 'BenchmarkAppendHotPath' -benchmem -benchtime 200x .
 
 # bench-reads is the read-path regression gate: the alloc guards pin the
@@ -126,11 +129,16 @@ maint-stress:
 # aggregates, a DISTINCT view, views sharing one σ and its table, and a view
 # made late beside them with a table of its own (a group is its key, its
 # place in the key order, and its states), the relation- and
-# dedup-bytes guards pin what a relation row (one string, loaded by UPSERT or
-# restored from a checkpoint) and an idempotency entry (one ring record)
-# cost, the hash-count guard prints what a call costs views sharing a key
-# directory in hashes, probes and key comparisons per row and entry versions
-# per group, the lock-free reader test races readers against a directory that
+# dedup-bytes guards pin what a relation row (one string in a tree whose
+# leaves in-order loads fill, loaded by UPSERT or restored from a checkpoint)
+# and an idempotency entry (one ring record, its key's bytes and an index
+# slot, in a part-full table and in a full one that keeps evicting) cost, the
+# dedup reader test (ten runs under the race detector) races Lookup, Len and
+# Range against Put, the hash-count guard prints what a call costs views
+# sharing a key directory in hashes, probes and key comparisons per row and
+# entry versions per group, the resolution guard pins that views of two table
+# keys folded in interleaved order hash a call once a table key, the
+# lock-free reader test races readers against a directory that
 # doubles eleven times, its sibling twin (ten runs under the race detector)
 # races readers of each of three members publishing at different points of one
 # call, the order twin (ten runs under the race detector) races range, latest-N
@@ -156,8 +164,9 @@ maint-stress:
 # against the one writer that publishes it and drops one of the views.
 # -count=1 defeats caching — the guards must run.
 bench-maint:
-	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestLoadAllocGuard|TestGroupBytesGuard|TestTreeCallBytesGuard|TestRelationBytesGuard|TestDedupBytesGuard|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall|TestDirMembersSurviveADrop|TestFamilyRunResolvedOnce|TestFamilyAndViewShareADirectory|TestExpiringFamilyKeysStayBounded|TestSharedTableEqualsTwins|TestViewsOfOneKeyShareADirectory' -v .
+	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestLoadAllocGuard|TestGroupBytesGuard|TestTreeCallBytesGuard|TestRelationBytesGuard|TestDedupBytesGuard|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall|TestDirMembersSurviveADrop|TestFamilyRunResolvedOnce|TestFamilyAndViewShareADirectory|TestExpiringFamilyKeysStayBounded|TestSharedTableEqualsTwins|TestViewsOfOneKeyShareADirectory|TestDirResolvesOncePerTableKey' -v .
 	$(GO) test -race -count=10 -run 'TestFamilyCallFoldEqualsRowFolds|TestSharedTableReadersLockFree' .
+	$(GO) test -race -count=10 -run 'TestTableConcurrentReaders' ./internal/dedup
 	$(GO) test -count=1 -run 'TestHashStoreCounts|TestHashLockFreeThroughGrowth|TestDirMembersOfOtherKeys' -v ./internal/view
 	$(GO) test -race -count=10 -run 'TestDirSiblingsLockFreeThroughGrowth|TestDirLateMember|TestDirOrderUnderReaders|TestHashShellsBoundedUnderPermanentReader|TestRestoredShellsUnderPermanentReader' ./internal/view
 	$(GO) test -run=NONE -bench 'BenchmarkMaintainFanout' -benchmem -benchtime 50x .
@@ -212,6 +221,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzBlockedImage -fuzztime=30s ./internal/view/
 	$(GO) test -run=NONE -fuzz=FuzzReplFrame -fuzztime=30s ./internal/repl/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeStates -fuzztime=30s ./internal/aggregate/
+	$(GO) test -run=NONE -fuzz=FuzzDedupSnapshot -fuzztime=30s ./internal/dedup/
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -672,11 +672,14 @@ func liveHeap() uint64 {
 // customers rows take, loaded once through UPSERT statements and once through a checkpoint
 // restore. A row is one string in the relation's B-tree — its key, then its
 // value-encoded tuple — so a per-row object graph coming back shows here.
+// Both loads insert in key order, so the tree splits its right edge at its
+// end and its leaves stay full: leaves split at their middle read about
+// 100 B/row.
 func TestRelationBytesGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under -race")
 	}
-	const rows, stmtK, budget = 100_000, 1_000, 120
+	const rows, stmtK, budget = 100_000, 1_000, 80
 	plans := []string{"basic", "gold", "family"}
 	load := func(t *testing.T, db *chronicledb.DB) {
 		var sb strings.Builder
@@ -744,27 +747,58 @@ func TestRelationBytesGuard(t *testing.T) {
 }
 
 // TestDedupBytesGuard pins what an idempotency entry costs: the live heap of
-// 20 000 entries put with fresh id strings, as JSON decoding hands them to
-// the table. An entry is one record in the table's ring, one index slot and
-// one key string; retaining the caller's two id strings shows here.
+// a default table's entries, put with fresh id strings as JSON decoding
+// hands them to the table. An entry is a 24-byte record, its key's bytes in
+// the key ring and its share of the index; a key string per entry, a map
+// slot, or the caller's id strings retained shows here. At 20 000 entries
+// the table is part full; at 65 536 it is full and has evicted 30 000, and
+// another 100 000 puts, each evicting the oldest, must not grow its heap.
+// There the request ids are of one length, so the key bytes a full table
+// holds stay put.
 func TestDedupBytesGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under -race")
 	}
-	const entries, budget = 20_000, 125
-	before := liveHeap()
-	table := dedup.NewTable(0)
-	for i := 0; i < entries; i++ {
-		cid := fmt.Sprintf("bench-client-%d", i%4)
-		rid := fmt.Sprintf("q%d", i)
-		table.Put(cid, rid, dedup.Ack{Chronicle: "calls", FirstSN: int64(16 * i), LastSN: int64(16*i + 15), Rows: 16})
+	const budget = 64
+	put := func(table *dedup.Table, ridFormat string, from, to int) {
+		for i := from; i < to; i++ {
+			cid := fmt.Sprintf("bench-client-%d", i%4)
+			rid := fmt.Sprintf(ridFormat, i)
+			table.Put(cid, rid, dedup.Ack{Chronicle: "calls", FirstSN: int64(16 * i), LastSN: int64(16*i + 15), Rows: 16})
+		}
 	}
-	perEntry := float64(liveHeap()-before) / entries
-	if table.Len() != entries {
-		t.Fatalf("the table holds %d entries, want %d", table.Len(), entries)
+	check := func(t *testing.T, what string, table *dedup.Table, entries int, grew uint64) {
+		t.Helper()
+		if table.Len() != entries {
+			t.Fatalf("the table holds %d entries, want %d", table.Len(), entries)
+		}
+		perEntry := float64(grew) / float64(entries)
+		t.Logf("%s: %.0f B/entry (budget %d)", what, perEntry, budget)
+		if perEntry > budget {
+			t.Errorf("%s: %.0f B/entry, budget %d — a dedup entry grew", what, perEntry, budget)
+		}
 	}
-	t.Logf("%.0f B/entry (budget %d)", perEntry, budget)
-	if perEntry > budget {
-		t.Errorf("%.0f B/entry, budget %d — a dedup entry grew", perEntry, budget)
-	}
+	t.Run("part-full", func(t *testing.T) {
+		before := liveHeap()
+		table := dedup.NewTable(0)
+		put(table, "q%d", 0, 20_000)
+		check(t, "20 000 entries", table, 20_000, liveHeap()-before)
+	})
+	t.Run("full", func(t *testing.T) {
+		const churn, more = 30_000, 100_000
+		before := liveHeap()
+		table := dedup.NewTable(0)
+		put(table, "q%06d", 0, dedup.DefaultCap+churn)
+		full := liveHeap()
+		check(t, "65 536 entries after 30 000 evictions", table, dedup.DefaultCap, full-before)
+		put(table, "q%06d", dedup.DefaultCap+churn, dedup.DefaultCap+churn+more)
+		after := liveHeap()
+		t.Logf("100 000 more puts: live heap %+d B", int64(after)-int64(full))
+		if after > full+16<<10 {
+			t.Errorf("100 000 more puts grew the full table's live heap by %d B", after-full)
+		}
+		if got := table.Evictions(); got != churn+more {
+			t.Errorf("%d evictions, want %d", got, churn+more)
+		}
+	})
 }

@@ -103,7 +103,7 @@ type Options struct {
 	// fsync failures, and disk-full conditions.
 	FS fault.FS
 	// DedupCap bounds the idempotency table (entries per shard engine).
-	// Zero means the default (64Ki entries).
+	// Zero means the default (64Ki entries); a bound past 2²⁸ holds 2²⁸.
 	DedupCap int
 	// Feed enables changefeeds: every persistent view's maintenance delta
 	// is captured at commit, stamped with its LSN, and published to live
@@ -239,6 +239,11 @@ type DB struct {
 	// by mu: checkpoints are serialized).
 	ckptBuf []byte
 
+	// catalogViews names the views and periodic families catalog statements
+	// made (guarded by mu). A checkpoint images these alone: a view made
+	// through Engine() has no statement to remake it at the next Open.
+	catalogViews map[string]bool
+
 	// Replication state. replSrc is the primary-side stream source, wired
 	// into every log's tap (nil without a Dir). replica is the follower
 	// loop (nil on a primary).
@@ -260,7 +265,7 @@ type DB struct {
 // Reopening a directory with a different shard count recovers the old
 // streams, checkpoints, and rewrites the WAL streams for the new count.
 func Open(opts Options) (*DB, error) {
-	db := &DB{opts: opts, fs: opts.FS}
+	db := &DB{opts: opts, fs: opts.FS, catalogViews: make(map[string]bool)}
 	if db.fs == nil {
 		db.fs = fault.OS
 	}

@@ -135,19 +135,22 @@ func (db *DB) execOne(s sqlparse.Statement, mode execMode) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		kind := "view"
 		if plan.Periodic != nil {
+			kind = "periodic view"
 			_, err = db.eng.CreatePeriodicView(s.Name, plan.Def, plan.Periodic.Calendar,
 				plan.Periodic.ExpireAfter)
-			if err != nil {
-				return nil, err
-			}
-			return db.ddlDone(s, mode, "periodic view %s created (%s, %s)",
-				s.Name, plan.Info.Lang, plan.Info.IMClass())
+		} else {
+			_, err = db.eng.CreateView(plan.Def)
 		}
-		if _, err := db.eng.CreateView(plan.Def); err != nil {
+		if err != nil {
 			return nil, err
 		}
-		return db.ddlDone(s, mode, "view %s created (%s, %s)", s.Name, plan.Info.Lang, plan.Info.IMClass())
+		res, err := db.ddlDone(s, mode, "%s %s created (%s, %s)", kind, s.Name, plan.Info.Lang, plan.Info.IMClass())
+		if err == nil {
+			db.catalogViews[s.Name] = true
+		}
+		return res, err
 
 	case *sqlparse.Append:
 		total := 0
@@ -174,6 +177,7 @@ func (db *DB) execOne(s sqlparse.Statement, mode execMode) (*Result, error) {
 		if err := db.eng.DropView(s.Name); err != nil {
 			return nil, err
 		}
+		delete(db.catalogViews, s.Name)
 		return db.ddlDone(s, mode, "view %s dropped", s.Name)
 
 	case *sqlparse.Upsert:

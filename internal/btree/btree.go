@@ -212,7 +212,7 @@ func (t *Tree[K, V]) set(key K, val V, swapKey bool) (old K, replaced bool) {
 		t.root = t.newInner()
 		t.root.items = refill(t.root.items, nil, 0)
 		t.root.children = append(refill(t.root.children, nil, 0), root)
-		t.splitChild(t.root, 0)
+		t.splitChild(t.root, 0, t.less(root.items[len(root.items)-1].key, key))
 	}
 	old, replaced = t.insertNonFull(t.root, key, val, swapKey)
 	if !replaced {
@@ -282,10 +282,17 @@ func (t *Tree[K, V]) search(n *node[K, V], key K) (int, bool) {
 }
 
 // splitChild splits the full child at index i of parent. parent must be
-// mutable; the child is made mutable here before its items move.
-func (t *Tree[K, V]) splitChild(parent *node[K, V], i int) {
+// mutable; the child is made mutable here before its items move. A child
+// split at its middle leaves two half-full nodes; one split atEnd, for an
+// insert past the last key of the tree, keeps all but its last item and the
+// separator before it, so that keys arriving in order — a checkpoint
+// restore, UPSERTs by ascending key — leave full nodes behind them.
+func (t *Tree[K, V]) splitChild(parent *node[K, V], i int, atEnd bool) {
 	child := t.mutableChild(parent, i)
 	mid := len(child.items) / 2
+	if atEnd {
+		mid = len(child.items) - 2
+	}
 	midItem := child.items[mid]
 
 	// Both halves keep full node capacity (the left its own array, with the
@@ -318,6 +325,7 @@ func (t *Tree[K, V]) splitChild(parent *node[K, V], i int) {
 // first, so the whole root-to-leaf path is owned by this tree. An equal
 // entry takes val, and key too when swapKey is set; old is its former key.
 func (t *Tree[K, V]) insertNonFull(n *node[K, V], key K, val V, swapKey bool) (old K, replaced bool) {
+	edge := true // n is the last node of its level
 	for {
 		i, eq := t.search(n, key)
 		if !eq && n.children == nil {
@@ -326,8 +334,10 @@ func (t *Tree[K, V]) insertNonFull(n *node[K, V], key K, val V, swapKey bool) (o
 			n.items[i] = item[K, V]{key, val}
 			return old, false
 		}
+		edge = edge && !eq && i == len(n.children)-1
 		if !eq && len(n.children[i].items) >= maxItems {
-			t.splitChild(n, i)
+			c := n.children[i]
+			t.splitChild(n, i, edge && t.less(c.items[len(c.items)-1].key, key))
 			if t.less(n.items[i].key, key) {
 				i++
 			} else {

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"maps"
 	"math/rand"
 	"sort"
 	"testing"
@@ -245,4 +246,52 @@ func BenchmarkGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.Get(i & (1<<20 - 1))
 	}
+}
+
+// TestAscendingInsertsFillNodes: keys inserted in ascending order, as a
+// checkpoint restore and key-ordered UPSERTs insert them, split each full
+// node at the tree's right edge at its end, so every leaf but the last
+// holds maxItems-2 keys and the tree is as low as full leaves make it. The
+// sparse right edge must then survive deletes, clones and inserts anywhere.
+func TestAscendingInsertsFillNodes(t *testing.T) {
+	const n = 64 * 63 * 3
+	tr := intTree()
+	ref := map[int]string{}
+	for k := range n {
+		tr.Set(2*k, "a")
+		ref[2*k] = "a"
+	}
+	var leaves, inLeaves int
+	var walk func(nd *node[int, string])
+	walk = func(nd *node[int, string]) {
+		if nd.children == nil {
+			leaves++
+			inLeaves += len(nd.items)
+			return
+		}
+		for _, c := range nd.children {
+			walk(c)
+		}
+	}
+	walk(tr.root)
+	if fill := float64(inLeaves) / float64(leaves); fill < maxItems-3 {
+		t.Errorf("%d leaves hold %.1f keys each, want about %d", leaves, fill, maxItems-2)
+	}
+	if h := tr.Height(); h != 3 {
+		t.Errorf("height %d for %d ascending keys, want 3", h, n)
+	}
+	snap, snapRef := tr.Clone(), maps.Clone(ref)
+	rng := rand.New(rand.NewSource(7))
+	for range 4 * n {
+		k := rng.Intn(2*n + n/4) // past the end too, onto the sparse edge
+		if rng.Intn(2) == 0 {
+			tr.Delete(k)
+			delete(ref, k)
+		} else {
+			tr.Set(k, "b")
+			ref[k] = "b"
+		}
+	}
+	treeEqualsRef(t, "after churn", tr, ref)
+	treeEqualsRef(t, "the clone", snap, snapRef)
 }

@@ -20,15 +20,21 @@
 package dedup
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
+	"math"
+	"math/bits"
+	"strings"
 	"sync"
 )
 
 // DefaultCap is the entry bound used when a Table is created with no
-// explicit capacity. An entry costs about 120 bytes of heap — its record in
-// the ring, its slot in the index and its one key string — so a full table
-// of the default capacity holds about 8 MB.
+// explicit capacity. An entry costs its 24-byte record, its key's bytes
+// (the two ids behind a length byte) and 4 to 8 bytes of index: about 53
+// bytes with ids of 14 and 6 bytes, so a full table of the default capacity
+// holds about 3.5 MB.
 const DefaultCap = 1 << 16
 
 // Ack is the stored acknowledgment of an applied request.
@@ -47,39 +53,97 @@ type Entry struct {
 	Ack
 }
 
-// record is one entry as the table keeps it: its key, uvarint(len cid) ‖
-// cid ‖ rid, the one string the entry allocates; its chronicle as an index
-// into the table's interned names; and its ack's numbers.
+// maxCap bounds the capacity: an index slot holds a ring slot and a tag of
+// at least four bits in 32 bits.
+const maxCap = 1 << 28
+
+// maxKeyBytes bounds the live key bytes, so that a key's position fits a
+// record's 32 bits. Past it the oldest entries go first, as past the
+// capacity.
+const maxKeyBytes = math.MaxInt32
+
+// minKeyRing is the key ring length below which the ring never shrinks.
+const minKeyRing = 1 << 12
+
+// The record ring is allocated in chunks of 1<<chunkBits records (12 KB) as
+// the ring first reaches them, so a table holds the records its entries
+// need and not its capacity's.
+const (
+	chunkBits = 9
+	chunkMask = 1<<chunkBits - 1
+)
+
+// record is one entry as the table keeps it: its ack's numbers, its
+// chronicle as an index into the table's interned names, and where its key
+// starts in the key ring. The key ends where the next entry's starts, or at
+// the ring's tail for the newest. Nothing in a record is a pointer.
 type record struct {
-	key         string
-	chron       int32
-	rows        int32 // a request's row count; a call is far below 2³¹ rows
-	first, last int64
+	first int64
+	span  int32 // LastSN - FirstSN; wide when the ack is kept in Table.wide
+	rows  int32
+	pos   uint32
+	chron uint32
 }
 
-// Table is the bounded idempotency table: a FIFO ring of fixed records behind
-// an index from key to ring slot. It carries its own mutex: the write path
+// wide marks a record whose span or row count does not fit 32 bits. No ack
+// the engine writes is wide, as a call's span is its row count less one; a
+// decoded snapshot may hold any.
+const wide = math.MinInt32
+
+// wideAck is what a wide record does not hold.
+type wideAck struct {
+	last int64
+	rows int
+}
+
+// Table is the bounded idempotency table: a FIFO ring of fixed records, the
+// keys uvarint(len cid) ‖ cid ‖ rid in a FIFO byte ring, and an
+// open-addressing index from a key's hash to its ring slot. None of it
+// holds a pointer per entry, so a full table is a few flat arrays the
+// garbage collector does not walk. It carries its own mutex: the write path
 // mutates it under the engine lock, but stats and checkpoint readers arrive
 // from other goroutines.
 type Table struct {
-	mu        sync.Mutex
-	cap       int
-	index     map[string]int32
-	ring      []record // insertion order from head, wrapping once full
-	head      int      // the oldest record, once the ring is full
-	chrons    []string // interned chronicle names
-	chronIdx  map[string]int32
+	mu   sync.Mutex
+	cap  int
+	seed maphash.Seed
+
+	// The record ring: slot s is chunks[s>>chunkBits][s&chunkMask], and the
+	// n live entries are the slots from head, in insertion order.
+	chunks  [][]record
+	head, n int
+
+	// The key ring: the live keys, oldest first, are the kLen bytes from
+	// kHead, wrapping. One byte stays free, so that no key fills the ring.
+	keys        []byte
+	kHead, kLen int
+
+	// The index, linear probing at most 3/4 full: a slot is 0 when empty,
+	// else a tag of the key's hash above its ring slot's slotBits bits.
+	index    []uint32
+	slotBits uint
+
+	chrons   []string // interned chronicle names
+	chronIdx map[string]uint32
+	wide     map[uint32]wideAck // by ring slot, read for a live wide record only
+
 	buf       []byte // the key Lookup and Put are probing with
+	tmp       []byte // a key that wraps the ring, made contiguous
 	evictions int64
 }
 
 // NewTable returns an empty table bounded to capacity entries (<= 0 means
-// DefaultCap).
+// DefaultCap, and a capacity past 2²⁸ holds 2²⁸).
 func NewTable(capacity int) *Table {
 	if capacity <= 0 {
 		capacity = DefaultCap
 	}
-	return &Table{cap: capacity, index: make(map[string]int32), chronIdx: make(map[string]int32)}
+	capacity = min(capacity, maxCap)
+	return &Table{
+		cap: capacity, seed: maphash.MakeSeed(),
+		index: make([]uint32, 8), slotBits: uint(bits.Len(uint(capacity - 1))),
+		chronIdx: make(map[string]uint32),
+	}
 }
 
 // Cap returns the entry bound.
@@ -89,10 +153,10 @@ func (t *Table) Cap() int { return t.cap }
 func (t *Table) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.ring)
+	return t.n
 }
 
-// Evictions returns how many entries the capacity bound has pushed out.
+// Evictions returns how many entries the bounds have pushed out.
 func (t *Table) Evictions() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -110,63 +174,229 @@ func (t *Table) probe(clientID, requestID string) []byte {
 func (t *Table) Lookup(clientID, requestID string) (Ack, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, ok := t.index[string(t.probe(clientID, requestID))]
+	key := t.probe(clientID, requestID)
+	i, ok := t.find(maphash.Bytes(t.seed, key), key)
 	if !ok {
 		return Ack{}, false
 	}
-	return t.ring[i].ack(t.chrons), true
+	return t.ack(t.slotOf(t.index[i])), true
 }
 
 // Put stores the ack for (clientID, requestID), evicting the oldest entry if
 // the table is at capacity. Re-putting an existing pair refreshes the ack in
-// place, keeping its position in the eviction order.
+// place, keeping its position in the eviction order. A pair whose key alone
+// passes 2 GiB is not kept.
 func (t *Table) Put(clientID, requestID string, a Ack) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rec := record{chron: t.intern(a.Chronicle), rows: int32(a.Rows), first: a.FirstSN, last: a.LastSN}
-	if i, ok := t.index[string(t.probe(clientID, requestID))]; ok {
-		rec.key = t.ring[i].key
-		t.ring[i] = rec
+	key := t.probe(clientID, requestID)
+	h := maphash.Bytes(t.seed, key)
+	if i, ok := t.find(h, key); ok {
+		t.set(t.slotOf(t.index[i]), a)
 		return
 	}
-	rec.key = string(t.buf)
-	if len(t.ring) < t.cap {
-		t.index[rec.key] = int32(len(t.ring))
-		t.ring = append(t.ring, rec)
-		return
+	if len(key) >= maxKeyBytes {
+		return // no ring could hold it
 	}
-	delete(t.index, t.ring[t.head].key)
+	for t.n == t.cap || t.kLen+len(key) >= maxKeyBytes {
+		t.evict()
+	}
+	t.room(len(key))
+	if 4*(t.n+1) > 3*len(t.index) {
+		t.growIndex()
+	}
+	s := (t.head + t.n) % t.cap
+	if s>>chunkBits == len(t.chunks) { // slots are first reached in order
+		t.chunks = append(t.chunks, make([]record, min(1<<chunkBits, t.cap-s)))
+	}
+	r := t.rec(s)
+	r.pos = uint32((t.kHead + t.kLen) % len(t.keys))
+	copy(t.keys, key[copy(t.keys[r.pos:], key):]) // wrapping at the ring's end
+	t.kLen += len(key)
+	t.n++
+	t.set(s, a)
+	mask := len(t.index) - 1
+	i := int(h) & mask
+	for t.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.index[i] = t.tag(h)<<t.slotBits | uint32(s)
+}
+
+// rec returns the record of ring slot s.
+func (t *Table) rec(s int) *record { return &t.chunks[s>>chunkBits][s&chunkMask] }
+
+// next returns the ring slot after s.
+func (t *Table) next(s int) int {
+	if s++; s == t.cap {
+		return 0
+	}
+	return s
+}
+
+// keyLen returns the length of slot s's key: up to the next entry's key, or
+// to the ring's tail for the newest.
+func (t *Table) keyLen(s int) int {
+	end := (t.kHead + t.kLen) % len(t.keys)
+	if s != (t.head+t.n-1)%t.cap {
+		end = int(t.rec(t.next(s)).pos)
+	}
+	l := end - int(t.rec(s).pos)
+	if l <= 0 { // the key wraps; it is never empty, nor the whole ring
+		l += len(t.keys)
+	}
+	return l
+}
+
+// key returns slot s's key, in t.tmp when it wraps the ring.
+func (t *Table) key(s int) []byte {
+	p, l := int(t.rec(s).pos), t.keyLen(s)
+	if p+l <= len(t.keys) {
+		return t.keys[p : p+l]
+	}
+	t.tmp = append(append(t.tmp[:0], t.keys[p:]...), t.keys[:p+l-len(t.keys)]...)
+	return t.tmp
+}
+
+// tag is what an index slot keeps of hash h: its high bits, never zero.
+func (t *Table) tag(h uint64) uint32 { return max(uint32(h>>(32+t.slotBits)), 1) }
+
+// slotOf returns the ring slot an index slot names.
+func (t *Table) slotOf(v uint32) int { return int(v & (1<<t.slotBits - 1)) }
+
+// find returns the index slot of key, whose hash is h, or the empty slot
+// that ends its probe.
+func (t *Table) find(h uint64, key []byte) (int, bool) {
+	mask, tag := len(t.index)-1, t.tag(h)
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		v := t.index[i]
+		if v == 0 {
+			return i, false
+		}
+		if v>>t.slotBits == tag && bytes.Equal(t.key(t.slotOf(v)), key) {
+			return i, true
+		}
+	}
+}
+
+// growIndex doubles the index and places every live entry again.
+func (t *Table) growIndex() {
+	t.index = make([]uint32, 2*len(t.index))
+	mask := len(t.index) - 1
+	for k, s := 0, t.head; k < t.n; k, s = k+1, t.next(s) {
+		h := maphash.Bytes(t.seed, t.key(s))
+		i := int(h) & mask
+		for t.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.index[i] = t.tag(h)<<t.slotBits | uint32(s)
+	}
+}
+
+// evict removes the oldest entry: its index slot, by backward shift, and
+// its key's bytes, the oldest of the key ring.
+func (t *Table) evict() {
+	s, l := t.head, t.keyLen(t.head)
+	mask := len(t.index) - 1
+	i := int(maphash.Bytes(t.seed, t.key(s))) & mask
+	for t.index[i] == 0 || t.slotOf(t.index[i]) != s {
+		i = (i + 1) & mask
+	}
+	// Each later slot of the probe run moves into the hole unless its key's
+	// home lies between the hole and it.
+	for j := (i + 1) & mask; t.index[j] != 0; j = (j + 1) & mask {
+		home := int(maphash.Bytes(t.seed, t.key(t.slotOf(t.index[j])))) & mask
+		if (j-home)&mask >= (j-i)&mask {
+			t.index[i] = t.index[j]
+			i = j
+		}
+	}
+	t.index[i] = 0
+	t.kHead = (t.kHead + l) % len(t.keys)
+	t.kLen -= l
+	t.head, t.n = t.next(s), t.n-1
 	t.evictions++
-	t.index[rec.key] = int32(t.head)
-	t.ring[t.head] = rec
-	t.head = (t.head + 1) % len(t.ring)
+}
+
+// room makes the key ring hold n more bytes and keep one free. A ring that
+// must grow, or that would hold under a quarter of its length, is replaced
+// by one 5/4 of what it must hold, its keys moved to its start.
+func (t *Table) room(n int) {
+	need, old := t.kLen+n, len(t.keys)
+	if need < old && (need >= old/4 || old <= minKeyRing) {
+		return
+	}
+	keys := make([]byte, min(need+need/4+64, maxKeyBytes))
+	c := copy(keys, t.keys[t.kHead:min(old, t.kHead+t.kLen)])
+	copy(keys[c:t.kLen], t.keys)
+	for k, s := 0, t.head; k < t.n; k, s = k+1, t.next(s) {
+		r := t.rec(s)
+		r.pos = uint32((int(r.pos) - t.kHead + old) % old)
+	}
+	t.keys, t.kHead = keys, 0
+}
+
+// set writes ack a into slot s's record, and drops the wide ack of the
+// slot's former entry, if it had one.
+func (t *Table) set(s int, a Ack) {
+	r := t.rec(s)
+	if r.span == wide {
+		delete(t.wide, uint32(s))
+	}
+	r.first, r.chron = a.FirstSN, t.intern(a.Chronicle)
+	if span := a.LastSN - a.FirstSN; span != wide && span == int64(int32(span)) && a.Rows == int(int32(a.Rows)) {
+		r.span, r.rows = int32(span), int32(a.Rows)
+		return
+	}
+	if t.wide == nil {
+		t.wide = make(map[uint32]wideAck)
+	}
+	r.span, t.wide[uint32(s)] = wide, wideAck{a.LastSN, a.Rows}
 }
 
 // intern returns the index of chronicle name in t.chrons, adding it if new.
-func (t *Table) intern(name string) int32 {
+func (t *Table) intern(name string) uint32 {
 	i, ok := t.chronIdx[name]
 	if !ok {
-		i = int32(len(t.chrons))
+		i = uint32(len(t.chrons))
 		t.chrons = append(t.chrons, name)
 		t.chronIdx[name] = i
 	}
 	return i
 }
 
-func (r *record) ack(chrons []string) Ack {
-	return Ack{Chronicle: chrons[r.chron], FirstSN: r.first, LastSN: r.last, Rows: int(r.rows)}
+// ack returns the ack slot s holds.
+func (t *Table) ack(s int) Ack {
+	r := t.rec(s)
+	a := Ack{Chronicle: t.chrons[r.chron], FirstSN: r.first, LastSN: r.first + int64(r.span), Rows: int(r.rows)}
+	if r.span == wide {
+		w := t.wide[uint32(s)]
+		a.LastSN, a.Rows = w.last, w.rows
+	}
+	return a
 }
 
 // Range calls fn for every live entry in insertion order until fn returns
 // false. The table is locked for the duration; callers must not call back
-// into the table. An entry's id strings share the table's key.
+// into the table. The entries' id strings share one copy of the live keys,
+// made for the call.
 func (t *Table) Range(fn func(Entry) bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for n := range t.ring {
-		r := &t.ring[(t.head+n)%len(t.ring)]
-		cid, rid := split(r.key)
-		if !fn(Entry{ClientID: cid, RequestID: rid, Ack: r.ack(t.chrons)}) {
+	if t.n == 0 {
+		return
+	}
+	var sb strings.Builder
+	sb.Grow(t.kLen)
+	end := min(t.kHead+t.kLen, len(t.keys))
+	sb.Write(t.keys[t.kHead:end])
+	sb.Write(t.keys[:t.kLen-(end-t.kHead)])
+	keys := sb.String()
+	for k, s := 0, t.head; k < t.n; k, s = k+1, t.next(s) {
+		l := t.keyLen(s)
+		cid, rid := split(keys[:l])
+		keys = keys[l:]
+		if !fn(Entry{ClientID: cid, RequestID: rid, Ack: t.ack(s)}) {
 			return
 		}
 	}

@@ -51,8 +51,8 @@ func TestTableFIFOEviction(t *testing.T) {
 
 // The table's footprint must not grow with the number of requests it has
 // seen, only with its capacity: after 100×cap puts it holds exactly the cap
-// newest entries, in insertion order, and at capacity a Put of a new pair
-// allocates at most its one key string and a Lookup nothing.
+// newest entries, in insertion order, and at capacity neither a Put of a new
+// pair nor a Lookup allocates.
 func TestTableMemoryBound(t *testing.T) {
 	const cap = 64
 	tb := NewTable(cap)
@@ -82,8 +82,8 @@ func TestTableMemoryBound(t *testing.T) {
 	if allocs := testing.AllocsPerRun(500, func() {
 		tb.Put("c", ids[i%len(ids)], Ack{Chronicle: "calls", FirstSN: int64(i)})
 		i++
-	}); allocs > 1 {
-		t.Errorf("Put at capacity allocates %.1f objects, want ≤ 1", allocs)
+	}); allocs != 0 {
+		t.Errorf("Put at capacity allocates %.1f objects, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(500, func() { tb.Lookup("c", ids[len(ids)-1]) }); allocs != 0 {
 		t.Errorf("Lookup allocates %.1f objects, want 0", allocs)
@@ -101,10 +101,7 @@ func TestTableMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		capacity := 1 + rng.Intn(8)
 		tb := NewTable(capacity)
-		type pair struct{ cid, rid string }
-		var order []pair // reference: insertion order of the live pairs
-		acks := map[pair]Ack{}
-		var evictions int64
+		o := &oracle{cap: capacity, acks: map[pair]Ack{}}
 		chrons := []string{"calls", "taps", ""}
 		for step := 0; step < 300; step++ {
 			// Client ids of several lengths, including ones whose ids
@@ -112,7 +109,7 @@ func TestTableMatchesReference(t *testing.T) {
 			p := pair{[]string{"a", "ab", "", "client-0123456789"}[rng.Intn(4)], []string{"bc", "c", "", "r1"}[rng.Intn(4)]}
 			if rng.Intn(3) == 0 {
 				got, ok := tb.Lookup(p.cid, p.rid)
-				want, wok := acks[p]
+				want, wok := o.acks[p]
 				if ok != wok || got != want {
 					t.Fatalf("seed %d step %d: Lookup(%q,%q) = %+v %v, want %+v %v", seed, step, p.cid, p.rid, got, ok, want, wok)
 				}
@@ -120,25 +117,12 @@ func TestTableMatchesReference(t *testing.T) {
 			}
 			a := Ack{Chronicle: chrons[rng.Intn(len(chrons))], FirstSN: rng.Int63n(1000), LastSN: rng.Int63n(1000), Rows: rng.Intn(100)}
 			tb.Put(strings.Clone(p.cid), strings.Clone(p.rid), a)
-			if _, ok := acks[p]; !ok {
-				if len(order) == capacity {
-					delete(acks, order[0])
-					order = order[1:]
-					evictions++
-				}
-				order = append(order, p)
-			}
-			acks[p] = a
-			if tb.Len() != len(order) || tb.Evictions() != evictions {
-				t.Fatalf("seed %d step %d: Len %d Evictions %d, want %d %d", seed, step, tb.Len(), tb.Evictions(), len(order), evictions)
+			o.put(p, a)
+			if tb.Len() != len(o.order) || tb.Evictions() != o.evictions {
+				t.Fatalf("seed %d step %d: Len %d Evictions %d, want %d %d", seed, step, tb.Len(), tb.Evictions(), len(o.order), o.evictions)
 			}
 		}
-		var got, want []Entry
-		tb.Range(func(e Entry) bool { got = append(got, e); return true })
-		for _, p := range order {
-			want = append(want, Entry{ClientID: p.cid, RequestID: p.rid, Ack: acks[p]})
-		}
-		if !bytes.Equal(AppendEntries(nil, got), AppendEntries(nil, want)) {
+		if got, want := entriesOf(tb), o.entries(); !bytes.Equal(AppendEntries(nil, got), AppendEntries(nil, want)) {
 			t.Fatalf("seed %d: Range = %+v, want %+v", seed, got, want)
 		}
 	}

@@ -45,15 +45,12 @@ type Dir struct {
 	used   int // bytes used of the last chunk
 	kept   int // key bytes kept so far, which sizes the next chunk
 
-	// The current call's resolution, shared by the members that fold it (see
-	// resolve), and the scratch that builds it: groupOf is an open-addressing
-	// table of the resolution's ids, each slot id+1 in the high half and its
-	// group in the low, empty between resolutions.
-	call     uint64
-	tableKey string // the table key of the member that paid for it (Def.TableKey)
-	first    *chronicle.Row
-	nrows    int
-	res      resolution
+	// The current round's resolutions, one for each table key folded in it,
+	// shared by the members that fold it (see resolve), and the scratch that
+	// builds them: groupOf is an open-addressing table of a resolution's ids,
+	// each slot id+1 in the high half and its group in the low, empty between
+	// resolutions.
+	resolved []*resolved
 	groupOf  []uint64
 	keyBuf   []byte
 
@@ -62,6 +59,17 @@ type Dir struct {
 	// The writer's work: key hashes, table probes and key comparisons (each
 	// an id's key read back). Guarded by mu; readers' probes are not counted.
 	hashes, probes, compares int64
+}
+
+// resolved is a resolution and the fold it resolves: a round, the table key
+// (Def.TableKey) of the member that paid for it, and its slice of the
+// round's delta, named by its first row and length.
+type resolved struct {
+	call     uint64
+	tableKey string
+	first    *chronicle.Row
+	nrows    int
+	res      resolution
 }
 
 // resolution is one call's delta as a directory hands it to its members:
@@ -279,20 +287,22 @@ func (d *Dir) keep(key []byte) uint64 {
 // folding the same slice of the same delta by the same columns in one round —
 // every view of a table key its whole delta, a periodic family's instances a
 // run of it (calendar.PeriodicView.Fold) — get the resolution the first of
-// them paid for. A member of another table key folds another delta, or the
-// same one by other columns, and resolves its own, wherever its rows sit.
-// Zero never matches — a fold outside the engine's rounds resolves its own
-// rows. Callers hold mu; the resolution is valid until the next resolve.
+// them paid for, in whatever order the round folds its members. A member of
+// another table key folds another delta, or the same one by other columns,
+// and resolves its own, wherever its rows sit. Zero never matches — a fold
+// outside the engine's rounds resolves its own rows. Callers hold mu; the
+// resolution is valid until the next resolve for m's table key.
 func (d *Dir) resolve(call uint64, m *View, rows []chronicle.Row) *resolution {
 	var first *chronicle.Row
 	if len(rows) > 0 {
 		first = &rows[0]
 	}
-	if call != 0 && call == d.call && m.tableKey == d.tableKey && first == d.first && len(rows) == d.nrows {
-		return &d.res
+	rs := d.resolvedFor(call, m.tableKey)
+	if call != 0 && call == rs.call && first == rs.first && len(rows) == rs.nrows {
+		return &rs.res
 	}
-	d.call, d.tableKey, d.first, d.nrows = call, m.tableKey, first, len(rows)
-	r := &d.res
+	rs.call, rs.tableKey, rs.first, rs.nrows = call, m.tableKey, first, len(rows)
+	r := &rs.res
 	r.ids, r.ends = r.ids[:0], r.ends[:0]
 	r.group = grow(r.group, len(rows))
 	// The call's ids, at most half the table: a row's id finds its group.
@@ -331,6 +341,26 @@ func (d *Dir) resolve(call uint64, m *View, rows []chronicle.Row) *resolution {
 		r.ends[g]++
 	}
 	return r
+}
+
+// resolvedFor returns the resolution kept for tableKey, else one no fold of
+// this round holds — of an earlier round, or new. A directory keeps as many
+// as the most table keys one round has folded.
+func (d *Dir) resolvedFor(call uint64, tableKey string) *resolved {
+	var spare *resolved
+	for _, rs := range d.resolved {
+		if rs.tableKey == tableKey {
+			return rs
+		}
+		if rs.call != call || call == 0 {
+			spare = rs
+		}
+	}
+	if spare == nil {
+		spare = &resolved{}
+		d.resolved = append(d.resolved, spare)
+	}
+	return spare
 }
 
 // grow returns s resized to n, reusing its array when it can.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	chronicledb "chronicledb"
@@ -73,8 +74,8 @@ func createSwapped(t *testing.T, db *chronicledb.DB) {
 // live, and in the durable runs after a checkpoint, Close and Open. Latest-N
 // and a key range on s7_sum, the most selective σ, return its groups and
 // none of its siblings', and SHOW VIEWS names one directory for every member.
-// The Π view is not in the catalog, which records SQL; it is dropped before
-// the checkpoint.
+// The Π view is not in the catalog, which records SQL: it folds across the
+// checkpoint, which does not image it, and is gone after the reopen.
 //
 // Mutation-checked: a directory that encodes every member's rows with its
 // first member's key columns fails the Π view. (A resolution reused across
@@ -234,11 +235,6 @@ func testOneKeyDirectory(t *testing.T, shards int, durable bool) {
 	if !durable {
 		return
 	}
-	for _, d := range []*chronicledb.DB{ref, db} {
-		if err := d.Engine().DropView("swapped"); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -249,6 +245,9 @@ func testOneKeyDirectory(t *testing.T, shards int, durable bool) {
 	}
 	if db, err = chronicledb.Open(opts); err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := db.View("swapped"); ok {
+		t.Error("the reopen remade swapped, which no catalog statement makes")
 	}
 	check("after a reopen")
 	misses := db.WALStats().ViewCacheMisses
@@ -287,4 +286,120 @@ func mustView(t *testing.T, db *chronicledb.DB, name string) *view.View {
 		t.Fatalf("no view %s", name)
 	}
 	return v
+}
+
+// TestDirResolvesOncePerTableKey: paged views a0 (σ0, SUM), b (σ1, SUM) and
+// a1 (σ0, COUNT), made in that order, share one directory, and a 1 000-row
+// call is hashed once for σ0 and once for σ1 — 2 000 keys — though the
+// round folds b between the two views of σ0. Paged views never join a
+// table, so a0 and a1 fold the same rows into tables of their own.
+func TestDirResolvesOncePerTableKey(t *testing.T) {
+	db, err := chronicledb.Open(chronicledb.Options{Dir: t.TempDir(), Shards: 1, DefaultRetention: chronicledb.RetainAll})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, `CREATE CHRONICLE calls (acct STRING, minutes INT)`)
+	mustExec(t, db, `CREATE VIEW a0 AS SELECT acct, SUM(minutes) AS total FROM calls WHERE minutes >= 0 GROUP BY acct`)
+	mustExec(t, db, `CREATE VIEW b AS SELECT acct, SUM(minutes) AS total FROM calls WHERE minutes < 1000 GROUP BY acct`)
+	mustExec(t, db, `CREATE VIEW a1 AS SELECT acct, COUNT(*) AS n FROM calls WHERE minutes >= 0 GROUP BY acct`)
+	a0, b, a1 := mustView(t, db, "a0"), mustView(t, db, "b"), mustView(t, db, "a1")
+	if a0.Dir() != b.Dir() || a0.Dir() != a1.Dir() {
+		t.Fatal("the three views do not share a directory")
+	}
+	rows := make([]chronicledb.Tuple, 1000)
+	for i := range rows {
+		rows[i] = chronicledb.Tuple{chronicledb.Str(fmt.Sprintf("a%03d", i%300)), chronicledb.Int(int64(i % 100))}
+	}
+	before := a0.Dir().Stats().Hashes
+	if _, _, err := db.AppendRows("calls", rows); err != nil {
+		t.Fatal(err)
+	}
+	if got := a0.Dir().Stats().Hashes - before; got != 2*int64(len(rows)) {
+		t.Errorf("a %d-row call hashed %d keys, want %d: one resolution per table key", len(rows), got, 2*len(rows))
+	}
+	for _, v := range []*view.View{a0, b, a1} {
+		want, err := v.Recompute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := make([]string, len(want))
+		for i, r := range want {
+			lines[i] = fmt.Sprint(r)
+		}
+		if got := sortedRows(t, db, v.Name()); len(got) != 300 || !slices.Equal(got, lines) {
+			t.Errorf("%s:\n%v\nits reference fold\n%v", v.Name(), got, lines)
+		}
+	}
+}
+
+// TestEngineViewsStayOutOfCheckpoints: a view and a periodic family made
+// through Engine() have no catalog statement, so a checkpoint must not
+// image them — the next Open, finding an image of a view the catalog never
+// made, would fail. They fold until the Close; the reopen brings back the
+// catalog's view and family as they were, and nothing else.
+func TestEngineViewsStayOutOfCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	opts := chronicledb.Options{Dir: dir, DefaultRetention: chronicledb.RetainAll}
+	db, err := chronicledb.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE CHRONICLE calls (acct STRING, minutes INT)`)
+	mustExec(t, db, `CREATE VIEW usage AS SELECT acct, SUM(minutes) AS total FROM calls GROUP BY acct`)
+	mustExec(t, db, `CREATE PERIODIC VIEW w AS SELECT acct, COUNT(*) AS n FROM calls GROUP BY acct EVERY 300 WIDTH 600`)
+	createSwapped(t, db)
+	calls, _ := db.Chronicle("calls")
+	cal, err := calendar.NewPeriodic(0, 100, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Engine().CreatePeriodicView("fam", view.Def{
+		Name: "fam", Expr: algebra.NewScan(calls), Mode: view.SummarizeGroupBy, GroupCols: []int{0},
+		Aggs: []aggregate.Spec{{Func: aggregate.Count, Col: -1, Name: "n"}},
+	}, cal, 0); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]chronicledb.Tuple, 200)
+	for i := range rows {
+		rows[i] = chronicledb.Tuple{chronicledb.Str(fmt.Sprintf("a%02d", i%40)), chronicledb.Int(int64(i))}
+	}
+	if _, _, err := db.AppendRows("calls", rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := sortedRows(t, db, "usage")
+	family := func(db *chronicledb.DB) string {
+		pv, ok := db.Engine().PeriodicView("w")
+		if !ok {
+			return "no family w"
+		}
+		var b strings.Builder
+		for _, inst := range pv.Instances() {
+			fmt.Fprintln(&b, inst.Interval, inst.View.Rows())
+		}
+		return b.String()
+	}
+	wantW := family(db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = chronicledb.Open(opts); err != nil {
+		t.Fatalf("reopening after a checkpoint taken with engine-made views: %v", err)
+	}
+	defer db.Close()
+	if got := sortedRows(t, db, "usage"); !slices.Equal(got, want) {
+		t.Errorf("usage after the reopen:\n%v\nbefore it:\n%v", got, want)
+	}
+	if got := family(db); got != wantW {
+		t.Errorf("w after the reopen:\n%s\nbefore it:\n%s", got, wantW)
+	}
+	if _, ok := db.View("swapped"); ok {
+		t.Error("swapped came back without a catalog statement")
+	}
+	if _, ok := db.Engine().PeriodicView("fam"); ok {
+		t.Error("fam came back without a catalog statement")
+	}
 }

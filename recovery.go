@@ -313,6 +313,9 @@ func (db *DB) buildCheckpointImage(full bool) (data []byte, lsn uint64, marks ma
 	included := func(kind shard.Kind, prefix string, marker func(name string) uint64) []string {
 		var incl []string
 		for _, name := range db.eng.Names(kind) {
+			if (kind == shard.Views || kind == shard.PeriodicViews) && !db.catalogViews[name] {
+				continue // made through Engine(): the catalog cannot remake it
+			}
 			cur := marker(name)
 			marks[prefix+name] = cur
 			if prev, ok := db.ckptMarks[prefix+name]; full || !ok || prev != cur {
