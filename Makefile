@@ -59,10 +59,12 @@ repl-chaos:
 # concurrent appenders race under the race detector while every delivered
 # stream must conserve the append total with strictly increasing LSNs,
 # plus the network-chaos run that kills and resumes subscribers mid-stream
-# across a power cut. -count=1 defeats caching: this is the gate for
+# across a power cut, and the resume test that restarts a watch from every
+# LSN of one append call (a hub frame holds the whole call) and from both
+# sides of the tail's horizon. -count=1 defeats caching: this is the gate for
 # changefeed changes and must actually run.
 watch-stress:
-	$(GO) test -race -count=1 -run 'TestWatchStress|TestWatchNetworkChaos' -v .
+	$(GO) test -race -count=1 -run 'TestWatchStress|TestWatchNetworkChaos|TestWatchResumesInsideACall' -v .
 
 # bench-allocs is the allocation-regression gate: the AllocsPerRun guards
 # pin the hot path's steady-state allocation counts (zero for the micro
@@ -70,10 +72,11 @@ watch-stress:
 # into a key-join view, one per group for a 64-row call through a grouping
 # on the sequencing attribute), and the append benchmarks print the allocs/op
 # trend; the dedup guards pin that a Put of a new id into a full idempotency
-# table and a Lookup allocate nothing. -count=1 defeats caching — the guards
-# must run.
+# table and a Lookup allocate nothing; the feed-tail guard pins the live heap a
+# changefeed's resume tails keep per delta when nobody watches (one packed
+# frame per view per call). -count=1 defeats caching — the guards must run.
 bench-allocs:
-	$(GO) test -count=1 -run 'TestAllocGuards|TestReplAllocGuards|TestKeyJoinAllocGuard|TestGroupBySNAllocGuard' -v .
+	$(GO) test -count=1 -run 'TestAllocGuards|TestReplAllocGuards|TestKeyJoinAllocGuard|TestGroupBySNAllocGuard|TestFeedTailBytes' -v .
 	$(GO) test -count=1 -run 'TestTableAllocGuard|TestTableMemoryBound' -v ./internal/dedup
 	$(GO) test -run=NONE -bench 'BenchmarkAppendHotPath' -benchmem -benchtime 200x .
 

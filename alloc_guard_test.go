@@ -137,6 +137,134 @@ func TestAllocGuards(t *testing.T) {
 			}
 		})
 	})
+
+	t.Run("feed-capture", func(t *testing.T) {
+		// One 16-row idempotent call into the served catalog with the feed
+		// on and one subscriber that keeps up: capture packs each view's
+		// delta for the call into one pooled frame, and the subscriber
+		// decodes its view's frame with one string copy.
+		db := servedFeedDB(t, true)
+		w, err := db.OpenWatch("usage", 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		drain := func(chronicledb.WatchEvent) bool { return true }
+		tuples := servedCall(0)
+		ids := make([]string, 1500)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("r%d", i)
+		}
+		call := 0
+		step := func() {
+			if _, _, _, err := db.AppendRowsIdem("calls", tuples, "c", ids[call]); err != nil {
+				t.Fatal(err)
+			}
+			call++
+			if more, err := w.Next(drain); !more || err != nil {
+				t.Fatalf("the subscriber stopped: %v", err)
+			}
+		}
+		for range 200 {
+			step()
+		}
+		allocGuard(t, "16-row AppendRowsIdem, feed on, 1 subscriber", feedCaptureBudget, step)
+	})
+}
+
+// feedCaptureBudget is the feed-capture guard's reading: the served call's
+// own allocations plus the subscriber's one string copy of its frame.
+const feedCaptureBudget = 1
+
+// servedFeedDB opens an in-memory database with the catalog the daemon
+// workloads serve: usage, calls summed by account in the B-tree store, and
+// revenue, calls joined with customers and summed by state.
+func servedFeedDB(t *testing.T, feed bool) *chronicledb.DB {
+	t.Helper()
+	db, err := chronicledb.Open(chronicledb.Options{Feed: feed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	for _, stmt := range []string{
+		`CREATE CHRONICLE calls (acct STRING, minutes INT, cost FLOAT)`,
+		`CREATE RELATION customers (acct STRING, state STRING, plan STRING, KEY(acct))`,
+		`CREATE VIEW usage AS SELECT acct, SUM(minutes) AS v_min, SUM(cost) AS v_cost, COUNT(*) AS v_n FROM calls GROUP BY acct WITH STORE BTREE`,
+		`CREATE VIEW revenue AS SELECT state, SUM(cost) AS v_cost, COUNT(*) AS v_n FROM calls JOIN customers ON calls.acct = customers.acct GROUP BY state`,
+	} {
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for a := range servedAccounts {
+		if _, err := db.Exec(fmt.Sprintf(`UPSERT INTO customers VALUES ('a%05d', 'S%02d', 'P%d')`, a, a%50, a%3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// servedAccounts is the customers servedFeedDB loads and servedCall spreads
+// its rows over.
+const servedAccounts = 2000
+
+// servedCall is the c-th 16-row call of the served workload.
+func servedCall(c int) []chronicledb.Tuple {
+	tuples := make([]chronicledb.Tuple, 16)
+	for i := range tuples {
+		a := (c*len(tuples) + i) % servedAccounts
+		tuples[i] = chronicledb.Tuple{chronicledb.Str(fmt.Sprintf("a%05d", a)), chronicledb.Int(int64(1 + a%60)), chronicledb.Float(float64(a%90) / 10)}
+	}
+	return tuples
+}
+
+// TestFeedTailBytes pins what the changefeed's resume tails cost a database
+// nobody watches, as TestRelationBytesGuard pins a relation row: the served
+// catalog takes 5 000 idempotent 16-row calls once with Feed on and once
+// with it off, and the live heap the first keeps beyond the second is divided
+// by the deltas the tails retain (1 024 per view, and the rest of the frame
+// that holds the oldest). A frame holds one view's delta for a whole call,
+// its rows packed in one byte slab; one frame per delta, each row a tuple of
+// values, cost about 450 B a delta.
+func TestFeedTailBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under -race")
+	}
+	const calls, budget = 5000, 72
+	run := func(feed bool) (grew, retained uint64) {
+		before := liveHeap()
+		db := servedFeedDB(t, feed)
+		for c := range calls {
+			if _, _, _, err := db.AppendRowsIdem("calls", servedCall(c), "c", fmt.Sprintf("r%d", c)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		grew = liveHeap() - before
+		st := db.FeedStats()
+		return grew, st.Published - st.Evicted
+	}
+	// Each side's smallest of three readings: whatever else the process
+	// allocates meanwhile only ever adds to one.
+	var off, on, retained uint64
+	for i := range 3 {
+		grewOff, _ := run(false)
+		grewOn, kept := run(true)
+		if i == 0 || grewOff < off {
+			off = grewOff
+		}
+		if i == 0 || grewOn < on {
+			on = grewOn
+		}
+		retained = kept
+	}
+	if retained < 2*feedpkg.DefaultTailFrames {
+		t.Fatalf("the tails retain %d deltas, want at least %d", retained, 2*feedpkg.DefaultTailFrames)
+	}
+	perDelta := (float64(on) - float64(off)) / float64(retained)
+	t.Logf("%d retained deltas: %.0f B/delta (budget %d)", retained, perDelta, budget)
+	if perDelta > budget {
+		t.Errorf("%.0f B per retained delta, budget %d — the feed tail grew", perDelta, budget)
+	}
 }
 
 // TestKeyJoinAllocGuard pins what a key join costs a call: one 64-row

@@ -76,7 +76,7 @@ func main() {
 		cacheBytes = flag.Int64("view-cache-bytes", 0, "resident-byte budget for blocked view stores (0 = unbounded; durable mode only)")
 		blockBytes = flag.Int64("view-block-bytes", 0, "blocked view store block size in bytes (0 = default 8KiB; durable mode only)")
 		feed       = flag.Bool("feed", true, "changefeeds: capture view deltas for /watch subscribers")
-		feedTail   = flag.Int("feed-tail", 0, "per-view resume window in frames (0 = default 1024)")
+		feedTail   = flag.Int("feed-tail", 0, "per-view resume window in deltas, one per LSN (0 = default 1024)")
 		maxSubs    = flag.Int("max-subscribers", 0, "concurrent /watch subscribers before 429 shedding (0 = default 4096)")
 		heartbeat  = flag.Duration("heartbeat", 0, "keep-alive cadence on idle /watch streams (0 = default 10s)")
 		replicaOf  = flag.String("replica-of", "", "primary base URL; start as a read-only follower (e.g. http://primary:7457)")

@@ -113,14 +113,16 @@ type Options struct {
 	// append path should not pay unless changefeeds are wanted.
 	Feed bool
 	// FeedTailFrames bounds the per-view in-memory resume window, in
-	// frames (delta batches). Reconnecting subscribers whose cursor is
-	// inside the window resume from memory; older cursors get a snapshot.
-	// Zero means feed.DefaultTailFrames (1024). Ignored without Feed.
+	// deltas (one per LSN). A reconnecting subscriber whose cursor is within
+	// the view's last FeedTailFrames deltas resumes from memory; older
+	// cursors get a snapshot. The window keeps whole frames, one per view
+	// per append call, so it may hold one frame more than that. Zero means
+	// feed.DefaultTailFrames (1024). Ignored without Feed.
 	FeedTailFrames int
-	// FeedRing bounds each subscriber's live delivery buffer, in frames; a
-	// subscriber that falls further behind is shed rather than allowed to
-	// backpressure the append path. Zero means feed.DefaultRing (256).
-	// Ignored without Feed.
+	// FeedRing bounds each subscriber's live delivery buffer, in deltas
+	// (one per LSN); a subscriber that a call's frame would take past it is
+	// shed rather than allowed to backpressure the append path. Zero means
+	// feed.DefaultRing (256). Ignored without Feed.
 	FeedRing int
 	// ReplicaOf makes this database a follower of the primary at the given
 	// base URL (e.g. "http://10.0.0.1:7457"): it opens read-only for

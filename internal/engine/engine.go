@@ -833,10 +833,10 @@ func (e *Engine) DedupEntries() []dedup.Entry {
 // shared-delta pipeline. It walks the affected targets, pulls each persistent
 // view's expression delta from the shared plan — so a subexpression common to
 // several views is evaluated once per round — captures it for the changefeed
-// when one is installed, one frame per LSN so subscribers see what per-row
-// maintenance would have sent, and folds it into the view before moving on
-// (the plan's buffers and the call's stored rows are reused by the next
-// round). Nothing is published here: a target folded into for the first time
+// when one is installed, one frame per view holding one delta per LSN, so
+// subscribers see what per-row maintenance would have sent, and folds it into
+// the view before moving on (the plan's buffers and the call's stored rows are
+// reused by the next round). Nothing is published here: a target folded into for the first time
 // since its last publication joins e.dirty, and publishDirtyLocked publishes
 // it when the whole call is in.
 //
@@ -881,20 +881,16 @@ func (e *Engine) maintain(deltas map[*chronicle.Chronicle][]chronicle.Row) {
 	e.maintLat.Observe(elapsed)
 }
 
-// captureFeed cuts one view's delta for the round into changefeed frames, one
-// per LSN: delta rows ascend in SN and the rows of one mutation share its LSN,
-// so each run of equal LSNs is exactly the frame that mutation's own round
-// would have captured.
+// captureFeed packs one view's delta for the round into one changefeed frame.
+// Delta rows ascend in SN and each carries its mutation's LSN, so the frame's
+// LSN is its last row's, and a subscriber that cuts it at LSN changes gets
+// exactly the deltas that per-row rounds would have captured.
 func (e *Engine) captureFeed(view string, drows []chronicle.Row) {
-	for len(drows) > 0 {
-		n := 1
-		for n < len(drows) && drows[n].LSN == drows[0].LSN {
-			n++
-		}
-		if e.pendingFeed == nil {
-			e.pendingFeed = e.feed.Begin(e.feedDoor)
-		}
-		e.pendingFeed.Capture(view, drows[0].LSN, drows[:n])
-		drows = drows[n:]
+	if len(drows) == 0 {
+		return
 	}
+	if e.pendingFeed == nil {
+		e.pendingFeed = e.feed.Begin(e.feedDoor)
+	}
+	e.pendingFeed.Capture(view, drows[len(drows)-1].LSN, drows)
 }

@@ -5,9 +5,9 @@
 // incrementally; until now the engine computed every delta, folded it into
 // the materialization, and threw it away. The feed hub makes the delta
 // stream itself a product: the engine captures each persistent view's
-// expression delta at maintenance time, stamps it with the mutation's LSN,
-// and — strictly after the WAL commit that covers it — publishes it to
-// every subscriber of that view.
+// expression delta at maintenance time, each row stamped with its
+// mutation's LSN, and — strictly after the WAL commit that covers it —
+// publishes it to every subscriber of that view.
 //
 // Correctness invariants:
 //
@@ -26,13 +26,19 @@
 //     frame published concurrently with Subscribe lands in exactly one of
 //     backlog or live ring — never both, never neither.
 //
-// Memory model: frames are pooled and reference-counted. The tail ring
-// holds one reference; each subscriber enqueue adds one. Row tuples are
-// copied into a per-frame arena sized up-front, so the steady-state publish
-// path allocates nothing per delta per subscriber.
+// Memory model: a frame is one view's delta from one maintenance round —
+// one append call, one delta per LSN — packed into one byte slab. Frames
+// are pooled and reference-counted. The tail holds one reference; each
+// subscriber enqueue adds one. The slab keeps its capacity in the pool, so
+// the steady-state capture and publish path allocates nothing per delta
+// per subscriber. The tail and the subscriber rings hold whole frames but
+// are bounded in deltas, the unit a cursor counts.
 package feed
 
 import (
+	"encoding/binary"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -42,15 +48,17 @@ import (
 
 // Config sizes the hub's bounded buffers.
 type Config struct {
-	// TailFrames is the per-view in-memory resume window, in frames. A
-	// reconnecting subscriber whose cursor is at or past the tail horizon
-	// catches up from the tail; older cursors fall back to a snapshot read.
-	// Zero means DefaultTailFrames.
+	// TailFrames is the per-view in-memory resume window, in deltas
+	// (LSNs): a reconnecting subscriber whose cursor is within the view's
+	// last TailFrames deltas catches up from the tail; older cursors fall
+	// back to a snapshot read. The tail holds whole frames, so it may keep
+	// one frame more than that. Zero means DefaultTailFrames.
 	TailFrames int
-	// Ring is the per-subscriber live buffer, in frames. A subscriber whose
-	// ring overflows is shed (ReasonSlow) rather than allowed to apply
-	// backpressure to the append path. Zero means DefaultRing. A ring starts
-	// at ringStart frames and doubles as frames wait in it, up to Ring.
+	// Ring is the per-subscriber live buffer, in deltas. A subscriber a
+	// frame would take past Ring pending deltas is shed (ReasonSlow) rather
+	// than allowed to apply backpressure to the append path. Zero means
+	// DefaultRing. A ring starts at ringStart frame slots and doubles as
+	// frames wait in it, up to Ring.
 	Ring int
 }
 
@@ -60,7 +68,7 @@ const (
 	DefaultRing       = 256
 )
 
-// ringStart is a new subscription's ring, in frames: a subscriber that keeps
+// ringStart is a new subscription's ring, in frame slots: a subscriber that keeps
 // up never needs more, and one that falls behind grows it.
 const ringStart = 16
 
@@ -68,12 +76,12 @@ const ringStart = 16
 type Stats struct {
 	Subscribers      int64  // currently registered subscriptions
 	SubscribedTotal  uint64 // subscriptions ever registered
-	Published        uint64 // frames published
+	Published        uint64 // deltas (LSNs) published
 	RowsPublished    uint64 // delta rows across all published frames
 	DroppedSlow      uint64 // subscriptions shed for ring overflow
 	CatchupsTail     uint64 // resumes served from the in-memory tail
 	CatchupsSnapshot uint64 // resumes that needed a snapshot read
-	Evicted          uint64 // tail frames evicted (horizon advances)
+	Evicted          uint64 // deltas evicted from the tail (horizon advances)
 }
 
 // ResumeKind reports how a subscription's catch-up is served.
@@ -121,61 +129,126 @@ func (r CloseReason) String() string {
 	return "none"
 }
 
-// Frame is one view's delta from one mutation: the expression delta rows
-// that maintenance folded into the view, stamped with the mutation's LSN.
-// Frames are immutable after capture, pooled, and reference-counted; every
-// consumer that receives a frame from Drain must Release it.
+// Frame is one view's delta from one maintenance round: the expression
+// delta rows that maintenance folded into the view, each stamped with its
+// mutation's LSN, packed into one pooled byte slab. A round folds a whole
+// append call, so a frame carries one delta per LSN of the call; its LSN is the highest of them. Frames are immutable after capture,
+// pooled, and reference-counted; every consumer that receives a frame from
+// Drain must Release it.
 type Frame struct {
 	View string
 	LSN  uint64
-	Rows []chronicle.Row
 
-	refs    atomic.Int32
-	arena   []value.Value   // backing storage for all row tuples
-	rowsBuf []chronicle.Row // backing storage for Rows
+	refs   atomic.Int32
+	deltas int    // distinct LSNs among the rows
+	rows   int    // rows packed in slab
+	cells  int    // tuple cells across the rows: Decode sizes its arena once
+	slab   []byte // per row: SN, chronon and LSN as varints, each less the previous row's, then value.AppendTuple
 }
 
 var framePool = sync.Pool{New: func() any { return new(Frame) }}
 
-// newFrame copies rows into pooled storage. The arena is sized before any
-// row slice is cut from it — growing it mid-fill would invalidate earlier
-// slices.
+// newFrame packs rows, which ascend in LSN, into pooled storage. The slab
+// keeps its capacity in the pool; one that has to grow is cut to the size
+// the rows take, so a tail of frames holds no growth slack.
 func newFrame(view string, lsn uint64, rows []chronicle.Row) *Frame {
 	f := framePool.Get().(*Frame)
 	f.View, f.LSN = view, lsn
 	f.refs.Store(1)
-	total := 0
+	f.deltas, f.rows, f.cells = 0, len(rows), 0
+	slab, room := f.slab[:0], cap(f.slab)
+	var prev chronicle.Row
 	for _, r := range rows {
-		total += len(r.Vals)
+		if f.deltas == 0 || r.LSN != prev.LSN {
+			f.deltas++
+		}
+		slab = binary.AppendVarint(slab, r.SN-prev.SN)
+		slab = binary.AppendVarint(slab, r.Chronon-prev.Chronon)
+		slab = binary.AppendUvarint(slab, r.LSN-prev.LSN)
+		slab = value.AppendTuple(slab, r.Vals)
+		f.cells += len(r.Vals)
+		prev = r
 	}
-	if cap(f.arena) < total {
-		f.arena = make([]value.Value, total)
+	if cap(slab) != room {
+		slab = append(make([]byte, 0, len(slab)), slab...)
 	}
-	f.arena = f.arena[:total]
-	if cap(f.rowsBuf) < len(rows) {
-		f.rowsBuf = make([]chronicle.Row, len(rows))
-	}
-	f.rowsBuf = f.rowsBuf[:len(rows)]
-	off := 0
-	for i, r := range rows {
-		n := copy(f.arena[off:off+len(r.Vals)], r.Vals)
-		f.rowsBuf[i] = chronicle.Row{SN: r.SN, Chronon: r.Chronon, LSN: r.LSN, Vals: value.Tuple(f.arena[off : off+n])}
-		off += n
-	}
-	f.Rows = f.rowsBuf
+	f.slab = slab
 	return f
+}
+
+// Decode appends the frame's rows, in LSN order, to dst, their tuples cut
+// from arena, and returns both. The string cells share one copy of the
+// slab made here, never the slab itself, so decoded rows stay valid after
+// the frame is released and its slab is reused by a later capture.
+func (f *Frame) Decode(dst []chronicle.Row, arena value.Tuple) ([]chronicle.Row, value.Tuple) {
+	// The arena gets its room before any tuple is cut from it: growing it
+	// mid-fill would leave earlier rows on the old array.
+	arena = slices.Grow(arena[:0], f.cells)
+	s := string(f.slab)
+	var r chronicle.Row
+	for off := 0; off < len(s); {
+		sn, n := binary.Varint(f.slab[off:])
+		off += n
+		chronon, n := binary.Varint(f.slab[off:])
+		off += n
+		lsn, n := binary.Uvarint(f.slab[off:])
+		off += n
+		r.SN, r.Chronon, r.LSN = r.SN+sn, r.Chronon+chronon, r.LSN+lsn
+		start := len(arena)
+		arena, n, _ = value.DecodeTupleString(arena, s[off:])
+		off += n
+		r.Vals = arena[start:len(arena):len(arena)]
+		dst = append(dst, r)
+	}
+	return dst, arena
 }
 
 func (f *Frame) retain() { f.refs.Add(1) }
 
 // Release returns the caller's reference; the last release recycles the
-// frame (arena and row buffer keep their capacity for the pool).
+// frame (its slab keeps its capacity for the pool).
 func (f *Frame) Release() {
 	if f.refs.Add(-1) != 0 {
 		return
 	}
-	f.View, f.LSN, f.Rows = "", 0, nil
+	f.View, f.LSN = "", 0
 	framePool.Put(f)
+}
+
+// frameQueue is a circular queue of frames that grows by doubling, and
+// counts the deltas its frames carry: the tail and the subscriber rings
+// hold whole frames but are bounded in deltas.
+type frameQueue struct {
+	buf     []*Frame
+	head, n int
+	deltas  int
+}
+
+// push appends f, doubling a full buffer up to most slots; the caller
+// keeps the queue under most frames.
+func (q *frameQueue) push(f *Frame, most int) {
+	if q.n == len(q.buf) {
+		buf := make([]*Frame, min(max(2*len(q.buf), ringStart), most))
+		copy(buf[copy(buf, q.buf[q.head:]):], q.buf[:q.head])
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = f
+	q.n++
+	q.deltas += f.deltas
+}
+
+// at returns the i-th oldest frame.
+func (q *frameQueue) at(i int) *Frame { return q.buf[(q.head+i)%len(q.buf)] }
+
+// pop removes and returns the oldest frame, which passes to the caller
+// with the queue's reference.
+func (q *frameQueue) pop() *Frame {
+	f := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	q.deltas -= f.deltas
+	return f
 }
 
 // Door orders publishes from one engine. Tickets are drawn under the
@@ -240,9 +313,10 @@ func (h *Hub) Begin(d *Door) *Batch {
 	return b
 }
 
-// Capture copies one view's delta rows into the batch. Rows are copied
-// immediately: the caller's slices are engine scratch reused by the next
-// mutation.
+// Capture packs one view's delta rows for one maintenance round into one
+// frame of the batch. The rows ascend in LSN, each carrying its own; lsn is
+// the highest, the frame's LSN. Rows are copied immediately: the caller's
+// slices are engine scratch reused by the next round.
 func (b *Batch) Capture(view string, lsn uint64, rows []chronicle.Row) {
 	if len(rows) == 0 {
 		return
@@ -334,11 +408,9 @@ type feedView struct {
 	hub *Hub
 
 	mu         sync.Mutex
-	tail       []*Frame // circular buffer, cap == Config.TailFrames
-	tailHead   int
-	tailN      int
-	evictedLSN uint64 // highest LSN evicted from the tail
-	headLSN    uint64 // highest LSN published
+	tail       frameQueue // the resume window, at least Config.TailFrames deltas once that many were published
+	evictedLSN uint64     // highest LSN evicted from the tail
+	headLSN    uint64     // highest LSN published
 	subs       map[*Subscription]struct{}
 }
 
@@ -354,32 +426,27 @@ func (h *Hub) viewFeed(name string) *feedView {
 	if fv = h.views[name]; fv != nil {
 		return fv
 	}
-	fv = &feedView{
-		hub:  h,
-		tail: make([]*Frame, h.cfg.TailFrames),
-		subs: make(map[*Subscription]struct{}),
-	}
+	fv = &feedView{hub: h, subs: make(map[*Subscription]struct{})}
 	h.views[name] = fv
 	return fv
 }
 
 // publish appends the frame (which arrives holding the tail's reference)
-// to the view's tail ring and enqueues it to every live subscriber. A
-// subscriber whose ring is full is shed on the spot.
+// to the view's tail and enqueues it to every live subscriber. The tail
+// then evicts its oldest frames for as long as the rest still hold
+// Config.TailFrames deltas, so every cursor among the last TailFrames
+// deltas stays inside it. A subscriber whose ring would pass Config.Ring
+// pending deltas is shed on the spot.
 func (h *Hub) publish(f *Frame) {
 	fv := h.viewFeed(f.View)
-	rows := len(f.Rows)
+	deltas, rows := f.deltas, f.rows
 	fv.mu.Lock()
-	if fv.tailN == len(fv.tail) {
-		old := fv.tail[fv.tailHead]
+	fv.tail.push(f, math.MaxInt)
+	for fv.tail.deltas-fv.tail.at(0).deltas >= h.cfg.TailFrames {
+		old := fv.tail.pop()
 		fv.evictedLSN = old.LSN
-		fv.tail[fv.tailHead] = f
-		fv.tailHead = (fv.tailHead + 1) % len(fv.tail)
+		h.evicted.Add(uint64(old.deltas))
 		old.Release()
-		h.evicted.Add(1)
-	} else {
-		fv.tail[(fv.tailHead+fv.tailN)%len(fv.tail)] = f
-		fv.tailN++
 	}
 	for sub := range fv.subs {
 		if !sub.enqueueLocked(f) {
@@ -391,7 +458,7 @@ func (h *Hub) publish(f *Frame) {
 	}
 	fv.headLSN = f.LSN
 	fv.mu.Unlock()
-	h.published.Add(1)
+	h.published.Add(uint64(deltas))
 	h.rowsPublished.Add(uint64(rows))
 }
 
@@ -436,7 +503,7 @@ func (h *Hub) Subscribe(view string, fromLSN uint64, hasFrom bool) (*Subscriptio
 	sub := &Subscription{
 		fv:     fv,
 		notify: make(chan struct{}, 1),
-		ring:   make([]*Frame, min(ringStart, h.cfg.Ring)),
+		ring:   frameQueue{buf: make([]*Frame, min(ringStart, h.cfg.Ring))},
 		most:   h.cfg.Ring,
 	}
 	fv.mu.Lock()
@@ -447,9 +514,10 @@ func (h *Hub) Subscribe(view string, fromLSN uint64, hasFrom bool) (*Subscriptio
 	kind := ResumeSnapshot
 	if hasFrom && fromLSN >= horizon {
 		kind = ResumeTail
-		for i := 0; i < fv.tailN; i++ {
-			f := fv.tail[(fv.tailHead+i)%len(fv.tail)]
-			if f.LSN > fromLSN {
+		for i := range fv.tail.n {
+			// A frame that straddles the cursor goes in whole: the stream
+			// drops its rows at or below the cursor.
+			if f := fv.tail.at(i); f.LSN > fromLSN {
 				f.retain()
 				sub.backlog = append(sub.backlog, f)
 			}
@@ -491,10 +559,9 @@ func (h *Hub) DropView(view string) {
 		h.subscribers.Add(-1)
 	}
 	clear(fv.subs)
-	for i := 0; i < fv.tailN; i++ {
-		fv.tail[(fv.tailHead+i)%len(fv.tail)].Release()
+	for fv.tail.n > 0 {
+		fv.tail.pop().Release()
 	}
-	fv.tailN, fv.tailHead = 0, 0
 	fv.mu.Unlock()
 }
 
@@ -520,9 +587,8 @@ type Subscription struct {
 	notify chan struct{}
 
 	backlog []*Frame
-	ring    []*Frame // circular buffer, grown by doubling up to most
-	head, n int
-	most    int // Config.Ring: the frames it may hold before it is shed
+	ring    frameQueue // live frames, the buffer grown by doubling up to most slots
+	most    int        // Config.Ring: the deltas it may hold before it is shed
 
 	closed bool
 	reason CloseReason
@@ -532,20 +598,15 @@ type Subscription struct {
 func (s *Subscription) C() <-chan struct{} { return s.notify }
 
 // enqueueLocked adds one live frame, doubling a full ring up to its bound;
-// false means the ring holds Config.Ring frames and the subscriber must be
-// shed. Caller holds fv.mu.
+// false means the frame would take the ring past Config.Ring pending
+// deltas and the subscriber must be shed. Every frame carries a delta, so
+// the ring never needs more than Config.Ring slots. Caller holds fv.mu.
 func (s *Subscription) enqueueLocked(f *Frame) bool {
-	if s.n == len(s.ring) {
-		if s.n == s.most {
-			return false
-		}
-		ring := make([]*Frame, min(2*len(s.ring), s.most))
-		copy(ring[copy(ring, s.ring[s.head:]):], s.ring[:s.head])
-		s.ring, s.head = ring, 0
+	if s.ring.deltas+f.deltas > s.most {
+		return false
 	}
+	s.ring.push(f, s.most)
 	f.retain()
-	s.ring[(s.head+s.n)%len(s.ring)] = f
-	s.n++
 	select {
 	case s.notify <- struct{}{}:
 	default:
@@ -563,11 +624,8 @@ func (s *Subscription) Drain(dst []*Frame) []*Frame {
 		s.backlog[i] = nil
 	}
 	s.backlog = s.backlog[:0]
-	for s.n > 0 {
-		dst = append(dst, s.ring[s.head])
-		s.ring[s.head] = nil
-		s.head = (s.head + 1) % len(s.ring)
-		s.n--
+	for s.ring.n > 0 {
+		dst = append(dst, s.ring.pop())
 	}
 	s.fv.mu.Unlock()
 	return dst
@@ -591,11 +649,8 @@ func (s *Subscription) closeLocked(reason CloseReason) {
 		f.Release()
 	}
 	s.backlog = nil
-	for s.n > 0 {
-		s.ring[s.head].Release()
-		s.ring[s.head] = nil
-		s.head = (s.head + 1) % len(s.ring)
-		s.n--
+	for s.ring.n > 0 {
+		s.ring.pop().Release()
 	}
 	select {
 	case s.notify <- struct{}{}:

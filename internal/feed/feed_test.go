@@ -1,7 +1,9 @@
 package feed
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -344,8 +346,8 @@ func TestRingGrowsToItsBound(t *testing.T) {
 	if closed, _ := sub.Closed(); closed {
 		t.Fatalf("shed with %d frames waiting, the bound", bound)
 	}
-	if len(sub.ring) != bound {
-		t.Fatalf("the ring holds %d slots with %d frames waiting, want %d", len(sub.ring), bound, bound)
+	if len(sub.ring.buf) != bound {
+		t.Fatalf("the ring holds %d slots with %d frames waiting, want %d", len(sub.ring.buf), bound, bound)
 	}
 	got, _ := drainLSNs(sub, nil)
 	for i, l := range got {
@@ -386,5 +388,107 @@ func TestShortSubscriptionBytes(t *testing.T) {
 	t.Logf("a short subscription with Ring %d: %d B", 1<<15, per)
 	if per > 1024 {
 		t.Errorf("a short subscription allocates %d B, budget 1 KiB", per)
+	}
+}
+
+// callRows builds one call's delta rows: k rows from LSN first on, one LSN
+// per row, each with a string cell of its own.
+func callRows(first uint64, k int) []chronicle.Row {
+	out := make([]chronicle.Row, k)
+	for i := range out {
+		lsn := first + uint64(i)
+		out[i] = chronicle.Row{SN: int64(lsn) - 1, Chronon: -1 << 40 * int64(i%3), LSN: lsn,
+			Vals: value.Tuple{value.Str(strings.Repeat("s", i*20)), value.Int(int64(lsn)), value.Float(0.5)}}
+	}
+	return out
+}
+
+// publishCall pushes one call's frame for view through a full batch cycle.
+func publishCall(h *Hub, d *Door, view string, first uint64, k int) {
+	b := h.Begin(d)
+	b.Capture(view, first+uint64(k)-1, callRows(first, k))
+	b.Publish()
+}
+
+// TestFrameDecodesWhatItPacked: a frame packs a round's rows, several LSNs
+// and rows of one LSN among them, and decodes them as they were; its
+// decoded strings stay put after the frame is released and its pooled slab
+// packs another round.
+func TestFrameDecodesWhatItPacked(t *testing.T) {
+	rows := callRows(1000, 10)
+	rows[4].LSN, rows[5].LSN = rows[3].LSN, rows[3].LSN // one mutation, three rows
+	rows = append(rows, chronicle.Row{SN: 1 << 62, Chronon: 1 << 62, LSN: 1 << 63, Vals: value.Tuple{value.Null(), value.Bool(true), value.Str("")}})
+	b := NewHub(Config{}).Begin(NewDoor())
+	b.Capture("v", 1<<63, rows)
+	f := b.frames[0]
+	if f.LSN != 1<<63 || f.deltas != 9 {
+		t.Fatalf("frame LSN %d with %d deltas, want %d and 9", f.LSN, f.deltas, uint64(1<<63))
+	}
+	got, _ := f.Decode(nil, nil)
+	if fmt.Sprint(got) != fmt.Sprint(rows) {
+		t.Fatalf("decoded\n%v\nwant\n%v", got, rows)
+	}
+	want := fmt.Sprint(got)
+	f.Release()
+	other := callRows(1998, 3) // fits the released slab
+	for i := range other {
+		other[i].Vals[0] = value.Str(strings.Repeat("z", 60))
+	}
+	for range 10 {
+		b.Capture("v", 2000, other)
+	}
+	if fmt.Sprint(got) != want {
+		t.Fatalf("decoded rows changed once their frame's slab was reused:\n%v\nwant\n%v", got, want)
+	}
+}
+
+// TestTailCountsDeltas: the tail holds whole frames, one a call, but is
+// bounded in deltas. It keeps the last TailFrames deltas and the rest of the
+// frame that holds the oldest of them; a cursor inside a retained frame
+// resumes from the tail with that frame whole, one inside an evicted frame
+// needs a snapshot; published and evicted count deltas.
+func TestTailCountsDeltas(t *testing.T) {
+	h := NewHub(Config{TailFrames: 20})
+	d := NewDoor()
+	for c := range 4 {
+		publishCall(h, d, "v", uint64(16*c+1), 16) // LSNs 1..64
+	}
+	// 49..64 holds 16 deltas, fewer than 20: 33..48 stays too.
+	if st := h.Stats(); st.Published != 64 || st.RowsPublished != 64 || st.Evicted != 32 {
+		t.Fatalf("stats = %+v, want 64 published and 32 evicted", st)
+	}
+	if sub, kind := h.Subscribe("v", 31, true); kind != ResumeSnapshot {
+		t.Fatalf("a cursor inside an evicted frame resumes by %v, want snapshot", kind)
+	} else {
+		sub.Close()
+	}
+	for _, from := range []uint64{32, 40, 48, 63} {
+		sub, kind := h.Subscribe("v", from, true)
+		lsns, _ := drainLSNs(sub, nil)
+		sub.Close()
+		want := []uint64{48, 64}
+		if from >= 48 {
+			want = want[1:]
+		}
+		if kind != ResumeTail || fmt.Sprint(lsns) != fmt.Sprint(want) {
+			t.Fatalf("from %d: resumed by %v with frames %v, want tail and %v", from, kind, lsns, want)
+		}
+	}
+}
+
+// TestRingShedsAtPendingDeltas: a subscriber is shed when a frame would
+// take it past Config.Ring pending deltas, however few frames that is.
+func TestRingShedsAtPendingDeltas(t *testing.T) {
+	h := NewHub(Config{Ring: 20})
+	d := NewDoor()
+	sub, _ := h.Subscribe("v", 0, false)
+	publishCall(h, d, "v", 1, 8)
+	publishCall(h, d, "v", 9, 8)
+	if closed, _ := sub.Closed(); closed {
+		t.Fatal("shed with 16 deltas pending, the bound is 20")
+	}
+	publishCall(h, d, "v", 17, 8)
+	if closed, reason := sub.Closed(); !closed || reason != ReasonSlow {
+		t.Fatalf("closed=%v reason=%v with 24 deltas pending, want a slow shed", closed, reason)
 	}
 }

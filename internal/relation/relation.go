@@ -147,8 +147,7 @@ func (r *Relation) Reset() {
 }
 
 func (r *Relation) reset() {
-	// A row sorts by its key alone; the bytes past the key are its tuple.
-	r.rows = btree.New[string, struct{}](func(a, b string) bool { return a[:r.keyLen(a)] < b[:r.keyLen(b)] })
+	r.rows = btree.New[string, struct{}](r.rowLess)
 	if r.history {
 		r.past = btree.New[string, *past](func(a, b string) bool { return a < b })
 	}
@@ -168,6 +167,15 @@ func (r *Relation) appendKey(dst []byte, t value.Tuple) []byte {
 		dst = value.AppendKey(dst, t[c])
 	}
 	return dst
+}
+
+// rowLess orders rows by their keys alone; the bytes past a key are its
+// tuple. Keys are prefix-free (see cmpKey), so a's key compares with b
+// exactly as with b's key when it meets b's first len(key) bytes: only a's
+// key is decoded.
+func (r *Relation) rowLess(a, b string) bool {
+	k := r.keyLen(a)
+	return a[:k] < b[:min(k, len(b))]
 }
 
 // keyLen returns the length of row's key: a length byte and a value

@@ -578,3 +578,87 @@ func TestRestoreImageRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// TestRowLessMatchesKeyOrder checks the live-row order against its
+// definition: rowLess, which decodes one key, must order every pair of rows
+// as comparing their two decoded keys does. The rows mix key arities and
+// kinds with the edges of the key encoding: ”, strings whose length takes
+// a two-byte varint or wraps the cell's length byte, integers around 2⁵³
+// and integral floats that key as integers, and keys repeated under other
+// tuples.
+func TestRowLessMatchesKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	str := func() value.Value {
+		switch rng.Intn(4) {
+		case 0:
+			lens := []int{0, 1, 2, 126, 127, 128, 129, 254, 255, 256, 300}
+			return value.Str(strings.Repeat("x", lens[rng.Intn(len(lens))]))
+		case 1:
+			return value.Str(strings.Repeat("x", rng.Intn(300)) + "y")
+		}
+		b := make([]byte, rng.Intn(6))
+		for i := range b {
+			b[i] = "xy\x00\xff"[rng.Intn(4)]
+		}
+		return value.Str(string(b))
+	}
+	num := func() value.Value {
+		const p53 = int64(1) << 53
+		ints := []int64{0, -1, 1, p53 - 2, p53 - 1, p53, p53 + 1, p53 + 2, -p53 - 1, -p53, -p53 + 1, math.MaxInt64, math.MinInt64}
+		switch rng.Intn(4) {
+		case 0:
+			return value.Int(ints[rng.Intn(len(ints))])
+		case 1:
+			floats := []float64{0.5, -0.5, 2, float64(p53), float64(p53 + 2), -float64(p53), 1e300}
+			return value.Float(floats[rng.Intn(len(floats))])
+		case 2:
+			return value.Int(rng.Int63n(5) - 2)
+		}
+		return value.Int(rng.Int63())
+	}
+	cases := []struct {
+		name string
+		cols []value.Column
+		key  []int
+	}{
+		{"string", []value.Column{{Name: "s", Kind: value.KindString}, {Name: "v", Kind: value.KindString}}, []int{0}},
+		{"number,string", []value.Column{{Name: "n", Kind: value.KindFloat}, {Name: "s", Kind: value.KindString}, {Name: "v", Kind: value.KindInt}}, []int{0, 1}},
+		{"string,number,string", []value.Column{{Name: "a", Kind: value.KindString}, {Name: "v", Kind: value.KindString}, {Name: "n", Kind: value.KindFloat}, {Name: "b", Kind: value.KindString}}, []int{0, 2, 3}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := New("r", value.NewSchema(tc.cols...), tc.key, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rows []string
+			for len(rows) < 400 {
+				tup := make(value.Tuple, len(tc.cols))
+				for i, c := range tc.cols {
+					if c.Kind == value.KindString {
+						tup[i] = str()
+					} else {
+						tup[i] = num()
+					}
+				}
+				row := string(value.AppendTuple(r.appendKey(nil, tup), tup))
+				rows = append(rows, row)
+				if rng.Intn(4) == 0 {
+					// The same key under another tuple.
+					tup[len(tup)-1] = str()
+					if tc.cols[len(tup)-1].Kind != value.KindString {
+						tup[len(tup)-1] = num()
+					}
+					rows = append(rows, string(value.AppendTuple(r.appendKey(nil, tup), tup)))
+				}
+			}
+			for _, a := range rows {
+				for _, b := range rows {
+					if got, want := r.rowLess(a, b), a[:r.keyLen(a)] < b[:r.keyLen(b)]; got != want {
+						t.Fatalf("rowLess(%q, %q) = %v, the keys order %v", a, b, got, want)
+					}
+				}
+			}
+		})
+	}
+}

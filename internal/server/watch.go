@@ -139,9 +139,9 @@ func (s *Server) sseSend(w http.ResponseWriter, rc *http.ResponseController, eve
 // watchStream serves the SSE path: info, optional snapshot, then live
 // deltas with heartbeats, ending in a terminal bye.
 //
-// Every event one ws.Next hands out — a commit's frames arrive together, one
-// per LSN — is written under one write deadline and flushed once, so a k-row
-// call costs a stream one flush, not k. The deadline is what bounds a
+// Every event one ws.Next hands out — a commit's frames arrive together, a
+// call's frame cut into one delta event per LSN — is written under one write
+// deadline and flushed once, so a k-row call costs a stream one flush, not k. The deadline is what bounds a
 // stalled client: the stream has no overall timeout, but no batch of events
 // may take longer than the server's write window to drain.
 func (s *Server) watchStream(w http.ResponseWriter, r *http.Request, ws *chronicledb.WatchStream, name string, cols []string) {

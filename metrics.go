@@ -100,12 +100,12 @@ func (db *DB) Metrics() []Metric {
 	ms = append(ms, []Metric{
 		{"feed_subscribers", "subscribers", "live changefeed subscriptions", true, f.Subscribers},
 		{"feed_subscribed_total", "subscribers", "subscriptions ever registered", false, int64(f.SubscribedTotal)},
-		{"feed_published", "frames", "delta frames published", false, int64(f.Published)},
+		{"feed_published", "deltas", "deltas published, one per view per LSN", false, int64(f.Published)},
 		{"feed_rows_published", "rows", "delta rows across the published frames", false, int64(f.RowsPublished)},
 		{"feed_dropped_slow", "subscribers", "subscribers shed for falling behind their ring", false, int64(f.DroppedSlow)},
 		{"feed_catchups_tail", "subscribers", "resumes served from the in-memory tail", false, int64(f.CatchupsTail)},
 		{"feed_catchups_snapshot", "subscribers", "resumes that needed a snapshot read", false, int64(f.CatchupsSnapshot)},
-		{"feed_evicted", "frames", "tail frames evicted as the resume horizon advanced", false, int64(f.Evicted)},
+		{"feed_evicted", "deltas", "deltas evicted from the tails as the resume horizon advanced", false, int64(f.Evicted)},
 		{"role", "text", "primary or replica", true, db.Role()},
 		{"degraded_acks", "requests", "sync-mode writes acked without a follower ack (timeout or no follower)", false, db.DegradedAcks()},
 	}...)

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 
+	"chronicledb/internal/chronicle"
 	"chronicledb/internal/feed"
+	"chronicledb/internal/value"
 	"chronicledb/internal/view"
 )
 
@@ -51,19 +53,21 @@ type WatchEvent struct {
 // hub: it registers before it reads any snapshot, filters deltas at or
 // below the snapshot's LSN and releases every frame it is handed, so its
 // readers — DB.Watch and the server's /watch stream — see a gapless,
-// duplicate-free LSN sequence. A WatchStream is not safe for concurrent
-// use.
+// duplicate-free LSN sequence. A hub frame holds one view's deltas from a
+// whole append call; the stream cuts it into one WatchDelta per LSN. A
+// WatchStream is not safe for concurrent use.
 type WatchStream struct {
 	db     *DB
 	view   string
 	sub    *feed.Subscription
 	resume feed.ResumeKind
 	snap   bool   // the snapshot is still owed
-	filter uint64 // deltas at or below it are in the snapshot
-	cursor uint64 // the last position handed out
+	cursor uint64 // the last position handed out; deltas at or below it are dropped
 	done   bool
 	frames []*feed.Frame
-	rows   []WatchRow // borrowed delta rows, reused across deltas
+	dec    []chronicle.Row // a frame's decoded rows
+	cells  value.Tuple     // their cells
+	rows   []WatchRow      // borrowed delta rows, reused across deltas
 }
 
 // OpenWatch subscribes to a persistent view's changefeed. With hasFrom,
@@ -84,8 +88,9 @@ func (db *DB) OpenWatch(viewName string, fromLSN uint64, hasFrom bool) (*WatchSt
 	}
 	// Register first; Next reads the snapshot later. A delta applied after
 	// the snapshot is loaded has LSN > the snapshot's LSN and is already
-	// being enqueued to the live subscription, so filtering frames ≤ S
-	// makes the splice exact.
+	// being enqueued to the live subscription, so dropping deltas ≤ S
+	// makes the splice exact. A tail resume drops deltas ≤ fromLSN the
+	// same way: the frame that straddles the cursor arrives whole.
 	sub, kind := db.hub.Subscribe(viewName, fromLSN, hasFrom)
 	w := &WatchStream{db: db, view: viewName, sub: sub, resume: kind, snap: kind == feed.ResumeSnapshot}
 	if hasFrom {
@@ -126,7 +131,7 @@ func (w *WatchStream) Next(fn func(WatchEvent) bool) (bool, error) {
 			w.done = true
 			return false, err
 		}
-		w.cursor, w.filter = lsn, lsn
+		w.cursor = lsn
 		if !fn(WatchEvent{Kind: WatchSnapshot, LSN: lsn, Rows: rows}) {
 			w.done = true
 			return false, nil
@@ -134,13 +139,8 @@ func (w *WatchStream) Next(fn func(WatchEvent) bool) (bool, error) {
 	}
 	w.frames = w.sub.Drain(w.frames[:0])
 	for i, f := range w.frames {
-		if !w.done && f.LSN > w.filter {
-			w.rows = w.rows[:0]
-			for _, r := range f.Rows {
-				w.rows = append(w.rows, WatchRow{SN: r.SN, Chronon: r.Chronon, Vals: r.Vals})
-			}
-			w.cursor = f.LSN
-			w.done = !fn(WatchEvent{Kind: WatchDelta, LSN: f.LSN, Deltas: w.rows})
+		if !w.done && f.LSN > w.cursor {
+			w.deliver(f, fn)
 		}
 		f.Release()
 		w.frames[i] = nil
@@ -154,6 +154,27 @@ func (w *WatchStream) Next(fn func(WatchEvent) bool) (bool, error) {
 		return false, nil
 	}
 	return true, nil
+}
+
+// deliver hands fn one WatchDelta per LSN of f above the cursor, until fn
+// returns false.
+func (w *WatchStream) deliver(f *feed.Frame, fn func(WatchEvent) bool) {
+	w.dec, w.cells = f.Decode(w.dec[:0], w.cells)
+	for rows := w.dec; len(rows) > 0 && !w.done; {
+		lsn, n := rows[0].LSN, 1
+		for n < len(rows) && rows[n].LSN == lsn {
+			n++
+		}
+		if lsn > w.cursor {
+			w.rows = w.rows[:0]
+			for _, r := range rows[:n] {
+				w.rows = append(w.rows, WatchRow{SN: r.SN, Chronon: r.Chronon, Vals: r.Vals})
+			}
+			w.cursor = lsn
+			w.done = !fn(WatchEvent{Kind: WatchDelta, LSN: lsn, Deltas: w.rows})
+		}
+		rows = rows[n:]
+	}
 }
 
 // Close unregisters the subscription. It is safe to call more than once.

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -580,4 +581,190 @@ func watchOpenedMidCall(t *testing.T, db *chronicledb.DB, watch midCallWatch, ca
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestWatchResumesInsideACall resumes a watch from every cursor one append
+// call can leave a subscriber at. A 16-row call is one maintenance round and
+// reaches the hub as one frame per view, while a subscriber's cursor counts
+// deltas, one per row's LSN; so a watch resumed from any LSN of the call, or
+// from the one before it, must deliver exactly the deltas above its cursor,
+// the same as a twin database fed the same rows by one-row calls. Then two
+// more calls push the first out of a 20-delta tail: a cursor inside it, just
+// below the horizon, must re-splice through a snapshot, and one at the
+// horizon must still resume from the tail. Both transports are checked, on
+// one shard and on two.
+func TestWatchResumesInsideACall(t *testing.T) {
+	const callK, history, tail = 16, 3, 20
+	for _, shards := range []int{1, 2} {
+		for _, transport := range []string{"embedded", "http"} {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, transport), func(t *testing.T) {
+				open := func() (*chronicledb.DB, resumeWatch) {
+					db, err := chronicledb.Open(chronicledb.Options{Feed: true, Shards: shards, FeedTailFrames: tail,
+						Clock: func() int64 { return 1 }})
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { db.Close() })
+					for _, stmt := range []string{
+						`CREATE CHRONICLE calls (acct STRING, minutes INT)`,
+						`CREATE VIEW usage AS SELECT acct, COUNT(*) AS n FROM calls GROUP BY acct`,
+					} {
+						if _, err := db.Exec(stmt); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if transport == "http" {
+						ts := httptest.NewServer(server.New(db))
+						t.Cleanup(ts.Close)
+						return db, resumeHTTP(server.NewClient(ts.URL))
+					}
+					return db, resumeEmbedded(db)
+				}
+				call := func(db *chronicledb.DB, from, n int) {
+					tuples := make([]chronicledb.Tuple, n)
+					for i := range tuples {
+						tuples[i] = chronicledb.Tuple{chronicledb.Str(fmt.Sprintf("a%d", (from+i)%5)), chronicledb.Int(int64(from + i))}
+					}
+					if _, _, err := db.AppendRows("calls", tuples); err != nil {
+						t.Fatal(err)
+					}
+				}
+				db, watch := open()
+				twin, watchTwin := open()
+				for i := range history {
+					call(db, i, 1)
+					call(twin, i, 1)
+				}
+				before := chronicledb.FeedHeadLSN(db, "usage")
+				call(db, history, callK)
+				for i := range callK {
+					call(twin, history+i, 1)
+				}
+				head := chronicledb.FeedHeadLSN(db, "usage")
+				if head-before != callK || chronicledb.FeedHeadLSN(twin, "usage") != head {
+					t.Fatalf("the call ends at LSN %d after %d, its twin at %d: want %d LSNs, one per row",
+						head, before, chronicledb.FeedHeadLSN(twin, "usage"), callK)
+				}
+				for from := before; from <= head; from++ {
+					got := watch(t, from, head)
+					want := watchTwin(t, from, head)
+					if got.resume != "tail" || want.resume != "tail" {
+						t.Fatalf("from LSN %d: resumed by %s, the twin by %s, want tail", from, got.resume, want.resume)
+					}
+					if len(got.lines) != int(head-from) || fmt.Sprint(got.lines) != fmt.Sprint(want.lines) {
+						t.Fatalf("from LSN %d: delivered\n%v\nthe twin fed by one-row calls delivered\n%v", from, got.lines, want.lines)
+					}
+				}
+
+				// Two more calls evict the first: its last LSN is the horizon.
+				call(db, history+callK, callK)
+				call(db, history+2*callK, callK)
+				last := chronicledb.FeedHeadLSN(db, "usage")
+				inside := watch(t, head-1, last)
+				if inside.resume != "snapshot" || len(inside.lines) != 1 || inside.lines[0] != fmt.Sprintf("snapshot %d: %d rows", last, history+3*callK) {
+					t.Fatalf("from LSN %d, below the horizon %d: resumed by %s with %v, want a snapshot of %d rows at %d",
+						head-1, head, inside.resume, inside.lines, history+3*callK, last)
+				}
+				at := watch(t, head, last)
+				if at.resume != "tail" || len(at.lines) != int(last-head) {
+					t.Fatalf("from LSN %d, the horizon: resumed by %s with %d deltas, want tail and %d", head, at.resume, len(at.lines), last-head)
+				}
+				for i, line := range at.lines {
+					if want := fmt.Sprintf("%d: sn=%d ", head+uint64(i)+1, history+callK+i); !strings.HasPrefix(line, want) {
+						t.Fatalf("from LSN %d, delta %d is %q, want it to start %q", head, i, line, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// resumeLeg is what a watch resumed from a cursor delivers up to the view's
+// head: how it resumed, then one line per snapshot (its LSN and the rows its
+// count column sums to) and per delta (its LSN and rows).
+type resumeLeg struct {
+	resume string
+	lines  []string
+}
+
+type resumeWatch func(t *testing.T, from, head uint64) resumeLeg
+
+func resumeEmbedded(db *chronicledb.DB) resumeWatch {
+	return func(t *testing.T, from, head uint64) resumeLeg {
+		t.Helper()
+		w, err := db.OpenWatch("usage", from, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		leg := resumeLeg{resume: w.Resume()}
+		timeout := time.After(10 * time.Second)
+		for w.LSN() < head {
+			_, err := w.Next(func(ev chronicledb.WatchEvent) bool {
+				switch ev.Kind {
+				case chronicledb.WatchSnapshot:
+					var n int64
+					for _, r := range ev.Rows {
+						n += r[1].AsInt()
+					}
+					leg.lines = append(leg.lines, fmt.Sprintf("snapshot %d: %d rows", ev.LSN, n))
+				case chronicledb.WatchDelta:
+					line := fmt.Sprintf("%d:", ev.LSN)
+					for _, d := range ev.Deltas {
+						line += fmt.Sprintf(" sn=%d ch=%d %v;", d.SN, d.Chronon, d.Vals)
+					}
+					leg.lines = append(leg.lines, line)
+				case chronicledb.WatchEnd:
+					t.Fatalf("from LSN %d: the watch ended (%s)", from, ev.Reason)
+				}
+				return true
+			})
+			if err != nil {
+				t.Fatalf("from LSN %d: %v", from, err)
+			}
+			if w.LSN() < head {
+				select {
+				case <-w.Ready():
+				case <-timeout:
+					t.Fatalf("from LSN %d: stuck at LSN %d, the head is %d", from, w.LSN(), head)
+				}
+			}
+		}
+		return leg
+	}
+}
+
+func resumeHTTP(c *server.Client) resumeWatch {
+	return func(t *testing.T, from, head uint64) resumeLeg {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		var leg resumeLeg
+		err := c.Watch(ctx, "usage", from, true, func(ev server.WatchEvent) bool {
+			switch ev.Kind {
+			case server.WatchInfo:
+				leg.resume = ev.Resume
+			case server.WatchSnapshot:
+				var n int64
+				for _, r := range ev.Rows {
+					n += int64(r[1].(float64))
+				}
+				leg.lines = append(leg.lines, fmt.Sprintf("snapshot %d: %d rows", ev.LSN, n))
+			case server.WatchDelta:
+				line := fmt.Sprintf("%d:", ev.LSN)
+				for _, d := range ev.Deltas {
+					line += fmt.Sprintf(" sn=%d ch=%d %v;", d.SN, d.Chronon, d.Vals)
+				}
+				leg.lines = append(leg.lines, line)
+			default:
+				t.Errorf("from LSN %d: the watch ended (%s)", from, ev.Reason)
+				return false
+			}
+			return ev.LSN < head
+		})
+		if err != nil {
+			t.Fatalf("from LSN %d: %v", from, err)
+		}
+		return leg
+	}
 }
