@@ -48,12 +48,14 @@ chaos:
 # duplicated acks), plus the stream/bootstrap/sync-ack/staleness suite and
 # the bootstrap's own: DDL after a checkpoint on a bootstrapped and a
 # restarted follower, a chain folded while it streams, a power cut at every
-# disk operation of a bootstrap, a follower without a directory, and a
-# bootstrap into a view cache a few blocks wide.
+# disk operation of a bootstrap, a follower without a directory, a
+# bootstrap into a view cache a few blocks wide, and a follower of a
+# two-shard primary under eight concurrent idempotent writers, which must
+# reach the primary's LSN with every row at its SN, chronon and LSN.
 # -count=1 defeats caching: this is the gate for replication changes and
 # must actually run.
 repl-chaos:
-	$(GO) test -race -count=1 -run 'TestReplChaosFailover|TestReplBasic|TestReplSnapshotBootstrap|TestReplSyncAck|TestReplStaleReads|TestReplPromoteFailover|TestRetryable503Codes|TestRestoreAgainstCatalogPrefix|TestReplBootstrapWhileChainFolds|TestReplBootstrapPowerCut|TestReplFollowerWithoutDir|TestReplResyncLargerThanViewCache' -v .
+	$(GO) test -race -count=1 -run 'TestReplChaosFailover|TestReplBasic|TestReplSnapshotBootstrap|TestReplSyncAck|TestReplStaleReads|TestReplPromoteFailover|TestRetryable503Codes|TestRestoreAgainstCatalogPrefix|TestReplBootstrapWhileChainFolds|TestReplBootstrapPowerCut|TestReplFollowerWithoutDir|TestReplResyncLargerThanViewCache|TestReplConvergesUnderConcurrentCalls' -v .
 
 # watch-stress is the changefeed fan-out gate: many SSE subscribers and
 # concurrent appenders race under the race detector while every delivered

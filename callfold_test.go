@@ -10,8 +10,8 @@
 package chronicledb_test
 
 import (
-	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math/rand"
@@ -19,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,6 +33,7 @@ import (
 	"chronicledb/internal/shard"
 	"chronicledb/internal/value"
 	"chronicledb/internal/view"
+	"chronicledb/internal/wal"
 )
 
 var callFoldDDL = []string{
@@ -50,10 +52,10 @@ var callFoldDDL = []string{
 	`CREATE PERIODIC VIEW bursts AS SELECT acct, COUNT(*) AS n FROM calls GROUP BY acct EVERY 100 WIDTH 60 EXPIRE 50`,
 }
 
-// twinClock is the injected Options.Clock: every reading advances it by
-// step. Per-tuple stamping (AppendRows) reads it once per tuple on both
-// twins; an idempotent call reads it once per CALL, so there the harness
-// freezes it (step 0) and moves it between calls itself.
+// twinClock is an injected Options.Clock: every reading advances it by
+// step. A call reads it once per tuple, AppendRows and AppendRowsIdem alike,
+// so the twins here, which step it by 7, read it once per row; a test that
+// freezes it (step 0) sets each call's chronon itself.
 type twinClock struct{ now, step atomic.Int64 }
 
 func (c *twinClock) read() int64 { return c.now.Add(c.step.Load()) }
@@ -74,6 +76,7 @@ type callFoldTwin struct {
 func openCallFoldTwin(t *testing.T, opts chronicledb.Options) *callFoldTwin {
 	t.Helper()
 	tw := &callFoldTwin{clock: &twinClock{}, frames: make(map[string][]string), seen: make(map[string]uint64)}
+	tw.clock.step.Store(7)
 	opts.Clock = tw.clock.read
 	opts.Feed = true
 	opts.FeedRing = 1 << 14
@@ -219,28 +222,54 @@ func sameCallFoldState(t *testing.T, what string, got, want map[string]string) {
 	}
 }
 
-func walBytes(t *testing.T, dir string) []byte {
+// walRows decodes every WAL segment in dir and renders what the records
+// stamp, one line per row or relation tuple in LSN order, with the number of
+// append records. The request ids are left out: the twins' differ.
+func walRows(t *testing.T, dir string) (rows string, appends int) {
 	t.Helper()
 	names, err := filepath.Glob(filepath.Join(dir, "*.wal"))
 	if err != nil || len(names) == 0 {
 		t.Fatalf("no WAL segments in %s (%v)", dir, err)
 	}
-	sort.Strings(names)
-	var all []byte
+	var lines []string
 	for _, n := range names {
 		b, err := os.ReadFile(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, b...)
+		for len(b) > 0 {
+			size := int(binary.LittleEndian.Uint32(b))
+			rec, err := wal.DecodeRecord(b[8 : 8+size])
+			if err != nil {
+				t.Fatalf("%s: %v", n, err)
+			}
+			b = b[8+size:]
+			if rec.Kind != wal.RecAppend && rec.Kind != wal.RecAppendEach {
+				lines = append(lines, fmt.Sprintf("%08d %d %s %v %v", rec.LSN, rec.Kind, rec.Relation, rec.Tuple, rec.Tuples))
+				continue
+			}
+			appends++
+			i := 0
+			for _, p := range rec.Parts {
+				for _, tu := range p.Tuples {
+					sn, ch, lsn := rec.SN, rec.Chronon, rec.LSN
+					if rec.Kind == wal.RecAppendEach {
+						sn, ch, lsn = sn+int64(i), rec.ChrononAt(i), lsn+uint64(i)
+					}
+					lines = append(lines, fmt.Sprintf("%08d sn=%d ch=%d %s %v", lsn, sn, ch, p.Chronicle, tu))
+					i++
+				}
+			}
+		}
 	}
-	return all
+	sort.Strings(lines)
+	return strings.Join(lines, "\n"), appends
 }
 
 func TestCallFoldEqualsRowFolds(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
-		idem     bool // AppendRowsIdem (one WAL record per call) instead of AppendRows
+		idem     bool // AppendRowsIdem (with ids) instead of AppendRows
 		memory   bool // no directory: no WAL, checkpoint or reopen, but the union view
 		paged    bool // B-tree views page against a 1 KiB cache
 		follower bool
@@ -292,14 +321,6 @@ func TestCallFoldEqualsRowFolds(t *testing.T) {
 						out[i] = append(chronicledb.Tuple(nil), tu...)
 					}
 					return out
-				}
-				for _, tw := range twins {
-					if tc.idem { // one reading per call: frozen inside it, moved between calls
-						tw.clock.step.Store(0)
-						tw.clock.now.Add(7 * int64(len(tuples)))
-					} else {
-						tw.clock.step.Store(7)
-					}
 				}
 				var err error
 				if tc.idem {
@@ -417,17 +438,20 @@ func TestCallFoldEqualsRowFolds(t *testing.T) {
 			if tc.memory {
 				return
 			}
-			// Reopen: the WAL replays to the same state, from the same bytes
-			// when every tuple is its own record (AppendRows). The logs are
-			// whole: at the default segment cap no segment seals, and
-			// compaction never drops an active one.
+			// Reopen: the WAL replays to the same state, from records that
+			// stamp the same rows, one record per call. The logs are whole:
+			// at the default segment cap no segment seals, and compaction
+			// never drops an active one.
 			for _, tw := range twins {
 				tw.close()
 			}
-			if !tc.idem {
-				if got, want := walBytes(t, byCall.opts.Dir), walBytes(t, byRow.opts.Dir); !bytes.Equal(got, want) {
-					t.Errorf("WAL bytes differ: %d bytes from calls, %d from one-row calls", len(got), len(want))
-				}
+			got, calls := walRows(t, byCall.opts.Dir)
+			want, _ := walRows(t, byRow.opts.Dir)
+			if got != want {
+				t.Errorf("WAL rows differ:\n calls:   %.400s\n one-row: %.400s", got, want)
+			}
+			if calls != requests {
+				t.Errorf("the WAL holds %d append records for %d calls, want one a call", calls, requests)
 			}
 			var reopened []map[string]string
 			for _, tw := range twins {

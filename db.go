@@ -701,7 +701,8 @@ func (db *DB) Relation(name string) (*relation.Relation, bool) {
 func (db *DB) View(name string) (*view.View, bool) { return db.eng.View(name) }
 
 // Append inserts tuples into a chronicle with the next sequence number,
-// maintaining every affected persistent view before returning.
+// maintaining every affected persistent view before returning: one
+// transaction, one WAL record (wal.RecAppend).
 func (db *DB) Append(chronicleName string, tuples ...value.Tuple) (int64, error) {
 	if err := db.writeGate(); err != nil {
 		return 0, err
@@ -709,18 +710,21 @@ func (db *DB) Append(chronicleName string, tuples ...value.Tuple) (int64, error)
 	if err := db.roleGate(); err != nil {
 		return 0, err
 	}
-	sn, err := db.eng.Append(chronicleName, tuples)
+	sn, _, _, err := db.appendCall(wal.RecAppend, chronicleName, tuples, "", "")
 	if err == nil {
 		db.ackWait()
 	}
 	return sn, err
 }
 
-// AppendRows bulk-ingests tuples into a chronicle: each tuple is its own
-// transaction with its own sequence number, and the call is one maintenance
-// round and one publication — a query sees all of the call's rows or none.
-// It returns the first and last sequence numbers assigned; on an error at
-// tuple i the tuples before it stay applied (and are folded and published).
+// AppendRows bulk-ingests tuples into a chronicle in one call: each tuple is
+// its own transaction, with its own sequence number, chronon and LSN, and the
+// call is one WAL record (wal.RecAppendEach, its LSNs one consecutive span),
+// one maintenance round and one publication — a query sees all of the call's
+// rows or none. It returns the first and last sequence numbers assigned; on
+// an error at tuple i the tuples before it stay applied (recorded, folded and
+// published as one call of i rows) and their range is returned with the
+// error.
 func (db *DB) AppendRows(chronicleName string, tuples []value.Tuple) (first, last int64, err error) {
 	if err := db.writeGate(); err != nil {
 		return 0, 0, err
@@ -728,7 +732,7 @@ func (db *DB) AppendRows(chronicleName string, tuples []value.Tuple) (first, las
 	if err := db.roleGate(); err != nil {
 		return 0, 0, err
 	}
-	first, last, err = db.eng.AppendEach(chronicleName, tuples)
+	first, last, _, err = db.appendCall(wal.RecAppendEach, chronicleName, tuples, "", "")
 	if err == nil {
 		db.ackWait()
 	}
@@ -738,9 +742,11 @@ func (db *DB) AppendRows(chronicleName string, tuples []value.Tuple) (first, las
 // AppendRowsIdem is AppendRows with exactly-once semantics: a request
 // already applied under the same (clientID, requestID) — including in a
 // previous process life — returns its original sequence-number range with
-// deduped=true instead of re-applying. The run is atomic (one WAL record
-// covers the rows and the dedup entry), so a crash mid-request leaves
-// either the whole request durable or none of it.
+// deduped=true instead of re-applying. The call is atomic: its one WAL
+// record carries the rows and the ids, so a crash mid-request leaves either
+// the whole request durable, dedup entry included, or none of it, and a
+// tuple that does not fit applies none. Its rows are stamped as AppendRows
+// stamps them.
 //
 // The write gate runs before the dedup lookup on purpose: after a commit
 // failure latches the DB read-only, a retry must see ErrReadOnly — never a
@@ -755,13 +761,31 @@ func (db *DB) AppendRowsIdem(chronicleName string, tuples []value.Tuple, clientI
 	if err := db.roleGate(); err != nil {
 		return 0, 0, false, err
 	}
-	first, last, deduped, err = db.eng.AppendEachIdem(chronicleName, tuples, clientID, requestID)
+	first, last, deduped, err = db.appendCall(wal.RecAppendEach, chronicleName, tuples, clientID, requestID)
 	if err == nil && !deduped {
 		// A deduped retry's rows were acked (and, under sync mode, waited
 		// on) by the original delivery — don't pay the follower round trip
 		// twice.
 		db.ackWait()
 	}
+	return first, last, deduped, err
+}
+
+// onePart lends a single-chronicle call the one-part array its record points
+// at while the kernel applies it: a record the caller built on its stack
+// would move to the heap, because the kernel keeps the record in a request
+// other goroutines read. Copying the parts into that request would not save
+// it: escape analysis does not tell a record's fields apart, and the ids the
+// request keeps leak the whole record.
+var onePart = sync.Pool{New: func() any { return new([1]wal.Part) }}
+
+// appendCall runs one single-chronicle append call through the kernel.
+func (db *DB) appendCall(kind wal.RecordKind, chronicleName string, tuples []value.Tuple, clientID, requestID string) (first, last int64, deduped bool, err error) {
+	p := onePart.Get().(*[1]wal.Part)
+	p[0] = wal.Part{Chronicle: chronicleName, Tuples: tuples}
+	first, last, deduped, err = db.eng.Append(wal.Record{Kind: kind, Parts: p[:], ClientID: clientID, RequestID: requestID})
+	p[0] = wal.Part{}
+	onePart.Put(p)
 	return first, last, deduped, err
 }
 

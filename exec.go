@@ -160,7 +160,7 @@ func (db *DB) execOne(s sqlparse.Statement, mode execMode) (*Result, error) {
 			parts[i] = wal.Part{Chronicle: p.Chronicle, Tuples: tuples}
 			total += len(tuples)
 		}
-		sn, err := db.eng.AppendBatch(parts)
+		sn, _, _, err := db.eng.Append(wal.Record{Kind: wal.RecAppend, Parts: parts})
 		if err != nil {
 			return nil, err
 		}

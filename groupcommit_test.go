@@ -10,8 +10,8 @@ import (
 	"chronicledb/internal/fault"
 )
 
-// Concurrent group-commit stress: several goroutines drive AppendEach
-// batches through the commit door at once — on a simulated disk so a power
+// Concurrent group-commit stress: several goroutines drive AppendRows
+// calls through the commit door at once — on a simulated disk so a power
 // cut can be injected — and recovery must replay to a state consistent
 // with what was acknowledged. Two phases per shard count:
 //
@@ -20,9 +20,9 @@ import (
 //     acked rows — group commit must not ack before its fsync covers the
 //     batch;
 //   - crash-at: the disk dies at a fixed operation index mid-run; each
-//     worker's recovered row count must land between its acked count and
-//     acked+batch (AppendEach gives each tuple its own transaction, so a
-//     batch in flight at the crash may be partially durable).
+//     worker's recovered row count must be its acked count or acked+batch
+//     (a call is one WAL record, so the call in flight at the crash is
+//     durable whole or not at all).
 //
 // The whole test runs under -race in `make check`, which is what makes it
 // a check on the door's locking, not just its durability.
@@ -30,11 +30,14 @@ func TestGroupCommitConcurrentStress(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			t.Run("clean", func(t *testing.T) { groupCommitRun(t, shards, -1) })
-			// Fixed crash points at about 25/50/90 % of a clean run's
-			// operation count (~540–555 ops, moving with goroutine
-			// interleaving), so the subtest names and crash sites are
-			// reproducible. The probe run checks each one still lands
-			// inside the workload.
+			// Fixed crash points at about 15/30/55 % of a clean run's
+			// operation count (~760–1 020 ops, moving with goroutine
+			// interleaving: 21–26 ops of open and DDL, then one write a
+			// call and one fsync a pass of at most gcWorkers calls, so never
+			// fewer than 661), so the subtest names and crash sites are
+			// reproducible; about half the time each lands on an fsync or a
+			// pass's second write, inside a group-commit batch. The probe
+			// run checks each one still lands inside the workload.
 			clean := fault.NewDisk()
 			acked, _ := groupCommitWorkload(t, clean, shards)
 			for _, a := range acked {
@@ -55,9 +58,12 @@ func TestGroupCommitConcurrentStress(t *testing.T) {
 	}
 }
 
+// A call is one WAL record, so a worker's gcRounds calls are gcRounds
+// records (and one op each): enough rounds that the crash points fall inside
+// the workload.
 const (
 	gcWorkers = 4
-	gcRounds  = 8
+	gcRounds  = 128
 	gcBatch   = 16
 )
 
@@ -79,7 +85,7 @@ func groupCommitOptions(disk *fault.Disk, shards int) Options {
 	}
 }
 
-// groupCommitWorkload runs the concurrent AppendEach workload and returns
+// groupCommitWorkload runs the concurrent AppendRows workload and returns
 // each worker's acked row count (rows in fully-acknowledged batches).
 // Errors are expected once the disk has crashed or the DB degraded.
 func groupCommitWorkload(t *testing.T, disk *fault.Disk, shards int) ([gcWorkers]int64, bool) {
@@ -163,8 +169,8 @@ func groupCommitRun(t *testing.T, shards, crashAt int) {
 			}
 			continue
 		}
-		if n < a || n > a+gcBatch {
-			t.Errorf("worker %d: %d rows recovered, want between %d (acked) and %d (acked+batch in flight)",
+		if n != a && n != a+gcBatch {
+			t.Errorf("worker %d: %d rows recovered, want %d (acked) or %d (acked+the call in flight)",
 				w, n, a, a+gcBatch)
 		}
 	}

@@ -45,13 +45,14 @@ type Config struct {
 	RelationHistory bool
 	// Clock supplies chronons for appends. Nil uses wall-clock nanoseconds.
 	Clock func() int64
-	// NextLSN allocates the LSN of each mutation. The shard router gives
-	// every shard engine the same allocator — the one its relation updates
-	// draw from — so that chronicle rows and relation versions live in a
-	// single, totally ordered LSN domain, which is what makes cross-shard
-	// proactive-update semantics (and AsOf reference evaluation) exact.
-	// Required.
-	NextLSN func() uint64
+	// NextLSN allocates n consecutive LSNs, a mutation's span, and returns
+	// the first: a call's rows take consecutive LSNs however many shards
+	// draw at once. The shard router gives every shard engine the same
+	// allocator — the one its relation updates draw from — so that chronicle
+	// rows and relation versions live in a single, totally ordered LSN
+	// domain, which is what makes cross-shard proactive-update semantics
+	// (and AsOf reference evaluation) exact. Required.
+	NextLSN func(n uint64) uint64
 	// DedupCap bounds the idempotency table (entries). Zero means
 	// dedup.DefaultCap.
 	DedupCap int
@@ -69,9 +70,9 @@ type Config struct {
 }
 
 // Stats aggregates engine-level counters. The append call is the unit of
-// maintenance: a k-row AppendEach is k append transactions (Appends and
-// TuplesAppended count tuples' transactions, each with its own SN) folded in
-// one maintenance round.
+// maintenance: a k-row RecAppendEach call is k append transactions (Appends
+// and TuplesAppended count tuples' transactions, each with its own SN)
+// folded in one maintenance round.
 type Stats struct {
 	Appends         int64 // append transactions (one per SN)
 	TuplesAppended  int64
@@ -158,7 +159,7 @@ type Engine struct {
 	// chronicle copies retained rows, and views copy what they keep.
 	scratch appendScratch
 
-	// dedup is the bounded idempotency table for AppendEachIdem. It is
+	// dedup is the bounded idempotency table of calls with ids. It is
 	// mutated only under e.mu but carries its own lock for stats/checkpoint
 	// readers.
 	dedup *dedup.Table
@@ -205,11 +206,12 @@ func (e *Engine) rebuildPlanLocked() {
 
 // appendScratch backs the allocation-free append path.
 type appendScratch struct {
-	tuple  []value.Tuple                            // the call core's one-tuple batch
-	parts  []wal.Part                               // single-chronicle record parts
-	rows   []chronicle.Row                          // stored rows of one call (at most maintainChunk)
-	batch  []chronicle.BatchPart                    // resolved batch parts
-	deltas map[*chronicle.Chronicle][]chronicle.Row // maintain input
+	tuple    []value.Tuple                            // a per-tuple call's one-tuple batch
+	parts    []wal.Part                               // a per-tuple call's recorded part
+	chronons []int64                                  // a per-tuple call's clock readings
+	rows     []chronicle.Row                          // stored rows of one call (at most maintainChunk)
+	batch    []chronicle.BatchPart                    // resolved batch parts
+	deltas   map[*chronicle.Chronicle][]chronicle.Row // maintain input
 }
 
 // New creates an empty engine.
@@ -264,7 +266,7 @@ func (e *Engine) SetFeed(h *feed.Hub) {
 // every view and periodic family folded into since the lock was taken is
 // published exactly once — however many rows, batches or tuples the call
 // carried — and the list is emptied. Every way out of a call that may have
-// folded runs it before unlocking, error paths included: a failed AppendEach
+// folded runs it before unlocking, error paths included: a failed plain call
 // keeps its applied prefix, and that prefix must be readable. Readers
 // therefore observe whole calls only.
 func (e *Engine) publishDirtyLocked() {
@@ -542,72 +544,54 @@ func (e *Engine) releaseDirLocked(d *view.Dir, def view.Def) {
 	}
 }
 
-// storeLocked is one append transaction of a per-tuple call up to its stored
-// rows: the tuples are coerced in place, stamped with the group's next SN, the
-// clock and a fresh LSN, recorded as one RecAppend, and stored; the rows are
-// added to buf. It neither maintains nor counts — the call core does that for
-// all of a call's transactions.
-func (e *Engine) storeLocked(c *chronicle.Chronicle, tuples []value.Tuple, buf []chronicle.Row) (sn int64, rows []chronicle.Row, err error) {
-	for i, t := range tuples {
-		if tuples[i], err = c.Schema().Coerce(t); err != nil {
-			return 0, nil, fmt.Errorf("engine: chronicle %s: tuple %d: %w", c.Name(), i, err)
-		}
-	}
-	sn = c.Group().NextSN()
-	chronon := e.cfg.Clock()
-	lsn := e.cfg.NextLSN()
-	if e.onRecord != nil {
-		e.scratch.parts = append(e.scratch.parts[:0], wal.Part{Chronicle: c.Name(), Tuples: tuples})
-		rec := wal.Record{Kind: wal.RecAppend, LSN: lsn, SN: sn, Chronon: chronon, Parts: e.scratch.parts}
-		if err := e.onRecord(rec); err != nil {
-			return 0, nil, fmt.Errorf("engine: recording append: %w", err)
-		}
-	}
-	rows, err = c.AppendInto(sn, chronon, lsn, tuples, buf)
-	return sn, rows, err
-}
-
-// AppendBatch inserts tuples into the chronicles of one group as a single
-// append transaction sharing one sequence number: the record is stamped with
-// the group's next SN, the clock and a fresh LSN, recorded, and stored, and
-// every affected view is maintained — the complete per-transaction pipeline
-// whose cost Section 3 is about. A single-chronicle append is a batch of one
-// part.
-func (e *Engine) AppendBatch(parts []wal.Part) (int64, error) {
+// Append applies one append call: the engine's one append entry, for live
+// calls, WAL recovery and follower apply alike. A RecAppend is one
+// transaction: one SN, chronon and LSN across its parts, chronicles of one
+// group (DB.Append, APPEND … ALSO INTO). A RecAppendEach is a call of one
+// transaction per tuple of its one chronicle: tuple i takes SN rec.SN+i,
+// chronon rec.ChrononAt(i) and LSN rec.LSN+i (DB.AppendRows, and with ids
+// AppendRowsIdem).
+//
+// A record without an LSN is a live call: the engine stamps it (the group's
+// next SN, a clock reading per transaction, the call's whole LSN span in one
+// NextLSN) and hands it to the recorder before applying it. A record with an
+// LSN is applied at the coordinates it carries, without reading the clock
+// (a per-tuple read was a tenth of a 16-row call's replay). Either way
+// the call is one record, one maintenance round (one per maintainChunk rows)
+// and one publication of every view it reaches: readers see all of it or
+// none.
+//
+// A live call with ids is exactly once: a pair already applied, even in a
+// previous process life, returns its original SN range with deduped set. It is
+// atomic too: every tuple is coerced before anything is stamped. A plain call
+// that fails to coerce tuple i applies, records and publishes tuples 0..i-1
+// as one call and returns their SN range with the error. The range is the
+// first and last SN assigned, one SN for a RecAppend.
+func (e *Engine) Append(rec wal.Record) (first, last int64, deduped bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	defer e.publishDirtyLocked()
-	return e.appendBatchLocked(wal.Record{Kind: wal.RecAppend, Parts: parts}, false)
-}
-
-// Replay applies one append record at the coordinates it carries (WAL
-// recovery and follower apply): a RecAppend re-takes its SN and chronon, a
-// RecAppendEach its first SN and chronon and re-inserts its dedup entry, so a
-// retry after recovery still hits. Each draws the LSNs it drew live.
-func (e *Engine) Replay(rec wal.Record) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	live := rec.LSN == 0
+	if live && rec.ClientID != "" {
+		if ack, ok := e.dedup.Lookup(rec.ClientID, rec.RequestID); ok {
+			e.dedupHits++
+			return ack.FirstSN, ack.LastSN, true, nil
+		}
+	}
 	defer e.publishDirtyLocked()
 	switch rec.Kind {
 	case wal.RecAppend:
-		_, err := e.appendBatchLocked(rec, true)
-		return err
+		first, err = e.appendBatchLocked(rec, live)
+		return first, first, false, err
 	case wal.RecAppendEach:
-		if len(rec.Parts) != 1 {
-			return fmt.Errorf("idempotent append record with %d parts", len(rec.Parts))
-		}
-		_, _, err := e.appendEachAtomicLocked(rec, true)
-		return err
+		first, last, err = e.appendEachLocked(rec, live)
+		return first, last, false, err
 	}
-	return fmt.Errorf("engine: WAL record kind %d is not an append", rec.Kind)
+	return 0, 0, false, fmt.Errorf("engine: WAL record kind %d is not an append", rec.Kind)
 }
 
-// appendBatchLocked applies one RecAppend: rec carries its parts and, when
-// replay is set, the SN and chronon to re-take. Every part is resolved and
-// coerced before the record is cut, so a batch that cannot apply is never
-// recorded. The clock is read on replay too, so an injected clock advances
-// as it did live.
-func (e *Engine) appendBatchLocked(rec wal.Record, replay bool) (int64, error) {
+// appendBatchLocked applies one RecAppend. Every part is resolved and coerced
+// before the record is cut, so a batch that cannot apply is never recorded.
+func (e *Engine) appendBatchLocked(rec wal.Record, live bool) (int64, error) {
 	if len(rec.Parts) == 0 {
 		return 0, fmt.Errorf("engine: empty batch")
 	}
@@ -636,11 +620,9 @@ func (e *Engine) appendBatchLocked(rec wal.Record, replay bool) (int64, error) {
 		resolved = append(resolved, chronicle.BatchPart{C: c, Tuples: p.Tuples})
 	}
 	e.scratch.batch = resolved
-	sn, chronon := g.NextSN(), e.cfg.Clock()
-	if !replay {
-		rec.SN, rec.Chronon = sn, chronon
+	if live {
+		rec.SN, rec.Chronon, rec.LSN = g.NextSN(), e.cfg.Clock(), e.cfg.NextLSN(1)
 	}
-	rec.LSN = e.cfg.NextLSN()
 	if e.onRecord != nil {
 		if err := e.onRecord(rec); err != nil {
 			return 0, fmt.Errorf("engine: recording append: %w", err)
@@ -658,144 +640,75 @@ func (e *Engine) appendBatchLocked(rec wal.Record, replay bool) (int64, error) {
 	return rec.SN, nil
 }
 
-// AppendEach inserts each tuple as its own append transaction (its own
-// sequence number, chronon, LSN and WAL record) but acquires the engine lock
-// once for the whole call — the bulk ingest path — folds the call's rows into
-// the views in one maintenance round and publishes them once, when the call
-// ends: readers see all of it or none. It returns the first and last sequence
-// numbers assigned. On error, tuples before the failing one remain applied
-// (and are folded and published), matching a loop of Append calls.
-func (e *Engine) AppendEach(chronicleName string, tuples []value.Tuple) (first, last int64, err error) {
-	if len(tuples) == 0 {
-		return 0, 0, fmt.Errorf("engine: empty append")
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	defer e.publishDirtyLocked()
-	c, ok := e.chronicles[chronicleName]
-	if !ok {
-		return 0, 0, fmt.Errorf("engine: unknown chronicle %q", chronicleName)
-	}
-	return e.appendCallLocked(c, tuples, nil)
-}
-
-// AppendEachIdem is AppendEach with exactly-once semantics: the request is
-// identified by (clientID, requestID), and a request already applied — even
-// in a previous process life, via WAL replay or checkpoint restore —
-// returns its original sequence-number range with deduped=true instead of
-// re-applying. Unlike AppendEach, the run is atomic: every tuple is coerced
-// before the single WAL record is written, so a request is either applied
-// whole (and remembered) or not at all — there is no durable prefix that a
-// retry could double-apply.
-func (e *Engine) AppendEachIdem(chronicleName string, tuples []value.Tuple, clientID, requestID string) (first, last int64, deduped bool, err error) {
-	if len(tuples) == 0 {
-		return 0, 0, false, fmt.Errorf("engine: empty append")
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ack, ok := e.dedup.Lookup(clientID, requestID); ok {
-		e.dedupHits++
-		return ack.FirstSN, ack.LastSN, true, nil
-	}
-	defer e.publishDirtyLocked()
-	// If the covering commit fails, the run stays applied in memory without
-	// being durably acknowledged. The DB facade latches read-only on that
-	// error, which is what keeps the dedup entry from turning a failed
-	// commit into a false positive ack on retry.
-	e.scratch.parts = append(e.scratch.parts[:0], wal.Part{Chronicle: chronicleName, Tuples: tuples})
-	run := wal.Record{Kind: wal.RecAppendEach, ClientID: clientID, RequestID: requestID, Parts: e.scratch.parts}
-	first, last, err = e.appendEachAtomicLocked(run, false)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	return first, last, false, nil
-}
-
-// appendEachAtomicLocked applies one idempotent run, a RecAppendEach of one
-// part whose SN and chronon are re-taken when replay is set: coerce
-// everything, write ONE WAL record carrying the ids, apply the tuples as the
-// call core does (each its own append transaction, sn = run.SN+i), and
-// finally remember the ack. Like every *Locked fold it publishes nothing; the
-// caller does, on the early error return too.
-func (e *Engine) appendEachAtomicLocked(run wal.Record, replay bool) (first, last int64, err error) {
-	p := run.Parts[0]
-	c, ok := e.chronicles[p.Chronicle]
-	if !ok {
-		return 0, 0, fmt.Errorf("engine: unknown chronicle %q", p.Chronicle)
-	}
-	for i, t := range p.Tuples {
-		coerced, cerr := c.Schema().Coerce(t)
-		if cerr != nil {
-			return 0, 0, fmt.Errorf("engine: chronicle %s: tuple %d: %w", p.Chronicle, i, cerr)
-		}
-		p.Tuples[i] = coerced
-	}
-	sn, chronon := c.Group().NextSN(), e.cfg.Clock()
-	if !replay {
-		run.SN, run.Chronon = sn, chronon
-	}
-	run.LSN = e.cfg.NextLSN()
-	if e.onRecord != nil {
-		if err := e.onRecord(run); err != nil {
-			return 0, 0, fmt.Errorf("engine: recording append: %w", err)
-		}
-	}
-	if first, last, err = e.appendCallLocked(c, p.Tuples, &run); err != nil {
-		// Unreachable in practice: the SNs are consecutive under e.mu and
-		// every tuple was coerced above. Reported for safety.
-		return 0, 0, err
-	}
-	if run.ClientID != "" {
-		e.dedup.Put(run.ClientID, run.RequestID, dedup.Ack{
-			Chronicle: p.Chronicle, FirstSN: first, LastSN: last, Rows: len(p.Tuples),
-		})
-	}
-	return first, last, nil
-}
-
 // maintainChunk bounds the rows one maintenance round folds: a longer call
 // folds chunk by chunk, so the call buffer and the plan's σ/Π buffers stay
 // bounded while the call is still published once.
 const maintainChunk = 4096
 
-// appendCallLocked is the core every per-tuple append call shares (AppendEach,
-// the idempotent run, its replay). Each tuple becomes its own append
-// transaction — its own SN, chronon, LSN and stored row — and the stored rows
-// gather in one call buffer that is folded into the views in a single
-// maintenance round (one per maintainChunk rows for a longer call). Where the
-// stamps come from is the one difference between the callers: with run nil
-// every tuple is a storeLocked transaction with its own RecAppend record;
-// under an already recorded RecAppendEach run (its tuples coerced before the
-// record was cut) tuple i takes SN run.SN+i, the run's chronon, and the run's
-// LSN for i = 0 or a fresh one — the same LSN consumption live and in replay.
-// A call that fails at tuple i keeps tuples 0..i-1 applied and folds them
-// before it returns; the caller publishes.
-func (e *Engine) appendCallLocked(c *chronicle.Chronicle, tuples []value.Tuple, run *wal.Record) (first, last int64, err error) {
-	one := append(e.scratch.tuple[:0], nil) // the one-tuple batch of each transaction
-	for i := 0; i < len(tuples) && err == nil; {
-		rows := e.scratch.rows[:0]
-		for ; i < len(tuples) && len(rows) < maintainChunk; i++ {
-			one[0] = tuples[i]
-			var sn int64
-			var stored []chronicle.Row
-			if run == nil {
-				sn, stored, err = e.storeLocked(c, one, rows)
-			} else {
-				sn = run.SN + int64(i)
-				lsn := run.LSN
-				if i > 0 {
-					lsn = e.cfg.NextLSN()
-				}
-				stored, err = c.AppendInto(sn, run.Chronon, lsn, one, rows)
+// appendEachLocked applies one RecAppendEach. It coerces the tuples (a plain
+// call keeps the prefix before the first that fails), stamps a live call,
+// records the call as one record, stores each tuple as its own transaction,
+// gathering the stored rows in one call buffer, and folds them in one
+// maintenance round per maintainChunk rows. Like every *Locked fold it
+// publishes nothing; Append does, on the error returns too.
+func (e *Engine) appendEachLocked(rec wal.Record, live bool) (first, last int64, err error) {
+	if len(rec.Parts) != 1 {
+		return 0, 0, fmt.Errorf("engine: append call with %d parts, want 1", len(rec.Parts))
+	}
+	p := rec.Parts[0]
+	c, ok := e.chronicles[p.Chronicle]
+	if !ok {
+		return 0, 0, fmt.Errorf("engine: unknown chronicle %q", p.Chronicle)
+	}
+	if len(p.Tuples) == 0 {
+		return 0, 0, fmt.Errorf("engine: empty append")
+	}
+	if rec.Chronons != nil && len(rec.Chronons) != len(p.Tuples) {
+		return 0, 0, fmt.Errorf("engine: append call with %d chronons for %d tuples", len(rec.Chronons), len(p.Tuples))
+	}
+	var stop error // where a plain call stops: returned once its prefix is in
+	for i, t := range p.Tuples {
+		coerced, cerr := c.Schema().Coerce(t)
+		if cerr != nil {
+			stop = fmt.Errorf("engine: chronicle %s: tuple %d: %w", p.Chronicle, i, cerr)
+			if i == 0 || rec.ClientID != "" {
+				return 0, 0, stop
 			}
-			if err != nil {
-				err = fmt.Errorf("engine: tuple %d: %w", i, err)
+			p.Tuples = p.Tuples[:i]
+			break
+		}
+		p.Tuples[i] = coerced
+	}
+	n := len(p.Tuples)
+	e.scratch.parts = append(e.scratch.parts[:0], p)
+	rec.Parts = e.scratch.parts
+	if live {
+		chronons := e.scratch.chronons[:0]
+		for range n {
+			chronons = append(chronons, e.cfg.Clock())
+		}
+		e.scratch.chronons = chronons
+		rec.SN, rec.Chronon, rec.Chronons = c.Group().NextSN(), chronons[0], chronons
+		rec.LSN = e.cfg.NextLSN(uint64(n))
+	}
+	if e.onRecord != nil {
+		if err := e.onRecord(rec); err != nil {
+			return 0, 0, fmt.Errorf("engine: recording append: %w", err)
+		}
+	}
+	one := append(e.scratch.tuple[:0], nil) // the one-tuple batch of each transaction
+	for i := 0; i < n && err == nil; {
+		rows := e.scratch.rows[:0]
+		for ; i < n && len(rows) < maintainChunk; i++ {
+			one[0] = p.Tuples[i]
+			stored, aerr := c.AppendInto(rec.SN+int64(i), rec.ChrononAt(i), rec.LSN+uint64(i), one, rows)
+			if aerr != nil {
+				// Live, unreachable: the SNs are consecutive under e.mu and every
+				// tuple was coerced above. A replayed record may be stale.
+				err = fmt.Errorf("engine: tuple %d: %w", i, aerr)
 				break
 			}
-			if i == 0 {
-				first = sn
-			}
-			last, rows = sn, stored
+			rows = stored
 		}
 		e.scratch.rows = rows
 		if len(rows) == 0 {
@@ -808,7 +721,20 @@ func (e *Engine) appendCallLocked(c *chronicle.Chronicle, tuples []value.Tuple, 
 		e.maintain(e.scratch.deltas)
 	}
 	e.scratch.tuple = one
-	return first, last, err
+	if err != nil {
+		return 0, 0, err
+	}
+	first, last = rec.SN, rec.SN+int64(n-1)
+	if rec.ClientID != "" {
+		// If the covering commit fails, the call stays applied in memory
+		// without being durably acknowledged. The DB facade latches read-only
+		// on that error, which is what keeps the dedup entry from turning a
+		// failed commit into a false positive ack on retry.
+		e.dedup.Put(rec.ClientID, rec.RequestID, dedup.Ack{
+			Chronicle: p.Chronicle, FirstSN: first, LastSN: last, Rows: n,
+		})
+	}
+	return first, last, stop
 }
 
 // RestoreDedupEntry reinstates one checkpointed idempotency entry.

@@ -39,14 +39,26 @@ func newEngine(t testing.TB) (*Engine, *int64) {
 	e := New(Config{
 		RelationHistory: true,
 		Clock:           func() int64 { return now },
-		NextLSN:         func() uint64 { lsn++; return lsn },
+		NextLSN:         func(n uint64) uint64 { lsn += n; return lsn - n + 1 },
 	})
 	return e, &now
 }
 
 // appendOne is a single-chronicle append: a batch of one part.
 func appendOne(e *Engine, chronicleName string, tuples []value.Tuple) (int64, error) {
-	return e.AppendBatch([]wal.Part{{Chronicle: chronicleName, Tuples: tuples}})
+	return appendBatch(e, []wal.Part{{Chronicle: chronicleName, Tuples: tuples}})
+}
+
+// appendBatch is one transaction across parts, a live RecAppend.
+func appendBatch(e *Engine, parts []wal.Part) (int64, error) {
+	sn, _, _, err := e.Append(wal.Record{Kind: wal.RecAppend, Parts: parts})
+	return sn, err
+}
+
+// appendEach is a live call of one transaction per tuple, a RecAppendEach.
+func appendEach(e *Engine, chronicleName string, tuples []value.Tuple) (first, last int64, err error) {
+	first, last, _, err = e.Append(wal.Record{Kind: wal.RecAppendEach, Parts: []wal.Part{{Chronicle: chronicleName, Tuples: tuples}}})
+	return first, last, err
 }
 
 func mustCreateCalls(t testing.TB, e *Engine) *chronicle.Chronicle {
@@ -106,7 +118,7 @@ func TestAppendBatchSharedSN(t *testing.T) {
 	), nil); err != nil {
 		t.Fatal(err)
 	}
-	sn, err := e.AppendBatch([]wal.Part{
+	sn, err := appendBatch(e, []wal.Part{
 		{Chronicle: "calls", Tuples: []value.Tuple{{value.Str("a"), value.Int(1)}}},
 		{Chronicle: "payments", Tuples: []value.Tuple{{value.Str("a"), value.Int(9)}}},
 	})
@@ -117,10 +129,10 @@ func TestAppendBatchSharedSN(t *testing.T) {
 	if calls.LastSN() != sn || pays.LastSN() != sn {
 		t.Errorf("SNs differ: %d vs %d vs %d", calls.LastSN(), pays.LastSN(), sn)
 	}
-	if _, err := e.AppendBatch(nil); err == nil {
+	if _, err := appendBatch(e, nil); err == nil {
 		t.Error("empty batch accepted")
 	}
-	if _, err := e.AppendBatch([]wal.Part{{Chronicle: "ghost"}}); err == nil {
+	if _, err := appendBatch(e, []wal.Part{{Chronicle: "ghost"}}); err == nil {
 		t.Error("unknown chronicle in batch accepted")
 	}
 }
@@ -339,7 +351,7 @@ func TestReplayAtRecordCoordinates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = e.Replay(wal.Record{Kind: wal.RecAppend, SN: 42, Chronon: 4200, Parts: []wal.Part{
+	_, _, _, err = e.Append(wal.Record{Kind: wal.RecAppend, LSN: 7, SN: 42, Chronon: 4200, Parts: []wal.Part{
 		{Chronicle: "calls", Tuples: []value.Tuple{{value.Str("a"), value.Int(1)}}},
 	}})
 	if err != nil {
@@ -347,7 +359,7 @@ func TestReplayAtRecordCoordinates(t *testing.T) {
 	}
 	var got chronicle.Row
 	c.Scan(func(r chronicle.Row) bool { got = r; return false })
-	if got.SN != 42 || got.Chronon != 4200 {
+	if got.SN != 42 || got.Chronon != 4200 || got.LSN != 7 {
 		t.Errorf("row = %+v", got)
 	}
 	// The next auto append continues after the replayed SN.
@@ -355,22 +367,33 @@ func TestReplayAtRecordCoordinates(t *testing.T) {
 	if err != nil || sn != 43 {
 		t.Errorf("next SN = %d, %v", sn, err)
 	}
-	// An idempotent run re-takes its first SN and chronon and its dedup entry.
-	err = e.Replay(wal.Record{Kind: wal.RecAppendEach, SN: 50, Chronon: 5000, ClientID: "c", RequestID: "r",
+	// An idempotent call re-takes each tuple's SN, chronon and LSN and its
+	// dedup entry.
+	_, _, _, err = e.Append(wal.Record{Kind: wal.RecAppendEach, LSN: 20, SN: 50, Chronon: 5000, Chronons: []int64{5000, 4990},
+		ClientID: "c", RequestID: "r",
 		Parts: []wal.Part{{Chronicle: "calls", Tuples: []value.Tuple{
 			{value.Str("a"), value.Int(1)}, {value.Str("b"), value.Int(2)},
 		}}}})
 	if err != nil {
 		t.Fatalf("Replay each: %v", err)
 	}
-	first, last, deduped, err := e.AppendEachIdem("calls", []value.Tuple{{value.Str("a"), value.Int(1)}}, "c", "r")
+	var rows []string
+	c.Scan(func(r chronicle.Row) bool {
+		rows = append(rows, fmt.Sprintf("%d@%d/%d", r.SN, r.Chronon, r.LSN))
+		return true
+	})
+	if fmt.Sprint(rows[2:]) != "[50@5000/20 51@4990/21]" {
+		t.Errorf("replayed call stored %v", rows)
+	}
+	first, last, deduped, err := e.Append(wal.Record{Kind: wal.RecAppendEach, ClientID: "c", RequestID: "r",
+		Parts: []wal.Part{{Chronicle: "calls", Tuples: []value.Tuple{{value.Str("a"), value.Int(1)}}}}})
 	if err != nil || !deduped || first != 50 || last != 51 {
 		t.Errorf("retry after replay = %d..%d deduped=%v, %v", first, last, deduped, err)
 	}
-	if err := e.Replay(wal.Record{Kind: wal.RecAppendEach, SN: 60}); err == nil {
-		t.Error("idempotent record without a part replayed")
+	if _, _, _, err := e.Append(wal.Record{Kind: wal.RecAppendEach, LSN: 30, SN: 60}); err == nil {
+		t.Error("per-tuple record without a part replayed")
 	}
-	if err := e.Replay(wal.Record{Kind: wal.RecUpsert, Relation: "r"}); err == nil {
+	if _, _, _, err := e.Append(wal.Record{Kind: wal.RecUpsert, LSN: 31, Relation: "r"}); err == nil {
 		t.Error("relation record replayed by an engine")
 	}
 }
@@ -400,7 +423,7 @@ func TestNumericCoercion(t *testing.T) {
 		t.Error("string in float column accepted")
 	}
 	// Batch path coerces as well.
-	if _, err := e.AppendBatch([]wal.Part{
+	if _, err := appendBatch(e, []wal.Part{
 		{Chronicle: "ledger", Tuples: []value.Tuple{{value.Str("b"), value.Int(4)}}},
 	}); err != nil {
 		t.Fatal(err)
@@ -415,14 +438,14 @@ func TestRecorderSeesBatchMutations(t *testing.T) {
 		kinds = append(kinds, m.Kind)
 		return nil
 	})
-	e.AppendBatch([]wal.Part{
+	appendBatch(e, []wal.Part{
 		{Chronicle: "calls", Tuples: []value.Tuple{{value.Str("a"), value.Int(1)}}},
 	})
 	if len(kinds) != 1 || kinds[0] != wal.RecAppend {
 		t.Fatalf("kinds = %v", kinds)
 	}
 	e.SetRecorder(func(wal.Record) error { return fmt.Errorf("no") })
-	if _, err := e.AppendBatch([]wal.Part{
+	if _, err := appendBatch(e, []wal.Part{
 		{Chronicle: "calls", Tuples: []value.Tuple{{value.Str("a"), value.Int(1)}}},
 	}); err == nil {
 		t.Error("vetoed batch append succeeded")
@@ -445,9 +468,9 @@ func TestLongCallFoldsInChunks(t *testing.T) {
 		tuples[i] = value.Tuple{value.Str(fmt.Sprintf("acct%d", i%7)), value.Int(1)}
 	}
 	before := v.Stats()
-	first, last, err := e.AppendEach("calls", tuples)
+	first, last, err := appendEach(e, "calls", tuples)
 	if err != nil || last-first != n-1 {
-		t.Fatalf("AppendEach = %d..%d, %v", first, last, err)
+		t.Fatalf("call = %d..%d, %v", first, last, err)
 	}
 	st := v.Stats()
 	if folds, pubs := st.Applies-before.Applies, st.Publishes-before.Publishes; folds != 2 || pubs != 1 || st.DeltaRows != n {
@@ -458,9 +481,9 @@ func TestLongCallFoldsInChunks(t *testing.T) {
 	}
 
 	tuples[maintainChunk+5] = value.Tuple{value.Str("short")}
-	first, last, err = e.AppendEach("calls", tuples)
+	first, last, err = appendEach(e, "calls", tuples)
 	if err == nil || last-first != maintainChunk+4 {
-		t.Fatalf("failing AppendEach = %d..%d, %v; want the %d-row prefix applied", first, last, err, maintainChunk+5)
+		t.Fatalf("failing call = %d..%d, %v; want the %d-row prefix applied", first, last, err, maintainChunk+5)
 	}
 	var total int64
 	v.Scan(view.Window{}, func(row value.Tuple) bool { total += row[2].AsInt(); return true })

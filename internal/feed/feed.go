@@ -143,14 +143,18 @@ type Frame struct {
 	deltas int    // distinct LSNs among the rows
 	rows   int    // rows packed in slab
 	cells  int    // tuple cells across the rows: Decode sizes its arena once
-	slab   []byte // per row: SN, chronon and LSN as varints, each less the previous row's, then value.AppendTuple
+	slab   []byte // per row: SN, chronon step change and LSN as varints (see newFrame), then value.AppendTuple
 }
 
 var framePool = sync.Pool{New: func() any { return new(Frame) }}
 
-// newFrame packs rows, which ascend in LSN, into pooled storage. The slab
-// keeps its capacity in the pool; one that has to grow is cut to the size
-// the rows take, so a tail of frames holds no growth slack.
+// newFrame packs rows, which ascend in LSN, into pooled storage. A row's SN
+// and LSN are stored less the previous row's, its chronon as the change in
+// that step (the first row's in full, the second's less the first's): a
+// call reads the clock once a tuple, so its chronons step evenly and a row
+// takes one byte for it. The slab keeps its capacity in the pool; one that
+// has to grow is cut to the size the rows take, so a tail of frames holds no
+// growth slack.
 func newFrame(view string, lsn uint64, rows []chronicle.Row) *Frame {
 	f := framePool.Get().(*Frame)
 	f.View, f.LSN = view, lsn
@@ -158,13 +162,18 @@ func newFrame(view string, lsn uint64, rows []chronicle.Row) *Frame {
 	f.deltas, f.rows, f.cells = 0, len(rows), 0
 	slab, room := f.slab[:0], cap(f.slab)
 	var prev chronicle.Row
-	for _, r := range rows {
+	var step int64 // the chronon step into the previous row, 0 into the first
+	for i, r := range rows {
 		if f.deltas == 0 || r.LSN != prev.LSN {
 			f.deltas++
 		}
+		d := r.Chronon - prev.Chronon
 		slab = binary.AppendVarint(slab, r.SN-prev.SN)
-		slab = binary.AppendVarint(slab, r.Chronon-prev.Chronon)
+		slab = binary.AppendVarint(slab, d-step)
 		slab = binary.AppendUvarint(slab, r.LSN-prev.LSN)
+		if i > 0 {
+			step = d
+		}
 		slab = value.AppendTuple(slab, r.Vals)
 		f.cells += len(r.Vals)
 		prev = r
@@ -186,14 +195,19 @@ func (f *Frame) Decode(dst []chronicle.Row, arena value.Tuple) ([]chronicle.Row,
 	arena = slices.Grow(arena[:0], f.cells)
 	s := string(f.slab)
 	var r chronicle.Row
-	for off := 0; off < len(s); {
+	var step int64 // as newFrame keeps it
+	for i, off := 0, 0; off < len(s); i++ {
 		sn, n := binary.Varint(f.slab[off:])
 		off += n
-		chronon, n := binary.Varint(f.slab[off:])
+		change, n := binary.Varint(f.slab[off:])
 		off += n
 		lsn, n := binary.Uvarint(f.slab[off:])
 		off += n
-		r.SN, r.Chronon, r.LSN = r.SN+sn, r.Chronon+chronon, r.LSN+lsn
+		d := step + change
+		if i > 0 {
+			step = d
+		}
+		r.SN, r.Chronon, r.LSN = r.SN+sn, r.Chronon+d, r.LSN+lsn
 		start := len(arena)
 		arena, n, _ = value.DecodeTupleString(arena, s[off:])
 		off += n

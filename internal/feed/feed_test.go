@@ -417,6 +417,9 @@ func publishCall(h *Hub, d *Door, view string, first uint64, k int) {
 func TestFrameDecodesWhatItPacked(t *testing.T) {
 	rows := callRows(1000, 10)
 	rows[4].LSN, rows[5].LSN = rows[3].LSN, rows[3].LSN // one mutation, three rows
+	for i := range rows {
+		rows[i].Chronon = int64(7*i*i - 30*i) // steps back, then on by more each row
+	}
 	rows = append(rows, chronicle.Row{SN: 1 << 62, Chronon: 1 << 62, LSN: 1 << 63, Vals: value.Tuple{value.Null(), value.Bool(true), value.Str("")}})
 	b := NewHub(Config{}).Begin(NewDoor())
 	b.Capture("v", 1<<63, rows)

@@ -79,9 +79,10 @@ type FollowerAck struct {
 // Release invariant: next is the lowest LSN not yet released; a record
 // frame releases only when its LSN == next (then next += span), and a DDL
 // annotation at LSN L releases once next > L — i.e. after every record up
-// to and including L. Because recovery re-assigns identical LSNs on
-// replay, releasing in LSN order means a follower applying the stream in
-// arrival order reproduces the primary's exact LSN assignment.
+// to and including L. A record's LSNs are one span drawn in one step, and
+// replay applies a record at the LSNs it carries, so a follower applying
+// the stream in arrival order reproduces the primary's exact LSN
+// assignment.
 type Source struct {
 	stages []*logStage
 

@@ -62,7 +62,7 @@ func (b *blocker) hold(r *Router, i int, c string) <-chan error {
 	b.armed[i].Store(true)
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.Append(c, []value.Tuple{{value.Str("acct1"), value.Int(1)}})
+		_, err := appendTx(r, c, []value.Tuple{{value.Str("acct1"), value.Int(1)}})
 		done <- err
 	}()
 	<-b.entered
@@ -110,7 +110,7 @@ func readCatalog(t *testing.T, r *Router, c, g string) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := r.Append(c, []value.Tuple{{value.Str("acct1"), value.Int(int64(i))}}); err != nil {
+		if _, err := appendTx(r, c, []value.Tuple{{value.Str("acct1"), value.Int(int64(i))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -217,7 +217,7 @@ func TestReadsDoNotWaitForDDL(t *testing.T) {
 
 	read := within(t, "a read during a CREATE VIEW", func() { readEverything(t, r, "calls", g) })
 	appended := within(t, "an append to the other shard during a CREATE VIEW", func() {
-		if _, err := r.Append("other", []value.Tuple{{value.Str("b"), value.Int(1)}}); err != nil {
+		if _, err := appendTx(r, "other", []value.Tuple{{value.Str("b"), value.Int(1)}}); err != nil {
 			t.Error(err)
 		}
 	})
@@ -358,8 +358,8 @@ func TestSerializedReadAccessors(t *testing.T) {
 	if _, err := r.CreateView(usageDef("usage", c)); err != nil {
 		t.Fatal(err)
 	}
-	r.Append("calls", []value.Tuple{{value.Str("a"), value.Int(5)}})
-	r.Append("calls", []value.Tuple{{value.Str("b"), value.Int(7)}})
+	appendTx(r, "calls", []value.Tuple{{value.Str("a"), value.Int(5)}})
+	appendTx(r, "calls", []value.Tuple{{value.Str("b"), value.Int(7)}})
 
 	row, ok, err := r.ViewLookup("usage", value.Tuple{value.Str("a")})
 	if err != nil || !ok || row[1].AsInt() != 5 {

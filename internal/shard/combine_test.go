@@ -19,10 +19,7 @@ import (
 
 // idOf reads the unique id a test append carries in its first tuple.
 func idOf(q *appendReq) int64 {
-	if q.op == opBatch {
-		return q.parts[0].Tuples[0][1].AsInt()
-	}
-	return q.tuples[0][1].AsInt()
+	return q.rec.Parts[0].Tuples[0][1].AsInt()
 }
 
 // idRows maps each id found in the chronicle's rows to how many rows carry
@@ -76,7 +73,7 @@ func TestPromotedLeaderAppliesOnce(t *testing.T) {
 	var wg sync.WaitGroup
 	appendID := func(id int64) {
 		defer wg.Done()
-		if _, err := r.Append("calls", []value.Tuple{{value.Str("a"), value.Int(id)}}); err != nil {
+		if _, err := appendTx(r, "calls", []value.Tuple{{value.Str("a"), value.Int(id)}}); err != nil {
 			t.Error(err)
 		}
 	}
@@ -227,13 +224,13 @@ func concurrentStress(t *testing.T, shards int) {
 				one := []value.Tuple{{value.Str(acct(rng.Intn(16))), value.Int(a.id)}}
 				switch i % 3 {
 				case 0:
-					a.first, a.err = r.Append(name, one)
+					a.first, a.err = appendTx(r, name, one)
 					a.last = a.first
 				case 1:
 					two := append(one, value.Tuple{value.Str(acct(rng.Intn(16))), value.Int(a.id)})
-					a.first, a.last, a.err = r.AppendEach(name, two)
+					a.first, a.last, _, a.err = appendEach(r, name, two, "", "")
 				case 2:
-					a.first, a.last, _, a.err = r.AppendEachIdem(name, one, "client", fmt.Sprint(a.id))
+					a.first, a.last, _, a.err = appendEach(r, name, one, "client", fmt.Sprint(a.id))
 				}
 				answers[slot] = append(answers[slot], a)
 				if answered.Add(1) == groups*workers*perWorker/2 {

@@ -150,7 +150,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	r := &Router{cfg: cfg}
 	r.cat.Store(&catalog{names: map[string]entry{}, groups: map[string]*chronicle.Group{}})
 	ecfg := cfg.Engine
-	ecfg.NextLSN = func() uint64 { return r.lsn.Add(1) }
+	ecfg.NextLSN = r.nextLSN
 	for i := 0; i < cfg.Shards; i++ {
 		s := &shardState{id: i, eng: engine.New(ecfg), feeds: cfg.Feed != nil}
 		if s.feeds {
@@ -389,81 +389,54 @@ func (r *Router) submit(chronicleName string, req *appendReq) {
 	s.do(&r.relGate, req)
 }
 
-// Append inserts tuples into one chronicle as a single transaction on its
-// home shard, returning after every affected view there is maintained: it is
-// AppendBatch over one part, kept in the pooled request so the call
-// allocates nothing.
-func (r *Router) Append(chronicleName string, tuples []value.Tuple) (int64, error) {
-	req := getReq()
-	defer putReq(req)
-	req.one[0] = wal.Part{Chronicle: chronicleName, Tuples: tuples}
-	req.op, req.parts = opBatch, req.one[:]
-	r.submit(chronicleName, req)
-	return req.sn, req.err
+// Append runs one live append call, a wal.Record without coordinates,
+// through its chronicle's home shard: the router's one append entry
+// (engine.Engine.Append says what each record kind applies, and stamps the
+// call). A record that carries an LSN is refused: only Replay applies one at
+// its own coordinates, after moving the allocator past them. An idempotent
+// call routes like any other: a chronicle's home shard is stable across
+// restarts (hash of its group name), so a retried request always lands on the
+// shard holding its dedup entry.
+func (r *Router) Append(rec wal.Record) (first, last int64, deduped bool, err error) {
+	if rec.LSN != 0 {
+		return 0, 0, false, fmt.Errorf("shard: a live append carries no LSN (record has %d); Replay applies recorded ones", rec.LSN)
+	}
+	return r.append(rec)
 }
 
-// AppendEach inserts each tuple as its own transaction in one pass — the
-// bulk ingest path the HTTP /append endpoint uses. The whole run is applied
-// under a single engine-lock acquisition.
-func (r *Router) AppendEach(chronicleName string, tuples []value.Tuple) (first, last int64, err error) {
+// append submits rec to its home shard.
+func (r *Router) append(rec wal.Record) (first, last int64, deduped bool, err error) {
+	if len(rec.Parts) == 0 {
+		return 0, 0, false, fmt.Errorf("engine: empty batch")
+	}
 	req := getReq()
 	defer putReq(req)
-	req.op, req.chronicle, req.tuples = opEach, chronicleName, tuples
-	r.submit(chronicleName, req)
-	return req.first, req.last, req.err
-}
-
-// AppendEachIdem is AppendEach with exactly-once semantics: the request
-// routes to the chronicle's home shard, whose engine answers a repeat
-// (clientID, requestID) pair from its dedup table instead of re-applying.
-// Because a chronicle's home shard is stable across restarts (hash of its
-// group name), a retried request always lands on the shard holding its
-// dedup entry.
-func (r *Router) AppendEachIdem(chronicleName string, tuples []value.Tuple, clientID, requestID string) (first, last int64, deduped bool, err error) {
-	req := getReq()
-	defer putReq(req)
-	req.op, req.chronicle, req.tuples = opEachIdem, chronicleName, tuples
-	req.clientID, req.requestID = clientID, requestID
-	r.submit(chronicleName, req)
+	req.rec = rec
+	r.submit(rec.Parts[0].Chronicle, req)
 	return req.first, req.last, req.deduped, req.err
 }
 
-// AppendBatch inserts tuples into several chronicles of one group
-// simultaneously, sharing one sequence number.
-func (r *Router) AppendBatch(parts []wal.Part) (int64, error) {
-	if len(parts) == 0 {
-		return 0, fmt.Errorf("engine: empty batch")
-	}
-	req := getReq()
-	defer putReq(req)
-	req.op, req.parts = opBatch, parts
-	r.submit(parts[0].Chronicle, req)
-	return req.sn, req.err
-}
-
-// Replay applies one WAL record at the coordinates it carries, so the kernel
-// re-takes the original SNs and LSNs (recovery and follower apply): an append
-// record goes to its chronicle's home shard, an UPSERT or a key delete runs
-// as Upsert and DeleteKey do, drawing the same LSNs again.
+// Replay applies one WAL record at the coordinates it carries (recovery and
+// follower apply), so every row and relation version goes back at the LSN it
+// had live: the allocator first moves past the record's span, then an append
+// record goes through Append's submission, an UPSERT or a key delete through
+// the path Upsert and DeleteKey take.
 func (r *Router) Replay(rec wal.Record) error {
+	if rec.LSN == 0 {
+		return fmt.Errorf("shard: replayed record of kind %d has no LSN", rec.Kind)
+	}
+	r.RestoreLSN(rec.LSN + wal.RecordSpan(rec) - 1)
 	switch rec.Kind {
 	case wal.RecUpsert:
-		return r.Upsert(rec.Relation, rec.Tuples...)
+		return r.upsert(rec.Relation, rec.Tuples, rec.LSN)
 	case wal.RecDelete:
-		_, err := r.DeleteKey(rec.Relation, rec.Tuple)
+		_, err := r.deleteKey(rec.Relation, rec.Tuple, rec.LSN)
 		return err
 	case wal.RecAppend, wal.RecAppendEach:
-		if len(rec.Parts) == 0 {
-			return fmt.Errorf("engine: empty batch")
-		}
-	default:
-		return fmt.Errorf("unknown WAL record kind %d", rec.Kind)
+		_, _, _, err := r.append(rec)
+		return err
 	}
-	req := getReq()
-	defer putReq(req)
-	req.op, req.rec = opReplay, rec
-	r.submit(rec.Parts[0].Chronicle, req)
-	return req.err
+	return fmt.Errorf("unknown WAL record kind %d", rec.Kind)
 }
 
 // --- relation updates (epoch barrier) -----------------------------------
@@ -486,6 +459,12 @@ func (r *Router) relationByName(name string) (*relation.Relation, error) {
 // tuples are validated before any is recorded, so a bad one applies none,
 // and a failed write applies none either.
 func (r *Router) Upsert(relationName string, tuples ...value.Tuple) error {
+	return r.upsert(relationName, tuples, 0)
+}
+
+// upsert is Upsert at first, the LSN of a replayed statement, or at LSNs it
+// draws when first is 0.
+func (r *Router) upsert(relationName string, tuples []value.Tuple, first uint64) error {
 	rel, err := r.relationByName(relationName)
 	if err != nil {
 		return err
@@ -506,7 +485,9 @@ func (r *Router) Upsert(relationName string, tuples ...value.Tuple) error {
 	if len(coerced) == 0 {
 		return nil
 	}
-	first := r.lsn.Add(uint64(len(coerced))) - uint64(len(coerced)) + 1
+	if first == 0 {
+		first = r.nextLSN(uint64(len(coerced)))
+	}
 	if r.relWAL.Record != nil {
 		rec := wal.Record{Kind: wal.RecUpsert, LSN: first, Relation: relationName, Tuples: coerced}
 		if err := r.relWAL.Record(rec); err != nil {
@@ -527,6 +508,11 @@ func (r *Router) Upsert(relationName string, tuples ...value.Tuple) error {
 
 // DeleteKey applies a proactive relation delete under the epoch barrier.
 func (r *Router) DeleteKey(relationName string, keyVals value.Tuple) (bool, error) {
+	return r.deleteKey(relationName, keyVals, 0)
+}
+
+// deleteKey is DeleteKey at lsn, or at an LSN it draws when lsn is 0.
+func (r *Router) deleteKey(relationName string, keyVals value.Tuple, lsn uint64) (bool, error) {
 	rel, err := r.relationByName(relationName)
 	if err != nil {
 		return false, err
@@ -535,7 +521,9 @@ func (r *Router) DeleteKey(relationName string, keyVals value.Tuple) (bool, erro
 	defer r.relMu.Unlock()
 	r.relGate.Lock()
 	defer r.relGate.Unlock()
-	lsn := r.lsn.Add(1)
+	if lsn == 0 {
+		lsn = r.nextLSN(1)
+	}
 	if r.relWAL.Record != nil {
 		rec := wal.Record{Kind: wal.RecDelete, LSN: lsn, Relation: relationName, Tuple: keyVals}
 		if err := r.relWAL.Record(rec); err != nil {
@@ -567,6 +555,9 @@ func (r *Router) Counters() engine.Counters {
 	sum.Read = r.readLat.Histogram()
 	return sum
 }
+
+// nextLSN allocates n consecutive LSNs and returns the first.
+func (r *Router) nextLSN(n uint64) uint64 { return r.lsn.Add(n) - n + 1 }
 
 // LSN returns the current global logical sequence number.
 func (r *Router) LSN() uint64 { return r.lsn.Load() }

@@ -23,7 +23,6 @@ import (
 
 	"chronicledb/internal/engine"
 	"chronicledb/internal/feed"
-	"chronicledb/internal/value"
 	"chronicledb/internal/wal"
 )
 
@@ -33,32 +32,14 @@ const maxCoalesce = 128
 
 var errClosed = errors.New("shard: router closed")
 
-// appendOp selects the engine call a request makes.
-type appendOp uint8
-
-const (
-	opBatch    appendOp = iota // one transaction, one SN across a group's chronicles: parts
-	opEach                     // one transaction per tuple: chronicle, tuples
-	opEachIdem                 // opEach, exactly once under (clientID, requestID)
-	opReplay                   // an append record at its own coordinates: rec
-)
-
-// appendReq is one append on its way through a shard's combining queue.
+// appendReq is one append call on its way through a shard's combining queue.
 // Requests are pooled: a caller fills one, submits it, reads the result and
 // puts it back, so the steady-state append path allocates nothing here.
 type appendReq struct {
-	op        appendOp
-	chronicle string
-	tuples    []value.Tuple
-	parts     []wal.Part
-	one       [1]wal.Part // parts of a single-chronicle append
-	clientID  string
-	requestID string
-	rec       wal.Record // opReplay
+	rec wal.Record // the call, applied by engine.Engine.Append
 
-	sn          int64 // opBatch result
-	first, last int64 // bulk result
-	deduped     bool  // opEachIdem: answered from the dedup table
+	first, last int64
+	deduped     bool
 	err         error
 
 	// wake carries the one message a queued request gets: false once a
@@ -78,16 +59,7 @@ func putReq(q *appendReq) {
 }
 
 func (q *appendReq) apply(eng *engine.Engine) {
-	switch q.op {
-	case opBatch:
-		q.sn, q.err = eng.AppendBatch(q.parts)
-	case opEach:
-		q.first, q.last, q.err = eng.AppendEach(q.chronicle, q.tuples)
-	case opEachIdem:
-		q.first, q.last, q.deduped, q.err = eng.AppendEachIdem(q.chronicle, q.tuples, q.clientID, q.requestID)
-	case opReplay:
-		q.err = eng.Replay(q.rec)
-	}
+	q.first, q.last, q.deduped, q.err = eng.Append(q.rec)
 }
 
 // shardState is one single-writer shard: an engine plus the combining queue

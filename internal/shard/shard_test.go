@@ -29,6 +29,20 @@ func custSchema() *value.Schema {
 	)
 }
 
+// appendTx appends tuples to one chronicle as one transaction, a live
+// RecAppend.
+func appendTx(r *Router, chronicleName string, tuples []value.Tuple) (int64, error) {
+	sn, _, _, err := r.Append(wal.Record{Kind: wal.RecAppend, Parts: []wal.Part{{Chronicle: chronicleName, Tuples: tuples}}})
+	return sn, err
+}
+
+// appendEach appends tuples to one chronicle as a call of one transaction
+// per tuple, a live RecAppendEach, with ids when clientID is set.
+func appendEach(r *Router, chronicleName string, tuples []value.Tuple, clientID, requestID string) (first, last int64, deduped bool, err error) {
+	return r.Append(wal.Record{Kind: wal.RecAppendEach, ClientID: clientID, RequestID: requestID,
+		Parts: []wal.Part{{Chronicle: chronicleName, Tuples: tuples}}})
+}
+
 func newRouter(t testing.TB, n int) *Router {
 	t.Helper()
 	r, err := NewRouter(Config{Shards: n, Engine: engine.Config{
@@ -87,11 +101,11 @@ func TestRouterBasics(t *testing.T) {
 	if _, err := r.CreateView(usageDef("usage", c)); err == nil {
 		t.Error("duplicate view accepted")
 	}
-	sn, err := r.Append("calls", []value.Tuple{{value.Str("alice"), value.Int(10)}})
+	sn, err := appendTx(r, "calls", []value.Tuple{{value.Str("alice"), value.Int(10)}})
 	if err != nil || sn != 0 {
 		t.Fatalf("Append = %d, %v", sn, err)
 	}
-	if _, err := r.Append("nope", nil); err == nil {
+	if _, err := appendTx(r, "nope", nil); err == nil {
 		t.Error("append to unknown chronicle accepted")
 	}
 	row, ok, err := r.ViewLookup("usage", value.Tuple{value.Str("alice")})
@@ -106,7 +120,7 @@ func TestRouterBasics(t *testing.T) {
 	// A restored LSN never regresses, and the next mutation continues it.
 	r.RestoreLSN(100)
 	r.RestoreLSN(50)
-	r.Append("calls", []value.Tuple{{value.Str("alice"), value.Int(1)}})
+	appendTx(r, "calls", []value.Tuple{{value.Str("alice"), value.Int(1)}})
 	if r.LSN() != 101 {
 		t.Errorf("LSN after RestoreLSN(100), RestoreLSN(50), append = %d", r.LSN())
 	}
@@ -145,24 +159,34 @@ func TestAppendEachAndBatch(t *testing.T) {
 	r := newRouter(t, 2)
 	mustCreateChronicle(t, r, "calls", "telecom")
 	mustCreateChronicle(t, r, "payments", "telecom")
-	first, last, err := r.AppendEach("calls", []value.Tuple{
+	first, last, _, err := appendEach(r, "calls", []value.Tuple{
 		{value.Str("a"), value.Int(1)},
 		{value.Str("b"), value.Int(2)},
 		{value.Str("c"), value.Int(3)},
-	})
+	}, "", "")
 	if err != nil || first != 0 || last != 2 {
-		t.Fatalf("AppendEach = %d..%d, %v", first, last, err)
+		t.Fatalf("per-tuple call = %d..%d, %v", first, last, err)
 	}
-	sn, err := r.AppendBatch([]wal.Part{
+	sn, _, _, err := r.Append(wal.Record{Kind: wal.RecAppend, Parts: []wal.Part{
 		{Chronicle: "calls", Tuples: []value.Tuple{{value.Str("d"), value.Int(4)}}},
 		{Chronicle: "payments", Tuples: []value.Tuple{{value.Str("d"), value.Int(9)}}},
-	})
+	}})
 	if err != nil || sn != 3 {
-		t.Fatalf("AppendBatch = %d, %v", sn, err)
+		t.Fatalf("batch = %d, %v", sn, err)
 	}
 	rows := chronicleRows(t, r, "calls")
 	if len(rows) != 4 {
 		t.Fatalf("ChronicleRows = %d rows", len(rows))
+	}
+	// A live append that carries coordinates is refused: only Replay applies
+	// a record at its own LSN, after moving the allocator past it.
+	lsn := r.LSN()
+	if _, _, _, err := r.Append(wal.Record{Kind: wal.RecAppendEach, LSN: lsn + 5, SN: 4,
+		Parts: []wal.Part{{Chronicle: "calls", Tuples: []value.Tuple{{value.Str("e"), value.Int(5)}}}}}); err == nil {
+		t.Error("Append of a record with an LSN accepted")
+	}
+	if got := len(chronicleRows(t, r, "calls")); got != 4 || r.LSN() != lsn {
+		t.Errorf("after the refused append: %d rows, LSN %d; want 4, %d", got, r.LSN(), lsn)
 	}
 }
 
@@ -193,11 +217,11 @@ func TestProactiveUpdateSemantics(t *testing.T) {
 	}
 
 	r.Upsert("customers", value.Tuple{value.Str("a"), value.Str("nj")})
-	r.Append("calls", []value.Tuple{{value.Str("a"), value.Int(10)}}) // counts
+	appendTx(r, "calls", []value.Tuple{{value.Str("a"), value.Int(10)}}) // counts
 	r.Upsert("customers", value.Tuple{value.Str("a"), value.Str("ny")})
-	r.Append("calls", []value.Tuple{{value.Str("a"), value.Int(99)}}) // does not count
+	appendTx(r, "calls", []value.Tuple{{value.Str("a"), value.Int(99)}}) // does not count
 	r.Upsert("customers", value.Tuple{value.Str("a"), value.Str("nj")})
-	r.Append("calls", []value.Tuple{{value.Str("a"), value.Int(7)}}) // counts
+	appendTx(r, "calls", []value.Tuple{{value.Str("a"), value.Int(7)}}) // counts
 
 	got, ok := v.Lookup(value.Tuple{value.Str("a")})
 	if !ok || got[1].AsInt() != 17 {

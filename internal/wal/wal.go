@@ -27,6 +27,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,7 +48,9 @@ type RecordKind uint8
 const (
 	// Kind 0 is never written: DDL is not logged, catalog.sql holds it.
 	_ RecordKind = iota
-	// RecAppend is a chronicle append (possibly multi-chronicle).
+	// RecAppend is one append transaction: one SN, chronon and LSN across the
+	// parts, every part a chronicle of one group (DB.Append, APPEND … ALSO
+	// INTO).
 	RecAppend
 	// RecUpsert is one UPSERT statement, a proactive relation update: one
 	// relation, its tuples at consecutive LSNs starting at the record's. The
@@ -56,15 +59,24 @@ const (
 	RecUpsert
 	// RecDelete is a proactive relation delete (Tuple holds key values).
 	RecDelete
-	// RecAppendEach is an idempotent bulk append: one chronicle, one tuple
-	// run with consecutive sequence numbers starting at SN, tagged with the
-	// (ClientID, RequestID) pair that identifies the request. The whole
-	// request is one frame so the rows and the dedup-table entry that
-	// suppresses retries become durable atomically — a crash either
-	// persists both or neither, which is what makes crash-retry
-	// exactly-once.
+	// RecAppendEach is one append call of N transactions into one chronicle
+	// (one part): tuple i takes SN SN+i, chronon ChrononAt(i) and LSN LSN+i,
+	// so the call spans N consecutive LSNs. The (ClientID, RequestID) pair
+	// is optional: an idempotent call carries it, so the rows and the
+	// dedup-table entry that suppresses retries become durable in one frame
+	// — a crash persists both or neither, which is what makes crash-retry
+	// exactly-once. On the wire a record with nil Chronons keeps this kind's
+	// byte and layout, the one logs held before calls carried a chronon per
+	// tuple, so such logs replay unchanged; one with Chronons is written as
+	// recAppendChronons.
 	RecAppendEach
 )
+
+// recAppendChronons is the wire kind of a RecAppendEach whose Chronons is
+// set: RecAppendEach's layout with each tuple preceded by its chronon as a
+// varint delta from the tuple before's (the first's from Chronon). It decodes
+// to a RecAppendEach.
+const recAppendChronons RecordKind = RecAppendEach + 1
 
 // Part is one chronicle's share of an append record.
 type Part struct {
@@ -75,15 +87,25 @@ type Part struct {
 // Record is one durable mutation.
 type Record struct {
 	Kind      RecordKind
-	LSN       uint64        // global logical sequence number (orders records across segments)
-	SN        int64         // RecAppend / RecAppendEach (first SN of the run)
-	Chronon   int64         // RecAppend / RecAppendEach
+	LSN       uint64        // global logical sequence number, the first of the record's span (RecordSpan)
+	SN        int64         // RecAppend / RecAppendEach (the first tuple's)
+	Chronon   int64         // RecAppend / RecAppendEach (the first tuple's, or every tuple's when Chronons is nil)
+	Chronons  []int64       // RecAppendEach: tuple i's chronon, or nil
 	Parts     []Part        // RecAppend / RecAppendEach (exactly one part)
 	Relation  string        // RecUpsert / RecDelete
 	Tuple     value.Tuple   // RecDelete (key values)
 	Tuples    []value.Tuple // RecUpsert
-	ClientID  string        // RecAppendEach
-	RequestID string        // RecAppendEach
+	ClientID  string        // RecAppendEach, optional
+	RequestID string        // RecAppendEach, optional
+}
+
+// ChrononAt returns the chronon of a RecAppendEach's tuple i: Chronons[i],
+// or Chronon when Chronons is nil.
+func (r *Record) ChrononAt(i int) int64 {
+	if r.Chronons == nil {
+		return r.Chronon
+	}
+	return r.Chronons[i]
 }
 
 // SyncPolicy selects when a Log makes appended records durable.
@@ -538,17 +560,28 @@ func drain(br *bufio.Reader) int64 {
 }
 
 func encodeRecord(dst []byte, r Record) []byte {
-	dst = append(dst, byte(r.Kind))
+	chronons := r.Kind == RecAppendEach && r.Chronons != nil
+	if chronons {
+		dst = append(dst, byte(recAppendChronons))
+	} else {
+		dst = append(dst, byte(r.Kind))
+	}
 	dst = binary.AppendUvarint(dst, r.LSN)
 	switch r.Kind {
 	case RecAppend, RecAppendEach:
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(r.SN))
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Chronon))
 		dst = binary.AppendUvarint(dst, uint64(len(r.Parts)))
+		i, prev := 0, r.Chronon
 		for _, p := range r.Parts {
 			dst = appendString(dst, p.Chronicle)
 			dst = binary.AppendUvarint(dst, uint64(len(p.Tuples)))
 			for _, t := range p.Tuples {
+				if chronons {
+					c := r.Chronons[i]
+					dst = binary.AppendVarint(dst, c-prev)
+					i, prev = i+1, c
+				}
 				dst = value.AppendTuple(dst, t)
 			}
 		}
@@ -574,6 +607,10 @@ func decodeRecord(b []byte) (Record, error) {
 		return Record{}, fmt.Errorf("wal: empty payload")
 	}
 	r := Record{Kind: RecordKind(b[0])}
+	chronons := r.Kind == recAppendChronons
+	if chronons {
+		r.Kind, r.Chronons = RecAppendEach, []int64{}
+	}
 	b = b[1:]
 	lsn, sz := binary.Uvarint(b)
 	if sz <= 0 {
@@ -594,6 +631,7 @@ func decodeRecord(b []byte) (Record, error) {
 			return Record{}, fmt.Errorf("wal: bad part count")
 		}
 		b = b[sz:]
+		prev := r.Chronon
 		for i := uint64(0); i < nParts; i++ {
 			name, used, err := readString(b)
 			if err != nil {
@@ -605,8 +643,25 @@ func decodeRecord(b []byte) (Record, error) {
 				return Record{}, fmt.Errorf("wal: bad tuple count")
 			}
 			b = b[sz:]
-			p := Part{Chronicle: name}
+			// A tuple takes a byte at least, so the count is bounded by the
+			// bytes left before it sizes anything.
+			if nTuples > uint64(len(b)) {
+				return Record{}, fmt.Errorf("wal: bad tuple count")
+			}
+			if chronons {
+				r.Chronons = slices.Grow(r.Chronons, int(nTuples))
+			}
+			p := Part{Chronicle: name, Tuples: make([]value.Tuple, 0, nTuples)}
 			for j := uint64(0); j < nTuples; j++ {
+				if chronons {
+					d, sz := binary.Varint(b)
+					if sz <= 0 {
+						return Record{}, fmt.Errorf("wal: bad chronon delta")
+					}
+					b = b[sz:]
+					prev += d
+					r.Chronons = append(r.Chronons, prev)
+				}
 				t, used, err := value.DecodeTuple(b)
 				if err != nil {
 					return Record{}, err
@@ -679,9 +734,10 @@ func EncodeRecord(dst []byte, r Record) []byte { return encodeRecord(dst, r) }
 // from a Log's append path).
 func DecodeRecord(b []byte) (Record, error) { return decodeRecord(b) }
 
-// RecordSpan returns how many LSNs r occupies in the global order: an
-// idempotent bulk append and an UPSERT statement assign one LSN per tuple
-// (the record's LSN is the first), and every other record exactly one.
+// RecordSpan returns how many LSNs r occupies in the global order: an append
+// call of N transactions (RecAppendEach) and an UPSERT statement assign one
+// LSN per tuple (the record's LSN is the first), and every other record
+// exactly one.
 func RecordSpan(r Record) uint64 {
 	switch r.Kind {
 	case RecUpsert:

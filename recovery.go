@@ -98,10 +98,9 @@ func (db *DB) recover(m wal.Manifest) error {
 	// updates interleave with appends exactly as they did live (§2.3
 	// proactive ordering). Records at or below the checkpoint LSN are
 	// already inside the checkpoint, and applying them twice would
-	// double-count appends and resurrect stale relation versions. Skipping
-	// them also keeps the LSN allocator aligned: replay re-assigns LSNs
-	// starting from the checkpoint LSN, so each surviving record re-acquires
-	// exactly the LSN it carried live.
+	// double-count appends and resurrect stale relation versions. Every
+	// surviving record applies at the LSNs it carried live, and moves the
+	// allocator past them.
 	if _, err := wal.ReplayMergedFS(db.fs, db.opts.Dir, liveSegmentNames(m.Live), ckptLSN, db.eng.Replay); err != nil {
 		return fmt.Errorf("chronicledb: WAL replay: %w", err)
 	}

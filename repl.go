@@ -1,8 +1,8 @@
 package chronicledb
 
 // Log-shipping replication glue. The chronicle model makes this unusually
-// clean: state is a pure function of the totally-ordered WAL, and recovery
-// re-assigns identical LSNs on replay — so a follower that applies the
+// clean: state is a pure function of the totally-ordered WAL, and replay
+// applies every record at the LSNs it carries — so a follower that applies the
 // primary's committed records in LSN order through the recovery apply paths
 // reproduces the primary's exact state, LSN for LSN, views included.
 //
