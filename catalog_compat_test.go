@@ -4,15 +4,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	chronicledb "chronicledb"
 )
 
-// compatDDL is the catalog of testdata/catalog_with_store: the DDL of
-// examples/banking and examples/eventmonitor as they were written when a view
-// chose its store, and a view that chose the hash store by name.
+// compatDDL is the DDL of examples/banking and examples/eventmonitor as they
+// were written when a view chose its store, and a view that chose the hash
+// store by name: the WITH STORE clause still parses, and is ignored.
 var compatDDL = []string{
 	`CREATE CHRONICLE ledger (acct STRING, kind STRING, amount FLOAT)`,
 	`CREATE RELATION accounts (acct STRING, holder STRING, KEY(acct))`,
@@ -34,7 +35,7 @@ var compatDDL = []string{
 
 var compatViews = []string{"dollar_balance", "ledger_kinds", "settled", "auth_volume"}
 
-// compatLoad appends round r of the fixture's workload: ledger movements
+// compatLoad appends round r of the workload: ledger movements
 // over 60 accounts, settled events and lone authorizations over 25
 // merchants.
 func compatLoad(t testing.TB, db *chronicledb.DB, r int) {
@@ -61,7 +62,7 @@ func compatLoad(t testing.TB, db *chronicledb.DB, r int) {
 	}
 }
 
-// compatRows reads every view of the fixture, in key order.
+// compatRows reads every view of compatDDL, in key order.
 func compatRows(t testing.TB, db *chronicledb.DB) string {
 	t.Helper()
 	var b strings.Builder
@@ -75,52 +76,48 @@ func compatRows(t testing.TB, db *chronicledb.DB) string {
 	return b.String()
 }
 
-// TestCatalogWithStoreReplays: testdata/catalog_with_store is a database
-// directory written when views chose their store — a catalog.sql whose views
-// say WITH STORE BTREE or HASH, a checkpoint chain holding blocked images of
-// the B-tree views and whole images of the hash ones, and a WAL tail past
-// it (rounds 0–3 checkpointed, 4–5 in the tail). It opens and replays under
-// one store, where every view pages, and its views answer what the same DDL
-// and rounds give a fresh database; both keep agreeing after more rounds, a
-// checkpoint and a reopen; and DDL written now keeps the clause as written
-// and replays with it.
+// TestCatalogWithStoreReplays: a durable database whose views say WITH STORE
+// BTREE or HASH pages every view under the one store, and answers what an
+// in-memory twin given the same DDL and rounds answers: reopened over a
+// checkpoint cut mid-load and a WAL tail past it, after more rounds, and
+// reopened again after a checkpoint and a view created with the clause
+// since. The catalog keeps every statement as written, clause and all.
 func TestCatalogWithStoreReplays(t *testing.T) {
 	dir := t.TempDir()
-	src := filepath.Join("testdata", "catalog_with_store")
-	entries, err := os.ReadDir(src)
+	opts := chronicledb.Options{Dir: dir, ViewBlockBytes: 256}
+	db, err := chronicledb.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if catalog, _ := os.ReadFile(filepath.Join(dir, "catalog.sql")); !strings.Contains(string(catalog), "WITH STORE BTREE") {
-		t.Fatalf("the fixture's catalog has no WITH STORE clause:\n%s", catalog)
-	}
-
 	ref, err := chronicledb.Open(chronicledb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	for _, s := range compatDDL {
-		if _, err := ref.Exec(s); err != nil {
-			t.Fatal(err)
+	both := func(do func(*chronicledb.DB)) {
+		do(db)
+		do(ref)
+	}
+	exec := func(stmt string) {
+		both(func(d *chronicledb.DB) {
+			if _, err := d.Exec(stmt); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	rounds := func(from, to int) {
+		for r := from; r < to; r++ {
+			both(func(d *chronicledb.DB) { compatLoad(t, d, r) })
 		}
 	}
-	for r := 0; r < 6; r++ {
-		compatLoad(t, ref, r)
-	}
-
-	db, err := chronicledb.Open(chronicledb.Options{Dir: dir, ViewBlockBytes: 256})
-	if err != nil {
-		t.Fatal(err)
+	reopen := func() {
+		t.Helper()
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if db, err = chronicledb.Open(opts); err != nil {
+			t.Fatal(err)
+		}
 	}
 	check := func(what string) {
 		t.Helper()
@@ -128,41 +125,38 @@ func TestCatalogWithStoreReplays(t *testing.T) {
 			t.Fatalf("%s: the replayed views differ:\n got %s\nwant %s", what, got, want)
 		}
 	}
-	check("reopened")
+
+	for _, s := range compatDDL {
+		exec(s)
+	}
+	rounds(0, 4)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	rounds(4, 6)
+	reopen()
+	check("reopened over a checkpoint and a tail")
 	for _, v := range compatViews {
 		if res, err := db.Exec("EXPLAIN VIEW " + v); err != nil || !strings.Contains(fmt.Sprint(res.Rows), "(store, paged)") {
 			t.Errorf("EXPLAIN VIEW %s: %v %v, want a paged store", v, res, err)
 		}
 	}
-	for r := 6; r < 8; r++ {
-		compatLoad(t, db, r)
-		compatLoad(t, ref, r)
-	}
+	rounds(6, 8)
 	check("after more rounds")
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	const late = `CREATE VIEW late AS SELECT merchant, MAX(amount) AS hi FROM captured GROUP BY merchant WITH STORE BTREE`
-	for _, d := range []*chronicledb.DB{db, ref} {
-		if _, err := d.Exec(late); err != nil {
-			t.Fatal(err)
-		}
-	}
-	compatLoad(t, db, 8)
-	compatLoad(t, ref, 8)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if db, err = chronicledb.Open(chronicledb.Options{Dir: dir, ViewBlockBytes: 256}); err != nil {
-		t.Fatal(err)
-	}
+	exec(late)
+	rounds(8, 9)
+	reopen()
 	defer db.Close()
-	check("after a checkpoint and a reopen")
+	check("after a checkpoint, a late view and a reopen")
 	catalog, err := os.ReadFile(filepath.Join(dir, "catalog.sql"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if text := string(catalog); !strings.HasSuffix(text, late+";\n") {
-		t.Errorf("the view created now is not written as it was given, clause and all:\n%s", text)
+	if want := strings.Join(append(slices.Clone(compatDDL), late), ";\n") + ";\n"; string(catalog) != want {
+		t.Errorf("the catalog does not keep the statements as they were given, clause and all:\n got %s\nwant %s", catalog, want)
 	}
 }

@@ -590,26 +590,25 @@ func TestCorruptCheckpointRejected(t *testing.T) {
 	if _, err := Open(Options{Dir: dir}); err == nil {
 		t.Error("corrupt checkpoint accepted")
 	}
-	// A view payload that is neither a whole image (subformat 0) nor a
-	// blocked one (1) is rejected.
+	// A view section that is not a blocked image is rejected.
 	name := []byte("\x05usage")
 	at := bytes.Index(data, name)
 	if at < 0 || bytes.Index(data[at+1:], name) >= 0 {
 		t.Fatal("the checkpoint image does not name view usage once")
 	}
 	_, n := binary.Uvarint(data[at+len(name):])
-	sub := at + len(name) + n
-	if data[sub] != 1 {
-		t.Fatalf("view usage's subformat byte = %d, want 1", data[sub])
+	img := at + len(name) + n
+	if string(data[img:img+4]) != "CDBV" {
+		t.Fatalf("view usage's section opens with %q, want its blocked image", data[img:img+4])
 	}
-	for _, b := range []byte{2, 0xff} {
+	for _, b := range []byte{0, 1, 'X'} {
 		bad := append([]byte(nil), data...)
-		bad[sub] = b
+		bad[img] = b
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Open(Options{Dir: dir}); err == nil || !strings.Contains(err.Error(), "view subformat") {
-			t.Errorf("view subformat %d: %v", b, err)
+		if _, err := Open(Options{Dir: dir}); err == nil || !strings.Contains(err.Error(), "view usage") {
+			t.Errorf("view section opening with byte %d: %v", b, err)
 		}
 	}
 	// Truncated checkpoint also rejected.

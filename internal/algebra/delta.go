@@ -115,6 +115,23 @@ func deltaCrossRel(n *CrossRel, in []chronicle.Row, w *RelWork) []chronicle.Row 
 	return out
 }
 
+// scratchFloor is the capacity up to which a reused buffer is kept however
+// little of it a call needs.
+const scratchFloor = 256
+
+// Reuse returns buf emptied for a call that needs up to n elements of it, or
+// nil when n is under a quarter of a capacity above scratchFloor: a buffer
+// one large call grew is released by the first small call after it, and
+// calls of one size keep reusing theirs. It is the one release policy of
+// a maintenance round's scratch, the delta operators' here and a key
+// directory's resolution (internal/view).
+func Reuse[T any](buf []T, n int) []T {
+	if c := cap(buf); c > scratchFloor && n < c/4 {
+		return nil
+	}
+	return buf[:0]
+}
+
 // joinScratch is what a key join builds its output in: the key probe, and
 // the value slab the output rows are cut from. A caller that keeps it across
 // calls (the shared plan, per node) reuses both, so the rows a call joins
@@ -151,8 +168,9 @@ func deltaJoinRel(n *JoinRel, in, out []chronicle.Row, sc *joinScratch, w *RelWo
 	}
 	// Sized for every row up front: the slab never moves while rows are cut
 	// from it.
-	vals := sc.vals[:0]
-	if need := len(in) * n.schema.Len(); cap(vals) < need {
+	need := len(in) * n.schema.Len()
+	vals := Reuse(sc.vals, need)
+	if cap(vals) < need {
 		vals = make(value.Tuple, 0, need)
 	}
 	for _, r := range in {
@@ -291,11 +309,14 @@ func groupBySN(n *GroupBySN, in, out []chronicle.Row, sc *groupScratch) []chroni
 	group := func(i int) aggregate.Group {
 		return aggregate.Group{Words: sc.words[i*nw : (i+1)*nw], Strs: sc.strs[i*ns : (i+1)*ns]}
 	}
-	if sc.index == nil {
+	// A cleared map keeps its buckets, so the index of a call of many
+	// groups is dropped, like the slices, by a call of under a quarter as
+	// many rows.
+	if sc.index == nil || len(sc.index) > scratchFloor && len(in) < len(sc.index)/4 {
 		sc.index = make(map[string]int)
 	}
 	clear(sc.index)
-	sc.firsts, sc.words, sc.strs = sc.firsts[:0], sc.words[:0], sc.strs[:0]
+	sc.firsts, sc.words, sc.strs = Reuse(sc.firsts, len(in)), Reuse(sc.words, len(in)*nw), Reuse(sc.strs, len(in)*ns)
 	for _, r := range in {
 		sc.key = value.AppendKey(sc.key[:0], value.Int(r.SN))
 		for _, c := range n.GroupCols {
@@ -313,9 +334,9 @@ func groupBySN(n *GroupBySN, in, out []chronicle.Row, sc *groupScratch) []chroni
 	}
 	// Sized for every row up front: the slab never moves while rows are cut
 	// from it.
-	width := len(n.GroupCols) + len(n.Aggs)
-	vals := sc.vals[:0]
-	if need := len(sc.firsts) * width; cap(vals) < need {
+	need := len(sc.firsts) * (len(n.GroupCols) + len(n.Aggs))
+	vals := Reuse(sc.vals, need)
+	if cap(vals) < need {
 		vals = make(value.Tuple, 0, need)
 	}
 	for i, first := range sc.firsts {

@@ -129,7 +129,8 @@ type PlanNode struct {
 	// epoch stamps the batch rows was computed for; rows is valid only
 	// while epoch equals the plan's current batch epoch. buf is the node's
 	// persistent output buffer for σ, Π, key joins and groupings, reused
-	// across batches so steady-state delta computation allocates nothing;
+	// across batches so steady-state delta computation allocates nothing
+	// (and released by a batch that needs under a quarter of it: see Reuse);
 	// join is a key join's probe and value slab, and group a grouping's key,
 	// index and word slab, reused the same way. Reuse is safe
 	// because no consumer keeps a delta row past its round: a view's fold
@@ -298,7 +299,7 @@ func (p *SharedPlan) eval(n *PlanNode, d BatchDelta) []chronicle.Row {
 		n.rows = d[e.C]
 	case *Select:
 		in := p.eval(n.children[0], d)
-		out := n.buf[:0]
+		out := Reuse(n.buf, len(in))
 		for _, r := range in {
 			if e.P.Eval(r.Vals) {
 				out = append(out, r)
@@ -307,7 +308,7 @@ func (p *SharedPlan) eval(n *PlanNode, d BatchDelta) []chronicle.Row {
 		n.buf, n.rows = out, out
 	case *Project:
 		in := p.eval(n.children[0], d)
-		out := n.buf[:0]
+		out := Reuse(n.buf, len(in))
 		for _, r := range in {
 			out = append(out, chronicle.Row{SN: r.SN, Chronon: r.Chronon, LSN: r.LSN, Vals: r.Vals.Project(e.Cols)})
 		}
@@ -322,12 +323,14 @@ func (p *SharedPlan) eval(n *PlanNode, d BatchDelta) []chronicle.Row {
 		l, r := p.eval(n.children[0], d), p.eval(n.children[1], d)
 		n.rows = joinSN(l, r)
 	case *GroupBySN:
-		n.buf = groupBySN(e, p.eval(n.children[0], d), n.buf[:0], &n.group)
+		in := p.eval(n.children[0], d)
+		n.buf = groupBySN(e, in, Reuse(n.buf, len(in)), &n.group)
 		n.rows = n.buf
 	case *CrossRel:
 		n.rows = deltaCrossRel(e, p.eval(n.children[0], d), &e.Work)
 	case *JoinRel:
-		n.buf = deltaJoinRel(e, p.eval(n.children[0], d), n.buf[:0], &n.join, &e.Work)
+		in := p.eval(n.children[0], d)
+		n.buf = deltaJoinRel(e, in, Reuse(n.buf, len(in)), &n.join, &e.Work)
 		n.rows = n.buf
 	default:
 		panic(fmt.Sprintf("algebra: unknown node %T", n.Expr))

@@ -3,7 +3,10 @@ package algebra
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"chronicledb/internal/aggregate"
 	"chronicledb/internal/chronicle"
@@ -349,5 +352,75 @@ func sameRowsInOrder(t *testing.T, label string, got, want []chronicle.Row) {
 	}
 	if g, w := show(got), show(want); g != w {
 		t.Fatalf("%s: the call's delta is not its per-SN deltas in order\ngot:  %s\nwant: %s", label, g, w)
+	}
+}
+
+// TestSharedPlanScratchShrinks: σ, Π, key-join and γ(SN) nodes keep the
+// buffers a call of one size needs — a second 1 000-row call moves none of
+// them — and a 16-row call after a 1 000-row one releases what the large
+// call grew, the grouping's index of 1 000 groups too, so a plan does not
+// keep the largest call it ever folded.
+func TestSharedPlanScratchShrinks(t *testing.T) {
+	f := newFixture(t)
+	f.upsertCust(t, "a", "nj", 500)
+	proj, err := NewProject(bigCalls(t, f), []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	join, err := NewJoinRel(bigCalls(t, f), f.cust, []int{0}, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	group, err := NewGroupBySN(NewScan(f.calls), []int{0}, []aggregate.Spec{{Func: aggregate.Sum, Col: 1, Name: "s"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := []string{"sel", "proj", "join", "group"}
+	p := NewSharedPlan()
+	p.AddView("sel", bigCalls(t, f))
+	p.AddView("proj", proj)
+	p.AddView("join", join)
+	p.AddView("group", group)
+	call := func(n int) {
+		var rows []chronicle.Row
+		for range n {
+			rows = append(rows, f.appendCall(t, "a", 50)[f.calls]...)
+		}
+		p.BeginBatch()
+		for _, v := range views {
+			if out, ok := p.DeltaFor(v, BatchDelta{f.calls: rows}); !ok || len(out) != n {
+				t.Fatalf("view %s: %d rows, want %d", v, len(out), n)
+			}
+		}
+	}
+	// held lists each node's buffers by array and capacity: the output rows,
+	// the join's value slab, and the grouping's first rows, state words,
+	// value slab and index (its size is its group count).
+	type buffer struct {
+		array any
+		cap   int
+	}
+	held := func() []buffer {
+		var bs []buffer
+		for _, n := range p.nodes {
+			g := &n.group
+			bs = append(bs, buffer{unsafe.SliceData(n.buf), cap(n.buf)}, buffer{unsafe.SliceData(n.join.vals), cap(n.join.vals)},
+				buffer{unsafe.SliceData(g.firsts), cap(g.firsts)}, buffer{unsafe.SliceData(g.words), cap(g.words)},
+				buffer{unsafe.SliceData(g.vals), cap(g.vals)}, buffer{reflect.ValueOf(g.index).UnsafePointer(), len(g.index)})
+		}
+		return bs
+	}
+	call(1000)
+	grown := held()
+	call(1000)
+	if again := held(); !slices.Equal(again, grown) {
+		t.Errorf("a second call of one size reallocated:\n first %v\nsecond %v", grown, again)
+	}
+	call(16)
+	for i, b := range held() {
+		if b.cap > scratchFloor || b.array != nil && b.array == grown[i].array && grown[i].cap > scratchFloor {
+			t.Errorf("after a 16-row call, node %d keeps buffer %d at %d (%d after the 1 000-row call), want a new one of at most %d",
+				i/6, i%6, b.cap, grown[i].cap, scratchFloor)
+		}
 	}
 }

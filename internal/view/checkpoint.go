@@ -94,8 +94,12 @@ func (v *View) Checkpoint() []byte {
 }
 
 // RestoreCheckpoint replaces the view's state with a checkpoint previously
-// produced by a view with the same definition.
+// produced by a view with the same definition. A paged view restores blocked
+// images only (RestoreBlocked), as it writes them.
 func (v *View) RestoreCheckpoint(data []byte) error {
+	if v.Paged() {
+		return fmt.Errorf("view %s: whole image into a paged view", v.def.Name)
+	}
 	v.mu.RLock()
 	alone := v.alone()
 	v.mu.RUnlock()
@@ -112,11 +116,8 @@ func (v *View) RestoreCheckpoint(data []byte) error {
 	}
 	off += n
 
-	var a *arena // a paged view's are the collector's: see arena
-	if v.pg.Load() == nil {
-		a = new(arena)
-		a.reserve(int(min(count, uint64(len(data)))))
-	}
+	a := new(arena)
+	a.reserve(int(min(count, uint64(len(data)))))
 	fresh := &store{dir: v.store.dir}
 	if off, err = v.restoreEntries(fresh, a, data, off, count); err != nil {
 		return err
@@ -131,17 +132,7 @@ func (v *View) RestoreCheckpoint(data []byte) error {
 	// in place.
 	v.shells = shells{sh: v.sh}
 	v.store.adopt(fresh)
-	if a != nil {
-		v.arena = a
-	}
-	if p := v.pg.Load(); p != nil {
-		// A whole-image restore (an image written before views paged)
-		// collapses the pager to one resident dirty block spanning the key
-		// space; the next blocked checkpoint re-cuts it.
-		p.cache.dropView(v)
-		p.setBlocks([]*blockMeta{v.wholeBlock(p)})
-		p.cache.addResident(v, p.blocks[0])
-	}
+	v.arena = a
 	v.publishLocked()
 	v.mu.Unlock()
 	return nil
@@ -169,7 +160,7 @@ func (v *View) restoreEntries(fresh *store, a *arena, data []byte, off int, coun
 			return 0, fmt.Errorf("view %s: entry %d repeats a group", v.def.Name, i)
 		}
 		s.Store(e)
-		fresh.markCarved(id, a != nil)
+		fresh.markCarved(id, true)
 		fresh.count.Add(1)
 	}
 	return off, nil

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"chronicledb/internal/algebra"
 	"chronicledb/internal/chronicle"
 	"chronicledb/internal/keyenc"
 )
@@ -303,14 +304,12 @@ func (d *Dir) resolve(call uint64, m *View, rows []chronicle.Row) *resolution {
 	}
 	rs.call, rs.tableKey, rs.first, rs.nrows = call, m.tableKey, first, len(rows)
 	r := &rs.res
-	r.ids, r.ends = r.ids[:0], r.ends[:0]
+	r.ids, r.ends = algebra.Reuse(r.ids, len(rows)), algebra.Reuse(r.ends, len(rows))
 	r.group = grow(r.group, len(rows))
 	// The call's ids, at most half the table: a row's id finds its group.
 	bits := bitsFor(2 * len(rows))
-	if len(d.groupOf) < 1<<bits {
-		d.groupOf = make([]uint64, 1<<bits)
-	}
-	tab, mask := d.groupOf[:1<<bits], uint32(1<<bits-1)
+	d.groupOf = grow(d.groupOf, 1<<bits)
+	tab, mask := d.groupOf, uint32(1<<bits-1)
 	for i := range rows {
 		d.keyBuf = keyenc.AppendCols(d.keyBuf[:0], rows[i].Vals, m.keyCols)
 		id := d.intern(d.keyBuf)
@@ -363,10 +362,11 @@ func (d *Dir) resolvedFor(call uint64, tableKey string) *resolved {
 	return spare
 }
 
-// grow returns s resized to n, reusing its array when it can.
-func grow(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
+// grow returns s resized to n, reusing its array when algebra.Reuse keeps it
+// and it holds n. What it reuses is zero only where the caller cleared it.
+func grow[T any](s []T, n int) []T {
+	if s = algebra.Reuse(s, n); cap(s) < n {
+		return make([]T, n)
 	}
 	return s[:n]
 }

@@ -2,7 +2,9 @@ package view
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"chronicledb/internal/aggregate"
 	"chronicledb/internal/algebra"
@@ -203,5 +205,50 @@ func TestDirMembersOfOtherKeys(t *testing.T) {
 	}
 	if d.Len() != len(accts)+len(minutes) {
 		t.Errorf("the directory holds %d keys, want %d accounts and %d minute values", d.Len(), len(accts), len(minutes))
+	}
+}
+
+// TestDirScratchShrinks: a resolution's scratch (its ids, group ends, row
+// order and row groups, and the directory's id table) keeps what calls of
+// one size need — a second 1 000-row call moves none of it — and a 16-row
+// call after a 1 000-row one releases what the large call grew, so a
+// directory does not keep the largest call it ever resolved.
+func TestDirScratchShrinks(t *testing.T) {
+	f := newFixture(t)
+	d := NewDir("calls_by_acct")
+	m := siblings(t, f, d, 1)[0]
+	type buffer struct {
+		array any
+		cap   int
+	}
+	call := func(c uint64, n int) []buffer {
+		accts := make([]string, n)
+		for i := range accts {
+			accts[i] = fmt.Sprintf("acct%04d", i)
+		}
+		d.mu.Lock()
+		r := d.resolve(c, m, sevenRows(c, accts...))
+		d.mu.Unlock()
+		if len(r.ids) != n {
+			t.Fatalf("call %d resolved %d ids, want %d", c, len(r.ids), n)
+		}
+		return []buffer{
+			{unsafe.SliceData(r.ids), cap(r.ids)},
+			{unsafe.SliceData(r.ends), cap(r.ends)},
+			{unsafe.SliceData(r.order), cap(r.order)},
+			{unsafe.SliceData(r.group), cap(r.group)},
+			{unsafe.SliceData(d.groupOf), cap(d.groupOf)},
+		}
+	}
+	grown := call(1, 1000)
+	if again := call(2, 1000); !slices.Equal(again, grown) {
+		t.Errorf("a second call of one size reallocated:\n first %v\nsecond %v", grown, again)
+	}
+	const floor = 256 // what algebra.Reuse keeps however little a call needs
+	for i, b := range call(3, 16) {
+		if b.cap > floor {
+			t.Errorf("after a 16-row call, scratch %d keeps %d (%d after the 1 000-row call), want at most %d",
+				i, b.cap, grown[i].cap, floor)
+		}
 	}
 }

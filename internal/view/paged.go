@@ -152,8 +152,8 @@ func (v *View) EnablePaging(blockBytes int64, fetch FetchFunc, cache *Cache) {
 }
 
 // wholeBlock returns one resident dirty block spanning the key space and
-// holding the store's entries, for a view that starts paging or restores a
-// whole image. Caller holds v.mu.
+// holding the store's entries, for a view that starts paging. Caller holds
+// v.mu.
 func (v *View) wholeBlock(p *pager) *blockMeta {
 	b := &blockMeta{resident: true}
 	v.store.each(nil, nil, func(id uint32, e *entry) bool {

@@ -25,20 +25,15 @@ func appendEachRecords() []Record {
 	}
 }
 
-// TestAppendEachRecordsRoundTrip: each append-call shape decodes to its
-// stamps and ids and re-encodes to the same bytes. A call with chronons is
-// written under its own kind byte; one without keeps RecAppendEach's byte and
-// layout, so logs written before calls carried a chronon per tuple still
-// decode.
+// TestAppendEachRecordsRoundTrip: each append-call shape is written under
+// the one RecAppendEach kind byte, decodes to its stamps and ids, and
+// re-encodes to the same bytes. A call without chronons is written with
+// every tuple at Chronon, and reads back so.
 func TestAppendEachRecordsRoundTrip(t *testing.T) {
 	for i, r := range appendEachRecords() {
 		b := encodeRecord(nil, r)
-		want := RecAppendEach
-		if r.Chronons != nil {
-			want = recAppendChronons
-		}
-		if RecordKind(b[0]) != want {
-			t.Errorf("record %d is written as kind %d, want %d", i, b[0], want)
+		if RecordKind(b[0]) != RecAppendEach {
+			t.Errorf("record %d is written as kind %d, want %d", i, b[0], RecAppendEach)
 		}
 		got, err := decodeRecord(b)
 		if err != nil {
@@ -58,7 +53,9 @@ func TestAppendEachRecordsRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRecord: arbitrary payloads must never panic the decoder.
+// FuzzDecodeRecord: arbitrary payloads must never panic the decoder, and a
+// payload whose kind byte names no record kind is refused — among the seeds,
+// an append call under kind byte 5, a layout no reader here has.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, r := range append(sampleRecords(), appendEachRecords()...) {
 		f.Add(encodeRecord(nil, r))
@@ -66,10 +63,16 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(RecAppend), 0, 0})
 	f.Add([]byte{0, 1, 3, 'a', 'b', 'c'}) // kind 0: never written, refused
+	kind5 := encodeRecord(nil, appendEachRecords()[0])
+	kind5[0] = 5
+	f.Add(kind5)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeRecord(data)
 		if err != nil {
 			return
+		}
+		if k := RecordKind(data[0]); k == 0 || k > RecAppendEach {
+			t.Fatalf("kind byte %d decoded to %+v", k, rec)
 		}
 		// Accepted records must re-encode without panicking.
 		_ = encodeRecord(nil, rec)

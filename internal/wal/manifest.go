@@ -33,8 +33,11 @@ const ManifestName = "wal.manifest"
 // disk as a chain of size-capped segment files.
 const RelationStream = "relations"
 
-// ManifestVersion is the only manifest format read or written.
-const ManifestVersion = 2
+// ManifestVersion is the only manifest format read or written. It versions
+// the directory the manifest describes, the record layout of its segments
+// included: a directory an earlier layout wrote is refused by it, before
+// any of its files is read.
+const ManifestVersion = 3
 
 // ErrManifestVersion is wrapped by DecodeManifest for a manifest whose
 // version is not ManifestVersion.
@@ -76,9 +79,8 @@ type Segment struct {
 //
 // Catalog is the number of catalog statements the image was cut against:
 // recovery replays that prefix, restores the chain, then replays the rest
-// of the catalog. Zero — the field is absent from manifests written before
-// it existed — means the whole catalog precedes the chain, which is exact
-// for a chain cut before any DDL too, since its images hold no object.
+// of the catalog. Zero (the field is then absent from the JSON) is a chain
+// cut before any statement.
 type CheckpointRef struct {
 	Name    string `json:"name"`
 	Seq     uint64 `json:"seq"`

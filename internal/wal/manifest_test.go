@@ -10,7 +10,7 @@ import (
 )
 
 func sampleManifests() []Manifest {
-	v2 := Manifest{Version: 2, Shards: 2}
+	v2 := Manifest{Version: ManifestVersion, Shards: 2}
 	v2.Live = []Segment{
 		{Name: SegmentFileName(StreamName(0), 3), Stream: StreamName(0), Seq: 3, Sealed: true, Bytes: 4096, MaxLSN: 120},
 		{Name: SegmentFileName(StreamName(0), 4), Stream: StreamName(0), Seq: 4},
@@ -22,7 +22,7 @@ func sampleManifests() []Manifest {
 		{Name: CheckpointFileName(6), Seq: 6, LSN: 118, Catalog: 3},
 	}
 	return []Manifest{
-		{Version: 2, Shards: 1, Live: []Segment{{Name: SegmentFileName(StreamName(0), 1), Stream: StreamName(0), Seq: 1}}},
+		{Version: ManifestVersion, Shards: 1, Live: []Segment{{Name: SegmentFileName(StreamName(0), 1), Stream: StreamName(0), Seq: 1}}},
 		v2,
 	}
 }
@@ -48,17 +48,22 @@ func TestDecodeManifestRejects(t *testing.T) {
 		``,
 		`{`,
 		`{"version":0}`,
-		`{"version":3}`,
 		`{"version":1,"shards":2}`,
-		`{"version":2,"shards":-1}`,
-		`{"version":2,"live":[{"name":"","stream":"chronicle","seq":1}]}`,
-		`{"version":2,"live":[{"name":"a.wal","stream":"","seq":1}]}`,
-		`{"version":2,"live":[{"name":"a.wal","stream":"chronicle","seq":0}]}`,
-		`{"version":2,"live":[{"name":"a.wal","stream":"chronicle","seq":1},{"name":"a.wal","stream":"chronicle","seq":2}]}`,
-		`{"version":2,"checkpoints":[{"name":"","seq":1}]}`,
-		`{"version":2,"checkpoints":[{"name":"c.bin","seq":0}]}`,
-		`{"version":2,"checkpoints":[{"name":"checkpoint-00000002.bin","seq":1}]}`,
-		`{"version":2,"checkpoints":[{"name":"../checkpoint-00000001.bin","seq":1}]}`,
+		fmt.Sprintf(`{"version":%d,"shards":2}`, ManifestVersion-1),
+		fmt.Sprintf(`{"version":%d,"shards":2}`, ManifestVersion+1),
+	}
+	for _, body := range []string{
+		`"shards":-1`,
+		`"live":[{"name":"","stream":"chronicle","seq":1}]`,
+		`"live":[{"name":"a.wal","stream":"","seq":1}]`,
+		`"live":[{"name":"a.wal","stream":"chronicle","seq":0}]`,
+		`"live":[{"name":"a.wal","stream":"chronicle","seq":1},{"name":"a.wal","stream":"chronicle","seq":2}]`,
+		`"checkpoints":[{"name":"","seq":1}]`,
+		`"checkpoints":[{"name":"c.bin","seq":0}]`,
+		`"checkpoints":[{"name":"checkpoint-00000002.bin","seq":1}]`,
+		`"checkpoints":[{"name":"../checkpoint-00000001.bin","seq":1}]`,
+	} {
+		bad = append(bad, fmt.Sprintf(`{"version":%d,%s}`, ManifestVersion, body))
 	}
 	for _, s := range bad {
 		if _, err := DecodeManifest([]byte(s)); err == nil {
@@ -94,7 +99,7 @@ func FuzzManifest(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte{})
-	f.Add([]byte(`{"version":2,"shards":1,"live":[{"name":"x.wal","stream":"s","seq":1}]}`))
+	f.Add(fmt.Appendf(nil, `{"version":%d,"shards":1,"live":[{"name":"x.wal","stream":"s","seq":1}]}`, ManifestVersion))
 	f.Add([]byte(`{"version":1,"shards":-3}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeManifest(data)
@@ -121,7 +126,7 @@ func FuzzManifest(f *testing.F) {
 // the new complete manifest — never a decode error, and never the new one
 // when the flip didn't ack.
 func TestTornManifestFlipRecovers(t *testing.T) {
-	oldM := Manifest{Version: 2, Shards: 1, Live: []Segment{
+	oldM := Manifest{Version: ManifestVersion, Shards: 1, Live: []Segment{
 		{Name: SegmentFileName(RelationStream, 1), Stream: RelationStream, Seq: 1},
 	}}
 	newM := oldM.Clone()

@@ -8,8 +8,10 @@
 // over the last checkpoint instead of reprocessing the full history (E12).
 //
 // Frame format: u32 little-endian payload length, u32 CRC-32 (IEEE) of the
-// payload, payload. Replay stops cleanly at the first torn or corrupt
-// frame, which is the expected crash shape for an append-only file.
+// payload, payload. Replay stops cleanly at the first torn frame (short, of
+// a bad length or failing its CRC), which is the expected crash shape for an
+// append-only file; a frame whose CRC holds but whose record does not decode
+// fails the replay.
 //
 // All file access goes through fault.FS so the crash-torture harness can
 // substitute a simulated disk; production code uses fault.OS. A Log that
@@ -61,22 +63,14 @@ const (
 	RecDelete
 	// RecAppendEach is one append call of N transactions into one chronicle
 	// (one part): tuple i takes SN SN+i, chronon ChrononAt(i) and LSN LSN+i,
-	// so the call spans N consecutive LSNs. The (ClientID, RequestID) pair
-	// is optional: an idempotent call carries it, so the rows and the
-	// dedup-table entry that suppresses retries become durable in one frame
-	// — a crash persists both or neither, which is what makes crash-retry
-	// exactly-once. On the wire a record with nil Chronons keeps this kind's
-	// byte and layout, the one logs held before calls carried a chronon per
-	// tuple, so such logs replay unchanged; one with Chronons is written as
-	// recAppendChronons.
+	// so the call spans N consecutive LSNs. On the wire each tuple is
+	// preceded by its chronon as a varint delta from the tuple before's (the
+	// first's from Chronon). The (ClientID, RequestID) pair is optional: an
+	// idempotent call carries it, so the rows and the dedup-table entry that
+	// suppresses retries become durable in one frame — a crash persists both
+	// or neither, which is what makes crash-retry exactly-once.
 	RecAppendEach
 )
-
-// recAppendChronons is the wire kind of a RecAppendEach whose Chronons is
-// set: RecAppendEach's layout with each tuple preceded by its chronon as a
-// varint delta from the tuple before's (the first's from Chronon). It decodes
-// to a RecAppendEach.
-const recAppendChronons RecordKind = RecAppendEach + 1
 
 // Part is one chronicle's share of an append record.
 type Part struct {
@@ -90,7 +84,7 @@ type Record struct {
 	LSN       uint64        // global logical sequence number, the first of the record's span (RecordSpan)
 	SN        int64         // RecAppend / RecAppendEach (the first tuple's)
 	Chronon   int64         // RecAppend / RecAppendEach (the first tuple's, or every tuple's when Chronons is nil)
-	Chronons  []int64       // RecAppendEach: tuple i's chronon, or nil
+	Chronons  []int64       // RecAppendEach: tuple i's chronon, or nil (decoding fills it)
 	Parts     []Part        // RecAppend / RecAppendEach (exactly one part)
 	Relation  string        // RecUpsert / RecDelete
 	Tuple     value.Tuple   // RecDelete (key values)
@@ -492,11 +486,14 @@ func (l *Log) LogMetrics() Metrics {
 // replayAfter reads records from path in order, calling fn for each, and
 // skips, undecoded, every frame stamped at or below after: a covered frame
 // costs its read and its CRC, and is dropped on its kind byte and LSN. LSN-0
-// frames always apply. It stops cleanly at the first torn or corrupt frame
-// (the crash tail), reporting how many records were applied and how many
-// trailing bytes were ignored. A missing file replays zero records. The log
-// is streamed through a buffered reader rather than loaded whole, so
-// replaying a long tail does not double resident memory.
+// frames always apply. It stops cleanly at the first torn frame — short, of
+// a bad length or failing its CRC, the crash tail — reporting how many
+// records were applied and how many trailing bytes were ignored. A frame
+// whose CRC holds was written whole, so one that does not decode is not a
+// tail but a record no reader here knows: it fails the replay with its
+// offset rather than drop every record after it. A missing file replays
+// zero records. The log is streamed through a buffered reader rather than
+// loaded whole, so replaying a long tail does not double resident memory.
 func replayAfter(fsys fault.FS, path string, after uint64, fn func(Record) error) (n int, ignored int64, err error) {
 	f, err := fsys.Open(path)
 	if os.IsNotExist(err) {
@@ -509,7 +506,8 @@ func replayAfter(fsys fault.FS, path string, after uint64, fn func(Record) error
 	br := bufio.NewReaderSize(f, 1<<16)
 	var hdr [8]byte
 	var payload []byte
-	for {
+	var off int64 // of the frame being read
+	for ; ; off += 8 + int64(len(payload)) {
 		hn, herr := io.ReadFull(br, hdr[:])
 		if herr == io.EOF {
 			return n, 0, nil
@@ -544,7 +542,7 @@ func replayAfter(fsys fault.FS, path string, after uint64, fn func(Record) error
 		}
 		rec, derr := decodeRecord(payload)
 		if derr != nil {
-			return n, 8 + int64(plen) + drain(br), nil
+			return n, 0, fmt.Errorf("wal: undecodable record at offset %d: %w", off, derr)
 		}
 		if err := fn(rec); err != nil {
 			return n, 0, fmt.Errorf("wal: applying record %d: %w", n, err)
@@ -560,12 +558,7 @@ func drain(br *bufio.Reader) int64 {
 }
 
 func encodeRecord(dst []byte, r Record) []byte {
-	chronons := r.Kind == RecAppendEach && r.Chronons != nil
-	if chronons {
-		dst = append(dst, byte(recAppendChronons))
-	} else {
-		dst = append(dst, byte(r.Kind))
-	}
+	dst = append(dst, byte(r.Kind))
 	dst = binary.AppendUvarint(dst, r.LSN)
 	switch r.Kind {
 	case RecAppend, RecAppendEach:
@@ -577,8 +570,8 @@ func encodeRecord(dst []byte, r Record) []byte {
 			dst = appendString(dst, p.Chronicle)
 			dst = binary.AppendUvarint(dst, uint64(len(p.Tuples)))
 			for _, t := range p.Tuples {
-				if chronons {
-					c := r.Chronons[i]
+				if r.Kind == RecAppendEach {
+					c := r.ChrononAt(i)
 					dst = binary.AppendVarint(dst, c-prev)
 					i, prev = i+1, c
 				}
@@ -607,10 +600,6 @@ func decodeRecord(b []byte) (Record, error) {
 		return Record{}, fmt.Errorf("wal: empty payload")
 	}
 	r := Record{Kind: RecordKind(b[0])}
-	chronons := r.Kind == recAppendChronons
-	if chronons {
-		r.Kind, r.Chronons = RecAppendEach, []int64{}
-	}
 	b = b[1:]
 	lsn, sz := binary.Uvarint(b)
 	if sz <= 0 {
@@ -648,12 +637,12 @@ func decodeRecord(b []byte) (Record, error) {
 			if nTuples > uint64(len(b)) {
 				return Record{}, fmt.Errorf("wal: bad tuple count")
 			}
-			if chronons {
+			if r.Kind == RecAppendEach {
 				r.Chronons = slices.Grow(r.Chronons, int(nTuples))
 			}
 			p := Part{Chronicle: name, Tuples: make([]value.Tuple, 0, nTuples)}
 			for j := uint64(0); j < nTuples; j++ {
-				if chronons {
+				if r.Kind == RecAppendEach {
 					d, sz := binary.Varint(b)
 					if sz <= 0 {
 						return Record{}, fmt.Errorf("wal: bad chronon delta")

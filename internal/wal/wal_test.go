@@ -1,9 +1,13 @@
 package wal
 
 import (
+	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"chronicledb/internal/fault"
@@ -191,21 +195,32 @@ func TestFlushMakesDurableWithoutClose(t *testing.T) {
 	}
 }
 
-func TestReplayUnknownKindStops(t *testing.T) {
-	// A frame with a valid CRC but an unknown kind byte stops replay cleanly.
-	payload := []byte{99}
-	var frame []byte
-	frame = append(frame, 1, 0, 0, 0) // length 1
-	crc := crc32.ChecksumIEEE(payload)
-	frame = append(frame, byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24))
-	frame = append(frame, payload...)
-	path := filepath.Join(t.TempDir(), "bad.wal")
-	if err := os.WriteFile(path, frame, 0o644); err != nil {
+// TestReplayUndecodableFrameFails: a frame whose CRC holds was written
+// whole, so one whose kind byte no version ever wrote is not a torn tail:
+// replay fails, naming the frame's offset and, merged, its segment, rather
+// than stop there and drop the record after it.
+func TestReplayUndecodableFrameFails(t *testing.T) {
+	dir := t.TempDir()
+	path := writeLog(t, dir, sampleRecords()[:1])
+	good, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	n, ignored, err := replayAfter(fault.OS, path, 0, func(Record) error { return nil })
-	if err != nil || n != 0 || ignored == 0 {
-		t.Errorf("unknown kind: n=%d ignored=%d err=%v", n, ignored, err)
+	payload := []byte{9, 2}
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	frame = append(frame, payload...)
+	data := append(append(slices.Clone(good), frame...), good...)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n, _, err := replayAfter(fault.OS, path, 0, func(Record) error { return nil })
+	if want := fmt.Sprintf("offset %d", len(good)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("undecodable frame: replayed %d, err %v; want an error naming %q", n, err, want)
+	}
+	_, err = ReplayMergedFS(fault.OS, dir, []string{filepath.Base(path)}, 0, func(Record) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), filepath.Base(path)) {
+		t.Errorf("merged replay: err %v; want an error naming segment %s", err, filepath.Base(path))
 	}
 }
 

@@ -22,9 +22,10 @@ import (
 //	catalog.sql          — every DDL statement, in order, as the client wrote
 //	                       it (Statement.Text) and then ";\n"; the schema is
 //	                       replayed through the normal planner at recovery
-//	wal.manifest         — version-2 manifest: the live WAL segments of every
+//	wal.manifest         — version-3 manifest: the live WAL segments of every
 //	                       stream plus the checkpoint chain; the single source
-//	                       of truth for which files recovery reads
+//	                       of truth for which files recovery reads, and the
+//	                       version of the whole directory's layout
 //	<stream>-NNNNNNNN.wal — size-capped WAL segments; appends rotate to a
 //	                       fresh segment at the cap
 //	checkpoint-NNNNNNNN.bin — checkpoint chain: a full image followed by
@@ -42,7 +43,7 @@ import (
 
 const (
 	ckptMagic   = "CDBC"
-	ckptVersion = 6 // the only image format read or written
+	ckptVersion = 7 // the only image format read or written
 )
 
 // recover rebuilds in-memory state from disk. Called by Open before the
@@ -154,9 +155,6 @@ func chainCatalog(refs []wal.CheckpointRef, n int) (int, error) {
 				refs[0].Name, k, c.Name, c.Catalog)
 		}
 	}
-	if k == 0 {
-		k = uint64(n)
-	}
 	if k > uint64(n) {
 		return 0, fmt.Errorf("chronicledb: checkpoint chain cut against %d catalog statements; the catalog holds %d", k, n)
 	}
@@ -259,8 +257,9 @@ type blockCommit struct {
 // reuses across checkpoints (callers hold db.mu, and the image is fully
 // consumed — written to disk — before the next checkpoint starts).
 //
-// The image is version 6: magic, version byte, a flags byte (bit 0 = full),
-// the LSN, then one section per object kind. When full is false,
+// The image is version 7: magic, version byte, the LSN, then one section per
+// object kind (whether an image is full is recorded by its
+// wal.CheckpointRef). When full is false,
 // chronicles, relations, views, and periodic views are included only if
 // their dirty marker moved since db.ckptMarks was captured (an absent
 // marker means dirty, which covers objects created since the last cut).
@@ -270,14 +269,11 @@ type blockCommit struct {
 // referenced. dirty counts the objects an incremental image includes, so an
 // unchanged database can skip the chain entry entirely.
 //
-// Each view payload is prefixed by a subformat byte — 0 for a whole image
-// (unpaged views), 1 for a blocked image: runs of blocks, each replacing the
-// key range it covers in the index earlier chain images built. A full cut is
-// the one run that spans the key space, so the chain can fold; an
-// incremental cut carries only the dirty runs, so its cost is flat in view
-// cardinality. Every view of a durable database pages, so every view is
-// written blocked; subformat 0 is only read (images written before views
-// paged, as testdata/catalog_with_store holds). The returned commits must be
+// Every view of a durable database pages, so a view's payload is its blocked
+// image: runs of blocks, each replacing the key range it covers in the index
+// earlier chain images built. A full cut is the one run that spans the key
+// space, so the chain can fold; an incremental cut carries only the dirty
+// runs, so its cost is flat in view cardinality. The returned commits must be
 // applied after the manifest flip that makes the image authoritative.
 //
 // The markers are monotonic mutation counters, recomputed from the objects
@@ -290,11 +286,7 @@ func (db *DB) buildCheckpointImage(full bool) (data []byte, lsn uint64, marks ma
 	lsn = db.eng.LSN()
 	b := db.ckptBuf[:0]
 	b = append(b, ckptMagic...)
-	var flags byte
-	if full {
-		flags = 1
-	}
-	b = append(b, ckptVersion, flags)
+	b = append(b, ckptVersion)
 	b = binary.LittleEndian.AppendUint64(b, lsn)
 
 	groups := db.eng.Names(shard.Groups)
@@ -364,8 +356,7 @@ func (db *DB) buildCheckpointImage(full bool) (data []byte, lsn uint64, marks ma
 			db.ckptBuf = b
 			return nil, 0, nil, 0, nil, fmt.Errorf("chronicledb: checkpoint view %s: %w", name, cerr)
 		}
-		b = binary.AppendUvarint(b, uint64(len(snap)+1))
-		b = append(b, 1) // subformat: blocked image
+		b = binary.AppendUvarint(b, uint64(len(snap)))
 		commits = append(commits, blockCommit{
 			v: v, base: int64(len(b)), pend: pend, dirty: dirtyB, total: totalB,
 		})
@@ -401,17 +392,15 @@ func (db *DB) buildCheckpointImage(full bool) (data []byte, lsn uint64, marks ma
 // is the chain file holding the image; blocked view sections resolve their
 // inline block payloads relative to it.
 func (db *DB) restoreCheckpoint(data []byte, fileName string) (uint64, error) {
-	if len(data) < 14 || string(data[:4]) != ckptMagic {
+	if len(data) < 13 || string(data[:4]) != ckptMagic {
 		return 0, fmt.Errorf("chronicledb: corrupt checkpoint (header)")
 	}
 	if version := data[4]; version != ckptVersion {
 		return 0, fmt.Errorf("%w: checkpoint image version %d (want %d)", ErrUnsupportedLayout, version, ckptVersion)
 	}
-	// data[5] is the flags byte: bit 0 marks a full image. Decoding doesn't
-	// branch on it — every section carries its own object count, and an
-	// incremental image simply lists fewer — but the byte keeps
-	// full/incremental distinguishable for tooling.
-	r := &ckptReader{data: data, off: 6}
+	// A full image and an incremental one read alike: every section carries
+	// its own object count, and an incremental image simply lists fewer.
+	r := &ckptReader{data: data, off: 5}
 	lsn := r.u64("lsn")
 	db.eng.RestoreLSN(lsn)
 
@@ -470,19 +459,10 @@ func (db *DB) restoreCheckpoint(data []byte, fileName string) (uint64, error) {
 		if !ok {
 			return 0, fmt.Errorf("chronicledb: checkpoint references unknown view %q", name)
 		}
-		// The payload carries a subformat byte: 0 = whole image, 1 = blocked
-		// image (runs spliced into the block index earlier chain images
-		// built), whose payloads sit at base within the chain file.
-		var err error
-		switch base := int64(r.off - len(snap) + 1); {
-		case len(snap) > 0 && snap[0] == 0:
-			err = v.RestoreCheckpoint(snap[1:])
-		case len(snap) > 0 && snap[0] == 1:
-			err = v.RestoreBlocked(snap[1:], fileName, base)
-		default:
-			err = fmt.Errorf("chronicledb: corrupt checkpoint (view subformat)")
-		}
-		if err != nil {
+		// The payload is a blocked image (runs spliced into the block index
+		// earlier chain images built), whose blocks sit at its offset within
+		// the chain file.
+		if err := v.RestoreBlocked(snap, fileName, int64(r.off-len(snap))); err != nil {
 			return 0, err
 		}
 	}

@@ -1,8 +1,13 @@
 package chronicledb
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -62,7 +67,7 @@ func TestSegmentRotationAndReopen(t *testing.T) {
 
 	// The manifest must reference exactly the .wal files on disk.
 	m, ok, err := wal.ReadManifestFS(fault.OS, dir)
-	if err != nil || !ok || m.Version != 2 {
+	if err != nil || !ok || m.Version != wal.ManifestVersion {
 		t.Fatalf("manifest = %+v %v %v", m, ok, err)
 	}
 	onDisk := map[string]bool{}
@@ -264,8 +269,26 @@ func TestOpenRejectsWhatItNoLongerReads(t *testing.T) {
 	plant := func(name, content string) func(string) error {
 		return func(dir string) error { return os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644) }
 	}
-	// imageVersion restamps the checkpoint image as an older version: v5
-	// entries hold a value-encoded tuple where v6 holds the stored key.
+	// manifestVersion restamps the manifest as an older version, the
+	// directory otherwise whole: a version-2 directory holds append calls in
+	// a record layout no reader here has.
+	manifestVersion := func(version int) func(string) error {
+		return func(dir string) error {
+			path := filepath.Join(dir, wal.ManifestName)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			cur := fmt.Appendf(nil, `"version":%d`, wal.ManifestVersion)
+			if !bytes.Contains(data, cur) {
+				return fmt.Errorf("manifest %s has no %s", data, cur)
+			}
+			return os.WriteFile(path, bytes.Replace(data, cur, fmt.Appendf(nil, `"version":%d`, version), 1), 0o644)
+		}
+	}
+	// imageVersion restamps the checkpoint image as an older version: v6
+	// images carry a flags byte and a byte before each view's image, v5
+	// entries a value-encoded tuple where v6 holds the stored key.
 	imageVersion := func(version byte) func(string) error {
 		return func(dir string) error {
 			path := filepath.Join(dir, wal.CheckpointFileName(1))
@@ -290,8 +313,10 @@ func TestOpenRejectsWhatItNoLongerReads(t *testing.T) {
 		{name: "shard-NNNN.wal", prepare: plant("shard-0001.wal", "old"), is: ErrUnsupportedLayout, says: "shard-0001.wal"},
 		{name: "relations.wal", prepare: plant("relations.wal", "old"), is: ErrUnsupportedLayout, says: "relations.wal"},
 		{name: "manifest version 1", prepare: plant(wal.ManifestName, `{"version":1,"shards":2}`), is: ErrUnsupportedLayout, says: "manifest version 1"},
+		{name: "manifest version 2", prepare: manifestVersion(2), is: ErrUnsupportedLayout, says: "manifest version 2"},
 		{name: "checkpoint image version 4", is: ErrUnsupportedLayout, says: "checkpoint image version 4", prepare: imageVersion(4)},
 		{name: "checkpoint image version 5", is: ErrUnsupportedLayout, says: "checkpoint image version 5", prepare: imageVersion(5)},
+		{name: "checkpoint image version 6", is: ErrUnsupportedLayout, says: "checkpoint image version 6", prepare: imageVersion(6)},
 		{name: "negative Shards", opts: Options{Shards: -1}, is: ErrInvalidOption, says: "Options.Shards"},
 		{name: "negative WALSegmentBytes", opts: Options{WALSegmentBytes: -1}, is: ErrInvalidOption, says: "Options.WALSegmentBytes"},
 		{name: "negative ViewBlockBytes", opts: Options{ViewBlockBytes: -1}, is: ErrInvalidOption, says: "Options.ViewBlockBytes"},
@@ -321,7 +346,7 @@ func TestOpenRejectsWhatItNoLongerReads(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			before, _ := os.ReadDir(dir)
+			before := dirFiles(t, dir)
 			if tc.flags != nil {
 				// chronicled must refuse at start: exit non-zero, naming the
 				// option, before it would listen. The binary runs directly so
@@ -351,11 +376,95 @@ func TestOpenRejectsWhatItNoLongerReads(t *testing.T) {
 					t.Errorf("error %q does not say %q", err, tc.says)
 				}
 			}
-			if after, _ := os.ReadDir(dir); len(after) != len(before) {
-				t.Errorf("the refused Open changed the directory: %d entries before, %d after", len(before), len(after))
+			if after := dirFiles(t, dir); !maps.Equal(after, before) {
+				t.Errorf("the refused Open changed the directory:\nbefore %q\nafter  %q", before, after)
 			}
 		})
 	}
+}
+
+// dirFiles reads every file of dir, by name.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
+	}
+	return files
+}
+
+// TestUndecodableFrameFailsReplay: a WAL frame whose CRC holds but whose kind
+// byte no version ever wrote, between two valid appends, fails Open and a
+// follower's backlog read, naming its segment and offset, instead of ending
+// the segment's replay there and losing the append after it.
+func TestUndecodableFrameFailsReplay(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, storageDDL)
+	if _, err := db.Append("items", Tuple{Str("a"), Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	lsn := db.Engine().LSN()
+	man, _, err := wal.ReadManifestFS(fault.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := man.Live[man.Active(wal.StreamName(0))].Name
+	path := filepath.Join(dir, seg)
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := func(payload []byte) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+		return append(b, payload...)
+	}
+	next := wal.Record{Kind: wal.RecAppendEach, LSN: lsn + 1, SN: 2, Chronon: 2,
+		Parts: []wal.Part{{Chronicle: "items", Tuples: []value.Tuple{{Str("a"), Int(2)}}}}}
+	tail := append(frame([]byte{9, byte(lsn + 1)}), frame(wal.EncodeRecord(nil, next))...)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(tail); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	says := []string{seg, fmt.Sprintf("offset %d", len(valid))}
+	check := func(what string, err error) {
+		t.Helper()
+		for _, s := range says {
+			if err == nil || !strings.Contains(err.Error(), s) {
+				t.Errorf("%s: err %v, want an error naming %q", what, err, s)
+			}
+		}
+	}
+	check("backlog", db.ReplBacklog(0, lsn, func([]byte, uint64, uint64) error { return nil }))
+	db.Close()
+	db, err = Open(Options{Dir: dir})
+	if err == nil {
+		total, _ := lookupTotals(t, db, "a")
+		db.Close()
+		t.Fatalf("Open accepted the segment, and totals(a) reads %d", total)
+	}
+	check("Open", err)
 }
 
 // TestOpenRejectsMalformedRelationRow: a relation row in the checkpoint image
