@@ -124,7 +124,7 @@ maint-stress:
 # round — each view visited, folded and published exactly once, not once per
 # row; the benchmark prints maint-ns/append across view counts
 # for the shared vs duplicated shapes, B/op of a 64-row call against a
-# 20 000-group view created WITH STORE BTREE (a copy of an entry the store
+# 20 000-group view (a copy of an entry the store
 # stopped recycling, or an existing key ordered again, would show there; the
 # tree-call guard pins that call at 512 B and 2 objects), and the cost of a
 # 1 000-row load call of new groups into 64 views (the suite's set-up shape;
@@ -166,11 +166,17 @@ maint-stress:
 # its expression recomputed, across late members and a drop and re-create;
 # and the reader test (ten runs under the
 # race detector) races lookups, scans and latest-N on every view of a table
-# against the one writer that publishes it and drops one of the views.
+# against the one writer that publishes it and drops one of the views. For
+# the shared plan: the counted guard pins that the n-th CREATE VIEW or
+# CREATE PERIODIC VIEW keys its own expression's plan nodes and no other view's,
+# for n up to 2 000, and that dropping every view empties the plan; and the
+# reader test (ten runs under the race detector) races EXPLAIN VIEW, SHOW
+# VIEWS and point SELECTs against CREATE/DROP churn and appends.
 # -count=1 defeats caching — the guards must run.
 bench-maint:
 	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestLoadAllocGuard|TestGroupBytesGuard|TestTreeCallBytesGuard|TestRelationBytesGuard|TestDedupBytesGuard|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall|TestDirMembersSurviveADrop|TestFamilyRunResolvedOnce|TestFamilyAndViewShareADirectory|TestExpiringFamilyKeysStayBounded|TestSharedTableEqualsTwins|TestViewsOfOneKeyShareADirectory|TestDirResolvesOncePerTableKey' -v .
-	$(GO) test -race -count=10 -run 'TestFamilyCallFoldEqualsRowFolds|TestSharedTableReadersLockFree' .
+	$(GO) test -race -count=10 -run 'TestFamilyCallFoldEqualsRowFolds|TestSharedTableReadersLockFree|TestPlanReadersDuringDDL' .
+	$(GO) test -count=1 -run 'TestCreateViewKeysItsOwnNodes' -v ./internal/engine
 	$(GO) test -race -count=10 -run 'TestTableConcurrentReaders' ./internal/dedup
 	$(GO) test -count=1 -run 'TestHashStoreCounts|TestHashLockFreeThroughGrowth|TestDirMembersOfOtherKeys' -v ./internal/view
 	$(GO) test -race -count=10 -run 'TestDirSiblingsLockFreeThroughGrowth|TestDirLateMember|TestDirOrderUnderReaders|TestHashShellsBoundedUnderPermanentReader|TestRestoredShellsUnderPermanentReader' ./internal/view
@@ -179,7 +185,7 @@ bench-maint:
 # prof-load profiles the two shapes the suite's maintain-fanout workload is
 # made of — the 1 000-row load call of new groups into 64 views and the
 # four moving windows (set-up) and
-# the 64-row call into a 20 000-group view created WITH STORE BTREE (the
+# the 64-row call into a 20 000-group view (the
 # timed phase's versioning side) — and prints where the time and the allocated bytes go, and for
 # the load what the loaded views keep (in-use bytes: 20 000 groups in each of
 # 64 views and 8 window instances), so the next performance or memory change sizes its claim from one
@@ -189,7 +195,7 @@ PROF_DIR := .prof
 prof-load:
 	mkdir -p $(PROF_DIR)
 	$(GO) test -c -o $(PROF_DIR)/chronicledb.test .
-	for b in load1000 call64/btree=20000; do \
+	for b in load1000 call64/groups=20000; do \
 		n=$$(echo $$b | tr -c 'a-z0-9\n' '_'); \
 		$(PROF_DIR)/chronicledb.test -test.run '^$$' -test.bench "BenchmarkMaintainFanout/$$b$$" -test.benchtime 200x -test.benchmem \
 			-test.cpuprofile $(PROF_DIR)/$$n.cpu -test.memprofile $(PROF_DIR)/$$n.mem || exit 1; \
@@ -227,6 +233,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReplFrame -fuzztime=30s ./internal/repl/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeStates -fuzztime=30s ./internal/aggregate/
 	$(GO) test -run=NONE -fuzz=FuzzDedupSnapshot -fuzztime=30s ./internal/dedup/
+	$(GO) test -run=NONE -fuzz=FuzzTypedEval -fuzztime=30s ./internal/pred/
 
 examples:
 	$(GO) run ./examples/quickstart

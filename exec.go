@@ -756,15 +756,23 @@ func (db *DB) show(what string) (*Result, error) {
 				value.Int(int64(tableViews)),
 			})
 		}
+		// A view named by the listing may be dropped before it is read:
+		// it is left out, as it would be from a listing a moment later.
 		for _, n := range db.eng.Names(shard.Views) {
-			v, _ := db.eng.View(n)
+			v, ok := db.eng.View(n)
+			if !ok {
+				continue
+			}
 			add(n, v.Info(), v.Len(), storeOf(v), v.Dir(), len(v.TableViews()))
 		}
 		// A family's rows are its live instances, which are resident; its
 		// table_views counts the families of its cohort whose instances
 		// share their tables with its own.
 		for _, n := range db.eng.Names(shard.PeriodicViews) {
-			pv, _ := db.eng.PeriodicView(n)
+			pv, ok := db.eng.PeriodicView(n)
+			if !ok {
+				continue
+			}
 			info := db.familyInfo(n)
 			add(n+" (periodic)", algebra.Analyze(pv.Def().Expr), info.Live, "resident", pv.Dir(), len(info.Tables))
 		}

@@ -11,12 +11,11 @@
 package algebra
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
-	"strings"
 
 	"chronicledb/internal/chronicle"
-	"chronicledb/internal/pred"
 	"chronicledb/internal/value"
 )
 
@@ -27,84 +26,101 @@ import (
 // objects cannot), interior nodes on operator plus parameters plus child
 // fingerprints. Predicate constants are encoded with the type-tagged key
 // encoding so `'1'` and `1` never collide.
-func Fingerprint(n Node) string {
-	var sb strings.Builder
-	fingerprint(n, &sb)
-	return sb.String()
+func Fingerprint(n Node) string { return string(appendFingerprint(nil, n)) }
+
+func appendFingerprint(dst []byte, n Node) []byte {
+	op, obj := operator(n)
+	dst = append(dst, op)
+	if obj != nil {
+		dst = fmt.Appendf(dst, "%p;", obj)
+	}
+	dst = appendParams(dst, n)
+	dst = append(dst, '(')
+	for i, c := range n.children() {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendFingerprint(dst, c)
+	}
+	return append(dst, ')')
 }
 
-func fingerprint(n Node, sb *strings.Builder) {
+// operator names n's operator, and the chronicle or relation it reads,
+// which a leaf or a relation operator keys on by identity.
+func operator(n Node) (op byte, obj any) {
 	switch n := n.(type) {
 	case *Scan:
-		fmt.Fprintf(sb, "scan(%p)", n.C)
+		return 's', n.C
 	case *Select:
-		sb.WriteString("sel[")
-		predFingerprint(n.P, sb)
-		sb.WriteString("](")
-		fingerprint(n.In, sb)
-		sb.WriteByte(')')
+		return 'f', nil
 	case *Project:
-		fmt.Fprintf(sb, "proj%v(", n.Cols)
-		fingerprint(n.In, sb)
-		sb.WriteByte(')')
+		return 'p', nil
 	case *Union:
-		sb.WriteString("union(")
-		fingerprint(n.L, sb)
-		sb.WriteByte(',')
-		fingerprint(n.R, sb)
-		sb.WriteByte(')')
+		return 'u', nil
 	case *Diff:
-		sb.WriteString("diff(")
-		fingerprint(n.L, sb)
-		sb.WriteByte(',')
-		fingerprint(n.R, sb)
-		sb.WriteByte(')')
+		return 'd', nil
 	case *JoinSN:
-		sb.WriteString("joinsn(")
-		fingerprint(n.L, sb)
-		sb.WriteByte(',')
-		fingerprint(n.R, sb)
-		sb.WriteByte(')')
+		return 'j', nil
 	case *GroupBySN:
-		fmt.Fprintf(sb, "group%v[", n.GroupCols)
-		for i, a := range n.Aggs {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			fmt.Fprintf(sb, "%d:%d:%s", a.Func, a.Col, a.Name)
-		}
-		sb.WriteString("](")
-		fingerprint(n.In, sb)
-		sb.WriteByte(')')
+		return 'g', nil
 	case *CrossRel:
-		fmt.Fprintf(sb, "cross(%p)(", n.R)
-		fingerprint(n.In, sb)
-		sb.WriteByte(')')
+		return 'x', n.R
 	case *JoinRel:
-		fmt.Fprintf(sb, "joinrel(%p)%v=%v(", n.R, n.InCols, n.RelCols)
-		fingerprint(n.In, sb)
-		sb.WriteByte(')')
-	default:
-		panic(fmt.Sprintf("algebra: unknown node %T", n))
+		return 'r', n.R
 	}
+	panic(fmt.Sprintf("algebra: unknown node %T", n))
 }
 
-// predFingerprint renders a predicate structurally. Atom order matters (a
-// disjunction is order-insensitive semantically, but treating reordered
-// predicates as distinct only costs a missed sharing opportunity, never a
-// wrong delta).
-func predFingerprint(p pred.Predicate, sb *strings.Builder) {
-	for i, a := range p.Atoms() {
-		if i > 0 {
-			sb.WriteByte('|')
+// appendParams appends n's own parameters — not its children's — to dst,
+// each list behind its length, so two different parameter sets of one
+// operator never encode alike. Atom order matters (a disjunction is
+// order-insensitive semantically, but treating reordered predicates as
+// distinct only costs a missed sharing opportunity, never a wrong delta).
+func appendParams(dst []byte, n Node) []byte {
+	ints := func(dst []byte, xs []int) []byte {
+		dst = binary.AppendUvarint(dst, uint64(len(xs)))
+		for _, x := range xs {
+			dst = binary.AppendVarint(dst, int64(x))
 		}
-		fmt.Fprintf(sb, "%d %s ", a.Left, a.Op)
-		if a.Right.IsCol {
-			fmt.Fprintf(sb, "$%d", a.Right.Col)
-		} else {
-			sb.Write(value.AppendKey(nil, a.Right.Const))
-		}
+		return dst
 	}
+	switch n := n.(type) {
+	case *Select:
+		atoms := n.P.Atoms()
+		dst = binary.AppendUvarint(dst, uint64(len(atoms)))
+		for _, a := range atoms {
+			dst = append(binary.AppendVarint(dst, int64(a.Left)), byte(a.Op))
+			if a.Right.IsCol {
+				dst = binary.AppendVarint(append(dst, 'c'), int64(a.Right.Col))
+			} else {
+				k := value.AppendKey(nil, a.Right.Const)
+				dst = append(binary.AppendUvarint(append(dst, 'k'), uint64(len(k))), k...)
+			}
+		}
+	case *Project:
+		dst = ints(dst, n.Cols)
+	case *GroupBySN:
+		dst = binary.AppendUvarint(ints(dst, n.GroupCols), uint64(len(n.Aggs)))
+		for _, a := range n.Aggs {
+			dst = binary.AppendVarint(binary.AppendUvarint(dst, uint64(a.Func)), int64(a.Col))
+			dst = append(binary.AppendUvarint(dst, uint64(len(a.Name))), a.Name...)
+		}
+	case *JoinRel:
+		dst = ints(ints(dst, n.InCols), n.RelCols)
+	}
+	return dst
+}
+
+// nodeKey is what a plan node is hash-consed by: its operator, the object a
+// leaf or relation operator reads, its own parameters, and its children's
+// node ids. Children are interned first, and two live nodes never share an
+// id, so equal keys are structurally equal subexpressions — and a key is
+// built from the node alone, never from its subtree.
+type nodeKey struct {
+	op     byte
+	obj    any
+	params string
+	l, r   int // the children's ids; 0 for none
 }
 
 // PlanNode is one interned subexpression of a SharedPlan: the unit of delta
@@ -112,19 +128,21 @@ func predFingerprint(p pred.Predicate, sb *strings.Builder) {
 // plan's views are the same *PlanNode.
 //
 // The per-batch fields (epoch, rows, buf) are owned by the maintenance
-// path, which the engine serializes under its mutation lock; everything
-// else is immutable after the plan is built.
+// path, which the engine serializes under its mutation lock, as it does
+// the plan's DDL.
 type PlanNode struct {
-	// ID is the node's position in plan build order (stable across the
-	// plan's lifetime; EXPLAIN surfaces it).
+	// ID numbers the node in creation order: it is never reused in the
+	// plan's lifetime, and children number below parents. EXPLAIN surfaces
+	// it.
 	ID int
 	// Expr is a representative expression node (the first interned).
 	Expr Node
 	// Consumers is the number of views whose expression contains this node.
 	Consumers int
 
-	key      string
+	key      nodeKey
 	children []*PlanNode
+	pos      int // the node's index in the plan's nodes
 
 	// epoch stamps the batch rows was computed for; rows is valid only
 	// while epoch equals the plan's current batch epoch. buf is the node's
@@ -151,13 +169,20 @@ type PlanNodeInfo struct {
 }
 
 // SharedPlan is the hash-consed delta DAG over a set of view expressions.
-// Build it at DDL time (it is immutable structurally thereafter); evaluate
-// it per batch under the engine's mutation lock — BeginBatch and DeltaFor
-// are NOT safe for concurrent use.
+// It changes one view at a time: AddView interns the nodes of the view's
+// expression that are new and counts the view in each of its nodes,
+// DropView counts it out and unlinks the nodes no view holds any more, so a
+// DDL statement costs its own expression, whatever the plan holds. Nothing
+// here is safe for concurrent use: the engine changes and evaluates the
+// plan under its mutation lock, and reads it (ViewNodes) under the read
+// side.
 type SharedPlan struct {
-	nodes []*PlanNode
-	byKey map[string]*PlanNode
+	nodes []*PlanNode // the live nodes, in no order (PlanNode.pos)
+	byKey map[nodeKey]*PlanNode
 	roots map[string]*PlanNode // view name -> root node
+
+	lastID int   // the id of the newest node
+	keyed  int64 // nodes keyed by AddView, ever
 
 	epoch      uint64
 	sharedHits int64
@@ -166,53 +191,97 @@ type SharedPlan struct {
 // NewSharedPlan returns an empty plan.
 func NewSharedPlan() *SharedPlan {
 	return &SharedPlan{
-		byKey: make(map[string]*PlanNode),
+		byKey: make(map[nodeKey]*PlanNode),
 		roots: make(map[string]*PlanNode),
 	}
 }
 
-// AddView interns a view's expression into the DAG. Call once per view, in
-// a deterministic order if stable node IDs matter (the engine sorts by view
-// name).
+// AddView interns a view's expression into the DAG and counts the view in
+// every distinct node of it; a view already in the plan under name is
+// replaced. It keys each node of expr once and no other.
 func (p *SharedPlan) AddView(name string, expr Node) {
-	touched := make(map[*PlanNode]bool)
-	root := p.intern(expr, touched)
-	for n := range touched {
+	p.DropView(name)
+	root := p.intern(expr)
+	p.roots[name] = root
+	for _, n := range reach(root) {
 		n.Consumers++
 	}
-	p.roots[name] = root
 }
 
-func (p *SharedPlan) intern(expr Node, touched map[*PlanNode]bool) *PlanNode {
-	key := Fingerprint(expr)
+// DropView counts a view out of its nodes and unlinks those it was the last
+// consumer of, with their scratch. A name not in the plan is a no-op.
+func (p *SharedPlan) DropView(name string) {
+	root, ok := p.roots[name]
+	if !ok {
+		return
+	}
+	delete(p.roots, name)
+	for _, n := range reach(root) {
+		if n.Consumers--; n.Consumers > 0 {
+			continue
+		}
+		// Every node above n in the DAG is held by a subset of n's views,
+		// so it goes in this drop too: nothing live points at n.
+		delete(p.byKey, n.key)
+		last := p.nodes[len(p.nodes)-1]
+		p.nodes[n.pos], last.pos = last, n.pos
+		p.nodes[len(p.nodes)-1] = nil
+		p.nodes = p.nodes[:len(p.nodes)-1]
+		n.children, n.rows, n.buf, n.join, n.group = nil, nil, nil, joinScratch{}, groupScratch{}
+	}
+}
+
+// intern returns the node of expr, interning its children first and then,
+// keyed by them, expr itself when no node has its key.
+func (p *SharedPlan) intern(expr Node) *PlanNode {
+	key := nodeKey{params: string(appendParams(nil, expr))}
+	key.op, key.obj = operator(expr)
+	var children []*PlanNode
+	for i, c := range expr.children() {
+		cn := p.intern(c)
+		children = append(children, cn)
+		if i == 0 {
+			key.l = cn.ID
+		} else {
+			key.r = cn.ID
+		}
+	}
+	p.keyed++
 	if n, ok := p.byKey[key]; ok {
-		// Already interned: mark the whole reachable subgraph as touched by
-		// this view (children were interned before their parent).
-		p.markReachable(n, touched)
 		return n
 	}
-	n := &PlanNode{Expr: expr, key: key}
-	for _, c := range expr.children() {
-		n.children = append(n.children, p.intern(c, touched))
-	}
-	// The ID is assigned at append time, after the children interned above
-	// claimed theirs — so IDs are distinct and children number below parents.
-	n.ID = len(p.nodes) + 1
+	// The ID is assigned after the children interned above claimed theirs —
+	// so IDs are distinct and children number below parents.
+	p.lastID++
+	n := &PlanNode{ID: p.lastID, Expr: expr, key: key, children: children, pos: len(p.nodes)}
 	p.nodes = append(p.nodes, n)
 	p.byKey[key] = n
-	touched[n] = true
 	return n
 }
 
-func (p *SharedPlan) markReachable(n *PlanNode, touched map[*PlanNode]bool) {
-	if touched[n] {
-		return
+// reach lists the distinct nodes reachable from root in post-order,
+// children before parents, root last.
+func reach(root *PlanNode) []*PlanNode {
+	var out []*PlanNode
+	seen := make(map[*PlanNode]bool)
+	var visit func(n *PlanNode)
+	visit = func(n *PlanNode) {
+		if seen[n] {
+			return
+		}
+		seen[n] = true
+		for _, c := range n.children {
+			visit(c)
+		}
+		out = append(out, n)
 	}
-	touched[n] = true
-	for _, c := range n.children {
-		p.markReachable(c, touched)
-	}
+	visit(root)
+	return out
 }
+
+// Keyed returns how many expression nodes AddView has keyed in the plan's
+// lifetime: one per node of each expression added.
+func (p *SharedPlan) Keyed() int64 { return p.keyed }
 
 // Views returns the number of view roots in the plan.
 func (p *SharedPlan) Views() int { return len(p.roots) }
@@ -222,26 +291,16 @@ func (p *SharedPlan) Nodes() int { return len(p.nodes) }
 
 // ViewNodes lists the plan nodes of one view's expression in post-order
 // (children before parents, root last), for EXPLAIN. Nil when the view is
-// not in the plan.
+// not in the plan. It changes nothing, so readers may call it together.
 func (p *SharedPlan) ViewNodes(view string) []PlanNodeInfo {
 	root, ok := p.roots[view]
 	if !ok {
 		return nil
 	}
 	var out []PlanNodeInfo
-	seen := make(map[*PlanNode]bool)
-	var walk func(n *PlanNode)
-	walk = func(n *PlanNode) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		for _, c := range n.children {
-			walk(c)
-		}
+	for _, n := range reach(root) {
 		out = append(out, PlanNodeInfo{ID: n.ID, Consumers: n.Consumers, Expr: n.Expr.String()})
 	}
-	walk(root)
 	return out
 }
 

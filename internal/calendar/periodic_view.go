@@ -122,6 +122,17 @@ func (p *PeriodicView) Leave() {
 	}
 }
 
+// Peer returns a member of p's cohort other than p, nil when there is none:
+// after Leave, one of the families p's cohort goes on with.
+func (p *PeriodicView) Peer() *PeriodicView {
+	for _, m := range p.co.members {
+		if m != p {
+			return m
+		}
+	}
+	return nil
+}
+
 // TableFamilies names the families whose live instances share a table with
 // one of p's, p first and the rest in the order they joined its cohort:
 // p alone when its instances have their tables to themselves.

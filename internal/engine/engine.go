@@ -17,10 +17,7 @@ package engine
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"chronicledb/internal/algebra"
@@ -149,10 +146,13 @@ type Engine struct {
 	maintLat  stats.Histogram // view-maintenance latency, one observation per append call
 
 	// plan is the shared-delta plan over every persistent view and periodic
-	// family of the engine, rebuilt under e.mu on every DDL statement and
-	// immutable in structure thereafter; its per-batch caches belong to the
-	// maintenance path under e.mu. EXPLAIN reads it without the lock.
-	plan atomic.Pointer[algebra.SharedPlan]
+	// family of the engine. DDL adds or drops one expression in it under
+	// e.mu, and maintenance evaluates it under e.mu; EXPLAIN reads it under
+	// the read side.
+	plan *algebra.SharedPlan
+	// cohorts holds, by cohortKey, one live member of each cohort of the
+	// engine's families: the cohort a new family of that key joins.
+	cohorts map[string]*calendar.PeriodicView
 
 	// scratch is hot-path memory reused across mutations under e.mu. It
 	// never escapes a mutation: recorders encode synchronously, the
@@ -188,22 +188,6 @@ type Engine struct {
 // see yet: a persistent view or a periodic family.
 type publisher interface{ Publish() }
 
-// rebuildPlanLocked rebuilds the shared-delta plan: it hash-conses every
-// view and periodic family expression so common subexpressions compute their
-// delta once per batch. Sorted order, views first, keeps plan-node IDs
-// deterministic across restarts (EXPLAIN shows them). Callers hold e.mu
-// exclusively (or have sole ownership, as in New).
-func (e *Engine) rebuildPlanLocked() {
-	p := algebra.NewSharedPlan()
-	for _, n := range slices.Sorted(maps.Keys(e.views)) {
-		p.AddView(n, e.views[n].Def().Expr)
-	}
-	for _, n := range slices.Sorted(maps.Keys(e.periodics)) {
-		p.AddView(n, e.periodics[n].Def().Expr)
-	}
-	e.plan.Store(p)
-}
-
 // appendScratch backs the allocation-free append path.
 type appendScratch struct {
 	tuple    []value.Tuple                            // a per-tuple call's one-tuple batch
@@ -227,20 +211,24 @@ func New(cfg Config) *Engine {
 		disp:       dispatch.New(),
 		dirs:       make(map[string]*view.Dir),
 		tables:     make(map[string]*view.View),
+		plan:       algebra.NewSharedPlan(),
+		cohorts:    make(map[string]*calendar.PeriodicView),
 		scratch: appendScratch{
 			deltas: make(map[*chronicle.Chronicle][]chronicle.Row),
 		},
 		dedup: dedup.NewTable(cfg.DedupCap),
 	}
-	e.rebuildPlanLocked()
 	return e
 }
 
 // ViewSharedPlan lists the shared-plan nodes of a view's or periodic family's
 // expression in post-order (root last), with each node's cross-view consumer
 // count — the EXPLAIN readout of delta sharing. ok is false for unknown names.
+// It reads the plan under the read lock, which DDL excludes.
 func (e *Engine) ViewSharedPlan(name string) (nodes []algebra.PlanNodeInfo, ok bool) {
-	nodes = e.plan.Load().ViewNodes(name)
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	nodes = e.plan.ViewNodes(name)
 	return nodes, nodes != nil
 }
 
@@ -385,7 +373,7 @@ func (e *Engine) CreateView(def view.Def) (*view.View, error) {
 	}
 	e.publishDirtyLocked()
 	e.views[def.Name] = v
-	e.rebuildPlanLocked()
+	e.plan.AddView(def.Name, def.Expr)
 	return v, nil
 }
 
@@ -423,9 +411,10 @@ func (e *Engine) acquireDirLocked(d *view.Dir, def view.Def) {
 // the name.
 //
 // The family joins the cohort of the engine's families that match it
-// (cohortKey): from the next interval born on, its instance of an interval
-// shares one table with theirs (calendar.PeriodicView.Share). A family that
-// matches none is a cohort of one.
+// (cohortKey), found through e.cohorts: from the next interval born on, its
+// instance of an interval shares one table with theirs
+// (calendar.PeriodicView.Share). A family that matches none is a cohort of
+// one.
 func (e *Engine) CreatePeriodicView(name string, def view.Def, cal calendar.Calendar, expireAfter int64) (*calendar.PeriodicView, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -434,11 +423,9 @@ func (e *Engine) CreatePeriodicView(name string, def view.Def, cal calendar.Cale
 		return nil, err
 	}
 	key := cohortKey(def, cal, expireAfter)
-	for _, peer := range e.periodics { // the matches are one cohort
-		if cohortKey(peer.Def(), peer.Calendar(), peer.ExpireAfter()) == key {
-			pv.Share(peer)
-			break
-		}
+	peer := e.cohorts[key]
+	if peer != nil {
+		pv.Share(peer)
 	}
 	info := algebra.Analyze(def.Expr)
 	if err := e.disp.Register(&dispatch.Target{
@@ -455,7 +442,10 @@ func (e *Engine) CreatePeriodicView(name string, def view.Def, cal calendar.Cale
 		e.acquireDirLocked(pv.Dir(), def)
 	}
 	e.periodics[name] = pv
-	e.rebuildPlanLocked()
+	if peer == nil {
+		e.cohorts[key] = pv
+	}
+	e.plan.AddView(name, def.Expr)
 	return pv, nil
 }
 
@@ -505,13 +495,20 @@ func (e *Engine) DropView(name string) error {
 		if pv.Dir() != nil {
 			e.releaseDirLocked(pv.Dir(), pv.Def())
 		}
+		if key := cohortKey(pv.Def(), pv.Calendar(), pv.ExpireAfter()); e.cohorts[key] == pv {
+			if peer := pv.Peer(); peer != nil {
+				e.cohorts[key] = peer
+			} else {
+				delete(e.cohorts, key)
+			}
+		}
 		delete(e.periodics, name)
 	} else {
 		e.mu.Unlock()
 		return fmt.Errorf("engine: no view named %q", name)
 	}
 	e.disp.Unregister(name)
-	e.rebuildPlanLocked()
+	e.plan.DropView(name)
 	h := e.feed
 	e.mu.Unlock()
 	if h != nil {
@@ -771,7 +768,7 @@ func (e *Engine) DedupEntries() []dedup.Entry {
 func (e *Engine) maintain(deltas map[*chronicle.Chronicle][]chronicle.Row) {
 	start := time.Now()
 	batch := algebra.BatchDelta(deltas)
-	plan := e.plan.Load()
+	plan := e.plan
 	plan.BeginBatch()
 	e.batchSeq++
 	for c, rows := range deltas {

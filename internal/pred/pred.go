@@ -9,6 +9,7 @@
 package pred
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -86,6 +87,7 @@ func ConstOperand(v value.Value) Operand { return Operand{Const: v} }
 type Atom struct {
 	Left  int // column index of the left-hand attribute
 	Op    Op
+	class class // how Predicate.Eval compares it, set by Or
 	Right Operand
 }
 
@@ -138,13 +140,51 @@ type Predicate struct {
 	atoms []Atom
 }
 
+// class is how Predicate.Eval compares one atom: the pairs of kinds it
+// compares inline, decided by the atom's right operand. Every other pair
+// goes through value.Compare, so an atom's result is Atom.Eval's whatever
+// its class. The class fits in the padding after Atom.Op, so a predicate
+// is still one allocation.
+type class uint8
+
+const (
+	general    class = iota // every pair through value.Compare
+	colCol                  // two columns: int/int and float/float inline
+	intConst                // an int constant of |k| ≤ 2⁵³: int and float columns inline
+	floatConst              // a float constant: float columns inline
+)
+
+// maxExact is 2⁵³: every int64 of at most this magnitude is a float64
+// exactly, so a float compares with it as with its float.
+const maxExact = 1 << 53
+
+// classify decides an atom's class.
+func classify(a Atom) class {
+	if a.Right.IsCol {
+		return colCol
+	}
+	switch k := a.Right.Const; k.Kind() {
+	case value.KindInt:
+		if i := k.AsInt(); -maxExact <= i && i <= maxExact {
+			return intConst
+		}
+	case value.KindFloat:
+		return floatConst
+	}
+	return general
+}
+
 // True returns the always-true predicate.
 func True() Predicate { return Predicate{} }
 
 // Or builds a predicate that is the disjunction of the given atoms.
 // Or() with no atoms is True.
 func Or(atoms ...Atom) Predicate {
-	return Predicate{atoms: append([]Atom(nil), atoms...)}
+	p := Predicate{atoms: append([]Atom(nil), atoms...)}
+	for i := range p.atoms {
+		p.atoms[i].class = classify(p.atoms[i])
+	}
+	return p
 }
 
 // IsTrue reports whether the predicate is the always-true predicate.
@@ -153,17 +193,42 @@ func (p Predicate) IsTrue() bool { return len(p.atoms) == 0 }
 // Atoms returns the predicate's atoms. Callers must not modify the result.
 func (p Predicate) Atoms() []Atom { return p.atoms }
 
-// Eval evaluates the disjunction against a tuple.
+// Eval evaluates the disjunction against a tuple. It decides each atom as
+// Atom.Eval does, comparing the pairs of kinds its class names in place
+// (cmp.Compare orders floats, NaN and ±0 included, as value.Compare does).
 func (p Predicate) Eval(t value.Tuple) bool {
-	if len(p.atoms) == 0 {
-		return true
-	}
-	for _, a := range p.atoms {
-		if a.Eval(t) {
+	for i := range p.atoms {
+		a := &p.atoms[i]
+		l := &t[a.Left]
+		var c int
+		switch k := &a.Right.Const; {
+		case a.class == colCol:
+			c = compare(l, &t[a.Right.Col])
+		case a.class == intConst && l.Kind() == value.KindInt:
+			c = cmp.Compare(l.AsInt(), k.AsInt())
+		case a.class == intConst && l.Kind() == value.KindFloat:
+			c = cmp.Compare(l.AsFloat(), float64(k.AsInt()))
+		case a.class == floatConst && l.Kind() == value.KindFloat:
+			c = cmp.Compare(l.AsFloat(), k.AsFloat())
+		default:
+			c = value.Compare(*l, *k)
+		}
+		if a.Op.eval(c) {
 			return true
 		}
 	}
-	return false
+	return len(p.atoms) == 0
+}
+
+// compare is value.Compare with the int/int and float/float pairs inline.
+func compare(l, r *value.Value) int {
+	switch {
+	case l.Kind() == value.KindInt && r.Kind() == value.KindInt:
+		return cmp.Compare(l.AsInt(), r.AsInt())
+	case l.Kind() == value.KindFloat && r.Kind() == value.KindFloat:
+		return cmp.Compare(l.AsFloat(), r.AsFloat())
+	}
+	return value.Compare(*l, *r)
 }
 
 // MaxColumn returns the largest column index referenced, or -1 if none.

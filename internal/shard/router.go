@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"hash/fnv"
+	"hash/maphash"
 	"maps"
 	"slices"
 	"sync"
@@ -65,11 +66,13 @@ type Router struct {
 	relWAL     WAL
 	relUpdates atomic.Int64
 
-	// cat is the published catalog. Readers and every append's routing load
-	// it without a lock; DDL publishes the next generation under ddl, a
-	// mutex only DDL takes.
-	cat atomic.Pointer[catalog]
-	ddl sync.Mutex
+	// names and groups are the catalog: chronicles, relations, views and
+	// periodic views share one namespace, groups have one of their own.
+	// Readers and every append's routing search them without a lock; DDL
+	// changes them under ddl, a mutex only DDL takes.
+	names  table[entry]
+	groups table[*chronicle.Group]
+	ddl    sync.Mutex
 
 	// Read-path metrics, updated with atomics so the lock-free read
 	// methods stay lock-free while still being observable.
@@ -103,43 +106,81 @@ type entry struct {
 	obj  any
 }
 
-// catalog is one immutable generation of the name table: chronicles,
-// relations, views and periodic views share one namespace, groups have one
-// of their own. A generation is never written once published; DDL clones
-// it, applies its one change and publishes the clone.
-type catalog struct {
-	names  map[string]entry
-	groups map[string]*chronicle.Group
+// table is a name table readers search without a lock: tableParts hash
+// partitions, each an immutable map published through its own pointer. A
+// change clones the one partition its name falls in and publishes the clone,
+// so a DDL statement copies a small share of the catalog, not all of it,
+// and readers see the change at once. Writers hold r.ddl.
+type table[V any] struct {
+	parts [tableParts]atomic.Pointer[map[string]V]
 }
 
-// find resolves a name of one kind through the published catalog, without
-// a lock.
+// tableParts is the number of partitions of a table: at 4 000 views a
+// statement clones a map of about 16 names.
+const tableParts = 256
+
+// tableSeed hashes names to partitions; a table lives as long as its
+// process, so the seed need not persist.
+var tableSeed = maphash.MakeSeed()
+
+func (t *table[V]) part(name string) *atomic.Pointer[map[string]V] {
+	return &t.parts[maphash.String(tableSeed, name)%tableParts]
+}
+
+// get returns the value of name.
+func (t *table[V]) get(name string) (v V, ok bool) {
+	if m := t.part(name).Load(); m != nil {
+		v, ok = (*m)[name]
+	}
+	return v, ok
+}
+
+// set gives name the value v; del deletes it.
+func (t *table[V]) set(name string, v V) { t.change(name, func(m map[string]V) { m[name] = v }) }
+func (t *table[V]) del(name string)      { t.change(name, func(m map[string]V) { delete(m, name) }) }
+
+func (t *table[V]) change(name string, fn func(map[string]V)) {
+	p := t.part(name)
+	m := map[string]V{}
+	if old := p.Load(); old != nil {
+		m = maps.Clone(*old)
+	}
+	fn(m)
+	p.Store(&m)
+}
+
+// all yields every name in the table with its value. A change made while it
+// runs may or may not be seen, each name at one of its values.
+func (t *table[V]) all(yield func(string, V) bool) {
+	for i := range t.parts {
+		if m := t.parts[i].Load(); m != nil {
+			for n, v := range *m {
+				if !yield(n, v) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// find resolves a name of one kind through the catalog, without a lock.
 func find[T any](r *Router, name string) (obj T, home int, ok bool) {
-	e := r.cat.Load().names[name]
+	e, _ := r.names.get(name)
 	obj, ok = e.obj.(T)
 	return obj, e.home, ok
 }
 
 // claim reports why name cannot be given to a new object of kind k in the
-// current generation, if it cannot. Callers hold r.ddl, so the name stays
-// free until they publish.
+// catalog, if it cannot. Callers hold r.ddl, so the name stays free until
+// they set it.
 func (r *Router) claim(name string, k Kind) error {
 	if name == "" {
 		return fmt.Errorf("shard: empty %s name", k)
 	}
-	if e, ok := r.cat.Load().names[name]; ok {
+	if e, ok := r.names.get(name); ok {
 		return fmt.Errorf("engine: name %q already used by a %s", name, e.kind)
 	}
 	return nil
-}
-
-// publish installs the next catalog generation: the current one with change
-// applied to a copy. Callers hold r.ddl.
-func (r *Router) publish(change func(c *catalog)) {
-	old := r.cat.Load()
-	c := &catalog{names: maps.Clone(old.names), groups: maps.Clone(old.groups)}
-	change(c)
-	r.cat.Store(c)
 }
 
 // NewRouter creates a router with cfg.Shards single-writer shards.
@@ -148,7 +189,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", cfg.Shards)
 	}
 	r := &Router{cfg: cfg}
-	r.cat.Store(&catalog{names: map[string]entry{}, groups: map[string]*chronicle.Group{}})
 	ecfg := cfg.Engine
 	ecfg.NextLSN = r.nextLSN
 	for i := 0; i < cfg.Shards; i++ {
@@ -177,7 +217,7 @@ func (r *Router) Each(fn func(i int, e *engine.Engine)) {
 // Home returns the engine of the shard owning the named view, periodic view
 // or chronicle.
 func (r *Router) Home(name string) (*engine.Engine, bool) {
-	e, ok := r.cat.Load().names[name]
+	e, ok := r.names.get(name)
 	if !ok || e.kind == Relations {
 		return nil, false
 	}
@@ -234,7 +274,7 @@ func (r *Router) CreateGroup(name string) (*chronicle.Group, error) {
 		return nil, fmt.Errorf("engine: group %q already exists", name)
 	}
 	g := chronicle.NewGroup(name)
-	r.publish(func(c *catalog) { c.groups[name] = g })
+	r.groups.set(name, g)
 	return g, nil
 }
 
@@ -259,10 +299,9 @@ func (r *Router) CreateChronicle(name, groupName string, schema *value.Schema, r
 	if err != nil {
 		return nil, err
 	}
-	r.publish(func(c *catalog) {
-		c.names[name] = entry{Chronicles, idx, ch}
-		c.groups[groupName] = g
-	})
+	// The group first: a reader that finds the chronicle finds its group.
+	r.groups.set(groupName, g)
+	r.names.set(name, entry{Chronicles, idx, ch})
 	return ch, nil
 }
 
@@ -278,7 +317,7 @@ func (r *Router) CreateRelation(name string, schema *value.Schema, keyCols []int
 	if err != nil {
 		return nil, err
 	}
-	r.publish(func(c *catalog) { c.names[name] = entry{Relations, 0, rel} })
+	r.names.set(name, entry{Relations, 0, rel})
 	return rel, nil
 }
 
@@ -328,7 +367,7 @@ func (r *Router) CreateView(def view.Def) (*view.View, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.publish(func(c *catalog) { c.names[def.Name] = entry{Views, idx, v} })
+	r.names.set(def.Name, entry{Views, idx, v})
 	return v, nil
 }
 
@@ -347,7 +386,7 @@ func (r *Router) CreatePeriodicView(name string, def view.Def, cal calendar.Cale
 	if err != nil {
 		return nil, err
 	}
-	r.publish(func(c *catalog) { c.names[name] = entry{PeriodicViews, idx, pv} })
+	r.names.set(name, entry{PeriodicViews, idx, pv})
 	return pv, nil
 }
 
@@ -356,14 +395,14 @@ func (r *Router) CreatePeriodicView(name string, def view.Def, cal calendar.Cale
 func (r *Router) DropView(name string) error {
 	r.ddl.Lock()
 	defer r.ddl.Unlock()
-	e, ok := r.cat.Load().names[name]
+	e, ok := r.names.get(name)
 	if !ok || (e.kind != Views && e.kind != PeriodicViews) {
 		return fmt.Errorf("engine: no view named %q", name)
 	}
 	if err := r.shards[e.home].eng.DropView(name); err != nil {
 		return err
 	}
-	r.publish(func(c *catalog) { delete(c.names, name) })
+	r.names.del(name)
 	return nil
 }
 
@@ -585,14 +624,16 @@ func (r *Router) RestoreLSN(lsn uint64) {
 
 // Names lists the catalog objects of kind k, sorted.
 func (r *Router) Names(k Kind) []string {
-	c := r.cat.Load()
-	if k == Groups {
-		return slices.Sorted(maps.Keys(c.groups))
-	}
 	var out []string
-	for n, e := range c.names {
-		if e.kind == k {
+	if k == Groups {
+		for n := range r.groups.all {
 			out = append(out, n)
+		}
+	} else {
+		for n, e := range r.names.all {
+			if e.kind == k {
+				out = append(out, n)
+			}
 		}
 	}
 	slices.Sort(out)
@@ -601,7 +642,7 @@ func (r *Router) Names(k Kind) []string {
 
 // Group returns a chronicle group by name.
 func (r *Router) Group(name string) (*chronicle.Group, bool) {
-	g, ok := r.cat.Load().groups[name]
+	g, ok := r.groups.get(name)
 	return g, ok
 }
 
