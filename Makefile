@@ -171,11 +171,14 @@ maint-stress:
 # CREATE PERIODIC VIEW keys its own expression's plan nodes and no other view's,
 # for n up to 2 000, and that dropping every view empties the plan; and the
 # reader test (ten runs under the race detector) races EXPLAIN VIEW, SHOW
-# VIEWS and point SELECTs against CREATE/DROP churn and appends.
+# VIEWS and point SELECTs against CREATE/DROP churn and appends. For family
+# reads: the reader test (ten runs under the race detector) races SELECTs of
+# a tumbling and an overlapping family, by latest instance and FOR INTERVAL,
+# against 16-row calls that bear and expire their instances.
 # -count=1 defeats caching — the guards must run.
 bench-maint:
 	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestLoadAllocGuard|TestGroupBytesGuard|TestTreeCallBytesGuard|TestRelationBytesGuard|TestDedupBytesGuard|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall|TestDirMembersSurviveADrop|TestFamilyRunResolvedOnce|TestFamilyAndViewShareADirectory|TestExpiringFamilyKeysStayBounded|TestSharedTableEqualsTwins|TestViewsOfOneKeyShareADirectory|TestDirResolvesOncePerTableKey' -v .
-	$(GO) test -race -count=10 -run 'TestFamilyCallFoldEqualsRowFolds|TestSharedTableReadersLockFree|TestPlanReadersDuringDDL' .
+	$(GO) test -race -count=10 -run 'TestFamilyCallFoldEqualsRowFolds|TestSharedTableReadersLockFree|TestPlanReadersDuringDDL|TestFamilyReadersDuringMaintenance' .
 	$(GO) test -count=1 -run 'TestCreateViewKeysItsOwnNodes' -v ./internal/engine
 	$(GO) test -race -count=10 -run 'TestTableConcurrentReaders' ./internal/dedup
 	$(GO) test -count=1 -run 'TestHashStoreCounts|TestHashLockFreeThroughGrowth|TestDirMembersOfOtherKeys' -v ./internal/view

@@ -131,12 +131,12 @@ func shapesState(t *testing.T, db *chronicledb.DB) string {
 			return true
 		})
 	}
-	rows, err := db.Engine().RelationRows("customers")
+	rows, err := chronicledb.Kernel(db).RelationRows("customers")
 	if err != nil {
 		t.Fatal(err)
 	}
 	entries, _, _ := db.DedupStats()
-	fmt.Fprintf(&b, "customers %v\nlsn %d\ndedup entries %d\n", rows, db.Engine().LSN(), entries)
+	fmt.Fprintf(&b, "customers %v\nlsn %d\ndedup entries %d\n", rows, chronicledb.Kernel(db).LSN(), entries)
 	return b.String()
 }
 
@@ -152,7 +152,7 @@ func TestAppendShapesReplayExactly(t *testing.T) {
 	// A follower that streams the log from LSN 0.
 	f := openFollower(t, ts.URL, t.TempDir(), chronicledb.Options{Shards: 2, Clock: tickClock()})
 	waitUntil(t, 10*time.Second, "follower catch-up", func() bool {
-		return f.Engine().LSN() == db.Engine().LSN()
+		return chronicledb.Kernel(f).LSN() == chronicledb.Kernel(db).LSN()
 	})
 	if got := shapesState(t, f); got != live {
 		t.Errorf("follower state differs:\n got:\n%s\nwant:\n%s", got, live)

@@ -626,12 +626,12 @@ func TestGroupBytesGuard(t *testing.T) {
 				}
 			}
 			var members []*view.View // the views, and the families' instances
-			for _, n := range db.Engine().Names(shard.Views) {
+			for _, n := range chronicledb.Kernel(db).Names(shard.Views) {
 				v, _ := db.View(n)
 				members = append(members, v)
 			}
-			for _, n := range db.Engine().Names(shard.PeriodicViews) {
-				pv, _ := db.Engine().PeriodicView(n)
+			for _, n := range chronicledb.Kernel(db).Names(shard.PeriodicViews) {
+				pv, _ := chronicledb.Kernel(db).PeriodicView(n)
 				for _, inst := range pv.Instances() {
 					members = append(members, inst.View)
 				}
@@ -668,7 +668,7 @@ func tableShares(db *chronicledb.DB, name string) []string {
 	if v, ok := db.View(name); ok {
 		return v.TableViews()
 	}
-	pv, _ := db.Engine().PeriodicView(name)
+	pv, _ := chronicledb.Kernel(db).PeriodicView(name)
 	return pv.TableFamilies()
 }
 

@@ -95,7 +95,7 @@ func openCallFoldTwin(t *testing.T, opts chronicledb.Options) *callFoldTwin {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	tw.cancel = cancel
-	for _, name := range db.Engine().Names(shard.Views) {
+	for _, name := range chronicledb.Kernel(db).Names(shard.Views) {
 		ready := make(chan struct{})
 		tw.wg.Add(1)
 		go func() {
@@ -143,7 +143,7 @@ func createUnionEdges(t *testing.T, db *chronicledb.DB) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Engine().CreateView(view.Def{
+	if _, err := chronicledb.Kernel(db).CreateView(view.Def{
 		Name: "union_edges", Expr: union, Mode: view.SummarizeGroupBy, GroupCols: []int{0},
 		Aggs: []aggregate.Spec{
 			{Func: aggregate.First, Col: 1, Name: "first_m"},
@@ -159,7 +159,7 @@ func createUnionEdges(t *testing.T, db *chronicledb.DB) {
 // returns the frames delivered so far.
 func (tw *callFoldTwin) watched(t *testing.T) map[string][]string {
 	t.Helper()
-	for _, name := range tw.db.Engine().Names(shard.Views) {
+	for _, name := range chronicledb.Kernel(tw.db).Names(shard.Views) {
 		head := chronicledb.FeedHeadLSN(tw.db, name)
 		waitUntil(t, 10*time.Second, "watcher of "+name, func() bool {
 			tw.mu.Lock()
@@ -190,7 +190,7 @@ func (tw *callFoldTwin) close() {
 func callFoldState(t *testing.T, db *chronicledb.DB) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
-	for _, name := range db.Engine().Names(shard.Views) {
+	for _, name := range chronicledb.Kernel(db).Names(shard.Views) {
 		var rows []string
 		if err := db.ScanView(name, func(r chronicledb.Row) bool {
 			rows = append(rows, fmt.Sprint(r))
@@ -201,8 +201,8 @@ func callFoldState(t *testing.T, db *chronicledb.DB) map[string]string {
 		v, _ := db.View(name)
 		out[name] = fmt.Sprintf("lsn=%d %v", v.AppliedLSN(), rows)
 	}
-	for _, name := range db.Engine().Names(shard.PeriodicViews) {
-		pv, _ := db.Engine().PeriodicView(name)
+	for _, name := range chronicledb.Kernel(db).Names(shard.PeriodicViews) {
+		pv, _ := chronicledb.Kernel(db).PeriodicView(name)
 		out[name] = fmt.Sprintf("live=%d created=%d expired=%d image=%s", pv.Live(), pv.Created(), pv.Expired(), hex.EncodeToString(pv.Checkpoint()))
 	}
 	return out
@@ -369,7 +369,7 @@ func TestCallFoldEqualsRowFolds(t *testing.T) {
 				if f != nil {
 					waitUntil(t, 20*time.Second, "follower catch-up", func() bool {
 						st, ok := f.ReplState()
-						return ok && st.AppliedLSN >= byCall.db.Engine().LSN()
+						return ok && st.AppliedLSN >= chronicledb.Kernel(byCall.db).LSN()
 					})
 				}
 			}
@@ -410,13 +410,13 @@ func TestCallFoldEqualsRowFolds(t *testing.T) {
 					t.Errorf("paged run never evicted or faulted (evictions %d, misses %d)", w.ViewCacheEvictions, w.ViewCacheMisses)
 				}
 			}
-			pv, _ := byCall.db.Engine().PeriodicView("windows")
+			pv, _ := chronicledb.Kernel(byCall.db).PeriodicView("windows")
 			if pv.Created() < 8 || pv.Expired() == 0 {
 				t.Errorf("windows: created %d, expired %d: no window boundary or expiry fell inside a call", pv.Created(), pv.Expired())
 			}
 
 			gotFrames, wantFrames := byCall.watched(t), byRow.watched(t)
-			for _, name := range byCall.db.Engine().Names(shard.Views) {
+			for _, name := range chronicledb.Kernel(byCall.db).Names(shard.Views) {
 				got, want := gotFrames[name], wantFrames[name]
 				if len(want) == 0 {
 					t.Errorf("WATCH %s: the one-row twin delivered no frames", name)

@@ -134,7 +134,7 @@ func TestReplConvergesUnderConcurrentCalls(t *testing.T) {
 	defer f.Close()
 	spanWorkload(t, db)
 	waitUntil(t, 30*time.Second, "follower catch-up", func() bool {
-		return f.Engine().LSN() == db.Engine().LSN()
+		return chronicledb.Kernel(f).LSN() == chronicledb.Kernel(db).LSN()
 	})
 	if got, want := spanRowsOf(t, f), spanRowsOf(t, db); got != want {
 		t.Errorf("follower rows differ from the primary's: %s", firstDiff(got, want))
@@ -224,7 +224,7 @@ func TestAppendCallIsOneRecord(t *testing.T) {
 		t.Errorf("live call: %+v, want %+v", got, want)
 	}
 	live := callRows(t, db)
-	waitUntil(t, 10*time.Second, "follower catch-up", func() bool { return f.Engine().LSN() == db.Engine().LSN() })
+	waitUntil(t, 10*time.Second, "follower catch-up", func() bool { return chronicledb.Kernel(f).LSN() == chronicledb.Kernel(db).LSN() })
 	if got := readCallCounts(t, f).since(fBefore); got != want {
 		t.Errorf("follower: %+v, want %+v", got, want)
 	}
@@ -307,7 +307,7 @@ func TestRelationRecordsReplayAtTheirLSNs(t *testing.T) {
 			t.Fatal("no relation customers")
 		}
 		var b strings.Builder
-		for lsn := range db.Engine().LSN() + 1 {
+		for lsn := range chronicledb.Kernel(db).LSN() + 1 {
 			for _, k := range []string{"a", "b"} {
 				row, ok := rel.GetAsOf(lsn, chronicledb.Tuple{chronicledb.Str(k)})
 				fmt.Fprintf(&b, "%d %s %v %v\n", lsn, k, ok, row)
@@ -316,7 +316,7 @@ func TestRelationRecordsReplayAtTheirLSNs(t *testing.T) {
 		return b.String()
 	}
 	live := versions(db)
-	waitUntil(t, 10*time.Second, "follower catch-up", func() bool { return f.Engine().LSN() == db.Engine().LSN() })
+	waitUntil(t, 10*time.Second, "follower catch-up", func() bool { return chronicledb.Kernel(f).LSN() == chronicledb.Kernel(db).LSN() })
 	if got := versions(f); got != live {
 		t.Errorf("follower's relation versions differ: %s", firstDiff(got, live))
 	}

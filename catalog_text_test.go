@@ -96,10 +96,10 @@ func TestCatalogKeepsStatementText(t *testing.T) {
 		mustExec(t, ref, s)
 		mustExec(t, db, s)
 	}
-	lsn := db.Engine().LSN()
-	waitUntil(t, 10*time.Second, "the follower's appends", func() bool { return f.Engine().LSN() == lsn })
+	lsn := chronicledb.Kernel(db).LSN()
+	waitUntil(t, 10*time.Second, "the follower's appends", func() bool { return chronicledb.Kernel(f).LSN() == lsn })
 
-	names := ref.Engine().Names(shard.Views)
+	names := chronicledb.Kernel(ref).Names(shard.Views)
 	if len(names) != len(keptDDL)-6 { // less the group, three chronicles, the relation and the periodic view
 		t.Fatalf("reference views %v", names)
 	}
@@ -107,8 +107,8 @@ func TestCatalogKeepsStatementText(t *testing.T) {
 		what string
 		db   *chronicledb.DB
 	}{{"reopened", db}, {"follower", f}} {
-		if _, ok := got.db.Engine().PeriodicView("v5"); !ok {
-			t.Errorf("%s: periodic view v5 missing", got.what)
+		if _, err := got.db.Exec(`SELECT * FROM v5`); err != nil {
+			t.Errorf("%s: periodic view v5 missing: %v", got.what, err)
 		}
 		for _, name := range names {
 			v1, _ := ref.View(name)

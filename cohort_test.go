@@ -190,21 +190,17 @@ func (s *cohortScript) want(f *refFamily) map[calendar.Interval]map[string][]int
 	return out
 }
 
-// check compares every live family of db with the reference, instance by
-// instance.
+// check compares every live family of db, read through SQL, with the
+// reference, instance by instance.
 func (s *cohortScript) check(what string, db *chronicledb.DB) {
 	s.t.Helper()
 	for _, name := range slices.Sorted(maps.Keys(s.families)) {
 		f := s.families[name]
-		pv, ok := db.Engine().PeriodicView(name)
-		if !ok {
-			s.t.Fatalf("%s: no family %s", what, name)
-		}
 		want := s.want(f)
 		got := map[calendar.Interval]map[string][]int64{}
-		for _, inst := range pv.Instances() {
+		for _, inst := range familySQL(s.t, db, name) {
 			groups := map[string][]int64{}
-			for _, row := range inst.View.Rows() {
+			for _, row := range inst.Rows {
 				vals := make([]int64, len(f.aggs))
 				for i := range vals {
 					vals[i] = row[1+i].AsInt()
@@ -241,7 +237,7 @@ func (s *cohortScript) checkShared(what string, db *chronicledb.DB) {
 	for _, members := range s.cohorts() {
 		for _, name := range members {
 			want := append([]string{name}, slices.DeleteFunc(slices.Clone(members), func(m string) bool { return m == name })...)
-			pv, _ := db.Engine().PeriodicView(name)
+			pv, _ := chronicledb.Kernel(db).PeriodicView(name)
 			got := pv.TableFamilies()
 			slices.Sort(got[1:])
 			if !slices.Equal(got, want) {
@@ -377,7 +373,7 @@ func TestCohortFoldsEachFamilyAsAlone(t *testing.T) {
 			f := openFollower(t, ts.URL, t.TempDir(), chronicledb.Options{Shards: 2})
 			waitUntil(t, 10*time.Second, "follower resync", func() bool {
 				st, ok := f.ReplState()
-				return ok && st.Resyncs > 0 && st.AppliedLSN >= db.Engine().LSN()
+				return ok && st.Resyncs > 0 && st.AppliedLSN >= chronicledb.Kernel(db).LSN()
 			})
 			s.check("on the follower", f)
 			s.checkShared("on the follower", f)
@@ -434,7 +430,7 @@ func TestFamilyReportsDuringFolds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pv, _ := db.Engine().PeriodicView("f0")
+			pv, _ := chronicledb.Kernel(db).PeriodicView("f0")
 			if pv.Expired() == 0 {
 				t.Fatal("no instance expired while the reports ran")
 			}

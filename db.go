@@ -43,6 +43,12 @@ var ErrUnsupportedLayout = errors.New("chronicledb: unsupported storage layout")
 // no setting gives meaning to (a negative count or size).
 var ErrInvalidOption = errors.New("chronicledb: invalid option")
 
+// ErrNoInstance is wrapped by a read of a periodic view FOR INTERVAL a start
+// that names no live instance: one not born yet, one expired, or a chronon
+// that starts no interval of the family's calendar. The error names the
+// family and the start; EXPLAIN VIEW lists the live intervals.
+var ErrNoInstance = errors.New("chronicledb: no live instance")
+
 // ErrNotPrimary is wrapped by every write rejected on a replica: followers
 // serve reads and apply the replication stream, and only a promotion
 // (DB.Promote, POST /promote) turns one into a writable primary.
@@ -559,7 +565,12 @@ func (db *DB) Flush() error {
 	return first
 }
 
-// Engine exposes the kernel for advanced callers (benchmarks, tests).
+// Engine exposes the kernel. Its one remaining caller is the benchmark
+// suite (benchmark/host.go:80, which reads a moving-window family's
+// instances); ROADMAP item 4 moves that read to SQL, after which Engine is
+// unexported. Every other read goes through Exec — a periodic family's
+// instances through SELECT … FROM family [FOR INTERVAL start] — and this
+// package's tests reach the kernel through an accessor of their own.
 func (db *DB) Engine() *shard.Router { return db.eng }
 
 // FeedStats snapshots the changefeed counters (zero value when feeds are
@@ -817,7 +828,12 @@ func (db *DB) Upsert(relationName string, t value.Tuple) error {
 // next ATM withdrawal" guarantee — without serializing against appends in
 // flight. The returned row is caller-owned.
 func (db *DB) Lookup(viewName string, key ...value.Value) (Row, bool, error) {
-	return db.eng.ViewLookup(viewName, value.Tuple(key))
+	v, err := db.viewNamed(viewName)
+	if err != nil {
+		return nil, false, err
+	}
+	row, ok := db.eng.ViewLookup(v, value.Tuple(key))
+	return row, ok, nil
 }
 
 // LookupRange returns the view rows whose group key is ≥ lo and < hi under
@@ -827,14 +843,17 @@ func (db *DB) Lookup(viewName string, key ...value.Value) (Row, bool, error) {
 // paged view it faults only the blocks the range overlaps. The rows are
 // caller-owned.
 func (db *DB) LookupRange(viewName string, lo, hi Tuple) ([]Row, error) {
-	return db.collect(viewName, view.Window{Lo: keyenc.AppendTuple(nil, lo), Hi: keyenc.AppendTuple(nil, hi)})
+	return db.collectNamed(viewName, view.Window{Lo: keyenc.AppendTuple(nil, lo), Hi: keyenc.AppendTuple(nil, hi)})
 }
 
 // ScanView streams a view's rows in ascending group-key order until fn
 // returns false, without materializing the result. Rows passed to fn are
 // caller-owned.
 func (db *DB) ScanView(viewName string, fn func(Row) bool) error {
-	_, err := db.eng.ViewScan(viewName, view.Window{}, fn)
+	v, err := db.viewNamed(viewName)
+	if err == nil {
+		db.eng.ViewScan(v, view.Window{}, fn)
+	}
 	return err
 }
 
@@ -842,7 +861,10 @@ func (db *DB) ScanView(viewName string, fn func(Row) bool) error {
 // fn returns false — walk from the top, stop early. Rows passed to fn are
 // caller-owned.
 func (db *DB) ScanViewDesc(viewName string, fn func(Row) bool) error {
-	_, err := db.eng.ViewScan(viewName, view.Window{Desc: true}, fn)
+	v, err := db.viewNamed(viewName)
+	if err == nil {
+		db.eng.ViewScan(v, view.Window{Desc: true}, fn)
+	}
 	return err
 }
 
@@ -854,20 +876,34 @@ func (db *DB) LatestViewRows(viewName string, n int) ([]Row, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	return db.collect(viewName, view.Window{Desc: true, Limit: n})
+	return db.collectNamed(viewName, view.Window{Desc: true, Limit: n})
 }
 
-// collect materializes one window of a view.
-func (db *DB) collect(viewName string, w view.Window) ([]Row, error) {
-	var out []Row
-	_, err := db.eng.ViewScan(viewName, w, func(t Row) bool {
-		out = append(out, t)
-		return true
-	})
+// viewNamed finds the persistent view a read method names.
+func (db *DB) viewNamed(name string) (*view.View, error) {
+	if v, ok := db.eng.View(name); ok {
+		return v, nil
+	}
+	return nil, fmt.Errorf("chronicledb: unknown view %q", name)
+}
+
+// collectNamed materializes one window of the view a read method names.
+func (db *DB) collectNamed(viewName string, w view.Window) ([]Row, error) {
+	v, err := db.viewNamed(viewName)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return db.collect(v, w), nil
+}
+
+// collect materializes one window of a view.
+func (db *DB) collect(v *view.View, w view.Window) []Row {
+	var out []Row
+	db.eng.ViewScan(v, w, func(t Row) bool {
+		out = append(out, t)
+		return true
+	})
+	return out
 }
 
 // ReadStats is the read-path counters and latency distribution.

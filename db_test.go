@@ -231,9 +231,19 @@ func TestPeriodicViewSQL(t *testing.T) {
 	if !strings.Contains(dumpResult(res), "periodic") {
 		t.Errorf("EXPLAIN periodic = %s", dumpResult(res))
 	}
-	pv, ok := db.Engine().PeriodicView("monthly")
-	if !ok || pv.Live() != 2 {
-		t.Fatalf("Live = %d", pv.Live())
+	if got := dumpResult(res); !strings.Contains(got, "(interval, [0,100))\n(interval, [100,200))\n") {
+		t.Errorf("EXPLAIN VIEW monthly lists the live intervals as\n%s", got)
+	}
+	// The family's name reads its latest instance; FOR INTERVAL names one.
+	for stmt, want := range map[string]string{
+		`SELECT * FROM monthly`:                        "(a, 7)\n",
+		`SELECT * FROM monthly FOR INTERVAL 100`:       "(a, 7)\n",
+		`SELECT * FROM monthly FOR INTERVAL 0`:         "(a, 5)\n",
+		`SELECT * FROM monthly FOR INTERVAL 0 LIMIT 0`: "",
+	} {
+		if got := dumpResult(mustExec(t, db, stmt)); got != want {
+			t.Errorf("%s = %q, want %q", stmt, got, want)
+		}
 	}
 	res = mustExec(t, db, `SHOW VIEWS`)
 	if !strings.Contains(dumpResult(res), "monthly (periodic)") {
@@ -340,17 +350,12 @@ func TestDurablePeriodicViewsSurviveCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	pv, ok := db2.Engine().PeriodicView("monthly")
-	if !ok {
-		t.Fatal("periodic view missing after recovery")
+	res := mustExec(t, db2, `SELECT * FROM monthly FOR INTERVAL 0`)
+	if got := dumpResult(res); got != "(a, 11)\n" {
+		t.Errorf("month 0 = %q, want (a, 11) (checkpoint 5 + WAL tail 6)", got)
 	}
-	insts := pv.Instances()
-	if len(insts) != 1 {
-		t.Fatalf("instances = %d", len(insts))
-	}
-	got, _ := insts[0].View.Lookup(Tuple{Str("a")})
-	if got[1].AsInt() != 11 {
-		t.Errorf("month total = %v (checkpoint 5 + WAL tail 6)", got)
+	if got := dumpResult(mustExec(t, db2, `SELECT * FROM monthly`)); got != dumpResult(res) {
+		t.Errorf("the latest instance reads %q, month 0 %q: month 0 is the only one", got, dumpResult(res))
 	}
 }
 
@@ -454,8 +459,8 @@ func TestCatalogRendersAndReplays(t *testing.T) {
 	if _, ok := db2.View("v"); !ok {
 		t.Error("view v missing after catalog replay")
 	}
-	if _, ok := db2.Engine().PeriodicView("pv"); !ok {
-		t.Error("periodic view pv missing after catalog replay")
+	if _, err := db2.Exec(`SELECT * FROM pv`); err != nil {
+		t.Errorf("periodic view pv missing after catalog replay: %v", err)
 	}
 }
 
@@ -507,9 +512,7 @@ func TestDropView(t *testing.T) {
 	// Periodic views drop too.
 	mustExec(t, db, `CREATE PERIODIC VIEW p AS SELECT acct, COUNT(*) AS n FROM calls GROUP BY acct EVERY 100`)
 	mustExec(t, db, `DROP VIEW p`)
-	if _, ok := db.Engine().PeriodicView("p"); ok {
-		t.Error("periodic view still present")
-	}
+	expectExecError(t, db, `SELECT * FROM p`, "unknown view, relation, or chronicle")
 }
 
 func TestDropViewDurable(t *testing.T) {
@@ -547,7 +550,7 @@ func TestRejectedAppendIsNotLogged(t *testing.T) {
 	if _, err := db.Exec(`APPEND INTO a VALUES (1) ALSO INTO b VALUES (2)`); err == nil || !strings.Contains(err.Error(), "belongs to group") {
 		t.Errorf("append across groups: %v", err)
 	}
-	if got := db.Engine().LSN(); got != 0 {
+	if got := db.eng.LSN(); got != 0 {
 		t.Errorf("rejected appends drew LSNs up to %d", got)
 	}
 	mustExec(t, db, `APPEND INTO a VALUES (3)`)
@@ -559,7 +562,7 @@ func TestRejectedAppendIsNotLogged(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer db.Close()
-	if got := db.Engine().LSN(); got != 1 {
+	if got := db.eng.LSN(); got != 1 {
 		t.Errorf("reopened at LSN %d, want 1", got)
 	}
 }

@@ -64,23 +64,19 @@ func main() {
 		}
 	}
 
-	// Compare the three answers for the window ending "today" (day 89).
-	pv, ok := db.Engine().PeriodicView("monthly_volume")
-	if !ok {
-		log.Fatal("periodic view missing")
-	}
-	window := calendar.Interval{Start: 60 * day, End: 90 * day} // the last full window
-	inst, ok := pv.At(window)
-	if !ok {
-		log.Fatalf("window %v has no live instance", window)
-	}
-	fmt.Printf("30-day share volume ending day 90 (window %v):\n", window)
+	// Compare the three answers for the window ending "today" (day 89): the
+	// family's instance whose interval starts on day 60, the last full window.
+	start := 60 * day
+	fmt.Printf("30-day share volume ending day 90 (window [%d,%d)):\n", start, start+30*day)
 	for _, sym := range symbols {
-		declRow, ok := inst.Lookup(chronicledb.Tuple{chronicledb.Str(sym)})
-		if !ok {
+		res, err := db.Exec(fmt.Sprintf(`SELECT * FROM monthly_volume FOR INTERVAL %d WHERE symbol = '%s'`, start, sym))
+		if err != nil {
+			log.Fatal(err)
+		}
+		if len(res.Rows) != 1 {
 			log.Fatalf("no volume for %s", sym)
 		}
-		declarative := declRow[1].AsInt()
+		declarative := res.Rows[0][1].AsInt()
 		cyclic := int64(ring.Value(sym, now))
 		reagg := naive.Value(sym, now).AsInt()
 		fmt.Printf("  %-4s declarative=%-8d cyclic-buffer=%-8d naive=%-8d\n",
@@ -90,8 +86,19 @@ func main() {
 		}
 	}
 
-	fmt.Printf("\nlive window instances: %d (expiration keeps the infinite calendar finite)\n", pv.Live())
-	fmt.Printf("windows created: %d, expired: %d\n", pv.Created(), pv.Expired())
+	// EXPLAIN VIEW counts the family's instances.
+	res, err := db.Exec(`EXPLAIN VIEW monthly_volume`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	counts := map[string]int64{}
+	for _, row := range res.Rows {
+		if row[1].Kind() == value.KindInt {
+			counts[row[0].AsString()] = row[1].AsInt()
+		}
+	}
+	fmt.Printf("\nlive window instances: %d (expiration keeps the infinite calendar finite)\n", counts["live_instances"])
+	fmt.Printf("windows created: %d, expired: %d\n", counts["created"], counts["expired"])
 }
 
 func must(db *chronicledb.DB, stmt string) {

@@ -77,19 +77,29 @@ func main() {
 			c.day, c.number, c.minutes, c.charge, s.Total, s.Discount, s.Tier+1)
 	}
 
-	// Power-on display for 555-0100 in month 2 (days 30-59).
-	pv, ok := db.Engine().PeriodicView("monthly_minutes")
-	if !ok {
-		log.Fatal("monthly_minutes missing")
-	}
+	// Both billing months are still live: SELECT … FOR INTERVAL reads the
+	// month that starts at the chronon it names (EXPLAIN VIEW lists the live
+	// intervals).
 	fmt.Println()
-	for _, inst := range pv.Instances() {
-		fmt.Printf("billing period starting day %d:\n", inst.Interval.Start/(24*3600))
-		for _, row := range inst.View.Rows() {
+	for _, start := range []int64{0, month} {
+		res, err := db.Exec(fmt.Sprintf(`SELECT * FROM monthly_minutes FOR INTERVAL %d`, start))
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("billing period starting day %d:\n", start/(24*3600))
+		for _, row := range res.Rows {
 			fmt.Printf("  %s: %d min, $%.2f over %d calls\n",
 				row[0].AsString(), row[1].AsInt(), row[2].AsFloat(), row[3].AsInt())
 		}
 	}
+
+	// Power-on display for 555-0100: the family's name alone reads the
+	// current month, the live instance that started last.
+	res, err := db.Exec(`SELECT * FROM monthly_minutes WHERE number = '555-0100'`)
+	if err != nil || len(res.Rows) != 1 {
+		log.Fatalf("current month of 555-0100: %v %v", res, err)
+	}
+	fmt.Printf("\npower-on display, 555-0100: %d min this month\n", res.Rows[0][1].AsInt())
 
 	// Customer care: lifetime minutes, answered from the persistent view.
 	row, ok, err := db.Lookup("lifetime", chronicledb.Str("555-0100"))

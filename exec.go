@@ -277,10 +277,16 @@ func (db *DB) commitDDL(stmt string) error {
 	return nil
 }
 
-// query answers SELECT * FROM <view|relation|chronicle>.
+// query answers SELECT * FROM <view|periodic view|relation|chronicle>.
 func (db *DB) query(q *sqlparse.Query) (*Result, error) {
-	if v, ok := db.eng.View(q.From); ok {
+	v, ok, err := db.resolve(q.From, q.Interval)
+	switch {
+	case err != nil:
+		return nil, err
+	case ok:
 		return db.queryView(v, q)
+	case q.Interval != nil:
+		return nil, fmt.Errorf("chronicledb: FOR INTERVAL reads a periodic view; %q is not one", q.From)
 	}
 	if r, ok := db.eng.Relation(q.From); ok {
 		rows, err := db.eng.RelationRows(q.From)
@@ -309,28 +315,58 @@ func (db *DB) query(q *sqlparse.Query) (*Result, error) {
 	return nil, fmt.Errorf("chronicledb: unknown view, relation, or chronicle %q", q.From)
 }
 
-// queryView answers a SELECT over a persistent view from the view's index:
+// resolve is the read path's one resolve step: it turns what a read names
+// into the view it reads, once per statement. A persistent view's name is
+// the view. A periodic family's name is one of its instances (Section 5.1):
+// with start, the live instance whose interval starts there — ErrNoInstance
+// when none does — and without, the live instance with the latest start, or
+// the family's empty probe while none is live. Both come from the family's
+// published list of live instances, without a lock. ok is false for a name
+// that is neither.
+func (db *DB) resolve(name string, start *int64) (v *view.View, ok bool, err error) {
+	if v, ok := db.eng.View(name); ok {
+		if start != nil {
+			return nil, true, fmt.Errorf("chronicledb: FOR INTERVAL reads a periodic view; %q is a view", name)
+		}
+		return v, true, nil
+	}
+	pv, ok := db.eng.PeriodicView(name)
+	if !ok {
+		return nil, false, nil
+	}
+	if start == nil {
+		if inst, ok := pv.Latest(); ok {
+			return inst.View, true, nil
+		}
+		return pv.Probe(), true, nil
+	}
+	if inst, ok := pv.Starting(*start); ok {
+		return inst.View, true, nil
+	}
+	return nil, true, fmt.Errorf("%w: periodic view %q has none whose interval starts at %d", ErrNoInstance, name, *start)
+}
+
+// queryView answers a SELECT over a view — a persistent view or the
+// instance of a family that resolve found — from the view's index:
 // planAccess turns the WHERE clause into a probe of one group key or a walk
 // of one key window, and the rows come from ViewLookup or the one ViewScan
 // entry. Only an ORDER BY the walk cannot deliver — a non-key column, or a
 // key column behind one the WHERE leaves open — sorts what the window
-// yields before LIMIT applies.
+// yields before LIMIT applies. LIMIT 0 reads nothing.
 func (db *DB) queryView(v *view.View, q *sqlparse.Query) (*Result, error) {
 	a, err := planAccess(v, q)
 	if err != nil {
 		return nil, err
 	}
 	var rows []Row
-	if a.point != nil {
-		row, ok, err := db.eng.ViewLookup(q.From, a.point)
-		if err != nil {
-			return nil, err
-		}
-		if ok && matchesAll(a.residual, row) {
+	switch {
+	case q.Limit == 0:
+	case a.point != nil:
+		if row, ok := db.eng.ViewLookup(v, a.point); ok && matchesAll(a.residual, row) {
 			rows = []Row{row}
 		}
-	} else if rows, err = db.collect(q.From, a.win); err != nil {
-		return nil, err
+	default:
+		rows = db.collect(v, a.win)
 	}
 	if !a.ordered {
 		rows = sortRows(rows, a.orderCol, q.OrderDesc, q.Limit)
@@ -433,7 +469,7 @@ func planAccess(v *view.View, q *sqlparse.Query) (access, error) {
 	// ascending or descending with it.
 	a.win.Desc = q.OrderBy != nil && q.OrderDesc
 	if a.ordered = orderCol <= fixed; a.ordered {
-		a.win.Limit = q.Limit
+		a.win.Limit = max(q.Limit, 0) // a window's zero Limit is no limit; LIMIT 0 reads nothing
 	}
 	return a, nil
 }
@@ -519,11 +555,11 @@ func filterRows(names []string, rows []Row, q *sqlparse.Query) (*Result, error) 
 	}
 	out := rows[:0:0]
 	for _, r := range rows {
+		if orderCol < 0 && q.Limit >= 0 && len(out) >= q.Limit {
+			break // without ORDER BY, LIMIT can stop the scan early
+		}
 		if matchesAll(preds, r) {
 			out = append(out, r)
-			if orderCol < 0 && q.Limit > 0 && len(out) >= q.Limit {
-				break // without ORDER BY, LIMIT can stop the scan early
-			}
 		}
 	}
 	if orderCol >= 0 {
@@ -532,7 +568,7 @@ func filterRows(names []string, rows []Row, q *sqlparse.Query) (*Result, error) 
 	return &Result{Columns: names, Rows: out}, nil
 }
 
-// sortRows orders rows by one column, stably, and cuts them at limit (0 =
+// sortRows orders rows by one column, stably, and cuts them at limit (-1 =
 // no limit).
 func sortRows(rows []Row, col int, desc bool, limit int) []Row {
 	sort.SliceStable(rows, func(i, j int) bool {
@@ -542,7 +578,7 @@ func sortRows(rows []Row, col int, desc bool, limit int) []Row {
 		}
 		return c < 0
 	})
-	if limit > 0 && len(rows) > limit {
+	if limit >= 0 && len(rows) > limit {
 		rows = rows[:limit]
 	}
 	return rows
@@ -561,7 +597,10 @@ func matchesAll(preds []pred.Predicate, r Row) bool {
 // path planAccess chose, what it filters with, the store it reads and, for a
 // paged store, how many of its blocks the read plans to touch.
 func (db *DB) explainQuery(q *sqlparse.Query) (*Result, error) {
-	v, ok := db.eng.View(q.From)
+	v, ok, err := db.resolve(q.From, q.Interval)
+	if err != nil {
+		return nil, err
+	}
 	if !ok {
 		return nil, fmt.Errorf("chronicledb: EXPLAIN SELECT reads views; %q is not one", q.From)
 	}
@@ -583,8 +622,8 @@ func (db *DB) explainQuery(q *sqlparse.Query) (*Result, error) {
 		} else {
 			path += " asc"
 		}
-		if a.win.Limit > 0 {
-			path += fmt.Sprintf(" limit %d", a.win.Limit)
+		if a.ordered && q.Limit >= 0 {
+			path += fmt.Sprintf(" limit %d", q.Limit)
 		}
 	}
 	residual := make([]string, len(a.residual))
@@ -609,7 +648,7 @@ func (db *DB) explainQuery(q *sqlparse.Query) (*Result, error) {
 		if q.OrderDesc {
 			order += " desc"
 		}
-		if q.Limit > 0 {
+		if q.Limit >= 0 {
 			order += fmt.Sprintf(" limit %d", q.Limit)
 		}
 		res.Rows = append(res.Rows, Row{value.Str("sort"), value.Str(order)})
@@ -648,7 +687,9 @@ func storeOf(v *view.View) string {
 	return "resident"
 }
 
-// explain describes a persistent or periodic view.
+// explain describes a persistent or periodic view; a family's description
+// ends with one interval row per live instance, in start order: the starts
+// SELECT … FOR INTERVAL names.
 func (db *DB) explain(name string) (*Result, error) {
 	if v, ok := db.eng.View(name); ok {
 		info, d := v.Info(), v.Dir()
@@ -680,7 +721,11 @@ func (db *DB) explain(name string) (*Result, error) {
 				{value.Str("groups"), value.Str(groupsOf(name, info.Tables))},
 			},
 		}
-		return db.explainShared(res, name, pv.Dir()), nil
+		res = db.explainShared(res, name, pv.Dir())
+		for _, inst := range pv.Instances() {
+			res.Rows = append(res.Rows, Row{value.Str("interval"), value.Str(inst.Interval.String())})
+		}
+		return res, nil
 	}
 	return nil, fmt.Errorf("chronicledb: unknown view %q", name)
 }

@@ -39,7 +39,7 @@ func TestFamilyRunResolvedOnce(t *testing.T) {
 	}
 	families := make([]*calendar.PeriodicView, len(aggs))
 	for i := range families {
-		families[i], _ = db.Engine().PeriodicView(fmt.Sprintf("f%d", i))
+		families[i], _ = chronicledb.Kernel(db).PeriodicView(fmt.Sprintf("f%d", i))
 	}
 	dir := families[0].Dir()
 	for _, pv := range families {
@@ -150,7 +150,7 @@ func TestFamilyCallFoldEqualsRowFolds(t *testing.T) {
 	for i := range tuples {
 		tuples[i] = chronicledb.Tuple{chronicledb.Str(fmt.Sprintf("run%d_%02d", i/10, i%10)), chronicledb.Int(int64(50 + i))}
 	}
-	pv, _ := byCall.db.Engine().PeriodicView("big_windows")
+	pv, _ := chronicledb.Kernel(byCall.db).PeriodicView("big_windows")
 	appendBoth(tuples[:1]) // opens the instance before the counted call
 	inst, ok := pv.At(calendar.Interval{Start: start, End: start + 140})
 	if !ok {
@@ -247,7 +247,7 @@ func TestFamilyAndViewShareADirectory(t *testing.T) {
 						same(what+": usage", familyQuery(t, db, "SELECT * FROM usage").Rows, sums(0, last+1))
 						continue
 					}
-					pv, ok := db.Engine().PeriodicView("windows")
+					pv, ok := chronicledb.Kernel(db).PeriodicView("windows")
 					if !ok {
 						t.Fatalf("%s: no family windows", what)
 					}
@@ -304,7 +304,7 @@ func TestFamilyAndViewShareADirectory(t *testing.T) {
 			f := openFollower(t, ts.URL, t.TempDir(), chronicledb.Options{Shards: 2})
 			waitUntil(t, 10*time.Second, "follower resync", func() bool {
 				st, ok := f.ReplState()
-				return ok && st.Resyncs > 0 && st.AppliedLSN >= db.Engine().LSN()
+				return ok && st.Resyncs > 0 && st.AppliedLSN >= chronicledb.Kernel(db).LSN()
 			})
 			check("on the follower", f, "usage", "windows")
 			f.Close()
@@ -351,8 +351,8 @@ func TestExpiringFamilyKeysStayBounded(t *testing.T) {
 	mustExec(t, db, `CREATE VIEW usage AS SELECT acct, SUM(minutes) AS total FROM calls GROUP BY acct`)
 	mustExec(t, db, `CREATE PERIODIC VIEW kept AS SELECT acct, SUM(minutes) AS total FROM calls GROUP BY acct EVERY 100`)
 	mustExec(t, db, `CREATE PERIODIC VIEW expiring AS SELECT acct, SUM(minutes) AS total FROM calls GROUP BY acct EVERY 100 EXPIRE 0`)
-	kept, _ := db.Engine().PeriodicView("kept")
-	expiring, _ := db.Engine().PeriodicView("expiring")
+	kept, _ := chronicledb.Kernel(db).PeriodicView("kept")
+	expiring, _ := chronicledb.Kernel(db).PeriodicView("expiring")
 	if expiring.Dir() != nil {
 		t.Fatalf("the expiring family shares directory %s", expiring.Dir().Name())
 	}

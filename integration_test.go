@@ -2,6 +2,7 @@ package chronicledb
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -157,18 +158,14 @@ func TestFullScenario(t *testing.T) {
 	if row[1].AsInt() != 1000 {
 		t.Errorf("nj_miles = %v (only the pre-move flight qualifies)", row)
 	}
-	pv, ok := db2.Engine().PeriodicView("quarterly")
-	if !ok {
-		t.Fatal("quarterly missing")
+	res := mustExec(t, db2, `EXPLAIN VIEW quarterly`)
+	if got := dumpResult(res); !strings.HasSuffix(got, "(interval, [0,100))\n(interval, [100,200))\n") {
+		t.Fatalf("quarters:\n%s", got)
 	}
-	insts := pv.Instances()
-	if len(insts) != 2 {
-		t.Fatalf("quarters = %d", len(insts))
-	}
-	q0, _ := insts[0].View.Lookup(Tuple{Str("p1")})
-	q1, _ := insts[1].View.Lookup(Tuple{Str("p1")})
-	if q0[1].AsInt() != 3000 || q1[1].AsInt() != 400 {
-		t.Errorf("quarters = %v / %v", q0, q1)
+	q0 := dumpResult(mustExec(t, db2, `SELECT * FROM quarterly FOR INTERVAL 0 WHERE acct = 'p1'`))
+	q1 := dumpResult(mustExec(t, db2, `SELECT * FROM quarterly FOR INTERVAL 100 WHERE acct = 'p1'`))
+	if q0 != "(p1, 3000)\n" || q1 != "(p1, 400)\n" {
+		t.Errorf("quarters = %q / %q", q0, q1)
 	}
 }
 

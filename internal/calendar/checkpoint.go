@@ -87,6 +87,7 @@ func (p *PeriodicView) RestoreCheckpoint(data []byte) error {
 		v.Leave()
 	}
 	p.instances = instances
+	p.publishLive()
 	// The cohort's members restore images of one high-water chronon, or an
 	// earlier image before a later one of a chain.
 	p.co.maxSeen = max(p.co.maxSeen, maxSeen)

@@ -1,9 +1,11 @@
 package calendar
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"chronicledb/internal/algebra"
 	"chronicledb/internal/chronicle"
@@ -41,12 +43,21 @@ type PeriodicView struct {
 	expireAfter int64     // chronons past interval end; <0 keeps instances forever
 	co          *cohort
 
+	// instances is maintenance's own map of the live instances, which only
+	// the writer touches. live is what readers see: the same instances as an
+	// immutable list sorted by interval, published through an atomic pointer
+	// when an instance is born or expires (stale) and the call publishes.
 	instances map[Interval]*view.View
-	dirty     []*view.View // instances folded into since the last Publish
-	owed      bool         // a Fold has reported dirty instances the last Publish has not published
-	created   int64
-	expired   int64
-	applies   int64 // maintenance invocations; the checkpoint dirty marker
+	live      atomic.Pointer[[]InstanceInfo]
+	stale     bool
+	// probe is an empty view of the family's definition, never folded into:
+	// what a read of the family finds while no instance is live.
+	probe   *view.View
+	dirty   []*view.View // instances folded into since the last Publish
+	owed    bool         // a Fold has reported something the last Publish has not published
+	created int64
+	expired int64
+	applies int64 // maintenance invocations; the checkpoint dirty marker
 }
 
 // cohort is the families whose instances of one interval can share a table:
@@ -81,10 +92,11 @@ func NewPeriodicView(name string, def view.Def, cal Calendar, expireAfter int64,
 		d = view.NewDir(name)
 		d.Acquire()
 	}
-	// Validate the definition once by instantiating a throwaway view.
-	probe := def
-	probe.Name = name + "[probe]"
-	if _, err := view.NewIn(probe, d); err != nil {
+	// Validate the definition once by instantiating the probe.
+	probeDef := def
+	probeDef.Name = name + "[probe]"
+	probe, err := view.NewIn(probeDef, d)
+	if err != nil {
 		return nil, fmt.Errorf("calendar: periodic view %s: %w", name, err)
 	}
 	p := &PeriodicView{
@@ -94,7 +106,9 @@ func NewPeriodicView(name string, def view.Def, cal Calendar, expireAfter int64,
 		dir:         d,
 		expireAfter: expireAfter,
 		instances:   make(map[Interval]*view.View),
+		probe:       probe,
 	}
+	p.live.Store(new([]InstanceInfo))
 	p.co = &cohort{members: []*PeriodicView{p}, cal: cal, expireAfter: expireAfter}
 	return p, nil
 }
@@ -169,8 +183,8 @@ func (p *PeriodicView) Calendar() Calendar { return p.cal }
 // instance is discarded; negative keeps every instance.
 func (p *PeriodicView) ExpireAfter() int64 { return p.expireAfter }
 
-// Live returns the number of live instances.
-func (p *PeriodicView) Live() int { return len(p.instances) }
+// Live returns the number of live instances, as last published.
+func (p *PeriodicView) Live() int { return len(*p.live.Load()) }
 
 // Created returns the number of instances ever created.
 func (p *PeriodicView) Created() int64 { return p.created }
@@ -195,7 +209,9 @@ func (p *PeriodicView) Apply(d algebra.BatchDelta) error {
 }
 
 // Publish makes the rows folded since the last Publish visible to the
-// instances' readers, each instance once.
+// instances' readers, each instance once, and then, when an instance was
+// born or expired since, the list of live instances: a reader that finds an
+// instance in the list finds its rows published.
 func (p *PeriodicView) Publish() {
 	for i, inst := range p.dirty {
 		inst.Publish()
@@ -203,6 +219,25 @@ func (p *PeriodicView) Publish() {
 	}
 	p.dirty = p.dirty[:0]
 	p.owed = false
+	if p.stale {
+		p.publishLive()
+	}
+}
+
+// publishLive publishes the instances map as the sorted list readers see.
+func (p *PeriodicView) publishLive() {
+	list := make([]InstanceInfo, 0, len(p.instances))
+	for iv, v := range p.instances {
+		list = append(list, InstanceInfo{Interval: iv, View: v})
+	}
+	slices.SortFunc(list, func(a, b InstanceInfo) int { return compareIntervals(a.Interval, b.Interval) })
+	p.live.Store(&list)
+	p.stale = false
+}
+
+// compareIntervals orders intervals by start, then by end.
+func compareIntervals(a, b Interval) int {
+	return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.End, b.End))
 }
 
 // Fold routes the rows of one append call to every view instance whose
@@ -230,14 +265,15 @@ func (p *PeriodicView) Publish() {
 //
 // The family's cohort folds the round for every member the first time one
 // of them is folded in it; the other members' Folds of that round find it
-// done. Nothing becomes visible to readers until Publish; first reports that
-// this fold is the first since the last Publish to leave something to
-// publish.
+// done. Nothing becomes visible to readers until Publish — neither folded
+// rows nor an instance born or expired; first reports that this fold is the
+// first since the last Publish to leave something to publish.
 func (p *PeriodicView) Fold(round uint64, d algebra.BatchDelta, delta []chronicle.Row) (first bool, err error) {
 	p.applies++
 	err = p.co.fold(round, d, delta)
-	first = !p.owed && len(p.dirty) > 0
-	p.owed = len(p.dirty) > 0
+	owed := len(p.dirty) > 0 || p.stale
+	first = !p.owed && owed
+	p.owed = owed
 	return first, err
 }
 
@@ -324,6 +360,7 @@ func (c *cohort) birth(iv Interval) error {
 			return fmt.Errorf("calendar: %s: %w", m.name, err)
 		}
 		m.instances[iv] = v
+		m.stale = true
 		m.created++
 	}
 	return nil
@@ -401,24 +438,66 @@ func (c *cohort) expire() {
 		for iv := range m.instances {
 			if iv.End+c.expireAfter <= c.maxSeen {
 				delete(m.instances, iv)
+				m.stale = true
 				m.expired++
 			}
 		}
 	}
 }
 
+// Reads. At, Starting, Latest, Instances and Live read the published list
+// of live instances without a lock, while maintenance runs: they see the
+// instances of the last published call.
+
 // At returns the live instance for an interval.
 func (p *PeriodicView) At(iv Interval) (*view.View, bool) {
-	v, ok := p.instances[iv]
-	return v, ok
+	list := *p.live.Load()
+	i, ok := slices.BinarySearchFunc(list, iv, func(e InstanceInfo, iv Interval) int { return compareIntervals(e.Interval, iv) })
+	if !ok {
+		return nil, false
+	}
+	return list[i].View, true
 }
+
+// Starting returns the live instance whose interval starts at start (of two
+// that start there, the one that ends first): a start names one instance
+// even where a chronon lies in several.
+func (p *PeriodicView) Starting(start int64) (InstanceInfo, bool) {
+	return starting(*p.live.Load(), start)
+}
+
+// Latest returns the live instance with the latest interval start (of two
+// that start there, the one that ends first); ok is false while no instance
+// is live.
+func (p *PeriodicView) Latest() (InstanceInfo, bool) {
+	list := *p.live.Load()
+	if len(list) == 0 {
+		return InstanceInfo{}, false
+	}
+	return starting(list, list[len(list)-1].Interval.Start)
+}
+
+// starting finds the first instance of a published list whose interval
+// starts at start.
+func starting(list []InstanceInfo, start int64) (InstanceInfo, bool) {
+	i, ok := slices.BinarySearchFunc(list, start, func(e InstanceInfo, s int64) int { return cmp.Compare(e.Interval.Start, s) })
+	if !ok {
+		return InstanceInfo{}, false
+	}
+	return list[i], true
+}
+
+// Probe returns an empty view of the family's definition, never folded
+// into: its schema is every instance's, and a read of the family while no
+// instance is live reads it.
+func (p *PeriodicView) Probe() *view.View { return p.probe }
 
 // ActiveAt returns the live instances whose interval contains ch, in
 // ascending interval order.
 func (p *PeriodicView) ActiveAt(ch int64) []*view.View {
 	var out []*view.View
 	for _, iv := range p.cal.IntervalsAt(ch) {
-		if v, ok := p.instances[iv]; ok {
+		if v, ok := p.At(iv); ok {
 			out = append(out, v)
 		}
 	}
@@ -426,14 +505,9 @@ func (p *PeriodicView) ActiveAt(ch int64) []*view.View {
 }
 
 // Instances returns all live instances with their intervals, sorted by
-// interval start (for reporting).
+// interval start (then end). The slice is the caller's.
 func (p *PeriodicView) Instances() []InstanceInfo {
-	out := make([]InstanceInfo, 0, len(p.instances))
-	for iv, v := range p.instances {
-		out = append(out, InstanceInfo{Interval: iv, View: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Interval.Start < out[j].Interval.Start })
-	return out
+	return slices.Clone(*p.live.Load())
 }
 
 // InstanceInfo pairs a live view instance with its interval.

@@ -426,3 +426,69 @@ func TestCohortImageIsTheFamilys(t *testing.T) {
 		}
 	}
 }
+
+// TestInstancesPublishWithTheCall: a fold that bears or expires an instance
+// changes nothing a reader of the family sees until Publish, which then
+// shows the new instance list and the instances' rows together; a fold into
+// live instances only publishes their rows and keeps the list it had.
+func TestInstancesPublishWithTheCall(t *testing.T) {
+	f := newPVFixture(t)
+	cal, _ := NewPeriodic(0, 100, 100)
+	pv, err := NewPeriodicView("v", f.viewDef(), cal, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold := func(ch, minutes int64) (first bool) {
+		t.Helper()
+		d := f.append(t, ch, "a", minutes)
+		first, err := pv.Fold(0, d, algebra.Delta(pv.Def().Expr, d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return first
+	}
+	latest := func(want Interval, total int64) {
+		t.Helper()
+		inst, ok := pv.Latest()
+		if !ok || inst.Interval != want {
+			t.Fatalf("Latest = %v, %v, want %v", inst.Interval, ok, want)
+		}
+		if got, ok := pv.Starting(want.Start); !ok || got != inst {
+			t.Errorf("Starting(%d) = %v, %v, want the latest instance", want.Start, got.Interval, ok)
+		}
+		if row, ok := inst.View.Lookup(value.Tuple{value.Str("a")}); !ok || row[1].AsInt() != total {
+			t.Errorf("%s reads %v, %v, want a total of %d", want, row, ok, total)
+		}
+	}
+
+	if !fold(10, 1) {
+		t.Error("a fold that bore an instance left nothing to publish")
+	}
+	if _, ok := pv.Latest(); ok || pv.Live() != 0 || len(pv.Instances()) != 0 {
+		t.Errorf("an instance is visible before the call publishes: %d live", pv.Live())
+	}
+	pv.Publish()
+	latest(Interval{0, 100}, 1)
+	list := pv.live.Load()
+
+	fold(20, 2)
+	pv.Publish()
+	latest(Interval{0, 100}, 3)
+	if pv.live.Load() != list {
+		t.Error("a fold into a live instance republished the instance list")
+	}
+
+	fold(150, 4) // bears [100,200) and expires [0,100)
+	latest(Interval{0, 100}, 3)
+	pv.Publish()
+	latest(Interval{100, 200}, 4)
+	if _, ok := pv.At(Interval{0, 100}); ok || pv.Live() != 1 {
+		t.Errorf("the expired instance is still listed: %d live", pv.Live())
+	}
+	if _, ok := pv.Starting(0); ok {
+		t.Error("Starting(0) found the expired instance")
+	}
+	if _, ok := pv.Starting(150); ok {
+		t.Error("Starting(150) found an instance: 150 starts no interval")
+	}
+}

@@ -118,11 +118,38 @@ func readCatalog(t *testing.T, r *Router, c, g string) {
 
 // readEverything runs every read shape of the router against readCatalog's
 // objects: name resolution of every kind, lookups and every window of the
-// one scan entry on both views, and the chronicle and relation rows.
+// one scan entry on both views and on the family's latest instance and its
+// instance found by interval and by start, and the chronicle and relation
+// rows.
 func readEverything(t *testing.T, r *Router, c, g string) {
+	var views []*view.View
 	for _, name := range []string{"usage", "usage_hash"} {
-		if _, ok, err := r.ViewLookup(name, value.Tuple{value.Str("acct1")}); err != nil || !ok {
-			t.Errorf("%s: ViewLookup = %v, %v", name, ok, err)
+		v, ok := r.View(name)
+		if !ok {
+			t.Fatalf("no view %s", name)
+		}
+		views = append(views, v)
+	}
+	monthly, ok := r.PeriodicView("monthly")
+	if !ok {
+		t.Fatal("PeriodicView lookup failed")
+	}
+	latest, ok := monthly.Latest()
+	if !ok {
+		t.Fatal("monthly has no live instance")
+	}
+	if inst, ok := monthly.Starting(latest.Interval.Start); !ok || inst != latest {
+		t.Errorf("Starting(%d) = %v, %v, want the latest instance %v", latest.Interval.Start, inst, ok, latest)
+	}
+	if v, ok := monthly.At(latest.Interval); !ok || v != latest.View {
+		t.Errorf("At(%s) = %v, %v", latest.Interval, v, ok)
+	}
+	if n := monthly.Live(); n == 0 || len(monthly.Instances()) != n {
+		t.Errorf("Live = %d, Instances = %d", n, len(monthly.Instances()))
+	}
+	for _, v := range append(views, latest.View) {
+		if _, ok := r.ViewLookup(v, value.Tuple{value.Str("acct1")}); !ok {
+			t.Errorf("%s: ViewLookup found nothing", v.Name())
 		}
 		for _, w := range []view.Window{
 			{},
@@ -131,8 +158,8 @@ func readEverything(t *testing.T, r *Router, c, g string) {
 			{Lo: keyenc.AppendValue(nil, value.Str("a")), Desc: true, Limit: 1},
 		} {
 			rows := 0
-			if _, err := r.ViewScan(name, w, func(value.Tuple) bool { rows++; return true }); err != nil || rows != 1 {
-				t.Errorf("%s: ViewScan(%+v) = %d rows, %v", name, w, rows, err)
+			if r.ViewScan(v, w, func(value.Tuple) bool { rows++; return true }); rows != 1 {
+				t.Errorf("%s: ViewScan(%+v) = %d rows", v.Name(), w, rows)
 			}
 		}
 	}
@@ -361,30 +388,30 @@ func TestSerializedReadAccessors(t *testing.T) {
 	appendTx(r, "calls", []value.Tuple{{value.Str("a"), value.Int(5)}})
 	appendTx(r, "calls", []value.Tuple{{value.Str("b"), value.Int(7)}})
 
-	row, ok, err := r.ViewLookup("usage", value.Tuple{value.Str("a")})
-	if err != nil || !ok || row[1].AsInt() != 5 {
-		t.Errorf("ViewLookup = %v %v %v", row, ok, err)
+	usage, ok := r.View("usage")
+	if !ok {
+		t.Fatal("no view usage")
 	}
-	if _, _, err := r.ViewLookup("ghost", nil); err == nil {
-		t.Error("unknown view lookup accepted")
+	if _, ok := r.View("ghost"); ok {
+		t.Error("unknown view resolved")
 	}
-	if _, _, err := r.ViewLookup("calls", nil); err == nil {
-		t.Error("lookup of a chronicle accepted")
+	if _, ok := r.View("calls"); ok {
+		t.Error("a chronicle resolved as a view")
 	}
-	scan := func(name string, w view.Window) (rows []value.Tuple, err error) {
-		_, err = r.ViewScan(name, w, func(t value.Tuple) bool { rows = append(rows, t); return true })
-		return rows, err
+	row, ok := r.ViewLookup(usage, value.Tuple{value.Str("a")})
+	if !ok || row[1].AsInt() != 5 {
+		t.Errorf("ViewLookup = %v %v", row, ok)
 	}
-	rows, err := scan("usage", view.Window{})
-	if err != nil || len(rows) != 2 {
-		t.Errorf("ViewScan = %v %v", rows, err)
+	scan := func(w view.Window) (rows []value.Tuple) {
+		r.ViewScan(usage, w, func(t value.Tuple) bool { rows = append(rows, t); return true })
+		return rows
 	}
-	ranged, err := scan("usage", view.Window{Lo: keyenc.AppendValue(nil, value.Str("a")), Hi: keyenc.AppendValue(nil, value.Str("b"))})
-	if err != nil || len(ranged) != 1 || ranged[0][0].AsString() != "a" {
-		t.Errorf("ViewScan [a, b) = %v %v", ranged, err)
+	if rows := scan(view.Window{}); len(rows) != 2 {
+		t.Errorf("ViewScan = %v", rows)
 	}
-	if _, err := scan("ghost", view.Window{}); err == nil {
-		t.Error("unknown ViewScan accepted")
+	ranged := scan(view.Window{Lo: keyenc.AppendValue(nil, value.Str("a")), Hi: keyenc.AppendValue(nil, value.Str("b"))})
+	if len(ranged) != 1 || ranged[0][0].AsString() != "a" {
+		t.Errorf("ViewScan [a, b) = %v", ranged)
 	}
 	crows, err := r.ChronicleRows("calls")
 	if err != nil || len(crows) != 2 {

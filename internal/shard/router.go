@@ -683,43 +683,37 @@ func ownedRow(v *view.View, t value.Tuple) value.Tuple {
 	return t
 }
 
-// ViewLookup answers a summary query from a persistent view by group key,
+// ViewLookup answers a summary query by group key from a view the caller
+// resolved — a persistent view, or an instance of a periodic family —
 // against the view's latest publication.
-func (r *Router) ViewLookup(name string, key value.Tuple) (value.Tuple, bool, error) {
+func (r *Router) ViewLookup(v *view.View, key value.Tuple) (value.Tuple, bool) {
 	start := time.Now()
-	v, ok := r.View(name)
-	if !ok {
-		return nil, false, fmt.Errorf("engine: unknown view %q", name)
-	}
 	row, found := v.Lookup(key)
 	if found {
 		row = ownedRow(v, row)
 	}
 	r.readLookups.Add(1)
 	r.readLat.Observe(time.Since(start))
-	return row, found, nil
+	return row, found
 }
 
 // ViewScan is the one scan entry of the read path: it streams the rows of
-// the window w of a view — a key range, a direction, a limit and a residual
-// filter, the zero Window being the whole view in group-key order — until fn
-// returns false, and returns the LSN of the publication the rows were read
-// from. All rows of one call come from that one publication; the
+// the window w of a view the caller resolved — a persistent view, or an
+// instance of a periodic family — a key range, a direction, a limit and a
+// residual filter, the zero Window being the whole view in group-key order,
+// until fn returns false, and returns the LSN of the publication the rows
+// were read from. All rows of one call come from that one publication; the
 // changefeed's snapshot catch-up splices on the LSN (deltas at or below it
 // are reflected in the rows fn saw). Tuples passed to fn are caller-owned;
 // the tuple w.Keep sees is not.
-func (r *Router) ViewScan(name string, w view.Window, fn func(value.Tuple) bool) (uint64, error) {
+func (r *Router) ViewScan(v *view.View, w view.Window, fn func(value.Tuple) bool) uint64 {
 	start := time.Now()
-	v, ok := r.View(name)
-	if !ok {
-		return 0, fmt.Errorf("engine: unknown view %q", name)
-	}
 	lsn := v.Scan(w, func(t value.Tuple) bool {
 		return fn(ownedRow(v, t))
 	})
 	r.readScans.Add(1)
 	r.readLat.Observe(time.Since(start))
-	return lsn, nil
+	return lsn
 }
 
 // ChronicleRows copies a chronicle's retained window under the chronicle's

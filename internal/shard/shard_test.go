@@ -108,9 +108,10 @@ func TestRouterBasics(t *testing.T) {
 	if _, err := appendTx(r, "nope", nil); err == nil {
 		t.Error("append to unknown chronicle accepted")
 	}
-	row, ok, err := r.ViewLookup("usage", value.Tuple{value.Str("alice")})
-	if err != nil || !ok || row[1].AsInt() != 10 {
-		t.Fatalf("ViewLookup = %v %v %v", row, ok, err)
+	usage, _ := r.View("usage")
+	row, ok := r.ViewLookup(usage, value.Tuple{value.Str("alice")})
+	if !ok || row[1].AsInt() != 10 {
+		t.Fatalf("ViewLookup = %v %v", row, ok)
 	}
 	var appends int64
 	r.Each(func(_ int, e *engine.Engine) { appends += e.Counters().Appends })

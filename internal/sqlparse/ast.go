@@ -150,15 +150,18 @@ type Delete struct {
 	Key      []value.Value
 }
 
-// Query is "SELECT * FROM view-or-relation [WHERE boolexpr]
-// [ORDER BY col [DESC]] [LIMIT n]".
+// Query is "SELECT * FROM name [FOR INTERVAL start] [WHERE boolexpr]
+// [ORDER BY col [DESC]] [LIMIT n]", name a view, a periodic view, a
+// relation or a chronicle. FOR INTERVAL names the instance of a periodic
+// view whose interval starts at start.
 type Query struct {
 	source
 	From      string
+	Interval  *int64 // FOR INTERVAL's start; nil: the latest instance
 	Where     *BoolExpr
 	OrderBy   *ColRef // nil = storage order
 	OrderDesc bool
-	Limit     int // 0 = unlimited
+	Limit     int // -1 = no LIMIT
 }
 
 // DropView is "DROP VIEW name" (persistent or periodic).

@@ -35,6 +35,7 @@ func FuzzParse(f *testing.F) {
 		"-- before; don't\nCREATE VIEW v AS SELECT a, -- inside; it's\n COUNT(*) FROM c GROUP BY a -- after; done\n;\n-- end",
 		"SELECT * FROM v; -- don't; SELECT * FROM w",
 		"WATCH v FROM LSN 7 LIMIT 2; SELECT * FROM v WHERE a <> 1",
+		"SELECT * FROM mw FOR INTERVAL 20 WHERE a > 'k' ORDER BY a DESC LIMIT 0; EXPLAIN SELECT * FROM mw FOR INTERVAL -10",
 	}
 	for _, s := range seeds {
 		f.Add(s)

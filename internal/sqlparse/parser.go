@@ -798,7 +798,17 @@ func (p *parser) query() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := &Query{From: name}
+	q := &Query{From: name, Limit: -1}
+	if p.eatKeyword("FOR") {
+		if err := p.expectKeyword("INTERVAL"); err != nil {
+			return nil, err
+		}
+		start, err := p.int64Tok("FOR INTERVAL")
+		if err != nil {
+			return nil, err
+		}
+		q.Interval = &start
+	}
 	if p.eatKeyword("WHERE") {
 		be, err := p.boolExpr()
 		if err != nil {

@@ -298,11 +298,22 @@ func TestParseQuery(t *testing.T) {
 		t.Errorf("%+v", q)
 	}
 	s = parseOne(t, "SELECT * FROM balances")
-	if q := s.(*Query); q.Where != nil || q.Limit != 0 {
-		t.Errorf("%+v", q)
+	if q := s.(*Query); q.Where != nil || q.Limit != -1 || q.Interval != nil {
+		t.Errorf("no LIMIT: %+v", q)
+	}
+	// LIMIT 0 is a limit of no rows, not the absence of one.
+	if q := parseOne(t, "SELECT * FROM balances ORDER BY acct DESC LIMIT 0").(*Query); q.Limit != 0 {
+		t.Errorf("LIMIT 0: %+v", q)
+	}
+	q = parseOne(t, "SELECT * FROM mw FOR INTERVAL -20 WHERE acct = 'a' LIMIT 2").(*Query)
+	if q.From != "mw" || q.Interval == nil || *q.Interval != -20 || q.Where == nil || q.Limit != 2 {
+		t.Errorf("FOR INTERVAL: %+v", q)
 	}
 	expectParseError(t, "SELECT acct FROM balances", "SELECT *")
 	expectParseError(t, "SELECT * FROM v LIMIT -1", "")
+	expectParseError(t, "SELECT * FROM mw FOR 10", "expected INTERVAL")
+	expectParseError(t, "SELECT * FROM mw FOR INTERVAL 'a'", "FOR INTERVAL needs a number")
+	expectParseError(t, "SELECT * FROM mw WHERE acct = 'a' FOR INTERVAL 10", "")
 }
 
 func TestParseExplainShow(t *testing.T) {

@@ -56,7 +56,7 @@ func createSwapped(t *testing.T, db *chronicledb.DB) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Engine().CreateView(view.Def{
+	if _, err := chronicledb.Kernel(db).CreateView(view.Def{
 		Name: "swapped", Expr: swapped, Mode: view.SummarizeGroupBy, GroupCols: []int{1},
 		Aggs: []aggregate.Spec{{Func: aggregate.Sum, Col: 0, Name: "total"}, {Func: aggregate.Count, Col: -1, Name: "n"}},
 	}); err != nil {
@@ -143,7 +143,7 @@ func testOneKeyDirectory(t *testing.T, shards int, durable bool) {
 	}
 	check := func(what string) {
 		t.Helper()
-		names := db.Engine().Names(shard.Views)
+		names := chronicledb.Kernel(db).Names(shard.Views)
 		for _, name := range names {
 			rv, ok := ref.View(name)
 			if !ok {
@@ -157,23 +157,22 @@ func testOneKeyDirectory(t *testing.T, shards int, durable bool) {
 				t.Errorf("%s: %s\n%v\nits reference fold\n%v", what, name, got, lines(want))
 			}
 		}
-		pv, _ := db.Engine().PeriodicView("w")
-		rpv, _ := ref.Engine().PeriodicView("w")
+		got := familySQL(t, db, "w")
+		rpv, _ := chronicledb.Kernel(ref).PeriodicView("w")
 		evaluated, err := algebra.Evaluate(rpv.Def().Expr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pv.Live() != rpv.Live() {
-			t.Errorf("%s: w has %d live instances, the reference %d", what, pv.Live(), rpv.Live())
+		if len(got) != rpv.Live() {
+			t.Errorf("%s: w has %d live instances, the reference %d", what, len(got), rpv.Live())
 		}
-		for _, inst := range rpv.Instances() {
-			got, ok := pv.At(inst.Interval)
-			if !ok {
+		for i, inst := range rpv.Instances() {
+			if i >= len(got) || got[i].Interval != inst.Interval {
 				t.Errorf("%s: w has no instance %v", what, inst.Interval)
 				continue
 			}
-			if want := intervalFold(t, rpv.Def(), evaluated, inst.Interval); !slices.Equal(lines(got.Rows()), lines(want)) {
-				t.Errorf("%s: w%v\n%v\nits reference fold\n%v", what, inst.Interval, got.Rows(), want)
+			if want := intervalFold(t, rpv.Def(), evaluated, inst.Interval); !slices.Equal(lines(got[i].Rows), lines(want)) {
+				t.Errorf("%s: w%v\n%v\nits reference fold\n%v", what, inst.Interval, got[i].Rows, want)
 			}
 		}
 
@@ -354,7 +353,7 @@ func TestEngineViewsStayOutOfCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Engine().CreatePeriodicView("fam", view.Def{
+	if _, err := chronicledb.Kernel(db).CreatePeriodicView("fam", view.Def{
 		Name: "fam", Expr: algebra.NewScan(calls), Mode: view.SummarizeGroupBy, GroupCols: []int{0},
 		Aggs: []aggregate.Spec{{Func: aggregate.Count, Col: -1, Name: "n"}},
 	}, cal, 0); err != nil {
@@ -372,13 +371,9 @@ func TestEngineViewsStayOutOfCheckpoints(t *testing.T) {
 	}
 	want := sortedRows(t, db, "usage")
 	family := func(db *chronicledb.DB) string {
-		pv, ok := db.Engine().PeriodicView("w")
-		if !ok {
-			return "no family w"
-		}
 		var b strings.Builder
-		for _, inst := range pv.Instances() {
-			fmt.Fprintln(&b, inst.Interval, inst.View.Rows())
+		for _, inst := range familySQL(t, db, "w") {
+			fmt.Fprintln(&b, inst.Interval, inst.Rows)
 		}
 		return b.String()
 	}
@@ -399,7 +394,7 @@ func TestEngineViewsStayOutOfCheckpoints(t *testing.T) {
 	if _, ok := db.View("swapped"); ok {
 		t.Error("swapped came back without a catalog statement")
 	}
-	if _, ok := db.Engine().PeriodicView("fam"); ok {
+	if _, err := db.Exec(`SELECT * FROM fam`); err == nil {
 		t.Error("fam came back without a catalog statement")
 	}
 }

@@ -603,7 +603,7 @@ func callVisViews(t *testing.T, db *chronicledb.DB) map[string]*view.View {
 		}
 		out[name] = v
 	}
-	pv, ok := db.Engine().PeriodicView("usage_p")
+	pv, ok := chronicledb.Kernel(db).PeriodicView("usage_p")
 	if !ok || pv.Live() != 1 {
 		t.Fatalf("periodic family usage_p: found %v, want one live instance", ok)
 	}
@@ -1037,7 +1037,7 @@ func TestPushdownEqualsFilterOverFullScan(t *testing.T) {
 					}
 				}
 				if rng.Intn(2) == 0 {
-					q += fmt.Sprintf(" LIMIT %d", []int{1, 3, 10, 50}[rng.Intn(4)])
+					q += fmt.Sprintf(" LIMIT %d", []int{0, 1, 3, 10, 50}[rng.Intn(5)])
 				}
 				return q
 			}
@@ -1052,6 +1052,9 @@ func TestPushdownEqualsFilterOverFullScan(t *testing.T) {
 				"SELECT * FROM %s WHERE k0 = 3 ORDER BY k0 DESC",
 				"SELECT * FROM %s WHERE k0 >= 1 AND k0 <= 3.0 AND n > 0 ORDER BY n DESC LIMIT 10",
 				"SELECT * FROM %s WHERE k0 != 2 ORDER BY k0 LIMIT 10",
+				"SELECT * FROM %s LIMIT 0",
+				"SELECT * FROM %s WHERE k0 >= 1 ORDER BY n DESC LIMIT 0",
+				"SELECT * FROM %s WHERE k0 = 3 LIMIT 0",
 			}
 			pushed := 0
 			for i := 0; i < 150+len(fixed); i++ {
@@ -1131,10 +1134,56 @@ func filterOverFullScan(t *testing.T, db *chronicledb.DB, sql string) []chronicl
 			return c < 0 && !q.OrderDesc || c > 0 && q.OrderDesc
 		})
 	}
+	if q.Limit == 0 {
+		return nil // a read of no rows returns none, as one that matched none does
+	}
 	if q.Limit > 0 && len(out) > q.Limit {
 		out = out[:q.Limit]
 	}
 	return out
+}
+
+// TestLimitZeroReadsNothing: LIMIT 0 is a limit of no rows over every kind
+// of object a SELECT reads — a view (walked in either direction, probed, or
+// sorted), a periodic family's instance, a relation and a chronicle — and
+// not the absence of a limit.
+func TestLimitZeroReadsNothing(t *testing.T) {
+	db, err := chronicledb.Open(chronicledb.Options{Clock: func() int64 { return 5 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, stmt := range []string{
+		`CREATE CHRONICLE calls (acct STRING, minutes INT) RETAIN ALL`,
+		`CREATE RELATION rates (acct STRING, rate INT, KEY(acct))`,
+		`CREATE VIEW usage AS SELECT acct, SUM(minutes) AS total FROM calls GROUP BY acct`,
+		`CREATE PERIODIC VIEW mw AS SELECT acct, SUM(minutes) AS total FROM calls GROUP BY acct EVERY 10 WIDTH 30`,
+		`UPSERT INTO rates VALUES ('a', 1), ('b', 2), ('c', 3)`,
+		`APPEND INTO calls VALUES ('a', 1), ('b', 2), ('c', 3)`,
+	} {
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, from := range []string{"usage", "mw", "mw FOR INTERVAL 0", "rates", "calls"} {
+		for _, tail := range []string{"", " ORDER BY acct DESC", " ORDER BY acct", " WHERE acct = 'b'", " WHERE acct > 'a' ORDER BY acct DESC"} {
+			all, err := db.Exec("SELECT * FROM " + from + tail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(all.Rows) == 0 {
+				t.Fatalf("SELECT * FROM %s%s reads nothing without a LIMIT", from, tail)
+			}
+			stmt := "SELECT * FROM " + from + tail + " LIMIT 0"
+			res, err := db.Exec(stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 0 || !slices.Equal(res.Columns, all.Columns) {
+				t.Errorf("%s = %v %v, want no rows under %v", stmt, res.Columns, res.Rows, all.Columns)
+			}
+		}
+	}
 }
 
 // pagedUsageDB builds the suite's read-http shape at a chosen size: a durable

@@ -146,11 +146,11 @@ func TestReplBasic(t *testing.T) {
 	// gap, never a silent skip.
 	mustExec(t, db, `CREATE RELATION rates (acct STRING, rate INT, KEY(acct))`)
 	mustExec(t, db, `UPSERT INTO rates VALUES ('a', 1), ('b', 2), ('c', 3)`)
-	upsert := db.Engine().LSN() - 2
+	upsert := chronicledb.Kernel(db).LSN() - 2
 	if _, err := db.Append("calls", chronicledb.Tuple{chronicledb.Str("d"), chronicledb.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
-	upTo := db.Engine().LSN()
+	upTo := chronicledb.Kernel(db).LSN()
 	want := uint64(8)
 	err := db.ReplBacklog(want-1, upTo, func(_ []byte, lsn, span uint64) error {
 		if lsn != want {

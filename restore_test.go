@@ -60,7 +60,7 @@ func runSteps(t *testing.T, db *chronicledb.DB, steps []string, durable bool) {
 func viewRows(t *testing.T, db *chronicledb.DB) map[string][]string {
 	t.Helper()
 	out := map[string][]string{}
-	for _, name := range db.Engine().Names(shard.Views) {
+	for _, name := range chronicledb.Kernel(db).Names(shard.Views) {
 		res, err := db.Exec("SELECT * FROM " + name)
 		if err != nil {
 			t.Fatalf("SELECT * FROM %s: %v", name, err)
@@ -173,7 +173,7 @@ func TestRestoreAgainstCatalogPrefix(t *testing.T) {
 				defer f.Close()
 				waitUntil(t, 10*time.Second, "follower bootstrap", func() bool {
 					st, ok := f.ReplState()
-					return ok && st.Resyncs > 0 && st.AppliedLSN >= db.Engine().LSN() && f.DDLCount() == db.DDLCount()
+					return ok && st.Resyncs > 0 && st.AppliedLSN >= chronicledb.Kernel(db).LSN() && f.DDLCount() == db.DDLCount()
 				})
 				sameViews(t, "follower", f, want)
 
@@ -358,7 +358,7 @@ func TestReplBootstrapWhileChainFolds(t *testing.T) {
 
 	waitUntil(t, 10*time.Second, "follower convergence", func() bool {
 		st, ok := f.ReplState()
-		return ok && st.AppliedLSN >= db.Engine().LSN() && f.DDLCount() == db.DDLCount()
+		return ok && st.AppliedLSN >= chronicledb.Kernel(db).LSN() && f.DDLCount() == db.DDLCount()
 	})
 	sameViews(t, "follower", f, viewRows(t, db))
 	if st, _ := f.ReplState(); st.Resyncs != 2 {
@@ -391,11 +391,11 @@ func TestReplBootstrapPowerCut(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	tip := db.Engine().LSN()
+	tip := chronicledb.Kernel(db).LSN()
 	for _, s := range restoreAppends(30, 33) {
 		mustExec(t, db, s)
 	}
-	last := db.Engine().LSN()
+	last := chronicledb.Kernel(db).LSN()
 	want := viewRows(t, db)
 
 	follower := func(disk *fault.Disk, primary string) chronicledb.Options {
@@ -432,7 +432,7 @@ func TestReplBootstrapPowerCut(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut at op %d: reopen: %v", at, err)
 		}
-		switch lsn := g.Engine().LSN(); {
+		switch lsn := chronicledb.Kernel(g).LSN(); {
 		case lsn == 0:
 			reopened["empty"]++
 		case lsn >= tip:

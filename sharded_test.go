@@ -31,14 +31,14 @@ func TestShardedGroupsSpreadShards(t *testing.T) {
 	}
 	used := map[*engine.Engine]bool{}
 	for i := 0; i < 8; i++ {
-		home, _ := db.Engine().Home(fmt.Sprintf("c%d", i))
+		home, _ := db.eng.Home(fmt.Sprintf("c%d", i))
 		used[home] = true
 	}
 	if len(used) < 2 {
 		t.Errorf("8 groups landed on %d shard(s)", len(used))
 	}
 	for i := 0; i < 8; i++ {
-		rows, err := db.Engine().ChronicleRows(fmt.Sprintf("c%d", i))
+		rows, err := db.eng.ChronicleRows(fmt.Sprintf("c%d", i))
 		if err != nil || len(rows) != 1 || rows[0].Vals[1].AsInt() != int64(i) {
 			t.Errorf("c%d rows = %v, %v", i, rows, err)
 		}

@@ -418,7 +418,7 @@ func TestUndecodableFrameFailsReplay(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	lsn := db.Engine().LSN()
+	lsn := db.eng.LSN()
 	man, _, err := wal.ReadManifestFS(fault.OS, dir)
 	if err != nil {
 		t.Fatal(err)

@@ -74,10 +74,10 @@ var tortureDDL = []struct {
 	stmt   string
 	exists func(db *DB) bool
 }{
-	{`CREATE GROUP ga`, func(db *DB) bool { _, ok := db.Engine().Group("ga"); return ok }},
+	{`CREATE GROUP ga`, func(db *DB) bool { _, ok := db.eng.Group("ga"); return ok }},
 	{`CREATE CHRONICLE ledger (acct STRING, amt INT) IN GROUP ga RETAIN ALL`,
 		func(db *DB) bool { _, ok := db.Chronicle("ledger"); return ok }},
-	{`CREATE GROUP gb`, func(db *DB) bool { _, ok := db.Engine().Group("gb"); return ok }},
+	{`CREATE GROUP gb`, func(db *DB) bool { _, ok := db.eng.Group("gb"); return ok }},
 	{`CREATE CHRONICLE events (acct STRING, amt INT) IN GROUP gb RETAIN ALL`,
 		func(db *DB) bool { _, ok := db.Chronicle("events"); return ok }},
 	{`CREATE RELATION customers (acct STRING, state STRING, KEY(acct))`,

@@ -122,15 +122,16 @@ func (w *WatchStream) Next(fn func(WatchEvent) bool) (bool, error) {
 	}
 	if w.snap {
 		w.snap = false
-		var rows []Row
-		lsn, err := w.db.eng.ViewScan(w.view, view.Window{}, func(t Row) bool {
-			rows = append(rows, t)
-			return true
-		})
+		v, err := w.db.viewNamed(w.view)
 		if err != nil {
 			w.done = true
 			return false, err
 		}
+		var rows []Row
+		lsn := w.db.eng.ViewScan(v, view.Window{}, func(t Row) bool {
+			rows = append(rows, t)
+			return true
+		})
 		w.cursor = lsn
 		if !fn(WatchEvent{Kind: WatchSnapshot, LSN: lsn, Rows: rows}) {
 			w.done = true
