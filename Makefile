@@ -174,16 +174,24 @@ maint-stress:
 # VIEWS and point SELECTs against CREATE/DROP churn and appends. For family
 # reads: the reader test (ten runs under the race detector) races SELECTs of
 # a tumbling and an overlapping family, by latest instance and FOR INTERVAL,
-# against 16-row calls that bear and expire their instances.
+# against 16-row calls that bear and expire their instances. For panes:
+# the whole-call test (ten runs under the race detector) races SELECTs of an
+# overlapping family's open instances against 16-row calls that straddle a
+# span boundary, so fold into two panes that publish one after the other,
+# and pins that no read sees one pane of a call without the other; the
+# overlap benchmark (E55) prints the µs per 16-row call into one family at
+# 1, 2, 8 and 30 windows a chronon, and the pane groups each row costs the
+# windows that close.
 # -count=1 defeats caching — the guards must run.
 bench-maint:
 	$(GO) test -count=1 -run 'TestMaintAllocGuards|TestLoadAllocGuard|TestGroupBytesGuard|TestTreeCallBytesGuard|TestRelationBytesGuard|TestDedupBytesGuard|TestMaintPublishesOncePerCall|TestMaintFoldsOncePerCall|TestDirMembersSurviveADrop|TestFamilyRunResolvedOnce|TestFamilyAndViewShareADirectory|TestExpiringFamilyKeysStayBounded|TestSharedTableEqualsTwins|TestViewsOfOneKeyShareADirectory|TestDirResolvesOncePerTableKey' -v .
-	$(GO) test -race -count=10 -run 'TestFamilyCallFoldEqualsRowFolds|TestSharedTableReadersLockFree|TestPlanReadersDuringDDL|TestFamilyReadersDuringMaintenance' .
+	$(GO) test -race -count=10 -run 'TestFamilyCallFoldEqualsRowFolds|TestSharedTableReadersLockFree|TestPlanReadersDuringDDL|TestFamilyReadersDuringMaintenance|TestFamilyReadsSeeWholeCalls' .
 	$(GO) test -count=1 -run 'TestCreateViewKeysItsOwnNodes' -v ./internal/engine
 	$(GO) test -race -count=10 -run 'TestTableConcurrentReaders' ./internal/dedup
 	$(GO) test -count=1 -run 'TestHashStoreCounts|TestHashLockFreeThroughGrowth|TestDirMembersOfOtherKeys' -v ./internal/view
 	$(GO) test -race -count=10 -run 'TestDirSiblingsLockFreeThroughGrowth|TestDirLateMember|TestDirOrderUnderReaders|TestHashShellsBoundedUnderPermanentReader|TestRestoredShellsUnderPermanentReader' ./internal/view
 	$(GO) test -run=NONE -bench 'BenchmarkMaintainFanout' -benchmem -benchtime 50x .
+	$(GO) test -run=NONE -bench 'BenchmarkFamilyOverlap' -benchtime 2000x .
 
 # prof-load profiles the two shapes the suite's maintain-fanout workload is
 # made of — the 1 000-row load call of new groups into 64 views and the
@@ -191,7 +199,8 @@ bench-maint:
 # the 64-row call into a 20 000-group view (the
 # timed phase's versioning side) — and prints where the time and the allocated bytes go, and for
 # the load what the loaded views keep (in-use bytes: 20 000 groups in each of
-# 64 views and 8 window instances), so the next performance or memory change sizes its claim from one
+# 64 views and the four windows' one pane, which their open instances read
+# through), so the next performance or memory change sizes its claim from one
 # command. Profiles and the test binary land in .prof/ (git-ignored). Not
 # part of check.
 PROF_DIR := .prof

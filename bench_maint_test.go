@@ -10,8 +10,10 @@ package chronicledb_test
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -105,6 +107,74 @@ func BenchmarkMaintainFanout(b *testing.B) {
 	b.Run("load1000", benchLoad1000)
 }
 
+// BenchmarkFamilyOverlap is E55: 16-row calls over 500 accounts into one
+// SUM family of windows EVERY 10 WIDTH 10·r, one chronon a call, at r
+// windows a chronon. A row folds once, into its span's pane, whatever r is.
+// What still grows with r is a window's birth, the panes it reads, and, for
+// a family that keeps its windows (r), the merge of its panes into a table
+// of its own when it closes: merges-per-row reports those pane groups over
+// every row appended. A family whose windows expire as they close
+// (expiring/r, EXPIRE 0) merges none. Folding every row into every window
+// that holds it would show as µs per call growing with r in both.
+func BenchmarkFamilyOverlap(b *testing.B) {
+	const every, keys = 10, 500
+	for _, expire := range []string{"", " EXPIRE 0"} {
+		for _, r := range []int{1, 2, 8, 30} {
+			name := fmt.Sprint(r)
+			if expire != "" {
+				name = "expiring/" + name
+			}
+			b.Run(name, func(b *testing.B) {
+				var now atomic.Int64
+				db, err := chronicledb.Open(chronicledb.Options{Clock: now.Load})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer db.Close()
+				for _, stmt := range []string{
+					`CREATE CHRONICLE calls (acct STRING, minutes INT)`,
+					fmt.Sprintf(`CREATE PERIODIC VIEW w AS SELECT acct, SUM(minutes) AS total FROM calls GROUP BY acct EVERY %d WIDTH %d%s`, every, every*r, expire),
+				} {
+					if _, err := db.Exec(stmt); err != nil {
+						b.Fatal(err)
+					}
+				}
+				rng := rand.New(rand.NewSource(int64(r)))
+				calls := make([][]chronicledb.Tuple, 64)
+				for i := range calls {
+					calls[i] = make([]chronicledb.Tuple, 16)
+					for j := range calls[i] {
+						calls[i][j] = chronicledb.Tuple{chronicledb.Str(fmt.Sprintf("acct%03d", rng.Intn(keys))), chronicledb.Int(int64(1 + rng.Intn(60)))}
+					}
+				}
+				n := 0
+				call := func() {
+					now.Store(int64(n))
+					if _, _, err := db.AppendRows("calls", calls[n%len(calls)]); err != nil {
+						b.Fatal(err)
+					}
+					n++
+				}
+				for range every * (r + 2) { // past the first windows' close
+					call()
+				}
+				b.ResetTimer()
+				for range b.N {
+					call()
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/call")
+				pv, _ := chronicledb.Kernel(db).PeriodicView("w")
+				var merges int64
+				for _, inst := range pv.Instances() {
+					merges += inst.View.Stats().Merges
+				}
+				b.ReportMetric(float64(merges)/float64(16*n), "merges/row")
+			})
+		}
+	}
+}
+
 // BenchmarkCreateView is E53: the paper's §5.2 catalog of one view per
 // customer, CREATE VIEW vN AS … WHERE acct = 'aN' GROUP BY acct, made n
 // times in a durable database, which is then closed and reopened. It reports
@@ -163,7 +233,8 @@ func BenchmarkCreateView(b *testing.B) {
 // AppendRows calls, every row a group no view holds yet, into the 64-view
 // fan-out and maintain-fanout's four moving windows (loadDB) — 20 calls into
 // an empty database, then over again. One iteration is one call, so ns/op ÷
-// 1000 is the load cost per row across 64 views and 8 window instances.
+// 1000 is the load cost per row across 64 views and the windows' one pane,
+// which their open instances read through.
 func benchLoad1000(b *testing.B) {
 	const callK, callsPerDB = 1000, 20
 	calls := make([][]chronicledb.Tuple, callsPerDB)
@@ -197,7 +268,8 @@ func benchLoad1000(b *testing.B) {
 // maintain-fanout's four moving windows (benchmark/catalog.go: SUM(minutes),
 // SUM(cost), COUNT(*) and the three together, EVERY 400 000 WIDTH 800 000).
 // As in the suite's in-process workload, the clock ticks once a row from a
-// full window in, so each row folds into two instances of every window.
+// full window in, so each row lies in two instances of every window — and,
+// every row being in one span, folds into one pane the four share.
 func loadDB(tb testing.TB) *chronicledb.DB {
 	tb.Helper()
 	const every, width = 400_000, 800_000

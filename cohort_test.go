@@ -46,7 +46,7 @@ type cohortRow struct {
 // expiry, its aggregations over minutes, and the row it was made at.
 type refFamily struct {
 	name   string
-	aggs   []string // SUM COUNT MAX MIN LAST, over the σ'd minutes
+	aggs   []string // SUM COUNT MAX MIN AVG LAST, over the σ'd minutes
 	cal    *calendar.Periodic
 	expire int64 // <0 keeps every instance
 	since  int   // index of the first row appended after its CREATE
@@ -144,35 +144,38 @@ func (s *cohortScript) call(db *chronicledb.DB) {
 
 // want folds, for family f, every row appended since its CREATE into the
 // intervals of its calendar that contain the row's chronon and that its
-// cohort's high-water chronon has not expired: interval → acct → results.
-func (s *cohortScript) want(f *refFamily) map[calendar.Interval]map[string][]int64 {
+// cohort's high-water chronon has not expired: interval → acct → results,
+// as SELECT renders them.
+func (s *cohortScript) want(f *refFamily) map[calendar.Interval]map[string][]string {
 	var high int64
 	for _, r := range s.rows[s.founded[f.cohort()]:] {
 		if len(f.cal.IntervalsAt(r.chronon)) > 0 {
 			high = max(high, r.chronon)
 		}
 	}
-	out := map[calendar.Interval]map[string][]int64{}
+	// A group's states, then its row count (AVG's denominator).
+	folded := map[calendar.Interval]map[string][]int64{}
 	for _, r := range s.rows[f.since:] {
 		for _, iv := range f.cal.IntervalsAt(r.chronon) {
 			if f.expire >= 0 && iv.End+f.expire <= high {
 				continue
 			}
-			groups := out[iv]
+			groups := folded[iv]
 			if groups == nil {
 				groups = map[string][]int64{}
-				out[iv] = groups
+				folded[iv] = groups
 			}
 			if r.minutes <= 1 {
 				continue
 			}
 			g, seen := groups[r.acct]
 			if !seen {
-				g = make([]int64, len(f.aggs))
+				g = make([]int64, len(f.aggs)+1)
 			}
+			g[len(f.aggs)]++
 			for i, a := range f.aggs {
 				switch {
-				case a == "SUM":
+				case a == "SUM" || a == "AVG":
 					g[i] += r.minutes
 				case a == "COUNT":
 					g[i]++
@@ -187,6 +190,20 @@ func (s *cohortScript) want(f *refFamily) map[calendar.Interval]map[string][]int
 			groups[r.acct] = g
 		}
 	}
+	out := map[calendar.Interval]map[string][]string{}
+	for iv, groups := range folded {
+		out[iv] = map[string][]string{}
+		for acct, g := range groups {
+			vals := make([]string, len(f.aggs))
+			for i, a := range f.aggs {
+				vals[i] = chronicledb.Int(g[i]).String()
+				if a == "AVG" {
+					vals[i] = chronicledb.Float(float64(g[i]) / float64(g[len(f.aggs)])).String()
+				}
+			}
+			out[iv][acct] = vals
+		}
+	}
 	return out
 }
 
@@ -197,13 +214,13 @@ func (s *cohortScript) check(what string, db *chronicledb.DB) {
 	for _, name := range slices.Sorted(maps.Keys(s.families)) {
 		f := s.families[name]
 		want := s.want(f)
-		got := map[calendar.Interval]map[string][]int64{}
+		got := map[calendar.Interval]map[string][]string{}
 		for _, inst := range familySQL(s.t, db, name) {
-			groups := map[string][]int64{}
+			groups := map[string][]string{}
 			for _, row := range inst.Rows {
-				vals := make([]int64, len(f.aggs))
+				vals := make([]string, len(f.aggs))
 				for i := range vals {
-					vals[i] = row[1+i].AsInt()
+					vals[i] = row[1+i].String()
 				}
 				groups[row[0].AsString()] = vals
 			}

@@ -13,6 +13,7 @@ import (
 	chronicledb "chronicledb"
 	"chronicledb/internal/calendar"
 	"chronicledb/internal/fault"
+	"chronicledb/internal/view"
 )
 
 // TestFamilyRunResolvedOnce counts the work of a call into four families of
@@ -152,16 +153,26 @@ func TestFamilyCallFoldEqualsRowFolds(t *testing.T) {
 	}
 	pv, _ := chronicledb.Kernel(byCall.db).PeriodicView("big_windows")
 	appendBoth(tuples[:1]) // opens the instance before the counted call
-	inst, ok := pv.At(calendar.Interval{Start: start, End: start + 140})
-	if !ok {
+	iv := calendar.Interval{Start: start, End: start + 140}
+	if _, ok := pv.At(iv); !ok {
 		t.Fatalf("no instance [%d,%d)", start, start+140)
 	}
-	before := inst.Stats()
+	// The instance reads through the panes of its two spans, which fold the
+	// call's two runs: its counts are theirs, summed.
+	stats := func() (st view.Stats) {
+		for _, p := range pv.PanesOf(iv) {
+			ps := p.Stats()
+			st.Applies += ps.Applies
+			st.DeltaRows += ps.DeltaRows
+		}
+		return st
+	}
+	before := stats()
 	for _, tw := range twins {
 		tw.clock.now.Store(start - 7)
 	}
 	appendBoth(tuples)
-	if st := inst.Stats(); st.Applies-before.Applies != 2 || st.DeltaRows-before.DeltaRows != 20 {
+	if st := stats(); st.Applies-before.Applies != 2 || st.DeltaRows-before.DeltaRows != 20 {
 		t.Fatalf("the instance folded %d runs of %d rows in the call, want 2 runs of 10 rows each",
 			st.Applies-before.Applies, st.DeltaRows-before.DeltaRows)
 	}

@@ -307,10 +307,7 @@ func (l *Layout) Union(o *Layout) (*Layout, []int) {
 	}
 	at := make([]int, len(o.specs))
 	for i, s := range o.specs {
-		at[i] = slices.IndexFunc(all, func(u Spec) bool {
-			return u.Func == s.Func && (u.Col == s.Col || s.Func == Count)
-		})
-		if at[i] < 0 {
+		if at[i] = indexOf(all, s); at[i] < 0 {
 			at[i] = len(all)
 			all = append(all, s)
 			kinds = append(kinds, o.ops[i].kind)
@@ -321,6 +318,25 @@ func (l *Layout) Union(o *Layout) (*Layout, []int) {
 		panic(fmt.Sprintf("aggregate: the union of two layouts: %v", err)) // both compiled
 	}
 	return u, at
+}
+
+// indexOf returns the index of the aggregation in specs whose state s
+// shares, -1 for none: the same function over the same column, and every
+// COUNT is word 0.
+func indexOf(specs []Spec, s Spec) int {
+	return slices.IndexFunc(specs, func(u Spec) bool {
+		return u.Func == s.Func && (u.Col == s.Col || s.Func == Count)
+	})
+}
+
+// IndexIn returns where each of l's aggregations sits in o, a layout over
+// the same input: -1 for one o lacks. MergeFrom takes it.
+func (l *Layout) IndexIn(o *Layout) []int {
+	at := make([]int, len(l.specs))
+	for i, s := range l.specs {
+		at[i] = indexOf(o.specs, s)
+	}
+	return at
 }
 
 // wordsOf is how many words a state of each code takes.
@@ -389,41 +405,54 @@ func (l *Layout) Step(g Group, t value.Tuple) {
 
 // Merge folds src, a group of the same layout over rows that follow g's in
 // sequence order (FIRST and LAST depend on it), into g — the paper's
-// "decomposable" requirement.
-func (l *Layout) Merge(g, src Group) {
+// "decomposable" requirement. A float state adds src's partial sum to g's,
+// which may round otherwise than adding src's rows one by one.
+func (l *Layout) Merge(g, src Group) { l.MergeFrom(g, l, src, nil) }
+
+// MergeFrom is Merge for a src of layout sl over the same input, which may
+// hold other aggregations too: l's aggregation i takes the state of sl's
+// at[i], and none where at[i] is negative (see IndexIn). A nil at is l's own
+// order, for sl equal to l.
+func (l *Layout) MergeFrom(g Group, sl *Layout, src Group, at []int) {
 	w, s := g.Words, src.Words
 	w[0] += s[0] & maxRows // the seen bits are ORed per state below
 	for i := range l.ops {
-		o := &l.ops[i]
+		o, so := &l.ops[i], &l.ops[i]
+		if at != nil {
+			if at[i] < 0 {
+				continue
+			}
+			so = &sl.ops[at[i]]
+		}
 		switch o.code {
 		case cCount: // word 0
 		case cSumInt:
-			if o.seen(s) {
-				w[o.at] += s[o.at]
+			if so.seen(s) {
+				w[o.at] += s[so.at]
 				w[o.mask] |= o.bit
 			}
 		case cSumFloat:
-			if o.seen(s) {
-				w[o.at] = addFloat(w[o.at], math.Float64frombits(s[o.at]))
+			if so.seen(s) {
+				w[o.at] = addFloat(w[o.at], math.Float64frombits(s[so.at]))
 				w[o.mask] |= o.bit
 			}
 		case cAvgInt:
-			w[o.at] += s[o.at]
-			w[o.at+1] += s[o.at+1]
+			w[o.at] += s[so.at]
+			w[o.at+1] += s[so.at+1]
 		case cAvgFloat:
-			w[o.at] = addFloat(w[o.at], math.Float64frombits(s[o.at]))
-			w[o.at+1] += s[o.at+1]
+			w[o.at] = addFloat(w[o.at], math.Float64frombits(s[so.at]))
+			w[o.at+1] += s[so.at+1]
 		case cMoments:
-			w[o.at] += s[o.at]
-			w[o.at+1] = addFloat(w[o.at+1], math.Float64frombits(s[o.at+1]))
-			w[o.at+2] = addFloat(w[o.at+2], math.Float64frombits(s[o.at+2]))
+			w[o.at] += s[so.at]
+			w[o.at+1] = addFloat(w[o.at+1], math.Float64frombits(s[so.at+1]))
+			w[o.at+2] = addFloat(w[o.at+2], math.Float64frombits(s[so.at+2]))
 		default:
 			switch {
-			case !o.seen(s):
+			case !so.seen(s):
 			case o.str:
-				o.holdStr(g, src.Strs[o.at])
+				o.holdStr(g, src.Strs[so.at])
 			default:
-				o.hold(w, s[o.at])
+				o.hold(w, s[so.at])
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -261,30 +262,80 @@ func e5(t *testing.T) {
 	check(2, 2, true, 1)
 }
 
-// e6 — Section 5.1's moving window: the cyclic buffer of per-bucket partials,
-// the invertible-SUM fast path and naive re-aggregation of the raw records
-// agree at every refresh, across buckets the events skip.
+// e6 — Section 5.1's moving window on the database's own path: a family of
+// windows WIDTH = r·EVERY folds each row once, into its span's pane (for r
+// = 1 the window is its own pane), whatever r is; a window that closes
+// merges at most 2r pane groups per key into its table; and every live
+// instance, open or closed, equals a naive fold of the rows in its window,
+// across chronons the rows skip.
 func e6(t *testing.T) {
-	const perBucket = 16
-	for _, buckets := range []int{8, 64} {
-		ring, err := calendar.NewMovingWindow(aggregate.Sum, value.KindInt, 1, buckets)
+	const every, rows = 10, 2000
+	for _, r := range []int64{1, 2, 8, 30} {
+		w := telecom(t, 64, chronicle.RetainNone, false, 0)
+		cal, err := calendar.NewPeriodic(0, every, r*every)
 		ok(t, err)
-		fast, err := calendar.NewMovingSum(1, buckets)
+		pv, err := calendar.NewPeriodicView("moving", w.UsageDef("moving"), cal, -1, nil)
 		ok(t, err)
-		naive, err := calendar.NewNaiveWindow(aggregate.Sum, value.KindInt, int64(buckets))
-		ok(t, err)
-		for i := 0; i < buckets*perBucket*4; i++ {
-			ch := int64(i/perBucket) * 3 / 2 // every third bucket gets no events
-			amount := int64(i%7 + 1)
-			ring.Add("k", ch, value.Int(amount))
-			fast.Add("k", ch, float64(amount))
-			naive.Add("k", ch, value.Int(amount))
-			if i%perBucket != perBucket-1 {
+		type call struct {
+			ch      int64
+			acct    string
+			minutes int64
+		}
+		var calls []call
+		folded := map[*view.View]int64{} // each table's folded rows when last seen
+		var folds int64
+		for i := 0; i < rows; i++ {
+			d, ch, err := w.NextCallAt(int64(i/2) * 3 / 2) // every third chronon gets no rows
+			ok(t, err)
+			row := d[w.Calls][0]
+			calls = append(calls, call{ch, row.Vals[0].AsString(), row.Vals[1].AsInt()})
+			ok(t, pv.Apply(d))
+			// A pane is freed only once no open window covers it, after the
+			// calls that fold into it.
+			tables := pv.PanesOf(calendar.Interval{Start: math.MinInt64, End: math.MaxInt64})
+			for _, inst := range pv.Instances() {
+				tables = append(tables, inst.View)
+			}
+			for _, v := range tables {
+				n := v.Stats().DeltaRows
+				folds += n - folded[v]
+				folded[v] = n
+			}
+			if i%250 != 249 && i != rows-1 {
 				continue
 			}
-			if r, f, n := ring.Value("k", ch), fast.Value("k", ch), naive.Value("k", ch); !value.Equal(r, n) || float64(n.AsInt()) != f {
-				t.Fatalf("%d buckets, event %d at chronon %d: ring %v, fast %v, naive %v", buckets, i, ch, r, f, n)
+			closed := 0
+			for _, inst := range pv.Instances() {
+				want := map[string][2]int64{}
+				for _, c := range calls {
+					if inst.Interval.Contains(c.ch) {
+						g := want[c.acct]
+						want[c.acct] = [2]int64{g[0] + c.minutes, g[1] + 1}
+					}
+				}
+				got := inst.View.Rows()
+				for _, row := range got {
+					if g := want[row[0].AsString()]; row[1].AsInt() != g[0] || row[2].AsInt() != g[1] {
+						t.Fatalf("r=%d after %d rows: %s%v = %v, want total %d of %d rows", r, i+1, pv.Name(), inst.Interval, row, g[0], g[1])
+					}
+				}
+				if len(got) != len(want) {
+					t.Fatalf("r=%d after %d rows: %s%v holds %d groups, want %d", r, i+1, pv.Name(), inst.Interval, len(got), len(want))
+				}
+				if inst.View.ReadsThrough() {
+					continue
+				}
+				closed++
+				if m := inst.View.Stats().Merges; r == 1 && m != 0 || m > 2*r*int64(len(got)) {
+					t.Errorf("r=%d: closing %v merged %d pane groups into its %d keys, want at most %d a key", r, inst.Interval, m, len(got), 2*r)
+				}
 			}
+			if closed == 0 && i == rows-1 {
+				t.Errorf("r=%d: no window has closed", r)
+			}
+		}
+		if folds != rows {
+			t.Errorf("r=%d: the family's tables folded %d delta rows for %d rows appended, want one each", r, folds, rows)
 		}
 	}
 }

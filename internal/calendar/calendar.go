@@ -10,6 +10,7 @@
 package calendar
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -128,6 +129,16 @@ type Periodic struct {
 	Width  int64
 }
 
+// MaxWindows is the most windows of a periodic calendar that may contain
+// one chronon, ⌈Width/Period⌉. Folding a row costs one fold whatever the
+// overlap, but the windows a row opens, closes and reads still scale with
+// it, so NewPeriodic refuses a calendar past it.
+const MaxWindows = 4096
+
+// ErrTooManyWindows is the error NewPeriodic returns for a calendar whose
+// windows overlap more than MaxWindows deep.
+var ErrTooManyWindows = errors.New("calendar: too many windows contain one chronon")
+
 // NewPeriodic validates and builds a periodic calendar.
 func NewPeriodic(offset, period, width int64) (*Periodic, error) {
 	if period <= 0 {
@@ -136,7 +147,14 @@ func NewPeriodic(offset, period, width int64) (*Periodic, error) {
 	if width <= 0 {
 		return nil, fmt.Errorf("calendar: width must be positive, got %d", width)
 	}
-	return &Periodic{Offset: offset, Period: period, Width: width}, nil
+	if offset > math.MaxInt64-width {
+		return nil, fmt.Errorf("calendar: offset %d plus width %d overflows a chronon", offset, width)
+	}
+	p := &Periodic{Offset: offset, Period: period, Width: width}
+	if n := p.MaxOverlap(); n > MaxWindows {
+		return nil, fmt.Errorf("%w: width %d over period %d puts a chronon in %d windows, more than %d", ErrTooManyWindows, width, period, n, MaxWindows)
+	}
+	return p, nil
 }
 
 // IntervalsAt returns every interval containing ch: all k ≥ 0 with
@@ -179,16 +197,6 @@ func (p *Periodic) SpanAt(ch int64) (lo, hi int64) {
 	return max(lo, end), min(hi, end+p.Period)
 }
 
-// IntervalIndex returns the index k of an interval generated by this
-// calendar, or false if the interval is not one of the calendar's.
-func (p *Periodic) IntervalIndex(iv Interval) (int64, bool) {
-	rel := iv.Start - p.Offset
-	if rel < 0 || rel%p.Period != 0 || iv.End-iv.Start != p.Width {
-		return 0, false
-	}
-	return rel / p.Period, true
-}
-
 // String describes the calendar; a width equal to the period and a zero
 // offset go unsaid.
 func (p *Periodic) String() string {
@@ -203,7 +211,11 @@ func (p *Periodic) String() string {
 }
 
 // MaxOverlap returns the largest number of intervals that can contain a
-// single chronon: ceil(Width / Period).
-func (p *Periodic) MaxOverlap() int {
-	return int(math.Ceil(float64(p.Width) / float64(p.Period)))
+// single chronon: ⌈Width/Period⌉, exact for any positive width and period.
+func (p *Periodic) MaxOverlap() int64 {
+	n := p.Width / p.Period
+	if p.Width%p.Period != 0 {
+		n++
+	}
+	return n
 }

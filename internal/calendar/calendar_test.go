@@ -1,12 +1,10 @@
 package calendar
 
 import (
-	"math/rand"
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
-
-	"chronicledb/internal/aggregate"
-	"chronicledb/internal/value"
 )
 
 func TestIntervalBasics(t *testing.T) {
@@ -70,11 +68,34 @@ func TestPeriodicNonOverlapping(t *testing.T) {
 	if p.MaxOverlap() != 1 {
 		t.Errorf("MaxOverlap = %d", p.MaxOverlap())
 	}
-	if k, ok := p.IntervalIndex(Interval{130, 140}); !ok || k != 3 {
-		t.Errorf("IntervalIndex = %d, %v", k, ok)
+}
+
+// TestPeriodicRefusesRunawayOverlap: a calendar whose windows overlap up to
+// MaxWindows deep is made, one deeper is refused with ErrTooManyWindows, and
+// so is one whose last chronon overflows; MaxOverlap is exact past 2⁵³.
+func TestPeriodicRefusesRunawayOverlap(t *testing.T) {
+	if p, err := NewPeriodic(0, 1, MaxWindows); err != nil || p.MaxOverlap() != MaxWindows {
+		t.Errorf("width %d over period 1: %v, %v", MaxWindows, p, err)
 	}
-	if _, ok := p.IntervalIndex(Interval{131, 141}); ok {
-		t.Error("foreign interval recognized")
+	if p, err := NewPeriodic(0, 3, 3*MaxWindows); err != nil || p.MaxOverlap() != MaxWindows {
+		t.Errorf("width %d over period 3: %v, %v", 3*MaxWindows, p, err)
+	}
+	for _, c := range []struct{ offset, period, width int64 }{
+		{0, 1, MaxWindows + 1},
+		{0, 3, 3*MaxWindows + 1},
+		{0, 1_000_000_000, 9_000_000_000_000_000_000},
+	} {
+		if _, err := NewPeriodic(c.offset, c.period, c.width); !errors.Is(err, ErrTooManyWindows) {
+			t.Errorf("width %d over period %d: %v, want ErrTooManyWindows", c.width, c.period, err)
+		}
+	}
+	if _, err := NewPeriodic(math.MaxInt64-5, 10, 10); err == nil {
+		t.Error("offset plus width past the last chronon accepted")
+	}
+	// Past 2⁵³ a float ceiling rounds: 2⁶⁰+1 over 2⁶⁰ is 2 windows, not 1.
+	p := &Periodic{Period: 1 << 60, Width: 1<<60 + 1}
+	if n := p.MaxOverlap(); n != 2 {
+		t.Errorf("MaxOverlap of width 2⁶⁰+1 over period 2⁶⁰ = %d, want 2", n)
 	}
 }
 
@@ -131,96 +152,6 @@ func TestPeriodicIntervalsAtQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMovingWindowMatchesNaive(t *testing.T) {
-	for _, fn := range []aggregate.Func{aggregate.Sum, aggregate.Count, aggregate.Max, aggregate.Min} {
-		ring, err := NewMovingWindow(fn, value.KindInt, 1, 30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		naive, err := NewNaiveWindow(fn, value.KindInt, 30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(int64(fn)))
-		ch := int64(0)
-		for i := 0; i < 2000; i++ {
-			ch += int64(rng.Intn(4)) // time moves forward, sometimes skipping buckets
-			key := string(rune('a' + rng.Intn(3)))
-			v := value.Int(int64(rng.Intn(100)))
-			ring.Add(key, ch, v)
-			naive.Add(key, ch, v)
-			if i%17 == 0 {
-				for _, k := range []string{"a", "b", "c"} {
-					got, want := ring.Value(k, ch), naive.Value(k, ch)
-					if !value.Equal(got, want) {
-						t.Fatalf("%s key %s at ch %d: ring %v != naive %v", fn, k, ch, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestMovingWindowLargeGapClears(t *testing.T) {
-	ring, _ := NewMovingWindow(aggregate.Sum, value.KindInt, 1, 5)
-	ring.Add("k", 0, value.Int(10))
-	if got := ring.Value("k", 0); got.AsInt() != 10 {
-		t.Fatalf("Value = %v", got)
-	}
-	// A gap larger than the window expires everything.
-	if got := ring.Value("k", 100); !got.IsNull() {
-		t.Errorf("after gap: %v, want null (empty SUM)", got)
-	}
-	if got := ring.Value("missing", 0); !got.IsNull() {
-		t.Errorf("missing key: %v", got)
-	}
-	if ring.Buckets() != 5 {
-		t.Errorf("Buckets = %d", ring.Buckets())
-	}
-}
-
-func TestMovingSumMatchesWindow(t *testing.T) {
-	fast, _ := NewMovingSum(1, 30)
-	ring, _ := NewMovingWindow(aggregate.Sum, value.KindFloat, 1, 30)
-	rng := rand.New(rand.NewSource(9))
-	ch := int64(0)
-	for i := 0; i < 3000; i++ {
-		ch += int64(rng.Intn(3))
-		amt := float64(rng.Intn(50))
-		fast.Add("k", ch, amt)
-		ring.Add("k", ch, value.Float(amt))
-		if i%13 == 0 {
-			got := fast.Value("k", ch)
-			want := ring.Value("k", ch)
-			wantF := 0.0
-			if !want.IsNull() {
-				wantF = want.AsFloat()
-			}
-			if got != wantF {
-				t.Fatalf("at ch %d: fast %v != ring %v", ch, got, wantF)
-			}
-		}
-	}
-	if fast.Value("missing", 0) != 0 {
-		t.Error("missing key should be 0")
-	}
-}
-
-func TestWindowConstructorErrors(t *testing.T) {
-	if _, err := NewMovingWindow(aggregate.Sum, value.KindInt, 0, 5); err == nil {
-		t.Error("zero bucket width accepted")
-	}
-	if _, err := NewMovingWindow(aggregate.Sum, value.KindInt, 1, 0); err == nil {
-		t.Error("zero bucket count accepted")
-	}
-	if _, err := NewMovingSum(0, 5); err == nil {
-		t.Error("zero bucket width accepted")
-	}
-	if _, err := NewNaiveWindow(aggregate.Sum, value.KindInt, 0); err == nil {
-		t.Error("zero span accepted")
 	}
 }
 

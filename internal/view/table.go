@@ -77,6 +77,12 @@ type table struct {
 
 	// members are the views that read the table, in the order they joined.
 	members []*View
+
+	// thru is what the table reads instead of its own groups while it
+	// reads through panes (see ReadThrough), nil otherwise; materialized
+	// says the panes were merged in and thru goes at the next publication.
+	thru         atomic.Pointer[through]
+	materialized bool
 }
 
 func newTable(d *Dir, sh *shape) *table {
@@ -114,6 +120,10 @@ func (t *table) folded(call uint64, rows []chronicle.Row) bool {
 // (shells.settle).
 func (t *table) publishLocked() {
 	t.store.publish(t.appliedLSN)
+	if t.materialized {
+		t.thru.Store(nil)
+		t.materialized = false
+	}
 	t.shells.settle(t.readers.Load() == 0)
 	if p := t.pg.Load(); p != nil {
 		p.published.Store(p.total)

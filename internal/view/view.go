@@ -101,6 +101,7 @@ type Stats struct {
 	Versions  int64 // entries made: a new group, or a copy of a published entry before its first change in a call
 	ApplyNs   int64 // wall time spent inside ApplyRows (the fold; a publication is O(1) or O(touched))
 	Publishes int64 // publications of folded state (one per append call that touched the table)
+	Merges    int64 // pane groups merged in when the table stopped reading through its panes (Materialize)
 }
 
 // View is a materialized persistent view with incremental maintenance: its
@@ -288,8 +289,18 @@ func (v *View) Stats() Stats {
 }
 
 // Len returns the number of rows currently in the view, from the published
-// entry count — without a lock.
+// entry count — without a lock. A view that reads through panes counts the
+// keys they hold.
 func (v *View) Len() int {
+	if v.thru.Load() != nil {
+		n := 0
+		if v.settled(func(th *through) {
+			n = 0
+			v.eachThrough(th, nil, nil, false, func(string, *entry) bool { n++; return true })
+		}) {
+			return n
+		}
+	}
 	if p := v.pg.Load(); p != nil {
 		// The store holds the resident blocks' entries; the pager tracks the
 		// logical count across all blocks.
@@ -414,6 +425,13 @@ func (v *View) Lookup(key value.Tuple) (value.Tuple, bool) {
 	buf := keyenc.GetBuf()
 	defer keyenc.PutBuf(buf)
 	*buf = keyenc.AppendTuple(*buf, key)
+	if v.thru.Load() != nil {
+		var row value.Tuple
+		var ok bool
+		if v.settled(func(th *through) { row, ok = v.lookupThrough(th, *buf) }) {
+			return row, ok
+		}
+	}
 	v.readers.Add(1)
 	defer v.readers.Add(-1)
 	h, p := v.store, v.pg.Load()
@@ -482,10 +500,17 @@ func (w Window) take(row value.Tuple, n *int, fn func(value.Tuple) bool) bool {
 // The scan counts itself a reader until fn has seen its last row, so nothing
 // it can reach is reused meanwhile.
 func (v *View) Scan(w Window, fn func(value.Tuple) bool) uint64 {
-	v.readers.Add(1)
-	defer v.readers.Add(-1)
 	rows := getRows()
 	defer putRows(rows)
+	if v.thru.Load() != nil {
+		var lsn uint64
+		if v.settled(func(th *through) { *rows, lsn = v.collectThrough(th, w, (*rows)[:0]) }) {
+			deliver(*rows, fn)
+			return lsn
+		}
+	}
+	v.readers.Add(1)
+	defer v.readers.Add(-1)
 	h, p := v.store, v.pg.Load()
 	for try := 0; ; try++ {
 		locked := try == 2
@@ -532,6 +557,24 @@ func (v *View) collect(w Window, lo, hi []byte, rows []value.Tuple) []value.Tupl
 		return len(rows) != w.Limit
 	})
 	return rows
+}
+
+// collectThrough is collect over the panes of th, and returns the LSN the
+// newest of their publications reached.
+func (v *View) collectThrough(th *through, w Window, rows []value.Tuple) ([]value.Tuple, uint64) {
+	var lsn uint64
+	for _, p := range th.panes {
+		lsn = max(lsn, p.t.store.lsn.Load())
+	}
+	v.eachThrough(th, w.Lo, w.Hi, w.Desc, func(key string, e *entry) bool {
+		row := rowOf(v, key, e)
+		if w.Keep != nil && !w.Keep(row) {
+			return true
+		}
+		rows = append(rows, row)
+		return len(rows) != w.Limit
+	})
+	return rows, lsn
 }
 
 // deliver hands fn the rows until it says stop.

@@ -43,7 +43,7 @@ import (
 
 const (
 	ckptMagic   = "CDBC"
-	ckptVersion = 7 // the only image format read or written
+	ckptVersion = 8 // the only image format read or written
 )
 
 // recover rebuilds in-memory state from disk. Called by Open before the
