@@ -15,8 +15,10 @@ test:
 race:
 	$(GO) test -race ./...
 
+# vet fails on a file gofmt would change, naming it.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then printf 'gofmt -l lists:\n%s\n' "$$out"; exit 1; fi
 
 # torture enumerates every crash point of the scripted workload on the
 # simulated disk (internal/fault) and verifies exact recovery, under the

@@ -5,6 +5,7 @@ import (
 
 	"chronicledb/internal/aggregate"
 	"chronicledb/internal/chronicle"
+	"chronicledb/internal/keyenc"
 	"chronicledb/internal/value"
 )
 
@@ -174,10 +175,7 @@ func deltaJoinRel(n *JoinRel, in, out []chronicle.Row, sc *joinScratch, w *RelWo
 		vals = make(value.Tuple, 0, need)
 	}
 	for _, r := range in {
-		sc.probe = sc.probe[:0]
-		for _, c := range n.keyIn {
-			sc.probe = value.AppendKey(sc.probe, r.Vals[c])
-		}
+		sc.probe = keyenc.AppendCols(sc.probe[:0], r.Vals, n.keyIn)
 		start := len(vals)
 		w.Probes++
 		joined, ok := n.R.AppendAsOf(append(vals, r.Vals...), r.LSN, sc.probe)
@@ -200,7 +198,7 @@ func concatRow(r chronicle.Row, rel value.Tuple) chronicle.Row {
 
 // rowKey identifies a row up to set semantics: sequence number plus tuple.
 func rowKey(r chronicle.Row) string {
-	return fmt.Sprintf("%d|%s", r.SN, r.Vals.FullKey())
+	return string(keyenc.AppendTuple(keyenc.AppendValue(nil, value.Int(r.SN)), r.Vals))
 }
 
 // unionRows is l ∪ r under set semantics in SN order: a stable merge by SN —
@@ -318,10 +316,7 @@ func groupBySN(n *GroupBySN, in, out []chronicle.Row, sc *groupScratch) []chroni
 	clear(sc.index)
 	sc.firsts, sc.words, sc.strs = Reuse(sc.firsts, len(in)), Reuse(sc.words, len(in)*nw), Reuse(sc.strs, len(in)*ns)
 	for _, r := range in {
-		sc.key = value.AppendKey(sc.key[:0], value.Int(r.SN))
-		for _, c := range n.GroupCols {
-			sc.key = value.AppendKey(sc.key, r.Vals[c])
-		}
+		sc.key = keyenc.AppendCols(keyenc.AppendValue(sc.key[:0], value.Int(r.SN)), r.Vals, n.GroupCols)
 		i, ok := sc.index[string(sc.key)]
 		if !ok {
 			i = len(sc.firsts)

@@ -8,6 +8,7 @@ import (
 
 	"chronicledb/internal/aggregate"
 	"chronicledb/internal/chronicle"
+	"chronicledb/internal/keyenc"
 	"chronicledb/internal/pred"
 	"chronicledb/internal/value"
 )
@@ -16,7 +17,7 @@ import (
 func sortedKeys(rows []chronicle.Row) []string {
 	keys := make([]string, len(rows))
 	for i, r := range rows {
-		keys[i] = fmt.Sprintf("%d|%d|%s", r.SN, r.Chronon, r.Vals.FullKey())
+		keys[i] = string(keyenc.AppendTuple(nil, append(value.Tuple{value.Int(r.SN), value.Int(r.Chronon)}, r.Vals...)))
 	}
 	sort.Strings(keys)
 	return keys

@@ -16,7 +16,7 @@ import (
 	"sort"
 
 	"chronicledb/internal/chronicle"
-	"chronicledb/internal/value"
+	"chronicledb/internal/keyenc"
 )
 
 // Fingerprint returns a structural key for an expression: two nodes with
@@ -24,8 +24,8 @@ import (
 // under reference evaluation). Leaves key on object identity (the chronicle
 // or relation pointer — names can be reused across engine generations, the
 // objects cannot), interior nodes on operator plus parameters plus child
-// fingerprints. Predicate constants are encoded with the type-tagged key
-// encoding so `'1'` and `1` never collide.
+// fingerprints. Predicate constants are in their keyenc encoding, so `'1'`
+// and `1` never collide.
 func Fingerprint(n Node) string { return string(appendFingerprint(nil, n)) }
 
 func appendFingerprint(dst []byte, n Node) []byte {
@@ -72,10 +72,11 @@ func operator(n Node) (op byte, obj any) {
 }
 
 // appendParams appends n's own parameters — not its children's — to dst,
-// each list behind its length, so two different parameter sets of one
-// operator never encode alike. Atom order matters (a disjunction is
-// order-insensitive semantically, but treating reordered predicates as
-// distinct only costs a missed sharing opportunity, never a wrong delta).
+// each list behind its length and each constant as its self-delimiting
+// keyenc encoding, so two different parameter sets of one operator never
+// encode alike. Atom order matters (a disjunction is order-insensitive
+// semantically, but treating reordered predicates as distinct only costs a
+// missed sharing opportunity, never a wrong delta).
 func appendParams(dst []byte, n Node) []byte {
 	ints := func(dst []byte, xs []int) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(xs)))
@@ -93,8 +94,7 @@ func appendParams(dst []byte, n Node) []byte {
 			if a.Right.IsCol {
 				dst = binary.AppendVarint(append(dst, 'c'), int64(a.Right.Col))
 			} else {
-				k := value.AppendKey(nil, a.Right.Const)
-				dst = append(binary.AppendUvarint(append(dst, 'k'), uint64(len(k))), k...)
+				dst = keyenc.AppendValue(append(dst, 'k'), a.Right.Const)
 			}
 		}
 	case *Project:

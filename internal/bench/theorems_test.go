@@ -130,7 +130,7 @@ func e1(t *testing.T) {
 		if r := w.Calls.RowsRead() - read; r != int64(n+appends) {
 			t.Errorf("|C|=%d: recompute read %d stored rows, want all %d", n, r, n+appends)
 		}
-		if ok(t, err); !slices.EqualFunc(v.Rows(), want, sameRow) {
+		if ok(t, err); !slices.EqualFunc(v.Rows(), want, value.TuplesEqual) {
 			t.Errorf("|C|=%d: view and recompute differ", n)
 		}
 	}
@@ -522,13 +522,11 @@ func e11(t *testing.T) {
 			ok(t, w.Cust.Upsert(w.lsn, value.Tuple{value.Str(Acct(rng.Intn(256))), value.Str(states[rng.Intn(len(states))]), value.Int(0)}))
 		}
 		want, err := v.Recompute()
-		if ok(t, err); !slices.EqualFunc(v.Rows(), want, sameRow) {
+		if ok(t, err); !slices.EqualFunc(v.Rows(), want, value.TuplesEqual) {
 			t.Errorf("%d steps: the view differs from the AsOf reference", n)
 		}
 	}
 }
-
-func sameRow(a, b value.Tuple) bool { return a.FullKey() == b.FullKey() }
 
 // e12 — recovery costs the log tail, not the history: a reopen after a
 // checkpoint applies exactly the records above its LSN, a reopen without

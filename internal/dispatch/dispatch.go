@@ -16,8 +16,8 @@ import (
 	"fmt"
 
 	"chronicledb/internal/chronicle"
+	"chronicledb/internal/keyenc"
 	"chronicledb/internal/pred"
-	"chronicledb/internal/value"
 )
 
 // Target is a maintenance target (typically a persistent view, or one
@@ -124,7 +124,7 @@ func (d *Dispatcher) Register(t *Target) error {
 					byConst = make(map[string][]*Target)
 					cols[col] = byConst
 				}
-				key := value.Tuple{k}.FullKey()
+				key := string(keyenc.AppendValue(nil, k))
 				byConst[key] = append(byConst[key], t)
 				continue
 			}
@@ -197,7 +197,7 @@ func (d *Dispatcher) Affected(c *chronicle.Chronicle, rows []chronicle.Row) []*T
 			}
 			// The probe key is built in reusable scratch; the map[string]
 			// lookup does not copy the bytes.
-			d.keyScratch = value.AppendKey(d.keyScratch[:0], r.Vals[col])
+			d.keyScratch = keyenc.AppendValue(d.keyScratch[:0], r.Vals[col])
 			for _, t := range byConst[string(d.keyScratch)] {
 				emit(t)
 			}

@@ -134,8 +134,7 @@ func AppendTuple(dst []byte, t value.Tuple) []byte {
 	return dst
 }
 
-// AppendCols appends the encodings of t's values at the given columns —
-// the allocation-free form of Key for callers holding a reusable buffer.
+// AppendCols appends the encodings of t's values at the given columns.
 func AppendCols(dst []byte, t value.Tuple, cols []int) []byte {
 	for _, c := range cols {
 		dst = AppendValue(dst, t[c])
@@ -143,14 +142,17 @@ func AppendCols(dst []byte, t value.Tuple, cols []int) []byte {
 	return dst
 }
 
-// Key renders the values of t at the given columns into a string usable as
-// an ordered map key.
-func Key(t value.Tuple, cols []int) string {
-	return string(AppendCols(nil, t, cols))
+// Len returns how many bytes of b the encodings of its first n values take:
+// where a key of n values ends when other bytes follow it. b must hold the
+// n encodings.
+func Len[B string | []byte](b B, n int) int {
+	off := 0
+	for ; n > 0; n-- {
+		_, used, _ := decode(b[off:], value.KindNull, false)
+		off += used
+	}
+	return off
 }
-
-// TupleKey renders the whole tuple.
-func TupleKey(t value.Tuple) string { return string(AppendTuple(nil, t)) }
 
 var (
 	errTruncated = errors.New("keyenc: truncated encoding")

@@ -20,14 +20,16 @@ import (
 	"sync"
 
 	"chronicledb/internal/btree"
+	"chronicledb/internal/keyenc"
 	"chronicledb/internal/value"
 )
 
 // Relation is a keyed relation. Its current version is its live rows, each
-// stored as one string: the key — value.AppendKey of each key column, in
+// stored as one string: the key — the keyenc encoding of the key columns, in
 // key-column order — then the value-encoded tuple, the bytes a checkpoint's
-// relation section holds. Readers decode a row in place: its string cells
-// are substrings of the row.
+// relation section holds. Rows are ordered, and two tuples are one key, as
+// value.Compare orders and equates their key columns. Readers decode a row
+// in place: its string cells are substrings of the row.
 //
 // Updates are serialized by the engine; mu additionally lets read methods
 // (Get, Scan, LookupBy, AsOf variants) run concurrently with updates without
@@ -62,10 +64,10 @@ type version struct {
 }
 
 // cmpKey compares a key with the key of row, or with another key. Keys are
-// prefix-free — every key cell is a length byte and a self-delimiting value
-// encoding, and a relation's keys have one arity — so a key that agrees with
-// a row up to the shorter length is that row's key: a probe compares with a
-// row on their common prefix alone.
+// prefix-free — no keyenc value encoding is a proper prefix of another, and
+// a relation's keys have one arity — so a key that agrees with a row up to
+// the shorter length is that row's key: a probe compares with a row on their
+// common prefix alone.
 func cmpKey(key []byte, row string) int {
 	n := min(len(key), len(row))
 	switch k := key[:n]; {
@@ -153,41 +155,22 @@ func (r *Relation) reset() {
 	}
 }
 
-// appendProbe appends the key encoding of keyVals, in keyCols order.
-func appendProbe(dst []byte, keyVals value.Tuple) []byte {
-	for _, v := range keyVals {
-		dst = value.AppendKey(dst, v)
-	}
-	return dst
-}
-
 // appendKey appends the key of t, a full tuple.
 func (r *Relation) appendKey(dst []byte, t value.Tuple) []byte {
-	for _, c := range r.keyCols {
-		dst = value.AppendKey(dst, t[c])
-	}
-	return dst
+	return keyenc.AppendCols(dst, t, r.keyCols)
 }
 
 // rowLess orders rows by their keys alone; the bytes past a key are its
 // tuple. Keys are prefix-free (see cmpKey), so a's key compares with b
 // exactly as with b's key when it meets b's first len(key) bytes: only a's
-// key is decoded.
+// key is measured.
 func (r *Relation) rowLess(a, b string) bool {
 	k := r.keyLen(a)
 	return a[:k] < b[:min(k, len(b))]
 }
 
-// keyLen returns the length of row's key: a length byte and a value
-// encoding per key column.
-func (r *Relation) keyLen(row string) int {
-	off := 0
-	for range r.keyCols {
-		_, n, _ := value.DecodeValueString(row[off+1:])
-		off += 1 + n
-	}
-	return off
-}
+// keyLen returns the length of row's key.
+func (r *Relation) keyLen(row string) int { return keyenc.Len(row, len(r.keyCols)) }
 
 // decode appends row's values to dst.
 func (r *Relation) decode(dst value.Tuple, row string) value.Tuple {
@@ -262,7 +245,7 @@ func (r *Relation) Delete(lsn uint64, keyVals value.Tuple) bool {
 	if len(keyVals) != len(r.keyCols) {
 		return false
 	}
-	key := appendProbe(nil, keyVals)
+	key := keyenc.AppendTuple(nil, keyVals)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	row, ok := r.find(key)
@@ -289,13 +272,13 @@ func (r *Relation) GetAsOf(lsn uint64, keyVals value.Tuple) (value.Tuple, bool) 
 	if len(keyVals) != len(r.keyCols) {
 		return nil, false
 	}
-	return r.AppendAsOf(nil, lsn, appendProbe(nil, keyVals))
+	return r.AppendAsOf(nil, lsn, keyenc.AppendTuple(nil, keyVals))
 }
 
 // AppendAsOf appends to dst the values of the row under key as of lsn, the
-// current row without history. key is value.AppendKey of each key value in
-// keyCols order. It is a key join's probe: into a dst with room it allocates
-// nothing, the string cells sharing the stored row.
+// current row without history. key is the keyenc encoding of the key values
+// in keyCols order. It is a key join's probe: into a dst with room it
+// allocates nothing, the string cells sharing the stored row.
 func (r *Relation) AppendAsOf(dst value.Tuple, lsn uint64, key []byte) (value.Tuple, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -390,7 +373,7 @@ func (r *Relation) LookupBy(cols []int, vals value.Tuple) []value.Tuple {
 		for _, kc := range r.keyCols {
 			for j, c := range cols {
 				if c == kc {
-					key = value.AppendKey(key, vals[j])
+					key = keyenc.AppendValue(key, vals[j])
 				}
 			}
 		}

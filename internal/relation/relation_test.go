@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -319,49 +319,63 @@ type refVersion struct {
 	t   value.Tuple
 }
 
-// refRelation is the reference a Relation is checked against: a map of
-// version lists by key encoding, the shape the relation kept before rows
-// were stored as bytes.
+// refRelation is the reference a Relation is checked against: each key's
+// version list, the key found by value.Compare and the keys ordered by
+// value.CompareTuples, so it shares no encoding with the relation.
 type refRelation struct {
 	keyCols []int
 	history bool
-	keys    map[string][]refVersion
+	keys    []*refKey
 }
 
-func (m *refRelation) key(keyVals value.Tuple) string {
-	var b []byte
-	for _, v := range keyVals {
-		b = value.AppendKey(b, v)
+// refKey is one key of the reference, in key-column order, and its versions.
+type refKey struct {
+	key value.Tuple
+	vs  []refVersion
+}
+
+// find returns the key equal to keyVals, nil if it was never written.
+func (m *refRelation) find(keyVals value.Tuple) *refKey {
+	for _, k := range m.keys {
+		if value.CompareTuples(k.key, keyVals) == 0 {
+			return k
+		}
 	}
-	return string(b)
+	return nil
 }
 
-func (m *refRelation) push(k string, v refVersion) {
-	vs := m.keys[k]
-	switch n := len(vs); {
-	case n > 0 && vs[n-1].lsn == v.lsn, n > 0 && !m.history:
-		vs[n-1] = v
+func (m *refRelation) push(keyVals value.Tuple, v refVersion) {
+	k := m.find(keyVals)
+	if k == nil {
+		k = &refKey{key: keyVals.Clone()}
+		m.keys = append(m.keys, k)
+	}
+	switch n := len(k.vs); {
+	case n > 0 && k.vs[n-1].lsn == v.lsn, n > 0 && !m.history:
+		k.vs[n-1] = v
 	default:
-		vs = append(vs, v)
+		k.vs = append(k.vs, v)
 	}
-	m.keys[k] = vs
 }
 
 func (m *refRelation) upsert(lsn uint64, t value.Tuple) {
-	m.push(m.key(t.Project(m.keyCols)), refVersion{lsn, t.Clone()})
+	m.push(t.Project(m.keyCols), refVersion{lsn, t.Clone()})
 }
 
 func (m *refRelation) delete(lsn uint64, keyVals value.Tuple) bool {
-	k := m.key(keyVals)
-	if _, live := m.asOf(k, ^uint64(0)); !live {
+	if _, live := m.asOf(keyVals, ^uint64(0)); !live {
 		return false
 	}
-	m.push(k, refVersion{lsn, nil})
+	m.push(keyVals, refVersion{lsn, nil})
 	return true
 }
 
-func (m *refRelation) asOf(k string, lsn uint64) (value.Tuple, bool) {
-	vs := m.keys[k]
+func (m *refRelation) asOf(keyVals value.Tuple, lsn uint64) (value.Tuple, bool) {
+	k := m.find(keyVals)
+	if k == nil {
+		return nil, false
+	}
+	vs := k.vs
 	if !m.history && len(vs) > 0 {
 		return vs[len(vs)-1].t, vs[len(vs)-1].t != nil
 	}
@@ -373,16 +387,13 @@ func (m *refRelation) asOf(k string, lsn uint64) (value.Tuple, bool) {
 	return nil, false
 }
 
-// rowsAsOf lists the tuples live at lsn in key-encoding order.
+// rowsAsOf lists the tuples live at lsn in key order.
 func (m *refRelation) rowsAsOf(lsn uint64) []value.Tuple {
-	keys := make([]string, 0, len(m.keys))
-	for k := range m.keys {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := slices.Clone(m.keys)
+	slices.SortFunc(keys, func(a, b *refKey) int { return value.CompareTuples(a.key, b.key) })
 	var out []value.Tuple
 	for _, k := range keys {
-		if t, ok := m.asOf(k, lsn); ok {
+		if t, ok := m.asOf(k.key, lsn); ok {
 			out = append(out, t)
 		}
 	}
@@ -392,7 +403,7 @@ func (m *refRelation) rowsAsOf(lsn uint64) []value.Tuple {
 // restored is the reference after a checkpoint restore at lsn: every live
 // row is current from lsn and nothing else is remembered.
 func (m *refRelation) restored(lsn uint64) *refRelation {
-	out := &refRelation{keyCols: m.keyCols, history: m.history, keys: map[string][]refVersion{}}
+	out := &refRelation{keyCols: m.keyCols, history: m.history}
 	for _, t := range m.rowsAsOf(^uint64(0)) {
 		out.upsert(lsn, t)
 	}
@@ -423,8 +434,8 @@ func oneOrNone(t value.Tuple, ok bool) []value.Tuple {
 // seeded upsert, delete, Get, GetAsOf, Scan, ScanAsOf and LookupBy sequences,
 // with history on and off, and halfway through carries the relation through a
 // checkpoint image into a relation that held other rows. The key is two
-// columns out of schema order; key strings run past 255 bytes, so a key cell's
-// length byte wraps, and float keys mix -0, integral values and NaN.
+// columns out of schema order; key strings run past 255 bytes, and float keys
+// mix -0, integral values and two NaN payloads.
 func TestRelationMatchesReference(t *testing.T) {
 	schema := value.NewSchema(
 		value.Column{Name: "id", Kind: value.KindInt},
@@ -435,7 +446,7 @@ func TestRelationMatchesReference(t *testing.T) {
 	)
 	regions := []string{"", "a", "ab", "b", strings.Repeat("x", 300)}
 	ids := []int64{-1, 0, 1, 2, 1 << 53, -1 << 62}
-	scores := []float64{0, math.Copysign(0, -1), 1, 1.5, -2, math.NaN()}
+	scores := []float64{0, math.Copysign(0, -1), 1, 1.5, -2, math.NaN(), math.Float64frombits(0xFFF8000000000001)}
 	for _, keyCols := range [][]int{{1, 0}, {2}} {
 		for _, history := range []bool{false, true} {
 			for seed := int64(1); seed <= 12; seed++ {
@@ -445,7 +456,7 @@ func TestRelationMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref := &refRelation{keyCols: keyCols, history: history, keys: map[string][]refVersion{}}
+				ref := &refRelation{keyCols: keyCols, history: history}
 				randTuple := func() value.Tuple {
 					note := value.Null()
 					if rng.Intn(3) > 0 {
@@ -480,7 +491,7 @@ func TestRelationMatchesReference(t *testing.T) {
 					case op == 6:
 						k := keyOf(randTuple())
 						got, ok := r.Get(k)
-						want, wok := ref.asOf(ref.key(k), ^uint64(0))
+						want, wok := ref.asOf(k, ^uint64(0))
 						if !sameTuples(oneOrNone(got, ok), oneOrNone(want, wok)) {
 							t.Fatalf("%s: Get(%v) = %v %v, want %v %v", where, k, got, ok, want, wok)
 						}
@@ -495,7 +506,7 @@ func TestRelationMatchesReference(t *testing.T) {
 					case op == 7:
 						k, at := keyOf(randTuple()), uint64(rng.Int63n(int64(lsn)+2))
 						got, ok := r.GetAsOf(at, k)
-						want, wok := ref.asOf(ref.key(k), at)
+						want, wok := ref.asOf(k, at)
 						if !sameTuples(oneOrNone(got, ok), oneOrNone(want, wok)) {
 							t.Fatalf("%s: GetAsOf(%d, %v) = %v %v, want %v %v", where, at, k, got, ok, want, wok)
 						}
@@ -580,12 +591,11 @@ func TestRestoreImageRejectsMalformed(t *testing.T) {
 }
 
 // TestRowLessMatchesKeyOrder checks the live-row order against its
-// definition: rowLess, which decodes one key, must order every pair of rows
-// as comparing their two decoded keys does. The rows mix key arities and
-// kinds with the edges of the key encoding: ”, strings whose length takes
-// a two-byte varint or wraps the cell's length byte, integers around 2⁵³
-// and integral floats that key as integers, and keys repeated under other
-// tuples.
+// definition: rowLess, which measures one key, must order every pair of rows
+// as value.CompareTuples orders their decoded key columns. The rows mix key
+// arities and kinds with the edges of the key encoding: ”, strings of NUL
+// and 0xFF bytes and strings past 255 bytes, integers around 2⁵³ and ±2⁶³
+// beside their float twins, and keys repeated under other tuples.
 func TestRowLessMatchesKeyOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	str := func() value.Value {
@@ -609,7 +619,7 @@ func TestRowLessMatchesKeyOrder(t *testing.T) {
 		case 0:
 			return value.Int(ints[rng.Intn(len(ints))])
 		case 1:
-			floats := []float64{0.5, -0.5, 2, float64(p53), float64(p53 + 2), -float64(p53), 1e300}
+			floats := []float64{0.5, -0.5, 2, float64(p53), float64(p53 + 2), -float64(p53), 0x1p63, -0x1p63, 1e300}
 			return value.Float(floats[rng.Intn(len(floats))])
 		case 2:
 			return value.Int(rng.Int63n(5) - 2)
@@ -653,9 +663,11 @@ func TestRowLessMatchesKeyOrder(t *testing.T) {
 				}
 			}
 			for _, a := range rows {
+				ka := r.decode(nil, a).Project(tc.key)
 				for _, b := range rows {
-					if got, want := r.rowLess(a, b), a[:r.keyLen(a)] < b[:r.keyLen(b)]; got != want {
-						t.Fatalf("rowLess(%q, %q) = %v, the keys order %v", a, b, got, want)
+					kb := r.decode(nil, b).Project(tc.key)
+					if got, want := r.rowLess(a, b), value.CompareTuples(ka, kb) < 0; got != want {
+						t.Fatalf("rowLess(%v, %v) = %v, the keys order %v", ka, kb, got, want)
 					}
 				}
 			}

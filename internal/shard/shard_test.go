@@ -9,6 +9,7 @@ import (
 	"chronicledb/internal/algebra"
 	"chronicledb/internal/chronicle"
 	"chronicledb/internal/engine"
+	"chronicledb/internal/keyenc"
 	"chronicledb/internal/pred"
 	"chronicledb/internal/value"
 	"chronicledb/internal/view"
@@ -291,10 +292,10 @@ func acct(i int) string { return fmt.Sprintf("acct%03d", i) }
 func multisetDiff(a, b []value.Tuple) int {
 	counts := map[string]int{}
 	for _, t := range a {
-		counts[t.FullKey()]++
+		counts[string(keyenc.AppendTuple(nil, t))]++
 	}
 	for _, t := range b {
-		counts[t.FullKey()]--
+		counts[string(keyenc.AppendTuple(nil, t))]--
 	}
 	n := 0
 	for _, c := range counts {

@@ -45,10 +45,6 @@ func AppendValue(dst []byte, v Value) []byte {
 // the number of bytes consumed.
 func DecodeValue(b []byte) (Value, int, error) { return decodeValue(b) }
 
-// DecodeValueString is DecodeValue reading from a string; a string value
-// shares s's bytes.
-func DecodeValueString(s string) (Value, int, error) { return decodeValue(s) }
-
 func decodeValue[S string | []byte](b S) (Value, int, error) {
 	if len(b) == 0 {
 		return Value{}, 0, fmt.Errorf("value: empty buffer")

@@ -181,7 +181,7 @@ func (s *Schema) String() string {
 // Fingerprint returns a stable hash of the schema layout, used by the WAL
 // to detect schema drift between a checkpoint and the log.
 func (s *Schema) Fingerprint() uint64 {
-	h := HashSeed
+	h := hashSeed
 	for _, c := range s.cols {
 		h = fnvUint64(h, fnvString(c.Name))
 		h = fnvByte(h, byte(c.Kind))

@@ -2,9 +2,9 @@
 // by chronicles, relations, and persistent views.
 //
 // Values are small immutable tagged unions. A tuple is a slice of values
-// interpreted against a Schema. The package also provides total ordering,
-// hashing, and a compact binary encoding used by the write-ahead log and by
-// view checkpoints.
+// interpreted against a Schema. The package also provides total ordering
+// and a compact binary encoding used by the write-ahead log and by view
+// checkpoints.
 package value
 
 import (
@@ -202,44 +202,8 @@ func Compare(a, b Value) int {
 // Equal reports whether two values compare equal under Compare.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
-// Hash mixes the value into a 64-bit FNV-1a hash seeded by h.
-func (v Value) Hash(h uint64) uint64 {
-	h = fnvByte(h, byte(normalizedKind(v.kind)))
-	switch v.kind {
-	case KindInt, KindBool, KindTime:
-		h = fnvUint64(h, uint64(v.i))
-	case KindFloat:
-		// Hash floats by their numeric value so Int(2) and Float(2.0),
-		// which compare equal, also hash equal: a float equals an int only
-		// when it is integral and inside the int64 range. Every NaN hashes
-		// as one, as every NaN compares equal.
-		switch {
-		case v.f == math.Trunc(v.f) && v.f >= -0x1p63 && v.f < 0x1p63:
-			h = fnvUint64(h, uint64(int64(v.f)))
-		case math.IsNaN(v.f):
-			h = fnvUint64(h, math.Float64bits(math.NaN()))
-		default:
-			h = fnvUint64(h, math.Float64bits(v.f))
-		}
-	case KindString:
-		for i := 0; i < len(v.s); i++ {
-			h = fnvByte(h, v.s[i])
-		}
-	}
-	return h
-}
-
-// normalizedKind folds int and float into one tag so that numerically equal
-// values hash identically.
-func normalizedKind(k Kind) Kind {
-	if k == KindFloat {
-		return KindInt
-	}
-	return k
-}
-
-// HashSeed is the canonical starting seed for value and tuple hashing.
-const HashSeed uint64 = 14695981039346656037 // FNV-1a offset basis
+// hashSeed is the starting seed of Schema.Fingerprint's FNV-1a hash.
+const hashSeed uint64 = 14695981039346656037 // FNV-1a offset basis
 
 func fnvByte(h uint64, b byte) uint64 {
 	h ^= uint64(b)

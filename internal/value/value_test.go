@@ -2,7 +2,6 @@ package value
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -136,37 +135,6 @@ func TestCompareTransitivityQuick(t *testing.T) {
 	}
 }
 
-func TestEqualValuesHashEqual(t *testing.T) {
-	pairs := [][2]Value{
-		{Int(2), Float(2.0)},
-		{Int(-7), Float(-7.0)},
-		{Str("abc"), Str("abc")},
-		{Bool(true), Bool(true)},
-	}
-	for _, p := range pairs {
-		if !Equal(p[0], p[1]) {
-			t.Fatalf("expected %v == %v", p[0], p[1])
-		}
-		if p[0].Hash(HashSeed) != p[1].Hash(HashSeed) {
-			t.Errorf("equal values %v and %v hash differently", p[0], p[1])
-		}
-	}
-}
-
-func TestHashDistinguishes(t *testing.T) {
-	vals := sampleValues()
-	for i, a := range vals {
-		for j, b := range vals {
-			if i == j {
-				continue
-			}
-			if !Equal(a, b) && a.Hash(HashSeed) == b.Hash(HashSeed) {
-				t.Errorf("distinct values %v and %v collide (ok rarely, not for this fixed set)", a, b)
-			}
-		}
-	}
-}
-
 func TestValueString(t *testing.T) {
 	for _, tc := range []struct {
 		v    Value
@@ -275,13 +243,6 @@ func TestDecodeTupleStringInPlace(t *testing.T) {
 	if want := append(lead.Clone(), tup...); !TuplesEqual(got, want) {
 		t.Errorf("decoded %v, want %v", got, want)
 	}
-	for _, v := range sampleValues() {
-		s := string(AppendValue(nil, v))
-		got, n, err := DecodeValueString(s)
-		if err != nil || n != len(s) || got != v {
-			t.Errorf("DecodeValueString(%v) = %v, %d, %v", v, got, n, err)
-		}
-	}
 	dst := make(Tuple, 0, len(tup))
 	if allocs := testing.AllocsPerRun(100, func() { dst, _, _ = DecodeTupleString(dst[:0], enc) }); allocs != 0 {
 		t.Errorf("decoding in place allocated %.0f objects, want 0", allocs)
@@ -326,35 +287,6 @@ func TestTupleProjectCloneString(t *testing.T) {
 	}
 	if got := tup.String(); got != "(1, b, 3)" {
 		t.Errorf("String = %q", got)
-	}
-}
-
-func TestTupleKeyInjective(t *testing.T) {
-	// Keys of distinct tuples must differ even when string contents could be
-	// confused with separators.
-	a := Tuple{Str("ab"), Str("c")}
-	b := Tuple{Str("a"), Str("bc")}
-	if a.FullKey() == b.FullKey() {
-		t.Error("FullKey collides for (ab,c) vs (a,bc)")
-	}
-	c := Tuple{Int(2)}
-	d := Tuple{Float(2.0)}
-	if c.FullKey() != d.FullKey() {
-		t.Error("numerically equal tuples should key equal")
-	}
-}
-
-func TestTupleKeyQuick(t *testing.T) {
-	cfg := &quick.Config{Rand: rand.New(rand.NewSource(7))}
-	f := func(a1, b1 int64, a2, b2 string) bool {
-		ta := Tuple{Int(a1), Str(a2)}
-		tb := Tuple{Int(b1), Str(b2)}
-		keysEqual := ta.FullKey() == tb.FullKey()
-		tuplesEqual := TuplesEqual(ta, tb)
-		return keysEqual == tuplesEqual
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -281,8 +281,8 @@ func sameTuples(a, b []value.Tuple) bool {
 	ka := make([]string, len(a))
 	kb := make([]string, len(b))
 	for i := range a {
-		ka[i] = a[i].FullKey()
-		kb[i] = b[i].FullKey()
+		ka[i] = string(keyenc.AppendTuple(nil, a[i]))
+		kb[i] = string(keyenc.AppendTuple(nil, b[i]))
 	}
 	sort.Strings(ka)
 	sort.Strings(kb)
