@@ -72,16 +72,19 @@ watch-stress:
 
 # bench-allocs is the allocation-regression gate: the AllocsPerRun guards
 # pin the hot path's steady-state allocation counts (zero for the micro
-# paths, a small fixed budget end-to-end, a few objects for a 64-row call
-# into a key-join view, one per group for a 64-row call through a grouping
-# on the sequencing attribute), and the append benchmarks print the allocs/op
-# trend; the dedup guards pin that a Put of a new id into a full idempotency
-# table and a Lookup allocate nothing; the feed-tail guard pins the live heap a
-# changefeed's resume tails keep per delta when nobody watches (one packed
-# frame per view per call). -count=1 defeats caching — the guards must run.
+# paths, a small fixed budget end-to-end, with a periodic family or without,
+# a few objects for a 64-row call into a key-join view, one per group for a
+# 64-row call through a grouping on the sequencing attribute), and the append
+# benchmarks print the allocs/op trend; the dedup guards pin that a Put of a
+# new id into a full idempotency table and a Lookup allocate nothing; the
+# feed-tail guard pins the live heap a changefeed's resume tails keep per
+# delta when nobody watches (one packed frame per view per call); the layout
+# test pins a value.Value at two words (16 bytes), since every tuple in flight
+# is a slice of them. -count=1 defeats caching — the guards must run.
 bench-allocs:
 	$(GO) test -count=1 -run 'TestAllocGuards|TestReplAllocGuards|TestKeyJoinAllocGuard|TestGroupBySNAllocGuard|TestFeedTailBytes' -v .
 	$(GO) test -count=1 -run 'TestTableAllocGuard|TestTableMemoryBound' -v ./internal/dedup
+	$(GO) test -count=1 -run 'TestValueLayout' -v ./internal/value
 	$(GO) test -run=NONE -bench 'BenchmarkAppendHotPath' -benchmem -benchtime 200x .
 
 # bench-reads is the read-path regression gate: the alloc guards pin the

@@ -38,6 +38,9 @@ type Calendar interface {
 	// IntervalsAt returns every interval containing ch, in ascending Start
 	// order. For non-overlapping calendars this is at most one interval.
 	IntervalsAt(ch int64) []Interval
+	// Covers reports whether some interval contains ch — whether
+	// IntervalsAt(ch) is non-empty — without allocating.
+	Covers(ch int64) bool
 	// SpanAt returns the widest chronon range [lo, hi) around ch on which
 	// IntervalsAt answers as it does at ch: the set changes only where some
 	// interval starts or ends. Maintenance asks once per run of rows inside
@@ -82,6 +85,19 @@ func (f *Fixed) IntervalsAt(ch int64) []Interval {
 		}
 	}
 	return out
+}
+
+// Covers reports whether some interval contains ch.
+func (f *Fixed) Covers(ch int64) bool {
+	for _, iv := range f.ivs {
+		if iv.Start > ch {
+			break
+		}
+		if iv.Contains(ch) {
+			return true
+		}
+	}
+	return false
 }
 
 // SpanAt returns the nearest interval boundaries at or below and above ch.
@@ -179,6 +195,12 @@ func (p *Periodic) IntervalsAt(ch int64) []Interval {
 		}
 	}
 	return out
+}
+
+// Covers reports whether some window contains ch. The latest window started
+// at or before ch ends last of those, so it is the one to ask.
+func (p *Periodic) Covers(ch int64) bool {
+	return ch >= p.Offset && (ch-p.Offset)%p.Period < p.Width
 }
 
 // SpanAt brackets ch between the nearest window start (Offset+k·Period) and

@@ -140,7 +140,7 @@ func TestPeriodicIntervalsAtQuick(t *testing.T) {
 				want = append(want, iv)
 			}
 		}
-		if len(got) != len(want) {
+		if len(got) != len(want) || p.Covers(ch) != (len(want) > 0) {
 			return false
 		}
 		for i := range got {
@@ -157,7 +157,8 @@ func TestPeriodicIntervalsAtQuick(t *testing.T) {
 
 // TestSpanAtBracketsIntervalsAt: on [lo, hi) around ch the calendar answers
 // as it does at ch, and at lo-1 and hi it answers differently (the range is
-// the widest) — for fixed, billing-period and overlapping calendars.
+// the widest) — for fixed, billing-period and overlapping calendars; and
+// Covers(ch) says whether IntervalsAt(ch) is non-empty.
 func TestSpanAtBracketsIntervalsAt(t *testing.T) {
 	fixed, _ := NewFixed(Interval{10, 40}, Interval{20, 30}, Interval{30, 60}, Interval{90, 95})
 	billing, _ := NewPeriodic(5, 10, 10)
@@ -181,6 +182,9 @@ func TestSpanAtBracketsIntervalsAt(t *testing.T) {
 				t.Fatalf("%s: SpanAt(%d) = [%d,%d) does not contain it", cal, ch, lo, hi)
 			}
 			at := cal.IntervalsAt(ch)
+			if cal.Covers(ch) != (len(at) > 0) {
+				t.Fatalf("%s: Covers(%d) = %v, but IntervalsAt(%d) = %v", cal, ch, cal.Covers(ch), ch, at)
+			}
 			for x := max(lo, -50); x < min(hi, 200); x++ {
 				if !same(cal.IntervalsAt(x), at) {
 					t.Fatalf("%s: SpanAt(%d) = [%d,%d) but IntervalsAt(%d) = %v, not %v", cal, ch, lo, hi, x, cal.IntervalsAt(x), at)

@@ -433,7 +433,7 @@ func (e *Engine) CreatePeriodicView(name string, def view.Def, cal calendar.Cale
 		Chronicles: info.Chronicles,
 		ActiveAt: func(ch int64) (bool, int64, int64) {
 			lo, hi := cal.SpanAt(ch)
-			return len(cal.IntervalsAt(ch)) > 0, lo, hi
+			return cal.Covers(ch), lo, hi
 		},
 	}); err != nil {
 		return nil, err

@@ -40,6 +40,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 
 	"chronicledb/internal/value"
@@ -102,14 +103,15 @@ func AppendValue(dst []byte, v value.Value) []byte {
 	case value.KindString:
 		dst = append(dst, tagString)
 		s := v.AsString()
-		for i := 0; i < len(s); i++ {
-			if s[i] == 0x00 {
-				dst = append(dst, 0x00, 0xFF)
-			} else {
-				dst = append(dst, s[i])
+		for {
+			i := strings.IndexByte(s, 0x00)
+			if i < 0 {
+				break
 			}
+			dst = append(append(dst, s[:i]...), 0x00, 0xFF)
+			s = s[i+1:]
 		}
-		return append(dst, 0x00, 0x00)
+		return append(append(dst, s...), 0x00, 0x00)
 	case value.KindBool:
 		b := byte(0)
 		if v.AsBool() {

@@ -96,6 +96,37 @@ func TestOrderQuickStrings(t *testing.T) {
 	}
 }
 
+// TestStringCopiedByRuns: AppendValue copies a string by the runs between
+// its 0x00 bytes; its bytes are those of escaping the string one byte at a
+// time, over strings made of runs of 0x00, 0xFF and other bytes.
+func TestStringCopiedByRuns(t *testing.T) {
+	perByte := func(s string) []byte {
+		dst := []byte{tagString}
+		for i := 0; i < len(s); i++ {
+			if s[i] == 0x00 {
+				dst = append(dst, 0x00, 0xFF)
+			} else {
+				dst = append(dst, s[i])
+			}
+		}
+		return append(dst, 0x00, 0x00)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		var b []byte
+		for runs := rng.Intn(6); runs > 0; runs-- {
+			c := []byte{0x00, 0xFF, 'a' + byte(rng.Intn(3))}[rng.Intn(3)]
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				b = append(b, c)
+			}
+		}
+		s := string(b)
+		if got, want := enc(value.Str(s)), perByte(s); !bytes.Equal(got, want) {
+			t.Fatalf("AppendValue(%q) = %x, escaping byte by byte gives %x", s, got, want)
+		}
+	}
+}
+
 // TestStringPrefixFree: no string encoding is a prefix of another distinct
 // string's encoding, so tuple encodings compare lexicographically.
 func TestStringPrefixFree(t *testing.T) {

@@ -3,7 +3,6 @@ package value
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Binary encoding of values and tuples, used by the write-ahead log and by
@@ -25,18 +24,17 @@ import (
 
 // AppendValue appends the encoding of v to dst and returns the extended slice.
 func AppendValue(dst []byte, v Value) []byte {
-	dst = append(dst, byte(v.kind))
-	switch v.kind {
+	k := v.Kind()
+	dst = append(dst, byte(k))
+	switch k {
 	case KindNull:
-	case KindInt, KindTime:
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.i))
-	case KindFloat:
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.f))
+	case KindInt, KindTime, KindFloat:
+		dst = binary.LittleEndian.AppendUint64(dst, v.n) // a float's n is its bits
 	case KindBool:
-		dst = append(dst, byte(v.i))
+		dst = append(dst, byte(v.n))
 	case KindString:
-		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
-		dst = append(dst, v.s...)
+		dst = binary.AppendUvarint(dst, v.n)
+		dst = append(dst, v.AsString()...)
 	}
 	return dst
 }
@@ -54,16 +52,11 @@ func decodeValue[S string | []byte](b S) (Value, int, error) {
 	switch k {
 	case KindNull:
 		return Null(), 1, nil
-	case KindInt, KindTime:
+	case KindInt, KindTime, KindFloat:
 		if len(rest) < 8 {
 			return Value{}, 0, fmt.Errorf("value: truncated %s payload", k)
 		}
-		return Value{kind: k, i: int64(le64(rest))}, 9, nil
-	case KindFloat:
-		if len(rest) < 8 {
-			return Value{}, 0, fmt.Errorf("value: truncated float payload")
-		}
-		return Float(math.Float64frombits(le64(rest))), 9, nil
+		return scalar(k, le64(rest)), 9, nil
 	case KindBool:
 		if len(rest) < 1 {
 			return Value{}, 0, fmt.Errorf("value: truncated bool payload")

@@ -1,10 +1,16 @@
 // Package value provides the typed value, tuple, and schema substrate shared
 // by chronicles, relations, and persistent views.
 //
-// Values are small immutable tagged unions. A tuple is a slice of values
-// interpreted against a Schema. The package also provides total ordering
-// and a compact binary encoding used by the write-ahead log and by view
-// checkpoints.
+// Values are small immutable tagged unions of two machine words, 16 bytes:
+// a pointer word that is nil for NULL, points at a per-kind sentinel for an
+// int, float, bool, chronon or the empty string, or points at a non-empty
+// string's bytes; and a payload word (see Value). A tuple is a slice of
+// values interpreted against a Schema. The package also provides total
+// ordering and a compact binary encoding used by the write-ahead log and by
+// view checkpoints.
+//
+// Compare values with Equal (or Compare), never with == or
+// reflect.DeepEqual: equal strings at two addresses are one value.
 package value
 
 import (
@@ -13,6 +19,7 @@ import (
 	"math"
 	"strconv"
 	"time"
+	"unsafe"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -68,94 +75,169 @@ func KindOf(name string) (Kind, bool) {
 	}
 }
 
-// Value is an immutable typed scalar. The zero Value is the SQL-style null.
+// Value is an immutable typed scalar in two machine words. The zero Value is
+// the SQL-style null.
+//
+// The pointer word p carries the kind: nil is NULL, the address of kinds[k]
+// is kind k (for KindString, the empty string), and any other address is the
+// data of a non-empty string. The payload word n holds the int64, the
+// float64's bits, 0 or 1, the chronon's nanoseconds, or the string's length.
+// This is log/slog.Value's string trick with the kind folded into the
+// pointer, so a tuple of three values is 48 bytes.
+//
+// Because a string value holds its bytes' address, compare values with
+// Equal, never with == (it does not compile) or reflect.DeepEqual (it would
+// compare addresses). %#v prints the kind and the exact payload (GoString).
 type Value struct {
-	kind Kind
-	i    int64 // payload for KindInt, KindBool (0/1), KindTime (unix nanos)
-	f    float64
-	s    string
+	_ [0]func() // keeps == from compiling
+	p unsafe.Pointer
+	n uint64
 }
+
+// kinds holds one sentinel byte per kind: a non-null value that is not a
+// non-empty string points at its kind's byte.
+var kinds [KindTime + 1]byte
+
+// scalar returns the value of kind k with payload n.
+func scalar(k Kind, n uint64) Value { return Value{p: unsafe.Pointer(&kinds[k]), n: n} }
+
+// is reports whether v is of kind k, for any k but KindNull and KindString.
+func (v Value) is(k Kind) bool { return v.p == unsafe.Pointer(&kinds[k]) }
 
 // Null returns the null value.
 func Null() Value { return Value{} }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return scalar(KindInt, uint64(v)) }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return scalar(KindFloat, math.Float64bits(v)) }
 
 // Str returns a string value. (Named Str rather than String to avoid
 // clashing with the fmt.Stringer method on Value.)
-func Str(v string) Value { return Value{kind: KindString, s: v} }
+func Str(v string) Value {
+	if len(v) == 0 {
+		return scalar(KindString, 0)
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(v)), n: uint64(len(v))}
+}
 
 // Bool returns a boolean value.
 func Bool(v bool) Value {
-	var i int64
+	var n uint64
 	if v {
-		i = 1
+		n = 1
 	}
-	return Value{kind: KindBool, i: i}
+	return scalar(KindBool, n)
 }
 
 // Time returns a chronon value for the given instant.
-func Time(t time.Time) Value { return Value{kind: KindTime, i: t.UnixNano()} }
+func Time(t time.Time) Value { return Chronon(t.UnixNano()) }
 
 // Chronon returns a chronon value from raw nanoseconds since the epoch.
-func Chronon(ns int64) Value { return Value{kind: KindTime, i: ns} }
+func Chronon(ns int64) Value { return scalar(KindTime, uint64(ns)) }
 
 // Kind reports the value's dynamic kind.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind {
+	if d := uintptr(v.p) - uintptr(unsafe.Pointer(&kinds)); d < uintptr(len(kinds)) {
+		return Kind(d)
+	}
+	if v.p == nil {
+		return KindNull
+	}
+	return KindString
+}
 
 // IsNull reports whether the value is null.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.p == nil }
+
+// word returns the integer payload of an int, bool or chronon, and 0 for
+// any other kind.
+func (v Value) word() int64 {
+	if v.is(KindInt) || v.is(KindTime) || v.is(KindBool) {
+		return int64(v.n)
+	}
+	return 0
+}
 
 // AsInt returns the integer payload. It is valid only for KindInt.
-func (v Value) AsInt() int64 { return v.i }
+func (v Value) AsInt() int64 { return v.word() }
 
 // AsFloat returns the float payload. For KindInt values it converts.
 func (v Value) AsFloat() float64 {
-	if v.kind == KindInt {
-		return float64(v.i)
+	switch {
+	case v.is(KindInt):
+		return float64(int64(v.n))
+	case v.is(KindFloat):
+		return math.Float64frombits(v.n)
 	}
-	return v.f
+	return 0
 }
 
 // AsString returns the string payload. It is valid only for KindString.
-func (v Value) AsString() string { return v.s }
+func (v Value) AsString() string {
+	if v.Kind() != KindString {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), int(v.n))
+}
 
 // AsBool returns the boolean payload. It is valid only for KindBool.
-func (v Value) AsBool() bool { return v.i != 0 }
+func (v Value) AsBool() bool { return v.word() != 0 }
 
 // AsTime returns the instant for a KindTime value.
-func (v Value) AsTime() time.Time { return time.Unix(0, v.i) }
+func (v Value) AsTime() time.Time { return time.Unix(0, v.word()) }
 
 // AsChronon returns the raw nanosecond payload for a KindTime value.
-func (v Value) AsChronon() int64 { return v.i }
+func (v Value) AsChronon() int64 { return v.word() }
 
 // IsNumeric reports whether the value is an int or float.
-func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
+func (v Value) IsNumeric() bool { return v.is(KindInt) || v.is(KindFloat) }
 
 // String renders the value for display and for the CLI.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case KindString:
-		return v.s
+		return v.AsString()
 	case KindBool:
-		if v.i != 0 {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
 	case KindTime:
-		return time.Unix(0, v.i).UTC().Format(time.RFC3339Nano)
+		return time.Unix(0, int64(v.n)).UTC().Format(time.RFC3339Nano)
 	default:
 		return "?"
+	}
+}
+
+// GoString renders the value as the constructor call that makes it, so %#v
+// shows a value's kind and exact payload rather than its string's address:
+// a string is quoted byte for byte, and a NaN or infinite float is written by
+// its bits.
+func (v Value) GoString() string {
+	switch v.Kind() {
+	case KindNull:
+		return "value.Null()"
+	case KindInt:
+		return "value.Int(" + strconv.FormatInt(int64(v.n), 10) + ")"
+	case KindFloat:
+		if f := math.Float64frombits(v.n); !math.IsNaN(f) && !math.IsInf(f, 0) {
+			return "value.Float(" + strconv.FormatFloat(f, 'g', -1, 64) + ")"
+		}
+		return fmt.Sprintf("value.Float(math.Float64frombits(%#016x))", v.n)
+	case KindString:
+		return "value.Str(" + strconv.Quote(v.AsString()) + ")"
+	case KindBool:
+		return "value.Bool(" + strconv.FormatBool(v.n != 0) + ")"
+	default:
+		return "value.Chronon(" + strconv.FormatInt(int64(v.n), 10) + ")"
 	}
 }
 
@@ -165,35 +247,37 @@ func (v Value) String() string {
 // never rounded to a float64 first, so Int(2⁵³+1) is above Float(2⁵³) —
 // and NaN sorts below every other number and equals itself.
 func Compare(a, b Value) int {
-	if a.kind == KindNull || b.kind == KindNull {
-		return int(boolToInt(b.kind == KindNull)) - int(boolToInt(a.kind == KindNull))
+	if a.p == nil || b.p == nil {
+		return int(boolToInt(b.p == nil)) - int(boolToInt(a.p == nil))
 	}
 	if a.IsNumeric() && b.IsNumeric() {
 		switch {
-		case a.kind == KindInt && b.kind == KindInt:
-			return cmpInt(a.i, b.i)
-		case a.kind == KindFloat && b.kind == KindFloat:
-			return cmpFloat(a.f, b.f)
-		case a.kind == KindFloat:
-			return cmpFloatInt(a.f, b.i)
+		case a.is(KindInt) && b.is(KindInt):
+			return cmpInt(int64(a.n), int64(b.n))
+		case a.is(KindFloat) && b.is(KindFloat):
+			return cmpFloat(math.Float64frombits(a.n), math.Float64frombits(b.n))
+		case a.is(KindFloat):
+			return cmpFloatInt(math.Float64frombits(a.n), int64(b.n))
 		default:
-			return -cmpFloatInt(b.f, a.i)
+			return -cmpFloatInt(math.Float64frombits(b.n), int64(a.n))
 		}
 	}
-	if a.kind != b.kind {
-		return cmpInt(int64(a.kind), int64(b.kind))
+	ka, kb := a.Kind(), b.Kind()
+	if ka != kb {
+		return cmpInt(int64(ka), int64(kb))
 	}
-	switch a.kind {
+	switch ka {
 	case KindString:
+		as, bs := a.AsString(), b.AsString()
 		switch {
-		case a.s < b.s:
+		case as < bs:
 			return -1
-		case a.s > b.s:
+		case as > bs:
 			return 1
 		}
 		return 0
 	case KindBool, KindTime:
-		return cmpInt(a.i, b.i)
+		return cmpInt(int64(a.n), int64(b.n))
 	default:
 		return 0
 	}
