@@ -264,9 +264,8 @@ examples:
 # loc prints the size numbers ROADMAP tracks: non-test source lines outside
 # benchmark/, test lines, Options fields, exported DB, shard.Router and
 # engine.Engine methods (all three read from non-test files), chronicled
-# flags, the non-test lines of internal/bench (the telecom workload), and the
-# declared stats (one entry each in metrics.go, plus the server's own in
-# internal/server/server.go).
+# flags, and the declared stats (one entry each in metrics.go, plus the
+# server's own in internal/server/server.go).
 loc:
 	@printf 'non-test source lines (excluding benchmark/): '
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
@@ -282,8 +281,6 @@ loc:
 	@grep -c '^func (e \*Engine) [A-Z]' internal/engine/engine.go
 	@printf 'chronicled flags: '
 	@grep -c '= flag\.[A-Z][a-z0-9]*(' cmd/chronicled/main.go
-	@printf 'internal/bench non-test lines: '
-	@find internal/bench -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 	@printf 'declared stats: '
 	@cat metrics.go internal/server/server.go | grep -cE '^\s*\{"|Metric\{(fmt\.Sprintf\()?"|Metric\{Name: "'
 

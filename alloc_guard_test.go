@@ -15,11 +15,11 @@ import (
 	chronicledb "chronicledb"
 	"chronicledb/internal/aggregate"
 	"chronicledb/internal/algebra"
-	"chronicledb/internal/bench"
 	"chronicledb/internal/chronicle"
 	feedpkg "chronicledb/internal/feed"
 	"chronicledb/internal/keyenc"
 	"chronicledb/internal/value"
+	"chronicledb/internal/view"
 )
 
 // allocGuard asserts the steady-state allocation count of fn.
@@ -57,13 +57,12 @@ func TestAllocGuards(t *testing.T) {
 
 	t.Run("view-apply", func(t *testing.T) {
 		// Warm view, existing group: the per-append maintenance step.
-		w, err := bench.NewTelecom(64, chronicle.RetainNone, false)
+		vw, err := view.New(usageDef(callsChronicle(t)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		vw := bench.MustView(w.UsageDef("usage"))
 		rows := []chronicle.Row{{SN: 1, Vals: value.Tuple{
-			value.Str(bench.Acct(3)), value.Int(7), value.Float(0.1)}}}
+			value.Str(acct(3)), value.Int(7), value.Float(0.1)}}}
 		for i := 0; i < 100; i++ {
 			vw.ApplyRows(rows)
 		}
@@ -132,7 +131,7 @@ func TestAllocGuards(t *testing.T) {
 			}
 			for i := 0; i < 64; i++ {
 				stmt := fmt.Sprintf(`CREATE VIEW v%d AS SELECT acct, SUM(minutes) AS m
-					FROM calls WHERE acct = '%s' GROUP BY acct`, i, bench.Acct(i))
+					FROM calls WHERE acct = '%s' GROUP BY acct`, i, acct(i))
 				if _, err := db.Exec(stmt); err != nil {
 					t.Fatal(err)
 				}
@@ -142,7 +141,7 @@ func TestAllocGuards(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			tuple := chronicledb.Tuple{chronicledb.Str(bench.Acct(7)), chronicledb.Int(3)}
+			tuple := chronicledb.Tuple{chronicledb.Str(acct(7)), chronicledb.Int(3)}
 			for i := 0; i < 200; i++ {
 				if _, err := db.Append("calls", tuple); err != nil {
 					t.Fatal(err)
@@ -313,7 +312,7 @@ func TestKeyJoinAllocGuard(t *testing.T) {
 	}
 	states := []string{"nj", "ny", "ca", "tx"}
 	for a := 0; a < accounts; a++ {
-		row := chronicledb.Tuple{chronicledb.Str(bench.Acct(a)), chronicledb.Str(states[a%len(states)]), chronicledb.Str("gold")}
+		row := chronicledb.Tuple{chronicledb.Str(acct(a)), chronicledb.Str(states[a%len(states)]), chronicledb.Str("gold")}
 		if err := db.Upsert("customers", row); err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +327,7 @@ func TestKeyJoinAllocGuard(t *testing.T) {
 			if j%8 == 7 {
 				a += accounts
 			}
-			calls[i][j] = chronicledb.Tuple{chronicledb.Str(bench.Acct(a)), chronicledb.Int(3), chronicledb.Float(0.25)}
+			calls[i][j] = chronicledb.Tuple{chronicledb.Str(acct(a)), chronicledb.Int(3), chronicledb.Float(0.25)}
 		}
 	}
 	n := 0
@@ -382,7 +381,7 @@ func TestGroupBySNAllocGuard(t *testing.T) {
 	plan.AddView("g", node)
 	rows := make([]chronicle.Row, callK)
 	for i := range rows {
-		rows[i] = chronicle.Row{SN: 1, Vals: value.Tuple{value.Str(bench.Acct(i % accounts)), value.Int(int64(i))}}
+		rows[i] = chronicle.Row{SN: 1, Vals: value.Tuple{value.Str(acct(i % accounts)), value.Int(int64(i))}}
 	}
 	d := algebra.BatchDelta{calls: rows}
 	call := func() {

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	chronicledb "chronicledb"
-	"chronicledb/internal/bench"
 )
 
 // BenchmarkAppendHotPath measures the full engine append path. The mem
@@ -29,7 +28,7 @@ func BenchmarkAppendHotPath(b *testing.B) {
 			}
 			tuples := make([]chronicledb.Tuple, batch)
 			for i := range tuples {
-				tuples[i] = chronicledb.Tuple{chronicledb.Str(bench.Acct(i % 64)), chronicledb.Int(3)}
+				tuples[i] = chronicledb.Tuple{chronicledb.Str(acct(i % 64)), chronicledb.Int(3)}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -50,7 +49,7 @@ func BenchmarkAppendHotPath(b *testing.B) {
 			CREATE VIEW usage AS SELECT acct, SUM(minutes) AS total FROM calls GROUP BY acct`); err != nil {
 			b.Fatal(err)
 		}
-		tuple := chronicledb.Tuple{chronicledb.Str(bench.Acct(7)), chronicledb.Int(3)}
+		tuple := chronicledb.Tuple{chronicledb.Str(acct(7)), chronicledb.Int(3)}
 		b.ReportAllocs()
 		b.SetParallelism(4) // concurrent appenders even on one core: the commit door needs queued callers to coalesce
 		b.ResetTimer()

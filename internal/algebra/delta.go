@@ -27,6 +27,11 @@ type BatchDelta map[*chronicle.Chronicle][]chronicle.Row
 // locality is exactly why the paper's maintenance complexity is independent
 // of both |C| and the view size.
 //
+// Delta evaluates one expression on its own: it is the reference the tests
+// compare against; the engine does not call it. The engine computes every
+// view's delta through SharedPlan, which applies the same rules once per
+// distinct subexpression of a round.
+//
 // The rules, per operator (Δ over old state E; fresh SNs make cross terms
 // with old state provably empty):
 //
@@ -67,9 +72,9 @@ func Delta(n Node, d BatchDelta) []chronicle.Row {
 	case *GroupBySN:
 		return groupBySN(n, Delta(n.In, d), nil, new(groupScratch))
 	case *CrossRel:
-		return deltaCrossRel(n, Delta(n.In, d), &n.Work)
+		return deltaCrossRel(n, Delta(n.In, d), new(RelWork))
 	case *JoinRel:
-		return deltaJoinRel(n, Delta(n.In, d), nil, new(joinScratch), &n.Work)
+		return deltaJoinRel(n, Delta(n.In, d), nil, new(joinScratch), new(RelWork))
 	default:
 		panic(fmt.Sprintf("algebra: unknown node %T", n))
 	}
@@ -80,26 +85,10 @@ func Delta(n Node, d BatchDelta) []chronicle.Row {
 // the relation's tree (IM-log(R)), and relation rows visited by scans, |R| per
 // input row for a product or a non-key join (IM-Rᵏ). The deltas through one
 // node are serialized by the engine's mutation lock, so the counts are plain
-// integers; the reference evaluator does not count.
+// integers. Only the shared plan counts, on the node it evaluates; the
+// reference evaluators (Evaluate, Delta) do not.
 type RelWork struct {
 	Probes, Scanned int64
-}
-
-// RelationWork sums the RelWork of every relation operator in n.
-func RelationWork(n Node) RelWork {
-	var w RelWork
-	switch n := n.(type) {
-	case *CrossRel:
-		w = n.Work
-	case *JoinRel:
-		w = n.Work
-	}
-	for _, c := range n.children() {
-		cw := RelationWork(c)
-		w.Probes += cw.Probes
-		w.Scanned += cw.Scanned
-	}
-	return w
 }
 
 // deltaCrossRel pairs each input delta row with the relation version at the

@@ -71,14 +71,14 @@ func (f *fixture) appendCall(t testing.TB, acct string, minutes int64) BatchDelt
 
 func (f *fixture) appendBoth(t testing.TB, acct string, minutes, amount int64) BatchDelta {
 	t.Helper()
-	got, err := f.group.AppendBatch(f.group.NextSN(), f.group.NextSN()*1000, f.nextLSN(), []chronicle.BatchPart{
+	got := BatchDelta{}
+	if _, err := f.group.AppendBatchInto(f.group.NextSN(), f.group.NextSN()*1000, f.nextLSN(), []chronicle.BatchPart{
 		{C: f.calls, Tuples: []value.Tuple{{value.Str(acct), value.Int(minutes)}}},
 		{C: f.payments, Tuples: []value.Tuple{{value.Str(acct), value.Int(amount)}}},
-	})
-	if err != nil {
+	}, nil, got); err != nil {
 		t.Fatal(err)
 	}
-	return BatchDelta{f.calls: got[f.calls], f.payments: got[f.payments]}
+	return got
 }
 
 func TestScanNode(t *testing.T) {

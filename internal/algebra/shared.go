@@ -166,6 +166,23 @@ type PlanNodeInfo struct {
 	ID        int
 	Consumers int
 	Expr      string
+	// Work is what the node's own deltas have read of its relation, zero
+	// but for a relation operator. The plan counts it on the expression
+	// the node was interned from, the first view's that held it, so a
+	// view's own expression counts nothing its node shares.
+	Work RelWork
+}
+
+// info describes n.
+func (n *PlanNode) info() PlanNodeInfo {
+	in := PlanNodeInfo{ID: n.ID, Consumers: n.Consumers, Expr: n.Expr.String()}
+	switch e := n.Expr.(type) {
+	case *CrossRel:
+		in.Work = e.Work
+	case *JoinRel:
+		in.Work = e.Work
+	}
+	return in
 }
 
 // SharedPlan is the hash-consed delta DAG over a set of view expressions.
@@ -299,7 +316,7 @@ func (p *SharedPlan) ViewNodes(view string) []PlanNodeInfo {
 	}
 	var out []PlanNodeInfo
 	for _, n := range reach(root) {
-		out = append(out, PlanNodeInfo{ID: n.ID, Consumers: n.Consumers, Expr: n.Expr.String()})
+		out = append(out, n.info())
 	}
 	return out
 }
@@ -309,7 +326,7 @@ func (p *SharedPlan) SharedNodes() []PlanNodeInfo {
 	var out []PlanNodeInfo
 	for _, n := range p.nodes {
 		if n.Consumers > 1 {
-			out = append(out, PlanNodeInfo{ID: n.ID, Consumers: n.Consumers, Expr: n.Expr.String()})
+			out = append(out, n.info())
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

@@ -29,110 +29,12 @@ func (iv Interval) Overlaps(o Interval) bool { return iv.Start < o.End && o.Star
 // String renders the interval.
 func (iv Interval) String() string { return fmt.Sprintf("[%d,%d)", iv.Start, iv.End) }
 
-// Calendar is a (possibly infinite) set of intervals. The only operation
-// maintenance needs is the inverse mapping: which intervals contain a given
-// chronon. The paper requires "a mapping from sequence numbers in a
-// chronicle to time intervals"; the engine supplies it by stamping each
-// append with a chronon.
-type Calendar interface {
-	// IntervalsAt returns every interval containing ch, in ascending Start
-	// order. For non-overlapping calendars this is at most one interval.
-	IntervalsAt(ch int64) []Interval
-	// Covers reports whether some interval contains ch — whether
-	// IntervalsAt(ch) is non-empty — without allocating.
-	Covers(ch int64) bool
-	// SpanAt returns the widest chronon range [lo, hi) around ch on which
-	// IntervalsAt answers as it does at ch: the set changes only where some
-	// interval starts or ends. Maintenance asks once per run of rows inside
-	// the range instead of once per row.
-	SpanAt(ch int64) (lo, hi int64)
-	// String describes the calendar: two calendars with one String have
-	// the same intervals (the engine's cohorts rely on it).
-	String() string
-}
-
-// Fixed is a finite calendar given by an explicit interval list.
-type Fixed struct {
-	ivs []Interval
-}
-
-// NewFixed builds a fixed calendar. Intervals must be well-formed
-// (Start < End); they may overlap freely.
-func NewFixed(ivs ...Interval) (*Fixed, error) {
-	for _, iv := range ivs {
-		if iv.Start >= iv.End {
-			return nil, fmt.Errorf("calendar: malformed interval %s", iv)
-		}
-	}
-	sorted := append([]Interval(nil), ivs...)
-	for i := 1; i < len(sorted); i++ { // insertion sort by Start; lists are small
-		for j := i; j > 0 && sorted[j].Start < sorted[j-1].Start; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	return &Fixed{ivs: sorted}, nil
-}
-
-// IntervalsAt returns the intervals containing ch.
-func (f *Fixed) IntervalsAt(ch int64) []Interval {
-	var out []Interval
-	for _, iv := range f.ivs {
-		if iv.Start > ch {
-			break
-		}
-		if iv.Contains(ch) {
-			out = append(out, iv)
-		}
-	}
-	return out
-}
-
-// Covers reports whether some interval contains ch.
-func (f *Fixed) Covers(ch int64) bool {
-	for _, iv := range f.ivs {
-		if iv.Start > ch {
-			break
-		}
-		if iv.Contains(ch) {
-			return true
-		}
-	}
-	return false
-}
-
-// SpanAt returns the nearest interval boundaries at or below and above ch.
-func (f *Fixed) SpanAt(ch int64) (lo, hi int64) {
-	lo, hi = math.MinInt64, math.MaxInt64
-	for _, iv := range f.ivs {
-		for _, b := range [2]int64{iv.Start, iv.End} {
-			if b <= ch && b > lo {
-				lo = b
-			}
-			if b > ch && b < hi {
-				hi = b
-			}
-		}
-	}
-	return lo, hi
-}
-
-// Intervals returns the calendar's intervals in Start order.
-func (f *Fixed) Intervals() []Interval { return append([]Interval(nil), f.ivs...) }
-
-// String describes the calendar by its intervals.
-func (f *Fixed) String() string {
-	b := []byte("fixed(")
-	for i, iv := range f.ivs {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = append(b, iv.String()...)
-	}
-	return string(append(b, ')'))
-}
-
 // Periodic is an infinite calendar of intervals [Offset+k·Period,
-// Offset+k·Period+Width) for every integer k ≥ 0.
+// Offset+k·Period+Width) for every integer k ≥ 0, the one kind of calendar
+// a periodic view is defined over. The only question maintenance asks it is
+// the inverse mapping: which intervals contain a given chronon. The paper
+// requires "a mapping from sequence numbers in a chronicle to time
+// intervals"; the engine supplies it by stamping each append with a chronon.
 //
 //   - Width == Period yields the non-overlapping billing-period case
 //     ("a new billing statement is generated each month").
@@ -173,8 +75,8 @@ func NewPeriodic(offset, period, width int64) (*Periodic, error) {
 	return p, nil
 }
 
-// IntervalsAt returns every interval containing ch: all k ≥ 0 with
-// Offset+k·Period ≤ ch < Offset+k·Period+Width.
+// IntervalsAt returns every interval containing ch, in ascending Start
+// order: all k ≥ 0 with Offset+k·Period ≤ ch < Offset+k·Period+Width.
 func (p *Periodic) IntervalsAt(ch int64) []Interval {
 	if ch < p.Offset {
 		return nil
@@ -197,14 +99,18 @@ func (p *Periodic) IntervalsAt(ch int64) []Interval {
 	return out
 }
 
-// Covers reports whether some window contains ch. The latest window started
-// at or before ch ends last of those, so it is the one to ask.
+// Covers reports whether some window contains ch — whether IntervalsAt(ch)
+// is non-empty — without allocating. The latest window started at or before
+// ch ends last of those, so it is the one to ask.
 func (p *Periodic) Covers(ch int64) bool {
 	return ch >= p.Offset && (ch-p.Offset)%p.Period < p.Width
 }
 
-// SpanAt brackets ch between the nearest window start (Offset+k·Period) and
-// window end (a start plus Width) on either side of it.
+// SpanAt returns the widest chronon range [lo, hi) around ch on which
+// IntervalsAt answers as it does at ch: it brackets ch between the nearest
+// window start (Offset+k·Period) and window end (a start plus Width) on
+// either side of it. Maintenance asks once per run of rows inside the range
+// instead of once per row.
 func (p *Periodic) SpanAt(ch int64) (lo, hi int64) {
 	if ch < p.Offset {
 		return math.MinInt64, p.Offset
@@ -220,7 +126,8 @@ func (p *Periodic) SpanAt(ch int64) (lo, hi int64) {
 }
 
 // String describes the calendar; a width equal to the period and a zero
-// offset go unsaid.
+// offset go unsaid. Two calendars with one String have the same intervals
+// (the engine's cohorts rely on it).
 func (p *Periodic) String() string {
 	s := fmt.Sprintf("periodic(period=%d", p.Period)
 	if p.Width != p.Period {

@@ -23,29 +23,6 @@ func TestIntervalBasics(t *testing.T) {
 	}
 }
 
-func TestFixedCalendar(t *testing.T) {
-	if _, err := NewFixed(Interval{5, 5}); err == nil {
-		t.Error("degenerate interval accepted")
-	}
-	f, err := NewFixed(Interval{20, 30}, Interval{0, 10}, Interval{5, 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ivs := f.Intervals()
-	if ivs[0].Start != 0 || ivs[1].Start != 5 || ivs[2].Start != 20 {
-		t.Errorf("Intervals not sorted: %v", ivs)
-	}
-	if got := f.IntervalsAt(7); len(got) != 2 {
-		t.Errorf("IntervalsAt(7) = %v", got)
-	}
-	if got := f.IntervalsAt(22); len(got) != 2 {
-		t.Errorf("IntervalsAt(22) = %v", got)
-	}
-	if got := f.IntervalsAt(50); got != nil {
-		t.Errorf("IntervalsAt(50) = %v", got)
-	}
-}
-
 func TestPeriodicNonOverlapping(t *testing.T) {
 	if _, err := NewPeriodic(0, 0, 10); err == nil {
 		t.Error("zero period accepted")
@@ -157,10 +134,9 @@ func TestPeriodicIntervalsAtQuick(t *testing.T) {
 
 // TestSpanAtBracketsIntervalsAt: on [lo, hi) around ch the calendar answers
 // as it does at ch, and at lo-1 and hi it answers differently (the range is
-// the widest) — for fixed, billing-period and overlapping calendars; and
+// the widest) — for billing-period, overlapping and gapped calendars; and
 // Covers(ch) says whether IntervalsAt(ch) is non-empty.
 func TestSpanAtBracketsIntervalsAt(t *testing.T) {
-	fixed, _ := NewFixed(Interval{10, 40}, Interval{20, 30}, Interval{30, 60}, Interval{90, 95})
 	billing, _ := NewPeriodic(5, 10, 10)
 	moving, _ := NewPeriodic(3, 7, 24)
 	gapped, _ := NewPeriodic(0, 10, 4)
@@ -175,7 +151,7 @@ func TestSpanAtBracketsIntervalsAt(t *testing.T) {
 		}
 		return true
 	}
-	for _, cal := range []Calendar{fixed, billing, moving, gapped} {
+	for _, cal := range []*Periodic{billing, moving, gapped} {
 		for ch := int64(-5); ch < 130; ch++ {
 			lo, hi := cal.SpanAt(ch)
 			if ch < lo || ch >= hi {

@@ -52,7 +52,7 @@ import (
 type PeriodicView struct {
 	name        string
 	def         view.Def
-	cal         Calendar
+	cal         *Periodic
 	dir         *view.Dir // the instances' and panes' directory; nil: one per view
 	expireAfter int64     // chronons past interval end; <0 keeps instances forever
 	co          *cohort
@@ -83,7 +83,7 @@ type PeriodicView struct {
 // the same intervals.
 type cohort struct {
 	members     []*PeriodicView // in the order they joined
-	cal         Calendar
+	cal         *Periodic
 	expireAfter int64
 	maxSeen     int64  // high-water chronon, drives closing and expiration
 	round       uint64 // the round folded last; 0 never matches
@@ -134,7 +134,7 @@ type pane struct {
 // its instances shares, nil for one of its own; the caller counts the
 // family in Dir() once (Dir.Acquire). A family that expires its instances
 // ignores d.
-func NewPeriodicView(name string, def view.Def, cal Calendar, expireAfter int64, d *view.Dir) (*PeriodicView, error) {
+func NewPeriodicView(name string, def view.Def, cal *Periodic, expireAfter int64, d *view.Dir) (*PeriodicView, error) {
 	if name == "" {
 		return nil, fmt.Errorf("calendar: periodic view needs a name")
 	}
@@ -258,7 +258,7 @@ func (p *PeriodicView) Def() view.Def { return p.def }
 func (p *PeriodicView) Dir() *view.Dir { return p.dir }
 
 // Calendar returns the family's calendar.
-func (p *PeriodicView) Calendar() Calendar { return p.cal }
+func (p *PeriodicView) Calendar() *Periodic { return p.cal }
 
 // ExpireAfter returns the grace period after an interval's end before its
 // instance is discarded; negative keeps every instance.
@@ -277,17 +277,6 @@ func (p *PeriodicView) Expired() int64 { return p.expired }
 // that only advanced expiration). Incremental checkpoints use it as the
 // monotonic dirty marker: an unchanged count means unchanged state.
 func (p *PeriodicView) Applies() int64 { return p.applies }
-
-// Apply maintains the family for one append batch on its own: it computes
-// the expression delta, folds it outside any maintenance round, and
-// publishes. The engine folds every row of an append call and publishes
-// once; Apply serves callers that drive a family of a cohort of one
-// directly.
-func (p *PeriodicView) Apply(d algebra.BatchDelta) error {
-	_, err := p.Fold(0, d, algebra.Delta(p.def.Expr, d))
-	p.Publish()
-	return err
-}
 
 // Publish makes the rows folded since the last Publish visible to the
 // readers of p's cohort, each table once and all inside one bracket of the

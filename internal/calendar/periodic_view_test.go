@@ -177,9 +177,12 @@ func TestPeriodicOverRetainNoneChronicle(t *testing.T) {
 	}
 }
 
+// mustApply folds one append batch into pv on its own and publishes it,
+// taking the delta from the reference evaluator.
 func mustApply(t testing.TB, pv *PeriodicView, d algebra.BatchDelta) {
 	t.Helper()
-	if err := pv.Apply(d); err != nil {
+	_, err := pv.Fold(0, d, algebra.Delta(pv.Def().Expr, d))
+	if pv.Publish(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -310,7 +313,7 @@ func TestFoldThenPublish(t *testing.T) {
 func TestFoldOfACallEqualsFoldsOfItsRows(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var cal Calendar
+		var cal *Periodic
 		switch seed % 3 {
 		case 0:
 			cal, _ = NewPeriodic(0, 100, 100)

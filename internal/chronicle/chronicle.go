@@ -49,8 +49,8 @@ const (
 // read methods (Len, Scan, RowsCopy, ...) can run concurrently with
 // appends without holding the engine-wide lock.
 //
-// The methods that hand out stored rows — Scan, ScanRange, Rows and
-// RowsCopy — count them (RowsRead). Persistent-view maintenance never calls
+// The methods that hand out stored rows — Scan, Rows and RowsCopy — count
+// them (RowsRead). Persistent-view maintenance never calls
 // them; the count is how a test shows that it reads no stored row. They hold
 // mu exclusively to count: none of them is on the append or view-read path.
 type Chronicle struct {
@@ -207,8 +207,8 @@ func (c *Chronicle) LastSN() int64 {
 	return c.lastSN
 }
 
-// RowsRead returns the number of stored rows Scan, ScanRange, Rows and RowsCopy
-// have handed out.
+// RowsRead returns the number of stored rows Scan, Rows and RowsCopy have
+// handed out.
 func (c *Chronicle) RowsRead() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -221,32 +221,6 @@ func (c *Chronicle) Scan(fn func(Row) bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, r := range c.rows {
-		c.read++
-		if !fn(r) {
-			return
-		}
-	}
-}
-
-// ScanRange visits retained rows with loSN <= SN < hiSN in sequence order.
-// fn runs under the chronicle lock and must not call the chronicle.
-func (c *Chronicle) ScanRange(loSN, hiSN int64, fn func(Row) bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Rows are SN-sorted by construction; binary-search the start.
-	lo, hi := 0, len(c.rows)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.rows[mid].SN < loSN {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	for _, r := range c.rows[lo:] {
-		if r.SN >= hiSN {
-			return
-		}
 		c.read++
 		if !fn(r) {
 			return
@@ -357,21 +331,12 @@ type BatchPart struct {
 	Tuples []value.Tuple
 }
 
-// AppendBatch inserts tuples into several chronicles of the group as one
+// AppendBatchInto inserts tuples into several chronicles of the group as one
 // simultaneous insert sharing a single new sequence number — the paper's
 // "multiple tuples with the same sequence number can be inserted
 // simultaneously". All parts must belong to this group. On any validation
-// error nothing is stored.
-func (g *Group) AppendBatch(sn, chronon int64, lsn uint64, parts []BatchPart) (map[*Chronicle][]Row, error) {
-	out := make(map[*Chronicle][]Row, len(parts))
-	if _, err := g.AppendBatchInto(sn, chronon, lsn, parts, nil, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// AppendBatchInto is AppendBatch filling a caller-supplied delta map, so
-// the engine can reuse one map across batches. The stored rows are added to
+// error nothing is stored. It fills a caller-supplied delta map, so the
+// engine can reuse one map across batches: the stored rows are added to
 // buf, which is returned, and each part's share of it is placed in the map
 // directly (not copied again) — the chronicle's retention copy is the only
 // copy between validation and view maintenance.

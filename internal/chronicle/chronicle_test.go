@@ -190,31 +190,6 @@ func TestScanAndEarlyStop(t *testing.T) {
 	}
 }
 
-func TestScanRange(t *testing.T) {
-	g := NewGroup("g")
-	c, _ := g.NewChronicle("c", callSchema(), RetainAll)
-	for i := 0; i < 50; i++ {
-		c.Append(int64(i*2), 0, uint64(i), []value.Tuple{row("a", int64(i))}) // SNs 0,2,...,98
-	}
-	var got []int64
-	c.ScanRange(11, 21, func(r Row) bool { got = append(got, r.SN); return true })
-	want := []int64{12, 14, 16, 18, 20}
-	if len(got) != len(want) {
-		t.Fatalf("ScanRange = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ScanRange = %v, want %v", got, want)
-		}
-	}
-	// Empty range.
-	got = got[:0]
-	c.ScanRange(200, 300, func(r Row) bool { got = append(got, r.SN); return true })
-	if len(got) != 0 {
-		t.Errorf("out-of-range scan returned %v", got)
-	}
-}
-
 func TestRestoreLastSN(t *testing.T) {
 	g := NewGroup("g")
 	g.RestoreLastSN(41)
@@ -231,11 +206,11 @@ func TestAppendBatch(t *testing.T) {
 	g := NewGroup("g")
 	a, _ := g.NewChronicle("a", callSchema(), RetainAll)
 	b, _ := g.NewChronicle("b", callSchema(), RetainAll)
-	got, err := g.AppendBatch(5, 77, 9, []BatchPart{
+	got := map[*Chronicle][]Row{}
+	if _, err := g.AppendBatchInto(5, 77, 9, []BatchPart{
 		{C: a, Tuples: []value.Tuple{row("x", 1), row("y", 2)}},
 		{C: b, Tuples: []value.Tuple{row("z", 3)}},
-	})
-	if err != nil {
+	}, nil, got); err != nil {
 		t.Fatal(err)
 	}
 	if len(got[a]) != 2 || len(got[b]) != 1 {
@@ -254,27 +229,31 @@ func TestAppendBatchValidation(t *testing.T) {
 	a, _ := g.NewChronicle("a", callSchema(), RetainAll)
 	other := NewGroup("other")
 	foreign, _ := other.NewChronicle("f", callSchema(), RetainAll)
+	appendBatch := func(sn int64, lsn uint64, parts []BatchPart) error {
+		_, err := g.AppendBatchInto(sn, 0, lsn, parts, nil, map[*Chronicle][]Row{})
+		return err
+	}
 
-	if _, err := g.AppendBatch(0, 0, 1, nil); err == nil {
+	if err := appendBatch(0, 1, nil); err == nil {
 		t.Error("empty batch accepted")
 	}
-	if _, err := g.AppendBatch(0, 0, 1, []BatchPart{{C: foreign, Tuples: []value.Tuple{row("x", 1)}}}); err == nil {
+	if err := appendBatch(0, 1, []BatchPart{{C: foreign, Tuples: []value.Tuple{row("x", 1)}}}); err == nil {
 		t.Error("foreign chronicle accepted")
 	}
-	if _, err := g.AppendBatch(0, 0, 1, []BatchPart{{C: a}}); err == nil {
+	if err := appendBatch(0, 1, []BatchPart{{C: a}}); err == nil {
 		t.Error("empty part accepted")
 	}
-	if _, err := g.AppendBatch(0, 0, 1, []BatchPart{{C: a, Tuples: []value.Tuple{{value.Int(1)}}}}); err == nil {
+	if err := appendBatch(0, 1, []BatchPart{{C: a, Tuples: []value.Tuple{{value.Int(1)}}}}); err == nil {
 		t.Error("schema violation accepted")
 	}
 	// Nothing was stored by the failed attempts.
 	if a.Len() != 0 || g.LastSN() != -1 {
 		t.Error("failed batch left state behind")
 	}
-	if _, err := g.AppendBatch(3, 0, 1, []BatchPart{{C: a, Tuples: []value.Tuple{row("x", 1)}}}); err != nil {
+	if err := appendBatch(3, 1, []BatchPart{{C: a, Tuples: []value.Tuple{row("x", 1)}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.AppendBatch(3, 0, 2, []BatchPart{{C: a, Tuples: []value.Tuple{row("x", 1)}}}); err == nil {
+	if err := appendBatch(3, 2, []BatchPart{{C: a, Tuples: []value.Tuple{row("x", 1)}}}); err == nil {
 		t.Error("stale SN accepted")
 	}
 }

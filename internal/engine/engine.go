@@ -415,7 +415,7 @@ func (e *Engine) acquireDirLocked(d *view.Dir, def view.Def) {
 // instance of an interval shares one table with theirs
 // (calendar.PeriodicView.Share). A family that matches none is a cohort of
 // one.
-func (e *Engine) CreatePeriodicView(name string, def view.Def, cal calendar.Calendar, expireAfter int64) (*calendar.PeriodicView, error) {
+func (e *Engine) CreatePeriodicView(name string, def view.Def, cal *calendar.Periodic, expireAfter int64) (*calendar.PeriodicView, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	pv, err := calendar.NewPeriodicView(name, def, cal, expireAfter, e.dirLocked(def))
@@ -475,7 +475,7 @@ func (e *Engine) FamilyInfo(name string) (info FamilyInfo, ok bool) {
 // on one calendar with one expiry fold the same rows into the same intervals
 // in the same rounds, and so can share each interval's table. The engine is
 // one shard's: every family it holds has it as home.
-func cohortKey(def view.Def, cal calendar.Calendar, expireAfter int64) string {
+func cohortKey(def view.Def, cal *calendar.Periodic, expireAfter int64) string {
 	return fmt.Sprintf("%s|%s|%d", def.TableKey(), cal, expireAfter)
 }
 

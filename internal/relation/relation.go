@@ -32,7 +32,7 @@ import (
 // in place: its string cells are substrings of the row.
 //
 // Updates are serialized by the engine; mu additionally lets read methods
-// (Get, Scan, LookupBy, AsOf variants) run concurrently with updates without
+// (Get, Scan, AsOf variants) run concurrently with updates without
 // the engine-wide lock.
 type Relation struct {
 	name    string
@@ -358,41 +358,6 @@ func (r *Relation) ScanAsOf(lsn uint64, fn func(value.Tuple) bool) {
 		t = r.decode(t[:0], row)
 		return fn(t)
 	})
-}
-
-// LookupBy returns all current tuples whose values at cols equal vals.
-// When cols covers the key, this is the O(log|R|) key lookup that CA⋈
-// requires; otherwise it degrades to a scan (used only by plain CA cross
-// products, which are outside IM-log(R) anyway — Theorem 4.3).
-func (r *Relation) LookupBy(cols []int, vals value.Tuple) []value.Tuple {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.colsAreKey(cols) {
-		// Encode vals in keyCols order.
-		var key []byte
-		for _, kc := range r.keyCols {
-			for j, c := range cols {
-				if c == kc {
-					key = keyenc.AppendValue(key, vals[j])
-				}
-			}
-		}
-		if row, ok := r.find(key); ok {
-			return []value.Tuple{r.decode(nil, row)}
-		}
-		return nil
-	}
-	var out []value.Tuple
-	r.scanLocked(func(t value.Tuple) bool {
-		for i, c := range cols {
-			if !value.Equal(t[c], vals[i]) {
-				return true
-			}
-		}
-		out = append(out, t.Clone())
-		return true
-	})
-	return out
 }
 
 // colsAreKey reports whether cols is exactly the key column set.

@@ -205,30 +205,6 @@ func TestScanAsOf(t *testing.T) {
 	}
 }
 
-func TestLookupByKey(t *testing.T) {
-	r := newCust(t, false)
-	r.Upsert(1, cust("a", "alice", "ny"))
-	r.Upsert(2, cust("b", "bob", "ca"))
-	got := r.LookupBy([]int{0}, value.Tuple{value.Str("b")})
-	if len(got) != 1 || got[0][1].AsString() != "bob" {
-		t.Errorf("LookupBy key = %v", got)
-	}
-	if got := r.LookupBy([]int{0}, value.Tuple{value.Str("zz")}); got != nil {
-		t.Errorf("LookupBy absent = %v", got)
-	}
-}
-
-func TestLookupByNonKey(t *testing.T) {
-	r := newCust(t, false)
-	r.Upsert(1, cust("a", "alice", "ny"))
-	r.Upsert(2, cust("b", "bob", "ny"))
-	r.Upsert(3, cust("c", "carol", "ca"))
-	got := r.LookupBy([]int{2}, value.Tuple{value.Str("ny")})
-	if len(got) != 2 {
-		t.Errorf("LookupBy non-key = %v", got)
-	}
-}
-
 func TestIsKey(t *testing.T) {
 	r, _ := New("r", custSchema(), []int{0, 1}, false)
 	if !r.IsKey([]int{0, 1}) || !r.IsKey([]int{1, 0}) {
@@ -431,7 +407,7 @@ func oneOrNone(t value.Tuple, ok bool) []value.Tuple {
 }
 
 // TestRelationMatchesReference drives a relation and the reference through
-// seeded upsert, delete, Get, GetAsOf, Scan, ScanAsOf and LookupBy sequences,
+// seeded upsert, delete, Get, GetAsOf, Scan and ScanAsOf sequences,
 // with history on and off, and halfway through carries the relation through a
 // checkpoint image into a relation that held other rows. The key is two
 // columns out of schema order; key strings run past 255 bytes, and float keys
@@ -495,14 +471,6 @@ func TestRelationMatchesReference(t *testing.T) {
 						if !sameTuples(oneOrNone(got, ok), oneOrNone(want, wok)) {
 							t.Fatalf("%s: Get(%v) = %v %v, want %v %v", where, k, got, ok, want, wok)
 						}
-						cols := append([]int(nil), keyCols...)
-						vals := k.Clone()
-						if len(cols) == 2 && rng.Intn(2) == 0 { // LookupBy takes the key columns in any order
-							cols[0], cols[1], vals[0], vals[1] = cols[1], cols[0], vals[1], vals[0]
-						}
-						if got := r.LookupBy(cols, vals); !sameTuples(got, oneOrNone(want, wok)) {
-							t.Fatalf("%s: LookupBy(%v, %v) = %v, want %v", where, cols, vals, got, want)
-						}
 					case op == 7:
 						k, at := keyOf(randTuple()), uint64(rng.Int63n(int64(lsn)+2))
 						got, ok := r.GetAsOf(at, k)
@@ -516,16 +484,6 @@ func TestRelationMatchesReference(t *testing.T) {
 						r.ScanAsOf(at, func(t value.Tuple) bool { got = append(got, t.Clone()); return true })
 						if want := ref.rowsAsOf(at); !sameTuples(got, want) {
 							t.Fatalf("%s: ScanAsOf(%d) = %v, want %v", where, at, got, want)
-						}
-						flag := value.Bool(rng.Intn(2) == 0)
-						var want []value.Tuple
-						for _, t := range ref.rowsAsOf(^uint64(0)) {
-							if value.Equal(t[3], flag) {
-								want = append(want, t)
-							}
-						}
-						if got := r.LookupBy([]int{3}, value.Tuple{flag}); !sameTuples(got, want) {
-							t.Fatalf("%s: LookupBy(flag=%v) = %v, want %v", where, flag, got, want)
 						}
 					default:
 						bad := randTuple()

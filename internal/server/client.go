@@ -278,9 +278,6 @@ func (c *Client) baseURL() string {
 	return c.endpoints[int(c.cur.Load())%len(c.endpoints)]
 }
 
-// Endpoint reports the endpoint currently in use (observability/tests).
-func (c *Client) Endpoint() string { return c.baseURL() }
-
 // rotate advances to the next endpoint; a no-op with a single endpoint.
 func (c *Client) rotate() {
 	if len(c.endpoints) > 1 {

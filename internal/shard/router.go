@@ -372,7 +372,7 @@ func (r *Router) CreateView(def view.Def) (*view.View, error) {
 }
 
 // CreatePeriodicView creates a periodic view family on its home shard.
-func (r *Router) CreatePeriodicView(name string, def view.Def, cal calendar.Calendar, expireAfter int64) (*calendar.PeriodicView, error) {
+func (r *Router) CreatePeriodicView(name string, def view.Def, cal *calendar.Periodic, expireAfter int64) (*calendar.PeriodicView, error) {
 	r.ddl.Lock()
 	defer r.ddl.Unlock()
 	idx, err := r.homeOfDef(name, def.Expr)

@@ -103,8 +103,8 @@ func FuzzBlockedImage(f *testing.F) {
 	}
 	f.Add(full) // the golden image: TestGoldenBlockedImage pins these bytes
 	src.CommitBlockRefs("full", 0, pend)
-	src.Apply(fx.appendCall(f, acctName(3), 1))
-	src.Apply(fx.appendCall(f, acctName(30)+"x", 1))
+	apply(src, fx.appendCall(f, acctName(3), 1))
+	apply(src, fx.appendCall(f, acctName(30)+"x", 1))
 	delta, _, _, _, err := src.CheckpointBlocked(false)
 	if err != nil {
 		f.Fatal(err)

@@ -43,10 +43,10 @@ func goldenView(t testing.TB, f *fixture) *View {
 func goldenRows(t testing.TB, f *fixture, v *View) {
 	t.Helper()
 	for i := 0; i < 40; i++ {
-		v.Apply(f.appendCall(t, acctName(i*7%40), int64(i*13%17-3)))
+		apply(v, f.appendCall(t, acctName(i*7%40), int64(i*13%17-3)))
 	}
 	for i := 0; i < 12; i++ {
-		v.Apply(f.appendCall(t, acctName(i*3), int64(100+i)))
+		apply(v, f.appendCall(t, acctName(i*3), int64(100+i)))
 	}
 }
 

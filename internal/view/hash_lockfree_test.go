@@ -22,8 +22,8 @@ import (
 func TestHashReadsDoNotAcquireViewLock(t *testing.T) {
 	f := newFixture(t)
 	v := minutesPerAcct(t, f)
-	v.Apply(f.appendCall(t, "acct1", 10))
-	v.Apply(f.appendCall(t, "acct2", 20))
+	apply(v, f.appendCall(t, "acct1", 10))
+	apply(v, f.appendCall(t, "acct2", 20))
 
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -76,7 +76,7 @@ func TestHashConcurrentReadersSeeConsistentEntries(t *testing.T) {
 	v := minutesPerAcct(t, f)
 	accts := []string{"a", "b", "c", "d"}
 	for _, a := range accts {
-		v.Apply(f.appendCall(t, a, 7))
+		apply(v, f.appendCall(t, a, 7))
 	}
 
 	stop := make(chan struct{})
@@ -109,7 +109,7 @@ func TestHashConcurrentReadersSeeConsistentEntries(t *testing.T) {
 		}(r)
 	}
 	for i := 0; i < 2000; i++ {
-		v.Apply(f.appendCall(t, accts[i%len(accts)], 7))
+		apply(v, f.appendCall(t, accts[i%len(accts)], 7))
 	}
 	close(stop)
 	wg.Wait()

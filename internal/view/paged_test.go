@@ -65,7 +65,7 @@ func TestPagedCheckpointDirtyTracking(t *testing.T) {
 	sim := newChainSim()
 	v := pagedView(t, f, sim, 256, NewCache(0))
 	for i := 0; i < 200; i++ {
-		v.Apply(f.appendCall(t, acctName(i), 5))
+		apply(v, f.appendCall(t, acctName(i), 5))
 	}
 	dirty, total := sim.checkpointTo(t, v, "ck1", true)
 	if total < 4 {
@@ -79,7 +79,7 @@ func TestPagedCheckpointDirtyTracking(t *testing.T) {
 	}
 
 	// Touch one group: exactly one block goes dirty.
-	v.Apply(f.appendCall(t, acctName(7), 5))
+	apply(v, f.appendCall(t, acctName(7), 5))
 	if _, gotDirty, _ := v.BlockStats(); gotDirty != 1 {
 		t.Fatalf("one-group write dirtied %d blocks, want 1", gotDirty)
 	}
@@ -108,7 +108,7 @@ func TestPagedEvictAndFault(t *testing.T) {
 	v := pagedView(t, f, sim, 256, cache)
 	const groups = 300
 	for i := 0; i < groups; i++ {
-		v.Apply(f.appendCall(t, acctName(i), int64(i%9+1)))
+		apply(v, f.appendCall(t, acctName(i), int64(i%9+1)))
 	}
 	sim.checkpointTo(t, v, "ck1", true)
 	cache.maintain()
@@ -151,7 +151,7 @@ func TestPagedEvictAndFault(t *testing.T) {
 	}
 
 	// Writes to evicted keys fault the block in and stay correct.
-	v.Apply(f.appendCall(t, acctName(0), 100))
+	apply(v, f.appendCall(t, acctName(0), 100))
 	row, ok := v.Lookup(value.Tuple{value.Str(acctName(0))})
 	if !ok || row[1].AsInt() != int64(0%9+1)+100 {
 		t.Fatalf("write-after-evict: %v %v", row, ok)
@@ -164,7 +164,7 @@ func TestPagedRestoreLazy(t *testing.T) {
 	v := pagedView(t, f, sim, 256, NewCache(0))
 	const groups = 120
 	for i := 0; i < groups; i++ {
-		v.Apply(f.appendCall(t, acctName(i), 3))
+		apply(v, f.appendCall(t, acctName(i), 3))
 	}
 	img, pend, _, total, err := v.CheckpointBlocked(true)
 	if err != nil {
@@ -213,7 +213,7 @@ func TestBlockSplitBoundaries(t *testing.T) {
 	sim := newChainSim()
 	v := pagedView(t, f, sim, 128, NewCache(0)) // tiny blocks force splits
 	for i := 0; i < 100; i++ {
-		v.Apply(f.appendCall(t, acctName(i), 1))
+		apply(v, f.appendCall(t, acctName(i), 1))
 	}
 	_, total := sim.checkpointTo(t, v, "ck1", true)
 	if total < 10 {
@@ -221,7 +221,7 @@ func TestBlockSplitBoundaries(t *testing.T) {
 	}
 	// Grow one key range until its block splits again on checkpoint.
 	for i := 0; i < 100; i++ {
-		v.Apply(f.appendCall(t, fmt.Sprintf("%s-sub%03d", acctName(42), i), 1))
+		apply(v, f.appendCall(t, fmt.Sprintf("%s-sub%03d", acctName(42), i), 1))
 	}
 	_, total2 := sim.checkpointTo(t, v, "ck2", false)
 	if total2 <= total {
@@ -251,7 +251,7 @@ func TestPagedProjectionView(t *testing.T) {
 	}
 	v.EnablePaging(128, sim.fetch, NewCache(0))
 	for i := 0; i < 60; i++ {
-		v.Apply(f.appendCall(t, acctName(i%20), 1))
+		apply(v, f.appendCall(t, acctName(i%20), 1))
 	}
 	sim.checkpointTo(t, v, "ck1", true)
 	f2 := newFixture(t)
@@ -280,7 +280,7 @@ func TestBlockedDeltaMergeLazy(t *testing.T) {
 	v := pagedView(t, f, sim, 256, NewCache(0))
 	const groups = 150
 	for i := 0; i < groups; i++ {
-		v.Apply(f.appendCall(t, acctName(i), 2))
+		apply(v, f.appendCall(t, acctName(i), 2))
 	}
 	full, pend, _, fullTotal, err := v.CheckpointBlocked(true)
 	if err != nil {
@@ -291,9 +291,9 @@ func TestBlockedDeltaMergeLazy(t *testing.T) {
 
 	// Dirty two separated ranges: a single-group touch, and a burst of new
 	// groups clustered after acct0100 so their block splits at the cut.
-	v.Apply(f.appendCall(t, acctName(3), 2))
+	apply(v, f.appendCall(t, acctName(3), 2))
 	for j := 0; j < 30; j++ {
-		v.Apply(f.appendCall(t, fmt.Sprintf("acct0100x%02d", j), 1))
+		apply(v, f.appendCall(t, fmt.Sprintf("acct0100x%02d", j), 1))
 	}
 	delta, dpend, dirty, total, err := v.CheckpointBlocked(false)
 	if err != nil {
@@ -345,7 +345,7 @@ func TestBlockedDeltaFirstImage(t *testing.T) {
 	sim := newChainSim()
 	v := pagedView(t, f, sim, 256, NewCache(0))
 	for i := 0; i < 40; i++ {
-		v.Apply(f.appendCall(t, acctName(i), 4))
+		apply(v, f.appendCall(t, acctName(i), 4))
 	}
 	delta, dpend, dirty, _, err := v.CheckpointBlocked(false)
 	if err != nil {
@@ -392,7 +392,7 @@ func TestBlockedChainRestoresSource(t *testing.T) {
 			var keys []string
 			for i := 0; i < 100; i++ {
 				keys = append(keys, acctName(i))
-				v.Apply(f.appendCall(t, keys[i], 1))
+				apply(v, f.appendCall(t, keys[i], 1))
 			}
 			var chain []string
 			copied := 0
@@ -402,10 +402,10 @@ func TestBlockedChainRestoresSource(t *testing.T) {
 						at := keys[rng.Intn(len(keys))]
 						for j := rng.Intn(12); j >= 0; j-- {
 							keys = append(keys, fmt.Sprintf("%s/%02d%02d", at, cut, j))
-							v.Apply(f.appendCall(t, keys[len(keys)-1], 1))
+							apply(v, f.appendCall(t, keys[len(keys)-1], 1))
 						}
 					} else {
-						v.Apply(f.appendCall(t, keys[rng.Intn(len(keys))], int64(rng.Intn(9)+1)))
+						apply(v, f.appendCall(t, keys[rng.Intn(len(keys))], int64(rng.Intn(9)+1)))
 					}
 					if rng.Intn(8) == 0 {
 						cache.Maintain()
@@ -418,7 +418,7 @@ func TestBlockedChainRestoresSource(t *testing.T) {
 					if sim.fetches > fetches {
 						copied++
 					}
-					replica.Apply(fr.appendCall(t, "zzz-not-in-the-source", 1))
+					apply(replica, fr.appendCall(t, "zzz-not-in-the-source", 1))
 					for _, old := range chain {
 						delete(sim.files, old)
 					}
@@ -464,7 +464,7 @@ func TestPagedFaultInsideCall(t *testing.T) {
 	v := pagedView(t, f, sim, 256, cache)
 	const groups = 120
 	for i := 0; i < groups; i++ {
-		v.Apply(f.appendCall(t, acctName(i), 5))
+		apply(v, f.appendCall(t, acctName(i), 5))
 	}
 	sim.checkpointTo(t, v, "ck1", true)
 	cache.Maintain()
@@ -485,14 +485,14 @@ func TestPagedFaultInsideCall(t *testing.T) {
 
 	// The call: two folds into the first block (which the write faults in),
 	// with reads in between.
-	v.ApplyRows(v.Delta(f.appendCall(t, acctName(0), 100)))
+	v.ApplyRows(algebra.Delta(v.Def().Expr, f.appendCall(t, acctName(0), 100)))
 	if got := lookup(0); got != 5 {
 		t.Errorf("block faulted by the fold: acct 0 reads %d inside the call, want the published 5", got)
 	}
 	if got := lookup(groups - 1); got != 5 { // a reader's fault, far from the write
 		t.Errorf("block faulted by a reader: acct %d reads %d, want 5", groups-1, got)
 	}
-	v.ApplyRows(v.Delta(f.appendCall(t, acctName(1), 100)))
+	v.ApplyRows(algebra.Delta(v.Def().Expr, f.appendCall(t, acctName(1), 100)))
 	var sum int64
 	if lsn := v.Scan(Window{}, func(row value.Tuple) bool { sum += row[1].AsInt(); return true }); lsn != lsn0 || sum != 5*groups {
 		t.Errorf("scan inside the call: total %d at LSN %d, want %d at %d", sum, lsn, 5*groups, lsn0)
@@ -553,7 +553,7 @@ func TestPagedScanFaultsOnlyItsWindow(t *testing.T) {
 	src := pagedView(t, f, sim, 256, NewCache(0))
 	const groups = 400
 	for i := 0; i < groups; i++ {
-		src.Apply(f.appendCall(t, acctName(i), int64(i)))
+		apply(src, f.appendCall(t, acctName(i), int64(i)))
 	}
 	key := func(i int) []byte { return keyOf(value.Str(acctName(i))) }
 	succ := func(k []byte) []byte { s, _ := keyenc.PrefixSuccessor(nil, k); return s }
@@ -665,7 +665,7 @@ func TestClockSeesLookupHits(t *testing.T) {
 	src := pagedView(t, f, sim, 512, NewCache(0))
 	const groups = 2000
 	for i := 0; i < groups; i++ {
-		src.Apply(f.appendCall(t, acctName(i), 1))
+		apply(src, f.appendCall(t, acctName(i), 1))
 	}
 	sim.checkpointTo(t, src, "sizing", true)
 	var viewBytes int64
@@ -746,7 +746,7 @@ func TestPagedAccountedBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.Apply(algebra.BatchDelta{f.calls: rows})
+	apply(v, algebra.BatchDelta{f.calls: rows})
 	if v.Len() != groups {
 		t.Fatalf("the view holds %d groups, want %d", v.Len(), groups)
 	}

@@ -88,10 +88,10 @@ func (d Def) TableKey() string {
 }
 
 // Stats counts maintenance work: the per-table counts that Theorem 4.4's
-// bound is stated in, which the theorem tests assert on (internal/bench),
+// bound is stated in, which the theorem tests assert on (theorems_test.go),
 // and the readouts behind the maintenance metrics. A table counts its own
 // work, so the views sharing one read the same counts: a round folded once
-// for all of them is one Apply.
+// for all of them is one fold (Applies).
 type Stats struct {
 	Applies   int64 // folds: one per maintenance round that reached the table (an append call, or a chunk of a long one)
 	DeltaRows int64 // expression delta rows folded in
@@ -135,8 +135,8 @@ type View struct {
 // New validates a definition and materializes an empty view with a key
 // directory of its own. The result is current for the (necessarily
 // empty-so-far) suffix of appends; callers who create views over chronicles
-// with existing retained rows should feed the retained rows through Apply
-// (the engine does this at DDL time).
+// with existing retained rows should fold the retained rows through
+// ApplyRows (the engine does this at DDL time).
 func New(def Def) (*View, error) { return NewIn(def, nil) }
 
 // NewIn is New for a view whose keys live in d, a directory shared with the
@@ -308,22 +308,6 @@ func (v *View) Len() int {
 	}
 	return int(v.store.count.Load())
 }
-
-// Apply maintains the view for one append batch on its own: it computes the
-// expression delta, folds it, and publishes. This is the per-transaction
-// operation whose complexity defines the chronicle system's complexity
-// (Section 3). The engine does not use it — it folds with ApplyRows and
-// publishes once per call; Apply serves callers that drive a view directly.
-func (v *View) Apply(d algebra.BatchDelta) {
-	v.ApplyRows(v.Delta(d))
-	v.Publish()
-}
-
-// Delta computes the expression delta for one append batch without
-// applying it. The engine does not use it — it takes each view's delta from
-// the shared plan; Delta and ApplyRows serve callers that drive a view
-// directly.
-func (v *View) Delta(d algebra.BatchDelta) []chronicle.Row { return algebra.Delta(v.def.Expr, d) }
 
 // ApplyRows folds precomputed expression delta rows into the live store
 // and publishes nothing: readers keep seeing the last publication until the
@@ -650,8 +634,9 @@ func rowOf(v *View, key string, e *entry) value.Tuple {
 
 // Recompute answers what the view *should* contain by reference-evaluating
 // the expression over fully retained chronicles and summarizing from
-// scratch. It exists for tests and the IM-Cᵏ baseline; it fails when any
-// chronicle has dropped rows.
+// scratch: the reference the tests compare against; the engine does not call
+// it. It reads every stored row (Proposition 3.1's IM-Cᵏ), and it fails when
+// any chronicle has dropped rows.
 func (v *View) Recompute() ([]value.Tuple, error) {
 	rows, err := algebra.Evaluate(v.def.Expr)
 	if err != nil {

@@ -44,6 +44,13 @@ func newFixture(t testing.TB) *fixture {
 	return &fixture{group: g, calls: calls, cust: cust}
 }
 
+// apply folds one append batch into v on its own and publishes it, taking
+// the delta from the reference evaluator: a view driven outside the engine.
+func apply(v *View, d algebra.BatchDelta) {
+	v.ApplyRows(algebra.Delta(v.Def().Expr, d))
+	v.Publish()
+}
+
 func (f *fixture) nextLSN() uint64 { f.lsn++; return f.lsn }
 
 func (f *fixture) appendCall(t testing.TB, acct string, minutes int64) algebra.BatchDelta {
@@ -108,9 +115,9 @@ func TestGroupByViewBasics(t *testing.T) {
 	if got := v.Schema().Names(); got[0] != "acct" || got[1] != "total" || got[2] != "n" {
 		t.Errorf("schema = %v", got)
 	}
-	v.Apply(f.appendCall(t, "a", 10))
-	v.Apply(f.appendCall(t, "b", 5))
-	v.Apply(f.appendCall(t, "a", 20))
+	apply(v, f.appendCall(t, "a", 10))
+	apply(v, f.appendCall(t, "b", 5))
+	apply(v, f.appendCall(t, "a", 20))
 	if v.Len() != 2 {
 		t.Errorf("Len = %d", v.Len())
 	}
@@ -139,9 +146,9 @@ func TestProjectViewRefcounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.Apply(f.appendCall(t, "b", 1))
-	v.Apply(f.appendCall(t, "a", 2))
-	v.Apply(f.appendCall(t, "a", 3))
+	apply(v, f.appendCall(t, "b", 1))
+	apply(v, f.appendCall(t, "a", 2))
+	apply(v, f.appendCall(t, "a", 3))
 	rows := v.Rows()
 	if len(rows) != 2 {
 		t.Fatalf("Rows = %v (duplicates must be eliminated)", rows)
@@ -171,8 +178,8 @@ func TestViewOverSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.Apply(f.appendCall(t, "a", 5)) // filtered out
-	v.Apply(f.appendCall(t, "a", 50))
+	apply(v, f.appendCall(t, "a", 5)) // filtered out
+	apply(v, f.appendCall(t, "a", 50))
 	got, ok := v.Lookup(value.Tuple{value.Str("a")})
 	if !ok || got[1].AsInt() != 1 {
 		t.Errorf("Lookup = %v, %v", got, ok)
@@ -248,7 +255,7 @@ func TestIncrementalMatchesRecompute(t *testing.T) {
 			}
 			d := f.appendCall(t, string(rune('a'+rng.Intn(3))), int64(rng.Intn(60)))
 			for _, v := range views {
-				v.Apply(d)
+				apply(v, d)
 			}
 		}
 
@@ -311,7 +318,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		}
 		v := mustNew(t, def)
 		for i := 0; i < 20; i++ {
-			v.Apply(f.appendCall(t, string(rune('a'+i%4)), int64(i)))
+			apply(v, f.appendCall(t, string(rune('a'+i%4)), int64(i)))
 		}
 		snap := v.Checkpoint()
 
@@ -324,8 +331,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		}
 		// The restored view must keep maintaining correctly.
 		d := f.appendCall(t, "a", 100)
-		v.Apply(d)
-		v2.Apply(d)
+		apply(v, d)
+		apply(v2, d)
 		if !sameTuples(v.Rows(), v2.Rows()) {
 			t.Fatalf("%s: diverged after post-restore append", def.Name)
 		}
@@ -335,7 +342,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointErrors(t *testing.T) {
 	f := newFixture(t)
 	v := minutesPerAcct(t, f)
-	v.Apply(f.appendCall(t, "a", 1))
+	apply(v, f.appendCall(t, "a", 1))
 	snap := v.Checkpoint()
 
 	if err := v.RestoreCheckpoint(nil); err == nil {
@@ -401,7 +408,7 @@ func TestRecomputeFailsOnLossyChronicle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.Apply(algebra.BatchDelta{c: rows})
+	apply(v, algebra.BatchDelta{c: rows})
 	// The view is correct even though the chronicle stored nothing …
 	if got, ok := v.Lookup(value.Tuple{value.Str("a")}); !ok || got[1].AsInt() != 5 {
 		t.Errorf("view over RetainNone chronicle = %v, %v", got, ok)
@@ -423,7 +430,7 @@ func TestScanWindow(t *testing.T) {
 		Aggs: []aggregate.Spec{{Func: aggregate.Sum, Col: 1, Name: "total"}},
 	})
 	for _, acct := range []string{"delta", "alpha", "echo", "bravo", "charlie"} {
-		v.Apply(f.appendCall(t, acct, 1))
+		apply(v, f.appendCall(t, acct, 1))
 	}
 	var got []string
 	v.Scan(Window{Lo: keyOf(value.Str("b")), Hi: keyOf(value.Str("d"))}, func(t value.Tuple) bool {
@@ -526,7 +533,7 @@ func foldIsInvisibleUntilPublish(t *testing.T, shared bool) {
 		sibling = siblings(t, f, v.Dir(), 1)[0]
 	}
 	fold := func(d algebra.BatchDelta) bool {
-		rows := v.Delta(d)
+		rows := algebra.Delta(v.Def().Expr, d)
 		if sibling != nil {
 			sibling.ApplyRows(rows)
 			sibling.Publish()
