@@ -109,15 +109,21 @@ func BenchmarkMaintainFanout(b *testing.B) {
 
 // BenchmarkFamilyOverlap is E55: 16-row calls over 500 accounts into one
 // SUM family of windows EVERY 10 WIDTH 10·r, one chronon a call, at r
-// windows a chronon. A row folds once, into its span's pane, whatever r is.
-// What still grows with r is a window's birth, the panes it reads, and, for
-// a family that keeps its windows (r), the merge of its panes into a table
-// of its own when it closes: merges-per-row reports those pane groups over
-// every row appended. A family whose windows expire as they close
-// (expiring/r, EXPIRE 0) merges none. Folding every row into every window
-// that holds it would show as µs per call growing with r in both.
+// windows a chronon. A row folds once, into its span's pane, whatever r is,
+// and a window's close costs nothing: open or closed, it reads through its
+// panes. What still grows with r is a window's birth and the panes a read
+// merges; live-panes reports the panes the instances read through when the
+// run ends. A family that keeps its windows (r) keeps its panes with them; one
+// whose windows expire as they close (expiring/r, EXPIRE 0) frees a pane
+// with the last window reading it. Folding every row into every window that
+// holds it would show as µs per call growing with r in both.
+//
+// closed-read/r reads the window [10, 10+10·r) of a kept family after it
+// has closed: a point SELECT … FOR INTERVAL of one account (point-µs) and
+// the whole window (scan-µs), each a merge of up to r panes a key. In a
+// window of r = 1, its own pane, neither merges.
 func BenchmarkFamilyOverlap(b *testing.B) {
-	const every, keys = 10, 500
+	const every = 10
 	for _, expire := range []string{"", " EXPIRE 0"} {
 		for _, r := range []int{1, 2, 8, 30} {
 			name := fmt.Sprint(r)
@@ -125,36 +131,7 @@ func BenchmarkFamilyOverlap(b *testing.B) {
 				name = "expiring/" + name
 			}
 			b.Run(name, func(b *testing.B) {
-				var now atomic.Int64
-				db, err := chronicledb.Open(chronicledb.Options{Clock: now.Load})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer db.Close()
-				for _, stmt := range []string{
-					`CREATE CHRONICLE calls (acct STRING, minutes INT)`,
-					fmt.Sprintf(`CREATE PERIODIC VIEW w AS SELECT acct, SUM(minutes) AS total FROM calls GROUP BY acct EVERY %d WIDTH %d%s`, every, every*r, expire),
-				} {
-					if _, err := db.Exec(stmt); err != nil {
-						b.Fatal(err)
-					}
-				}
-				rng := rand.New(rand.NewSource(int64(r)))
-				calls := make([][]chronicledb.Tuple, 64)
-				for i := range calls {
-					calls[i] = make([]chronicledb.Tuple, 16)
-					for j := range calls[i] {
-						calls[i][j] = chronicledb.Tuple{chronicledb.Str(fmt.Sprintf("acct%03d", rng.Intn(keys))), chronicledb.Int(int64(1 + rng.Intn(60)))}
-					}
-				}
-				n := 0
-				call := func() {
-					now.Store(int64(n))
-					if _, _, err := db.AppendRows("calls", calls[n%len(calls)]); err != nil {
-						b.Fatal(err)
-					}
-					n++
-				}
+				db, call := overlapDB(b, r, expire)
 				for range every * (r + 2) { // past the first windows' close
 					call()
 				}
@@ -165,13 +142,82 @@ func BenchmarkFamilyOverlap(b *testing.B) {
 				b.StopTimer()
 				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/call")
 				pv, _ := chronicledb.Kernel(db).PeriodicView("w")
-				var merges int64
+				panes := map[*view.View]bool{}
 				for _, inst := range pv.Instances() {
-					merges += inst.View.Stats().Merges
+					for _, p := range pv.PanesOf(inst.Interval) {
+						panes[p] = true
+					}
 				}
-				b.ReportMetric(float64(merges)/float64(16*n), "merges/row")
+				b.ReportMetric(float64(len(panes)), "live-panes")
 			})
 		}
+	}
+	for _, r := range []int{1, 2, 8, 30} {
+		b.Run(fmt.Sprintf("closed-read/%d", r), func(b *testing.B) {
+			db, call := overlapDB(b, r, "")
+			for range every * (r + 2) { // past the close of [10, 10+10·r)
+				call()
+			}
+			scan := `SELECT * FROM w FOR INTERVAL 10`
+			res, err := db.Exec(scan)
+			if err != nil || len(res.Rows) == 0 {
+				b.Fatalf("%s: %v, %v", scan, res, err)
+			}
+			point := fmt.Sprintf(`SELECT * FROM w FOR INTERVAL 10 WHERE acct = '%s'`, res.Rows[0][0].AsString())
+			var pointT, scanT time.Duration
+			b.ResetTimer()
+			for range b.N {
+				start := time.Now()
+				if _, err := db.Exec(point); err != nil {
+					b.Fatal(err)
+				}
+				mid := time.Now()
+				if _, err := db.Exec(scan); err != nil {
+					b.Fatal(err)
+				}
+				pointT, scanT = pointT+mid.Sub(start), scanT+time.Since(mid)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(pointT.Nanoseconds())/1e3/float64(b.N), "point-µs")
+			b.ReportMetric(float64(scanT.Nanoseconds())/1e3/float64(b.N), "scan-µs")
+		})
+	}
+}
+
+// overlapDB is BenchmarkFamilyOverlap's database: the family w of windows
+// EVERY 10 WIDTH 10·r with expire's clause, and call, which appends the next
+// of 64 fixed 16-row calls over 500 accounts at the next chronon.
+func overlapDB(b *testing.B, r int, expire string) (*chronicledb.DB, func()) {
+	const every, keys = 10, 500
+	var now atomic.Int64
+	db, err := chronicledb.Open(chronicledb.Options{Clock: now.Load})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	for _, stmt := range []string{
+		`CREATE CHRONICLE calls (acct STRING, minutes INT)`,
+		fmt.Sprintf(`CREATE PERIODIC VIEW w AS SELECT acct, SUM(minutes) AS total FROM calls GROUP BY acct EVERY %d WIDTH %d%s`, every, every*r, expire),
+	} {
+		if _, err := db.Exec(stmt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(int64(r)))
+	calls := make([][]chronicledb.Tuple, 64)
+	for i := range calls {
+		calls[i] = make([]chronicledb.Tuple, 16)
+		for j := range calls[i] {
+			calls[i][j] = chronicledb.Tuple{chronicledb.Str(fmt.Sprintf("acct%03d", rng.Intn(keys))), chronicledb.Int(int64(1 + rng.Intn(60)))}
+		}
+	}
+	n := 0
+	return db, func() {
+		now.Store(int64(n))
+		if _, _, err := db.AppendRows("calls", calls[n%len(calls)]); err != nil {
+			b.Fatal(err)
+		}
+		n++
 	}
 }
 

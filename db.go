@@ -100,7 +100,10 @@ type Options struct {
 	// zero value (RetainNone) is the pure chronicle model: nothing stored.
 	DefaultRetention Retention
 	// RelationHistory keeps superseded relation versions for AsOf reads.
-	// Needed only when recompute baselines / reference checks will run.
+	// What it changes today: a join view created over rows a chronicle
+	// retains backfills each row against the relation as it was at the
+	// row's append, not as it is now. Without it a late join view can
+	// differ from one made before the relation changed (ROADMAP item 2).
 	RelationHistory bool
 	// Clock supplies chronons for appends; nil uses wall-clock nanoseconds.
 	Clock func() int64

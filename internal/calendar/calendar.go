@@ -49,7 +49,7 @@ type Periodic struct {
 
 // MaxWindows is the most windows of a periodic calendar that may contain
 // one chronon, ⌈Width/Period⌉. Folding a row costs one fold whatever the
-// overlap, but the windows a row opens, closes and reads still scale with
+// overlap, but the windows a row opens and reads still scale with
 // it, so NewPeriodic refuses a calendar past it.
 const MaxWindows = 4096
 

@@ -1,6 +1,7 @@
 package calendar
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"maps"
@@ -11,18 +12,18 @@ import (
 )
 
 // Periodic-view checkpoints: the family's views of its cohort's live panes,
-// each live instance's interval and, unless its window is open, its state,
-// plus the counters that drive closing and expiration. Without this,
-// truncating the WAL at a checkpoint would silently reset every open
-// billing period.
+// each live instance's interval and, unless it reads through panes, its
+// state, plus the counters that drive expiration. Without this, truncating
+// the WAL at a checkpoint would silently reset every open billing period.
 //
 //	magic "CDBP", high-water chronon, created, expired (8 bytes LE each)
 //	pane count (uvarint), then per cohort pane, oldest first:
 //	  span start, span end (8 bytes LE each), image length (uvarint, 0 when
 //	  the family has no view of the pane), the view's image
 //	instance count (uvarint), then per live instance in interval order:
-//	  interval start, end (8 bytes LE each), open byte (1: it reads through
-//	  the panes inside it), and for a closed one its image length and image
+//	  interval start, end (8 bytes LE each), a byte that is 1 when it reads
+//	  through the panes inside it, open window or closed, and otherwise 0
+//	  and its image length and image
 //
 // A view's image holds the family's own columns (view.Checkpoint), so a
 // family's image is the same bytes whether or not its panes and instances
@@ -38,8 +39,13 @@ func (p *PeriodicView) Checkpoint() []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(p.co.maxSeen))
 	b = binary.LittleEndian.AppendUint64(b, uint64(p.created))
 	b = binary.LittleEndian.AppendUint64(b, uint64(p.expired))
-	b = binary.AppendUvarint(b, uint64(len(p.co.panes)))
-	for _, pn := range p.co.panes {
+	var panes []*pane
+	for _, ps := range p.co.panes {
+		panes = append(panes, ps...)
+	}
+	slices.SortFunc(panes, func(a, b *pane) int { return cmp.Compare(a.num, b.num) })
+	b = binary.AppendUvarint(b, uint64(len(panes)))
+	for _, pn := range panes {
 		b = appendInterval(b, pn.span)
 		var snap []byte
 		if v, ok := p.panes[pn.num]; ok {
@@ -134,8 +140,9 @@ func (p *PeriodicView) restored(suffix string, snap []byte) (*view.View, error) 
 
 // RestoreCheckpoint replaces the family's panes and instances with a
 // checkpoint produced by a family with the same definition, each view with a
-// table of its own, and its cohort's panes and open intervals with the
-// image's: the cohort's members restore images of one cut.
+// table of its own, and its cohort's panes and the intervals that read
+// through them with the image's: the cohort's members restore images of one
+// cut.
 func (p *PeriodicView) RestoreCheckpoint(data []byte) error {
 	if len(data) < 4 || string(data[:4]) != pvMagic {
 		return fmt.Errorf("calendar: %s: bad periodic checkpoint", p.name)
@@ -157,7 +164,7 @@ func (p *PeriodicView) RestoreCheckpoint(data []byte) error {
 		panes[uint64(len(spans))] = v
 	}
 	instances := make(map[Interval]*view.View)
-	open := make(map[Interval]bool)
+	var thru []Interval
 	for n := r.uvarint("instance count"); n > 0 && r.err == nil; n-- {
 		iv := r.interval("instance interval")
 		if r.off >= len(data) {
@@ -166,8 +173,9 @@ func (p *PeriodicView) RestoreCheckpoint(data []byte) error {
 		}
 		r.off++
 		var snap []byte
-		if open[iv] = data[r.off-1] == 1; !open[iv] {
-			delete(open, iv)
+		if data[r.off-1] == 1 {
+			thru = append(thru, iv)
+		} else {
 			snap = r.bytes("instance image")
 		}
 		if r.err != nil {
@@ -193,25 +201,16 @@ func (p *PeriodicView) RestoreCheckpoint(data []byte) error {
 		v.Leave()
 	}
 	c := p.co
-	c.panes, c.made, c.open, c.nextEnd = nil, uint64(len(spans)), open, math.MaxInt64
+	c.panes, c.made, c.thru = make(map[Interval][]*pane), uint64(len(spans)), make(map[Interval]uint64)
 	c.nextExpiry = math.MinInt64 // the next fold finds the instances' first expiry
 	c.gen++
 	for i, span := range spans {
-		pn := &pane{num: uint64(i + 1), span: span}
-		for iv := range open {
-			if covers(iv, span) {
-				pn.readers++
-			}
-		}
-		c.panes = append(c.panes, pn)
-	}
-	for iv := range open {
-		c.nextEnd = min(c.nextEnd, iv.End)
+		c.panes[span] = append(c.panes[span], &pane{num: uint64(i + 1), span: span})
 	}
 	p.panes, p.instances = panes, instances
 	p.born = slices.Collect(maps.Keys(instances))
-	for iv := range open {
-		p.readThrough(iv)
+	for _, iv := range thru {
+		p.readThrough(iv, c.read(iv))
 	}
 	p.publishLive()
 	// The cohort's members restore images of one high-water chronon, or an

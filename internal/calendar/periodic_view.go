@@ -40,15 +40,15 @@ import (
 //
 // Where windows overlap, a row folds once, into a pane: the chronon span on
 // which the calendar's IntervalsAt does not change (SpanAt), the run the
-// fold cuts anyway. An instance whose window is open holds no group of its
-// own: its table reads through the panes its window covers (view.ReadThrough),
-// and a read merges a key's groups across them — at most 2·⌈Width/Period⌉ of
-// a periodic calendar, two per period whatever the values. When the
-// high-water chronon passes the window's end the panes are merged into the
-// instance's table once (view.Materialize), and a pane is freed once no open
-// window covers it. An interval that is one span is its own pane: its
+// fold cuts anyway. An instance of such a window holds no group of its own,
+// open or closed: its table reads through the panes its window covers
+// (view.ReadThrough) for as long as it lives, and a read merges a key's
+// groups across them — at most 2·⌈Width/Period⌉ of a periodic calendar, two
+// per period whatever the values. A pane lives until the last instance
+// reading it expires. An interval that is one span is its own pane: its
 // instance is folded as is, with no pane beside it (tumbling and gapped
-// calendars), and so is an instance whose window had closed when it was born.
+// calendars), and so is an instance whose window had closed when it was
+// born.
 type PeriodicView struct {
 	name        string
 	def         view.Def
@@ -79,21 +79,27 @@ type PeriodicView struct {
 // cohort is the families whose instances and panes can share a table: they
 // fold one delta by the same key in the same rounds, and cut it into the
 // same runs. It folds each round once for all of them, so every member meets
-// the same high-water chronon, folds the same panes and closes and expires
-// the same intervals.
+// the same high-water chronon, folds the same panes and expires the same
+// intervals.
 type cohort struct {
 	members     []*PeriodicView // in the order they joined
 	cal         *Periodic
 	expireAfter int64
-	maxSeen     int64  // high-water chronon, drives closing and expiration
+	maxSeen     int64  // high-water chronon: drives expiration, and tells a closed window at birth
 	round       uint64 // the round folded last; 0 never matches
 
-	panes []*pane // live, oldest first
-	made  uint64  // panes ever made, which numbers the next
-	// open are the intervals whose instances read through panes; nextEnd is
-	// the earliest of their ends.
-	open    map[Interval]bool
-	nextEnd int64
+	// panes are the live panes of each span, oldest first, and made counts
+	// the panes ever made, which numbers the next.
+	panes map[Interval][]*pane
+	made  uint64
+	// thru maps each interval whose instances read through panes to the
+	// number of the newest pane they read, 0 before the first. It and panes
+	// grow with a family that keeps its instances, so what is done for one
+	// span visits only the intervals and panes the calendar says can cover
+	// it (IntervalsAt, panesIn), never the whole map; visited counts those
+	// visits.
+	thru    map[Interval]uint64
+	visited int64
 	// nextExpiry is the earliest chronon at which an instance expires.
 	nextExpiry int64
 	// seq brackets the publication of everything folded since the last one
@@ -102,15 +108,16 @@ type cohort struct {
 	dirty []*view.View
 
 	// last is what the last run's span asked of the members: every run of
-	// it folds the same views while gen, which every birth, close, expiry
-	// and change of members moves, stands.
+	// it folds the same views while gen, which every birth, expiry and
+	// change of members moves, stands.
 	last runPlan
 	gen  uint64
 }
 
 // runPlan is where the runs of one span fold: the intervals that contain
 // it (IntervalsAt, which is the same across the span), those whose
-// instances fold as they are, and the pane of the open ones, nil for none.
+// instances fold as they are, and the pane of those that read through
+// panes, nil for none.
 type runPlan struct {
 	span   Interval
 	ivs    []Interval
@@ -120,7 +127,7 @@ type runPlan struct {
 }
 
 // pane is one span's fold target. A late row may give a span a second pane
-// (paneFor); readers counts the open intervals that cover it.
+// (paneFor); readers counts the live intervals that read through it.
 type pane struct {
 	num     uint64
 	span    Interval
@@ -165,7 +172,7 @@ func NewPeriodicView(name string, def view.Def, cal *Periodic, expireAfter int64
 		probe:       probe,
 	}
 	p.live.Store(new([]InstanceInfo))
-	p.co = &cohort{members: []*PeriodicView{p}, cal: cal, expireAfter: expireAfter, open: make(map[Interval]bool), nextEnd: math.MaxInt64, nextExpiry: math.MaxInt64}
+	p.co = &cohort{members: []*PeriodicView{p}, cal: cal, expireAfter: expireAfter, panes: make(map[Interval][]*pane), thru: make(map[Interval]uint64), nextExpiry: math.MaxInt64}
 	return p, nil
 }
 
@@ -232,20 +239,34 @@ func sharesOne[K comparable](mine, theirs map[K]*view.View) bool {
 	return false
 }
 
-// PanesOf returns p's views of the live panes inside iv, oldest first: what
-// the instance of iv reads through while its window is open.
+// PanesOf returns p's views of the live panes inside iv, an interval of
+// p's calendar, oldest first: what the instance of iv reads through.
 func (p *PeriodicView) PanesOf(iv Interval) []*view.View {
 	var out []*view.View
-	for _, pn := range p.co.panes {
-		if v, ok := p.panes[pn.num]; ok && covers(iv, pn.span) {
+	for _, pn := range p.co.panesIn(iv) {
+		if v, ok := p.panes[pn.num]; ok {
 			out = append(out, v)
 		}
 	}
 	return out
 }
 
-// covers reports whether span lies inside iv.
-func covers(iv, span Interval) bool { return iv.Start <= span.Start && span.End <= iv.End }
+// panesIn returns the live panes inside iv, an interval of the calendar,
+// oldest first. It looks up the spans the calendar cuts iv into (SpanAt),
+// at most 2·⌈Width/Period⌉, not every live pane.
+func (c *cohort) panesIn(iv Interval) []*pane {
+	var out []*pane
+	for lo := iv.Start; lo < iv.End; {
+		_, hi := c.cal.SpanAt(lo)
+		for _, pn := range c.panes[Interval{lo, hi}] {
+			c.visited++
+			out = append(out, pn)
+		}
+		lo = hi
+	}
+	slices.SortFunc(out, func(a, b *pane) int { return cmp.Compare(a.num, b.num) })
+	return out
+}
 
 // Name returns the family name.
 func (p *PeriodicView) Name() string { return p.name }
@@ -339,8 +360,8 @@ func compareIntervals(a, b Interval) int {
 
 // Fold routes the rows of one append call to the instances whose interval
 // contains their chronon — to the pane of their span for the instances that
-// read through panes — creating instances and panes on demand, and closes
-// and expires instances whose end or grace period has passed. Only the
+// read through panes — creating instances and panes on demand, and expires
+// instances whose grace period has passed. Only the
 // currently active instances are maintained — the Section 5.2 requirement
 // that "only these periodic views need to be maintained upon insertions".
 //
@@ -364,7 +385,7 @@ func compareIntervals(a, b Interval) int {
 // The family's cohort folds the round for every member the first time one
 // of them is folded in it; the other members' Folds of that round find it
 // done. Nothing becomes visible to readers until Publish — neither folded
-// rows nor an instance born, closed or expired; first reports that this fold is the
+// rows nor an instance born or expired; first reports that this fold is the
 // first since the last Publish to leave something to publish.
 func (p *PeriodicView) Fold(round uint64, d algebra.BatchDelta, delta []chronicle.Row) (first bool, err error) {
 	p.applies++
@@ -413,7 +434,6 @@ func (c *cohort) fold(round uint64, d algebra.BatchDelta, delta []chronicle.Row)
 		if err := c.foldRun(round, Interval{lo, hi}, ivs, slice); err != nil {
 			return err
 		}
-		c.close()
 		c.expire()
 	}
 	return nil
@@ -421,8 +441,8 @@ func (c *cohort) fold(round uint64, d algebra.BatchDelta, delta []chronicle.Row)
 
 // foldRun folds one run's slice of the delta, whose rows lie in span and
 // in the intervals ivs: into each member's instance of an interval that
-// does not read through panes, and once into the span's pane for all the
-// open ones.
+// does not read through panes, and once into the span's pane for all those
+// that do.
 func (c *cohort) foldRun(round uint64, span Interval, ivs []Interval, slice []chronicle.Row) error {
 	if err := c.plan(span, ivs); err != nil {
 		return err
@@ -442,27 +462,24 @@ func (c *cohort) foldRun(round uint64, span Interval, ivs []Interval, slice []ch
 
 // plan makes c.last the plan of span's runs: it bears what the members
 // lack of ivs and of the pane, unless the last run of span did and nothing
-// was born, closed, expired or changed members since.
+// was born, expired or changed members since.
 func (c *cohort) plan(span Interval, ivs []Interval) error {
 	if c.last.gen == c.gen && c.last.span == span {
 		return nil
 	}
 	k := &c.last
 	k.direct, k.pane = k.direct[:0], nil
-	reach := Interval{Start: math.MaxInt64, End: math.MinInt64} // what the open intervals cover
 	for _, iv := range ivs {
 		if err := c.birth(iv); err != nil {
 			return err
 		}
-		if c.open[iv] {
-			reach = Interval{Start: min(reach.Start, iv.Start), End: max(reach.End, iv.End)}
-		} else {
+		if _, ok := c.thru[iv]; !ok {
 			k.direct = append(k.direct, iv)
 		}
 	}
-	if reach.Start <= reach.End {
+	if len(k.direct) < len(ivs) {
 		var err error
-		if k.pane, err = c.paneFor(span, reach); err != nil {
+		if k.pane, err = c.paneFor(span, ivs); err != nil {
 			return err
 		}
 	}
@@ -479,35 +496,40 @@ func (c *cohort) apply(v *view.View, round uint64, slice []chronicle.Row) {
 }
 
 // paneFor returns the pane of span a run folds into, with a view for every
-// member. That is the span's newest pane unless a pane made after it
-// overlaps reach, the open intervals that cover span: every table reading a
-// pane must get its rows in the order of its panes, so a late row whose
-// span's pane is not the newest of those reading it starts another pane of
-// the span. Rows whose chronons advance make one pane a span.
-func (c *cohort) paneFor(span, reach Interval) (*pane, error) {
+// member; ivs are the intervals that contain span. That is the span's newest
+// pane unless it is not the newest pane of every interval of ivs that reads
+// through panes: every table reading a pane must get its rows in the order
+// of its panes, so a late row whose span's pane is not the newest of those
+// reading it starts another pane of the span, which later rows of the span
+// fold into too. Rows whose chronons advance make one pane a span.
+func (c *cohort) paneFor(span Interval, ivs []Interval) (*pane, error) {
+	ps := c.panes[span]
 	var p *pane
-	for i := len(c.panes) - 1; i >= 0; i-- {
-		if q := c.panes[i]; q.span == span {
-			p = q
-			break
-		} else if q.span.Overlaps(reach) {
-			break
+	if n := len(ps); n > 0 {
+		p = ps[n-1]
+		for _, iv := range ivs {
+			if newest, ok := c.thru[iv]; ok && newest != p.num {
+				p = nil
+				break
+			}
 		}
 	}
 	if p == nil {
 		c.made++
 		p = &pane{num: c.made, span: span}
-		for iv := range c.open {
-			if covers(iv, span) {
+		for _, iv := range ivs {
+			c.visited++
+			if _, ok := c.thru[iv]; ok {
+				c.thru[iv] = p.num
 				p.readers++
 			}
 		}
-		c.panes = append(c.panes, p)
+		c.panes[span] = append(ps, p)
 	}
 	made, err := bear(c, p.num, func(m *PeriodicView) map[uint64]*view.View { return m.panes }, paneName(span).String)
 	for _, m := range made {
-		for iv := range c.open {
-			if covers(iv, span) {
+		for _, iv := range ivs {
+			if _, ok := c.thru[iv]; ok {
 				m.instances[iv].AddPane(m.panes[p.num])
 			}
 		}
@@ -521,38 +543,53 @@ type paneName Interval
 
 func (n paneName) String() string { return "~" + Interval(n).String() }
 
-// close closes the open intervals the high-water chronon has reached: each
-// member's instance merges its panes into its table, unless it expires at
-// once, and panes no open interval covers any more are freed.
-func (c *cohort) close() {
-	if c.maxSeen < c.nextEnd {
-		return
+// birth gives every member that lacks one an instance of iv (bear). An
+// interval born while its window is open, and that is more than one span,
+// reads through the panes inside it for as long as it lives.
+func (c *cohort) birth(iv Interval) error {
+	made, err := bear(c, iv, func(m *PeriodicView) map[Interval]*view.View { return m.instances }, iv.String)
+	if err != nil || len(made) == 0 {
+		return err
 	}
-	c.nextEnd = math.MaxInt64
-	for iv := range c.open {
-		if iv.End > c.maxSeen {
-			c.nextEnd = min(c.nextEnd, iv.End)
+	var panes []*pane
+	_, thru := c.thru[iv]
+	if lo, hi := c.cal.SpanAt(iv.Start); len(made) == len(c.members) && iv.End > c.maxSeen && (lo != iv.Start || hi != iv.End) {
+		panes, thru = c.read(iv), true
+	} else if thru {
+		panes = c.panesIn(iv)
+	}
+	c.nextExpiry = min(c.nextExpiry, iv.End+c.expireAfter)
+	for _, m := range made {
+		m.stale = true
+		m.born = append(m.born, iv)
+		m.created++
+		if thru {
+			m.readThrough(iv, panes)
+		}
+	}
+	return nil
+}
+
+// read makes iv an interval whose instances read through panes, counted
+// among the readers of the panes inside it, and returns those panes.
+func (c *cohort) read(iv Interval) []*pane {
+	panes := c.panesIn(iv)
+	var newest uint64
+	for _, p := range panes {
+		p.readers++
+		newest = p.num
+	}
+	c.thru[iv] = newest
+	return panes
+}
+
+// release takes iv, whose instances expired, out of the readers of the
+// panes inside it, and frees the panes it was the last to read.
+func (c *cohort) release(iv Interval) {
+	delete(c.thru, iv)
+	for _, p := range c.panesIn(iv) {
+		if p.readers--; p.readers > 0 {
 			continue
-		}
-		delete(c.open, iv)
-		c.gen++
-		if c.expireAfter < 0 || iv.End+c.expireAfter > c.maxSeen {
-			for _, m := range c.members {
-				if inst, ok := m.instances[iv]; ok {
-					inst.Materialize()
-					c.dirty = append(c.dirty, inst)
-				}
-			}
-		}
-		for _, p := range c.panes {
-			if covers(iv, p.span) {
-				p.readers--
-			}
-		}
-	}
-	c.panes = slices.DeleteFunc(c.panes, func(p *pane) bool {
-		if p.readers > 0 {
-			return false
 		}
 		for _, m := range c.members {
 			if v, ok := m.panes[p.num]; ok {
@@ -560,48 +597,23 @@ func (c *cohort) close() {
 				delete(m.panes, p.num)
 			}
 		}
-		return true
-	})
-}
-
-// birth gives every member that lacks one an instance of iv (bear). An
-// interval born while its window is open, and that is more than one span,
-// is open: its instances read through the panes inside it.
-func (c *cohort) birth(iv Interval) error {
-	made, err := bear(c, iv, func(m *PeriodicView) map[Interval]*view.View { return m.instances }, iv.String)
-	if err != nil || len(made) == 0 {
-		return err
-	}
-	if len(made) == len(c.members) {
-		if lo, hi := c.cal.SpanAt(iv.Start); iv.End > c.maxSeen && (lo != iv.Start || hi != iv.End) {
-			c.open[iv] = true
-			c.nextEnd = min(c.nextEnd, iv.End)
-			for _, p := range c.panes {
-				if covers(iv, p.span) {
-					p.readers++
-				}
-			}
+		if ps := slices.DeleteFunc(c.panes[p.span], func(q *pane) bool { return q == p }); len(ps) > 0 {
+			c.panes[p.span] = ps
+		} else {
+			delete(c.panes, p.span)
 		}
 	}
-	c.nextExpiry = min(c.nextExpiry, iv.End+c.expireAfter)
-	for _, m := range made {
-		m.stale = true
-		m.born = append(m.born, iv)
-		m.created++
-		if c.open[iv] {
-			m.readThrough(iv)
-		}
-	}
-	return nil
 }
 
-// readThrough makes p's instance of iv read through p's views of the panes
-// inside it.
-func (p *PeriodicView) readThrough(iv Interval) {
+// readThrough makes p's instance of iv read through p's views of panes,
+// the cohort's panes inside iv.
+func (p *PeriodicView) readThrough(iv Interval, panes []*pane) {
 	inst := p.instances[iv]
 	inst.ReadThrough(&p.co.seq)
-	for _, v := range p.PanesOf(iv) {
-		inst.AddPane(v)
+	for _, pn := range panes {
+		if v, ok := p.panes[pn.num]; ok {
+			inst.AddPane(v)
+		}
 	}
 }
 
@@ -714,7 +726,7 @@ func cut(d algebra.BatchDelta, stop func(chronicle.Row) bool) (head, tail algebr
 
 // expire drops the members' instances whose interval ended more than
 // expireAfter ago, once the high-water chronon has reached the first such
-// end.
+// end, and releases the panes they read through.
 func (c *cohort) expire() {
 	if c.expireAfter < 0 || c.maxSeen < c.nextExpiry {
 		return
@@ -730,6 +742,9 @@ func (c *cohort) expire() {
 			m.stale = true
 			m.expired++
 			c.gen++
+			if _, ok := c.thru[iv]; ok {
+				c.release(iv)
+			}
 		}
 	}
 }

@@ -495,3 +495,58 @@ func TestInstancesPublishWithTheCall(t *testing.T) {
 		t.Error("Starting(150) found an instance: 150 starts no interval")
 	}
 }
+
+// TestSpanBookkeepingStaysPerSpan: a family that keeps its instances keeps
+// every one that reads through panes, and every pane, for as long as it
+// lives, yet what one pane's birth and one instance's restore visit stays
+// the intervals and panes that can cover a span: at r = 8, after 10 000
+// windows have closed, a pane's birth visits at most r+1 intervals and
+// panes, and a restore at most r+1 for each instance it makes read through.
+//
+// Mutation-checked: finding a pane's readers, or an interval's panes, by
+// walking every interval or pane the family keeps fails it.
+func TestSpanBookkeepingStaysPerSpan(t *testing.T) {
+	const r, every, closed = 8, 10, 10_000
+	f := newPVFixture(t)
+	cal, _ := NewPeriodic(0, every, r*every)
+	pv, err := NewPeriodicView("w", f.viewDef(), cal, -1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := int64(0)
+	for ; ch < (closed+r)*every; ch += every {
+		mustApply(t, pv, f.append(t, ch, "a", 1))
+	}
+	if n := len(pv.co.thru); n < closed {
+		t.Fatalf("%d instances read through panes, want at least %d", n, closed)
+	}
+	pv.co.visited = 0
+	panes := pv.co.made
+	mustApply(t, pv, f.append(t, ch, "a", 1))
+	if pv.co.made != panes+1 {
+		t.Fatalf("a row in a new span made %d panes, want 1", pv.co.made-panes)
+	}
+	if v := pv.co.visited; v > r+1 {
+		t.Errorf("a pane's birth visited %d intervals and panes, want at most %d", v, r+1)
+	}
+
+	restored, _ := NewPeriodicView("w", f.viewDef(), cal, -1, nil)
+	if err := restored.RestoreCheckpoint(pv.Checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	thru := int64(len(restored.co.thru))
+	if thru != int64(len(pv.co.thru)) {
+		t.Fatalf("the restore made %d instances read through panes, want %d", thru, len(pv.co.thru))
+	}
+	if v := restored.co.visited; v > (r+1)*thru {
+		t.Errorf("the restore visited %d intervals and panes for %d instances, want at most %d each", v, thru, r+1)
+	}
+	iv := Interval{Start: 5 * every, End: 5*every + r*every}
+	if n := len(restored.PanesOf(iv)); n != r {
+		t.Errorf("restored %v reads through %d panes, want %d", iv, n, r)
+	}
+	got, _ := restored.At(iv)
+	if row, _ := got.Lookup(value.Tuple{value.Str("a")}); row[1].AsInt() != r {
+		t.Errorf("restored %v = %v, want %d", iv, row, r)
+	}
+}

@@ -37,8 +37,9 @@ type Config struct {
 	// DefaultRetention applies to chronicles created without an explicit
 	// retention. The zero value (RetainNone) is the pure chronicle model.
 	DefaultRetention chronicle.Retention
-	// RelationHistory retains superseded relation versions for AsOf reads
-	// (needed only by reference evaluation and recompute baselines).
+	// RelationHistory retains superseded relation versions for AsOf reads:
+	// a join view created over retained rows backfills against the versions
+	// each row was appended under (Options.RelationHistory).
 	RelationHistory bool
 	// Clock supplies chronons for appends. Nil uses wall-clock nanoseconds.
 	Clock func() int64

@@ -170,26 +170,3 @@ func (fr *FrameReader) Next() (typ byte, payload []byte, err error) {
 	}
 	return fr.buf[0], fr.buf[1:], nil
 }
-
-// DecodeFrame decodes one whole frame from the front of b, returning the
-// frame type, the payload after the type byte (aliasing b), and the bytes
-// consumed. It is the allocation-free single-buffer twin of FrameReader,
-// used by tests and the fuzzer.
-func DecodeFrame(b []byte) (typ byte, payload []byte, n int, err error) {
-	if len(b) < 8 {
-		return 0, nil, 0, fmt.Errorf("repl: short frame header")
-	}
-	plen := int(binary.LittleEndian.Uint32(b[0:]))
-	crc := binary.LittleEndian.Uint32(b[4:])
-	if plen <= 0 || plen > maxFrame {
-		return 0, nil, 0, fmt.Errorf("repl: bad frame length %d", plen)
-	}
-	if len(b) < 8+plen {
-		return 0, nil, 0, fmt.Errorf("repl: short frame payload")
-	}
-	p := b[8 : 8+plen]
-	if crc32.ChecksumIEEE(p) != crc {
-		return 0, nil, 0, fmt.Errorf("repl: frame checksum mismatch")
-	}
-	return p[0], p[1:], 8 + plen, nil
-}

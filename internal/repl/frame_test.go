@@ -15,14 +15,12 @@ func TestFrameRoundTrip(t *testing.T) {
 	stream = AppendHeartbeatFrame(stream, 42)
 	stream = AppendDDLFrame(stream, 3, 17, "CREATE CHRONICLE c (a INT)")
 
-	// Single-buffer decoder.
-	b := stream
-	typ, p, n, err := DecodeFrame(b)
+	fr := NewFrameReader(bytes.NewReader(stream))
+	typ, p, err := fr.Next()
 	if err != nil || typ != FrameRecord || !bytes.Equal(p, payload) {
 		t.Fatalf("record frame: typ=%d p=%v err=%v", typ, p, err)
 	}
-	b = b[n:]
-	typ, p, n, err = DecodeFrame(b)
+	typ, p, err = fr.Next()
 	if err != nil || typ != FrameHeartbeat {
 		t.Fatalf("heartbeat frame: typ=%d err=%v", typ, err)
 	}
@@ -30,26 +28,13 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil || lsn != 42 {
 		t.Fatalf("heartbeat lsn=%d err=%v", lsn, err)
 	}
-	b = b[n:]
-	typ, p, n, err = DecodeFrame(b)
+	typ, p, err = fr.Next()
 	if err != nil || typ != FrameDDL {
 		t.Fatalf("ddl frame: typ=%d err=%v", typ, err)
 	}
 	idx, dlsn, stmt, err := DecodeDDLFrame(p)
 	if err != nil || idx != 3 || dlsn != 17 || stmt != "CREATE CHRONICLE c (a INT)" {
 		t.Fatalf("ddl decode: idx=%d lsn=%d stmt=%q err=%v", idx, dlsn, stmt, err)
-	}
-	if len(b[n:]) != 0 {
-		t.Fatalf("trailing bytes: %d", len(b[n:]))
-	}
-
-	// Streaming decoder must agree frame for frame.
-	fr := NewFrameReader(bytes.NewReader(stream))
-	for i, want := range []byte{FrameRecord, FrameHeartbeat, FrameDDL} {
-		typ, _, err := fr.Next()
-		if err != nil || typ != want {
-			t.Fatalf("frame %d: typ=%d want=%d err=%v", i, typ, want, err)
-		}
 	}
 	if _, _, err := fr.Next(); err != io.EOF {
 		t.Fatalf("want clean EOF, got %v", err)
@@ -65,9 +50,6 @@ func TestFrameReaderCorruption(t *testing.T) {
 	if _, _, err := NewFrameReader(bytes.NewReader(bad)).Next(); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("corrupt payload: err=%v", err)
 	}
-	if _, _, _, err := DecodeFrame(bad); err == nil {
-		t.Fatal("DecodeFrame accepted corrupt payload")
-	}
 
 	// Truncation inside the header or the payload is an error, not EOF:
 	// replication streams have no legitimate torn frames.
@@ -75,26 +57,25 @@ func TestFrameReaderCorruption(t *testing.T) {
 		if _, _, err := NewFrameReader(bytes.NewReader(frame[:cut])).Next(); err == nil || err == io.EOF {
 			t.Fatalf("truncated at %d: err=%v", cut, err)
 		}
-		if _, _, _, err := DecodeFrame(frame[:cut]); err == nil {
-			t.Fatalf("DecodeFrame accepted truncation at %d", cut)
-		}
 	}
 
-	// An absurd length prefix is corruption, not an allocation request.
+	// An absurd length prefix is corruption, not an allocation request; a
+	// zero one is corruption too.
 	huge := make([]byte, 8)
 	binary.LittleEndian.PutUint32(huge, uint32(maxFrame+1))
 	if _, _, err := NewFrameReader(bytes.NewReader(huge)).Next(); err == nil {
 		t.Fatal("oversized length accepted")
 	}
 	zero := make([]byte, 8)
-	if _, _, _, err := DecodeFrame(zero); err == nil {
+	if _, _, err := NewFrameReader(bytes.NewReader(zero)).Next(); err == nil {
 		t.Fatal("zero length accepted")
 	}
 }
 
 // FuzzReplFrame drives the stream decoder with arbitrary bytes: it must
-// never panic, never over-read, and must agree with the single-buffer
-// decoder on every frame it accepts.
+// never panic and never over-read, each frame it accepts must be the one the
+// bytes hold — its length prefix, then its type and payload — and it must
+// end at a clean EOF only where the bytes end.
 func FuzzReplFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendRecordFrame(nil, []byte{1, 2, 3, 4}))
@@ -105,19 +86,22 @@ func FuzzReplFrame(f *testing.F) {
 	f.Add(AppendRecordFrame(AppendDDLFrame(nil, 1, 2, "DROP VIEW v"), long))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Single-buffer walk: consume frames until error or exhaustion.
-		rest := data
-		var kinds []byte
+		fr := NewFrameReader(bytes.NewReader(data))
+		off := 0
 		for {
-			typ, payload, n, err := DecodeFrame(rest)
+			typ, payload, err := fr.Next()
+			if err == io.EOF && off != len(data) {
+				t.Fatalf("clean EOF at %d of %d bytes", off, len(data))
+			}
 			if err != nil {
 				break
 			}
-			if n <= 8 || n > len(rest) {
-				t.Fatalf("DecodeFrame consumed %d of %d", n, len(rest))
+			n := 8 + 1 + len(payload)
+			if off+n > len(data) {
+				t.Fatalf("frame of %d bytes at %d of %d", n, off, len(data))
 			}
-			if len(payload) != n-8-1 {
-				t.Fatalf("payload %d bytes for frame of %d", len(payload), n)
+			if plen := int(binary.LittleEndian.Uint32(data[off:])); plen != n-8 || typ != data[off+8] || !bytes.Equal(payload, data[off+9:off+n]) {
+				t.Fatalf("frame at %d: typ=%d, %d payload bytes, not the %d its prefix says", off, typ, len(payload), plen)
 			}
 			switch typ {
 			case FrameHeartbeat:
@@ -126,25 +110,13 @@ func FuzzReplFrame(f *testing.F) {
 				if idx, lsn, stmt, err := DecodeDDLFrame(payload); err == nil {
 					// Accepted DDL bodies must re-encode losslessly.
 					re := AppendDDLFrame(nil, idx, lsn, stmt)
-					if _, p2, _, err := DecodeFrame(re); err != nil || !bytes.Equal(p2[len(p2)-len(stmt):], []byte(stmt)) {
+					_, p2, err := NewFrameReader(bytes.NewReader(re)).Next()
+					if err != nil || !bytes.Equal(p2[len(p2)-len(stmt):], []byte(stmt)) {
 						t.Fatalf("ddl re-encode mismatch: %v", err)
 					}
 				}
 			}
-			kinds = append(kinds, typ)
-			rest = rest[n:]
-		}
-
-		// The streaming reader must accept exactly the same prefix.
-		fr := NewFrameReader(bytes.NewReader(data))
-		for i, want := range kinds {
-			typ, _, err := fr.Next()
-			if err != nil || typ != want {
-				t.Fatalf("reader frame %d: typ=%d want=%d err=%v", i, typ, want, err)
-			}
-		}
-		if _, _, err := fr.Next(); err == nil {
-			t.Fatal("reader accepted a frame the single-buffer decoder rejected")
+			off += n
 		}
 	})
 }

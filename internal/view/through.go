@@ -10,13 +10,12 @@ import (
 )
 
 // Reading through panes. A periodic family whose windows overlap folds each
-// row once, into the table of its span's pane, and an instance whose window
-// is still open holds no group of its own: its table reads through the panes
-// its window covers, merging each key's groups in the order the panes were
-// made (aggregate.Layout.Merge), and its views read their own columns of the
-// merge. When the window closes the panes are merged into the table once
-// (Materialize), and from the table's next publication on its views read the
-// table as any view does.
+// row once, into the table of its span's pane, and an instance of such a
+// window holds no group of its own, open or closed: its table reads through
+// the panes its window covers for as long as it lives, merging each key's
+// groups in the order the panes were made (aggregate.Layout.Merge), and its
+// views read their own columns of the merge. The merge needs no inverse, so
+// one read rule holds for every aggregate.
 //
 // One call may fold into two panes, and each publishes on its own. The
 // tables a family's instances read through publish inside one Seq bracket,
@@ -62,9 +61,9 @@ type pane struct {
 }
 
 // ReadThrough makes v's table, which holds no group, read through panes
-// that publish inside seq; it reads none until AddPane. The table's views
-// read the merge of the panes' groups until Materialize. Views that share
-// the table must all be made (Join) before their first pane is added.
+// that publish inside seq; it reads none until AddPane. From then on the
+// table's views read the merge of the panes' groups. Views that share the
+// table must all be made (Join) before their first pane is added.
 func (v *View) ReadThrough(seq *Seq) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -82,7 +81,7 @@ func (v *View) AddPane(p *View) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	th := v.thru.Load()
-	if th == nil || v.materialized {
+	if th == nil {
 		return
 	}
 	if n := len(th.panes); n > 0 && th.panes[n-1].t == p.table {
@@ -91,112 +90,30 @@ func (v *View) AddPane(p *View) {
 	v.thru.Store(&through{seq: th.seq, panes: append(th.panes, pane{t: p.table, at: v.sh.l.IndexIn(p.sh.l)})})
 }
 
-// ReadsThrough reports whether v's table reads through panes: whether the
-// window of an instance it holds is open.
+// ReadsThrough reports whether v's table reads through panes: whether it
+// holds an instance of a window that is more than one span.
 func (v *View) ReadsThrough() bool { return v.thru.Load() != nil }
 
-// Materialize merges the groups of the panes v's table reads through into
-// the table, oldest pane first, once for all the table's views: their live
-// groups, with what was folded into them and is not yet published. From the
-// table's next publication its views read its own groups, and rows folded
-// into it meanwhile fold on top of the merge. The table's directory takes
-// the panes' keys it lacks. Each pane's group of a key is one merge
-// (Stats.Merges).
-func (v *View) Materialize() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	th := v.thru.Load()
-	if th == nil || v.materialized {
-		return
-	}
-	// Nothing reads the table's own entries before the publication that
-	// drops th, so the merge writes them in place of a pending version.
-	v.materialized, v.unpublished = true, true
-	h, l := v.store, v.sh.l
-	var key []byte
-	for _, p := range th.panes {
-		p.t.mu.RLock()
-		ph, own := p.t.store, p.t.store.dir == h.dir
-		if !own {
-			h.dir.mu.Lock()
-		}
-		ph.eachLive(func(id uint32, e *entry) {
-			if !own {
-				key = append(key[:0], ph.dir.key(id)...)
-				id = h.dir.intern(key)
-			}
-			g := h.published(id)
-			if g == nil {
-				g = newEntry(v.arena, v.sh, nil)
-				h.pub.slot(id).Store(g)
-				h.markCarved(id, true)
-				h.count.Add(1)
-			}
-			l.MergeFrom(g.group(v.sh), p.t.sh.l, e.group(p.t.sh), p.at)
-			v.stats.Merges++
-		})
-		if !own {
-			h.dir.mu.Unlock()
-		}
-		v.appliedLSN = max(v.appliedLSN, p.t.appliedLSN)
-		p.t.mu.RUnlock()
-	}
-}
-
-// eachLive visits the groups of the live store: an id's version pending
-// since the last publication, else its published entry. Writers only.
-func (h *store) eachLive(fn func(id uint32, e *entry)) {
-	var versions map[uint32]*entry
-	for _, p := range h.pending {
-		if p.old == nil {
-			fn(p.id, p.e)
-			continue
-		}
-		if versions == nil {
-			versions = make(map[uint32]*entry, len(h.pending))
-		}
-		versions[p.id] = p.e
-	}
-	h.pub.each(func(id uint32, s *atomic.Pointer[entry]) {
-		if e := s.Load(); e != nil {
-			if pe, ok := versions[id]; ok {
-				e = pe
-			}
-			fn(id, e)
-		}
-	})
-}
-
 // settled runs read over the panes the table reads through until one run
-// fell between two publications of them, and reports whether read ran:
-// false once the table reads its own groups. The bracket's number is loaded
-// before the panes, so a read that began before the publication that
-// dropped them sees the number change.
-func (t *table) settled(read func(th *through)) bool {
+// fell between two publications of them. A third try holds the bracket's
+// lock, which excludes publication. Callers have found thru set; it stays
+// set.
+func (t *table) settled(read func(th *through)) {
 	for try := 0; ; try++ {
-		th := t.thru.Load()
-		if th == nil {
-			return false
-		}
-		seq := th.seq
+		seq := t.thru.Load().seq
 		if try == 2 {
 			seq.mu.RLock()
 			defer seq.mu.RUnlock()
-			if th = t.thru.Load(); th != nil {
-				read(th)
-			}
-			return th != nil
+			read(t.thru.Load())
+			return
 		}
 		n := seq.n.Load()
 		if n&1 != 0 {
 			continue
 		}
-		if th = t.thru.Load(); th == nil {
-			return false
-		}
-		read(th)
+		read(t.thru.Load())
 		if seq.n.Load() == n {
-			return true
+			return
 		}
 	}
 }

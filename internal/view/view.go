@@ -101,7 +101,6 @@ type Stats struct {
 	Versions  int64 // entries made: a new group, or a copy of a published entry before its first change in a call
 	ApplyNs   int64 // wall time spent inside ApplyRows (the fold; a publication is O(1) or O(touched))
 	Publishes int64 // publications of folded state (one per append call that touched the table)
-	Merges    int64 // pane groups merged in when the table stopped reading through its panes (Materialize)
 }
 
 // View is a materialized persistent view with incremental maintenance: its
@@ -294,12 +293,11 @@ func (v *View) Stats() Stats {
 func (v *View) Len() int {
 	if v.thru.Load() != nil {
 		n := 0
-		if v.settled(func(th *through) {
+		v.settled(func(th *through) {
 			n = 0
 			v.eachThrough(th, nil, nil, false, func(string, *entry) bool { n++; return true })
-		}) {
-			return n
-		}
+		})
+		return n
 	}
 	if p := v.pg.Load(); p != nil {
 		// The store holds the resident blocks' entries; the pager tracks the
@@ -412,9 +410,8 @@ func (v *View) Lookup(key value.Tuple) (value.Tuple, bool) {
 	if v.thru.Load() != nil {
 		var row value.Tuple
 		var ok bool
-		if v.settled(func(th *through) { row, ok = v.lookupThrough(th, *buf) }) {
-			return row, ok
-		}
+		v.settled(func(th *through) { row, ok = v.lookupThrough(th, *buf) })
+		return row, ok
 	}
 	v.readers.Add(1)
 	defer v.readers.Add(-1)
@@ -488,10 +485,9 @@ func (v *View) Scan(w Window, fn func(value.Tuple) bool) uint64 {
 	defer putRows(rows)
 	if v.thru.Load() != nil {
 		var lsn uint64
-		if v.settled(func(th *through) { *rows, lsn = v.collectThrough(th, w, (*rows)[:0]) }) {
-			deliver(*rows, fn)
-			return lsn
-		}
+		v.settled(func(th *through) { *rows, lsn = v.collectThrough(th, w, (*rows)[:0]) })
+		deliver(*rows, fn)
+		return lsn
 	}
 	v.readers.Add(1)
 	defer v.readers.Add(-1)

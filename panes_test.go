@@ -8,12 +8,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	chronicledb "chronicledb"
 	"chronicledb/internal/calendar"
+	"chronicledb/internal/view"
 )
 
 // TestFamilyPanesEqualNaiveFold: a cohort of two families over one calendar,
@@ -196,4 +198,121 @@ func TestCreateRefusesRunawayOverlap(t *testing.T) {
 			t.Errorf("SHOW VIEWS lists %s", name)
 		}
 	}
+}
+
+// TestLateRowsIntoClosedWindows: rows that land in spans whose every window
+// has closed fold into a pane of the span, as rows for an open window do,
+// and every instance — of a family that keeps its windows and of one that
+// expires them 3·EVERY after they close, at r = 2 and r = 30 windows a
+// chronon, with FIRST and LAST, whose merge order shows — holds the
+// reference fold of its window's rows: live, and after a checkpoint and a
+// reopen, at one shard and at two. A call whose late rows all land in one
+// span adds at most one pane, however many rows it holds.
+//
+// Mutation-checked: folding a late run into its span's oldest pane fails
+// it on FIRST and LAST.
+func TestLateRowsIntoClosedWindows(t *testing.T) {
+	const every = 10
+	for _, r := range []int64{2, 30} {
+		for _, expire := range []int64{-1, 3 * every} {
+			for _, shards := range []int{1, 2} {
+				t.Run(fmt.Sprintf("r=%d/expire=%d/shards=%d", r, expire, shards), func(t *testing.T) {
+					cal, err := calendar.NewPeriodic(0, every, r*every)
+					if err != nil {
+						t.Fatal(err)
+					}
+					clock := &scriptClock{}
+					opts := chronicledb.Options{Dir: t.TempDir(), Shards: shards, Clock: clock.read}
+					db, err := chronicledb.Open(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer func() { db.Close() }()
+					s := &cohortScript{t: t, clock: clock, rng: rand.New(rand.NewSource(r + expire)), now: 1,
+						families: map[string]*refFamily{}, founded: map[string]int{}}
+					mustExec(t, db, `CREATE CHRONICLE calls (acct STRING, minutes INT)`)
+					s.create(db, refFamily{name: "w", aggs: []string{"FIRST", "LAST", "SUM", "COUNT"}, cal: cal, expire: expire})
+					onTime := func(n int) {
+						chronons := make([]int64, n)
+						for i := range chronons {
+							s.now += 1 + s.rng.Int63n(3)
+							chronons[i] = s.now
+						}
+						s.appendAt(db, chronons)
+					}
+					// A late call: n rows in one span that every window
+					// containing it has closed on, one of the last few such.
+					late := func(n int) {
+						closedBy := (s.now - r*every) / every
+						lo := (closedBy - s.rng.Int63n(4)) * every
+						chronons := make([]int64, n)
+						for i := range chronons {
+							chronons[i] = lo + s.rng.Int63n(every)
+						}
+						before := livePanes(db, "w")
+						s.appendAt(db, chronons)
+						if added := livePanes(db, "w") - before; added > 1 {
+							t.Errorf("%d late rows into [%d,%d) added %d panes, want at most 1", n, lo, lo+every, added)
+						}
+						s.check(fmt.Sprintf("%d late rows into [%d,%d)", n, lo, lo+every), db)
+					}
+					for range r + 4 {
+						onTime(16)
+					}
+					for range 6 {
+						late(12)
+						onTime(8)
+						late(3)
+					}
+					if err := db.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+					late(5)
+					if err := db.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if db, err = chronicledb.Open(opts); err != nil {
+						t.Fatal(err)
+					}
+					s.check("after a checkpoint and reopen", db)
+					for range 3 {
+						late(12)
+						onTime(8)
+					}
+					s.check("folding after the reopen", db)
+				})
+			}
+		}
+	}
+}
+
+// appendAt appends one call of rows stamped with chronons, over random
+// accounts and minutes.
+func (s *cohortScript) appendAt(db *chronicledb.DB, chronons []int64) {
+	s.t.Helper()
+	tuples := make([]chronicledb.Tuple, len(chronons))
+	for i, ch := range chronons {
+		r := cohortRow{chronon: ch, acct: fmt.Sprintf("a%d", s.rng.Intn(8)), minutes: int64(s.rng.Intn(20))}
+		s.rows = append(s.rows, r)
+		tuples[i] = chronicledb.Tuple{chronicledb.Str(r.acct), chronicledb.Int(r.minutes)}
+	}
+	s.clock.mu.Lock()
+	s.clock.queue = slices.Clone(chronons)
+	s.clock.mu.Unlock()
+	if _, _, err := db.AppendRows("calls", tuples); err != nil {
+		s.t.Fatal(err)
+	}
+}
+
+// livePanes counts the panes the live instances of family name read
+// through.
+func livePanes(db *chronicledb.DB, name string) int {
+	pv, _ := chronicledb.Kernel(db).PeriodicView(name)
+	panes := map[*view.View]bool{}
+	for _, inst := range pv.Instances() {
+		for _, p := range pv.PanesOf(inst.Interval) {
+			panes[p] = true
+		}
+	}
+	return len(panes)
 }

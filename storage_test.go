@@ -286,8 +286,9 @@ func TestOpenRejectsWhatItNoLongerReads(t *testing.T) {
 			return os.WriteFile(path, bytes.Replace(data, cur, fmt.Appendf(nil, `"version":%d`, version), 1), 0o644)
 		}
 	}
-	// imageVersion restamps the checkpoint image as an older version: v7
-	// family images hold every instance's groups where v8 holds panes, v6
+	// imageVersion restamps the checkpoint image as an older version: v8
+	// family images hold a closed window's groups where v9 reads it through
+	// its panes, v7 every instance's groups where v8 holds panes, v6
 	// images carry a flags byte and a byte before each view's image, v5
 	// entries a value-encoded tuple where v6 holds the stored key.
 	imageVersion := func(version byte) func(string) error {
@@ -319,6 +320,7 @@ func TestOpenRejectsWhatItNoLongerReads(t *testing.T) {
 		{name: "checkpoint image version 5", is: ErrUnsupportedLayout, says: "checkpoint image version 5", prepare: imageVersion(5)},
 		{name: "checkpoint image version 6", is: ErrUnsupportedLayout, says: "checkpoint image version 6", prepare: imageVersion(6)},
 		{name: "checkpoint image version 7", is: ErrUnsupportedLayout, says: "checkpoint image version 7", prepare: imageVersion(7)},
+		{name: "checkpoint image version 8", is: ErrUnsupportedLayout, says: "checkpoint image version 8", prepare: imageVersion(8)},
 		{name: "negative Shards", opts: Options{Shards: -1}, is: ErrInvalidOption, says: "Options.Shards"},
 		{name: "negative WALSegmentBytes", opts: Options{WALSegmentBytes: -1}, is: ErrInvalidOption, says: "Options.WALSegmentBytes"},
 		{name: "negative ViewBlockBytes", opts: Options{ViewBlockBytes: -1}, is: ErrInvalidOption, says: "Options.ViewBlockBytes"},

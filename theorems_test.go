@@ -2,7 +2,6 @@ package chronicledb_test
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -11,7 +10,6 @@ import (
 	chronicledb "chronicledb"
 	"chronicledb/internal/aggregate"
 	"chronicledb/internal/algebra"
-	"chronicledb/internal/calendar"
 	"chronicledb/internal/chronicle"
 	"chronicledb/internal/dispatch"
 	"chronicledb/internal/pred"
@@ -297,10 +295,11 @@ func e5(t *testing.T) {
 
 // e6 — Section 5.1's moving window on the database's own path: a family of
 // windows WIDTH = r·EVERY folds each row once, into its span's pane (for r
-// = 1 the window is its own pane), whatever r is; a window that closes
-// merges at most 2r pane groups per key into its table; and every live
-// instance, open or closed, equals a naive fold of the rows in its window,
-// across chronons the rows skip.
+// = 1 the window is its own pane), whatever r is; every live instance of a
+// window more than one span, open or closed, reads through at most 2r panes
+// and holds no group of its own; and every live instance equals a naive fold
+// of the rows in its window, across chronons the rows skip, once windows
+// have closed.
 func e6(t *testing.T) {
 	const every, rows = 10, 2000
 	for _, r := range []int64{1, 2, 8, 30} {
@@ -313,24 +312,11 @@ func e6(t *testing.T) {
 			minutes int64
 		}
 		var calls []call
-		folded := map[*view.View]int64{} // each table's folded rows when last seen
-		var folds int64
 		for i := 0; i < rows; i++ {
 			w.now = int64(i/2) * 3 / 2 // every third chronon gets no rows
 			row := w.call()
 			calls = append(calls, call{w.now, row[0].AsString(), row[1].AsInt()})
 			w.appendRows(t, row)
-			// A pane is freed only once no open window covers it, after the
-			// calls that fold into it.
-			tables := pv.PanesOf(calendar.Interval{Start: math.MinInt64, End: math.MaxInt64})
-			for _, inst := range pv.Instances() {
-				tables = append(tables, inst.View)
-			}
-			for _, v := range tables {
-				n := v.Stats().DeltaRows
-				folds += n - folded[v]
-				folded[v] = n
-			}
 			if i%250 != 249 && i != rows-1 {
 				continue
 			}
@@ -352,16 +338,29 @@ func e6(t *testing.T) {
 				if len(got) != len(want) {
 					t.Fatalf("r=%d after %d rows: %s%v holds %d groups, want %d", r, i+1, pv.Name(), inst.Interval, len(got), len(want))
 				}
-				if inst.View.ReadsThrough() {
-					continue
+				if inst.Interval.End <= w.now {
+					closed++
 				}
-				closed++
-				if m := inst.View.Stats().Merges; r == 1 && m != 0 || m > 2*r*int64(len(got)) {
-					t.Errorf("r=%d: closing %v merged %d pane groups into its %d keys, want at most %d a key", r, inst.Interval, m, len(got), 2*r)
+				if thru := inst.View.ReadsThrough(); thru != (r > 1) {
+					t.Errorf("r=%d: %v reads through panes: %v", r, inst.Interval, thru)
+				}
+				if n := len(pv.PanesOf(inst.Interval)); n > int(2*r) {
+					t.Errorf("r=%d: %v reads through %d panes, want at most %d", r, inst.Interval, n, 2*r)
 				}
 			}
 			if closed == 0 && i == rows-1 {
 				t.Errorf("r=%d: no window has closed", r)
+			}
+		}
+		// Nothing expires, so every table that folded a row is still live:
+		// each instance's, and each pane an instance reads through.
+		folds, seen := int64(0), map[*view.View]bool{}
+		for _, inst := range pv.Instances() {
+			for _, v := range append(pv.PanesOf(inst.Interval), inst.View) {
+				if !seen[v] {
+					seen[v] = true
+					folds += v.Stats().DeltaRows
+				}
 			}
 		}
 		if folds != rows {
